@@ -44,15 +44,11 @@ class AlgorithmCapabilities:
     """Capability metadata one algorithm declares once on its system class.
 
     This is the single source the benchmark and sweep matrices consult for
-    tier eligibility and the experiment driver consults for scheduler
-    auto-selection — replacing the module-level name tuples and ``getattr``
+    tier eligibility — replacing the module-level name tuples and ``getattr``
     probes that used to encode the same facts in four different places.
 
     Attributes:
         name: the algorithm's registry name.
-        dense_message_traffic: whether a request fans out to many peers at
-            the same timestamp (broadcast/quorum schemes) — the regime where
-            the bucket-ring scheduler beats the heap.
         max_recommended_nodes: the largest node count at which running the
             algorithm still measures the algorithm rather than its known
             asymptotic pathology (message or memory blow-up); ``None`` means
@@ -71,7 +67,6 @@ class AlgorithmCapabilities:
     """
 
     name: str
-    dense_message_traffic: bool
     max_recommended_nodes: Optional[int]
     storage_class: str
     token_based: bool
@@ -199,13 +194,6 @@ class MutexSystem(abc.ABC):
     uses_topology_edges: bool = False
     #: Per-node storage description for the Section 6.4 comparison.
     storage_description: str = ""
-    #: Whether the algorithm fans messages out to many peers per request
-    #: (broadcast/quorum schemes), producing many same-timestamp deliveries.
-    #: The scheduler auto-selection uses this: dense same-tick traffic is
-    #: where the bucket-ring scheduler beats the heap; token-passing
-    #: algorithms (this default) serialize events thinly over virtual time,
-    #: where the heap's C-level pops win.
-    dense_message_traffic: bool = False
     #: Largest node count the algorithm is worth running at (``None`` =
     #: unbounded).  See :class:`AlgorithmCapabilities.max_recommended_nodes`;
     #: the bench/sweep tier matrices read this through the registry.
@@ -366,7 +354,6 @@ class AlgorithmRegistry:
             )
         return AlgorithmCapabilities(
             name=name,
-            dense_message_traffic=system_class.dense_message_traffic,
             max_recommended_nodes=system_class.max_recommended_nodes,
             storage_class=system_class.storage_class,
             token_based=system_class.token_based,

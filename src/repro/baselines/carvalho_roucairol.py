@@ -109,7 +109,6 @@ class CarvalhoRoucairolSystem(MutexSystem):
 
     algorithm_name = "carvalho-roucairol"
     uses_topology_edges = False
-    dense_message_traffic = True
     #: Cached permissions help steady state, but worst case stays 2(N-1).
     max_recommended_nodes = 1_000
     storage_class = "linear"

@@ -159,7 +159,6 @@ class CentralizedSystem(MutexSystem):
 
     algorithm_name = "centralized"
     uses_topology_edges = False
-    dense_message_traffic = False
     #: O(1) scalars on every non-coordinator node; the coordinator's queue
     #: grows with the backlog, not with N.  Unbounded: runs at the 1M tier.
     max_recommended_nodes = None

@@ -44,7 +44,6 @@ class DagSystem(MutexSystem):
 
     algorithm_name = "dag"
     uses_topology_edges = True
-    dense_message_traffic = False
     #: Three scalars per node: the paper's headline storage result.  Unbounded.
     max_recommended_nodes = None
     storage_class = "constant"

@@ -160,7 +160,6 @@ class LamportSystem(MutexSystem):
 
     algorithm_name = "lamport"
     uses_topology_edges = False
-    dense_message_traffic = True
     #: 3(N-1) messages per entry: past ~1k nodes a cell measures broadcast
     #: cost, not the algorithm, so the matrices stop admitting it there.
     max_recommended_nodes = 1_000

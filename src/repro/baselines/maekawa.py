@@ -356,7 +356,6 @@ class MaekawaSystem(MutexSystem):
 
     algorithm_name = "maekawa"
     uses_topology_edges = False
-    dense_message_traffic = True
     #: Quorum traffic is O(sqrt(N)) but grid-quorum construction and the
     #: vote bookkeeping stop being informative past the small tiers.
     max_recommended_nodes = 1_000

@@ -136,7 +136,6 @@ class RaymondSystem(MutexSystem):
 
     algorithm_name = "raymond"
     uses_topology_edges = True
-    dense_message_traffic = False
     #: O(D) messages scale fine, but the per-node FIFO deque (~600 bytes
     #: each even when empty) is the Section 6.4 storage cost that prices the
     #: algorithm out of the 1M tier; 100k is the largest tier it joins.

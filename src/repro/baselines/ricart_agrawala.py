@@ -112,7 +112,6 @@ class RicartAgrawalaSystem(MutexSystem):
 
     algorithm_name = "ricart-agrawala"
     uses_topology_edges = False
-    dense_message_traffic = True
     #: 2(N-1) messages per entry bounds the interesting size range like
     #: Lamport's scheme.
     max_recommended_nodes = 1_000

@@ -229,7 +229,6 @@ class SinghalSystem(MutexSystem):
 
     algorithm_name = "singhal"
     uses_topology_edges = False
-    dense_message_traffic = True
     #: Heuristics trim the average, but state and sequence vectors are
     #: Theta(N) per node and the worst-case fan-out is N.
     max_recommended_nodes = 1_000

@@ -153,7 +153,6 @@ class SuzukiKasamiSystem(MutexSystem):
 
     algorithm_name = "suzuki-kasami"
     uses_topology_edges = False
-    dense_message_traffic = True
     #: The request broadcast costs N messages per entry, and the per-node
     #: request-number array is Theta(N) memory.
     max_recommended_nodes = 1_000

@@ -52,7 +52,6 @@ from repro.bench.throughput import (
     run_benchmark,
     run_calibrated_benchmark,
     run_scenario,
-    schedulers_equivalent,
     smoke_matrix,
     xlarge_matrix,
     xxlarge_matrix,
@@ -96,7 +95,6 @@ __all__ = [
     "run_scenario",
     "run_setup_benchmark",
     "run_setup_scenario",
-    "schedulers_equivalent",
     "smoke_fault_matrix",
     "smoke_matrix",
     "xlarge_matrix",

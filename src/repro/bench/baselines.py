@@ -70,13 +70,12 @@ class BaselineScenarioSpec:
     def name(self) -> str:
         return f"{self.algorithm}-star-n{self.n}-{self.demand}"
 
-    def experiment_spec(self, *, scheduler: str = "auto") -> ExperimentSpec:
+    def experiment_spec(self) -> ExperimentSpec:
         """The cell as a canonical :class:`~repro.spec.ExperimentSpec`."""
         return ExperimentSpec(
             algorithm=self.algorithm,
             topology=TopologySpec(kind="star", n=self.n),
             workload=bench_workload_spec(self.demand, self.n),
-            scheduler=scheduler,
             seed=0,
             collect_metrics=False,
         )
@@ -105,8 +104,6 @@ class BaselineScenarioResult:
     #: Peak RSS after this scenario (running maximum for in-process runs; use
     #: ``repro sweep`` for true per-scenario child-process numbers).
     peak_rss_kb: int
-    #: The engine scheduler the run engaged ("heap" or "ring").
-    scheduler: str = "heap"
 
     def as_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -137,7 +134,7 @@ def baseline_smoke_matrix() -> List[BaselineScenarioSpec]:
 
 
 def run_baseline_scenario(
-    spec: BaselineScenarioSpec, *, repeat: int = 3, scheduler: str = "auto"
+    spec: BaselineScenarioSpec, *, repeat: int = 3
 ) -> BaselineScenarioResult:
     """Run one baseline scenario ``repeat`` times and keep the fastest.
 
@@ -145,7 +142,7 @@ def run_baseline_scenario(
     per repetition (identical virtual outcome every time) and runs with no
     metrics collector so the network's zero-overhead fast path is active.
     """
-    experiment = spec.experiment_spec(scheduler=scheduler)
+    experiment = spec.experiment_spec()
     topology = experiment.topology.build()
     workload = experiment.workload.build(topology, seed=experiment.seed)
     if spec.algorithm == "maekawa":
@@ -163,11 +160,10 @@ def run_baseline_scenario(
         bound = upper_bound_messages(
             spec.algorithm, n=spec.n, diameter=diameter(topology)
         )
-    wall, result, events, messages, engaged = measure_fastest(
+    wall, result, events, messages = measure_fastest(
         lambda: experiment.build_system(topology),
         workload,
         repeat=repeat,
-        scheduler=scheduler,
     )
     return BaselineScenarioResult(
         scenario=spec.name,
@@ -184,7 +180,6 @@ def run_baseline_scenario(
         bound_messages_per_entry=round(bound, 4),
         within_bound=result.messages_per_entry <= bound + 1e-9,
         peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        scheduler=engaged,
     )
 
 
@@ -192,20 +187,19 @@ def run_baseline_benchmark(
     *,
     matrix: Optional[Sequence[BaselineScenarioSpec]] = None,
     repeat: int = 3,
-    scheduler: str = "auto",
     verbose: bool = False,
 ) -> Dict[str, Any]:
     """Run the matrix and assemble the ``BENCH_baselines.json`` document."""
     specs = list(matrix) if matrix is not None else baseline_default_matrix()
     scenarios: List[Dict[str, Any]] = []
     for spec in specs:
-        measured = run_baseline_scenario(spec, repeat=repeat, scheduler=scheduler)
+        measured = run_baseline_scenario(spec, repeat=repeat)
         scenarios.append(measured.as_dict())
         if verbose:
             print(
                 f"{measured.scenario:<38} {measured.events_per_sec:>12,.0f} ev/s  "
                 f"{measured.messages_per_entry:>8.3f} msg/entry  "
-                f"wall {measured.wall_seconds:.3f}s  [{measured.scheduler}]"
+                f"wall {measured.wall_seconds:.3f}s"
             )
     return {
         "schema": "bench-baselines/v1",
@@ -220,7 +214,6 @@ def run_calibrated_baseline_benchmark(
     matrix: Optional[Sequence[BaselineScenarioSpec]] = None,
     repeat: int = 3,
     runs: int = 4,
-    scheduler: str = "auto",
     verbose: bool = False,
 ) -> Dict[str, Any]:
     """Run the matrix ``runs`` times and min-merge into a committed floor.
@@ -237,9 +230,7 @@ def run_calibrated_baseline_benchmark(
         if verbose:
             print(f"calibration run {index + 1}/{runs}:")
         documents.append(
-            run_baseline_benchmark(
-                matrix=matrix, repeat=repeat, scheduler=scheduler, verbose=verbose
-            )
+            run_baseline_benchmark(matrix=matrix, repeat=repeat, verbose=verbose)
         )
     merged = min_merge_documents(documents)
     merged["calibration"] = (

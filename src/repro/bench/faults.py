@@ -130,24 +130,18 @@ def smoke_fault_matrix() -> List[FaultScenarioSpec]:
     return matrix
 
 
-def run_fault_scenario(
-    spec: FaultScenarioSpec, *, scheduler: str = "auto"
-) -> Dict[str, Any]:
+def run_fault_scenario(spec: FaultScenarioSpec) -> Dict[str, Any]:
     """Run one fault cell and return its document row.
 
     Deterministic outcomes live at the top level of the row; host-dependent
     measurements live under ``"timing"`` (same split as the sweep rows).
-    Everything above ``"timing"`` is byte-identical for any ``scheduler``
-    choice — the CI gate cross-checks heap against ring on exactly this.
     """
     experiment = spec.experiment_spec()
     topology = experiment.topology.build()
     workload = experiment.workload.build(topology, seed=experiment.seed)
     system = experiment.build_system(topology)
     controller = FaultController(experiment.faults, name=experiment.name)
-    driver = ExperimentDriver(
-        system, workload, scheduler=scheduler, faults=controller
-    )
+    driver = ExperimentDriver(system, workload, faults=controller)
     start = time.perf_counter()
     result = driver.run(max_events=50_000_000)
     wall = time.perf_counter() - start
@@ -170,7 +164,6 @@ def run_fault_scenario(
         "timing": {
             "wall_seconds": round(wall, 4),
             "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
-            "scheduler": system.engine.scheduler_kind,
         },
     }
     recovery = summary.get("recovery")
@@ -188,14 +181,13 @@ def run_fault_scenario(
 def run_fault_benchmark(
     *,
     matrix: Optional[Sequence[FaultScenarioSpec]] = None,
-    scheduler: str = "auto",
     verbose: bool = False,
 ) -> Dict[str, Any]:
     """Run the fault matrix and assemble the ``BENCH_faults.json`` document."""
     specs = list(matrix) if matrix is not None else default_fault_matrix()
     rows: List[Dict[str, Any]] = []
     for spec in specs:
-        row = run_fault_scenario(spec, scheduler=scheduler)
+        row = run_fault_scenario(spec)
         rows.append(row)
         if verbose:
             recovery = row.get("recovery") or {}
@@ -217,7 +209,7 @@ def deterministic_fault_document(document: Dict[str, Any]) -> Dict[str, Any]:
     """The fault-bench document minus host-dependent fields.
 
     Same contract as the sweep's ``deterministic_document``: two runs of the
-    same matrix — any scheduler, any machine — must agree byte-for-byte on
+    same matrix — any machine, any worker count — must agree byte-for-byte on
     the canonical JSON of this projection.
     """
     stripped = {

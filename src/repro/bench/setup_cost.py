@@ -39,12 +39,10 @@ def construction_matrix(matrix: Sequence[ScenarioSpec]) -> List[ScenarioSpec]:
     return [spec for spec in matrix if spec.n >= CONSTRUCTION_MIN_NODES]
 
 
-def run_setup_scenario(
-    spec: ScenarioSpec, *, scheduler: str = "auto", node_backend: str = "auto"
-) -> Dict[str, Any]:
+def run_setup_scenario(spec: ScenarioSpec, *, node_backend: str = "auto") -> Dict[str, Any]:
     """Build one scenario end to end — topology, workload, system, arrival
     load — timing each phase, without draining a single protocol event."""
-    experiment = spec.experiment_spec(scheduler=scheduler, node_backend=node_backend)
+    experiment = spec.experiment_spec(node_backend=node_backend)
     start = time.perf_counter()
     topology = experiment.topology.build()
     topology_seconds = time.perf_counter() - start
@@ -58,7 +56,7 @@ def run_setup_scenario(
     system_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    driver = ExperimentDriver(system, workload, scheduler=scheduler)
+    driver = ExperimentDriver(system, workload)
     driver._load_arrivals(system.engine)
     load_seconds = time.perf_counter() - start
 
@@ -77,7 +75,6 @@ def run_setup_scenario(
         "system_seconds": round(system_seconds, 4),
         "load_seconds": round(load_seconds, 4),
         "setup_seconds": round(total, 4),
-        "scheduler": system.engine.scheduler_kind,
         "node_backend": system.node_backend,
         #: Process-lifetime peak RSS sampled after this cell (a running
         #: maximum across the run, like the throughput document's field).
@@ -89,7 +86,6 @@ def run_setup_benchmark(
     matrix: Sequence[ScenarioSpec],
     *,
     budget_seconds: Optional[float] = None,
-    scheduler: str = "auto",
     node_backend: str = "auto",
     verbose: bool = False,
 ) -> Dict[str, Any]:
@@ -100,14 +96,12 @@ def run_setup_benchmark(
         budget_seconds: optional per-cell wall budget; cells exceeding it are
             listed under ``"over_budget"`` and flip ``"within_budget"`` to
             ``False`` (the CLI exits non-zero on that).
-        scheduler: the driver's ``--scheduler`` choice; affects which store
-            the arrival-load phase fills (each row records the engaged kind).
         verbose: print one line per cell as it finishes.
     """
     scenarios: List[Dict[str, Any]] = []
     over_budget: List[str] = []
     for spec in matrix:
-        row = run_setup_scenario(spec, scheduler=scheduler, node_backend=node_backend)
+        row = run_setup_scenario(spec, node_backend=node_backend)
         scenarios.append(row)
         if budget_seconds is not None and row["setup_seconds"] > budget_seconds:
             over_budget.append(

@@ -66,9 +66,7 @@ class ScenarioSpec:
     def name(self) -> str:
         return f"{self.kind}-n{self.n}-{self.demand}"
 
-    def experiment_spec(
-        self, *, scheduler: str = "auto", node_backend: str = "auto"
-    ) -> ExperimentSpec:
+    def experiment_spec(self, *, node_backend: str = "auto") -> ExperimentSpec:
         """The cell as a canonical :class:`~repro.spec.ExperimentSpec`.
 
         Benchmark cells run the DAG algorithm on the unobserved fast path
@@ -83,7 +81,6 @@ class ScenarioSpec:
             algorithm="dag",
             topology=TopologySpec(kind=self.kind, n=self.n),
             workload=bench_workload_spec(self.demand, self.n),
-            scheduler=scheduler,
             seed=0,
             collect_metrics=False,
             node_backend=node_backend,
@@ -109,8 +106,6 @@ class ScenarioResult:
     #: Process-lifetime peak RSS sampled after this scenario (a running
     #: maximum across the benchmark run, not a per-scenario measurement).
     peak_rss_kb: int
-    #: The engine scheduler the run engaged ("heap" or "ring").
-    scheduler: str = "heap"
     #: The node backend the run engaged ("object" or "compact").
     node_backend: str = "object"
 
@@ -242,15 +237,12 @@ def build_workload(topology: Topology, demand: str, *, seed: int = 0) -> Workloa
 MIN_MEASUREMENT_WINDOW_SECONDS = 0.05
 
 
-def measure_fastest(system_factory, workload, *, repeat: int = 3, scheduler: str = "auto"):
+def measure_fastest(system_factory, workload, *, repeat: int = 3):
     """Replay ``workload`` against fresh systems ``repeat`` times; keep the fastest.
 
     Each repetition rebuilds the whole system, so the virtual-time outcome is
     identical every time — only the wall clock varies, and best-of-N damps
     scheduler noise.  Shared by the DAG and baseline benchmark matrices.
-    ``scheduler`` is handed to :class:`ExperimentDriver` ("auto" engages the
-    bucket ring on lattice-timestamped dense-traffic scenarios; the replay
-    outcome is identical either way).
 
     If the fastest repetition is shorter than
     :data:`MIN_MEASUREMENT_WINDOW_SECONDS`, the scenario is re-timed over
@@ -261,16 +253,14 @@ def measure_fastest(system_factory, workload, *, repeat: int = 3, scheduler: str
     including the ones that finish in a couple of milliseconds.
 
     Returns:
-        ``(wall_seconds, experiment_result, events, messages, scheduler_kind)``
+        ``(wall_seconds, experiment_result, events, messages)``
         of the fastest repetition (``wall_seconds`` is a per-replay average
         when the window re-measurement kicked in).
     """
     best = None
-    engaged = "heap"
     for _ in range(max(1, repeat)):
         system = system_factory()
-        driver = ExperimentDriver(system, workload, scheduler=scheduler)
-        engaged = system.engine.scheduler_kind
+        driver = ExperimentDriver(system, workload)
         start = time.perf_counter()
         result = driver.run(max_events=50_000_000)
         wall = time.perf_counter() - start
@@ -291,23 +281,22 @@ def measure_fastest(system_factory, workload, *, repeat: int = 3, scheduler: str
         window = 0.0
         for _ in range(replays):
             system = system_factory()
-            driver = ExperimentDriver(system, workload, scheduler=scheduler)
+            driver = ExperimentDriver(system, workload)
             start = time.perf_counter()
             driver.run(max_events=50_000_000)
             window += time.perf_counter() - start
         wall = window / replays
-    return wall, result, events, messages, engaged
+    return wall, result, events, messages
 
 
 def run_scenario(
     spec: ScenarioSpec,
     *,
     repeat: int = 3,
-    scheduler: str = "auto",
     node_backend: str = "auto",
 ) -> ScenarioResult:
     """Run one scenario best-of-``repeat`` (see :func:`measure_fastest`)."""
-    experiment = spec.experiment_spec(scheduler=scheduler, node_backend=node_backend)
+    experiment = spec.experiment_spec(node_backend=node_backend)
     # Topology and workload are built once and shared across repetitions;
     # only the system under test is rebuilt per replay.
     topology = experiment.topology.build()
@@ -321,11 +310,10 @@ def run_scenario(
         engaged_backend = system.node_backend
         return system
 
-    wall, result, events, messages, engaged = measure_fastest(
+    wall, result, events, messages = measure_fastest(
         system_factory,
         workload,
         repeat=repeat,
-        scheduler=scheduler,
     )
     if result.messages_per_entry > bound + 1e-9:
         raise AssertionError(
@@ -346,7 +334,6 @@ def run_scenario(
         messages_per_entry=round(result.messages_per_entry, 4),
         bound_messages_per_entry=bound,
         peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        scheduler=engaged,
         node_backend=engaged_backend,
     )
 
@@ -382,40 +369,6 @@ def determinism_fingerprint() -> Dict[str, Dict[str, Any]]:
             "mean_waiting_time": round(result.mean_waiting_time, 9),
         }
     return out
-
-
-def schedulers_equivalent() -> bool:
-    """Whether the heap and the bucket ring replay byte-identically.
-
-    Two fixed-seed 50-node runs — a lattice-timestamped heavy-demand one
-    (the ring's home turf) and an off-lattice Poisson one (which exercises
-    the ring's sort-on-touch fallback) — are replayed with each scheduler
-    forced, and every observable of the result must match exactly: entry
-    order, message counts by type, finish time, mean waiting time.  This is
-    the scheduler subsystem's CI gate; `repro sweep`'s deterministic
-    documents cross-check the same property over the whole smoke matrix.
-    """
-    topology = star(50)
-    heavy = WorkloadGenerator(topology.nodes, seed=42).heavy_demand(rounds=4)
-    poisson = WorkloadGenerator(topology.nodes, seed=43).poisson(
-        total_requests=150, mean_interarrival=2.0
-    )
-    for workload in (heavy, poisson):
-        outcomes = []
-        for mode in ("heap", "ring"):
-            result = run_experiment("dag", topology, workload, scheduler=mode)
-            outcomes.append(
-                (
-                    result.entry_order,
-                    result.total_messages,
-                    result.messages_by_type,
-                    round(result.finished_at, 9),
-                    round(result.mean_waiting_time, 9),
-                )
-            )
-        if outcomes[0] != outcomes[1]:
-            return False
-    return True
 
 
 def fast_path_consistent() -> bool:
@@ -454,7 +407,6 @@ def run_benchmark(
     matrix: Optional[Sequence[ScenarioSpec]] = None,
     repeat: int = 3,
     seed_baseline: Optional[Dict[str, Any]] = None,
-    scheduler: str = "auto",
     node_backend: str = "auto",
     profile: bool = False,
     verify_determinism: bool = True,
@@ -479,16 +431,14 @@ def run_benchmark(
         profiler = cProfile.Profile()
         profiler.enable()
     for spec in specs:
-        measured = run_scenario(
-            spec, repeat=repeat, scheduler=scheduler, node_backend=node_backend
-        )
+        measured = run_scenario(spec, repeat=repeat, node_backend=node_backend)
         scenarios.append(measured.as_dict())
         if verbose:
             print(
                 f"{measured.scenario:<22} {measured.events_per_sec:>12,.0f} ev/s  "
                 f"{measured.messages_per_sec:>12,.0f} msg/s  "
                 f"wall {measured.wall_seconds:.3f}s  "
-                f"[{measured.scheduler}/{measured.node_backend}]"
+                f"[{measured.node_backend}]"
             )
     if profiler is not None:
         profiler.disable()
@@ -507,7 +457,6 @@ def run_benchmark(
         document["determinism"] = {
             "fingerprint": fingerprint,
             "fast_path_matches_observed": fast_path_consistent(),
-            "schedulers_match": schedulers_equivalent(),
         }
 
     if seed_baseline is not None:
@@ -591,7 +540,6 @@ def run_calibrated_benchmark(
     repeat: int = 3,
     runs: int = 4,
     seed_baseline: Optional[Dict[str, Any]] = None,
-    scheduler: str = "auto",
     node_backend: str = "auto",
     verbose: bool = False,
 ) -> Dict[str, Any]:
@@ -615,7 +563,6 @@ def run_calibrated_benchmark(
                 matrix=matrix,
                 repeat=repeat,
                 seed_baseline=seed_baseline,
-                scheduler=scheduler,
                 node_backend=node_backend,
                 # The fingerprint/equivalence replays are rate-independent:
                 # run them once, not once per calibration pass.

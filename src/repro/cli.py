@@ -268,7 +268,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             repeat=args.repeat,
             runs=args.calibrate,
             seed_baseline=seed_baseline,
-            scheduler=args.scheduler,
             node_backend=args.node_backend,
             verbose=True,
         )
@@ -277,7 +276,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             matrix=matrix,
             repeat=args.repeat,
             seed_baseline=seed_baseline,
-            scheduler=args.scheduler,
             node_backend=args.node_backend,
             profile=args.profile,
             verbose=True,
@@ -288,10 +286,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not determinism.get("fast_path_matches_observed", True):
         print("DETERMINISM: the unobserved fast path no longer replays the "
               "observed path's event order!")
-        status = 1
-    if not determinism.get("schedulers_match", True):
-        print("DETERMINISM: heap and ring schedulers no longer replay "
-              "identically!")
         status = 1
     if seed_baseline is not None:
         if not determinism.get("matches_seed", False):
@@ -389,7 +383,6 @@ def _bench_setup_only(args: argparse.Namespace) -> int:
     document = run_setup_benchmark(
         matrix,
         budget_seconds=args.budget_seconds,
-        scheduler=args.scheduler,
         node_backend=args.node_backend,
         verbose=True,
     )
@@ -434,9 +427,7 @@ def _bench_faults(args: argparse.Namespace) -> int:
         )
         return 2
     matrix = smoke_fault_matrix() if args.smoke else None
-    document = run_fault_benchmark(
-        matrix=matrix, scheduler=args.scheduler, verbose=True
-    )
+    document = run_fault_benchmark(matrix=matrix, verbose=True)
 
     status = 0
     if args.check:
@@ -501,13 +492,10 @@ def _bench_baselines(args: argparse.Namespace) -> int:
             matrix=matrix,
             repeat=args.repeat,
             runs=args.calibrate,
-            scheduler=args.scheduler,
             verbose=True,
         )
     else:
-        document = run_baseline_benchmark(
-            matrix=matrix, repeat=args.repeat, scheduler=args.scheduler, verbose=True
-        )
+        document = run_baseline_benchmark(matrix=matrix, repeat=args.repeat, verbose=True)
 
     outside = [
         row["scenario"] for row in document["scenarios"] if not row["within_bound"]
@@ -615,37 +603,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         elif args.faults:
             matrix = fault_sweep_matrix(
                 algorithms=algorithms,
-                scheduler=args.scheduler,
                 node_backend=args.node_backend,
             )
         elif args.smoke:
             matrix = smoke_sweep_matrix(
                 algorithms=algorithms,
-                scheduler=args.scheduler,
                 node_backend=args.node_backend,
             )
         elif args.large:
             matrix = large_sweep_matrix(
                 algorithms=algorithms,
-                scheduler=args.scheduler,
                 node_backend=args.node_backend,
             )
         elif args.xlarge:
             matrix = xlarge_sweep_matrix(
                 algorithms=algorithms,
-                scheduler=args.scheduler,
                 node_backend=args.node_backend,
             )
         elif args.xxlarge:
             matrix = xxlarge_sweep_matrix(
                 algorithms=algorithms,
-                scheduler=args.scheduler,
                 node_backend=args.node_backend,
             )
         else:
             matrix = default_sweep_matrix(
                 algorithms=algorithms,
-                scheduler=args.scheduler,
                 node_backend=args.node_backend,
             )
     except (ReproError, OSError, ValueError) as exc:
@@ -704,7 +686,6 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
                 "name": name,
                 "uses tree edges": "yes" if caps.uses_topology_edges else "no",
                 "token based": "yes" if caps.token_based else "no",
-                "dense traffic": "yes" if caps.dense_message_traffic else "no",
                 "storage": caps.storage_class,
                 "node backends": "+".join(caps.node_backends),
                 "max nodes": (
@@ -778,7 +759,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 args.cell[1],
                 args.cell[2],
                 seed=args.seed,
-                scheduler=args.scheduler,
                 collect_metrics=not args.no_metrics,
                 node_backend=args.node_backend,
             )
@@ -819,7 +799,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             "messages_per_entry": round(result.messages_per_entry, 3),
             "events": engine.processed_events,
             "finished_at": round(result.finished_at, 9),
-            "scheduler": engine.scheduler_kind,
             "backend": driver.system.node_backend,
         }
     ]
@@ -1274,13 +1253,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0,
                      help="workload seed for the shorthand form (default 0)")
     run.add_argument(
-        "--scheduler",
-        default="auto",
-        choices=["auto", "heap", "ring"],
-        help="engine event scheduler for the shorthand form "
-             "(virtual-time results are identical either way)",
-    )
-    run.add_argument(
         "--no-metrics",
         action="store_true",
         help="shorthand form: run on the unobserved fast path "
@@ -1426,14 +1398,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--baselines)",
     )
     bench.add_argument(
-        "--scheduler",
-        default="auto",
-        choices=["auto", "heap", "ring"],
-        help="engine event scheduler: auto picks the bucket ring on "
-             "lattice-timestamped dense-traffic scenarios, heap/ring force "
-             "one (virtual-time results are identical either way)",
-    )
-    bench.add_argument(
         "--node-backend",
         default="auto",
         choices=["auto", "object", "compact"],
@@ -1498,7 +1462,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault tier: every algorithm under the injected fault profiles "
              "(token loss vs quorum starvation) plus the DAG crash-recover "
              "cell; deterministic output is byte-identical across worker "
-             "counts and schedulers",
+             "counts",
     )
     sweep.add_argument("--workers", type=int, default=2,
                        help="concurrent child processes (default 2)")
@@ -1519,13 +1483,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         choices=registry.names(),
         help="subset of algorithms (default: all 9)",
-    )
-    sweep.add_argument(
-        "--scheduler",
-        default="auto",
-        choices=["auto", "heap", "ring"],
-        help="engine event scheduler for every cell; deterministic output "
-             "is byte-identical across choices (CI cross-checks this)",
     )
     sweep.add_argument(
         "--node-backend",

@@ -29,24 +29,14 @@ from repro.sim.metrics import CriticalSectionRecord, MetricsCollector
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
 from repro.sim.rng import SeededRNG
-from repro.sim.schedulers import (
-    SCHEDULER_MODES,
-    BucketRingScheduler,
-    HeapScheduler,
-    Scheduler,
-    make_scheduler,
-    scenario_time_lattice,
-)
+from repro.sim.schedulers import SCHEDULER_MODES, HeapScheduler, make_scheduler
 from repro.sim.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "SimulationEngine",
-    "Scheduler",
     "HeapScheduler",
-    "BucketRingScheduler",
     "SCHEDULER_MODES",
     "make_scheduler",
-    "scenario_time_lattice",
     "Event",
     "EventKind",
     "MessageDelivery",

@@ -1,15 +1,12 @@
 """Deterministic discrete-event simulation engine.
 
 The engine owns the virtual clock and the monotone sequence counter; the
-*storage* of scheduled events is a pluggable :mod:`~repro.sim.schedulers`
-strategy (and the pending-event count is derived from it in O(1)).  The default
-:class:`~repro.sim.schedulers.HeapScheduler` keeps a heap of ``(time,
-priority, sequence, event)`` tuples — storing plain tuples keeps every heap
-comparison in C — and the
-:class:`~repro.sim.schedulers.BucketRingScheduler` swaps the heap for an
-array of FIFO buckets (O(1) push/pop) on scenarios whose timestamps fall on
-a discrete lattice.  The hottest callers
-(:meth:`SimulationEngine.schedule_lite`) skip the event object entirely: the
+*storage* of scheduled events and the drain loop live in
+:class:`~repro.sim.schedulers.HeapScheduler` (and the pending-event count is
+derived from it in O(1)), a heap of ``(time, priority, sequence, event)``
+tuples — storing plain tuples keeps every heap comparison in C.  The hottest
+callers (:meth:`SimulationEngine.schedule_lite`) skip the event object
+entirely: the
 entry is a ``(time, priority, sequence, callback, payload)`` 5-tuple and
 ``callback(payload)`` fires with no per-event allocation at all.  The engine
 is intentionally minimal: processes, networks, and metrics are layered on
@@ -17,11 +14,10 @@ top rather than baked in, so the same engine drives every algorithm in the
 library.
 
 Determinism contract: events fire in ``(time, priority, sequence)`` order,
-with the sequence number allocated monotonically at scheduling time,
-*whichever scheduler stores them*.  Both :meth:`SimulationEngine.schedule`
-and the hot-path :meth:`SimulationEngine.schedule_fast` draw from the same
-sequence counter, so mixing the two never changes the replay order, and a
-run replays byte-identically under the heap and the ring (CI-gated).
+with the sequence number allocated monotonically at scheduling time.  Both
+:meth:`SimulationEngine.schedule` and the hot-path
+:meth:`SimulationEngine.schedule_fast` draw from the same sequence counter,
+so mixing the two never changes the replay order.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from repro.sim.events import Event, EventKind
 from repro.sim.schedulers import (
     MIN_TOMBSTONES_FOR_COMPACTION,
     HeapScheduler,
-    Scheduler,
     make_scheduler,
 )
 
@@ -46,11 +41,8 @@ class SimulationEngine:
     Args:
         start_time: initial virtual time.
         scheduler: the pending-event store — a
-            :class:`~repro.sim.schedulers.Scheduler` instance or one of the
-            mode strings ``"auto"``/``"heap"``/``"ring"`` (``"auto"``
-            resolves to the heap here; scenario-aware selection happens in
-            the experiment driver, which can see the latency model and the
-            workload).  Defaults to the heap.
+            :class:`~repro.sim.schedulers.HeapScheduler` instance or one of
+            the spellings ``"auto"``/``"heap"``.  Defaults to a fresh heap.
 
     Example:
         >>> engine = SimulationEngine()
@@ -65,7 +57,7 @@ class SimulationEngine:
         self,
         *,
         start_time: float = 0.0,
-        scheduler: Union[str, Scheduler, None] = None,
+        scheduler: Union[str, HeapScheduler, None] = None,
     ) -> None:
         self._now = float(start_time)
         self._sequence = 0
@@ -79,7 +71,7 @@ class SimulationEngine:
         self._scheduler = scheduler
         scheduler.bind(self)
         # Bound once: scheduling entry points call this without re-resolving
-        # the scheduler per event (the heap's is a frame-free C partial).
+        # the scheduler per event (a frame-free C partial).
         self._push = scheduler.push_callable()
         # Batch delivery sink (see set_batch_sink): None means the drain
         # loops dispatch every lite entry individually.
@@ -130,21 +122,19 @@ class SimulationEngine:
 
         Derived in O(1) from the scheduler's entry count minus its cancelled
         tombstones — nothing is rescanned and the scheduling hot paths pay no
-        per-event counter upkeep.  The ring scheduler folds its entry count
-        in batches, so a read from *inside* a running callback may briefly
-        overcount; it is exact whenever :meth:`run` is not on the stack.
+        per-event counter upkeep.
         """
         scheduler = self._scheduler
         return len(scheduler) - scheduler.tombstones
 
     @property
-    def scheduler(self) -> Scheduler:
+    def scheduler(self) -> HeapScheduler:
         """The pending-event store in use."""
         return self._scheduler
 
     @property
     def scheduler_kind(self) -> str:
-        """Short name of the active scheduler (``"heap"`` or ``"ring"``)."""
+        """Short name of the pending-event store (always ``"heap"``)."""
         return self._scheduler.kind
 
     def register_metrics(self, registry: Any, *, prefix: str = "sim") -> None:
@@ -168,29 +158,6 @@ class SimulationEngine:
         registry.gauge(f"{prefix}.scheduler_tombstones").set_function(
             lambda: self._scheduler.tombstones
         )
-
-    def use_scheduler(self, scheduler: Union[str, Scheduler]) -> None:
-        """Swap the pending-event store.
-
-        Only legal while the queue is empty (no pending events, no
-        tombstones) and no :meth:`run` call is active, so the swap can never
-        reorder anything.
-
-        Raises:
-            SimulationError: if called mid-run or with events still queued.
-        """
-        if self._running:
-            raise SimulationError("cannot swap schedulers while run() is active")
-        if len(self._scheduler) != 0:
-            raise SimulationError(
-                f"cannot swap schedulers with {len(self._scheduler)} entries "
-                "still queued"
-            )
-        if isinstance(scheduler, str):
-            scheduler = make_scheduler(scheduler)
-        self._scheduler = scheduler
-        scheduler.bind(self)
-        self._push = scheduler.push_callable()
 
     def schedule(
         self,
@@ -278,9 +245,8 @@ class SimulationEngine:
         stamped with the next sequence number in iteration order, exactly as
         if :meth:`schedule_lite` had been called per item, then handed to
         the scheduler's batch insert (the heap extends and re-heapifies in
-        O(n); the ring appends straight into its buckets).  Used by the
-        experiment driver to load a whole workload's arrivals up front
-        without paying a Python call per request.
+        O(n)).  Used by the experiment driver to load a whole workload's
+        arrivals up front without paying a Python call per request.
 
         Returns:
             The number of events scheduled.
@@ -322,9 +288,8 @@ class SimulationEngine:
     ) -> int:
         """Process events until the queue drains or a limit is reached.
 
-        The loop itself lives in the scheduler (each store drains a run of
-        same-timestamp events as one batch without re-touching its head per
-        event); this method owns validation and re-entrancy.
+        The loop itself lives in the scheduler; this method owns validation
+        and re-entrancy.
 
         Args:
             until: stop (without processing) events scheduled strictly after

@@ -19,7 +19,7 @@ draw from a :class:`~repro.sim.rng.SeededRNG`, and crash/partition schedules
 fire at fixed virtual times.  Two runs of the same
 :class:`~repro.spec.FaultSpec` therefore produce byte-identical
 :class:`FaultLog` contents (see :meth:`FaultLog.digest`), which CI compares
-across schedulers and worker counts.
+across node backends and worker counts.
 
 Crash-stop semantics (and the one subtlety worth documenting): a message sent
 *to* a crashed node is recorded as lost at send time, and a message already in
@@ -89,7 +89,7 @@ class FaultLog:
     restart entries are ``(time, node)``; partition and heal entries are
     ``(time, a, b)``.  Everything is plain data on purpose: the whole log
     serializes canonically, so :meth:`digest` gives a replay fingerprint that
-    CI can compare across schedulers and sweep worker counts.
+    CI can compare across node backends and sweep worker counts.
     """
 
     #: Messages discarded by a drop budget, a typed drop, or the random rate.
@@ -451,9 +451,8 @@ class FaultController:
     def arm(self, system, driver=None) -> None:
         """Configure the injector and schedule every timed fault.
 
-        Must run after the driver has fixed its scheduler but before the
-        workload is loaded, so the fault events claim the same engine
-        sequence numbers on every replay.
+        Must run before the workload is loaded, so the fault events claim
+        the same engine sequence numbers on every replay.
         """
         if self.armed:
             raise ExperimentError("fault controller is already armed")

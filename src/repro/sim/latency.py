@@ -12,7 +12,6 @@ regardless of the model).
 from __future__ import annotations
 
 import abc
-import math
 from typing import Dict, Optional, Tuple
 
 from repro.sim.rng import SeededRNG
@@ -34,17 +33,6 @@ class LatencyModel(abc.ABC):
         """Human-readable description used in experiment reports."""
         return type(self).__name__
 
-    def time_lattice(self) -> Optional[float]:
-        """The quantum all delays are integer multiples of, or ``None``.
-
-        The scheduler-selection logic (``repro.sim.schedulers``) uses this
-        hint: a scenario whose latency model, workload arrival grid and CS
-        hold times all share a lattice can run on the O(1) bucket-ring
-        scheduler instead of the binary heap.  Stochastic models return
-        ``None`` (no lattice); deterministic models return their spacing.
-        """
-        return None
-
 
 class ConstantLatency(LatencyModel):
     """Every message takes exactly ``value`` time units (default 1.0)."""
@@ -59,9 +47,6 @@ class ConstantLatency(LatencyModel):
 
     def describe(self) -> str:
         return f"ConstantLatency({self.value})"
-
-    def time_lattice(self) -> Optional[float]:
-        return self.value
 
 
 class UniformLatency(LatencyModel):
@@ -143,20 +128,3 @@ class PerLinkLatency(LatencyModel):
 
     def describe(self) -> str:
         return f"PerLinkLatency({len(self._delays)} links, default={self.default})"
-
-    def time_lattice(self) -> Optional[float]:
-        """GCD of the per-link delays when all are integer-valued.
-
-        A deterministic per-link model keeps timestamps on a lattice as long
-        as every delay (including the default) is a whole number; the
-        spacing is the integer GCD of the distinct delays.  Fractional
-        delays return ``None`` — float GCDs are not reliably exact.
-        """
-        values = set(self._delays.values())
-        values.add(self.default)
-        if any(not float(value).is_integer() for value in values):
-            return None
-        result = 0
-        for value in values:
-            result = math.gcd(result, int(value))
-        return float(result) if result else None

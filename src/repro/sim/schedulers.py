@@ -1,113 +1,87 @@
-"""Pluggable event schedulers for :class:`~repro.sim.engine.SimulationEngine`.
+"""The pending-event store for :class:`~repro.sim.engine.SimulationEngine`.
 
 The engine's determinism contract — events fire in ``(time, priority,
-sequence)`` order — does not care *how* the pending set is stored.  This
-module turns the storage into a strategy object so the engine can pick the
-cheapest structure for the scenario at hand:
+sequence)`` order — is carried by one structure: :class:`HeapScheduler`, a
+binary heap of plain tuples.  O(log n) push/pop, arbitrary timestamps, every
+comparison in C.
 
-* :class:`HeapScheduler` — the classic binary heap of plain tuples.  O(log n)
-  push/pop, works for arbitrary timestamps.  This is the default and the
-  reference implementation; it is the exact structure the engine used before
-  schedulers became pluggable.
-* :class:`BucketRingScheduler` — a calendar/bucket queue: an array of FIFO
-  buckets keyed by quantized time, with a spill dict for times beyond the
-  ring's horizon.  O(1) push and pop when event timestamps fall on a discrete
-  lattice (the common case for the committed bench/sweep matrices, which run
-  under :class:`~repro.sim.latency.ConstantLatency` with integer workload
-  grids).
+The scheduler owns its *drain loop*: the tight pop-and-dispatch loop that
+:meth:`SimulationEngine.run` delegates to.  Keeping the loop next to the
+storage lets it hand a same-tick burst of deliveries to the columnar
+backend's batch sink in one call, without any per-event virtual dispatch.
 
-Each scheduler owns its *drain loop*: the tight pop-and-dispatch loop that
-:meth:`SimulationEngine.run` delegates to.  Keeping the loop inside the
-scheduler lets each structure drain a run of same-timestamp events as one
-batch — the ring walks the current bucket with a cursor and never touches a
-queue head per event; the heap sets the clock once per equal-time run —
-without any per-event virtual dispatch.
+Cancelled events are tombstones, skipped (without advancing the clock) when
+reached.  The store tracks a cancelled counter so the engine can trigger
+:meth:`HeapScheduler.compact` when tombstones outnumber half the live entries
+(see ``SimulationEngine._note_cancelled``).
 
-Correctness notes for the ring:
-
-* Entries are the engine's ordinary heap entries (``(time, priority,
-  sequence, event)`` 4-tuples or lite 5-tuples), so the two schedulers are
-  interchangeable without touching any caller.
-* The bucket index ``int(time / quantum)`` is monotone in ``time``, so
-  cross-bucket order is always correct — even under float noise.  Within a
-  bucket, entries are sorted on first touch by plain tuple comparison —
-  ``(time, priority, sequence, ...)`` with unique sequence numbers, so the
-  sort never compares payloads and costs one C pass when the bucket is
-  already ordered, which it is whenever pushes arrived in timestamp order
-  (sequence order *is* append order).  A push into the bucket currently
-  being drained flags its unfired tail for a re-sort, so zero-delay
-  schedules and past-time clamps stay ordered too.  The ring is therefore
-  correct for arbitrary timestamps, priorities and cancellations, and merely
-  fastest on lattice-timestamped runs.
-* Cancelled events are tombstones in both schedulers, skipped (without
-  advancing the clock) when reached.  Both track a cancelled counter so the
-  engine can trigger :meth:`Scheduler.compact` when tombstones outnumber
-  half the live entries (see ``SimulationEngine._note_cancelled``).
-
-Scheduler *selection* lives here too: :func:`scenario_time_lattice` decides
-whether a whole scenario (latency model + workload arrival grid + CS hold
-times) is lattice-compatible, and :func:`make_scheduler` resolves the
-``--scheduler {auto,heap,ring}`` choice the CLI threads through bench, sweep
-and the experiment driver.
+``scheduler="auto"`` and ``"heap"`` both name this store: committed
+``experiment-spec/v1`` files and sweep shards carry the key, so the field
+stays accepted though it no longer selects anything.  ``benchmarks/README.md``
+("Why there is one scheduler") holds the A/B that retired the bucket ring.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import islice
 from typing import Callable, List, Optional, Tuple
 
 from repro.exceptions import SchedulingError
 
-#: Modes accepted by :func:`make_scheduler` (and the CLI ``--scheduler`` flag).
-SCHEDULER_MODES = ("auto", "heap", "ring")
+#: Spellings accepted wherever a ``scheduler`` field survives (specs, the
+#: driver, :func:`make_scheduler`); both mean :class:`HeapScheduler`.
+SCHEDULER_MODES = ("auto", "heap")
 
 #: Compaction is skipped below this many tombstones: rebuilding a tiny queue
 #: costs more than the tombstones could ever save.
 MIN_TOMBSTONES_FOR_COMPACTION = 64
 
-#: Workloads at least this many requests deep engage the ring under "auto"
-#: even for sparse token-passing algorithms: every arrival is pre-scheduled,
-#: and at this depth the heap's O(log n) pushes/pops walk a working set far
-#: past cache (measured: the ring is ~1.35x on the 100k-node heavy tier's
-#: ~1M-request backlog, while at a 100k-request backlog the two are within
-#: noise of each other).
-RING_ARRIVAL_THRESHOLD = 200_000
 
+class HeapScheduler:
+    """A binary heap of engine entries, drained in ``(time, priority,
+    sequence)`` order.
 
-class Scheduler:
-    """Interface shared by every pending-event store.
+    Entries are ``(time, priority, sequence, event)`` tuples or lite
+    ``(time, priority, sequence, callback, payload)`` tuples.  The engine
+    owns the clock and the sequence counter; the scheduler owns storage and
+    the drain loop.  Every heap comparison happens in C because entries are
+    plain tuples with unique sequence numbers, and the push the engine binds
+    is ``partial(heappush, entries)`` — no Python frame per insert.
 
-    A scheduler holds engine heap entries — ``(time, priority, sequence,
-    event)`` tuples or lite ``(time, priority, sequence, callback, payload)``
-    tuples — and drains them in ``(time, priority, sequence)`` order.  The
-    engine owns the clock, the sequence counter and the pending-event
-    counter; the scheduler owns storage and the drain loop.
+    :meth:`drain` is the pop-and-dispatch loop and returns the number of
+    events processed.  It honors the engine's ``_stopped`` flag after every
+    callback, a ``budget`` of -1 meaning unlimited, and ``until`` as an
+    inclusive time horizon (events scheduled strictly after ``until`` stay
+    queued and the clock advances to ``until``), and updates ``engine._now``
+    and ``engine._processed``.
     """
 
-    #: Short name recorded in benchmark and sweep documents.
-    kind: str = "abstract"
+    #: Short name recorded in benchmark labels and obs gauges.
+    kind = "heap"
 
-    __slots__ = ("_engine",)
+    __slots__ = ("_engine", "_entries", "_cancelled")
+
+    def __init__(self) -> None:
+        self._entries: List[Tuple] = []
+        self._cancelled = 0
 
     def bind(self, engine) -> None:
         """Attach the engine whose clock/counters :meth:`drain` updates."""
         self._engine = engine
 
-    # -- storage ------------------------------------------------------- #
     def push(self, entry: Tuple) -> None:
         """Insert one entry.  Entries arrive with monotone sequence numbers."""
-        raise NotImplementedError
+        heappush(self._entries, entry)
 
     def push_callable(self) -> Callable[[Tuple], None]:
         """The cheapest callable equivalent to :meth:`push`.
 
-        The engine calls this once and stores the result; schedulers whose
-        insert is a single C operation can return something frame-free
-        (the heap returns ``partial(heappush, entries)``).
+        The engine calls this once and stores the result.
         """
-        return self.push
+        # C partial calling the C heappush: frame-free.  compact() mutates
+        # the entries list strictly in place, so the bound list stays valid.
+        return partial(heappush, self._entries)
 
     def push_bulk(self, entries: List[Tuple]) -> None:
         """Insert many entries in one call (same ordering contract as push).
@@ -116,75 +90,6 @@ class Scheduler:
         pre-scheduled workloads — thousands of arrivals loaded before a run —
         do not pay a Python call per entry.
         """
-        push = self.push
-        for entry in entries:
-            push(entry)
-
-    def __len__(self) -> int:
-        """Entries stored, including cancelled tombstones."""
-        raise NotImplementedError
-
-    def note_cancelled(self) -> None:
-        """An entry somewhere in the store was tombstoned via ``cancel()``."""
-        raise NotImplementedError
-
-    @property
-    def tombstones(self) -> int:
-        """Cancelled entries still occupying storage."""
-        raise NotImplementedError
-
-    def compact(self) -> int:
-        """Drop cancelled tombstones in place; returns how many were removed.
-
-        Must preserve the identity of any internal containers a concurrently
-        running drain loop holds references to (compaction can be triggered
-        from inside an event callback).
-        """
-        raise NotImplementedError
-
-    # -- draining ------------------------------------------------------ #
-    def drain(self, until: Optional[float], budget: int) -> int:
-        """Pop-and-dispatch loop; returns the number of events processed.
-
-        Honors the engine's ``_stopped`` flag after every callback, a
-        ``budget`` of -1 meaning unlimited, and ``until`` as an inclusive
-        time horizon (events scheduled strictly after ``until`` stay queued
-        and the clock advances to ``until``).  Updates ``engine._now``,
-        ``engine._pending`` and ``engine._processed``; the ring batches the
-        pending-counter update per bucket, so ``engine.pending_events`` read
-        from *inside* a callback may briefly overcount — it is exact whenever
-        :meth:`drain` is not on the stack.
-        """
-        raise NotImplementedError
-
-
-class HeapScheduler(Scheduler):
-    """The reference scheduler: a binary heap of plain tuples.
-
-    Identical structure to the pre-pluggable engine; every heap comparison
-    happens in C because entries are plain tuples, and the push the engine
-    binds is ``partial(heappush, entries)`` — no Python frame per insert.
-    Same-timestamp batch draining sets the clock once per equal-time run and
-    re-touches the head only to detect the end of the run.
-    """
-
-    kind = "heap"
-
-    __slots__ = ("_entries", "_cancelled")
-
-    def __init__(self) -> None:
-        self._entries: List[Tuple] = []
-        self._cancelled = 0
-
-    def push(self, entry: Tuple) -> None:
-        heappush(self._entries, entry)
-
-    def push_callable(self) -> Callable[[Tuple], None]:
-        # C partial calling the C heappush: frame-free.  compact() mutates
-        # the entries list strictly in place, so the bound list stays valid.
-        return partial(heappush, self._entries)
-
-    def push_bulk(self, entries: List[Tuple]) -> None:
         # extend + heapify is O(n + m) against m pushes' O(m log n) — and
         # both steps run in C.
         lst = self._entries
@@ -192,16 +97,25 @@ class HeapScheduler(Scheduler):
         heapify(lst)
 
     def __len__(self) -> int:
+        """Entries stored, including cancelled tombstones."""
         return len(self._entries)
 
     def note_cancelled(self) -> None:
+        """An entry somewhere in the store was tombstoned via ``cancel()``."""
         self._cancelled += 1
 
     @property
     def tombstones(self) -> int:
+        """Cancelled entries still occupying storage."""
         return self._cancelled
 
     def compact(self) -> int:
+        """Drop cancelled tombstones in place; returns how many were removed.
+
+        Compaction can be triggered from inside an event callback, so the
+        entries list a concurrently running drain loop holds must keep its
+        identity.
+        """
         entries = self._entries
         live = [e for e in entries if len(e) == 5 or not e[3].cancelled]
         removed = len(entries) - len(live)
@@ -339,460 +253,23 @@ class HeapScheduler(Scheduler):
         return processed
 
 
-class BucketRingScheduler(Scheduler):
-    """Calendar queue: an array of FIFO buckets keyed by quantized time.
+def unknown_scheduler_message(kind: object) -> str:
+    """Why ``kind`` is not a scheduler; names the ring's removal."""
+    removed = " (the bucket-ring scheduler was removed)" if kind == "ring" else ""
+    return f"unknown scheduler {kind!r}{removed}; known: {list(SCHEDULER_MODES)}"
 
-    Args:
-        quantum: the time lattice spacing; every timestamp is bucketed by
-            ``int(time / quantum)``.
-        horizon: number of buckets in the ring (rounded up to a power of
-            two).  Times further than ``horizon * quantum`` ahead of the
-            clock wait in the spill dict, keyed by absolute bucket index, and
-            enter the ring as it advances.
+
+def make_scheduler(kind: str = "auto", *, latency=None, workload=None) -> HeapScheduler:
+    """A fresh :class:`HeapScheduler` for any of :data:`SCHEDULER_MODES`.
+
+    ``latency`` and ``workload`` are accepted and ignored: callers written
+    against the scenario-aware selection rule keep working.
+
+    Raises:
+        SchedulingError: for any other ``kind`` — including ``"ring"``, the
+            bucket ring this module no longer has.
     """
-
-    kind = "ring"
-
-    __slots__ = (
-        "_quantum", "_inv_quantum", "_mask", "_buckets", "_base", "_limit",
-        "_cursor", "_resort", "_spill", "_spill_size", "_size", "_cancelled",
-    )
-
-    def __init__(self, *, quantum: float = 1.0, horizon: int = 1024) -> None:
-        if quantum <= 0:
-            raise SchedulingError(f"ring quantum must be positive, got {quantum}")
-        if horizon < 2:
-            raise SchedulingError(f"ring horizon must be >= 2, got {horizon}")
-        size = 1
-        while size < horizon:
-            size *= 2
-        self._quantum = float(quantum)
-        self._inv_quantum = 1.0 / self._quantum
-        self._mask = size - 1
-        self._buckets: List[List[Tuple]] = [[] for _ in range(size)]
-        self._base = 0  # absolute index of the bucket the cursor is in
-        self._limit = size  # base + ring size: first spilled index
-        self._cursor = 0  # position within the current bucket
-        #: Set by :meth:`push` when an entry lands in (or is clamped into)
-        #: the bucket currently being drained: its unfired tail must be
-        #: re-sorted before the next read.
-        self._resort = False
-        self._spill: dict = {}  # absolute bucket index -> list of entries
-        self._spill_size = 0
-        self._size = 0
-        self._cancelled = 0
-
-    def bind(self, engine) -> None:
-        super().bind(engine)
-        # Start the window at the engine's clock so "current bucket" is well
-        # defined for the past-time clamp below.
-        base = int(engine._now * self._inv_quantum)
-        self._base = base
-        self._limit = base + self._mask + 1
-
-    @property
-    def quantum(self) -> float:
-        """The time lattice spacing the buckets are keyed by."""
-        return self._quantum
-
-    # -- storage ------------------------------------------------------- #
-    def push(self, entry: Tuple) -> None:
-        index = int(entry[0] * self._inv_quantum)
-        if index < self._limit:
-            base = self._base
-            if index <= base:
-                if index < base:
-                    # Past-time push (schedule_fast contract violation):
-                    # clamp into the current bucket — the heap would fire it
-                    # immediately too.
-                    index = base
-                # Landed in the in-drain bucket: its tail needs a re-sort
-                # (the entry's timestamp may precede unfired entries).
-                self._resort = True
-            self._buckets[index & self._mask].append(entry)
-        else:
-            spill = self._spill
-            lst = spill.get(index)
-            if lst is None:
-                spill[index] = [entry]
-            else:
-                lst.append(entry)
-            self._spill_size += 1
-        self._size += 1
-
-    def push_callable(self) -> Callable[[Tuple], None]:
-        # A closure with the immutable hot state in cells: cell loads are
-        # cheaper than attribute loads at this call rate, and the engine
-        # invokes this once per scheduled event.
-        inv_quantum = self._inv_quantum
-        mask = self._mask
-        buckets = self._buckets
-        spill = self._spill
-
-        def push(entry: Tuple, _self=self) -> None:
-            index = int(entry[0] * inv_quantum)
-            if index < _self._limit:
-                base = _self._base
-                if index <= base:
-                    if index < base:
-                        index = base
-                    _self._resort = True
-                buckets[index & mask].append(entry)
-            else:
-                lst = spill.get(index)
-                if lst is None:
-                    spill[index] = [entry]
-                else:
-                    lst.append(entry)
-                _self._spill_size += 1
-            _self._size += 1
-
-        return push
-
-    def push_bulk(self, entries: List[Tuple]) -> None:
-        inv_quantum = self._inv_quantum
-        mask = self._mask
-        buckets = self._buckets
-        limit = self._limit
-        base = self._base
-        spill = self._spill
-        spilled = 0
-        for entry in entries:
-            index = int(entry[0] * inv_quantum)
-            if index < limit:
-                if index <= base:
-                    if index < base:
-                        index = base
-                    self._resort = True
-                buckets[index & mask].append(entry)
-            else:
-                lst = spill.get(index)
-                if lst is None:
-                    spill[index] = [entry]
-                else:
-                    lst.append(entry)
-                spilled += 1
-        self._spill_size += spilled
-        self._size += len(entries)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def note_cancelled(self) -> None:
-        self._cancelled += 1
-
-    @property
-    def tombstones(self) -> int:
-        return self._cancelled
-
-    def compact(self) -> int:
-        removed = 0
-        current = self._base & self._mask
-        draining = getattr(self._engine, "_running", False)
-        for slot, bucket in enumerate(self._buckets):
-            if not bucket:
-                continue
-            if slot == current:
-                if draining:
-                    # The drain loop holds a local cursor into this bucket;
-                    # filtering it would shift entries under that cursor.
-                    # Its tombstones are about to be consumed anyway.
-                    continue
-                # Idle: entries before the saved cursor have already fired;
-                # removing them would shift the cursor's target.
-                keep_from = self._cursor
-            else:
-                keep_from = 0
-            live = bucket[:keep_from] + [
-                e for e in bucket[keep_from:] if len(e) == 5 or not e[3].cancelled
-            ]
-            removed += len(bucket) - len(live)
-            bucket[:] = live
-        for index in list(self._spill):
-            bucket = self._spill[index]
-            live = [e for e in bucket if len(e) == 5 or not e[3].cancelled]
-            dropped = len(bucket) - len(live)
-            removed += dropped
-            self._spill_size -= dropped
-            if live:
-                bucket[:] = live
-            else:
-                del self._spill[index]
-        self._size -= removed
-        # Every removed tombstone was unconsumed and therefore counted; the
-        # ones skipped with the in-drain bucket stay counted until consumed.
-        self._cancelled -= removed
-        return removed
-
-    # -- draining ------------------------------------------------------ #
-    def _jump_to_spill(self) -> None:
-        """Ring empty but spill is not: jump the window to the next spill."""
-        base = min(self._spill)
-        self._base = base
-        self._cursor = 0
-        limit = base + self._mask + 1
-        self._limit = limit
-        for index in [i for i in self._spill if i < limit]:
-            lst = self._spill.pop(index)
-            self._spill_size -= len(lst)
-            self._buckets[index & self._mask] = lst
-
-    def drain(self, until: Optional[float], budget: int) -> int:
-        engine = self._engine
-        buckets = self._buckets
-        mask = self._mask
-        spill = self._spill
-        # Batch sink (columnar node backend): see HeapScheduler.drain.  A
-        # same-tick delivery run is always contiguous within one bucket
-        # (equal times quantize to equal indices), so collection never has
-        # to look past the current bucket.
-        sink = engine._batch_sink
-        batch_apply = engine._batch_apply
-        processed = 0
-        cursor = self._cursor
-        folded = cursor  # bucket progress already folded into self._size
-        try:
-            # No stop/budget check out here: run() clears _stopped before
-            # delegating and budget is -1 or >= 1, so the first dispatch is
-            # always allowed — and after that the post-dispatch check inside
-            # the bucket loop is the only exit that matters.
-            while self._size:
-                base = self._base
-                bucket = buckets[base & mask]
-                if not bucket:
-                    if self._size == self._spill_size:
-                        # Every remaining entry is past the ring's horizon.
-                        self._jump_to_spill()
-                        cursor = 0
-                        folded = 0
-                        continue
-                    # Fast-skip empty buckets.  Each advance slides the
-                    # window by one, pulling the entering index's spill list
-                    # (if any) into the slot vacated one revolution ago.
-                    slot = base & mask
-                    if spill:
-                        while not buckets[slot]:
-                            base += 1
-                            slot = base & mask
-                            lst = spill.pop(base + mask, None)
-                            if lst is not None:
-                                # The entering index base+mask maps to the
-                                # slot vacated at base-1, drained one step
-                                # (or one revolution) ago and empty.
-                                self._spill_size -= len(lst)
-                                buckets[(base + mask) & mask] = lst
-                    else:
-                        while not buckets[slot]:
-                            base += 1
-                            slot = base & mask
-                    bucket = buckets[slot]
-                    self._base = base
-                    self._limit = base + mask + 1
-                    self._cursor = 0
-                    cursor = 0
-                    folded = 0
-                if cursor == 0 or self._resort:
-                    # First touch (or a push landed in this bucket): order
-                    # the unfired tail.  Plain tuple sort — one C pass when
-                    # the bucket is already ordered, which is the common
-                    # case (append order is sequence order).
-                    if cursor:
-                        tail = bucket[cursor:]
-                        tail.sort()
-                        bucket[cursor:] = tail
-                    elif len(bucket) > 1:
-                        bucket.sort()
-                    self._resort = False
-                stop_drain = False
-                # A list iterator instead of per-event indexing: next() is a
-                # single C operation, and it legally observes entries
-                # appended to the bucket while it is being drained.  The
-                # cursor is still tracked for resume, the re-sort splice
-                # point, and the size fold.
-                iterator = islice(iter(bucket), cursor, None) if cursor else iter(bucket)
-                for entry in iterator:
-                    if len(entry) == 5:
-                        # Lite entry: (time, priority, seq, callback, payload).
-                        time = entry[0]
-                        if time != engine._now:
-                            if until is not None and time > until:
-                                stop_drain = True
-                                break
-                            engine._now = time
-                        cursor += 1
-                        callback = entry[3]
-                        if callback is sink:
-                            # Collect the consecutive same-tick sink run by
-                            # index (the bucket tail is sorted here), then
-                            # advance the iterator past the extra entries so
-                            # it stays in step with the cursor.
-                            start = cursor - 1
-                            end = len(bucket)
-                            count = 1
-                            while cursor < end:
-                                head = bucket[cursor]
-                                if (
-                                    len(head) != 5
-                                    or head[3] is not sink
-                                    or head[0] != time
-                                    or processed + count == budget
-                                ):
-                                    break
-                                cursor += 1
-                                count += 1
-                            if count > 1:
-                                payloads = [
-                                    bucket[index][4]
-                                    for index in range(start, cursor)
-                                ]
-                                for _ in range(count - 1):
-                                    next(iterator)
-                                batch_apply(payloads)
-                                processed += count
-                            else:
-                                callback(entry[4])
-                                processed += 1
-                        else:
-                            callback(entry[4])
-                            processed += 1
-                    else:
-                        event = entry[3]
-                        if event.cancelled:
-                            # Tombstone: consume without touching the clock,
-                            # the budget, or the stop flag.
-                            cursor += 1
-                            self._cancelled -= 1
-                            continue
-                        time = entry[0]
-                        if time != engine._now:
-                            if until is not None and time > until:
-                                stop_drain = True
-                                break
-                            engine._now = time
-                        cursor += 1
-                        event.owner = None  # fired: late cancel() is a no-op
-                        event.callback(event)
-                        processed += 1
-                    if self._resort:
-                        # The callback pushed into this bucket: re-sort the
-                        # unfired tail before the iterator reaches it.
-                        tail = bucket[cursor:]
-                        tail.sort()
-                        bucket[cursor:] = tail
-                        self._resort = False
-                    if engine._stopped or processed == budget:
-                        stop_drain = True
-                        break
-                if stop_drain:
-                    self._cursor = cursor
-                    self._size -= cursor - folded
-                    folded = cursor
-                    break
-                # Natural loop completion means the bucket is exhausted
-                # (the iterator would have seen any append).
-                self._size -= cursor - folded
-                self._cursor = 0
-                del bucket[:]
-                cursor = 0
-                folded = 0
-            if until is not None and until > engine._now:
-                if not self._size or not (engine._stopped or processed == budget):
-                    # Mirrors the heap: the clock advances to the horizon
-                    # when the queue drains or the head is past `until`, but
-                    # not when the budget or a stop() ended the call early.
-                    engine._now = until
-        finally:
-            if cursor != folded:
-                # An event callback raised: fold the partial bucket progress
-                # in so a later drain() does not re-fire consumed entries.
-                self._cursor = cursor
-                self._size -= cursor - folded
-            engine._processed += processed
-        return processed
-
-
-# --------------------------------------------------------------------------- #
-# selection
-# --------------------------------------------------------------------------- #
-#: Sentinel distinguishing "no hint attribute" from "hint present but None
-#: (off-lattice)" in :func:`scenario_time_lattice`.
-_NO_HINT = object()
-
-
-def _is_multiple(value: float, quantum: float) -> bool:
-    """Whether ``value`` is an exact integer multiple of ``quantum``."""
-    ratio = value / quantum
-    return ratio == int(ratio)
-
-
-def scenario_time_lattice(latency, workload=None) -> Optional[float]:
-    """The scenario's common time quantum, or ``None`` if it has none.
-
-    A scenario is lattice-compatible when the latency model admits a lattice
-    (see ``LatencyModel.time_lattice``) *and* every workload arrival time and
-    critical-section hold time is an exact multiple of that quantum — then
-    every event timestamp (sums of arrivals, delays and hold times) stays on
-    the lattice and the bucket ring's buckets never need more than the
-    one-pass already-sorted sort.
-
-    Args:
-        latency: a :class:`~repro.sim.latency.LatencyModel` or ``None`` (the
-            network's default: constant 1.0, which has lattice 1.0).
-        workload: an iterable of requests with ``arrival_time`` and
-            ``cs_duration`` attributes, or ``None`` to check the latency
-            model alone.  A workload carrying a ``time_lattice_hint``
-            attribute (streaming workloads) answers from the hint instead of
-            being iterated — a streamed million-request schedule must not be
-            walked just to pick a scheduler.
-    """
-    if latency is None:
-        quantum: Optional[float] = 1.0
-    else:
-        quantum = latency.time_lattice()
-    if not quantum:
-        return None
-    if workload is not None:
-        hint = getattr(workload, "time_lattice_hint", _NO_HINT)
-        if hint is not _NO_HINT:
-            if hint is not None and _is_multiple(hint, quantum):
-                # Every timestamp is a multiple of the hint, hence of the
-                # (coarser or equal) latency quantum.
-                return quantum
-            return None
-        for request in workload:
-            if not _is_multiple(request.arrival_time, quantum) or not _is_multiple(
-                request.cs_duration, quantum
-            ):
-                return None
-    return quantum
-
-
-def make_scheduler(
-    mode: str = "auto",
-    *,
-    latency=None,
-    workload=None,
-    horizon: int = 1024,
-) -> Scheduler:
-    """Resolve a ``--scheduler`` choice into a scheduler instance.
-
-    * ``"heap"`` — always the reference heap.
-    * ``"ring"`` — force the bucket ring; the quantum comes from the latency
-      model's lattice hint, falling back to 1.0.  The ring stays correct on
-      off-lattice scenarios via its sort-on-touch buckets, just not O(1).
-    * ``"auto"`` — the ring iff the whole scenario is lattice-compatible
-      (:func:`scenario_time_lattice`), the heap otherwise.
-    """
-    if mode not in SCHEDULER_MODES:
-        raise SchedulingError(
-            f"unknown scheduler mode {mode!r}; expected one of {SCHEDULER_MODES}"
-        )
-    if mode == "heap":
-        return HeapScheduler()
-    if mode == "ring":
-        quantum = latency.time_lattice() if latency is not None else 1.0
-        return BucketRingScheduler(quantum=quantum or 1.0, horizon=horizon)
-    quantum = scenario_time_lattice(latency, workload)
-    if quantum:
-        return BucketRingScheduler(quantum=quantum, horizon=horizon)
+    if kind not in SCHEDULER_MODES:
+        raise SchedulingError(unknown_scheduler_message(kind))
     return HeapScheduler()
+

@@ -7,8 +7,7 @@ four PRs that matrix was described four different ways: bench cell dicts,
 flags.  This module collapses them into one canonical value:
 :class:`ExperimentSpec`, a frozen, JSON-round-trippable record of *everything*
 that determines a run's virtual-time outcome (algorithm, topology, workload,
-latency model, seed) plus the two knobs that do not (scheduler choice,
-metrics toggle).
+latency model, seed) plus the metrics toggle, which does not.
 
 Design rules:
 
@@ -21,7 +20,7 @@ Design rules:
   (``TopologySpec.build``, ``WorkloadSpec.build``), so a spec-built scenario
   replays byte-identically to the legacy entry points — CI-gated.
 * **Capabilities live on the algorithm, not in the matrix.**  Tier
-  eligibility and scheduler auto-selection read
+  eligibility reads
   :meth:`repro.baselines.base.AlgorithmRegistry.capabilities`, declared once
   on each system class, instead of module-level name tuples.
 """
@@ -42,7 +41,7 @@ from repro.sim.latency import (
     UniformLatency,
 )
 from repro.sim.rng import SeededRNG
-from repro.sim.schedulers import SCHEDULER_MODES
+from repro.sim.schedulers import SCHEDULER_MODES, unknown_scheduler_message
 from repro.topology import balanced_tree, line, random_tree, star
 from repro.topology.base import Topology
 from repro.workload.generator import WorkloadGenerator
@@ -349,8 +348,8 @@ class FaultSpec:
 
     Every fault is driven by virtual time or by a ``SeededRNG`` stream derived
     from ``seed`` and the experiment's name, so an identical spec replays
-    byte-identically — including the ``FaultLog`` — on any machine, scheduler,
-    or sweep worker count.
+    byte-identically — including the ``FaultLog`` — on any machine or sweep
+    worker count.
 
     Attributes:
         drop_rate: per-message Bernoulli drop probability in ``[0, 1)``,
@@ -567,7 +566,8 @@ class ExperimentSpec:
 
     The fields that determine the virtual-time outcome are ``algorithm``,
     ``topology``, ``workload``, ``latency`` and ``seed``; ``scheduler``
-    affects wall clock only (byte-identical replay, CI-gated),
+    is a schema-compatibility field (``"auto"`` and ``"heap"`` both mean the
+    engine's one heap; ``experiment-spec/v1`` documents carry the key),
     ``collect_metrics`` selects the observed vs the zero-overhead network
     path (identical event order, per-entry timing statistics only on the
     observed one), and ``node_backend`` picks object nodes vs the columnar
@@ -593,9 +593,7 @@ class ExperimentSpec:
                 _unknown("algorithm", self.algorithm, tuple(registry.names()))
             )
         if self.scheduler not in SCHEDULER_MODES:
-            raise ExperimentError(
-                _unknown("scheduler", self.scheduler, SCHEDULER_MODES)
-            )
+            raise ExperimentError(unknown_scheduler_message(self.scheduler))
         if self.node_backend not in NODE_BACKENDS:
             raise ExperimentError(
                 _unknown("node backend", self.node_backend, NODE_BACKENDS)
@@ -764,7 +762,6 @@ class ExperimentSpec:
         tier: str,
         *,
         seed: int = 0,
-        scheduler: str = "auto",
         collect_metrics: bool = True,
         node_backend: str = "auto",
     ) -> "ExperimentSpec":
@@ -805,7 +802,6 @@ class ExperimentSpec:
             algorithm=algorithm,
             topology=TopologySpec(kind=kind, n=n, seed=topo_seed),
             workload=WorkloadSpec(tier=tier_parts[0], rounds=rounds),
-            scheduler=scheduler,
             seed=seed,
             collect_metrics=collect_metrics,
             node_backend=node_backend,

@@ -39,7 +39,6 @@ from repro.sweep.runner import (
     write_document,
 )
 from repro.sweep.worker import (
-    CRASH_ENV,
     CRASH_EXIT_CODE,
     execute_scenario,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "merge_documents",
     "run_sweep",
     "write_document",
-    "CRASH_ENV",
     "CRASH_EXIT_CODE",
     "execute_scenario",
 ]

@@ -93,20 +93,15 @@ class SweepScenario:
 
     ``collect_metrics=False`` switches the cell to the network's unobserved
     fast path (no per-entry timing statistics), which the 10k-node tier uses
-    to stay in the seconds range.  ``scheduler`` picks the engine's
-    pending-event store ("auto"/"heap"/"ring"); it affects wall clock only —
-    the virtual-time outcome is byte-identical for every value, which the CI
-    smoke job cross-checks by diffing heap and ring deterministic documents.
-    It deliberately does not contribute to :attr:`name` (and therefore the
-    seed), so forced-scheduler runs replay the exact same workloads.
+    to stay in the seconds range.
 
     ``node_backend`` picks object nodes vs the columnar array core for the
     algorithms that declare both ("auto" engages the columns at
     :data:`~repro.core.compact_state.COMPACT_NODE_BACKEND_THRESHOLD` nodes).
-    Like ``scheduler`` it affects wall clock only — replays are
-    byte-identical across backends (the CI ``backend-identity`` matrix diffs
-    forced-backend deterministic documents) — and it deliberately does not
-    contribute to :attr:`name` or the seed.
+    It affects wall clock only — replays are byte-identical across backends
+    (the CI ``backend-identity`` step diffs forced-backend deterministic
+    documents) — and it deliberately does not contribute to :attr:`name` or
+    the seed.
 
     ``faults`` names a :data:`~repro.spec.FAULT_PROFILES` entry; a fault cell
     is its own scenario (the profile suffixes :attr:`name`, so the cell gets
@@ -119,7 +114,6 @@ class SweepScenario:
     n: int
     workload: str
     collect_metrics: bool = True
-    scheduler: str = "auto"
     faults: Optional[str] = None
     node_backend: str = "auto"
 
@@ -160,7 +154,6 @@ class SweepScenario:
             algorithm=self.algorithm,
             topology=TopologySpec(kind=self.kind, n=self.n),
             workload=sweep_workload_spec(self.workload, self.n),
-            scheduler=self.scheduler,
             seed=self.seed,
             collect_metrics=self.collect_metrics,
             faults=FAULT_PROFILES[self.faults] if self.faults is not None else None,
@@ -196,7 +189,6 @@ class SweepScenario:
             n=spec.topology.n,
             workload=spec.workload.tier,
             collect_metrics=spec.collect_metrics,
-            scheduler=spec.scheduler,
             faults=faults,
             node_backend=spec.node_backend,
         )
@@ -306,7 +298,6 @@ FAULT_TIER_PROFILES = (
 def fault_sweep_matrix(
     *,
     algorithms: Optional[Sequence[str]] = None,
-    scheduler: str = "auto",
     node_backend: str = "auto",
 ) -> List[SweepScenario]:
     """The fault tier: every algorithm under the same injected fault load.
@@ -329,7 +320,6 @@ def fault_sweep_matrix(
             "star",
             50,
             "heavy",
-            scheduler=scheduler,
             faults=profile,
             node_backend=node_backend,
         )
@@ -343,7 +333,6 @@ def fault_sweep_matrix(
                 "star",
                 50,
                 "heavy",
-                scheduler=scheduler,
                 faults="crash-recover",
                 node_backend=node_backend,
             )
@@ -354,14 +343,13 @@ def fault_sweep_matrix(
 def default_sweep_matrix(
     *,
     algorithms: Optional[Sequence[str]] = None,
-    scheduler: str = "auto",
     node_backend: str = "auto",
 ) -> List[SweepScenario]:
     """The full comparison matrix: 9 algorithms x 3 topologies x 2 sizes x 4 tiers."""
     validate_algorithms(algorithms)
     names = tuple(algorithms) if algorithms is not None else SWEEP_ALGORITHMS
     return [
-        SweepScenario(algorithm, kind, n, tier, scheduler=scheduler, node_backend=node_backend)
+        SweepScenario(algorithm, kind, n, tier, node_backend=node_backend)
         for algorithm in names
         for kind in _TOPOLOGY_KINDS
         for n in _SIZES
@@ -372,16 +360,13 @@ def default_sweep_matrix(
 def smoke_sweep_matrix(
     *,
     algorithms: Optional[Sequence[str]] = None,
-    scheduler: str = "auto",
     node_backend: str = "auto",
 ) -> List[SweepScenario]:
     """The CI gate: every algorithm, star topology, n=9, heavy + bursty."""
     validate_algorithms(algorithms)
     names = tuple(algorithms) if algorithms is not None else SWEEP_ALGORITHMS
     return [
-        SweepScenario(
-            algorithm, "star", 9, tier, scheduler=scheduler, node_backend=node_backend
-        )
+        SweepScenario(algorithm, "star", 9, tier, node_backend=node_backend)
         for algorithm in names
         for tier in ("heavy", "bursty")
     ]
@@ -390,7 +375,6 @@ def smoke_sweep_matrix(
 def large_sweep_matrix(
     *,
     algorithms: Optional[Sequence[str]] = None,
-    scheduler: str = "auto",
     node_backend: str = "auto",
 ) -> List[SweepScenario]:
     """The default matrix plus the 10k-node tier.
@@ -402,7 +386,7 @@ def large_sweep_matrix(
     run on the unobserved fast path (``collect_metrics=False``).
     """
     matrix = default_sweep_matrix(
-        algorithms=algorithms, scheduler=scheduler, node_backend=node_backend
+        algorithms=algorithms, node_backend=node_backend
     )
     allowed = set(algorithms) if algorithms is not None else None
     for algorithm in registry.names_for_scale(LARGE_TIER_NODES):
@@ -416,7 +400,6 @@ def large_sweep_matrix(
                     LARGE_TIER_NODES,
                     "heavy",
                     collect_metrics=False,
-                    scheduler=scheduler,
                     node_backend=node_backend,
                 )
             )
@@ -426,7 +409,6 @@ def large_sweep_matrix(
 def xlarge_sweep_matrix(
     *,
     algorithms: Optional[Sequence[str]] = None,
-    scheduler: str = "auto",
     node_backend: str = "auto",
 ) -> List[SweepScenario]:
     """The large matrix plus the 100k-node tier (scalable algorithms only).
@@ -438,7 +420,7 @@ def xlarge_sweep_matrix(
     Additive like the 10k tier, so committed documents stay valid.
     """
     matrix = large_sweep_matrix(
-        algorithms=algorithms, scheduler=scheduler, node_backend=node_backend
+        algorithms=algorithms, node_backend=node_backend
     )
     allowed = set(algorithms) if algorithms is not None else None
     for algorithm in registry.names_for_scale(XLARGE_TIER_NODES):
@@ -452,7 +434,6 @@ def xlarge_sweep_matrix(
                     XLARGE_TIER_NODES,
                     "heavy",
                     collect_metrics=False,
-                    scheduler=scheduler,
                     node_backend=node_backend,
                 )
             )
@@ -462,7 +443,6 @@ def xlarge_sweep_matrix(
 def xxlarge_sweep_matrix(
     *,
     algorithms: Optional[Sequence[str]] = None,
-    scheduler: str = "auto",
     node_backend: str = "auto",
 ) -> List[SweepScenario]:
     """The xlarge matrix plus the 1M-node tier (O(1)-state algorithms only).
@@ -477,7 +457,7 @@ def xxlarge_sweep_matrix(
     documents stay valid.
     """
     matrix = xlarge_sweep_matrix(
-        algorithms=algorithms, scheduler=scheduler, node_backend=node_backend
+        algorithms=algorithms, node_backend=node_backend
     )
     allowed = set(algorithms) if algorithms is not None else None
     for algorithm in registry.names_for_scale(XXLARGE_TIER_NODES):
@@ -491,7 +471,6 @@ def xxlarge_sweep_matrix(
                     XXLARGE_TIER_NODES,
                     "heavy",
                     collect_metrics=False,
-                    scheduler=scheduler,
                     node_backend=node_backend,
                 )
             )

@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import time
-import warnings
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.sweep.matrix import SweepScenario
-from repro.sweep.worker import CRASH_ENV, child_main, error_row
+from repro.sweep.worker import child_main, error_row
 
 SCHEMA = "sweep/v1"
 
@@ -74,14 +72,6 @@ def run_sweep(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if os.environ.get(CRASH_ENV):
-        warnings.warn(
-            f"{CRASH_ENV} is deprecated; give the scenario the "
-            "'worker-crash' fault profile (SweepScenario(faults="
-            "'worker-crash')) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     specs = list(matrix)
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):

@@ -29,13 +29,9 @@ from repro.sweep.matrix import SweepScenario
 from repro.topology.metrics import diameter
 from repro.workload.driver import ExperimentDriver
 
-#: Deprecated fault-injection hook for the crash-isolation tests: when this
-#: environment variable names a scenario, its child process dies with
-#: :data:`CRASH_EXIT_CODE` before running anything.  Superseded by the
-#: structured path — a scenario whose fault profile sets
-#: ``FaultSpec.worker_crash`` (the ``"worker-crash"`` profile) — and kept as
-#: an alias for one release; the runner warns when it is set.
-CRASH_ENV = "REPRO_SWEEP_CRASH_SCENARIO"
+#: Exit status of a child whose scenario's fault profile sets
+#: ``FaultSpec.worker_crash`` (the ``"worker-crash"`` profile): it dies with
+#: this code before running anything, which the crash-isolation tests use.
 CRASH_EXIT_CODE = 17
 
 #: Event budget per scenario; generous because the 10k-node cells are large.
@@ -71,9 +67,7 @@ def execute_scenario(spec: SweepScenario) -> Dict[str, Any]:
         # fault stream is identical to a `repro run --spec` replay of the
         # exported shard — the byte-identity CI gate depends on it.
         faults = FaultController(experiment.faults, name=experiment.name)
-    driver = ExperimentDriver(
-        system, workload, scheduler=experiment.scheduler, faults=faults
-    )
+    driver = ExperimentDriver(system, workload, faults=faults)
     result = driver.run(max_events=MAX_EVENTS_PER_SCENARIO)
     wall = time.perf_counter() - start
     events = system.engine.processed_events
@@ -103,13 +97,11 @@ def execute_scenario(spec: SweepScenario) -> Dict[str, Any]:
             "wall_seconds": round(wall, 4),
             "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
             "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            # Under "timing" on purpose: the engaged scheduler affects wall
-            # clock only, and deterministic documents strip this key — which
-            # is exactly what lets CI diff heap vs ring runs byte-for-byte.
-            "scheduler": system.engine.scheduler_kind,
-            # Same reasoning: the node backend changes how fast state is
-            # stored and touched, never what happens — the backend-identity
-            # CI matrix diffs object vs compact deterministic documents.
+            # Under "timing" on purpose: the node backend changes how fast
+            # state is stored and touched, never what happens, and
+            # deterministic documents strip this key — which is what lets
+            # the backend-identity CI step diff object vs compact runs
+            # byte-for-byte.
             "node_backend": system.node_backend,
         },
     }
@@ -150,9 +142,6 @@ def child_main(spec_dict: Dict[str, Any], connection) -> None:
     if spec.faults is not None and FAULT_PROFILES[spec.faults].worker_crash:
         # The structured worker-crash fault: the harness-level analogue of a
         # node crash, used by the crash-isolation tests.
-        os._exit(CRASH_EXIT_CODE)
-    if os.environ.get(CRASH_ENV) == spec.name:
-        # Deprecated alias for the structured path above.
         os._exit(CRASH_EXIT_CODE)
     try:
         row = execute_scenario(spec)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Type, Union
 
 from repro.baselines.base import MutexSystem, registry
-from repro.exceptions import ExperimentError, ProtocolError, WorkloadError
+from repro.exceptions import ExperimentError, ProtocolError, SchedulingError, WorkloadError
 from repro.sim.latency import LatencyModel
-from repro.sim.schedulers import RING_ARRIVAL_THRESHOLD, make_scheduler
+from repro.sim.schedulers import SCHEDULER_MODES, unknown_scheduler_message
 from repro.topology.base import Topology
 from repro.workload.requests import CSRequest, Workload
 from repro.workload.streaming import StreamingWorkload
@@ -110,22 +110,9 @@ class ExperimentDriver:
             :class:`~repro.workload.streaming.StreamingWorkload`
             (chunk-loaded one batch at a time so peak RSS stays bounded by
             the chunk size; how the million-node tier replays heavy demand).
-        scheduler: the engine's pending-event store for this replay —
-            ``"auto"`` (default) picks the O(1) bucket ring when the whole
-            scenario (latency model, workload arrival grid, CS hold times)
-            falls on a discrete time lattice *and* the run is in the ring's
-            measured regime: the algorithm fans messages out densely
-            (``system.dense_message_traffic`` — the broadcast/quorum
-            baselines, whose same-tick delivery batches are where the ring
-            beats the heap) or the pre-scheduled arrival backlog is at least
-            ``RING_ARRIVAL_THRESHOLD`` requests deep (the 100k-node tier,
-            where heap pushes walk a far-past-cache working set).
-            Token-passing algorithms over modest backlogs spread events
-            thinly over virtual time, where the heap's C-level pops win and
-            the heap is kept.  ``"heap"``/``"ring"`` force a choice.
-            The swap only happens while the engine's queue is empty (always
-            true for a freshly built system), so it can never reorder events
-            — the replay outcome is byte-identical either way, CI-gated.
+        scheduler: ``"auto"`` or ``"heap"``; both mean the engine's heap.
+            Kept because ``experiment-spec/v1`` documents carry the field;
+            it no longer selects anything.
     """
 
     def __init__(
@@ -136,6 +123,8 @@ class ExperimentDriver:
         scheduler: str = "auto",
         faults: Optional["FaultController"] = None,
     ) -> None:
+        if scheduler not in SCHEDULER_MODES:
+            raise SchedulingError(unknown_scheduler_message(scheduler))
         self.system = system
         self.workload = workload
         self.faults = faults
@@ -164,44 +153,11 @@ class ExperimentDriver:
         else:
             for node in system.nodes.values():
                 node._on_enter = self._handle_enter
-        engine = system.engine
-        if len(engine.scheduler) == 0 and not (
-            scheduler == "auto" and engine.scheduler_kind != "heap"
-        ):
-            # Scenario-aware selection: only the driver sees the latency
-            # model, the workload, and the algorithm together.  A caller who
-            # installed a non-default scheduler explicitly keeps it under
-            # "auto".
-            mode = scheduler
-            # For a streamed workload the engine never holds more than one
-            # chunk of pre-scheduled arrivals, so the chunk size — not the
-            # total request count — is the backlog depth the ring's measured
-            # ≥200k-request regime is about.
-            depth = len(workload)
-            chunk = getattr(workload, "chunk_requests", None)
-            if chunk:
-                depth = min(depth, chunk)
-            if (
-                mode == "auto"
-                # Declared once on the system class (the registry's
-                # capability metadata), so no getattr probing here.
-                and not system.dense_message_traffic
-                and depth < RING_ARRIVAL_THRESHOLD
-            ):
-                # Sparse token-passing traffic over a modest backlog: the
-                # heap's C-level pops win (see RING_ARRIVAL_THRESHOLD).
-                mode = "heap"
-            chosen = make_scheduler(
-                mode, latency=system.network.latency, workload=workload
-            )
-            if chosen.kind != engine.scheduler_kind or scheduler != "auto":
-                engine.use_scheduler(chosen)
 
     @classmethod
     def from_spec(cls, spec) -> "ExperimentDriver":
         """Build system and workload from an :class:`~repro.spec.ExperimentSpec`.
 
-        The spec carries the scheduler choice too, so
         ``ExperimentDriver.from_spec(spec).run()`` is the whole replay.
         A spec with a :class:`~repro.spec.FaultSpec` gets a
         :class:`~repro.sim.faults.FaultController` seeded from the spec,
@@ -233,9 +189,9 @@ class ExperimentDriver:
         engine = self.system.engine
         faults = self.faults
         if faults is not None:
-            # Armed after the scheduler is fixed (in __init__) and before the
-            # arrivals load, so fault events claim the same engine sequence
-            # numbers on every replay, whatever the scheduler or worker count.
+            # Armed before the arrivals load, so fault events claim the same
+            # engine sequence numbers on every replay, whatever the worker
+            # count.
             faults.arm(self.system, self)
             self._fault_network = faults.network
         self._load_arrivals(engine)
@@ -316,11 +272,11 @@ class ExperimentDriver:
 
         Materialised workloads load in one ``schedule_lite_bulk`` call — one
         shared callback with the request as the event payload, no per-request
-        closure allocation, and the heap heapifies once (the ring appends
-        straight into its buckets).  Streaming workloads chunk-load instead:
-        see :meth:`_load_streaming`.  Arrival times are validated by the
-        workload, not re-checked per request; the head check below covers
-        every request because schedules are arrival-ordered.
+        closure allocation, and the heap heapifies once.  Streaming
+        workloads chunk-load instead: see :meth:`_load_streaming`.  Arrival
+        times are validated by the workload, not re-checked per request; the
+        head check below covers every request because schedules are
+        arrival-ordered.
         """
         if isinstance(self.workload, StreamingWorkload):
             self._load_streaming(engine)
@@ -347,8 +303,7 @@ class ExperimentDriver:
         before anything later — the next batch (whose times are >= the
         loader's time) can always be scheduled safely.  Peak RSS is thereby
         bounded by one chunk of queued arrivals regardless of workload
-        length.  Both schedulers see the identical (time, priority, sequence)
-        stream, so heap/ring replays stay byte-identical (CI-gated).
+        length.
         """
         arrival = self._issue_or_queue
         batches = self.workload.iter_batches()
@@ -501,7 +456,6 @@ def run_experiment(
     latency: Optional[LatencyModel] = None,
     record_trace: bool = False,
     collect_metrics: bool = True,
-    scheduler: str = "auto",
 ) -> ExperimentResult:
     """Convenience wrapper: build the system, replay the workload, return results.
 
@@ -518,8 +472,6 @@ def run_experiment(
         record_trace: record a full protocol trace on the system (accessible
             via ``result`` only indirectly; use :class:`ExperimentDriver`
             directly when the trace itself is needed).
-        scheduler: engine scheduler choice (see :class:`ExperimentDriver`);
-            the replay outcome is identical for every value.
     """
     from repro.spec import ExperimentSpec
 
@@ -530,11 +482,10 @@ def run_experiment(
             or latency is not None
             or record_trace
             or not collect_metrics
-            or scheduler != "auto"
         ):
             raise ExperimentError(
                 "run_experiment(spec): the spec already carries the topology, "
-                "workload, latency, scheduler, trace and metrics choices; "
+                "workload, latency, trace and metrics choices; "
                 "pass only the spec (edit the spec to change them)"
             )
         return algorithm.run()
@@ -550,5 +501,5 @@ def run_experiment(
         record_trace=record_trace,
         collect_metrics=collect_metrics,
     )
-    driver = ExperimentDriver(system, workload, scheduler=scheduler)
+    driver = ExperimentDriver(system, workload)
     return driver.run()

@@ -159,7 +159,6 @@ class WorkloadGenerator:
             if batch:
                 yield batch
 
-        lattice = 1.0 if float(cs_duration).is_integer() else None
         return StreamingWorkload(
             batches,
             total_requests=rounds * len(ordered),
@@ -167,8 +166,6 @@ class WorkloadGenerator:
                 f"heavy demand: {rounds} rounds x {len(ordered)} nodes "
                 f"(streamed, chunk {chunk_requests})"
             ),
-            time_lattice_hint=lattice,
-            chunk_requests=chunk_requests,
         )
 
     def poisson_stream(
@@ -225,8 +222,6 @@ class WorkloadGenerator:
                 f"{mean_interarrival}, cs={cs_duration} "
                 f"(streamed, chunk {chunk_requests})"
             ),
-            time_lattice_hint=None,
-            chunk_requests=chunk_requests,
         )
 
     def hotspot(

@@ -21,14 +21,14 @@ Contract (checked where cheap, tested everywhere):
   ``(arrival_time, node)`` within a batch, and non-decreasing across batch
   boundaries (the driver verifies the boundary condition as it loads);
 * the factory is *re-iterable*: every call replays the identical schedule,
-  which is what lets best-of-N benchmarking and the heap/ring byte-identity
-  gates work on streamed workloads exactly as on materialised ones;
+  which is what lets best-of-N benchmarking and the byte-identity gates
+  work on streamed workloads exactly as on materialised ones;
 * ``len()`` is the exact total request count, known up front.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List
 
 from repro.exceptions import WorkloadError
 from repro.workload.requests import CSRequest
@@ -49,22 +49,12 @@ class StreamingWorkload:
             request batches (lists of :class:`CSRequest`).
         total_requests: exact number of requests the factory yields in full.
         description: human-readable summary (mirrors ``Workload.description``).
-        time_lattice_hint: a time quantum every arrival time and CS duration
-            is an exact multiple of, or ``None`` when the schedule is
-            off-lattice.  Lets scheduler auto-selection answer the lattice
-            question without iterating millions of requests.
-        chunk_requests: the batch size the factory was built with; the driver
-            uses it as the effective backlog depth for scheduler selection
-            (a streamed workload never piles more than one chunk of arrivals
-            into the pending queue).
     """
 
     __slots__ = (
         "_batch_factory",
         "_total",
         "description",
-        "time_lattice_hint",
-        "chunk_requests",
     )
 
     def __init__(
@@ -73,22 +63,14 @@ class StreamingWorkload:
         *,
         total_requests: int,
         description: str = "",
-        time_lattice_hint: Optional[float] = None,
-        chunk_requests: int = DEFAULT_CHUNK_REQUESTS,
     ) -> None:
         if total_requests < 0:
             raise WorkloadError(
                 f"total_requests must be >= 0, got {total_requests}"
             )
-        if chunk_requests < 1:
-            raise WorkloadError(
-                f"chunk_requests must be >= 1, got {chunk_requests}"
-            )
         self._batch_factory = batch_factory
         self._total = int(total_requests)
         self.description = description
-        self.time_lattice_hint = time_lattice_hint
-        self.chunk_requests = int(chunk_requests)
 
     def __len__(self) -> int:
         return self._total

@@ -7,8 +7,8 @@ pinned here (and gated in CI by the ``backend-identity`` sweep matrix): the
 backend changes how fast state is stored and touched, never *what happens*.
 Entry order, message counts, finish times, per-entry metrics, and — on
 fault-injected runs — the complete fault summary including the fault-log
-sha256 must match field-for-field across backends, schedulers, and the
-observed/fast delivery paths.
+sha256 must match field-for-field across backends and the observed/fast
+delivery paths.
 
 The fault replays use the same frozen star/heavy cell convention as the
 committed fault benchmark (``repro bench --faults``), so a divergence here
@@ -30,7 +30,7 @@ from repro.workload.driver import ExperimentDriver
 REPLAY_PROFILES = ("drop1", "crash-holder", "crash-recover")
 
 
-def _replay(node_backend, *, profile=None, scheduler="auto", n=50,
+def _replay(node_backend, *, profile=None, n=50,
             kind="star", rounds=5, seed=0, collect_metrics=True):
     """Run one dag cell on the given backend; return its deterministic row.
 
@@ -42,7 +42,6 @@ def _replay(node_backend, *, profile=None, scheduler="auto", n=50,
         algorithm="dag",
         topology=TopologySpec(kind=kind, n=n),
         workload=WorkloadSpec(tier="heavy", rounds=rounds),
-        scheduler=scheduler,
         seed=seed,
         collect_metrics=collect_metrics,
         faults=FAULT_PROFILES[profile] if profile is not None else None,
@@ -91,20 +90,14 @@ def test_fault_profiles_replay_identically_across_backends(profile):
         assert recovery["time_to_liveness"] is not None
 
 
-def test_fault_free_replay_identical_across_backends_and_schedulers():
-    """heap x ring x observed/fast delivery: one object reference each."""
-    for scheduler in ("heap", "ring"):
-        for collect_metrics in (True, False):
-            reference = _replay(
-                "object", scheduler=scheduler, collect_metrics=collect_metrics
-            )
-            compact = _replay(
-                "compact", scheduler=scheduler, collect_metrics=collect_metrics
-            )
-            assert compact == reference, (
-                f"backend divergence under scheduler={scheduler} "
-                f"collect_metrics={collect_metrics}"
-            )
+def test_fault_free_replay_identical_across_backends():
+    """Observed and fast delivery: one object reference each."""
+    for collect_metrics in (True, False):
+        reference = _replay("object", collect_metrics=collect_metrics)
+        compact = _replay("compact", collect_metrics=collect_metrics)
+        assert compact == reference, (
+            f"backend divergence under collect_metrics={collect_metrics}"
+        )
 
 
 @given(

@@ -1,34 +1,24 @@
-"""Unit tests for the pluggable scheduler subsystem (repro.sim.schedulers)."""
+"""Engine semantics on the one pending-event store (repro.sim.schedulers)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import SchedulingError, SimulationError
+from repro.exceptions import SchedulingError
 from repro.sim.engine import SimulationEngine
-from repro.sim.latency import (
-    ConstantLatency,
-    ExponentialLatency,
-    PerLinkLatency,
-    UniformLatency,
-)
-from repro.sim.rng import SeededRNG
 from repro.sim.schedulers import (
     MIN_TOMBSTONES_FOR_COMPACTION,
-    BucketRingScheduler,
+    SCHEDULER_MODES,
     HeapScheduler,
     make_scheduler,
-    scenario_time_lattice,
 )
-from repro.workload.requests import CSRequest, Workload
 
-RING = lambda **kw: BucketRingScheduler(quantum=kw.pop("quantum", 1.0), **kw)  # noqa: E731
 
-BOTH = pytest.mark.parametrize(
-    "make_scheduler_under_test",
-    [HeapScheduler, RING],
-    ids=["heap", "ring"],
-)
+@pytest.fixture(params=["heap"])
+def engine(request):
+    """A fresh engine.  The single param keeps the ``[heap]`` test ids these
+    cases have carried since they also ran on the bucket ring."""
+    return SimulationEngine(scheduler=request.param)
 
 
 def record_order(engine, times, *, priority=None):
@@ -44,11 +34,9 @@ def record_order(engine, times, *, priority=None):
 
 
 # --------------------------------------------------------------------------- #
-# cross-scheduler behavioral parity
+# ordering, horizons, budgets, stop
 # --------------------------------------------------------------------------- #
-@BOTH
-def test_fires_in_time_then_sequence_order(make_scheduler_under_test):
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_fires_in_time_then_sequence_order(engine):
     fired = record_order(engine, [5.0, 1.0, 3.0, 1.0, 5.0])
     engine.run()
     assert fired == [1, 3, 2, 0, 4]
@@ -56,18 +44,13 @@ def test_fires_in_time_then_sequence_order(make_scheduler_under_test):
     assert engine.pending_events == 0
 
 
-@BOTH
-def test_priority_breaks_same_time_ties(make_scheduler_under_test):
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_priority_breaks_same_time_ties(engine):
     fired = record_order(engine, [2.0, 2.0, 2.0], priority=[5, -1, 0])
     engine.run()
     assert fired == [1, 2, 0]
 
 
-@BOTH
-def test_off_lattice_times_fire_in_order(make_scheduler_under_test):
-    # Fractional timestamps exercise the ring's sort-on-touch fallback.
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_off_lattice_times_fire_in_order(engine):
     times = [2.75, 0.1, 2.25, 0.9, 2.5, 7.001, 0.10001]
     fired = record_order(engine, times)
     engine.run()
@@ -75,9 +58,7 @@ def test_off_lattice_times_fire_in_order(make_scheduler_under_test):
     assert engine.now == 7.001
 
 
-@BOTH
-def test_until_horizon_and_resume(make_scheduler_under_test):
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_until_horizon_and_resume(engine):
     fired = record_order(engine, [1.0, 2.0, 3.0, 4.0])
     assert engine.run(until=2.5) == 2
     assert fired == [0, 1]
@@ -87,17 +68,13 @@ def test_until_horizon_and_resume(make_scheduler_under_test):
     assert fired == [0, 1, 2, 3]
 
 
-@BOTH
-def test_until_is_inclusive(make_scheduler_under_test):
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_until_is_inclusive(engine):
     fired = record_order(engine, [2.0])
     engine.run(until=2.0)
     assert fired == [0]
 
 
-@BOTH
-def test_max_events_budget_and_step(make_scheduler_under_test):
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_max_events_budget_and_step(engine):
     fired = record_order(engine, [1.0, 1.0, 1.0, 2.0])
     assert engine.run(max_events=2) == 2
     assert fired == [0, 1]
@@ -108,9 +85,7 @@ def test_max_events_budget_and_step(make_scheduler_under_test):
     assert fired == [0, 1, 2, 3]
 
 
-@BOTH
-def test_stop_inside_callback_halts_after_current_event(make_scheduler_under_test):
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_stop_inside_callback_halts_after_current_event(engine):
     fired = []
     engine.schedule(1.0, lambda ev: (fired.append(1), engine.stop()))
     engine.schedule(1.0, lambda ev: fired.append(2))
@@ -120,11 +95,7 @@ def test_stop_inside_callback_halts_after_current_event(make_scheduler_under_tes
     assert fired == [1, 2]
 
 
-@BOTH
-def test_cancelled_events_are_skipped_without_advancing_clock(
-    make_scheduler_under_test,
-):
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_cancelled_events_are_skipped_without_advancing_clock(engine):
     fired = []
     engine.schedule(1.0, lambda ev: fired.append("a"))
     doomed = engine.schedule(2.0, lambda ev: fired.append("doomed"))
@@ -135,11 +106,7 @@ def test_cancelled_events_are_skipped_without_advancing_clock(
     assert engine.pending_events == 0
 
 
-@BOTH
-def test_events_scheduled_during_run_at_same_time_fire_in_sequence_order(
-    make_scheduler_under_test,
-):
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_events_scheduled_during_run_at_same_time_fire_in_sequence_order(engine):
     fired = []
 
     def first(ev):
@@ -154,11 +121,9 @@ def test_events_scheduled_during_run_at_same_time_fire_in_sequence_order(
     assert fired == ["first", "second", "late"]
 
 
-@BOTH
-def test_zero_delay_schedule_after_with_off_lattice_clock(make_scheduler_under_test):
-    # A zero-delay event lands in the bucket currently being drained with a
-    # timestamp that can precede unfired entries — the ring's re-sort path.
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_zero_delay_schedule_after_with_off_lattice_clock(engine):
+    # A zero-delay event scheduled mid-drain fires before later-timed
+    # entries that were already queued.
     fired = []
 
     def outer_event(ev):
@@ -171,11 +136,7 @@ def test_zero_delay_schedule_after_with_off_lattice_clock(make_scheduler_under_t
     assert fired == ["outer", "inner", "later"]
 
 
-@BOTH
-def test_callback_exception_does_not_refire_consumed_events(
-    make_scheduler_under_test,
-):
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_callback_exception_does_not_refire_consumed_events(engine):
     fired = []
     engine.schedule(1.0, lambda ev: fired.append("ok"))
 
@@ -193,64 +154,9 @@ def test_callback_exception_does_not_refire_consumed_events(
 
 
 # --------------------------------------------------------------------------- #
-# ring internals
-# --------------------------------------------------------------------------- #
-def test_ring_spills_beyond_horizon_and_reloads():
-    engine = SimulationEngine(scheduler=BucketRingScheduler(quantum=1.0, horizon=8))
-    fired = []
-    times = [3.0, 100.0, 5.0, 1000.0, 99.0, 7.5]
-    for index, time in enumerate(times):
-        engine.schedule(time, lambda ev, i=index: fired.append(i))
-    ring = engine.scheduler
-    assert ring._spill  # far-future entries wait outside the wheel
-    engine.run()
-    assert fired == sorted(range(len(times)), key=lambda i: times[i])
-    assert engine.now == 1000.0
-    assert not ring._spill and len(ring) == 0
-
-
-def test_ring_wheel_jump_skips_long_empty_gaps():
-    engine = SimulationEngine(scheduler=BucketRingScheduler(quantum=1.0, horizon=4))
-    fired = []
-    engine.schedule(2.0, lambda ev: fired.append("near"))
-    engine.schedule(10_000_000.0, lambda ev: fired.append("far"))
-    engine.run()
-    assert fired == ["near", "far"]
-    assert engine.now == 10_000_000.0
-
-
-def test_ring_rejects_bad_parameters():
-    with pytest.raises(SchedulingError):
-        BucketRingScheduler(quantum=0.0)
-    with pytest.raises(SchedulingError):
-        BucketRingScheduler(quantum=1.0, horizon=1)
-    with pytest.raises(SchedulingError):
-        make_scheduler("fibonacci")
-
-
-def test_use_scheduler_swap_rules():
-    engine = SimulationEngine()
-    engine.use_scheduler("ring")
-    assert engine.scheduler_kind == "ring"
-    engine.use_scheduler(HeapScheduler())
-    assert engine.scheduler_kind == "heap"
-    engine.schedule(1.0, lambda ev: None)
-    with pytest.raises(SimulationError):
-        engine.use_scheduler("ring")  # non-empty queue: swap refused
-    engine.run()
-    engine.use_scheduler("ring")
-    during = []
-    engine.schedule(2.0, lambda ev: during.append(engine.scheduler_kind))
-    engine.run()
-    assert during == ["ring"]
-
-
-# --------------------------------------------------------------------------- #
 # tombstone compaction
 # --------------------------------------------------------------------------- #
-@BOTH
-def test_mass_cancellation_triggers_compaction(make_scheduler_under_test):
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_mass_cancellation_triggers_compaction(engine):
     keep = 10
     doomed = [
         engine.schedule(float(i + 1), lambda ev: None)
@@ -273,9 +179,7 @@ def test_mass_cancellation_triggers_compaction(make_scheduler_under_test):
     assert all(not event.cancelled for event in kept)
 
 
-@BOTH
-def test_compaction_mid_run_from_callback(make_scheduler_under_test):
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_compaction_mid_run_from_callback(engine):
     fired = []
     later = [
         engine.schedule(float(10 + i), lambda ev: fired.append("doomed"))
@@ -295,9 +199,7 @@ def test_compaction_mid_run_from_callback(make_scheduler_under_test):
     assert engine.pending_events == 0
 
 
-@BOTH
-def test_compaction_preserves_order_and_counts(make_scheduler_under_test):
-    engine = SimulationEngine(scheduler=make_scheduler_under_test())
+def test_compaction_preserves_order_and_counts(engine):
     fired = []
     events = [
         engine.schedule(float(i % 7 + 1), lambda ev, i=i: fired.append(i))
@@ -313,53 +215,15 @@ def test_compaction_preserves_order_and_counts(make_scheduler_under_test):
 
 
 # --------------------------------------------------------------------------- #
-# lattice detection and selection
+# the compatibility surface: one store, two accepted spellings
 # --------------------------------------------------------------------------- #
-def test_latency_time_lattice_hints():
-    assert ConstantLatency(1.0).time_lattice() == 1.0
-    assert ConstantLatency(2.5).time_lattice() == 2.5
-    assert UniformLatency(0.5, 1.5).time_lattice() is None
-    assert ExponentialLatency(1.0, rng=SeededRNG(0)).time_lattice() is None
-    assert PerLinkLatency({(0, 1): 2.0, (1, 2): 4.0}, default=6.0).time_lattice() == 2.0
-    assert PerLinkLatency({(0, 1): 3.0}, default=5.0).time_lattice() == 1.0
-    assert PerLinkLatency({(0, 1): 1.5}).time_lattice() is None
-
-
-def lattice_workload(times, durations=None):
-    durations = durations if durations is not None else [1.0] * len(times)
-    return Workload(
-        requests=tuple(
-            CSRequest(node=0, arrival_time=t, cs_duration=d)
-            for t, d in zip(times, durations)
-        )
-    )
-
-
-def test_scenario_time_lattice_checks_arrivals_and_durations():
-    constant = ConstantLatency(1.0)
-    assert scenario_time_lattice(constant, lattice_workload([0.0, 3.0, 7.0])) == 1.0
-    assert scenario_time_lattice(constant, lattice_workload([0.0, 2.5])) is None
-    assert (
-        scenario_time_lattice(constant, lattice_workload([0.0], durations=[0.25]))
-        is None
-    )
-    # None means the network default (constant 1.0).
-    assert scenario_time_lattice(None, lattice_workload([1.0, 2.0])) == 1.0
-    assert scenario_time_lattice(UniformLatency(0.5, 1.5), lattice_workload([1.0])) is None
-
-
 def test_make_scheduler_modes():
-    assert make_scheduler("heap").kind == "heap"
-    forced = make_scheduler("ring", latency=ConstantLatency(0.5))
-    assert forced.kind == "ring" and forced.quantum == 0.5
-    # Forced ring on a stochastic model falls back to a 1.0 quantum but
-    # stays a ring (correct via sort-on-touch).
-    assert make_scheduler("ring", latency=UniformLatency(0.5, 1.5)).kind == "ring"
-    auto_lattice = make_scheduler(
-        "auto", latency=ConstantLatency(1.0), workload=lattice_workload([0.0, 1.0])
-    )
-    assert auto_lattice.kind == "ring"
-    auto_off = make_scheduler(
-        "auto", latency=ConstantLatency(1.0), workload=lattice_workload([0.3])
-    )
-    assert auto_off.kind == "heap"
+    assert SCHEDULER_MODES == ("auto", "heap")
+    for mode in SCHEDULER_MODES:
+        assert type(make_scheduler(mode)) is HeapScheduler
+        assert SimulationEngine(scheduler=mode).scheduler_kind == "heap"
+    assert SimulationEngine().scheduler_kind == "heap"
+    with pytest.raises(SchedulingError, match="removed"):
+        make_scheduler("ring")
+    with pytest.raises(SchedulingError, match="fibonacci"):
+        make_scheduler("fibonacci")

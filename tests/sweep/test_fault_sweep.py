@@ -90,7 +90,7 @@ def test_fault_sweep_is_byte_identical_across_worker_counts():
 
 
 # --------------------------------------------------------------------------- #
-# structured worker-crash (the env-var hack's replacement)
+# structured worker-crash
 # --------------------------------------------------------------------------- #
 def test_worker_crash_profile_kills_the_child_not_the_sweep():
     crashing = SweepScenario("dag", "star", 9, "heavy", faults="worker-crash")
@@ -103,13 +103,3 @@ def test_worker_crash_profile_kills_the_child_not_the_sweep():
     assert crashed["fault_profile"] == "worker-crash"
     assert by_name[survivor.name]["status"] == "ok"
     assert document["failures"] == [crashing.name]
-
-
-def test_deprecated_crash_env_still_works_but_warns(monkeypatch):
-    from repro.sweep import CRASH_ENV
-
-    target = SweepScenario("dag", "star", 9, "heavy")
-    monkeypatch.setenv(CRASH_ENV, target.name)
-    with pytest.warns(DeprecationWarning, match="worker-crash"):
-        document = run_sweep([target], workers=1)
-    assert document["scenarios"][0]["status"] == "crashed"

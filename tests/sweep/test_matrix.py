@@ -87,10 +87,6 @@ def test_xlarge_sweep_matrix_adds_100k_scalable_cells():
     assert all(spec.n == 100000 and spec.workload == "heavy" for spec in extra)
     assert {spec.algorithm for spec in extra} == set(LARGE_TIER_ALGORITHMS)
     assert all(not spec.collect_metrics for spec in extra)
-    # scheduler choice is a field, not part of the name (and so not the seed)
-    forced = xlarge_sweep_matrix(scheduler="ring")
-    assert [spec.name for spec in forced] == [spec.name for spec in xlarge]
-    assert all(spec.scheduler == "ring" for spec in forced)
 
 
 def test_xxlarge_sweep_matrix_adds_1m_o1_state_cells():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.sweep import (
-    CRASH_ENV,
     CRASH_EXIT_CODE,
     SweepScenario,
     canonical_json,
@@ -72,18 +71,17 @@ def test_sweep_document_layout():
     canonical_json(document)  # full document must serialise too
 
 
-def test_child_crash_is_isolated_to_its_scenario(monkeypatch):
-    crashing = SMALL_MATRIX[1]
-    monkeypatch.setenv(CRASH_ENV, crashing.name)
-    document = run_sweep(SMALL_MATRIX, workers=2)
+def test_child_crash_is_isolated_to_its_scenario():
+    crashing = SweepScenario("dag", "tree", 9, "bursty", faults="worker-crash")
+    matrix = [SMALL_MATRIX[0], crashing, *SMALL_MATRIX[1:]]
+    document = run_sweep(matrix, workers=2)
     assert document["failures"] == [crashing.name]
     by_name = {row["scenario"]: row for row in document["scenarios"]}
     crashed = by_name[crashing.name]
     assert crashed["status"] == "crashed"
     assert crashed["exitcode"] == CRASH_EXIT_CODE
     for spec in SMALL_MATRIX:
-        if spec.name != crashing.name:
-            assert by_name[spec.name]["status"] == "ok"
+        assert by_name[spec.name]["status"] == "ok"
 
 
 def test_child_exception_is_reported_not_raised():

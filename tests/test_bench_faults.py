@@ -44,7 +44,7 @@ def test_degradation_row_shape():
     assert row["total_faults"] >= 1
     assert len(row["fault_log_sha256"]) == 64
     assert "recovery" not in row
-    assert set(row["timing"]) == {"wall_seconds", "events_per_sec", "scheduler"}
+    assert set(row["timing"]) == {"wall_seconds", "events_per_sec"}
 
 
 def test_recovery_row_reports_time_to_liveness():
@@ -55,24 +55,14 @@ def test_recovery_row_reports_time_to_liveness():
     assert row["unserved_nodes"] == 1  # only the crashed holder goes unserved
 
 
-def test_rows_are_deterministic_across_schedulers():
-    heap = run_fault_scenario(SMALL_RECOVERY, scheduler="heap")
-    ring = run_fault_scenario(SMALL_RECOVERY, scheduler="ring")
-    assert heap["timing"]["scheduler"] == "heap"
-    assert ring["timing"]["scheduler"] == "ring"
-    heap_det = {key: value for key, value in heap.items() if key != "timing"}
-    ring_det = {key: value for key, value in ring.items() if key != "timing"}
-    assert heap_det == ring_det
-
-
 def test_document_and_deterministic_projection():
-    document = run_fault_benchmark(matrix=[SMALL_DEGRADATION])
+    document = run_fault_benchmark(matrix=[SMALL_DEGRADATION, SMALL_RECOVERY])
     assert document["schema"] == FAULT_BENCH_SCHEMA
     stripped = deterministic_fault_document(document)
     assert "generated_by" not in stripped
     assert all("timing" not in row for row in stripped["scenarios"])
     again = deterministic_fault_document(
-        run_fault_benchmark(matrix=[SMALL_DEGRADATION])
+        run_fault_benchmark(matrix=[SMALL_DEGRADATION, SMALL_RECOVERY])
     )
     assert stripped == again
 

@@ -175,10 +175,12 @@ def test_bench_baselines_smoke(capsys, tmp_path):
         assert name in out
     assert "dag-" not in out
     # A fresh run checked against its own document passes the gate.
+    # Tolerance 1.0 puts the rate floor at 0, leaving the exact virtual-time
+    # fields: wall-clock gates belong to the CI bench jobs, not tier-1.
     code, out = run_cli(
         capsys,
         "bench", "--baselines", "--smoke", "--repeat", "1",
-        "--check", str(output), "--tolerance", "0.9",
+        "--check", str(output), "--tolerance", "1.0",
     )
     assert code == 0
     assert "passed" in out
@@ -267,16 +269,6 @@ def test_algorithms_command_lists_node_backends(capsys):
     assert code == 0
     assert "node backends" in out
     assert "object+compact" in out
-
-
-def test_setup_only_threads_the_scheduler_choice():
-    from repro.bench import ScenarioSpec, run_setup_benchmark
-
-    document = run_setup_benchmark(
-        [ScenarioSpec("star", 50, "heavy")], scheduler="ring"
-    )
-    (row,) = document["scenarios"]
-    assert row["scheduler"] == "ring"
 
 
 # --------------------------------------------------------------------------- #
@@ -429,11 +421,12 @@ def test_bench_faults_smoke_with_self_check(capsys, tmp_path):
     assert code == 0
     assert output.exists()
     assert "crash-recover" in out
-    # A fresh run checked against itself passes the exact gate.
+    # A fresh run checked against itself passes the exact gate (tolerance
+    # 1.0: rate floor 0, so ~1 ms cells are not rate-gated against themselves).
     code, out = run_cli(
         capsys,
         "bench", "--faults", "--smoke",
-        "--check", str(output), "--tolerance", "0.9",
+        "--check", str(output), "--tolerance", "1.0",
     )
     assert code == 0
     assert "passed" in out
@@ -459,7 +452,7 @@ def test_sweep_faults_tier_runs_and_is_deterministic(capsys, tmp_path):
     code, _ = run_cli(
         capsys,
         "sweep", "--faults", "--algorithms", "dag",
-        "--workers", "1", "--scheduler", "ring", "--no-tables",
+        "--workers", "1", "--no-tables",
         "--deterministic-output", str(second),
     )
     assert code == 0

@@ -47,7 +47,6 @@ from repro.workload.generator import WorkloadGenerator
 
 #: Capability attributes every algorithm must declare on its own class.
 CAPABILITY_ATTRS = (
-    "dense_message_traffic",
     "max_recommended_nodes",
     "storage_class",
     "token_based",
@@ -80,7 +79,6 @@ def _outcome(result):
             topology=TopologySpec(kind="tree", n=31),
             workload=WorkloadSpec(tier="light", total_requests=64),
             latency=LatencySpec(kind="uniform", low=0.5, high=2.0, seed=3),
-            scheduler="ring",
             seed=17,
         ),
         ExperimentSpec(
@@ -150,8 +148,13 @@ def test_spec_validation_lists_known_names():
         TopologySpec(kind="hypercube", n=8)
     with pytest.raises(ExperimentError, match="diurnal"):
         WorkloadSpec(tier="sawtooth")
-    with pytest.raises(ExperimentError, match="ring"):
-        ExperimentSpec.parse("dag", "star:9", "heavy", scheduler="lifo")
+    with pytest.raises(ExperimentError, match="heap"):
+        ExperimentSpec(
+            algorithm="dag",
+            topology=TopologySpec(kind="star", n=9),
+            workload=WorkloadSpec(tier="heavy"),
+            scheduler="lifo",
+        )
     with pytest.raises(ExperimentError, match="constant"):
         LatencySpec(kind="normal")
 
@@ -272,16 +275,6 @@ def test_scale_queries_reproduce_tier_memberships():
     assert registry.names_for_scale(10_000) == ["centralized", "raymond", "dag"]
     assert registry.names_for_scale(100_000) == ["centralized", "raymond", "dag"]
     assert registry.names_for_scale(1_000_000) == ["centralized", "dag"]
-
-
-def test_dense_traffic_declarations_drive_scheduler_selection():
-    topology = star(30)
-    workload = WorkloadGenerator(topology.nodes, seed=1).heavy_demand(rounds=2)
-    for name in ("dag", "lamport"):
-        system = registry.get(name)(topology, collect_metrics=False)
-        driver = ExperimentDriver(system, workload)
-        expected = "ring" if registry.capabilities(name).dense_message_traffic else "heap"
-        assert driver.system.engine.scheduler_kind == expected
 
 
 def test_validate_algorithms_lists_registry_entries():
@@ -499,7 +492,7 @@ def test_spec_shard_rejects_foreign_latency_and_trace(tmp_path):
 def test_run_experiment_spec_rejects_every_overriding_argument():
     spec = ExperimentSpec.parse("dag", "star:9", "heavy:1")
     with pytest.raises(ExperimentError, match="pass only the spec"):
-        run_experiment(spec, scheduler="ring")
+        run_experiment(spec, topology=star(9))
     with pytest.raises(ExperimentError, match="pass only the spec"):
         run_experiment(spec, collect_metrics=False)
     with pytest.raises(ExperimentError, match="pass only the spec"):

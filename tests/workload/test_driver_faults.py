@@ -28,14 +28,12 @@ def fault_spec(algorithm="dag", profile="drop1", n=9, **overrides):
     return dataclasses.replace(base, **overrides) if overrides else base
 
 
-def run_spec(spec, *, scheduler="auto"):
+def run_spec(spec):
     topology = spec.topology.build()
     workload = spec.workload.build(topology, seed=spec.seed)
     system = spec.build_system(topology)
     controller = FaultController(spec.faults, name=spec.name)
-    driver = ExperimentDriver(
-        system, workload, scheduler=scheduler, faults=controller
-    )
+    driver = ExperimentDriver(system, workload, faults=controller)
     result = driver.run()
     return result, system
 
@@ -129,24 +127,6 @@ def test_recovery_requires_the_fault_injecting_network():
 # --------------------------------------------------------------------------- #
 # replay determinism
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("profile", ["drop5", "crash-recover"])
-def test_fault_replay_is_byte_identical_across_schedulers(profile):
-    spec = fault_spec(profile=profile)
-    heap_result, heap_system = run_spec(spec, scheduler="heap")
-    ring_result, ring_system = run_spec(spec, scheduler="ring")
-    assert heap_system.engine.scheduler_kind == "heap"
-    assert ring_system.engine.scheduler_kind == "ring"
-    assert (
-        heap_result.fault_summary["fault_log_sha256"]
-        == ring_result.fault_summary["fault_log_sha256"]
-    )
-    assert heap_result.completed_entries == ring_result.completed_entries
-    assert heap_result.entry_order == ring_result.entry_order
-    assert (
-        heap_system.engine.processed_events == ring_system.engine.processed_events
-    )
-
-
 def test_driver_replay_matches_the_sweep_worker_replay():
     # The sweep worker names the FaultController after the ExperimentSpec,
     # not the sweep row, precisely so a `repro run --spec` replay of an
