@@ -35,7 +35,7 @@ setup(
         ],
     },
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "pytest-timeout", "hypothesis"],
+        "test": ["pytest", "pytest-timeout", "hypothesis"],
     },
     keywords=[
         "distributed-systems",

@@ -10,22 +10,15 @@ core still replays the seed engine's event order exactly.  See
 
 from repro.bench.baselines import (
     BASELINE_ALGORITHMS,
-    BaselineScenarioResult,
-    BaselineScenarioSpec,
     baseline_default_matrix,
     baseline_smoke_matrix,
     run_baseline_benchmark,
-    run_baseline_scenario,
-    run_calibrated_baseline_benchmark,
 )
 from repro.bench.faults import (
     DEGRADATION_ALGORITHMS,
     DEGRADATION_PROFILES,
-    FAULT_BENCH_SCHEMA,
-    FaultScenarioSpec,
-    check_fault_baseline,
     default_fault_matrix,
-    deterministic_fault_document,
+    fault_cell,
     recovery_matrix,
     run_fault_benchmark,
     run_fault_scenario,
@@ -40,18 +33,15 @@ from repro.bench.throughput import (
     ACCEPTANCE_SCENARIO,
     STREAMING_NODE_THRESHOLD,
     XXLARGE_HEAVY_ROUNDS,
-    ScenarioResult,
-    ScenarioSpec,
+    BenchCell,
+    bench_cell,
     bench_workload_spec,
-    check_against_baseline,
     default_matrix,
     determinism_fingerprint,
     fast_path_consistent,
     large_matrix,
-    min_merge_documents,
     run_benchmark,
-    run_calibrated_benchmark,
-    run_scenario,
+    run_cell,
     smoke_matrix,
     xlarge_matrix,
     xxlarge_matrix,
@@ -63,36 +53,26 @@ __all__ = [
     "STREAMING_NODE_THRESHOLD",
     "XXLARGE_HEAVY_ROUNDS",
     "BASELINE_ALGORITHMS",
-    "BaselineScenarioResult",
-    "BaselineScenarioSpec",
     "DEGRADATION_ALGORITHMS",
     "DEGRADATION_PROFILES",
-    "FAULT_BENCH_SCHEMA",
-    "FaultScenarioSpec",
-    "ScenarioResult",
-    "ScenarioSpec",
+    "BenchCell",
     "baseline_default_matrix",
     "baseline_smoke_matrix",
+    "bench_cell",
     "bench_workload_spec",
-    "check_against_baseline",
-    "check_fault_baseline",
     "construction_matrix",
     "default_fault_matrix",
     "default_matrix",
-    "deterministic_fault_document",
     "determinism_fingerprint",
     "fast_path_consistent",
+    "fault_cell",
     "large_matrix",
-    "min_merge_documents",
     "recovery_matrix",
     "run_baseline_benchmark",
-    "run_baseline_scenario",
-    "run_calibrated_baseline_benchmark",
     "run_benchmark",
-    "run_calibrated_benchmark",
     "run_fault_benchmark",
+    "run_cell",
     "run_fault_scenario",
-    "run_scenario",
     "run_setup_benchmark",
     "run_setup_scenario",
     "smoke_fault_matrix",

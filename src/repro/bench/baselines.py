@@ -5,8 +5,8 @@ comparison, however, is against eight baselines, and the comparison sweeps
 replay workloads through *their* message machinery too.  This module gives
 every baseline the same regression treatment: a frozen scenario matrix run on
 the unobserved fast path, a committed ``BENCH_baselines.json`` reference, and
-the same CI gate (20% events/sec tolerance, exact virtual-count comparison via
-:func:`repro.bench.throughput.check_against_baseline`).
+the same CI gate (20% events/sec tolerance, exact virtual-count comparison:
+:data:`repro.benchdoc.BASELINES`).
 
 The matrix is intentionally smaller than the DAG one — the broadcast
 algorithms cost Θ(N) messages per entry, so their interesting size range ends
@@ -15,31 +15,10 @@ far below the DAG's 10k tier.
 
 from __future__ import annotations
 
-import resource
-from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.theory import upper_bound_messages
-from repro.baselines import build_grid_quorums
-from repro.bench.throughput import (
-    bench_workload_spec,
-    measure_fastest,
-    min_merge_documents,
-)
-from repro.spec import ExperimentSpec, TopologySpec
-from repro.topology.metrics import diameter
-
-__all__ = [
-    "BASELINE_ALGORITHMS",
-    "BaselineScenarioResult",
-    "BaselineScenarioSpec",
-    "baseline_default_matrix",
-    "baseline_smoke_matrix",
-    "min_merge_documents",  # re-exported; the generic merge lives in throughput
-    "run_baseline_benchmark",
-    "run_baseline_scenario",
-    "run_calibrated_baseline_benchmark",
-]
+from repro import benchdoc
+from repro.bench.throughput import BenchCell, bench_cell, run_cell, run_passes
 
 #: Every algorithm of the paper's comparison except the DAG itself, which has
 #: its own (larger) matrix in :mod:`repro.bench.throughput`.
@@ -58,68 +37,18 @@ _SIZES = (25, 100)
 _DEMANDS = ("light", "heavy")
 
 
-@dataclass(frozen=True)
-class BaselineScenarioSpec:
-    """One cell of the baseline benchmark matrix (star topology throughout)."""
-
-    algorithm: str
-    n: int
-    demand: str
-
-    @property
-    def name(self) -> str:
-        return f"{self.algorithm}-star-n{self.n}-{self.demand}"
-
-    def experiment_spec(self) -> ExperimentSpec:
-        """The cell as a canonical :class:`~repro.spec.ExperimentSpec`."""
-        return ExperimentSpec(
-            algorithm=self.algorithm,
-            topology=TopologySpec(kind="star", n=self.n),
-            workload=bench_workload_spec(self.demand, self.n),
-            seed=0,
-            collect_metrics=False,
-        )
-
-
-@dataclass
-class BaselineScenarioResult:
-    """Measured outcome of one baseline scenario run."""
-
-    scenario: str
-    algorithm: str
-    n: int
-    demand: str
-    events: int
-    messages: int
-    entries: int
-    wall_seconds: float
-    events_per_sec: float
-    messages_per_sec: float
-    messages_per_entry: float
-    #: The paper's worst-case messages-per-entry bound for this algorithm.
-    bound_messages_per_entry: float
-    #: Whether the measured average respects the worst-case bound (recorded,
-    #: not asserted: the bound is per entry, the measurement an average).
-    within_bound: bool
-    #: Peak RSS after this scenario (running maximum for in-process runs; use
-    #: ``repro sweep`` for true per-scenario child-process numbers).
-    peak_rss_kb: int
-
-    def as_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-
-def baseline_default_matrix() -> List[BaselineScenarioSpec]:
-    """The full committed matrix: 8 baselines x 2 sizes x 2 demand levels."""
+def baseline_default_matrix() -> List[BenchCell]:
+    """The full committed matrix: 8 baselines x 2 sizes x 2 demand levels
+    (star topology throughout)."""
     return [
-        BaselineScenarioSpec(algorithm, n, demand)
+        bench_cell("star", n, demand, algorithm=algorithm)
         for algorithm in BASELINE_ALGORITHMS
         for n in _SIZES
         for demand in _DEMANDS
     ]
 
 
-def baseline_smoke_matrix() -> List[BaselineScenarioSpec]:
+def baseline_smoke_matrix() -> List[BenchCell]:
     """The CI subset: every baseline once, n=100, heavy demand.
 
     n=100 rather than 25 on purpose: more of the 20% events/sec gate's
@@ -128,114 +57,44 @@ def baseline_smoke_matrix() -> List[BaselineScenarioSpec]:
     re-timed over a replay window by ``measure_fastest`` anyway.
     """
     return [
-        BaselineScenarioSpec(algorithm, 100, "heavy")
+        bench_cell("star", 100, "heavy", algorithm=algorithm)
         for algorithm in BASELINE_ALGORITHMS
     ]
 
 
-def run_baseline_scenario(
-    spec: BaselineScenarioSpec, *, repeat: int = 3
-) -> BaselineScenarioResult:
-    """Run one baseline scenario ``repeat`` times and keep the fastest.
-
-    Mirrors :func:`repro.bench.throughput.run_scenario`: the system is rebuilt
-    per repetition (identical virtual outcome every time) and runs with no
-    metrics collector so the network's zero-overhead fast path is active.
-    """
-    experiment = spec.experiment_spec()
-    topology = experiment.topology.build()
-    workload = experiment.workload.build(topology, seed=experiment.seed)
-    if spec.algorithm == "maekawa":
-        # The paper's 7·sqrt(N) assumes projective-plane committees of size
-        # sqrt(N); this reproduction substitutes grid quorums (size about
-        # 2·sqrt(N) - 1, see repro.baselines.maekawa), so the honest bound
-        # uses the actual committee size.  Exposed by this very benchmark:
-        # at N=100 the measured heavy-demand average (71.9) exceeds the
-        # idealized 7·sqrt(N) = 70 while respecting the grid-quorum bound.
-        largest = max(
-            len(members) for members in build_grid_quorums(topology.nodes).values()
-        )
-        bound = 7.0 * (largest - 1)
-    else:
-        bound = upper_bound_messages(
-            spec.algorithm, n=spec.n, diameter=diameter(topology)
-        )
-    wall, result, events, messages = measure_fastest(
-        lambda: experiment.build_system(topology),
-        workload,
-        repeat=repeat,
-    )
-    return BaselineScenarioResult(
-        scenario=spec.name,
-        algorithm=spec.algorithm,
-        n=spec.n,
-        demand=spec.demand,
-        events=events,
-        messages=messages,
-        entries=result.completed_entries,
-        wall_seconds=round(wall, 4),
-        events_per_sec=round(events / wall, 1),
-        messages_per_sec=round(messages / wall, 1),
-        messages_per_entry=round(result.messages_per_entry, 4),
-        bound_messages_per_entry=round(bound, 4),
-        within_bound=result.messages_per_entry <= bound + 1e-9,
-        peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-    )
-
-
 def run_baseline_benchmark(
     *,
-    matrix: Optional[Sequence[BaselineScenarioSpec]] = None,
+    matrix: Optional[Sequence[BenchCell]] = None,
     repeat: int = 3,
+    calibrate: Optional[int] = None,
     verbose: bool = False,
 ) -> Dict[str, Any]:
-    """Run the matrix and assemble the ``BENCH_baselines.json`` document."""
-    specs = list(matrix) if matrix is not None else baseline_default_matrix()
-    scenarios: List[Dict[str, Any]] = []
-    for spec in specs:
-        measured = run_baseline_scenario(spec, repeat=repeat)
-        scenarios.append(measured.as_dict())
-        if verbose:
-            print(
-                f"{measured.scenario:<38} {measured.events_per_sec:>12,.0f} ev/s  "
-                f"{measured.messages_per_entry:>8.3f} msg/entry  "
-                f"wall {measured.wall_seconds:.3f}s"
-            )
-    return {
-        "schema": "bench-baselines/v1",
-        "generated_by": "repro bench --baselines",
-        "repeat": repeat,
-        "scenarios": scenarios,
-    }
+    """Run the matrix and assemble the ``BENCH_baselines.json`` document.
 
-
-def run_calibrated_baseline_benchmark(
-    *,
-    matrix: Optional[Sequence[BaselineScenarioSpec]] = None,
-    repeat: int = 3,
-    runs: int = 4,
-    verbose: bool = False,
-) -> Dict[str, Any]:
-    """Run the matrix ``runs`` times and min-merge into a committed floor.
-
-    This is how ``BENCH_baselines.json`` is produced (``repro bench
-    --baselines --calibrate N``): single-run rates on a busy machine are too
-    noisy to gate against, so the committed reference records each scenario's
-    minimum observed rate, annotated in the document's ``calibration`` field.
+    ``calibrate=N`` (``repro bench --baselines --calibrate N``) runs the
+    matrix N times and keeps each scenario's minimum observed rate, annotated
+    in the document's ``calibration`` field.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    documents = []
-    for index in range(runs):
-        if verbose:
-            print(f"calibration run {index + 1}/{runs}:")
-        documents.append(
-            run_baseline_benchmark(matrix=matrix, repeat=repeat, verbose=verbose)
-        )
-    merged = min_merge_documents(documents)
-    merged["calibration"] = (
-        f"per-scenario minimum events/sec across {runs} benchmark runs "
-        f"(repeat={repeat} each), making the committed rates a conservative "
-        "floor for the regression gate"
+    cells = list(matrix) if matrix is not None else baseline_default_matrix()
+
+    def one_run(index: int) -> Dict[str, Any]:
+        scenarios: List[Dict[str, Any]] = []
+        for cell in cells:
+            row = run_cell(cell, repeat=repeat)
+            scenarios.append(row)
+            if verbose:
+                print(
+                    f"{row['scenario']:<38} {row['events_per_sec']:>12,.0f} ev/s  "
+                    f"{row['messages_per_entry']:>8.3f} msg/entry  "
+                    f"wall {row['wall_seconds']:.3f}s"
+                )
+        return {
+            "schema": benchdoc.BASELINES.schema,
+            "generated_by": "repro bench --baselines",
+            "repeat": repeat,
+            "scenarios": scenarios,
+        }
+
+    return run_passes(
+        benchdoc.BASELINES, one_run, calibrate=calibrate, repeat=repeat, verbose=verbose
     )
-    return merged

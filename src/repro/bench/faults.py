@@ -19,7 +19,7 @@ Two questions the throughput benchmark cannot answer:
   the acceptance criterion of the robustness milestone.
 
 Everything deterministic in the document (counts, finish times, fault-log
-digests, recovery metrics) is gated exactly by :func:`check_fault_baseline`;
+digests, recovery metrics) is gated exactly (:data:`repro.benchdoc.FAULTS`);
 only the events/sec rates carry a tolerance, like the throughput gate.
 ``BENCH_faults.json`` at the repository root is the committed reference
 (regenerate with ``repro bench --faults --write BENCH_faults.json``).
@@ -28,15 +28,14 @@ only the events/sec rates carry a tolerance, like the throughput gate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.baselines.base import registry
+from repro.bench.throughput import BenchCell
+from repro.benchdoc import FAULTS
 from repro.sim.faults import FaultController
 from repro.spec import FAULT_PROFILES, ExperimentSpec, TopologySpec, WorkloadSpec
 from repro.workload.driver import ExperimentDriver
-
-FAULT_BENCH_SCHEMA = "bench-faults/v1"
 
 #: Profiles of the committed degradation matrix — one message-loss profile
 #: and the crash of the token holder, the two failure modes Chapter 5's
@@ -50,56 +49,53 @@ DEGRADATION_ALGORITHMS = tuple(registry.names())
 RECOVERY_XLARGE_NODES = 100_000
 
 
-@dataclass(frozen=True)
-class FaultScenarioSpec:
-    """One cell of the fault benchmark matrix."""
+def fault_cell(
+    algorithm: str,
+    n: int,
+    profile: str,
+    *,
+    rounds: int = 5,
+    collect_metrics: bool = True,
+) -> BenchCell:
+    """One fault cell: ``algorithm`` under the named fault ``profile``.
 
-    algorithm: str
-    n: int
-    profile: str
-    rounds: int = 5
-    collect_metrics: bool = True
-
-    @property
-    def name(self) -> str:
-        return f"{self.algorithm}-star-n{self.n}-heavy+{self.profile}"
-
-    def experiment_spec(self) -> ExperimentSpec:
-        """The cell as a canonical, shippable :class:`ExperimentSpec`.
-
-        Seed 0 and star/heavy throughout, mirroring the throughput
-        benchmark's frozen-cell convention.
-        """
-        return ExperimentSpec(
-            algorithm=self.algorithm,
-            topology=TopologySpec(kind="star", n=self.n),
-            workload=WorkloadSpec(tier="heavy", rounds=self.rounds),
+    Seed 0 and star/heavy throughout, mirroring the throughput benchmark's
+    frozen-cell convention; the experiment is a canonical, shippable
+    :class:`ExperimentSpec`.
+    """
+    return BenchCell(
+        f"{algorithm}-star-n{n}-heavy+{profile}",
+        ExperimentSpec(
+            algorithm=algorithm,
+            topology=TopologySpec(kind="star", n=n),
+            workload=WorkloadSpec(tier="heavy", rounds=rounds),
             seed=0,
-            collect_metrics=self.collect_metrics,
-            faults=FAULT_PROFILES[self.profile],
-        )
+            collect_metrics=collect_metrics,
+            faults=FAULT_PROFILES[profile],
+        ),
+    )
 
 
-def default_fault_matrix() -> List[FaultScenarioSpec]:
+def default_fault_matrix() -> List[BenchCell]:
     """Degradation cells (every algorithm × profile), the DAG churn cell
     (repeated token-holder kill + restart), plus the recovery cells."""
     matrix = [
-        FaultScenarioSpec(algorithm, 50, profile)
+        fault_cell(algorithm, 50, profile)
         for algorithm in DEGRADATION_ALGORITHMS
         for profile in DEGRADATION_PROFILES
     ]
-    matrix.append(FaultScenarioSpec("dag", 50, "crash-churn"))
+    matrix.append(fault_cell("dag", 50, "crash-churn"))
     # The partition + heal window on one token and one permission algorithm:
     # messages crossing the cut queue (or drop) until the heal, so the gated
     # outcome pins down both the degradation during the window and the full
     # catch-up after it.
-    matrix.append(FaultScenarioSpec("dag", 50, "partition-heal"))
-    matrix.append(FaultScenarioSpec("ricart-agrawala", 50, "partition-heal"))
+    matrix.append(fault_cell("dag", 50, "partition-heal"))
+    matrix.append(fault_cell("ricart-agrawala", 50, "partition-heal"))
     matrix.extend(recovery_matrix())
     return matrix
 
 
-def recovery_matrix() -> List[FaultScenarioSpec]:
+def recovery_matrix() -> List[BenchCell]:
     """The token-regeneration cells: DAG, crash-recover, n=50 and 100k.
 
     The 100k cell runs one heavy round on the unobserved-metrics path (the
@@ -107,8 +103,8 @@ def recovery_matrix() -> List[FaultScenarioSpec]:
     way; dropping the collector just skips per-entry timing statistics).
     """
     return [
-        FaultScenarioSpec("dag", 50, "crash-recover"),
-        FaultScenarioSpec(
+        fault_cell("dag", 50, "crash-recover"),
+        fault_cell(
             "dag",
             RECOVERY_XLARGE_NODES,
             "crash-recover",
@@ -118,25 +114,25 @@ def recovery_matrix() -> List[FaultScenarioSpec]:
     ]
 
 
-def smoke_fault_matrix() -> List[FaultScenarioSpec]:
+def smoke_fault_matrix() -> List[BenchCell]:
     """CI subset: both profiles on three contrasting algorithms + n=50 recovery."""
     matrix = [
-        FaultScenarioSpec(algorithm, 50, profile)
+        fault_cell(algorithm, 50, profile)
         for algorithm in ("dag", "ricart-agrawala", "maekawa")
         for profile in DEGRADATION_PROFILES
     ]
-    matrix.append(FaultScenarioSpec("dag", 50, "partition-heal"))
-    matrix.append(FaultScenarioSpec("dag", 50, "crash-recover"))
+    matrix.append(fault_cell("dag", 50, "partition-heal"))
+    matrix.append(fault_cell("dag", 50, "crash-recover"))
     return matrix
 
 
-def run_fault_scenario(spec: FaultScenarioSpec) -> Dict[str, Any]:
+def run_fault_scenario(cell: BenchCell) -> Dict[str, Any]:
     """Run one fault cell and return its document row.
 
     Deterministic outcomes live at the top level of the row; host-dependent
     measurements live under ``"timing"`` (same split as the sweep rows).
     """
-    experiment = spec.experiment_spec()
+    experiment = cell.experiment
     topology = experiment.topology.build()
     workload = experiment.workload.build(topology, seed=experiment.seed)
     system = experiment.build_system(topology)
@@ -148,10 +144,11 @@ def run_fault_scenario(spec: FaultScenarioSpec) -> Dict[str, Any]:
     events = system.engine.processed_events
     summary = result.fault_summary or {}
     row: Dict[str, Any] = {
-        "scenario": spec.name,
-        "algorithm": spec.algorithm,
-        "n": spec.n,
-        "profile": spec.profile,
+        "scenario": cell.name,
+        "algorithm": experiment.algorithm,
+        "n": experiment.topology.n,
+        # The committed cell name ends in ``+profile`` (see fault_cell).
+        "profile": cell.name.partition("+")[2],
         "entries": result.completed_entries,
         "messages": result.total_messages,
         "events": events,
@@ -180,14 +177,14 @@ def run_fault_scenario(spec: FaultScenarioSpec) -> Dict[str, Any]:
 
 def run_fault_benchmark(
     *,
-    matrix: Optional[Sequence[FaultScenarioSpec]] = None,
+    matrix: Optional[Sequence[BenchCell]] = None,
     verbose: bool = False,
 ) -> Dict[str, Any]:
     """Run the fault matrix and assemble the ``BENCH_faults.json`` document."""
-    specs = list(matrix) if matrix is not None else default_fault_matrix()
+    cells = list(matrix) if matrix is not None else default_fault_matrix()
     rows: List[Dict[str, Any]] = []
-    for spec in specs:
-        row = run_fault_scenario(spec)
+    for cell in cells:
+        row = run_fault_scenario(cell)
         rows.append(row)
         if verbose:
             recovery = row.get("recovery") or {}
@@ -199,105 +196,7 @@ def run_fault_benchmark(
             )
             print(f"{row['scenario']:<44} {detail}")
     return {
-        "schema": FAULT_BENCH_SCHEMA,
+        "schema": FAULTS.schema,
         "generated_by": "repro bench --faults",
         "scenarios": rows,
     }
-
-
-def deterministic_fault_document(document: Dict[str, Any]) -> Dict[str, Any]:
-    """The fault-bench document minus host-dependent fields.
-
-    Same contract as the sweep's ``deterministic_document``: two runs of the
-    same matrix — any machine, any worker count — must agree byte-for-byte on
-    the canonical JSON of this projection.
-    """
-    stripped = {
-        key: value
-        for key, value in document.items()
-        if key != "generated_by"
-    }
-    stripped["scenarios"] = [
-        {key: value for key, value in row.items() if key != "timing"}
-        for row in document["scenarios"]
-    ]
-    return stripped
-
-
-#: Deterministic row fields gated exactly (None-safe equality).
-_EXACT_FIELDS = (
-    "entries",
-    "messages",
-    "events",
-    "finished_at",
-    "total_faults",
-    "fault_log_sha256",
-    "unserved_nodes",
-    "lost_requests",
-    "protocol_error",
-)
-_EXACT_RECOVERY_FIELDS = (
-    "token_lost_at",
-    "regenerated_at",
-    "new_holder",
-    "reissued",
-    "time_to_liveness",
-)
-
-
-def check_fault_baseline(
-    current: Iterable[Dict[str, Any]],
-    committed: Dict[str, Any],
-    *,
-    tolerance: float = 0.5,
-) -> List[str]:
-    """Compare fresh fault rows against the committed ``BENCH_faults.json``.
-
-    Everything virtual-time (counts, digests, recovery metrics) must match
-    *exactly* — a difference means fault replay is no longer deterministic,
-    or recovery behaviour changed.  Only events/sec gets a (generous)
-    tolerance; fault cells are small, so their rates are noisier than the
-    throughput matrix's.
-    """
-    committed_by_name = {
-        row["scenario"]: row for row in committed.get("scenarios", [])
-    }
-    problems: List[str] = []
-    for row in current:
-        reference = committed_by_name.get(row["scenario"])
-        if reference is None:
-            continue
-        for field in _EXACT_FIELDS:
-            if row.get(field) != reference.get(field):
-                problems.append(
-                    f"{row['scenario']}: {field} {row.get(field)!r} != committed "
-                    f"{reference.get(field)!r} (fault replay no longer "
-                    "deterministic?)"
-                )
-        current_recovery = row.get("recovery")
-        committed_recovery = reference.get("recovery")
-        if (current_recovery is None) != (committed_recovery is None):
-            problems.append(
-                f"{row['scenario']}: recovery section "
-                f"{'appeared' if current_recovery else 'disappeared'} "
-                "relative to the committed document"
-            )
-        elif current_recovery is not None:
-            for field in _EXACT_RECOVERY_FIELDS:
-                if current_recovery.get(field) != committed_recovery.get(field):
-                    problems.append(
-                        f"{row['scenario']}: recovery.{field} "
-                        f"{current_recovery.get(field)!r} != committed "
-                        f"{committed_recovery.get(field)!r}"
-                    )
-        reference_rate = (reference.get("timing") or {}).get("events_per_sec")
-        current_rate = (row.get("timing") or {}).get("events_per_sec")
-        if reference_rate and current_rate is not None:
-            floor = reference_rate * (1.0 - tolerance)
-            if current_rate < floor:
-                problems.append(
-                    f"{row['scenario']}: {current_rate:,.0f} ev/s is below "
-                    f"{floor:,.0f} (committed {reference_rate:,.0f} "
-                    f"- {tolerance:.0%} tolerance)"
-                )
-    return problems

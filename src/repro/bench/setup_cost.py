@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import resource
 import time
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.bench.throughput import ScenarioSpec
+from repro.bench.throughput import BenchCell
 from repro.workload.driver import ExperimentDriver
 
 #: Cells below this node count have no interesting setup cost; the default
@@ -34,15 +35,19 @@ from repro.workload.driver import ExperimentDriver
 CONSTRUCTION_MIN_NODES = 100_000
 
 
-def construction_matrix(matrix: Sequence[ScenarioSpec]) -> List[ScenarioSpec]:
+def construction_matrix(matrix: Sequence[BenchCell]) -> List[BenchCell]:
     """The subset of ``matrix`` worth construction-benchmarking (large cells)."""
-    return [spec for spec in matrix if spec.n >= CONSTRUCTION_MIN_NODES]
+    return [
+        cell
+        for cell in matrix
+        if cell.experiment.topology.n >= CONSTRUCTION_MIN_NODES
+    ]
 
 
-def run_setup_scenario(spec: ScenarioSpec, *, node_backend: str = "auto") -> Dict[str, Any]:
+def run_setup_scenario(cell: BenchCell, *, node_backend: str = "auto") -> Dict[str, Any]:
     """Build one scenario end to end — topology, workload, system, arrival
     load — timing each phase, without draining a single protocol event."""
-    experiment = spec.experiment_spec(node_backend=node_backend)
+    experiment = replace(cell.experiment, node_backend=node_backend)
     start = time.perf_counter()
     topology = experiment.topology.build()
     topology_seconds = time.perf_counter() - start
@@ -62,10 +67,10 @@ def run_setup_scenario(spec: ScenarioSpec, *, node_backend: str = "auto") -> Dic
 
     total = topology_seconds + workload_seconds + system_seconds + load_seconds
     return {
-        "scenario": spec.name,
-        "kind": spec.kind,
-        "n": spec.n,
-        "demand": spec.demand,
+        "scenario": cell.name,
+        "kind": experiment.topology.kind,
+        "n": experiment.topology.n,
+        "demand": experiment.workload.tier,
         "total_requests": len(workload),
         "streamed": hasattr(workload, "iter_batches"),
         # Includes the streaming loader event when the workload streams.
@@ -83,7 +88,7 @@ def run_setup_scenario(spec: ScenarioSpec, *, node_backend: str = "auto") -> Dic
 
 
 def run_setup_benchmark(
-    matrix: Sequence[ScenarioSpec],
+    matrix: Sequence[BenchCell],
     *,
     budget_seconds: Optional[float] = None,
     node_backend: str = "auto",
@@ -100,8 +105,8 @@ def run_setup_benchmark(
     """
     scenarios: List[Dict[str, Any]] = []
     over_budget: List[str] = []
-    for spec in matrix:
-        row = run_setup_scenario(spec, node_backend=node_backend)
+    for cell in matrix:
+        row = run_setup_scenario(cell, node_backend=node_backend)
         scenarios.append(row)
         if budget_seconds is not None and row["setup_seconds"] > budget_seconds:
             over_budget.append(

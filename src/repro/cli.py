@@ -19,6 +19,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
+from repro import benchdoc
 from repro.analysis.comparison import compare_measured_to_theory
 from repro.analysis.report import format_series, format_table
 from repro.analysis.theory import (
@@ -192,13 +193,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         default_matrix,
         large_matrix,
         run_benchmark,
-        run_calibrated_benchmark,
         smoke_matrix,
         xlarge_matrix,
         xxlarge_matrix,
-        xxxlarge_matrix,
     )
-    from repro.bench.throughput import load_json
 
     if args.check and not os.path.exists(args.check):
         print(f"error: --check file {args.check!r} does not exist", file=sys.stderr)
@@ -254,7 +252,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         matrix = default_matrix()
     seed_baseline = None
     if args.seed_baseline and os.path.exists(args.seed_baseline):
-        seed_baseline = load_json(args.seed_baseline)
+        seed_baseline = benchdoc.load(args.seed_baseline)
     elif args.seed_baseline:
         print(
             f"note: seed baseline {args.seed_baseline!r} not found; "
@@ -262,24 +260,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    if args.calibrate is not None:
-        document = run_calibrated_benchmark(
-            matrix=matrix,
-            repeat=args.repeat,
-            runs=args.calibrate,
-            seed_baseline=seed_baseline,
-            node_backend=args.node_backend,
-            verbose=True,
-        )
-    else:
-        document = run_benchmark(
-            matrix=matrix,
-            repeat=args.repeat,
-            seed_baseline=seed_baseline,
-            node_backend=args.node_backend,
-            profile=args.profile,
-            verbose=True,
-        )
+    document = run_benchmark(
+        matrix=matrix,
+        repeat=args.repeat,
+        calibrate=args.calibrate,
+        seed_baseline=seed_baseline,
+        node_backend=args.node_backend,
+        profile=args.profile,
+        verbose=True,
+    )
 
     status = 0
     determinism = document.get("determinism", {})
@@ -306,44 +295,49 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"{acceptance['speedup']:.2f}x (target {acceptance['target_speedup']:.1f}x)"
             )
 
-    status = max(status, _check_and_write_bench(document, args))
-    return status
+    return max(status, _gate_and_write(benchdoc.THROUGHPUT, document, args))
 
 
-def _check_and_write_bench(document, args: argparse.Namespace) -> int:
-    """Shared ``--check`` / ``--output`` handling for both bench matrices."""
-    import json
+def _gate_and_write(gate, document, args: argparse.Namespace) -> int:
+    """The ``--check`` / ``--output`` tail of every benchmark verb.
 
-    from repro.bench import check_against_baseline
-    from repro.bench.throughput import load_json
+    ``gate`` is the document's :class:`repro.benchdoc.GateSpec` (``None`` for
+    the construction-only document, which has no committed reference and
+    refuses ``--check`` up front).
+    """
 
     status = 0
     if args.check:
-        committed = load_json(args.check)
-        problems = check_against_baseline(
-            document["scenarios"], committed, tolerance=args.tolerance
+        latency_tolerance = getattr(args, "latency_tolerance", 0.0)
+        problems, compared = benchdoc.check(
+            gate,
+            document["scenarios"],
+            benchdoc.load(args.check),
+            tolerance=args.tolerance,
+            latency_tolerance=latency_tolerance,
         )
         if problems:
-            print(f"Regression check against {args.check} FAILED:")
+            print(f"Check against {args.check} FAILED:")
             for problem in problems:
                 print(f"  - {problem}")
             status = 1
         else:
-            print(f"Regression check against {args.check} passed "
-                  f"(tolerance {args.tolerance:.0%}).")
-
+            ceilings = (
+                f", latency ceilings +{latency_tolerance:.0%}" if gate.ceilings else ""
+            )
+            print(
+                f"Check against {args.check} passed: {compared} scenario(s) "
+                f"compared (deterministic fields exact, rate floors "
+                f"-{args.tolerance:.0%}{ceilings})."
+            )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
+        benchdoc.write(document, args.output)
         print(f"Wrote {args.output}")
     return status
 
 
 def _bench_setup_only(args: argparse.Namespace) -> int:
     """The ``repro bench --setup-only`` path: construction-only benchmark."""
-    import json
-
     from repro.bench import (
         construction_matrix,
         run_setup_benchmark,
@@ -392,24 +386,12 @@ def _bench_setup_only(args: argparse.Namespace) -> int:
         for problem in document["over_budget"]:
             print(f"  - {problem}")
         status = 1
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"Wrote {args.output}")
-    return status
+    return max(status, _gate_and_write(None, document, args))
 
 
 def _bench_faults(args: argparse.Namespace) -> int:
     """The ``repro bench --faults`` path: degradation + recovery matrix."""
-    import json
-
-    from repro.bench import (
-        check_fault_baseline,
-        run_fault_benchmark,
-        smoke_fault_matrix,
-    )
-    from repro.bench.throughput import load_json
+    from repro.bench import run_fault_benchmark, smoke_fault_matrix
 
     if args.baselines or args.calibrate is not None or args.profile:
         print(
@@ -428,30 +410,7 @@ def _bench_faults(args: argparse.Namespace) -> int:
         return 2
     matrix = smoke_fault_matrix() if args.smoke else None
     document = run_fault_benchmark(matrix=matrix, verbose=True)
-
-    status = 0
-    if args.check:
-        committed = load_json(args.check)
-        problems = check_fault_baseline(
-            document["scenarios"], committed, tolerance=args.tolerance
-        )
-        if problems:
-            print(f"Fault-bench check against {args.check} FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            status = 1
-        else:
-            print(
-                f"Fault-bench check against {args.check} passed "
-                "(deterministic fields exact, rate floor "
-                f"{args.tolerance:.0%})."
-            )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"Wrote {args.output}")
-    return status
+    return _gate_and_write(benchdoc.FAULTS, document, args)
 
 
 def _bench_baselines(args: argparse.Namespace) -> int:
@@ -460,7 +419,6 @@ def _bench_baselines(args: argparse.Namespace) -> int:
         baseline_default_matrix,
         baseline_smoke_matrix,
         run_baseline_benchmark,
-        run_calibrated_baseline_benchmark,
     )
 
     if args.large:
@@ -487,15 +445,9 @@ def _bench_baselines(args: argparse.Namespace) -> int:
         )
         return 2
     matrix = baseline_smoke_matrix() if args.smoke else baseline_default_matrix()
-    if args.calibrate is not None:
-        document = run_calibrated_baseline_benchmark(
-            matrix=matrix,
-            repeat=args.repeat,
-            runs=args.calibrate,
-            verbose=True,
-        )
-    else:
-        document = run_baseline_benchmark(matrix=matrix, repeat=args.repeat, verbose=True)
+    document = run_baseline_benchmark(
+        matrix=matrix, repeat=args.repeat, calibrate=args.calibrate, verbose=True
+    )
 
     outside = [
         row["scenario"] for row in document["scenarios"] if not row["within_bound"]
@@ -505,13 +457,12 @@ def _bench_baselines(args: argparse.Namespace) -> int:
         # an average, so exceeding one flags a suspect implementation.
         print(f"note: measured average exceeds the paper's worst-case bound: {outside}")
 
-    return _check_and_write_bench(document, args)
+    return _gate_and_write(benchdoc.BASELINES, document, args)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run the sharded multi-process comparison sweep (see benchmarks/README.md)."""
     from repro.analysis.sweep import format_sweep_tables, sweep_summary_row
-    from repro.bench.throughput import load_json
     from repro.exceptions import ReproError
     from repro.sweep import (
         default_sweep_matrix,
@@ -529,7 +480,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     if args.report:
-        document = load_json(args.report)
+        document = benchdoc.load(args.report)
         print(format_sweep_tables(document))
         return 1 if document.get("failures") else 0
 
@@ -539,7 +490,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         try:
             shards = []
             for path in args.merge:
-                document = load_json(path)
+                document = benchdoc.load(path)
                 rows = document.get("scenarios") if isinstance(document, dict) else None
                 if not isinstance(rows, list) or any(
                     not isinstance(row, dict) or "scenario" not in row for row in rows
@@ -1072,14 +1023,9 @@ def _obs_runtime(args: argparse.Namespace) -> int:
 
 def cmd_lockbench(args: argparse.Namespace) -> int:
     """Benchmark the networked lock service (see benchmarks/README.md)."""
-    import json
-
-    from repro.bench.throughput import load_json
     from repro.runtime.lockbench import (
-        check_lockbench_baseline,
         default_lockbench_matrix,
         fault_lockbench_matrix,
-        run_calibrated_lockbench,
         run_lockbench,
         smoke_lockbench_matrix,
         write_lockbench_trace,
@@ -1102,13 +1048,15 @@ def cmd_lockbench(args: argparse.Namespace) -> int:
         matrix = default_lockbench_matrix()
     trace = [] if args.trace else None
     if args.calibrate is not None:
-        document = run_calibrated_lockbench(
-            matrix=matrix, runs=args.calibrate, verbose=True
+        document = benchdoc.calibrate(
+            benchdoc.RUNTIME,
+            lambda _index: run_lockbench(matrix=matrix, verbose=True),
+            args.calibrate,
+            verbose=True,
         )
     else:
         document = run_lockbench(matrix=matrix, verbose=True, trace=trace)
 
-    status = 0
     if args.trace:
         write_lockbench_trace(
             trace or [],
@@ -1119,31 +1067,7 @@ def cmd_lockbench(args: argparse.Namespace) -> int:
             },
         )
         print(f"Wrote {args.trace} ({len(trace or [])} trace events)")
-    if args.check:
-        committed = load_json(args.check)
-        problems = check_lockbench_baseline(
-            document["scenarios"],
-            committed,
-            tolerance=args.tolerance,
-            latency_tolerance=args.latency_tolerance,
-        )
-        if problems:
-            print(f"Lockbench check against {args.check} FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            status = 1
-        else:
-            print(
-                f"Lockbench check against {args.check} passed "
-                f"(op counts exact, rate floor {args.tolerance:.0%}, "
-                f"p99 ceiling +{args.latency_tolerance:.0%})."
-            )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"Wrote {args.output}")
-    return status
+    return _gate_and_write(benchdoc.RUNTIME, document, args)
 
 
 # --------------------------------------------------------------------------- #

@@ -29,11 +29,8 @@ from repro.runtime.failover import (
 from repro.runtime.lock import DistributedLock
 from repro.runtime.lockbench import (
     LockBenchScenario,
-    check_lockbench_baseline,
     default_lockbench_matrix,
     fault_lockbench_matrix,
-    min_merge_lockbench_documents,
-    run_calibrated_lockbench,
     run_lockbench,
     run_lockbench_scenario,
     smoke_lockbench_matrix,
@@ -67,10 +64,7 @@ __all__ = [
     "FailoverEvent",
     "LockBenchScenario",
     "fault_lockbench_matrix",
-    "check_lockbench_baseline",
     "default_lockbench_matrix",
-    "min_merge_lockbench_documents",
-    "run_calibrated_lockbench",
     "run_lockbench",
     "run_lockbench_scenario",
     "smoke_lockbench_matrix",

@@ -16,19 +16,18 @@ Regenerate with::
 
     repro lockbench --calibrate 3 --output BENCH_runtime.json
 
-Calibration mirrors the throughput harness's min-merge: rates keep the
-*slowest* run (a conservative floor for the CI gate) and latency percentiles
-keep the *largest* observation (a conservative ceiling), so the committed
-document never encodes a lucky run.
+Calibration and the CI gate are the shared ones (:mod:`repro.benchdoc`, the
+:data:`~repro.benchdoc.RUNTIME` table): rates keep the *slowest* run (a
+conservative floor) and latency percentiles keep the *largest* observation
+(a conservative ceiling), so the committed document never encodes a lucky run.
 """
 
 from __future__ import annotations
 
 import asyncio
-import copy
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exceptions import LockError, LockFencedError
 from repro.obs.chrome_trace import (
@@ -41,13 +40,6 @@ from repro.runtime.failover import failover_spans
 from repro.runtime.service import LockClient, LockServiceCluster
 from repro.sim.rng import SeededRNG
 from repro.spec import ObsSpec, RuntimeFaultSpec, RuntimeSpec, ShardCrashSpec, TopologySpec
-
-LOCKBENCH_SCHEMA = "bench-runtime/v1"
-
-#: Default p99 ceiling: a fresh run's p99 may be at most ``(1 + latency
-#: tolerance)`` times the committed one.  Latency on shared CI runners is far
-#: noisier than throughput, hence the generous default.
-DEFAULT_LATENCY_TOLERANCE = 3.0
 
 
 @dataclass(frozen=True)
@@ -458,6 +450,11 @@ def run_lockbench(
     ``trace`` (a mutable list) collects Chrome ``trace_event`` dicts across
     every scenario in the matrix; wrap with :func:`write_lockbench_trace`.
     """
+    # Imported here, not at module level: every shard process imports this
+    # module (through ``repro.runtime``) and none of them assembles a document.
+    # One more module loaded there cost the perf/ svc_* workloads ~3% ops/s.
+    from repro.benchdoc import RUNTIME
+
     scenarios = list(matrix) if matrix is not None else default_lockbench_matrix()
     rows: List[Dict[str, Any]] = []
     for scenario in scenarios:
@@ -481,175 +478,7 @@ def run_lockbench(
                     f"violations {row['exclusion_violations']}"
                 )
     return {
-        "schema": LOCKBENCH_SCHEMA,
+        "schema": RUNTIME.schema,
         "generated_by": "repro lockbench",
         "scenarios": rows,
     }
-
-
-def min_merge_lockbench_documents(
-    documents: Sequence[Dict[str, Any]],
-) -> Dict[str, Any]:
-    """Conservative merge for calibration: slowest rates, largest latencies.
-
-    Deterministic fields must agree across the runs (the workload is seeded;
-    disagreement means ops failed nondeterministically and the merge raises).
-    """
-    if not documents:
-        raise ValueError("min_merge_lockbench_documents needs at least one document")
-    merged = copy.deepcopy(documents[0])
-    for document in documents[1:]:
-        if len(document["scenarios"]) != len(merged["scenarios"]):
-            raise ValueError("documents cover different scenario matrices")
-        for row, other in zip(merged["scenarios"], document["scenarios"]):
-            if row["scenario"] != other["scenario"]:
-                raise ValueError(
-                    f"scenario order mismatch: {row['scenario']!r} vs "
-                    f"{other['scenario']!r}"
-                )
-            for field in ("ops_total", "ops_completed", "errors"):
-                if row[field] != other[field]:
-                    raise ValueError(
-                        f"{row['scenario']}: {field} {row[field]} != "
-                        f"{other[field]} (lock workload no longer deterministic?)"
-                    )
-            for field in ("exclusion_violations",):
-                if row.get(field) != other.get(field):
-                    raise ValueError(
-                        f"{row['scenario']}: {field} {row.get(field)} != "
-                        f"{other.get(field)} (exclusion must hold on every run)"
-                    )
-            timing, other_timing = row["timing"], other["timing"]
-            if other_timing["locks_per_sec"] < timing["locks_per_sec"]:
-                timing["locks_per_sec"] = other_timing["locks_per_sec"]
-                timing["wall_seconds"] = other_timing["wall_seconds"]
-            for field in (
-                "acquire_p50_ms",
-                "acquire_p99_ms",
-                "acquire_mean_ms",
-                "acquire_max_ms",
-            ):
-                timing[field] = max(timing[field], other_timing[field])
-            fairness, other_fairness = (
-                timing.get("fairness"),
-                other_timing.get("fairness"),
-            )
-            if fairness is None and other_fairness is not None:
-                timing["fairness"] = copy.deepcopy(other_fairness)
-            elif fairness is not None and other_fairness is not None:
-                # Conservative ceilings: the committed fairness block records
-                # the *worst* spread any calibration run observed.
-                for field in fairness:
-                    if field == "sessions":
-                        continue
-                    other_value = other_fairness.get(field)
-                    if other_value is None:
-                        continue
-                    mine = fairness[field]
-                    fairness[field] = (
-                        other_value if mine is None else max(mine, other_value)
-                    )
-            failover, other_failover = (
-                timing.get("failover"),
-                other_timing.get("failover"),
-            )
-            if failover is not None and other_failover is not None:
-                # Conservative ceilings for every failover cost, floor for
-                # availability — the committed row never encodes a lucky run.
-                for field in failover:
-                    if field == "availability":
-                        failover[field] = min(failover[field], other_failover[field])
-                    else:
-                        failover[field] = max(failover[field], other_failover[field])
-    return merged
-
-
-def run_calibrated_lockbench(
-    *,
-    matrix: Optional[Sequence[LockBenchScenario]] = None,
-    runs: int = 3,
-    verbose: bool = False,
-) -> Dict[str, Any]:
-    """Run the matrix ``runs`` times and min-merge into a committed floor."""
-    if runs < 1:
-        raise ValueError(f"calibration needs at least 1 run, got {runs}")
-    documents = []
-    for index in range(runs):
-        if verbose:
-            print(f"--- calibration run {index + 1}/{runs} ---")
-        documents.append(run_lockbench(matrix=matrix, verbose=verbose))
-    return min_merge_lockbench_documents(documents)
-
-
-def check_lockbench_baseline(
-    current: Iterable[Dict[str, Any]],
-    committed: Dict[str, Any],
-    *,
-    tolerance: float = 0.5,
-    latency_tolerance: float = DEFAULT_LATENCY_TOLERANCE,
-) -> List[str]:
-    """Compare fresh lockbench rows against the committed reference.
-
-    ``ops_total``/``ops_completed``/``errors`` are exact (the workload is
-    seeded and every op must succeed); ``locks_per_sec`` may drop at most
-    ``tolerance`` below the committed floor; the acquire p99 may rise to at
-    most ``(1 + latency_tolerance)`` times the committed ceiling.  A fault
-    cell's time-to-takeover gets the same ``latency_tolerance`` ceiling.
-
-    ``exclusion_violations`` is absolute: any nonzero count fails, with or
-    without a committed reference — mutual exclusion is the product.
-    """
-    committed_by_name = {
-        row["scenario"]: row for row in committed.get("scenarios", [])
-    }
-    problems: List[str] = []
-    for row in current:
-        if row.get("exclusion_violations"):
-            problems.append(
-                f"{row['scenario']}: {row['exclusion_violations']} exclusion "
-                "violation(s) — a lock key was granted twice"
-            )
-        reference = committed_by_name.get(row["scenario"])
-        if reference is None:
-            continue
-        for field in ("ops_total", "ops_completed", "errors"):
-            if row.get(field) != reference.get(field):
-                problems.append(
-                    f"{row['scenario']}: {field} {row.get(field)!r} != committed "
-                    f"{reference.get(field)!r}"
-                )
-        timing = row.get("timing") or {}
-        reference_timing = reference.get("timing") or {}
-        floor = reference_timing.get("locks_per_sec", 0.0) * (1.0 - tolerance)
-        rate = timing.get("locks_per_sec")
-        if rate is not None and rate < floor:
-            problems.append(
-                f"{row['scenario']}: {rate:,.0f} locks/s is below "
-                f"{floor:,.0f} (committed "
-                f"{reference_timing['locks_per_sec']:,.0f} - {tolerance:.0%})"
-            )
-        ceiling = reference_timing.get("acquire_p99_ms", 0.0) * (
-            1.0 + latency_tolerance
-        )
-        p99 = timing.get("acquire_p99_ms")
-        if p99 is not None and ceiling > 0 and p99 > ceiling:
-            problems.append(
-                f"{row['scenario']}: acquire p99 {p99:.2f} ms exceeds "
-                f"{ceiling:.2f} ms (committed "
-                f"{reference_timing['acquire_p99_ms']:.2f} ms + "
-                f"{latency_tolerance:.0%})"
-            )
-        failover = (timing.get("failover") or {})
-        reference_failover = reference_timing.get("failover") or {}
-        takeover = failover.get("takeover_ms")
-        takeover_ceiling = reference_failover.get("takeover_ms", 0.0) * (
-            1.0 + latency_tolerance
-        )
-        if takeover is not None and takeover_ceiling > 0 and takeover > takeover_ceiling:
-            problems.append(
-                f"{row['scenario']}: time-to-takeover {takeover:.1f} ms exceeds "
-                f"{takeover_ceiling:.1f} ms (committed "
-                f"{reference_failover['takeover_ms']:.1f} ms + "
-                f"{latency_tolerance:.0%})"
-            )
-    return problems

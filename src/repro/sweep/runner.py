@@ -18,12 +18,16 @@ byte-identical deterministic documents.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import time
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+# Re-exported under the sweep's names: a sweep document is stripped,
+# serialised and written exactly like every other benchmark document.
+from repro.benchdoc import canonical_json
+from repro.benchdoc import deterministic as deterministic_document
+from repro.benchdoc import write as write_document
 from repro.sweep.matrix import SweepScenario
 from repro.sweep.worker import child_main, error_row
 
@@ -162,39 +166,6 @@ def run_sweep(
             "wall_seconds": round(time.perf_counter() - started, 3),
         },
     }
-
-
-def deterministic_document(document: Dict[str, Any]) -> Dict[str, Any]:
-    """The sweep document minus every host- or run-path-dependent field.
-
-    Two sweeps of the same matrix — regardless of worker count, start
-    method, machine speed, or whether the rows came from one run or from
-    ``merge_documents`` over shards — must agree byte-for-byte on
-    ``canonical_json(deterministic_document(doc))``.  ``generated_by`` is
-    provenance (it differs between single-shot and merged-shard documents),
-    so it is stripped along with the timing.
-    """
-    stripped = {
-        key: value
-        for key, value in document.items()
-        if key not in ("run", "generated_by")
-    }
-    stripped["scenarios"] = [
-        {key: value for key, value in row.items() if key != "timing"}
-        for row in document["scenarios"]
-    ]
-    return stripped
-
-
-def canonical_json(document: Dict[str, Any]) -> str:
-    """Canonical serialisation used for byte-identity comparisons."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def write_document(document: Dict[str, Any], path: str) -> None:
-    """Write a sweep document to ``path`` in canonical form."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(document))
 
 
 def merge_documents(documents: Sequence[Dict[str, Any]]) -> Dict[str, Any]:

@@ -73,4 +73,8 @@ def test_same_workload_gives_comparable_entry_counts_across_algorithms():
     # than the DAG algorithm on the star topology.
     assert messages["dag"] < messages["ricart-agrawala"]
     assert messages["dag"] < messages["lamport"]
+    assert messages["dag"] < messages["suzuki-kasami"]
+    assert messages["dag"] < messages["maekawa"]
     assert messages["dag"] <= messages["raymond"]
+    # ...and stays near the centralized scheme's three messages per entry.
+    assert messages["dag"] / entries["dag"] <= 3.5

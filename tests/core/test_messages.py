@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from repro.baselines import registry
 from repro.core.messages import Initialize, Privilege, Request
+from repro.topology import star
+from repro.workload import WorkloadGenerator
+from repro.workload.driver import ExperimentDriver
 
 
 def test_request_fields_and_metadata():
@@ -42,3 +46,23 @@ def test_storage_overhead_claim_of_section_6_4():
     """The paper's storage claim: REQUEST carries two integers, PRIVILEGE none."""
     assert Request(sender=1, origin=1).payload_size() == 2
     assert Privilege().payload_size() == 0
+
+    # Measured on the wire during a contended run: the DAG's messages stay
+    # that small, while the token-carrying baselines ship Theta(N) state
+    # inside their PRIVILEGE message.
+    n = 17
+    topology = star(n, token_holder=2)
+    workload = WorkloadGenerator(topology.nodes, seed=5).poisson(
+        total_requests=3 * n, mean_interarrival=2.0
+    )
+    payloads = {}
+    for name in ("dag", "suzuki-kasami", "singhal"):
+        system = registry.get(name)(topology)
+        ExperimentDriver(system, workload).run()
+        payloads[name] = {
+            message_type: system.metrics.mean_payload_size(message_type)
+            for message_type in system.metrics.messages_by_type
+        }
+    assert payloads["dag"] == {"REQUEST": 2.0, "PRIVILEGE": 0.0}
+    assert payloads["suzuki-kasami"]["PRIVILEGE"] >= 2 * n
+    assert payloads["singhal"]["PRIVILEGE"] >= 2 * n

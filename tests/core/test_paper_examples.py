@@ -10,9 +10,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.base import MutexSystem
+from repro.baselines.dag_adapter import DagSystem
 from repro.core.inspector import implicit_queue
+from repro.core.messages import Request
+from repro.core.node import DagMutexNode
 from repro.core.protocol import DagMutexProtocol
-from repro.topology import paper_figure2_topology, paper_figure6_topology
+from repro.topology import paper_figure2_topology, paper_figure6_topology, star
+from repro.workload.driver import ExperimentDriver
+from repro.workload.requests import CSRequest, Workload
 
 
 def variables(protocol, node_id):
@@ -185,3 +191,62 @@ class TestFigure6CompleteExample:
             ]
             current = waiting[0] if waiting else None
         assert grant_order == [3] + queue_before
+
+
+class NoFastPathNode(DagMutexNode):
+    """A DagMutexNode without transition 8 of Figure 4 (the ablation)."""
+
+    def _handle_request(self, sender: int, message: Request) -> None:
+        adjacent, origin = message.sender, message.origin
+        if self.next_node is None:
+            # Ablated: even an idle holder only records the requester and
+            # keeps the token until it has used the critical section itself.
+            self.follow = origin
+        else:
+            self.send(self.next_node, Request(sender=self.node_id, origin=origin))
+        self.next_node = adjacent
+
+
+class NoFastPathSystem(MutexSystem):
+    """The DAG system built from ablated nodes (not registered globally)."""
+
+    algorithm_name = "dag-no-fast-path"
+    uses_topology_edges = True
+    storage_description = DagSystem.storage_description
+
+    def _create_nodes(self):
+        pointers = self.topology.next_pointers()
+        return {
+            node_id: NoFastPathNode(
+                node_id,
+                self.network,
+                holding=(node_id == self.topology.token_holder),
+                next_node=pointers[node_id],
+                metrics=self.metrics,
+                on_enter=self._on_enter,
+            )
+            for node_id in self.topology.nodes
+        }
+
+
+def test_idle_holder_hands_the_token_over_at_once():
+    """Transition 8 of Figure 4, by ablation: a sink that holds the token but
+    is not using it forwards the PRIVILEGE immediately, so the requester waits
+    only for the messages to travel.  Merely recording the requester in FOLLOW
+    (the naive simplification of P2) parks the token at the idle holder until
+    the holder next cycles through its own critical section."""
+    topology = star(9, token_holder=2)
+    workload = Workload(
+        requests=(
+            CSRequest(node=7, arrival_time=0.0, cs_duration=1.0),
+            CSRequest(node=2, arrival_time=500.0, cs_duration=1.0),
+        ),
+        description="idle-holder fast path ablation",
+    )
+    waits = {}
+    for system_class in (DagSystem, NoFastPathSystem):
+        system = system_class(topology)
+        ExperimentDriver(system, workload).run()
+        waits[system_class] = max(system.metrics.waiting_times)
+    assert waits[DagSystem] <= 5.0
+    assert waits[NoFastPathSystem] >= 400.0

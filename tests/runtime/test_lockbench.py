@@ -3,20 +3,31 @@
 from __future__ import annotations
 
 import copy
+from functools import partial
 
 import pytest
 
+from repro.benchdoc import RUNTIME, check, merge
 from repro.exceptions import LockError
 from repro.runtime.lockbench import (
     LockBenchScenario,
-    check_lockbench_baseline,
     default_lockbench_matrix,
     fault_lockbench_matrix,
-    min_merge_lockbench_documents,
     run_lockbench,
     run_lockbench_scenario,
     smoke_lockbench_matrix,
 )
+
+
+merge_runtime = partial(merge, RUNTIME)
+
+
+def runtime_problems(rows, committed, *, tolerance=0.5, latency_tolerance=3.0):
+    """The runtime gate's problem list at the CLI's default tolerances."""
+    problems, _ = check(
+        RUNTIME, rows, committed, tolerance=tolerance, latency_tolerance=latency_tolerance
+    )
+    return problems
 
 
 def tiny() -> LockBenchScenario:
@@ -206,7 +217,7 @@ def synthetic_fault_document(takeover: float, availability: float) -> dict:
 
 
 def test_min_merge_keeps_slowest_rate_and_largest_latency():
-    merged = min_merge_lockbench_documents(
+    merged = merge_runtime(
         [synthetic_document(2000.0, 5.0), synthetic_document(1500.0, 9.0)]
     )
     timing = merged["scenarios"][0]["timing"]
@@ -219,11 +230,11 @@ def test_min_merge_rejects_deterministic_drift():
     drifted = synthetic_document(2000.0, 5.0)
     drifted["scenarios"][0]["errors"] = 3
     with pytest.raises(ValueError, match="errors"):
-        min_merge_lockbench_documents([synthetic_document(2000.0, 5.0), drifted])
+        merge_runtime([synthetic_document(2000.0, 5.0), drifted])
 
 
 def test_min_merge_is_conservative_on_failover_measurements():
-    merged = min_merge_lockbench_documents(
+    merged = merge_runtime(
         [synthetic_fault_document(30.0, 0.99), synthetic_fault_document(80.0, 0.95)]
     )
     failover = merged["scenarios"][0]["timing"]["failover"]
@@ -244,7 +255,7 @@ def synthetic_fairness_document(p99: float, depth: int) -> dict:
 
 
 def test_min_merge_takes_the_worst_fairness_spread():
-    merged = min_merge_lockbench_documents(
+    merged = merge_runtime(
         [synthetic_fairness_document(4.0, 2), synthetic_fairness_document(9.0, 5)]
     )
     fairness = merged["scenarios"][0]["timing"]["fairness"]
@@ -257,11 +268,11 @@ def test_min_merge_takes_the_worst_fairness_spread():
 def test_min_merge_adopts_fairness_when_one_side_lacks_it():
     # Older committed documents predate the fairness block; a calibration
     # run that carries one must not be discarded against them.
-    merged = min_merge_lockbench_documents(
+    merged = merge_runtime(
         [synthetic_document(2000.0, 5.0), synthetic_fairness_document(4.0, 2)]
     )
     assert merged["scenarios"][0]["timing"]["fairness"]["max_queue_depth"] == 2
-    flipped = min_merge_lockbench_documents(
+    flipped = merge_runtime(
         [synthetic_fairness_document(4.0, 2), synthetic_document(2000.0, 5.0)]
     )
     assert flipped["scenarios"][0]["timing"]["fairness"]["session_p99_ms"] == 4.0
@@ -272,14 +283,14 @@ def test_min_merge_rejects_exclusion_violation_drift():
     dirty = synthetic_fault_document(30.0, 0.99)
     dirty["scenarios"][0]["exclusion_violations"] = 1
     with pytest.raises(ValueError, match="exclusion"):
-        min_merge_lockbench_documents([clean, dirty])
+        merge_runtime([clean, dirty])
 
 
 def test_min_merge_rejects_mismatched_matrices():
     other = synthetic_document(2000.0, 5.0)
     other["scenarios"][0]["scenario"] = "unix-s4-c6-k3-o2"
     with pytest.raises(ValueError, match="mismatch"):
-        min_merge_lockbench_documents([synthetic_document(2000.0, 5.0), other])
+        merge_runtime([synthetic_document(2000.0, 5.0), other])
 
 
 # --------------------------------------------------------------------------- #
@@ -287,19 +298,19 @@ def test_min_merge_rejects_mismatched_matrices():
 # --------------------------------------------------------------------------- #
 def test_check_passes_identical_documents():
     committed = synthetic_document(2000.0, 5.0)
-    assert check_lockbench_baseline(committed["scenarios"], committed) == []
+    assert runtime_problems(committed["scenarios"], committed) == []
 
 
 def test_check_flags_rate_regressions_and_latency_blowups():
     committed = synthetic_document(2000.0, 5.0)
     slow = synthetic_document(2000.0, 5.0)
     slow["scenarios"][0]["timing"]["locks_per_sec"] = 900.0  # below 50% floor
-    problems = check_lockbench_baseline(slow["scenarios"], committed, tolerance=0.5)
-    assert any("locks/s" in problem for problem in problems)
+    problems = runtime_problems(slow["scenarios"], committed, tolerance=0.5)
+    assert any("locks_per_sec" in problem for problem in problems)
 
     laggy = synthetic_document(2000.0, 5.0)
     laggy["scenarios"][0]["timing"]["acquire_p99_ms"] = 25.0  # over 4x ceiling
-    problems = check_lockbench_baseline(
+    problems = runtime_problems(
         laggy["scenarios"], committed, latency_tolerance=3.0
     )
     assert any("p99" in problem for problem in problems)
@@ -309,7 +320,7 @@ def test_check_is_exact_on_op_counts():
     committed = synthetic_document(2000.0, 5.0)
     broken = copy.deepcopy(committed)
     broken["scenarios"][0]["ops_completed"] = 11
-    problems = check_lockbench_baseline(broken["scenarios"], committed)
+    problems = runtime_problems(broken["scenarios"], committed)
     assert any("ops_completed" in problem for problem in problems)
 
 
@@ -318,26 +329,34 @@ def test_check_fails_any_exclusion_violation_even_without_a_reference():
     fresh = synthetic_fault_document(30.0, 0.99)
     fresh["scenarios"][0]["scenario"] = "unix-brand-new-cell"
     fresh["scenarios"][0]["exclusion_violations"] = 2
-    problems = check_lockbench_baseline(fresh["scenarios"], {"scenarios": []})
+    problems = runtime_problems(
+        fresh["scenarios"], {"schema": RUNTIME.schema, "scenarios": []}
+    )
     assert any("exclusion" in problem for problem in problems)
 
 
 def test_check_gates_time_to_takeover():
     committed = synthetic_fault_document(30.0, 0.99)
     slow = synthetic_fault_document(200.0, 0.99)  # over 30 * (1 + 3.0)
-    problems = check_lockbench_baseline(
+    problems = runtime_problems(
         slow["scenarios"], committed, latency_tolerance=3.0
     )
     assert any("takeover" in problem for problem in problems)
     fine = synthetic_fault_document(35.0, 0.99)
-    assert check_lockbench_baseline(fine["scenarios"], committed) == []
+    assert runtime_problems(fine["scenarios"], committed) == []
 
 
 def test_check_ignores_scenarios_missing_from_the_committed_document():
     committed = synthetic_document(2000.0, 5.0)
     fresh = synthetic_document(100.0, 100.0)
     fresh["scenarios"][0]["scenario"] = "unix-s8-new-cell"
-    assert check_lockbench_baseline(fresh["scenarios"], committed) == []
+    # Matrix growth is not a regression: the unmatched (and much slower) row
+    # is skipped as long as some row was actually compared...
+    both = fresh["scenarios"] + committed["scenarios"]
+    assert check(RUNTIME, both, committed, tolerance=0.5) == ([], 1)
+    # ...but a gate that matched nothing has not passed.
+    problems, compared = check(RUNTIME, fresh["scenarios"], committed, tolerance=0.5)
+    assert compared == 0 and "0 rows compared" in problems[0]
 
 
 def test_committed_runtime_document_gates_green_against_itself():
@@ -360,4 +379,4 @@ def test_committed_runtime_document_gates_green_against_itself():
     assert drop_row["exclusion_violations"] == 0
     assert drop_row["errors"] == 0  # every op lands despite the losses
     assert drop_row["fault"] == {"drop_rate": 0.01}
-    assert check_lockbench_baseline(committed["scenarios"], committed) == []
+    assert runtime_problems(committed["scenarios"], committed) == []

@@ -6,34 +6,47 @@ import json
 
 import pytest
 
+from repro import benchdoc
 from repro.bench import (
     ACCEPTANCE_SCENARIO,
-    run_calibrated_benchmark,
     BASELINE_ALGORITHMS,
-    BaselineScenarioSpec,
-    ScenarioSpec,
     baseline_default_matrix,
     baseline_smoke_matrix,
-    check_against_baseline,
+    bench_cell,
     default_matrix,
     determinism_fingerprint,
     large_matrix,
     run_baseline_benchmark,
-    run_baseline_scenario,
     run_benchmark,
-    run_scenario,
+    run_cell,
     smoke_matrix,
 )
 from repro.bench.throughput import build_topology, build_workload
 
 
+def kind(cell):
+    return cell.experiment.topology.kind
+
+
+def size(cell):
+    return cell.experiment.topology.n
+
+
+def demand(cell):
+    return cell.experiment.workload.tier
+
+
+def counts(row):
+    return row["events"], row["messages"], row["entries"]
+
+
 def test_matrix_shapes():
     full = default_matrix()
     assert len(full) == 18
-    assert {spec.kind for spec in full} == {"line", "star", "tree"}
-    assert any(spec.n == 5000 for spec in full)
+    assert {kind(cell) for cell in full} == {"line", "star", "tree"}
+    assert any(size(cell) == 5000 for cell in full)
     smoke = smoke_matrix()
-    assert all(spec.demand == "heavy" and spec.n <= 1000 for spec in smoke)
+    assert all(demand(cell) == "heavy" and size(cell) <= 1000 for cell in smoke)
     assert ACCEPTANCE_SCENARIO in {spec.name for spec in default_matrix()}
 
 
@@ -42,8 +55,8 @@ def test_large_matrix_extends_default_with_10k_tier():
     base = default_matrix()
     assert large[: len(base)] == base  # additive: committed names unchanged
     extra = large[len(base):]
-    assert all(spec.n == 10000 for spec in extra)
-    assert {spec.demand for spec in extra} == {"light", "heavy", "bursty"}
+    assert all(size(cell) == 10000 for cell in extra)
+    assert {demand(cell) for cell in extra} == {"light", "heavy", "bursty"}
 
 
 def test_bursty_demand_tier_is_deterministic():
@@ -61,78 +74,61 @@ def test_baseline_matrix_covers_all_eight_baselines():
     assert "dag" not in BASELINE_ALGORITHMS
     full = baseline_default_matrix()
     assert len(full) == 8 * 2 * 2  # algorithms x sizes x demands
-    assert {spec.algorithm for spec in full} == set(BASELINE_ALGORITHMS)
+    assert {cell.experiment.algorithm for cell in full} == set(BASELINE_ALGORITHMS)
+    assert {kind(cell) for cell in full} == {"star"}
     smoke = baseline_smoke_matrix()
-    assert {spec.algorithm for spec in smoke} == set(BASELINE_ALGORITHMS)
-    assert all(spec.n == 100 and spec.demand == "heavy" for spec in smoke)
+    assert {cell.experiment.algorithm for cell in smoke} == set(BASELINE_ALGORITHMS)
+    assert all(size(cell) == 100 and demand(cell) == "heavy" for cell in smoke)
     names = [spec.name for spec in full]
     assert len(set(names)) == len(names)
 
 
 def test_run_baseline_scenario_measures_counts_and_bound():
-    result = run_baseline_scenario(
-        BaselineScenarioSpec("lamport", 10, "heavy"), repeat=1
-    )
-    assert result.scenario == "lamport-star-n10-heavy"
-    assert result.entries == 100  # 10 rounds x 10 nodes
-    assert result.messages_per_entry == pytest.approx(27.0)  # 3 (N - 1)
-    assert result.bound_messages_per_entry == 27.0
-    assert result.within_bound
-    assert result.events_per_sec > 0
+    row = run_cell(bench_cell("star", 10, "heavy", algorithm="lamport"), repeat=1)
+    assert row["scenario"] == "lamport-star-n10-heavy"
+    assert row["algorithm"] == "lamport" and row["n"] == 10 and row["demand"] == "heavy"
+    assert row["entries"] == 100  # 10 rounds x 10 nodes
+    assert row["messages_per_entry"] == pytest.approx(27.0)  # 3 (N - 1)
+    assert row["bound_messages_per_entry"] == 27.0
+    assert row["within_bound"]
+    assert row["events_per_sec"] > 0
+    assert "node_backend" not in row and "kind" not in row
 
 
 def test_baseline_runs_are_deterministic():
-    spec = BaselineScenarioSpec("suzuki-kasami", 10, "light")
-    first = run_baseline_scenario(spec, repeat=1)
-    second = run_baseline_scenario(spec, repeat=1)
-    assert (first.events, first.messages, first.entries) == (
-        second.events,
-        second.messages,
-        second.entries,
-    )
+    cell = bench_cell("star", 10, "light", algorithm="suzuki-kasami")
+    first = run_cell(cell, repeat=1)
+    second = run_cell(cell, repeat=1)
+    assert counts(first) == counts(second)
 
 
 def test_baseline_benchmark_document_checks_like_the_dag_one():
-    matrix = [BaselineScenarioSpec("centralized", 10, "heavy")]
+    matrix = [bench_cell("star", 10, "heavy", algorithm="centralized")]
     document = run_baseline_benchmark(matrix=matrix, repeat=1)
     assert document["schema"] == "bench-baselines/v1"
     assert len(document["scenarios"]) == 1
     json.dumps(document)  # must be serialisable
-    # The committed-document gate reuses check_against_baseline unchanged.
-    assert check_against_baseline(document["scenarios"], document) == []
+    # The baselines gate is the throughput gate under the baselines schema.
+    assert benchdoc.check(
+        benchdoc.BASELINES, document["scenarios"], document, tolerance=0.0
+    ) == ([], 1)
     drifted = [dict(document["scenarios"][0], events=1)]
-    problems = check_against_baseline(drifted, document)
+    problems, _ = benchdoc.check(benchdoc.BASELINES, drifted, document, tolerance=0.0)
     assert any("deterministic" in problem for problem in problems)
-
-
-def test_min_merge_documents_keeps_slowest_rates_and_checks_counts():
-    from repro.bench import min_merge_documents
-
-    fast = {"scenarios": [{"scenario": "a", "events": 10, "messages": 5,
-                           "entries": 2, "events_per_sec": 1000.0,
-                           "messages_per_sec": 500.0, "wall_seconds": 0.01,
-                           "peak_rss_kb": 100}]}
-    slow = {"scenarios": [dict(fast["scenarios"][0], events_per_sec=700.0,
-                               messages_per_sec=350.0, wall_seconds=0.014,
-                               peak_rss_kb=110)]}
-    merged = min_merge_documents([fast, slow])
-    assert merged["scenarios"][0]["events_per_sec"] == 700.0
-    assert merged["scenarios"][0]["wall_seconds"] == 0.014
-    assert fast["scenarios"][0]["events_per_sec"] == 1000.0  # inputs untouched
-    drifted = {"scenarios": [dict(fast["scenarios"][0], events=11)]}
-    with pytest.raises(ValueError):
-        min_merge_documents([fast, drifted])
+    # ...and a DAG throughput document is not a baselines reference.
+    problems, compared = benchdoc.check(
+        benchdoc.THROUGHPUT, document["scenarios"], document, tolerance=0.0
+    )
+    assert compared == 0 and "schema" in problems[0]
 
 
 def test_calibrated_baseline_benchmark_annotates_the_floor():
-    from repro.bench import run_calibrated_baseline_benchmark
-
-    matrix = [BaselineScenarioSpec("centralized", 10, "heavy")]
-    document = run_calibrated_baseline_benchmark(matrix=matrix, repeat=1, runs=2)
+    matrix = [bench_cell("star", 10, "heavy", algorithm="centralized")]
+    document = run_baseline_benchmark(matrix=matrix, repeat=1, calibrate=2)
     assert "minimum events/sec across 2 benchmark runs" in document["calibration"]
     assert len(document["scenarios"]) == 1
     with pytest.raises(ValueError):
-        run_calibrated_baseline_benchmark(matrix=matrix, repeat=1, runs=0)
+        run_baseline_benchmark(matrix=matrix, repeat=1, calibrate=0)
 
 
 def test_scenario_workloads_are_deterministic():
@@ -145,23 +141,19 @@ def test_scenario_workloads_are_deterministic():
 
 
 def test_run_scenario_produces_counts_and_respects_bound():
-    result = run_scenario(ScenarioSpec("star", 20, "heavy"), repeat=1)
-    assert result.scenario == "star-n20-heavy"
-    assert result.entries == 200  # 10 rounds x 20 nodes
-    assert result.events > 0
-    assert result.events_per_sec > 0
-    assert result.messages_per_entry <= result.bound_messages_per_entry + 1e-9
+    row = run_cell(bench_cell("star", 20, "heavy"), repeat=1)
+    assert row["scenario"] == "star-n20-heavy"
+    assert row["kind"] == "star" and row["n"] == 20 and row["demand"] == "heavy"
+    assert row["entries"] == 200  # 10 rounds x 20 nodes
+    assert row["events"] > 0
+    assert row["events_per_sec"] > 0
+    assert row["messages_per_entry"] <= row["bound_messages_per_entry"] + 1e-9
+    assert "within_bound" not in row and "algorithm" not in row
 
 
 def test_repeated_runs_have_identical_virtual_outcome():
-    spec = ScenarioSpec("line", 15, "heavy")
-    first = run_scenario(spec, repeat=1)
-    second = run_scenario(spec, repeat=1)
-    assert (first.events, first.messages, first.entries) == (
-        second.events,
-        second.messages,
-        second.entries,
-    )
+    cell = bench_cell("line", 15, "heavy")
+    assert counts(run_cell(cell, repeat=1)) == counts(run_cell(cell, repeat=1))
 
 
 def test_determinism_fingerprint_is_stable():
@@ -180,36 +172,12 @@ def test_benchmark_document_structure(tmp_path):
         "fingerprint": determinism_fingerprint(),
     }
     document = run_benchmark(
-        matrix=[ScenarioSpec("star", 10, "heavy")], repeat=1, seed_baseline=seed_baseline
+        matrix=[bench_cell("star", 10, "heavy")], repeat=1, seed_baseline=seed_baseline
     )
     assert document["schema"] == "bench-throughput/v1"
     assert len(document["scenarios"]) == 1
     assert document["determinism"]["matches_seed"] is True
     json.dumps(document)  # must be serialisable
-
-
-def test_check_against_baseline_flags_regressions():
-    committed = {
-        "scenarios": [
-            {
-                "scenario": "star-n10-heavy",
-                "events_per_sec": 1000.0,
-                "events": 100,
-                "messages": 50,
-                "entries": 10,
-            }
-        ]
-    }
-    ok = [{"scenario": "star-n10-heavy", "events_per_sec": 900.0,
-           "events": 100, "messages": 50, "entries": 10}]
-    slow = [{"scenario": "star-n10-heavy", "events_per_sec": 700.0,
-             "events": 100, "messages": 50, "entries": 10}]
-    drifted = [{"scenario": "star-n10-heavy", "events_per_sec": 1000.0,
-                "events": 101, "messages": 50, "entries": 10}]
-    assert check_against_baseline(ok, committed, tolerance=0.2) == []
-    assert len(check_against_baseline(slow, committed, tolerance=0.2)) == 1
-    problems = check_against_baseline(drifted, committed, tolerance=0.2)
-    assert any("deterministic" in p for p in problems)
 
 
 def test_tiny_scenarios_are_timed_over_a_replay_window():
@@ -252,6 +220,18 @@ def test_committed_bench_fingerprint_still_replays():
     with open(baseline, "r", encoding="utf-8") as handle:
         recorded = json.load(handle)
     assert determinism_fingerprint() == recorded["fingerprint"]
+    # ...and the scenario counts (events/messages/entries) equal the seed's:
+    # the same comparison `repro bench` prints its DETERMINISM verdict from.
+    cells = [bench_cell("star", 100, "heavy"), bench_cell("line", 100, "heavy")]
+    document = run_benchmark(matrix=cells, repeat=1, seed_baseline=recorded)
+    assert document["determinism"]["matches_seed"] is True
+    assert document["determinism"]["scenario_counts_match_seed"] is True
+    drifted = dict(recorded, throughput=[dict(row) for row in recorded["throughput"]])
+    next(
+        row for row in drifted["throughput"] if row["scenario"] == "line-n100-heavy"
+    )["messages"] += 1
+    document = run_benchmark(matrix=cells, repeat=1, seed_baseline=drifted)
+    assert document["determinism"]["scenario_counts_match_seed"] is False
 
 
 def test_xlarge_matrix_extends_large_with_100k_tier():
@@ -261,14 +241,14 @@ def test_xlarge_matrix_extends_large_with_100k_tier():
     xlarge = xlarge_matrix()
     assert xlarge[: len(large)] == large  # additive: committed names unchanged
     extra = xlarge[len(large):]
-    assert [spec.n for spec in extra] == [100000, 100000]
-    assert {spec.kind for spec in extra} == {"star", "tree"}
-    assert all(spec.demand == "heavy" for spec in extra)
+    assert [size(cell) for cell in extra] == [100000, 100000]
+    assert {kind(cell) for cell in extra} == {"star", "tree"}
+    assert all(demand(cell) == "heavy" for cell in extra)
 
 
 def test_profiled_benchmark_embeds_hotspots(capsys):
     document = run_benchmark(
-        matrix=[ScenarioSpec("star", 20, "heavy")], repeat=1, profile=True
+        matrix=[bench_cell("star", 20, "heavy")], repeat=1, profile=True
     )
     rows = document["profile"]
     assert 0 < len(rows) <= 20
@@ -280,8 +260,8 @@ def test_profiled_benchmark_embeds_hotspots(capsys):
 
 
 def test_run_calibrated_benchmark_min_merges_the_dag_matrix():
-    document = run_calibrated_benchmark(
-        matrix=[ScenarioSpec("star", 20, "heavy")], repeat=1, runs=2
+    document = run_benchmark(
+        matrix=[bench_cell("star", 20, "heavy")], repeat=1, calibrate=2
     )
     assert "calibration" in document
     assert len(document["scenarios"]) == 1
@@ -295,9 +275,9 @@ def test_xxlarge_matrix_extends_xlarge_with_1m_tier():
     xxlarge = xxlarge_matrix()
     assert xxlarge[: len(xlarge)] == xlarge  # additive: committed names unchanged
     extra = xxlarge[len(xlarge):]
-    assert [spec.n for spec in extra] == [1_000_000, 1_000_000]
-    assert {spec.kind for spec in extra} == {"star", "tree"}
-    assert all(spec.demand == "heavy" for spec in extra)
+    assert [size(cell) for cell in extra] == [1_000_000, 1_000_000]
+    assert {kind(cell) for cell in extra} == {"star", "tree"}
+    assert all(demand(cell) == "heavy" for cell in extra)
     assert "star-n1000000-heavy" in {spec.name for spec in extra}
 
 
@@ -308,33 +288,27 @@ def test_xxxlarge_matrix_extends_xxlarge_with_10m_tier():
     xxxlarge = xxxlarge_matrix()
     assert xxxlarge[: len(xxlarge)] == xxlarge  # additive: committed names unchanged
     extra = xxxlarge[len(xxlarge):]
-    assert [spec.n for spec in extra] == [10_000_000, 10_000_000]
-    assert {spec.kind for spec in extra} == {"star", "tree"}
-    assert all(spec.demand == "heavy" for spec in extra)
+    assert [size(cell) for cell in extra] == [10_000_000, 10_000_000]
+    assert {kind(cell) for cell in extra} == {"star", "tree"}
+    assert all(demand(cell) == "heavy" for cell in extra)
 
 
 def test_run_scenario_records_engaged_node_backend():
-    reference = run_scenario(ScenarioSpec("star", 20, "heavy"), repeat=1)
-    assert reference.node_backend == "object"  # auto below the threshold
-    forced = run_scenario(
-        ScenarioSpec("star", 20, "heavy"), repeat=1, node_backend="compact"
-    )
-    assert forced.node_backend == "compact"
+    reference = run_cell(bench_cell("star", 20, "heavy"), repeat=1)
+    assert reference["node_backend"] == "object"  # auto below the threshold
+    forced = run_cell(bench_cell("star", 20, "heavy"), repeat=1, node_backend="compact")
+    assert forced["node_backend"] == "compact"
     # Forcing the backend never changes virtual-time outcomes.
-    assert (forced.events, forced.messages, forced.entries) == (
-        reference.events,
-        reference.messages,
-        reference.entries,
-    )
+    assert counts(forced) == counts(reference)
 
 
 def test_setup_rows_record_engaged_node_backend():
     from repro.bench import run_setup_scenario
 
-    row = run_setup_scenario(ScenarioSpec("star", 50, "heavy"))
+    row = run_setup_scenario(bench_cell("star", 50, "heavy"))
     assert row["node_backend"] == "object"
     forced = run_setup_scenario(
-        ScenarioSpec("star", 50, "heavy"), node_backend="compact"
+        bench_cell("star", 50, "heavy"), node_backend="compact"
     )
     assert forced["node_backend"] == "compact"
 
@@ -360,12 +334,12 @@ def test_setup_benchmark_times_every_construction_phase():
     from repro.bench import construction_matrix, run_setup_benchmark, xxlarge_matrix
 
     cells = construction_matrix(xxlarge_matrix())
-    assert [spec.n for spec in cells] == [100000, 100000, 1_000_000, 1_000_000]
+    assert [size(cell) for cell in cells] == [100000, 100000, 1_000_000, 1_000_000]
 
     # A small stand-in matrix keeps the test fast; phases and document
     # structure are what is under test, not 1M-node wall time.
     document = run_setup_benchmark(
-        [ScenarioSpec("star", 50, "heavy")], budget_seconds=60.0
+        [bench_cell("star", 50, "heavy")], budget_seconds=60.0
     )
     assert document["schema"] == "bench-setup/v1"
     assert document["within_budget"] is True
@@ -384,7 +358,7 @@ def test_setup_benchmark_times_every_construction_phase():
         assert row[key] >= 0
 
     busted = run_setup_benchmark(
-        [ScenarioSpec("star", 50, "heavy")], budget_seconds=0.0
+        [bench_cell("star", 50, "heavy")], budget_seconds=0.0
     )
     assert busted["within_budget"] is False
     assert busted["over_budget"]
@@ -403,7 +377,7 @@ def test_setup_benchmark_loads_only_the_first_chunk_of_a_stream(monkeypatch):
             self, **{**kwargs, "chunk_requests": 25}
         ),
     )
-    row = run_setup_scenario(ScenarioSpec("star", 40, "heavy"))
+    row = run_setup_scenario(bench_cell("star", 40, "heavy"))
     assert row["streamed"] is True
     assert row["total_requests"] == throughput.XXLARGE_HEAVY_ROUNDS * 40
     # One chunk of arrivals plus the pending loader event.

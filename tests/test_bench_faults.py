@@ -1,16 +1,12 @@
-"""Fault-tier benchmark harness: rows, baseline gate, determinism."""
+"""Fault-tier benchmark harness: matrices, rows, determinism."""
 
 from __future__ import annotations
 
-import copy
-
+from repro import benchdoc
 from repro.bench import (
     DEGRADATION_ALGORITHMS,
-    FAULT_BENCH_SCHEMA,
-    FaultScenarioSpec,
-    check_fault_baseline,
     default_fault_matrix,
-    deterministic_fault_document,
+    fault_cell,
     run_fault_benchmark,
     run_fault_scenario,
     smoke_fault_matrix,
@@ -18,8 +14,8 @@ from repro.bench import (
 from repro.baselines import registry
 
 #: Small cells keep these tests fast; the committed document uses n=50/100k.
-SMALL_DEGRADATION = FaultScenarioSpec("dag", 9, "drop5")
-SMALL_RECOVERY = FaultScenarioSpec("dag", 9, "crash-recover")
+SMALL_DEGRADATION = fault_cell("dag", 9, "drop5")
+SMALL_RECOVERY = fault_cell("dag", 9, "crash-recover")
 
 
 def test_matrices_cover_all_algorithms_and_the_recovery_tiers():
@@ -40,6 +36,7 @@ def test_matrices_cover_all_algorithms_and_the_recovery_tiers():
 def test_degradation_row_shape():
     row = run_fault_scenario(SMALL_DEGRADATION)
     assert row["scenario"] == "dag-star-n9-heavy+drop5"
+    assert (row["algorithm"], row["n"], row["profile"]) == ("dag", 9, "drop5")
     assert row["entries"] >= 0 and row["events"] > 0
     assert row["total_faults"] >= 1
     assert len(row["fault_log_sha256"]) == 64
@@ -57,40 +54,18 @@ def test_recovery_row_reports_time_to_liveness():
 
 def test_document_and_deterministic_projection():
     document = run_fault_benchmark(matrix=[SMALL_DEGRADATION, SMALL_RECOVERY])
-    assert document["schema"] == FAULT_BENCH_SCHEMA
-    stripped = deterministic_fault_document(document)
+    assert document["schema"] == "bench-faults/v1"
+    stripped = benchdoc.deterministic(document)
     assert "generated_by" not in stripped
     assert all("timing" not in row for row in stripped["scenarios"])
-    again = deterministic_fault_document(
+    again = benchdoc.deterministic(
         run_fault_benchmark(matrix=[SMALL_DEGRADATION, SMALL_RECOVERY])
     )
     assert stripped == again
-
-
-def test_check_fault_baseline_gates_deterministic_fields_exactly():
-    document = run_fault_benchmark(matrix=[SMALL_DEGRADATION, SMALL_RECOVERY])
-    assert check_fault_baseline(document["scenarios"], document) == []
-
-    drifted = copy.deepcopy(document)
-    drifted["scenarios"][0]["entries"] += 1
-    problems = check_fault_baseline(document["scenarios"], drifted)
-    assert len(problems) == 1 and "entries" in problems[0]
-
-    regressed = copy.deepcopy(document)
-    regressed["scenarios"][1]["recovery"]["time_to_liveness"] += 1.0
-    problems = check_fault_baseline(document["scenarios"], regressed)
-    assert len(problems) == 1 and "time_to_liveness" in problems[0]
-
-    # Unknown scenarios in the fresh run are ignored (matrix growth is not a
-    # regression); rate drops below the floor are.
-    assert check_fault_baseline(document["scenarios"], {"scenarios": []}) == []
-    slow = copy.deepcopy(document)
-    for row in slow["scenarios"]:
-        row["timing"]["events_per_sec"] *= 100
-    problems = check_fault_baseline(
-        document["scenarios"], slow, tolerance=0.5
-    )
-    assert problems and all("ev/s" in problem for problem in problems)
+    # A fresh document gates green against itself, recovery block included.
+    assert benchdoc.check(
+        benchdoc.FAULTS, document["scenarios"], document, tolerance=1.0
+    ) == ([], 2)
 
 
 def test_partition_heal_rows_are_in_the_matrices_and_the_committed_doc():

@@ -505,7 +505,7 @@ def test_lockbench_calibrate_min_merges(capsys, tmp_path, monkeypatch):
         calls.append(len(matrix))
         rate = 2000.0 - 500.0 * len(calls)  # each run slower than the last
         return {
-            "schema": lockbench_module.LOCKBENCH_SCHEMA,
+            "schema": "bench-runtime/v1",
             "generated_by": "repro lockbench",
             "scenarios": [
                 {

@@ -21,7 +21,7 @@ import pytest
 
 from repro.baselines import STORAGE_CLASSES, registry
 from repro.baselines.base import MutexSystem
-from repro.bench.throughput import ScenarioSpec, bench_workload_spec
+from repro.bench.throughput import bench_cell, bench_workload_spec
 from repro.exceptions import ExperimentError, WorkloadError
 from repro.spec import (
     DEFAULT_HEAVY_ROUNDS,
@@ -335,13 +335,13 @@ def test_bench_cell_spec_replays_legacy_dag_run():
     from repro.baselines.dag_adapter import DagSystem
     from repro.bench.throughput import build_topology, build_workload
 
-    cell = ScenarioSpec("star", 100, "heavy")
-    topology = build_topology(cell.kind, cell.n)
-    workload = build_workload(topology, cell.demand)
+    cell = bench_cell("star", 100, "heavy")
+    topology = build_topology("star", 100)
+    workload = build_workload(topology, "heavy")
     legacy_system = DagSystem(topology, collect_metrics=False)
     legacy = ExperimentDriver(legacy_system, workload).run()
 
-    spec = cell.experiment_spec()
+    spec = cell.experiment
     driver = ExperimentDriver.from_spec(spec)
     via_spec = driver.run()
     assert _outcome(via_spec) == _outcome(legacy)
@@ -427,7 +427,7 @@ def test_committed_example_spec_replays_legacy_acceptance_cell():
 
     path = Path(__file__).resolve().parent.parent / "examples" / "specs"
     spec = ExperimentSpec.load(str(path / "dag_star1000_heavy.json"))
-    assert spec == ScenarioSpec("star", 1000, "heavy").experiment_spec()
+    assert spec == bench_cell("star", 1000, "heavy").experiment
 
     from repro.bench.throughput import build_topology, build_workload
 

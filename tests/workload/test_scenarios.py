@@ -7,6 +7,8 @@ import pytest
 from repro.analysis.theory import (
     average_messages_centralized_star,
     average_messages_dag_star,
+    raymond_sync_delay,
+    sync_delay_bounds,
 )
 from repro.topology import line, star
 from repro.topology.metrics import diameter
@@ -52,15 +54,32 @@ def test_average_messages_match_section_6_2_formula_exactly():
 
 
 def test_heavy_demand_run_completes_all_rounds():
-    result = heavy_demand_run("dag", star(6), rounds=3)
-    assert result.completed_entries == 18
-    assert result.messages_per_entry <= 3.0
+    # Section 6.2: under heavy demand the DAG algorithm and the centralized
+    # scheme both need at most three messages per entry.
+    for algorithm in ("dag", "centralized"):
+        result = heavy_demand_run(algorithm, star(6), rounds=3)
+        assert result.completed_entries == 18
+        assert result.messages_per_entry <= 3.0
 
 
 def test_sync_delay_run_measures_a_waiting_entry():
     result = sync_delay_run("dag", star(7))
     assert len(result.sync_delays) == 1
     assert result.sync_delays[0] == pytest.approx(1.0)
+    # Section 6.3's table, measured: one message for the token algorithms,
+    # two for the centralized scheme...
+    for algorithm, paper_delay in sync_delay_bounds().items():
+        assert sync_delay_run(algorithm, star(7)).sync_delays == [paper_delay]
+    # ...and up to D for Raymond, growing with the line while the DAG's stays 1.
+    raymond_delays = []
+    for n in (4, 8, 12):
+        topology = line(n, token_holder=1)
+        (delay,) = sync_delay_run("raymond", topology, first=2, second=n).sync_delays
+        assert delay <= raymond_sync_delay(diameter(topology))
+        raymond_delays.append(delay)
+        assert sync_delay_run("dag", topology, first=2, second=n).sync_delays == [1.0]
+    assert raymond_delays == sorted(raymond_delays)
+    assert raymond_delays[-1] > raymond_delays[0]
 
 
 def test_sync_delay_run_rejects_identical_nodes():
