@@ -1,17 +1,17 @@
-"""Adapter exposing the paper's DAG algorithm through the baseline interface.
+"""The paper's DAG algorithm as a system: nodes wired to the substrate.
 
-:class:`~repro.core.protocol.DagMutexProtocol` is the library's primary,
-feature-rich entry point (invariant checking, implicit-queue inspection).  The
-comparison experiments, however, iterate over :class:`~repro.baselines.base
-.MutexSystem` implementations, so this adapter plugs the same
-:class:`~repro.core.node.DagMutexNode` state machine into that interface.
-:class:`DagMutexNode` already provides ``request_cs`` / ``release_cs`` /
-``in_critical_section`` / ``requesting``, which is all the driver relies on.
+:class:`DagSystem` is the one place the DAG nodes are built onto an engine,
+network, metrics and trace, behind the :class:`~repro.baselines.base
+.MutexSystem` interface every comparison experiment iterates over.
+:class:`~repro.core.protocol.DagMutexProtocol` — the entry point of the
+examples and the paper-walkthrough tests — is this class plus invariant
+checking and system-wide introspection, nothing else.
 
 The DAG algorithm is the one system with two node backends:
 
-* ``"object"`` — one :class:`DagMutexNode` instance per participant, the
-  always-tested reference implementation;
+* ``"object"`` — one :class:`~repro.core.node.DagMutexNode` per participant:
+  the protocol kernel (:class:`~repro.core.node.DagNodeCore`) on the
+  simulator, the always-tested reference implementation;
 * ``"compact"`` — the whole node population as flat array columns
   (:class:`~repro.core.compact_state.CompactDagState`), which is what makes
   the ten-million-node tier constructible in seconds within a few hundred

@@ -8,8 +8,10 @@ is implicit in the ``FOLLOW`` pointers and can be reconstructed by
 
 Public entry points:
 
-* :class:`~repro.core.node.DagMutexNode` — one node of the protocol, usable
-  directly on the simulation substrate;
+* :class:`~repro.core.node.DagNodeCore` — the protocol kernel (Figure 3's
+  P1/P2), steppable by any driver that supplies ``send``;
+* :class:`~repro.core.node.DagMutexNode` — the kernel on the simulation
+  substrate;
 * :class:`~repro.core.protocol.DagMutexProtocol` — builds a full system from a
   :class:`~repro.topology.Topology` and drives requests / releases;
 * :class:`~repro.core.invariants.InvariantChecker` — checks the safety
@@ -21,7 +23,7 @@ Public entry points:
 from repro.core.inspector import find_sinks, implicit_queue, token_holder
 from repro.core.invariants import InvariantChecker
 from repro.core.messages import Initialize, Privilege, Request
-from repro.core.node import DagMutexNode
+from repro.core.node import DagMutexNode, DagNodeCore
 from repro.core.protocol import DagMutexProtocol
 from repro.core.state import NodeStateName, classify_state
 from repro.core.initialization import run_initialization
@@ -30,6 +32,7 @@ __all__ = [
     "Request",
     "Privilege",
     "Initialize",
+    "DagNodeCore",
     "DagMutexNode",
     "DagMutexProtocol",
     "NodeStateName",

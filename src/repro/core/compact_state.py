@@ -20,11 +20,14 @@ couple of array copies (the CSR topology's parent array *is* the initial
 ``NEXT`` column), which is what opens the ``--xxxlarge`` 10M-node tier.
 
 The state machine here is a line-for-line transcription of
-:class:`~repro.core.node.DagMutexNode` (Figure 3 of the paper): same variable
+:class:`~repro.core.node.DagNodeCore` (Figure 3 of the paper): same variable
 reads and writes in the same order, same metrics/trace calls, same error
-messages.  The object nodes remain the always-tested reference
-implementation; CI gates every compact run byte-identical against them
-(the ``backend-identity`` matrix).
+messages.  It is the one copy of the protocol kept beside the kernel, and it
+earns its keep only at scale (build time and bytes per node — the A/B is in
+``benchmarks/README.md``, "Why there are two node backends"); a protocol
+change goes into the kernel and, in lock-step, here.  The object nodes remain
+the always-tested reference implementation; CI gates every compact run
+byte-identical against them (the ``backend-identity`` matrix).
 
 Delivery integration has three tiers, fastest first:
 
@@ -191,10 +194,10 @@ class CompactDagState:
         return self._n
 
     # ------------------------------------------------------------------ #
-    # public protocol actions (transcriptions of DagMutexNode)
+    # public protocol actions (transcriptions of DagNodeCore)
     # ------------------------------------------------------------------ #
     def request_cs(self, node_id: int) -> None:
-        """Procedure P1's first half for ``node_id`` (see ``DagMutexNode``)."""
+        """Procedure P1's first half for ``node_id`` (see ``DagNodeCore``)."""
         flags = self._flags
         state = flags[node_id]
         if state & _REQUESTING:
@@ -227,7 +230,7 @@ class CompactDagState:
                                reason="sent own request", next=None)
 
     def release_cs(self, node_id: int) -> None:
-        """Procedure P1's second half for ``node_id`` (see ``DagMutexNode``)."""
+        """Procedure P1's second half for ``node_id`` (see ``DagNodeCore``)."""
         flags = self._flags
         state = flags[node_id]
         if not state & _IN_CS:

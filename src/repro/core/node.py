@@ -1,12 +1,21 @@
 """One node of the DAG-based mutual exclusion protocol.
 
-This is a direct, event-driven transcription of the paper's Figure 3.  The
-pseudo-code there is written as two blocking procedures (P1 makes a request
-and waits; P2 handles incoming requests); here P1 is split at its wait point
-into :meth:`DagMutexNode.request_cs` (everything before the wait) and the
-PRIVILEGE branch of :meth:`DagMutexNode.on_message` (everything after), which
-is the standard transformation onto an event loop and does not change the
-order in which the variables are read or written.
+:class:`DagNodeCore` is the library's one text of the paper's Figure 3: a
+direct, event-driven transcription.  The pseudo-code there is written as two
+blocking procedures (P1 makes a request and waits; P2 handles incoming
+requests); here P1 is split at its wait point into
+:meth:`DagNodeCore.request_cs` (everything before the wait) and the PRIVILEGE
+branch of :meth:`DagNodeCore.on_message` (everything after), which is the
+standard transformation onto an event loop and does not change the order in
+which the variables are read or written.
+
+The kernel blocks on nothing and owns no engine, socket or task, so it can be
+stepped by anything that supplies ``send``: :class:`DagMutexNode` drives it
+from the discrete-event simulator, :class:`~repro.runtime.node_runtime
+.AsyncDagNode` from an asyncio inbox, and ``tests/core/test_kernel_exhaustive
+.py`` from plain FIFO lists.  (The columnar :class:`~repro.core.compact_state
+.CompactDagState` is a hand-inlined transcription of the same text, gated
+against it by the ``backend-identity`` replays.)
 
 Variable names follow the paper: ``HOLDING`` (token held while not in the
 critical section and with no pending request), ``NEXT`` (the neighbour on the
@@ -34,35 +43,38 @@ EnterCallback = Callable[[int, float], None]
 _PRIVILEGE = Privilege()
 
 
-class DagMutexNode(SimProcess):
-    """A protocol participant holding the three paper variables.
+class DagNodeCore:
+    """The protocol kernel: the three paper variables and procedures P1 / P2.
+
+    What a driver supplies: ``send(target, message)`` (reliable, FIFO per
+    directed channel), and — only if it attaches the optional ``_metrics`` /
+    ``_trace`` observers — the ``now`` clock their records are stamped with.
+    A driver that must learn of an entry extends
+    :meth:`_enter_critical_section`.
 
     Args:
         node_id: this node's identifier.
-        network: the reliable FIFO network shared by all nodes.
         holding: whether this node initially holds the token (exactly one node
             in the system must).
         next_node: initial ``NEXT`` value — the neighbour on the path toward
             the token holder, or ``None`` if this node holds the token.
-        metrics: optional collector receiving request/enter/exit events.
-        trace: optional recorder receiving state-change events.
-        on_enter: optional callback invoked as ``on_enter(node_id, time)``
-            whenever this node enters its critical section.  The experiment
-            driver uses it to schedule the corresponding release.
     """
+
+    #: Observers default to "none" on the class, so a driver that never
+    #: attaches one (the asyncio runtime holds thousands of live trees) pays
+    #: no per-instance slot for them.
+    _metrics: Optional[MetricsCollector] = None
+    _trace: Optional[TraceRecorder] = None
+
+    send: Callable[[int, Any], None]
 
     def __init__(
         self,
         node_id: int,
-        network: Network,
         *,
         holding: bool = False,
         next_node: Optional[int] = None,
-        metrics: Optional[MetricsCollector] = None,
-        trace: Optional[TraceRecorder] = None,
-        on_enter: Optional[EnterCallback] = None,
     ) -> None:
-        super().__init__(node_id, network)
         if holding and next_node is not None:
             raise ProtocolError(
                 f"node {node_id}: the initial token holder must be a sink (NEXT = 0)"
@@ -72,24 +84,13 @@ class DagMutexNode(SimProcess):
                 f"node {node_id}: a node that does not hold the token needs an initial "
                 "NEXT pointer toward the holder"
             )
+        self.node_id = node_id
         self.holding = holding
         self.next_node = next_node
         self.follow: Optional[int] = None
         self.requesting = False
         self.in_critical_section = False
         self.cs_entries = 0
-        self._metrics = metrics
-        self._trace = trace
-        self._on_enter = on_enter
-        # Type-keyed dispatch: one dict lookup per message instead of an
-        # isinstance chain.
-        self._dispatch = {
-            Request: self._handle_request,
-            Privilege: self._handle_privilege,
-        }
-        # Fast-path deliveries dispatch through this table directly, without
-        # the on_message frame (identical semantics, same error fallback).
-        network.register_dispatch_table(node_id, self._dispatch)
 
     # ------------------------------------------------------------------ #
     # public protocol actions
@@ -173,12 +174,15 @@ class DagMutexNode(SimProcess):
     # ------------------------------------------------------------------ #
     def on_message(self, sender: int, message: Any) -> None:
         """Dispatch REQUEST to procedure P2 and PRIVILEGE to the P1 wait point."""
-        handler = self._dispatch.get(type(message))
-        if handler is None:
+        kind = type(message)
+        if kind is Request:
+            self._handle_request(sender, message)
+        elif kind is Privilege:
+            self._handle_privilege(sender, message)
+        else:
             raise ProtocolError(
                 f"node {self.node_id} received unexpected message {message!r} from {sender}"
             )
-        handler(sender, message)
 
     def _handle_request(self, sender: int, message: Request) -> None:
         """Procedure P2 of Figure 3 for ``REQUEST(X, Y)``."""
@@ -262,6 +266,58 @@ class DagMutexNode(SimProcess):
     def _enter_critical_section(self) -> None:
         self.in_critical_section = True
         self.cs_entries += 1
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(id={self.node_id}, HOLDING={self.holding}, "
+            f"NEXT={self.next_node}, FOLLOW={self.follow}, state={self.state_name().value})"
+        )
+
+
+class DagMutexNode(DagNodeCore, SimProcess):
+    """The kernel on the simulation substrate.
+
+    Args:
+        node_id: this node's identifier.
+        network: the reliable FIFO network shared by all nodes.
+        holding: whether this node initially holds the token.
+        next_node: initial ``NEXT`` value (``None`` iff ``holding``).
+        metrics: optional collector receiving request/enter/exit events.
+        trace: optional recorder receiving state-change events.
+        on_enter: optional callback invoked as ``on_enter(node_id, time)``
+            whenever this node enters its critical section.  The experiment
+            driver uses it to schedule the corresponding release.
+    """
+
+    def __init__(
+        self,
+        node_id: int,
+        network: Network,
+        *,
+        holding: bool = False,
+        next_node: Optional[int] = None,
+        metrics: Optional[MetricsCollector] = None,
+        trace: Optional[TraceRecorder] = None,
+        on_enter: Optional[EnterCallback] = None,
+    ) -> None:
+        DagNodeCore.__init__(self, node_id, holding=holding, next_node=next_node)
+        SimProcess.__init__(self, node_id, network)
+        self._metrics = metrics
+        self._trace = trace
+        self._on_enter = on_enter
+        # Fast-path deliveries dispatch by message type through this table
+        # directly, without the on_message frame (identical semantics, same
+        # error fallback).
+        network.register_dispatch_table(
+            node_id,
+            {Request: self._handle_request, Privilege: self._handle_privilege},
+        )
+
+    def _enter_critical_section(self) -> None:
+        # The kernel's two lines inlined rather than called: this runs once
+        # per entry on the simulator's hot path.
+        self.in_critical_section = True
+        self.cs_entries += 1
         now = self.engine._now  # the `now` property frame costs at this rate
         if self._metrics is not None:
             self._metrics.cs_entered(self.node_id, now)
@@ -269,9 +325,3 @@ class DagMutexNode(SimProcess):
             self._trace.record(now, "cs_enter", self.node_id)
         if self._on_enter is not None:
             self._on_enter(self.node_id, now)
-
-    def __repr__(self) -> str:
-        return (
-            f"DagMutexNode(id={self.node_id}, HOLDING={self.holding}, "
-            f"NEXT={self.next_node}, FOLLOW={self.follow}, state={self.state_name().value})"
-        )

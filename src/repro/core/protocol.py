@@ -1,30 +1,28 @@
-"""System-level wrapper: a full DAG-mutex system on the simulation substrate.
+"""System-level wrapper: a DAG-mutex system that checks itself as it runs.
 
-:class:`DagMutexProtocol` builds one :class:`~repro.core.node.DagMutexNode`
-per topology node, wires them to a shared network / metrics / trace, and
-offers the small driving API (request, release, run) that the workload driver,
-the examples and the tests use.  It can also run the
-:class:`~repro.core.invariants.InvariantChecker` after every simulation event,
-which is how the Chapter 5 safety properties are checked continuously during
-stress tests.
+:class:`DagMutexProtocol` is :class:`~repro.baselines.dag_adapter.DagSystem`
+— the one place the DAG nodes are wired to an engine, network, metrics and
+trace — plus the :class:`~repro.core.invariants.InvariantChecker`: it can run
+the Chapter 5 safety checks after every request, release and simulation
+event, which is how they are checked continuously during stress tests, and it
+adds the system-wide introspection (``snapshot``, ``token_location``) the
+examples and the paper-walkthrough tests read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
+from repro.baselines.dag_adapter import DagSystem
+from repro.core.inspector import token_holder
 from repro.core.invariants import InvariantChecker
-from repro.core.node import DagMutexNode, EnterCallback
+from repro.core.node import EnterCallback
 from repro.exceptions import ProtocolError
-from repro.sim.engine import SimulationEngine
 from repro.sim.latency import LatencyModel
-from repro.sim.metrics import MetricsCollector
-from repro.sim.network import Network
-from repro.sim.trace import TraceRecorder
 from repro.topology.base import Topology
 
 
-class DagMutexProtocol:
+class DagMutexProtocol(DagSystem):
     """A complete protocol instance over a given logical topology.
 
     Args:
@@ -58,53 +56,14 @@ class DagMutexProtocol:
         collect_metrics: bool = True,
         on_enter: Optional[EnterCallback] = None,
     ) -> None:
-        self.topology = topology
-        self.engine = SimulationEngine()
-        # ``collect_metrics=False`` leaves the network unobserved so its
-        # zero-overhead fast path is active; throughput benchmarks use it.
-        self.metrics: Optional[MetricsCollector] = (
-            MetricsCollector() if collect_metrics else None
-        )
-        self.trace = TraceRecorder(enabled=record_trace)
-        self.network = Network(
-            self.engine,
+        super().__init__(
+            topology,
             latency=latency,
-            metrics=self.metrics,
-            trace=self.trace if record_trace else None,
+            record_trace=record_trace,
+            collect_metrics=collect_metrics,
+            on_enter=on_enter,
         )
-        self._nodes: Dict[int, DagMutexNode] = {}
-        pointers = topology.next_pointers()
-        for node_id in topology.nodes:
-            self._nodes[node_id] = DagMutexNode(
-                node_id,
-                self.network,
-                holding=(node_id == topology.token_holder),
-                next_node=pointers[node_id],
-                metrics=self.metrics,
-                trace=self.trace if record_trace else None,
-                on_enter=on_enter,
-            )
         self._checker = InvariantChecker(self) if check_invariants else None
-
-    # ------------------------------------------------------------------ #
-    # access
-    # ------------------------------------------------------------------ #
-    @property
-    def node_ids(self) -> List[int]:
-        """All node identifiers, in topology order."""
-        return list(self._nodes)
-
-    @property
-    def nodes(self) -> Dict[int, DagMutexNode]:
-        """Mapping of node id to node object (live view, do not mutate)."""
-        return self._nodes
-
-    def node(self, node_id: int) -> DagMutexNode:
-        """The node object for ``node_id``."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise ProtocolError(f"unknown node {node_id}") from None
 
     @property
     def invariant_checker(self) -> Optional[InvariantChecker]:
@@ -116,12 +75,12 @@ class DagMutexProtocol:
     # ------------------------------------------------------------------ #
     def request(self, node_id: int) -> None:
         """Issue a critical-section request at ``node_id`` (procedure P1)."""
-        self.node(node_id).request_cs()
+        super().request(node_id)
         self._check()
 
     def release(self, node_id: int) -> None:
         """Release the critical section at ``node_id``."""
-        self.node(node_id).release_cs()
+        super().release(node_id)
         self._check()
 
     def run(self, *, max_events: Optional[int] = None, until: Optional[float] = None) -> int:
@@ -132,7 +91,7 @@ class DagMutexProtocol:
         than being re-entered once per event.
         """
         if self._checker is None:
-            return self.engine.run(max_events=max_events, until=until)
+            return super().run(max_events=max_events, until=until)
         processed = 0
         while True:
             if max_events is not None and processed >= max_events:
@@ -163,14 +122,11 @@ class DagMutexProtocol:
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[int, Dict[str, object]]:
         """Per-node variable tables, Figure 6 style."""
-        return {node_id: node.snapshot() for node_id, node in sorted(self._nodes.items())}
+        return {node_id: node.snapshot() for node_id, node in sorted(self.nodes.items())}
 
     def token_location(self) -> Optional[int]:
         """The node currently having the token, or ``None`` while in transit."""
-        holders = [node_id for node_id, node in self._nodes.items() if node.has_token()]
-        if len(holders) > 1:
-            raise ProtocolError(f"multiple nodes report having the token: {sorted(holders)}")
-        return holders[0] if holders else None
+        return token_holder(self)
 
     def _check(self) -> None:
         if self._checker is not None:

@@ -1,21 +1,28 @@
 """Token regeneration for the DAG protocol after a token-losing fault.
 
 The paper assumes the token cannot be lost (reliable network, no failures),
-so it offers no recovery procedure.  This module supplies the minimal one the
-fault experiments need: once a :class:`~repro.sim.faults.FaultController`
-has *proved* the token lost — no live node holds it and no PRIVILEGE is in
-flight — :func:`regenerate_token` mints a replacement and rebuilds a
-consistent request DAG among the live nodes.
+so it offers no recovery procedure.  This module supplies the minimal one,
+once, for every driver of :class:`~repro.core.node.DagNodeCore`: the
+simulator's :class:`~repro.sim.faults.FaultController` calls
+:func:`regenerate_token` when it has *proved* the token lost — no live node
+has it and no PRIVILEGE is in flight — and the live runtime calls it from
+:meth:`LocalCluster.regenerate_token <repro.runtime.cluster.LocalCluster
+.regenerate_token>` (a lock-service key taken over from a dead shard).  It
+mints a replacement and rebuilds a consistent request DAG among the live
+nodes.
 
-The procedure is deliberately centralized (the simulator has a global view;
-a distributed election is out of scope for the reproduction) but preserves
-the protocol's invariants from the first post-recovery event:
+The procedure is deliberately centralized (the caller has a global view; a
+distributed election is out of scope for the reproduction) but preserves the
+protocol's invariants from the first post-recovery event:
 
-1. **Fence the network.**  Every in-flight message predates the loss; any of
-   them could resurrect stale state — worst of all a REQUEST that later pulls
-   a *second* token toward a node the new DAG knows nothing about.  The
-   injector's fence discards them all, so the proof obligation "at most one
-   token" holds by construction.
+1. **Fence the network — the caller's step.**  Every in-flight message
+   predates the loss; any of them could resurrect stale state — worst of all
+   a REQUEST that later pulls a *second* token toward a node the new DAG
+   knows nothing about.  The fault injector's ``fence()`` (simulator) or
+   draining the live inboxes (runtime) discards them all *before* this
+   function runs, so the proof obligation "at most one token" holds by
+   construction; the function itself still refuses to run while a live node
+   has the token.
 2. **Elect a holder deterministically**: the lowest-id live node with an
    outstanding request, or the lowest-id live node if none are requesting.
 3. **Reorient the DAG**: every live node's NEXT points at the new holder and
@@ -37,19 +44,22 @@ crash-stop model's "restart restores participation only" contract.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable
+from typing import Any, Dict, Mapping
 
 from repro.core.messages import Request
-from repro.exceptions import ExperimentError, LockError
-from repro.sim.faults import FaultInjectingNetwork
+from repro.exceptions import ProtocolError
 
 
-def regenerate_token(system, network: FaultInjectingNetwork) -> Dict[str, Any]:
-    """Mint a replacement token on ``system`` after a proven token loss.
+def regenerate_token(
+    nodes: Mapping[int, Any], *, crashed=frozenset()
+) -> Dict[str, Any]:
+    """Mint a replacement token among ``nodes`` after a proven token loss.
 
     Args:
-        system: a ``DagSystem`` whose token is lost.
-        network: the fault injector carrying the crash set and the fence.
+        nodes: the system's ``{node_id: node}`` mapping — simulator nodes
+            (objects or column views) or live
+            :class:`~repro.runtime.node_runtime.AsyncDagNode` agents.
+        crashed: ids of the nodes that are down; they are left untouched.
 
     Returns:
         A dict with the election outcome: ``new_holder``,
@@ -58,22 +68,25 @@ def regenerate_token(system, network: FaultInjectingNetwork) -> Dict[str, Any]:
         re-sent).
 
     Raises:
-        ExperimentError: if every node is crashed.
+        ProtocolError: if every node is crashed, or a live node still has the
+            token (minting another would break "at most one token").  No
+            state is touched in either case.
     """
-    crashed = network._crashed
-    live = [
-        node for node_id, node in system.nodes.items() if node_id not in crashed
-    ]
-    if not live:
-        raise ExperimentError("cannot regenerate a token: every node is crashed")
-
-    # Step 1: nothing sent before this instant may ever be delivered.
-    network.fence()
-
-    requesting = sorted(
-        (node for node in live if node.requesting), key=lambda node: node.node_id
+    live = sorted(
+        (node for node_id, node in nodes.items() if node_id not in crashed),
+        key=lambda node: node.node_id,
     )
-    holder = requesting[0] if requesting else min(live, key=lambda node: node.node_id)
+    if not live:
+        raise ProtocolError("cannot regenerate a token: every node is crashed")
+    holders = [node.node_id for node in live if node.has_token()]
+    if holders:
+        raise ProtocolError(
+            f"token is not lost: live node(s) {holders} still have it"
+        )
+
+    # Step 2.
+    requesting = [node for node in live if node.requesting]
+    holder = requesting[0] if requesting else live[0]
 
     # Step 3: star DAG into the new sink.
     for node in live:
@@ -84,100 +97,23 @@ def regenerate_token(system, network: FaultInjectingNetwork) -> Dict[str, Any]:
     holder.next_node = None
     holder.follow = None
 
-    # Step 4.
+    # Step 4: the grant is P1's wait point firing as if the PRIVILEGE arrived.
     if holder.requesting:
         holder.requesting = False
-        holder.holding = False
         holder._enter_critical_section()
         granted = True
     else:
         holder.holding = True
         granted = False
 
-    # Step 5: the re-sent REQUESTs carry post-fence sequence numbers, so they
-    # are delivered normally and chain FOLLOW pointers through P2.
+    # Step 5: the re-sent REQUESTs are sent after the fence, so they are
+    # delivered normally and chain FOLLOW pointers through P2.
     reissued = 0
     for node in requesting:
         if node is holder:
             continue
         node.next_node = None
         node.send(holder.node_id, Request(node.node_id, node.node_id))
-        reissued += 1
-
-    return {
-        "new_holder": holder.node_id,
-        "granted_immediately": granted,
-        "reissued": reissued,
-    }
-
-
-def regenerate_runtime_token(
-    nodes: Iterable, *, crashed: FrozenSet[int] = frozenset()
-) -> Dict[str, Any]:
-    """The same regeneration procedure for *live* asyncio nodes.
-
-    ``nodes`` are :class:`~repro.runtime.node_runtime.AsyncDagNode` instances
-    (duck-typed: the three protocol variables plus ``requesting`` and the
-    P1 wait event).  The caller owns the fence — it must have stopped or
-    drained anything that could still deliver pre-loss messages — and must
-    have established that the token is gone; this function refuses to mint a
-    second token if any live node still holds or executes.
-
-    Steps 2-5 are shared with :func:`regenerate_token`: elect the lowest-id
-    live requesting node (or the lowest-id live node), star-orient every
-    other live node's NEXT at it, grant directly if the new holder was
-    itself waiting (its P1 wait event fires as if the PRIVILEGE arrived),
-    and re-issue the other live nodes' lost requests in node-id order so
-    their FOLLOW chains rebuild through ordinary P2 handling.
-
-    Returns the same election outcome dict as :func:`regenerate_token`.
-
-    Raises:
-        LockError: if every node is crashed, or the token is not actually
-            lost.
-    """
-    live = sorted(
-        (node for node in nodes if node.node_id not in crashed),
-        key=lambda node: node.node_id,
-    )
-    if not live:
-        raise LockError("cannot regenerate a token: every node is crashed")
-    alive_holders = [
-        node.node_id for node in live if node.holding or node.in_critical_section
-    ]
-    if alive_holders:
-        raise LockError(
-            f"token is not lost: live node(s) {alive_holders} still hold it"
-        )
-
-    requesting = [node for node in live if node.requesting]
-    holder = requesting[0] if requesting else live[0]
-
-    for node in live:
-        if node is holder:
-            continue
-        node.next_node = holder.node_id
-        node.follow = None
-    holder.next_node = None
-    holder.follow = None
-
-    if holder.requesting:
-        # Fire P1's wait point as if the PRIVILEGE had arrived: acquire()
-        # resumes, clears ``requesting`` and enters the critical section.
-        holder._privilege_arrived.set()
-        granted = True
-    else:
-        holder.holding = True
-        granted = False
-
-    reissued = 0
-    for node in requesting:
-        if node is holder:
-            continue
-        node.next_node = None  # P1: a waiting node has no NEXT until granted
-        node._transport.send(
-            node.node_id, holder.node_id, Request(sender=node.node_id, origin=node.node_id)
-        )
         reissued += 1
 
     return {

@@ -5,7 +5,8 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Dict, FrozenSet, List, Optional
 
-from repro.core.recovery import regenerate_runtime_token
+from repro.core.inspector import token_holder
+from repro.core.recovery import regenerate_token
 from repro.exceptions import LockError
 from repro.runtime.lock import DistributedLock
 from repro.runtime.node_runtime import AsyncDagNode
@@ -104,12 +105,13 @@ class LocalCluster:
     ) -> Dict[str, Any]:
         """Mint a replacement token after ``crashed`` nodes took it down.
 
-        The live-cluster twin of the simulator's recovery path
-        (:func:`repro.core.recovery.regenerate_token`): fence first — every
-        undelivered envelope predates the loss, so the live nodes' inboxes
-        are drained — then elect, reorient and re-issue through
-        :func:`~repro.core.recovery.regenerate_runtime_token`.  Call it with
-        the event loop quiesced (no acquire/release racing the reorientation).
+        The simulator's recovery path, live: fence first — every undelivered
+        envelope predates the loss, so the live nodes' inboxes are drained —
+        then elect, reorient and re-issue through
+        :func:`repro.core.recovery.regenerate_token`, which refuses
+        (:class:`~repro.exceptions.ProtocolError`, nothing touched) while a
+        live node still has the token.  Call it with the event loop quiesced
+        (no acquire/release racing the reorientation).
         """
         crashed = frozenset(crashed)
         for node_id, node in self.nodes.items():
@@ -117,15 +119,8 @@ class LocalCluster:
                 continue
             while not node._inbox.empty():
                 node._inbox.get_nowait()
-        return regenerate_runtime_token(self.nodes.values(), crashed=crashed)
+        return regenerate_token(self.nodes, crashed=crashed)
 
     def token_location(self) -> Optional[int]:
         """The node currently having the token, or ``None`` while in transit."""
-        holders = [
-            node_id
-            for node_id, node in self.nodes.items()
-            if node.holding or node.in_critical_section
-        ]
-        if len(holders) > 1:
-            raise LockError(f"token duplicated at nodes {sorted(holders)}")
-        return holders[0] if holders else None
+        return token_holder(self)

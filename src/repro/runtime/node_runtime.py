@@ -1,28 +1,29 @@
 """One asyncio node running the DAG algorithm.
 
-The state machine is the same as :class:`repro.core.node.DagMutexNode` — the
-three variables of Figure 3 and the same REQUEST / PRIVILEGE handling — but
-the blocking points of procedure P1 are expressed with asyncio primitives: a
-node awaiting the token awaits an :class:`asyncio.Event`, and incoming
-messages are consumed by a background task per node.
+The protocol itself — the three variables of Figure 3 and the REQUEST /
+PRIVILEGE handling — is inherited from :class:`repro.core.node.DagNodeCore`,
+the same method objects the simulator's nodes run.  This module adds only
+the asyncio driver: a background task per node consumes the inbox and feeds
+the kernel, ``send`` goes to the transport, and the blocking point of
+procedure P1 is an :class:`asyncio.Event` the kernel's entry hook sets.
 
-Because asyncio is cooperatively scheduled and the message handler never
-yields while mutating node state, each handler runs atomically with respect to
-the node's own variables, which is exactly the "local mutual exclusion"
-execution model the paper assumes for P1/P2.
+Because asyncio is cooperatively scheduled and the kernel never yields while
+mutating node state, each handler runs atomically with respect to the node's
+own variables, which is exactly the "local mutual exclusion" execution model
+the paper assumes for P1/P2.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Optional
+from typing import Any, Optional
 
-from repro.core.messages import Privilege, Request
-from repro.exceptions import LockError, ProtocolError
+from repro.core.node import DagNodeCore
+from repro.exceptions import LockError
 from repro.runtime.transport import Envelope
 
 
-class AsyncDagNode:
+class AsyncDagNode(DagNodeCore):
     """A live protocol participant backed by an asyncio task.
 
     Args:
@@ -43,32 +44,12 @@ class AsyncDagNode:
         holding: bool,
         next_node: Optional[int],
     ) -> None:
-        if holding and next_node is not None:
-            raise ProtocolError(f"node {node_id}: the token holder must be a sink")
-        if not holding and next_node is None:
-            raise ProtocolError(f"node {node_id}: needs a NEXT pointer toward the holder")
-        self.node_id = node_id
-        self.holding = holding
-        self.next_node = next_node
-        self.follow: Optional[int] = None
-        self.requesting = False
-        self.in_critical_section = False
-        self.cs_entries = 0
+        super().__init__(node_id, holding=holding, next_node=next_node)
         self._transport = transport
         self._inbox = transport.register(node_id)
-        self._privilege_arrived = asyncio.Event()
+        self._entered = asyncio.Event()
         self._consumer: Optional[asyncio.Task] = None
         self._stopped = False
-
-    def has_token(self) -> bool:
-        """Whether this node currently holds the PRIVILEGE.
-
-        Mirrors :meth:`repro.core.node.DagMutexNode.has_token` so the
-        implicit-queue inspector (:mod:`repro.core.inspector`) can deduce a
-        live key's waiting queue from agent states, exactly as it does for
-        simulated nodes.
-        """
-        return self.holding
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -92,7 +73,7 @@ class AsyncDagNode:
             self._consumer = None
 
     # ------------------------------------------------------------------ #
-    # the lock operations (procedure P1, split at its wait point)
+    # the lock operations: the kernel's P1, awaited
     # ------------------------------------------------------------------ #
     async def acquire(self) -> None:
         """Enter the critical section, waiting for the token if necessary."""
@@ -100,84 +81,27 @@ class AsyncDagNode:
             raise LockError(f"node {self.node_id} already holds or awaits the lock")
         if self._consumer is None:
             raise LockError(f"node {self.node_id} is not started")
-        if self.holding:
-            self.holding = False
-            self._enter()
-            return
-        self.requesting = True
-        self._privilege_arrived.clear()
-        target = self.next_node
-        if target is None:
-            raise ProtocolError(
-                f"node {self.node_id} is a sink without the token and without a request"
-            )
-        self.next_node = None
-        self._transport.send(self.node_id, target, Request(sender=self.node_id, origin=self.node_id))
-        await self._privilege_arrived.wait()
-        self.requesting = False
-        self._enter()
+        self._entered.clear()
+        self.request_cs()
+        await self._entered.wait()
 
     async def release(self) -> None:
         """Leave the critical section, passing the token to FOLLOW if set."""
         if not self.in_critical_section:
             raise LockError(f"node {self.node_id} is not in its critical section")
-        self.in_critical_section = False
-        if self.follow is not None:
-            successor = self.follow
-            self.follow = None
-            self._transport.send(self.node_id, successor, Privilege())
-        else:
-            self.holding = True
+        self.release_cs()
 
     # ------------------------------------------------------------------ #
-    # message handling (procedure P2 and the P1 wait point)
+    # the kernel's driver surface
     # ------------------------------------------------------------------ #
+    def send(self, target: int, message: Any) -> None:
+        self._transport.send(self.node_id, target, message)
+
+    def _enter_critical_section(self) -> None:
+        super()._enter_critical_section()
+        self._entered.set()
+
     async def _consume(self) -> None:
         while not self._stopped:
             envelope: Envelope = await self._inbox.get()
-            self._handle(envelope)
-
-    def _handle(self, envelope: Envelope) -> None:
-        message = envelope.message
-        if isinstance(message, Request):
-            self._handle_request(message)
-        elif isinstance(message, Privilege):
-            self._handle_privilege()
-        else:
-            raise ProtocolError(
-                f"node {self.node_id} received unexpected message {message!r}"
-            )
-
-    def _handle_request(self, message: Request) -> None:
-        adjacent, origin = message.sender, message.origin
-        if self.next_node is None:
-            if self.holding:
-                self.holding = False
-                self._transport.send(self.node_id, origin, Privilege())
-            else:
-                self.follow = origin
-        else:
-            self._transport.send(
-                self.node_id, self.next_node, Request(sender=self.node_id, origin=origin)
-            )
-        self.next_node = adjacent
-
-    def _handle_privilege(self) -> None:
-        if not self.requesting:
-            raise ProtocolError(
-                f"node {self.node_id} received the PRIVILEGE without an outstanding request"
-            )
-        self._privilege_arrived.set()
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _enter(self) -> None:
-        self.in_critical_section = True
-        self.cs_entries += 1
-
-    def __repr__(self) -> str:
-        return (
-            f"AsyncDagNode(id={self.node_id}, HOLDING={self.holding}, "
-            f"NEXT={self.next_node}, FOLLOW={self.follow})"
-        )
+            self.on_message(envelope.sender, envelope.message)

@@ -15,7 +15,8 @@ TCP sockets:
     view    {id}                ->  {id, ok, epoch, view}    (current membership)
     shutdown {id}               ->  {id, ok}                 (graceful shard exit)
 
-Inside a shard, each key's tree is a set of :class:`AsyncDagNode` *agents*
+Inside a shard, each key's tree is a :class:`~repro.runtime.cluster
+.LocalCluster` of :class:`~repro.runtime.node_runtime.AsyncDagNode` *agents*
 over an in-process transport; a client acquire claims a free agent (one
 outstanding protocol request per agent, the paper's P1 precondition) and runs
 :class:`~repro.runtime.lock.DistributedLock` against it, so concurrent
@@ -31,7 +32,7 @@ dies.  Failover is then three local moves:
 
 * a survivor that owns a dead shard's key *takes it over* lazily — the key's
   token died with its shard, so the fresh tree self-issues a replacement
-  PRIVILEGE through :func:`repro.core.recovery.regenerate_runtime_token`;
+  PRIVILEGE through :func:`repro.core.recovery.regenerate_token`;
 * grants from a previous epoch are *fenced* — a holder that outlived its
   shard gets :class:`~repro.exceptions.LockFencedError` on release instead
   of silently corrupting exclusion;
@@ -58,7 +59,6 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.inspector import implicit_queue, waiting_nodes
-from repro.core.recovery import regenerate_runtime_token
 from repro.exceptions import (
     InvariantViolation,
     LockError,
@@ -76,9 +76,8 @@ from repro.runtime.failover import (
     shard_for_key,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.runtime.cluster import LocalCluster
 from repro.runtime.lock import DistributedLock
-from repro.runtime.node_runtime import AsyncDagNode
-from repro.runtime.transport import InMemoryTransport
 from repro.runtime.transport_socket import (
     FRAME_HEADER,
     Address,
@@ -89,6 +88,7 @@ from repro.runtime.transport_socket import (
 )
 from repro.sim.rng import SeededRNG
 from repro.spec import RuntimeSpec
+from repro.topology.base import Topology
 
 __all__ = [
     "RING_VNODES",
@@ -119,88 +119,64 @@ CONTROL_OP_TIMEOUT = 5.0
 # --------------------------------------------------------------------------- #
 # per-key token tree
 # --------------------------------------------------------------------------- #
-class _TreeView:
-    """Adapter exposing one key's agents as an inspector-compatible protocol.
-
-    The implicit-queue inspector (:mod:`repro.core.inspector`) deduces the
-    waiting queue from node states through a ``.nodes`` mapping; the live
-    agents expose the same ``has_token``/``next_node``/``follow`` surface as
-    simulated nodes, so the deduction runs unchanged against a live key.
-    """
-
-    __slots__ = ("nodes",)
-
-    def __init__(self, nodes: Sequence[AsyncDagNode]) -> None:
-        self.nodes = {node.node_id: node for node in nodes}
-
-
 class _KeyedLock:
     """One lock key's DAG token tree plus its agent pool.
 
-    Agents are the tree's nodes; a session acquire claims an agent (at most
-    one outstanding request per agent — procedure P1's precondition) and
-    acquires the distributed lock through it.  The token stays wherever the
-    last holder left it, so a hot key converges to zero-message re-entry,
-    exactly like the simulated protocol.
+    The tree is a :class:`~repro.runtime.cluster.LocalCluster`; its nodes are
+    the agents: a session acquire claims an agent (at most one outstanding
+    request per agent — procedure P1's precondition) and acquires the
+    distributed lock through it.  The token stays wherever the last holder
+    left it, so a hot key converges to zero-message re-entry, exactly like
+    the simulated protocol.
 
     A *takeover* tree is one rebuilt on a survivor after the key's previous
     shard died: the old token is gone with its process, so the fresh tree is
-    built token-less and :func:`regenerate_runtime_token` self-issues the
-    replacement PRIVILEGE — the PR 6 recovery path, live.
+    stripped of its token and :meth:`LocalCluster.regenerate_token`
+    self-issues the replacement PRIVILEGE — the PR 6 recovery path, live.
     """
 
     __slots__ = (
         "key",
-        "transport",
-        "nodes",
+        "cluster",
         "created_epoch",
+        "_agents",
         "_busy",
         "_rotor",
         "_handles",
     )
 
     def __init__(
-        self, key: str, spec: RuntimeSpec, *, epoch: int = 0, takeover: bool = False
+        self, key: str, topology: Topology, *, epoch: int = 0, takeover: bool = False
     ) -> None:
         self.key = key
         self.created_epoch = epoch
-        topology = spec.build_lock_topology()
-        self.transport = InMemoryTransport()
-        pointers = topology.next_pointers()
-        self.nodes: List[AsyncDagNode] = [
-            AsyncDagNode(
-                node_id,
-                self.transport,
-                holding=(node_id == topology.token_holder),
-                next_node=pointers[node_id],
-            )
-            for node_id in topology.nodes
-        ]
-        for node in self.nodes:
+        self.cluster = LocalCluster(topology)
+        self._agents = list(self.cluster.nodes.values())
+        for node in self._agents:
             node.start()
         if takeover:
             # The token died with the old shard: drop the constructor's
             # token and mint the replacement through the recovery path.
-            for node in self.nodes:
+            for node in self._agents:
                 node.holding = False
-            regenerate_runtime_token(self.nodes)
-        self._busy = [asyncio.Lock() for _ in self.nodes]
+            self.cluster.regenerate_token()
+        self._busy = [asyncio.Lock() for _ in self._agents]
         self._rotor = 0
         self._handles: Dict[int, DistributedLock] = {}
 
     async def acquire(self) -> int:
         """Claim an agent and enter the key's critical section; returns a ticket."""
         index = None
-        for offset in range(len(self.nodes)):
-            candidate = (self._rotor + offset) % len(self.nodes)
+        for offset in range(len(self._agents)):
+            candidate = (self._rotor + offset) % len(self._agents)
             if not self._busy[candidate].locked():
                 index = candidate
                 break
         if index is None:
             index = self._rotor
-        self._rotor = (index + 1) % len(self.nodes)
+        self._rotor = (index + 1) % len(self._agents)
         await self._busy[index].acquire()
-        handle = DistributedLock(self.nodes[index])
+        handle = DistributedLock(self._agents[index])
         try:
             await handle.acquire()
         except BaseException:
@@ -217,26 +193,23 @@ class _KeyedLock:
     def queue_depth(self) -> int:
         """Requesters stacked behind this key's token, via the inspector.
 
-        The paper's deduction, live: chase FOLLOW pointers from the current
-        holder.  While the token is in transit (no holder) the chain has no
-        anchor, so the count of requesting agents stands in; a mid-churn
-        duplicate sighting is reported as depth 0 rather than raised — the
-        reading is advisory, the protocol's own invariant checks live in the
-        property tests.
+        The paper's deduction, live: chase FOLLOW pointers from the node that
+        has the token (idle or executing).  While the token is in transit the
+        chain has no anchor, so the count of requesting agents stands in; a
+        mid-churn duplicate sighting is reported as depth 0 rather than
+        raised — the reading is advisory, the protocol's own invariant checks
+        live in the property tests.
         """
-        view = _TreeView(self.nodes)
         try:
-            depth = len(implicit_queue(view))
+            depth = len(implicit_queue(self.cluster))
             if depth == 0:
-                return len(waiting_nodes(view))
+                return len(waiting_nodes(self.cluster))
             return depth
         except InvariantViolation:
             return 0
 
     async def close(self) -> None:
-        for node in self.nodes:
-            await node.stop()
-        await self.transport.close()
+        await self.cluster.stop()
 
 
 # --------------------------------------------------------------------------- #
@@ -280,6 +253,10 @@ class LockServiceShard:
         self.spec = spec
         self.index = index
         self.address: Optional[Address] = None
+        # One (frozen) topology shared by every key's tree: each cluster keeps
+        # a reference to the one it was built from, and a copy per key is a
+        # kilobyte of containers every garbage collection would walk.
+        self._lock_topology = spec.build_lock_topology()
         self._locks: Dict[str, _KeyedLock] = {}
         self._holders: Dict[str, Tuple[int, int]] = {}  # key -> (conn, session)
         self._held: Dict[Tuple[int, str], _Hold] = {}  # (session, key) -> hold
@@ -666,7 +643,7 @@ class LockServiceShard:
                 past.owner_for(key) != self.index for past in self._views[:-1]
             )
             keyed = _KeyedLock(
-                key, self.spec, epoch=self._view.epoch, takeover=takeover
+                key, self._lock_topology, epoch=self._view.epoch, takeover=takeover
             )
             self._locks[key] = keyed
             if takeover:

@@ -615,7 +615,9 @@ class FaultController:
             return
         from repro.core.recovery import regenerate_token
 
-        info = regenerate_token(self._system, self._network)
+        # Nothing sent before this instant may ever be delivered.
+        self._network.fence()
+        info = regenerate_token(self._system.nodes, crashed=self._network._crashed)
         self._recovery_done = True
         self._awaiting_entry = True
         self._recovery_info = {

@@ -6,7 +6,7 @@ import asyncio
 
 import pytest
 
-from repro.exceptions import LockError
+from repro.exceptions import LockError, ProtocolError
 from repro.runtime import DistributedLock, LocalCluster
 from repro.topology import line, star
 
@@ -154,5 +154,55 @@ def test_distributed_lock_exposes_node_id():
             lock = cluster.lock(2)
             assert lock.node_id == 2
             assert isinstance(lock, DistributedLock)
+
+    run(scenario())
+
+
+def test_regenerate_token_after_the_holder_crashes():
+    async def settle(cluster):
+        await asyncio.sleep(0)
+        while any(not node._inbox.empty() for node in cluster.nodes.values()):
+            await asyncio.sleep(0)
+
+    async def scenario():
+        async with LocalCluster(star(4)) as cluster:
+            dead = cluster.node(1)
+            await dead.acquire()
+            # Node 3 asks before node 2, so the FOLLOW chain is 1 -> 3 -> 2.
+            late = asyncio.create_task(cluster.node(3).acquire())
+            await settle(cluster)
+            early = asyncio.create_task(cluster.node(2).acquire())
+            await settle(cluster)
+            assert (dead.follow, cluster.node(3).follow) == (3, 2)
+
+            # The token is still held: regeneration must refuse, touching nothing.
+            before = {n: node.snapshot() for n, node in cluster.nodes.items()}
+            with pytest.raises(ProtocolError, match="not lost"):
+                cluster.regenerate_token()
+            assert {n: node.snapshot() for n, node in cluster.nodes.items()} == before
+
+            # The holder's process dies, and the token it held dies with it.
+            await dead.stop()
+            dead.in_critical_section = False
+            assert cluster.token_location() is None
+            with pytest.raises(ProtocolError, match="every node is crashed"):
+                cluster.regenerate_token(crashed={1, 2, 3, 4})
+
+            outcome = cluster.regenerate_token(crashed={1})
+            # Lowest-id live waiter is elected, whatever the old queue order.
+            assert outcome == {"new_holder": 2, "granted_immediately": True, "reissued": 1}
+            assert cluster.token_location() == 2
+            await asyncio.wait_for(early, timeout=1.0)
+            await settle(cluster)
+            assert not late.done()
+            assert cluster.node(2).follow == 3  # the re-issued REQUEST, through P2
+            with pytest.raises(ProtocolError, match="not lost"):
+                cluster.regenerate_token(crashed={1})
+
+            await cluster.node(2).release()
+            await asyncio.wait_for(late, timeout=1.0)
+            assert cluster.token_location() == 3
+            await cluster.node(3).release()
+            assert cluster.token_location() == 3
 
     run(scenario())

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.core.inspector import implicit_queue
 from repro.exceptions import LockError, LockFencedError, ShardUnavailableError
 from repro.runtime.failover import (
     ClusterSupervisor,
@@ -29,6 +30,7 @@ from repro.runtime.service import (
     _KeyedLock,
 )
 from repro.spec import RuntimeSpec, TopologySpec
+from repro.topology import star
 
 
 def run(coro):
@@ -155,10 +157,42 @@ def test_fenced_out_shard_answers_fenced_for_every_op():
 # --------------------------------------------------------------------------- #
 def test_takeover_tree_regenerates_exactly_one_token():
     async def scenario():
-        keyed = _KeyedLock("k", small_spec(), epoch=1, takeover=True)
-        holders = [node.node_id for node in keyed.nodes if node.holding]
+        topology = small_spec().build_lock_topology()
+        keyed = _KeyedLock("k", topology, epoch=1, takeover=True)
+        holders = [node.node_id for node in keyed.cluster.nodes.values() if node.holding]
         assert len(holders) == 1  # minted exactly one replacement PRIVILEGE
         ticket = await keyed.acquire()  # and the tree actually works
+        await keyed.release(ticket)
+        await keyed.close()
+
+    run(scenario())
+
+
+def test_live_implicit_queue_anchors_on_the_executing_holder():
+    """One granted acquire plus three queued ones: the FOLLOW chain chased
+    from the agent *in its critical section* is the order of the next three
+    grants, and ``queue_depth`` reads it (not the requesting-count fallback)."""
+
+    async def scenario():
+        keyed = _KeyedLock("k", star(4))
+        ticket = await keyed.acquire()
+        queued = {asyncio.create_task(keyed.acquire()) for _ in range(3)}
+        for _ in range(20):  # every REQUEST delivered and chained
+            await asyncio.sleep(0)
+        predicted = implicit_queue(keyed.cluster)
+        assert len(predicted) == 3
+        assert keyed.queue_depth() == 3
+        granted = []
+        while queued:
+            await keyed.release(ticket)
+            done, queued = await asyncio.wait(
+                queued, timeout=1.0, return_when=asyncio.FIRST_COMPLETED
+            )
+            assert len(done) == 1
+            ticket = done.pop().result()
+            granted.append(keyed.cluster.token_location())
+        assert granted == predicted
+        assert keyed.queue_depth() == 0
         await keyed.release(ticket)
         await keyed.close()
 
@@ -184,7 +218,7 @@ def test_takeover_detected_across_multiple_epochs():
         # First touch only now, two epochs after the key's owner died.
         orphaned = shard._keyed_lock(key)
         assert shard.stats["takeovers"] == 1
-        assert sum(node.holding for node in orphaned.nodes) == 1
+        assert sum(node.holding for node in orphaned.cluster.nodes.values()) == 1
         # A key this shard owned from epoch 0 is not a takeover.
         native = next(
             f"key-{i}"

@@ -129,9 +129,7 @@ def test_unexpected_privilege_raises():
         transport = InMemoryTransport()
         node = AsyncDagNode(1, transport, holding=True, next_node=None)
         with pytest.raises(ProtocolError):
-            node._handle(
-                type("E", (), {"message": Privilege(), "sender": 2, "receiver": 1})()
-            )
+            node.on_message(2, Privilege())
 
     run(scenario())
 
