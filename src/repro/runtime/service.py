@@ -17,10 +17,13 @@ TCP sockets:
 
 Inside a shard, each key's tree is a :class:`~repro.runtime.cluster
 .LocalCluster` of :class:`~repro.runtime.node_runtime.AsyncDagNode` *agents*
-over an in-process transport; a client acquire claims a free agent (one
-outstanding protocol request per agent, the paper's P1 precondition) and runs
-:class:`~repro.runtime.lock.DistributedLock` against it, so concurrent
-sessions on the same key are serialised by real REQUEST/PRIVILEGE traffic.
+over an in-process transport.  A client acquire claims a free agent (one
+outstanding protocol request per agent, the paper's P1 precondition),
+preferring the one idling on the token: an uncontended key is re-entered
+with zero messages and answered from the connection's read loop, while
+concurrent sessions on the same key claim different agents and are
+serialised by real REQUEST/PRIVILEGE traffic.  Every answer queued during
+one event-loop pass leaves in one socket write.
 
 The shard pool reuses the sweep runner's process pattern — one
 ``multiprocessing.Process`` per shard with a private control pipe, the parent
@@ -53,10 +56,10 @@ import socket as socket_module
 import tempfile
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.inspector import implicit_queue, waiting_nodes
 from repro.exceptions import (
@@ -77,10 +80,10 @@ from repro.runtime.failover import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.cluster import LocalCluster
-from repro.runtime.lock import DistributedLock
 from repro.runtime.transport_socket import (
     FRAME_HEADER,
     Address,
+    FrameWriter,
     backoff_delays,
     encode_frame,
     open_address_connection,
@@ -123,11 +126,14 @@ class _KeyedLock:
     """One lock key's DAG token tree plus its agent pool.
 
     The tree is a :class:`~repro.runtime.cluster.LocalCluster`; its nodes are
-    the agents: a session acquire claims an agent (at most one outstanding
-    request per agent — procedure P1's precondition) and acquires the
-    distributed lock through it.  The token stays wherever the last holder
-    left it, so a hot key converges to zero-message re-entry, exactly like
-    the simulated protocol.
+    the agents.  A session acquire claims a free agent (at most one
+    outstanding request per agent — procedure P1's precondition) and enters
+    the tree's critical section through it; with every agent claimed,
+    acquires queue FIFO and :meth:`release` hands the freed agent to the
+    first of them.  The token stays with the agent that last released it and
+    the claim prefers that agent, so an uncontended key is re-entered with
+    zero messages (the paper's best case); any other agent pays the
+    REQUEST/PRIVILEGE traffic, which is what serialises contending sessions.
 
     A *takeover* tree is one rebuilt on a survivor after the key's previous
     shard died: the old token is gone with its process, so the fresh tree is
@@ -135,15 +141,7 @@ class _KeyedLock:
     self-issues the replacement PRIVILEGE — the PR 6 recovery path, live.
     """
 
-    __slots__ = (
-        "key",
-        "cluster",
-        "created_epoch",
-        "_agents",
-        "_busy",
-        "_rotor",
-        "_handles",
-    )
+    __slots__ = ("key", "cluster", "created_epoch", "_agents", "_free", "_waiters")
 
     def __init__(
         self, key: str, topology: Topology, *, epoch: int = 0, takeover: bool = False
@@ -160,35 +158,57 @@ class _KeyedLock:
             for node in self._agents:
                 node.holding = False
             self.cluster.regenerate_token()
-        self._busy = [asyncio.Lock() for _ in self._agents]
-        self._rotor = 0
-        self._handles: Dict[int, DistributedLock] = {}
+        self._free = set(range(len(self._agents)))  # tickets of unclaimed agents
+        self._waiters: "Deque[asyncio.Future[int]]" = deque()
+
+    def try_acquire(self) -> Optional[int]:
+        """Enter through the free agent idling on the token, if there is one.
+
+        No message and no wait; ``None`` when the token is elsewhere.
+        """
+        for ticket in self._free:
+            node = self._agents[ticket]
+            if node.holding:
+                self._free.remove(ticket)
+                node.request_cs()
+                return ticket
+        return None
 
     async def acquire(self) -> int:
-        """Claim an agent and enter the key's critical section; returns a ticket."""
-        index = None
-        for offset in range(len(self._agents)):
-            candidate = (self._rotor + offset) % len(self._agents)
-            if not self._busy[candidate].locked():
-                index = candidate
-                break
-        if index is None:
-            index = self._rotor
-        self._rotor = (index + 1) % len(self._agents)
-        await self._busy[index].acquire()
-        handle = DistributedLock(self._agents[index])
-        try:
-            await handle.acquire()
-        except BaseException:
-            self._busy[index].release()
-            raise
-        self._handles[index] = handle
-        return index
+        """Claim an agent and enter the key's critical section; returns a ticket.
 
-    async def release(self, ticket: int) -> None:
-        handle = self._handles.pop(ticket)
-        await handle.release()
-        self._busy[ticket].release()
+        Zero messages if :meth:`try_acquire` succeeds by now; otherwise any
+        free agent — or, with none free, the first one released after every
+        earlier waiter got theirs — asks the tree for the token.
+        """
+        ticket = self.try_acquire()
+        if ticket is not None:
+            return ticket
+        if self._free:
+            ticket = self._free.pop()
+        else:
+            waiter = asyncio.get_running_loop().create_future()
+            self._waiters.append(waiter)
+            ticket = await waiter
+        try:
+            await self._agents[ticket].acquire()
+        except BaseException:
+            self._unclaim(ticket)
+            raise
+        return ticket
+
+    def release(self, ticket: int) -> None:
+        """Leave the critical section; the agent goes to the first waiter."""
+        self._agents[ticket].release_cs()
+        self._unclaim(ticket)
+
+    def _unclaim(self, ticket: int) -> None:
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():  # a cancelled waiter is skipped
+                waiter.set_result(ticket)
+                return
+        self._free.add(ticket)
 
     def queue_depth(self) -> int:
         """Requesters stacked behind this key's token, via the inspector.
@@ -227,12 +247,16 @@ class _Hold:
     conn_state: Dict[str, bool]
 
 
+#: How an op's answer leaves: the connection's :meth:`FrameWriter.send`.
+Reply = Callable[[Dict[str, Any]], None]
+
+
 @dataclass
 class _Inflight:
-    """One executing acquire op; duplicates join instead of re-executing."""
+    """One acquire waiting in a task; duplicates join instead of re-executing."""
 
-    future: "asyncio.Future[Dict[str, Any]]"
-    requesters: List[Dict[str, bool]]  #: conn states, in arrival order
+    #: (conn state, reply, op id) of everyone who asked, in arrival order.
+    requesters: List[Tuple[Dict[str, bool], Reply, Any]]
     cancelled: bool = False  #: the client gave up; release on grant
 
 
@@ -240,11 +264,15 @@ class LockServiceShard:
     """One worker process's slice of the lock namespace.
 
     Owns the keys the current :class:`ClusterView` assigns to ``index`` and
-    serves the frame protocol for them.  Acquires run as their own tasks so
-    one blocked session never stalls a connection's other sessions; a dropped
-    connection releases everything its sessions held (and lets in-flight
-    acquires finish, then releases them immediately — a DAG request, once
-    sent, must be served).
+    serves the frame protocol for them.  A connection's read loop serves an
+    op on the spot when it needs no wait — every release, stats, view and
+    cancel, every duplicate, and an acquire whose key has a free agent idling
+    on the token — and answers of one event-loop pass leave in one write.
+    An acquire that must wait for an agent or for the token runs as its own
+    task, so one blocked session never stalls a connection's other sessions;
+    a dropped connection releases everything its sessions held (and lets
+    waiting acquires finish, then releases them immediately — a DAG request,
+    once sent, must be served).
     """
 
     def __init__(self, spec: RuntimeSpec, index: int) -> None:
@@ -258,7 +286,7 @@ class LockServiceShard:
         # kilobyte of containers every garbage collection would walk.
         self._lock_topology = spec.build_lock_topology()
         self._locks: Dict[str, _KeyedLock] = {}
-        self._holders: Dict[str, Tuple[int, int]] = {}  # key -> (conn, session)
+        self._holders: Dict[str, int] = {}  # key -> session
         self._held: Dict[Tuple[int, str], _Hold] = {}  # (session, key) -> hold
         self._inflight: Dict[str, _Inflight] = {}
         self._op_cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -274,7 +302,6 @@ class LockServiceShard:
         self._shutdown = asyncio.Event()
         self._control_pipe: Any = None
         self._heartbeat_task: Optional[asyncio.Task] = None
-        self._conn_counter = 0
         self._op_tasks: set = set()
         faults = spec.faults
         self._drop_rate = faults.drop_rate if faults is not None else 0.0
@@ -437,31 +464,23 @@ class LockServiceShard:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._conn_counter += 1
-        conn_id = self._conn_counter
-        write_lock = asyncio.Lock()
+        frames = FrameWriter(writer)
         state = {"open": True}
-
-        async def reply(payload: Dict[str, Any]) -> None:
-            if not state["open"]:
-                return
-            async with write_lock:
-                try:
-                    writer.write(encode_frame(payload))
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    state["open"] = False
-
         try:
             while True:
                 try:
+                    if writer.transport.get_write_buffer_size():
+                        # Back-pressure: a peer that stops reading its
+                        # answers stops being read.
+                        await writer.drain()
                     frame = await read_frame(reader)
                 except (RuntimeTransportError, ConnectionError, OSError):
                     break  # a reset peer is just a disconnect
                 if frame is None:
                     break
                 if frame.get("op") == "shutdown":
-                    await reply({"id": frame.get("id"), "ok": True})
+                    frames.send({"id": frame.get("id"), "ok": True})
+                    frames.flush()  # the ack must leave before the process does
                     self._shutdown.set()
                     break
                 if self._drop_rate > 0.0 and self._drop_rng.random() < self._drop_rate:
@@ -470,15 +489,13 @@ class LockServiceShard:
                     # is deduplicated if the original did get through.
                     self.stats["dropped_frames"] += 1
                     continue
-                task = asyncio.create_task(self._handle_op(frame, conn_id, state, reply))
-                self._op_tasks.add(task)
-                task.add_done_callback(self._op_tasks.discard)
+                self._handle_op(frame, state, frames.send)
         finally:
             state["open"] = False
-            # Release everything this connection's sessions still hold; an
-            # in-flight acquire sees state["open"] is False when granted and
+            # Release everything this connection's sessions still hold; a
+            # waiting acquire sees state["open"] is False when granted and
             # releases itself (counted under "abandoned").
-            for (session, key), hold in list(self._held.items()):
+            for hold in list(self._held.values()):
                 if hold.conn_state is state:
                     self._abandon(hold)
             writer.close()
@@ -496,9 +513,7 @@ class LockServiceShard:
         keyed = self._locks.get(hold.key)
         if keyed is not None:
             self.stats[stat] += 1
-            task = asyncio.create_task(keyed.release(hold.ticket))
-            self._op_tasks.add(task)
-            task.add_done_callback(self._op_tasks.discard)
+            keyed.release(hold.ticket)
 
     def _cancel_uid(self, uid: str) -> bool:
         """Cancel an acquire the client has given up on (retry budget spent).
@@ -506,7 +521,7 @@ class LockServiceShard:
         Without this, an op still blocked in the token protocol would later
         grant and bind its hold to the (still-open) requesting connection —
         locked until that connection closes, since the caller already raised
-        and will never release.  Covers both phases: an executing acquire is
+        and will never release.  Covers both phases: a waiting acquire is
         flagged to release itself on grant, and a grant that completed but
         was never consumed (the reply raced the deadline) is reclaimed.
         """
@@ -525,13 +540,8 @@ class LockServiceShard:
         while len(self._op_cache) > OP_CACHE_SIZE:
             self._op_cache.popitem(last=False)
 
-    async def _handle_op(
-        self,
-        frame: Dict[str, Any],
-        conn_id: int,
-        state: Dict[str, bool],
-        reply,
-    ) -> None:
+    def _handle_op(self, frame: Dict[str, Any], state: Dict[str, bool], reply: Reply) -> None:
+        """Serve one op and answer it, unless it is an acquire that must wait."""
         op = frame.get("op")
         op_id = frame.get("id")
         try:
@@ -542,13 +552,19 @@ class LockServiceShard:
                     "epoch": self._view.epoch,
                     "keys": len(self._locks),
                     "held": len(self._holders),
+                    # The paper's cost unit, live: REQUEST + PRIVILEGE
+                    # messages sent inside every key's token tree so far.
+                    "tree_messages": sum(
+                        keyed.cluster.transport.messages_sent
+                        for keyed in self._locks.values()
+                    ),
                 }
                 if self._obs_enabled:
                     stats_payload["obs"] = self.obs_section()
-                await reply({"id": op_id, "ok": True, "stats": stats_payload})
+                reply({"id": op_id, "ok": True, "stats": stats_payload})
                 return
             if op == "view":
-                await reply(
+                reply(
                     {
                         "id": op_id,
                         "ok": True,
@@ -561,9 +577,7 @@ class LockServiceShard:
                 # No route check: a shard the key moved away from must still
                 # honour cancels for state it already holds.
                 target = str(frame.get("target", ""))
-                await reply(
-                    {"id": op_id, "ok": True, "cancelled": self._cancel_uid(target)}
-                )
+                reply({"id": op_id, "ok": True, "cancelled": self._cancel_uid(target)})
                 return
             key = frame.get("key")
             session = frame.get("session", 0)
@@ -571,23 +585,19 @@ class LockServiceShard:
                 raise LockError(f"unknown op {op!r}")
             if not isinstance(key, str) or not key:
                 raise LockError("op needs a non-empty string 'key'")
-            misroute = self._check_route(key, frame)
-            if misroute is not None:
-                misroute["id"] = op_id
+            payload = self._check_route(key, frame)
+            if payload is not None:
                 self.stats["errors"] += 1
-                await reply(misroute)
-                return
-            uid = str(op_id)
-            if op == "acquire":
-                payload = await self._acquire_op(uid, key, int(session), conn_id, state)
+            elif op == "acquire":
+                payload = self._acquire_op(str(op_id), key, int(session), (state, reply, op_id))
+                if payload is None:
+                    return  # a task owns the answer now
             else:
-                payload = self._release_op(uid, key, int(session), frame)
-            payload = dict(payload)
-            payload["id"] = op_id
-            await reply(payload)
+                payload = self._release_op(str(op_id), key, int(session), frame)
+            reply({**payload, "id": op_id})
         except LockError as exc:
             self.stats["errors"] += 1
-            await reply({"id": op_id, "ok": False, "error": str(exc)})
+            reply({"id": op_id, "ok": False, "error": str(exc)})
 
     def _check_route(self, key: str, frame: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """Ownership check against the current view.
@@ -650,107 +660,116 @@ class LockServiceShard:
                 self.stats["takeovers"] += 1
         return keyed
 
-    async def _acquire_op(
-        self,
-        uid: str,
-        key: str,
-        session: int,
-        conn_id: int,
-        state: Dict[str, bool],
-    ) -> Dict[str, Any]:
+    def _acquire_op(
+        self, uid: str, key: str, session: int, requester: Tuple[Dict[str, bool], Reply, Any]
+    ) -> Optional[Dict[str, Any]]:
+        """The acquire's answer, or ``None`` once a waiting task owes it."""
         cached = self._op_cache.get(uid)
         if cached is not None:
             # Duplicate of a completed acquire: re-bind the hold (if it still
             # stands) to the connection retrying it, then replay the result.
             hold = self._held.get((session, key))
             if hold is not None and hold.uid == uid:
-                hold.conn_state = state
-                self._holders[key] = (conn_id, session)
+                hold.conn_state = requester[0]
+                self._holders[key] = session
             return cached
         existing = self._inflight.get(uid)
         if existing is not None:
-            # Duplicate of an executing acquire: join it.  The grant binds to
+            # Duplicate of a waiting acquire: join it.  The grant binds to
             # the most recent requester still connected.
-            existing.requesters.append(state)
-            return await asyncio.shield(existing.future)
-        record = _Inflight(
-            future=asyncio.get_running_loop().create_future(), requesters=[state]
-        )
-        self._inflight[uid] = record
-        try:
-            payload, cacheable = await self._do_acquire(
-                uid, key, session, conn_id, record
-            )
-        except LockError as exc:
-            payload = {"ok": False, "error": str(exc)}
-            cacheable = True
+            existing.requesters.append(requester)
+            return None
+        if (session, key) in self._held:
             self.stats["errors"] += 1
-        finally:
-            self._inflight.pop(uid, None)
-        if cacheable:
+            payload = {"ok": False, "error": f"session {session} already holds {key!r}"}
             self._cache_op(uid, payload)
-        if not record.future.done():
-            record.future.set_result(payload)
-        return payload
+            return payload
+        keyed = self._keyed_lock(key)
+        started = time.perf_counter() if self._obs_enabled else 0.0
+        ticket = keyed.try_acquire()
+        if ticket is not None:
+            # An agent idles on the token: nobody is queued, nothing to wait for.
+            hold = _Hold(uid, key, session, ticket, self._view.epoch, requester[0])
+            return self._grant(hold, 0, started)
+        record = _Inflight(requesters=[requester])
+        self._inflight[uid] = record
+        depth = keyed.queue_depth() if self._obs_enabled else 0
+        task = asyncio.create_task(
+            self._acquire_wait(uid, key, session, keyed, record, depth, started)
+        )
+        self._op_tasks.add(task)
+        task.add_done_callback(self._op_tasks.discard)
+        return None
 
-    async def _do_acquire(
+    async def _acquire_wait(
         self,
         uid: str,
         key: str,
         session: int,
-        conn_id: int,
+        keyed: _KeyedLock,
         record: _Inflight,
-    ) -> Tuple[Dict[str, Any], bool]:
-        held = self._held.get((session, key))
-        if held is not None:
-            raise LockError(f"session {session} already holds {key!r}")
-        keyed = self._keyed_lock(key)
-        if self._obs_enabled:
-            self._queue_depth_max.update_max(keyed.queue_depth())
-            wait_started = time.perf_counter()
-        ticket = await keyed.acquire()
-        if self._obs_enabled:
-            self._acquire_wait_ms.observe(
-                (time.perf_counter() - wait_started) * 1000.0
+        depth: int,
+        started: float,
+    ) -> None:
+        """Wait for an agent and the token, then answer everyone who asked."""
+        try:
+            ticket = await keyed.acquire()
+        except LockError as exc:
+            self.stats["errors"] += 1
+            payload = {"ok": False, "error": str(exc)}
+            self._cache_op(uid, payload)
+        else:
+            owner_state = next(
+                (asker[0] for asker in reversed(record.requesters) if asker[0]["open"]),
+                None,
             )
-        if record.cancelled:
-            # The client spent its retry budget and asked us to cancel: the
-            # grant has no consumer, so hand the token straight back.  Cached
-            # so a straggling duplicate replays the cancellation.
-            self.stats["cancelled"] += 1
-            await keyed.release(ticket)
-            return {
-                "ok": False,
-                "code": "cancelled",
-                "error": "acquire cancelled by client",
-            }, True
-        owner_state = next(
-            (state for state in reversed(record.requesters) if state["open"]), None
-        )
-        if owner_state is None:
-            # Every connection that asked is gone: the grant has no owner,
-            # so hand the token straight back.  Not cached — a later retry
-            # of this uid must execute a fresh acquire.
-            self.stats["abandoned"] += 1
-            await keyed.release(ticket)
-            return {"ok": False, "code": "abandoned", "error": "connection lost"}, False
-        if key in self._holders:
+            if record.cancelled:
+                # The client spent its retry budget and asked us to cancel:
+                # the grant has no consumer, so hand the token straight back.
+                # Cached so a straggling duplicate replays the cancellation.
+                self.stats["cancelled"] += 1
+                keyed.release(ticket)
+                payload = {
+                    "ok": False,
+                    "code": "cancelled",
+                    "error": "acquire cancelled by client",
+                }
+                self._cache_op(uid, payload)
+            elif owner_state is None:
+                # Every connection that asked is gone: the grant has no
+                # owner, so hand the token straight back.  Not cached — a
+                # later retry of this uid must execute a fresh acquire.
+                self.stats["abandoned"] += 1
+                keyed.release(ticket)
+                payload = {"ok": False, "code": "abandoned", "error": "connection lost"}
+            else:
+                hold = _Hold(uid, key, session, ticket, self._view.epoch, owner_state)
+                payload = self._grant(hold, depth, started)
+        finally:
+            self._inflight.pop(uid, None)
+        for _state, reply, op_id in record.requesters:
+            reply({**payload, "id": op_id})
+
+    def _grant(self, hold: _Hold, depth: int, started: float) -> Dict[str, Any]:
+        """Book one grant — the one place, for the inline and the waiting route.
+
+        ``depth`` is the key's implicit queue as the acquire found it and
+        ``started`` when it arrived (both read only with obs enabled).
+        """
+        if self._obs_enabled:
+            self._queue_depth_max.update_max(depth)
+            self._acquire_wait_ms.observe((time.perf_counter() - started) * 1000.0)
+        if hold.key in self._holders:
             # The per-key tree + agent pool make this unreachable; counting
             # rather than asserting keeps the service observable if a future
             # change breaks the invariant.
             self.stats["exclusion_violations"] += 1
-        epoch = self._view.epoch
-        self._holders[key] = (conn_id, session)
-        self._held[(session, key)] = _Hold(
-            uid=uid,
-            key=key,
-            session=session,
-            ticket=ticket,
-            epoch=epoch,
-            conn_state=owner_state,
-        )
+        self._holders[hold.key] = hold.session
+        self._held[(hold.session, hold.key)] = hold
         self.stats["acquires"] += 1
-        return {"ok": True, "epoch": epoch}, True
+        payload = {"ok": True, "epoch": hold.epoch}
+        self._cache_op(hold.uid, payload)
+        return payload
 
     def _release_op(
         self, uid: str, key: str, session: int, frame: Dict[str, Any]
@@ -779,10 +798,7 @@ class LockServiceShard:
             raise LockError(f"session {session} does not hold {key!r}")
         self._holders.pop(key, None)
         self._op_cache.pop(hold.uid, None)  # the grant is spent; never replay it
-        keyed = self._locks[key]
-        task = asyncio.create_task(keyed.release(hold.ticket))
-        self._op_tasks.add(task)
-        task.add_done_callback(self._op_tasks.discard)
+        self._locks[key].release(hold.ticket)
         self.stats["releases"] += 1
         payload = {"ok": True}
         self._cache_op(uid, payload)
@@ -1351,14 +1367,18 @@ def _normalise_address(address: Address) -> Address:
 
 
 class _ClientConnection:
-    """One framed connection: a writer lock out, a reader task routing in."""
+    """One framed connection: coalesced frames out, a reader task routing in.
+
+    No flow control on the way out: every caller awaits its own answer, so
+    at most one frame per caller is ever queued.
+    """
 
     def __init__(self, address: Address) -> None:
         self._address = address
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
+        self._frames: Optional[FrameWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
-        self._write_lock = asyncio.Lock()
         self._pending: Dict[str, asyncio.Future] = {}
 
     async def open(self) -> None:
@@ -1368,6 +1388,7 @@ class _ClientConnection:
             raise ShardUnavailableError(
                 f"cannot reach lock shard at {self._address!r}: {exc}"
             ) from None
+        self._frames = FrameWriter(self._writer)
         self._reader_task = asyncio.create_task(self._route_responses())
 
     def close_nowait(self) -> None:
@@ -1395,7 +1416,8 @@ class _ClientConnection:
             self._writer = None
 
     async def call(self, op_id: str, frame: Dict[str, Any]) -> Dict[str, Any]:
-        if self._writer is None:
+        if self._writer is None or self._writer.is_closing():
+            # A frame queued on a closing writer is dropped, never answered.
             raise ShardUnavailableError("connection is not open")
         if self._reader_task is not None and self._reader_task.done():
             # The reader died (peer reset): a future registered now would
@@ -1403,17 +1425,8 @@ class _ClientConnection:
             raise ShardUnavailableError("lock service connection lost")
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[op_id] = future
-        payload = dict(frame)
-        payload["id"] = op_id
         try:
-            async with self._write_lock:
-                writer = self._writer
-                if writer is None:
-                    # Another session closed this shared connection while we
-                    # waited for the write lock.
-                    raise ShardUnavailableError("lock service connection closed")
-                writer.write(encode_frame(payload))
-                await writer.drain()
+            self._frames.send({**frame, "id": op_id})
             return await future
         finally:
             self._pending.pop(op_id, None)

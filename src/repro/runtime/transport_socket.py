@@ -25,7 +25,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.messages import Privilege, Request
 from repro.exceptions import RuntimeTransportError
@@ -54,9 +54,13 @@ RECONNECT_ATTEMPTS = 40
 # --------------------------------------------------------------------------- #
 # framing
 # --------------------------------------------------------------------------- #
+#: ``json.dumps(..., separators=...)`` builds a fresh encoder on every call.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_frame(payload: Dict[str, Any]) -> bytes:
     """Serialise one JSON payload as a length-prefixed frame."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _encode_json(payload).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise RuntimeTransportError(
             f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
@@ -95,6 +99,37 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
             f"frame payload must be a JSON object, got {type(payload).__name__}"
         )
     return payload
+
+
+class FrameWriter:
+    """Queues frames and writes everything queued in one event-loop pass at once.
+
+    Frames reach a busy peer in bursts (one ``recv`` carries many), so their
+    answers are ready in the same pass; written one by one each costs a
+    ``send`` syscall and a wake-up of the peer.  Frames queued on a closing
+    writer are dropped: the peer is gone and so is whoever awaited them.
+    Flow control stays with the caller, which must stop producing (a server:
+    stop reading) while the transport's write buffer is non-empty.
+    """
+
+    __slots__ = ("_writer", "_loop", "_frames")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self._writer = writer
+        self._loop = asyncio.get_running_loop()
+        self._frames: List[bytes] = []
+
+    def send(self, payload: Dict[str, Any]) -> None:
+        """Queue one frame; the first of a pass schedules the pass's flush."""
+        if not self._frames:
+            self._loop.call_soon(self.flush)
+        self._frames.append(encode_frame(payload))
+
+    def flush(self) -> None:
+        """Write the queued frames, in queue order, with one ``write``."""
+        frames, self._frames = self._frames, []
+        if frames and not self._writer.is_closing():
+            self._writer.write(b"".join(frames))
 
 
 # --------------------------------------------------------------------------- #

@@ -27,6 +27,7 @@ from repro.runtime.service import (
     LockClient,
     LockServiceCluster,
     LockServiceShard,
+    _ClientConnection,
     _KeyedLock,
 )
 from repro.spec import RuntimeSpec, TopologySpec
@@ -162,7 +163,7 @@ def test_takeover_tree_regenerates_exactly_one_token():
         holders = [node.node_id for node in keyed.cluster.nodes.values() if node.holding]
         assert len(holders) == 1  # minted exactly one replacement PRIVILEGE
         ticket = await keyed.acquire()  # and the tree actually works
-        await keyed.release(ticket)
+        keyed.release(ticket)
         await keyed.close()
 
     run(scenario())
@@ -184,7 +185,7 @@ def test_live_implicit_queue_anchors_on_the_executing_holder():
         assert keyed.queue_depth() == 3
         granted = []
         while queued:
-            await keyed.release(ticket)
+            keyed.release(ticket)
             done, queued = await asyncio.wait(
                 queued, timeout=1.0, return_when=asyncio.FIRST_COMPLETED
             )
@@ -193,7 +194,7 @@ def test_live_implicit_queue_anchors_on_the_executing_holder():
             granted.append(keyed.cluster.token_location())
         assert granted == predicted
         assert keyed.queue_depth() == 0
-        await keyed.release(ticket)
+        keyed.release(ticket)
         await keyed.close()
 
     run(scenario())
@@ -361,32 +362,32 @@ def test_acquire_fenced_reroutes_while_release_fenced_raises():
     run(scenario())
 
 
-def test_cancel_reclaims_a_consumed_but_unclaimed_grant():
-    """The other half of retry-exhaustion cleanup: the acquire completed and
-    was cached, but the client's deadline beat the reply — cancel must free
-    the hold so the key is not locked until the connection dies."""
+@pytest.mark.network
+def test_call_on_a_connection_being_closed_fails_fast(tmp_path):
+    """A session picks a connection, a sibling's retry starts closing it (its
+    shard just died), and only then does the session's call run.  Nothing
+    drains the write any more, so the call itself must notice: a frame queued
+    on the closing writer is dropped, and waiting for its answer would hold
+    the op until its deadline."""
 
     async def scenario():
-        shard = LockServiceShard(small_spec(shards=1), 0)
-        state = {"open": True}
-        granted = await shard._acquire_op("op-1", "k", 5, 1, state)
-        assert granted["ok"] is True
-        assert shard._cancel_uid("op-1") is True
-        assert shard.stats["cancelled"] == 1
-        assert (5, "k") not in shard._held
-        if shard._op_tasks:  # the reclaim release runs as its own task
-            await asyncio.gather(*shard._op_tasks)
-        # the key is free: a different session acquires without waiting
-        regrant = await asyncio.wait_for(
-            shard._acquire_op("op-2", "k", 6, 1, state), timeout=5.0
-        )
-        assert regrant["ok"] is True
-        assert shard._cancel_uid("op-3") is False  # unknown uid: a no-op
-        shard._release_op("op-4", "k", 6, frame={})
-        if shard._op_tasks:
-            await asyncio.gather(*shard._op_tasks)
-        for keyed in shard._locks.values():
-            await keyed.close()
+        async def hang_up(reader, writer):
+            writer.close()
+
+        path = str(tmp_path / "dead.sock")
+        server = await asyncio.start_unix_server(hang_up, path=path)
+        conn = _ClientConnection(path)
+        await conn.open()
+        while not conn._reader_task.done():  # the peer's EOF has been seen
+            await asyncio.sleep(0.001)
+        closing = asyncio.create_task(conn.close())
+        await asyncio.sleep(0)  # close() is now waiting for the transport
+        assert conn._writer is not None and conn._writer.is_closing()
+        with pytest.raises(ShardUnavailableError):
+            await asyncio.wait_for(conn.call("op-1", {"op": "view"}), timeout=1.0)
+        await closing
+        server.close()
+        await server.wait_closed()
 
     run(scenario())
 

@@ -207,3 +207,14 @@ def test_cluster_restart_rejected_and_stop_is_idempotent():
             cluster.start()
     cluster.stop()  # second stop is a no-op
     assert cluster.addresses == []
+
+
+@pytest.mark.network
+def test_stop_is_a_graceful_exit_for_every_shard():
+    """``stop`` sends each shard a shutdown frame and waits for the ack; a
+    shard that never saw it would be terminated (exit code -15) instead."""
+    cluster = LockServiceCluster(small_spec(shards=2))
+    cluster.start()
+    processes = list(cluster._processes)
+    cluster.stop()
+    assert [process.exitcode for process in processes] == [0, 0]

@@ -13,6 +13,7 @@ from repro.runtime.transport import Envelope
 from repro.runtime.transport_socket import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
+    FrameWriter,
     decode_envelope,
     decode_message,
     encode_envelope,
@@ -74,6 +75,92 @@ def test_read_frame_rejects_truncation_and_garbage():
 def test_encode_frame_rejects_oversized_payload():
     with pytest.raises(RuntimeTransportError, match="exceeds"):
         encode_frame({"blob": "x" * MAX_FRAME_BYTES})
+
+
+def test_encode_frame_bytes_are_pinned():
+    """One uncontended lock op on the wire — acquire, grant, release, ack —
+    byte for byte: 4 frames, 284 bytes (``codec.frames_per_op`` /
+    ``codec.bytes_per_op`` in ``perf/``).  The encoder is built once at
+    import; its output must not depend on that."""
+    quartet = {
+        b'\x00\x00\x00S{"op":"acquire","key":"lock-517","session":37,"epoch":0,'
+        b'"id":"1a2b-9f3c01d2:48213"}': {
+            "op": "acquire", "key": "lock-517", "session": 37, "epoch": 0,
+            "id": "1a2b-9f3c01d2:48213",
+        },
+        b'\x00\x00\x000{"ok":true,"epoch":0,"id":"1a2b-9f3c01d2:48213"}': {
+            "ok": True, "epoch": 0, "id": "1a2b-9f3c01d2:48213",
+        },
+        b'\x00\x00\x00c{"op":"release","key":"lock-517","session":37,"grant_epoch":0,'
+        b'"epoch":0,"id":"1a2b-9f3c01d2:48214"}': {
+            "op": "release", "key": "lock-517", "session": 37, "grant_epoch": 0, "epoch": 0,
+            "id": "1a2b-9f3c01d2:48214",
+        },
+        b'\x00\x00\x00&{"ok":true,"id":"1a2b-9f3c01d2:48214"}': {
+            "ok": True, "id": "1a2b-9f3c01d2:48214",
+        },
+    }
+    for wire, payload in quartet.items():
+        assert encode_frame(payload) == wire
+    assert sum(len(wire) for wire in quartet) == 284
+    # Non-ASCII stays escaped, None/float/nesting as json.dumps writes them.
+    assert encode_frame({"key": "cl\u00e9", "x": [1.5, None, {"y": False}]}) == (
+        b'\x00\x00\x00-{"key":"cl\\u00e9","x":[1.5,null,{"y":false}]}'
+    )
+
+
+# --------------------------------------------------------------------------- #
+# the coalescing frame writer
+# --------------------------------------------------------------------------- #
+class RecordingWriter:
+    """The two StreamWriter methods a FrameWriter uses."""
+
+    def __init__(self) -> None:
+        self.writes = []
+        self.closing = False
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(data)
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+
+def test_frame_writer_flushes_one_pass_with_one_write():
+    async def scenario():
+        writer = RecordingWriter()
+        frames = FrameWriter(writer)
+        payloads = [{"id": index, "ok": True} for index in range(7)]
+        for payload in payloads:
+            frames.send(payload)
+        assert writer.writes == []  # nothing leaves before the pass ends
+        await asyncio.sleep(0)
+        assert writer.writes == [b"".join(encode_frame(p) for p in payloads)]
+        # The next pass is its own write; an explicit flush does not wait
+        # for the pass to end, and the flush it pre-empted writes nothing.
+        frames.send({"id": 7})
+        frames.flush()
+        assert writer.writes[1:] == [encode_frame({"id": 7})]
+        await asyncio.sleep(0)
+        assert len(writer.writes) == 2
+
+    run(scenario())
+
+
+def test_frame_writer_drops_frames_queued_on_a_closing_writer():
+    async def scenario():
+        writer = RecordingWriter()
+        frames = FrameWriter(writer)
+        frames.send({"id": 1})
+        writer.closing = True  # the peer went away within the same pass
+        frames.send({"id": 2})
+        await asyncio.sleep(0)
+        assert writer.writes == []
+        frames.send({"id": 3})  # and later sends stay silent no-ops
+        await asyncio.sleep(0)
+        assert writer.writes == []
+
+    run(scenario())
 
 
 # --------------------------------------------------------------------------- #
