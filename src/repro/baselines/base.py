@@ -118,8 +118,8 @@ class MutexNodeBase(SimProcess):
             message_type: getattr(self, handler_name)
             for message_type, handler_name in self._MESSAGE_HANDLERS.items()
         }
-        # Let the network's unobserved fast path dispatch by type directly,
-        # skipping the on_message frame (same table, same error fallback).
+        # Let the network dispatch deliveries by type directly, skipping
+        # the on_message frame (same table, same error fallback).
         network.register_dispatch_table(node_id, self._dispatch)
 
     # ------------------------------------------------------------------ #
@@ -220,16 +220,15 @@ class MutexSystem(abc.ABC):
     ) -> None:
         self.topology = topology
         self.engine = SimulationEngine()
-        # ``collect_metrics=False`` leaves the network unobserved, enabling
-        # its zero-overhead delivery fast path — the throughput benchmarks
-        # run this way and read counts off the network and the nodes instead.
+        # ``collect_metrics=False`` leaves the network unobserved (its
+        # observer branch is never taken) — the throughput benchmarks run
+        # this way and read counts off the network and the nodes instead.
         self.metrics: Optional[MetricsCollector] = (
             MetricsCollector() if collect_metrics else None
         )
         self.trace = TraceRecorder(enabled=record_trace)
         # ``network_factory`` swaps the substrate under every algorithm
-        # uniformly (fault-carrying specs pass FaultInjectingNetwork); a
-        # subclassed network always takes the observed delivery path.
+        # uniformly (fault-carrying specs pass FaultInjectingNetwork).
         network_class = network_factory if network_factory is not None else Network
         self.network = network_class(
             self.engine,

@@ -291,8 +291,8 @@ def run_cell(
     """Run one cell best-of-``repeat`` (see :func:`measure_fastest`); its row.
 
     The system is rebuilt per repetition (identical virtual outcome every
-    time) and runs with no metrics collector, so the network's zero-overhead
-    fast path is active.  A DAG cell that exceeds the paper's ``D + 1`` bound
+    time) and runs with no metrics collector, so the network's observer
+    branch is never taken.  A DAG cell that exceeds the paper's ``D + 1`` bound
     raises; a baseline cell records ``within_bound`` instead (its bound is
     per entry, the measurement an average).
     """
@@ -351,12 +351,12 @@ def run_cell(
 def determinism_fingerprint() -> Dict[str, Dict[str, Any]]:
     """Fixed-seed 50-node runs whose metrics must replay byte-identically.
 
-    Two latency models are exercised, both on the observed (metrics-attached)
-    network path the seed recording used: constant latency and seeded
-    uniform-random latency (the per-channel FIFO clamp).  The returned
-    structure is compared against the values recorded from the seed engine;
-    :func:`fast_path_consistent` separately pins the unobserved fast path to
-    the same replay.
+    Two latency models are exercised, both with the metrics collector the
+    seed recording used attached: constant latency and seeded uniform-random
+    latency (the per-channel FIFO clamp).  The returned structure is compared
+    against the values recorded from the seed engine;
+    :func:`fast_path_consistent` separately pins the metrics-free run to the
+    same replay.
     """
     topology = star(50)
     workload = WorkloadGenerator(topology.nodes, seed=42).poisson(
@@ -382,14 +382,14 @@ def determinism_fingerprint() -> Dict[str, Dict[str, Any]]:
 
 
 def fast_path_consistent() -> bool:
-    """Whether the unobserved fast path replays the observed path exactly.
+    """Whether a run without a metrics collector replays one with it exactly.
 
     The recorded seed fingerprint is produced with a metrics collector
-    attached (the observed path).  This check closes the remaining gap: the
-    same fixed-seed run driven with ``collect_metrics=False`` — lite events,
-    ``_deliver_fast``, no ``MessageDelivery`` — must yield the identical
-    entry order, message count and finish time.  Together with the seed
-    fingerprint this pins the fast path to the seed engine transitively.
+    attached.  This is the metrics-on-vs-off reference check: the same
+    fixed-seed run driven with ``collect_metrics=False`` — the same one
+    message path with its observer branch not taken — must yield the
+    identical entry order, message count and finish time, which pins the
+    unobserved run to the seed engine transitively.
     """
     topology = star(50)
     workload = WorkloadGenerator(topology.nodes, seed=42).poisson(

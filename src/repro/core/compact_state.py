@@ -29,17 +29,10 @@ change goes into the kernel and, in lock-step, here.  The object nodes remain
 the always-tested reference implementation; CI gates every compact run
 byte-identical against them (the ``backend-identity`` matrix).
 
-Delivery integration has three tiers, fastest first:
-
-* :meth:`CompactDagState.deliver_batch` — the engine's drain loops hand a
-  whole same-tick run of fast-path deliveries over in one call
-  (``SimulationEngine.set_batch_sink``), so a burst of deliveries pays one
-  Python call and one column-cache setup instead of one dispatch frame per
-  message;
-* :meth:`CompactDagState.deliver_one` — the fast-path sink for isolated
-  deliveries, installed as the network's ``_deliver_fast``;
-* :meth:`CompactDagState.on_message` — the observed path (metrics, trace,
-  fault injectors), reached through the network's columnar fallback.
+Delivery integration is one call: the network's ``_deliver`` hands a message
+for any id in :attr:`CompactDagState.node_range` to
+:meth:`CompactDagState.on_message`, with or without metrics, trace or a
+fault injector attached.
 
 For code that expects node *objects* — the fault controller's token scan,
 token regeneration, tests poking at ``system.nodes[i]`` — a lazy
@@ -183,7 +176,6 @@ class CompactDagState:
         #: Total critical-section entries across all nodes (the metrics-free
         #: result path reads this instead of summing a column).
         self.total_entries = 0
-        self._network = network
         self._engine = network.engine
         self._send = network.send
         self._metrics = metrics
@@ -259,7 +251,7 @@ class CompactDagState:
     # message handling
     # ------------------------------------------------------------------ #
     def on_message(self, receiver: int, sender: int, message: Any) -> None:
-        """Observed-path dispatch (metrics/trace/fault runs) for one delivery."""
+        """Dispatch one delivery; ``Network._deliver`` calls this for columnar ids."""
         kind = type(message)
         if kind is Request:
             self._handle_request(receiver, message.sender, message.origin)
@@ -269,82 +261,6 @@ class CompactDagState:
             raise ProtocolError(
                 f"node {receiver} received unexpected message {message!r} from {sender}"
             )
-
-    def deliver_one(self, payload) -> None:
-        """Fast-path sink: one ``(sender, receiver, message)`` lite delivery.
-
-        Installed as the network's ``_deliver_fast``, so it also owns the
-        delivered-message count the network would otherwise bump.
-        """
-        sender, receiver, message = payload
-        self._network._messages_delivered += 1
-        kind = type(message)
-        if kind is Request:
-            self._handle_request(receiver, message.sender, message.origin)
-        elif kind is Privilege:
-            self._handle_privilege(receiver)
-        else:
-            raise ProtocolError(
-                f"node {receiver} received unexpected message {message!r} from {sender}"
-            )
-
-    def deliver_batch(self, payloads) -> None:
-        """Apply a same-tick run of fast-path deliveries in one call.
-
-        The engine's drain loops collect consecutive lite entries addressed
-        to :meth:`deliver_one` and hand the payload run here (see
-        ``SimulationEngine.set_batch_sink``), replacing a dispatch frame per
-        message with one loop over locally cached columns.  Only ever called
-        on the unobserved fast path, so there are no metrics/trace branches —
-        the batched transitions below are the observer-free projection of
-        :meth:`_handle_request` / :meth:`_handle_privilege`, applied in
-        exactly the delivery order the per-event path would have used.
-        """
-        network = self._network
-        network._messages_delivered += len(payloads)
-        flags = self._flags
-        next_col = self._next
-        follow_col = self._follow
-        entries = self._entries
-        send = self._send
-        on_enter = self.on_enter
-        engine = self._engine
-        total = self.total_entries
-        for sender, receiver, message in payloads:
-            kind = type(message)
-            if kind is Request:
-                origin = message.origin
-                target = next_col[receiver]
-                if target:
-                    send(receiver, target, Request(receiver, origin))
-                else:
-                    state = flags[receiver]
-                    if state & _HOLDING:
-                        flags[receiver] = state & ~_HOLDING
-                        send(receiver, origin, _PRIVILEGE)
-                    else:
-                        follow_col[receiver] = origin
-                next_col[receiver] = message.sender
-            elif kind is Privilege:
-                state = flags[receiver]
-                if not state & _REQUESTING:
-                    self.total_entries = total
-                    raise ProtocolError(
-                        f"node {receiver} received the PRIVILEGE message without an "
-                        "outstanding request; the token was duplicated or misrouted"
-                    )
-                flags[receiver] = (state & ~_REQUESTING) | _IN_CS
-                entries[receiver] += 1
-                total += 1
-                if on_enter is not None:
-                    on_enter(receiver, engine._now)
-            else:
-                self.total_entries = total
-                raise ProtocolError(
-                    f"node {receiver} received unexpected message {message!r} "
-                    f"from {sender}"
-                )
-        self.total_entries = total
 
     def _handle_request(self, node_id: int, adjacent: int, origin: int) -> None:
         """Procedure P2 of Figure 3 for ``REQUEST(adjacent, origin)``."""

@@ -305,9 +305,9 @@ class DagMutexNode(DagNodeCore, SimProcess):
         self._metrics = metrics
         self._trace = trace
         self._on_enter = on_enter
-        # Fast-path deliveries dispatch by message type through this table
-        # directly, without the on_message frame (identical semantics, same
-        # error fallback).
+        # Deliveries dispatch by message type through this table directly,
+        # without the on_message frame (identical semantics, same error
+        # fallback).
         network.register_dispatch_table(
             node_id,
             {Request: self._handle_request, Privilege: self._handle_privilege},

@@ -17,7 +17,7 @@ provides that substrate:
 """
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import Event, EventKind, MessageDelivery, TimerFired
+from repro.sim.events import Event, EventKind, TimerFired
 from repro.sim.latency import (
     ConstantLatency,
     ExponentialLatency,
@@ -39,7 +39,6 @@ __all__ = [
     "make_scheduler",
     "Event",
     "EventKind",
-    "MessageDelivery",
     "TimerFired",
     "LatencyModel",
     "ConstantLatency",

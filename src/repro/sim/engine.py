@@ -5,19 +5,21 @@ The engine owns the virtual clock and the monotone sequence counter; the
 :class:`~repro.sim.schedulers.HeapScheduler` (and the pending-event count is
 derived from it in O(1)), a heap of ``(time, priority, sequence, event)``
 tuples — storing plain tuples keeps every heap comparison in C.  The hottest
-callers (:meth:`SimulationEngine.schedule_lite`) skip the event object
-entirely: the
-entry is a ``(time, priority, sequence, callback, payload)`` 5-tuple and
+callers (:meth:`SimulationEngine.schedule_lite`, and every message the
+network carries) skip the event object entirely: the entry is a
+``(time, priority, sequence, callback, payload)`` 5-tuple and
 ``callback(payload)`` fires with no per-event allocation at all.  The engine
 is intentionally minimal: processes, networks, and metrics are layered on
 top rather than baked in, so the same engine drives every algorithm in the
 library.
 
 Determinism contract: events fire in ``(time, priority, sequence)`` order,
-with the sequence number allocated monotonically at scheduling time.  Both
-:meth:`SimulationEngine.schedule` and the hot-path
-:meth:`SimulationEngine.schedule_fast` draw from the same sequence counter,
-so mixing the two never changes the replay order.
+with the sequence number allocated monotonically at scheduling time.  The
+three entry points — :meth:`SimulationEngine.schedule` (a cancellable
+:class:`Event`), :meth:`SimulationEngine.schedule_lite` and
+:meth:`SimulationEngine.schedule_lite_bulk` — and the network's inline push
+draw from the same sequence counter, so mixing them never changes the replay
+order.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from repro.sim.schedulers import (
     HeapScheduler,
     make_scheduler,
 )
-
-_CALLBACK = EventKind.CALLBACK
 
 
 class SimulationEngine:
@@ -73,38 +73,6 @@ class SimulationEngine:
         # Bound once: scheduling entry points call this without re-resolving
         # the scheduler per event (a frame-free C partial).
         self._push = scheduler.push_callable()
-        # Batch delivery sink (see set_batch_sink): None means the drain
-        # loops dispatch every lite entry individually.
-        self._batch_sink: Optional[Callable[[Any], None]] = None
-        self._batch_apply: Optional[Callable[[list], None]] = None
-
-    def set_batch_sink(
-        self,
-        sink: Callable[[Any], None],
-        batch_apply: Callable[[list], None],
-    ) -> None:
-        """Let the drain loops batch same-tick lite events aimed at ``sink``.
-
-        When a drain loop pops a lite entry whose callback *is* ``sink`` (by
-        identity) and further lite entries for the same sink at the same
-        timestamp follow immediately, it collects the whole run and calls
-        ``batch_apply(payloads)`` once instead of ``sink(payload)`` per
-        entry.  The columnar node backend uses this to apply a same-tick
-        burst of message deliveries as one loop over its arrays.
-
-        Semantics are unchanged: the collected entries are exactly the
-        consecutive head-of-queue run, anything a callback schedules carries
-        a later sequence number and therefore sorts after the run, the event
-        budget bounds how many entries may be collected, and each payload
-        still counts as one processed event.  (A ``stop()`` issued from
-        inside a batch takes effect at the batch boundary — nothing in the
-        library stops the engine from a delivery handler.)
-
-        The sink is read once per ``run()`` call; installing it before the
-        run starts (system construction time) covers every replay.
-        """
-        self._batch_sink = sink
-        self._batch_apply = batch_apply
 
     @property
     def now(self) -> float:
@@ -195,27 +163,6 @@ class SimulationEngine:
         self._push((time, priority, sequence, event))
         return event
 
-    def schedule_fast(
-        self,
-        time: float,
-        callback: Callable[[Event], None],
-        payload: Any = None,
-        kind: EventKind = _CALLBACK,
-    ) -> Event:
-        """Minimal-overhead :meth:`schedule` for hot paths (positional args).
-
-        Skips the past-time validation — callers must pass ``now + delta``
-        with a non-negative delta (the network's latency models guarantee a
-        positive delay).  Priority is fixed at 0.  Shares the sequence counter
-        with :meth:`schedule`, so determinism is unaffected.
-        """
-        sequence = self._sequence + 1
-        self._sequence = sequence
-        event = Event(time, 0, sequence, kind, callback, payload)
-        event.owner = self
-        self._push((time, 0, sequence, event))
-        return event
-
     def schedule_lite(
         self,
         time: float,
@@ -226,9 +173,9 @@ class SimulationEngine:
 
         The queue entry *is* the event: ``callback(payload)`` runs at ``time``
         with no per-event allocation at all.  Lite events cannot be cancelled
-        and carry no kind — they exist for the network's unobserved delivery
-        fast path and the workload driver, where neither feature is used and
-        the allocation would be pure overhead.  Ordering shares the engine's
+        and carry no kind — they exist for the network's message deliveries
+        and the workload driver, where neither feature is used and the
+        allocation would be pure overhead.  Ordering shares the engine's
         sequence counter, so mixing lite and regular events is deterministic.
         """
         sequence = self._sequence + 1

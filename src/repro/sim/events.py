@@ -6,8 +6,9 @@ deterministic: two events scheduled for the same instant are processed in the
 order they were scheduled unless an explicit priority says otherwise.
 
 :class:`Event` is a hand-rolled ``__slots__`` class rather than a dataclass:
-the engine allocates one per scheduled occurrence, so construction cost and
-memory footprint are on the simulation's hottest path.  The engine's heap
+the engine allocates one per cancellable occurrence (messages and workload
+arrivals are lite heap entries with no event object), so construction cost
+and memory footprint still matter on timer-heavy runs.  The engine's heap
 stores plain ``(time, priority, sequence, event)`` tuples so heap comparisons
 never call back into Python-level ``__lt__`` — the comparison methods here
 exist only for code that orders events directly (tests, debugging tools).
@@ -23,7 +24,6 @@ from typing import Any, Callable, Optional
 class EventKind(enum.Enum):
     """Classification of simulation events, used by traces and metrics."""
 
-    MESSAGE_DELIVERY = "message_delivery"
     TIMER_FIRED = "timer_fired"
     CALLBACK = "callback"
     WORKLOAD_ARRIVAL = "workload_arrival"
@@ -110,46 +110,6 @@ class Event:
             f"Event(time={self.time!r}, priority={self.priority!r}, "
             f"sequence={self.sequence!r}, kind={self.kind!r}, "
             f"cancelled={self.cancelled!r})"
-        )
-
-
-class MessageDelivery:
-    """Payload of a message-delivery event on the observed (traced) path.
-
-    The zero-overhead network fast path skips this object entirely and ships
-    a bare ``(sender, receiver, message)`` tuple; this richer payload is built
-    only when a metrics collector or trace recorder is attached.
-
-    Attributes:
-        sender: identifier of the node that sent the message.
-        receiver: identifier of the node the message is delivered to.
-        message: the protocol message object (opaque to the substrate).
-        send_time: virtual time at which the message was sent.
-        channel_sequence: position of the message in the (sender, receiver)
-            FIFO channel; used to assert FIFO delivery in tests.
-    """
-
-    __slots__ = ("sender", "receiver", "message", "send_time", "channel_sequence")
-
-    def __init__(
-        self,
-        sender: int,
-        receiver: int,
-        message: Any,
-        send_time: float,
-        channel_sequence: int,
-    ) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        self.message = message
-        self.send_time = send_time
-        self.channel_sequence = channel_sequence
-
-    def __repr__(self) -> str:
-        return (
-            f"MessageDelivery(sender={self.sender}, receiver={self.receiver}, "
-            f"message={self.message!r}, send_time={self.send_time}, "
-            f"channel_sequence={self.channel_sequence})"
         )
 
 

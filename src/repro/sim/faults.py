@@ -42,7 +42,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import ExperimentError
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import Event, MessageDelivery
 from repro.sim.latency import LatencyModel
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
@@ -365,39 +364,40 @@ class FaultInjectingNetwork(Network):
             self._privilege_in_flight += 1
         super().send(sender, receiver, message)
 
-    def _deliver(self, event: Event) -> None:
-        payload: MessageDelivery = event.payload
-        kind = self._kind_of(type(payload.message))
-        if event.sequence <= self._fence_sequence:
-            self.fault_log.fenced_messages.append(
-                (
-                    self._engine.now,
-                    payload.sender,
-                    payload.receiver,
-                    _message_label(payload.message),
-                )
+    def _deliver(self, payload: Tuple[int, int, Any, int]) -> None:
+        sender, receiver, message, sequence = payload
+        if sequence <= self._fence_sequence:
+            self._lose_in_flight(
+                self.fault_log.fenced_messages, "fenced", sender, receiver, message
             )
-            if kind == "privilege":
-                self._privilege_in_flight -= 1
-            self._notify("fenced", kind)
-            return
-        if payload.receiver in self._crashed:
+        elif receiver in self._crashed:
             # In flight when the receiver crashed: lost, restart or not.
-            self.fault_log.suppressed_deliveries.append(
-                (
-                    self._engine.now,
-                    payload.sender,
-                    payload.receiver,
-                    _message_label(payload.message),
-                )
+            self._lose_in_flight(
+                self.fault_log.suppressed_deliveries,
+                "suppressed-delivery",
+                sender,
+                receiver,
+                message,
             )
-            if kind == "privilege":
+        else:
+            if self._kind_of(type(message)) == "privilege":
                 self._privilege_in_flight -= 1
-            self._notify("suppressed-delivery", kind)
-            return
+            super()._deliver(payload)
+
+    def _lose_in_flight(
+        self, log: list, category: str, sender: int, receiver: int, message: Any
+    ) -> None:
+        """Discard a message at delivery time: log it, count it dropped.
+
+        Counting it keeps ``sent == delivered + dropped + in_flight`` true,
+        so ``messages_in_flight`` returns to zero once the engine is empty.
+        """
+        log.append((self._engine.now, sender, receiver, _message_label(message)))
+        self._dropped += 1
+        kind = self._kind_of(type(message))
         if kind == "privilege":
             self._privilege_in_flight -= 1
-        super()._deliver(event)
+        self._notify(category, kind)
 
 
 class FaultController:

@@ -7,23 +7,19 @@ do not overtake each other in transit.  FIFO order is enforced per directed
 latency draw would deliver a message before an earlier one on the same
 channel, its delivery is pushed back to just after the earlier delivery.
 
-Two delivery paths exist:
-
-* **fast path** — taken when no metrics collector and no trace recorder are
-  attached (and the class is not subclassed): the send schedules a bare
-  ``(sender, receiver, message)`` tuple, skipping the
-  :class:`~repro.sim.events.MessageDelivery` allocation, the message
-  description, and every observer branch.  With a
-  :class:`~repro.sim.latency.ConstantLatency` model the per-channel FIFO
-  clamp is skipped too: a constant delay added to a non-decreasing clock can
-  never reorder a channel, so no per-channel state is touched at all.
-* **observed path** — taken when a collector/recorder is attached or the
-  network is subclassed (fault injectors override ``_deliver``): identical to
-  the historical behaviour, building a full :class:`MessageDelivery` payload.
-
-Both paths allocate engine sequence numbers in the same order (one event per
-send), so a run's ``(time, priority, sequence)`` event order is identical
-whichever path is active.
+There is one message path.  :meth:`Network.send` validates, counts, notifies
+the metrics collector and trace recorder if any is attached, checks the
+partition table, computes the delivery time and pushes one lite heap entry
+``(time, 0, sequence, self._deliver, (sender, receiver, message, sequence))``;
+:meth:`Network._deliver` is the only delivery function (a fault injector
+overrides that same function and fences on the payload's engine sequence).
+With a :class:`~repro.sim.latency.ConstantLatency` model the per-channel FIFO
+clamp is skipped: a constant delay added to a non-decreasing clock can never
+reorder a channel, so no per-channel state is touched unless a partition is
+active.  One engine sequence number is drawn per send whatever is attached,
+so a run's ``(time, priority, sequence)`` event order does not depend on the
+observers.  ``benchmarks/README.md`` ("Why there is one message path") holds
+the A/B that retired the fast/observed fork and the batch sink.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import NetworkError
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import Event, EventKind, MessageDelivery
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.metrics import MetricsCollector
 from repro.sim.trace import TraceRecorder
@@ -43,17 +38,15 @@ MessageHandler = Callable[[int, Any], None]
 _FIFO_EPSILON = 1e-9
 
 class _ChannelState:
-    """Per-directed-channel bookkeeping, collapsed into one record.
+    """Per-directed-channel bookkeeping: the FIFO clamp and the partition flag.
 
-    Replaces the three historical dicts (sequence, last delivery time,
-    partitioned set) so a send touches at most one hash lookup for all of
-    its channel state.
+    One record per channel so a send touches at most one hash lookup for
+    all of its channel state.
     """
 
-    __slots__ = ("sequence", "last_delivery_time", "partitioned")
+    __slots__ = ("last_delivery_time", "partitioned")
 
     def __init__(self) -> None:
-        self.sequence = 0
         self.last_delivery_time = -1.0
         self.partitioned = False
 
@@ -88,9 +81,9 @@ class Network:
         self._allow_self_send = allow_self_send
         self._handlers: Dict[int, MessageHandler] = {}
         # Optional per-node type-keyed dispatch tables (message type ->
-        # bound handler), consulted by the unobserved fast path so a
-        # delivery skips the node's ``on_message`` frame entirely.
-        self._fast_tables: Dict[int, Dict[type, MessageHandler]] = {}
+        # bound handler), consulted first so a delivery skips the node's
+        # ``on_message`` frame entirely.
+        self._dispatch_tables: Dict[int, Dict[type, MessageHandler]] = {}
         # Columnar (array-backed) node state attached via attach_columnar:
         # its nodes have no per-node handlers — endpoint validation falls
         # back to the id range and deliveries route to the state object.
@@ -107,13 +100,8 @@ class Network:
         self._constant_delay: Optional[float] = (
             self._latency.value if type(self._latency) is ConstantLatency else None
         )
-        # Subclasses (fault injectors) intercept ``_deliver``; the fast path
-        # would route around them, so it is enabled only for Network itself.
-        self._fast_path = metrics is None and trace is None and type(self) is Network
-        # Hottest configuration, resolved once: fast path + constant latency.
-        self._fast_delay: Optional[float] = (
-            self._constant_delay if self._fast_path else None
-        )
+        # One test on the send path covers both observers.
+        self._observed = metrics is not None or trace is not None
 
     @property
     def engine(self) -> SimulationEngine:
@@ -146,7 +134,8 @@ class Network:
 
     @property
     def messages_dropped(self) -> int:
-        """Messages silently dropped by partitioned channels."""
+        """Messages counted as sent and then discarded: partitioned channels
+        here; a fault injector adds the ones it fences or loses in flight."""
         return self._dropped
 
     @property
@@ -158,48 +147,48 @@ class Network:
         """Register ``handler`` to receive messages addressed to ``node_id``."""
         if node_id in self._handlers:
             raise NetworkError(f"node {node_id} is already registered")
+        nodes = self._columnar_nodes
+        if nodes is not None and node_id in nodes:
+            raise NetworkError(
+                f"node {node_id} is covered by attached columnar state; "
+                "a columnar id cannot also be registered"
+            )
         self._handlers[node_id] = handler
         self._node_ids.append(node_id)
 
     def register_dispatch_table(
         self, node_id: int, table: Dict[type, MessageHandler]
     ) -> None:
-        """Install a type-keyed handler table for fast-path deliveries.
+        """Install a type-keyed handler table for deliveries to ``node_id``.
 
         Nodes whose ``on_message`` is a pure type dispatch (every mutex node
-        in the library) expose the dispatch dict here; the unobserved fast
-        path then calls the final handler directly — one dict lookup instead
-        of a dict lookup *plus* an ``on_message`` frame per delivery.  A
-        message type missing from the table (or a node that never installs
-        one) falls back to the registered handler, so error semantics are
-        unchanged — including delivery to an unregistered node, because
-        :meth:`unregister` drops the table too.
+        in the library) expose the dispatch dict here; delivery then calls
+        the final handler directly — one dict lookup instead of a dict
+        lookup *plus* an ``on_message`` frame per message.  A message type
+        missing from the table (or a node that never installs one) falls
+        back to the registered handler, so error semantics are unchanged —
+        including delivery to an unregistered node, because
+        :meth:`unregister` drops the table too.  A columnar id is never
+        registered, so it is rejected here as well.
         """
         if node_id not in self._handlers:
             raise NetworkError(f"node {node_id} is not registered")
-        self._fast_tables[node_id] = table
+        self._dispatch_tables[node_id] = table
 
     def attach_columnar(self, state) -> None:
         """Route delivery for a whole contiguous id range to columnar state.
 
         ``state`` is a :class:`~repro.core.compact_state.CompactDagState`
-        (or anything with the same ``node_range`` / ``deliver_one`` /
-        ``deliver_batch`` / ``on_message`` surface).  Instead of registering
-        one handler per node — a dict that would cost ~1 GB at ten million
-        nodes and defeat the columnar memory budget — the ids are validated
-        against ``state.node_range`` and deliveries dispatch to the state
-        object:
-
-        * the unobserved fast path's ``_deliver_fast`` is shadowed with the
-          state's ``deliver_one`` bound method, and the same object is
-          installed as the engine's batch sink so the drain loops can hand
-          whole same-tick delivery runs to ``deliver_batch`` in one call;
-        * the observed path (:meth:`_deliver`, inherited by fault-injecting
-          subclasses) falls back to ``state.on_message`` for ids the handler
-          table does not know.
+        (or anything with the same ``node_range`` / ``on_message`` surface).
+        Instead of registering one handler per node — a dict that would cost
+        ~1 GB at ten million nodes and defeat the columnar memory budget —
+        the ids are validated against ``state.node_range`` and
+        :meth:`_deliver` calls ``state.on_message(receiver, sender,
+        message)`` for ids the handler table does not know.
 
         Per-node ``register`` remains available alongside (the runtimes mix
-        both), but a columnar id must not also be registered.
+        both), but a columnar id must not also be registered — in either
+        order.
         """
         node_range = state.node_range
         for node_id in self._handlers:
@@ -210,19 +199,13 @@ class Network:
                 )
         self._columnar = state
         self._columnar_nodes = node_range
-        # One stable bound method: the instance attribute shadows the class
-        # method for fast-path sends, and its identity is what the drain
-        # loops' batch collection compares against.
-        sink = state.deliver_one
-        self._deliver_fast = sink
-        self._engine.set_batch_sink(sink, state.deliver_batch)
 
     def unregister(self, node_id: int) -> None:
         """Remove a node; in-flight messages to it will raise on delivery."""
         if node_id not in self._handlers:
             raise NetworkError(f"node {node_id} is not registered")
         del self._handlers[node_id]
-        self._fast_tables.pop(node_id, None)
+        self._dispatch_tables.pop(node_id, None)
         self._node_ids.remove(node_id)
 
     def send(self, sender: int, receiver: int, message: Any) -> None:
@@ -252,95 +235,51 @@ class Network:
 
         self._messages_sent += 1
         engine = self._engine
+        now = engine._now
 
-        delay = self._fast_delay
-        if delay is not None:
-            # Hottest configuration: unobserved + constant latency.  No
-            # channel state is touched at all unless a partition is active.
-            # The lite entry is built inline — sequence bump plus one push —
-            # because even the schedule_lite frame is measurable at this
-            # call rate.
-            if self._partition_count:
-                state = self._channels.get((sender, receiver))
-                if state is not None and state.partitioned:
-                    self._dropped += 1
-                    return
-            sequence = engine._sequence + 1
-            engine._sequence = sequence
-            engine._push(
-                (
-                    engine._now + delay,
-                    0,
-                    sequence,
-                    self._deliver_fast,
-                    (sender, receiver, message),
+        if self._observed:
+            if self._metrics is not None:
+                self._metrics.message_sent(sender, receiver, message, now)
+            if self._trace is not None:
+                self._trace.record(
+                    now,
+                    "send",
+                    sender,
+                    to=receiver,
+                    message=_describe_message(message),
                 )
-            )
-            return
 
-        if self._fast_path:
-            # Unobserved but random latency: the per-channel clamp is still
-            # required, but the rich payload is not.
-            if self._partition_count:
-                state = self._channels.get((sender, receiver))
-                if state is not None and state.partitioned:
-                    self._dropped += 1
-                    return
-            state = self._channel_state(sender, receiver)
-            delivery_time = engine._now + self._latency.delay(sender, receiver)
-            if delivery_time <= state.last_delivery_time:
-                delivery_time = state.last_delivery_time + _FIFO_EPSILON
-            state.last_delivery_time = delivery_time
-            sequence = engine._sequence + 1
-            engine._sequence = sequence
-            engine._push(
-                (
-                    delivery_time,
-                    0,
-                    sequence,
-                    self._deliver_fast,
-                    (sender, receiver, message),
-                )
-            )
-            return
-
-        # Observed path: metrics/trace attached, or a subclass intercepts
-        # delivery.  Mirrors the historical behaviour exactly.
-        now = engine.now
-        state = self._channel_state(sender, receiver)
-        sequence = state.sequence + 1
-        state.sequence = sequence
-
-        if self._metrics is not None:
-            self._metrics.message_sent(sender, receiver, message, now)
-        if self._trace is not None:
-            self._trace.record(
-                now,
-                "send",
-                sender,
-                to=receiver,
-                message=_describe_message(message),
-            )
-
-        if state.partitioned:
-            self._dropped += 1
-            return
+        if self._partition_count:
+            state = self._channels.get((sender, receiver))
+            if state is not None and state.partitioned:
+                self._dropped += 1
+                return
 
         delay = self._constant_delay
         if delay is not None:
+            # No channel state is touched at all unless a partition is active.
             delivery_time = now + delay
         else:
+            state = self._channel_state(sender, receiver)
             delivery_time = now + self._latency.delay(sender, receiver)
             if delivery_time <= state.last_delivery_time:
                 delivery_time = state.last_delivery_time + _FIFO_EPSILON
             state.last_delivery_time = delivery_time
 
-        payload = MessageDelivery(sender, receiver, message, now, sequence)
-        engine.schedule(
-            delivery_time,
-            self._deliver,
-            kind=EventKind.MESSAGE_DELIVERY,
-            payload=payload,
+        # The lite entry is built inline — sequence bump plus one push —
+        # because even the schedule_lite frame is measurable at this call
+        # rate.  The payload carries the sequence so a fault injector can
+        # fence on it at delivery.
+        sequence = engine._sequence + 1
+        engine._sequence = sequence
+        engine._push(
+            (
+                delivery_time,
+                0,
+                sequence,
+                self._deliver,
+                (sender, receiver, message, sequence),
+            )
         )
 
     def partition(self, sender: int, receiver: int) -> None:
@@ -370,57 +309,34 @@ class Network:
             self._channels[channel] = state
         return state
 
-    def _deliver_fast(self, payload: Tuple[int, int, Any]) -> None:
-        """Fast-path delivery: lite event, bare tuple payload, no trace branch."""
-        sender, receiver, message = payload
-        table = self._fast_tables.get(receiver)
-        if table is not None:
-            handler = table.get(type(message))
-            if handler is not None:
-                self._messages_delivered += 1
-                handler(sender, message)
-                return
-        handler = self._handlers.get(receiver)
-        if handler is None:
-            raise NetworkError(
-                f"message from {sender} addressed to unregistered node {receiver}"
-            )
-        self._messages_delivered += 1
-        handler(sender, message)
-
-    def _deliver(self, event: Event) -> None:
-        payload: MessageDelivery = event.payload
-        handler = self._handlers.get(payload.receiver)
-        if handler is None:
-            # Columnar fallback: the observed path (metrics/trace/fault
-            # subclasses, which reach here via super()._deliver) dispatches
-            # to the attached state instead of a per-node handler.
-            columnar = self._columnar
-            if columnar is not None and payload.receiver in self._columnar_nodes:
-                self._messages_delivered += 1
-                if self._trace is not None:
-                    self._trace.record(
-                        self._engine.now,
-                        "receive",
-                        payload.receiver,
-                        sender=payload.sender,
-                        message=_describe_message(payload.message),
+    def _deliver(self, payload: Tuple[int, int, Any, int]) -> None:
+        """Deliver one ``(sender, receiver, message, sequence)`` heap payload."""
+        sender, receiver, message, _sequence = payload
+        nodes = self._columnar_nodes
+        if nodes is not None and receiver in nodes:
+            handler = None  # columnar id: the attached state takes it below
+        else:
+            table = self._dispatch_tables.get(receiver)
+            handler = table.get(type(message)) if table is not None else None
+            if handler is None:
+                handler = self._handlers.get(receiver)
+                if handler is None:
+                    raise NetworkError(
+                        f"message from {sender} addressed to unregistered node {receiver}"
                     )
-                columnar.on_message(payload.receiver, payload.sender, payload.message)
-                return
-            raise NetworkError(
-                f"message from {payload.sender} addressed to unregistered node {payload.receiver}"
-            )
         self._messages_delivered += 1
         if self._trace is not None:
             self._trace.record(
-                self._engine.now,
+                self._engine._now,
                 "receive",
-                payload.receiver,
-                sender=payload.sender,
-                message=_describe_message(payload.message),
+                receiver,
+                sender=sender,
+                message=_describe_message(message),
             )
-        handler(payload.sender, payload.message)
+        if handler is not None:
+            handler(sender, message)
+        else:
+            self._columnar.on_message(receiver, sender, message)
 
 
 def _describe_message(message: Any) -> str:

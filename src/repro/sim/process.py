@@ -12,7 +12,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Optional
 
-from repro.exceptions import SchedulingError
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import Event, EventKind, TimerFired
 from repro.sim.network import Network
@@ -64,17 +63,13 @@ class SimProcess:
 
         Returns the event so the caller can cancel the timer.
         """
-        if delay < 0:
-            raise SchedulingError(f"delay must be non-negative, got {delay}")
-        payload = TimerFired(owner=self.node_id, name=name, context=context)
-        engine = self.engine
-        # Timers need a cancellable Event, so the lean ``schedule_fast``
-        # (rather than ``schedule_lite``) is the right hot-path entry point.
-        return engine.schedule_fast(
-            engine.now + delay,
+        # Timers need a cancellable Event, so ``schedule`` rather than
+        # ``schedule_lite``; ``schedule_after`` rejects a negative delay.
+        return self.engine.schedule_after(
+            delay,
             self._timer_fired,
-            payload,
-            EventKind.TIMER_FIRED,
+            kind=EventKind.TIMER_FIRED,
+            payload=TimerFired(owner=self.node_id, name=name, context=context),
         )
 
     # ------------------------------------------------------------------ #

@@ -6,9 +6,9 @@ binary heap of plain tuples.  O(log n) push/pop, arbitrary timestamps, every
 comparison in C.
 
 The scheduler owns its *drain loop*: the tight pop-and-dispatch loop that
-:meth:`SimulationEngine.run` delegates to.  Keeping the loop next to the
-storage lets it hand a same-tick burst of deliveries to the columnar
-backend's batch sink in one call, without any per-event virtual dispatch.
+:meth:`SimulationEngine.run` delegates to, kept next to the storage so it
+runs without any per-event virtual dispatch.  Every entry is dispatched on
+its own; a same-tick run of equal-time entries is just that loop back to back.
 
 Cancelled events are tombstones, skipped (without advancing the clock) when
 reached.  The store tracks a cancelled counter so the engine can trigger
@@ -131,57 +131,19 @@ class HeapScheduler:
         engine = self._engine
         heap = self._entries
         pop = heappop
-        # Batch sink (columnar node backend): consecutive same-time lite
-        # entries whose callback is `sink` are collected and applied in one
-        # call.  None on ordinary runs, where the `is sink` test below is a
-        # single always-false pointer comparison per lite event.
-        sink = engine._batch_sink
-        batch_apply = engine._batch_apply
         processed = 0
         try:
             if until is None:
                 # Common case: no time horizon, so the head entry never has
-                # to be peeked before committing to it.  A run of equal-time
-                # events is dispatched by this same loop back to back — the
-                # heap's root swap for equal keys is its cheapest case — so
-                # batching would only add a peek per event here.
+                # to be peeked before committing to it.
                 while heap:
                     if engine._stopped or processed == budget:
                         break
                     entry = pop(heap)
                     if len(entry) == 5:
                         # Lite entry: (time, priority, seq, callback, payload).
-                        time = entry[0]
-                        engine._now = time
-                        callback = entry[3]
-                        if callback is sink and heap:
-                            head = heap[0]
-                            if (
-                                len(head) == 5
-                                and head[3] is sink
-                                and head[0] == time
-                                and processed + 1 != budget
-                            ):
-                                # At least two deliveries share this tick:
-                                # collect the whole consecutive run (bounded
-                                # by the budget) and apply it in one call.
-                                payloads = [entry[4], pop(heap)[4]]
-                                count = 2
-                                while heap:
-                                    head = heap[0]
-                                    if (
-                                        len(head) != 5
-                                        or head[3] is not sink
-                                        or head[0] != time
-                                        or processed + count == budget
-                                    ):
-                                        break
-                                    payloads.append(pop(heap)[4])
-                                    count += 1
-                                batch_apply(payloads)
-                                processed += count
-                                continue
-                        callback(entry[4])
+                        engine._now = entry[0]
+                        entry[3](entry[4])
                         processed += 1
                         continue
                     event = entry[3]
@@ -204,37 +166,8 @@ class HeapScheduler:
                         break
                     pop(heap)
                     if len(entry) == 5:
-                        time = entry[0]
-                        engine._now = time
-                        callback = entry[3]
-                        if callback is sink and heap:
-                            head = heap[0]
-                            if (
-                                len(head) == 5
-                                and head[3] is sink
-                                and head[0] == time
-                                and processed + 1 != budget
-                            ):
-                                # Same-tick run: every collected entry shares
-                                # `time`, which already passed the horizon
-                                # check above.
-                                payloads = [entry[4], pop(heap)[4]]
-                                count = 2
-                                while heap:
-                                    head = heap[0]
-                                    if (
-                                        len(head) != 5
-                                        or head[3] is not sink
-                                        or head[0] != time
-                                        or processed + count == budget
-                                    ):
-                                        break
-                                    payloads.append(pop(heap)[4])
-                                    count += 1
-                                batch_apply(payloads)
-                                processed += count
-                                continue
-                        callback(entry[4])
+                        engine._now = entry[0]
+                        entry[3](entry[4])
                         processed += 1
                         continue
                     event = entry[3]

@@ -649,10 +649,9 @@ class ExperimentSpec:
         system_class = registry.get(self.algorithm)
         kwargs: Dict[str, Any] = {}
         if self.faults is not None:
-            # A fault-carrying spec runs on the injecting network (always the
-            # observed delivery path; fault runs trade the fast path for
-            # interception).  The controller arming the schedule is built by
-            # ExperimentDriver.from_spec.
+            # A fault-carrying spec runs on the injecting network (it
+            # overrides the network's one ``_deliver``).  The controller
+            # arming the schedule is built by ExperimentDriver.from_spec.
             from repro.sim.faults import FaultInjectingNetwork
 
             kwargs["network_factory"] = FaultInjectingNetwork

@@ -1,42 +1,9 @@
-"""Tests for the engine's O(1) pending counter and lean scheduling entry
-points (``schedule_fast`` / ``schedule_lite``)."""
+"""Tests for the engine's O(1) pending counter and the event-object-free
+``schedule_lite`` entry point."""
 
 from __future__ import annotations
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import EventKind
-
-
-def test_schedule_fast_orders_with_regular_events():
-    engine = SimulationEngine()
-    fired = []
-    engine.schedule(2.0, lambda e: fired.append("regular"))
-    engine.schedule_fast(1.0, lambda e: fired.append("fast"))
-    engine.schedule_fast(2.0, lambda e: fired.append("fast-tie"))
-    engine.run()
-    # Tie at t=2.0 resolves by scheduling order (sequence number).
-    assert fired == ["fast", "regular", "fast-tie"]
-
-
-def test_schedule_fast_event_is_cancellable():
-    engine = SimulationEngine()
-    fired = []
-    event = engine.schedule_fast(1.0, lambda e: fired.append("x"))
-    assert engine.pending_events == 1
-    event.cancel()
-    assert engine.pending_events == 0
-    engine.run()
-    assert fired == []
-
-
-def test_schedule_fast_payload_and_kind():
-    engine = SimulationEngine()
-    seen = []
-    engine.schedule_fast(
-        1.0, lambda e: seen.append((e.kind, e.payload)), {"n": 1}, EventKind.TIMER_FIRED
-    )
-    engine.run()
-    assert seen == [(EventKind.TIMER_FIRED, {"n": 1})]
 
 
 def test_schedule_lite_callback_receives_payload():
@@ -54,9 +21,9 @@ def test_schedule_lite_interleaves_deterministically():
     fired = []
     engine.schedule(1.0, lambda e: fired.append("event"))
     engine.schedule_lite(1.0, lambda p: fired.append(p), "lite")
-    engine.schedule_fast(1.0, lambda e: fired.append("fast"))
+    engine.schedule(1.0, lambda e: fired.append("event-2"))
     engine.run()
-    assert fired == ["event", "lite", "fast"]
+    assert fired == ["event", "lite", "event-2"]
 
 
 def test_schedule_lite_counts_in_pending_and_until():

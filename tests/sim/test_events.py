@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.sim.events import Event, EventKind, MessageDelivery, TimerFired
+from repro.sim.events import Event, EventKind, TimerFired
 
 
 def make_event(time=1.0, priority=0, sequence=1):
@@ -48,13 +48,6 @@ def test_cancel_marks_event():
     assert event.cancelled
 
 
-def test_message_delivery_payload_fields():
-    payload = MessageDelivery(sender=1, receiver=2, message="m", send_time=0.5, channel_sequence=3)
-    assert payload.sender == 1
-    assert payload.receiver == 2
-    assert payload.channel_sequence == 3
-
-
 def test_timer_fired_payload_defaults():
     timer = TimerFired(owner=4, name="retry")
     assert timer.context is None
@@ -62,7 +55,6 @@ def test_timer_fired_payload_defaults():
 
 
 def test_event_kind_values_are_stable():
-    assert EventKind.MESSAGE_DELIVERY.value == "message_delivery"
     assert EventKind.TIMER_FIRED.value == "timer_fired"
     assert EventKind.CALLBACK.value == "callback"
     assert EventKind.WORKLOAD_ARRIVAL.value == "workload_arrival"

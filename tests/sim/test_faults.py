@@ -101,3 +101,18 @@ def test_fault_log_counts_every_category(network):
     net.send(2, 3, "suppressed-delivery")
     engine.run()
     assert net.fault_log.total_faults == 3
+
+
+@pytest.mark.parametrize("lose", ["crash-in-flight", "fence"])
+def test_message_lost_at_delivery_leaves_nothing_in_flight(network, lose):
+    engine, net, handlers = network
+    net.send(1, 2, "doomed")
+    if lose == "fence":
+        net.fence()
+    else:
+        net.crash(2)
+    engine.run()
+    assert handlers[2].received == []
+    assert engine.pending_events == 0
+    assert (net.messages_sent, net.messages_delivered, net.messages_dropped) == (1, 0, 1)
+    assert net.messages_in_flight == 0

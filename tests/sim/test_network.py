@@ -80,6 +80,29 @@ def test_duplicate_registration_rejected():
         network.register(1, lambda s, m: None)
 
 
+def test_columnar_id_cannot_also_be_registered_in_either_order():
+    class Columns:
+        node_range = range(1, 4)
+
+        def on_message(self, receiver, sender, message):
+            pass
+
+    # register first, then attach: the columns may not cover a registered id.
+    engine, network, handlers = build_network()
+    with pytest.raises(NetworkError):
+        network.attach_columnar(Columns())
+    # attach first, then register: a handler (or dispatch table) may not
+    # shadow the columns.  Ids outside the range stay registrable.
+    network = Network(SimulationEngine())
+    network.attach_columnar(Columns())
+    with pytest.raises(NetworkError, match="columnar"):
+        network.register(2, lambda s, m: None)
+    with pytest.raises(NetworkError):
+        network.register_dispatch_table(2, {})
+    network.register(4, lambda s, m: None)
+    assert network.node_ids == [4]
+
+
 def test_unregister_then_send_to_it_fails():
     engine, network, handlers = build_network()
     network.unregister(3)

@@ -1,17 +1,24 @@
 """Tests for the network's FIFO epsilon clamp, partition/heal bookkeeping,
-and the equivalence of the unobserved fast path with the observed path."""
+and the one message path behaving identically whatever is attached to it."""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.baselines.dag_adapter import DagSystem
 from repro.exceptions import NetworkError
 from repro.sim.engine import SimulationEngine
+from repro.sim.faults import FaultInjectingNetwork
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.rng import SeededRNG
 from repro.sim.trace import TraceRecorder
+from repro.topology import star
+from repro.workload.driver import ExperimentDriver
+from repro.workload.generator import WorkloadGenerator
 
 
 class Recorder:
@@ -157,7 +164,7 @@ def test_partition_with_random_latency_fast_path():
 
 
 # --------------------------------------------------------------------------- #
-# fast path / observed path equivalence
+# observers attached or not: same deliveries
 # --------------------------------------------------------------------------- #
 def _drive(metrics=None, trace=None):
     engine, network, handlers = build(metrics=metrics, trace=trace)
@@ -175,18 +182,77 @@ def test_fast_and_observed_paths_deliver_identically():
     assert fast == observed
 
 
-def test_fast_path_disabled_when_observed():
-    engine = SimulationEngine()
-    assert Network(engine)._fast_path is True
-    assert Network(SimulationEngine(), metrics=MetricsCollector())._fast_path is False
-    assert Network(SimulationEngine(), trace=TraceRecorder())._fast_path is False
+# --------------------------------------------------------------------------- #
+# one message path: whatever is attached, the same entries in the same order
+# --------------------------------------------------------------------------- #
+_LATENCIES = {
+    "constant": lambda: ConstantLatency(1.0),
+    "uniform": lambda: UniformLatency(0.1, 2.0, rng=SeededRNG(7, label="one-path")),
+}
+# name -> (collect_metrics, record_trace, network_factory)
+_ATTACHMENTS = {
+    "bare": (False, False, None),
+    "metrics": (True, False, None),
+    "trace": (False, True, None),
+    "metrics+trace": (True, True, None),
+    "fault-network-unarmed": (False, False, FaultInjectingNetwork),
+}
 
 
-def test_fast_path_disabled_for_subclasses():
-    class Intercepting(Network):
-        pass
+def _replay_star50(latency, attachment, node_backend):
+    collect_metrics, record_trace, network_factory = _ATTACHMENTS[attachment]
+    topology = star(50)
+    workload = WorkloadGenerator(topology.nodes, seed=42).poisson(
+        total_requests=200, mean_interarrival=2.0
+    )
+    system = DagSystem(
+        topology,
+        latency=_LATENCIES[latency](),
+        collect_metrics=collect_metrics,
+        record_trace=record_trace,
+        network_factory=network_factory,
+        node_backend=node_backend,
+    )
+    engine, network = system.engine, system.network
+    pushed = []
+    push = engine._push
 
-    assert Intercepting(SimulationEngine())._fast_path is False
+    def recording_push(entry):
+        pushed.append(entry)
+        push(entry)
+
+    engine._push = recording_push
+    driver = ExperimentDriver(system, workload)
+    result = driver.run()
+    assert engine.pending_events == 0
+    # Everything pushed during the run was popped: message deliveries and the
+    # driver's releases, all lite 5-tuples, and every delivery goes through
+    # the network's one _deliver with the engine sequence in its payload.
+    deliveries = [entry for entry in pushed if entry[3] != driver._release]
+    assert all(len(entry) == 5 for entry in pushed)
+    assert len(deliveries) == network.messages_sent == network.messages_delivered
+    for _time, _priority, sequence, callback, payload in deliveries:
+        assert callback == network._deliver
+        assert len(payload) == 4 and payload[3] == sequence
+    return {
+        "entry_order": result.entry_order,
+        "finished_at": result.finished_at,
+        "messages_sent": network.messages_sent,
+        "processed_events": engine.processed_events,
+        "final_sequence": engine._sequence,
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _bare_object_replay(latency):
+    return _replay_star50(latency, "bare", "object")
+
+
+@pytest.mark.parametrize("node_backend", ["object", "compact"])
+@pytest.mark.parametrize("attachment", list(_ATTACHMENTS))
+@pytest.mark.parametrize("latency", list(_LATENCIES))
+def test_one_message_path_whatever_is_attached(latency, attachment, node_backend):
+    assert _replay_star50(latency, attachment, node_backend) == _bare_object_replay(latency)
 
 
 def test_fast_path_delivery_to_unregistered_node_raises():

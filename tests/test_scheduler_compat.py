@@ -17,6 +17,7 @@ import pytest
 
 from repro.exceptions import ExperimentError, SchedulingError
 from repro.sim.engine import SimulationEngine
+from repro.sim.network import Network
 from repro.sim.schedulers import HeapScheduler, make_scheduler
 from repro.spec import ExperimentSpec, TopologySpec, WorkloadSpec
 from repro.workload.driver import ExperimentDriver
@@ -53,6 +54,30 @@ def test_perf_harness_call_shapes_run_on_the_heap():
     null.schedule_lite(1.0, fired.append, "early")
     null.run()
     assert fired == ["early", "late"]
+
+    # simbench's null network: bare ``register`` handlers that forward to the
+    # next id (no dispatch table), a ``schedule_lite`` kick-off, and the
+    # count read back from ``messages_sent``.
+    engine = SimulationEngine(scheduler=make_scheduler("heap"))
+    network = Network(engine)
+    send = network.send
+    budget = 10
+
+    def forwarder(node):
+        def on_message(_sender, message):
+            nonlocal budget
+            if budget > 0:
+                budget -= 1
+                send(node, node % 3 + 1, message)
+
+        return on_message
+
+    for node in (1, 2, 3):
+        network.register(node, forwarder(node))
+    engine.schedule_lite(0.0, lambda node: send(node, node % 3 + 1, None), 1)
+    engine.run()
+    assert network.messages_sent == 11
+    assert engine.processed_events == 12
 
     with pytest.raises(SchedulingError, match="bucket-ring scheduler was removed"):
         ExperimentDriver(spec.build_system(topology), workload, scheduler="ring")
