@@ -20,10 +20,12 @@ Inside a shard, each key's tree is a :class:`~repro.runtime.cluster
 over an in-process transport.  A client acquire claims a free agent (one
 outstanding protocol request per agent, the paper's P1 precondition),
 preferring the one idling on the token: an uncontended key is re-entered
-with zero messages and answered from the connection's read loop, while
-concurrent sessions on the same key claim different agents and are
-serialised by real REQUEST/PRIVILEGE traffic.  Every answer queued during
-one event-loop pass leaves in one socket write.
+with zero messages and answered inside the ``data_received`` call that cut
+its frame from the socket, while concurrent sessions on the same key claim
+different agents and are serialised by real REQUEST/PRIVILEGE traffic.  Both
+ends of a connection are a :class:`~repro.runtime.transport_socket
+.FrameProtocol` on the socket's transport — no stream reader, no reader task
+— and every answer queued during one event-loop pass leaves in one write.
 
 The shard pool reuses the sweep runner's process pattern — one
 ``multiprocessing.Process`` per shard with a private control pipe, the parent
@@ -66,7 +68,6 @@ from repro.exceptions import (
     InvariantViolation,
     LockError,
     LockFencedError,
-    RuntimeTransportError,
     ShardUnavailableError,
 )
 from repro.runtime.failover import (
@@ -83,11 +84,11 @@ from repro.runtime.cluster import LocalCluster
 from repro.runtime.transport_socket import (
     FRAME_HEADER,
     Address,
-    FrameWriter,
+    FrameProtocol,
     backoff_delays,
     encode_frame,
-    open_address_connection,
-    read_frame,
+    open_frame_connection,
+    start_frame_server,
 )
 from repro.sim.rng import SeededRNG
 from repro.spec import RuntimeSpec
@@ -247,7 +248,7 @@ class _Hold:
     conn_state: Dict[str, bool]
 
 
-#: How an op's answer leaves: the connection's :meth:`FrameWriter.send`.
+#: How an op's answer leaves: the connection's :meth:`FrameProtocol.send`.
 Reply = Callable[[Dict[str, Any]], None]
 
 
@@ -264,15 +265,17 @@ class LockServiceShard:
     """One worker process's slice of the lock namespace.
 
     Owns the keys the current :class:`ClusterView` assigns to ``index`` and
-    serves the frame protocol for them.  A connection's read loop serves an
-    op on the spot when it needs no wait — every release, stats, view and
-    cancel, every duplicate, and an acquire whose key has a free agent idling
-    on the token — and answers of one event-loop pass leave in one write.
-    An acquire that must wait for an agent or for the token runs as its own
-    task, so one blocked session never stalls a connection's other sessions;
-    a dropped connection releases everything its sessions held (and lets
-    waiting acquires finish, then releases them immediately — a DAG request,
-    once sent, must be served).
+    serves the frame protocol for them.  Each connection is a
+    :class:`FrameProtocol` whose ``on_frame`` serves an op on the spot when
+    it needs no wait — every release, stats, view and cancel, every
+    duplicate, and an acquire whose key has a free agent idling on the token
+    — and answers of one event-loop pass leave in one write.  An acquire that
+    must wait for an agent or for the token runs as its own task, so one
+    blocked session never stalls a connection's other sessions; a dropped
+    connection releases everything its sessions held (and lets waiting
+    acquires finish, then releases them immediately — a DAG request, once
+    sent, must be served).  :meth:`close` hangs up on every connection before
+    it stops the trees, so a closed shard answers nothing.
     """
 
     def __init__(self, spec: RuntimeSpec, index: int) -> None:
@@ -298,7 +301,8 @@ class LockServiceShard:
         # first touched only after a later epoch-N+1 failover, when the
         # immediately previous view already shows this shard as owner.
         self._views: List[ClusterView] = [self._view]
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: set = set()  # the live FrameProtocols this shard accepted
         self._shutdown = asyncio.Event()
         self._control_pipe: Any = None
         self._heartbeat_task: Optional[asyncio.Task] = None
@@ -346,16 +350,7 @@ class LockServiceShard:
     # ------------------------------------------------------------------ #
     async def start(self, address: Address) -> None:
         """Bind the shard's listening socket (port 0 -> ephemeral, recorded)."""
-        if isinstance(address, (tuple, list)):
-            host, port = address
-            self._server = await asyncio.start_server(self._serve_connection, host, port)
-            bound = self._server.sockets[0].getsockname()
-            self.address = (str(host), bound[1])
-        else:
-            self._server = await asyncio.start_unix_server(
-                self._serve_connection, path=address
-            )
-            self.address = str(address)
+        self._server, self.address = await start_frame_server(address, self._accept)
 
     def attach_control(self, pipe: Any) -> None:
         """Wire the duplex control pipe: heartbeats out, view pushes in.
@@ -442,6 +437,10 @@ class LockServiceShard:
             except (asyncio.CancelledError, Exception):
                 pass
             self._heartbeat_task = None
+        # Hang up first: every connection's holds are abandoned while the
+        # trees still run, and nothing is served from here on.
+        for proto in list(self._connections):
+            proto.abort()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -461,48 +460,44 @@ class LockServiceShard:
     # ------------------------------------------------------------------ #
     # the frame protocol
     # ------------------------------------------------------------------ #
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        frames = FrameWriter(writer)
+    def _accept(self) -> FrameProtocol:
+        """One client connection: each frame is served as it is cut.
+
+        Back-pressure is the protocol's: a peer that stops reading its
+        answers stops being read.  ``state`` is what holds and waiting
+        acquires keep of the connection, to see whether it is still there.
+        """
         state = {"open": True}
-        try:
-            while True:
-                try:
-                    if writer.transport.get_write_buffer_size():
-                        # Back-pressure: a peer that stops reading its
-                        # answers stops being read.
-                        await writer.drain()
-                    frame = await read_frame(reader)
-                except (RuntimeTransportError, ConnectionError, OSError):
-                    break  # a reset peer is just a disconnect
-                if frame is None:
-                    break
-                if frame.get("op") == "shutdown":
-                    frames.send({"id": frame.get("id"), "ok": True})
-                    frames.flush()  # the ack must leave before the process does
-                    self._shutdown.set()
-                    break
-                if self._drop_rate > 0.0 and self._drop_rng.random() < self._drop_rate:
-                    # The injected fault: the frame was "lost on the wire".
-                    # The client's deadline fires and its retry (same op id)
-                    # is deduplicated if the original did get through.
-                    self.stats["dropped_frames"] += 1
-                    continue
-                self._handle_op(frame, state, frames.send)
-        finally:
+
+        def on_frame(frame: Dict[str, Any]) -> None:
+            if frame.get("op") == "shutdown":
+                reply({"id": frame.get("id"), "ok": True})
+                proto.flush()  # the ack must leave before the process does
+                self._shutdown.set()
+                proto.close()
+            elif self._drop_rate > 0.0 and self._drop_rng.random() < self._drop_rate:
+                # The injected fault: the frame was "lost on the wire".
+                # The client's deadline fires and its retry (same op id)
+                # is deduplicated if the original did get through.
+                self.stats["dropped_frames"] += 1
+            else:
+                self._handle_op(frame, state, reply)
+
+        def on_close(error: Optional[Exception]) -> None:
+            # A reset peer or a broken frame is just a disconnect.
             state["open"] = False
+            self._connections.discard(proto)
             # Release everything this connection's sessions still hold; a
             # waiting acquire sees state["open"] is False when granted and
             # releases itself (counted under "abandoned").
             for hold in list(self._held.values()):
                 if hold.conn_state is state:
                     self._abandon(hold)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+
+        proto = FrameProtocol(on_frame, on_close)
+        reply = proto.send
+        self._connections.add(proto)
+        return proto
 
     def _abandon(self, hold: _Hold, *, stat: str = "abandoned") -> None:
         """Reclaim a hold whose owner connection died (or gave up on it)."""
@@ -1066,7 +1061,6 @@ class LockClient:
         self._op_timeout = op_timeout
         self._max_retries = max_retries
         self._conns: Dict[Tuple[int, int], _ClientConnection] = {}
-        self._dead_conns: List[_ClientConnection] = []
         self._grants: Dict[Tuple[int, str], int] = {}  # (session, key) -> epoch
         self._client_id = f"{os.getpid():x}-{os.urandom(4).hex()}"
         self._op_counter = 0
@@ -1082,6 +1076,9 @@ class LockClient:
         #: span dict (absolute ``perf_counter`` start/end; the exporter
         #: normalises against the run origin).  ``None`` costs nothing.
         self._trace = trace
+        #: What acquire/release go through: the retry loop, wrapped in a span
+        #: only when there is a trace to put it in.
+        self._call = self._call_loop if trace is None else self._traced_call
 
     def register_metrics(self, registry: Any, *, prefix: str = "client") -> None:
         """Register this client's retry ledger into an obs registry."""
@@ -1109,10 +1106,10 @@ class LockClient:
 
     async def close(self) -> None:
         self._closed = True
-        for conn in list(self._conns.values()) + self._dead_conns:
-            await conn.close()
+        for conn in self._conns.values():
+            conn.close()
         self._conns.clear()
-        self._dead_conns.clear()
+        await asyncio.sleep(0)  # one pass: the transports close their sockets in it
 
     async def __aenter__(self) -> "LockClient":
         await self.connect()
@@ -1144,9 +1141,7 @@ class LockClient:
         conn = await self._connection(shard, 0)
         deadline = self._control_timeout()
         try:
-            response = await asyncio.wait_for(
-                conn.call(self._next_uid(), {"op": "stats"}), timeout=deadline
-            )
+            response = await self._control(conn, {"op": "stats"}, deadline)
         except asyncio.TimeoutError:
             raise ShardUnavailableError(
                 f"stats on shard {shard} exceeded its {deadline}s deadline"
@@ -1156,17 +1151,20 @@ class LockClient:
     def _control_timeout(self) -> float:
         return self._op_timeout if self._op_timeout is not None else CONTROL_OP_TIMEOUT
 
+    def _control(self, conn: "_ClientConnection", frame: Dict[str, Any], timeout: float):
+        """One control-plane call (stats, view, cancel) under its own op id."""
+        uid = self._next_uid()
+        return conn.call(uid, {**frame, "id": uid}, timeout)
+
     def session(self, session_id: int) -> "LockSession":
         return LockSession(self, session_id)
 
     # ------------------------------------------------------------------ #
     # the retry loop
     # ------------------------------------------------------------------ #
-    async def _call(
+    async def _traced_call(
         self, frame: Dict[str, Any], *, key: str, session: int
     ) -> Dict[str, Any]:
-        if self._trace is None:
-            return await self._call_loop(frame, key=key, session=session)
         started = time.perf_counter()
         retries_before = self.retry_stats["retries"] + self.retry_stats["reroutes"]
         outcome = "error"
@@ -1203,6 +1201,7 @@ class LockClient:
         if self._closed:
             raise LockError("client is closed")
         uid = self._next_uid()  # ONE id for every attempt: the dedup handle
+        channel = session % self._channels
         attempts = 0
         delays = backoff_delays()
         last_error: Optional[Exception] = None
@@ -1211,13 +1210,10 @@ class LockClient:
             if not view.shards:
                 raise ShardUnavailableError("no live shards in the cluster view")
             shard = view.owner_for(key)
-            payload = dict(frame)
-            payload["epoch"] = view.epoch
+            payload = {**frame, "epoch": view.epoch, "id": uid}
             try:
-                conn = await self._connection(shard, session % self._channels)
-                response = await asyncio.wait_for(
-                    conn.call(uid, payload), timeout=self._op_timeout
-                )
+                conn = self._conns.get((shard, channel)) or await self._connection(shard, channel)
+                response = await conn.call(uid, payload, self._op_timeout)
             except asyncio.TimeoutError as exc:
                 self.retry_stats["deadline_timeouts"] += 1
                 last_error = ShardUnavailableError(
@@ -1234,7 +1230,7 @@ class LockClient:
                     if isinstance(exc, ShardUnavailableError)
                     else ShardUnavailableError(f"shard {shard} unreachable: {exc}")
                 )
-                await self._drop_connections(shard)
+                self._drop_connections(shard)
                 attempts += 1
                 self.retry_stats["retries"] += 1
                 await self._refresh_view(suspect=shard)
@@ -1305,9 +1301,8 @@ class LockClient:
         try:
             shard = view.owner_for(key)
             conn = await self._connection(shard, session % self._channels)
-            await asyncio.wait_for(
-                conn.call(self._next_uid(), {"op": "cancel", "target": uid}),
-                timeout=self._control_timeout(),
+            await self._control(
+                conn, {"op": "cancel", "target": uid}, self._control_timeout()
             )
             self.retry_stats["cancels"] += 1
         except (LockError, ConnectionError, OSError, asyncio.TimeoutError):
@@ -1317,20 +1312,12 @@ class LockClient:
         if view.epoch <= self._view.epoch:
             return
         self._view = view
-        dead = [key for key in self._conns if key[0] not in view.shards]
-        for key in dead:
-            conn = self._conns.pop(key, None)
-            if conn is not None:
-                conn.close_nowait()
-                self._dead_conns.append(conn)
+        for shard in {key[0] for key in self._conns}.difference(view.shards):
+            self._drop_connections(shard)
 
-    async def _drop_connections(self, shard: int) -> None:
-        # Concurrent retries race to clean up the same shard: pop-with-default
-        # so the losers find nothing rather than KeyError.
+    def _drop_connections(self, shard: int) -> None:
         for key in [key for key in self._conns if key[0] == shard]:
-            conn = self._conns.pop(key, None)
-            if conn is not None:
-                await conn.close()
+            self._conns.pop(key).close()
 
     async def _refresh_view(self, *, suspect: Optional[int] = None) -> None:
         """Ask any live shard for its view; adopt the freshest answer."""
@@ -1339,9 +1326,7 @@ class LockClient:
                 continue
             try:
                 conn = await self._connection(shard, 0)
-                response = await asyncio.wait_for(
-                    conn.call(self._next_uid(), {"op": "view"}), timeout=2.0
-                )
+                response = await self._control(conn, {"op": "view"}, 2.0)
             except (ShardUnavailableError, ConnectionError, OSError, asyncio.TimeoutError):
                 continue
             if response.get("ok") and "view" in response:
@@ -1367,90 +1352,78 @@ def _normalise_address(address: Address) -> Address:
 
 
 class _ClientConnection:
-    """One framed connection: coalesced frames out, a reader task routing in.
+    """One framed connection: coalesced frames out, answers matched to callers in.
 
-    No flow control on the way out: every caller awaits its own answer, so
-    at most one frame per caller is ever queued.
+    A :class:`FrameProtocol` hands every answer to :meth:`_on_frame` as it is
+    cut from the socket, which resolves the future of the caller that sent
+    that op id; when the connection ends, for whatever reason, every caller
+    still waiting fails with :class:`ShardUnavailableError`.  No flow control
+    on the way out: every caller awaits its own answer, so at most one frame
+    per caller is ever queued.
     """
 
     def __init__(self, address: Address) -> None:
         self._address = address
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._frames: Optional[FrameWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
+        self._proto: Optional[FrameProtocol] = None
         self._pending: Dict[str, asyncio.Future] = {}
 
     async def open(self) -> None:
         try:
-            self._reader, self._writer = await open_address_connection(self._address)
+            self._proto = await open_frame_connection(
+                self._address, self._on_frame, self._on_close
+            )
         except (ConnectionError, OSError) as exc:
             raise ShardUnavailableError(
                 f"cannot reach lock shard at {self._address!r}: {exc}"
             ) from None
-        self._frames = FrameWriter(self._writer)
-        self._reader_task = asyncio.create_task(self._route_responses())
 
-    def close_nowait(self) -> None:
-        """Synchronous teardown; keep the reader task so close() can reap it."""
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
+    def close(self) -> None:
+        if self._proto is not None:
+            self._proto.close()
 
-    async def close(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._reader_task = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._writer = None
+    async def call(
+        self, op_id: str, frame: Dict[str, Any], timeout: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """Send ``frame`` (which carries ``"id": op_id``) and await its answer.
 
-    async def call(self, op_id: str, frame: Dict[str, Any]) -> Dict[str, Any]:
-        if self._writer is None or self._writer.is_closing():
-            # A frame queued on a closing writer is dropped, never answered.
-            raise ShardUnavailableError("connection is not open")
-        if self._reader_task is not None and self._reader_task.done():
-            # The reader died (peer reset): a future registered now would
-            # never resolve, so fail fast and let the caller reconnect.
-            raise ShardUnavailableError("lock service connection lost")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        With a ``timeout`` the wait ends in :class:`asyncio.TimeoutError`.
+        """
+        if self._proto is None or self._proto.is_closing():
+            # A frame queued on a closing connection is dropped and a future
+            # registered on a closed one never resolves: fail fast and let
+            # the caller reconnect.
+            raise ShardUnavailableError("lock service connection is not open")
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
         self._pending[op_id] = future
+        timer = None if timeout is None else loop.call_later(timeout, _expire, future)
         try:
-            self._frames.send({**frame, "id": op_id})
+            self._proto.send(frame)
             return await future
         finally:
             self._pending.pop(op_id, None)
+            if timer is not None:
+                timer.cancel()
 
-    async def _route_responses(self) -> None:
-        error: Exception = ShardUnavailableError("lock service connection closed")
-        try:
-            while True:
-                assert self._reader is not None
-                response = await read_frame(self._reader)
-                if response is None:
-                    break
-                future = self._pending.get(response.get("id"))
-                if future is not None and not future.done():
-                    future.set_result(response)
-        except (RuntimeTransportError, ConnectionError, OSError) as exc:
-            error = ShardUnavailableError(f"lock service connection failed: {exc}")
-        finally:
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(error)
-                    # The caller may have already given up on the write path;
-                    # retrieve eagerly so an unawaited future stays quiet.
-                    future.exception()
+    def _on_frame(self, response: Dict[str, Any]) -> None:
+        future = self._pending.get(response.get("id"))
+        if future is not None and not future.done():
+            future.set_result(response)
+
+    def _on_close(self, error: Optional[Exception]) -> None:
+        failure = ShardUnavailableError(
+            "lock service connection closed"
+            if error is None
+            else f"lock service connection failed: {error}"
+        )
+        for future in self._pending.values():
+            if not future.done():
+                future.set_exception(failure)
+
+
+def _expire(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
 
 
 class LockSession:

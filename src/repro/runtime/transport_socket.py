@@ -14,6 +14,14 @@ by a UTF-8 JSON document.  Protocol messages serialise through a small codec
 table (:data:`MESSAGE_CODECS`) so the frames stay readable on the wire and the
 transport stays independent of pickle.
 
+Frames are read and written in one place, :class:`FrameProtocol`, an
+``asyncio.Protocol`` that sits directly on the socket's transport: the lock
+shard's connections, the lock client's, and this transport's inbound side are
+all instances of it, differing only in the ``on_frame`` they are given.
+:func:`read_frame` is the same rules over an ``asyncio.StreamReader``, kept
+for raw peers (tests, the benchmark's echo stub); both decode through
+:func:`decode_body`.
+
 Delivery guarantees match the paper's network assumptions exactly as the
 in-memory transport implements them: per-channel FIFO (one writer task per
 destination address drains its outbox in send order; TCP/unix streams preserve
@@ -25,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.messages import Privilege, Request
 from repro.exceptions import RuntimeTransportError
@@ -68,8 +76,45 @@ def encode_frame(payload: Dict[str, Any]) -> bytes:
     return FRAME_HEADER.pack(len(body)) + body
 
 
+#: ``json.loads`` strips whitespace with two regex calls around this one.
+_decode_json = json.JSONDecoder().raw_decode
+
+
+def decode_body(body: Union[bytes, bytearray]) -> Dict[str, Any]:
+    """One frame body -> its payload; the one text of what a body must be.
+
+    Exactly one JSON object: bytes after it, or whitespace around it, make
+    the frame as undecodable as bad UTF-8 does.
+    """
+    try:
+        text = body.decode("utf-8")
+        payload, end = _decode_json(text)
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both are
+        raise RuntimeTransportError(f"undecodable frame: {exc}") from None
+    if end != len(text):
+        raise RuntimeTransportError(
+            f"undecodable frame: {len(text) - end} characters after the JSON value"
+        )
+    if not isinstance(payload, dict):
+        raise RuntimeTransportError(
+            f"frame payload must be a JSON object, got {type(payload).__name__}"
+        )
+    return payload
+
+
+def _oversized(length: int) -> RuntimeTransportError:
+    return RuntimeTransportError(
+        f"frame header announces {length} bytes (limit {MAX_FRAME_BYTES}); "
+        "corrupted stream?"
+    )
+
+
 async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` on a clean EOF at a frame boundary."""
+    """Read one frame from a stream; ``None`` on a clean EOF at a frame boundary.
+
+    For raw peers (tests, the benchmark's echo stub); everything in this
+    package reads through :class:`FrameProtocol`.
+    """
     try:
         header = await reader.readexactly(FRAME_HEADER.size)
     except asyncio.IncompleteReadError as exc:
@@ -80,45 +125,106 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
         ) from None
     (length,) = FRAME_HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
-        raise RuntimeTransportError(
-            f"frame header announces {length} bytes (limit {MAX_FRAME_BYTES}); "
-            "corrupted stream?"
-        )
+        raise _oversized(length)
     try:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise RuntimeTransportError(
             f"peer closed mid-frame ({len(exc.partial)}/{length} bytes)"
         ) from None
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise RuntimeTransportError(f"undecodable frame: {exc}") from None
-    if not isinstance(payload, dict):
-        raise RuntimeTransportError(
-            f"frame payload must be a JSON object, got {type(payload).__name__}"
-        )
-    return payload
+    return decode_body(body)
 
 
-class FrameWriter:
-    """Queues frames and writes everything queued in one event-loop pass at once.
+class FrameProtocol(asyncio.Protocol):
+    """One framed connection, both directions, straight on the transport.
 
-    Frames reach a busy peer in bursts (one ``recv`` carries many), so their
-    answers are ready in the same pass; written one by one each costs a
-    ``send`` syscall and a wake-up of the peer.  Frames queued on a closing
-    writer are dropped: the peer is gone and so is whoever awaited them.
-    Flow control stays with the caller, which must stop producing (a server:
-    stop reading) while the transport's write buffer is non-empty.
+    In: :meth:`data_received` cuts every whole frame out of what has arrived
+    and calls ``on_frame(payload)`` for each, synchronously and in order.  A
+    frame that breaks a rule (length over :data:`MAX_FRAME_BYTES`, a body
+    :func:`decode_body` refuses, EOF inside a frame) or whose ``on_frame``
+    raises :class:`RuntimeTransportError` closes this connection, and only
+    this one.  ``on_close(error)`` is called exactly once, whoever ended the
+    connection: ``None`` for a clean EOF or a local :meth:`close`, else the
+    reason.  No frame is delivered after it.
+
+    Out: frames reach a busy peer in bursts (one ``recv`` carries many), so
+    their answers are ready in the same event-loop pass; :meth:`send` queues
+    and the pass's one :meth:`flush` writes them with one ``write``.  Frames
+    queued on a closing connection are dropped: the peer is gone and so is
+    whoever awaited them.
+
+    Back-pressure: while the transport's write buffer is over its high-water
+    mark the connection is not read, so a peer that stops reading its answers
+    stops being read.
     """
 
-    __slots__ = ("_writer", "_loop", "_frames")
+    __slots__ = ("transport", "_on_frame", "_on_close", "_loop", "_buffer", "_frames", "_closed")
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self._writer = writer
+    def __init__(
+        self,
+        on_frame: Callable[[Dict[str, Any]], None],
+        on_close: Optional[Callable[[Optional[Exception]], None]] = None,
+    ) -> None:
+        self.transport: Any = None
+        self._on_frame = on_frame
+        self._on_close = on_close
         self._loop = asyncio.get_running_loop()
+        self._buffer = bytearray()  # the incomplete frame at the end of the last chunk
         self._frames: List[bytes] = []
+        self._closed = False
 
+    # -- asyncio.Protocol ------------------------------------------------ #
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            chunk: Union[bytes, bytearray] = buffer
+        else:
+            chunk = data
+        size = len(chunk)
+        start = 0
+        header = FRAME_HEADER.size
+        unpack_from = FRAME_HEADER.unpack_from
+        on_frame = self._on_frame
+        try:
+            while size - start >= header and not self._closed:
+                (length,) = unpack_from(chunk, start)
+                if length > MAX_FRAME_BYTES:
+                    raise _oversized(length)
+                end = start + header + length
+                if end > size:
+                    break
+                payload = decode_body(chunk[start + header : end])
+                start = end
+                on_frame(payload)
+        except RuntimeTransportError as exc:
+            self.close(exc)
+            return
+        if chunk is buffer:
+            del buffer[:start]
+        elif start < size:
+            buffer += data[start:]
+
+    def eof_received(self) -> None:
+        if self._buffer:
+            held = len(self._buffer)
+            self.close(RuntimeTransportError(f"peer closed mid-frame ({held} bytes of it read)"))
+        else:
+            self.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._finish(exc)
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    # -- the owner's side ------------------------------------------------ #
     def send(self, payload: Dict[str, Any]) -> None:
         """Queue one frame; the first of a pass schedules the pass's flush."""
         if not self._frames:
@@ -128,8 +234,29 @@ class FrameWriter:
     def flush(self) -> None:
         """Write the queued frames, in queue order, with one ``write``."""
         frames, self._frames = self._frames, []
-        if frames and not self._writer.is_closing():
-            self._writer.write(b"".join(frames))
+        if frames and not self.transport.is_closing():
+            self.transport.write(b"".join(frames))
+
+    def is_closing(self) -> bool:
+        """True once nothing sent here can be answered any more."""
+        return self._closed or self.transport.is_closing()
+
+    def close(self, error: Optional[Exception] = None) -> None:
+        """Stop reading now; what the transport already took is still written."""
+        self._finish(error)
+        self.transport.close()
+
+    def abort(self) -> None:
+        """Drop the connection, unwritten bytes included."""
+        self._finish(None)
+        self.transport.abort()
+
+    def _finish(self, error: Optional[Exception]) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        if self._on_close is not None:
+            self._on_close(error)
 
 
 # --------------------------------------------------------------------------- #
@@ -209,12 +336,44 @@ def _normalise(address: Address) -> Address:
 async def open_address_connection(address: Address):
     """Open a stream to ``address`` (TCP pair or unix path): (reader, writer).
 
-    The one place that dispatches on the address family — shared by the
-    transport's per-peer writers and the lock-service client.
+    For connections that only write (the transport's per-peer writers) and
+    for raw peers; :func:`open_frame_connection` is the framed counterpart.
     """
     if isinstance(address, tuple):
         return await asyncio.open_connection(address[0], address[1])
     return await asyncio.open_unix_connection(address)
+
+
+async def open_frame_connection(
+    address: Address,
+    on_frame: Callable[[Dict[str, Any]], None],
+    on_close: Optional[Callable[[Optional[Exception]], None]] = None,
+) -> FrameProtocol:
+    """Connect a :class:`FrameProtocol` to ``address`` (TCP pair or unix path)."""
+    loop = asyncio.get_running_loop()
+    factory = lambda: FrameProtocol(on_frame, on_close)  # noqa: E731
+    if isinstance(address, tuple):
+        _, protocol = await loop.create_connection(factory, address[0], address[1])
+    else:
+        _, protocol = await loop.create_unix_connection(factory, address)
+    return protocol
+
+
+async def start_frame_server(
+    address: Address, factory: Callable[[], FrameProtocol]
+) -> Tuple[asyncio.AbstractServer, Address]:
+    """Listen on ``address`` with one ``factory()`` protocol per connection.
+
+    Returns the server and the address actually bound: port 0 binds an
+    ephemeral port, and peers must be told the real one.
+    """
+    loop = asyncio.get_running_loop()
+    if isinstance(address, (tuple, list)):
+        host, port = address
+        server = await loop.create_server(factory, host, port)
+        return server, (str(host), server.sockets[0].getsockname()[1])
+    server = await loop.create_unix_server(factory, path=address)
+    return server, str(address)
 
 
 def backoff_delays(
@@ -261,8 +420,8 @@ class SocketTransport:
         self._inboxes: Dict[int, asyncio.Queue] = {}
         self._outboxes: Dict[Address, asyncio.Queue] = {}
         self._writers: Dict[Address, asyncio.Task] = {}
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._reader_tasks: set = set()
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._accepted: set = set()  # live inbound FrameProtocols
         self._messages_sent = 0
         self._closed = False
         self._started = False
@@ -338,17 +497,7 @@ class SocketTransport:
         """Bind the listening socket (idempotent)."""
         if self._server is not None:
             return
-        if isinstance(self._address, tuple):
-            host, port = self._address
-            self._server = await asyncio.start_server(self._serve_peer, host, port)
-            # Port 0 binds an ephemeral port; record the real one so peers
-            # built from ``transport.address`` reach us.
-            bound = self._server.sockets[0].getsockname()
-            self._address = (host, bound[1])
-        else:
-            self._server = await asyncio.start_unix_server(
-                self._serve_peer, path=self._address
-            )
+        self._server, self._address = await start_frame_server(self._address, self._accept_peer)
         self._started = True
 
     async def close(self) -> None:
@@ -372,14 +521,8 @@ class SocketTransport:
             except (asyncio.CancelledError, Exception):
                 pass
         self._writers.clear()
-        for task in list(self._reader_tasks):
-            task.cancel()
-        for task in list(self._reader_tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._reader_tasks.clear()
+        for protocol in list(self._accepted):
+            protocol.abort()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -389,36 +532,28 @@ class SocketTransport:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    async def _serve_peer(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._reader_tasks.add(task)
-            task.add_done_callback(self._reader_tasks.discard)
-        try:
-            while True:
-                payload = await read_frame(reader)
-                if payload is None:
-                    break
-                envelope = decode_envelope(payload)
-                inbox = self._inboxes.get(envelope.receiver)
-                if inbox is None:
-                    raise RuntimeTransportError(
-                        f"received a frame for node {envelope.receiver}, which is "
-                        "not registered on this transport"
-                    )
-                inbox.put_nowait(envelope)
-        except (RuntimeTransportError, ConnectionError):
-            # A peer that dies mid-frame costs its in-flight messages, which
-            # is the at-most-once contract; the listener stays up.
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    def _accept_peer(self) -> FrameProtocol:
+        protocol = FrameProtocol(
+            self._on_peer_frame, lambda error: self._accepted.discard(protocol)
+        )
+        self._accepted.add(protocol)
+        return protocol
+
+    def _on_peer_frame(self, payload: Dict[str, Any]) -> None:
+        """Every inbound frame is an envelope for a local node.
+
+        One that is not (malformed, or for a node not registered here) or a
+        peer dying mid-frame closes that connection and costs its in-flight
+        messages, which is the at-most-once contract; the listener stays up.
+        """
+        envelope = decode_envelope(payload)
+        inbox = self._inboxes.get(envelope.receiver)
+        if inbox is None:
+            raise RuntimeTransportError(
+                f"received a frame for node {envelope.receiver}, which is "
+                "not registered on this transport"
+            )
+        inbox.put_nowait(envelope)
 
     async def _drain_outbox(self, destination: Address, outbox: asyncio.Queue) -> None:
         """One writer per peer address: connect once, stream frames in order."""

@@ -30,6 +30,7 @@ from repro.runtime.service import (
     _ClientConnection,
     _KeyedLock,
 )
+from repro.runtime.transport_socket import encode_frame, read_frame
 from repro.spec import RuntimeSpec, TopologySpec
 from repro.topology import star
 
@@ -333,7 +334,7 @@ def test_acquire_fenced_reroutes_while_release_fenced_raises():
             def __init__(self, shard: int) -> None:
                 self.shard = shard
 
-            async def call(self, uid, payload):
+            async def call(self, uid, payload, timeout=None):
                 op = payload["op"]
                 calls.append((self.shard, op))
                 if op == "view":
@@ -367,8 +368,8 @@ def test_call_on_a_connection_being_closed_fails_fast(tmp_path):
     """A session picks a connection, a sibling's retry starts closing it (its
     shard just died), and only then does the session's call run.  Nothing
     drains the write any more, so the call itself must notice: a frame queued
-    on the closing writer is dropped, and waiting for its answer would hold
-    the op until its deadline."""
+    on the closing connection is dropped, and waiting for its answer would
+    hold the op until its deadline."""
 
     async def scenario():
         async def hang_up(reader, writer):
@@ -376,18 +377,57 @@ def test_call_on_a_connection_being_closed_fails_fast(tmp_path):
 
         path = str(tmp_path / "dead.sock")
         server = await asyncio.start_unix_server(hang_up, path=path)
-        conn = _ClientConnection(path)
-        await conn.open()
-        while not conn._reader_task.done():  # the peer's EOF has been seen
-            await asyncio.sleep(0.001)
-        closing = asyncio.create_task(conn.close())
-        await asyncio.sleep(0)  # close() is now waiting for the transport
-        assert conn._writer is not None and conn._writer.is_closing()
-        with pytest.raises(ShardUnavailableError):
-            await asyncio.wait_for(conn.call("op-1", {"op": "view"}), timeout=1.0)
-        await closing
+        # Twice: once the peer's hang-up has reached the connection, and once
+        # a local close gets there first.
+        for local_close in (False, True):
+            conn = _ClientConnection(path)
+            await conn.open()
+            if local_close:
+                conn.close()
+            else:
+                deadline = time.monotonic() + 5.0
+                while not conn._proto.is_closing():  # the peer's EOF has been seen
+                    assert time.monotonic() < deadline
+                    await asyncio.sleep(0.001)
+            with pytest.raises(ShardUnavailableError):
+                await asyncio.wait_for(conn.call("op-1", {"op": "view", "id": "op-1"}), timeout=1.0)
+            assert not conn._pending
+            conn.close()
         server.close()
         await server.wait_closed()
+
+    run(scenario())
+
+
+@pytest.mark.network
+def test_call_deadline_is_a_timer_on_the_pending_future(tmp_path):
+    """``call(..., timeout)`` arms one timer: an unanswered op ends in
+    ``asyncio.TimeoutError`` with nothing left pending, an answered one
+    cancels its timer, and the connection serves the next call either way."""
+
+    async def scenario():
+        async def answer_even_ids(reader, writer):
+            while (frame := await read_frame(reader)) is not None:
+                if frame["id"] % 2 == 0:
+                    writer.write(encode_frame({"id": frame["id"], "ok": True}))
+            writer.close()
+
+        path = str(tmp_path / "half-deaf.sock")
+        server = await asyncio.start_unix_server(answer_even_ids, path=path)
+        conn = _ClientConnection(path)
+        await conn.open()
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        with pytest.raises(asyncio.TimeoutError):
+            await conn.call(1, {"op": "view", "id": 1}, 0.05)
+        assert 0.04 <= loop.time() - started < 1.0 and not conn._pending
+        assert await conn.call(2, {"op": "view", "id": 2}, 30.0) == {"id": 2, "ok": True}
+        assert not conn._pending
+        assert not [timer for timer in loop._scheduled if not timer.cancelled()]
+        conn.close()
+        server.close()
+        await server.wait_closed()
+        await asyncio.sleep(0.01)  # the peer reads our EOF and closes its end
 
     run(scenario())
 

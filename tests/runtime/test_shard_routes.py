@@ -23,15 +23,9 @@ from typing import Any, Callable, Dict, List
 
 import pytest
 
-from repro.runtime import service
 from repro.runtime.failover import ClusterView, shard_for_key
 from repro.runtime.service import LockClient, LockServiceShard
-from repro.runtime.transport_socket import (
-    FrameWriter,
-    encode_frame,
-    open_address_connection,
-    read_frame,
-)
+from repro.runtime.transport_socket import encode_frame, open_address_connection, read_frame
 from repro.spec import ObsSpec, RuntimeFaultSpec, RuntimeSpec, TopologySpec
 
 pytestmark = pytest.mark.network
@@ -491,26 +485,19 @@ def test_every_grant_is_observed_whichever_route_served_it():
 # --------------------------------------------------------------------------- #
 # the wire
 # --------------------------------------------------------------------------- #
-def test_a_peer_that_never_reads_stops_being_read_and_starves_nobody(monkeypatch):
-    """Answers are no longer drained one by one, so the read loop must be
-    what stops: a connection that pipelines without reading may fill its
-    socket and one pass's worth of write buffer, not the shard's memory."""
+def test_a_peer_that_never_reads_stops_being_read_and_starves_nobody():
+    """Answers are no longer drained one by one, so reading must be what
+    stops: a connection that pipelines without reading may fill its socket
+    and one pass's worth of write buffer, not the shard's memory."""
     flood = encode_frame({"op": "cancel", "target": "nothing", "id": 0}) * 200_000
-    served = []  # every connection's StreamWriter, in accept order
-
-    def spying_frame_writer(writer: asyncio.StreamWriter) -> FrameWriter:
-        served.append(writer)
-        return FrameWriter(writer)
-
-    monkeypatch.setattr(service, "FrameWriter", spying_frame_writer)
 
     async def scenario():
         async with Serving(small_spec()) as serving:
             deaf = await serving.peer()
             deaf.writer.transport.pause_reading()
             deaf.send({"op": "cancel", "target": "nothing", "id": 0})
-            await until(lambda: len(served) == 1)
-            shard_side = served[0].transport
+            await until(lambda: len(serving.shard._connections) == 1)
+            (shard_side,) = (proto.transport for proto in serving.shard._connections)
             deaf.writer.write(flood)
             await until(shard_side.get_write_buffer_size)  # its socket is full
             async with LockClient([serving.shard.address], channels=1) as client:
@@ -523,6 +510,30 @@ def test_a_peer_that_never_reads_stops_being_read_and_starves_nobody(monkeypatch
             assert shard_side.get_write_buffer_size() < 1_000_000
             assert deaf.writer.transport.get_write_buffer_size() > len(flood) // 2
             deaf.writer.transport.abort()  # a close would wait for the flood to leave
+
+    run(scenario())
+
+
+def test_a_closed_shard_hangs_up_and_answers_nothing():
+    """Closing the listener is not closing the shard: a connection accepted
+    earlier must see the hang-up, lose its holds, and get no further answer
+    from a shard whose trees are gone."""
+
+    async def scenario():
+        async with Serving(small_spec()) as serving:
+            shard = serving.shard
+            peer = await serving.peer()
+            assert (await peer.call(acquire("k", 5)))["ok"] is True
+            await asyncio.wait_for(shard.close(), 5.0)
+            assert not shard._held and not shard._holders and not shard._connections
+            assert shard.stats["abandoned"] == 1
+            try:
+                peer.send(acquire("fresh", 5))
+                answer = await asyncio.wait_for(read_frame(peer.reader), 5.0)
+            except (ConnectionError, OSError):
+                answer = None  # a reset is a hang-up too
+            assert answer is None
+            assert not shard._locks
 
     run(scenario())
 

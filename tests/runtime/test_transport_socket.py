@@ -13,7 +13,8 @@ from repro.runtime.transport import Envelope
 from repro.runtime.transport_socket import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
-    FrameWriter,
+    FrameProtocol,
+    decode_body,
     decode_envelope,
     decode_message,
     encode_envelope,
@@ -110,14 +111,16 @@ def test_encode_frame_bytes_are_pinned():
 
 
 # --------------------------------------------------------------------------- #
-# the coalescing frame writer
+# the frame protocol, driven on a fake transport
 # --------------------------------------------------------------------------- #
-class RecordingWriter:
-    """The two StreamWriter methods a FrameWriter uses."""
+class RecordingTransport:
+    """The transport methods a FrameProtocol uses, recorded."""
 
     def __init__(self) -> None:
         self.writes = []
         self.closing = False
+        self.aborted = False
+        self.reading = True
 
     def write(self, data: bytes) -> None:
         self.writes.append(data)
@@ -125,40 +128,169 @@ class RecordingWriter:
     def is_closing(self) -> bool:
         return self.closing
 
+    def close(self) -> None:
+        self.closing = True
 
-def test_frame_writer_flushes_one_pass_with_one_write():
+    def abort(self) -> None:
+        self.closing = self.aborted = True
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+
+class Wired:
+    """A FrameProtocol on a RecordingTransport, its callbacks recorded."""
+
+    def __init__(self, on_frame=None) -> None:
+        self.frames = []
+        self.closes = []
+        self.transport = RecordingTransport()
+        self.proto = FrameProtocol(on_frame or self.frames.append, self.closes.append)
+        self.proto.connection_made(self.transport)
+
+    def feed(self, *chunks: bytes) -> "Wired":
+        for chunk in chunks:
+            self.proto.data_received(chunk)
+        return self
+
+
+THREE = [{"op": "acquire", "key": "cl\u00e9", "id": 1}, {"x": [1, 2, {"y": None}]}, {}]
+
+
+def test_protocol_cuts_the_same_frames_however_the_bytes_arrive():
     async def scenario():
-        writer = RecordingWriter()
-        frames = FrameWriter(writer)
-        payloads = [{"id": index, "ok": True} for index in range(7)]
-        for payload in payloads:
-            frames.send(payload)
-        assert writer.writes == []  # nothing leaves before the pass ends
-        await asyncio.sleep(0)
-        assert writer.writes == [b"".join(encode_frame(p) for p in payloads)]
-        # The next pass is its own write; an explicit flush does not wait
-        # for the pass to end, and the flush it pre-empted writes nothing.
-        frames.send({"id": 7})
-        frames.flush()
-        assert writer.writes[1:] == [encode_frame({"id": 7})]
-        await asyncio.sleep(0)
-        assert len(writer.writes) == 2
+        wire = b"".join(encode_frame(payload) for payload in THREE)
+        assert Wired().feed(wire).frames == THREE
+        for split in range(1, len(wire)):
+            assert Wired().feed(wire[:split], wire[split:]).frames == THREE, split
+        wired = Wired().feed(*(wire[i : i + 1] for i in range(len(wire))))
+        assert wired.frames == THREE
+        # Nothing is left over, so the peer's EOF is a clean one.
+        assert wired.closes == []
+        wired.proto.eof_received()
+        assert wired.closes == [None] and wired.transport.closing
+        wired.proto.connection_lost(None)
+        assert wired.closes == [None]  # told once
 
     run(scenario())
 
 
-def test_frame_writer_drops_frames_queued_on_a_closing_writer():
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        (FRAME_HEADER.pack(MAX_FRAME_BYTES + 1), "limit"),
+        (FRAME_HEADER.pack(4) + b"!!!!", "undecodable"),
+        (FRAME_HEADER.pack(2) + b"\xff\xfe", "undecodable"),
+        (FRAME_HEADER.pack(2) + b"[]", "JSON object"),
+        (FRAME_HEADER.pack(5) + b"{}{} ", "after the JSON value"),
+    ],
+)
+def test_protocol_rejects_a_bad_frame_and_delivers_nothing_after_it(bad, reason):
     async def scenario():
-        writer = RecordingWriter()
-        frames = FrameWriter(writer)
-        frames.send({"id": 1})
-        writer.closing = True  # the peer went away within the same pass
-        frames.send({"id": 2})
+        good = encode_frame({"id": 1})
+        wired = Wired().feed(good + bad + good, good)
+        assert wired.frames == [{"id": 1}]
+        (error,) = wired.closes
+        assert isinstance(error, RuntimeTransportError) and reason in str(error)
+        assert wired.transport.closing and not wired.transport.aborted
+        assert wired.proto.is_closing()
+        wired.proto.connection_lost(None)
+        assert wired.closes == [error]
+
+    run(scenario())
+
+
+def test_protocol_rejects_eof_inside_a_frame():
+    async def scenario():
+        good = encode_frame({"id": 1})
+        for held in (good[:2], good[:-1]):  # inside the header, inside the body
+            wired = Wired().feed(good + held)
+            wired.proto.eof_received()
+            assert wired.frames == [{"id": 1}]
+            (error,) = wired.closes
+            assert isinstance(error, RuntimeTransportError) and "mid-frame" in str(error)
+            assert wired.transport.closing
+
+    run(scenario())
+
+
+def test_a_frame_body_is_exactly_one_json_object():
+    """``raw_decode`` plus an end check, pinned: whitespace inside the value
+    is JSON's business, whitespace or bytes around it are not a frame."""
+    assert decode_body(b'{ "a" : [ 1 , 2 ] }') == {"a": [1, 2]}
+    for body in (b' {"a":1}', b'{"a":1} ', b'{"a":1}\n', b'{"a":1}{"b":2}', b'{"a":1}x', b""):
+        with pytest.raises(RuntimeTransportError, match="undecodable"):
+            decode_body(body)
+
+
+def test_a_handler_that_refuses_a_frame_closes_the_connection():
+    async def scenario():
+        def refuse(payload):
+            raise RuntimeTransportError(f"not for me: {payload}")
+
+        wired = Wired(refuse).feed(encode_frame({"id": 1}) * 2)
+        (error,) = wired.closes
+        assert "not for me" in str(error) and wired.transport.closing
+
+    run(scenario())
+
+
+def test_a_local_close_stops_delivery_within_the_chunk():
+    async def scenario():
+        wired = Wired(lambda payload: (wired.frames.append(payload), wired.proto.close()))
+        wired.feed(encode_frame({"id": 1}) + encode_frame({"id": 2}))
+        assert wired.frames == [{"id": 1}] and wired.closes == [None]
+
+    run(scenario())
+
+
+def test_protocol_flushes_one_pass_with_one_write():
+    async def scenario():
+        wired = Wired()
+        proto, transport = wired.proto, wired.transport
+        payloads = [{"id": index, "ok": True} for index in range(7)]
+        for payload in payloads:
+            proto.send(payload)
+        assert transport.writes == []  # nothing leaves before the pass ends
         await asyncio.sleep(0)
-        assert writer.writes == []
-        frames.send({"id": 3})  # and later sends stay silent no-ops
+        assert transport.writes == [b"".join(encode_frame(p) for p in payloads)]
+        # The next pass is its own write; an explicit flush does not wait
+        # for the pass to end, and the flush it pre-empted writes nothing.
+        proto.send({"id": 7})
+        proto.flush()
+        assert transport.writes[1:] == [encode_frame({"id": 7})]
         await asyncio.sleep(0)
-        assert writer.writes == []
+        assert len(transport.writes) == 2
+
+    run(scenario())
+
+
+def test_protocol_drops_frames_queued_on_a_closing_transport():
+    async def scenario():
+        wired = Wired()
+        proto, transport = wired.proto, wired.transport
+        proto.send({"id": 1})
+        transport.closing = True  # the peer went away within the same pass
+        proto.send({"id": 2})
+        await asyncio.sleep(0)
+        assert transport.writes == []
+        proto.send({"id": 3})  # and later sends stay silent no-ops
+        await asyncio.sleep(0)
+        assert transport.writes == []
+
+    run(scenario())
+
+
+def test_a_full_write_buffer_pauses_reading_until_it_drains():
+    async def scenario():
+        wired = Wired()
+        wired.proto.pause_writing()  # asyncio: the buffer passed its high-water mark
+        assert not wired.transport.reading
+        wired.proto.resume_writing()
+        assert wired.transport.reading
 
     run(scenario())
 
