@@ -8,22 +8,8 @@ core still replays the seed engine's event order exactly.  See
 (``repro bench``).
 """
 
-from repro.bench.baselines import (
-    BASELINE_ALGORITHMS,
-    baseline_default_matrix,
-    baseline_smoke_matrix,
-    run_baseline_benchmark,
-)
-from repro.bench.faults import (
-    DEGRADATION_ALGORITHMS,
-    DEGRADATION_PROFILES,
-    default_fault_matrix,
-    fault_cell,
-    recovery_matrix,
-    run_fault_benchmark,
-    run_fault_scenario,
-    smoke_fault_matrix,
-)
+from repro.bench.baselines import run_baseline_benchmark
+from repro.bench.faults import run_fault_benchmark, run_fault_scenario
 from repro.bench.setup_cost import (
     construction_matrix,
     run_setup_benchmark,
@@ -31,43 +17,35 @@ from repro.bench.setup_cost import (
 )
 from repro.bench.throughput import (
     ACCEPTANCE_SCENARIO,
-    STREAMING_NODE_THRESHOLD,
-    XXLARGE_HEAVY_ROUNDS,
-    BenchCell,
-    bench_cell,
-    bench_workload_spec,
-    default_matrix,
     determinism_fingerprint,
     fast_path_consistent,
-    large_matrix,
     run_benchmark,
     run_cell,
-    smoke_matrix,
-    xlarge_matrix,
-    xxlarge_matrix,
-    xxxlarge_matrix,
+)
+from repro.cells import (
+    BASELINE_ALGORITHMS,
+    DEGRADATION_PROFILES,
+    Cell,
+    baseline_matrix,
+    bench_cell,
+    bench_matrix,
+    fault_cell,
+    fault_matrix,
 )
 
 __all__ = [
     "ACCEPTANCE_SCENARIO",
-    "STREAMING_NODE_THRESHOLD",
-    "XXLARGE_HEAVY_ROUNDS",
     "BASELINE_ALGORITHMS",
-    "DEGRADATION_ALGORITHMS",
     "DEGRADATION_PROFILES",
-    "BenchCell",
-    "baseline_default_matrix",
-    "baseline_smoke_matrix",
+    "Cell",
+    "baseline_matrix",
     "bench_cell",
-    "bench_workload_spec",
+    "bench_matrix",
     "construction_matrix",
-    "default_fault_matrix",
-    "default_matrix",
     "determinism_fingerprint",
     "fast_path_consistent",
     "fault_cell",
-    "large_matrix",
-    "recovery_matrix",
+    "fault_matrix",
     "run_baseline_benchmark",
     "run_benchmark",
     "run_fault_benchmark",
@@ -75,9 +53,4 @@ __all__ = [
     "run_fault_scenario",
     "run_setup_benchmark",
     "run_setup_scenario",
-    "smoke_fault_matrix",
-    "smoke_matrix",
-    "xlarge_matrix",
-    "xxlarge_matrix",
-    "xxxlarge_matrix",
 ]

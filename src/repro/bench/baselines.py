@@ -3,9 +3,10 @@
 ``repro bench`` historically measured only the DAG algorithm; the paper's
 comparison, however, is against eight baselines, and the comparison sweeps
 replay workloads through *their* message machinery too.  This module gives
-every baseline the same regression treatment: a frozen scenario matrix run on
-the unobserved fast path, a committed ``BENCH_baselines.json`` reference, and
-the same CI gate (20% events/sec tolerance, exact virtual-count comparison:
+every baseline the same regression treatment: a frozen scenario matrix
+(:func:`repro.cells.baseline_matrix`) run with no metrics collector, a
+committed ``BENCH_baselines.json`` reference, and the same CI gate (20%
+events/sec tolerance, exact virtual-count comparison:
 :data:`repro.benchdoc.BASELINES`).
 
 The matrix is intentionally smaller than the DAG one — the broadcast
@@ -18,53 +19,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import benchdoc
-from repro.bench.throughput import BenchCell, bench_cell, run_cell, run_passes
-
-#: Every algorithm of the paper's comparison except the DAG itself, which has
-#: its own (larger) matrix in :mod:`repro.bench.throughput`.
-BASELINE_ALGORITHMS = (
-    "centralized",
-    "lamport",
-    "ricart-agrawala",
-    "carvalho-roucairol",
-    "suzuki-kasami",
-    "singhal",
-    "maekawa",
-    "raymond",
-)
-
-_SIZES = (25, 100)
-_DEMANDS = ("light", "heavy")
-
-
-def baseline_default_matrix() -> List[BenchCell]:
-    """The full committed matrix: 8 baselines x 2 sizes x 2 demand levels
-    (star topology throughout)."""
-    return [
-        bench_cell("star", n, demand, algorithm=algorithm)
-        for algorithm in BASELINE_ALGORITHMS
-        for n in _SIZES
-        for demand in _DEMANDS
-    ]
-
-
-def baseline_smoke_matrix() -> List[BenchCell]:
-    """The CI subset: every baseline once, n=100, heavy demand.
-
-    n=100 rather than 25 on purpose: more of the 20% events/sec gate's
-    signal comes from a single replay (the broadcast algorithms run for
-    hundreds of milliseconds here), and the cheap algorithms' rates are
-    re-timed over a replay window by ``measure_fastest`` anyway.
-    """
-    return [
-        bench_cell("star", 100, "heavy", algorithm=algorithm)
-        for algorithm in BASELINE_ALGORITHMS
-    ]
+from repro.bench.throughput import run_cell, run_passes
+from repro.cells import Cell, baseline_matrix
 
 
 def run_baseline_benchmark(
     *,
-    matrix: Optional[Sequence[BenchCell]] = None,
+    matrix: Optional[Sequence[Cell]] = None,
     repeat: int = 3,
     calibrate: Optional[int] = None,
     verbose: bool = False,
@@ -75,7 +36,7 @@ def run_baseline_benchmark(
     matrix N times and keeps each scenario's minimum observed rate, annotated
     in the document's ``calibration`` field.
     """
-    cells = list(matrix) if matrix is not None else baseline_default_matrix()
+    cells = list(matrix) if matrix is not None else baseline_matrix()
 
     def one_run(index: int) -> Dict[str, Any]:
         scenarios: List[Dict[str, Any]] = []

@@ -26,7 +26,7 @@ import time
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.bench.throughput import BenchCell
+from repro.cells import Cell
 from repro.workload.driver import ExperimentDriver
 
 #: Cells below this node count have no interesting setup cost; the default
@@ -35,7 +35,7 @@ from repro.workload.driver import ExperimentDriver
 CONSTRUCTION_MIN_NODES = 100_000
 
 
-def construction_matrix(matrix: Sequence[BenchCell]) -> List[BenchCell]:
+def construction_matrix(matrix: Sequence[Cell]) -> List[Cell]:
     """The subset of ``matrix`` worth construction-benchmarking (large cells)."""
     return [
         cell
@@ -44,7 +44,7 @@ def construction_matrix(matrix: Sequence[BenchCell]) -> List[BenchCell]:
     ]
 
 
-def run_setup_scenario(cell: BenchCell, *, node_backend: str = "auto") -> Dict[str, Any]:
+def run_setup_scenario(cell: Cell, *, node_backend: str = "auto") -> Dict[str, Any]:
     """Build one scenario end to end — topology, workload, system, arrival
     load — timing each phase, without draining a single protocol event."""
     experiment = replace(cell.experiment, node_backend=node_backend)
@@ -88,7 +88,7 @@ def run_setup_scenario(cell: BenchCell, *, node_backend: str = "auto") -> Dict[s
 
 
 def run_setup_benchmark(
-    matrix: Sequence[BenchCell],
+    matrix: Sequence[Cell],
     *,
     budget_seconds: Optional[float] = None,
     node_backend: str = "auto",

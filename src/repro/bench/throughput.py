@@ -3,8 +3,8 @@
 The events-per-second number measured here gates everything the evaluation
 produces: every paper metric comes out of replaying workloads through
 ``SimulationEngine`` → ``Network`` → node callbacks.  The benchmark drives a
-standard scenario matrix (topology family × node count × demand level)
-through the *unobserved* fast path (no metrics collector attached), exactly
+standard scenario matrix (topology family × node count × demand level,
+:func:`repro.cells.bench_matrix`) with no metrics collector attached, exactly
 how large-scale sweeps run, and records:
 
 * events/sec, messages/sec, wall time and process peak RSS per scenario;
@@ -25,184 +25,23 @@ from __future__ import annotations
 import resource
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import benchdoc
 from repro.analysis.theory import upper_bound_messages
 from repro.baselines import build_grid_quorums
+from repro.cells import Cell, bench_matrix
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.rng import SeededRNG
-from repro.spec import (
-    STREAMING_NODE_THRESHOLD,
-    XXLARGE_HEAVY_ROUNDS,
-    ExperimentSpec,
-    TopologySpec,
-    WorkloadSpec,
-)
 from repro.topology import star
 from repro.topology.base import Topology
 from repro.topology.metrics import diameter
 from repro.workload.driver import ExperimentDriver, run_experiment
 from repro.workload.generator import WorkloadGenerator
-from repro.workload.requests import Workload
 
 #: The scenario the acceptance criterion (>= 3x over seed) is judged on.
 ACCEPTANCE_SCENARIO = "star-n1000-heavy"
-
-_TOPOLOGY_KINDS = ("line", "star", "tree")
-_SIZES = (100, 1000, 5000)
-_DEMANDS = ("light", "heavy")
-
-
-@dataclass(frozen=True)
-class BenchCell:
-    """One cell of a benchmark matrix: a committed name and what it runs."""
-
-    name: str
-    experiment: ExperimentSpec
-
-
-def bench_cell(kind: str, n: int, demand: str, *, algorithm: str = "dag") -> BenchCell:
-    """A throughput cell: ``algorithm`` on ``kind``/``n`` under ``demand``.
-
-    Benchmark cells run on the unobserved fast path with seed 0 — exactly
-    the recorded-seed-baseline configuration.  ``node_backend`` stays
-    ``"auto"`` (object nodes below
-    :data:`~repro.core.compact_state.COMPACT_NODE_BACKEND_THRESHOLD`, the
-    columnar array core from there up); the virtual-time outcome is identical
-    either way, so the committed per-scenario counts stay valid across
-    backends.  DAG cells are named ``kind-nN-demand``; the baselines
-    prefix theirs with the algorithm.
-    """
-    name = f"{kind}-n{n}-{demand}"
-    return BenchCell(
-        name if algorithm == "dag" else f"{algorithm}-{name}",
-        ExperimentSpec(
-            algorithm=algorithm,
-            topology=TopologySpec(kind=kind, n=n),
-            workload=bench_workload_spec(demand, n),
-            seed=0,
-            collect_metrics=False,
-        ),
-    )
-
-
-def default_matrix() -> List[BenchCell]:
-    """The full committed matrix: 3 topologies x 3 sizes x 2 demand levels."""
-    return [
-        bench_cell(kind, n, demand)
-        for kind in _TOPOLOGY_KINDS
-        for n in _SIZES
-        for demand in _DEMANDS
-    ]
-
-
-def smoke_matrix() -> List[BenchCell]:
-    """A ~30-second subset for CI: every topology, heavy demand, n <= 1000."""
-    return [
-        bench_cell(kind, n, "heavy") for kind in _TOPOLOGY_KINDS for n in (100, 1000)
-    ]
-
-
-def large_matrix() -> List[BenchCell]:
-    """The default matrix plus the 10k-node tier (including bursty demand).
-
-    The 10k scenarios are additive: regression checks compare by scenario
-    name, so documents committed before this tier existed stay valid.  At
-    ~1M ev/s the heaviest cell (``line-n10000-light``, whose isolated
-    requests each cross the 10k-hop diameter) runs in single-digit seconds.
-    """
-    matrix = default_matrix()
-    matrix.extend(
-        bench_cell(kind, 10000, demand)
-        for kind in _TOPOLOGY_KINDS
-        for demand in ("light", "heavy", "bursty")
-    )
-    return matrix
-
-
-def xlarge_matrix() -> List[BenchCell]:
-    """The large matrix plus the 100k-node tier (heavy demand only).
-
-    100k nodes is the tier the ROADMAP flagged as blocked on per-scenario
-    wall budget: a heavy run is ~5M events (1M requests), minutes on the
-    seed engine and seconds now.  Star and tree only — a 100k-hop line
-    diameter measures topology pathology, not engine throughput — and like
-    the 10k tier the names are additive, so older committed documents stay
-    valid.
-    """
-    matrix = large_matrix()
-    matrix.extend(bench_cell(kind, 100000, "heavy") for kind in ("star", "tree"))
-    return matrix
-
-
-def xxlarge_matrix() -> List[BenchCell]:
-    """The xlarge matrix plus the 1M-node tier (heavy demand, star/tree).
-
-    The tier the ROADMAP flagged as blocked on *setup*, not the event loop:
-    at a million nodes the old construction pipeline spent ~6 s and ~500 MB
-    on the topology alone and would have needed gigabytes for a materialised
-    heavy schedule.  These cells run on the array-backed (CSR) topologies
-    and the streamed workload pipeline (:data:`STREAMING_NODE_THRESHOLD`),
-    so the whole replay fits in bounded RSS.  Names are additive like every
-    tier before, so committed documents stay valid.
-    """
-    matrix = xlarge_matrix()
-    matrix.extend(bench_cell(kind, 1_000_000, "heavy") for kind in ("star", "tree"))
-    return matrix
-
-
-def xxxlarge_matrix() -> List[BenchCell]:
-    """The xxlarge matrix plus the 10M-node tier (heavy demand, star/tree).
-
-    The ten-million-node tier exists for *construction*, not replay: CI
-    stands these cells up with ``repro bench --setup-only --xxxlarge`` (the
-    columnar node backend builds the whole population as flat array columns
-    in well under a second and a few hundred megabytes) but draining ~100M
-    protocol events is a local, not a CI, exercise.  The tree cell rounds up
-    to the next full balanced binary tree (2^24 - 1 ~ 16.8M nodes), like
-    every tree cell before it rounds to its own power of two.  Names are
-    additive, so committed documents stay valid.
-    """
-    matrix = xxlarge_matrix()
-    matrix.extend(bench_cell(kind, 10_000_000, "heavy") for kind in ("star", "tree"))
-    return matrix
-
-
-#: Demand levels of the DAG benchmark matrix (a subset of the spec tiers).
-_BENCH_DEMANDS = ("light", "heavy", "bursty")
-
-
-def bench_workload_spec(demand: str, n: int) -> WorkloadSpec:
-    """The benchmark matrix's frozen tier parameterisation as a spec.
-
-    Heavy demand is ten materialised rounds below the streaming threshold
-    and :data:`~repro.spec.XXLARGE_HEAVY_ROUNDS` streamed rounds above it —
-    spelled out explicitly here so a cell's spec JSON says what actually
-    runs (matching the recorded seed baseline byte for byte).
-    """
-    if demand not in _BENCH_DEMANDS:
-        raise ValueError(f"unknown demand level {demand!r}")
-    if demand == "heavy":
-        if n >= STREAMING_NODE_THRESHOLD:
-            return WorkloadSpec(
-                tier="heavy", rounds=XXLARGE_HEAVY_ROUNDS, streaming=True
-            )
-        return WorkloadSpec(tier="heavy", rounds=10)
-    return WorkloadSpec(tier=demand)
-
-
-def build_topology(kind: str, n: int) -> Topology:
-    """Frozen scenario topologies (matches the recorded seed baseline)."""
-    if kind not in ("line", "star", "tree"):
-        raise ValueError(f"unknown benchmark topology kind {kind!r}")
-    return TopologySpec(kind=kind, n=n).build()
-
-
-def build_workload(topology: Topology, demand: str, *, seed: int = 0) -> Workload:
-    """Frozen scenario workloads (matches the recorded seed baseline)."""
-    return bench_workload_spec(demand, len(topology.nodes)).build(topology, seed=seed)
 
 
 #: Minimum timing window for a trustworthy events/sec figure.  A scenario
@@ -283,7 +122,7 @@ def message_bound(algorithm: str, topology: Topology) -> float:
 
 
 def run_cell(
-    cell: BenchCell,
+    cell: Cell,
     *,
     repeat: int = 3,
     node_backend: str = "auto",
@@ -437,7 +276,7 @@ def run_passes(
 
 def run_benchmark(
     *,
-    matrix: Optional[Sequence[BenchCell]] = None,
+    matrix: Optional[Sequence[Cell]] = None,
     repeat: int = 3,
     calibrate: Optional[int] = None,
     seed_baseline: Optional[Dict[str, Any]] = None,
@@ -461,7 +300,7 @@ def run_benchmark(
     Rates measured under the profiler are distorted — don't commit or
     ``--check`` a profiled document.
     """
-    cells = list(matrix) if matrix is not None else default_matrix()
+    cells = list(matrix) if matrix is not None else bench_matrix()
 
     def one_run(index: int) -> Dict[str, Any]:
         scenarios: List[Dict[str, Any]] = []

@@ -1,6 +1,6 @@
 """Command-line interface: run the paper's experiments without writing code.
 
-The CLI exposes the library's most useful entry points as subcommands::
+The CLI exposes the library's entry points as twelve subcommands::
 
     python -m repro figure2                 # replay the Chapter 3 example
     python -m repro figure6                 # replay the Chapter 4 example
@@ -8,14 +8,23 @@ The CLI exposes the library's most useful entry points as subcommands::
     python -m repro compare --n 17          # replay one workload on all algorithms
     python -m repro average --sizes 5 9 17  # Section 6.2 average-bound sweep
     python -m repro topology --kind star --n 9   # draw a topology and its orientation
+    python -m repro algorithms              # registry capabilities per algorithm
+    python -m repro run dag star:1000 heavy # one experiment (or --spec FILE.json)
+    python -m repro obs --spec FILE.json --snapshot S.json   # metrics / Chrome trace
+    python -m repro bench --smoke           # simulator throughput matrices + gates
+    python -m repro sweep --smoke           # sharded nine-algorithm comparison
+    python -m repro lockbench --smoke       # the networked lock service
 
-Every subcommand prints plain-text tables (the same renderer the benchmark
-harness uses), so output can be diffed against EXPERIMENTS.md.
+The paper-facing verbs print plain-text tables (the same renderer the
+benchmark harness uses), so output can be diffed against EXPERIMENTS.md;
+``bench``/``sweep``/``lockbench`` pick their matrix by tier from
+:mod:`repro.cells` (see benchmarks/README.md, "Scenario matrix").
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -185,71 +194,128 @@ def cmd_topology(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``--flag`` names of the node-count tiers, smallest first; no flag is "default".
+_TIER_FLAGS = ("smoke", "large", "xlarge", "xxlarge", "xxxlarge")
+_LARGE_TIERS = _TIER_FLAGS[1:]
+
+
+def selected_tier(args: argparse.Namespace) -> str:
+    """The node-count tier the tier flags select, by its :data:`repro.cells.TIERS` name."""
+    return next((flag for flag in _TIER_FLAGS if getattr(args, flag, False)), "default")
+
+
+#: Values refused before anything runs: (verbs, flag, is-bad, message).
+_BAD_VALUES = (
+    (("bench", "lockbench"), "check", lambda path: path and not os.path.exists(path),
+     "--check file {!r} does not exist"),
+    (("bench", "lockbench"), "calibrate", lambda runs: runs < 1,
+     "--calibrate needs at least 1 run, got {}"),
+    (("sweep",), "workers", lambda count: count < 1,
+     "--workers needs at least 1 process, got {}"),
+    (("sweep",), "timeout", lambda seconds: seconds <= 0,
+     "--timeout needs a positive number of seconds, got {}"),
+)
+
+#: Flag combinations refused with exit 2: (verb, mode, offending flags,
+#: message) — a row fires when ``mode`` and any offending flag are both given
+#: (``!flag`` reads "flag not given"); the first row that fires wins.
+_CONFLICTS = (
+    ("bench", "profile", ("check",),
+     "--profile distorts rates; checking a profiled run against "
+     "a committed document would only report false regressions"),
+    ("bench", "profile", ("calibrate",),
+     "--profile distorts rates, so profiling a calibration "
+     "run would min-merge garbage; profile a plain run instead"),
+    ("bench", "budget_seconds", ("!setup_only",),
+     "--budget-seconds gates the construction-only benchmark; "
+     "it does nothing without --setup-only"),
+    ("bench", "setup_only", ("baselines", "faults", "calibrate", "profile", "check"),
+     "--setup-only stands scenarios up without draining them; "
+     "it has no baselines/faults/calibration/profile/regression-check "
+     "modes"),
+    ("bench", "faults", ("baselines", "calibrate", "profile"),
+     "--faults is its own matrix (single deterministic run per "
+     "cell); it has no baselines/calibration/profile modes"),
+    ("bench", "faults", _LARGE_TIERS,
+     "--faults has no large tiers; its matrix already includes "
+     "the 100k-node recovery cell "
+     "(drop --large/--xlarge/--xxlarge/--xxxlarge)"),
+    ("bench", "baselines", ("large",),
+     "--baselines has no large tier; the broadcast algorithms "
+     "cost Theta(N) messages per entry, so their matrix ends at n=100 "
+     "(use `repro sweep --large` for the scalable algorithms at 10k)"),
+    ("bench", "baselines", ("xlarge", "xxlarge", "xxxlarge"),
+     "--baselines has no xlarge tier (and no xxlarge) either; "
+     "the 100k/1M-node tiers are DAG-matrix (`repro bench --xlarge`, "
+     "`repro bench --xxlarge`) and sweep (`repro sweep --xlarge`, "
+     "`repro sweep --xxlarge`) territory"),
+    ("bench", "baselines", ("profile",),
+     "--profile currently wraps the DAG measured loop only"),
+    ("bench", "xxxlarge", ("!setup_only",),
+     "the 10M-node tier is construction-only (draining ~100M "
+     "events is not a benchmark run); use "
+     "`repro bench --setup-only --xxxlarge`"),
+    ("sweep", "from_specs",
+     ("algorithms", "faults", "node_backend") + _TIER_FLAGS,
+     "--from-specs carries the whole matrix; tier "
+     "flags, --algorithms and --node-backend do not apply "
+     "to it"),
+    ("lockbench", "trace", ("calibrate",),
+     "--trace records one run's op lifecycles; min-merging "
+     "calibration runs has no single timeline to export"),
+    ("run", "spec", ("cell",),
+     "pass either --spec FILE or the ALGO KIND:N TIER "
+     "shorthand, not both"),
+    ("obs", "!snapshot", ("!trace",),
+     "pick at least one output (--snapshot FILE and/or "
+     "--trace FILE)"),
+)
+
+
+def _given(args: argparse.Namespace, flag: str) -> bool:
+    """Whether the user set ``flag`` away from its "off" value."""
+    if flag.startswith("!"):
+        return not _given(args, flag[1:])
+    value = getattr(args, flag, None)
+    return not (value is None or value is False or value == "auto" or value == [])
+
+
+def _refusals(args: argparse.Namespace):
+    """Every refusal that applies to ``args``, bad values first, in table order."""
+    verb = args.command
+    for verbs, flag, is_bad, text in _BAD_VALUES:
+        value = getattr(args, flag, None)
+        if verb in verbs and value is not None and is_bad(value):
+            yield text.format(value)
+    for row_verb, mode, offending, text in _CONFLICTS:
+        if row_verb == verb and _given(args, mode) and any(_given(args, f) for f in offending):
+            yield text
+
+
+def _refused(args: argparse.Namespace) -> bool:
+    """Print the first refusal as a one-line ``error:`` (the caller exits 2);
+    ``False`` when the invocation is fine."""
+    message = next(_refusals(args), None)
+    if message is not None:
+        print(f"error: {message}", file=sys.stderr)
+    return message is not None
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     """Run the throughput benchmark matrix (see benchmarks/README.md)."""
-    import os
+    from repro.bench import run_benchmark, run_fault_benchmark
+    from repro.cells import bench_matrix, fault_matrix
 
-    from repro.bench import (
-        default_matrix,
-        large_matrix,
-        run_benchmark,
-        smoke_matrix,
-        xlarge_matrix,
-        xxlarge_matrix,
-    )
-
-    if args.check and not os.path.exists(args.check):
-        print(f"error: --check file {args.check!r} does not exist", file=sys.stderr)
-        return 2
-    if args.calibrate is not None and args.calibrate < 1:
-        print(f"error: --calibrate needs at least 1 run, got {args.calibrate}",
-              file=sys.stderr)
-        return 2
-    if args.profile and args.check:
-        print(
-            "error: --profile distorts rates; checking a profiled run against "
-            "a committed document would only report false regressions",
-            file=sys.stderr,
-        )
-        return 2
-    if args.profile and args.calibrate is not None:
-        print(
-            "error: --profile distorts rates, so profiling a calibration "
-            "run would min-merge garbage; profile a plain run instead",
-            file=sys.stderr,
-        )
-        return 2
-    if args.budget_seconds is not None and not args.setup_only:
-        print(
-            "error: --budget-seconds gates the construction-only benchmark; "
-            "it does nothing without --setup-only",
-            file=sys.stderr,
-        )
+    if _refused(args):
         return 2
     if args.setup_only:
         return _bench_setup_only(args)
     if args.faults:
-        return _bench_faults(args)
+        document = run_fault_benchmark(matrix=fault_matrix(selected_tier(args)), verbose=True)
+        return _gate_and_write(benchdoc.FAULTS, document, args)
     if args.baselines:
         return _bench_baselines(args)
-    if args.xxxlarge:
-        print(
-            "error: the 10M-node tier is construction-only (draining ~100M "
-            "events is not a benchmark run); use "
-            "`repro bench --setup-only --xxxlarge`",
-            file=sys.stderr,
-        )
-        return 2
-    if args.smoke:
-        matrix = smoke_matrix()
-    elif args.large:
-        matrix = large_matrix()
-    elif args.xlarge:
-        matrix = xlarge_matrix()
-    elif args.xxlarge:
-        matrix = xxlarge_matrix()
-    else:
-        matrix = default_matrix()
+    matrix = bench_matrix(selected_tier(args))
     seed_baseline = None
     if args.seed_baseline and os.path.exists(args.seed_baseline):
         seed_baseline = benchdoc.load(args.seed_baseline)
@@ -273,8 +339,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     status = 0
     determinism = document.get("determinism", {})
     if not determinism.get("fast_path_matches_observed", True):
-        print("DETERMINISM: the unobserved fast path no longer replays the "
-              "observed path's event order!")
+        print("DETERMINISM: a run without a metrics collector no longer "
+              "replays the observed run's event order!")
         status = 1
     if seed_baseline is not None:
         if not determinism.get("matches_seed", False):
@@ -338,35 +404,11 @@ def _gate_and_write(gate, document, args: argparse.Namespace) -> int:
 
 def _bench_setup_only(args: argparse.Namespace) -> int:
     """The ``repro bench --setup-only`` path: construction-only benchmark."""
-    from repro.bench import (
-        construction_matrix,
-        run_setup_benchmark,
-        xlarge_matrix,
-        xxlarge_matrix,
-        xxxlarge_matrix,
-    )
+    from repro.bench import construction_matrix, run_setup_benchmark
+    from repro.cells import bench_matrix
 
-    if (
-        args.baselines
-        or args.faults
-        or args.calibrate is not None
-        or args.profile
-        or args.check
-    ):
-        print(
-            "error: --setup-only stands scenarios up without draining them; "
-            "it has no baselines/faults/calibration/profile/regression-check "
-            "modes",
-            file=sys.stderr,
-        )
-        return 2
-    if args.xxxlarge:
-        matrix = construction_matrix(xxxlarge_matrix())
-    elif args.xxlarge:
-        matrix = construction_matrix(xxlarge_matrix())
-    elif args.xlarge:
-        matrix = construction_matrix(xlarge_matrix())
-    else:
+    matrix = construction_matrix(bench_matrix(selected_tier(args)))
+    if not matrix:
         print(
             "error: --setup-only measures the large-tier construction path; "
             "pick a tier with >= 100k-node cells "
@@ -389,64 +431,16 @@ def _bench_setup_only(args: argparse.Namespace) -> int:
     return max(status, _gate_and_write(None, document, args))
 
 
-def _bench_faults(args: argparse.Namespace) -> int:
-    """The ``repro bench --faults`` path: degradation + recovery matrix."""
-    from repro.bench import run_fault_benchmark, smoke_fault_matrix
-
-    if args.baselines or args.calibrate is not None or args.profile:
-        print(
-            "error: --faults is its own matrix (single deterministic run per "
-            "cell); it has no baselines/calibration/profile modes",
-            file=sys.stderr,
-        )
-        return 2
-    if args.large or args.xlarge or args.xxlarge or args.xxxlarge:
-        print(
-            "error: --faults has no large tiers; its matrix already includes "
-            "the 100k-node recovery cell "
-            "(drop --large/--xlarge/--xxlarge/--xxxlarge)",
-            file=sys.stderr,
-        )
-        return 2
-    matrix = smoke_fault_matrix() if args.smoke else None
-    document = run_fault_benchmark(matrix=matrix, verbose=True)
-    return _gate_and_write(benchdoc.FAULTS, document, args)
-
-
 def _bench_baselines(args: argparse.Namespace) -> int:
     """The ``repro bench --baselines`` path: the 8-algorithm matrix."""
-    from repro.bench import (
-        baseline_default_matrix,
-        baseline_smoke_matrix,
-        run_baseline_benchmark,
-    )
+    from repro.bench import run_baseline_benchmark
+    from repro.cells import baseline_matrix
 
-    if args.large:
-        print(
-            "error: --baselines has no large tier; the broadcast algorithms "
-            "cost Theta(N) messages per entry, so their matrix ends at n=100 "
-            "(use `repro sweep --large` for the scalable algorithms at 10k)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.xlarge or args.xxlarge or args.xxxlarge:
-        print(
-            "error: --baselines has no xlarge tier (and no xxlarge) either; "
-            "the 100k/1M-node tiers are DAG-matrix (`repro bench --xlarge`, "
-            "`repro bench --xxlarge`) and sweep (`repro sweep --xlarge`, "
-            "`repro sweep --xxlarge`) territory",
-            file=sys.stderr,
-        )
-        return 2
-    if args.profile:
-        print(
-            "error: --profile currently wraps the DAG measured loop only",
-            file=sys.stderr,
-        )
-        return 2
-    matrix = baseline_smoke_matrix() if args.smoke else baseline_default_matrix()
     document = run_baseline_benchmark(
-        matrix=matrix, repeat=args.repeat, calibrate=args.calibrate, verbose=True
+        matrix=baseline_matrix(selected_tier(args)),
+        repeat=args.repeat,
+        calibrate=args.calibrate,
+        verbose=True,
     )
 
     outside = [
@@ -460,23 +454,32 @@ def _bench_baselines(args: argparse.Namespace) -> int:
     return _gate_and_write(benchdoc.BASELINES, document, args)
 
 
+def _finish_sweep(document: dict, args: argparse.Namespace) -> int:
+    """The tail of a sweep, run or merged: write the outputs, report failures."""
+    from repro.sweep import deterministic_document, write_document
+
+    if args.output:
+        write_document(document, args.output)
+        print(f"Wrote {args.output}")
+    if args.deterministic_output:
+        write_document(deterministic_document(document), args.deterministic_output)
+        print(f"Wrote {args.deterministic_output}")
+    if document["failures"]:
+        print(f"FAILED scenarios: {', '.join(document['failures'])}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run the sharded multi-process comparison sweep (see benchmarks/README.md)."""
     from repro.analysis.sweep import format_sweep_tables, sweep_summary_row
     from repro.exceptions import ReproError
     from repro.sweep import (
-        default_sweep_matrix,
-        deterministic_document,
-        fault_sweep_matrix,
-        large_sweep_matrix,
         load_spec_shard,
         merge_documents,
         run_sweep,
-        smoke_sweep_matrix,
-        write_document,
+        sweep_matrix,
         write_spec_shard,
-        xlarge_sweep_matrix,
-        xxlarge_sweep_matrix,
     )
 
     if args.report:
@@ -507,78 +510,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except (ReproError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if args.output:
-            write_document(document, args.output)
-            print(f"Wrote {args.output}")
-        if args.deterministic_output:
-            write_document(deterministic_document(document), args.deterministic_output)
-            print(f"Wrote {args.deterministic_output}")
         if not args.no_tables:
             print(format_sweep_tables(document))
-        if document["failures"]:
-            print(
-                f"FAILED scenarios: {', '.join(document['failures'])}",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
+        return _finish_sweep(document, args)
 
-    if args.workers < 1:
-        print(f"error: --workers needs at least 1 process, got {args.workers}",
-              file=sys.stderr)
+    if _refused(args):
         return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print(f"error: --timeout needs a positive number of seconds, "
-              f"got {args.timeout}", file=sys.stderr)
-        return 2
-    algorithms = args.algorithms if args.algorithms else None
     try:
         if args.from_specs:
-            if (
-                algorithms
-                or args.smoke
-                or args.large
-                or args.xlarge
-                or args.xxlarge
-                or args.faults
-                or args.node_backend != "auto"
-            ):
-                print(
-                    "error: --from-specs carries the whole matrix; tier "
-                    "flags, --algorithms and --node-backend do not apply "
-                    "to it",
-                    file=sys.stderr,
-                )
-                return 2
             matrix = load_spec_shard(args.from_specs)
-        elif args.faults:
-            matrix = fault_sweep_matrix(
-                algorithms=algorithms,
-                node_backend=args.node_backend,
-            )
-        elif args.smoke:
-            matrix = smoke_sweep_matrix(
-                algorithms=algorithms,
-                node_backend=args.node_backend,
-            )
-        elif args.large:
-            matrix = large_sweep_matrix(
-                algorithms=algorithms,
-                node_backend=args.node_backend,
-            )
-        elif args.xlarge:
-            matrix = xlarge_sweep_matrix(
-                algorithms=algorithms,
-                node_backend=args.node_backend,
-            )
-        elif args.xxlarge:
-            matrix = xxlarge_sweep_matrix(
-                algorithms=algorithms,
-                node_backend=args.node_backend,
-            )
         else:
-            matrix = default_sweep_matrix(
-                algorithms=algorithms,
+            matrix = sweep_matrix(
+                "faults" if args.faults else selected_tier(args),
+                algorithms=args.algorithms or None,
                 node_backend=args.node_backend,
             )
     except (ReproError, OSError, ValueError) as exc:
@@ -614,18 +558,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"({summary['algorithms']} algorithms x {summary['conditions']} conditions) "
         f"in {document['run']['wall_seconds']}s"
     )
-
-    if args.output:
-        write_document(document, args.output)
-        print(f"Wrote {args.output}")
-    if args.deterministic_output:
-        write_document(deterministic_document(document), args.deterministic_output)
-        print(f"Wrote {args.deterministic_output}")
-
-    if document["failures"]:
-        print(f"FAILED scenarios: {', '.join(document['failures'])}", file=sys.stderr)
-        return 1
-    return 0
+    return _finish_sweep(document, args)
 
 
 def cmd_algorithms(args: argparse.Namespace) -> int:
@@ -675,15 +608,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.spec import ExperimentSpec
     from repro.workload.driver import ExperimentDriver
 
+    if _refused(args):
+        return 2
     try:
         if args.spec is not None:
-            if args.cell:
-                print(
-                    "error: pass either --spec FILE or the ALGO KIND:N TIER "
-                    "shorthand, not both",
-                    file=sys.stderr,
-                )
-                return 2
             if _spec_schema(args.spec) == "runtime-spec/v1":
                 # A runtime spec describes the live lock service, not a
                 # simulation: route to the networked runtime instead.
@@ -760,53 +688,60 @@ def cmd_run(args: argparse.Namespace) -> int:
     if result.fault_summary is not None:
         _print_fault_summary(result.fault_summary)
     if args.trace:
-        from repro.obs.chrome_trace import (
-            chrome_trace_document,
-            sim_trace_events,
-            write_chrome_trace,
-        )
-
-        document = chrome_trace_document(
-            sim_trace_events(driver.system.trace.events),
-            metadata={"source": f"sim:{spec.name}", "seed": spec.seed},
-        )
-        write_chrome_trace(document, args.trace)
-        print(f"Wrote {args.trace} ({len(document['traceEvents'])} trace events)")
+        _write_sim_trace(driver, spec, args.trace)
     return 0
 
 
+def _write_sim_trace(driver, spec, path: str) -> None:
+    """Export a finished simulation's protocol trace as a Chrome timeline."""
+    from repro.obs.chrome_trace import (
+        chrome_trace_document,
+        sim_trace_events,
+        write_chrome_trace,
+    )
+
+    document = chrome_trace_document(
+        sim_trace_events(driver.system.trace.events),
+        metadata={"source": f"sim:{spec.name}", "seed": spec.seed},
+    )
+    write_chrome_trace(document, path)
+    print(f"Wrote {path} ({len(document['traceEvents'])} trace events)")
+
+
+def _write_runtime_trace(trace: Optional[List[dict]], path: str, **metadata) -> None:
+    """Export the op-lifecycle events a lock-service run collected."""
+    from repro.runtime.lockbench import write_lockbench_trace
+
+    write_lockbench_trace(trace or [], path, metadata=metadata)
+    print(f"Wrote {path} ({len(trace or [])} trace events)")
+
+
 def _runtime_scenario(spec, args: argparse.Namespace):
-    """Derive the client workload for a ``runtime-spec/v1`` run.
+    """Wrap a loaded ``runtime-spec/v1`` service with the CLI's probe.
 
     The spec describes the service (shards, per-key topology, faults, obs);
     the workload knobs stay on the CLI because they are the *probe*, not the
     system under test.
     """
-    from repro.runtime.lockbench import LockBenchScenario
+    from repro.runtime.lockbench import lockbench_cell
 
-    op_timeout = None
-    if spec.faults is not None and (spec.faults.crashes or spec.faults.drop_rate > 0):
-        # Injected faults silently swallow frames; a probe without a
-        # deadline would hang on the first casualty.
-        op_timeout = 5.0
-    return LockBenchScenario(
-        shards=spec.shards,
+    faulty = spec.faults is not None and (spec.faults.crashes or spec.faults.drop_rate > 0)
+    return lockbench_cell(
+        spec,
         clients=args.sessions,
         locks=args.keys,
         ops=args.session_ops,
-        agents=spec.topology.n,
-        topology_kind=spec.topology.kind,
-        socket=spec.socket,
         seed=args.seed,
-        op_timeout=op_timeout,
-        obs=spec.obs is None or spec.obs.enabled,
+        # Injected faults silently swallow frames; a probe without a
+        # deadline would hang on the first casualty.
+        op_timeout=5.0 if faulty else None,
     )
 
 
 def _run_runtime_spec(args: argparse.Namespace) -> int:
     """The ``repro run --spec runtime.json`` path: drive the live service."""
     from repro.exceptions import ReproError
-    from repro.runtime.lockbench import run_lockbench_scenario, write_lockbench_trace
+    from repro.runtime.lockbench import run_lockbench_scenario
     from repro.spec import RuntimeSpec
 
     try:
@@ -823,7 +758,7 @@ def _run_runtime_spec(args: argparse.Namespace) -> int:
         return 0
     trace: Optional[List[dict]] = [] if args.trace else None
     try:
-        row = run_lockbench_scenario(scenario, spec=spec, trace=trace)
+        row = run_lockbench_scenario(scenario, trace=trace)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -831,7 +766,7 @@ def _run_runtime_spec(args: argparse.Namespace) -> int:
     rows = [
         {
             "spec": spec.name,
-            "sessions": scenario.clients,
+            "sessions": scenario.probe.clients,
             "ops": row["ops_completed"],
             "errors": row["errors"],
             "locks_per_sec": timing["locks_per_sec"],
@@ -852,10 +787,7 @@ def _run_runtime_spec(args: argparse.Namespace) -> int:
             + (f", max queue depth {depth}" if depth is not None else "")
         )
     if args.trace:
-        write_lockbench_trace(
-            trace or [], args.trace, metadata={"source": f"runtime:{spec.name}"}
-        )
-        print(f"Wrote {args.trace} ({len(trace or [])} trace events)")
+        _write_runtime_trace(trace, args.trace, source=f"runtime:{spec.name}")
     return 1 if row["exclusion_violations"] or row["errors"] else 0
 
 
@@ -901,22 +833,12 @@ def cmd_obs(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.exceptions import ReproError
-    from repro.obs.chrome_trace import (
-        chrome_trace_document,
-        sim_trace_events,
-        write_chrome_trace,
-    )
     from repro.obs.registry import MetricsRegistry
     from repro.obs.snapshot import snapshot_document, write_snapshot
     from repro.spec import ExperimentSpec
     from repro.workload.driver import ExperimentDriver
 
-    if not args.snapshot and not args.trace:
-        print(
-            "error: pick at least one output (--snapshot FILE and/or "
-            "--trace FILE)",
-            file=sys.stderr,
-        )
+    if _refused(args):
         return 2
     try:
         if _spec_schema(args.spec) == "runtime-spec/v1":
@@ -950,12 +872,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
         write_snapshot(document, args.snapshot)
         print(f"Wrote {args.snapshot}")
     if args.trace:
-        document = chrome_trace_document(
-            sim_trace_events(driver.system.trace.events),
-            metadata={"source": f"sim:{spec.name}", "seed": spec.seed},
-        )
-        write_chrome_trace(document, args.trace)
-        print(f"Wrote {args.trace} ({len(document['traceEvents'])} trace events)")
+        _write_sim_trace(driver, spec, args.trace)
     return 0
 
 
@@ -969,7 +886,7 @@ def _obs_runtime(args: argparse.Namespace) -> int:
         snapshot_document,
         write_snapshot,
     )
-    from repro.runtime.lockbench import run_lockbench_scenario, write_lockbench_trace
+    from repro.runtime.lockbench import run_lockbench_scenario
     from repro.spec import ObsSpec, RuntimeSpec
 
     try:
@@ -985,9 +902,7 @@ def _obs_runtime(args: argparse.Namespace) -> int:
     trace: Optional[List[dict]] = [] if args.trace else None
     outcome: dict = {}
     try:
-        row = run_lockbench_scenario(
-            scenario, spec=spec, trace=trace, outcome_out=outcome
-        )
+        row = run_lockbench_scenario(scenario, trace=trace, outcome_out=outcome)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -1014,38 +929,19 @@ def _obs_runtime(args: argparse.Namespace) -> int:
         write_snapshot(document, args.snapshot)
         print(f"Wrote {args.snapshot}")
     if args.trace:
-        write_lockbench_trace(
-            trace or [], args.trace, metadata={"source": f"runtime:{spec.name}"}
-        )
-        print(f"Wrote {args.trace} ({len(trace or [])} trace events)")
+        _write_runtime_trace(trace, args.trace, source=f"runtime:{spec.name}")
     return 1 if row["exclusion_violations"] else 0
 
 
 def cmd_lockbench(args: argparse.Namespace) -> int:
     """Benchmark the networked lock service (see benchmarks/README.md)."""
-    from repro.runtime.lockbench import (
-        default_lockbench_matrix,
-        fault_lockbench_matrix,
-        run_lockbench,
-        smoke_lockbench_matrix,
-        write_lockbench_trace,
-    )
+    from repro.runtime.lockbench import lockbench_matrix, run_lockbench
 
-    if args.trace and args.calibrate is not None:
-        print(
-            "error: --trace records one run's op lifecycles; min-merging "
-            "calibration runs has no single timeline to export",
-            file=sys.stderr,
-        )
+    if _refused(args):
         return 2
-    if args.faults:
-        # The chaos matrix replaces the healthy one: a shard dies mid-run and
-        # the rows gate takeover time and availability, not just throughput.
-        matrix = fault_lockbench_matrix()
-    elif args.smoke:
-        matrix = smoke_lockbench_matrix()
-    else:
-        matrix = default_lockbench_matrix()
+    # --faults: the chaos matrix replaces the healthy one — a shard dies
+    # mid-run and the rows gate takeover time and availability too.
+    matrix = lockbench_matrix("faults" if args.faults else selected_tier(args))
     trace = [] if args.trace else None
     if args.calibrate is not None:
         document = benchdoc.calibrate(
@@ -1058,15 +954,9 @@ def cmd_lockbench(args: argparse.Namespace) -> int:
         document = run_lockbench(matrix=matrix, verbose=True, trace=trace)
 
     if args.trace:
-        write_lockbench_trace(
-            trace or [],
-            args.trace,
-            metadata={
-                "source": "lockbench",
-                "scenarios": [scenario.name for scenario in matrix],
-            },
+        _write_runtime_trace(
+            trace, args.trace, source="lockbench", scenarios=[cell.name for cell in matrix]
         )
-        print(f"Wrote {args.trace} ({len(trace or [])} trace events)")
     return _gate_and_write(benchdoc.RUNTIME, document, args)
 
 

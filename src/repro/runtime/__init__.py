@@ -28,12 +28,12 @@ from repro.runtime.failover import (
 )
 from repro.runtime.lock import DistributedLock
 from repro.runtime.lockbench import (
-    LockBenchScenario,
-    default_lockbench_matrix,
-    fault_lockbench_matrix,
+    LockBenchCell,
+    LockProbe,
+    lockbench_cell,
+    lockbench_matrix,
     run_lockbench,
     run_lockbench_scenario,
-    smoke_lockbench_matrix,
 )
 from repro.runtime.node_runtime import AsyncDagNode
 from repro.runtime.service import (
@@ -62,10 +62,10 @@ __all__ = [
     "ClusterSupervisor",
     "ClusterView",
     "FailoverEvent",
-    "LockBenchScenario",
-    "fault_lockbench_matrix",
-    "default_lockbench_matrix",
+    "LockBenchCell",
+    "LockProbe",
+    "lockbench_cell",
+    "lockbench_matrix",
     "run_lockbench",
     "run_lockbench_scenario",
-    "smoke_lockbench_matrix",
 ]

@@ -43,158 +43,112 @@ from repro.spec import ObsSpec, RuntimeFaultSpec, RuntimeSpec, ShardCrashSpec, T
 
 
 @dataclass(frozen=True)
-class LockBenchScenario:
-    """One cell of the lock-service benchmark matrix.
-
-    ``clients`` is the number of *concurrent sessions* (all in flight at
-    once, multiplexed over ``channels`` connections per shard); ``ops`` is
-    acquire/release pairs per session; ``agents`` shapes the per-key token
-    tree through the same :class:`~repro.spec.TopologySpec` names the
-    simulator uses.
+class LockProbe:
+    """The client workload driven at a service — everything that is *not*
+    the service: ``clients`` concurrent sessions (all in flight at once,
+    multiplexed over ``channels`` connections per shard), each issuing ``ops``
+    seeded acquire/release pairs over ``locks`` keys.  ``op_timeout`` is the
+    per-op client deadline; fault runs need one so ops parked on a dead shard
+    (or answered by a dropped frame) time out and retry instead of hanging.
     """
 
-    shards: int
     clients: int
     locks: int
     ops: int
-    agents: int = 4
-    topology_kind: str = "star"
-    socket: str = "unix"
     channels: int = 8
     seed: int = 0
-    #: When set, that shard hard-exits ``crash_at`` seconds into the run (the
-    #: declarative fault, carried by the scenario's :class:`RuntimeSpec`) and
-    #: the row reports failover measurements alongside throughput.
-    crash_shard: Optional[int] = None
-    crash_at: float = 0.75
-    #: Per-frame Bernoulli drop probability on the shards (the other
-    #: declarative runtime fault).  A dropped frame is never answered, so a
-    #: drop scenario *must* set ``op_timeout`` — validated at construction.
-    drop_rate: float = 0.0
-    #: Per-op client deadline; failover runs need one so ops parked on the
-    #: dead shard time out and retry instead of waiting forever.
     op_timeout: Optional[float] = None
-    #: Shard-side observability (the :mod:`repro.obs` registry).  On by
-    #: default so every row carries the fairness block (per-session latency
-    #: spread + max queue depth via the implicit-queue inspector); the cost
-    #: is two clock reads and one FOLLOW-chain walk per acquire, well inside
-    #: the committed floors' tolerance.
-    obs: bool = True
+
+
+@dataclass(frozen=True)
+class LockBenchCell:
+    """One cell of the lock-service matrix: a committed name, the one
+    :class:`~repro.spec.RuntimeSpec` the service is stood up from (shards,
+    per-key token tree, socket family, faults, obs), and the probe."""
+
+    name: str
+    spec: RuntimeSpec
+    probe: LockProbe
 
     def __post_init__(self) -> None:
-        if self.clients < 1 or self.locks < 1 or self.ops < 1:
+        probe, faults = self.probe, self.spec.faults
+        if probe.clients < 1 or probe.locks < 1 or probe.ops < 1:
             raise LockError(
                 "clients, locks and ops must all be >= 1, got "
-                f"{self.clients}/{self.locks}/{self.ops}"
+                f"{probe.clients}/{probe.locks}/{probe.ops}"
             )
-        if self.crash_shard is not None and self.shards < 2:
+        if faults is not None and faults.crashes and self.spec.shards < 2:
             raise LockError("a crash scenario needs >= 2 shards to fail over to")
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise LockError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
-        if self.drop_rate > 0.0 and self.op_timeout is None:
+        if faults is not None and faults.drop_rate > 0.0 and probe.op_timeout is None:
             raise LockError(
                 "drop_rate > 0 needs op_timeout: a dropped frame is never "
                 "answered, so a client without a deadline hangs forever"
             )
 
-    @property
-    def name(self) -> str:
-        suffix = f"+crash{self.crash_shard}" if self.crash_shard is not None else ""
-        if self.drop_rate > 0.0:
-            suffix += f"+drop{self.drop_rate * 100:g}"
-        return (
-            f"{self.socket}-s{self.shards}-c{self.clients}"
-            f"-k{self.locks}-o{self.ops}{suffix}"
-        )
 
-    def runtime_spec(self) -> RuntimeSpec:
-        """The service-side description (the spec-to-runtime bridge)."""
-        faults = None
-        heartbeat_interval = 0.1
-        miss_window = 2.0
-        if self.crash_shard is not None or self.drop_rate > 0.0:
-            crashes = (
-                (ShardCrashSpec(shard=self.crash_shard, at=self.crash_at),)
-                if self.crash_shard is not None
-                else ()
-            )
-            faults = RuntimeFaultSpec(
-                crashes=crashes, drop_rate=self.drop_rate, seed=self.seed
-            )
-        if self.crash_shard is not None:
-            # A crash cell measures time-to-takeover; tighten the detection
-            # loop so the measurement reflects failover, not the idle default.
-            heartbeat_interval = 0.05
-            miss_window = 0.5
+def lockbench_cell(spec: RuntimeSpec, **probe: Any) -> LockBenchCell:
+    """Wrap ``spec`` with a probe under the committed row-name convention
+    (``socket-sS-cC-kK-oO[+crashN][+dropP]``)."""
+    cell_probe = LockProbe(**probe)
+    suffix = ""
+    if spec.faults is not None:
+        suffix = "".join(f"+crash{crash.shard}" for crash in spec.faults.crashes)
+        if spec.faults.drop_rate > 0.0:
+            suffix += f"+drop{spec.faults.drop_rate * 100:g}"
+    name = (
+        f"{spec.socket}-s{spec.shards}-c{cell_probe.clients}"
+        f"-k{cell_probe.locks}-o{cell_probe.ops}{suffix}"
+    )
+    return LockBenchCell(name, spec, cell_probe)
+
+
+def lockbench_matrix(tier: str = "default") -> List[LockBenchCell]:
+    """The committed cells of ``BENCH_runtime.json``, by tier.
+
+    ``default``: the single-shard hot path, the 1k-session acceptance cell
+    (alone, it is the ``smoke`` tier), a wider 4-shard spread, and the
+    acceptance load over TCP.  ``faults``: the acceptance load with one of two
+    shards killed mid-run, and a lighter load under 1% frame loss — lighter so
+    a legitimately queued acquire never outlives the deadline that detects a
+    dropped frame (a dropped *release* stalls every waiter on its key for a
+    whole deadline, and deep waiter chains would burn the retry budget).
+    """
+
+    def service(shards: int, **settings: Any) -> RuntimeSpec:
         return RuntimeSpec(
             algorithm="dag",
-            topology=TopologySpec(kind=self.topology_kind, n=self.agents),
-            shards=self.shards,
-            socket=self.socket,
-            faults=faults,
-            heartbeat_interval=heartbeat_interval,
-            miss_window=miss_window,
-            obs=ObsSpec(enabled=True) if self.obs else None,
+            topology=TopologySpec(kind="star", n=4),
+            shards=shards,
+            obs=ObsSpec(enabled=True),
+            **settings,
         )
 
-
-def smoke_lockbench_matrix() -> List[LockBenchScenario]:
-    """The CI cell: 1k concurrent sessions over a 2-shard, 64-key namespace."""
-    return [LockBenchScenario(shards=2, clients=1000, locks=64, ops=10)]
-
-
-def default_lockbench_matrix() -> List[LockBenchScenario]:
-    """The committed matrix: single-shard hot path, the 1k-session acceptance
-    cell, a wider 4-shard spread, and the same acceptance load over TCP."""
+    if tier == "faults":
+        crash = RuntimeFaultSpec(crashes=(ShardCrashSpec(shard=1, at=0.75),))
+        return [
+            # Detection tightened so the row measures failover, not the idle default.
+            lockbench_cell(
+                service(2, faults=crash, heartbeat_interval=0.05, miss_window=0.5),
+                clients=1000, locks=64, ops=10, op_timeout=5.0,
+            ),
+            lockbench_cell(
+                service(2, faults=RuntimeFaultSpec(drop_rate=0.01)),
+                clients=100, locks=64, ops=10, op_timeout=1.0,
+            ),
+        ]
+    acceptance = lockbench_cell(service(2), clients=1000, locks=64, ops=10)
+    if tier == "smoke":
+        return [acceptance]
     return [
-        LockBenchScenario(shards=1, clients=100, locks=16, ops=20),
-        LockBenchScenario(shards=2, clients=1000, locks=64, ops=10),
-        LockBenchScenario(shards=4, clients=1000, locks=256, ops=10),
-        LockBenchScenario(shards=2, clients=1000, locks=64, ops=10, socket="tcp"),
+        lockbench_cell(service(1), clients=100, locks=16, ops=20),
+        acceptance,
+        lockbench_cell(service(4), clients=1000, locks=256, ops=10),
+        lockbench_cell(service(2, socket="tcp"), clients=1000, locks=64, ops=10),
     ]
-
-
-def fault_lockbench_matrix() -> List[LockBenchScenario]:
-    """The chaos cells: the 1k-session acceptance load with one of two shards
-    killed mid-run, and the same load under a lossy transport.  Every session
-    must still complete — the crash cell via retry + takeover (the row records
-    time-to-takeover and the availability gap), the drop cell via per-op
-    deadlines and resends against a service that silently discards 1% of
-    frames (:class:`~repro.spec.RuntimeFaultSpec` ``drop_rate``)."""
-    return [
-        LockBenchScenario(
-            shards=2,
-            clients=1000,
-            locks=64,
-            ops=10,
-            crash_shard=1,
-            crash_at=0.75,
-            op_timeout=5.0,
-        ),
-        # Lighter load than the crash cell on purpose: the drop cell gates
-        # the deadline/resend machinery, and must stay below the contention
-        # level where a legitimately-queued acquire outlives its deadline —
-        # a dropped *release* stalls every waiter on its key for a whole
-        # deadline, and deep waiter chains would burn the retry budget
-        # nondeterministically.
-        LockBenchScenario(
-            shards=2,
-            clients=100,
-            locks=64,
-            ops=10,
-            drop_rate=0.01,
-            op_timeout=1.0,
-        ),
-    ]
-
-
-# The linear-interpolation quantile moved to ``repro.obs.snapshot`` so the
-# fairness summary and the bench rows agree on one definition.
-_quantile = quantile
 
 
 async def _drive_sessions(
-    scenario: LockBenchScenario,
+    probe: LockProbe,
     addresses: Sequence[Any],
     *,
     collect_trace: bool = False,
@@ -214,8 +168,8 @@ async def _drive_sessions(
     trace_spans: Optional[List[Dict[str, Any]]] = [] if collect_trace else None
     client = LockClient(
         addresses,
-        channels=scenario.channels,
-        op_timeout=scenario.op_timeout,
+        channels=probe.channels,
+        op_timeout=probe.op_timeout,
         trace=trace_spans,
     )
     await client.connect()
@@ -227,11 +181,11 @@ async def _drive_sessions(
 
     async def run_session(session_id: int) -> None:
         nonlocal errors, fenced
-        rng = SeededRNG(scenario.seed, label=f"lockbench/session-{session_id}")
+        rng = SeededRNG(probe.seed, label=f"lockbench/session-{session_id}")
         session = client.session(session_id)
         mine = session_latencies.setdefault(session_id, [])
-        for _ in range(scenario.ops):
-            key = f"lock-{rng.randint(0, scenario.locks - 1)}"
+        for _ in range(probe.ops):
+            key = f"lock-{rng.randint(0, probe.locks - 1)}"
             started = time.perf_counter()
             try:
                 await session.acquire(key)
@@ -252,7 +206,7 @@ async def _drive_sessions(
     started = time.perf_counter()
     started_mono = time.monotonic()
     await asyncio.gather(
-        *(run_session(session_id) for session_id in range(scenario.clients))
+        *(run_session(session_id) for session_id in range(probe.clients))
     )
     wall = time.perf_counter() - started
     # The shards' own ledger, summed over whatever membership survived: the
@@ -333,60 +287,37 @@ def _max_queue_depth(shard_stats: Sequence[Dict[str, Any]]) -> Optional[int]:
 
 
 def run_lockbench_scenario(
-    scenario: LockBenchScenario,
+    cell: LockBenchCell,
     *,
-    spec: Optional[RuntimeSpec] = None,
     trace: Optional[List[Dict[str, Any]]] = None,
     outcome_out: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Start the shard processes, drive the workload, assemble the row.
+    """Start the shard processes, drive the probe, return :func:`lockbench_row`.
 
-    Deterministic fields (``ops_total``, ``errors``) live at the top level;
-    host-dependent measurements live under ``"timing"`` — the same split as
-    every other bench document, so gates know which fields tolerate noise.
-
-    ``spec`` overrides the scenario-derived :class:`RuntimeSpec` (the
-    ``repro run`` bridge for committed ``runtime-spec/v1`` files); ``trace``,
-    when given, receives Chrome ``trace_event`` dicts covering every client
-    op lifecycle (request→grant→release, with retry/fence outcomes) and any
-    failover window, rebased to the workload start.  ``outcome_out``, when
-    given, receives the raw workload outcome (shard ``stats`` frames with
-    their obs registry snapshots, client retry counters) for callers — like
-    ``repro obs`` — that need more than the bench row.
+    ``trace``, when given, receives Chrome ``trace_event`` dicts covering
+    every client op lifecycle (request→grant→release, with retry/fence
+    outcomes) and any failover window, rebased to the workload start.
+    ``outcome_out``, when given, receives the raw workload outcome (shard
+    ``stats`` frames with their obs registry snapshots, client retry
+    counters) for callers — like ``repro obs`` — that need more than the row.
     """
-    if spec is None:
-        spec = scenario.runtime_spec()
-    with LockServiceCluster(spec) as cluster:
+    crashes = cell.spec.faults.crashes if cell.spec.faults is not None else ()
+    with LockServiceCluster(cell.spec) as cluster:
         outcome = asyncio.run(
-            _drive_sessions(scenario, cluster.addresses, collect_trace=trace is not None)
+            _drive_sessions(cell.probe, cluster.addresses, collect_trace=trace is not None)
         )
-        if scenario.crash_shard is not None:
+        if crashes:
             # A short workload can outrun its own crash schedule; wait for
-            # the supervisor to record the declared death before reporting.
-            deadline = time.perf_counter() + scenario.crash_at + 5.0
-            while not cluster.failover_events and time.perf_counter() < deadline:
+            # the supervisor to record the declared deaths before reporting.
+            deadline = time.perf_counter() + max(crash.at for crash in crashes) + 5.0
+            while (
+                len(cluster.failover_events) < len(crashes)
+                and time.perf_counter() < deadline
+            ):
                 time.sleep(0.02)
         events = cluster.failover_events
     if outcome_out is not None:
         outcome_out.update(outcome)
-    latencies = sorted(outcome["latencies"])
-    completed = len(latencies)
-    wall = outcome["wall"]
-    timing = {
-        "wall_seconds": round(wall, 4),
-        "locks_per_sec": round(completed / wall, 1) if wall > 0 else 0.0,
-        "acquire_p50_ms": round(_quantile(latencies, 0.50) * 1000, 3),
-        "acquire_p99_ms": round(_quantile(latencies, 0.99) * 1000, 3),
-        "acquire_mean_ms": (
-            round(sum(latencies) / completed * 1000, 3) if completed else 0.0
-        ),
-        "acquire_max_ms": round(latencies[-1] * 1000, 3) if latencies else 0.0,
-    }
-    if scenario.obs:
-        timing["fairness"] = fairness_summary(
-            outcome["session_latencies"],
-            max_queue_depth=_max_queue_depth(outcome["shard_stats"]),
-        )
     if trace is not None:
         spans = [
             dict(span, start=span["start"] - outcome["started"], end=span["end"] - outcome["started"])
@@ -398,16 +329,51 @@ def run_lockbench_scenario(
                 failover_spans(events, origin=outcome["started_mono"]), pid=2
             )
         )
+    return lockbench_row(cell, outcome, events)
+
+
+def lockbench_row(
+    cell: LockBenchCell, outcome: Dict[str, Any], events: Sequence[Any]
+) -> Dict[str, Any]:
+    """Assemble a cell's document row from its workload outcome.
+
+    Deterministic fields (``ops_total``, ``errors``) live at the top level;
+    host-dependent measurements live under ``"timing"`` — the same split as
+    every other bench document, so gates know which fields tolerate noise.
+    Which blocks the row carries (``fault``, ``timing.failover``,
+    ``timing.fairness``) is read off ``cell.spec``, the same spec the service
+    ran — the row cannot describe a different service than the one measured.
+    """
+    spec, probe = cell.spec, cell.probe
+    latencies = sorted(outcome["latencies"])
+    completed = len(latencies)
+    wall = outcome["wall"]
+    timing = {
+        "wall_seconds": round(wall, 4),
+        "locks_per_sec": round(completed / wall, 1) if wall > 0 else 0.0,
+        "acquire_p50_ms": round(quantile(latencies, 0.50) * 1000, 3),
+        "acquire_p99_ms": round(quantile(latencies, 0.99) * 1000, 3),
+        "acquire_mean_ms": (
+            round(sum(latencies) / completed * 1000, 3) if completed else 0.0
+        ),
+        "acquire_max_ms": round(latencies[-1] * 1000, 3) if latencies else 0.0,
+    }
+    if spec.obs is not None and spec.obs.enabled:
+        # Per-session latency spread + the shards' implicit-queue watermark.
+        timing["fairness"] = fairness_summary(
+            outcome["session_latencies"],
+            max_queue_depth=_max_queue_depth(outcome["shard_stats"]),
+        )
     row = {
-        "scenario": scenario.name,
-        "shards": scenario.shards,
-        "clients": scenario.clients,
-        "locks": scenario.locks,
-        "ops_per_client": scenario.ops,
-        "agents": scenario.agents,
-        "socket": scenario.socket,
+        "scenario": cell.name,
+        "shards": spec.shards,
+        "clients": probe.clients,
+        "locks": probe.locks,
+        "ops_per_client": probe.ops,
+        "agents": spec.topology.n,
+        "socket": spec.socket,
         "runtime_spec": spec.name,
-        "ops_total": scenario.clients * scenario.ops,
+        "ops_total": probe.clients * probe.ops,
         "ops_completed": completed,
         "errors": outcome["errors"],
         # The server-side exclusion ledger: any nonzero value fails the gate
@@ -417,14 +383,15 @@ def run_lockbench_scenario(
         ),
         "timing": timing,
     }
-    if scenario.crash_shard is not None or scenario.drop_rate > 0.0:
-        fault: Dict[str, Any] = {}
-        if scenario.crash_shard is not None:
-            fault["crash_shard"] = scenario.crash_shard
-            fault["crash_at"] = scenario.crash_at
-            timing["failover"] = _failover_timing(outcome, events, wall)
-        if scenario.drop_rate > 0.0:
-            fault["drop_rate"] = scenario.drop_rate
+    fault: Dict[str, Any] = {}
+    if spec.faults is not None and spec.faults.crashes:
+        # The committed block has room for one crash: the first declared.
+        fault["crash_shard"] = spec.faults.crashes[0].shard
+        fault["crash_at"] = spec.faults.crashes[0].at
+        timing["failover"] = _failover_timing(outcome, events, wall)
+    if spec.faults is not None and spec.faults.drop_rate > 0.0:
+        fault["drop_rate"] = spec.faults.drop_rate
+    if fault:
         row["fault"] = fault
     return row
 
@@ -441,7 +408,7 @@ def write_lockbench_trace(
 
 def run_lockbench(
     *,
-    matrix: Optional[Sequence[LockBenchScenario]] = None,
+    matrix: Sequence[LockBenchCell],
     verbose: bool = False,
     trace: Optional[List[Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
@@ -455,10 +422,9 @@ def run_lockbench(
     # One more module loaded there cost the perf/ svc_* workloads ~3% ops/s.
     from repro.benchdoc import RUNTIME
 
-    scenarios = list(matrix) if matrix is not None else default_lockbench_matrix()
     rows: List[Dict[str, Any]] = []
-    for scenario in scenarios:
-        row = run_lockbench_scenario(scenario, trace=trace)
+    for cell in matrix:
+        row = run_lockbench_scenario(cell, trace=trace)
         rows.append(row)
         if verbose:
             timing = row["timing"]

@@ -3,8 +3,8 @@
 The paper's headline result is a comparison matrix — the DAG algorithm
 against eight baselines across topologies, sizes and demand tiers — and for
 four PRs that matrix was described four different ways: bench cell dicts,
-``SweepScenario``, positional ``run_experiment`` arguments, and ad-hoc CLI
-flags.  This module collapses them into one canonical value:
+sweep scenario records, positional ``run_experiment`` arguments, and ad-hoc
+CLI flags.  This module collapses them into one canonical value:
 :class:`ExperimentSpec`, a frozen, JSON-round-trippable record of *everything*
 that determines a run's virtual-time outcome (algorithm, topology, workload,
 latency model, seed) plus the metrics toggle, which does not.
@@ -170,9 +170,9 @@ class WorkloadSpec:
         """Construct the tier's schedule on ``topology`` with ``seed``.
 
         These parameterisations are the committed bench/sweep tier
-        definitions — the legacy ``build_workload`` / ``build_sweep_workload``
-        entry points now delegate here, so a spec-built workload is
-        request-for-request identical to the historical paths.
+        definitions (:func:`repro.cells.tier_workload` picks the rounds), so
+        a spec-built workload is request-for-request identical to the
+        committed rows.
         """
         generator = WorkloadGenerator(topology.nodes, seed=seed)
         n = len(topology.nodes)
@@ -859,7 +859,7 @@ class RuntimeFaultSpec:
             dropped frame is simply never answered, which is what exercises
             the client's deadline + retry path.  Because nothing ever
             answers a dropped frame, any client driving a ``drop_rate``
-            service **must** set ``op_timeout`` (lockbench scenarios enforce
+            service **must** set ``op_timeout`` (lockbench cells enforce
             this at construction; control-plane calls like ``stats`` carry a
             built-in deadline either way).
         seed: drop-stream seed (combined with the shard index).

@@ -2,33 +2,25 @@
 
 This package turns the paper's algorithm comparison into a scalable harness:
 the full matrix (9 algorithms x topology families x node counts x workload
-tiers, :mod:`repro.sweep.matrix`) is fanned out over a pool of child
+tiers, :func:`repro.cells.sweep_matrix`) is fanned out over a pool of child
 processes (:mod:`repro.sweep.runner`), with each scenario executed in its own
 process (:mod:`repro.sweep.worker`) for crash isolation and true per-scenario
 peak-RSS measurement.  Merged results are deterministic regardless of worker
 count or scheduling; ``repro sweep`` is the CLI entry point.
 """
 
-from repro.sweep.matrix import (
+from repro.cells import (
     FAULT_TIER_PROFILES,
-    LARGE_TIER_ALGORITHMS,
     SPEC_SHARD_SCHEMA,
     SWEEP_ALGORITHMS,
-    XXLARGE_TIER_ALGORITHMS,
-    SweepScenario,
-    build_sweep_topology,
-    build_sweep_workload,
-    default_sweep_matrix,
-    fault_sweep_matrix,
-    large_sweep_matrix,
+    Cell,
+    cell_from_spec,
     load_spec_shard,
     scenario_seed,
-    smoke_sweep_matrix,
-    sweep_workload_spec,
+    sweep_cell,
+    sweep_matrix,
     validate_algorithms,
     write_spec_shard,
-    xlarge_sweep_matrix,
-    xxlarge_sweep_matrix,
 )
 from repro.sweep.runner import (
     SCHEMA,
@@ -45,24 +37,16 @@ from repro.sweep.worker import (
 
 __all__ = [
     "FAULT_TIER_PROFILES",
-    "LARGE_TIER_ALGORITHMS",
     "SPEC_SHARD_SCHEMA",
     "SWEEP_ALGORITHMS",
-    "XXLARGE_TIER_ALGORITHMS",
-    "SweepScenario",
-    "build_sweep_topology",
-    "build_sweep_workload",
-    "default_sweep_matrix",
-    "fault_sweep_matrix",
-    "large_sweep_matrix",
+    "Cell",
+    "cell_from_spec",
     "load_spec_shard",
     "scenario_seed",
-    "smoke_sweep_matrix",
-    "sweep_workload_spec",
+    "sweep_cell",
+    "sweep_matrix",
     "validate_algorithms",
     "write_spec_shard",
-    "xlarge_sweep_matrix",
-    "xxlarge_sweep_matrix",
     "SCHEMA",
     "canonical_json",
     "deterministic_document",

@@ -9,7 +9,7 @@ and keeps at most ``workers`` children alive.  A child that dies without
 reporting — crash, OOM kill, fault injection — costs exactly one row.
 
 Merged output is deterministic by construction: scenario outcomes depend only
-on the scenario spec (seeds derive from names), rows are merged in scenario
+on the cell's spec (seeds derive from names), rows are merged in scenario
 name order, and all host-dependent measurements live under per-row ``timing``
 keys (plus the top-level ``run`` key), which :func:`deterministic_document`
 strips.  ``repro sweep`` with one worker and with N workers therefore produces
@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.benchdoc import canonical_json
 from repro.benchdoc import deterministic as deterministic_document
 from repro.benchdoc import write as write_document
-from repro.sweep.matrix import SweepScenario
+from repro.cells import Cell
 from repro.sweep.worker import child_main, error_row
 
 SCHEMA = "sweep/v1"
@@ -47,7 +47,7 @@ class _RunningScenario:
 
 
 def run_sweep(
-    matrix: Sequence[SweepScenario],
+    matrix: Sequence[Cell],
     *,
     workers: int = 2,
     timeout: Optional[float] = None,
@@ -91,10 +91,12 @@ def run_sweep(
     rows: Dict[str, Dict[str, Any]] = {}
     started = time.perf_counter()
 
-    def launch(spec: SweepScenario) -> None:
+    def launch(spec: Cell) -> None:
         reader, writer = context.Pipe(duplex=False)
         process = context.Process(
-            target=child_main, args=(spec.as_dict(), writer), daemon=True
+            target=child_main,
+            args=({"name": spec.name, "experiment": spec.experiment.to_dict()}, writer),
+            daemon=True,
         )
         process.start()
         writer.close()  # the child holds the only write end now

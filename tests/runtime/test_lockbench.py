@@ -8,15 +8,16 @@ from functools import partial
 import pytest
 
 from repro.benchdoc import RUNTIME, check, merge
-from repro.exceptions import LockError
+from repro.exceptions import ExperimentError, LockError
 from repro.runtime.lockbench import (
-    LockBenchScenario,
-    default_lockbench_matrix,
-    fault_lockbench_matrix,
+    LockBenchCell,
+    lockbench_cell,
+    lockbench_matrix,
+    lockbench_row,
     run_lockbench,
     run_lockbench_scenario,
-    smoke_lockbench_matrix,
 )
+from repro.spec import ObsSpec, RuntimeFaultSpec, RuntimeSpec, ShardCrashSpec, TopologySpec
 
 
 merge_runtime = partial(merge, RUNTIME)
@@ -30,19 +31,29 @@ def runtime_problems(rows, committed, *, tolerance=0.5, latency_tolerance=3.0):
     return problems
 
 
-def tiny() -> LockBenchScenario:
-    return LockBenchScenario(shards=2, clients=6, locks=3, ops=2, channels=2)
+def service(shards=2, **settings) -> RuntimeSpec:
+    """The matrix's service shape: dag on a 4-agent star per key, obs on."""
+    return RuntimeSpec(
+        algorithm="dag",
+        topology=TopologySpec(kind="star", n=4),
+        shards=shards,
+        obs=ObsSpec(enabled=True),
+        **settings,
+    )
 
 
-def tiny_crash() -> LockBenchScenario:
-    return LockBenchScenario(
-        shards=2,
+def tiny() -> LockBenchCell:
+    return lockbench_cell(service(), clients=6, locks=3, ops=2, channels=2)
+
+
+def tiny_crash() -> LockBenchCell:
+    crash = RuntimeFaultSpec(crashes=(ShardCrashSpec(shard=1, at=0.2),))
+    return lockbench_cell(
+        service(faults=crash, heartbeat_interval=0.05, miss_window=0.5),
         clients=40,
         locks=8,
         ops=4,
         channels=2,
-        crash_shard=1,
-        crash_at=0.2,
         op_timeout=5.0,
     )
 
@@ -53,61 +64,105 @@ def tiny_crash() -> LockBenchScenario:
 def test_scenario_names_and_validation():
     scenario = tiny()
     assert scenario.name == "unix-s2-c6-k3-o2"
-    spec = scenario.runtime_spec()
+    spec = scenario.spec
     assert spec.algorithm == "dag" and spec.shards == 2
     assert spec.name == "dag-star-n4-s2-unix"
     with pytest.raises(LockError):
-        LockBenchScenario(shards=1, clients=0, locks=1, ops=1)
+        lockbench_cell(service(1), clients=0, locks=1, ops=1)
 
 
 def test_crash_scenarios_declare_their_fault_in_the_spec():
     scenario = tiny_crash()
     assert scenario.name == "unix-s2-c40-k8-o4+crash1"
-    spec = scenario.runtime_spec()
-    (crash,) = spec.faults.crashes
+    (crash,) = scenario.spec.faults.crashes
     assert crash.shard == 1 and crash.at == 0.2
-    assert spec.miss_window < 2.0  # failover cells tighten detection
+    # Failover cells of the committed matrix tighten detection.
+    committed_crash, _ = lockbench_matrix("faults")
+    assert committed_crash.spec.miss_window < 2.0
     with pytest.raises(LockError, match=">= 2 shards"):
-        LockBenchScenario(shards=1, clients=1, locks=1, ops=1, crash_shard=0)
+        lockbench_cell(
+            service(1, faults=RuntimeFaultSpec(crashes=(ShardCrashSpec(shard=0, at=0.2),))),
+            clients=1, locks=1, ops=1,
+        )
 
 
 def test_drop_scenarios_require_a_client_deadline():
     """A dropped frame is never answered: a drop cell without op_timeout
-    would hang on its first loss, so the scenario refuses to exist."""
+    would hang on its first loss, so the cell refuses to exist."""
+    lossy = service(1, faults=RuntimeFaultSpec(drop_rate=0.1))
     with pytest.raises(LockError, match="op_timeout"):
-        LockBenchScenario(shards=1, clients=1, locks=1, ops=1, drop_rate=0.1)
-    with pytest.raises(LockError, match="drop_rate"):
-        LockBenchScenario(
-            shards=1, clients=1, locks=1, ops=1, drop_rate=1.5, op_timeout=1.0
-        )
-    scenario = LockBenchScenario(
-        shards=1, clients=1, locks=1, ops=1, drop_rate=0.1, op_timeout=1.0
-    )
+        lockbench_cell(lossy, clients=1, locks=1, ops=1)
+    # The range check is the spec's own.
+    with pytest.raises(ExperimentError, match="drop_rate"):
+        RuntimeFaultSpec(drop_rate=1.5)
+    scenario = lockbench_cell(lossy, clients=1, locks=1, ops=1, op_timeout=1.0)
     assert scenario.name == "unix-s1-c1-k1-o1+drop10"
-    spec = scenario.runtime_spec()
-    assert spec.faults.drop_rate == 0.1 and spec.faults.crashes == ()
-    assert spec.miss_window == 2.0  # drops alone don't tighten detection
+    assert scenario.spec.faults.drop_rate == 0.1 and scenario.spec.faults.crashes == ()
+    _, committed_drop = lockbench_matrix("faults")
+    assert committed_drop.spec.miss_window == 2.0  # drops alone don't tighten detection
 
 
 def test_fault_matrix_covers_a_crash_and_a_lossy_transport():
-    crash, drop = fault_lockbench_matrix()
-    assert crash.clients >= 1000 and crash.shards == 2
-    assert crash.crash_shard == 1 and crash.op_timeout is not None
+    crash, drop = lockbench_matrix("faults")
+    assert crash.probe.clients >= 1000 and crash.spec.shards == 2
+    (declared,) = crash.spec.faults.crashes
+    assert declared.shard == 1 and crash.probe.op_timeout is not None
     # The drop cell exercises the other declarative runtime fault — and
     # deliberately at lower contention, so a legitimately-queued acquire
     # never outlives its deadline and burns the retry budget.
-    assert drop.crash_shard is None and drop.drop_rate > 0.0
-    assert drop.op_timeout is not None
-    assert drop.clients < crash.clients
+    assert drop.spec.faults.crashes == () and drop.spec.faults.drop_rate > 0.0
+    assert drop.probe.op_timeout is not None
+    assert drop.probe.clients < crash.probe.clients
     assert drop.name.endswith("+drop1")
 
 
 def test_smoke_matrix_is_the_acceptance_cell():
-    (cell,) = smoke_lockbench_matrix()
-    assert cell.clients >= 1000  # the >= 1k concurrent sessions criterion
-    assert cell.shards >= 2
-    assert cell.socket == "unix"
-    assert cell in default_lockbench_matrix()
+    (cell,) = lockbench_matrix("smoke")
+    assert cell.probe.clients >= 1000  # the >= 1k concurrent sessions criterion
+    assert cell.spec.shards >= 2
+    assert cell.spec.socket == "unix"
+    assert cell in lockbench_matrix()
+
+
+def canned_outcome(cell: LockBenchCell) -> dict:
+    """What `_drive_sessions` would hand back after a clean run of ``cell``."""
+    total = cell.probe.clients * cell.probe.ops
+    return {
+        "latencies": [0.001] * total,
+        "completions": [0.01 * index for index in range(total)],
+        "session_latencies": {s: [0.001] * cell.probe.ops for s in range(cell.probe.clients)},
+        "errors": 0,
+        "fenced": 0,
+        "wall": 1.0,
+        "shard_stats": [{"exclusion_violations": 0, "takeovers": 1}],
+        "retry_stats": {"retries": 2},
+    }
+
+
+def test_a_cell_built_from_a_spec_file_reports_the_files_crash(tmp_path):
+    """The row is assembled from the one spec the service ran: a loaded
+    runtime-spec/v1 file with a ShardCrashSpec yields a crash-named cell whose
+    row carries the ``fault`` block and the failover timing (at the parent the
+    CLI's scenario dropped the file's faults and the row said nothing)."""
+    from repro.cli import _runtime_scenario, build_parser
+
+    path = tmp_path / "crashy.json"
+    tiny_crash().spec.save(str(path))
+    args = build_parser().parse_args(["run", "--spec", str(path), "--sessions", "4"])
+    cell = _runtime_scenario(RuntimeSpec.load(str(path)), args)
+    assert cell.spec == tiny_crash().spec
+    assert cell.name == "unix-s2-c4-k8-o5+crash1"
+    assert cell.probe.op_timeout == 5.0  # faults swallow frames: a deadline
+    row = lockbench_row(cell, canned_outcome(cell), events=[])
+    assert row["fault"] == {"crash_shard": 1, "crash_at": 0.2}
+    assert row["timing"]["failover"]["ops_retried"] == 2
+    assert row["timing"]["failover"]["takeovers"] == 1
+    assert (row["shards"], row["agents"], row["socket"]) == (2, 4, "unix")
+    # A healthy spec file: no fault block, no failover timing.
+    healthy = lockbench_cell(service(), clients=4, locks=8, ops=5)
+    row = lockbench_row(healthy, canned_outcome(healthy), events=[])
+    assert "fault" not in row and "failover" not in row["timing"]
+    assert row["timing"]["fairness"]["sessions"] == 4
 
 
 # --------------------------------------------------------------------------- #
@@ -152,13 +207,12 @@ def test_drop_cell_completes_every_op_through_retries():
     """Frame loss + client deadlines: every dropped op is retried under its
     original id (deduplicated server-side) until it lands — no op lost, no
     double grant, and the stats path stays bounded too."""
-    scenario = LockBenchScenario(
-        shards=1,
+    scenario = lockbench_cell(
+        service(1, faults=RuntimeFaultSpec(drop_rate=0.2, seed=3)),
         clients=4,
         locks=2,
         ops=2,
         channels=2,
-        drop_rate=0.2,
         op_timeout=0.5,
         seed=3,
     )

@@ -8,7 +8,9 @@ import pytest
 
 from repro.cli import main
 from repro.runtime.lockbench import (
-    LockBenchScenario,
+    LockBenchCell,
+    lockbench_cell,
+    lockbench_matrix,
     run_lockbench_scenario,
     write_lockbench_trace,
 )
@@ -21,10 +23,14 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
-def tiny(**overrides) -> LockBenchScenario:
-    base = dict(shards=2, clients=6, locks=3, ops=2, channels=2)
-    base.update(overrides)
-    return LockBenchScenario(**base)
+def tiny(*, obs: bool = True) -> LockBenchCell:
+    spec = RuntimeSpec(
+        algorithm="dag",
+        topology=TopologySpec(kind="star", n=4),
+        shards=2,
+        obs=ObsSpec(enabled=True) if obs else None,
+    )
+    return lockbench_cell(spec, clients=6, locks=3, ops=2, channels=2)
 
 
 def runtime_spec_file(tmp_path, *, obs=None) -> str:
@@ -41,10 +47,11 @@ def runtime_spec_file(tmp_path, *, obs=None) -> str:
 
 
 def test_scenario_obs_flag_threads_into_the_runtime_spec():
-    assert tiny().runtime_spec().obs == ObsSpec(enabled=True)
-    assert tiny(obs=False).runtime_spec().obs is None
-    # The scenario name must not change with the obs flag: committed rows
-    # keep their identity whether or not instrumentation is on.
+    # Every committed cell stands its service up with obs on...
+    for tier in ("default", "smoke", "faults"):
+        assert all(cell.spec.obs == ObsSpec(enabled=True) for cell in lockbench_matrix(tier))
+    # ...and the cell name does not change with it: committed rows keep
+    # their identity whether or not instrumentation is on.
     assert tiny().name == tiny(obs=False).name
 
 

@@ -4,117 +4,146 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import WorkloadError
+from repro import cells
+from repro.baselines import registry
+from repro.cells import tier_workload
+from repro.exceptions import ExperimentError
+from repro.spec import ExperimentSpec, TopologySpec
 from repro.sweep import (
-    LARGE_TIER_ALGORITHMS,
     SWEEP_ALGORITHMS,
-    SweepScenario,
-    build_sweep_topology,
-    build_sweep_workload,
-    default_sweep_matrix,
-    large_sweep_matrix,
+    Cell,
     scenario_seed,
-    smoke_sweep_matrix,
+    sweep_cell,
+    sweep_matrix,
 )
+
+
+def algorithm(cell):
+    return cell.experiment.algorithm
+
+
+def size(cell):
+    return cell.experiment.topology.n
+
+
+def demand(cell):
+    return cell.experiment.workload.tier
+
+
+def sweep_workload(topology, tier, *, seed):
+    return tier_workload(tier, len(topology.nodes), heavy_rounds=5).build(
+        topology, seed=seed
+    )
 
 
 def test_sweep_covers_all_nine_algorithms():
     assert len(SWEEP_ALGORITHMS) == 9
     assert "dag" in SWEEP_ALGORITHMS
-    for matrix in (smoke_sweep_matrix(), default_sweep_matrix()):
-        assert {spec.algorithm for spec in matrix} == set(SWEEP_ALGORITHMS)
+    for matrix in (sweep_matrix("smoke"), sweep_matrix()):
+        assert {algorithm(cell) for cell in matrix} == set(SWEEP_ALGORITHMS)
 
 
 def test_default_matrix_shape():
-    matrix = default_sweep_matrix()
+    matrix = sweep_matrix()
     assert len(matrix) == 9 * 3 * 2 * 4  # algorithms x kinds x sizes x tiers
-    assert {spec.kind for spec in matrix} == {"line", "star", "tree"}
-    assert {spec.workload for spec in matrix} == {
+    assert {cell.experiment.topology.kind for cell in matrix} == {"line", "star", "tree"}
+    assert {demand(cell) for cell in matrix} == {
         "light", "heavy", "bursty", "hotspot"
     }
-    names = [spec.name for spec in matrix]
+    names = [cell.name for cell in matrix]
     assert len(set(names)) == len(names)
 
 
 def test_large_matrix_adds_10k_tier_for_scalable_algorithms():
-    matrix = large_sweep_matrix()
-    large = [spec for spec in matrix if spec.n == 10000]
-    assert {spec.algorithm for spec in large} == set(LARGE_TIER_ALGORITHMS)
-    assert all(not spec.collect_metrics for spec in large)
-    assert all(spec.collect_metrics for spec in matrix if spec.n < 10000)
+    matrix = sweep_matrix("large")
+    large = [cell for cell in matrix if size(cell) == 10000]
+    assert {algorithm(cell) for cell in large} == set(registry.names_for_scale(10_000))
+    assert all(not cell.experiment.collect_metrics for cell in large)
+    assert all(cell.experiment.collect_metrics for cell in matrix if size(cell) < 10000)
 
 
 def test_algorithm_subset_filters_every_tier():
-    matrix = large_sweep_matrix(algorithms=["dag", "lamport"])
-    assert {spec.algorithm for spec in matrix} == {"dag", "lamport"}
-    assert any(spec.n == 10000 and spec.algorithm == "dag" for spec in matrix)
-    assert not any(spec.n == 10000 and spec.algorithm == "lamport" for spec in matrix)
+    matrix = sweep_matrix("large", algorithms=["dag", "lamport"])
+    assert {algorithm(cell) for cell in matrix} == {"dag", "lamport"}
+    assert any(size(cell) == 10000 and algorithm(cell) == "dag" for cell in matrix)
+    assert not any(size(cell) == 10000 and algorithm(cell) == "lamport" for cell in matrix)
 
 
 def test_scenario_seed_is_a_pure_function_of_the_name():
-    spec = SweepScenario("dag", "star", 9, "heavy")
-    assert spec.seed == scenario_seed("dag-star-n9-heavy")
+    cell = sweep_cell("dag", "star", 9, "heavy")
+    assert cell.name == "dag-star-n9-heavy"
+    assert cell.experiment.seed == scenario_seed("dag-star-n9-heavy")
     assert scenario_seed("a") != scenario_seed("b")
-    # Round-tripping through the picklable dict form preserves identity.
-    clone = SweepScenario.from_dict(spec.as_dict())
-    assert clone == spec and clone.seed == spec.seed
+    # node_backend is part of neither the name nor the seed.
+    forced = sweep_cell("dag", "star", 9, "heavy", node_backend="compact")
+    assert (forced.name, forced.experiment.seed) == (cell.name, cell.experiment.seed)
+    # Round-tripping through the child-process payload preserves identity.
+    payload = {"name": cell.name, "experiment": cell.experiment.to_dict()}
+    clone = Cell(payload["name"], ExperimentSpec.from_dict(payload["experiment"]))
+    assert clone == cell
 
 
 def test_sweep_workloads_are_deterministic_per_scenario():
-    topology = build_sweep_topology("star", 9)
+    topology = TopologySpec(kind="star", n=9).build()
     for tier in ("light", "heavy", "bursty", "hotspot"):
         seed = scenario_seed(f"x-star-n9-{tier}")
-        first = build_sweep_workload(topology, tier, seed=seed)
-        second = build_sweep_workload(topology, tier, seed=seed)
+        first = sweep_workload(topology, tier, seed=seed)
+        second = sweep_workload(topology, tier, seed=seed)
         assert first.requests == second.requests, tier
         assert len(first) > 0, tier
 
 
 def test_unknown_workload_tier_is_rejected():
-    topology = build_sweep_topology("star", 9)
-    with pytest.raises(WorkloadError):
-        build_sweep_workload(topology, "tsunami", seed=1)
+    # The refusal is WorkloadSpec's own (an ExperimentError naming the tiers).
+    with pytest.raises(ExperimentError, match="unknown workload tier"):
+        tier_workload("tsunami", 9, heavy_rounds=5)
+    with pytest.raises(ExperimentError, match="unknown workload tier"):
+        sweep_cell("dag", "star", 9, "tsunami")
 
 
 def test_xlarge_sweep_matrix_adds_100k_scalable_cells():
-    from repro.sweep import large_sweep_matrix, xlarge_sweep_matrix
-    from repro.sweep.matrix import LARGE_TIER_ALGORITHMS
-
-    large = large_sweep_matrix()
-    xlarge = xlarge_sweep_matrix()
+    large = sweep_matrix("large")
+    xlarge = sweep_matrix("xlarge")
     assert xlarge[: len(large)] == large
     extra = xlarge[len(large):]
-    assert all(spec.n == 100000 and spec.workload == "heavy" for spec in extra)
-    assert {spec.algorithm for spec in extra} == set(LARGE_TIER_ALGORITHMS)
-    assert all(not spec.collect_metrics for spec in extra)
+    assert all(size(cell) == 100000 and demand(cell) == "heavy" for cell in extra)
+    assert {algorithm(cell) for cell in extra} == set(registry.names_for_scale(100_000))
+    assert all(not cell.experiment.collect_metrics for cell in extra)
 
 
 def test_xxlarge_sweep_matrix_adds_1m_o1_state_cells():
-    from repro.sweep import xlarge_sweep_matrix, xxlarge_sweep_matrix
-    from repro.sweep.matrix import XXLARGE_TIER_ALGORITHMS
-
-    xlarge = xlarge_sweep_matrix()
-    xxlarge = xxlarge_sweep_matrix()
+    xlarge = sweep_matrix("xlarge")
+    xxlarge = sweep_matrix("xxlarge")
     assert xxlarge[: len(xlarge)] == xlarge  # additive
     extra = xxlarge[len(xlarge):]
-    assert all(spec.n == 1_000_000 and spec.workload == "heavy" for spec in extra)
-    assert {spec.algorithm for spec in extra} == set(XXLARGE_TIER_ALGORITHMS)
+    assert all(size(cell) == 1_000_000 and demand(cell) == "heavy" for cell in extra)
+    assert {algorithm(cell) for cell in extra} == set(registry.names_for_scale(1_000_000))
     # Raymond's per-node queues price it out of the 1M tier's memory budget.
-    assert "raymond" not in {spec.algorithm for spec in extra}
-    assert all(not spec.collect_metrics for spec in extra)
-    filtered = xxlarge_sweep_matrix(algorithms=["dag"])
-    assert {spec.algorithm for spec in filtered} == {"dag"}
+    assert "raymond" not in {algorithm(cell) for cell in extra}
+    assert all(not cell.experiment.collect_metrics for cell in extra)
+    filtered = sweep_matrix("xxlarge", algorithms=["dag"])
+    assert {algorithm(cell) for cell in filtered} == {"dag"}
 
 
 def test_sweep_heavy_tier_streams_at_the_node_threshold(monkeypatch):
-    from repro.sweep import matrix as matrix_module
     from repro.workload import StreamingWorkload, Workload
 
-    topology = build_sweep_topology("star", 30)
-    materialised = build_sweep_workload(topology, "heavy", seed=1)
+    topology = TopologySpec(kind="star", n=30).build()
+    materialised = sweep_workload(topology, "heavy", seed=1)
     assert isinstance(materialised, Workload)
     assert len(materialised) == 150  # 5 rounds, frozen definition
-    monkeypatch.setattr(matrix_module, "STREAMING_NODE_THRESHOLD", 30)
-    streamed = build_sweep_workload(topology, "heavy", seed=1)
+    monkeypatch.setattr(cells, "STREAMING_NODE_THRESHOLD", 30)
+    streamed = sweep_workload(topology, "heavy", seed=1)
     assert isinstance(streamed, StreamingWorkload)
-    assert len(streamed) == matrix_module.XXLARGE_HEAVY_ROUNDS * 30
+    assert len(streamed) == cells.XXLARGE_HEAVY_ROUNDS * 30
+
+
+def test_a_document_without_a_tier_refuses_it():
+    from repro.exceptions import WorkloadError
+
+    with pytest.raises(WorkloadError, match="no 'large' tier"):
+        cells.baseline_matrix("large")
+    with pytest.raises(WorkloadError, match="no 'xxxlarge' tier"):
+        sweep_matrix("xxxlarge")
+    with pytest.raises(WorkloadError, match="no 'nope' tier"):
+        cells.bench_matrix("nope")

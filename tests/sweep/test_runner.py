@@ -6,25 +6,25 @@ import pytest
 
 from repro.sweep import (
     CRASH_EXIT_CODE,
-    SweepScenario,
     canonical_json,
     deterministic_document,
     execute_scenario,
     merge_documents,
     run_sweep,
+    sweep_cell,
 )
 
 #: A small but heterogeneous matrix: tree/star, metrics on, three algorithms.
 SMALL_MATRIX = [
-    SweepScenario("dag", "star", 9, "heavy"),
-    SweepScenario("dag", "tree", 9, "bursty"),
-    SweepScenario("centralized", "star", 9, "light"),
-    SweepScenario("raymond", "star", 9, "hotspot"),
+    sweep_cell("dag", "star", 9, "heavy"),
+    sweep_cell("dag", "tree", 9, "bursty"),
+    sweep_cell("centralized", "star", 9, "light"),
+    sweep_cell("raymond", "star", 9, "hotspot"),
 ]
 
 
 def test_execute_scenario_in_process():
-    row = execute_scenario(SweepScenario("dag", "star", 9, "heavy"))
+    row = execute_scenario(sweep_cell("dag", "star", 9, "heavy"))
     assert row["status"] == "ok"
     assert row["entries"] == 45  # 5 rounds x 9 nodes
     assert row["messages"] > 0
@@ -34,9 +34,9 @@ def test_execute_scenario_in_process():
 
 
 def test_execute_scenario_metrics_free_fast_path():
-    observed = execute_scenario(SweepScenario("dag", "star", 9, "heavy"))
+    observed = execute_scenario(sweep_cell("dag", "star", 9, "heavy"))
     fast = execute_scenario(
-        SweepScenario("dag", "star", 9, "heavy", collect_metrics=False)
+        sweep_cell("dag", "star", 9, "heavy", collect_metrics=False)
     )
     # The unobserved fast path replays the same virtual outcome; only the
     # per-entry timing statistics disappear.
@@ -72,7 +72,7 @@ def test_sweep_document_layout():
 
 
 def test_child_crash_is_isolated_to_its_scenario():
-    crashing = SweepScenario("dag", "tree", 9, "bursty", faults="worker-crash")
+    crashing = sweep_cell("dag", "tree", 9, "bursty", faults="worker-crash")
     matrix = [SMALL_MATRIX[0], crashing, *SMALL_MATRIX[1:]]
     document = run_sweep(matrix, workers=2)
     assert document["failures"] == [crashing.name]
@@ -84,13 +84,31 @@ def test_child_crash_is_isolated_to_its_scenario():
         assert by_name[spec.name]["status"] == "ok"
 
 
-def test_child_exception_is_reported_not_raised():
-    bad = SweepScenario("no-such-algorithm", "star", 9, "heavy")
-    document = run_sweep([bad, SMALL_MATRIX[0]], workers=2)
+def test_child_exception_is_reported_not_raised(monkeypatch):
+    # A cell cannot name an unknown algorithm any more (its spec refuses at
+    # construction, in the parent), so the child-side failure is injected:
+    # forked children inherit the patched worker.
+    from repro.sweep import worker
+
+    bad = sweep_cell("dag", "star", 9, "light", faults="drop1")
+    real = worker.execute_scenario
+
+    def explode(cell):
+        if cell.name == bad.name:
+            raise RuntimeError("boom in the child")
+        return real(cell)
+
+    monkeypatch.setattr(worker, "execute_scenario", explode)
+    document = run_sweep([bad, SMALL_MATRIX[0]], workers=2, start_method="fork")
     by_name = {row["scenario"]: row for row in document["scenarios"]}
     error = by_name[bad.name]
     assert error["status"] == "error"
-    assert "no-such-algorithm" in error["error"]
+    assert error["error"] == "RuntimeError: boom in the child"
+    # The error row still says what the cell was, read off its spec and name.
+    assert (error["algorithm"], error["kind"], error["n"], error["workload"]) == (
+        "dag", "star", 9, "light"
+    )
+    assert error["seed"] == bad.experiment.seed and error["fault_profile"] == "drop1"
     assert by_name[SMALL_MATRIX[0].name]["status"] == "ok"
     assert document["failures"] == [bad.name]
 

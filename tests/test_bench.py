@@ -6,22 +6,30 @@ import json
 
 import pytest
 
-from repro import benchdoc
+from repro import benchdoc, cells
 from repro.bench import (
     ACCEPTANCE_SCENARIO,
     BASELINE_ALGORITHMS,
-    baseline_default_matrix,
-    baseline_smoke_matrix,
+    baseline_matrix,
     bench_cell,
-    default_matrix,
+    bench_matrix,
     determinism_fingerprint,
-    large_matrix,
     run_baseline_benchmark,
     run_benchmark,
     run_cell,
-    smoke_matrix,
 )
-from repro.bench.throughput import build_topology, build_workload
+from repro.cells import tier_workload
+from repro.spec import TopologySpec
+
+
+def build_topology(kind, n):
+    return TopologySpec(kind=kind, n=n).build()
+
+
+def build_workload(topology, demand, *, seed=0):
+    """The bench matrix's workload for ``demand`` on ``topology``."""
+    spec = tier_workload(demand, len(topology.nodes), heavy_rounds=10)
+    return spec.build(topology, seed=seed)
 
 
 def kind(cell):
@@ -41,18 +49,18 @@ def counts(row):
 
 
 def test_matrix_shapes():
-    full = default_matrix()
+    full = bench_matrix()
     assert len(full) == 18
     assert {kind(cell) for cell in full} == {"line", "star", "tree"}
     assert any(size(cell) == 5000 for cell in full)
-    smoke = smoke_matrix()
+    smoke = bench_matrix("smoke")
     assert all(demand(cell) == "heavy" and size(cell) <= 1000 for cell in smoke)
-    assert ACCEPTANCE_SCENARIO in {spec.name for spec in default_matrix()}
+    assert ACCEPTANCE_SCENARIO in {spec.name for spec in bench_matrix()}
 
 
 def test_large_matrix_extends_default_with_10k_tier():
-    large = large_matrix()
-    base = default_matrix()
+    large = bench_matrix("large")
+    base = bench_matrix()
     assert large[: len(base)] == base  # additive: committed names unchanged
     extra = large[len(base):]
     assert all(size(cell) == 10000 for cell in extra)
@@ -72,11 +80,11 @@ def test_bursty_demand_tier_is_deterministic():
 def test_baseline_matrix_covers_all_eight_baselines():
     assert len(BASELINE_ALGORITHMS) == 8
     assert "dag" not in BASELINE_ALGORITHMS
-    full = baseline_default_matrix()
+    full = baseline_matrix()
     assert len(full) == 8 * 2 * 2  # algorithms x sizes x demands
     assert {cell.experiment.algorithm for cell in full} == set(BASELINE_ALGORITHMS)
     assert {kind(cell) for cell in full} == {"star"}
-    smoke = baseline_smoke_matrix()
+    smoke = baseline_matrix("smoke")
     assert {cell.experiment.algorithm for cell in smoke} == set(BASELINE_ALGORITHMS)
     assert all(size(cell) == 100 and demand(cell) == "heavy" for cell in smoke)
     names = [spec.name for spec in full]
@@ -235,10 +243,8 @@ def test_committed_bench_fingerprint_still_replays():
 
 
 def test_xlarge_matrix_extends_large_with_100k_tier():
-    from repro.bench import xlarge_matrix
-
-    large = large_matrix()
-    xlarge = xlarge_matrix()
+    large = bench_matrix("large")
+    xlarge = bench_matrix("xlarge")
     assert xlarge[: len(large)] == large  # additive: committed names unchanged
     extra = xlarge[len(large):]
     assert [size(cell) for cell in extra] == [100000, 100000]
@@ -269,10 +275,8 @@ def test_run_calibrated_benchmark_min_merges_the_dag_matrix():
 
 
 def test_xxlarge_matrix_extends_xlarge_with_1m_tier():
-    from repro.bench import xlarge_matrix, xxlarge_matrix
-
-    xlarge = xlarge_matrix()
-    xxlarge = xxlarge_matrix()
+    xlarge = bench_matrix("xlarge")
+    xxlarge = bench_matrix("xxlarge")
     assert xxlarge[: len(xlarge)] == xlarge  # additive: committed names unchanged
     extra = xxlarge[len(xlarge):]
     assert [size(cell) for cell in extra] == [1_000_000, 1_000_000]
@@ -282,10 +286,8 @@ def test_xxlarge_matrix_extends_xlarge_with_1m_tier():
 
 
 def test_xxxlarge_matrix_extends_xxlarge_with_10m_tier():
-    from repro.bench import xxlarge_matrix, xxxlarge_matrix
-
-    xxlarge = xxlarge_matrix()
-    xxxlarge = xxxlarge_matrix()
+    xxlarge = bench_matrix("xxlarge")
+    xxxlarge = bench_matrix("xxxlarge")
     assert xxxlarge[: len(xxlarge)] == xxlarge  # additive: committed names unchanged
     extra = xxxlarge[len(xxlarge):]
     assert [size(cell) for cell in extra] == [10_000_000, 10_000_000]
@@ -314,7 +316,6 @@ def test_setup_rows_record_engaged_node_backend():
 
 
 def test_heavy_workloads_stream_at_the_node_threshold(monkeypatch):
-    from repro.bench import throughput
     from repro.workload import StreamingWorkload, Workload
 
     topology = build_topology("star", 40)
@@ -324,17 +325,18 @@ def test_heavy_workloads_stream_at_the_node_threshold(monkeypatch):
     assert len(materialised) == 400  # 10 rounds x n
     # At the threshold (lowered so the test doesn't build a 500k topology):
     # the streamed definition with the xxlarge round count.
-    monkeypatch.setattr(throughput, "STREAMING_NODE_THRESHOLD", 40)
+    monkeypatch.setattr(cells, "STREAMING_NODE_THRESHOLD", 40)
     streamed = build_workload(topology, "heavy")
     assert isinstance(streamed, StreamingWorkload)
-    assert len(streamed) == throughput.XXLARGE_HEAVY_ROUNDS * 40
+    assert len(streamed) == cells.XXLARGE_HEAVY_ROUNDS * 40
 
 
 def test_setup_benchmark_times_every_construction_phase():
-    from repro.bench import construction_matrix, run_setup_benchmark, xxlarge_matrix
+    from repro.bench import construction_matrix, run_setup_benchmark
 
-    cells = construction_matrix(xxlarge_matrix())
-    assert [size(cell) for cell in cells] == [100000, 100000, 1_000_000, 1_000_000]
+    large_cells = construction_matrix(bench_matrix("xxlarge"))
+    assert [size(cell) for cell in large_cells] == [100000, 100000, 1_000_000, 1_000_000]
+    assert construction_matrix(bench_matrix("large")) == []
 
     # A small stand-in matrix keeps the test fast; phases and document
     # structure are what is under test, not 1M-node wall time.
@@ -365,10 +367,10 @@ def test_setup_benchmark_times_every_construction_phase():
 
 
 def test_setup_benchmark_loads_only_the_first_chunk_of_a_stream(monkeypatch):
-    from repro.bench import run_setup_scenario, throughput
+    from repro.bench import run_setup_scenario
     from repro.workload import WorkloadGenerator
 
-    monkeypatch.setattr(throughput, "STREAMING_NODE_THRESHOLD", 40)
+    monkeypatch.setattr(cells, "STREAMING_NODE_THRESHOLD", 40)
     real_stream = WorkloadGenerator.heavy_demand_stream
     monkeypatch.setattr(
         WorkloadGenerator,
@@ -379,6 +381,6 @@ def test_setup_benchmark_loads_only_the_first_chunk_of_a_stream(monkeypatch):
     )
     row = run_setup_scenario(bench_cell("star", 40, "heavy"))
     assert row["streamed"] is True
-    assert row["total_requests"] == throughput.XXLARGE_HEAVY_ROUNDS * 40
+    assert row["total_requests"] == cells.XXLARGE_HEAVY_ROUNDS * 40
     # One chunk of arrivals plus the pending loader event.
     assert row["loaded_arrivals"] == 25 + 1

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 from repro import benchdoc
 from repro.bench import (
-    DEGRADATION_ALGORITHMS,
-    default_fault_matrix,
     fault_cell,
+    fault_matrix,
     run_fault_benchmark,
     run_fault_scenario,
-    smoke_fault_matrix,
 )
 from repro.baselines import registry
 
@@ -19,8 +17,7 @@ SMALL_RECOVERY = fault_cell("dag", 9, "crash-recover")
 
 
 def test_matrices_cover_all_algorithms_and_the_recovery_tiers():
-    assert set(DEGRADATION_ALGORITHMS) == set(registry.names())
-    names = [spec.name for spec in default_fault_matrix()]
+    names = [spec.name for spec in fault_matrix()]
     assert len(names) == len(set(names))
     for algorithm in registry.names():
         assert f"{algorithm}-star-n50-heavy+drop1" in names
@@ -28,7 +25,7 @@ def test_matrices_cover_all_algorithms_and_the_recovery_tiers():
     assert "dag-star-n50-heavy+crash-recover" in names
     assert "dag-star-n100000-heavy+crash-recover" in names
     # The smoke subset is a strict subset with the n=50 recovery cell.
-    smoke = [spec.name for spec in smoke_fault_matrix()]
+    smoke = [spec.name for spec in fault_matrix("smoke")]
     assert set(smoke) < set(names)
     assert "dag-star-n50-heavy+crash-recover" in smoke
 
@@ -72,10 +69,10 @@ def test_partition_heal_rows_are_in_the_matrices_and_the_committed_doc():
     import json
     from pathlib import Path
 
-    names = [spec.name for spec in default_fault_matrix()]
+    names = [spec.name for spec in fault_matrix()]
     assert "dag-star-n50-heavy+partition-heal" in names
     assert "ricart-agrawala-star-n50-heavy+partition-heal" in names
-    smoke = [spec.name for spec in smoke_fault_matrix()]
+    smoke = [spec.name for spec in fault_matrix("smoke")]
     assert "dag-star-n50-heavy+partition-heal" in smoke
     committed = json.loads(
         (Path(__file__).resolve().parents[1] / "BENCH_faults.json").read_text()

@@ -4,14 +4,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro import cells
 from repro.cli import build_parser, build_topology, main
 from repro.exceptions import TopologyError
+from repro.runtime import lockbench as lockbench_module
+from repro.runtime.lockbench import lockbench_cell, lockbench_matrix
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def tiny_smoke_cells(tier):
+    """A 5-session stand-in for the smoke cell (same service shape)."""
+    assert tier == "smoke"
+    (acceptance,) = lockbench_matrix("smoke")
+    return [lockbench_cell(acceptance.spec, clients=5, locks=3, ops=2, channels=2)]
 
 
 def test_build_topology_kinds():
@@ -463,14 +473,7 @@ def test_sweep_faults_tier_runs_and_is_deterministic(capsys, tmp_path):
 def test_lockbench_command_runs_and_gates(capsys, tmp_path, monkeypatch):
     # Shrink the smoke matrix so the CLI path stays fast under test; the real
     # 1000-session cell runs in the runtime-smoke CI job.
-    from repro.runtime import lockbench as lockbench_module
-
-    tiny = [
-        lockbench_module.LockBenchScenario(
-            shards=2, clients=5, locks=3, ops=2, channels=2
-        )
-    ]
-    monkeypatch.setattr(lockbench_module, "smoke_lockbench_matrix", lambda: tiny)
+    monkeypatch.setattr(lockbench_module, "lockbench_matrix", tiny_smoke_cells)
     output = tmp_path / "runtime.json"
     code, out = run_cli(capsys, "lockbench", "--smoke", "--output", str(output))
     assert code == 0
@@ -497,8 +500,6 @@ def test_lockbench_command_runs_and_gates(capsys, tmp_path, monkeypatch):
 
 
 def test_lockbench_calibrate_min_merges(capsys, tmp_path, monkeypatch):
-    from repro.runtime import lockbench as lockbench_module
-
     calls = []
 
     def fake_run_lockbench(*, matrix=None, verbose=False):
@@ -603,14 +604,7 @@ def test_obs_rejects_a_run_without_outputs(capsys, tmp_path):
 def test_lockbench_trace_flag_writes_a_chrome_trace(capsys, tmp_path, monkeypatch):
     import json
 
-    from repro.runtime import lockbench as lockbench_module
-
-    tiny = [
-        lockbench_module.LockBenchScenario(
-            shards=2, clients=5, locks=3, ops=2, channels=2
-        )
-    ]
-    monkeypatch.setattr(lockbench_module, "smoke_lockbench_matrix", lambda: tiny)
+    monkeypatch.setattr(lockbench_module, "lockbench_matrix", tiny_smoke_cells)
     trace_path = tmp_path / "trace.json"
     code, out = run_cli(capsys, "lockbench", "--smoke", "--trace", str(trace_path))
     assert code == 0
@@ -627,3 +621,210 @@ def test_lockbench_trace_rejects_calibrate(capsys, tmp_path):
         "--trace", str(tmp_path / "trace.json"),
     )
     assert code == 2
+
+
+# --------------------------------------------------------------------------- #
+# the parser surface and the refusal tables
+# --------------------------------------------------------------------------- #
+TOPOLOGIES = ("line", "star", "radiating-star", "balanced-tree", "random")
+ALGORITHMS = (
+    "centralized", "lamport", "ricart-agrawala", "carvalho-roucairol",
+    "suzuki-kasami", "singhal", "maekawa", "raymond", "dag",
+)
+BACKENDS = ("auto", "object", "compact")
+PROFILES = (
+    "crash-churn", "crash-holder", "crash-recover", "drop1", "drop5",
+    "lose-privilege", "lose-request", "partition-heal", "worker-crash",
+)
+START_METHODS = ("fork", "spawn", "forkserver")
+
+#: Per verb, every option (or positional) with its default and choices, as
+#: recorded at a4097a8: a refactor of the CLI may move code, not flags.
+PARSER_SURFACE = {
+    "figure2": [],
+    "figure6": [],
+    "bounds": [
+        ("--n", 17, None),
+        ("--topology", "star", TOPOLOGIES),
+        ("--seed", 0, None),
+    ],
+    "compare": [
+        ("--n", 17, None),
+        ("--topology", "star", TOPOLOGIES),
+        ("--token-holder", None, None),
+        ("--requests", 60, None),
+        ("--mean-interarrival", 3.0, None),
+        ("--seed", 0, None),
+        ("--algorithms", None, ALGORITHMS),
+    ],
+    "average": [
+        ("--sizes", [5, 9, 17, 33], None),
+    ],
+    "topology": [
+        ("--kind", "star", TOPOLOGIES),
+        ("--n", 9, None),
+        ("--token-holder", None, None),
+        ("--seed", 0, None),
+    ],
+    "algorithms": [
+        ("--verbose", False, None),
+    ],
+    "run": [
+        ("cell", None, None),
+        ("--spec", None, None),
+        ("--seed", 0, None),
+        ("--no-metrics", False, None),
+        ("--node-backend", "auto", BACKENDS),
+        ("--faults", None, PROFILES),
+        ("--max-events", 5000000, None),
+        ("--save-spec", None, None),
+        ("--print-spec", False, None),
+        ("--trace", None, None),
+        ("--sessions", 16, None),
+        ("--session-ops", 5, None),
+        ("--keys", 8, None),
+    ],
+    "obs": [
+        ("--spec", None, None),
+        ("--snapshot", None, None),
+        ("--trace", None, None),
+        ("--seed", 0, None),
+        ("--max-events", 5000000, None),
+        ("--sessions", 16, None),
+        ("--session-ops", 5, None),
+        ("--keys", 8, None),
+    ],
+    "bench": [
+        ("--smoke", False, None),
+        ("--large", False, None),
+        ("--xlarge", False, None),
+        ("--xxlarge", False, None),
+        ("--xxxlarge", False, None),
+        ("--setup-only", False, None),
+        ("--budget-seconds", None, None),
+        ("--baselines", False, None),
+        ("--faults", False, None),
+        ("--calibrate", None, None),
+        ("--node-backend", "auto", BACKENDS),
+        ("--profile", False, None),
+        ("--repeat", 3, None),
+        ("--output", None, None),
+        ("--seed-baseline", "benchmarks/seed_baseline.json", None),
+        ("--check", None, None),
+        ("--tolerance", 0.2, None),
+    ],
+    "sweep": [
+        ("--smoke", False, None),
+        ("--large", False, None),
+        ("--xlarge", False, None),
+        ("--xxlarge", False, None),
+        ("--faults", False, None),
+        ("--workers", 2, None),
+        ("--timeout", None, None),
+        ("--start-method", None, START_METHODS),
+        ("--algorithms", None, ALGORITHMS),
+        ("--node-backend", "auto", BACKENDS),
+        ("--output", None, None),
+        ("--deterministic-output", None, None),
+        ("--report", None, None),
+        ("--export-specs", None, None),
+        ("--from-specs", None, None),
+        ("--merge", None, None),
+        ("--no-tables", False, None),
+    ],
+    "lockbench": [
+        ("--smoke", False, None),
+        ("--faults", False, None),
+        ("--calibrate", None, None),
+        ("--check", None, None),
+        ("--tolerance", 0.5, None),
+        ("--latency-tolerance", 3.0, None),
+        ("--output", None, None),
+        ("--trace", None, None),
+    ],
+}
+
+
+def test_parser_surface_is_unchanged():
+    import argparse
+
+    parser = build_parser()
+    (subparsers,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    surface = {}
+    for verb, sub in subparsers.choices.items():
+        surface[verb] = [
+            (
+                (action.option_strings or [action.dest])[0],
+                action.default,
+                tuple(action.choices) if action.choices is not None else None,
+            )
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        # One spelling per option: no aliases hide behind the first string.
+        assert all(len(action.option_strings) <= 1 for action in sub._actions
+                   if not isinstance(action, argparse._HelpAction))
+    assert surface == PARSER_SURFACE
+
+
+def test_selected_tier_reads_the_tier_flags():
+    from repro.cli import selected_tier
+
+    parser = build_parser()
+    assert selected_tier(parser.parse_args(["bench"])) == "default"
+    for verb, tiers in (
+        ("bench", ("smoke", "large", "xlarge", "xxlarge", "xxxlarge")),
+        ("sweep", ("smoke", "large", "xlarge", "xxlarge")),
+        ("lockbench", ("smoke",)),
+    ):
+        for tier in tiers:
+            assert selected_tier(parser.parse_args([verb, f"--{tier}"])) == tier
+            assert tier in {rung.tier for rung in cells.TIERS}
+
+
+def test_every_conflict_row_names_real_flags_of_its_verb():
+    import argparse
+
+    from repro.cli import _BAD_VALUES, _CONFLICTS
+
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    dests = {
+        verb: {action.dest for action in sub._actions}
+        for verb, sub in subparsers.choices.items()
+    }
+    for verb, mode, offending, message in _CONFLICTS:
+        for flag in (mode, *offending):
+            # `sweep --from-specs` lists every tier flag, bench-only ones too.
+            if verb == "sweep" and flag == "xxxlarge":
+                continue
+            assert flag.lstrip("!") in dests[verb], (verb, flag)
+        assert message and not message.startswith("error:")
+    for verbs, flag, _is_bad, message in _BAD_VALUES:
+        for verb in verbs:
+            assert flag in dests[verb], (verb, flag)
+        assert "{" in message
+
+
+def test_lockbench_refuses_bad_check_and_calibrate_before_running(capsys, monkeypatch):
+    """`repro bench` answered both with a one-line error and exit 2; at the
+    parent `repro lockbench` ran the whole matrix and then died with a
+    FileNotFoundError (missing --check file) or a ValueError (--calibrate 0)
+    traceback."""
+    def unreachable(**_kwargs):
+        raise AssertionError("the matrix must not run")
+
+    monkeypatch.setattr(lockbench_module, "run_lockbench", unreachable)
+    assert main(["lockbench", "--smoke", "--check", "/nonexistent/missing.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --check file '/nonexistent/missing.json' does not exist\n"
+    assert main(["lockbench", "--calibrate", "0"]) == 2
+    assert capsys.readouterr().err == "error: --calibrate needs at least 1 run, got 0\n"
+    # The same two rows guard `repro bench`.
+    assert main(["bench", "--smoke", "--check", "/nonexistent/missing.json"]) == 2
+    assert "does not exist" in capsys.readouterr().err

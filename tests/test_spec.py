@@ -21,7 +21,15 @@ import pytest
 
 from repro.baselines import STORAGE_CLASSES, registry
 from repro.baselines.base import MutexSystem
-from repro.bench.throughput import bench_cell, bench_workload_spec
+from repro.cells import (
+    bench_cell,
+    load_spec_shard,
+    sweep_cell,
+    sweep_matrix,
+    tier_workload,
+    validate_algorithms,
+    write_spec_shard,
+)
 from repro.exceptions import ExperimentError, WorkloadError
 from repro.spec import (
     DEFAULT_HEAVY_ROUNDS,
@@ -32,14 +40,6 @@ from repro.spec import (
     LatencySpec,
     TopologySpec,
     WorkloadSpec,
-)
-from repro.sweep.matrix import (
-    SweepScenario,
-    load_spec_shard,
-    smoke_sweep_matrix,
-    sweep_workload_spec,
-    validate_algorithms,
-    write_spec_shard,
 )
 from repro.topology import star
 from repro.workload.driver import ExperimentDriver, run_experiment
@@ -283,7 +283,7 @@ def test_validate_algorithms_lists_registry_entries():
     with pytest.raises(WorkloadError, match=r"\['typo'\].*centralized"):
         validate_algorithms(["dag", "typo"])
     with pytest.raises(WorkloadError):
-        smoke_sweep_matrix(algorithms=["nope"])
+        sweep_matrix("smoke", algorithms=["nope"])
 
 
 # --------------------------------------------------------------------------- #
@@ -293,19 +293,27 @@ def test_spec_replays_sweep_smoke_matrix_identically():
     # Every smoke cell: the scenario's canonical spec must replay the legacy
     # construction (registry class + topology builder + tier generator)
     # event for event.
-    from repro.sweep.matrix import build_sweep_topology, build_sweep_workload
-
-    for scenario in smoke_sweep_matrix():
-        topology = build_sweep_topology(scenario.kind, scenario.n)
-        workload = build_sweep_workload(topology, scenario.workload, seed=scenario.seed)
+    for cell in sweep_matrix("smoke"):
+        spec = cell.experiment
+        topology = star(spec.topology.n)
+        generator = WorkloadGenerator(topology.nodes, seed=spec.seed)
+        workload = (
+            generator.heavy_demand(rounds=5)
+            if spec.workload.tier == "heavy"
+            else generator.bursty(
+                total_requests=2 * spec.topology.n,
+                mean_burst_size=8.0,
+                burst_interarrival=0.5,
+                mean_idle_gap=20.0,
+            )
+        )
         legacy = run_experiment(
-            scenario.algorithm,
+            spec.algorithm,
             topology,
             workload,
-            collect_metrics=scenario.collect_metrics,
+            collect_metrics=spec.collect_metrics,
         )
-        via_spec = scenario.experiment_spec().run()
-        assert _outcome(via_spec) == _outcome(legacy), scenario.name
+        assert _outcome(spec.run()) == _outcome(legacy), cell.name
 
 
 def test_spec_matches_hand_built_tier_definitions():
@@ -313,15 +321,15 @@ def test_spec_matches_hand_built_tier_definitions():
     # default drifts, this fails even though both entry points now share
     # builders.
     topology = star(40)
-    seed = SweepScenario("dag", "star", 40, "heavy").seed
+    seed = sweep_cell("dag", "star", 40, "heavy").experiment.seed
     hand = WorkloadGenerator(topology.nodes, seed=seed).heavy_demand(rounds=5)
-    via_spec = sweep_workload_spec("heavy", 40).build(topology, seed=seed)
+    via_spec = tier_workload("heavy", 40, heavy_rounds=5).build(topology, seed=seed)
     assert tuple(via_spec) == tuple(hand)
 
     bench_hand = WorkloadGenerator(topology.nodes, seed=0).heavy_demand(
         rounds=DEFAULT_HEAVY_ROUNDS
     )
-    bench_spec = bench_workload_spec("heavy", 40).build(topology, seed=0)
+    bench_spec = tier_workload("heavy", 40, heavy_rounds=10).build(topology, seed=0)
     assert tuple(bench_spec) == tuple(bench_hand)
 
     light_hand = WorkloadGenerator(topology.nodes, seed=3).poisson(
@@ -333,11 +341,12 @@ def test_spec_matches_hand_built_tier_definitions():
 
 def test_bench_cell_spec_replays_legacy_dag_run():
     from repro.baselines.dag_adapter import DagSystem
-    from repro.bench.throughput import build_topology, build_workload
 
     cell = bench_cell("star", 100, "heavy")
-    topology = build_topology("star", 100)
-    workload = build_workload(topology, "heavy")
+    topology = star(100)
+    workload = WorkloadGenerator(topology.nodes, seed=0).heavy_demand(
+        rounds=DEFAULT_HEAVY_ROUNDS
+    )
     legacy_system = DagSystem(topology, collect_metrics=False)
     legacy = ExperimentDriver(legacy_system, workload).run()
 
@@ -357,7 +366,7 @@ def test_streaming_heavy_spec_matches_materialised_schedule():
     ).build(topology, seed=0)
     materialised = WorkloadSpec(tier="heavy", rounds=2).build(topology, seed=0)
     assert tuple(streamed) == tuple(materialised)
-    spec_threshold_cell = bench_workload_spec("heavy", STREAMING_NODE_THRESHOLD)
+    spec_threshold_cell = tier_workload("heavy", STREAMING_NODE_THRESHOLD, heavy_rounds=10)
     assert spec_threshold_cell.streaming is True
     assert spec_threshold_cell.rounds == XXLARGE_HEAVY_ROUNDS
 
@@ -391,14 +400,14 @@ def test_spec_latency_and_seed_are_part_of_the_outcome():
 # spec shards
 # --------------------------------------------------------------------------- #
 def test_spec_shard_round_trip(tmp_path):
-    matrix = smoke_sweep_matrix(algorithms=["dag", "raymond"])
+    matrix = sweep_matrix("smoke", algorithms=["dag", "raymond"])
     path = tmp_path / "shard.json"
     write_spec_shard(matrix, str(path))
     assert load_spec_shard(str(path)) == matrix
 
 
 def test_spec_shard_rejects_tampering(tmp_path):
-    matrix = smoke_sweep_matrix(algorithms=["dag"])
+    matrix = sweep_matrix("smoke", algorithms=["dag"])
     path = tmp_path / "shard.json"
     write_spec_shard(matrix, str(path))
     document = json.loads(path.read_text())
@@ -429,10 +438,10 @@ def test_committed_example_spec_replays_legacy_acceptance_cell():
     spec = ExperimentSpec.load(str(path / "dag_star1000_heavy.json"))
     assert spec == bench_cell("star", 1000, "heavy").experiment
 
-    from repro.bench.throughput import build_topology, build_workload
-
-    topology = build_topology("star", 1000)
-    workload = build_workload(topology, "heavy")
+    topology = star(1000)
+    workload = WorkloadGenerator(topology.nodes, seed=0).heavy_demand(
+        rounds=DEFAULT_HEAVY_ROUNDS
+    )
     legacy = run_experiment("dag", topology, workload, collect_metrics=False)
     driver = ExperimentDriver.from_spec(spec)
     via_spec = driver.run()
@@ -465,7 +474,7 @@ def test_spec_shard_rejects_foreign_latency_and_trace(tmp_path):
     # The tamper check covers every outcome-affecting field, not just the
     # workload tier: a shard declaring a latency model (or trace mode) the
     # sweep's frozen cells do not use must be refused, not silently dropped.
-    matrix = smoke_sweep_matrix(algorithms=["dag"])
+    matrix = sweep_matrix("smoke", algorithms=["dag"])
     path = tmp_path / "shard.json"
     write_spec_shard(matrix, str(path))
     document = json.loads(path.read_text())

@@ -19,8 +19,8 @@ import pytest
 
 import repro
 
-from repro.bench import smoke_matrix
-from repro.bench.throughput import build_topology
+from repro.bench import bench_matrix
+from repro.spec import TopologySpec
 from repro.exceptions import TopologyError
 from repro.topology import (
     COMPACT_NODE_THRESHOLD,
@@ -58,7 +58,7 @@ def assert_equivalent(compact: Topology, reference: Topology) -> None:
 
 
 @pytest.mark.parametrize("kind", ["line", "star", "tree"])
-@pytest.mark.parametrize("n", sorted({cell.experiment.topology.n for cell in smoke_matrix()}))
+@pytest.mark.parametrize("n", sorted({cell.experiment.topology.n for cell in bench_matrix("smoke")}))
 def test_smoke_matrix_families_equal_reference(kind, n):
     if kind == "line":
         compact, reference = line(n, compact=True), line(n, compact=False)
@@ -142,9 +142,9 @@ def test_builders_auto_select_compact_at_threshold():
     assert not isinstance(star(100), CompactTopology)
     assert isinstance(line(COMPACT_NODE_THRESHOLD), CompactTopology)
     assert not isinstance(balanced_tree(2, 5), CompactTopology)
-    # build_topology (the frozen benchmark path) inherits the auto-selection.
-    assert isinstance(build_topology("star", 100_000), CompactTopology)
-    assert not isinstance(build_topology("star", 1000), CompactTopology)
+    # TopologySpec.build (the frozen benchmark path) inherits the auto-selection.
+    assert isinstance(TopologySpec(kind="star", n=100_000).build(), CompactTopology)
+    assert not isinstance(TopologySpec(kind="star", n=1000).build(), CompactTopology)
 
 
 def test_replay_is_identical_across_representations():

@@ -13,7 +13,7 @@ from repro.spec import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.sweep.matrix import SweepScenario
+from repro.cells import sweep_cell
 from repro.sweep.worker import execute_scenario
 from repro.workload.driver import ExperimentDriver
 
@@ -131,11 +131,9 @@ def test_driver_replay_matches_the_sweep_worker_replay():
     # The sweep worker names the FaultController after the ExperimentSpec,
     # not the sweep row, precisely so a `repro run --spec` replay of an
     # exported shard injects the identical fault stream.
-    scenario = SweepScenario(
-        algorithm="dag", kind="star", n=9, workload="heavy", faults="drop5"
-    )
+    scenario = sweep_cell("dag", "star", 9, "heavy", faults="drop5")
     row = execute_scenario(scenario)
-    spec = scenario.experiment_spec()
+    spec = scenario.experiment
     result, system = run_spec(spec)
     assert row["faults"]["fault_log_sha256"] == (
         result.fault_summary["fault_log_sha256"]
