@@ -1,10 +1,10 @@
 """asyncio runtime: the DAG algorithm as a usable concurrency primitive.
 
-The simulator measures the algorithm; this package *runs* it.  Each node is an
-asyncio task exchanging messages over a transport with per-sender FIFO
-delivery (the paper's network assumptions) — in-memory within one event loop,
-or length-prefixed JSON frames over unix/TCP sockets across processes — and
-the public surface is a familiar lock API:
+The simulator measures the algorithm; this package *runs* it.  Each node is
+the protocol kernel registered as a handler on a transport with per-sender
+FIFO delivery (the paper's network assumptions) — in-memory within one event
+loop, or length-prefixed JSON frames over unix/TCP sockets across processes —
+and the public surface is a familiar lock API:
 
     async with cluster.lock(node_id):
         ...  # critical section

@@ -1,8 +1,7 @@
-"""A local cluster of asyncio nodes running the DAG algorithm."""
+"""A local cluster of live nodes running the DAG algorithm."""
 
 from __future__ import annotations
 
-import asyncio
 from typing import Any, Callable, Dict, FrozenSet, List, Optional
 
 from repro.core.inspector import token_holder
@@ -60,7 +59,7 @@ class LocalCluster:
     # lifecycle
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
-        """Start every node's consumer task."""
+        """Open every node for acquires."""
         for node in self.nodes.values():
             node.start()
         self._started = True
@@ -106,19 +105,15 @@ class LocalCluster:
         """Mint a replacement token after ``crashed`` nodes took it down.
 
         The simulator's recovery path, live: fence first — every undelivered
-        envelope predates the loss, so the live nodes' inboxes are drained —
-        then elect, reorient and re-issue through
-        :func:`repro.core.recovery.regenerate_token`, which refuses
-        (:class:`~repro.exceptions.ProtocolError`, nothing touched) while a
-        live node still has the token.  Call it with the event loop quiesced
+        envelope predates the loss, so the transport drops what it still has
+        for a live node, delayed or queued — then elect, reorient and
+        re-issue through :func:`repro.core.recovery.regenerate_token`, which
+        refuses (:class:`~repro.exceptions.ProtocolError`, no node touched)
+        while a live node still has the token.  Call it with the event loop quiesced
         (no acquire/release racing the reorientation).
         """
         crashed = frozenset(crashed)
-        for node_id, node in self.nodes.items():
-            if node_id in crashed:
-                continue
-            while not node._inbox.empty():
-                node._inbox.get_nowait()
+        self.transport.fence(crashed)
         return regenerate_token(self.nodes, crashed=crashed)
 
     def token_location(self) -> Optional[int]:

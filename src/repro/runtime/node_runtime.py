@@ -1,22 +1,25 @@
-"""One asyncio node running the DAG algorithm.
+"""One live node running the DAG algorithm.
 
 The protocol itself — the three variables of Figure 3 and the REQUEST /
 PRIVILEGE handling — is inherited from :class:`repro.core.node.DagNodeCore`,
 the same method objects the simulator's nodes run.  This module adds only
-the asyncio driver: a background task per node consumes the inbox and feeds
-the kernel, ``send`` goes to the transport, and the blocking point of
-procedure P1 is an :class:`asyncio.Event` the kernel's entry hook sets.
+the driver: the node registers the kernel's ``on_message`` as its handler on
+the transport, ``send`` goes to the transport, and the blocking point of
+procedure P1 is a callback — :meth:`AsyncDagNode.acquire_then` stores it and
+the kernel's entry hook hands it to the transport's mailbox to be called.
+A node at rest is the kernel's fields and nothing else: no task, no queue,
+no event.
 
-Because asyncio is cooperatively scheduled and the kernel never yields while
-mutating node state, each handler runs atomically with respect to the node's
-own variables, which is exactly the "local mutual exclusion" execution model
-the paper assumes for P1/P2.
+The transport calls one handler at a time and a handler never yields, so
+each one runs atomically with respect to every node's variables, which is
+exactly the "local mutual exclusion" execution model the paper assumes for
+P1/P2.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.node import DagNodeCore
 from repro.exceptions import LockError
@@ -24,13 +27,13 @@ from repro.runtime.transport import Envelope
 
 
 class AsyncDagNode(DagNodeCore):
-    """A live protocol participant backed by an asyncio task.
+    """A live protocol participant, driven by its transport's deliveries.
 
     Args:
         node_id: this node's identifier.
-        transport: any transport with the ``register``/``send`` surface —
-            :class:`~repro.runtime.transport.InMemoryTransport` within one
-            event loop, :class:`~repro.runtime.transport_socket.
+        transport: any transport with the ``register``/``send``/``post``
+            surface — :class:`~repro.runtime.transport.InMemoryTransport`
+            within one event loop, :class:`~repro.runtime.transport_socket.
             SocketTransport` across processes.
         holding: whether this node starts with the token.
         next_node: initial ``NEXT`` pointer (``None`` iff ``holding``).
@@ -46,44 +49,51 @@ class AsyncDagNode(DagNodeCore):
     ) -> None:
         super().__init__(node_id, holding=holding, next_node=next_node)
         self._transport = transport
-        self._inbox = transport.register(node_id)
-        self._entered = asyncio.Event()
-        self._consumer: Optional[asyncio.Task] = None
+        transport.register(node_id, self._deliver)
+        self._granted: Optional[Callable[[int], None]] = None
+        self._started = False
         self._stopped = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Start the message consumer task (idempotent)."""
-        if self._consumer is None:
-            self._consumer = asyncio.create_task(
-                self._consume(), name=f"dag-node-{self.node_id}"
-            )
+        """Open the node for acquires (idempotent)."""
+        self._started = True
 
     async def stop(self) -> None:
-        """Cancel the consumer task."""
+        """Leave the protocol: whatever is sent here from now on is dropped."""
         self._stopped = True
-        if self._consumer is not None:
-            self._consumer.cancel()
-            try:
-                await self._consumer
-            except asyncio.CancelledError:
-                pass
-            self._consumer = None
 
     # ------------------------------------------------------------------ #
-    # the lock operations: the kernel's P1, awaited
+    # the lock operations: the kernel's P1, its wait point a callback
     # ------------------------------------------------------------------ #
+    def acquire_then(self, granted: Callable[[int], None]) -> None:
+        """Ask for the critical section; ``granted(node_id)`` runs once inside it.
+
+        The call comes through the transport's mailbox: at once if the token
+        idles here, otherwise from the stack of whoever's send delivers the
+        PRIVILEGE.
+        """
+        self._check_may_ask()
+        self._granted = granted
+        self.request_cs()
+
     async def acquire(self) -> None:
         """Enter the critical section, waiting for the token if necessary."""
+        if self.holding:
+            self._check_may_ask()
+            self.request_cs()  # the token idles here: nothing to wait for
+            return
+        entered = asyncio.get_running_loop().create_future()
+        self.acquire_then(lambda _node_id: entered.done() or entered.set_result(None))
+        await entered
+
+    def _check_may_ask(self) -> None:
         if self.requesting or self.in_critical_section:
             raise LockError(f"node {self.node_id} already holds or awaits the lock")
-        if self._consumer is None:
+        if not self._started:
             raise LockError(f"node {self.node_id} is not started")
-        self._entered.clear()
-        self.request_cs()
-        await self._entered.wait()
 
     async def release(self) -> None:
         """Leave the critical section, passing the token to FOLLOW if set."""
@@ -99,9 +109,12 @@ class AsyncDagNode(DagNodeCore):
 
     def _enter_critical_section(self) -> None:
         super()._enter_critical_section()
-        self._entered.set()
+        granted, self._granted = self._granted, None
+        if granted is not None:
+            # Through the mailbox, not called: a waiter that hands the token
+            # straight on would otherwise nest one frame per hand-off.
+            self._transport.post(granted, self.node_id)
 
-    async def _consume(self) -> None:
-        while not self._stopped:
-            envelope: Envelope = await self._inbox.get()
+    def _deliver(self, envelope: Envelope) -> None:
+        if not self._stopped:
             self.on_message(envelope.sender, envelope.message)

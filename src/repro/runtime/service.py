@@ -22,8 +22,11 @@ outstanding protocol request per agent, the paper's P1 precondition),
 preferring the one idling on the token: an uncontended key is re-entered
 with zero messages and answered inside the ``data_received`` call that cut
 its frame from the socket, while concurrent sessions on the same key claim
-different agents and are serialised by real REQUEST/PRIVILEGE traffic.  Both
-ends of a connection are a :class:`~repro.runtime.transport_socket
+different agents and are serialised by real REQUEST/PRIVILEGE traffic.  The
+tree delivers those messages on the stack of whoever sends one, so an acquire
+that had to wait is granted, booked and answered inside the ``data_received``
+call that cut the *release* ahead of it: no tree and no waiter owns a task.
+Both ends of a connection are a :class:`~repro.runtime.transport_socket
 .FrameProtocol` on the socket's transport — no stream reader, no reader task
 — and every answer queued during one event-loop pass leaves in one write.
 
@@ -60,6 +63,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -127,14 +131,15 @@ class _KeyedLock:
     """One lock key's DAG token tree plus its agent pool.
 
     The tree is a :class:`~repro.runtime.cluster.LocalCluster`; its nodes are
-    the agents.  A session acquire claims a free agent (at most one
-    outstanding request per agent — procedure P1's precondition) and enters
-    the tree's critical section through it; with every agent claimed,
-    acquires queue FIFO and :meth:`release` hands the freed agent to the
-    first of them.  The token stays with the agent that last released it and
-    the claim prefers that agent, so an uncontended key is re-entered with
-    zero messages (the paper's best case); any other agent pays the
-    REQUEST/PRIVILEGE traffic, which is what serialises contending sessions.
+    the agents and a *ticket* is the id of a claimed one.  A session acquire
+    claims a free agent (at most one outstanding request per agent —
+    procedure P1's precondition) and enters the tree's critical section
+    through it; with every agent claimed, acquires queue FIFO and
+    :meth:`release` puts the first of them on the freed agent.  The token
+    stays with the agent that last released it and the claim prefers that
+    agent, so an uncontended key is re-entered with zero messages (the
+    paper's best case); any other agent pays the REQUEST/PRIVILEGE traffic,
+    which is what serialises contending sessions.
 
     A *takeover* tree is one rebuilt on a survivor after the key's previous
     shard died: the old token is gone with its process, so the fresh tree is
@@ -150,17 +155,17 @@ class _KeyedLock:
         self.key = key
         self.created_epoch = epoch
         self.cluster = LocalCluster(topology)
-        self._agents = list(self.cluster.nodes.values())
-        for node in self._agents:
+        self._agents = self.cluster.nodes
+        for node in self._agents.values():
             node.start()
         if takeover:
             # The token died with the old shard: drop the constructor's
             # token and mint the replacement through the recovery path.
-            for node in self._agents:
+            for node in self._agents.values():
                 node.holding = False
             self.cluster.regenerate_token()
-        self._free = set(range(len(self._agents)))  # tickets of unclaimed agents
-        self._waiters: "Deque[asyncio.Future[int]]" = deque()
+        self._free = set(self._agents)  # tickets of unclaimed agents
+        self._waiters: Deque[Callable[[int], None]] = deque()
 
     def try_acquire(self) -> Optional[int]:
         """Enter through the free agent idling on the token, if there is one.
@@ -175,41 +180,26 @@ class _KeyedLock:
                 return ticket
         return None
 
-    async def acquire(self) -> int:
-        """Claim an agent and enter the key's critical section; returns a ticket.
+    def acquire_then(self, granted: Callable[[int], None]) -> None:
+        """Enter the key's critical section, then call ``granted(ticket)``.
 
-        Zero messages if :meth:`try_acquire` succeeds by now; otherwise any
-        free agent — or, with none free, the first one released after every
-        earlier waiter got theirs — asks the tree for the token.
+        What is left when :meth:`try_acquire` finds nothing: any free agent
+        — or, with none free, the first one released after every earlier
+        waiter got theirs — asks the tree for the token.
         """
-        ticket = self.try_acquire()
-        if ticket is not None:
-            return ticket
         if self._free:
-            ticket = self._free.pop()
+            self._agents[self._free.pop()].acquire_then(granted)
         else:
-            waiter = asyncio.get_running_loop().create_future()
-            self._waiters.append(waiter)
-            ticket = await waiter
-        try:
-            await self._agents[ticket].acquire()
-        except BaseException:
-            self._unclaim(ticket)
-            raise
-        return ticket
+            self._waiters.append(granted)
 
     def release(self, ticket: int) -> None:
         """Leave the critical section; the agent goes to the first waiter."""
-        self._agents[ticket].release_cs()
-        self._unclaim(ticket)
-
-    def _unclaim(self, ticket: int) -> None:
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.done():  # a cancelled waiter is skipped
-                waiter.set_result(ticket)
-                return
-        self._free.add(ticket)
+        node = self._agents[ticket]
+        node.release_cs()
+        if self._waiters:
+            node.acquire_then(self._waiters.popleft())
+        else:
+            self._free.add(ticket)
 
     def queue_depth(self) -> int:
         """Requesters stacked behind this key's token, via the inspector.
@@ -254,7 +244,7 @@ Reply = Callable[[Dict[str, Any]], None]
 
 @dataclass
 class _Inflight:
-    """One acquire waiting in a task; duplicates join instead of re-executing."""
+    """One acquire waiting for its grant; duplicates join instead of re-executing."""
 
     #: (conn state, reply, op id) of everyone who asked, in arrival order.
     requesters: List[Tuple[Dict[str, bool], Reply, Any]]
@@ -270,7 +260,8 @@ class LockServiceShard:
     it needs no wait — every release, stats, view and cancel, every
     duplicate, and an acquire whose key has a free agent idling on the token
     — and answers of one event-loop pass leave in one write.  An acquire that
-    must wait for an agent or for the token runs as its own task, so one
+    must wait for an agent or for the token leaves a callback with the key's
+    tree and is answered from the stack of the release that grants it, so one
     blocked session never stalls a connection's other sessions; a dropped
     connection releases everything its sessions held (and lets waiting
     acquires finish, then releases them immediately — a DAG request, once
@@ -306,7 +297,6 @@ class LockServiceShard:
         self._shutdown = asyncio.Event()
         self._control_pipe: Any = None
         self._heartbeat_task: Optional[asyncio.Task] = None
-        self._op_tasks: set = set()
         faults = spec.faults
         self._drop_rate = faults.drop_rate if faults is not None else 0.0
         self._drop_rng = SeededRNG(
@@ -445,14 +435,6 @@ class LockServiceShard:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._op_tasks):
-            if not task.done():
-                # Ops finish fast once their token arrives; give them a beat
-                # rather than cancelling mid-protocol.
-                try:
-                    await asyncio.wait_for(task, timeout=1.0)
-                except (asyncio.TimeoutError, Exception):
-                    task.cancel()
         for keyed in self._locks.values():
             await keyed.close()
         self._locks.clear()
@@ -586,7 +568,7 @@ class LockServiceShard:
             elif op == "acquire":
                 payload = self._acquire_op(str(op_id), key, int(session), (state, reply, op_id))
                 if payload is None:
-                    return  # a task owns the answer now
+                    return  # the grant will answer it
             else:
                 payload = self._release_op(str(op_id), key, int(session), frame)
             reply({**payload, "id": op_id})
@@ -658,7 +640,7 @@ class LockServiceShard:
     def _acquire_op(
         self, uid: str, key: str, session: int, requester: Tuple[Dict[str, bool], Reply, Any]
     ) -> Optional[Dict[str, Any]]:
-        """The acquire's answer, or ``None`` once a waiting task owes it."""
+        """The acquire's answer, or ``None`` when its grant gives (or gave) it."""
         cached = self._op_cache.get(uid)
         if cached is not None:
             # Duplicate of a completed acquire: re-bind the hold (if it still
@@ -689,14 +671,12 @@ class LockServiceShard:
         record = _Inflight(requesters=[requester])
         self._inflight[uid] = record
         depth = keyed.queue_depth() if self._obs_enabled else 0
-        task = asyncio.create_task(
-            self._acquire_wait(uid, key, session, keyed, record, depth, started)
+        keyed.acquire_then(
+            partial(self._acquire_granted, uid, key, session, keyed, record, depth, started)
         )
-        self._op_tasks.add(task)
-        task.add_done_callback(self._op_tasks.discard)
         return None
 
-    async def _acquire_wait(
+    def _acquire_granted(
         self,
         uid: str,
         key: str,
@@ -705,43 +685,40 @@ class LockServiceShard:
         record: _Inflight,
         depth: int,
         started: float,
+        ticket: int,
     ) -> None:
-        """Wait for an agent and the token, then answer everyone who asked."""
-        try:
-            ticket = await keyed.acquire()
-        except LockError as exc:
-            self.stats["errors"] += 1
-            payload = {"ok": False, "error": str(exc)}
+        """A waiting acquire is in its critical section: answer everyone who asked.
+
+        Runs on the stack of whatever moved the token — usually the release
+        that freed it.
+        """
+        del self._inflight[uid]
+        owner_state = next(
+            (asker[0] for asker in reversed(record.requesters) if asker[0]["open"]),
+            None,
+        )
+        if record.cancelled:
+            # The client spent its retry budget and asked us to cancel:
+            # the grant has no consumer, so hand the token straight back.
+            # Cached so a straggling duplicate replays the cancellation.
+            self.stats["cancelled"] += 1
+            keyed.release(ticket)
+            payload = {
+                "ok": False,
+                "code": "cancelled",
+                "error": "acquire cancelled by client",
+            }
             self._cache_op(uid, payload)
+        elif owner_state is None:
+            # Every connection that asked is gone: the grant has no
+            # owner, so hand the token straight back.  Not cached — a
+            # later retry of this uid must execute a fresh acquire.
+            self.stats["abandoned"] += 1
+            keyed.release(ticket)
+            payload = {"ok": False, "code": "abandoned", "error": "connection lost"}
         else:
-            owner_state = next(
-                (asker[0] for asker in reversed(record.requesters) if asker[0]["open"]),
-                None,
-            )
-            if record.cancelled:
-                # The client spent its retry budget and asked us to cancel:
-                # the grant has no consumer, so hand the token straight back.
-                # Cached so a straggling duplicate replays the cancellation.
-                self.stats["cancelled"] += 1
-                keyed.release(ticket)
-                payload = {
-                    "ok": False,
-                    "code": "cancelled",
-                    "error": "acquire cancelled by client",
-                }
-                self._cache_op(uid, payload)
-            elif owner_state is None:
-                # Every connection that asked is gone: the grant has no
-                # owner, so hand the token straight back.  Not cached — a
-                # later retry of this uid must execute a fresh acquire.
-                self.stats["abandoned"] += 1
-                keyed.release(ticket)
-                payload = {"ok": False, "code": "abandoned", "error": "connection lost"}
-            else:
-                hold = _Hold(uid, key, session, ticket, self._view.epoch, owner_state)
-                payload = self._grant(hold, depth, started)
-        finally:
-            self._inflight.pop(uid, None)
+            hold = _Hold(uid, key, session, ticket, self._view.epoch, owner_state)
+            payload = self._grant(hold, depth, started)
         for _state, reply, op_id in record.requesters:
             reply({**payload, "id": op_id})
 

@@ -33,11 +33,11 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.messages import Privilege, Request
 from repro.exceptions import RuntimeTransportError
-from repro.runtime.transport import Envelope
+from repro.runtime.transport import Envelope, Handler, Mailbox
 
 #: A transport address: a unix-socket path or a ``(host, port)`` TCP pair.
 Address = Union[str, Tuple[str, int]]
@@ -386,17 +386,16 @@ def backoff_delays(
         delay = min(delay * 2, cap)
 
 
-_open_connection = open_address_connection
-
-
-class SocketTransport:
+class SocketTransport(Mailbox):
     """Connects asyncio nodes across processes through stream sockets.
 
     One instance per process: it listens on ``address`` for frames addressed
     to its *local* nodes (the ones that called :meth:`register`) and keeps one
     outbound connection per remote peer address, reused for every message and
     re-established transparently if the peer restarts.  Sends between two
-    local nodes never touch a socket.
+    local nodes never touch a socket: they and the envelopes cut from inbound
+    frames go through the one :class:`~repro.runtime.transport.Mailbox` (which
+    is all :meth:`fence` reaches: a frame already on a socket is not recalled).
 
     Args:
         address: this process's listen address (unix path or ``(host, port)``).
@@ -413,16 +412,15 @@ class SocketTransport:
     """
 
     def __init__(self, address: Address, peers: Mapping[int, Address]) -> None:
+        super().__init__()
         self._address = _normalise(address)
         self._peers: Dict[int, Address] = {
             int(node): _normalise(peer) for node, peer in peers.items()
         }
-        self._inboxes: Dict[int, asyncio.Queue] = {}
         self._outboxes: Dict[Address, asyncio.Queue] = {}
         self._writers: Dict[Address, asyncio.Task] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._accepted: set = set()  # live inbound FrameProtocols
-        self._messages_sent = 0
         self._closed = False
         self._started = False
 
@@ -430,33 +428,20 @@ class SocketTransport:
     # InMemoryTransport surface
     # ------------------------------------------------------------------ #
     @property
-    def messages_sent(self) -> int:
-        """Total messages accepted by this process's transport."""
-        return self._messages_sent
-
-    @property
-    def node_ids(self) -> Iterable[int]:
-        """Identifiers of the locally registered nodes."""
-        return list(self._inboxes)
-
-    @property
     def address(self) -> Address:
         """The listen address (after :meth:`start`, the bound one)."""
         return self._address
 
-    def register(self, node_id: int) -> asyncio.Queue:
-        """Create and return the inbox queue for a *local* node."""
-        if node_id in self._inboxes:
-            raise RuntimeTransportError(f"node {node_id} is already registered")
+    def register(self, node_id: int, handler: Optional[Handler] = None) -> Optional[asyncio.Queue]:
+        """Register a *local* node: its handler, or the inbox it gets instead."""
         peer = self._peers.get(node_id)
         if peer is not None and peer != self._address:
             raise RuntimeTransportError(
                 f"node {node_id} is mapped to peer address {peer!r}, not this "
                 f"transport's {self._address!r}"
             )
+        inbox = super().register(node_id, handler)
         self._peers[node_id] = self._address
-        inbox: asyncio.Queue = asyncio.Queue()
-        self._inboxes[node_id] = inbox
         return inbox
 
     def send(self, sender: int, receiver: int, message: Any) -> None:
@@ -467,14 +452,9 @@ class SocketTransport:
         if destination is None:
             raise RuntimeTransportError(f"unknown receiver node {receiver}")
         self._messages_sent += 1
-        envelope = Envelope(sender=sender, receiver=receiver, message=message)
+        envelope = Envelope(sender, receiver, message)
         if destination == self._address:
-            inbox = self._inboxes.get(receiver)
-            if inbox is None:
-                raise RuntimeTransportError(
-                    f"node {receiver} maps to this process but is not registered"
-                )
-            inbox.put_nowait(envelope)
+            self.post(self._local_handler(receiver), envelope)
             return
         if not self._started:
             raise RuntimeTransportError(
@@ -547,13 +527,15 @@ class SocketTransport:
         messages, which is the at-most-once contract; the listener stays up.
         """
         envelope = decode_envelope(payload)
-        inbox = self._inboxes.get(envelope.receiver)
-        if inbox is None:
+        self.post(self._local_handler(envelope.receiver), envelope)
+
+    def _local_handler(self, receiver: int) -> Handler:
+        handler = self._handlers.get(receiver)
+        if handler is None:
             raise RuntimeTransportError(
-                f"received a frame for node {envelope.receiver}, which is "
-                "not registered on this transport"
+                f"node {receiver} is addressed to this transport but is not registered on it"
             )
-        inbox.put_nowait(envelope)
+        return handler
 
     async def _drain_outbox(self, destination: Address, outbox: asyncio.Queue) -> None:
         """One writer per peer address: connect once, stream frames in order."""
@@ -588,7 +570,7 @@ class SocketTransport:
         delay = RECONNECT_DELAY_INITIAL
         for attempt in range(RECONNECT_ATTEMPTS):
             try:
-                _, writer = await _open_connection(destination)
+                _, writer = await open_address_connection(destination)
                 return writer
             except (ConnectionError, OSError):
                 if attempt == RECONNECT_ATTEMPTS - 1:

@@ -66,12 +66,9 @@ def run_live(topology, script):
                     acquires.append(asyncio.create_task(node.acquire()))
                 else:
                     await node.release()
-                # Quiescence: the new task has run to its wait point and
-                # every inbox has been consumed (a consumer handles an
-                # envelope in the same step that takes it off the queue).
+                # Quiescence: one pass takes the new task to its wait point,
+                # and delivery is complete when a send returns.
                 await asyncio.sleep(0)
-                while any(not peer._inbox.empty() for peer in cluster.nodes.values()):
-                    await asyncio.sleep(0)
                 tables.append(table(cluster.nodes))
             await asyncio.wait_for(asyncio.gather(*acquires), timeout=5.0)
             return tables, cluster.transport.messages_sent

@@ -10,6 +10,8 @@ from repro.exceptions import LockError, ProtocolError
 from repro.runtime import DistributedLock, LocalCluster
 from repro.topology import line, star
 
+from .virtual_clock import VirtualClock
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -159,10 +161,10 @@ def test_distributed_lock_exposes_node_id():
 
 
 def test_regenerate_token_after_the_holder_crashes():
-    async def settle(cluster):
+    async def settle():
+        # One pass: a fresh task runs up to its wait point, and whatever it
+        # sends on the way is delivered by the time its send returns.
         await asyncio.sleep(0)
-        while any(not node._inbox.empty() for node in cluster.nodes.values()):
-            await asyncio.sleep(0)
 
     async def scenario():
         async with LocalCluster(star(4)) as cluster:
@@ -170,9 +172,9 @@ def test_regenerate_token_after_the_holder_crashes():
             await dead.acquire()
             # Node 3 asks before node 2, so the FOLLOW chain is 1 -> 3 -> 2.
             late = asyncio.create_task(cluster.node(3).acquire())
-            await settle(cluster)
+            await settle()
             early = asyncio.create_task(cluster.node(2).acquire())
-            await settle(cluster)
+            await settle()
             assert (dead.follow, cluster.node(3).follow) == (3, 2)
 
             # The token is still held: regeneration must refuse, touching nothing.
@@ -193,7 +195,7 @@ def test_regenerate_token_after_the_holder_crashes():
             assert outcome == {"new_holder": 2, "granted_immediately": True, "reissued": 1}
             assert cluster.token_location() == 2
             await asyncio.wait_for(early, timeout=1.0)
-            await settle(cluster)
+            await settle()
             assert not late.done()
             assert cluster.node(2).follow == 3  # the re-issued REQUEST, through P2
             with pytest.raises(ProtocolError, match="not lost"):
@@ -204,5 +206,47 @@ def test_regenerate_token_after_the_holder_crashes():
             assert cluster.token_location() == 3
             await cluster.node(3).release()
             assert cluster.token_location() == 3
+
+    run(scenario())
+
+
+def test_regeneration_fences_a_privilege_that_is_still_delayed():
+    """The old token is a PRIVILEGE crawling from 1 to 2 when it is declared
+    lost.  Were it to survive the fence it would reach node 2 while node 2
+    waits for the *new* token to come back from node 3 — and both would be in
+    their critical sections."""
+    slow = {(1, 2): 10.0}
+
+    async def scenario():
+        clock = VirtualClock()
+        delay = lambda sender, receiver: slow.get((sender, receiver), 1.0)  # noqa: E731
+        async with LocalCluster(star(3), delay=delay) as cluster:
+            one, two, three = (cluster.node(node_id) for node_id in (1, 2, 3))
+            first = asyncio.create_task(two.acquire())
+            await clock.advance(1.0)  # the REQUEST arrives; the PRIVILEGE sets off
+            assert cluster.token_location() is None and not first.done()
+
+            outcome = cluster.regenerate_token()
+            assert outcome == {"new_holder": 2, "granted_immediately": True, "reissued": 0}
+            await asyncio.wait_for(first, timeout=1.0)
+            with pytest.raises(ProtocolError, match="not lost"):
+                cluster.regenerate_token()  # the refusal rule is untouched
+
+            # The new token goes to 3, and 2 queues up behind it again.
+            other = asyncio.create_task(three.acquire())
+            await clock.advance(1.0)
+            await two.release()
+            again = asyncio.create_task(two.acquire())
+            await clock.advance(1.0)
+            await asyncio.wait_for(other, timeout=1.0)
+            assert two.requesting and three.in_critical_section
+
+            await clock.advance(20.0)  # long after the old PRIVILEGE was due
+            assert [node.node_id for node in (one, two, three) if node.has_token()] == [3]
+            assert not again.done()
+            await three.release()
+            await clock.advance(1.0)
+            await asyncio.wait_for(again, timeout=1.0)
+            assert cluster.token_location() == 2
 
     run(scenario())

@@ -163,7 +163,8 @@ def test_takeover_tree_regenerates_exactly_one_token():
         keyed = _KeyedLock("k", topology, epoch=1, takeover=True)
         holders = [node.node_id for node in keyed.cluster.nodes.values() if node.holding]
         assert len(holders) == 1  # minted exactly one replacement PRIVILEGE
-        ticket = await keyed.acquire()  # and the tree actually works
+        ticket = keyed.try_acquire()  # and the tree actually works
+        assert ticket in holders
         keyed.release(ticket)
         await keyed.close()
 
@@ -177,25 +178,21 @@ def test_live_implicit_queue_anchors_on_the_executing_holder():
 
     async def scenario():
         keyed = _KeyedLock("k", star(4))
-        ticket = await keyed.acquire()
-        queued = {asyncio.create_task(keyed.acquire()) for _ in range(3)}
-        for _ in range(20):  # every REQUEST delivered and chained
-            await asyncio.sleep(0)
+        tickets = [keyed.try_acquire()]
+        for _ in range(3):  # every REQUEST is delivered and chained on return
+            keyed.acquire_then(tickets.append)
+        assert len(tickets) == 1
         predicted = implicit_queue(keyed.cluster)
         assert len(predicted) == 3
         assert keyed.queue_depth() == 3
         granted = []
-        while queued:
-            keyed.release(ticket)
-            done, queued = await asyncio.wait(
-                queued, timeout=1.0, return_when=asyncio.FIRST_COMPLETED
-            )
-            assert len(done) == 1
-            ticket = done.pop().result()
+        for served in range(1, 4):
+            keyed.release(tickets[-1])
+            assert len(tickets) == served + 1
             granted.append(keyed.cluster.token_location())
-        assert granted == predicted
+        assert granted == predicted == tickets[1:]
         assert keyed.queue_depth() == 0
-        keyed.release(ticket)
+        keyed.release(tickets[-1])
         await keyed.close()
 
     run(scenario())

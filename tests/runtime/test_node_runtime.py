@@ -8,8 +8,10 @@ import pytest
 
 from repro.core.messages import Privilege, Request
 from repro.exceptions import LockError, ProtocolError
+from repro.runtime.cluster import LocalCluster
 from repro.runtime.node_runtime import AsyncDagNode
 from repro.runtime.transport import InMemoryTransport
+from repro.topology import star
 
 
 def run(coro):
@@ -107,9 +109,9 @@ def test_follow_chain_through_release():
         await holder.acquire()
         # Two waiters queue up behind the executing holder.
         second_task = asyncio.create_task(second.acquire())
-        await asyncio.sleep(0.01)
+        await asyncio.sleep(0)  # the task runs up to its wait point
         third_task = asyncio.create_task(third.acquire())
-        await asyncio.sleep(0.01)
+        await asyncio.sleep(0)  # the task runs up to its wait point
         await holder.release()
         await asyncio.wait_for(second_task, timeout=1.0)
         assert second.in_critical_section
@@ -140,5 +142,83 @@ def test_repr_mentions_variables():
         node = AsyncDagNode(4, transport, holding=True, next_node=None)
         assert "id=4" in repr(node)
         assert "HOLDING=True" in repr(node)
+
+    run(scenario())
+
+
+def test_a_node_at_rest_owns_no_task_no_queue_and_no_event():
+    async def scenario():
+        before = len(asyncio.all_tasks())
+        transport = InMemoryTransport()
+        node = AsyncDagNode(1, transport, holding=True, next_node=None)
+        node.start()
+        assert len(asyncio.all_tasks()) == before
+        held = [type(value) for value in vars(node).values()]
+        assert not any(
+            issubclass(kind, (asyncio.Queue, asyncio.Event, asyncio.Future)) for kind in held
+        )
+
+    run(scenario())
+
+
+def test_acquire_then_calls_back_from_the_releasers_stack():
+    transport = InMemoryTransport()
+    holder = AsyncDagNode(1, transport, holding=True, next_node=None)
+    waiter = AsyncDagNode(2, transport, holding=False, next_node=1)
+    holder.start()
+    waiter.start()
+    entered = []
+    holder.acquire_then(entered.append)
+    assert entered == [1] and transport.messages_sent == 0
+    waiter.acquire_then(entered.append)
+    assert entered == [1] and holder.follow == 2  # the REQUEST is already there
+    with pytest.raises(LockError):
+        waiter.acquire_then(entered.append)
+    holder.release_cs()
+    assert entered == [1, 2] and waiter.in_critical_section
+
+
+def test_a_bad_message_reaches_its_sender_and_the_node_keeps_listening():
+    """Under the consumer task a ProtocolError killed the task, unretrieved,
+    and the node never heard another message."""
+    transport = InMemoryTransport()
+    holder = AsyncDagNode(1, transport, holding=True, next_node=None)
+    other = AsyncDagNode(2, transport, holding=False, next_node=1)
+    other.start()
+    with pytest.raises(ProtocolError, match="unexpected message"):
+        transport.send(2, 1, "not a protocol message")
+    with pytest.raises(ProtocolError, match="without an outstanding request"):
+        transport.send(2, 1, Privilege())
+    entered = []
+    other.acquire_then(entered.append)
+    assert entered == [2] and not holder.holding
+
+
+def test_a_stopped_node_drops_what_it_is_sent():
+    async def scenario():
+        transport = InMemoryTransport()
+        holder = AsyncDagNode(1, transport, holding=True, next_node=None)
+        requester = AsyncDagNode(2, transport, holding=False, next_node=1)
+        requester.start()
+        await holder.stop()
+        transport.send(2, 1, "not even looked at")
+        entered = []
+        requester.acquire_then(entered.append)
+        assert transport.messages_sent == 2 and entered == []
+        assert holder.holding and holder.next_node is None  # the REQUEST changed nothing
+
+    run(scenario())
+
+
+def test_a_grant_after_the_waiter_gave_up_is_not_an_error():
+    async def scenario():
+        async with LocalCluster(star(3)) as cluster:
+            await cluster.node(1).acquire()
+            lock = cluster.lock(2)
+            with pytest.raises(asyncio.TimeoutError):
+                await lock.acquire(timeout=0.01)
+            assert not lock.held and cluster.node(2).requesting
+            await cluster.node(1).release()  # wakes a future nobody awaits any more
+            assert cluster.node(2).in_critical_section
 
     run(scenario())

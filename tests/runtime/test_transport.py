@@ -9,6 +9,8 @@ import pytest
 from repro.exceptions import RuntimeTransportError
 from repro.runtime.transport import Envelope, InMemoryTransport
 
+from .virtual_clock import VirtualClock
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -95,5 +97,154 @@ def test_node_ids_listed():
         transport.register(3)
         transport.register(7)
         assert transport.node_ids == [3, 7]
+
+    run(scenario())
+
+
+# --------------------------------------------------------------------------- #
+# handlers: one mailbox, run to completion
+# --------------------------------------------------------------------------- #
+def test_a_handler_is_called_before_send_returns_and_an_inbox_is_just_a_handler():
+    transport = InMemoryTransport()
+    seen = []
+    assert transport.register(1, seen.append) is None
+    inbox = transport.register(2)
+    transport.send(2, 1, "to the handler")
+    assert seen == [Envelope(2, 1, "to the handler")]
+    transport.send(1, 2, "to the inbox")
+    assert inbox.get_nowait() == Envelope(1, 2, "to the inbox")
+
+
+def test_a_send_from_inside_a_handler_waits_for_that_handler_to_finish():
+    """Node 1 answers every envelope with two sends to node 2 and one to
+    itself; nothing it sends may be handled before it returns, and every
+    channel must still deliver in the order it was sent on."""
+    transport = InMemoryTransport()
+    log = []
+
+    def node_1(envelope):
+        log.append(("1 begins", envelope.message))
+        if envelope.sender == 0:
+            transport.send(1, 2, envelope.message + ".a")
+            transport.send(1, 1, envelope.message + ".self")
+            transport.send(1, 2, envelope.message + ".b")
+        log.append(("1 ends", envelope.message))
+
+    transport.register(0, log.append)
+    transport.register(1, node_1)
+    transport.register(2, lambda envelope: log.append(("2", envelope.message)))
+    transport.send(0, 1, "x")
+    transport.send(0, 1, "y")
+    assert log == [
+        ("1 begins", "x"), ("1 ends", "x"),
+        ("2", "x.a"), ("1 begins", "x.self"), ("1 ends", "x.self"), ("2", "x.b"),
+        ("1 begins", "y"), ("1 ends", "y"),
+        ("2", "y.a"), ("1 begins", "y.self"), ("1 ends", "y.self"), ("2", "y.b"),
+    ]
+    assert transport.messages_sent == 8
+
+
+def test_a_long_chain_of_sends_does_not_grow_the_stack():
+    transport = InMemoryTransport()
+    hops = []
+
+    def forward(envelope):
+        hops.append(envelope.message)
+        if envelope.message < 5000:
+            transport.send(envelope.receiver, 3 - envelope.receiver, envelope.message + 1)
+
+    transport.register(1, forward)
+    transport.register(2, forward)
+    transport.send(1, 2, 0)
+    assert hops == list(range(5001))
+
+
+def test_a_raising_handler_reaches_the_sender_and_nobody_goes_deaf():
+    """The exception surfaces in the send that started the drain, the drain
+    stops there, and what was queued behind it goes out — in order, ahead of
+    anything newer — with the next send."""
+    transport = InMemoryTransport()
+    heard = []
+
+    def fragile(envelope):
+        if envelope.message == "burst":
+            transport.send(1, 2, "first")
+            transport.send(1, 1, "poison")
+            transport.send(1, 2, "second")
+        elif envelope.message == "poison":
+            raise ValueError("bad message")
+        else:
+            heard.append(envelope.message)
+
+    transport.register(1, fragile)
+    transport.register(2, lambda envelope: heard.append(envelope.message))
+    with pytest.raises(ValueError, match="bad message"):
+        transport.send(2, 1, "burst")
+    assert heard == ["first"]  # the drain stopped at the poison
+    transport.send(2, 1, "still listening")  # not refused as a nested send
+    assert heard == ["first", "second", "still listening"]
+
+
+# --------------------------------------------------------------------------- #
+# the recovery fence
+# --------------------------------------------------------------------------- #
+def test_fence_drops_what_is_queued_for_live_nodes_only():
+    transport = InMemoryTransport()
+    heard = []
+
+    def node_1(envelope):
+        if envelope.message == "go":
+            transport.send(1, 2, "for the live node")
+            transport.send(1, 3, "for the crashed node")
+            transport.fence(frozenset({3}))
+        heard.append((1, envelope.message))
+
+    transport.register(1, node_1)
+    transport.register(2, lambda envelope: heard.append((2, envelope.message)))
+    transport.register(3, lambda envelope: heard.append((3, envelope.message)))
+    transport.send(2, 1, "go")
+    assert heard == [(1, "go"), (3, "for the crashed node")]
+
+
+def test_fence_drops_delayed_envelopes_and_the_channel_still_works():
+    async def scenario():
+        clock = VirtualClock()
+        transport = InMemoryTransport(delay=lambda sender, receiver: 1.0)
+        heard = []
+        for node_id in (1, 2, 3):
+            transport.register(node_id, heard.append)
+        transport.send(1, 2, "stale")
+        transport.send(1, 2, "stale too")
+        transport.send(1, 3, "bound for a crashed node")
+        await clock.advance(0.5)
+        transport.fence(frozenset({3}))
+        transport.send(1, 2, "fresh")
+        await clock.advance(0.6)
+        assert [envelope.message for envelope in heard] == ["bound for a crashed node"]
+        await clock.advance(0.5)
+        assert [envelope.message for envelope in heard][1:] == ["fresh"]
+        await transport.close()
+
+    run(scenario())
+
+
+def test_delayed_envelopes_are_in_flight_together_and_stay_in_order():
+    """Delay is per envelope from its own send, not queued behind the one
+    before; an envelope with a shorter delay still never overtakes."""
+
+    async def scenario():
+        clock = VirtualClock()
+        delays = iter([3.0, 1.0, 1.0])
+        transport = InMemoryTransport(delay=lambda sender, receiver: next(delays))
+        heard = []
+        transport.register(1, heard.append)
+        transport.register(2, heard.append)
+        for index in range(3):
+            transport.send(1, 2, index)
+        await clock.advance(2.0)
+        assert heard == []  # the 1-second ones wait behind the 3-second one
+        await clock.advance(1.0)
+        assert [envelope.message for envelope in heard] == [0, 1, 2]
+        await transport.close()
 
     run(scenario())
