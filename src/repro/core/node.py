@@ -12,8 +12,9 @@ which the variables are read or written.
 The kernel blocks on nothing and owns no engine, socket or task, so it can be
 stepped by anything that supplies ``send``: :class:`DagMutexNode` drives it
 from the discrete-event simulator, :class:`~repro.runtime.node_runtime
-.AsyncDagNode` from an asyncio inbox, and ``tests/core/test_kernel_exhaustive
-.py`` from plain FIFO lists.  (The columnar :class:`~repro.core.compact_state
+.AsyncDagNode` from its transport's deliveries (a handler called on the
+sender's stack, no task and no queue of its own), and ``tests/core
+/test_kernel_exhaustive.py`` from plain FIFO lists.  (The columnar :class:`~repro.core.compact_state
 .CompactDagState` is a hand-inlined transcription of the same text, gated
 against it by the ``backend-identity`` replays.)
 

@@ -9,7 +9,7 @@ provides that substrate:
 * :class:`~repro.sim.network.Network` — reliable FIFO channels between every
   pair of nodes, with pluggable latency models.
 * :class:`~repro.sim.process.SimProcess` — base class for node processes that
-  send and receive messages and set timers.
+  send and receive messages.
 * :class:`~repro.sim.metrics.MetricsCollector` — per-critical-section-entry
   message counts, synchronization delays, and waiting times.
 * :class:`~repro.sim.trace.TraceRecorder` — full event traces used to replay
@@ -17,7 +17,6 @@ provides that substrate:
 """
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import Event, EventKind, TimerFired
 from repro.sim.latency import (
     ConstantLatency,
     ExponentialLatency,
@@ -37,9 +36,6 @@ __all__ = [
     "HeapScheduler",
     "SCHEDULER_MODES",
     "make_scheduler",
-    "Event",
-    "EventKind",
-    "TimerFired",
     "LatencyModel",
     "ConstantLatency",
     "UniformLatency",

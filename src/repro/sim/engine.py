@@ -2,24 +2,21 @@
 
 The engine owns the virtual clock and the monotone sequence counter; the
 *storage* of scheduled events and the drain loop live in
-:class:`~repro.sim.schedulers.HeapScheduler` (and the pending-event count is
-derived from it in O(1)), a heap of ``(time, priority, sequence, event)``
-tuples — storing plain tuples keeps every heap comparison in C.  The hottest
-callers (:meth:`SimulationEngine.schedule_lite`, and every message the
-network carries) skip the event object entirely: the entry is a
-``(time, priority, sequence, callback, payload)`` 5-tuple and
-``callback(payload)`` fires with no per-event allocation at all.  The engine
-is intentionally minimal: processes, networks, and metrics are layered on
-top rather than baked in, so the same engine drives every algorithm in the
-library.
+:class:`~repro.sim.schedulers.HeapScheduler`, a heap of
+``(time, sequence, callback, payload)`` tuples — the entry *is* the event:
+``callback(payload)`` fires with no per-event allocation, and storing plain
+tuples keeps every heap comparison in C.  The engine is intentionally
+minimal: processes, networks, and metrics are layered on top rather than
+baked in, so the same engine drives every algorithm in the library.
 
-Determinism contract: events fire in ``(time, priority, sequence)`` order,
-with the sequence number allocated monotonically at scheduling time.  The
-three entry points — :meth:`SimulationEngine.schedule` (a cancellable
-:class:`Event`), :meth:`SimulationEngine.schedule_lite` and
-:meth:`SimulationEngine.schedule_lite_bulk` — and the network's inline push
-draw from the same sequence counter, so mixing them never changes the replay
-order.
+Determinism contract: events fire in ``(time, sequence)`` order, with the
+sequence number allocated monotonically at scheduling time.  The two entry
+points — :meth:`SimulationEngine.schedule_lite` and
+:meth:`SimulationEngine.schedule_lite_bulk` — and the two inlined pushes
+that mirror them (``Network.send``, ``ExperimentDriver._handle_enter``) draw
+from the same sequence counter, so mixing them never changes the replay
+order.  Nothing is ever un-scheduled: the paper's procedures and every
+baseline are pure message handlers over a reliable network.
 """
 
 from __future__ import annotations
@@ -27,12 +24,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Optional, Tuple, Union
 
 from repro.exceptions import SchedulingError, SimulationError
-from repro.sim.events import Event, EventKind
-from repro.sim.schedulers import (
-    MIN_TOMBSTONES_FOR_COMPACTION,
-    HeapScheduler,
-    make_scheduler,
-)
+from repro.sim.schedulers import HeapScheduler, make_scheduler
 
 
 class SimulationEngine:
@@ -47,7 +39,7 @@ class SimulationEngine:
     Example:
         >>> engine = SimulationEngine()
         >>> fired = []
-        >>> _ = engine.schedule(5.0, lambda ev: fired.append(engine.now))
+        >>> engine.schedule_lite(5.0, lambda _: fired.append(engine.now))
         >>> engine.run()
         >>> fired
         [5.0]
@@ -86,14 +78,8 @@ class SimulationEngine:
 
     @property
     def pending_events(self) -> int:
-        """Number of non-cancelled events still scheduled.
-
-        Derived in O(1) from the scheduler's entry count minus its cancelled
-        tombstones — nothing is rescanned and the scheduling hot paths pay no
-        per-event counter upkeep.
-        """
-        scheduler = self._scheduler
-        return len(scheduler) - scheduler.tombstones
+        """Number of events still scheduled."""
+        return len(self._scheduler)
 
     @property
     def scheduler(self) -> HeapScheduler:
@@ -110,8 +96,8 @@ class SimulationEngine:
 
         Everything is a callback gauge reading state the engine already
         maintains — :attr:`now`, :attr:`processed_events`,
-        :attr:`pending_events`, the scheduler's kind and tombstone count —
-        so the scheduling and drain hot paths pay nothing, enabled or not.
+        :attr:`pending_events`, the scheduler's kind — so the scheduling and
+        drain hot paths pay nothing, enabled or not.
         """
         registry.gauge(f"{prefix}.now").set_function(lambda: self._now)
         registry.gauge(f"{prefix}.processed_events").set_function(
@@ -123,45 +109,6 @@ class SimulationEngine:
         registry.gauge(f"{prefix}.scheduler").set_function(
             lambda: self._scheduler.kind
         )
-        registry.gauge(f"{prefix}.scheduler_tombstones").set_function(
-            lambda: self._scheduler.tombstones
-        )
-
-    def schedule(
-        self,
-        time: float,
-        callback: Callable[[Event], None],
-        *,
-        kind: EventKind = EventKind.CALLBACK,
-        payload: Any = None,
-        priority: int = 0,
-    ) -> Event:
-        """Schedule ``callback`` to run at absolute virtual ``time``.
-
-        Args:
-            time: absolute virtual time; must not be earlier than ``now``.
-            callback: callable invoked with the event when it fires.
-            kind: classification used by tracing.
-            payload: opaque data attached to the event.
-            priority: events at the same time run in ascending priority.
-
-        Returns:
-            The scheduled event, which the caller may later ``cancel()``.
-
-        Raises:
-            SchedulingError: if ``time`` is in the past.
-        """
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot schedule event at {time} before current time {self._now}"
-            )
-        time = float(time)
-        sequence = self._sequence + 1
-        self._sequence = sequence
-        event = Event(time, priority, sequence, kind, callback, payload)
-        event.owner = self
-        self._push((time, priority, sequence, event))
-        return event
 
     def schedule_lite(
         self,
@@ -169,63 +116,48 @@ class SimulationEngine:
         callback: Callable[[Any], None],
         payload: Any = None,
     ) -> None:
-        """Schedule a fire-and-forget callback with no :class:`Event` object.
+        """Schedule ``callback(payload)`` to run at absolute virtual ``time``.
 
-        The queue entry *is* the event: ``callback(payload)`` runs at ``time``
-        with no per-event allocation at all.  Lite events cannot be cancelled
-        and carry no kind — they exist for the network's message deliveries
-        and the workload driver, where neither feature is used and the
-        allocation would be pure overhead.  Ordering shares the engine's
-        sequence counter, so mixing lite and regular events is deterministic.
+        The queue entry *is* the event — one tuple, no per-event object.
+
+        Raises:
+            SchedulingError: if ``time`` is earlier than ``now`` (the clock
+                never runs backwards).
         """
+        if time < self._now:
+            raise SchedulingError(
+                f"cannot schedule event at {time} before current time {self._now}"
+            )
         sequence = self._sequence + 1
         self._sequence = sequence
-        self._push((time, 0, sequence, callback, payload))
+        self._push((time, sequence, callback, payload))
 
     def schedule_lite_bulk(
         self,
         items: "Iterable[Tuple[float, Callable[[Any], None], Any]]",
     ) -> int:
-        """Bulk :meth:`schedule_lite`: one call for many fire-and-forget events.
+        """Bulk :meth:`schedule_lite`: one call for many events.
 
         ``items`` yields ``(time, callback, payload)`` triples; each is
         stamped with the next sequence number in iteration order, exactly as
         if :meth:`schedule_lite` had been called per item, then handed to
         the scheduler's batch insert (the heap extends and re-heapifies in
         O(n)).  Used by the experiment driver to load a whole workload's
-        arrivals up front without paying a Python call per request.
+        arrivals up front without paying a Python call per request; times
+        are not checked per item — the driver checks the head of its
+        arrival-ordered schedule against ``now`` once.
 
         Returns:
             The number of events scheduled.
         """
         sequence = self._sequence
         entries = [
-            (time, 0, sequence := sequence + 1, callback, payload)
+            (time, sequence := sequence + 1, callback, payload)
             for time, callback, payload in items
         ]
         self._sequence = sequence
         self._scheduler.push_bulk(entries)
         return len(entries)
-
-    def schedule_after(
-        self,
-        delay: float,
-        callback: Callable[[Event], None],
-        *,
-        kind: EventKind = EventKind.CALLBACK,
-        payload: Any = None,
-        priority: int = 0,
-    ) -> Event:
-        """Schedule ``callback`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise SchedulingError(f"delay must be non-negative, got {delay}")
-        return self.schedule(
-            self._now + delay,
-            callback,
-            kind=kind,
-            payload=payload,
-            priority=priority,
-        )
 
     def run(
         self,
@@ -265,7 +197,7 @@ class SimulationEngine:
             self._running = False
 
     def step(self) -> bool:
-        """Process exactly one (non-cancelled) event.
+        """Process exactly one event.
 
         Returns:
             ``True`` if an event was processed, ``False`` if the queue is
@@ -277,20 +209,3 @@ class SimulationEngine:
         """Request that the current :meth:`run` call return after the
         currently executing event finishes."""
         self._stopped = True
-
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` so tombstones are accounted for.
-
-        Also the compaction trigger: when cancelled tombstones outnumber
-        half the live pending events, the store is compacted in place so
-        cancel-heavy runs (timeout-style workloads) don't pay tombstone
-        pop/skip cost forever.
-        """
-        scheduler = self._scheduler
-        scheduler.note_cancelled()
-        tombstones = scheduler.tombstones
-        if (
-            tombstones >= MIN_TOMBSTONES_FOR_COMPACTION
-            and tombstones * 2 > len(scheduler) - tombstones
-        ):
-            scheduler.compact()

@@ -9,15 +9,15 @@ channel, its delivery is pushed back to just after the earlier delivery.
 
 There is one message path.  :meth:`Network.send` validates, counts, notifies
 the metrics collector and trace recorder if any is attached, checks the
-partition table, computes the delivery time and pushes one lite heap entry
-``(time, 0, sequence, self._deliver, (sender, receiver, message, sequence))``;
+partition table, computes the delivery time and pushes one heap entry
+``(time, sequence, self._deliver, (sender, receiver, message, sequence))``;
 :meth:`Network._deliver` is the only delivery function (a fault injector
 overrides that same function and fences on the payload's engine sequence).
 With a :class:`~repro.sim.latency.ConstantLatency` model the per-channel FIFO
 clamp is skipped: a constant delay added to a non-decreasing clock can never
 reorder a channel, so no per-channel state is touched unless a partition is
 active.  One engine sequence number is drawn per send whatever is attached,
-so a run's ``(time, priority, sequence)`` event order does not depend on the
+so a run's ``(time, sequence)`` event order does not depend on the
 observers.  ``benchmarks/README.md`` ("Why there is one message path") holds
 the A/B that retired the fast/observed fork and the batch sink.
 """
@@ -266,7 +266,7 @@ class Network:
                 delivery_time = state.last_delivery_time + _FIFO_EPSILON
             state.last_delivery_time = delivery_time
 
-        # The lite entry is built inline — sequence bump plus one push —
+        # The entry is built inline — sequence bump plus one push —
         # because even the schedule_lite frame is measurable at this call
         # rate.  The payload carries the sequence so a fault injector can
         # fence on it at delivery.
@@ -275,7 +275,6 @@ class Network:
         engine._push(
             (
                 delivery_time,
-                0,
                 sequence,
                 self._deliver,
                 (sender, receiver, message, sequence),

@@ -1,7 +1,8 @@
 """Process abstraction layered on the engine and network.
 
 A :class:`SimProcess` is one node of the distributed system: it can send
-messages, receive them through :meth:`on_message`, and set virtual-time timers.
+messages and receive them through :meth:`on_message` — nothing else, as in
+the paper's model, where a node acts only on a message or on its own user.
 Algorithm implementations (the DAG protocol and every baseline) subclass it,
 so the substrate they run on is identical and the measured message counts are
 directly comparable.
@@ -10,19 +11,17 @@ directly comparable.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import Event, EventKind, TimerFired
 from repro.sim.network import Network
 
 
 class SimProcess:
     """Base class for a simulated node process.
 
-    Subclasses override :meth:`on_message` (and optionally :meth:`on_timer`).
-    The constructor registers the process with the network so it can receive
-    messages immediately.
+    Subclasses override :meth:`on_message`.  The constructor registers the
+    process with the network so it can receive messages immediately.
     """
 
     def __init__(self, node_id: int, network: Network) -> None:
@@ -52,42 +51,12 @@ class SimProcess:
     # than a wrapper method on the messaging hot path).
     send: Callable[[int, Any], None]
 
-    def set_timer(
-        self,
-        delay: float,
-        name: str,
-        *,
-        context: Optional[Any] = None,
-    ) -> Event:
-        """Schedule :meth:`on_timer` to run after ``delay`` time units.
-
-        Returns the event so the caller can cancel the timer.
-        """
-        # Timers need a cancellable Event, so ``schedule`` rather than
-        # ``schedule_lite``; ``schedule_after`` rejects a negative delay.
-        return self.engine.schedule_after(
-            delay,
-            self._timer_fired,
-            kind=EventKind.TIMER_FIRED,
-            payload=TimerFired(owner=self.node_id, name=name, context=context),
-        )
-
     # ------------------------------------------------------------------ #
     # hooks for subclasses
     # ------------------------------------------------------------------ #
     def on_message(self, sender: int, message: Any) -> None:
         """Handle a message delivered to this node.  Subclasses must override."""
         raise NotImplementedError
-
-    def on_timer(self, timer: TimerFired) -> None:
-        """Handle a timer set with :meth:`set_timer`.  Default: ignore."""
-
-    # ------------------------------------------------------------------ #
-    # internal plumbing
-    # ------------------------------------------------------------------ #
-    def _timer_fired(self, event: Event) -> None:
-        payload: TimerFired = event.payload
-        self.on_timer(payload)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(node_id={self.node_id})"

@@ -642,9 +642,8 @@ class ExperimentSpec:
     def build_system(self, topology: Topology) -> MutexSystem:
         """Construct the system under test on an already-built topology.
 
-        Split out from :meth:`build` because benchmark repetition loops
-        rebuild the system per replay while sharing one topology and one
-        workload.
+        Takes the topology because benchmark repetition loops rebuild the
+        system per replay while sharing one topology and one workload.
         """
         system_class = registry.get(self.algorithm)
         kwargs: Dict[str, Any] = {}
@@ -666,12 +665,6 @@ class ExperimentSpec:
             collect_metrics=self.collect_metrics,
             **kwargs,
         )
-
-    def build(self) -> Tuple[MutexSystem, Union[Workload, StreamingWorkload]]:
-        """Construct the ``(system, workload)`` pair the spec describes."""
-        topology = self.topology.build()
-        workload = self.workload.build(topology, seed=self.seed)
-        return self.build_system(topology), workload
 
     def run(self, *, max_events: int = 5_000_000):
         """Build and replay the experiment; returns an ``ExperimentResult``.

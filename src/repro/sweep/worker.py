@@ -66,23 +66,14 @@ def execute_scenario(cell: Cell) -> Dict[str, Any]:
     live under the ``"timing"`` key so the merged document can be compared
     byte-for-byte across runs and worker counts after stripping timing.
     """
-    # Built by hand rather than through ExperimentDriver.from_spec because the
-    # clock starts between the workload and the system: topology and workload
-    # construction stay outside the measured rate.
+    # The clock starts between the workload and the system: topology and
+    # workload construction stay outside the measured rate.
     experiment = cell.experiment
     topology = experiment.topology.build()
     workload = experiment.workload.build(topology, seed=experiment.seed)
     start = time.perf_counter()
-    system = experiment.build_system(topology)
-    faults = None
-    if experiment.faults is not None:
-        from repro.sim.faults import FaultController
-
-        # Named after the ExperimentSpec (not the sweep row) so the injected
-        # fault stream is identical to a `repro run --spec` replay of the
-        # exported shard — the byte-identity CI gate depends on it.
-        faults = FaultController(experiment.faults, name=experiment.name)
-    driver = ExperimentDriver(system, workload, faults=faults)
+    driver = ExperimentDriver.from_spec(experiment, topology=topology, workload=workload)
+    system = driver.system
     result = driver.run(max_events=MAX_EVENTS_PER_SCENARIO)
     wall = time.perf_counter() - start
     events = system.engine.processed_events

@@ -155,15 +155,31 @@ class ExperimentDriver:
                 node._on_enter = self._handle_enter
 
     @classmethod
-    def from_spec(cls, spec) -> "ExperimentDriver":
-        """Build system and workload from an :class:`~repro.spec.ExperimentSpec`.
+    def from_spec(
+        cls,
+        spec,
+        *,
+        topology: Optional[Topology] = None,
+        workload: Optional[Union[Workload, StreamingWorkload]] = None,
+    ) -> "ExperimentDriver":
+        """The one place an :class:`~repro.spec.ExperimentSpec` is stood up.
 
         ``ExperimentDriver.from_spec(spec).run()`` is the whole replay.
-        A spec with a :class:`~repro.spec.FaultSpec` gets a
+        ``topology`` and ``workload`` default to what the spec builds; a
+        caller that already built them (the sweep worker, whose clock starts
+        after the workload and before the system) passes them in.  A spec
+        with a :class:`~repro.spec.FaultSpec` gets a
         :class:`~repro.sim.faults.FaultController` seeded from the spec,
-        armed when :meth:`run` starts.
+        armed when :meth:`run` starts — named after the spec, not after
+        whatever row the caller files the result under, so a sweep cell and
+        a ``repro run --spec`` replay of its exported shard inject the same
+        fault stream.
         """
-        system, workload = spec.build()
+        if topology is None:
+            topology = spec.topology.build()
+        if workload is None:
+            workload = spec.workload.build(topology, seed=spec.seed)
+        system = spec.build_system(topology)
         faults = None
         if spec.faults is not None:
             from repro.sim.faults import FaultController
@@ -340,14 +356,6 @@ class ExperimentDriver:
     # ------------------------------------------------------------------ #
     # event plumbing
     # ------------------------------------------------------------------ #
-    def _make_arrival(self, request: CSRequest):
-        """Closure form of :meth:`_arrival` for callers scheduling by hand."""
-
-        def arrival(_event) -> None:
-            self._issue_or_queue(request)
-
-        return arrival
-
     def _issue_or_queue(self, request: CSRequest) -> None:
         node_id = request.node
         fault_network = self._fault_network
@@ -395,7 +403,7 @@ class ExperimentDriver:
         engine = self.system.engine
         sequence = engine._sequence + 1
         engine._sequence = sequence
-        engine._push((engine._now + duration, 0, sequence, self._release, node_id))
+        engine._push((engine._now + duration, sequence, self._release, node_id))
 
     def _release(self, node_id: int) -> None:
         fault_network = self._fault_network

@@ -37,7 +37,7 @@ def drive_with_checks(system, workload, *, max_events=100_000):
     checker = InvariantChecker(_View(system))
     driver = ExperimentDriver(system, workload)
     for request in workload:
-        system.engine.schedule(request.arrival_time, driver._make_arrival(request))
+        system.engine.schedule_lite(request.arrival_time, driver._issue_or_queue, request)
     processed = 0
     while system.engine.pending_events and processed < max_events:
         system.engine.run(max_events=1)

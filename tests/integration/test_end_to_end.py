@@ -128,7 +128,7 @@ def test_protocol_survives_a_long_mixed_stress_run():
     driver = ExperimentDriver(system, workload)
     # Step the engine manually so every event is followed by a full check.
     for request in workload:
-        system.engine.schedule(request.arrival_time, driver._make_arrival(request))
+        system.engine.schedule_lite(request.arrival_time, driver._issue_or_queue, request)
     while system.engine.pending_events:
         system.engine.run(max_events=1)
         checker.check()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.exceptions import SchedulingError, SimulationError
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import EventKind
 
 
 def test_initial_state():
@@ -24,9 +23,9 @@ def test_custom_start_time():
 def test_events_run_in_time_order():
     engine = SimulationEngine()
     fired = []
-    engine.schedule(5.0, lambda e: fired.append("late"))
-    engine.schedule(1.0, lambda e: fired.append("early"))
-    engine.schedule(3.0, lambda e: fired.append("middle"))
+    engine.schedule_lite(5.0, lambda _: fired.append("late"))
+    engine.schedule_lite(1.0, lambda _: fired.append("early"))
+    engine.schedule_lite(3.0, lambda _: fired.append("middle"))
     engine.run()
     assert fired == ["early", "middle", "late"]
 
@@ -34,8 +33,8 @@ def test_events_run_in_time_order():
 def test_clock_advances_to_event_time():
     engine = SimulationEngine()
     seen = []
-    engine.schedule(2.5, lambda e: seen.append(engine.now))
-    engine.schedule(7.0, lambda e: seen.append(engine.now))
+    engine.schedule_lite(2.5, lambda _: seen.append(engine.now))
+    engine.schedule_lite(7.0, lambda _: seen.append(engine.now))
     engine.run()
     assert seen == [2.5, 7.0]
     assert engine.now == 7.0
@@ -45,71 +44,60 @@ def test_same_time_events_run_in_schedule_order():
     engine = SimulationEngine()
     fired = []
     for label in ["a", "b", "c"]:
-        engine.schedule(1.0, lambda e, label=label: fired.append(label))
+        engine.schedule_lite(1.0, lambda _, label=label: fired.append(label))
     engine.run()
     assert fired == ["a", "b", "c"]
 
 
-def test_priority_breaks_ties():
-    engine = SimulationEngine()
-    fired = []
-    engine.schedule(1.0, lambda e: fired.append("low"), priority=5)
-    engine.schedule(1.0, lambda e: fired.append("high"), priority=-5)
-    engine.run()
-    assert fired == ["high", "low"]
-
-
 def test_schedule_in_past_rejected():
     engine = SimulationEngine()
-    engine.schedule(5.0, lambda e: None)
+    engine.schedule_lite(5.0, lambda _: None)
     engine.run()
     with pytest.raises(SchedulingError):
-        engine.schedule(1.0, lambda e: None)
+        engine.schedule_lite(1.0, lambda _: None)
 
 
-def test_schedule_after_negative_delay_rejected():
+def test_clock_never_runs_backwards():
+    # A callback that asks for a time before `now` is refused where it asks,
+    # instead of firing at now == 2.0 after now == 5.0 and leaving the clock
+    # there.
     engine = SimulationEngine()
-    with pytest.raises(SchedulingError):
-        engine.schedule_after(-1.0, lambda e: None)
+    seen = []
 
+    def late(_):
+        seen.append(engine.now)
+        engine.schedule_lite(2.0, lambda _: seen.append(engine.now))
 
-def test_schedule_after_uses_relative_delay():
-    engine = SimulationEngine()
-    times = []
-    engine.schedule(4.0, lambda e: engine.schedule_after(2.0, lambda e2: times.append(engine.now)))
+    engine.schedule_lite(5.0, late)
+    with pytest.raises(SchedulingError, match="before current time 5.0"):
+        engine.run()
+    assert seen == [5.0]
+    assert engine.now == 5.0
+    assert engine.pending_events == 0
+    engine.schedule_lite(5.0, lambda _: seen.append(engine.now))  # now itself is fine
     engine.run()
-    assert times == [6.0]
+    assert seen == [5.0, 5.0]
 
 
 def test_events_scheduled_during_run_are_processed():
     engine = SimulationEngine()
     fired = []
 
-    def chain(event):
+    def chain(_):
         fired.append(engine.now)
         if len(fired) < 5:
-            engine.schedule_after(1.0, chain)
+            engine.schedule_lite(engine.now + 1.0, chain)
 
-    engine.schedule(0.0, chain)
+    engine.schedule_lite(0.0, chain)
     engine.run()
     assert fired == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-
-def test_cancelled_event_is_skipped():
-    engine = SimulationEngine()
-    fired = []
-    event = engine.schedule(1.0, lambda e: fired.append("cancelled"))
-    engine.schedule(2.0, lambda e: fired.append("kept"))
-    event.cancel()
-    engine.run()
-    assert fired == ["kept"]
 
 
 def test_run_until_stops_before_later_events():
     engine = SimulationEngine()
     fired = []
-    engine.schedule(1.0, lambda e: fired.append(1))
-    engine.schedule(10.0, lambda e: fired.append(10))
+    engine.schedule_lite(1.0, lambda _: fired.append(1))
+    engine.schedule_lite(10.0, lambda _: fired.append(10))
     engine.run(until=5.0)
     assert fired == [1]
     assert engine.now == 5.0
@@ -122,7 +110,7 @@ def test_run_max_events_limit():
     engine = SimulationEngine()
     fired = []
     for index in range(10):
-        engine.schedule(float(index), lambda e, index=index: fired.append(index))
+        engine.schedule_lite(float(index), lambda _, index=index: fired.append(index))
     processed = engine.run(max_events=3)
     assert processed == 3
     assert fired == [0, 1, 2]
@@ -131,8 +119,8 @@ def test_run_max_events_limit():
 def test_step_processes_single_event():
     engine = SimulationEngine()
     fired = []
-    engine.schedule(1.0, lambda e: fired.append("a"))
-    engine.schedule(2.0, lambda e: fired.append("b"))
+    engine.schedule_lite(1.0, lambda _: fired.append("a"))
+    engine.schedule_lite(2.0, lambda _: fired.append("b"))
     assert engine.step() is True
     assert fired == ["a"]
     assert engine.step() is True
@@ -142,8 +130,8 @@ def test_step_processes_single_event():
 def test_stop_inside_callback():
     engine = SimulationEngine()
     fired = []
-    engine.schedule(1.0, lambda e: (fired.append(1), engine.stop()))
-    engine.schedule(2.0, lambda e: fired.append(2))
+    engine.schedule_lite(1.0, lambda _: (fired.append(1), engine.stop()))
+    engine.schedule_lite(2.0, lambda _: fired.append(2))
     engine.run()
     assert fired == [1]
     assert engine.pending_events == 1
@@ -153,13 +141,13 @@ def test_run_is_not_reentrant():
     engine = SimulationEngine()
     errors = []
 
-    def reenter(event):
+    def reenter(_):
         try:
             engine.run()
         except SimulationError as exc:
             errors.append(exc)
 
-    engine.schedule(1.0, reenter)
+    engine.schedule_lite(1.0, reenter)
     engine.run()
     assert len(errors) == 1
 
@@ -167,21 +155,8 @@ def test_run_is_not_reentrant():
 def test_processed_and_pending_counters():
     engine = SimulationEngine()
     for index in range(4):
-        engine.schedule(float(index), lambda e: None)
+        engine.schedule_lite(float(index), lambda _: None)
     assert engine.pending_events == 4
     engine.run(max_events=2)
     assert engine.processed_events == 2
     assert engine.pending_events == 2
-
-
-def test_event_kind_and_payload_are_preserved():
-    engine = SimulationEngine()
-    captured = []
-    engine.schedule(
-        1.0,
-        lambda e: captured.append((e.kind, e.payload)),
-        kind=EventKind.WORKLOAD_ARRIVAL,
-        payload={"node": 3},
-    )
-    engine.run()
-    assert captured == [(EventKind.WORKLOAD_ARRIVAL, {"node": 3})]

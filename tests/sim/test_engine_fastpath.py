@@ -1,5 +1,5 @@
-"""Tests for the engine's O(1) pending counter and the event-object-free
-``schedule_lite`` entry point."""
+"""Tests for the engine's O(1) pending counter and its two scheduling entry
+points, ``schedule_lite`` and ``schedule_lite_bulk``."""
 
 from __future__ import annotations
 
@@ -17,13 +17,21 @@ def test_schedule_lite_callback_receives_payload():
 
 
 def test_schedule_lite_interleaves_deterministically():
+    # Same-time entries from both entry points fire in the order they were
+    # scheduled: the bulk load draws from the same sequence counter.
     engine = SimulationEngine()
     fired = []
-    engine.schedule(1.0, lambda e: fired.append("event"))
-    engine.schedule_lite(1.0, lambda p: fired.append(p), "lite")
-    engine.schedule(1.0, lambda e: fired.append("event-2"))
+    engine.schedule_lite(1.0, fired.append, "single")
+    loaded = engine.schedule_lite_bulk(
+        (time, fired.append, label)
+        for time, label in [(1.0, "bulk-1"), (0.5, "bulk-early"), (1.0, "bulk-2")]
+    )
+    engine.schedule_lite(1.0, fired.append, "single-2")
+    assert loaded == 3
+    assert engine.pending_events == 5
     engine.run()
-    assert fired == ["event", "lite", "event-2"]
+    assert fired == ["bulk-early", "single", "bulk-1", "bulk-2", "single-2"]
+    assert engine._sequence == 5
 
 
 def test_schedule_lite_counts_in_pending_and_until():
@@ -52,33 +60,12 @@ def test_schedule_lite_respects_max_events():
 
 def test_pending_counter_is_exact_without_heap_rescan():
     engine = SimulationEngine()
-    events = [engine.schedule(float(i), lambda e: None) for i in range(10)]
+    for i in range(10):
+        engine.schedule_lite(float(i), lambda _: None)
     assert engine.pending_events == 10
-    events[3].cancel()
-    events[7].cancel()
-    assert engine.pending_events == 8
     engine.run(max_events=4)
-    assert engine.pending_events == 4
+    assert engine.pending_events == 6
+    engine.schedule_lite(20.0, lambda _: None)
+    assert engine.pending_events == 7
     engine.run()
-    assert engine.pending_events == 0
-
-
-def test_double_cancel_does_not_double_decrement():
-    engine = SimulationEngine()
-    event = engine.schedule(1.0, lambda e: None)
-    event.cancel()
-    event.cancel()
-    assert engine.pending_events == 0
-
-
-def test_cancel_after_fire_is_a_no_op():
-    engine = SimulationEngine()
-    fired = []
-    event = engine.schedule(1.0, lambda e: fired.append(1))
-    engine.schedule(2.0, lambda e: fired.append(2))
-    engine.run(max_events=1)
-    event.cancel()  # already fired: must not corrupt the pending counter
-    assert engine.pending_events == 1
-    engine.run()
-    assert fired == [1, 2]
     assert engine.pending_events == 0

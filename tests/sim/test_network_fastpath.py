@@ -226,12 +226,13 @@ def _replay_star50(latency, attachment, node_backend):
     result = driver.run()
     assert engine.pending_events == 0
     # Everything pushed during the run was popped: message deliveries and the
-    # driver's releases, all lite 5-tuples, and every delivery goes through
-    # the network's one _deliver with the engine sequence in its payload.
-    deliveries = [entry for entry in pushed if entry[3] != driver._release]
-    assert all(len(entry) == 5 for entry in pushed)
+    # driver's releases, all (time, sequence, callback, payload) 4-tuples, and
+    # every delivery goes through the network's one _deliver with the engine
+    # sequence in its payload.
+    deliveries = [entry for entry in pushed if entry[2] != driver._release]
+    assert all(len(entry) == 4 for entry in pushed)
     assert len(deliveries) == network.messages_sent == network.messages_delivered
-    for _time, _priority, sequence, callback, payload in deliveries:
+    for _time, sequence, callback, payload in deliveries:
         assert callback == network._deliver
         assert len(payload) == 4 and payload[3] == sequence
     return {

@@ -5,26 +5,21 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import TimerFired
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
 
 
 class EchoProcess(SimProcess):
-    """Replies to every message with an 'echo:' prefix and records timers."""
+    """Replies to every message with an 'echo:' prefix."""
 
     def __init__(self, node_id, network):
         super().__init__(node_id, network)
         self.received = []
-        self.timers = []
 
     def on_message(self, sender, message):
         self.received.append((sender, message))
         if not str(message).startswith("echo:"):
             self.send(sender, f"echo:{message}")
-
-    def on_timer(self, timer):
-        self.timers.append(timer)
 
 
 @pytest.fixture
@@ -50,30 +45,9 @@ def test_send_and_receive_roundtrip(system):
 
 def test_now_reflects_engine_clock(system):
     engine, _, processes = system
-    engine.schedule(4.0, lambda e: None)
+    engine.schedule_lite(4.0, lambda _: None)
     engine.run()
     assert processes[1].now == engine.now == 4.0
-
-
-def test_timer_delivery_and_context(system):
-    engine, _, processes = system
-    processes[1].set_timer(3.0, "retry", context={"attempt": 1})
-    engine.run()
-    assert len(processes[1].timers) == 1
-    timer = processes[1].timers[0]
-    assert isinstance(timer, TimerFired)
-    assert timer.owner == 1
-    assert timer.name == "retry"
-    assert timer.context == {"attempt": 1}
-    assert engine.now == 3.0
-
-
-def test_timer_can_be_cancelled(system):
-    engine, _, processes = system
-    event = processes[1].set_timer(3.0, "retry")
-    event.cancel()
-    engine.run()
-    assert processes[1].timers == []
 
 
 def test_base_on_message_is_abstract():
@@ -82,14 +56,6 @@ def test_base_on_message_is_abstract():
     process = SimProcess(7, network)
     with pytest.raises(NotImplementedError):
         process.on_message(1, "x")
-
-
-def test_default_on_timer_is_ignored():
-    engine = SimulationEngine()
-    network = Network(engine)
-    process = SimProcess(7, network)
-    process.set_timer(1.0, "noop")
-    engine.run()  # must not raise
 
 
 def test_repr_contains_node_id(system):
