@@ -5,7 +5,8 @@ Chapter 3's simple example (Figure 2) and Chapter 4's complete example
 (Figure 6) are the clearest specification of the algorithm.  This script
 drives the implementation through both, printing the same state tables the
 thesis prints after every step, so you can put the output next to the paper
-and compare line by line.
+and compare line by line.  Figure 6's initial ``NEXT`` pointers are first
+established the way the paper does it, by Figure 5's INITIALIZE flood.
 
 Run with::
 
@@ -14,6 +15,7 @@ Run with::
 
 from __future__ import annotations
 
+from repro.core.initialization import run_initialization
 from repro.core.inspector import implicit_queue
 from repro.core.protocol import DagMutexProtocol
 from repro.topology import paper_figure2_topology, paper_figure6_topology
@@ -48,6 +50,19 @@ def figure2() -> None:
     protocol.run_until_quiescent()
     show(protocol, "2e: node 5 released; node 3 received the PRIVILEGE and entered")
     protocol.release(3)
+
+
+def figure5() -> None:
+    print("=" * 72)
+    print("Figure 5 — the INITIALIZE flood, on the Figure 6 tree")
+    print("=" * 72)
+    topology = paper_figure6_topology()
+    adjacency = {node: topology.neighbors(node) for node in topology.nodes}
+    flooded = run_initialization(adjacency, topology.token_holder)
+    print("NEXT after the flood from node 3:", flooded)
+    assert flooded == topology.next_pointers()
+    print("...which equals the orientation the topology computes analytically,")
+    print("the initial configuration Figure 6a starts from.")
 
 
 def figure6() -> None:
@@ -90,6 +105,8 @@ def figure6() -> None:
 
 def main() -> None:
     figure2()
+    print()
+    figure5()
     print()
     figure6()
 

@@ -39,12 +39,10 @@ from repro.spec import (
     ObsSpec,
     TopologySpec,
     WorkloadSpec,
-    run_spec,
 )
 from repro.topology.base import Topology
 from repro.topology.builders import (
     balanced_tree,
-    custom_tree,
     line,
     radiating_star,
     random_tree,
@@ -65,12 +63,10 @@ __all__ = [
     "WorkloadSpec",
     "LatencySpec",
     "ObsSpec",
-    "run_spec",
     "Topology",
     "line",
     "star",
     "radiating_star",
     "balanced_tree",
     "random_tree",
-    "custom_tree",
 ]

@@ -5,11 +5,9 @@ from repro.analysis.theory import (
     average_messages_centralized_star,
     average_messages_dag_star,
     storage_overhead_table,
-    sync_delay_bounds,
     upper_bound_table,
     upper_bound_messages,
 )
-from repro.analysis.summary import RunSummary, summarize_results
 from repro.analysis.comparison import ComparisonRow, compare_measured_to_theory
 from repro.analysis.report import format_table
 from repro.analysis.sweep import (
@@ -25,10 +23,7 @@ __all__ = [
     "upper_bound_table",
     "average_messages_dag_star",
     "average_messages_centralized_star",
-    "sync_delay_bounds",
     "storage_overhead_table",
-    "RunSummary",
-    "summarize_results",
     "ComparisonRow",
     "compare_measured_to_theory",
     "format_table",

@@ -71,37 +71,3 @@ def compare_measured_to_theory(
         )
     return rows
 
-
-def compare_exact(
-    label: str,
-    paper_value: float,
-    measured_value: float,
-    *,
-    unit: str,
-    tolerance: float = 0.0,
-) -> ComparisonRow:
-    """A row for quantities the paper states exactly (e.g. ``3 - 5/N + 2/N²``)."""
-    return ComparisonRow(
-        label=label,
-        paper_value=paper_value,
-        measured_value=measured_value,
-        unit=unit,
-        within_bound=abs(paper_value - measured_value) <= tolerance + 1e-9,
-    )
-
-
-def compare_upper_bound(
-    label: str,
-    bound: float,
-    measured_value: float,
-    *,
-    unit: str,
-) -> ComparisonRow:
-    """A row for quantities the paper bounds from above."""
-    return ComparisonRow(
-        label=label,
-        paper_value=bound,
-        measured_value=measured_value,
-        unit=unit,
-        within_bound=measured_value <= bound + 1e-9,
-    )

@@ -102,20 +102,6 @@ def average_messages_dag_star(n: int) -> float:
     return 3.0 - 5.0 / n + 2.0 / (n * n)
 
 
-def average_messages_dag_star_leaf_holder(n: int) -> float:
-    """Section 6.2 intermediate figure: token held by a leaf, ``3 - 4/N``."""
-    if n < 1:
-        raise ValueError(f"need at least one node, got {n}")
-    return 3.0 - 4.0 / n
-
-
-def average_messages_dag_star_center_holder(n: int) -> float:
-    """Section 6.2 intermediate figure: token held by the centre, ``2 - 2/N``."""
-    if n < 1:
-        raise ValueError(f"need at least one node, got {n}")
-    return 2.0 - 2.0 / n
-
-
 def average_messages_centralized_star(n: int) -> float:
     """Section 6.2: average messages per entry for the centralized scheme.
 
@@ -125,26 +111,6 @@ def average_messages_centralized_star(n: int) -> float:
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
     return 3.0 - 3.0 / n
-
-
-def sync_delay_bounds() -> Dict[str, float]:
-    """Section 6.3: synchronization delay (in sequential messages).
-
-    The paper lists the token-based algorithms and the centralized scheme; the
-    Raymond entry is in units of the diameter ``D`` and is returned by
-    :func:`raymond_sync_delay` instead.
-    """
-    return {
-        "dag": 1.0,
-        "suzuki-kasami": 1.0,
-        "singhal": 1.0,
-        "centralized": 2.0,
-    }
-
-
-def raymond_sync_delay(diameter: int) -> float:
-    """Section 6.3: Raymond's synchronization delay is up to ``D`` messages."""
-    return float(diameter)
 
 
 def storage_overhead_table(n: int) -> Dict[str, Dict[str, object]]:

@@ -61,9 +61,6 @@ class AlgorithmCapabilities:
         uses_topology_edges: whether the logical tree edges matter (vs only
             the node set).
         storage_description: the prose Section 6.4 description.
-        node_backends: node-state backends the algorithm implements.  Every
-            algorithm has ``"object"`` (the per-node-instance reference);
-            algorithms with an array-native state add ``"compact"``.
     """
 
     name: str
@@ -72,7 +69,6 @@ class AlgorithmCapabilities:
     token_based: bool
     uses_topology_edges: bool
     storage_description: str
-    node_backends: tuple = ("object",)
 
     def supports_scale(self, n: int) -> bool:
         """Whether an ``n``-node cell is within the recommended range."""
@@ -202,11 +198,6 @@ class MutexSystem(abc.ABC):
     storage_class: str = "constant"
     #: Whether exclusion travels as a token (vs collected permissions).
     token_based: bool = False
-    #: Node-state backends the algorithm implements.  ``"object"`` (one node
-    #: instance per participant) is the always-available reference; systems
-    #: with an array-native state declare ``("object", "compact")`` and
-    #: honour a ``node_backend`` constructor keyword.
-    node_backends: tuple = ("object",)
 
     def __init__(
         self,
@@ -358,7 +349,6 @@ class AlgorithmRegistry:
             token_based=system_class.token_based,
             uses_topology_edges=system_class.uses_topology_edges,
             storage_description=system_class.storage_description,
-            node_backends=tuple(system_class.node_backends),
         )
 
     def names_for_scale(self, n: int) -> List[str]:

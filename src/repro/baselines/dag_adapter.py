@@ -7,7 +7,8 @@ network, metrics and trace, behind the :class:`~repro.baselines.base
 examples and the paper-walkthrough tests — is this class plus invariant
 checking and system-wide introspection, nothing else.
 
-The DAG algorithm is the one system with two node backends:
+The DAG algorithm is the one system with two node backends, and which one a
+system stands on is a fact of its topology's size, not an option:
 
 * ``"object"`` — one :class:`~repro.core.node.DagMutexNode` per participant:
   the protocol kernel (:class:`~repro.core.node.DagNodeCore`) on the
@@ -19,10 +20,11 @@ The DAG algorithm is the one system with two node backends:
   :class:`~repro.core.compact_state.DagNodeView` proxies, so code written
   against node objects keeps working unchanged.
 
-``node_backend="auto"`` (the default) picks the columns at or above
-:data:`~repro.core.compact_state.COMPACT_NODE_BACKEND_THRESHOLD` nodes.
-Replays are byte-identical across backends — CI's ``backend-identity``
-matrix enforces it.
+The columns serve :data:`~repro.core.compact_state
+.COMPACT_NODE_BACKEND_THRESHOLD` nodes and above.  Replays are byte-identical
+across backends: ``tests/properties/test_backend_identity.py`` forces each
+backend onto the same cells by patching that threshold — the one seam, out of
+reach of a spec file or the CLI.
 """
 
 from __future__ import annotations
@@ -30,11 +32,8 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.baselines.base import MutexSystem, registry
-from repro.core.compact_state import (
-    CompactDagState,
-    CompactNodeMap,
-    resolve_node_backend,
-)
+from repro.core import compact_state
+from repro.core.compact_state import CompactDagState, CompactNodeMap
 from repro.core.node import DagMutexNode
 
 
@@ -52,18 +51,12 @@ class DagSystem(MutexSystem):
         "per node: HOLDING flag, NEXT pointer, FOLLOW pointer (three scalars); "
         "token carries nothing"
     )
-    node_backends = ("object", "compact")
-
-    def __init__(self, topology, *, node_backend: str = "auto", **kwargs) -> None:
-        # Resolved before super().__init__ because _create_nodes runs inside
-        # it; len(topology.nodes) is O(1) for every built-in topology.
-        self._resolved_backend = resolve_node_backend(
-            node_backend, len(topology.nodes)
-        )
-        super().__init__(topology, **kwargs)
 
     def _create_nodes(self) -> Dict[int, DagMutexNode]:
-        if self._resolved_backend == "compact":
+        # len(topology.nodes) is O(1) for every built-in topology; the
+        # threshold is read through its module so the identity tests can
+        # patch it.
+        if len(self.topology.nodes) >= compact_state.COMPACT_NODE_BACKEND_THRESHOLD:
             state = CompactDagState(
                 self.topology,
                 self.network,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import resource
 import time
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cells import Cell
@@ -44,10 +43,10 @@ def construction_matrix(matrix: Sequence[Cell]) -> List[Cell]:
     ]
 
 
-def run_setup_scenario(cell: Cell, *, node_backend: str = "auto") -> Dict[str, Any]:
+def run_setup_scenario(cell: Cell) -> Dict[str, Any]:
     """Build one scenario end to end — topology, workload, system, arrival
     load — timing each phase, without draining a single protocol event."""
-    experiment = replace(cell.experiment, node_backend=node_backend)
+    experiment = cell.experiment
     start = time.perf_counter()
     topology = experiment.topology.build()
     topology_seconds = time.perf_counter() - start
@@ -91,7 +90,6 @@ def run_setup_benchmark(
     matrix: Sequence[Cell],
     *,
     budget_seconds: Optional[float] = None,
-    node_backend: str = "auto",
     verbose: bool = False,
 ) -> Dict[str, Any]:
     """Run the construction-only benchmark and assemble its JSON document.
@@ -106,7 +104,7 @@ def run_setup_benchmark(
     scenarios: List[Dict[str, Any]] = []
     over_budget: List[str] = []
     for cell in matrix:
-        row = run_setup_scenario(cell, node_backend=node_backend)
+        row = run_setup_scenario(cell)
         scenarios.append(row)
         if budget_seconds is not None and row["setup_seconds"] > budget_seconds:
             over_budget.append(

@@ -25,7 +25,6 @@ from __future__ import annotations
 import resource
 import sys
 import time
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import benchdoc
@@ -121,12 +120,7 @@ def message_bound(algorithm: str, topology: Topology) -> float:
     )
 
 
-def run_cell(
-    cell: Cell,
-    *,
-    repeat: int = 3,
-    node_backend: str = "auto",
-) -> Dict[str, Any]:
+def run_cell(cell: Cell, *, repeat: int = 3) -> Dict[str, Any]:
     """Run one cell best-of-``repeat`` (see :func:`measure_fastest`); its row.
 
     The system is rebuilt per repetition (identical virtual outcome every
@@ -135,7 +129,7 @@ def run_cell(
     raises; a baseline cell records ``within_bound`` instead (its bound is
     per entry, the measurement an average).
     """
-    experiment = replace(cell.experiment, node_backend=node_backend)
+    experiment = cell.experiment
     algorithm = experiment.algorithm
     # Topology and workload are built once and shared across repetitions;
     # only the system under test is rebuilt per replay.
@@ -280,7 +274,6 @@ def run_benchmark(
     repeat: int = 3,
     calibrate: Optional[int] = None,
     seed_baseline: Optional[Dict[str, Any]] = None,
-    node_backend: str = "auto",
     profile: bool = False,
     verbose: bool = False,
 ) -> Dict[str, Any]:
@@ -311,7 +304,7 @@ def run_benchmark(
             profiler = cProfile.Profile()
             profiler.enable()
         for cell in cells:
-            row = run_cell(cell, repeat=repeat, node_backend=node_backend)
+            row = run_cell(cell, repeat=repeat)
             scenarios.append(row)
             if verbose:
                 print(

@@ -181,12 +181,10 @@ def sweep_cell(
     *,
     collect_metrics: bool = True,
     faults: Optional[str] = None,
-    node_backend: str = "auto",
 ) -> Cell:
     """A sweep cell, named ``algo-kind-nN-tier[+profile]`` and seeded from
     that name.  A fault cell is its own cell (own name, seed and row), so the
-    fault tier never perturbs fault-free documents; ``node_backend`` changes
-    wall clock only and is part of neither the name nor the seed."""
+    fault tier never perturbs fault-free documents."""
     if faults is not None and faults not in FAULT_PROFILES:
         raise WorkloadError(
             f"unknown fault profile {faults!r}; known: {sorted(FAULT_PROFILES)}"
@@ -197,7 +195,6 @@ def sweep_cell(
         seed=scenario_seed(name),
         collect_metrics=collect_metrics,
         faults=FAULT_PROFILES[faults] if faults is not None else None,
-        node_backend=node_backend,
     )
 
 
@@ -225,7 +222,6 @@ def cell_from_spec(spec: ExperimentSpec) -> Cell:
         spec.workload.tier,
         collect_metrics=spec.collect_metrics,
         faults=faults,
-        node_backend=spec.node_backend,
     )
     if spec.seed != cell.experiment.seed:
         raise WorkloadError(
@@ -293,7 +289,6 @@ def sweep_matrix(
     tier: str = "default",
     *,
     algorithms: Optional[Sequence[str]] = None,
-    node_backend: str = "auto",
 ) -> List[Cell]:
     """``repro sweep``: the nine-algorithm comparison, or its fault tier.
 
@@ -307,10 +302,7 @@ def sweep_matrix(
     names = tuple(algorithms) if algorithms is not None else SWEEP_ALGORITHMS
     profiles = FAULT_TIER_PROFILES if tier == "faults" else (None,)
     matrix = [
-        sweep_cell(
-            algorithm, kind, n, demand,
-            collect_metrics=rung.observed, faults=profile, node_backend=node_backend,
-        )
+        sweep_cell(algorithm, kind, n, demand, collect_metrics=rung.observed, faults=profile)
         for rung in _rungs(tier, "sweep")
         for algorithm in names
         if algorithm in registry.names_for_scale(max(rung.sizes))
@@ -318,10 +310,7 @@ def sweep_matrix(
         for profile in profiles
     ]
     if tier == "faults" and "dag" in names:
-        recovery = sweep_cell(
-            "dag", "star", 50, "heavy", faults="crash-recover", node_backend=node_backend
-        )
-        matrix.append(recovery)
+        matrix.append(sweep_cell("dag", "star", 50, "heavy", faults="crash-recover"))
     return matrix
 
 

@@ -38,6 +38,7 @@ from repro.analysis.theory import (
 )
 from repro.baselines import registry
 from repro.core.inspector import implicit_queue
+from repro.exceptions import ReproError
 from repro.spec import FAULT_PROFILES
 from repro.core.protocol import DagMutexProtocol
 from repro.topology import (
@@ -256,10 +257,9 @@ _CONFLICTS = (
      "events is not a benchmark run); use "
      "`repro bench --setup-only --xxxlarge`"),
     ("sweep", "from_specs",
-     ("algorithms", "faults", "node_backend") + _TIER_FLAGS,
+     ("algorithms", "faults") + _TIER_FLAGS,
      "--from-specs carries the whole matrix; tier "
-     "flags, --algorithms and --node-backend do not apply "
-     "to it"),
+     "flags and --algorithms do not apply to it"),
     ("lockbench", "trace", ("calibrate",),
      "--trace records one run's op lifecycles; min-merging "
      "calibration runs has no single timeline to export"),
@@ -277,7 +277,7 @@ def _given(args: argparse.Namespace, flag: str) -> bool:
     if flag.startswith("!"):
         return not _given(args, flag[1:])
     value = getattr(args, flag, None)
-    return not (value is None or value is False or value == "auto" or value == [])
+    return not (value is None or value is False or value == [])
 
 
 def _refusals(args: argparse.Namespace):
@@ -331,7 +331,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         repeat=args.repeat,
         calibrate=args.calibrate,
         seed_baseline=seed_baseline,
-        node_backend=args.node_backend,
         profile=args.profile,
         verbose=True,
     )
@@ -416,12 +415,7 @@ def _bench_setup_only(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    document = run_setup_benchmark(
-        matrix,
-        budget_seconds=args.budget_seconds,
-        node_backend=args.node_backend,
-        verbose=True,
-    )
+    document = run_setup_benchmark(matrix, budget_seconds=args.budget_seconds, verbose=True)
     status = 0
     if not document["within_budget"]:
         print("Construction budget EXCEEDED:")
@@ -473,8 +467,8 @@ def _finish_sweep(document: dict, args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run the sharded multi-process comparison sweep (see benchmarks/README.md)."""
     from repro.analysis.sweep import format_sweep_tables, sweep_summary_row
-    from repro.exceptions import ReproError
     from repro.sweep import (
+        SCHEMA,
         load_spec_shard,
         merge_documents,
         run_sweep,
@@ -484,50 +478,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.report:
         document = benchdoc.load(args.report)
+        schema = document.get("schema") if isinstance(document, dict) else None
+        if schema != SCHEMA:
+            raise ValueError(
+                f"{args.report} has schema {schema!r}; --report reads {SCHEMA!r} documents"
+            )
         print(format_sweep_tables(document))
         return 1 if document.get("failures") else 0
 
     if args.merge:
         # Combine shard documents produced on other machines (or by the CI
         # two-shard job) into one sweep document.
-        try:
-            shards = []
-            for path in args.merge:
-                document = benchdoc.load(path)
-                rows = document.get("scenarios") if isinstance(document, dict) else None
-                if not isinstance(rows, list) or any(
-                    not isinstance(row, dict) or "scenario" not in row for row in rows
-                ):
-                    print(
-                        f"error: {path} is not a sweep result document; a "
-                        "spec-shard file must be executed with --from-specs "
-                        "before its output can be merged",
-                        file=sys.stderr,
-                    )
-                    return 2
-                shards.append(document)
-            document = merge_documents(shards)
-        except (ReproError, OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        shards = []
+        for path in args.merge:
+            document = benchdoc.load(path)
+            rows = document.get("scenarios") if isinstance(document, dict) else None
+            if not isinstance(rows, list) or any(
+                not isinstance(row, dict) or "scenario" not in row for row in rows
+            ):
+                raise ValueError(
+                    f"{path} is not a sweep result document; a "
+                    "spec-shard file must be executed with --from-specs "
+                    "before its output can be merged"
+                )
+            shards.append(document)
+        document = merge_documents(shards)
         if not args.no_tables:
             print(format_sweep_tables(document))
         return _finish_sweep(document, args)
 
     if _refused(args):
         return 2
-    try:
-        if args.from_specs:
-            matrix = load_spec_shard(args.from_specs)
-        else:
-            matrix = sweep_matrix(
-                "faults" if args.faults else selected_tier(args),
-                algorithms=args.algorithms or None,
-                node_backend=args.node_backend,
-            )
-    except (ReproError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.from_specs:
+        matrix = load_spec_shard(args.from_specs)
+    else:
+        matrix = sweep_matrix(
+            "faults" if args.faults else selected_tier(args),
+            algorithms=args.algorithms or None,
+        )
 
     if args.export_specs:
         # Write the selected slice as a spec-shard file and stop: the shard
@@ -571,7 +559,6 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
                 "uses tree edges": "yes" if caps.uses_topology_edges else "no",
                 "token based": "yes" if caps.token_based else "no",
                 "storage": caps.storage_class,
-                "node backends": "+".join(caps.node_backends),
                 "max nodes": (
                     f"{caps.max_recommended_nodes:,}"
                     if caps.max_recommended_nodes is not None
@@ -604,50 +591,40 @@ def cmd_run(args: argparse.Namespace) -> int:
     import dataclasses
     import hashlib
 
-    from repro.exceptions import ReproError
     from repro.spec import ExperimentSpec
     from repro.workload.driver import ExperimentDriver
 
     if _refused(args):
         return 2
-    try:
-        if args.spec is not None:
-            if _spec_schema(args.spec) == "runtime-spec/v1":
-                # A runtime spec describes the live lock service, not a
-                # simulation: route to the networked runtime instead.
-                if args.faults is not None:
-                    print(
-                        "error: --faults names simulator fault profiles; a "
-                        "runtime-spec/v1 file carries its own fault section "
-                        "(crashes, drop_rate)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                return _run_runtime_spec(args)
-            spec = ExperimentSpec.load(args.spec)
-        else:
-            if len(args.cell) != 3:
-                print(
-                    "error: expected `repro run ALGO KIND:N TIER` "
-                    "(e.g. `repro run dag star:1000 heavy`) or --spec FILE",
-                    file=sys.stderr,
+    if args.spec is not None:
+        if _spec_schema(args.spec) == "runtime-spec/v1":
+            # A runtime spec describes the live lock service, not a
+            # simulation: route to the networked runtime instead.
+            if args.faults is not None:
+                raise ValueError(
+                    "--faults names simulator fault profiles; a "
+                    "runtime-spec/v1 file carries its own fault section "
+                    "(crashes, drop_rate)"
                 )
-                return 2
-            spec = ExperimentSpec.parse(
-                args.cell[0],
-                args.cell[1],
-                args.cell[2],
-                seed=args.seed,
-                collect_metrics=not args.no_metrics,
-                node_backend=args.node_backend,
+            return _run_runtime_spec(args)
+        spec = ExperimentSpec.load(args.spec)
+    else:
+        if len(args.cell) != 3:
+            raise ValueError(
+                "expected `repro run ALGO KIND:N TIER` "
+                "(e.g. `repro run dag star:1000 heavy`) or --spec FILE"
             )
-        if args.faults is not None:
-            # replace() re-runs __post_init__, so profile/algorithm
-            # compatibility (e.g. recovery is DAG-only) is validated here.
-            spec = dataclasses.replace(spec, faults=FAULT_PROFILES[args.faults])
-    except (ReproError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        spec = ExperimentSpec.parse(
+            args.cell[0],
+            args.cell[1],
+            args.cell[2],
+            seed=args.seed,
+            collect_metrics=not args.no_metrics,
+        )
+    if args.faults is not None:
+        # replace() re-runs __post_init__, so profile/algorithm
+        # compatibility (e.g. recovery is DAG-only) is validated here.
+        spec = dataclasses.replace(spec, faults=FAULT_PROFILES[args.faults])
 
     if args.save_spec:
         spec.save(args.save_spec)
@@ -740,16 +717,11 @@ def _runtime_scenario(spec, args: argparse.Namespace):
 
 def _run_runtime_spec(args: argparse.Namespace) -> int:
     """The ``repro run --spec runtime.json`` path: drive the live service."""
-    from repro.exceptions import ReproError
     from repro.runtime.lockbench import run_lockbench_scenario
     from repro.spec import RuntimeSpec
 
-    try:
-        spec = RuntimeSpec.load(args.spec)
-        scenario = _runtime_scenario(spec, args)
-    except (ReproError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = RuntimeSpec.load(args.spec)
+    scenario = _runtime_scenario(spec, args)
     if args.save_spec:
         spec.save(args.save_spec)
         print(f"Wrote {args.save_spec}")
@@ -832,7 +804,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
     """
     import dataclasses
 
-    from repro.exceptions import ReproError
     from repro.obs.registry import MetricsRegistry
     from repro.obs.snapshot import snapshot_document, write_snapshot
     from repro.spec import ExperimentSpec
@@ -840,13 +811,9 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
     if _refused(args):
         return 2
-    try:
-        if _spec_schema(args.spec) == "runtime-spec/v1":
-            return _obs_runtime(args)
-        spec = ExperimentSpec.load(args.spec)
-    except (ReproError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if _spec_schema(args.spec) == "runtime-spec/v1":
+        return _obs_runtime(args)
+    spec = ExperimentSpec.load(args.spec)
     sample_every = spec.obs.sample_every if spec.obs is not None else 1
     if args.trace and not spec.record_trace:
         spec = dataclasses.replace(spec, record_trace=True)
@@ -880,7 +847,6 @@ def _obs_runtime(args: argparse.Namespace) -> int:
     """The ``repro obs`` path for a live ``runtime-spec/v1`` service."""
     import dataclasses
 
-    from repro.exceptions import ReproError
     from repro.obs.snapshot import (
         merge_registry_snapshots,
         snapshot_document,
@@ -889,16 +855,12 @@ def _obs_runtime(args: argparse.Namespace) -> int:
     from repro.runtime.lockbench import run_lockbench_scenario
     from repro.spec import ObsSpec, RuntimeSpec
 
-    try:
-        spec = RuntimeSpec.load(args.spec)
-        if spec.obs is None or not spec.obs.enabled:
-            # The probe's whole point is the instrumented view; flip obs on
-            # rather than reporting an empty registry.
-            spec = dataclasses.replace(spec, obs=ObsSpec(enabled=True))
-        scenario = _runtime_scenario(spec, args)
-    except (ReproError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = RuntimeSpec.load(args.spec)
+    if spec.obs is None or not spec.obs.enabled:
+        # The probe's whole point is the instrumented view; flip obs on
+        # rather than reporting an empty registry.
+        spec = dataclasses.replace(spec, obs=ObsSpec(enabled=True))
+    scenario = _runtime_scenario(spec, args)
     trace: Optional[List[dict]] = [] if args.trace else None
     outcome: dict = {}
     try:
@@ -1073,14 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(no per-entry timing statistics, identical event order)",
     )
     run.add_argument(
-        "--node-backend",
-        default="auto",
-        choices=["auto", "object", "compact"],
-        help="shorthand form: node state backend (compact is the columnar "
-             "array core, declared by dag only; identical event order, "
-             "rejected with a clear error for object-only algorithms)",
-    )
-    run.add_argument(
         "--faults",
         default=None,
         choices=sorted(FAULT_PROFILES),
@@ -1212,14 +1166,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--baselines)",
     )
     bench.add_argument(
-        "--node-backend",
-        default="auto",
-        choices=["auto", "object", "compact"],
-        help="DAG node state backend: object nodes or the columnar array "
-             "core (auto switches to the columns at 100k nodes; virtual-time "
-             "results are identical either way, CI-gated)",
-    )
-    bench.add_argument(
         "--profile",
         action="store_true",
         help="run the measured loop under cProfile; top-20 cumulative "
@@ -1297,15 +1243,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         choices=registry.names(),
         help="subset of algorithms (default: all 9)",
-    )
-    sweep.add_argument(
-        "--node-backend",
-        default="auto",
-        choices=["auto", "object", "compact"],
-        help="node state backend for every cell (compact requires an "
-             "algorithm that declares it, currently dag — combine with "
-             "--algorithms dag); deterministic output is byte-identical "
-             "across choices (the CI backend-identity matrix checks this)",
     )
     sweep.add_argument("--output", default=None,
                        help="write the merged sweep document to this JSON file")
@@ -1409,7 +1346,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError, ValueError) as exc:
+        # Input a verb cannot use — a size of zero, an unknown name, a
+        # missing or wrong-schema file — is one line and exit 2 on every
+        # verb.  (A run that fails part-way is its verb's own exit 1.)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

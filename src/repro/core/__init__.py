@@ -20,7 +20,7 @@ Public entry points:
   Figure 5, for bootstrapping a system whose nodes only know their neighbours.
 """
 
-from repro.core.inspector import find_sinks, implicit_queue, token_holder
+from repro.core.inspector import implicit_queue, token_holder
 from repro.core.invariants import InvariantChecker
 from repro.core.messages import Initialize, Privilege, Request
 from repro.core.node import DagMutexNode, DagNodeCore
@@ -39,7 +39,6 @@ __all__ = [
     "classify_state",
     "InvariantChecker",
     "implicit_queue",
-    "find_sinks",
     "token_holder",
     "run_initialization",
 ]

@@ -26,8 +26,8 @@ messages.  It is the one copy of the protocol kept beside the kernel, and it
 earns its keep only at scale (build time and bytes per node — the A/B is in
 ``benchmarks/README.md``, "Why there are two node backends"); a protocol
 change goes into the kernel and, in lock-step, here.  The object nodes remain
-the always-tested reference implementation; CI gates every compact run
-byte-identical against them (the ``backend-identity`` matrix).
+the always-tested reference implementation; tier-1 holds every compact run
+byte-identical against them (``tests/properties/test_backend_identity.py``).
 
 Delivery integration is one call: the network's ``_deliver`` hands a message
 for any id in :attr:`CompactDagState.node_range` to
@@ -53,11 +53,9 @@ from repro.exceptions import ProtocolError
 
 EnterCallback = Callable[[int, float], None]
 
-#: Node-backend modes accepted everywhere a backend can be chosen.
-NODE_BACKENDS = ("object", "compact", "auto")
-
-#: ``node_backend="auto"`` picks the compact columns at or above this many
-#: nodes.  Below it the object nodes are kept: their per-delivery dispatch is
+#: A DAG system stands on the compact columns at or above this many nodes
+#: (:meth:`~repro.baselines.dag_adapter.DagSystem._create_nodes` holds the one
+#: comparison).  Below it the object nodes are kept: their per-delivery dispatch is
 #: marginally cheaper than the columnar bit masking until construction cost
 #: and cache pressure start to dominate, which is (measured) in the
 #: hundred-thousand-node range — the same neighbourhood as the streaming
@@ -77,24 +75,6 @@ _BUSY_TABLE = bytes(b & _BUSY for b in range(256))
 # PRIVILEGE carries no payload and compares by type; one shared instance
 # serves every token pass (same object the node backend uses).
 _PRIVILEGE = Privilege()
-
-
-def resolve_node_backend(mode: str, n: int) -> str:
-    """Resolve a ``node_backend`` choice to ``"object"`` or ``"compact"``.
-
-    ``"auto"`` picks the compact columns at or above
-    :data:`COMPACT_NODE_BACKEND_THRESHOLD` nodes.
-
-    Raises:
-        ProtocolError: on an unknown mode string.
-    """
-    if mode not in NODE_BACKENDS:
-        raise ProtocolError(
-            f"unknown node backend {mode!r}; expected one of {NODE_BACKENDS}"
-        )
-    if mode == "auto":
-        return "compact" if n >= COMPACT_NODE_BACKEND_THRESHOLD else "object"
-    return mode
 
 
 class CompactDagState:
@@ -138,8 +118,7 @@ class CompactDagState:
         if not contiguous:
             raise ProtocolError(
                 "compact node backend requires contiguous node ids 1..n; "
-                f"got {n} nodes spanning other identifiers (use "
-                "node_backend='object' for irregular id spaces)"
+                f"got {n} nodes spanning other identifiers"
             )
         self._n = n
         self.node_range = range(1, n + 1)
@@ -441,9 +420,6 @@ class DagNodeView:
     # -- introspection --------------------------------------------------- #
     def has_token(self) -> bool:
         return bool(self._state._flags[self.node_id] & (_HOLDING | _IN_CS))
-
-    def is_sink(self) -> bool:
-        return self._state._next[self.node_id] == 0
 
     def state_name(self) -> NodeStateName:
         return self._state.state_name(self.node_id)

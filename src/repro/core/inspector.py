@@ -10,7 +10,7 @@ token is subsequently granted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.exceptions import InvariantViolation
 
@@ -28,17 +28,6 @@ def token_holder(protocol: "DagMutexProtocol") -> Optional[int]:
             f"token duplicated: nodes {sorted(holders)} all report having it"
         )
     return holders[0] if holders else None
-
-
-def find_sinks(protocol: "DagMutexProtocol") -> List[int]:
-    """All current sink nodes (``NEXT = 0``).
-
-    In a quiescent system exactly one sink exists; while requests are in
-    transit there may temporarily be up to three (Chapter 3).
-    """
-    return sorted(
-        node_id for node_id, node in protocol.nodes.items() if node.next_node is None
-    )
 
 
 def implicit_queue(protocol: "DagMutexProtocol", *, start: Optional[int] = None) -> List[int]:
@@ -75,11 +64,6 @@ def implicit_queue(protocol: "DagMutexProtocol", *, start: Optional[int] = None)
         seen.add(current)
         current = nodes[current].follow
     return queue
-
-
-def next_pointer_map(protocol: "DagMutexProtocol") -> Dict[int, Optional[int]]:
-    """Current ``NEXT`` values of every node (``None`` for sinks)."""
-    return {node_id: node.next_node for node_id, node in sorted(protocol.nodes.items())}
 
 
 def waiting_nodes(protocol: "DagMutexProtocol") -> List[int]:

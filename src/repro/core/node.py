@@ -16,7 +16,7 @@ from the discrete-event simulator, :class:`~repro.runtime.node_runtime
 sender's stack, no task and no queue of its own), and ``tests/core
 /test_kernel_exhaustive.py`` from plain FIFO lists.  (The columnar :class:`~repro.core.compact_state
 .CompactDagState` is a hand-inlined transcription of the same text, gated
-against it by the ``backend-identity`` replays.)
+against it by ``tests/properties/test_backend_identity.py``.)
 
 Variable names follow the paper: ``HOLDING`` (token held while not in the
 critical section and with no pending request), ``NEXT`` (the neighbour on the
@@ -236,10 +236,6 @@ class DagNodeCore:
             requesting=self.requesting,
             follow=self.follow,
         )
-
-    def is_sink(self) -> bool:
-        """Whether this node is currently a sink (``NEXT = 0``)."""
-        return self.next_node is None
 
     def has_token(self) -> bool:
         """Whether the token currently resides at this node.

@@ -4,7 +4,7 @@ The simulator's evaluation layer (``sim/metrics.py``, ``sim/trace.py``)
 measures the protocol in virtual time; the networked runtime needs the same
 visibility in wall time.  This package is the shared instrumentation layer:
 
-* :mod:`repro.obs.registry` — counters, gauges and fixed-bucket histograms
+* :mod:`repro.obs.registry` — gauges and fixed-bucket histograms
   behind a :class:`MetricsRegistry` that costs (nearly) nothing while
   disabled: a disabled registry hands out shared null instruments whose
   operations are single attribute-free no-ops, so hot paths can keep their
@@ -28,7 +28,6 @@ from repro.obs.chrome_trace import (
 )
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS_MS,
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -45,7 +44,6 @@ from repro.obs.snapshot import (
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
-    "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

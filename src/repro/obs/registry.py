@@ -1,9 +1,9 @@
-"""The metrics registry: counters, gauges, fixed-bucket histograms.
+"""The metrics registry: gauges and fixed-bucket histograms.
 
 Design constraints, in order:
 
 1. **Near-zero cost while disabled.**  Instrumented code asks the registry
-   for its instruments once (construction time) and calls ``inc``/``set``/
+   for its instruments once (construction time) and calls ``set``/
    ``observe`` unconditionally on the hot path.  A disabled registry hands
    out the shared *null* instruments, whose methods are empty — one Python
    call, no branches, no allocation.  Code that would pay extra to *prepare*
@@ -41,22 +41,6 @@ DEFAULT_LATENCY_BUCKETS_MS: Tuple[float, ...] = (
     5000.0,
     10000.0,
 )
-
-
-class Counter:
-    """A monotone event count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": "counter", "value": self.value}
 
 
 class Gauge:
@@ -165,13 +149,6 @@ class Histogram:
         }
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
 class _NullGauge(Gauge):
     __slots__ = ()
 
@@ -194,7 +171,6 @@ class _NullHistogram(Histogram):
 
 #: The shared disabled instruments: every disabled registry hands these out,
 #: so an instrumented hot path holds exactly one no-op call while obs is off.
-NULL_COUNTER = _NullCounter("null")
 NULL_GAUGE = _NullGauge("null")
 NULL_HISTOGRAM = _NullHistogram("null")
 
@@ -206,7 +182,7 @@ class MetricsRegistry:
     every factory return the shared null instrument — callers keep their
     code shape, pay one empty call, and :meth:`snapshot` reports only the
     disabled marker.  ``sample_every`` is the sampling knob, applied to
-    histograms (counters and gauges are O(1) and stay exact).
+    histograms (gauges are O(1) and stay exact).
     """
 
     def __init__(self, *, enabled: bool = True, sample_every: int = 1) -> None:
@@ -222,11 +198,6 @@ class MetricsRegistry:
             instrument = factory()
             self._instruments[name] = instrument
         return instrument
-
-    def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return NULL_COUNTER
-        return self._register(name, lambda: Counter(name))
 
     def gauge(self, name: str) -> Gauge:
         if not self.enabled:
@@ -264,11 +235,9 @@ NULL_REGISTRY = MetricsRegistry(enabled=False)
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
-    "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
     "NULL_REGISTRY",

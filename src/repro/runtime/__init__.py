@@ -41,7 +41,6 @@ from repro.runtime.service import (
     LockServiceCluster,
     LockServiceShard,
     LockSession,
-    shard_for_key,
 )
 from repro.runtime.transport import Envelope, InMemoryTransport
 from repro.runtime.transport_socket import SocketTransport
@@ -57,7 +56,6 @@ __all__ = [
     "LockServiceCluster",
     "LockServiceShard",
     "LockSession",
-    "shard_for_key",
     "owner_for_key",
     "ClusterSupervisor",
     "ClusterView",

@@ -85,15 +85,6 @@ def owner_for_key(key: str, shard_ids: Tuple[int, ...]) -> int:
     return owners[index % len(owners)]
 
 
-def shard_for_key(key: str, shards: int) -> int:
-    """Ownership under the full (no-failure) membership ``range(shards)``."""
-    if shards < 1:
-        raise LockError(f"shards must be >= 1, got {shards}")
-    if shards == 1:
-        return 0
-    return owner_for_key(key, tuple(range(shards)))
-
-
 # --------------------------------------------------------------------------- #
 # membership views
 # --------------------------------------------------------------------------- #
@@ -384,5 +375,4 @@ __all__ = [
     "FailoverEvent",
     "failover_spans",
     "owner_for_key",
-    "shard_for_key",
 ]

@@ -45,10 +45,12 @@ class DistributedLock:
 
         Raises:
             LockError: if this handle already holds the lock.
-            asyncio.TimeoutError: if the token does not arrive in time (the
-                request stays outstanding; a later acquire on the same node
-                would be rejected by the protocol, so treat a timeout as fatal
-                for this node).
+            asyncio.TimeoutError: if the token does not arrive in time.  The
+                request stays queued (a REQUEST cannot be recalled) and the
+                grant it earns hands the token straight on, so nobody behind
+                it starves; until that grant has passed the node still counts
+                as requesting and another acquire on it is refused, after it
+                this handle acquires as usual.
         """
         if self._held:
             raise LockError(f"lock on node {self.node_id} is already held")

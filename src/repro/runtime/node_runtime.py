@@ -80,14 +80,32 @@ class AsyncDagNode(DagNodeCore):
         self.request_cs()
 
     async def acquire(self) -> None:
-        """Enter the critical section, waiting for the token if necessary."""
+        """Enter the critical section, waiting for the token if necessary.
+
+        A REQUEST cannot be recalled, so a cancelled wait (a timeout is one)
+        leaves it queued; the grant it earns then has no consumer and hands
+        the token straight on — the lock service's rule for a cancelled
+        acquire.
+        """
         if self.holding:
             self._check_may_ask()
             self.request_cs()  # the token idles here: nothing to wait for
             return
         entered = asyncio.get_running_loop().create_future()
-        self.acquire_then(lambda _node_id: entered.done() or entered.set_result(None))
-        await entered
+
+        def granted(_node_id: int) -> None:
+            if entered.done():
+                self.release_cs()  # the waiter gave up
+            else:
+                entered.set_result(None)
+
+        self.acquire_then(granted)
+        try:
+            await entered
+        except asyncio.CancelledError:
+            if not entered.cancelled():
+                self.release_cs()  # the grant raced the cancel
+            raise
 
     def _check_may_ask(self) -> None:
         if self.requesting or self.in_critical_section:

@@ -81,7 +81,6 @@ from repro.runtime.failover import (
     FailoverEvent,
     _hash64,
     owner_for_key,
-    shard_for_key,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.cluster import LocalCluster
@@ -105,7 +104,6 @@ __all__ = [
     "LockServiceShard",
     "LockSession",
     "owner_for_key",
-    "shard_for_key",
 ]
 
 #: How long `LockServiceCluster.start` waits for every shard to bind.

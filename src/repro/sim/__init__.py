@@ -21,7 +21,6 @@ from repro.sim.latency import (
     ConstantLatency,
     ExponentialLatency,
     LatencyModel,
-    PerLinkLatency,
     UniformLatency,
 )
 from repro.sim.metrics import CriticalSectionRecord, MetricsCollector
@@ -40,7 +39,6 @@ __all__ = [
     "ConstantLatency",
     "UniformLatency",
     "ExponentialLatency",
-    "PerLinkLatency",
     "Network",
     "SimProcess",
     "MetricsCollector",

@@ -18,8 +18,8 @@ Faults are *deterministic*: targeted drops are exact budgets, random drops
 draw from a :class:`~repro.sim.rng.SeededRNG`, and crash/partition schedules
 fire at fixed virtual times.  Two runs of the same
 :class:`~repro.spec.FaultSpec` therefore produce byte-identical
-:class:`FaultLog` contents (see :meth:`FaultLog.digest`), which CI compares
-across node backends and worker counts.
+:class:`FaultLog` contents (see :meth:`FaultLog.digest`), compared across
+node backends (tier-1) and worker counts (CI).
 
 Crash-stop semantics (and the one subtlety worth documenting): a message sent
 *to* a crashed node is recorded as lost at send time, and a message already in
@@ -91,7 +91,7 @@ class FaultLog:
     CI can compare across node backends and sweep worker counts.
     """
 
-    #: Messages discarded by a drop budget, a typed drop, or the random rate.
+    #: Messages discarded by a typed drop budget or the random rate.
     dropped_messages: list = field(default_factory=list)
     #: Sends attempted by a crashed node (never entered the network).
     suppressed_sends: list = field(default_factory=list)
@@ -163,10 +163,9 @@ class FaultInjectingNetwork(Network):
 
     Faults available:
 
-    * :meth:`drop_next` — silently discard the next ``count`` messages on a
-      directed channel (a targeted violation of the reliability assumption);
     * :meth:`drop_next_of_kind` — discard the next ``count`` PRIVILEGE-class
-      or REQUEST-class messages network-wide, whatever their channel;
+      or REQUEST-class messages network-wide, whatever their channel (a
+      targeted violation of the reliability assumption);
     * :meth:`set_drop_rate` — drop each message independently with a fixed
       probability drawn from a seeded RNG (deterministic replay);
     * :meth:`crash` — crash-stop a node: it neither sends nor receives from
@@ -196,7 +195,6 @@ class FaultInjectingNetwork(Network):
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         super().__init__(engine, latency=latency, metrics=metrics, trace=trace)
-        self._drop_budget: Dict[Tuple[int, int], int] = {}
         self._typed_budget: Dict[str, int] = {"privilege": 0, "request": 0}
         self._crashed: Set[int] = set()
         self._drop_rate = 0.0
@@ -213,13 +211,6 @@ class FaultInjectingNetwork(Network):
     # ------------------------------------------------------------------ #
     # fault controls
     # ------------------------------------------------------------------ #
-    def drop_next(self, sender: int, receiver: int, *, count: int = 1) -> None:
-        """Silently drop the next ``count`` messages sent ``sender -> receiver``."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        channel = (sender, receiver)
-        self._drop_budget[channel] = self._drop_budget.get(channel, 0) + count
-
     def drop_next_of_kind(self, kind: str, *, count: int = 1) -> None:
         """Drop the next ``count`` messages of ``kind`` regardless of channel.
 
@@ -264,9 +255,6 @@ class FaultInjectingNetwork(Network):
             self.fault_log.restarts.append((self._engine.now, node_id))
             self._notify("restart", node_id)
 
-    #: Historical alias for :meth:`restart`.
-    recover = restart
-
     def fence(self) -> None:
         """Discard every message currently in flight.
 
@@ -282,10 +270,6 @@ class FaultInjectingNetwork(Network):
     def crashed_nodes(self) -> Set[int]:
         """Nodes currently crash-stopped."""
         return set(self._crashed)
-
-    def is_crashed(self, node_id: int) -> bool:
-        """Whether ``node_id`` is currently crash-stopped."""
-        return node_id in self._crashed
 
     @property
     def privilege_in_flight(self) -> int:
@@ -325,15 +309,6 @@ class FaultInjectingNetwork(Network):
             )
             self._notify("suppressed-delivery", kind)
             return
-        channel = (sender, receiver)
-        budget = self._drop_budget.get(channel, 0)
-        if budget > 0:
-            self._drop_budget[channel] = budget - 1
-            log.dropped_messages.append(
-                (self._engine.now, sender, receiver, _message_label(message))
-            )
-            self._notify("dropped", kind)
-            return
         if kind != "other" and self._typed_budget[kind] > 0:
             self._typed_budget[kind] -= 1
             log.dropped_messages.append(
@@ -353,7 +328,7 @@ class FaultInjectingNetwork(Network):
         # in-flight privilege count since they never get a delivery event.
         partitioned = False
         if self._partition_count:
-            state = self._channels.get(channel)
+            state = self._channels.get((sender, receiver))
             partitioned = state is not None and state.partitioned
         if partitioned:
             log.partition_drops.append(
@@ -660,16 +635,3 @@ class FaultController:
             summary["recovery"] = recovery
         return summary
 
-
-def build_faulty_dag_system(topology, **system_kwargs):
-    """A :class:`~repro.baselines.dag_adapter.DagSystem` on a fault-injecting network.
-
-    Returns:
-        ``(system, network)`` where ``network`` is the injector to drive.
-    """
-    from repro.baselines.dag_adapter import DagSystem
-
-    system = DagSystem(
-        topology, network_factory=FaultInjectingNetwork, **system_kwargs
-    )
-    return system, system.network

@@ -12,7 +12,7 @@ regardless of the model).
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.sim.rng import SeededRNG
 
@@ -94,37 +94,3 @@ class ExponentialLatency(LatencyModel):
 
     def describe(self) -> str:
         return f"ExponentialLatency(mean={self.mean})"
-
-
-class PerLinkLatency(LatencyModel):
-    """Fixed per-link delays with a default for unlisted links.
-
-    Useful for modelling a geographically skewed deployment (e.g. one far-away
-    node) when studying how topology choice interacts with link cost.
-    """
-
-    def __init__(
-        self,
-        link_delays: Dict[Tuple[int, int], float],
-        *,
-        default: float = 1.0,
-        symmetric: bool = True,
-    ) -> None:
-        if default <= 0:
-            raise ValueError(f"default latency must be positive, got {default}")
-        for link, value in link_delays.items():
-            if value <= 0:
-                raise ValueError(f"latency for link {link} must be positive, got {value}")
-        self.default = float(default)
-        self.symmetric = symmetric
-        self._delays = dict(link_delays)
-
-    def delay(self, sender: int, receiver: int) -> float:
-        if (sender, receiver) in self._delays:
-            return self._delays[(sender, receiver)]
-        if self.symmetric and (receiver, sender) in self._delays:
-            return self._delays[(receiver, sender)]
-        return self.default
-
-    def describe(self) -> str:
-        return f"PerLinkLatency({len(self._delays)} links, default={self.default})"

@@ -4,8 +4,7 @@ Chapter 6 of the paper reports three kinds of numbers and this collector is
 built to produce all of them directly:
 
 * **messages per critical-section entry** (upper bound and average bound) —
-  the total number of protocol messages divided over CS entries, plus a
-  per-entry attribution window so individual entries can be inspected;
+  the total number of protocol messages divided over CS entries;
 * **synchronization delay** — the gap between one node leaving its critical
   section and the next waiting node entering it.  With the default constant
   one-unit latency this gap, measured in time, equals the number of sequential
@@ -29,8 +28,6 @@ class CriticalSectionRecord:
         request_time: virtual time the request was issued (``request_cs``).
         enter_time: virtual time the node entered its critical section.
         exit_time: virtual time the node left its critical section.
-        messages_before: global message count at request time.
-        messages_at_enter: global message count at entry time.
         sync_delay: time between the previous CS exit (by any node) and this
             entry, when this node was already waiting at that exit; ``None``
             for entries that did not have to wait for another node.
@@ -40,8 +37,6 @@ class CriticalSectionRecord:
     request_time: float
     enter_time: Optional[float] = None
     exit_time: Optional[float] = None
-    messages_before: int = 0
-    messages_at_enter: int = 0
     sync_delay: Optional[float] = None
 
     @property
@@ -87,11 +82,7 @@ class MetricsCollector:
 
     def cs_requested(self, node: int, time: float) -> None:
         """Record that ``node`` issued a critical-section request."""
-        record = CriticalSectionRecord(
-            node=node,
-            request_time=time,
-            messages_before=self._total_messages,
-        )
+        record = CriticalSectionRecord(node=node, request_time=time)
         self._records.append(record)
         self._pending[node] = record
 
@@ -101,14 +92,9 @@ class MetricsCollector:
         if record is None:
             # Entry without a recorded request (e.g. the initial token holder
             # entering directly in a hand-driven example); synthesize one.
-            record = CriticalSectionRecord(
-                node=node,
-                request_time=time,
-                messages_before=self._total_messages,
-            )
+            record = CriticalSectionRecord(node=node, request_time=time)
             self._records.append(record)
         record.enter_time = time
-        record.messages_at_enter = self._total_messages
         if self._last_exit_time is not None and record.request_time < self._last_exit_time:
             record.sync_delay = time - self._last_exit_time
         self._in_cs[node] = record
@@ -139,11 +125,6 @@ class MetricsCollector:
         if stats is None or stats.count == 0:
             return 0.0
         return stats.total_payload_ints / stats.count
-
-    @property
-    def records(self) -> List[CriticalSectionRecord]:
-        """All critical-section records, in request order."""
-        return list(self._records)
 
     @property
     def completed_entries(self) -> int:

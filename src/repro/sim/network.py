@@ -115,28 +115,13 @@ class Network:
 
     @property
     def node_ids(self) -> List[int]:
-        """Identifiers of all registered nodes, in registration order.
-
-        Served from a list maintained by :meth:`register`/:meth:`unregister`
-        rather than rebuilt from the handler table on every access.
-        """
+        """Identifiers of all registered nodes, in registration order."""
         return list(self._node_ids)
 
     @property
     def messages_sent(self) -> int:
         """Total messages handed to the network so far."""
         return self._messages_sent
-
-    @property
-    def messages_delivered(self) -> int:
-        """Total messages delivered to handlers so far."""
-        return self._messages_delivered
-
-    @property
-    def messages_dropped(self) -> int:
-        """Messages counted as sent and then discarded: partitioned channels
-        here; a fault injector adds the ones it fences or loses in flight."""
-        return self._dropped
 
     @property
     def messages_in_flight(self) -> int:
@@ -166,10 +151,8 @@ class Network:
         the final handler directly — one dict lookup instead of a dict
         lookup *plus* an ``on_message`` frame per message.  A message type
         missing from the table (or a node that never installs one) falls
-        back to the registered handler, so error semantics are unchanged —
-        including delivery to an unregistered node, because
-        :meth:`unregister` drops the table too.  A columnar id is never
-        registered, so it is rejected here as well.
+        back to the registered handler, so error semantics are unchanged.
+        A columnar id is never registered, so it is rejected here as well.
         """
         if node_id not in self._handlers:
             raise NetworkError(f"node {node_id} is not registered")
@@ -199,14 +182,6 @@ class Network:
                 )
         self._columnar = state
         self._columnar_nodes = node_range
-
-    def unregister(self, node_id: int) -> None:
-        """Remove a node; in-flight messages to it will raise on delivery."""
-        if node_id not in self._handlers:
-            raise NetworkError(f"node {node_id} is not registered")
-        del self._handlers[node_id]
-        self._dispatch_tables.pop(node_id, None)
-        self._node_ids.remove(node_id)
 
     def send(self, sender: int, receiver: int, message: Any) -> None:
         """Send ``message`` from ``sender`` to ``receiver``.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -64,16 +64,6 @@ class SeededRNG:
     def choice(self, items: Sequence[T]) -> T:
         """Uniformly random element of a non-empty sequence."""
         return self._random.choice(items)
-
-    def sample(self, items: Sequence[T], count: int) -> List[T]:
-        """``count`` distinct elements sampled without replacement."""
-        return self._random.sample(list(items), count)
-
-    def shuffle(self, items: Sequence[T]) -> List[T]:
-        """Return a shuffled copy of ``items`` (the input is not mutated)."""
-        copy = list(items)
-        self._random.shuffle(copy)
-        return copy
 
     def random(self) -> float:
         """Uniform float in ``[0, 1)``."""

@@ -9,7 +9,7 @@ that the metrics collector does not track directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,6 @@ class TraceEvent:
     node: int
     detail: Dict[str, Any] = field(default_factory=dict)
 
-    def describe(self) -> str:
-        """One-line human-readable rendering used by example scripts."""
-        parts = ", ".join(f"{key}={value}" for key, value in sorted(self.detail.items()))
-        return f"[t={self.time:8.3f}] node {self.node:>3} {self.category:<12} {parts}"
-
 
 class TraceRecorder:
     """Accumulates :class:`TraceEvent` objects during a simulation run.
@@ -43,45 +38,20 @@ class TraceRecorder:
     case :meth:`record` is a no-op, keeping the hot path cheap.
     """
 
-    def __init__(self, *, enabled: bool = True, capacity: Optional[int] = None) -> None:
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.capacity = capacity
         self._events: List[TraceEvent] = []
-        self._dropped = 0
-        self._subscribers: List[Callable[[TraceEvent], None]] = []
 
     @property
     def events(self) -> List[TraceEvent]:
         """All recorded events in chronological order of recording."""
         return list(self._events)
 
-    @property
-    def dropped(self) -> int:
-        """Number of events discarded because the capacity was reached."""
-        return self._dropped
-
     def __len__(self) -> int:
         return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
-
-    def subscribe(
-        self, callback: Callable[[TraceEvent], None]
-    ) -> Callable[[TraceEvent], None]:
-        """Invoke ``callback`` for every event offered while enabled.
-
-        Subscribers are the streaming path around the ring buffer: they fire
-        even when the capacity is exhausted (the buffer drops, the stream
-        does not), but never while the recorder is disabled.  Returns the
-        callback so ``sub = recorder.subscribe(fn)`` reads naturally.
-        """
-        self._subscribers.append(callback)
-        return callback
-
-    def unsubscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Remove a subscriber registered with :meth:`subscribe`."""
-        self._subscribers.remove(callback)
 
     def record(
         self,
@@ -90,59 +60,7 @@ class TraceRecorder:
         node: int,
         **detail: Any,
     ) -> None:
-        """Record one event (no-op when the recorder is disabled or full).
-
-        Subscribers registered with :meth:`subscribe` still see events the
-        capacity limit drops from the buffer.
-        """
+        """Record one event (no-op when the recorder is disabled)."""
         if not self.enabled:
             return
-        if self._subscribers:
-            event = TraceEvent(time=time, category=category, node=node, detail=detail)
-            for callback in self._subscribers:
-                callback(event)
-            if self.capacity is not None and len(self._events) >= self.capacity:
-                self._dropped += 1
-                return
-            self._events.append(event)
-            return
-        if self.capacity is not None and len(self._events) >= self.capacity:
-            self._dropped += 1
-            return
         self._events.append(TraceEvent(time=time, category=category, node=node, detail=detail))
-
-    def clear(self) -> None:
-        """Discard all recorded events."""
-        self._events.clear()
-        self._dropped = 0
-
-    def filter(
-        self,
-        *,
-        category: Optional[str] = None,
-        node: Optional[int] = None,
-        predicate: Optional[Callable[[TraceEvent], bool]] = None,
-    ) -> List[TraceEvent]:
-        """Return events matching all of the provided criteria."""
-        result = []
-        for event in self._events:
-            if category is not None and event.category != category:
-                continue
-            if node is not None and event.node != node:
-                continue
-            if predicate is not None and not predicate(event):
-                continue
-            result.append(event)
-        return result
-
-    def count(self, category: str) -> int:
-        """Number of recorded events with the given category."""
-        return sum(1 for event in self._events if event.category == category)
-
-    def format(self, *, limit: Optional[int] = None) -> str:
-        """Render the trace as a multi-line string (optionally truncated)."""
-        events = self._events if limit is None else self._events[:limit]
-        lines = [event.describe() for event in events]
-        if limit is not None and len(self._events) > limit:
-            lines.append(f"... ({len(self._events) - limit} more events)")
-        return "\n".join(lines)

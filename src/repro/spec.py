@@ -32,7 +32,6 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.baselines.base import MutexSystem, registry
-from repro.core.compact_state import NODE_BACKENDS
 from repro.exceptions import ExperimentError, WorkloadError
 from repro.sim.latency import (
     ConstantLatency,
@@ -523,32 +522,20 @@ class ObsSpec:
     paths keep their instrument calls at near-zero cost).  ``sample_every``
     is the sampling knob — histograms record every Nth observation, stride
     not random, so deterministic replays observe identical sample sets.
-    ``trace`` additionally records op lifecycles / simulator trace events
-    for Chrome ``trace_event`` export, bounded by ``trace_capacity``.
+    (A Chrome ``trace_event`` export is asked for with ``--trace FILE``.)
     """
 
     enabled: bool = False
     sample_every: int = 1
-    trace: bool = False
-    trace_capacity: int = 100_000
 
     def __post_init__(self) -> None:
         if self.sample_every < 1:
             raise ExperimentError(
                 f"sample_every must be >= 1, got {self.sample_every}"
             )
-        if self.trace_capacity < 1:
-            raise ExperimentError(
-                f"trace_capacity must be >= 1, got {self.trace_capacity}"
-            )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "enabled": self.enabled,
-            "sample_every": self.sample_every,
-            "trace": self.trace,
-            "trace_capacity": self.trace_capacity,
-        }
+        return {"enabled": self.enabled, "sample_every": self.sample_every}
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "ObsSpec":
@@ -570,9 +557,10 @@ class ExperimentSpec:
     engine's one heap; ``experiment-spec/v1`` documents carry the key),
     ``collect_metrics`` selects the observed vs the zero-overhead network
     path (identical event order, per-entry timing statistics only on the
-    observed one), and ``node_backend`` picks object nodes vs the columnar
-    array core for algorithms that declare both (identical event order,
-    CI-gated by the ``backend-identity`` matrix).
+    observed one), and ``node_backend`` is a second schema-compatibility
+    field with the one spelling ``"auto"``: the topology's size decides
+    between object nodes and the columnar array core (identical event order,
+    held by ``tests/properties/test_backend_identity.py``).
     """
 
     algorithm: str
@@ -594,19 +582,13 @@ class ExperimentSpec:
             )
         if self.scheduler not in SCHEDULER_MODES:
             raise ExperimentError(unknown_scheduler_message(self.scheduler))
-        if self.node_backend not in NODE_BACKENDS:
-            raise ExperimentError(
-                _unknown("node backend", self.node_backend, NODE_BACKENDS)
+        if self.node_backend != "auto":
+            removed = (
+                " (choosing a node backend was removed: the topology's size decides)"
+                if self.node_backend in ("object", "compact") else ""
             )
-        supported = registry.capabilities(self.algorithm).node_backends
-        if self.node_backend == "compact" and "compact" not in supported:
-            # Reject at spec construction (which covers `parse` and every
-            # CLI/bench/sweep entry point) instead of crashing a worker later.
             raise ExperimentError(
-                f"algorithm {self.algorithm!r} only supports node backends "
-                f"{list(supported)}; node_backend='compact' requires an "
-                "algorithm with a columnar state implementation (currently: "
-                "'dag')"
+                f"unknown node backend {self.node_backend!r}{removed}; known: ['auto']"
             )
         if (
             self.faults is not None
@@ -654,10 +636,6 @@ class ExperimentSpec:
             from repro.sim.faults import FaultInjectingNetwork
 
             kwargs["network_factory"] = FaultInjectingNetwork
-        if "compact" in registry.capabilities(self.algorithm).node_backends:
-            # Only multi-backend systems accept the keyword; object-only
-            # baselines keep their historical constructor signature.
-            kwargs["node_backend"] = self.node_backend
         return system_class(
             topology,
             latency=self.latency.build() if self.latency is not None else None,
@@ -755,7 +733,6 @@ class ExperimentSpec:
         *,
         seed: int = 0,
         collect_metrics: bool = True,
-        node_backend: str = "auto",
     ) -> "ExperimentSpec":
         """Build a spec from the CLI shorthand ``ALGO KIND:N TIER[:ROUNDS]``.
 
@@ -796,13 +773,7 @@ class ExperimentSpec:
             workload=WorkloadSpec(tier=tier_parts[0], rounds=rounds),
             seed=seed,
             collect_metrics=collect_metrics,
-            node_backend=node_backend,
         )
-
-
-def run_spec(spec: ExperimentSpec, *, max_events: int = 5_000_000):
-    """Function form of :meth:`ExperimentSpec.run` (mirrors ``run_experiment``)."""
-    return spec.run(max_events=max_events)
 
 
 #: Socket families the networked runtime can serve on.

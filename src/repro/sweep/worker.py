@@ -101,8 +101,8 @@ def execute_scenario(cell: Cell) -> Dict[str, Any]:
                 # Under "timing" on purpose: the node backend changes how fast
                 # state is stored and touched, never what happens, and
                 # deterministic documents strip this key — which is what lets
-                # the backend-identity CI step diff object vs compact runs
-                # byte-for-byte.
+                # tests/properties/test_backend_identity.py compare object
+                # and compact rows field for field.
                 "node_backend": system.node_backend,
             },
         }

@@ -16,7 +16,6 @@ from repro.topology.base import Topology
 from repro.topology.builders import (
     COMPACT_NODE_THRESHOLD,
     balanced_tree,
-    custom_tree,
     line,
     paper_figure2_topology,
     paper_figure6_topology,
@@ -28,13 +27,9 @@ from repro.topology.compact import CompactTopology, csr_from_edges
 from repro.topology.metrics import (
     diameter,
     eccentricity,
-    mean_distance_to,
     path_between,
 )
-from repro.topology.validation import (
-    validate_orientation,
-    validate_tree,
-)
+from repro.topology.validation import validate_tree
 
 __all__ = [
     "Topology",
@@ -46,13 +41,10 @@ __all__ = [
     "radiating_star",
     "balanced_tree",
     "random_tree",
-    "custom_tree",
     "paper_figure2_topology",
     "paper_figure6_topology",
     "diameter",
     "eccentricity",
-    "mean_distance_to",
     "path_between",
     "validate_tree",
-    "validate_orientation",
 ]

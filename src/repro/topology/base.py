@@ -133,10 +133,6 @@ class Topology:
     # ------------------------------------------------------------------ #
     # conveniences
     # ------------------------------------------------------------------ #
-    def as_adjacency(self) -> Dict[int, Tuple[int, ...]]:
-        """Copy of the adjacency map."""
-        return dict(self._adjacency)
-
     def describe(self) -> str:
         """Short human-readable description used in reports."""
         return (

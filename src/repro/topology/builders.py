@@ -348,14 +348,6 @@ def random_tree(
     return Topology(nodes=nodes, edges=tuple(edge_list), token_holder=holder)
 
 
-def custom_tree(
-    edges: Sequence[Tuple[int, int]],
-    token_holder: int,
-) -> Topology:
-    """A tree given explicitly as an edge list (validated on construction)."""
-    return Topology.from_edges(edges, token_holder)
-
-
 def paper_figure2_topology() -> Topology:
     """The six-node straight line used by the paper's Chapter 3 example.
 

@@ -24,7 +24,7 @@ per-edge Python tuples.
 
 The class subclasses :class:`~repro.topology.base.Topology` and serves the
 same query API (``neighbors``/``degree``/``leaves``/``next_pointers``/
-``as_adjacency``/``edges``...) from the arrays, so every consumer — the
+``edges``...) from the arrays, so every consumer — the
 algorithms, the driver, the benchmarks — works unchanged.  Node ids are the
 contiguous range ``1..n`` (what every compact builder produces); arbitrary
 id sets stay on the dict-backed base class.
@@ -235,13 +235,6 @@ class CompactTopology(Topology):
             parent=None,
             diameter=self.diameter_hint,
         )
-
-    def as_adjacency(self) -> Dict[int, Tuple[int, ...]]:
-        adj = self._adj
-        off = self._off
-        return {
-            v: tuple(adj[off[v - 1]:off[v]]) for v in range(1, self._n + 1)
-        }
 
     def describe(self) -> str:
         return (

@@ -56,17 +56,6 @@ def diameter(topology: Topology) -> int:
     return max(second.values())
 
 
-def mean_distance_to(topology: Topology, target: int) -> float:
-    """Average hop distance from every node (including ``target``) to ``target``.
-
-    This is the expected request path length when the requester is chosen
-    uniformly at random and the token sits at ``target`` — the quantity behind
-    the average-bound analysis in Section 6.2.
-    """
-    distances = _bfs_distances(topology, target)
-    return sum(distances.values()) / len(distances)
-
-
 def path_between(topology: Topology, source: int, target: int) -> List[int]:
     """The unique tree path from ``source`` to ``target`` (inclusive)."""
     if target not in topology.nodes:

@@ -1,18 +1,16 @@
-"""Structural validation of logical topologies and orientations.
+"""Structural validation of logical topologies.
 
-The paper's assumptions (Chapter 3):
-
-* the undirected logical graph is acyclic even without considering edge
-  directions and, together with the requirement that requests can always
-  reach the token holder, connected — i.e. it is a tree;
-* each node's out-degree is at most one (``NEXT`` is a single variable);
-* in a quiescent system exactly one node is a sink (``NEXT = 0``) and it is
-  reachable from every node by following ``NEXT`` pointers.
+The paper's assumption (Chapter 3): the undirected logical graph is acyclic
+even without considering edge directions and, together with the requirement
+that requests can always reach the token holder, connected — i.e. it is a
+tree.  The orientation assumptions (out-degree at most one, one sink reachable
+from every node) are checked on a live system by
+:class:`~repro.core.invariants.InvariantChecker`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.exceptions import TopologyError
 
@@ -58,65 +56,3 @@ def validate_tree(nodes: Sequence[int], edges: Sequence[Tuple[int, int]]) -> Non
         missing = sorted(node_set - seen)
         raise TopologyError(f"topology is disconnected; unreachable nodes: {missing}")
 
-
-def validate_orientation(
-    next_pointers: Mapping[int, Optional[int]],
-    *,
-    edges: Optional[Iterable[Tuple[int, int]]] = None,
-) -> int:
-    """Validate a quiescent ``NEXT`` orientation and return the sink node.
-
-    Checks that exactly one node has ``NEXT = None`` (the sink), that every
-    other node's pointer targets a known node, that following pointers from
-    any node reaches the sink without revisiting a node, and — when ``edges``
-    is given — that every pointer follows an edge of the underlying tree.
-
-    Raises:
-        TopologyError: on any violation.
-    """
-    nodes = set(next_pointers)
-    if not nodes:
-        raise TopologyError("orientation over an empty node set")
-
-    sinks = [node for node, target in next_pointers.items() if target is None]
-    if len(sinks) != 1:
-        raise TopologyError(
-            f"a quiescent orientation must have exactly one sink, found {sorted(sinks)}"
-        )
-    sink = sinks[0]
-
-    edge_set = None
-    if edges is not None:
-        edge_set = set()
-        for a, b in edges:
-            edge_set.add((a, b))
-            edge_set.add((b, a))
-
-    for node, target in next_pointers.items():
-        if target is None:
-            continue
-        if target not in nodes:
-            raise TopologyError(f"node {node} points at unknown node {target}")
-        if target == node:
-            raise TopologyError(f"node {node} points at itself")
-        if edge_set is not None and (node, target) not in edge_set:
-            raise TopologyError(
-                f"node {node} points at {target}, which is not a neighbour in the tree"
-            )
-
-    for node in nodes:
-        visited = set()
-        current: Optional[int] = node
-        while current is not None:
-            if current in visited:
-                raise TopologyError(
-                    f"NEXT pointers contain a cycle reachable from node {node}"
-                )
-            visited.add(current)
-            current = next_pointers[current]
-        if sink not in visited:
-            raise TopologyError(
-                f"node {node} cannot reach the sink {sink} by following NEXT pointers"
-            )
-
-    return sink

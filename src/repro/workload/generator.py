@@ -63,27 +63,6 @@ class WorkloadGenerator:
             ),
         )
 
-    def uniform_single_requests(
-        self,
-        *,
-        cs_duration: float = 1.0,
-        spacing: float = 1000.0,
-    ) -> Workload:
-        """Each node issues exactly one request, far apart in time.
-
-        With ``spacing`` much larger than the diameter and CS duration, every
-        request finds an otherwise idle system — the light-load regime of the
-        Section 6.2 average-bound analysis.
-        """
-        requests = [
-            CSRequest(node=node, arrival_time=index * spacing, cs_duration=cs_duration)
-            for index, node in enumerate(self._rng.child("order").shuffle(self.node_ids))
-        ]
-        return Workload(
-            requests=tuple(requests),
-            description=f"one isolated request per node, spacing {spacing}",
-        )
-
     def heavy_demand(
         self,
         *,
@@ -164,62 +143,6 @@ class WorkloadGenerator:
             total_requests=rounds * len(ordered),
             description=(
                 f"heavy demand: {rounds} rounds x {len(ordered)} nodes "
-                f"(streamed, chunk {chunk_requests})"
-            ),
-        )
-
-    def poisson_stream(
-        self,
-        *,
-        total_requests: int,
-        mean_interarrival: float,
-        cs_duration: float = 1.0,
-        nodes: Optional[Sequence[int]] = None,
-        chunk_requests: int = DEFAULT_CHUNK_REQUESTS,
-    ) -> StreamingWorkload:
-        """Streaming form of :meth:`poisson` (same seed, same schedule).
-
-        Each pass re-derives the ``"poisson"`` child stream from the
-        generator's seed, so iterating twice — or comparing against the
-        materialised :meth:`poisson` built from an equal-seed generator —
-        yields request-for-request identical arrivals.
-        """
-        if total_requests < 0:
-            raise WorkloadError(f"total_requests must be >= 0, got {total_requests}")
-        if chunk_requests < 1:
-            raise WorkloadError(
-                f"chunk_requests must be >= 1, got {chunk_requests}"
-            )
-        candidates = tuple(nodes) if nodes is not None else self.node_ids
-        root = self._rng
-
-        def batches():
-            rng = root.child("poisson")
-            batch = []
-            append = batch.append
-            time = 0.0
-            for _ in range(total_requests):
-                time += rng.exponential(mean_interarrival)
-                append(
-                    CSRequest(
-                        node=rng.choice(candidates),
-                        arrival_time=time,
-                        cs_duration=cs_duration,
-                    )
-                )
-                if len(batch) >= chunk_requests:
-                    yield batch
-                    batch = []
-                    append = batch.append
-            if batch:
-                yield batch
-
-        return StreamingWorkload(
-            batches,
-            total_requests=total_requests,
-            description=(
-                f"poisson: {total_requests} requests, mean interarrival "
-                f"{mean_interarrival}, cs={cs_duration} "
                 f"(streamed, chunk {chunk_requests})"
             ),
         )
@@ -380,27 +303,4 @@ class WorkloadGenerator:
                 f"diurnal: {total_requests} requests, period {period}, "
                 f"mean interarrival {mean_interarrival}, amplitude {amplitude}"
             ),
-        )
-
-    def round_robin(
-        self,
-        *,
-        rounds: int,
-        spacing: float = 50.0,
-        cs_duration: float = 1.0,
-    ) -> Workload:
-        """Nodes take turns requesting, one at a time, well separated."""
-        if rounds < 1:
-            raise WorkloadError(f"rounds must be >= 1, got {rounds}")
-        requests = []
-        slot = 0
-        for _ in range(rounds):
-            for node in self.node_ids:
-                requests.append(
-                    CSRequest(node=node, arrival_time=slot * spacing, cs_duration=cs_duration)
-                )
-                slot += 1
-        return Workload(
-            requests=tuple(requests),
-            description=f"round robin: {rounds} rounds, spacing {spacing}",
         )

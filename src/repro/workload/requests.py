@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.exceptions import WorkloadError
 
@@ -58,41 +58,10 @@ class Workload:
         """Distinct nodes that appear in the workload, sorted."""
         return sorted({request.node for request in self.requests})
 
-    @property
-    def horizon(self) -> float:
-        """Latest arrival time in the schedule (0.0 for an empty workload)."""
-        if not self.requests:
-            return 0.0
-        return max(request.arrival_time for request in self.requests)
-
-    def per_node_counts(self) -> Dict[int, int]:
-        """Number of requests issued by each node."""
-        counts: Dict[int, int] = {}
-        for request in self.requests:
-            counts[request.node] = counts.get(request.node, 0) + 1
-        return counts
-
     @classmethod
     def single(cls, node: int, *, cs_duration: float = 1.0) -> "Workload":
         """A workload with one immediate request by ``node``."""
         return cls(
             requests=(CSRequest(node=node, arrival_time=0.0, cs_duration=cs_duration),),
             description=f"single request by node {node}",
-        )
-
-    @classmethod
-    def simultaneous(
-        cls,
-        nodes: Sequence[int],
-        *,
-        cs_duration: float = 1.0,
-        arrival_time: float = 0.0,
-    ) -> "Workload":
-        """All of ``nodes`` request at the same instant (heavy instantaneous load)."""
-        return cls(
-            requests=tuple(
-                CSRequest(node=node, arrival_time=arrival_time, cs_duration=cs_duration)
-                for node in nodes
-            ),
-            description=f"simultaneous requests by {list(nodes)}",
         )

@@ -2,9 +2,8 @@
 
 Each scenario corresponds to a setting described in the paper's evaluation:
 worst-case placement for the upper bound (§6.1), uniformly random token
-placement with isolated requests for the average bound (§6.2), all nodes
-requesting continuously for heavy demand (§6.2), and back-to-back requests for
-the synchronization delay (§6.3).
+placement with isolated requests for the average bound (§6.2), and one
+workload replayed against several algorithms.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from repro.sim.latency import ConstantLatency
 from repro.topology.base import Topology
 from repro.topology.metrics import eccentricity, path_between
 from repro.workload.driver import ExperimentResult, run_experiment
-from repro.workload.generator import WorkloadGenerator
-from repro.workload.requests import CSRequest, Workload
+from repro.workload.requests import Workload
 
 AlgorithmSpec = Union[str, Type[MutexSystem]]
 
@@ -73,74 +71,6 @@ def average_messages_over_placements(
             total_messages += result.total_messages
             runs += 1
     return total_messages / runs
-
-
-def heavy_demand_run(
-    algorithm: AlgorithmSpec,
-    topology: Topology,
-    *,
-    rounds: int = 5,
-    cs_duration: float = 1.0,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Every node requests in every round, back to back (§6.2 heavy demand)."""
-    generator = WorkloadGenerator(topology.nodes, seed=seed)
-    workload = generator.heavy_demand(rounds=rounds, cs_duration=cs_duration)
-    return run_experiment(algorithm, topology, workload, latency=ConstantLatency(1.0))
-
-
-def sync_delay_run(
-    algorithm: AlgorithmSpec,
-    topology: Topology,
-    *,
-    first: Optional[int] = None,
-    second: Optional[int] = None,
-    cs_duration: float = 50.0,
-) -> ExperimentResult:
-    """Two requests where the second must wait for the first (§6.3).
-
-    The first requester occupies the critical section long enough for the
-    second request to be fully queued before the release, so the measured gap
-    between exit and the next entry is exactly the synchronization delay.
-
-    By default both requesters are chosen among nodes *other than* the initial
-    token holder (when the system is large enough), since a releasing
-    coordinator / token holder would short-circuit part of the hand-off and
-    understate the delay the paper describes.
-    """
-    nodes = list(topology.nodes)
-    candidates = [node for node in nodes if node != topology.token_holder] or nodes
-    first = candidates[0] if first is None else first
-    second = candidates[-1] if second is None else second
-    if first == second:
-        raise ValueError("synchronization delay needs two distinct requesters")
-    workload = Workload(
-        requests=(
-            CSRequest(node=first, arrival_time=0.0, cs_duration=cs_duration),
-            CSRequest(node=second, arrival_time=1.0, cs_duration=1.0),
-        ),
-        description=f"sync-delay pair: {first} then {second}",
-    )
-    return run_experiment(algorithm, topology, workload, latency=ConstantLatency(1.0))
-
-
-def poisson_run(
-    algorithm: AlgorithmSpec,
-    topology: Topology,
-    *,
-    total_requests: int = 100,
-    mean_interarrival: float = 5.0,
-    cs_duration: float = 1.0,
-    seed: int = 0,
-) -> ExperimentResult:
-    """A Poisson workload replayed against one algorithm (used by E9)."""
-    generator = WorkloadGenerator(topology.nodes, seed=seed)
-    workload = generator.poisson(
-        total_requests=total_requests,
-        mean_interarrival=mean_interarrival,
-        cs_duration=cs_duration,
-    )
-    return run_experiment(algorithm, topology, workload, latency=ConstantLatency(1.0))
 
 
 def compare_algorithms(

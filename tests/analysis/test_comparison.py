@@ -2,33 +2,25 @@
 
 from __future__ import annotations
 
-from repro.analysis.comparison import (
-    compare_exact,
-    compare_measured_to_theory,
-    compare_upper_bound,
-)
-from repro.topology import star
+from repro.analysis.comparison import ComparisonRow, compare_measured_to_theory
+from repro.topology import line, star
 from repro.workload import Workload
 from repro.workload.scenarios import compare_algorithms
 
 
-def test_compare_exact_within_tolerance():
-    row = compare_exact("avg", paper_value=2.5, measured_value=2.5, unit="msgs")
-    assert row.within_bound
-    row = compare_exact("avg", 2.5, 2.6, unit="msgs", tolerance=0.05)
-    assert not row.within_bound
-    row = compare_exact("avg", 2.5, 2.52, unit="msgs", tolerance=0.05)
-    assert row.within_bound
-
-
 def test_compare_upper_bound():
-    assert compare_upper_bound("x", bound=3.0, measured_value=2.9, unit="msgs").within_bound
-    assert not compare_upper_bound("x", bound=3.0, measured_value=3.5, unit="msgs").within_bound
-    assert compare_upper_bound("x", bound=3.0, measured_value=3.0, unit="msgs").within_bound
+    """A measurement equal to the paper's bound is inside it; one above is not."""
+    results = compare_algorithms(line(4, token_holder=1), Workload.single(4), algorithms=["dag"])
+    assert results[0].messages_per_entry == 4.0
+    at_bound, above = (
+        compare_measured_to_theory(results, n=4, diameter=diameter)[0] for diameter in (3, 2)
+    )
+    assert (at_bound.paper_value, at_bound.within_bound) == (4, True)
+    assert (above.paper_value, above.within_bound) == (3, False)
 
 
 def test_as_row_rendering():
-    row = compare_exact("avg messages", 2.5, 2.5, unit="msgs").as_row()
+    row = ComparisonRow("avg messages", 2.5, 2.5, unit="msgs", within_bound=True).as_row()
     assert row["experiment"] == "avg messages"
     assert row["ok"] == "yes"
     assert row["unit"] == "msgs"

@@ -9,11 +9,7 @@ import pytest
 from repro.analysis.theory import (
     average_messages_centralized_star,
     average_messages_dag_star,
-    average_messages_dag_star_center_holder,
-    average_messages_dag_star_leaf_holder,
-    raymond_sync_delay,
     storage_overhead_table,
-    sync_delay_bounds,
     upper_bound_messages,
     upper_bound_table,
 )
@@ -54,8 +50,6 @@ def test_upper_bound_table_lists_every_algorithm_once():
 def test_average_bound_formulas_of_section_6_2():
     assert average_messages_dag_star(4) == pytest.approx(3 - 5 / 4 + 2 / 16)
     assert average_messages_centralized_star(4) == pytest.approx(3 - 3 / 4)
-    assert average_messages_dag_star_leaf_holder(8) == pytest.approx(3 - 0.5)
-    assert average_messages_dag_star_center_holder(8) == pytest.approx(2 - 0.25)
 
 
 def test_average_bounds_approach_three_for_large_n():
@@ -77,12 +71,12 @@ def test_average_bound_rejects_invalid_n():
 
 
 def test_sync_delay_bounds_of_section_6_3():
-    delays = sync_delay_bounds()
+    delays = {row.name: row.sync_delay for row in upper_bound_table(n=16, diameter=5)}
     assert delays["dag"] == 1.0
     assert delays["suzuki-kasami"] == 1.0
     assert delays["singhal"] == 1.0
     assert delays["centralized"] == 2.0
-    assert raymond_sync_delay(5) == 5.0
+    assert delays["raymond"] == 5.0
 
 
 def test_storage_overhead_table_of_section_6_4():

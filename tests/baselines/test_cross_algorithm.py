@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines import registry
 from repro.topology import balanced_tree, line, random_tree, star
-from repro.workload import WorkloadGenerator, Workload, run_experiment
+from repro.workload import CSRequest, WorkloadGenerator, Workload, run_experiment
 
 ALL_ALGORITHMS = registry.names()
 
@@ -32,7 +32,7 @@ def test_poisson_workload_completes_every_request(algorithm):
 @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
 def test_heavy_contention_serialises_correctly(algorithm):
     topology = line(7, token_holder=4)
-    workload = Workload.simultaneous(topology.nodes, cs_duration=2.0)
+    workload = Workload(tuple(CSRequest(node, 0.0, cs_duration=2.0) for node in topology.nodes))
     result = run_experiment(algorithm, topology, workload)
     assert result.completed_entries == 7
 
@@ -40,8 +40,10 @@ def test_heavy_contention_serialises_correctly(algorithm):
 @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
 def test_repeated_requests_by_every_node(algorithm):
     topology = balanced_tree(2, 2, token_holder=3)
-    generator = WorkloadGenerator(topology.nodes, seed=7)
-    workload = generator.round_robin(rounds=2, spacing=30.0)
+    # Nodes take turns, two rounds, one request every 30 time units.
+    workload = Workload(
+        tuple(CSRequest(node, slot * 30.0) for slot, node in enumerate(topology.nodes * 2))
+    )
     result = run_experiment(algorithm, topology, workload)
     assert result.completed_entries == 2 * topology.size
 

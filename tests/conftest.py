@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+from unittest import mock
+
 import pytest
 
+from repro.core import compact_state
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
@@ -16,6 +20,18 @@ from repro.topology import (
     random_tree,
     star,
 )
+
+
+def forced_node_backend(backend: str):
+    """``with forced_node_backend("compact"):`` — every ``DagSystem`` built
+    inside stands on that backend, whatever its size.
+
+    The backend is a fact of the topology's size (one comparison against
+    ``COMPACT_NODE_BACKEND_THRESHOLD``); patching the threshold is the one
+    seam that forces it, and it is out of reach of a spec file or the CLI.
+    """
+    threshold = {"compact": 0, "object": sys.maxsize}[backend]
+    return mock.patch.object(compact_state, "COMPACT_NODE_BACKEND_THRESHOLD", threshold)
 
 
 @pytest.fixture

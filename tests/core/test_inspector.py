@@ -5,9 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.inspector import (
-    find_sinks,
     implicit_queue,
-    next_pointer_map,
     token_holder,
     waiting_nodes,
 )
@@ -72,15 +70,18 @@ def test_token_holder_detects_duplicates(loaded_protocol):
 
 def test_find_sinks_quiescent_and_during_requests():
     protocol = DagMutexProtocol(star(5))
-    assert find_sinks(protocol) == [1]
+    def sinks():
+        return {node_id for node_id in protocol.node_ids if protocol.node(node_id).next_node is None}
+
+    assert sinks() == {1}
     protocol.request(4)  # node 4 becomes a sink until its request is absorbed
-    assert set(find_sinks(protocol)) == {1, 4}
+    assert sinks() == {1, 4}
     protocol.run_until_quiescent()
-    assert find_sinks(protocol) == [4]
+    assert sinks() == {4}
 
 
 def test_next_pointer_map_reflects_reorientation(loaded_protocol):
-    pointers = next_pointer_map(loaded_protocol)
+    pointers = {node_id: loaded_protocol.node(node_id).next_node for node_id in range(1, 7)}
     # Figure 6g: NEXT_1 = 2, NEXT_2 = 5, NEXT_3 = 2, NEXT_4 = 3, NEXT_5 = 0.
     assert pointers[1] == 2
     assert pointers[2] == 5

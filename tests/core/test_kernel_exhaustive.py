@@ -23,7 +23,7 @@ from itertools import combinations
 
 from repro.core.messages import Privilege
 from repro.core.node import DagNodeCore
-from repro.topology.builders import custom_tree
+from repro.topology.base import Topology
 
 
 def labelled_trees(n):
@@ -47,7 +47,7 @@ def configurations():
         ids = range(1, n + 1)
         for edges in labelled_trees(n):
             for holder in ids:
-                pointers = custom_tree(edges, holder).next_pointers()
+                pointers = Topology.from_edges(edges, holder).next_pointers()
                 for size in ids:
                     for requesters in combinations(ids, size):
                         yield pointers, holder, frozenset(requesters)

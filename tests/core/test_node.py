@@ -53,11 +53,11 @@ def test_constructor_validates_holder_sink_consistency():
 def test_initial_states():
     _, _, _, node, _ = build_pair()
     assert node.state_name() is NodeStateName.NOT_REQUESTING
-    assert not node.is_sink()
+    assert node.next_node is not None
     assert not node.has_token()
     _, _, _, holder, _ = build_holder()
     assert holder.state_name() is NodeStateName.HOLDING_IDLE
-    assert holder.is_sink()
+    assert holder.next_node is None
     assert holder.has_token()
 
 
@@ -78,7 +78,7 @@ def test_request_sends_request_and_becomes_sink():
     node.request_cs()
     engine.run()
     assert node.requesting
-    assert node.is_sink()  # NEXT := 0 after sending its own request
+    assert node.next_node is None  # NEXT := 0 after sending its own request
     assert peer.received == [(1, Request(sender=1, origin=1))]
     assert node.state_name() is NodeStateName.REQUESTING
 

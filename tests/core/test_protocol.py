@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.protocol import DagMutexProtocol
@@ -121,11 +123,9 @@ def test_trace_recording_captures_protocol_events(star_topology):
     protocol.request(5)
     protocol.run_until_quiescent()
     protocol.release(5)
-    assert protocol.trace.count("cs_request") == 1
-    assert protocol.trace.count("cs_enter") == 1
-    assert protocol.trace.count("cs_exit") == 1
-    assert protocol.trace.count("send") == 3
-    assert protocol.trace.count("receive") == 3
+    counts = Counter(event.category for event in protocol.trace)
+    assert counts["cs_request"] == counts["cs_enter"] == counts["cs_exit"] == 1
+    assert counts["send"] == counts["receive"] == 3
 
 
 def test_many_sequential_entries_on_line():

@@ -14,6 +14,8 @@ from repro.core.recovery import regenerate_token
 from repro.exceptions import ProtocolError
 from repro.topology.builders import star
 
+from ..conftest import forced_node_backend
+
 
 def table(system):
     return {node_id: node.snapshot() for node_id, node in system.nodes.items()}
@@ -21,7 +23,9 @@ def table(system):
 
 @pytest.mark.parametrize("node_backend", ["object", "compact"])
 def test_regeneration_refuses_to_mint_a_second_token(node_backend):
-    system = DagSystem(star(4), node_backend=node_backend)
+    with forced_node_backend(node_backend):
+        system = DagSystem(star(4))
+    assert system.node_backend == node_backend
     system.request(3)
     system.request(2)
     system.run_until_quiescent()

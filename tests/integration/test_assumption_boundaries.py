@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.dag_adapter import DagSystem
 from repro.core.invariants import InvariantChecker
 from repro.exceptions import ExperimentError
-from repro.sim.faults import build_faulty_dag_system
+from repro.sim.faults import FaultInjectingNetwork
 from repro.topology import line, star
 from repro.workload.driver import ExperimentDriver
 from repro.workload.requests import CSRequest, Workload
@@ -51,9 +52,10 @@ def drive_with_checks(system, workload, *, max_events=100_000):
 
 def test_dropped_request_starves_only_its_originator():
     topology = star(6, token_holder=2)
-    system, network = build_faulty_dag_system(topology)
+    system = DagSystem(topology, network_factory=FaultInjectingNetwork)
+    network = system.network
     # Node 5's request toward the hub is dropped; node 4's request goes through.
-    network.drop_next(5, 1)
+    network.drop_next_of_kind("request")
     workload = Workload(
         requests=(
             CSRequest(node=5, arrival_time=0.0, cs_duration=1.0),
@@ -68,9 +70,10 @@ def test_dropped_request_starves_only_its_originator():
 
 def test_dropped_privilege_loses_the_token_but_never_duplicates_it():
     topology = star(6, token_holder=2)
-    system, network = build_faulty_dag_system(topology)
+    system = DagSystem(topology, network_factory=FaultInjectingNetwork)
+    network = system.network
     # The hand-off from the holder (node 2) to the requester (node 5) is lost.
-    network.drop_next(2, 5)
+    network.drop_next_of_kind("privilege")
     workload = Workload.single(5)
     starving = drive_with_checks(system, workload)
     assert starving == [5]
@@ -81,7 +84,8 @@ def test_dropped_privilege_loses_the_token_but_never_duplicates_it():
 
 def test_crashed_intermediate_node_blocks_requests_routed_through_it():
     topology = line(5, token_holder=5)
-    system, network = build_faulty_dag_system(topology)
+    system = DagSystem(topology, network_factory=FaultInjectingNetwork)
+    network = system.network
     network.crash(3)  # the middle of the line
     workload = Workload.single(1)  # must route 1 -> 2 -> 3 -> 4 -> 5
     starving = drive_with_checks(system, workload)
@@ -91,7 +95,8 @@ def test_crashed_intermediate_node_blocks_requests_routed_through_it():
 
 def test_crashed_leaf_off_the_request_path_is_harmless():
     topology = star(7, token_holder=2)
-    system, network = build_faulty_dag_system(topology)
+    system = DagSystem(topology, network_factory=FaultInjectingNetwork)
+    network = system.network
     network.crash(6)  # a leaf that neither requests nor routes anything
     workload = Workload(
         requests=(
@@ -107,8 +112,9 @@ def test_crashed_leaf_off_the_request_path_is_harmless():
 
 def test_driver_reports_starvation_instead_of_hanging():
     topology = star(5, token_holder=1)
-    system, network = build_faulty_dag_system(topology)
-    network.drop_next(3, 1)
+    system = DagSystem(topology, network_factory=FaultInjectingNetwork)
+    network = system.network
+    network.drop_next_of_kind("request")
     driver = ExperimentDriver(system, Workload.single(3))
     with pytest.raises(ExperimentError):
         driver.run()
@@ -119,8 +125,9 @@ def test_recovering_the_network_restores_liveness_for_new_requests():
     fresh request (node 4) is served even though node 5's earlier request was
     lost for good."""
     topology = star(6, token_holder=2)
-    system, network = build_faulty_dag_system(topology)
-    network.drop_next(5, 1)
+    system = DagSystem(topology, network_factory=FaultInjectingNetwork)
+    network = system.network
+    network.drop_next_of_kind("request")
     workload = Workload(
         requests=(
             CSRequest(node=5, arrival_time=0.0, cs_duration=1.0),

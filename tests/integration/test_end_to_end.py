@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis.comparison import compare_measured_to_theory
 from repro.analysis.report import format_table
-from repro.analysis.summary import summarize_by_algorithm
 from repro.baselines import registry
 from repro.core.initialization import run_initialization
 from repro.core.protocol import DagMutexProtocol
@@ -37,14 +36,13 @@ def test_bootstrap_then_run_protocol_from_flooded_pointers():
 
 
 def test_full_comparison_pipeline_produces_consistent_tables():
-    """Workload generation -> per-algorithm runs -> summaries -> rendered table."""
+    """Workload generation -> per-algorithm runs -> summary rows -> rendered table."""
     topology = star(8, token_holder=4)
     generator = WorkloadGenerator(topology.nodes, seed=13)
     workload = generator.poisson(total_requests=25, mean_interarrival=4.0)
     results = compare_algorithms(topology, workload)
     assert {result.algorithm for result in results} == set(registry.names())
-    summaries = summarize_by_algorithm(results)
-    table = format_table([summary.as_row() for summary in summaries.values()])
+    table = format_table([result.summary_row() for result in results])
     for name in registry.names():
         assert name in table
     rows = compare_measured_to_theory(

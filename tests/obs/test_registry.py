@@ -7,23 +7,13 @@ import pytest
 from repro.exceptions import ExperimentError
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS_MS,
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_REGISTRY,
 )
-
-
-def test_counter_increments_and_snapshots():
-    counter = Counter("ops")
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
-    assert counter.snapshot() == {"type": "counter", "value": 5}
 
 
 def test_gauge_set_and_watermark():
@@ -87,31 +77,26 @@ def test_histogram_rejects_bad_bounds_and_stride():
 
 def test_enabled_registry_registers_once_by_name():
     registry = MetricsRegistry()
-    counter = registry.counter("ops")
-    assert registry.counter("ops") is counter
     gauge = registry.gauge("depth")
     assert registry.gauge("depth") is gauge
     histogram = registry.histogram("wait")
     assert registry.histogram("wait") is histogram
     assert histogram.bounds == DEFAULT_LATENCY_BUCKETS_MS
-    counter.inc()
+    gauge.set(1)
     snap = registry.snapshot()
     assert snap["enabled"] is True
-    assert sorted(snap["metrics"]) == ["depth", "ops", "wait"]
-    assert snap["metrics"]["ops"]["value"] == 1
+    assert sorted(snap["metrics"]) == ["depth", "wait"]
+    assert snap["metrics"]["depth"]["value"] == 1
 
 
 def test_disabled_registry_hands_out_shared_null_instruments():
     registry = MetricsRegistry(enabled=False)
-    assert registry.counter("ops") is NULL_COUNTER
     assert registry.gauge("depth") is NULL_GAUGE
     assert registry.histogram("wait") is NULL_HISTOGRAM
     # The null instruments swallow everything without recording.
-    NULL_COUNTER.inc()
     NULL_GAUGE.set(9)
     NULL_GAUGE.update_max(9)
     NULL_HISTOGRAM.observe(1.0)
-    assert NULL_COUNTER.value == 0
     assert NULL_GAUGE.value == 0
     assert NULL_HISTOGRAM.observed == 0
     assert registry.snapshot() == {
@@ -123,7 +108,7 @@ def test_disabled_registry_hands_out_shared_null_instruments():
 
 def test_null_registry_is_disabled():
     assert NULL_REGISTRY.enabled is False
-    assert NULL_REGISTRY.counter("anything") is NULL_COUNTER
+    assert NULL_REGISTRY.gauge("anything") is NULL_GAUGE
 
 
 def test_registry_sampling_knob_reaches_histograms():

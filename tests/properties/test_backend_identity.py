@@ -1,14 +1,16 @@
 """Backend identity: the columnar array core must be indistinguishable.
 
-``node_backend="compact"`` stores DAG node state in flat array columns and
-applies same-tick message batches inside the engine drain loops;
-``"object"`` is the always-tested reference implementation.  The contract
-pinned here (and gated in CI by the ``backend-identity`` sweep matrix): the
-backend changes how fast state is stored and touched, never *what happens*.
-Entry order, message counts, finish times, per-entry metrics, and — on
+The compact backend stores DAG node state in flat array columns; the object
+nodes are the always-tested reference implementation.  Which one a system
+stands on is a fact of its topology's size, so this module forces each onto
+the same small cells through the one seam there is (``forced_node_backend``
+patches the threshold).  The contract pinned here — this is the gate, CI's
+``cmp`` of two forced sweeps is gone with ``--node-backend``: the backend
+changes how fast state is stored and touched, never *what happens*.  Entry
+order, message counts, finish times, per-entry metrics, and — on
 fault-injected runs — the complete fault summary including the fault-log
-sha256 must match field-for-field across backends and the observed/fast
-delivery paths.
+sha256 must match field-for-field across backends, with and without a
+metrics collector, and so must every DAG row of the sweep's smoke matrix.
 
 The fault replays use the same frozen star/heavy cell convention as the
 committed fault benchmark (``repro bench --faults``), so a divergence here
@@ -20,8 +22,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cells import sweep_matrix
 from repro.spec import FAULT_PROFILES, ExperimentSpec, TopologySpec, WorkloadSpec
+from repro.sweep.worker import execute_scenario
 from repro.workload.driver import ExperimentDriver
+
+from ..conftest import forced_node_backend
 
 #: The fault profiles the issue names for replay: seeded message loss, the
 #: crash of the token holder (liveness lost, by design), and the crash
@@ -45,12 +51,12 @@ def _replay(node_backend, *, profile=None, n=50,
         seed=seed,
         collect_metrics=collect_metrics,
         faults=FAULT_PROFILES[profile] if profile is not None else None,
-        node_backend=node_backend,
     )
-    driver = ExperimentDriver.from_spec(spec)
+    with forced_node_backend(node_backend):
+        driver = ExperimentDriver.from_spec(spec)
     result = driver.run(max_events=50_000_000)
-    # The spec must have engaged the backend it asked for — "auto" picking
-    # a different one would make the comparison below vacuous.
+    # The system must stand on the backend that was forced — the size rule
+    # picking the other one would make the comparison below vacuous.
     assert driver.system.node_backend == node_backend
     return {
         "entries": result.completed_entries,
@@ -98,6 +104,21 @@ def test_fault_free_replay_identical_across_backends():
         assert compact == reference, (
             f"backend divergence under collect_metrics={collect_metrics}"
         )
+
+
+@pytest.mark.parametrize(
+    "cell", sweep_matrix("smoke", algorithms=["dag"]), ids=lambda cell: cell.name
+)
+def test_sweep_smoke_rows_identical_across_backends(cell):
+    """What CI's ``backend-identity`` step compared with ``cmp``: every DAG
+    cell of the sweep's smoke matrix, its whole row minus ``timing``."""
+    rows = {}
+    for backend in ("object", "compact"):
+        with forced_node_backend(backend):
+            rows[backend] = execute_scenario(cell)
+        assert rows[backend].pop("timing")["node_backend"] == backend
+    assert rows["compact"] == rows["object"]
+    assert rows["object"]["status"] == "ok" and rows["object"]["entries"] > 0
 
 
 @given(

@@ -124,15 +124,19 @@ def test_message_bound_for_isolated_requests(spec):
         for index, (node_index, _gap, _duration) in enumerate(request_spec)
     )
     workload = Workload(requests=requests)
-    system = DagSystem(topology)
-    driver = ExperimentDriver(system, workload)
-    previous_total = 0
-    result = driver.run()
+    system = DagSystem(topology, record_trace=True)
+    result = ExperimentDriver(system, workload).run()
     assert result.completed_entries == len(workload)
-    # Check the per-entry bound from the per-record message snapshots.
-    for record in system.metrics.records:
-        spent = record.messages_at_enter - record.messages_before
-        assert spent <= bound
+    # Check the per-entry bound off the trace: the sends between a request
+    # and its entry are all that entry's, since no two requests overlap.
+    spent = 0
+    for event in system.trace:
+        if event.category == "cs_request":
+            spent = 0
+        elif event.category == "send":
+            spent += 1
+        elif event.category == "cs_enter":
+            assert spent <= bound
 
 
 @given(workload_strategy)

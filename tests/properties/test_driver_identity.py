@@ -21,6 +21,8 @@ from repro.runtime.cluster import LocalCluster
 from repro.runtime.node_runtime import AsyncDagNode
 from repro.topology.builders import paper_figure6_topology, star
 
+from ..conftest import forced_node_backend
+
 #: Chapter 4's complete example: 3 enters, 2 / 1 / 5 queue up behind it
 #: (implicit queue [2, 1, 5]), then the token walks the queue.
 FIGURE_6 = [
@@ -46,7 +48,8 @@ def table(nodes):
 
 
 def run_simulated(topology, script, node_backend):
-    system = DagSystem(topology, node_backend=node_backend)
+    with forced_node_backend(node_backend):
+        system = DagSystem(topology)
     assert system.node_backend == node_backend
     tables = []
     for action, node_id in script:

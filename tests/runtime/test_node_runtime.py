@@ -211,6 +211,9 @@ def test_a_stopped_node_drops_what_it_is_sent():
 
 
 def test_a_grant_after_the_waiter_gave_up_is_not_an_error():
+    """At the parent the unwanted grant left node 2 inside its critical
+    section with no handle holding it: node 3 starved and lock 2 could
+    neither release ("not held") nor acquire ("already holds or awaits")."""
     async def scenario():
         async with LocalCluster(star(3)) as cluster:
             await cluster.node(1).acquire()
@@ -218,7 +221,30 @@ def test_a_grant_after_the_waiter_gave_up_is_not_an_error():
             with pytest.raises(asyncio.TimeoutError):
                 await lock.acquire(timeout=0.01)
             assert not lock.held and cluster.node(2).requesting
-            await cluster.node(1).release()  # wakes a future nobody awaits any more
-            assert cluster.node(2).in_critical_section
+            await cluster.node(1).release()  # grants node 2, where nobody waits
+            node = cluster.node(2)
+            assert not node.in_critical_section and not node.requesting
+            async with cluster.lock(3):
+                assert cluster.node(3).in_critical_section
+            await lock.acquire(timeout=0.5)  # the handle is reusable
+            assert lock.held and node.in_critical_section
+            await lock.release()
+
+    run(scenario())
+
+
+def test_a_grant_that_races_the_cancel_is_handed_back_at_once():
+    async def scenario():
+        async with LocalCluster(star(3)) as cluster:
+            await cluster.node(1).acquire()
+            waiter = asyncio.ensure_future(cluster.node(2).acquire())
+            await asyncio.sleep(0)  # the REQUEST is out, the waiter parked
+            await cluster.node(1).release()  # the grant lands before the waiter wakes...
+            waiter.cancel()  # ...and so does the cancel
+            with pytest.raises(asyncio.CancelledError):
+                await waiter
+            assert not cluster.node(2).in_critical_section
+            async with cluster.lock(3):
+                assert cluster.node(3).in_critical_section
 
     run(scenario())

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from repro.exceptions import LockError
-from repro.runtime import LockClient, LockServiceCluster, shard_for_key
+from repro.runtime import LockClient, LockServiceCluster, owner_for_key
 from repro.runtime.service import RING_VNODES, _hash64
 from repro.spec import RuntimeSpec, TopologySpec
 
@@ -35,14 +35,14 @@ def test_shard_for_key_is_stable_and_in_range():
     for shards in (1, 2, 4, 7):
         for index in range(100):
             key = f"lock-{index}"
-            owner = shard_for_key(key, shards)
+            owner = owner_for_key(key, tuple(range(shards)))
             assert 0 <= owner < shards
-            assert owner == shard_for_key(key, shards)  # pure
+            assert owner == owner_for_key(key, tuple(range(shards)))  # pure
 
 
 def test_shard_for_key_spreads_keys_over_every_shard():
     shards = 4
-    owners = {shard_for_key(f"lock-{index}", shards) for index in range(200)}
+    owners = {owner_for_key(f"lock-{index}", tuple(range(shards))) for index in range(200)}
     assert owners == set(range(shards))
 
 
@@ -50,8 +50,8 @@ def test_shard_for_key_is_independent_of_hash_seed():
     """sha256-based, so child processes with different PYTHONHASHSEED agree."""
     keys = [f"lock-{index}" for index in range(16)]
     script = (
-        "from repro.runtime.service import shard_for_key;"
-        f"print([shard_for_key(k, 4) for k in {keys!r}])"
+        "from repro.runtime.service import owner_for_key;"
+        f"print([owner_for_key(k, (0, 1, 2, 3)) for k in {keys!r}])"
     )
     outputs = set()
     for seed in ("0", "12345"):
@@ -64,7 +64,7 @@ def test_shard_for_key_is_independent_of_hash_seed():
         )
         outputs.add(result.stdout.strip())
     assert len(outputs) == 1
-    assert eval(outputs.pop()) == [shard_for_key(key, 4) for key in keys]
+    assert eval(outputs.pop()) == [owner_for_key(key, (0, 1, 2, 3)) for key in keys]
 
 
 def test_ring_uses_sha256_points():
@@ -78,7 +78,7 @@ def test_ring_uses_sha256_points():
 
 def test_shard_for_key_rejects_bad_shard_counts():
     with pytest.raises(LockError):
-        shard_for_key("x", 0)
+        owner_for_key("x", ())
 
 
 # --------------------------------------------------------------------------- #
@@ -132,7 +132,7 @@ def test_service_over_tcp_sockets():
             session = client.session(1)
             await session.acquire("a-key")
             await session.release("a-key")
-            stats = await client.stats(shard_for_key("a-key", 2))
+            stats = await client.stats(owner_for_key("a-key", (0, 1)))
             assert stats["acquires"] == 1 and stats["releases"] == 1
 
     with LockServiceCluster(small_spec(shards=2, socket="tcp")) as cluster:
@@ -175,7 +175,7 @@ def test_dropped_connection_releases_held_locks():
         async with LockClient(addresses, channels=1) as client_b:
             await asyncio.wait_for(client_b.acquire("orphan", session=2), timeout=10)
             await client_b.release("orphan", session=2)
-            stats = await client_b.stats(shard_for_key("orphan", 1))
+            stats = await client_b.stats(owner_for_key("orphan", (0,)))
             assert stats["abandoned"] >= 1
             assert stats["held"] == 0
 
@@ -188,7 +188,7 @@ def test_shard_rejects_misrouted_keys():
     async def drive(addresses) -> None:
         # Talk to shard 0 directly about a key it does not own.
         foreign = next(
-            f"k-{index}" for index in range(100) if shard_for_key(f"k-{index}", 2) == 1
+            f"k-{index}" for index in range(100) if owner_for_key(f"k-{index}", (0, 1)) == 1
         )
         async with LockClient([addresses[0]]) as client:
             # One-shard client routes everything to shard 0.

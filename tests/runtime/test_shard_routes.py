@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List
 
 import pytest
 
-from repro.runtime.failover import ClusterView, shard_for_key
+from repro.runtime.failover import ClusterView, owner_for_key
 from repro.runtime.service import LockClient, LockServiceShard
 from repro.runtime.transport_socket import encode_frame, open_address_connection, read_frame
 from repro.spec import ObsSpec, RuntimeFaultSpec, RuntimeSpec, TopologySpec
@@ -324,8 +324,8 @@ def test_fenced_release_is_answered_without_disturbing_the_key(route):
 
 
 def test_misrouted_ops_are_answered_and_the_connection_keeps_serving():
-    foreign = next(f"k-{i}" for i in range(100) if shard_for_key(f"k-{i}", 2) == 1)
-    own = next(f"k-{i}" for i in range(100) if shard_for_key(f"k-{i}", 2) == 0)
+    foreign = next(f"k-{i}" for i in range(100) if owner_for_key(f"k-{i}", (0, 1)) == 1)
+    own = next(f"k-{i}" for i in range(100) if owner_for_key(f"k-{i}", (0, 1)) == 0)
 
     async def scenario():
         async with Serving(small_spec(shards=2)) as serving:

@@ -161,8 +161,8 @@ def test_fault_listener_sees_every_category(network):
     engine, net, _ = network
     seen = []
     net.fault_listener = lambda category, detail: seen.append(category)
-    net.drop_next(1, 2)
-    net.send(1, 2, "dropped")
+    net.drop_next_of_kind("request")
+    net.send(1, 2, Request(sender=1, origin=1))
     net.crash(3)
     net.send(3, 1, "suppressed-send")
     net.send(2, 3, "suppressed-delivery")
@@ -179,8 +179,8 @@ def test_fault_listener_sees_every_category(network):
 
 def test_fault_log_digest_is_canonical(network):
     engine, net, _ = network
-    net.drop_next(1, 2)
-    net.send(1, 2, "x")
+    net.drop_next_of_kind("request")
+    net.send(1, 2, Request(sender=1, origin=1))
     engine.run()
     digest = net.fault_log.digest()
     assert len(digest) == 64

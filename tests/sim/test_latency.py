@@ -7,7 +7,6 @@ import pytest
 from repro.sim.latency import (
     ConstantLatency,
     ExponentialLatency,
-    PerLinkLatency,
     UniformLatency,
 )
 from repro.sim.rng import SeededRNG
@@ -65,28 +64,7 @@ def test_exponential_latency_mean_roughly_matches():
     assert 3.5 < mean < 4.5
 
 
-def test_per_link_latency_uses_specific_and_default():
-    model = PerLinkLatency({(1, 2): 5.0}, default=1.0)
-    assert model.delay(1, 2) == 5.0
-    assert model.delay(2, 1) == 5.0  # symmetric by default
-    assert model.delay(1, 3) == 1.0
-
-
-def test_per_link_latency_asymmetric():
-    model = PerLinkLatency({(1, 2): 5.0}, default=1.0, symmetric=False)
-    assert model.delay(1, 2) == 5.0
-    assert model.delay(2, 1) == 1.0
-
-
-def test_per_link_latency_validates_values():
-    with pytest.raises(ValueError):
-        PerLinkLatency({(1, 2): 0.0})
-    with pytest.raises(ValueError):
-        PerLinkLatency({}, default=0.0)
-
-
 def test_describe_strings_mention_parameters():
     assert "2.5" in ConstantLatency(2.5).describe()
     assert "Uniform" in UniformLatency(1, 2).describe()
     assert "mean" in ExponentialLatency(3.0).describe()
-    assert "default" in PerLinkLatency({}, default=2.0).describe()

@@ -31,11 +31,9 @@ def test_cs_lifecycle_produces_complete_record():
     metrics.cs_entered(3, 2.0)
     metrics.cs_exited(3, 5.0)
     assert metrics.completed_entries == 1
-    record = metrics.records[0]
-    assert record.node == 3
-    assert record.waiting_time == 2.0
-    assert record.completed
-    assert record.sync_delay is None
+    assert metrics.waiting_times == [2.0]
+    assert metrics.sync_delays == []
+    assert metrics.pending_requests == []
 
 
 def test_messages_per_entry():
@@ -68,9 +66,7 @@ def test_sync_delay_only_for_waiting_entries():
     metrics.cs_entered(2, 6.0)
     metrics.cs_exited(2, 7.0)
     assert metrics.sync_delays == [1.0]
-    assert metrics.max_sync_delay == 1.0
-    # Node 1's entry never waited, so it contributes no sync delay.
-    assert metrics.records[0].sync_delay is None
+    assert metrics.max_sync_delay == 1.0  # node 1's entry never waited: no delay from it
 
 
 def test_no_sync_delay_for_request_issued_after_exit():
@@ -92,7 +88,7 @@ def test_entry_without_request_is_synthesised():
     metrics.cs_entered(4, 3.0)
     metrics.cs_exited(4, 5.0)
     assert metrics.completed_entries == 1
-    assert metrics.records[0].waiting_time == 0.0
+    assert metrics.waiting_times == [0.0]
 
 
 def test_pending_requests_listed():

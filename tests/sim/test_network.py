@@ -39,7 +39,6 @@ def test_basic_delivery():
     engine.run()
     assert handlers[2].received == [(1, "hello")]
     assert network.messages_sent == 1
-    assert network.messages_delivered == 1
     assert network.messages_in_flight == 0
 
 
@@ -103,15 +102,6 @@ def test_columnar_id_cannot_also_be_registered_in_either_order():
     assert network.node_ids == [4]
 
 
-def test_unregister_then_send_to_it_fails():
-    engine, network, handlers = build_network()
-    network.unregister(3)
-    with pytest.raises(NetworkError):
-        network.send(1, 3, "gone")
-    with pytest.raises(NetworkError):
-        network.unregister(3)
-
-
 def test_fifo_order_with_constant_latency():
     engine, network, handlers = build_network(latency=ConstantLatency(2.0))
     for index in range(5):
@@ -155,8 +145,7 @@ def test_trace_records_send_and_receive():
     engine, network, handlers = build_network(trace=trace)
     network.send(1, 2, "a")
     engine.run()
-    assert trace.count("send") == 1
-    assert trace.count("receive") == 1
+    assert [event.category for event in trace] == ["send", "receive"]
 
 
 def test_partition_drops_messages_silently():

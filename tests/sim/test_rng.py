@@ -61,18 +61,6 @@ def test_choice_and_sample():
     rng = SeededRNG(11)
     items = ["a", "b", "c", "d"]
     assert rng.choice(items) in items
-    sample = rng.sample(items, 2)
-    assert len(sample) == 2
-    assert len(set(sample)) == 2
-    assert set(sample) <= set(items)
-
-
-def test_shuffle_returns_permutation_without_mutating_input():
-    rng = SeededRNG(13)
-    original = [1, 2, 3, 4, 5]
-    shuffled = rng.shuffle(original)
-    assert sorted(shuffled) == original
-    assert original == [1, 2, 3, 4, 5]
 
 
 def test_seed_and_label_exposed():

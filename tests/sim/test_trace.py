@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.sim.trace import TraceEvent, TraceRecorder
+from repro.sim.trace import TraceRecorder
 
 SPECS_DIR = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
@@ -24,127 +24,11 @@ def test_disabled_recorder_is_a_noop():
     assert len(trace) == 0
 
 
-def test_capacity_limits_recording():
-    trace = TraceRecorder(capacity=2)
-    for index in range(5):
-        trace.record(float(index), "send", index)
-    assert len(trace) == 2
-    assert trace.dropped == 3
-
-
-def test_clear_resets_everything():
-    trace = TraceRecorder(capacity=1)
-    trace.record(0.0, "send", 1)
-    trace.record(0.0, "send", 2)
-    trace.clear()
-    assert len(trace) == 0
-    assert trace.dropped == 0
-
-
-def test_filter_by_category_and_node():
-    trace = TraceRecorder()
-    trace.record(0.0, "send", 1)
-    trace.record(1.0, "receive", 2)
-    trace.record(2.0, "send", 2)
-    assert len(trace.filter(category="send")) == 2
-    assert len(trace.filter(node=2)) == 2
-    assert len(trace.filter(category="send", node=2)) == 1
-
-
-def test_filter_with_predicate():
-    trace = TraceRecorder()
-    trace.record(0.0, "send", 1)
-    trace.record(5.0, "send", 1)
-    late = trace.filter(predicate=lambda event: event.time > 2.0)
-    assert len(late) == 1
-
-
-def test_count_by_category():
-    trace = TraceRecorder()
-    trace.record(0.0, "cs_enter", 1)
-    trace.record(1.0, "cs_enter", 2)
-    trace.record(2.0, "cs_exit", 1)
-    assert trace.count("cs_enter") == 2
-    assert trace.count("cs_exit") == 1
-    assert trace.count("missing") == 0
-
-
 def test_iteration_yields_events_in_order():
     trace = TraceRecorder()
     trace.record(0.0, "a", 1)
     trace.record(1.0, "b", 2)
     assert [event.category for event in trace] == ["a", "b"]
-
-
-def test_describe_mentions_time_node_and_details():
-    event = TraceEvent(time=1.5, category="send", node=3, detail={"to": 4})
-    text = event.describe()
-    assert "1.5" in text
-    assert "3" in text
-    assert "send" in text
-    assert "to=4" in text
-
-
-def test_format_truncates_at_limit():
-    trace = TraceRecorder()
-    for index in range(10):
-        trace.record(float(index), "send", index)
-    text = trace.format(limit=3)
-    assert "7 more events" in text
-    assert len(text.splitlines()) == 4
-
-
-def test_subscribers_see_every_event_while_enabled():
-    trace = TraceRecorder()
-    seen = []
-    callback = trace.subscribe(seen.append)
-    trace.record(0.0, "send", 1, to=2)
-    trace.record(1.0, "receive", 2, sender=1)
-    assert [event.category for event in seen] == ["send", "receive"]
-    assert seen[0].detail == {"to": 2}
-    trace.unsubscribe(callback)
-    trace.record(2.0, "send", 3)
-    assert len(seen) == 2  # unsubscribed callbacks stop firing
-    assert len(trace) == 3  # ...but the buffer keeps recording
-
-
-def test_subscribe_returns_the_callback():
-    trace = TraceRecorder()
-
-    def callback(event):
-        pass
-
-    assert trace.subscribe(callback) is callback
-
-
-def test_subscribers_stream_past_a_full_buffer():
-    # The capacity bounds the *buffer*; subscribers are the streaming path
-    # around it, so they keep seeing events the ring drops.
-    trace = TraceRecorder(capacity=1)
-    seen = []
-    trace.subscribe(seen.append)
-    for index in range(4):
-        trace.record(float(index), "send", index)
-    assert len(trace) == 1
-    assert trace.dropped == 3
-    assert len(seen) == 4
-
-
-def test_subscribers_silent_while_disabled():
-    trace = TraceRecorder(enabled=False)
-    seen = []
-    trace.subscribe(seen.append)
-    trace.record(0.0, "send", 1)
-    assert seen == []
-
-
-def test_multiple_subscribers_all_fire():
-    trace = TraceRecorder()
-    first, second = [], []
-    trace.subscribe(first.append)
-    trace.subscribe(second.append)
-    trace.record(0.0, "send", 1)
-    assert len(first) == len(second) == 1
 
 
 def test_chrome_trace_replay_is_byte_identical():

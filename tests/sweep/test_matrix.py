@@ -74,9 +74,6 @@ def test_scenario_seed_is_a_pure_function_of_the_name():
     assert cell.name == "dag-star-n9-heavy"
     assert cell.experiment.seed == scenario_seed("dag-star-n9-heavy")
     assert scenario_seed("a") != scenario_seed("b")
-    # node_backend is part of neither the name nor the seed.
-    forced = sweep_cell("dag", "star", 9, "heavy", node_backend="compact")
-    assert (forced.name, forced.experiment.seed) == (cell.name, cell.experiment.seed)
     # Round-tripping through the child-process payload preserves identity.
     payload = {"name": cell.name, "experiment": cell.experiment.to_dict()}
     clone = Cell(payload["name"], ExperimentSpec.from_dict(payload["experiment"]))

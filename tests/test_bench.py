@@ -21,6 +21,8 @@ from repro.bench import (
 from repro.cells import tier_workload
 from repro.spec import TopologySpec
 
+from .conftest import forced_node_backend
+
 
 def build_topology(kind, n):
     return TopologySpec(kind=kind, n=n).build()
@@ -297,8 +299,9 @@ def test_xxxlarge_matrix_extends_xxlarge_with_10m_tier():
 
 def test_run_scenario_records_engaged_node_backend():
     reference = run_cell(bench_cell("star", 20, "heavy"), repeat=1)
-    assert reference["node_backend"] == "object"  # auto below the threshold
-    forced = run_cell(bench_cell("star", 20, "heavy"), repeat=1, node_backend="compact")
+    assert reference["node_backend"] == "object"  # below the threshold
+    with forced_node_backend("compact"):
+        forced = run_cell(bench_cell("star", 20, "heavy"), repeat=1)
     assert forced["node_backend"] == "compact"
     # Forcing the backend never changes virtual-time outcomes.
     assert counts(forced) == counts(reference)
@@ -309,9 +312,8 @@ def test_setup_rows_record_engaged_node_backend():
 
     row = run_setup_scenario(bench_cell("star", 50, "heavy"))
     assert row["node_backend"] == "object"
-    forced = run_setup_scenario(
-        bench_cell("star", 50, "heavy"), node_backend="compact"
-    )
+    with forced_node_backend("compact"):
+        forced = run_setup_scenario(bench_cell("star", 50, "heavy"))
     assert forced["node_backend"] == "compact"
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro import cells
@@ -9,6 +11,11 @@ from repro.cli import build_parser, build_topology, main
 from repro.exceptions import TopologyError
 from repro.runtime import lockbench as lockbench_module
 from repro.runtime.lockbench import lockbench_cell, lockbench_matrix
+
+from .conftest import forced_node_backend
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +180,33 @@ def test_invalid_numeric_flags_get_clean_cli_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--n", "0"], "need at least one node, got 0"),
+        (["compare", "--n", "0"], "need at least one node, got 0"),
+        (["average", "--sizes", "0"], "need at least one node, got 0"),
+        (["topology", "--n", "0"], "need at least one node, got 0"),
+        (["topology", "--n", "5", "--token-holder", "9"], "token holder 9 is not one of the nodes"),
+        (["compare", "--n", "5", "--token-holder", "9"], "token holder 9 is not one of the nodes"),
+        (["compare", "--mean-interarrival", "0"], "mean must be positive, got 0.0"),
+        (["sweep", "--report", "/nonexistent/missing.json"], "No such file or directory"),
+        (["sweep", "--report", str(REPO_ROOT / "BENCH_faults.json")],
+         "has schema 'bench-faults/v1'; --report reads 'sweep/v1' documents"),
+    ],
+)
+def test_unusable_input_is_one_error_line_on_every_verb(capsys, argv, message):
+    """At the parent each of these died with a traceback (``TopologyError``,
+    ``ValueError``, ``FileNotFoundError``, ``KeyError: 'kind'``) where
+    ``run``/``bench``/``sweep``/``lockbench`` already answered bad input
+    with one ``error:`` line and exit 2."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_bench_baselines_smoke(capsys, tmp_path):
     output = tmp_path / "baselines.json"
     code, out = run_cli(
@@ -249,15 +283,12 @@ def test_xxxlarge_tier_is_construction_only(capsys):
     capsys.readouterr()
 
 
-def test_node_backend_flag_threads_through_run(capsys):
-    code, compact_out = run_cli(
-        capsys, "run", "dag", "star:30", "heavy:2", "--node-backend", "compact"
-    )
+def test_run_reports_the_engaged_node_backend(capsys):
+    with forced_node_backend("compact"):
+        code, compact_out = run_cli(capsys, "run", "dag", "star:30", "heavy:2")
     assert code == 0
     assert "compact" in compact_out  # the result table's backend column
-    code, object_out = run_cli(
-        capsys, "run", "dag", "star:30", "heavy:2", "--node-backend", "object"
-    )
+    code, object_out = run_cli(capsys, "run", "dag", "star:30", "heavy:2")
     assert code == 0
     assert "compact" not in object_out
 
@@ -268,17 +299,14 @@ def test_node_backend_flag_threads_through_run(capsys):
         ]
 
     assert deterministic(compact_out) == deterministic(object_out)
-    # An object-only algorithm refuses the compact backend with a clear error.
-    assert main(["run", "lamport", "star:9", "heavy", "--node-backend",
-                 "compact"]) == 2
-    assert "columnar state" in capsys.readouterr().err
 
 
-def test_algorithms_command_lists_node_backends(capsys):
-    code, out = run_cli(capsys, "algorithms")
-    assert code == 0
-    assert "node backends" in out
-    assert "object+compact" in out
+@pytest.mark.parametrize("verb", [("run", "dag", "star:9", "heavy"), ("bench",), ("sweep",)])
+def test_no_verb_takes_a_node_backend_option(capsys, verb):
+    with pytest.raises(SystemExit) as refusal:
+        main([*verb, "--node-backend", "compact"])
+    assert refusal.value.code == 2
+    assert "unrecognized arguments: --node-backend" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------- #
@@ -631,7 +659,6 @@ ALGORITHMS = (
     "centralized", "lamport", "ricart-agrawala", "carvalho-roucairol",
     "suzuki-kasami", "singhal", "maekawa", "raymond", "dag",
 )
-BACKENDS = ("auto", "object", "compact")
 PROFILES = (
     "crash-churn", "crash-holder", "crash-recover", "drop1", "drop5",
     "lose-privilege", "lose-request", "partition-heal", "worker-crash",
@@ -639,7 +666,8 @@ PROFILES = (
 START_METHODS = ("fork", "spawn", "forkserver")
 
 #: Per verb, every option (or positional) with its default and choices, as
-#: recorded at a4097a8: a refactor of the CLI may move code, not flags.
+#: recorded at a4097a8 (minus the ``--node-backend`` of run, bench and sweep):
+#: a refactor of the CLI may move code, not flags.
 PARSER_SURFACE = {
     "figure2": [],
     "figure6": [],
@@ -674,7 +702,6 @@ PARSER_SURFACE = {
         ("--spec", None, None),
         ("--seed", 0, None),
         ("--no-metrics", False, None),
-        ("--node-backend", "auto", BACKENDS),
         ("--faults", None, PROFILES),
         ("--max-events", 5000000, None),
         ("--save-spec", None, None),
@@ -705,7 +732,6 @@ PARSER_SURFACE = {
         ("--baselines", False, None),
         ("--faults", False, None),
         ("--calibrate", None, None),
-        ("--node-backend", "auto", BACKENDS),
         ("--profile", False, None),
         ("--repeat", 3, None),
         ("--output", None, None),
@@ -723,7 +749,6 @@ PARSER_SURFACE = {
         ("--timeout", None, None),
         ("--start-method", None, START_METHODS),
         ("--algorithms", None, ALGORITHMS),
-        ("--node-backend", "auto", BACKENDS),
         ("--output", None, None),
         ("--deterministic-output", None, None),
         ("--report", None, None),

@@ -33,7 +33,7 @@ def test_topology_builders_exported_at_top_level():
     assert repro.balanced_tree(2, 1).size == 3
     assert repro.random_tree(5, seed=1).size == 5
     assert repro.radiating_star(2, 2).size == 5
-    assert repro.custom_tree([(1, 2)], token_holder=1).size == 2
+    assert repro.Topology.from_edges([(1, 2)], token_holder=1).size == 2
 
 
 def test_every_library_exception_derives_from_repro_error():

@@ -140,7 +140,7 @@ def test_runtime_fault_validation():
 def test_obs_section_round_trips():
     from repro.spec import ObsSpec
 
-    spec = RuntimeSpec(obs=ObsSpec(enabled=True, sample_every=4, trace=True))
+    spec = RuntimeSpec(obs=ObsSpec(enabled=True, sample_every=4))
     restored = RuntimeSpec.from_dict(spec.to_dict())
     assert restored == spec
     assert restored.obs.sample_every == 4
@@ -154,7 +154,9 @@ def test_obs_validation():
 
     with pytest.raises(ExperimentError, match="sample_every"):
         ObsSpec(sample_every=0)
-    with pytest.raises(ExperimentError, match="trace_capacity"):
-        ObsSpec(trace_capacity=0)
     with pytest.raises(ExperimentError, match="unknown"):
         ObsSpec.from_dict({"enabled": True, "verbosity": 9})
+    # The two fields nothing read are gone; a file that still carries them is
+    # refused by name rather than silently accepted.
+    with pytest.raises(ExperimentError, match="trace_capacity"):
+        ObsSpec.from_dict({"enabled": True, "trace": False, "trace_capacity": 100000})

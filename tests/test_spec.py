@@ -16,6 +16,7 @@ Three contracts are pinned here:
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -160,55 +161,45 @@ def test_spec_validation_lists_known_names():
 
 
 def test_node_backend_validation_and_round_trip():
-    """The backend selector is validated at construction and serialised.
+    """``node_backend`` is a schema-compatibility key with one spelling.
 
-    ``compact`` needs a columnar state implementation, which only the DAG
-    algorithm declares; every object-only baseline must reject it with an
-    error that names the supported backends, and the field must survive the
-    JSON round trip like every other spec knob.
+    The topology's size picks the backend; the two retired spellings are
+    refused with a message that names the removal (as ``"ring"`` is for the
+    scheduler), in a spec file as in the constructor, and ``"auto"`` — what
+    every committed spec and exported shard carries — round-trips to the
+    same bytes.
     """
-    with pytest.raises(ExperimentError, match="node backend"):
-        ExperimentSpec.parse("dag", "star:9", "heavy", node_backend="sparse")
-    with pytest.raises(ExperimentError, match="columnar state"):
-        ExperimentSpec.parse("lamport", "star:9", "heavy", node_backend="compact")
-    for backend in ("auto", "object", "compact"):
-        spec = ExperimentSpec.parse("dag", "star:9", "heavy", node_backend=backend)
-        assert spec.node_backend == backend
-        assert ExperimentSpec.from_json(spec.canonical_json()) == spec
-        assert json.loads(spec.canonical_json())["node_backend"] == backend
-    # Object-only algorithms still accept the explicit reference backend.
-    spec = ExperimentSpec.parse("lamport", "star:9", "heavy", node_backend="object")
-    assert spec.node_backend == "object"
-
-
-def test_node_backend_capability_declarations():
-    """Exactly the DAG algorithm declares the compact backend (today)."""
-    for name in registry.names():
-        backends = registry.capabilities(name).node_backends
-        assert "object" in backends
-        assert ("compact" in backends) == (name == "dag")
+    cell = dict(
+        algorithm="dag", topology=TopologySpec(kind="star", n=9), workload=WorkloadSpec(tier="heavy")
+    )
+    for retired in ("object", "compact"):
+        with pytest.raises(ExperimentError, match="node backend was removed"):
+            ExperimentSpec(**cell, node_backend=retired)
+    with pytest.raises(ExperimentError, match=r"unknown node backend 'sparse'; known: \['auto'\]"):
+        ExperimentSpec(**cell, node_backend="sparse")
+    spec = ExperimentSpec(**cell, node_backend="auto")
+    text = spec.canonical_json()
+    assert json.loads(text)["node_backend"] == "auto"
+    assert ExperimentSpec.from_json(text) == spec
+    assert ExperimentSpec.from_json(text).canonical_json() == text
+    with pytest.raises(ExperimentError, match="node backend was removed"):
+        ExperimentSpec.from_json(text.replace('"node_backend": "auto"', '"node_backend": "compact"'))
 
 
 def test_build_system_engages_requested_backend():
-    from repro.core.compact_state import (
-        COMPACT_NODE_BACKEND_THRESHOLD,
-        resolve_node_backend,
-    )
+    """The backend is one comparison of the topology's size against
+    ``COMPACT_NODE_BACKEND_THRESHOLD``; nothing in a spec can move it."""
+    from repro.core import compact_state
 
-    topology = star(9)
-    for backend, engaged in (("object", "object"), ("compact", "compact"),
-                             ("auto", "object")):
-        spec = ExperimentSpec.parse("dag", "star:9", "heavy", node_backend=backend)
-        assert spec.build_system(topology).node_backend == engaged
-    # "auto" flips to compact exactly at the documented node-count threshold.
-    below = COMPACT_NODE_BACKEND_THRESHOLD - 1
-    assert resolve_node_backend("auto", below) == "object"
-    assert resolve_node_backend("auto", COMPACT_NODE_BACKEND_THRESHOLD) == "compact"
-    # Object-only baselines never grow the keyword: their constructor
-    # signature is part of the historical API.
-    lamport_spec = ExperimentSpec.parse("lamport", "star:9", "heavy")
-    system = lamport_spec.build_system(topology)
-    assert system.node_backend == "object"
+    spec = ExperimentSpec.parse("dag", "star:9", "heavy")
+    assert spec.build_system(star(9)).node_backend == "object"
+    assert compact_state.COMPACT_NODE_BACKEND_THRESHOLD == 100_000
+    with mock.patch.object(compact_state, "COMPACT_NODE_BACKEND_THRESHOLD", 9):
+        assert spec.build_system(star(9)).node_backend == "compact"
+        assert spec.build_system(star(8)).node_backend == "object"
+        # The baselines have the object nodes only, at any size.
+        lamport_spec = ExperimentSpec.parse("lamport", "star:9", "heavy")
+        assert lamport_spec.build_system(star(9)).node_backend == "object"
 
 
 def test_workload_spec_field_constraints():
@@ -516,9 +507,7 @@ def test_experiment_spec_obs_section_round_trips():
     base = ExperimentSpec.parse("dag", "star:9", "light")
     assert base.obs is None
     assert json.loads(base.canonical_json())["obs"] is None  # explicit null
-    spec = dataclasses.replace(
-        base, obs=ObsSpec(enabled=True, sample_every=8, trace=True)
-    )
+    spec = dataclasses.replace(base, obs=ObsSpec(enabled=True, sample_every=8))
     restored = ExperimentSpec.from_json(spec.canonical_json())
     assert restored == spec
     assert restored.obs.sample_every == 8

@@ -99,13 +99,6 @@ def test_with_token_holder_unknown_node():
         make_path().with_token_holder(123)
 
 
-def test_as_adjacency_is_a_copy():
-    topology = make_path()
-    adjacency = topology.as_adjacency()
-    adjacency[1] = ()
-    assert topology.neighbors(1) == (2,)
-
-
 def test_from_edges_infers_nodes():
     topology = Topology.from_edges([(1, 2), (2, 3)], token_holder=3)
     assert topology.nodes == (1, 2, 3)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import TopologyError
+from repro.topology.base import Topology
 from repro.topology.builders import (
     balanced_tree,
-    custom_tree,
     line,
     paper_figure2_topology,
     paper_figure6_topology,
@@ -16,7 +16,7 @@ from repro.topology.builders import (
     star,
 )
 from repro.topology.metrics import diameter
-from repro.topology.validation import validate_orientation
+from repro.core.protocol import DagMutexProtocol
 
 
 def test_line_shape():
@@ -108,8 +108,9 @@ def test_random_tree_is_a_valid_tree(n):
     topology = random_tree(n, seed=17)
     assert topology.size == n
     assert len(topology.edges) == n - 1
-    # The orientation induced from any holder must reach a single sink.
-    validate_orientation(topology.next_pointers(), edges=topology.edges)
+    # The orientation induced from the holder passes the product's checks:
+    # pointers along tree edges, no cycle, one sink and it holds the token.
+    DagMutexProtocol(topology, check_invariants=True).invariant_checker.check()
 
 
 def test_random_tree_deterministic_per_seed():
@@ -122,14 +123,14 @@ def test_random_tree_token_holder_override():
 
 
 def test_custom_tree_from_edges():
-    topology = custom_tree([(1, 2), (2, 3), (2, 4)], token_holder=3)
+    topology = Topology.from_edges([(1, 2), (2, 3), (2, 4)], token_holder=3)
     assert topology.size == 4
     assert topology.token_holder == 3
 
 
 def test_custom_tree_rejects_cycle():
     with pytest.raises(TopologyError):
-        custom_tree([(1, 2), (2, 3), (3, 1)], token_holder=1)
+        Topology.from_edges([(1, 2), (2, 3), (3, 1)], token_holder=1)
 
 
 def test_paper_figure2_topology_is_the_six_node_line():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import TopologyError
 from repro.topology.builders import balanced_tree, line, star
-from repro.topology.metrics import diameter, eccentricity, mean_distance_to, path_between
+from repro.topology.metrics import diameter, eccentricity, path_between
 
 
 def test_diameter_of_line():
@@ -40,23 +40,6 @@ def test_eccentricity_of_star_center_and_leaf():
     topology = star(9)
     assert eccentricity(topology, 1) == 1
     assert eccentricity(topology, 5) == 2
-
-
-def test_mean_distance_to_star_center():
-    topology = star(8)
-    # 7 leaves at distance 1, the centre at 0: 7/8.
-    assert mean_distance_to(topology, 1) == pytest.approx(7 / 8)
-
-
-def test_mean_distance_to_star_leaf():
-    topology = star(8)
-    # Centre at 1, the other 6 leaves at 2, itself at 0: (1 + 12) / 8.
-    assert mean_distance_to(topology, 2) == pytest.approx(13 / 8)
-
-
-def test_mean_distance_line_endpoint():
-    topology = line(4)
-    assert mean_distance_to(topology, 1) == pytest.approx((0 + 1 + 2 + 3) / 4)
 
 
 def test_path_between_endpoints_of_line():

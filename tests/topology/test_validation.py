@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import TopologyError
-from repro.topology.validation import validate_orientation, validate_tree
+from repro.topology.validation import validate_tree
 
 
 def test_valid_tree_passes():
@@ -42,46 +42,3 @@ def test_disconnected_with_cycle_rejected():
     # Right edge count (3 edges, 4 nodes would need 3) but disconnected+cyclic.
     with pytest.raises(TopologyError):
         validate_tree([1, 2, 3, 4], [(1, 2), (2, 1), (3, 4)])
-
-
-def test_valid_orientation_returns_sink():
-    pointers = {1: 2, 2: 3, 3: None}
-    assert validate_orientation(pointers) == 3
-
-
-def test_orientation_requires_exactly_one_sink():
-    with pytest.raises(TopologyError):
-        validate_orientation({1: 2, 2: None, 3: None})
-    with pytest.raises(TopologyError):
-        validate_orientation({1: 2, 2: 1})
-
-
-def test_orientation_rejects_unknown_target():
-    with pytest.raises(TopologyError):
-        validate_orientation({1: 9, 2: None})
-
-
-def test_orientation_rejects_self_pointer():
-    with pytest.raises(TopologyError):
-        validate_orientation({1: 1, 2: None})
-
-
-def test_orientation_rejects_cycle():
-    with pytest.raises(TopologyError):
-        validate_orientation({1: 2, 2: 3, 3: 1, 4: None})
-
-
-def test_orientation_rejects_empty():
-    with pytest.raises(TopologyError):
-        validate_orientation({})
-
-
-def test_orientation_checks_tree_edges_when_given():
-    pointers = {1: 2, 2: 3, 3: None}
-    validate_orientation(pointers, edges=[(1, 2), (2, 3)])
-    with pytest.raises(TopologyError):
-        validate_orientation(pointers, edges=[(1, 3), (2, 3)])
-
-
-def test_orientation_single_node():
-    assert validate_orientation({5: None}) == 5

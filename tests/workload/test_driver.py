@@ -22,7 +22,7 @@ def test_run_experiment_by_name_and_by_class():
 
 def test_result_fields_are_consistent():
     topology = star(6, token_holder=3)
-    workload = Workload.simultaneous([2, 4, 5], cs_duration=2.0)
+    workload = Workload(tuple(CSRequest(node, 0.0, cs_duration=2.0) for node in (2, 4, 5)))
     result = run_experiment("dag", topology, workload)
     assert result.completed_entries == 3
     assert sorted(result.entry_order) == [2, 4, 5]

@@ -40,16 +40,12 @@ def test_workload_len_nodes_horizon():
     )
     assert len(workload) == 3
     assert workload.nodes == [2, 4]
-    assert workload.horizon == 5.0
-    assert workload.per_node_counts() == {2: 2, 4: 1}
 
 
 def test_empty_workload():
     workload = Workload(requests=())
     assert len(workload) == 0
     assert workload.nodes == []
-    assert workload.horizon == 0.0
-    assert workload.per_node_counts() == {}
 
 
 def test_single_factory():
@@ -59,10 +55,3 @@ def test_single_factory():
     assert workload.requests[0].arrival_time == 0.0
     assert workload.requests[0].cs_duration == 3.0
     assert "7" in workload.description
-
-
-def test_simultaneous_factory():
-    workload = Workload.simultaneous([1, 2, 3], arrival_time=4.0)
-    assert len(workload) == 3
-    assert {r.arrival_time for r in workload} == {4.0}
-    assert workload.nodes == [1, 2, 3]

@@ -7,21 +7,29 @@ import pytest
 from repro.analysis.theory import (
     average_messages_centralized_star,
     average_messages_dag_star,
-    raymond_sync_delay,
-    sync_delay_bounds,
+    upper_bound_table,
 )
 from repro.topology import line, star
 from repro.topology.metrics import diameter
+from repro.workload import WorkloadGenerator, run_experiment
 from repro.workload.scenarios import (
     average_messages_over_placements,
     compare_algorithms,
-    heavy_demand_run,
-    poisson_run,
     single_request_run,
-    sync_delay_run,
     worst_case_placement,
 )
-from repro.workload.requests import Workload
+from repro.workload.requests import CSRequest, Workload
+
+
+def paper_sync_delays(n, diameter):
+    """Section 6.3's column of the bound table, by algorithm."""
+    return {row.name: row.sync_delay for row in upper_bound_table(n=n, diameter=diameter)}
+
+
+def sync_delays(algorithm, topology, first, second):
+    """``second`` is fully queued behind ``first``'s long critical section (§6.3)."""
+    workload = Workload((CSRequest(first, 0.0, cs_duration=50.0), CSRequest(second, 1.0)))
+    return run_experiment(algorithm, topology, workload).sync_delays
 
 
 def test_worst_case_placement_spans_the_diameter():
@@ -56,45 +64,44 @@ def test_average_messages_match_section_6_2_formula_exactly():
 def test_heavy_demand_run_completes_all_rounds():
     # Section 6.2: under heavy demand the DAG algorithm and the centralized
     # scheme both need at most three messages per entry.
+    topology = star(6)
+    workload = WorkloadGenerator(topology.nodes).heavy_demand(rounds=3)
     for algorithm in ("dag", "centralized"):
-        result = heavy_demand_run(algorithm, star(6), rounds=3)
+        result = run_experiment(algorithm, topology, workload)
         assert result.completed_entries == 18
         assert result.messages_per_entry <= 3.0
 
 
 def test_sync_delay_run_measures_a_waiting_entry():
-    result = sync_delay_run("dag", star(7))
-    assert len(result.sync_delays) == 1
-    assert result.sync_delays[0] == pytest.approx(1.0)
-    # Section 6.3's table, measured: one message for the token algorithms,
-    # two for the centralized scheme...
-    for algorithm, paper_delay in sync_delay_bounds().items():
-        assert sync_delay_run(algorithm, star(7)).sync_delays == [paper_delay]
+    # Section 6.3's table, measured on requesters other than the holder: one
+    # message for the token algorithms, two for the centralized scheme...
+    paper = paper_sync_delays(7, 2)
+    for algorithm in ("dag", "suzuki-kasami", "singhal", "centralized"):
+        assert sync_delays(algorithm, star(7), 2, 7) == [paper[algorithm]]
+    assert paper["dag"] == 1.0 and paper["centralized"] == 2.0
     # ...and up to D for Raymond, growing with the line while the DAG's stays 1.
     raymond_delays = []
     for n in (4, 8, 12):
         topology = line(n, token_holder=1)
-        (delay,) = sync_delay_run("raymond", topology, first=2, second=n).sync_delays
-        assert delay <= raymond_sync_delay(diameter(topology))
+        (delay,) = sync_delays("raymond", topology, 2, n)
+        assert delay <= paper_sync_delays(n, diameter(topology))["raymond"]
         raymond_delays.append(delay)
-        assert sync_delay_run("dag", topology, first=2, second=n).sync_delays == [1.0]
+        assert sync_delays("dag", topology, 2, n) == [1.0]
     assert raymond_delays == sorted(raymond_delays)
     assert raymond_delays[-1] > raymond_delays[0]
 
 
-def test_sync_delay_run_rejects_identical_nodes():
-    with pytest.raises(ValueError):
-        sync_delay_run("dag", star(4), first=2, second=2)
-
-
 def test_poisson_run_serves_every_request():
-    result = poisson_run("raymond", star(6), total_requests=20, seed=3)
-    assert result.completed_entries == 20
+    topology = star(6)
+    workload = WorkloadGenerator(topology.nodes, seed=3).poisson(
+        total_requests=20, mean_interarrival=5.0
+    )
+    assert run_experiment("raymond", topology, workload).completed_entries == 20
 
 
 def test_compare_algorithms_covers_requested_subset():
     topology = star(6, token_holder=2)
-    workload = Workload.simultaneous([3, 4, 5])
+    workload = Workload(tuple(CSRequest(node, 0.0) for node in (3, 4, 5)))
     results = compare_algorithms(topology, workload, algorithms=["dag", "raymond"])
     assert [result.algorithm for result in results] == ["dag", "raymond"]
     assert all(result.completed_entries == 3 for result in results)

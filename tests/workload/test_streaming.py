@@ -48,20 +48,10 @@ def test_heavy_stream_batches_respect_the_chunk_size():
 
 
 def test_streams_are_reiterable_and_deterministic():
-    streamed = generator(5).poisson_stream(
-        total_requests=40, mean_interarrival=2.0, chunk_requests=13
-    )
+    streamed = generator(5).heavy_demand_stream(rounds=2, chunk_requests=13)
     first = [(r.node, r.arrival_time) for r in streamed]
     second = [(r.node, r.arrival_time) for r in streamed]
     assert first == second
-
-
-def test_poisson_stream_matches_materialised_poisson():
-    materialised = generator(5).poisson(total_requests=40, mean_interarrival=2.0)
-    streamed = generator(5).poisson_stream(
-        total_requests=40, mean_interarrival=2.0, chunk_requests=13
-    )
-    assert list(streamed) == list(materialised.requests)
 
 
 def test_stream_argument_validation():
@@ -69,8 +59,6 @@ def test_stream_argument_validation():
         generator().heavy_demand_stream(rounds=0)
     with pytest.raises(WorkloadError):
         generator().heavy_demand_stream(rounds=2, chunk_requests=0)
-    with pytest.raises(WorkloadError):
-        generator().poisson_stream(total_requests=-1, mean_interarrival=1.0)
     with pytest.raises(WorkloadError):
         StreamingWorkload(lambda: iter(()), total_requests=-1)
 
@@ -109,8 +97,10 @@ def test_chunked_heavy_stream_completes_and_replays_identically(algorithm):
 def test_chunked_offlattice_stream_completes_and_matches_materialised():
     topology = star(20)
     materialised = generator(5).poisson(total_requests=40, mean_interarrival=2.0)
-    streamed = generator(5).poisson_stream(
-        total_requests=40, mean_interarrival=2.0, chunk_requests=13
+    requests = materialised.requests
+    streamed = StreamingWorkload(
+        lambda: (list(requests[start:start + 13]) for start in range(0, 40, 13)),
+        total_requests=40,
     )
     reference = run_experiment("dag", topology, materialised)
     result = run_experiment("dag", topology, streamed)
