@@ -4,9 +4,9 @@ The multi-lock namespace the ROADMAP calls the "millions of users" story made
 literal: every lock *key* is its own little mutual-exclusion problem, solved
 by its own DAG token tree (shaped by the same :class:`~repro.spec.TopologySpec`
 names the simulator uses), and the key namespace is consistent-hashed across
-``shards`` worker processes.  Client sessions speak length-prefixed JSON
-frames (the :mod:`repro.runtime.transport_socket` wire format) over unix or
-TCP sockets:
+``shards`` worker processes.  Client sessions speak length-prefixed frames
+(the :mod:`repro.runtime.transport_socket` wire format) over unix or TCP
+sockets:
 
     acquire {key, session, epoch, id}  ->  {id, ok, epoch}   (blocks until granted)
     release {key, session, epoch, grant_epoch, id}  ->  {id, ok}
@@ -14,6 +14,16 @@ TCP sockets:
     stats   {id}                ->  {id, ok, stats}
     view    {id}                ->  {id, ok, epoch, view}    (current membership)
     shutdown {id}               ->  {id, ok}                 (graceful shard exit)
+
+The first two rows with ``ok: true`` answers are the whole traffic of a
+healthy service, and exactly those four frames travel packed (kind bytes
+``a`` ``g`` / ``r`` ``k``, layouts in the transport's docstring).  Every other
+frame — the four control ops, any ``ok: false`` answer with its ``code`` /
+``error`` / ``view``, an op whose fields do not fit the layout — is a JSON
+object, and the codec takes a JSON acquire or release from a hand-written
+peer as readily as a packed one.  ``session``, ``epoch`` and ``grant_epoch``
+must be integers; one that is not is that op's ``ok: false``, not the
+connection's end.
 
 Inside a shard, each key's tree is a :class:`~repro.runtime.cluster
 .LocalCluster` of :class:`~repro.runtime.node_runtime.AsyncDagNode` *agents*
@@ -560,15 +570,21 @@ class LockServiceShard:
                 raise LockError(f"unknown op {op!r}")
             if not isinstance(key, str) or not key:
                 raise LockError("op needs a non-empty string 'key'")
+            # A packed frame's integers are integers by construction, a JSON
+            # frame's are whatever its peer wrote; past this line they are
+            # used as they come.  bool is not an integer here.
+            epoch, grant_epoch = frame.get("epoch", 0), frame.get("grant_epoch", 0)
+            if not (type(session) is type(epoch) is type(grant_epoch) is int):
+                raise LockError("'session', 'epoch' and 'grant_epoch' must be integers")
             payload = self._check_route(key, frame)
             if payload is not None:
                 self.stats["errors"] += 1
             elif op == "acquire":
-                payload = self._acquire_op(str(op_id), key, int(session), (state, reply, op_id))
+                payload = self._acquire_op(str(op_id), key, session, (state, reply, op_id))
                 if payload is None:
                     return  # the grant will answer it
             else:
-                payload = self._release_op(str(op_id), key, int(session), frame)
+                payload = self._release_op(str(op_id), key, session, frame)
             reply({**payload, "id": op_id})
         except LockError as exc:
             self.stats["errors"] += 1
@@ -595,7 +611,7 @@ class LockServiceShard:
         owner = view.owner_for(key)
         if owner == self.index:
             return None
-        frame_epoch = int(frame.get("epoch", 0))
+        frame_epoch = frame.get("epoch", 0)
         if frame_epoch == view.epoch:
             raise LockError(
                 f"key {key!r} belongs to shard {owner}, not {self.index} "
@@ -750,7 +766,7 @@ class LockServiceShard:
         hold = self._held.pop((session, key), None)
         if hold is None:
             grant_epoch = frame.get("grant_epoch")
-            if grant_epoch is not None and int(grant_epoch) < self._view.epoch:
+            if grant_epoch is not None and grant_epoch < self._view.epoch:
                 # The grant predates a failover: the holder's shard died and
                 # the key moved on.  Rejecting (rather than "ok") tells the
                 # holder its critical section lost its protection.
@@ -1381,7 +1397,10 @@ class _ClientConnection:
                 timer.cancel()
 
     def _on_frame(self, response: Dict[str, Any]) -> None:
-        future = self._pending.get(response.get("id"))
+        try:
+            future = self._pending.get(response.get("id"))
+        except TypeError:  # an id that cannot be hashed is no caller's
+            return
         if future is not None and not future.done():
             future.set_result(response)
 

@@ -9,10 +9,29 @@ socket.  The related repos this package leapfrogs (``nodeServer.py`` /
 *process pair* keeps one connection alive and streams frames over it.
 
 Wire format — shared with the lock-service protocol (:mod:`repro.runtime.
-service`) — is length-prefixed JSON: a 4-byte big-endian frame length followed
-by a UTF-8 JSON document.  Protocol messages serialise through a small codec
-table (:data:`MESSAGE_CODECS`) so the frames stay readable on the wire and the
-transport stays independent of pickle.
+service`) — is length-prefixed: a 4-byte big-endian frame length, then a body
+whose first byte says what it is.  ``{`` opens a UTF-8 JSON object, which is
+every frame but four: the control plane, every refusal and the protocol
+messages (through a small codec table, :data:`MESSAGE_CODECS`) stay text a
+human can read off a socket dump, independent of pickle.  The four frames of
+a lock op — the only ones a running service exchanges by the thousand — are
+packed: a kind byte, then big-endian the integers (signed 64-bit) and the
+byte length of each string (unsigned 16-bit), then the strings' UTF-8 bytes:
+
+    kind   payload                                  after the kind, then the tails
+    ``a``  {op: acquire, key, session, epoch, id}   session epoch |key| |id|, key id
+    ``r``  {op: release, key, session,              session grant_epoch epoch |key| |id|,
+            grant_epoch, epoch, id}                 key id
+    ``g``  {ok: true, epoch, id}                    epoch |id|, id
+    ``k``  {ok: true, id}                           |id|, id
+
+The codec is dict in, dict out, and picks by itself: a payload is packed when
+its keys are exactly one of those shapes' and every field is exactly ``str``
+/ ``int`` (not ``bool``) inside its layout's range, and is JSON otherwise — an
+out-of-range session, an integer id, an acquire with one key more all travel
+as text and come back as they went in.  Nothing selects or announces a
+format: both ends are one build, and a JSON-encoded acquire from a
+hand-written peer decodes as it always did.
 
 Frames are read and written in one place, :class:`FrameProtocol`, an
 ``asyncio.Protocol`` that sits directly on the socket's transport: the lock
@@ -65,14 +84,64 @@ RECONNECT_ATTEMPTS = 40
 #: ``json.dumps(..., separators=...)`` builds a fresh encoder on every call.
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
+#: The packed layouts (the module docstring's table): kind byte, integers,
+#: tail lengths; the tails follow the struct.
+_ACQUIRE = struct.Struct(">cqqHH")  # b"a" session epoch |key| |id|
+_RELEASE = struct.Struct(">cqqqHH")  # b"r" session grant_epoch epoch |key| |id|
+_GRANT = struct.Struct(">cqH")  # b"g" epoch |id|
+_ACK = struct.Struct(">cH")  # b"k" |id|
+
+
+def _pack_op(payload: Dict[str, Any]) -> Optional[bytes]:
+    """An acquire's or a release's packed body; ``None`` for any other payload."""
+    get = payload.get
+    key, session, epoch, ident = get("key"), get("session"), get("epoch"), get("id")
+    if not (type(key) is type(ident) is str and type(session) is type(epoch) is int):
+        return None  # bool is not int here: True must come back True, not 1
+    key, ident = key.encode(), ident.encode()
+    op, granted = get("op"), get("grant_epoch")
+    if op == "acquire" and len(payload) == 5:
+        return _ACQUIRE.pack(b"a", session, epoch, len(key), len(ident)) + key + ident
+    if op == "release" and type(granted) is int:
+        return _RELEASE.pack(b"r", session, granted, epoch, len(key), len(ident)) + key + ident
+    return None
+
+
+def _pack_answer(payload: Dict[str, Any]) -> Optional[bytes]:
+    """A grant's or an ack's packed body; ``None`` for any other payload."""
+    ident, epoch = payload.get("id"), payload.get("epoch")
+    if payload.get("ok") is not True or type(ident) is not str:
+        return None
+    ident = ident.encode()
+    if len(payload) == 2:
+        return _ACK.pack(b"k", len(ident)) + ident
+    if type(epoch) is int:
+        return _GRANT.pack(b"g", epoch, len(ident)) + ident
+    return None
+
+
+#: Key count -> the packer to try.  With the count right, every key it reads
+#: being there makes the key set exactly the shape's.
+_PACKERS = {2: _pack_answer, 3: _pack_answer, 5: _pack_op, 6: _pack_op}
+
 
 def encode_frame(payload: Dict[str, Any]) -> bytes:
-    """Serialise one JSON payload as a length-prefixed frame."""
-    body = _encode_json(payload).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise RuntimeTransportError(
-            f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
-        )
+    """Serialise one payload as a length-prefixed frame.
+
+    Packed when it is exactly one of the four lock-op shapes with every field
+    inside its layout's range; the JSON text otherwise, whatever it holds.
+    """
+    packer = _PACKERS.get(len(payload))
+    try:
+        body = packer(payload) if packer is not None else None
+    except (struct.error, UnicodeEncodeError):  # out of range, lone surrogate
+        body = None
+    if body is None:
+        body = _encode_json(payload).encode("utf-8")
+        if len(body) > MAX_FRAME_BYTES:
+            raise RuntimeTransportError(
+                f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
+            )
     return FRAME_HEADER.pack(len(body)) + body
 
 
@@ -83,23 +152,48 @@ _decode_json = json.JSONDecoder().raw_decode
 def decode_body(body: Union[bytes, bytearray]) -> Dict[str, Any]:
     """One frame body -> its payload; the one text of what a body must be.
 
-    Exactly one JSON object: bytes after it, or whitespace around it, make
-    the frame as undecodable as bad UTF-8 does.
+    Either exactly one JSON object — bytes after it, or whitespace around it,
+    make the frame as undecodable as bad UTF-8 does — or one of the four
+    packed layouts, its struct whole and its tails filling the body exactly.
     """
+    kind, end = body[:1], len(body)
     try:
-        text = body.decode("utf-8")
-        payload, end = _decode_json(text)
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both are
+        if kind == b"{":
+            text = body.decode()
+            payload, stop = _decode_json(text)
+            if stop != len(text):
+                raise ValueError(f"{len(text) - stop} characters after the JSON value")
+            return payload
+        if kind == b"a":
+            _, session, epoch, key_len, id_len = _ACQUIRE.unpack_from(body)
+            mid = _ACQUIRE.size + key_len
+            if mid + id_len == end:
+                return {
+                    "op": "acquire", "key": body[mid - key_len : mid].decode(),
+                    "session": session, "epoch": epoch, "id": body[mid:].decode(),
+                }
+        elif kind == b"g":
+            _, epoch, id_len = _GRANT.unpack_from(body)
+            if _GRANT.size + id_len == end:
+                return {"ok": True, "epoch": epoch, "id": body[_GRANT.size :].decode()}
+        elif kind == b"r":
+            _, session, granted, epoch, key_len, id_len = _RELEASE.unpack_from(body)
+            mid = _RELEASE.size + key_len
+            if mid + id_len == end:
+                return {
+                    "op": "release", "key": body[mid - key_len : mid].decode(),
+                    "session": session, "grant_epoch": granted, "epoch": epoch,
+                    "id": body[mid:].decode(),
+                }
+        elif kind == b"k":
+            _, id_len = _ACK.unpack_from(body)
+            if _ACK.size + id_len == end:
+                return {"ok": True, "id": body[_ACK.size :].decode()}
+        else:
+            raise ValueError(f"unknown frame kind {bytes(kind)!r}")
+        raise ValueError(f"kind {kind.decode()!r} struct and tails do not fill {end} bytes")
+    except (ValueError, struct.error) as exc:  # Unicode- and JSONDecodeError are ValueErrors
         raise RuntimeTransportError(f"undecodable frame: {exc}") from None
-    if end != len(text):
-        raise RuntimeTransportError(
-            f"undecodable frame: {len(text) - end} characters after the JSON value"
-        )
-    if not isinstance(payload, dict):
-        raise RuntimeTransportError(
-            f"frame payload must be a JSON object, got {type(payload).__name__}"
-        )
-    return payload
 
 
 def _oversized(length: int) -> RuntimeTransportError:

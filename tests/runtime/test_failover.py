@@ -430,6 +430,35 @@ def test_call_deadline_is_a_timer_on_the_pending_future(tmp_path):
     run(scenario())
 
 
+@pytest.mark.network
+@pytest.mark.parametrize("stray_id", [[1], {"a": 1}, None, 1.5], ids=repr)
+def test_a_reply_with_an_id_nobody_sent_is_ignored(tmp_path, stray_id):
+    """A reply's id is looked up among the pending calls; one that is not
+    even hashable is as much nobody's as one that is merely unknown, and must
+    not take the connection — and every caller multiplexed on it — down."""
+
+    async def scenario():
+        async def answer_twice(reader, writer):
+            while (frame := await read_frame(reader)) is not None:
+                writer.write(encode_frame({"id": stray_id, "ok": True}))
+                writer.write(encode_frame({"id": frame["id"], "ok": True}))
+            writer.close()
+
+        path = str(tmp_path / "chatty.sock")
+        server = await asyncio.start_unix_server(answer_twice, path=path)
+        conn = _ClientConnection(path)
+        await conn.open()
+        for uid in ("op-1", "op-2"):
+            assert await conn.call(uid, {"op": "view", "id": uid}, 5.0) == {"id": uid, "ok": True}
+        assert not conn._pending and not conn._proto.is_closing()
+        conn.close()
+        server.close()
+        await server.wait_closed()
+        await asyncio.sleep(0.01)  # the peer reads our EOF and closes its end
+
+    run(scenario())
+
+
 # --------------------------------------------------------------------------- #
 # end to end: fencing across a real crash
 # --------------------------------------------------------------------------- #
@@ -527,9 +556,10 @@ def test_mid_run_shard_kill_loses_no_session_and_no_exclusion():
             true_violations = []
             completed = []
             fenced = 0
+            pairs = 0
 
             async def worker(session_id):
-                nonlocal fenced
+                nonlocal fenced, pairs
                 session = client.session(session_id)
                 for n in range(ops):
                     key = f"lock-{(session_id * 5 + n) % locks}"
@@ -549,12 +579,15 @@ def test_mid_run_shard_kill_loses_no_session_and_no_exclusion():
                         await session.release(key)
                     except LockFencedError:
                         fenced += 1
+                    pairs += 1
+                    if pairs == sessions:
+                        # Mid-run by count, not by clock: five sixths of
+                        # the pairs are still to come, however fast the
+                        # service is.
+                        cluster.kill_shard(1)
                 completed.append(session_id)
 
-            tasks = [asyncio.create_task(worker(s)) for s in range(sessions)]
-            await asyncio.sleep(0.15)
-            cluster.kill_shard(1)
-            await asyncio.gather(*tasks)
+            await asyncio.gather(*(worker(s) for s in range(sessions)))
 
             assert len(completed) == sessions  # no session lost to the crash
             assert true_violations == []

@@ -347,6 +347,35 @@ def test_misrouted_ops_are_answered_and_the_connection_keeps_serving():
     run(scenario())
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("session", "abc"), ("session", 1.7), ("session", True), ("session", None),
+        ("epoch", "0"), ("epoch", False), ("grant_epoch", "x"), ("grant_epoch", [1]),
+    ],
+)
+def test_a_wrong_typed_integer_is_answered_and_costs_nobody_else_their_hold(field, value):
+    """One connection carries many sessions.  A frame whose ``session``,
+    ``epoch`` or ``grant_epoch`` is not an integer (``true`` is not one) is
+    that op's error, like a missing key: it must not end the connection and
+    with it every other session's hold."""
+
+    async def scenario():
+        async with Serving(small_spec()) as serving:
+            shard = serving.shard
+            peer = await serving.peer()
+            assert (await peer.call(acquire("held", 1)))["ok"] is True
+            for frame in (acquire("other", 2), release("other", 2, grant_epoch=0)):
+                answer = await peer.call({**frame, field: value})
+                assert answer["ok"] is False and "must be integers" in answer["error"]
+            assert shard.stats["errors"] == 2 and shard.stats["abandoned"] == 0
+            assert "other" not in shard._locks
+            assert (await peer.call(release("held", 1)))["ok"] is True
+            assert shard.stats["acquires"] == shard.stats["releases"] == 1
+
+    run(scenario())
+
+
 # --------------------------------------------------------------------------- #
 # dropped frames: the client's retry meets the op cache on either route
 # --------------------------------------------------------------------------- #

@@ -66,8 +66,8 @@ def test_read_frame_rejects_truncation_and_garbage():
         # Valid length, invalid JSON.
         with pytest.raises(RuntimeTransportError, match="undecodable"):
             await read_frame(feed_reader(FRAME_HEADER.pack(4) + b"!!!!"))
-        # JSON but not an object.
-        with pytest.raises(RuntimeTransportError, match="JSON object"):
+        # JSON but not an object: "[" is not a frame kind.
+        with pytest.raises(RuntimeTransportError, match="unknown frame kind"):
             await read_frame(feed_reader(FRAME_HEADER.pack(2) + b"[]"))
 
     run(scenario())
@@ -80,33 +80,76 @@ def test_encode_frame_rejects_oversized_payload():
 
 def test_encode_frame_bytes_are_pinned():
     """One uncontended lock op on the wire — acquire, grant, release, ack —
-    byte for byte: 4 frames, 284 bytes (``codec.frames_per_op`` /
-    ``codec.bytes_per_op`` in ``perf/``).  The encoder is built once at
-    import; its output must not depend on that."""
+    byte for byte: 4 packed frames, 172 bytes (``codec.frames_per_op`` /
+    ``codec.bytes_per_op`` in ``perf/``).  Kind byte, big-endian signed
+    64-bit integers, unsigned 16-bit tail lengths, then the UTF-8 tails."""
+    zero, uid = b"\x00" * 8, b"1a2b-9f3c01d2:4821"
+    session = b"\x00\x00\x00\x00\x00\x00\x00%"  # 37
     quartet = {
-        b'\x00\x00\x00S{"op":"acquire","key":"lock-517","session":37,"epoch":0,'
-        b'"id":"1a2b-9f3c01d2:48213"}': {
+        b"\x00\x00\x000a" + session + zero + b"\x00\x08\x00\x13lock-517" + uid + b"3": {
             "op": "acquire", "key": "lock-517", "session": 37, "epoch": 0,
             "id": "1a2b-9f3c01d2:48213",
         },
-        b'\x00\x00\x000{"ok":true,"epoch":0,"id":"1a2b-9f3c01d2:48213"}': {
+        b"\x00\x00\x00\x1eg" + zero + b"\x00\x13" + uid + b"3": {
             "ok": True, "epoch": 0, "id": "1a2b-9f3c01d2:48213",
         },
-        b'\x00\x00\x00c{"op":"release","key":"lock-517","session":37,"grant_epoch":0,'
-        b'"epoch":0,"id":"1a2b-9f3c01d2:48214"}': {
+        b"\x00\x00\x008r" + session + zero + zero + b"\x00\x08\x00\x13lock-517" + uid + b"4": {
             "op": "release", "key": "lock-517", "session": 37, "grant_epoch": 0, "epoch": 0,
             "id": "1a2b-9f3c01d2:48214",
         },
-        b'\x00\x00\x00&{"ok":true,"id":"1a2b-9f3c01d2:48214"}': {
+        b"\x00\x00\x00\x16k\x00\x13" + uid + b"4": {
             "ok": True, "id": "1a2b-9f3c01d2:48214",
         },
     }
     for wire, payload in quartet.items():
         assert encode_frame(payload) == wire
-    assert sum(len(wire) for wire in quartet) == 284
-    # Non-ASCII stays escaped, None/float/nesting as json.dumps writes them.
-    assert encode_frame({"key": "cl\u00e9", "x": [1.5, None, {"y": False}]}) == (
-        b'\x00\x00\x00-{"key":"cl\\u00e9","x":[1.5,null,{"y":false}]}'
+        assert decode_body(wire[4:]) == payload
+    assert sum(len(wire) for wire in quartet) == 172
+    # Negative integers and non-ASCII tails are inside the layouts.
+    assert encode_frame({"id": "cl\u00e9", "ok": True, "epoch": -2}) == (
+        b"\x00\x00\x00\x0fg\xff\xff\xff\xff\xff\xff\xff\xfe\x00\x04cl\xc3\xa9"
+    )
+
+
+def test_every_other_frame_is_the_json_text_it_always_was():
+    """The control plane, every refusal and the peer envelopes, byte for byte
+    as before the packed layouts: readable off a socket dump.  The encoder is
+    built once at import; its output must not depend on that."""
+    view = {"epoch": 1, "shards": {"0": "/tmp/s0.sock"}}
+    pinned = {
+        b'\x00\x00\x00\x19{"op":"stats","id":"c:1"}': {"op": "stats", "id": "c:1"},
+        b'\x00\x00\x00\x18{"op":"view","id":"c:2"}': {"op": "view", "id": "c:2"},
+        b'\x00\x00\x00){"op":"cancel","target":"c:9","id":"c:3"}': {
+            "op": "cancel", "target": "c:9", "id": "c:3",
+        },
+        b'\x00\x00\x00\x18{"op":"shutdown","id":0}': {"op": "shutdown", "id": 0},
+        b'\x00\x00\x00={"id":"c:4","ok":false,"error":"session 3 does not hold \'k\'"}': {
+            "id": "c:4", "ok": False, "error": "session 3 does not hold 'k'",
+        },
+        b'\x00\x00\x00m{"ok":false,"code":"wrong-shard","error":"moved",'
+        b'"view":{"epoch":1,"shards":{"0":"/tmp/s0.sock"}},"id":"c:5"}': {
+            "ok": False, "code": "wrong-shard", "error": "moved", "view": view, "id": "c:5",
+        },
+        b'\x00\x00\x00({"id":"c:6","ok":true,"cancelled":false}': {
+            "id": "c:6", "ok": True, "cancelled": False,
+        },
+        # A release whose grant epoch the client never learned has five keys,
+        # like an acquire, and is not one of the four shapes.
+        b'\x00\x00\x00;{"op":"release","key":"k","session":3,"epoch":0,"id":"c:7"}': {
+            "op": "release", "key": "k", "session": 3, "epoch": 0, "id": "c:7",
+        },
+        # Non-ASCII stays escaped, None/float/nesting as json.dumps writes them.
+        b'\x00\x00\x00-{"key":"cl\\u00e9","x":[1.5,null,{"y":false}]}': {
+            "key": "cl\u00e9", "x": [1.5, None, {"y": False}],
+        },
+    }
+    for wire, payload in pinned.items():
+        assert encode_frame(payload) == wire
+        assert decode_body(wire[4:]) == payload
+    envelope = Envelope(sender=2, receiver=5, message=Request(sender=2, origin=2))
+    assert encode_envelope(envelope) == (
+        b'\x00\x00\x00L{"sender":2,"receiver":5,'
+        b'"message":{"sender":2,"origin":2,"type":"request"}}'
     )
 
 
@@ -184,7 +227,7 @@ def test_protocol_cuts_the_same_frames_however_the_bytes_arrive():
         (FRAME_HEADER.pack(MAX_FRAME_BYTES + 1), "limit"),
         (FRAME_HEADER.pack(4) + b"!!!!", "undecodable"),
         (FRAME_HEADER.pack(2) + b"\xff\xfe", "undecodable"),
-        (FRAME_HEADER.pack(2) + b"[]", "JSON object"),
+        (FRAME_HEADER.pack(2) + b"[]", "unknown frame kind"),
         (FRAME_HEADER.pack(5) + b"{}{} ", "after the JSON value"),
     ],
 )
