@@ -29,10 +29,13 @@ change goes into the kernel and, in lock-step, here.  The object nodes remain
 the always-tested reference implementation; tier-1 holds every compact run
 byte-identical against them (``tests/properties/test_backend_identity.py``).
 
-Delivery integration is one call: the network's ``_deliver`` hands a message
-for any id in :attr:`CompactDagState.node_range` to
-:meth:`CompactDagState.on_message`, with or without metrics, trace or a
-fault injector attached.
+Delivery integration is one table: the network's ``_deliver`` hands a message
+for any id in :attr:`CompactDagState.node_range` to the handler
+:attr:`CompactDagState.dispatch_table` names for its type — straight into
+``_handle_request`` / ``_handle_privilege``, as a registered dispatch table
+does for an object node — and to :meth:`CompactDagState.on_message` (which
+raises) for any other type, with or without metrics, trace or a fault
+injector attached.
 
 For code that expects node *objects* — the fault controller's token scan,
 token regeneration, tests poking at ``system.nodes[i]`` — a lazy
@@ -160,6 +163,13 @@ class CompactDagState:
         self._metrics = metrics
         self._trace = trace
         self.on_enter = on_enter
+        #: Message type -> handler called as ``handler(receiver, sender,
+        #: message)``; :meth:`~repro.sim.network.Network.attach_columnar`
+        #: takes it so a delivery skips the ``on_message`` frame.
+        self.dispatch_table = {
+            Request: self._handle_request,
+            Privilege: self._handle_privilege,
+        }
 
     def __len__(self) -> int:
         return self._n
@@ -230,19 +240,20 @@ class CompactDagState:
     # message handling
     # ------------------------------------------------------------------ #
     def on_message(self, receiver: int, sender: int, message: Any) -> None:
-        """Dispatch one delivery; ``Network._deliver`` calls this for columnar ids."""
-        kind = type(message)
-        if kind is Request:
-            self._handle_request(receiver, message.sender, message.origin)
-        elif kind is Privilege:
-            self._handle_privilege(receiver)
-        else:
+        """Dispatch one delivery by message type (node views come this way;
+        ``Network._deliver`` reads :attr:`dispatch_table` itself and calls
+        this only for a type the table does not know)."""
+        handler = self.dispatch_table.get(type(message))
+        if handler is None:
             raise ProtocolError(
                 f"node {receiver} received unexpected message {message!r} from {sender}"
             )
+        handler(receiver, sender, message)
 
-    def _handle_request(self, node_id: int, adjacent: int, origin: int) -> None:
-        """Procedure P2 of Figure 3 for ``REQUEST(adjacent, origin)``."""
+    def _handle_request(self, node_id: int, sender: int, message: Request) -> None:
+        """Procedure P2 of Figure 3 for ``REQUEST(X, Y)``."""
+        adjacent = message.sender
+        origin = message.origin
         next_col = self._next
         target = next_col[node_id]
         if target == 0:
@@ -263,7 +274,7 @@ class CompactDagState:
             self._send(node_id, target, Request(node_id, origin))
         next_col[node_id] = adjacent
 
-    def _handle_privilege(self, node_id: int) -> None:
+    def _handle_privilege(self, node_id: int, sender: int, message: Privilege) -> None:
         """The P1 wait point: the token arrived, enter the critical section."""
         flags = self._flags
         state = flags[node_id]

@@ -2,10 +2,11 @@
 
 The engine owns the virtual clock and the monotone sequence counter; the
 *storage* of scheduled events and the drain loop live in
-:class:`~repro.sim.schedulers.HeapScheduler`, a heap of
-``(time, sequence, callback, payload)`` tuples — the entry *is* the event:
+:class:`~repro.sim.schedulers.HeapScheduler`, which holds
+``(time, sequence, callback, payload)`` tuples — single pushes in a heap,
+bulk loads as a sorted run beside it — and the entry *is* the event:
 ``callback(payload)`` fires with no per-event allocation, and storing plain
-tuples keeps every heap comparison in C.  The engine is intentionally
+tuples keeps every comparison in C.  The engine is intentionally
 minimal: processes, networks, and metrics are layered on top rather than
 baked in, so the same engine drives every algorithm in the library.
 
@@ -141,14 +142,21 @@ class SimulationEngine:
         ``items`` yields ``(time, callback, payload)`` triples; each is
         stamped with the next sequence number in iteration order, exactly as
         if :meth:`schedule_lite` had been called per item, then handed to
-        the scheduler's batch insert (the heap extends and re-heapifies in
-        O(n)).  Used by the experiment driver to load a whole workload's
-        arrivals up front without paying a Python call per request; times
-        are not checked per item — the driver checks the head of its
-        arrival-ordered schedule against ``now`` once.
+        the scheduler's batch insert, which keeps them out of the heap as a
+        sorted run (O(n) for a time-ordered load; any order is accepted and
+        fires in ``(time, sequence)`` order; a load made while an earlier
+        one is still queued merges with it).  Used by the experiment driver
+        to load a whole workload's arrivals up front without paying a Python
+        call per request.  Times are not checked per item: the scheduler
+        checks the earliest of the sorted load against ``now`` once.
 
         Returns:
             The number of events scheduled.
+
+        Raises:
+            SchedulingError: if any ``time`` is earlier than ``now``; the
+                load is refused whole, nothing is scheduled (the sequence
+                numbers it drew stay drawn).
         """
         sequence = self._sequence
         entries = [

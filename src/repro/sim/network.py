@@ -86,9 +86,16 @@ class Network:
         self._dispatch_tables: Dict[int, Dict[type, MessageHandler]] = {}
         # Columnar (array-backed) node state attached via attach_columnar:
         # its nodes have no per-node handlers — endpoint validation falls
-        # back to the id range and deliveries route to the state object.
+        # back to the id range and deliveries route to the state object,
+        # through its own type-keyed table where it has one.
         self._columnar = None
         self._columnar_nodes: Optional[range] = None
+        self._columnar_table: Dict[type, Callable[[int, int, Any], None]] = {}
+        # The one container ``send`` tests both endpoints against: the
+        # handler dict, or the columnar range while nothing is registered
+        # beside it.  A miss (always, for columnar ids on a mixed network)
+        # goes on to the full diagnosis.
+        self._endpoints: Any = self._handlers
         self._node_ids: List[int] = []
         self._channels: Dict[Tuple[int, int], _ChannelState] = {}
         self._messages_sent = 0
@@ -140,6 +147,7 @@ class Network:
             )
         self._handlers[node_id] = handler
         self._node_ids.append(node_id)
+        self._endpoints = self._handlers
 
     def register_dispatch_table(
         self, node_id: int, table: Dict[type, MessageHandler]
@@ -166,8 +174,11 @@ class Network:
         Instead of registering one handler per node — a dict that would cost
         ~1 GB at ten million nodes and defeat the columnar memory budget —
         the ids are validated against ``state.node_range`` and
-        :meth:`_deliver` calls ``state.on_message(receiver, sender,
-        message)`` for ids the handler table does not know.
+        :meth:`_deliver` calls ``handler(receiver, sender, message)`` for
+        them, the handler being what ``state.dispatch_table`` (if the state
+        has one) names for the message's type and ``state.on_message``
+        otherwise — the columnar counterpart of
+        :meth:`register_dispatch_table`, same fallback, same errors.
 
         Per-node ``register`` remains available alongside (the runtimes mix
         both), but a columnar id must not also be registered — in either
@@ -182,6 +193,9 @@ class Network:
                 )
         self._columnar = state
         self._columnar_nodes = node_range
+        self._columnar_table = getattr(state, "dispatch_table", {})
+        if not self._handlers:
+            self._endpoints = node_range
 
     def send(self, sender: int, receiver: int, message: Any) -> None:
         """Send ``message`` from ``sender`` to ``receiver``.
@@ -193,8 +207,9 @@ class Network:
             NetworkError: if either endpoint is unknown, or on self-send when
                 that is disallowed.
         """
-        handlers = self._handlers
-        if sender not in handlers or receiver not in handlers:
+        known = self._endpoints
+        if sender not in known or receiver not in known:
+            handlers = self._handlers
             nodes = self._columnar_nodes
             known_sender = sender in handlers or (
                 nodes is not None and sender in nodes
@@ -289,6 +304,9 @@ class Network:
         nodes = self._columnar_nodes
         if nodes is not None and receiver in nodes:
             handler = None  # columnar id: the attached state takes it below
+            columnar = (
+                self._columnar_table.get(type(message)) or self._columnar.on_message
+            )
         else:
             table = self._dispatch_tables.get(receiver)
             handler = table.get(type(message)) if table is not None else None
@@ -310,7 +328,7 @@ class Network:
         if handler is not None:
             handler(sender, message)
         else:
-            self._columnar.on_message(receiver, sender, message)
+            columnar(receiver, sender, message)
 
 
 def _describe_message(message: Any) -> str:

@@ -288,7 +288,8 @@ class ExperimentDriver:
 
         Materialised workloads load in one ``schedule_lite_bulk`` call — one
         shared callback with the request as the event payload, no per-request
-        closure allocation, and the heap heapifies once.  Streaming
+        closure allocation, and the arrivals wait as a sorted run beside the
+        heap, never in it (the arrival-ordered load sorts in O(n)).  Streaming
         workloads chunk-load instead: see :meth:`_load_streaming`.  Arrival
         times are validated by the workload, not re-checked per request; the
         head check below covers every request because schedules are
@@ -317,7 +318,9 @@ class ExperimentDriver:
         last arrival time.  The loader's sequence number is allocated after
         that batch's arrivals, so it fires after every equal-time arrival and
         before anything later — the next batch (whose times are >= the
-        loader's time) can always be scheduled safely.  Peak RSS is thereby
+        loader's time) can always be scheduled safely.  The loader is a
+        single push, so it fires from the heap once the batch's run is spent
+        and refills the run in the middle of a drain.  Peak RSS is thereby
         bounded by one chunk of queued arrivals regardless of workload
         length.
         """

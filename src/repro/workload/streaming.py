@@ -10,10 +10,11 @@ queue once.
 A :class:`StreamingWorkload` replaces the list with a *batch factory*: a
 callable returning a fresh iterator of arrival-ordered request batches.  The
 experiment driver loads one batch into the engine at a time (via
-``schedule_lite_bulk``) and schedules the next load as a lite event at the
-current batch's last arrival time, so at any moment the process holds at most
-one batch of request objects plus whatever is genuinely in flight — peak RSS
-is bounded by the chunk size, not the workload length.
+``schedule_lite_bulk``: the batch waits as a sorted run beside the event heap
+and each arrival is freed as it fires) and schedules the next load as a lite
+event at the current batch's last arrival time, so at any moment the process
+holds at most one batch of request objects plus whatever is genuinely in
+flight — peak RSS is bounded by the chunk size, not the workload length.
 
 Contract (checked where cheap, tested everywhere):
 

@@ -1,0 +1,146 @@
+"""The engine against a model that is just ``sorted`` on ``(time, sequence)``.
+
+The pending-event store keeps single pushes in a heap and bulk loads in a
+sorted run beside it; whatever mix of the two a program makes — from the top
+level or from inside callbacks, in time order or not, with equal-time ties
+between the two — and however the drain is cut into ``run(max_events=k)``,
+``run(until=t)``, ``step()`` and ``stop()`` slices, the events must fire in
+exactly the order one flat list sorted by ``(time, sequence)`` would give,
+``pending_events`` must be exact after every slice, and the clock must move
+as it always has: never backwards, and to ``until`` when a horizon is reached.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from repro.sim.engine import SimulationEngine
+
+# A quarter lattice with few points: equal-time ties are the common case.
+DELAYS = st.integers(0, 12).map(lambda quarters: quarters / 4)
+
+
+def scripts(depth: int):
+    """What an event does when it fires: a tuple of actions.
+
+    ``("single", dt, script)`` pushes one event ``dt`` after now,
+    ``("bulk", [(dt, script), ...], ordered)`` bulk-loads several (sorted by
+    time first when ``ordered``, as the driver's loads are), ``("stop",)``
+    stops the drain.  ``script`` is what the new event does in its turn.
+    """
+    if depth == 0:
+        return st.just(())
+    child = scripts(depth - 1)
+    single = st.tuples(st.just("single"), DELAYS, child)
+    bulk = st.tuples(
+        st.just("bulk"), st.lists(st.tuples(DELAYS, child), max_size=6), st.booleans()
+    )
+    return st.lists(st.one_of(single, bulk, st.just(("stop",))), max_size=3).map(tuple)
+
+
+SCHEDULING = st.one_of(
+    st.tuples(st.just("single"), DELAYS, scripts(2)),
+    st.tuples(
+        st.just("bulk"), st.lists(st.tuples(DELAYS, scripts(2)), max_size=8), st.booleans()
+    ),
+)
+SLICES = st.one_of(
+    st.tuples(st.just("max_events"), st.integers(0, 7)),
+    # Relative to now; a horizon in the past must fire nothing and move nothing.
+    st.tuples(st.just("until"), st.integers(-2, 12).map(lambda quarters: quarters / 4)),
+    st.tuples(st.just("step"), st.none()),
+    st.tuples(st.just("run"), st.none()),
+)
+PROGRAMS = st.lists(st.one_of(SCHEDULING, SLICES), max_size=14)
+
+
+class Harness:
+    """One engine and the flat list it is checked against."""
+
+    def __init__(self) -> None:
+        self.engine = SimulationEngine()
+        self.model = []  # (time, sequence, script) of everything not yet fired
+        self.sequence = 0
+        self.fired = 0
+        self.clock = 0.0  # time of the last event fired
+        self.stopped = False
+
+    def _expect(self, time: float, script) -> tuple:
+        self.sequence += 1
+        entry = (time, self.sequence, script)
+        self.model.append(entry)
+        return entry
+
+    def perform(self, actions) -> None:
+        engine = self.engine
+        now = engine.now
+        for action in actions:
+            if action[0] == "stop":
+                engine.stop()
+                self.stopped = True
+            elif action[0] == "single":
+                _, delay, script = action
+                engine.schedule_lite(now + delay, self.fire, self._expect(now + delay, script))
+            else:
+                _, items, ordered = action
+                if ordered:
+                    items = sorted(items, key=lambda item: item[0])
+                loaded = engine.schedule_lite_bulk(
+                    (now + delay, self.fire, self._expect(now + delay, script))
+                    for delay, script in items
+                )
+                assert loaded == len(items)
+        assert engine._sequence == self.sequence
+
+    def fire(self, entry) -> None:
+        assert not self.stopped, "an event fired after stop()"
+        assert entry is sorted(self.model, key=lambda e: e[:2])[0]
+        self.model.remove(entry)
+        assert self.engine.now == entry[0] >= self.clock
+        self.clock = entry[0]
+        self.fired += 1
+        self.perform(entry[2])
+
+    def drain(self, kind: str, argument) -> None:
+        engine = self.engine
+        now, fired, pending = engine.now, self.fired, len(self.model)
+        self.stopped = False
+        if kind == "step":
+            assert engine.step() is (pending > 0)
+            count = min(pending, 1)
+        elif kind == "max_events":
+            count = engine.run(max_events=argument)
+            assert count == argument or self.stopped or not self.model
+        elif kind == "until":
+            horizon = now + argument
+            count = engine.run(until=horizon)
+            if self.stopped and self.model:
+                # Stopped short of the horizon: the clock stays at the last event.
+                assert engine.now == self.clock <= horizon
+            else:
+                assert all(time > horizon for time, _, _ in self.model)
+                assert engine.now == max(now, horizon)
+        else:
+            count = engine.run()
+            assert self.stopped or not self.model
+        assert count == self.fired - fired
+        assert engine.pending_events == len(self.model)
+        assert engine.now >= now
+        if kind != "until" and count == 0:
+            assert engine.now == now
+
+
+@settings(max_examples=300, deadline=None)
+@given(PROGRAMS)
+def test_any_mix_of_pushes_loads_and_slices_fires_in_sorted_order(program):
+    harness = Harness()
+    for step in program:
+        if step[0] in ("single", "bulk"):
+            harness.perform([step])
+        else:
+            harness.drain(*step)
+    while harness.model:
+        harness.drain("run", None)
+    assert harness.fired == harness.sequence
+    assert harness.engine.pending_events == 0
+    assert harness.engine.processed_events == harness.fired

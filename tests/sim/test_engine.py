@@ -79,6 +79,71 @@ def test_clock_never_runs_backwards():
     assert seen == [5.0, 5.0]
 
 
+def test_bulk_load_cannot_run_the_clock_backwards():
+    # The same hole, through the other way in: a bulk load whose earliest
+    # time is before `now` is refused whole, before anything is stored.
+    engine = SimulationEngine()
+    seen = []
+
+    def late(_):
+        seen.append(engine.now)
+        engine.schedule_lite_bulk(
+            [(7.0, seen.append, "later"), (2.0, seen.append, "past")]
+        )
+
+    engine.schedule_lite(5.0, late)
+    with pytest.raises(SchedulingError, match="at 2.0 before current time 5.0"):
+        engine.run()
+    assert seen == [5.0]
+    assert engine.now == 5.0
+    assert engine.pending_events == 0
+    # `now` itself is fine, and so is an empty load.
+    assert engine.schedule_lite_bulk([(5.0, seen.append, "now")]) == 1
+    assert engine.schedule_lite_bulk([]) == 0
+    engine.run()
+    assert seen == [5.0, "now"]
+    assert engine.now == 5.0
+
+
+def test_loader_event_refills_the_bulk_run_mid_drain():
+    # The streaming loader's shape, without the driver: each batch is bulk-
+    # loaded, then one single push at the batch's last time loads the next.
+    # The loader fires when the run is spent, so the drain must notice the
+    # refill from inside its heap-only stretch — in one run() call and when
+    # the drain is cut into slices.
+    batches = [[0.0, 1.0, 1.0], [1.0, 2.5], [2.5, 2.5, 4.0], [9.0]]
+
+    def replay(**limits):
+        engine = SimulationEngine()
+        fired = []
+        pending = iter(batches)
+
+        def load(_):
+            batch = next(pending, None)
+            if batch is None:
+                return
+            engine.schedule_lite_bulk(
+                (time, fired.append, (time, index)) for index, time in enumerate(batch)
+            )
+            # In-flight work beside the arrivals, and the next loader.
+            engine.schedule_lite(batch[-1] + 0.25, fired.append, "echo")
+            engine.schedule_lite(batch[-1], load, None)
+
+        load(None)
+        while engine.run(**limits):
+            pass
+        assert engine.pending_events == 0
+        return fired
+
+    whole = replay()
+    assert [entry for entry in whole if entry != "echo"] == [
+        (time, index) for batch in batches for index, time in enumerate(batch)
+    ]
+    assert whole.count("echo") == len(batches)
+    assert replay(max_events=1) == whole
+    assert replay(max_events=3) == whole
+
+
 def test_events_scheduled_during_run_are_processed():
     engine = SimulationEngine()
     fired = []

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import NetworkError
+from repro.core.compact_state import CompactDagState
+from repro.exceptions import NetworkError, ProtocolError
 from repro.sim.engine import SimulationEngine
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.rng import SeededRNG
 from repro.sim.trace import TraceRecorder
+from repro.topology import star
 
 
 class Recorder:
@@ -100,6 +102,76 @@ def test_columnar_id_cannot_also_be_registered_in_either_order():
         network.register_dispatch_table(2, {})
     network.register(4, lambda s, m: None)
     assert network.node_ids == [4]
+
+
+def columnar_network(mixed):
+    """The compact DAG columns for star(4) attached as ids 1..4; ``mixed``
+    registers an object handler (id 9) beside them."""
+    engine = SimulationEngine()
+    network = Network(engine)
+    state = CompactDagState(star(4), network)
+    network.attach_columnar(state)
+    outsider = Recorder()
+    if mixed:
+        network.register(9, outsider)
+    return engine, network, state, outsider
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["columnar-only", "mixed"])
+def test_columnar_endpoints_keep_every_refusal_and_its_text(mixed):
+    engine, network, state, outsider = columnar_network(mixed)
+    with pytest.raises(NetworkError, match=r"^unknown sender node 77$"):
+        network.send(77, 1, "x")
+    with pytest.raises(NetworkError, match=r"^unknown receiver node 77$"):
+        network.send(1, 77, "x")
+    with pytest.raises(NetworkError, match=r"^unknown sender node 0$"):
+        network.send(0, 5, "x")  # both unknown: the sender is named
+    with pytest.raises(NetworkError, match=r"^node 2 attempted to send a message to itself$"):
+        network.send(2, 2, "x")
+    assert network.messages_sent == 0
+    # A type the columns' table does not know falls back to on_message,
+    # which refuses it as it always has.
+    network.send(1, 2, "bogus")
+    with pytest.raises(
+        ProtocolError, match=r"^node 2 received unexpected message 'bogus' from 1$"
+    ):
+        engine.run()
+    if mixed:
+        with pytest.raises(NetworkError, match=r"^unknown receiver node 5$"):
+            network.send(9, 5, "x")
+        network.send(3, 9, "out")
+        network.send(9, 3, "in")
+        with pytest.raises(
+            ProtocolError, match=r"^node 3 received unexpected message 'in' from 9$"
+        ):
+            engine.run()
+        assert outsider.received == [(3, "out")]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["columnar-only", "mixed"])
+def test_columnar_deliveries_reach_the_protocol_handlers(mixed):
+    engine, network, state, _ = columnar_network(mixed)
+    state.request_cs(3)  # REQUEST 3 -> 1 (idle holder), PRIVILEGE 1 -> 3
+    engine.run()
+    assert network.messages_sent == 2
+    assert state.total_entries == 1
+    assert state.snapshot(3)["NEXT"] is None and state.snapshot(1)["NEXT"] == 3
+
+
+def test_columnar_state_without_a_table_is_delivered_through_on_message():
+    class Columns:
+        node_range = range(1, 4)
+        received = []
+
+        def on_message(self, receiver, sender, message):
+            self.received.append((receiver, sender, message))
+
+    engine = SimulationEngine()
+    network = Network(engine)
+    network.attach_columnar(Columns())
+    network.send(1, 3, "hello")
+    engine.run()
+    assert Columns.received == [(3, 1, "hello")]
 
 
 def test_fifo_order_with_constant_latency():
