@@ -10,6 +10,7 @@ be replayed against algorithms of very different speeds and still make sense.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Type, Union
@@ -193,6 +194,16 @@ class ExperimentDriver:
     def run(self, *, max_events: int = 5_000_000) -> ExperimentResult:
         """Replay the workload to completion and return the result.
 
+        The whole replay — fault arming, arrival loading, the drain, result
+        collection — runs with the cyclic garbage collector paused.  A replay
+        allocates no reference cycle (``tests/workload/test_replay_gc.py``:
+        every algorithm, both node backends, streamed and materialised
+        workloads, the fault matrix), so reference counting frees every
+        entry, payload and message, and a collector pass would only re-walk
+        the requests, the queued run and the nodes the replay still holds.
+        On the way out — return or raise — the collector is re-enabled only
+        if it was enabled on the way in: a caller who had it off keeps it off.
+
         Raises:
             ExperimentError: if some requests are never granted (deadlock or
                 starvation in the algorithm under test) or the event budget is
@@ -202,6 +213,15 @@ class ExperimentDriver:
                 :class:`~repro.exceptions.ProtocolError` provoked by the
                 faults ends the run and is recorded the same way.
         """
+        collector_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._replay(max_events)
+        finally:
+            if collector_was_enabled:
+                gc.enable()
+
+    def _replay(self, max_events: int) -> ExperimentResult:
         engine = self.system.engine
         faults = self.faults
         if faults is not None:
@@ -324,37 +344,44 @@ class ExperimentDriver:
         bounded by one chunk of queued arrivals regardless of workload
         length.
         """
-        arrival = self._issue_or_queue
         batches = self.workload.iter_batches()
-        pending = next(batches, None)
-        if pending is None:
+        first = next(batches, None)
+        if first is None:
             return
-        if pending[0].arrival_time < engine.now:
+        if first[0].arrival_time < engine.now:
             raise ExperimentError(
-                f"request at {pending[0].arrival_time} is in the past "
+                f"request at {first[0].arrival_time} is in the past "
                 f"(engine time {engine.now})"
             )
+        self._load_batch((first, batches))
 
-        def load(_payload) -> None:
-            nonlocal pending
-            batch = pending
-            pending = next(batches, None)
-            if pending is not None and (
-                pending[0].arrival_time < batch[-1].arrival_time
-            ):
-                raise WorkloadError(
-                    f"{self.workload.description or 'streaming workload'}: "
-                    f"batch starting at {pending[0].arrival_time} precedes "
-                    f"the previous batch's last arrival "
-                    f"{batch[-1].arrival_time}"
-                )
-            engine.schedule_lite_bulk(
-                (request.arrival_time, arrival, request) for request in batch
+    def _load_batch(self, loaded) -> None:
+        """Load ``batch`` of ``(batch, batches)`` and schedule the next load.
+
+        The loader's state — the prefetched next batch and the iterator —
+        rides as the loader event's payload, so it dies by reference count
+        when the event fires.  It must: a closure that rescheduled itself
+        would sit in its own cell, a cycle pinning the driver, the engine and
+        the last batch, and :meth:`run` pauses the collector.
+        """
+        batch, batches = loaded
+        upcoming = next(batches, None)
+        if upcoming is not None and upcoming[0].arrival_time < batch[-1].arrival_time:
+            raise WorkloadError(
+                f"{self.workload.description or 'streaming workload'}: "
+                f"batch starting at {upcoming[0].arrival_time} precedes "
+                f"the previous batch's last arrival "
+                f"{batch[-1].arrival_time}"
             )
-            if pending is not None:
-                engine.schedule_lite(batch[-1].arrival_time, load, None)
-
-        load(None)
+        engine = self.system.engine
+        arrival = self._issue_or_queue
+        engine.schedule_lite_bulk(
+            (request.arrival_time, arrival, request) for request in batch
+        )
+        if upcoming is not None:
+            engine.schedule_lite(
+                batch[-1].arrival_time, self._load_batch, (upcoming, batches)
+            )
 
     # ------------------------------------------------------------------ #
     # event plumbing

@@ -3,9 +3,9 @@
 A materialised :class:`~repro.workload.requests.Workload` holds one
 :class:`~repro.workload.requests.CSRequest` object per request.  At the
 million-node tier that is the dominant setup cost: a heavy-demand schedule is
-millions of requests, i.e. gigabytes of dataclass instances and a multi-second
-construction — for objects whose only job is to be drained through the event
-queue once.
+millions of requests, i.e. hundreds of megabytes of request objects and a
+multi-second construction — for objects whose only job is to be drained
+through the event queue once.
 
 A :class:`StreamingWorkload` replaces the list with a *batch factory*: a
 callable returning a fresh iterator of arrival-ordered request batches.  The
@@ -35,10 +35,12 @@ from repro.exceptions import WorkloadError
 from repro.workload.requests import CSRequest
 
 #: Default number of requests the driver keeps in the engine per batch.  At
-#: ~90 bytes per queued lite entry plus ~230 bytes per request object this
-#: bounds the arrival working set around 30 MB, while staying large enough
-#: that the per-batch Python overhead (one lite event + one bulk load) is
-#: noise.
+#: ~112 bytes per queued lite entry (tuple, sequence number, list slot) plus
+#: 64 bytes per request (the 56-byte slotted object and its list slot;
+#: ``tracemalloc``, CPython 3.11) this bounds one queued chunk around 18 MB
+#: — and the driver holds the next one, prefetched, beside it — while staying
+#: large enough that the per-batch Python overhead (one lite event + one bulk
+#: load) is noise.
 DEFAULT_CHUNK_REQUESTS = 100_000
 
 

@@ -128,7 +128,10 @@ def test_out_of_order_batches_are_rejected():
     bad = StreamingWorkload(batches, total_requests=2, description="bad")
     system = DagSystem(topology)
     driver = ExperimentDriver(system, bad)
-    with pytest.raises(WorkloadError):
+    with pytest.raises(
+        WorkloadError,
+        match=r"^bad: batch starting at 1\.0 precedes the previous batch's last arrival 5\.0$",
+    ):
         driver.run()
 
 
