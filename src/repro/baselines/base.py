@@ -84,15 +84,14 @@ class MutexNodeBase(SimProcess):
     becomes true.  The shared bookkeeping here keeps metrics consistent
     across algorithms.
 
-    Message dispatch is type-keyed: subclasses declare a class-level
-    ``_MESSAGE_HANDLERS`` mapping message types to handler method names, and
-    the shared :meth:`on_message` resolves the incoming message's exact type
-    with one dict lookup instead of walking an ``isinstance`` chain.  Every
-    handler receives ``(sender, message)``.
+    Message dispatch is type-keyed and lives on the class: a subclass
+    declares ``_MESSAGE_HANDLERS`` (message type -> handler method name),
+    :class:`~repro.sim.process.SimProcess` resolves it once into the
+    class-level ``dispatch_table``, and the network calls the entry for a
+    delivered message's exact type as ``handler(node, sender, message)`` —
+    no per-node dict, bound method or ``send`` partial.  :meth:`on_message`
+    is the same lookup for a direct call and the refusal of an unknown type.
     """
-
-    #: Map of message type -> handler method name, filled in by subclasses.
-    _MESSAGE_HANDLERS: Dict[type, str] = {}
 
     def __init__(
         self,
@@ -110,13 +109,6 @@ class MutexNodeBase(SimProcess):
         self._metrics = metrics
         self._trace = trace
         self._on_enter = on_enter
-        self._dispatch = {
-            message_type: getattr(self, handler_name)
-            for message_type, handler_name in self._MESSAGE_HANDLERS.items()
-        }
-        # Let the network dispatch deliveries by type directly, skipping
-        # the on_message frame (same table, same error fallback).
-        network.register_dispatch_table(node_id, self._dispatch)
 
     # ------------------------------------------------------------------ #
     # interface
@@ -131,12 +123,12 @@ class MutexNodeBase(SimProcess):
 
     def on_message(self, sender: int, message: Any) -> None:
         """Dispatch ``message`` to the handler registered for its type."""
-        handler = self._dispatch.get(type(message))
+        handler = self.dispatch_table.get(type(message))
         if handler is None:
             raise ProtocolError(
                 f"node {self.node_id} received unexpected message {message!r}"
             )
-        handler(sender, message)
+        handler(self, sender, message)
 
     # ------------------------------------------------------------------ #
     # shared bookkeeping for subclasses

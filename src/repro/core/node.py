@@ -61,12 +61,21 @@ class DagNodeCore:
             the token holder, or ``None`` if this node holds the token.
     """
 
+    #: The paper's three variables plus the request / critical-section
+    #: flags and an entry count; a driver adds its own slots.
+    __slots__ = (
+        "node_id", "holding", "next_node", "follow", "requesting",
+        "in_critical_section", "cs_entries",
+    )
+
     #: Observers default to "none" on the class, so a driver that never
     #: attaches one (the asyncio runtime holds thousands of live trees) pays
     #: no per-instance slot for them.
     _metrics: Optional[MetricsCollector] = None
     _trace: Optional[TraceRecorder] = None
 
+    # Supplied by the driver, as a method (never a slot here: a kernel slot
+    # would shadow ``SimProcess.send`` on ``DagMutexNode``).
     send: Callable[[int, Any], None]
 
     def __init__(
@@ -274,6 +283,9 @@ class DagNodeCore:
 class DagMutexNode(DagNodeCore, SimProcess):
     """The kernel on the simulation substrate.
 
+    An instance is the kernel's slots plus ``network``, ``engine`` and the
+    driver hooks: no ``__dict__`` and no per-node table or callable.
+
     Args:
         node_id: this node's identifier.
         network: the reliable FIFO network shared by all nodes.
@@ -285,6 +297,10 @@ class DagMutexNode(DagNodeCore, SimProcess):
             whenever this node enters its critical section.  The experiment
             driver uses it to schedule the corresponding release.
     """
+
+    __slots__ = ("network", "engine", "_metrics", "_trace", "_on_enter")
+
+    _MESSAGE_HANDLERS = {Request: "_handle_request", Privilege: "_handle_privilege"}
 
     def __init__(
         self,
@@ -302,13 +318,6 @@ class DagMutexNode(DagNodeCore, SimProcess):
         self._metrics = metrics
         self._trace = trace
         self._on_enter = on_enter
-        # Deliveries dispatch by message type through this table directly,
-        # without the on_message frame (identical semantics, same error
-        # fallback).
-        network.register_dispatch_table(
-            node_id,
-            {Request: self._handle_request, Privilege: self._handle_privilege},
-        )
 
     def _enter_critical_section(self) -> None:
         # The kernel's two lines inlined rather than called: this runs once

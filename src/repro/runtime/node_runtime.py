@@ -39,6 +39,9 @@ class AsyncDagNode(DagNodeCore):
         next_node: initial ``NEXT`` pointer (``None`` iff ``holding``).
     """
 
+    #: A warm lock key holds one agent per tree node: slots, no ``__dict__``.
+    __slots__ = ("_transport", "_granted", "_started", "_stopped")
+
     def __init__(
         self,
         node_id: int,

@@ -12,11 +12,13 @@ the metrics collector and trace recorder if any is attached, checks the
 partition table, computes the delivery time and pushes one heap entry
 ``(time, sequence, self._deliver, (sender, receiver, message, sequence))``;
 :meth:`Network._deliver` is the only delivery function (a fault injector
-overrides that same function and fences on the payload's engine sequence).
-With a :class:`~repro.sim.latency.ConstantLatency` model the per-channel FIFO
-clamp is skipped: a constant delay added to a non-decreasing clock can never
-reorder a channel, so no per-channel state is touched unless a partition is
-active.  One engine sequence number is drawn per send whatever is attached,
+overrides that same function and fences on the payload's engine sequence);
+it finds the handler on the receiving process's class, so the network holds
+no per-node callable.  With a :class:`~repro.sim.latency.ConstantLatency`
+model the per-channel FIFO clamp is skipped: a constant delay added to a
+non-decreasing clock can never reorder a channel, so no per-channel state is
+touched unless a partition is active.  One engine sequence number is drawn
+per send whatever is attached,
 so a run's ``(time, sequence)`` event order does not depend on the
 observers.  ``benchmarks/README.md`` ("Why there is one message path") holds
 the A/B that retired the fast/observed fork and the batch sink.
@@ -51,8 +53,27 @@ class _ChannelState:
         self.partitioned = False
 
 
+class _Handler:
+    """A plain ``handler(sender, message)`` registered in a process's place.
+
+    Its table is empty, so every delivery goes to ``on_message`` — the
+    handler itself, held in a slot and called with no frame in between.
+    """
+
+    __slots__ = ("on_message",)
+    dispatch_table: Dict[type, Callable[[Any, int, Any], None]] = {}
+
+    def __init__(self, handler: MessageHandler) -> None:
+        self.on_message = handler
+
+
 class Network:
     """Delivers messages between registered nodes through the event engine.
+
+    A registered id maps to the receiving process itself (a plain callable
+    is wrapped to look like one); :meth:`_deliver` calls its class-level
+    ``dispatch_table`` entry for the message's type as ``handler(process,
+    sender, message)`` and ``process.on_message(sender, message)`` otherwise.
 
     Args:
         engine: the simulation engine used to schedule deliveries.
@@ -79,11 +100,8 @@ class Network:
         self._metrics = metrics
         self._trace = trace
         self._allow_self_send = allow_self_send
-        self._handlers: Dict[int, MessageHandler] = {}
-        # Optional per-node type-keyed dispatch tables (message type ->
-        # bound handler), consulted first so a delivery skips the node's
-        # ``on_message`` frame entirely.
-        self._dispatch_tables: Dict[int, Dict[type, MessageHandler]] = {}
+        # Registered id -> the process (or wrapped handler) receiving there.
+        self._receivers: Dict[int, Any] = {}
         # Columnar (array-backed) node state attached via attach_columnar:
         # its nodes have no per-node handlers — endpoint validation falls
         # back to the id range and deliveries route to the state object,
@@ -92,10 +110,10 @@ class Network:
         self._columnar_nodes: Optional[range] = None
         self._columnar_table: Dict[type, Callable[[int, int, Any], None]] = {}
         # The one container ``send`` tests both endpoints against: the
-        # handler dict, or the columnar range while nothing is registered
+        # receiver dict, or the columnar range while nothing is registered
         # beside it.  A miss (always, for columnar ids on a mixed network)
         # goes on to the full diagnosis.
-        self._endpoints: Any = self._handlers
+        self._endpoints: Any = self._receivers
         self._node_ids: List[int] = []
         self._channels: Dict[Tuple[int, int], _ChannelState] = {}
         self._messages_sent = 0
@@ -135,9 +153,14 @@ class Network:
         """Messages sent but not yet delivered (and not dropped)."""
         return self._messages_sent - self._messages_delivered - self._dropped
 
-    def register(self, node_id: int, handler: MessageHandler) -> None:
-        """Register ``handler`` to receive messages addressed to ``node_id``."""
-        if node_id in self._handlers:
+    def register(self, node_id: int, receiver: Any) -> None:
+        """Register ``receiver`` to receive messages addressed to ``node_id``.
+
+        ``receiver`` is a process (anything with a ``dispatch_table`` and
+        ``on_message``) or a plain callable, called as
+        ``receiver(sender, message)``.
+        """
+        if node_id in self._receivers:
             raise NetworkError(f"node {node_id} is already registered")
         nodes = self._columnar_nodes
         if nodes is not None and node_id in nodes:
@@ -145,26 +168,11 @@ class Network:
                 f"node {node_id} is covered by attached columnar state; "
                 "a columnar id cannot also be registered"
             )
-        self._handlers[node_id] = handler
+        if not hasattr(receiver, "dispatch_table"):
+            receiver = _Handler(receiver)
+        self._receivers[node_id] = receiver
         self._node_ids.append(node_id)
-        self._endpoints = self._handlers
-
-    def register_dispatch_table(
-        self, node_id: int, table: Dict[type, MessageHandler]
-    ) -> None:
-        """Install a type-keyed handler table for deliveries to ``node_id``.
-
-        Nodes whose ``on_message`` is a pure type dispatch (every mutex node
-        in the library) expose the dispatch dict here; delivery then calls
-        the final handler directly — one dict lookup instead of a dict
-        lookup *plus* an ``on_message`` frame per message.  A message type
-        missing from the table (or a node that never installs one) falls
-        back to the registered handler, so error semantics are unchanged.
-        A columnar id is never registered, so it is rejected here as well.
-        """
-        if node_id not in self._handlers:
-            raise NetworkError(f"node {node_id} is not registered")
-        self._dispatch_tables[node_id] = table
+        self._endpoints = self._receivers
 
     def attach_columnar(self, state) -> None:
         """Route delivery for a whole contiguous id range to columnar state.
@@ -177,15 +185,15 @@ class Network:
         :meth:`_deliver` calls ``handler(receiver, sender, message)`` for
         them, the handler being what ``state.dispatch_table`` (if the state
         has one) names for the message's type and ``state.on_message``
-        otherwise — the columnar counterpart of
-        :meth:`register_dispatch_table`, same fallback, same errors.
+        otherwise — the columnar counterpart of a process class's
+        ``dispatch_table``, same fallback, same errors.
 
         Per-node ``register`` remains available alongside (the runtimes mix
         both), but a columnar id must not also be registered — in either
         order.
         """
         node_range = state.node_range
-        for node_id in self._handlers:
+        for node_id in self._receivers:
             if node_id in node_range:
                 raise NetworkError(
                     f"node {node_id} is already registered; columnar state "
@@ -194,7 +202,7 @@ class Network:
         self._columnar = state
         self._columnar_nodes = node_range
         self._columnar_table = getattr(state, "dispatch_table", {})
-        if not self._handlers:
+        if not self._receivers:
             self._endpoints = node_range
 
     def send(self, sender: int, receiver: int, message: Any) -> None:
@@ -209,13 +217,13 @@ class Network:
         """
         known = self._endpoints
         if sender not in known or receiver not in known:
-            handlers = self._handlers
+            receivers = self._receivers
             nodes = self._columnar_nodes
-            known_sender = sender in handlers or (
+            known_sender = sender in receivers or (
                 nodes is not None and sender in nodes
             )
             if not known_sender or not (
-                receiver in handlers or (nodes is not None and receiver in nodes)
+                receiver in receivers or (nodes is not None and receiver in nodes)
             ):
                 missing = sender if not known_sender else receiver
                 role = "sender" if not known_sender else "receiver"
@@ -303,19 +311,16 @@ class Network:
         sender, receiver, message, _sequence = payload
         nodes = self._columnar_nodes
         if nodes is not None and receiver in nodes:
-            handler = None  # columnar id: the attached state takes it below
+            node = None  # columnar id: the attached state takes it below
             columnar = (
                 self._columnar_table.get(type(message)) or self._columnar.on_message
             )
         else:
-            table = self._dispatch_tables.get(receiver)
-            handler = table.get(type(message)) if table is not None else None
-            if handler is None:
-                handler = self._handlers.get(receiver)
-                if handler is None:
-                    raise NetworkError(
-                        f"message from {sender} addressed to unregistered node {receiver}"
-                    )
+            node = self._receivers.get(receiver)
+            if node is None:
+                raise NetworkError(
+                    f"message from {sender} addressed to unregistered node {receiver}"
+                )
         self._messages_delivered += 1
         if self._trace is not None:
             self._trace.record(
@@ -325,10 +330,14 @@ class Network:
                 sender=sender,
                 message=_describe_message(message),
             )
-        if handler is not None:
-            handler(sender, message)
-        else:
+        if node is None:
             columnar(receiver, sender, message)
+            return
+        handler = node.dispatch_table.get(type(message))
+        if handler is not None:
+            handler(node, sender, message)
+        else:
+            node.on_message(sender, message)
 
 
 def _describe_message(message: Any) -> str:

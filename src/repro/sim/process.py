@@ -10,8 +10,7 @@ directly comparable.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Dict
 
 from repro.sim.engine import SimulationEngine
 from repro.sim.network import Network
@@ -20,22 +19,36 @@ from repro.sim.network import Network
 class SimProcess:
     """Base class for a simulated node process.
 
-    Subclasses override :meth:`on_message`.  The constructor registers the
-    process with the network so it can receive messages immediately.
+    An instance is its state plus ``network`` and ``engine``; its wiring is
+    on the class.  The constructor registers the object itself, and the
+    network calls the class-level :attr:`dispatch_table` entry for a
+    delivered message's type as ``handler(process, sender, message)`` and
+    :meth:`on_message` for any other type (every type, for a class without
+    ``_MESSAGE_HANDLERS``).  No instance slots here: a subclass that
+    declares ``__slots__`` (the DAG node) has no ``__dict__``.
     """
+
+    __slots__ = ()
+
+    #: Map of message type -> handler method name, declared by subclasses.
+    _MESSAGE_HANDLERS: Dict[type, str] = {}
+    #: Message type -> handler function, built once per class from
+    #: ``_MESSAGE_HANDLERS`` by resolving each name *on that class*, so a
+    #: subclass's override of a handler is what runs.
+    dispatch_table: Dict[type, Callable[[Any, int, Any], None]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.dispatch_table = {
+            message_type: getattr(cls, handler_name)
+            for message_type, handler_name in cls._MESSAGE_HANDLERS.items()
+        }
 
     def __init__(self, node_id: int, network: Network) -> None:
         self.node_id = int(node_id)
         self.network = network
         self.engine: SimulationEngine = network.engine
-        # Register the handler directly: one bound-method call per delivery
-        # instead of two.  The bound method is resolved here, so subclass
-        # overrides of ``on_message`` are picked up as usual.
-        network.register(self.node_id, self.on_message)
-        # Shadow the ``send`` method with a partial bound to this node's id:
-        # calls skip one Python frame, which matters on the messaging hot
-        # path.  The signature callers see is unchanged.
-        self.send = partial(network.send, self.node_id)
+        network.register(self.node_id, self)
 
     # ------------------------------------------------------------------ #
     # actions available to subclasses
@@ -45,11 +58,9 @@ class SimProcess:
         """Current virtual time."""
         return self.engine.now
 
-    # ``send(receiver, message)`` sends over the reliable FIFO network.  It
-    # is installed per instance in ``__init__`` as a partial of
-    # ``network.send`` bound to this node's id (one Python frame cheaper
-    # than a wrapper method on the messaging hot path).
-    send: Callable[[int, Any], None]
+    def send(self, receiver: int, message: Any) -> None:
+        """Send ``message`` to ``receiver`` over the reliable FIFO network."""
+        self.network.send(self.node_id, receiver, message)
 
     # ------------------------------------------------------------------ #
     # hooks for subclasses

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.raymond import RaymondSystem
+from repro.baselines.raymond import (
+    RaymondNode,
+    RaymondPrivilege,
+    RaymondRequest,
+    RaymondSystem,
+)
 from repro.exceptions import ProtocolError
 from repro.topology import line, star
 
@@ -108,3 +113,58 @@ def test_unexpected_message_rejected():
     system = RaymondSystem(star(3))
     with pytest.raises(ProtocolError):
         system.node(2).on_message(1, 123)
+
+
+class CountingNode(RaymondNode):
+    """Overrides one handler method and remaps one ``_MESSAGE_HANDLERS`` entry.
+
+    The network dispatches through the class's own table, so both changes
+    must be what runs — a table of the base class's functions would silently
+    run ``RaymondNode``'s handlers instead.
+    """
+
+    _MESSAGE_HANDLERS = {**RaymondNode._MESSAGE_HANDLERS, RaymondPrivilege: "_count_privilege"}
+
+    def __init__(self, node_id, network, **kwargs):
+        super().__init__(node_id, network, **kwargs)
+        self.seen = []
+
+    def _on_request(self, sender, message):
+        self.seen.append(("request", sender))
+        super()._on_request(sender, message)
+
+    def _count_privilege(self, sender, message):
+        self.seen.append(("privilege", sender))
+        self._on_privilege(sender, message)
+
+
+class CountingSystem(RaymondSystem):
+    algorithm_name = "raymond-counting"  # not registered
+
+    def _create_nodes(self):
+        pointers = self.topology.next_pointers()
+        return {
+            node_id: CountingNode(node_id, self.network, holder=pointers[node_id])
+            for node_id in self.topology.nodes
+        }
+
+
+def test_a_subclass_override_and_a_remapped_entry_are_what_the_network_runs():
+    assert CountingNode.dispatch_table == {
+        RaymondRequest: CountingNode._on_request,
+        RaymondPrivilege: CountingNode._count_privilege,
+    }
+    assert RaymondNode.dispatch_table[RaymondRequest] is RaymondNode._on_request
+    system = CountingSystem(line(4, token_holder=4))
+    system.request(1)
+    system.run_until_quiescent()
+    assert system.in_critical_section(1)
+    assert [system.node(n).seen for n in (1, 2, 3, 4)] == [
+        [("privilege", 2)],
+        [("request", 1), ("privilege", 3)],
+        [("request", 2), ("privilege", 4)],
+        [("request", 3)],
+    ]
+    # A direct on_message call goes through the same class table.
+    system.node(4).on_message(3, RaymondRequest(origin=3))
+    assert system.node(4).seen[-1] == ("request", 3)

@@ -1,7 +1,9 @@
 """Exhaustive small-scope exploration of the bare protocol kernel.
 
 No engine and no asyncio: :class:`~repro.core.node.DagNodeCore` instances
-whose ``send`` appends to one FIFO list per directed channel.  For every
+whose ``send`` appends to one FIFO list per directed channel (the kernel is
+slotted and leaves ``send`` to its driver, so :class:`ListNode` adds the one
+slot it is kept in).  For every
 labelled tree with 2 <= n <= 4 nodes, every initial token holder and every
 non-empty set of requesters (1029 configurations), *all* interleavings of
 
@@ -24,6 +26,10 @@ from itertools import combinations
 from repro.core.messages import Privilege
 from repro.core.node import DagNodeCore
 from repro.topology.base import Topology
+
+
+class ListNode(DagNodeCore):
+    __slots__ = ("send",)
 
 
 def labelled_trees(n):
@@ -70,7 +76,7 @@ def thaw(state):
     channels = {ch: list(queue) for ch, queue in wires}
     nodes = {}
     for node_id, row in enumerate(rows, start=1):
-        node = DagNodeCore(node_id, holding=True)
+        node = ListNode(node_id, holding=True)
         (node.holding, node.next_node, node.follow, node.requesting,
          node.in_critical_section, node.cs_entries) = row
         node.send = (
@@ -127,7 +133,7 @@ def explore(pointers, holder, requesters):
     """DFS from one initial configuration; returns (states, terminal states)."""
     nodes = {}
     for node_id, next_node in sorted(pointers.items()):
-        nodes[node_id] = DagNodeCore(
+        nodes[node_id] = ListNode(
             node_id, holding=(node_id == holder), next_node=next_node
         )
     initial = freeze(nodes, {}, requesters)

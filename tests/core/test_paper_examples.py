@@ -243,6 +243,10 @@ def test_idle_holder_hands_the_token_over_at_once():
         ),
         description="idle-holder fast path ablation",
     )
+    # The ablated handler is the one the network calls: the class table is
+    # resolved on the subclass, not inherited from DagMutexNode.
+    assert NoFastPathNode.dispatch_table[Request] is NoFastPathNode._handle_request
+    assert DagMutexNode.dispatch_table[Request] is DagMutexNode._handle_request
     waits = {}
     for system_class in (DagSystem, NoFastPathSystem):
         system = system_class(topology)

@@ -153,8 +153,13 @@ def test_a_node_at_rest_owns_no_task_no_queue_and_no_event():
         node = AsyncDagNode(1, transport, holding=True, next_node=None)
         node.start()
         assert len(asyncio.all_tasks()) == before
-        held = [type(value) for value in vars(node).values()]
-        assert not any(
+        assert not hasattr(node, "__dict__")  # slots all the way down
+        held = [
+            type(getattr(node, name))
+            for cls in type(node).__mro__
+            for name in getattr(cls, "__slots__", ())
+        ]
+        assert len(held) == 11 and not any(
             issubclass(kind, (asyncio.Queue, asyncio.Event, asyncio.Future)) for kind in held
         )
 

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.dag_adapter import DagSystem
 from repro.core.compact_state import CompactDagState
+from repro.core.messages import Request
 from repro.exceptions import NetworkError, ProtocolError
 from repro.sim.engine import SimulationEngine
+from repro.sim.faults import FaultInjectingNetwork
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
+from repro.sim.process import SimProcess
 from repro.sim.rng import SeededRNG
 from repro.sim.trace import TraceRecorder
 from repro.topology import star
@@ -92,14 +96,14 @@ def test_columnar_id_cannot_also_be_registered_in_either_order():
     engine, network, handlers = build_network()
     with pytest.raises(NetworkError):
         network.attach_columnar(Columns())
-    # attach first, then register: a handler (or dispatch table) may not
+    # attach first, then register: neither a handler nor a process may
     # shadow the columns.  Ids outside the range stay registrable.
     network = Network(SimulationEngine())
     network.attach_columnar(Columns())
     with pytest.raises(NetworkError, match="columnar"):
         network.register(2, lambda s, m: None)
-    with pytest.raises(NetworkError):
-        network.register_dispatch_table(2, {})
+    with pytest.raises(NetworkError, match="columnar"):
+        Untabled(2, network)
     network.register(4, lambda s, m: None)
     assert network.node_ids == [4]
 
@@ -250,3 +254,128 @@ def test_partition_is_directional():
 def test_node_ids_lists_registered_nodes():
     engine, network, handlers = build_network()
     assert network.node_ids == [1, 2, 3]
+
+
+# --------------------------------------------------------------------------- #
+# delivery to a process: a registered id maps to the process object itself,
+# and _deliver calls what its class's dispatch_table (built once per class
+# from _MESSAGE_HANDLERS, each name resolved on that class) names for the
+# message's type as handler(process, sender, message), on_message otherwise.
+# Each test below pins one thing a delivery must mean.
+# --------------------------------------------------------------------------- #
+class Tabled(SimProcess):
+    """Ints through the class table, everything else through on_message."""
+
+    _MESSAGE_HANDLERS = {int: "_on_int"}
+
+    def __init__(self, node_id, network):
+        super().__init__(node_id, network)
+        self.received = []
+
+    def _on_int(self, sender, message):
+        self.received.append(("table", sender, message))
+
+    def on_message(self, sender, message):
+        self.received.append(("on_message", sender, message))
+
+
+class Overriding(Tabled):
+    """Overrides the handler, not the table: the override is what runs."""
+
+    def _on_int(self, sender, message):
+        self.received.append(("override", sender, message))
+
+
+class Untabled(SimProcess):
+    def __init__(self, node_id, network):
+        super().__init__(node_id, network)
+        self.received = []
+
+    def on_message(self, sender, message):
+        self.received.append((sender, message))
+
+
+def test_each_class_resolves_its_own_table_once():
+    assert SimProcess.dispatch_table == {} and Untabled.dispatch_table == {}
+    assert Tabled.dispatch_table == {int: Tabled._on_int}
+    assert Overriding.dispatch_table == {int: Overriding._on_int}
+    assert Overriding._on_int is not Tabled._on_int
+
+
+def test_table_types_reach_the_class_handler_and_the_rest_on_message():
+    engine = SimulationEngine()
+    network = Network(engine)
+    base, override, plain = Tabled(1, network), Overriding(2, network), Untabled(3, network)
+    assert network._receivers == {1: base, 2: override, 3: plain}
+    for receiver in (1, 2, 3):
+        sender = 1 if receiver != 1 else 2
+        network.send(sender, receiver, 7)
+        network.send(sender, receiver, "seven")
+    engine.run()
+    assert base.received == [("table", 2, 7), ("on_message", 2, "seven")]
+    assert override.received == [("override", 1, 7), ("on_message", 1, "seven")]
+    assert plain.received == [(1, 7), (1, "seven")]
+
+
+def test_a_registered_callable_beside_processes_gets_sender_and_message():
+    engine = SimulationEngine()
+    network = Network(engine)
+    process = Tabled(1, network)
+    calls = []
+    network.register(2, lambda sender, message: calls.append((sender, message)))
+    network.send(1, 2, 7)
+    network.send(2, 1, 8)
+    engine.run()
+    assert calls == [(1, 7)]
+    assert process.received == [("table", 2, 8)]
+
+
+def test_an_unregistered_receiver_keeps_its_error_text():
+    engine = SimulationEngine()
+    network = Network(engine)
+    Tabled(1, network)
+    Tabled(2, network)
+    network.send(1, 2, 7)
+    del network._receivers[2]  # nothing public removes a node
+    with pytest.raises(
+        NetworkError, match=r"^message from 1 addressed to unregistered node 2$"
+    ):
+        engine.run()
+
+
+def test_a_dag_node_refuses_an_unknown_type_with_the_same_text():
+    system = DagSystem(star(4))
+    system.network.send(1, 2, "bogus")
+    with pytest.raises(
+        ProtocolError, match=r"^node 2 received unexpected message 'bogus' from 1$"
+    ):
+        system.run()
+
+
+def test_receive_trace_records_are_unchanged():
+    system = DagSystem(star(3), record_trace=True)
+    system.request(3)
+    system.run_until_quiescent()
+    receives = [
+        (event.time, event.node, event.detail)
+        for event in system.trace
+        if event.category == "receive"
+    ]
+    assert receives == [
+        (1.0, 1, {"sender": 3, "message": "REQUEST(3,3)"}),
+        (2.0, 3, {"sender": 1, "message": "PRIVILEGE"}),
+    ]
+
+
+def test_the_fault_network_still_fences_a_process_delivery_by_sequence():
+    system = DagSystem(star(3), network_factory=FaultInjectingNetwork)
+    network = system.network
+    system.request(3)  # REQUEST(3,3) toward the holder, in flight
+    network.fence()
+    system.run_until_quiescent()
+    assert [label for *_, label in network.fault_log.fenced_messages] == ["REQUEST(3,3)"]
+    assert system.node(1).holding and system.node(3).requesting
+    # A send after the fence is delivered through the class table as usual.
+    system.node(3).send(1, Request(3, 3))
+    system.run_until_quiescent()
+    assert system.node(3).in_critical_section

@@ -259,7 +259,7 @@ def test_one_message_path_whatever_is_attached(latency, attachment, node_backend
 def test_fast_path_delivery_to_unregistered_node_raises():
     engine, network, handlers = build()
     network.send(1, 3, "late")
-    del network._handlers[3]  # nothing public removes a node; the check stays
+    del network._receivers[3]  # nothing public removes a node; the check stays
     with pytest.raises(NetworkError):
         engine.run()
 

@@ -51,9 +51,12 @@ def test_now_reflects_engine_clock(system):
 
 
 def test_base_on_message_is_abstract():
+    class Bare(SimProcess):  # SimProcess has no slots; a subclass gets a __dict__
+        pass
+
     engine = SimulationEngine()
     network = Network(engine)
-    process = SimProcess(7, network)
+    process = Bare(7, network)
     with pytest.raises(NotImplementedError):
         process.on_message(1, "x")
 
