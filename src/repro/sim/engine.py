@@ -4,7 +4,8 @@ The engine owns the virtual clock and the monotone sequence counter; the
 *storage* of scheduled events and the drain loop live in
 :class:`~repro.sim.schedulers.HeapScheduler`, which holds
 ``(time, sequence, callback, payload)`` tuples — single pushes in a heap,
-bulk loads as a sorted run beside it — and the entry *is* the event:
+bulk loads as a sorted run beside it, constant-latency deliveries in a FIFO
+lane — and the entry *is* the event:
 ``callback(payload)`` fires with no per-event allocation, and storing plain
 tuples keeps every comparison in C.  The engine is intentionally
 minimal: processes, networks, and metrics are layered on top rather than
@@ -13,11 +14,12 @@ baked in, so the same engine drives every algorithm in the library.
 Determinism contract: events fire in ``(time, sequence)`` order, with the
 sequence number allocated monotonically at scheduling time.  The two entry
 points — :meth:`SimulationEngine.schedule_lite` and
-:meth:`SimulationEngine.schedule_lite_bulk` — and the two inlined pushes
-that mirror them (``Network.send``, ``ExperimentDriver._handle_enter``) draw
-from the same sequence counter, so mixing them never changes the replay
-order.  Nothing is ever un-scheduled: the paper's procedures and every
-baseline are pure message handlers over a reliable network.
+:meth:`SimulationEngine.schedule_lite_bulk` — and the two inlined entries
+that mirror them (``Network.send``'s lane append or heap push,
+``ExperimentDriver._handle_enter``'s heap push) draw from the same sequence
+counter, so mixing them never changes the replay order.  Nothing is ever
+un-scheduled: the paper's procedures and every baseline are pure message
+handlers over a reliable network.
 """
 
 from __future__ import annotations

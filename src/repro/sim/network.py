@@ -9,8 +9,9 @@ channel, its delivery is pushed back to just after the earlier delivery.
 
 There is one message path.  :meth:`Network.send` validates, counts, notifies
 the metrics collector and trace recorder if any is attached, checks the
-partition table, computes the delivery time and pushes one heap entry
-``(time, sequence, self._deliver, (sender, receiver, message, sequence))``;
+partition table, computes the delivery time and enqueues one entry
+``(time, sequence, self._deliver, (sender, receiver, message, sequence))`` —
+on the scheduler's FIFO lane under constant latency, in the heap otherwise;
 :meth:`Network._deliver` is the only delivery function (a fault injector
 overrides that same function and fences on the payload's engine sequence);
 it finds the handler on the receiving process's class, so the network holds
@@ -125,6 +126,12 @@ class Network:
         self._constant_delay: Optional[float] = (
             self._latency.value if type(self._latency) is ConstantLatency else None
         )
+        # For the same reason every constant-latency delivery is due in send
+        # order, network-wide: the first such network on an engine appends to
+        # the scheduler's FIFO lane (O(1) in, O(1) out), and every other
+        # network pushes to the heap.
+        lane = None if self._constant_delay is None else engine.scheduler.claim_lane()
+        self._enqueue: Callable[[Tuple], None] = lane or engine._push
         # One test on the send path covers both observers.
         self._observed = metrics is not None or trace is not None
 
@@ -264,13 +271,13 @@ class Network:
                 delivery_time = state.last_delivery_time + _FIFO_EPSILON
             state.last_delivery_time = delivery_time
 
-        # The entry is built inline — sequence bump plus one push —
-        # because even the schedule_lite frame is measurable at this call
-        # rate.  The payload carries the sequence so a fault injector can
-        # fence on it at delivery.
+        # The entry is built inline — sequence bump plus one append to the
+        # lane or push to the heap — because even the schedule_lite frame is
+        # measurable at this call rate.  The payload carries the sequence so
+        # a fault injector can fence on it at delivery.
         sequence = engine._sequence + 1
         engine._sequence = sequence
-        engine._push(
+        self._enqueue(
             (
                 delivery_time,
                 sequence,
@@ -307,7 +314,7 @@ class Network:
         return state
 
     def _deliver(self, payload: Tuple[int, int, Any, int]) -> None:
-        """Deliver one ``(sender, receiver, message, sequence)`` heap payload."""
+        """Deliver one ``(sender, receiver, message, sequence)`` queued payload."""
         sender, receiver, message, _sequence = payload
         nodes = self._columnar_nodes
         if nodes is not None and receiver in nodes:

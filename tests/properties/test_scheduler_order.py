@@ -1,9 +1,11 @@
 """The engine against a model that is just ``sorted`` on ``(time, sequence)``.
 
-The pending-event store keeps single pushes in a heap and bulk loads in a
-sorted run beside it; whatever mix of the two a program makes — from the top
-level or from inside callbacks, in time order or not, with equal-time ties
-between the two — and however the drain is cut into ``run(max_events=k)``,
+The pending-event store keeps single pushes in a heap, bulk loads in a sorted
+run beside it and one constant-latency network's deliveries in a FIFO lane; a
+second constant-latency network on the same engine, with another delay, pushes
+to the heap.  Whatever mix of these a program makes — from the top level or
+from inside callbacks, in time order or not, with equal-time ties between
+them — and however the drain is cut into ``run(max_events=k)``,
 ``run(until=t)``, ``step()`` and ``stop()`` slices, the events must fire in
 exactly the order one flat list sorted by ``(time, sequence)`` would give,
 ``pending_events`` must be exact after every slice, and the clock must move
@@ -15,9 +17,15 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import SimulationEngine
+from repro.sim.latency import ConstantLatency, UniformLatency
+from repro.sim.network import Network
 
 # A quarter lattice with few points: equal-time ties are the common case.
 DELAYS = st.integers(0, 12).map(lambda quarters: quarters / 4)
+# The two networks' constant delays: the first claims the lane, the second
+# (a different delay, so its deliveries interleave out of send order with
+# the first's) uses the heap.
+NETWORK_DELAYS = (0.75, 1.5)
 
 
 def scripts(depth: int):
@@ -25,8 +33,10 @@ def scripts(depth: int):
 
     ``("single", dt, script)`` pushes one event ``dt`` after now,
     ``("bulk", [(dt, script), ...], ordered)`` bulk-loads several (sorted by
-    time first when ``ordered``, as the driver's loads are), ``("stop",)``
-    stops the drain.  ``script`` is what the new event does in its turn.
+    time first when ``ordered``, as the driver's loads are), ``("send",
+    which, script)`` sends one message through network ``which`` (delivered
+    :data:`NETWORK_DELAYS` ``[which]`` after now), ``("stop",)`` stops the
+    drain.  ``script`` is what the new event does in its turn.
     """
     if depth == 0:
         return st.just(())
@@ -35,7 +45,10 @@ def scripts(depth: int):
     bulk = st.tuples(
         st.just("bulk"), st.lists(st.tuples(DELAYS, child), max_size=6), st.booleans()
     )
-    return st.lists(st.one_of(single, bulk, st.just(("stop",))), max_size=3).map(tuple)
+    send = st.tuples(st.just("send"), st.integers(0, 1), child)
+    return st.lists(st.one_of(single, bulk, send, st.just(("stop",))), max_size=3).map(
+        tuple
+    )
 
 
 SCHEDULING = st.one_of(
@@ -43,6 +56,7 @@ SCHEDULING = st.one_of(
     st.tuples(
         st.just("bulk"), st.lists(st.tuples(DELAYS, scripts(2)), max_size=8), st.booleans()
     ),
+    st.tuples(st.just("send"), st.integers(0, 1), scripts(2)),
 )
 SLICES = st.one_of(
     st.tuples(st.just("max_events"), st.integers(0, 7)),
@@ -59,6 +73,15 @@ class Harness:
 
     def __init__(self) -> None:
         self.engine = SimulationEngine()
+        self.networks = []
+        for delay in NETWORK_DELAYS:
+            network = Network(self.engine, latency=ConstantLatency(delay))
+            network.register(1, lambda _sender, _message: None)
+            network.register(2, lambda _sender, entry: self.fire(entry))
+            self.networks.append(network)
+        lane_owner, other = self.networks
+        assert lane_owner._enqueue == self.engine.scheduler._lane.append
+        assert other._enqueue == self.engine._push
         self.model = []  # (time, sequence, script) of everything not yet fired
         self.sequence = 0
         self.fired = 0
@@ -78,6 +101,10 @@ class Harness:
             if action[0] == "stop":
                 engine.stop()
                 self.stopped = True
+            elif action[0] == "send":
+                _, which, script = action
+                delivery = now + NETWORK_DELAYS[which]
+                self.networks[which].send(1, 2, self._expect(delivery, script))
             elif action[0] == "single":
                 _, delay, script = action
                 engine.schedule_lite(now + delay, self.fire, self._expect(now + delay, script))
@@ -135,7 +162,7 @@ class Harness:
 def test_any_mix_of_pushes_loads_and_slices_fires_in_sorted_order(program):
     harness = Harness()
     for step in program:
-        if step[0] in ("single", "bulk"):
+        if step[0] in ("single", "bulk", "send"):
             harness.perform([step])
         else:
             harness.drain(*step)
@@ -144,3 +171,21 @@ def test_any_mix_of_pushes_loads_and_slices_fires_in_sorted_order(program):
     assert harness.fired == harness.sequence
     assert harness.engine.pending_events == 0
     assert harness.engine.processed_events == harness.fired
+
+
+def test_a_network_without_constant_latency_never_touches_the_lane():
+    engine = SimulationEngine()
+    uniform = Network(engine, latency=UniformLatency(0.5, 2.0))
+    fired = []
+    for node in (1, 2):
+        uniform.register(node, lambda sender, message: fired.append(message))
+    assert uniform._enqueue == engine._push
+    for index in range(20):
+        uniform.send(1 + index % 2, 2 - index % 2, index)
+    lane = engine.scheduler._lane
+    assert len(lane) == 0 and engine.pending_events == 20
+    while engine.step():
+        assert len(lane) == 0
+    assert sorted(fired) == list(range(20))
+    # The lane is still unclaimed: the first constant-latency network gets it.
+    assert Network(engine)._enqueue == lane.append

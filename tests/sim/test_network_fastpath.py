@@ -214,14 +214,23 @@ def _replay_star50(latency, attachment, node_backend):
         )
     assert system.node_backend == node_backend
     engine, network = system.engine, system.network
+    # Constant latency: deliveries go to the scheduler's FIFO lane; any other
+    # model pushes them to the heap.
+    lane_append = engine.scheduler._lane.append
+    assert (network._enqueue == lane_append) is (latency == "constant")
     pushed = []
-    push = engine._push
 
-    def recording_push(entry):
-        pushed.append(entry)
-        push(entry)
+    def recording(enqueue):
+        def record(entry):
+            pushed.append(entry)
+            enqueue(entry)
 
-    engine._push = recording_push
+        return record
+
+    # Both ways in: the network's enqueue (lane or heap) and the engine's
+    # heap push, which the driver's releases take.
+    network._enqueue = recording(network._enqueue)
+    engine._push = recording(engine._push)
     driver = ExperimentDriver(system, workload)
     result = driver.run()
     assert engine.pending_events == 0

@@ -1,13 +1,16 @@
-"""The heap holds what is in flight, not the workload.
+"""What waits where during a replay: exact peaks, not bounds.
 
-P1 and P2 are message handlers over a FIFO network, so a node has at most one
-thing in flight — its REQUEST, the PRIVILEGE, or its release.  Bulk-loaded
-arrivals wait beside the heap (``repro.sim.schedulers``), so the heap's peak
-length on a heavy replay is bounded by the node count whatever the number of
-rounds; with the arrivals heapified into it, it read rounds × n.
+The pending-event store has three places (``repro.sim.schedulers``).  The
+workload's bulk-loaded arrivals wait in a sorted run, a constant-latency
+network's deliveries wait in a FIFO lane, and the heap keeps everything
+else — for a fault-free DAG replay, only the driver's releases.  Mutual
+exclusion allows one critical section at a time, so the heap's peak is
+exactly 1.  The lane holds the messages in flight, which the protocol bounds
+by the topology, not by the workload: its peak is the same for 5 rounds as
+for 50.
 
 Deterministic: events are counted, no clock is read.  The probe reads the
-scheduler's private list; the drain loop carries no counter for it.
+scheduler's private containers; the drain loop carries no counter for them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from repro.spec import ExperimentSpec, TopologySpec, WorkloadSpec
 from repro.workload.driver import ExperimentDriver
 
 
-def peak_heap_depth(kind: str, n: int, rounds: int) -> int:
+def peaks(kind: str, n: int, rounds: int):
+    """``(heap peak, lane peak)`` over a heavy replay, stepped one event at a time."""
     driver = ExperimentDriver.from_spec(
         ExperimentSpec(
             algorithm="dag",
@@ -30,19 +34,19 @@ def peak_heap_depth(kind: str, n: int, rounds: int) -> int:
     engine = driver.system.engine
     driver._load_arrivals(engine)
     assert engine.pending_events == len(driver.workload) == rounds * n
-    heap = engine.scheduler._entries
-    peak = len(heap)
+    heap, lane = engine.scheduler._entries, engine.scheduler._lane
+    heap_peak = lane_peak = 0
     while engine.step():
-        if len(heap) > peak:
-            peak = len(heap)
+        heap_peak = max(heap_peak, len(heap))
+        lane_peak = max(lane_peak, len(lane))
     assert engine.pending_events == 0
     assert len(driver.entry_order) == rounds * n
-    return peak
+    return heap_peak, lane_peak
 
 
-@pytest.mark.parametrize("kind, n", [("star", 1000), ("line", 200), ("tree", 127)])
-def test_heap_depth_is_bounded_by_the_node_count_whatever_the_rounds(kind, n):
-    few = peak_heap_depth(kind, n, rounds=5)
-    many = peak_heap_depth(kind, n, rounds=50)
-    assert 0 < few <= n
-    assert many == few
+@pytest.mark.parametrize(
+    "kind, n, lane_peak", [("star", 1000, 1000), ("line", 200, 199), ("tree", 127, 126)]
+)
+def test_heap_holds_one_release_and_the_lane_what_is_in_flight(kind, n, lane_peak):
+    assert peaks(kind, n, rounds=5) == (1, lane_peak)
+    assert peaks(kind, n, rounds=50) == (1, lane_peak)
