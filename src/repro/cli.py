@@ -39,7 +39,7 @@ from repro.analysis.theory import (
 from repro.baselines import registry
 from repro.core.inspector import implicit_queue
 from repro.exceptions import ReproError
-from repro.spec import FAULT_PROFILES
+from repro.spec import FAULT_PROFILES, ExperimentSpec, RuntimeSpec
 from repro.core.protocol import DagMutexProtocol
 from repro.topology import (
     balanced_tree,
@@ -583,7 +583,7 @@ def _spec_schema(path: str) -> Optional[str]:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         return None
-    return payload.get("schema")
+    return payload.get("schema", ExperimentSpec.SCHEMA)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -591,13 +591,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     import dataclasses
     import hashlib
 
-    from repro.spec import ExperimentSpec
     from repro.workload.driver import ExperimentDriver
 
     if _refused(args):
         return 2
     if args.spec is not None:
-        if _spec_schema(args.spec) == "runtime-spec/v1":
+        if _spec_schema(args.spec) == RuntimeSpec.SCHEMA:
             # A runtime spec describes the live lock service, not a
             # simulation: route to the networked runtime instead.
             if args.faults is not None:
@@ -718,7 +717,6 @@ def _runtime_scenario(spec, args: argparse.Namespace):
 def _run_runtime_spec(args: argparse.Namespace) -> int:
     """The ``repro run --spec runtime.json`` path: drive the live service."""
     from repro.runtime.lockbench import run_lockbench_scenario
-    from repro.spec import RuntimeSpec
 
     spec = RuntimeSpec.load(args.spec)
     scenario = _runtime_scenario(spec, args)
@@ -806,12 +804,11 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
     from repro.obs.registry import MetricsRegistry
     from repro.obs.snapshot import snapshot_document, write_snapshot
-    from repro.spec import ExperimentSpec
     from repro.workload.driver import ExperimentDriver
 
     if _refused(args):
         return 2
-    if _spec_schema(args.spec) == "runtime-spec/v1":
+    if _spec_schema(args.spec) == RuntimeSpec.SCHEMA:
         return _obs_runtime(args)
     spec = ExperimentSpec.load(args.spec)
     sample_every = spec.obs.sample_every if spec.obs is not None else 1
@@ -853,7 +850,7 @@ def _obs_runtime(args: argparse.Namespace) -> int:
         write_snapshot,
     )
     from repro.runtime.lockbench import run_lockbench_scenario
-    from repro.spec import ObsSpec, RuntimeSpec
+    from repro.spec import ObsSpec
 
     spec = RuntimeSpec.load(args.spec)
     if spec.obs is None or not spec.obs.enabled:

@@ -43,7 +43,7 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import LockError
-from repro.runtime.transport_socket import Address
+from repro.runtime.transport_socket import Address, normalise_address
 
 #: Virtual nodes per shard on the consistent-hash ring.  Enough that key load
 #: stays within a few percent of uniform for any realistic shard count.
@@ -122,11 +122,10 @@ class ClusterView:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "ClusterView":
-        shards: Dict[int, Optional[Address]] = {}
-        for shard, address in (data.get("shards") or {}).items():
-            if isinstance(address, (list, tuple)):
-                address = (str(address[0]), int(address[1]))
-            shards[int(shard)] = address
+        shards = {
+            int(shard): None if address is None else normalise_address(address)
+            for shard, address in (data.get("shards") or {}).items()
+        }
         return ClusterView(epoch=int(data.get("epoch", 0)), shards=shards)
 
 
@@ -140,16 +139,6 @@ class FailoverEvent:
     last_heartbeat: float
     detected_at: float
     completed_at: Optional[float] = None  #: every survivor acked the epoch
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "shard": self.shard,
-            "epoch": self.epoch,
-            "reason": self.reason,
-            "last_heartbeat": self.last_heartbeat,
-            "detected_at": self.detected_at,
-            "completed_at": self.completed_at,
-        }
 
 
 def failover_spans(

@@ -100,6 +100,7 @@ from repro.runtime.transport_socket import (
     FrameProtocol,
     backoff_delays,
     encode_frame,
+    normalise_address,
     open_frame_connection,
     start_frame_server,
 )
@@ -286,7 +287,7 @@ class LockServiceShard:
         # One (frozen) topology shared by every key's tree: each cluster keeps
         # a reference to the one it was built from, and a copy per key is a
         # kilobyte of containers every garbage collection would walk.
-        self._lock_topology = spec.build_lock_topology()
+        self._lock_topology = spec.topology.build()
         self._locks: Dict[str, _KeyedLock] = {}
         self._holders: Dict[str, int] = {}  # key -> session
         self._held: Dict[Tuple[int, str], _Hold] = {}  # (session, key) -> hold
@@ -1046,7 +1047,7 @@ class LockClient:
         if op_timeout is not None and op_timeout <= 0:
             raise LockError(f"op_timeout must be > 0, got {op_timeout}")
         self._view = ClusterView(
-            epoch=0, shards=dict(enumerate(_normalise_address(a) for a in addresses))
+            epoch=0, shards=dict(enumerate(normalise_address(a) for a in addresses))
         )
         self._channels = channels
         self._op_timeout = op_timeout
@@ -1334,12 +1335,6 @@ class LockClient:
             await conn.open()
             self._conns[(shard, channel)] = conn
         return conn
-
-
-def _normalise_address(address: Address) -> Address:
-    if isinstance(address, (list, tuple)):
-        return (str(address[0]), int(address[1]))
-    return str(address)
 
 
 class _ClientConnection:

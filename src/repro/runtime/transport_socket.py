@@ -419,7 +419,7 @@ def decode_envelope(payload: Dict[str, Any]) -> Envelope:
         raise RuntimeTransportError(f"malformed envelope frame: {exc!r}") from None
 
 
-def _normalise(address: Address) -> Address:
+def normalise_address(address: Address) -> Address:
     """Hashable canonical form (JSON round-trips tuples as lists)."""
     if isinstance(address, (list, tuple)):
         host, port = address
@@ -507,9 +507,9 @@ class SocketTransport(Mailbox):
 
     def __init__(self, address: Address, peers: Mapping[int, Address]) -> None:
         super().__init__()
-        self._address = _normalise(address)
+        self._address = normalise_address(address)
         self._peers: Dict[int, Address] = {
-            int(node): _normalise(peer) for node, peer in peers.items()
+            int(node): normalise_address(peer) for node, peer in peers.items()
         }
         self._outboxes: Dict[Address, asyncio.Queue] = {}
         self._writers: Dict[Address, asyncio.Task] = {}

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import ExperimentError
@@ -119,32 +119,13 @@ class FaultLog:
 
     def counts(self) -> Dict[str, int]:
         """Per-category entry counts, for experiment summaries."""
-        return {
-            "dropped_messages": len(self.dropped_messages),
-            "suppressed_sends": len(self.suppressed_sends),
-            "suppressed_deliveries": len(self.suppressed_deliveries),
-            "fenced_messages": len(self.fenced_messages),
-            "partition_drops": len(self.partition_drops),
-            "crashes": len(self.crashes),
-            "restarts": len(self.restarts),
-            "partitions": len(self.partitions),
-            "heals": len(self.heals),
-        }
+        return {f.name: len(getattr(self, f.name)) for f in fields(self)}
 
     def to_dict(self) -> Dict[str, list]:
         """The full log as JSON-ready lists (tuples become lists)."""
         return {
-            "dropped_messages": [list(entry) for entry in self.dropped_messages],
-            "suppressed_sends": [list(entry) for entry in self.suppressed_sends],
-            "suppressed_deliveries": [
-                list(entry) for entry in self.suppressed_deliveries
-            ],
-            "fenced_messages": [list(entry) for entry in self.fenced_messages],
-            "partition_drops": [list(entry) for entry in self.partition_drops],
-            "crashes": [list(entry) for entry in self.crashes],
-            "restarts": [list(entry) for entry in self.restarts],
-            "partitions": [list(entry) for entry in self.partitions],
-            "heals": [list(entry) for entry in self.heals],
+            f.name: [list(entry) for entry in getattr(self, f.name)]
+            for f in fields(self)
         }
 
     def digest(self) -> str:

@@ -11,10 +11,14 @@ latency model, seed) plus the metrics toggle, which does not.
 
 Design rules:
 
-* **Specs are data.**  ``canonical_json()`` / ``from_json()`` round-trip
-  exactly (``from_json(canonical_json(s)) == s``), so a spec can be committed,
-  diffed, and shipped to another machine — cross-machine sweep shards are a
-  matter of sending spec JSON.
+* **Specs are data, and the fields are the format.**  A spec's JSON form is
+  its dataclass fields, written by one codec (:class:`_SpecCodec`) that no
+  spec class overrides; ``from_json(canonical_json(s)) == s``, so a spec can
+  be committed, diffed, and shipped to another machine — cross-machine sweep
+  shards are a matter of sending spec JSON.  ``from_dict`` is the one gate
+  for spec input from outside the program: an unknown or missing field, a
+  wrong schema or a value of the wrong JSON type is an ``ExperimentError``
+  naming the spec and the field, before the constructor's own checks run.
 * **Specs are the construction path, not a parallel one.**  The bench and
   sweep matrices build their cells *through* these builders
   (``TopologySpec.build``, ``WorkloadSpec.build``), so a spec-built scenario
@@ -25,11 +29,14 @@ Design rules:
   on each system class, instead of module-level name tuples.
 """
 
-from __future__ import annotations
-
+# No ``from __future__ import annotations`` here: the codec reads field
+# annotations as the objects evaluated at import, so decoding a spec (as each
+# forked shard process does) never runs the compiler on annotation strings.
 import json
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Tuple, Union
+from dataclasses import MISSING, dataclass, fields
+from typing import (
+    Any, Dict, Optional, Tuple, Type, TypeVar, Union, get_args, get_origin, get_type_hints,
+)
 
 from repro.baselines.base import MutexSystem, registry
 from repro.exceptions import ExperimentError, WorkloadError
@@ -75,21 +82,127 @@ def _unknown(kind: str, value: Any, known: Tuple[str, ...]) -> str:
     return f"unknown {kind} {value!r}; known: {list(known)}"
 
 
-def _validated_dict(cls, data: Dict[str, Any], label: str) -> Dict[str, Any]:
-    """Filter-free kwargs for ``cls`` from ``data``; unknown keys are errors."""
-    if not isinstance(data, dict):
-        raise ExperimentError(f"{label} must be a JSON object, got {type(data).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ExperimentError(
-            f"{label} has unknown fields {unknown}; expected a subset of {sorted(allowed)}"
-        )
-    return dict(data)
+#: The JSON values a scalar field accepts, and how an error names them.
+#: ``bool`` is an ``int`` to Python, so a number field checks it apart.
+_SCALARS: Dict[type, Tuple[Tuple[type, ...], str]] = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    type(None): ((type(None),), "null"),
+}
+
+_S = TypeVar("_S", bound="_SpecCodec")
+
+
+def _label(cls: type) -> str:
+    """How errors name a spec class: ``ShardCrashSpec`` -> ``shard crash spec``."""
+    return "".join(f" {c}" if c.isupper() else c for c in cls.__name__).strip().lower()
+
+
+def _accepts(hint: Any, value: Any) -> bool:
+    accepted, _ = _SCALARS.get(hint, ((), ""))
+    return isinstance(value, accepted) and (hint is bool or not isinstance(value, bool))
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, _SpecCodec):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
+
+
+def _decode(hint: Any, value: Any, where: str) -> Any:
+    """``value`` read from JSON as a field annotated ``hint``, or an error."""
+    if isinstance(hint, type) and issubclass(hint, _SpecCodec):
+        return hint.from_dict(value)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple and isinstance(value, list):
+        return tuple(_decode(args[0], item, where) for item in value)
+    arms = args if origin is Union else (hint,)
+    if any(_accepts(arm, value) for arm in arms):
+        return value
+    if origin is Union and arms[0] not in _SCALARS:
+        # Optional[spec]: the nested spec's own check names its field.
+        return _decode(arms[0], value, where)
+    # What is neither a scalar nor a spec is a tuple of specs: a JSON list.
+    expected = " or ".join(_SCALARS[arm][1] if arm in _SCALARS else "a list" for arm in arms)
+    raise ExperimentError(f"{where} must be {expected}, got {value!r}")
+
+
+class _SpecCodec:
+    """The one JSON codec of every spec class: its fields are the format.
+
+    ``to_dict`` writes every dataclass field under its own name — a nested
+    spec as an object, a tuple as a list — plus ``schema`` when the class
+    declares a ``SCHEMA``.  ``from_dict`` is its inverse and the input gate:
+    the input must be an object with no unknown and no missing field, the
+    class's schema (if given) and, per field, a value of the annotated type
+    (an ``int`` passes for a ``float``; a ``bool`` never passes for a number).
+    """
+
+    SCHEMA: Optional[str] = None
+
+    def to_dict(self) -> Dict[str, Any]:
+        data: Dict[str, Any] = {"schema": self.SCHEMA} if self.SCHEMA else {}
+        data.update((f.name, _encode(getattr(self, f.name))) for f in fields(self))
+        return data
+
+    @classmethod
+    def from_dict(cls: Type[_S], data: Any) -> _S:
+        label = _label(cls)
+        if not isinstance(data, dict):
+            raise ExperimentError(f"{label} must be a JSON object, got {type(data).__name__}")
+        payload = dict(data)
+        if cls.SCHEMA:
+            schema = payload.pop("schema", cls.SCHEMA)
+            if schema != cls.SCHEMA:
+                raise ExperimentError(f"unknown {label} schema {schema!r}")
+        declared = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(payload) - set(declared))
+        if unknown:
+            raise ExperimentError(
+                f"{label} has unknown fields {unknown}; expected a subset of {sorted(declared)}"
+            )
+        missing = [
+            name for name, f in declared.items()
+            if name not in payload and f.default is MISSING and f.default_factory is MISSING
+        ]
+        if missing:
+            raise ExperimentError(f"{label} is missing required fields {missing}")
+        hints = get_type_hints(cls)
+        return cls(**{
+            name: _decode(hints[name], value, f"{label} field {name!r}")
+            for name, value in payload.items()
+        })
+
+    def canonical_json(self) -> str:
+        """The spec's canonical serialisation (stable key order, one form)."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+    @classmethod
+    def from_json(cls: Type[_S], text: str) -> _S:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ExperimentError(f"{_label(cls)} is not valid JSON: {exc}") from None
+        return cls.from_dict(data)
+
+    @classmethod
+    def load(cls: Type[_S], path: str) -> _S:
+        """Read a spec from a JSON file (the ``repro run --spec`` loader)."""
+        with open(path, "r", encoding="utf-8") as handle:
+            return cls.from_json(handle.read())
+
+    def save(self, path: str) -> None:
+        """Write the spec to ``path`` in canonical form."""
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(self.canonical_json())
 
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(_SpecCodec):
     """A named logical topology: family, size, seed, representation.
 
     ``compact`` mirrors the builders' flag: ``None`` auto-selects the
@@ -119,16 +232,9 @@ class TopologySpec:
             return balanced_tree(2, depth, compact=self.compact)
         return random_tree(self.n, seed=self.seed, compact=self.compact)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "n": self.n, "seed": self.seed, "compact": self.compact}
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "TopologySpec":
-        return TopologySpec(**_validated_dict(TopologySpec, data, "topology spec"))
-
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_SpecCodec):
     """A workload tier plus the knobs the tiered matrices vary.
 
     Attributes:
@@ -211,19 +317,6 @@ class WorkloadSpec:
         # diurnal: one full day/night cycle per ~40 mean interarrivals.
         return generator.diurnal(total_requests=requests)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "tier": self.tier,
-            "rounds": self.rounds,
-            "total_requests": self.total_requests,
-            "streaming": self.streaming,
-            "chunk_requests": self.chunk_requests,
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "WorkloadSpec":
-        return WorkloadSpec(**_validated_dict(WorkloadSpec, data, "workload spec"))
-
 
 #: Latency model kinds a spec can name.
 LATENCY_KINDS = ("constant", "uniform", "exponential")
@@ -236,7 +329,7 @@ TOKEN_HOLDER = "token-holder"
 
 
 @dataclass(frozen=True)
-class CrashSpec:
+class CrashSpec(_SpecCodec):
     """One crash-stop event: kill ``node`` at virtual ``time``.
 
     ``node`` is a node id or the :data:`TOKEN_HOLDER` sentinel, resolved when
@@ -262,16 +355,9 @@ class CrashSpec:
                 f"restart time {self.restart} must be after the crash time {self.time}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"node": self.node, "time": self.time, "restart": self.restart}
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "CrashSpec":
-        return CrashSpec(**_validated_dict(CrashSpec, data, "crash spec"))
-
 
 @dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(_SpecCodec):
     """One partition window: sever the ``a``/``b`` channel during it.
 
     Messages sent on a partitioned channel are silently lost (they are not
@@ -295,22 +381,9 @@ class PartitionSpec:
                 f"heal time {self.heal} must be after the partition start {self.start}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "start": self.start,
-            "heal": self.heal,
-            "symmetric": self.symmetric,
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "PartitionSpec":
-        return PartitionSpec(**_validated_dict(PartitionSpec, data, "partition spec"))
-
 
 @dataclass(frozen=True)
-class RecoverySpec:
+class RecoverySpec(_SpecCodec):
     """Token-regeneration policy for the DAG protocol after token loss.
 
     ``delay`` is how long (virtual time) after a crash or a dropped
@@ -333,16 +406,9 @@ class RecoverySpec:
                 f"recovery check_interval must be > 0, got {self.check_interval}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"delay": self.delay, "check_interval": self.check_interval}
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "RecoverySpec":
-        return RecoverySpec(**_validated_dict(RecoverySpec, data, "recovery spec"))
-
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(_SpecCodec):
     """Deterministic failure & churn schedule for one experiment.
 
     Every fault is driven by virtual time or by a ``SeededRNG`` stream derived
@@ -388,31 +454,6 @@ class FaultSpec:
                 "drop_privilege and drop_request must be >= 0, got "
                 f"{self.drop_privilege} and {self.drop_request}"
             )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "drop_rate": self.drop_rate,
-            "drop_privilege": self.drop_privilege,
-            "drop_request": self.drop_request,
-            "crashes": [crash.to_dict() for crash in self.crashes],
-            "partitions": [window.to_dict() for window in self.partitions],
-            "recovery": self.recovery.to_dict() if self.recovery is not None else None,
-            "worker_crash": self.worker_crash,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "FaultSpec":
-        payload = _validated_dict(FaultSpec, data, "fault spec")
-        payload["crashes"] = tuple(
-            CrashSpec.from_dict(entry) for entry in payload.get("crashes") or ()
-        )
-        payload["partitions"] = tuple(
-            PartitionSpec.from_dict(entry) for entry in payload.get("partitions") or ()
-        )
-        if payload.get("recovery") is not None:
-            payload["recovery"] = RecoverySpec.from_dict(payload["recovery"])
-        return FaultSpec(**payload)
 
 
 #: The frozen fault profiles the sweep and bench fault tiers share.  Profile
@@ -467,7 +508,7 @@ FAULT_PROFILES: Dict[str, FaultSpec] = {
 
 
 @dataclass(frozen=True)
-class LatencySpec:
+class LatencySpec(_SpecCodec):
     """A serializable latency model choice.
 
     ``constant`` uses ``value``; ``uniform`` uses ``low``/``high``;
@@ -498,23 +539,9 @@ class LatencySpec:
             self.mean, rng=SeededRNG(self.seed, label="spec-latency")
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "low": self.low,
-            "high": self.high,
-            "mean": self.mean,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "LatencySpec":
-        return LatencySpec(**_validated_dict(LatencySpec, data, "latency spec"))
-
 
 @dataclass(frozen=True)
-class ObsSpec:
+class ObsSpec(_SpecCodec):
     """The observability toggle shared by simulated and live experiments.
 
     ``enabled`` turns the :mod:`repro.obs` metrics registry on (off by
@@ -534,16 +561,9 @@ class ObsSpec:
                 f"sample_every must be >= 1, got {self.sample_every}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"enabled": self.enabled, "sample_every": self.sample_every}
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "ObsSpec":
-        return ObsSpec(**_validated_dict(ObsSpec, data, "obs spec"))
-
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(_SpecCodec):
     """The canonical, serializable description of one experiment.
 
     ``build()`` turns the spec into a ready ``(system, workload)`` pair and
@@ -562,6 +582,8 @@ class ExperimentSpec:
     between object nodes and the columnar array core (identical event order,
     held by ``tests/properties/test_backend_identity.py``).
     """
+
+    SCHEMA = "experiment-spec/v1"
 
     algorithm: str
     topology: TopologySpec
@@ -613,11 +635,6 @@ class ExperimentSpec:
             f"-{self.workload.tier}"
         )
 
-    @property
-    def capabilities(self):
-        """The algorithm's declared :class:`AlgorithmCapabilities`."""
-        return registry.capabilities(self.algorithm)
-
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
@@ -654,73 +671,6 @@ class ExperimentSpec:
         from repro.workload.driver import ExperimentDriver
 
         return ExperimentDriver.from_spec(self).run(max_events=max_events)
-
-    # ------------------------------------------------------------------ #
-    # serialization
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": "experiment-spec/v1",
-            "algorithm": self.algorithm,
-            "topology": self.topology.to_dict(),
-            "workload": self.workload.to_dict(),
-            "latency": self.latency.to_dict() if self.latency is not None else None,
-            "scheduler": self.scheduler,
-            "seed": self.seed,
-            "collect_metrics": self.collect_metrics,
-            "record_trace": self.record_trace,
-            "faults": self.faults.to_dict() if self.faults is not None else None,
-            "node_backend": self.node_backend,
-            "obs": self.obs.to_dict() if self.obs is not None else None,
-        }
-
-    def canonical_json(self) -> str:
-        """The spec's canonical serialisation (stable key order, one form)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "ExperimentSpec":
-        if not isinstance(data, dict):
-            raise ExperimentError(
-                f"experiment spec must be a JSON object, got {type(data).__name__}"
-            )
-        payload = dict(data)
-        schema = payload.pop("schema", "experiment-spec/v1")
-        if schema != "experiment-spec/v1":
-            raise ExperimentError(f"unknown experiment spec schema {schema!r}")
-        payload = _validated_dict(ExperimentSpec, payload, "experiment spec")
-        if "topology" not in payload or "workload" not in payload:
-            raise ExperimentError(
-                "experiment spec needs at least algorithm, topology and workload"
-            )
-        payload["topology"] = TopologySpec.from_dict(payload["topology"])
-        payload["workload"] = WorkloadSpec.from_dict(payload["workload"])
-        if payload.get("latency") is not None:
-            payload["latency"] = LatencySpec.from_dict(payload["latency"])
-        if payload.get("faults") is not None:
-            payload["faults"] = FaultSpec.from_dict(payload["faults"])
-        if payload.get("obs") is not None:
-            payload["obs"] = ObsSpec.from_dict(payload["obs"])
-        return ExperimentSpec(**payload)
-
-    @staticmethod
-    def from_json(text: str) -> "ExperimentSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ExperimentError(f"experiment spec is not valid JSON: {exc}") from None
-        return ExperimentSpec.from_dict(data)
-
-    @staticmethod
-    def load(path: str) -> "ExperimentSpec":
-        """Read a spec from a JSON file (the ``repro run --spec`` loader)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return ExperimentSpec.from_json(handle.read())
-
-    def save(self, path: str) -> None:
-        """Write the spec to ``path`` in canonical form."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.canonical_json())
 
     # ------------------------------------------------------------------ #
     # CLI shorthand
@@ -781,7 +731,7 @@ SOCKET_KINDS = ("unix", "tcp")
 
 
 @dataclass(frozen=True)
-class ShardCrashSpec:
+class ShardCrashSpec(_SpecCodec):
     """One live-service crash: shard ``shard`` calls ``os._exit`` at wall
     time ``at`` (seconds after it starts serving).
 
@@ -799,16 +749,9 @@ class ShardCrashSpec:
         if self.at <= 0:
             raise ExperimentError(f"crash time must be > 0, got {self.at}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"shard": self.shard, "at": self.at}
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "ShardCrashSpec":
-        return ShardCrashSpec(**_validated_dict(ShardCrashSpec, data, "shard crash spec"))
-
 
 @dataclass(frozen=True)
-class RuntimeFaultSpec:
+class RuntimeFaultSpec(_SpecCodec):
     """Deterministic failure schedule for the networked lock service.
 
     The live-service counterpart of :class:`FaultSpec`: crashes fire on a
@@ -838,24 +781,9 @@ class RuntimeFaultSpec:
         if not 0.0 <= self.drop_rate < 1.0:
             raise ExperimentError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "crashes": [crash.to_dict() for crash in self.crashes],
-            "drop_rate": self.drop_rate,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "RuntimeFaultSpec":
-        payload = _validated_dict(RuntimeFaultSpec, data, "runtime fault spec")
-        payload["crashes"] = tuple(
-            ShardCrashSpec.from_dict(entry) for entry in payload.get("crashes") or ()
-        )
-        return RuntimeFaultSpec(**payload)
-
 
 @dataclass(frozen=True)
-class RuntimeSpec:
+class RuntimeSpec(_SpecCodec):
     """The spec-to-runtime bridge: one description of a networked lock service.
 
     The simulator measures the protocol in virtual time; the runtime
@@ -882,6 +810,8 @@ class RuntimeSpec:
             declares a shard dead (process exits are detected immediately via
             the process sentinel; the window only catches hangs).
     """
+
+    SCHEMA = "runtime-spec/v1"
 
     algorithm: str = "dag"
     topology: TopologySpec = TopologySpec(kind="star", n=8)
@@ -936,62 +866,3 @@ class RuntimeSpec:
             f"{self.algorithm}-{self.topology.kind}-n{self.topology.n}"
             f"-s{self.shards}-{self.socket}"
         )
-
-    def build_lock_topology(self) -> Topology:
-        """The token tree one lock key runs on (the simulator's builders)."""
-        return self.topology.build()
-
-    # ------------------------------------------------------------------ #
-    # serialization (same conventions as ExperimentSpec)
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": "runtime-spec/v1",
-            "algorithm": self.algorithm,
-            "topology": self.topology.to_dict(),
-            "shards": self.shards,
-            "socket": self.socket,
-            "faults": self.faults.to_dict() if self.faults is not None else None,
-            "heartbeat_interval": self.heartbeat_interval,
-            "miss_window": self.miss_window,
-            "obs": self.obs.to_dict() if self.obs is not None else None,
-        }
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "RuntimeSpec":
-        if not isinstance(data, dict):
-            raise ExperimentError(
-                f"runtime spec must be a JSON object, got {type(data).__name__}"
-            )
-        payload = dict(data)
-        schema = payload.pop("schema", "runtime-spec/v1")
-        if schema != "runtime-spec/v1":
-            raise ExperimentError(f"unknown runtime spec schema {schema!r}")
-        payload = _validated_dict(RuntimeSpec, payload, "runtime spec")
-        if "topology" in payload:
-            payload["topology"] = TopologySpec.from_dict(payload["topology"])
-        if payload.get("faults") is not None:
-            payload["faults"] = RuntimeFaultSpec.from_dict(payload["faults"])
-        if payload.get("obs") is not None:
-            payload["obs"] = ObsSpec.from_dict(payload["obs"])
-        return RuntimeSpec(**payload)
-
-    @staticmethod
-    def from_json(text: str) -> "RuntimeSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ExperimentError(f"runtime spec is not valid JSON: {exc}") from None
-        return RuntimeSpec.from_dict(data)
-
-    @staticmethod
-    def load(path: str) -> "RuntimeSpec":
-        with open(path, "r", encoding="utf-8") as handle:
-            return RuntimeSpec.from_json(handle.read())
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.canonical_json())

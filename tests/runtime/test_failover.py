@@ -160,7 +160,7 @@ def test_fenced_out_shard_answers_fenced_for_every_op():
 # --------------------------------------------------------------------------- #
 def test_takeover_tree_regenerates_exactly_one_token():
     async def scenario():
-        topology = small_spec().build_lock_topology()
+        topology = small_spec().topology.build()
         keyed = _KeyedLock("k", topology, epoch=1, takeover=True)
         holders = [node.node_id for node in keyed.cluster.nodes.values() if node.holding]
         assert len(holders) == 1  # minted exactly one replacement PRIVILEGE

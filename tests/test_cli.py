@@ -207,6 +207,33 @@ def test_unusable_input_is_one_error_line_on_every_verb(capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (
+            {"algorithm": "dag", "topology": {"kind": "star"}, "workload": {"tier": "heavy"}},
+            "topology spec is missing required fields ['n']",
+        ),
+        (
+            {"schema": "runtime-spec/v1", "shards": "2"},
+            "runtime spec field 'shards' must be an integer, got '2'",
+        ),
+    ],
+    ids=["experiment-topology-without-n", "runtime-shards-as-string"],
+)
+def test_run_refuses_a_malformed_spec_file_with_one_error_line(capsys, tmp_path, document, message):
+    """At the parent both files died in the constructor with a ``TypeError``
+    traceback; the spec loader now refuses them by spec and field name."""
+    import json
+
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(document))
+    assert main(["run", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_bench_baselines_smoke(capsys, tmp_path):
     output = tmp_path / "baselines.json"
     code, out = run_cli(

@@ -73,11 +73,30 @@ def test_from_dict_rejects_foreign_schema_and_unknown_keys():
         RuntimeSpec.from_dict(extra)
 
 
+@pytest.mark.parametrize(
+    "edit, spec_label, field",
+    [
+        (lambda doc: doc["faults"]["crashes"][0].pop("at"), "shard crash spec", "'at'"),
+        (lambda doc: doc.update(shards="2"), "runtime spec", "'shards'"),
+    ],
+    ids=["shard-crash-missing-at", "shards-as-string"],
+)
+def test_from_dict_names_the_spec_and_field_of_malformed_input(edit, spec_label, field):
+    spec = RuntimeSpec(
+        shards=3, faults=RuntimeFaultSpec(crashes=(ShardCrashSpec(shard=1, at=0.5),))
+    )
+    document = spec.to_dict()
+    edit(document)
+    with pytest.raises(ExperimentError) as refused:
+        RuntimeSpec.from_dict(document)
+    assert spec_label in str(refused.value) and field in str(refused.value)
+
+
 def test_lock_topology_matches_the_simulator_builder():
     """Same spec names drive both paths: the per-key token tree the runtime
     builds is exactly the topology the simulator's TopologySpec builds."""
     spec = RuntimeSpec(topology=TopologySpec(kind="star", n=6))
-    built = spec.build_lock_topology()
+    built = spec.topology.build()
     reference = star(6)
     assert built.nodes == reference.nodes
     assert built.token_holder == reference.token_holder

@@ -15,6 +15,7 @@ Three contracts are pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from unittest import mock
 
@@ -34,6 +35,7 @@ from repro.cells import (
 from repro.exceptions import ExperimentError, WorkloadError
 from repro.spec import (
     DEFAULT_HEAVY_ROUNDS,
+    FAULT_PROFILES,
     STREAMING_NODE_THRESHOLD,
     WORKLOAD_TIERS,
     XXLARGE_HEAVY_ROUNDS,
@@ -140,6 +142,47 @@ def test_from_dict_rejects_unknown_fields_and_schema():
         ExperimentSpec.from_dict(data)
     with pytest.raises(ExperimentError, match="not valid JSON"):
         ExperimentSpec.from_json("{nope")
+
+
+#: Spec files from outside the program that ``from_dict`` must refuse, each
+#: with an ``ExperimentError`` naming the spec and the field: (path into the
+#: document, replacement value or ``DROP``, spec, field).
+DROP = object()
+MALFORMED_EXPERIMENT_DOCUMENTS = [
+    (("topology", "n"), DROP, "topology spec", "'n'"),
+    (("algorithm",), DROP, "experiment spec", "'algorithm'"),
+    (("faults", "crashes", 0, "time"), DROP, "crash spec", "'time'"),
+    (("faults", "crashes"), 5, "fault spec", "'crashes'"),
+    (("topology", "n"), "5", "topology spec", "'n'"),
+    (("topology", "n"), True, "topology spec", "'n'"),
+    (("topology", "compact"), "yes", "topology spec", "'compact'"),
+    (("workload", "rounds"), 2.5, "workload spec", "'rounds'"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, spec_label, field",
+    MALFORMED_EXPERIMENT_DOCUMENTS,
+    ids=[
+        ".".join(map(str, path)) + (" dropped" if value is DROP else f"={value!r}")
+        for path, value, *_ in MALFORMED_EXPERIMENT_DOCUMENTS
+    ],
+)
+def test_from_dict_names_the_spec_and_field_of_malformed_input(path, value, spec_label, field):
+    spec = ExperimentSpec.parse("dag", "star:9", "heavy:2")
+    document = json.loads(
+        dataclasses.replace(spec, faults=FAULT_PROFILES["crash-churn"]).canonical_json()
+    )
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with pytest.raises(ExperimentError) as refused:
+        ExperimentSpec.from_dict(document)
+    assert spec_label in str(refused.value) and field in str(refused.value)
 
 
 def test_spec_validation_lists_known_names():
