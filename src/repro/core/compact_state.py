@@ -29,13 +29,13 @@ change goes into the kernel and, in lock-step, here.  The object nodes remain
 the always-tested reference implementation; tier-1 holds every compact run
 byte-identical against them (``tests/properties/test_backend_identity.py``).
 
-Delivery integration is one table: the network's ``_deliver`` hands a message
-for any id in :attr:`CompactDagState.node_range` to the handler
+Delivery integration is one table: the network hands a message for any id
+in :attr:`CompactDagState.node_range` to the handler
 :attr:`CompactDagState.dispatch_table` names for its type — straight into
 ``_handle_request`` / ``_handle_privilege``, as a registered dispatch table
 does for an object node — and to :meth:`CompactDagState.on_message` (which
 raises) for any other type, with or without metrics, trace or a fault
-injector attached.
+injector attached (resolved at send for a lane entry, at delivery for a heap one).
 
 For code that expects node *objects* — the fault controller's token scan,
 token regeneration, tests poking at ``system.nodes[i]`` — a lazy
@@ -241,8 +241,8 @@ class CompactDagState:
     # ------------------------------------------------------------------ #
     def on_message(self, receiver: int, sender: int, message: Any) -> None:
         """Dispatch one delivery by message type (node views come this way;
-        ``Network._deliver`` reads :attr:`dispatch_table` itself and calls
-        this only for a type the table does not know)."""
+        the network reads :attr:`dispatch_table` itself, at send or in
+        ``_deliver``, and calls this only for a type the table does not know)."""
         handler = self.dispatch_table.get(type(message))
         if handler is None:
             raise ProtocolError(

@@ -7,22 +7,26 @@ do not overtake each other in transit.  FIFO order is enforced per directed
 latency draw would deliver a message before an earlier one on the same
 channel, its delivery is pushed back to just after the earlier delivery.
 
-There is one message path.  :meth:`Network.send` validates, counts, notifies
-the metrics collector and trace recorder if any is attached, checks the
-partition table, computes the delivery time and enqueues one entry
-``(time, sequence, self._deliver, (sender, receiver, message, sequence))`` —
-on the scheduler's FIFO lane under constant latency, in the heap otherwise;
-:meth:`Network._deliver` is the only delivery function (a fault injector
-overrides that same function and fences on the payload's engine sequence);
-it finds the handler on the receiving process's class, so the network holds
-no per-node callable.  With a :class:`~repro.sim.latency.ConstantLatency`
-model the per-channel FIFO clamp is skipped: a constant delay added to a
-non-decreasing clock can never reorder a channel, so no per-channel state is
-touched unless a partition is active.  One engine sequence number is drawn
-per send whatever is attached,
+A message is queued in one of two forms.  :meth:`Network.send` validates,
+counts, notifies the metrics collector and trace recorder if any is attached,
+checks the partition table and computes the delivery time.  The network that
+owns the scheduler's FIFO lane (constant latency, no trace recorder, the base
+:meth:`Network._deliver`) appends the delivery itself, ``(time, sequence,
+handler, target, sender, message)`` — the receiver's class-level
+``dispatch_table`` entry for the message's type (else an ``on_message``
+adapter) and the process, or the columnar handler and the id — which the
+drain fires as ``handler(target, sender, message)``.  A network that watches
+deliveries (other latency, a trace's ``receive`` records, a fault injector
+fencing on the engine sequence) pushes ``(time, sequence, self._deliver,
+(sender, receiver, message, sequence))`` to the heap instead, and
+:meth:`Network._deliver` resolves the receiver when it fires.  With a
+:class:`~repro.sim.latency.ConstantLatency` model the per-channel FIFO clamp
+is skipped: a constant delay added to a non-decreasing clock can never
+reorder a channel, so no per-channel state is touched unless a partition is
+active.  One engine sequence number is drawn per send whatever is attached,
 so a run's ``(time, sequence)`` event order does not depend on the
-observers.  ``benchmarks/README.md`` ("Why there is one message path") holds
-the A/B that retired the fast/observed fork and the batch sink.
+observers.  ``benchmarks/README.md`` ("Why there are two entry forms") holds
+the A/Bs behind both forms.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ class _Handler:
     """A plain ``handler(sender, message)`` registered in a process's place.
 
     Its table is empty, so every delivery goes to ``on_message`` — the
-    handler itself, held in a slot and called with no frame in between.
+    handler itself, held in a slot (a lane entry reaches it through
+    :func:`_call_on_message`).
     """
 
     __slots__ = ("on_message",)
@@ -72,9 +77,10 @@ class Network:
     """Delivers messages between registered nodes through the event engine.
 
     A registered id maps to the receiving process itself (a plain callable
-    is wrapped to look like one); :meth:`_deliver` calls its class-level
+    is wrapped to look like one); a delivery calls its class-level
     ``dispatch_table`` entry for the message's type as ``handler(process,
-    sender, message)`` and ``process.on_message(sender, message)`` otherwise.
+    sender, message)`` and ``process.on_message(sender, message)`` otherwise,
+    resolved at send for a lane entry and by :meth:`_deliver` for a heap one.
 
     Args:
         engine: the simulation engine used to schedule deliveries.
@@ -127,11 +133,13 @@ class Network:
             self._latency.value if type(self._latency) is ConstantLatency else None
         )
         # For the same reason every constant-latency delivery is due in send
-        # order, network-wide: the first such network on an engine appends to
-        # the scheduler's FIFO lane (O(1) in, O(1) out), and every other
-        # network pushes to the heap.
-        lane = None if self._constant_delay is None else engine.scheduler.claim_lane()
-        self._enqueue: Callable[[Tuple], None] = lane or engine._push
+        # order, network-wide: the first such network on an engine that does
+        # not watch deliveries appends ready-to-fire calls to the scheduler's
+        # FIFO lane (O(1) in, O(1) out); every other one pushes to the heap.
+        watched = trace is not None or type(self)._deliver is not Network._deliver
+        lane = None if self._constant_delay is None or watched else engine.scheduler.claim_lane()
+        self._lane = lane
+        self._enqueue: Callable[[Tuple], None] = engine._push if lane is None else lane.append
         # One test on the send path covers both observers.
         self._observed = metrics is not None or trace is not None
 
@@ -158,6 +166,8 @@ class Network:
     @property
     def messages_in_flight(self) -> int:
         """Messages sent but not yet delivered (and not dropped)."""
+        if self._lane is not None:
+            return len(self._lane)
         return self._messages_sent - self._messages_delivered - self._dropped
 
     def register(self, node_id: int, receiver: Any) -> None:
@@ -188,12 +198,12 @@ class Network:
         (or anything with the same ``node_range`` / ``on_message`` surface).
         Instead of registering one handler per node — a dict that would cost
         ~1 GB at ten million nodes and defeat the columnar memory budget —
-        the ids are validated against ``state.node_range`` and
-        :meth:`_deliver` calls ``handler(receiver, sender, message)`` for
-        them, the handler being what ``state.dispatch_table`` (if the state
-        has one) names for the message's type and ``state.on_message``
-        otherwise — the columnar counterpart of a process class's
-        ``dispatch_table``, same fallback, same errors.
+        the ids are validated against ``state.node_range`` and a delivery
+        calls ``handler(receiver, sender, message)`` for them, the handler
+        being what ``state.dispatch_table`` (if the state has one) names for
+        the message's type and ``state.on_message`` otherwise — the columnar
+        counterpart of a process class's ``dispatch_table``, same fallback,
+        same errors.
 
         Per-node ``register`` remains available alongside (the runtimes mix
         both), but a columnar id must not also be registered — in either
@@ -273,18 +283,22 @@ class Network:
 
         # The entry is built inline — sequence bump plus one append to the
         # lane or push to the heap — because even the schedule_lite frame is
-        # measurable at this call rate.  The payload carries the sequence so
-        # a fault injector can fence on it at delivery.
+        # measurable at this call rate.
         sequence = engine._sequence + 1
         engine._sequence = sequence
-        self._enqueue(
-            (
-                delivery_time,
-                sequence,
-                self._deliver,
-                (sender, receiver, message, sequence),
-            )
-        )
+        if self._lane is None:
+            # The payload carries the sequence so a fault injector can fence on it.
+            payload = (sender, receiver, message, sequence)
+            self._enqueue((delivery_time, sequence, self._deliver, payload))
+            return
+        # The receiver was validated above; an id not registered is columnar.
+        node = self._receivers.get(receiver)
+        if node is None:
+            handler = self._columnar_table.get(type(message)) or self._columnar.on_message
+            self._enqueue((delivery_time, sequence, handler, receiver, sender, message))
+        else:
+            handler = node.dispatch_table.get(type(message), _call_on_message)
+            self._enqueue((delivery_time, sequence, handler, node, sender, message))
 
     def partition(self, sender: int, receiver: int) -> None:
         """Silently drop future messages on the directed channel.
@@ -345,6 +359,11 @@ class Network:
             handler(node, sender, message)
         else:
             node.on_message(sender, message)
+
+
+def _call_on_message(node: Any, sender: int, message: Any) -> None:
+    """A lane delivery of a type the process's class table does not name."""
+    node.on_message(sender, message)
 
 
 def _describe_message(message: Any) -> str:

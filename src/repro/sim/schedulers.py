@@ -2,15 +2,17 @@
 
 The engine's determinism contract — events fire in ``(time, sequence)``
 order — is carried by one structure: :class:`HeapScheduler`, which keeps
-plain ``(time, sequence, callback, payload)`` tuples in three places.  What
-callbacks schedule one at a time at arbitrary times — releases, loaders,
-faults, messages under a non-constant latency — goes into a binary heap:
-O(log n) push/pop, every comparison in C.  What is loaded in bulk — a
-workload's arrivals — stays a descending-sorted list *beside* the heap and
-is popped from its end.  What a constant-latency network sends waits in a
-FIFO lane (a ``deque``): each delivery is due at ``now + d`` with ``now``
-never decreasing and the sequence always growing, so the lane is sorted by
-construction and both ends are O(1).  One network per engine owns the lane
+plain tuples in three places.  What callbacks schedule one at a time at
+arbitrary times — releases, loaders, faults, messages a network watches on
+delivery — goes into a binary heap as ``(time, sequence, callback,
+payload)``: O(log n) push/pop, every comparison in C.  What is loaded in
+bulk — a workload's arrivals — stays a descending-sorted list *beside* the
+heap, in the same form, and is popped from its end.  What a constant-latency
+network sends waits in a FIFO lane (a ``deque``) as a ready-to-fire
+three-argument call, ``(time, sequence, fn, target, sender, message)``: each
+delivery is due at ``now + d`` with ``now`` never decreasing and the
+sequence always growing, so the lane is sorted by construction and both
+ends are O(1).  One network per engine owns the lane
 (:meth:`HeapScheduler.claim_lane`); a second, whose ``d`` may differ, uses
 the heap.
 
@@ -27,9 +29,9 @@ is just that loop back to back.
 stays accepted though it no longer selects anything.  ``benchmarks/README.md``
 ("Why there is one scheduler", "Why the queue holds one kind of entry",
 "Why bulk-loaded arrivals are not in the heap", "Why messages are not in the
-heap") holds the A/B that retired the bucket ring, the audit that retired the
-cancellable event and the A/Bs that took the arrivals and the messages out of
-the heap.
+heap", "Why there are two entry forms") holds the A/B that retired the bucket
+ring, the audit that retired the cancellable event and the A/Bs that took the
+arrivals and the messages out of the heap and the frame off a delivery.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ class HeapScheduler:
     constant-latency deliveries, drained together in ``(time, sequence)``
     order.
 
-    Every entry is a ``(time, sequence, callback, payload)`` tuple.  The
+    A heap or run entry is a ``(time, sequence, callback, payload)`` tuple,
+    fired as ``callback(payload)``; a lane entry is ``(time, sequence, fn,
+    target, sender, message)``, fired as ``fn(target, sender, message)``.  The
     engine owns the clock and the sequence counter; the scheduler owns
     storage and the drain loop.  Every comparison happens in C because
     entries are plain tuples with unique sequence numbers, and the push the
@@ -60,7 +64,8 @@ class HeapScheduler:
     insert.  Bulk loads (:meth:`push_bulk`) never enter the heap: they are
     kept as one list sorted descending, so the next one due is ``run[-1]``
     and firing it is a ``list.pop()`` that frees the entry.  The lane's one
-    owner (:meth:`claim_lane`) appends with the deque's own ``append``.
+    owner (:meth:`claim_lane`) appends with the deque's own ``append``; a
+    comparison never reaches the third element of either form.
 
     :meth:`drain` is the pop-and-dispatch loop and returns the number of
     events processed.  It honors the engine's ``_stopped`` flag after every
@@ -92,18 +97,22 @@ class HeapScheduler:
         # C partial calling the C heappush: frame-free.
         return partial(heappush, self._entries)
 
-    def claim_lane(self) -> Optional[Callable[[Tuple], None]]:
-        """The FIFO lane's ``append`` for its one owner, ``None`` after that.
+    def claim_lane(self) -> Optional[Deque[Tuple]]:
+        """The FIFO lane for its one owner, ``None`` after that.
 
-        The owner must push entries that are due in push order, each no
-        earlier than the last: a constant-latency network, whose deliveries
-        are ``now + d`` with ``now`` never decreasing.  A second such network
-        may have another ``d``, so it gets ``None`` and uses the heap.
+        The owner appends ``(time, sequence, fn, target, sender, message)``
+        entries, which :meth:`drain` fires as ``fn(target, sender, message)``
+        — a call resolved in full when it was queued.  They must be due in
+        push order, each no earlier than the last: a constant-latency
+        network, whose deliveries are ``now + d`` with ``now`` never
+        decreasing.  A second such network may have another ``d``, so it
+        gets ``None`` and uses the heap.  ``len`` of the lane is what its
+        owner has in flight.
         """
         if self._lane_claimed:
             return None
         self._lane_claimed = True
-        return self._lane.append
+        return self._lane
 
     def push_bulk(self, entries: List[Tuple]) -> None:
         """Insert many entries in one call (same ordering contract as one push).
@@ -152,21 +161,28 @@ class HeapScheduler:
                 # exactly as one heap would compare them.
                 if lane:
                     entry = lane[0]
-                    take = take_lane
-                    if heap and heap[0] < entry:
-                        entry = heap[0]
-                        take = take_heap
-                elif heap:
+                    if not (heap and heap[0] < entry or run and run[-1] < entry):
+                        if engine._stopped or processed == budget:
+                            return processed
+                        time, _sequence, fn, target, sender, message = entry
+                        if time > horizon:
+                            break
+                        take_lane()
+                        engine._now = time
+                        fn(target, sender, message)
+                        processed += 1
+                        continue
+                if heap:
                     entry = heap[0]
                     take = take_heap
+                    if run and run[-1] < entry:
+                        entry = run[-1]
+                        take = take_run
                 elif run:
                     entry = run[-1]
                     take = take_run
                 else:
                     break
-                if run and run[-1] < entry:
-                    entry = run[-1]
-                    take = take_run
                 if engine._stopped or processed == budget:
                     return processed
                 time, _sequence, callback, payload = entry

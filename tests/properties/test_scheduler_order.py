@@ -1,9 +1,10 @@
 """The engine against a model that is just ``sorted`` on ``(time, sequence)``.
 
 The pending-event store keeps single pushes in a heap, bulk loads in a sorted
-run beside it and one constant-latency network's deliveries in a FIFO lane; a
-second constant-latency network on the same engine, with another delay, pushes
-to the heap.  Whatever mix of these a program makes — from the top level or
+run beside it and one constant-latency network's deliveries in a FIFO lane,
+as ready-to-fire three-argument calls; a second constant-latency network on
+the same engine, with another delay, pushes ``_deliver`` entries to the
+heap.  Whatever mix of these a program makes — from the top level or
 from inside callbacks, in time order or not, with equal-time ties between
 them — and however the drain is cut into ``run(max_events=k)``,
 ``run(until=t)``, ``step()`` and ``stop()`` slices, the events must fire in
@@ -14,11 +15,14 @@ as it always has: never backwards, and to ``until`` when a horizon is reached.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import SimulationEngine
+from repro.sim.faults import FaultInjectingNetwork
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.network import Network
+from repro.sim.trace import TraceRecorder
 
 # A quarter lattice with few points: equal-time ties are the common case.
 DELAYS = st.integers(0, 12).map(lambda quarters: quarters / 4)
@@ -104,7 +108,19 @@ class Harness:
             elif action[0] == "send":
                 _, which, script = action
                 delivery = now + NETWORK_DELAYS[which]
-                self.networks[which].send(1, 2, self._expect(delivery, script))
+                lane = engine.scheduler._lane
+                queued = len(lane)
+                network = self.networks[which]
+                network.send(1, 2, self._expect(delivery, script))
+                if which == 0:
+                    # The lane owner queues the call itself: fn(target,
+                    # sender, message), fn resolved for node 2 at send.
+                    time, sequence, fn, target, sender, message = lane[-1]
+                    assert (time, sequence, message) == (delivery, self.sequence, self.model[-1])
+                    assert target is network._receivers[2] and sender == 1
+                    assert callable(fn)
+                else:
+                    assert len(lane) == queued
             elif action[0] == "single":
                 _, delay, script = action
                 engine.schedule_lite(now + delay, self.fire, self._expect(now + delay, script))
@@ -173,17 +189,26 @@ def test_any_mix_of_pushes_loads_and_slices_fires_in_sorted_order(program):
     assert harness.engine.processed_events == harness.fired
 
 
-def test_a_network_without_constant_latency_never_touches_the_lane():
+WATCHING_NETWORKS = {
+    "uniform": lambda engine: Network(engine, latency=UniformLatency(0.5, 2.0)),
+    "traced": lambda engine: Network(engine, trace=TraceRecorder()),
+    "fault": FaultInjectingNetwork,
+}
+
+
+@pytest.mark.parametrize("kind", list(WATCHING_NETWORKS))
+def test_a_network_that_watches_deliveries_never_touches_the_lane(kind):
     engine = SimulationEngine()
-    uniform = Network(engine, latency=UniformLatency(0.5, 2.0))
+    watching = WATCHING_NETWORKS[kind](engine)
     fired = []
     for node in (1, 2):
-        uniform.register(node, lambda sender, message: fired.append(message))
-    assert uniform._enqueue == engine._push
+        watching.register(node, lambda sender, message: fired.append(message))
+    assert watching._enqueue == engine._push
     for index in range(20):
-        uniform.send(1 + index % 2, 2 - index % 2, index)
+        watching.send(1 + index % 2, 2 - index % 2, index)
     lane = engine.scheduler._lane
     assert len(lane) == 0 and engine.pending_events == 20
+    assert all(entry[2] == watching._deliver for entry in engine.scheduler._entries)
     while engine.step():
         assert len(lane) == 0
     assert sorted(fired) == list(range(20))

@@ -9,8 +9,10 @@ is driven through ``_handle_op`` with a list's ``append`` as the connection's
 from __future__ import annotations
 
 import asyncio
+import gc
 from typing import Any, Dict, List
 
+from repro.runtime.failover import ClusterView, owner_for_key
 from repro.runtime.service import LockServiceShard, _KeyedLock
 from repro.spec import RuntimeSpec, TopologySpec
 from repro.topology import star
@@ -133,5 +135,71 @@ def test_a_shards_task_count_does_not_depend_on_its_key_count():
             counts.append(len(asyncio.all_tasks()))
             await shard.close()
         assert counts == [1, 1]  # this test's own
+
+    asyncio.run(scenario())
+
+
+def test_the_op_path_allocates_no_reference_cycle():
+    """Every route through ``_handle_op`` frees what it allocates by refcount.
+
+    With the collector paused, rounds of an inline acquire, two waiting
+    acquires (one cancelled), an abandoned one, the releases that hand the
+    token on, a wrong-shard and a same-epoch misroute and two ``ok: false``
+    refusals leave nothing for ``gc.collect()`` to find.
+    """
+    own = next(f"k-{i}" for i in range(100) if owner_for_key(f"k-{i}", (0, 1)) == 0)
+    foreign = next(f"k-{i}" for i in range(100) if owner_for_key(f"k-{i}", (0, 1)) == 1)
+
+    def one_round(shard: LockServiceShard, index: int) -> None:
+        holder, patient, gone = Connection(shard), Connection(shard), Connection(shard)
+
+        def op(connection: Connection, name: str, tag: str, **fields: Any) -> None:
+            connection.op(name, f"{index}-{tag}", **{"epoch": 2, **fields})
+
+        def answers(connection: Connection) -> List[tuple]:
+            return [
+                (a["id"].split("-")[-1], a["ok"], a.get("code")) for a in connection.take()
+            ]
+
+        op(holder, "acquire", "a1", key=own, session=1)
+        op(patient, "acquire", "a2", key=own, session=2)
+        op(gone, "acquire", "a3", key=own, session=3)
+        op(patient, "acquire", "a4", key=own, session=4)
+        op(patient, "cancel", "c1", target=f"{index}-a2")
+        gone.state["open"] = False
+        op(holder, "acquire", "a5", key=own, session=1)  # already holds it
+        op(holder, "release", "r1", key=own, session=1)
+        op(patient, "release", "r2", key=own, session=4)
+        op(holder, "release", "r3", key=own, session=1)  # holds nothing
+        op(holder, "acquire", "w1", key=foreign, session=1, epoch=1)
+        op(holder, "release", "b1", key=foreign, session=1)  # same epoch
+        assert answers(holder) == [
+            ("a1", True, None), ("a5", False, None), ("r1", True, None),
+            ("r3", False, None), ("w1", False, "wrong-shard"), ("b1", False, None),
+        ]
+        assert answers(patient) == [
+            ("c1", True, None), ("a2", False, "cancelled"), ("a4", True, None),
+            ("r2", True, None),
+        ]
+        assert answers(gone) == [("a3", False, "abandoned")]
+
+    async def scenario():
+        shard = LockServiceShard(spec(shards=2), 0)
+        shard.adopt_view(ClusterView(epoch=2, shards={0: None, 1: None}).to_dict())
+        one_round(shard, -1)  # builds the key's tree, which lives on
+        collector_was_on = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for index in range(40):
+                one_round(shard, index)
+            assert gc.collect() == 0
+        finally:
+            if collector_was_on:
+                gc.enable()
+        stats = shard.stats
+        assert (stats["cancelled"], stats["abandoned"], stats["errors"]) == (41, 41, 4 * 41)
+        assert stats["exclusion_violations"] == 0 and not shard._inflight
+        await shard.close()
 
     asyncio.run(scenario())

@@ -331,8 +331,10 @@ def test_a_registered_callable_beside_processes_gets_sender_and_message():
 
 
 def test_an_unregistered_receiver_keeps_its_error_text():
+    # A non-constant latency keeps the delivery on the heap, where _deliver
+    # resolves the receiver when it fires; a lane entry resolved it at send.
     engine = SimulationEngine()
-    network = Network(engine)
+    network = Network(engine, latency=UniformLatency(0.5, 2.0, rng=SeededRNG(1)))
     Tabled(1, network)
     Tabled(2, network)
     network.send(1, 2, 7)

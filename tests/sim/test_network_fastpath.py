@@ -1,5 +1,5 @@
 """Tests for the network's FIFO epsilon clamp, partition/heal bookkeeping,
-and the one message path behaving identically whatever is attached to it."""
+and the two entry forms delivering identically whatever is attached."""
 
 from __future__ import annotations
 
@@ -182,7 +182,8 @@ def test_fast_and_observed_paths_deliver_identically():
 
 
 # --------------------------------------------------------------------------- #
-# one message path: whatever is attached, the same entries in the same order
+# whatever is attached: the same events in the same order, a lane entry or
+# a _deliver entry each
 # --------------------------------------------------------------------------- #
 _LATENCIES = {
     "constant": lambda: ConstantLatency(1.0),
@@ -214,10 +215,12 @@ def _replay_star50(latency, attachment, node_backend):
         )
     assert system.node_backend == node_backend
     engine, network = system.engine, system.network
-    # Constant latency: deliveries go to the scheduler's FIFO lane; any other
-    # model pushes them to the heap.
+    # Constant latency with nobody watching deliveries: ready-to-fire calls
+    # go to the scheduler's FIFO lane.  A trace recorder, a fault network or
+    # any other latency model pushes _deliver entries to the heap.
+    resolved = latency == "constant" and not record_trace and network_factory is None
     lane_append = engine.scheduler._lane.append
-    assert (network._enqueue == lane_append) is (latency == "constant")
+    assert (network._enqueue == lane_append) is resolved
     pushed = []
 
     def recording(enqueue):
@@ -235,15 +238,26 @@ def _replay_star50(latency, attachment, node_backend):
     result = driver.run()
     assert engine.pending_events == 0
     # Everything pushed during the run was popped: message deliveries and the
-    # driver's releases, all (time, sequence, callback, payload) 4-tuples, and
-    # every delivery goes through the network's one _deliver with the engine
-    # sequence in its payload.
+    # driver's releases, which are (time, sequence, callback, payload).
     deliveries = [entry for entry in pushed if entry[2] != driver._release]
-    assert all(len(entry) == 4 for entry in pushed)
+    assert all(len(entry) == 4 for entry in pushed if entry[2] == driver._release)
     assert len(deliveries) == network.messages_sent and network.messages_in_flight == 0
-    for _time, sequence, callback, payload in deliveries:
-        assert callback == network._deliver
-        assert len(payload) == 4 and payload[3] == sequence
+    for entry in deliveries:
+        if resolved:
+            # (time, sequence, handler, target, sender, message): the
+            # receiver's table entry for the message's type, bound at send.
+            _time, _sequence, handler, target, _sender, message = entry
+            if node_backend == "object":
+                assert handler is type(target).dispatch_table[type(message)]
+            else:
+                assert target in network._columnar_nodes
+                assert handler == network._columnar.dispatch_table[type(message)]
+        else:
+            # Every delivery goes through the network's one _deliver with the
+            # engine sequence in its payload.
+            _time, sequence, callback, payload = entry
+            assert callback == network._deliver
+            assert len(payload) == 4 and payload[3] == sequence
     return {
         "entry_order": result.entry_order,
         "finished_at": result.finished_at,
@@ -266,10 +280,11 @@ def test_one_message_path_whatever_is_attached(latency, attachment, node_backend
 
 
 def test_fast_path_delivery_to_unregistered_node_raises():
-    engine, network, handlers = build()
+    # On the heap (non-constant latency) the receiver is resolved at delivery.
+    engine, network, handlers = build(latency=UniformLatency(0.5, 2.0, rng=SeededRNG(1)))
     network.send(1, 3, "late")
     del network._receivers[3]  # nothing public removes a node; the check stays
-    with pytest.raises(NetworkError):
+    with pytest.raises(NetworkError, match=r"^message from 1 addressed to unregistered node 3$"):
         engine.run()
 
 
