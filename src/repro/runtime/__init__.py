@@ -1,19 +1,20 @@
 """asyncio runtime: the DAG algorithm as a usable concurrency primitive.
 
 The simulator measures the algorithm; this package *runs* it.  Each node is
-the protocol kernel registered as a handler on a transport with per-sender
-FIFO delivery (the paper's network assumptions) — in-memory within one event
-loop, or length-prefixed JSON frames over unix/TCP sockets across processes —
-and the public surface is a familiar lock API:
+the protocol kernel registered as a handler on an in-memory transport with
+per-sender FIFO delivery (the paper's network assumptions) within one event
+loop, and the public surface is a familiar lock API:
 
     async with cluster.lock(node_id):
         ...  # critical section
 
 On top of the node runtime sits a networked, sharded lock service
-(:mod:`repro.runtime.service`): one DAG token tree per lock key,
-consistent-hashed across shard processes, driven by thousands of concurrent
-client sessions and benchmarked by ``repro lockbench``
-(:mod:`repro.runtime.lockbench`).
+(:mod:`repro.runtime.service`).  Each lock key gets one DAG token tree, run
+in-process by the shard that owns the key; keys are consistent-hashed across
+shard processes.  Clients reach shards through length-prefixed frames over
+unix or TCP sockets (:mod:`repro.runtime.transport_socket`).  ``repro
+lockbench`` (:mod:`repro.runtime.lockbench`) drives thousands of concurrent
+client sessions against it.
 
 See ``examples/distributed_counter.py`` and
 ``examples/lock_service_quickstart.py`` for complete programs.
@@ -43,12 +44,10 @@ from repro.runtime.service import (
     LockSession,
 )
 from repro.runtime.transport import Envelope, InMemoryTransport
-from repro.runtime.transport_socket import SocketTransport
 
 __all__ = [
     "Envelope",
     "InMemoryTransport",
-    "SocketTransport",
     "AsyncDagNode",
     "LocalCluster",
     "DistributedLock",

@@ -1,4 +1,4 @@
-"""A local cluster of live nodes running the DAG algorithm."""
+"""A local cluster of live nodes running the DAG algorithm in one event loop."""
 
 from __future__ import annotations
 
@@ -26,10 +26,6 @@ class LocalCluster:
         topology: the logical tree and initial token holder.
         delay: optional per-message delay callable ``(sender, receiver) -> seconds``
             passed to the transport, e.g. to exaggerate contention in demos.
-        transport: optional pre-built transport (e.g. a started
-            :class:`~repro.runtime.transport_socket.SocketTransport`) to run
-            the nodes on; mutually exclusive with ``delay``, which configures
-            the default in-memory transport.
     """
 
     def __init__(
@@ -37,12 +33,9 @@ class LocalCluster:
         topology: Topology,
         *,
         delay: Optional[Callable[[int, int], float]] = None,
-        transport=None,
     ) -> None:
-        if transport is not None and delay is not None:
-            raise LockError("pass either a pre-built transport or delay, not both")
         self.topology = topology
-        self.transport = transport if transport is not None else InMemoryTransport(delay=delay)
+        self.transport = InMemoryTransport(delay=delay)
         pointers = topology.next_pointers()
         self.nodes: Dict[int, AsyncDagNode] = {
             node_id: AsyncDagNode(

@@ -31,10 +31,8 @@ class AsyncDagNode(DagNodeCore):
 
     Args:
         node_id: this node's identifier.
-        transport: any transport with the ``register``/``send``/``post``
-            surface — :class:`~repro.runtime.transport.InMemoryTransport`
-            within one event loop, :class:`~repro.runtime.transport_socket.
-            SocketTransport` across processes.
+        transport: the :class:`~repro.runtime.transport.InMemoryTransport`
+            connecting this node to its peers in the same event loop.
         holding: whether this node starts with the token.
         next_node: initial ``NEXT`` pointer (``None`` iff ``holding``).
     """

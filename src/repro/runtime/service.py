@@ -1196,7 +1196,9 @@ class LockClient:
         channel = session % self._channels
         attempts = 0
         delays = backoff_delays()
-        last_error: Optional[Exception] = None
+        # The last failure's text, not the exception: a raised exception held
+        # in this frame's locals is a reference cycle through its traceback.
+        reason: Optional[str] = None
         while attempts <= self._max_retries:
             view = self._view
             if not view.shards:
@@ -1206,21 +1208,18 @@ class LockClient:
             try:
                 conn = self._conns.get((shard, channel)) or await self._connection(shard, channel)
                 response = await conn.call(uid, payload, self._op_timeout)
-            except asyncio.TimeoutError as exc:
+            except asyncio.TimeoutError:
                 self.retry_stats["deadline_timeouts"] += 1
-                last_error = ShardUnavailableError(
-                    f"op on shard {shard} exceeded its {self._op_timeout}s deadline"
-                )
-                last_error.__cause__ = exc
+                reason = f"op on shard {shard} exceeded its {self._op_timeout}s deadline"
                 attempts += 1
                 self.retry_stats["retries"] += 1
                 await self._refresh_view(suspect=shard)
                 continue  # the timeout already consumed the backoff's worth
             except (ShardUnavailableError, ConnectionError, OSError) as exc:
-                last_error = (
-                    exc
+                reason = (
+                    str(exc)
                     if isinstance(exc, ShardUnavailableError)
-                    else ShardUnavailableError(f"shard {shard} unreachable: {exc}")
+                    else f"shard {shard} unreachable: {exc}"
                 )
                 self._drop_connections(shard)
                 attempts += 1
@@ -1243,7 +1242,7 @@ class LockClient:
             if code in ("stale-shard", "abandoned"):
                 # The shard lags our view (or lost our connection mid-grant):
                 # give it a beat to catch up, then retry the same op id.
-                last_error = ShardUnavailableError(response.get("error", code))
+                reason = response.get("error", code)
                 attempts += 1
                 self.retry_stats["retries"] += 1
                 await asyncio.sleep(next(delays))
@@ -1257,9 +1256,7 @@ class LockClient:
                 # A fenced *acquire* holds nothing — it just reached a shard
                 # that was voted out of the view we routed under.  Routing
                 # problem, not a lost grant: refresh and reroute.
-                last_error = ShardUnavailableError(
-                    response.get("error", f"shard {shard} was fenced out")
-                )
+                reason = response.get("error", f"shard {shard} was fenced out")
                 attempts += 1
                 self.retry_stats["reroutes"] += 1
                 await self._refresh_view(suspect=shard)
@@ -1268,10 +1265,8 @@ class LockClient:
             raise LockError(response.get("error", "lock service error"))
         if frame.get("op") == "acquire":
             await self._cancel_acquire(uid, key, session)
-        if last_error is not None:
-            raise last_error
         raise ShardUnavailableError(
-            f"op {uid} exhausted its {self._max_retries} retries"
+            reason or f"op {uid} exhausted its {self._max_retries} retries"
         )
 
     def _next_uid(self) -> str:
@@ -1387,6 +1382,9 @@ class _ClientConnection:
             self._proto.send(frame)
             return await future
         finally:
+            # A failed future holds its exception, and the exception's
+            # traceback holds this frame: drop the future, or that is a cycle.
+            future = None
             self._pending.pop(op_id, None)
             if timer is not None:
                 timer.cancel()

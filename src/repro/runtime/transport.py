@@ -6,7 +6,7 @@ one the paper assumes — messages from the same sender to the same receiver are
 delivered in the order they were sent.
 
 Delivery is synchronous and iterative.  A receiver registers a *handler*;
-``send`` appends the envelope to the transport's one FIFO :class:`Mailbox`
+``send`` appends the envelope to the transport's one FIFO of handler calls
 and, unless a drain is already running further up the stack, drains it: each
 envelope's handler is called in turn and runs to completion before the next
 one starts.  A send issued from inside a handler only appends, so however long
@@ -41,22 +41,33 @@ class Envelope(NamedTuple):
 Handler = Callable[[Envelope], None]
 
 
-class Mailbox:
-    """Registered handlers plus the one FIFO their calls go through.
+class InMemoryTransport:
+    """Connects the nodes of one event loop through one FIFO of handler calls.
 
-    The base of both transports.  :meth:`post` is the only way anything is
-    delivered: whoever posts while no drain is running becomes the pump and
-    runs every queued call, including the ones those calls post, before its
-    own ``post`` returns.  If a handler raises, the exception reaches that
-    caller, the pump stops, and what is still queued waits for the next
-    ``post`` — one bad message does not make a node deaf.
+    :meth:`post` is the only way anything is delivered: whoever posts while no
+    drain is running becomes the pump and runs every queued call, including
+    the ones those calls post, before its own ``post`` returns.  If a handler
+    raises, the exception reaches that caller, the pump stops, and what is
+    still queued waits for the next ``post`` — one bad message does not make a
+    node deaf.
+
+    Args:
+        delay: optional callable ``delay(sender, receiver) -> float`` giving a
+            per-message delay in seconds; ``None`` delivers immediately.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, delay: Optional[Callable[[int, int], float]] = None) -> None:
         self._handlers: Dict[int, Handler] = {}
         self._queue: Deque[Tuple[Callable[[Any], None], Any]] = deque()
         self._pumping = False
         self._messages_sent = 0
+        self._delay = delay
+        # Per directed channel: the delayed envelopes still in flight, oldest
+        # first, each with the loop time it is due; and the one timer armed
+        # for the oldest of them.
+        self._channels: Dict[Tuple[int, int], Deque[Tuple[float, Envelope]]] = {}
+        self._timers: Dict[Tuple[int, int], asyncio.TimerHandle] = {}
+        self._closed = False
 
     @property
     def messages_sent(self) -> int:
@@ -65,7 +76,7 @@ class Mailbox:
 
     @property
     def node_ids(self) -> List[int]:
-        """Identifiers of all (locally) registered nodes."""
+        """Identifiers of all registered nodes."""
         return list(self._handlers)
 
     def register(self, node_id: int, handler: Optional[Handler] = None) -> Optional[asyncio.Queue]:
@@ -82,53 +93,6 @@ class Mailbox:
             handler = inbox.put_nowait
         self._handlers[node_id] = handler
         return inbox
-
-    def post(self, handler: Callable[[Any], None], argument: Any) -> None:
-        """Queue the call ``handler(argument)``; drain unless a drain is running."""
-        queue = self._queue
-        queue.append((handler, argument))
-        if self._pumping:
-            return
-        self._pumping = True
-        try:
-            while queue:
-                handler, argument = queue.popleft()
-                handler(argument)
-        finally:
-            self._pumping = False
-
-    def fence(self, crashed: FrozenSet[int] = frozenset()) -> None:
-        """Drop every undelivered envelope bound for a node not in ``crashed``.
-
-        The recovery fence: once the token is known lost, whatever is still
-        in flight predates the loss and must not reach a live node.
-        """
-        kept = [
-            (handler, argument)
-            for handler, argument in self._queue
-            if type(argument) is not Envelope or argument.receiver in crashed
-        ]
-        self._queue.clear()
-        self._queue.extend(kept)
-
-
-class InMemoryTransport(Mailbox):
-    """Connects the nodes of one event loop through one :class:`Mailbox`.
-
-    Args:
-        delay: optional callable ``delay(sender, receiver) -> float`` giving a
-            per-message delay in seconds; ``None`` delivers immediately.
-    """
-
-    def __init__(self, *, delay: Optional[Callable[[int, int], float]] = None) -> None:
-        super().__init__()
-        self._delay = delay
-        # Per directed channel: the delayed envelopes still in flight, oldest
-        # first, each with the loop time it is due; and the one timer armed
-        # for the oldest of them.
-        self._channels: Dict[Tuple[int, int], Deque[Tuple[float, Envelope]]] = {}
-        self._timers: Dict[Tuple[int, int], asyncio.TimerHandle] = {}
-        self._closed = False
 
     def send(self, sender: int, receiver: int, message: Any) -> None:
         """Send ``message``; delivery is immediate or delayed but always FIFO."""
@@ -154,8 +118,34 @@ class InMemoryTransport(Mailbox):
             self._timers[channel] = loop.call_at(due, self._deliver_oldest, channel)
         in_flight.append((due, envelope))
 
+    def post(self, handler: Callable[[Any], None], argument: Any) -> None:
+        """Queue the call ``handler(argument)``; drain unless a drain is running."""
+        queue = self._queue
+        queue.append((handler, argument))
+        if self._pumping:
+            return
+        self._pumping = True
+        try:
+            while queue:
+                handler, argument = queue.popleft()
+                handler(argument)
+        finally:
+            self._pumping = False
+
     def fence(self, crashed: FrozenSet[int] = frozenset()) -> None:
-        super().fence(crashed)
+        """Drop every undelivered envelope bound for a node not in ``crashed``.
+
+        The recovery fence: once the token is known lost, whatever is still
+        in flight — queued or delayed — predates the loss and must not reach
+        a live node.
+        """
+        kept = [
+            (handler, argument)
+            for handler, argument in self._queue
+            if type(argument) is not Envelope or argument.receiver in crashed
+        ]
+        self._queue.clear()
+        self._queue.extend(kept)
         for channel, in_flight in self._channels.items():
             if channel[1] not in crashed and in_flight:
                 self._timers[channel].cancel()

@@ -1,22 +1,16 @@
-"""TCP / unix-socket transport behind the runtime's :class:`Envelope` API.
+"""The lock service's wire: length-prefixed frames over unix or TCP sockets.
 
-This is the networked counterpart of :class:`repro.runtime.transport.
-InMemoryTransport`: the same ``register`` / ``send`` surface, so an
-:class:`~repro.runtime.node_runtime.AsyncDagNode` runs unchanged whether its
-peers live in the same event loop or in another process on the other end of a
-socket.  The related repos this package leapfrogs (``nodeServer.py`` /
-``nodeSend.py`` per node) open one connection per message; here every directed
-*process pair* keeps one connection alive and streams frames over it.
+Shards and clients of :mod:`repro.runtime.service` talk through this module
+and nothing else; the token trees inside a shard never touch a socket (they
+run on :class:`repro.runtime.transport.InMemoryTransport`).
 
-Wire format — shared with the lock-service protocol (:mod:`repro.runtime.
-service`) — is length-prefixed: a 4-byte big-endian frame length, then a body
+Wire format is length-prefixed: a 4-byte big-endian frame length, then a body
 whose first byte says what it is.  ``{`` opens a UTF-8 JSON object, which is
-every frame but four: the control plane, every refusal and the protocol
-messages (through a small codec table, :data:`MESSAGE_CODECS`) stay text a
-human can read off a socket dump, independent of pickle.  The four frames of
-a lock op — the only ones a running service exchanges by the thousand — are
-packed: a kind byte, then big-endian the integers (signed 64-bit) and the
-byte length of each string (unsigned 16-bit), then the strings' UTF-8 bytes:
+every frame but four: the control plane and every refusal stay text a human
+can read off a socket dump, independent of pickle.  The four frames of a lock
+op — the only ones a running service exchanges by the thousand — are packed:
+a kind byte, then big-endian the integers (signed 64-bit) and the byte length
+of each string (unsigned 16-bit), then the strings' UTF-8 bytes:
 
     kind   payload                                  after the kind, then the tails
     ``a``  {op: acquire, key, session, epoch, id}   session epoch |key| |id|, key id
@@ -35,16 +29,10 @@ hand-written peer decodes as it always did.
 
 Frames are read and written in one place, :class:`FrameProtocol`, an
 ``asyncio.Protocol`` that sits directly on the socket's transport: the lock
-shard's connections, the lock client's, and this transport's inbound side are
-all instances of it, differing only in the ``on_frame`` they are given.
-:func:`read_frame` is the same rules over an ``asyncio.StreamReader``, kept
-for raw peers (tests, the benchmark's echo stub); both decode through
-:func:`decode_body`.
-
-Delivery guarantees match the paper's network assumptions exactly as the
-in-memory transport implements them: per-channel FIFO (one writer task per
-destination address drains its outbox in send order; TCP/unix streams preserve
-it) and at-most-once (a frame lost to a dead peer is lost, not replayed).
+shard's connections and the lock client's are both instances of it, differing
+only in the ``on_frame`` they are given.  :func:`read_frame` is the same rules
+over an ``asyncio.StreamReader``, kept for raw peers (tests, the benchmark's
+echo stub); both decode through :func:`decode_body`.
 """
 
 from __future__ import annotations
@@ -52,11 +40,9 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.core.messages import Privilege, Request
 from repro.exceptions import RuntimeTransportError
-from repro.runtime.transport import Envelope, Handler, Mailbox
 
 #: A transport address: a unix-socket path or a ``(host, port)`` TCP pair.
 Address = Union[str, Tuple[str, int]]
@@ -64,18 +50,17 @@ Address = Union[str, Tuple[str, int]]
 #: Frame header: one unsigned 32-bit big-endian payload length.
 FRAME_HEADER = struct.Struct(">I")
 
-#: Upper bound on a single frame's payload.  Lock-service operations and
-#: protocol messages are tens of bytes; anything near this limit is a
+#: Upper bound on a single frame's payload.  Lock-service operations are tens
+#: of bytes; anything near this limit is a
 #: corrupted stream, and refusing it keeps a bad header from allocating
 #: gigabytes.
 MAX_FRAME_BYTES = 1 << 20
 
-#: Reconnect backoff for the per-peer writer tasks (seconds).  Short first
-#: retry so a peer restart costs little; capped so a dead peer does not
-#: busy-loop.
+#: The client's retry backoff (seconds), :func:`backoff_delays`' defaults.
+#: Short first retry so a shard restart costs little; capped so a dead shard
+#: does not busy-loop.
 RECONNECT_DELAY_INITIAL = 0.05
 RECONNECT_DELAY_MAX = 1.0
-RECONNECT_ATTEMPTS = 40
 
 
 # --------------------------------------------------------------------------- #
@@ -353,72 +338,6 @@ class FrameProtocol(asyncio.Protocol):
             self._on_close(error)
 
 
-# --------------------------------------------------------------------------- #
-# protocol-message codec
-# --------------------------------------------------------------------------- #
-#: type tag -> (encode(message) -> fields, decode(fields) -> message).
-MESSAGE_CODECS: Dict[str, Tuple[Any, Any]] = {
-    "request": (
-        lambda message: {"sender": message.sender, "origin": message.origin},
-        lambda fields: Request(sender=fields["sender"], origin=fields["origin"]),
-    ),
-    "privilege": (
-        lambda message: {},
-        lambda fields: Privilege(),
-    ),
-}
-
-_TYPE_TAGS = {Request: "request", Privilege: "privilege"}
-
-
-def encode_message(message: Any) -> Dict[str, Any]:
-    """Protocol message -> JSON-safe dict with a ``type`` tag."""
-    tag = _TYPE_TAGS.get(type(message))
-    if tag is None:
-        raise RuntimeTransportError(
-            f"no wire codec for message type {type(message).__name__}; "
-            f"known: {sorted(MESSAGE_CODECS)}"
-        )
-    payload = MESSAGE_CODECS[tag][0](message)
-    payload["type"] = tag
-    return payload
-
-
-def decode_message(payload: Dict[str, Any]) -> Any:
-    """JSON dict -> protocol message (inverse of :func:`encode_message`)."""
-    tag = payload.get("type")
-    codec = MESSAGE_CODECS.get(tag)
-    if codec is None:
-        raise RuntimeTransportError(
-            f"unknown wire message type {tag!r}; known: {sorted(MESSAGE_CODECS)}"
-        )
-    fields = {key: value for key, value in payload.items() if key != "type"}
-    return codec[1](fields)
-
-
-def encode_envelope(envelope: Envelope) -> bytes:
-    """One protocol envelope as a wire frame."""
-    return encode_frame(
-        {
-            "sender": envelope.sender,
-            "receiver": envelope.receiver,
-            "message": encode_message(envelope.message),
-        }
-    )
-
-
-def decode_envelope(payload: Dict[str, Any]) -> Envelope:
-    """Wire frame payload -> :class:`Envelope`."""
-    try:
-        return Envelope(
-            sender=int(payload["sender"]),
-            receiver=int(payload["receiver"]),
-            message=decode_message(payload["message"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RuntimeTransportError(f"malformed envelope frame: {exc!r}") from None
-
-
 def normalise_address(address: Address) -> Address:
     """Hashable canonical form (JSON round-trips tuples as lists)."""
     if isinstance(address, (list, tuple)):
@@ -430,8 +349,7 @@ def normalise_address(address: Address) -> Address:
 async def open_address_connection(address: Address):
     """Open a stream to ``address`` (TCP pair or unix path): (reader, writer).
 
-    For connections that only write (the transport's per-peer writers) and
-    for raw peers; :func:`open_frame_connection` is the framed counterpart.
+    For raw peers; :func:`open_frame_connection` is the framed counterpart.
     """
     if isinstance(address, tuple):
         return await asyncio.open_connection(address[0], address[1])
@@ -478,197 +396,3 @@ def backoff_delays(
     while True:
         yield delay
         delay = min(delay * 2, cap)
-
-
-class SocketTransport(Mailbox):
-    """Connects asyncio nodes across processes through stream sockets.
-
-    One instance per process: it listens on ``address`` for frames addressed
-    to its *local* nodes (the ones that called :meth:`register`) and keeps one
-    outbound connection per remote peer address, reused for every message and
-    re-established transparently if the peer restarts.  Sends between two
-    local nodes never touch a socket: they and the envelopes cut from inbound
-    frames go through the one :class:`~repro.runtime.transport.Mailbox` (which
-    is all :meth:`fence` reaches: a frame already on a socket is not recalled).
-
-    Args:
-        address: this process's listen address (unix path or ``(host, port)``).
-        peers: node id -> address for every node in the system, including the
-            local ones (their entries must equal ``address``).
-
-    Usage::
-
-        transport = SocketTransport(path_a, peers={1: path_a, 2: path_b})
-        transport.register(1)
-        await transport.start()
-        ...
-        await transport.close()
-    """
-
-    def __init__(self, address: Address, peers: Mapping[int, Address]) -> None:
-        super().__init__()
-        self._address = normalise_address(address)
-        self._peers: Dict[int, Address] = {
-            int(node): normalise_address(peer) for node, peer in peers.items()
-        }
-        self._outboxes: Dict[Address, asyncio.Queue] = {}
-        self._writers: Dict[Address, asyncio.Task] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._accepted: set = set()  # live inbound FrameProtocols
-        self._closed = False
-        self._started = False
-
-    # ------------------------------------------------------------------ #
-    # InMemoryTransport surface
-    # ------------------------------------------------------------------ #
-    @property
-    def address(self) -> Address:
-        """The listen address (after :meth:`start`, the bound one)."""
-        return self._address
-
-    def register(self, node_id: int, handler: Optional[Handler] = None) -> Optional[asyncio.Queue]:
-        """Register a *local* node: its handler, or the inbox it gets instead."""
-        peer = self._peers.get(node_id)
-        if peer is not None and peer != self._address:
-            raise RuntimeTransportError(
-                f"node {node_id} is mapped to peer address {peer!r}, not this "
-                f"transport's {self._address!r}"
-            )
-        inbox = super().register(node_id, handler)
-        self._peers[node_id] = self._address
-        return inbox
-
-    def send(self, sender: int, receiver: int, message: Any) -> None:
-        """Send ``message``; local delivery is direct, remote is framed."""
-        if self._closed:
-            raise RuntimeTransportError("transport is closed")
-        destination = self._peers.get(receiver)
-        if destination is None:
-            raise RuntimeTransportError(f"unknown receiver node {receiver}")
-        self._messages_sent += 1
-        envelope = Envelope(sender, receiver, message)
-        if destination == self._address:
-            self.post(self._local_handler(receiver), envelope)
-            return
-        if not self._started:
-            raise RuntimeTransportError(
-                "transport is not started; await start() before remote sends"
-            )
-        outbox = self._outboxes.get(destination)
-        if outbox is None:
-            outbox = asyncio.Queue()
-            self._outboxes[destination] = outbox
-            self._writers[destination] = asyncio.create_task(
-                self._drain_outbox(destination, outbox),
-                name=f"socket-writer-{destination}",
-            )
-        outbox.put_nowait(encode_envelope(envelope))
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    async def start(self) -> None:
-        """Bind the listening socket (idempotent)."""
-        if self._server is not None:
-            return
-        self._server, self._address = await start_frame_server(self._address, self._accept_peer)
-        self._started = True
-
-    async def close(self) -> None:
-        """Flush outboxes best-effort, then tear everything down."""
-        self._closed = True
-        # Give each writer one chance to drain what is already queued: clean
-        # shutdown means "stop accepting work", not "drop accepted work".
-        for destination, outbox in list(self._outboxes.items()):
-            writer = self._writers.get(destination)
-            if writer is None or writer.done():
-                continue
-            try:
-                await asyncio.wait_for(outbox.join(), timeout=1.0)
-            except asyncio.TimeoutError:
-                pass
-        for writer in self._writers.values():
-            writer.cancel()
-        for writer in list(self._writers.values()):
-            try:
-                await writer
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._writers.clear()
-        for protocol in list(self._accepted):
-            protocol.abort()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self._started = False
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _accept_peer(self) -> FrameProtocol:
-        protocol = FrameProtocol(
-            self._on_peer_frame, lambda error: self._accepted.discard(protocol)
-        )
-        self._accepted.add(protocol)
-        return protocol
-
-    def _on_peer_frame(self, payload: Dict[str, Any]) -> None:
-        """Every inbound frame is an envelope for a local node.
-
-        One that is not (malformed, or for a node not registered here) or a
-        peer dying mid-frame closes that connection and costs its in-flight
-        messages, which is the at-most-once contract; the listener stays up.
-        """
-        envelope = decode_envelope(payload)
-        self.post(self._local_handler(envelope.receiver), envelope)
-
-    def _local_handler(self, receiver: int) -> Handler:
-        handler = self._handlers.get(receiver)
-        if handler is None:
-            raise RuntimeTransportError(
-                f"node {receiver} is addressed to this transport but is not registered on it"
-            )
-        return handler
-
-    async def _drain_outbox(self, destination: Address, outbox: asyncio.Queue) -> None:
-        """One writer per peer address: connect once, stream frames in order."""
-        writer: Optional[asyncio.StreamWriter] = None
-        try:
-            while True:
-                frame = await outbox.get()
-                try:
-                    while True:
-                        if writer is None:
-                            writer = await self._connect(destination)
-                        try:
-                            writer.write(frame)
-                            await writer.drain()
-                            break
-                        except (ConnectionError, OSError):
-                            # Peer restarted between frames: drop the dead
-                            # connection and retry this frame on a fresh one.
-                            writer.close()
-                            writer = None
-                finally:
-                    outbox.task_done()
-        finally:
-            if writer is not None:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-
-    async def _connect(self, destination: Address) -> asyncio.StreamWriter:
-        delay = RECONNECT_DELAY_INITIAL
-        for attempt in range(RECONNECT_ATTEMPTS):
-            try:
-                _, writer = await open_address_connection(destination)
-                return writer
-            except (ConnectionError, OSError):
-                if attempt == RECONNECT_ATTEMPTS - 1:
-                    raise
-                await asyncio.sleep(delay)
-                delay = min(delay * 2, RECONNECT_DELAY_MAX)
-        raise RuntimeTransportError(f"unreachable peer {destination!r}")

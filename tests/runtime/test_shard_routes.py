@@ -17,6 +17,7 @@ back-pressure and the shutdown ack.
 from __future__ import annotations
 
 import asyncio
+import gc
 import itertools
 import os
 import tempfile
@@ -25,6 +26,7 @@ from typing import Any, Callable, Dict, List
 
 import pytest
 
+from repro.exceptions import ShardUnavailableError
 from repro.runtime.failover import ClusterView, owner_for_key
 from repro.runtime.service import LockClient, LockServiceShard
 from repro.runtime.transport_socket import encode_frame, open_address_connection, read_frame
@@ -481,6 +483,59 @@ def test_warm_key_reentry_costs_no_tree_message_and_contention_stays_bounded():
                 assert spent == serving.tree_messages()
                 stats = await client.stats(0)
                 assert stats["exclusion_violations"] == stats["held"] == 0
+
+    run(scenario())
+
+
+# --------------------------------------------------------------------------- #
+# the client's half of the op path: freed by refcount
+# --------------------------------------------------------------------------- #
+def test_the_client_allocates_no_reference_cycle():
+    """Every path a client op takes frees what it allocates by refcount.
+
+    With the collector paused, rounds of two sessions contending for one key
+    and of an acquire that misses its deadline on both attempts and sends a
+    cancel leave nothing for ``gc.collect()`` to find.  (The shard runs in
+    this process too; its own op path is pinned in ``test_keyed_lock.py``.)
+    """
+    rounds = 10
+
+    async def contend(client: LockClient) -> None:
+        async def pair(session: int) -> None:
+            await client.acquire("k", session=session)
+            await asyncio.sleep(0)  # the other session's acquire waits meanwhile
+            await client.release("k", session=session)
+
+        await asyncio.gather(pair(1), pair(2))
+
+    async def miss_the_deadline(holder: LockClient, waiter: LockClient) -> None:
+        await holder.acquire("k", session=1)
+        with pytest.raises(ShardUnavailableError, match="deadline"):
+            await waiter.acquire("k", session=3)
+        await holder.release("k", session=1)
+
+    async def scenario():
+        async with Serving(small_spec()) as serving:
+            address = serving.shard.address
+            async with LockClient([address], channels=2) as holder, LockClient(
+                [address], channels=1, op_timeout=0.05, max_retries=1
+            ) as waiter:
+                await contend(holder)  # builds the key's tree, which lives on
+                await miss_the_deadline(holder, waiter)
+                collector_was_on = gc.isenabled()
+                gc.collect()
+                gc.disable()
+                try:
+                    for _ in range(rounds):
+                        await contend(holder)
+                        await miss_the_deadline(holder, waiter)
+                    assert gc.collect() == 0
+                finally:
+                    if collector_was_on:
+                        gc.enable()
+                assert waiter.retry_stats["deadline_timeouts"] == 2 * (rounds + 1)
+            stats = serving.shard.stats
+            assert (stats["cancelled"], stats["exclusion_violations"]) == (rounds + 1, 0)
 
     run(scenario())
 

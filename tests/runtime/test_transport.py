@@ -34,7 +34,7 @@ def test_duplicate_registration_rejected():
     async def scenario():
         transport = InMemoryTransport()
         transport.register(1)
-        with pytest.raises(RuntimeTransportError):
+        with pytest.raises(RuntimeTransportError, match="already registered"):
             transport.register(1)
 
     run(scenario())

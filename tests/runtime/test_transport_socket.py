@@ -1,4 +1,4 @@
-"""Unit tests for the socket transport: framing, codec, reconnect, shutdown."""
+"""Unit tests for the lock service's wire: the frame codec and FrameProtocol."""
 
 from __future__ import annotations
 
@@ -6,23 +6,15 @@ import asyncio
 
 import pytest
 
-from repro.core.messages import Privilege, Request
 from repro.exceptions import RuntimeTransportError
-from repro.runtime import AsyncDagNode, LocalCluster, SocketTransport
-from repro.runtime.transport import Envelope
 from repro.runtime.transport_socket import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     FrameProtocol,
     decode_body,
-    decode_envelope,
-    decode_message,
-    encode_envelope,
     encode_frame,
-    encode_message,
     read_frame,
 )
-from repro.topology import star
 
 
 def run(coro):
@@ -112,9 +104,9 @@ def test_encode_frame_bytes_are_pinned():
 
 
 def test_every_other_frame_is_the_json_text_it_always_was():
-    """The control plane, every refusal and the peer envelopes, byte for byte
-    as before the packed layouts: readable off a socket dump.  The encoder is
-    built once at import; its output must not depend on that."""
+    """The control plane and every refusal, byte for byte as before the packed
+    layouts: readable off a socket dump.  The encoder is built once at import;
+    its output must not depend on that."""
     view = {"epoch": 1, "shards": {"0": "/tmp/s0.sock"}}
     pinned = {
         b'\x00\x00\x00\x19{"op":"stats","id":"c:1"}': {"op": "stats", "id": "c:1"},
@@ -146,11 +138,6 @@ def test_every_other_frame_is_the_json_text_it_always_was():
     for wire, payload in pinned.items():
         assert encode_frame(payload) == wire
         assert decode_body(wire[4:]) == payload
-    envelope = Envelope(sender=2, receiver=5, message=Request(sender=2, origin=2))
-    assert encode_envelope(envelope) == (
-        b'\x00\x00\x00L{"sender":2,"receiver":5,'
-        b'"message":{"sender":2,"origin":2,"type":"request"}}'
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -334,256 +321,5 @@ def test_a_full_write_buffer_pauses_reading_until_it_drains():
         assert not wired.transport.reading
         wired.proto.resume_writing()
         assert wired.transport.reading
-
-    run(scenario())
-
-
-# --------------------------------------------------------------------------- #
-# protocol-message codec
-# --------------------------------------------------------------------------- #
-def test_message_codec_round_trip():
-    request = decode_message(encode_message(Request(sender=3, origin=7)))
-    assert isinstance(request, Request)
-    assert (request.sender, request.origin) == (3, 7)
-    assert isinstance(decode_message(encode_message(Privilege())), Privilege)
-
-
-def test_message_codec_rejects_unknown_types():
-    with pytest.raises(RuntimeTransportError, match="no wire codec"):
-        encode_message(object())
-    with pytest.raises(RuntimeTransportError, match="unknown wire message type"):
-        decode_message({"type": "gossip"})
-
-
-def test_envelope_round_trip_through_frame():
-    async def scenario():
-        envelope = Envelope(sender=2, receiver=5, message=Request(sender=2, origin=2))
-        reader = feed_reader(encode_envelope(envelope))
-        decoded = decode_envelope(await read_frame(reader))
-        assert decoded.sender == 2 and decoded.receiver == 5
-        assert decoded.message == Request(sender=2, origin=2)
-
-    run(scenario())
-
-
-def test_decode_envelope_rejects_malformed_payloads():
-    with pytest.raises(RuntimeTransportError, match="malformed envelope"):
-        decode_envelope({"sender": 1, "message": {"type": "privilege"}})
-
-
-# --------------------------------------------------------------------------- #
-# the transport itself (real unix sockets)
-# --------------------------------------------------------------------------- #
-@pytest.mark.network
-def test_two_process_style_transports_exchange_messages(tmp_path):
-    async def scenario():
-        path_a = str(tmp_path / "a.sock")
-        path_b = str(tmp_path / "b.sock")
-        peers = {1: path_a, 2: path_b}
-        a = SocketTransport(path_a, peers)
-        b = SocketTransport(path_b, peers)
-        inbox_1 = a.register(1)
-        inbox_2 = b.register(2)
-        await a.start()
-        await b.start()
-        try:
-            a.send(1, 2, Request(sender=1, origin=1))
-            b.send(2, 1, Privilege())
-            got_2 = await asyncio.wait_for(inbox_2.get(), timeout=5)
-            got_1 = await asyncio.wait_for(inbox_1.get(), timeout=5)
-            assert got_2.message == Request(sender=1, origin=1)
-            assert isinstance(got_1.message, Privilege)
-            assert a.messages_sent == 1 and b.messages_sent == 1
-        finally:
-            await a.close()
-            await b.close()
-
-    run(scenario())
-
-
-@pytest.mark.network
-def test_local_sends_never_touch_the_socket(tmp_path):
-    async def scenario():
-        path = str(tmp_path / "only.sock")
-        transport = SocketTransport(path, peers={1: path, 2: path})
-        transport.register(1)
-        inbox = transport.register(2)
-        # No start(): local delivery must work without a bound socket.
-        transport.send(1, 2, Privilege())
-        envelope = inbox.get_nowait()
-        assert isinstance(envelope.message, Privilege)
-        # Remote sends without start() are refused loudly.
-        transport._peers[3] = str(tmp_path / "other.sock")
-        with pytest.raises(RuntimeTransportError, match="not started"):
-            transport.send(1, 3, Privilege())
-        await transport.close()
-
-    run(scenario())
-
-
-@pytest.mark.network
-def test_concurrent_sends_preserve_per_channel_fifo(tmp_path):
-    async def scenario():
-        path_a = str(tmp_path / "a.sock")
-        path_b = str(tmp_path / "b.sock")
-        peers = {1: path_a, 2: path_b}
-        a = SocketTransport(path_a, peers)
-        b = SocketTransport(path_b, peers)
-        a.register(1)
-        inbox = b.register(2)
-        await a.start()
-        await b.start()
-        try:
-            total = 200
-            for sequence in range(total):
-                a.send(1, 2, Request(sender=1, origin=sequence))
-            received = []
-            for _ in range(total):
-                envelope = await asyncio.wait_for(inbox.get(), timeout=10)
-                received.append(envelope.message.origin)
-            assert received == list(range(total))  # FIFO per channel
-        finally:
-            await a.close()
-            await b.close()
-
-    run(scenario())
-
-
-@pytest.mark.network
-def test_writer_reconnects_after_peer_restart(tmp_path):
-    async def scenario():
-        path_a = str(tmp_path / "a.sock")
-        path_b = str(tmp_path / "b.sock")
-        peers = {1: path_a, 2: path_b}
-        a = SocketTransport(path_a, peers)
-        b = SocketTransport(path_b, peers)
-        a.register(1)
-        inbox = b.register(2)
-        await a.start()
-        await b.start()
-        try:
-            a.send(1, 2, Request(sender=1, origin=0))
-            first = await asyncio.wait_for(inbox.get(), timeout=5)
-            assert first.message.origin == 0
-            # Restart the receiving peer: same path, fresh server.
-            await b.close()
-            b = SocketTransport(path_b, peers)
-            inbox = b.register(2)
-            await b.start()
-            # The writer task's connection is now dead; the next send must be
-            # retried on a fresh connection (first write fails or the old
-            # socket file was replaced — either path exercises reconnect).
-            a.send(1, 2, Request(sender=1, origin=1))
-            second = await asyncio.wait_for(inbox.get(), timeout=5)
-            assert second.message.origin == 1
-        finally:
-            await a.close()
-            await b.close()
-
-    run(scenario())
-
-
-@pytest.mark.network
-def test_close_drains_queued_frames_before_teardown(tmp_path):
-    async def scenario():
-        path_a = str(tmp_path / "a.sock")
-        path_b = str(tmp_path / "b.sock")
-        peers = {1: path_a, 2: path_b}
-        a = SocketTransport(path_a, peers)
-        b = SocketTransport(path_b, peers)
-        a.register(1)
-        inbox = b.register(2)
-        await a.start()
-        await b.start()
-        total = 50
-        for sequence in range(total):
-            a.send(1, 2, Request(sender=1, origin=sequence))
-        # Close immediately: everything already accepted must still arrive.
-        await a.close()
-        received = []
-        for _ in range(total):
-            envelope = await asyncio.wait_for(inbox.get(), timeout=10)
-            received.append(envelope.message.origin)
-        assert received == list(range(total))
-        await b.close()
-        # And the closed transport refuses further work.
-        with pytest.raises(RuntimeTransportError, match="closed"):
-            a.send(1, 2, Privilege())
-
-    run(scenario())
-
-
-def test_register_rejects_duplicates_and_foreign_nodes(tmp_path):
-    path = str(tmp_path / "a.sock")
-    other = str(tmp_path / "b.sock")
-    transport = SocketTransport(path, peers={1: path, 2: other})
-    transport.register(1)
-    with pytest.raises(RuntimeTransportError, match="already registered"):
-        transport.register(1)
-    with pytest.raises(RuntimeTransportError, match="mapped to peer address"):
-        transport.register(2)
-
-
-@pytest.mark.network
-def test_dag_nodes_run_unchanged_across_two_socket_transports(tmp_path):
-    """The tentpole contract: AsyncDagNode neither knows nor cares that its
-    peers live behind a socket.  star(4) split across two transports, every
-    node enters its critical section, exactly one token in the system."""
-
-    async def scenario():
-        path_a = str(tmp_path / "a.sock")
-        path_b = str(tmp_path / "b.sock")
-        topology = star(4)
-        placement = {1: path_a, 2: path_a, 3: path_b, 4: path_b}
-        a = SocketTransport(path_a, placement)
-        b = SocketTransport(path_b, placement)
-        pointers = topology.next_pointers()
-        nodes = {}
-        for node_id in topology.nodes:
-            transport = a if placement[node_id] == path_a else b
-            nodes[node_id] = AsyncDagNode(
-                node_id,
-                transport,
-                holding=(node_id == topology.token_holder),
-                next_node=pointers[node_id],
-            )
-        await a.start()
-        await b.start()
-        for node in nodes.values():
-            node.start()
-        try:
-            in_cs = []
-
-            async def exercise(node_id: int) -> None:
-                node = nodes[node_id]
-                await asyncio.wait_for(node.acquire(), timeout=10)
-                in_cs.append(node_id)
-                assert len(in_cs) == 1, f"mutual exclusion violated: {in_cs}"
-                in_cs.remove(node_id)
-                await node.release()
-
-            await asyncio.gather(*(exercise(node_id) for node_id in topology.nodes))
-            assert all(nodes[n].cs_entries == 1 for n in topology.nodes)
-        finally:
-            for node in nodes.values():
-                await node.stop()
-            await a.close()
-            await b.close()
-
-    run(scenario())
-
-
-@pytest.mark.network
-def test_local_cluster_accepts_a_prebuilt_socket_transport(tmp_path):
-    async def scenario():
-        path = str(tmp_path / "cluster.sock")
-        topology = star(5)
-        transport = SocketTransport(
-            path, peers={node_id: path for node_id in topology.nodes}
-        )
-        await transport.start()
-        async with LocalCluster(topology, transport=transport) as cluster:
-            async with cluster.lock(4):
-                assert cluster.token_location() == 4
 
     run(scenario())
