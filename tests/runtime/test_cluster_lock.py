@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import inspect
 
 import pytest
 
 from repro.exceptions import LockError, ProtocolError
-from repro.runtime import DistributedLock, LocalCluster
+from repro.runtime import DistributedLock, InMemoryTransport, LocalCluster
 from repro.topology import line, star
 
 from .virtual_clock import VirtualClock
@@ -120,6 +121,49 @@ def test_lock_acquire_with_timeout_succeeds_quickly():
             lock = cluster.lock(2)
             await lock.acquire(timeout=1.0)
             await lock.release()
+
+    run(scenario())
+
+
+def test_a_cluster_is_a_topology_and_an_optional_delay():
+    """The cluster always builds its own in-memory transport."""
+    parameters = inspect.signature(LocalCluster).parameters
+    assert list(parameters) == ["topology", "delay"]
+    assert parameters["delay"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert parameters["delay"].default is None
+    with pytest.raises(TypeError):
+        LocalCluster(star(3), transport=InMemoryTransport())
+    assert isinstance(LocalCluster(star(3)).transport, InMemoryTransport)
+
+
+def test_a_delayed_cluster_keeps_mutual_exclusion_on_a_line():
+    """Every hop of a line takes a second: REQUESTs and PRIVILEGEs are in
+    flight together, and still one node at a time is in its section."""
+
+    async def scenario():
+        clock = VirtualClock()
+        active = max_active = 0
+        entries = []
+        async with LocalCluster(line(4, token_holder=4), delay=lambda s, r: 1.0) as cluster:
+            async def worker(node_id):
+                nonlocal active, max_active
+                for _ in range(2):
+                    async with cluster.lock(node_id):
+                        active += 1
+                        max_active = max(max_active, active)
+                        entries.append(node_id)
+                        await asyncio.sleep(0)
+                        active -= 1
+
+            workers = asyncio.gather(*(worker(node_id) for node_id in cluster.node_ids))
+            for _ in range(200):
+                if workers.done():
+                    break
+                await clock.advance(1.0)
+            await workers
+            assert cluster.transport.messages_sent > 0
+        assert max_active == 1
+        assert sorted(entries) == [1, 1, 2, 2, 3, 3, 4, 4]
 
     run(scenario())
 

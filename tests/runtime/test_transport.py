@@ -91,6 +91,41 @@ def test_closed_transport_rejects_sends():
     run(scenario())
 
 
+def test_only_accepted_messages_are_counted():
+    async def scenario():
+        transport = InMemoryTransport()
+        transport.register(1, lambda envelope: None)
+        transport.register(2, lambda envelope: None)
+        transport.send(1, 2, "counted")
+        with pytest.raises(RuntimeTransportError):
+            transport.send(1, 9, "to nobody")
+        with pytest.raises(RuntimeTransportError):
+            transport.send(9, 1, "from nobody")
+        await transport.close()
+        with pytest.raises(RuntimeTransportError):
+            transport.send(2, 1, "too late")
+        assert transport.messages_sent == 1
+
+    run(scenario())
+
+
+def test_close_drops_what_is_still_delayed():
+    async def scenario():
+        clock = VirtualClock()
+        transport = InMemoryTransport(delay=lambda sender, receiver: 1.0)
+        heard = []
+        transport.register(1, heard.append)
+        transport.register(2, heard.append)
+        transport.send(1, 2, "in flight")
+        transport.send(2, 1, "in flight too")
+        await clock.advance(0.5)
+        await transport.close()
+        await clock.advance(5.0)
+        assert heard == []
+
+    run(scenario())
+
+
 def test_node_ids_listed():
     async def scenario():
         transport = InMemoryTransport()
@@ -185,6 +220,37 @@ def test_a_raising_handler_reaches_the_sender_and_nobody_goes_deaf():
     assert heard == ["first", "second", "still listening"]
 
 
+def test_concurrent_senders_keep_each_channel_in_order_under_uneven_delays():
+    """Three tasks send to one receiver, interleaved, each channel with its
+    own delays: channels overtake one another, messages within one never do."""
+
+    async def scenario():
+        clock = VirtualClock()
+        delays = {1: iter([3.0, 0.1] * 3), 2: iter([0.5] * 6), 3: iter([2.0, 0.2, 1.0] * 2)}
+        transport = InMemoryTransport(delay=lambda sender, receiver: next(delays[sender]))
+        heard = []
+        transport.register(0, heard.append)
+
+        async def sender(node_id):
+            for index in range(6):
+                transport.send(node_id, 0, (node_id, index))
+                await asyncio.sleep(0)
+
+        for node_id in (1, 2, 3):
+            transport.register(node_id, heard.append)
+        await asyncio.gather(*(sender(node_id) for node_id in (1, 2, 3)))
+        for _ in range(10):
+            await clock.advance(1.0)
+        assert len(heard) == 18
+        arrived = [envelope.message for envelope in heard]
+        for node_id in (1, 2, 3):
+            assert [m for m in arrived if m[0] == node_id] == [(node_id, i) for i in range(6)]
+        assert arrived.index((2, 5)) < arrived.index((1, 0))  # 2 overtook 1
+        await transport.close()
+
+    run(scenario())
+
+
 # --------------------------------------------------------------------------- #
 # the recovery fence
 # --------------------------------------------------------------------------- #
@@ -248,3 +314,20 @@ def test_delayed_envelopes_are_in_flight_together_and_stay_in_order():
         await transport.close()
 
     run(scenario())
+
+
+def test_fence_keeps_queued_calls_that_are_not_envelopes():
+    """Only envelopes are messages in flight; a plain queued call is not
+    something the fence may drop."""
+    transport = InMemoryTransport()
+    heard = []
+
+    def node_1(envelope):
+        transport.send(1, 2, "dropped")
+        transport.post(heard.append, "a plain call")
+        transport.fence()
+
+    transport.register(1, node_1)
+    transport.register(2, heard.append)
+    transport.send(2, 1, "go")
+    assert heard == ["a plain call"]

@@ -10,10 +10,16 @@ from repro.exceptions import RuntimeTransportError
 from repro.runtime.transport_socket import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
+    RECONNECT_DELAY_INITIAL,
+    RECONNECT_DELAY_MAX,
     FrameProtocol,
+    backoff_delays,
     decode_body,
     encode_frame,
+    normalise_address,
+    open_frame_connection,
     read_frame,
+    start_frame_server,
 )
 
 
@@ -323,3 +329,108 @@ def test_a_full_write_buffer_pauses_reading_until_it_drains():
         assert wired.transport.reading
 
     run(scenario())
+
+
+def test_abort_drops_the_connection_and_reports_once():
+    async def scenario():
+        wired = Wired()
+        wired.proto.send({"id": 1})
+        wired.proto.abort()
+        assert wired.transport.aborted and wired.closes == [None]
+        assert wired.proto.is_closing()
+        await asyncio.sleep(0)  # the pass's flush finds the transport closing
+        assert wired.transport.writes == []
+        wired.proto.connection_lost(None)
+        assert wired.closes == [None]
+
+    run(scenario())
+
+
+def test_a_closed_protocol_delivers_nothing_more():
+    async def scenario():
+        wired = Wired().feed(encode_frame({"id": 1}))
+        wired.proto.close()
+        wired.feed(encode_frame({"id": 2}), encode_frame({"id": 3}))
+        assert wired.frames == [{"id": 1}] and wired.closes == [None]
+
+    run(scenario())
+
+
+# --------------------------------------------------------------------------- #
+# addresses and backoff
+# --------------------------------------------------------------------------- #
+def test_normalise_address_gives_one_hashable_form():
+    """A view read back from JSON holds ``[host, port]`` lists; the tuple it
+    normalises to must equal and hash like the address it started as."""
+    assert normalise_address(["127.0.0.1", "9001"]) == ("127.0.0.1", 9001)
+    assert normalise_address(("127.0.0.1", 9001)) == ("127.0.0.1", 9001)
+    assert normalise_address("/tmp/s0.sock") == "/tmp/s0.sock"
+    routes = {normalise_address(["h", 1]): "tcp", normalise_address("/p"): "unix"}
+    assert routes[("h", 1)] == "tcp" and routes["/p"] == "unix"
+
+
+def test_backoff_delays_double_up_to_the_cap():
+    delays = backoff_delays(0.25, 3.0)
+    assert [next(delays) for _ in range(7)] == [0.25, 0.5, 1.0, 2.0, 3.0, 3.0, 3.0]
+    defaults = backoff_delays()
+    first = [next(defaults) for _ in range(12)]
+    assert first[0] == RECONNECT_DELAY_INITIAL and first[-1] == RECONNECT_DELAY_MAX
+    assert all(a <= b for a, b in zip(first, first[1:]))
+
+
+# --------------------------------------------------------------------------- #
+# framed peers on real sockets
+# --------------------------------------------------------------------------- #
+async def _echo_round_trip(address):
+    """Serve an echo on ``address``; a client sends a burst and hangs up.
+    Returns (bound address, frames the client got back, the two on_close
+    arguments: server's, client's)."""
+    server_closed, client_closed, echoed = [], [], []
+    loop = asyncio.get_running_loop()
+    done, hung_up = loop.create_future(), loop.create_future()
+
+    def on_server_close(error):
+        server_closed.append(error)
+        hung_up.set_result(None)
+
+    def accept() -> FrameProtocol:
+        proto = FrameProtocol(lambda payload: proto.send(payload), on_server_close)
+        return proto
+
+    server, bound = await start_frame_server(address, accept)
+    try:
+        burst = [{"op": "acquire", "key": "k", "session": 1, "epoch": 0, "id": "c:1"},
+                 {"op": "stats", "id": "c:2"}, {"ok": True, "id": "c:3"}]
+
+        def on_frame(payload):
+            echoed.append(payload)
+            if len(echoed) == len(burst):
+                done.set_result(None)
+
+        client = await open_frame_connection(bound, on_frame, client_closed.append)
+        for payload in burst:
+            client.send(payload)
+        await asyncio.wait_for(done, 5.0)
+        client.close()
+        await asyncio.wait_for(hung_up, 5.0)  # the server reads the EOF
+    finally:
+        server.close()
+        await server.wait_closed()
+    assert echoed == burst
+    return bound, server_closed, client_closed
+
+
+@pytest.mark.network
+def test_framed_peers_exchange_frames_over_a_unix_socket(tmp_path):
+    path = str(tmp_path / "echo.sock")
+    bound, server_closed, client_closed = run(_echo_round_trip(path))
+    assert bound == path
+    assert server_closed == [None] and client_closed == [None]  # clean on both ends
+
+
+@pytest.mark.network
+def test_a_tcp_frame_server_on_port_zero_reports_the_port_it_bound():
+    bound, server_closed, client_closed = run(_echo_round_trip(("127.0.0.1", 0)))
+    host, port = bound
+    assert host == "127.0.0.1" and isinstance(port, int) and port > 0
+    assert server_closed == [None] and client_closed == [None]
