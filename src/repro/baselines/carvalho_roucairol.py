@@ -49,7 +49,8 @@ class CarvalhoRoucairolNode(MutexNodeBase):
         missing = [other for other in self.others if other not in self.authorized]
         self.awaiting_reply = set(missing)
         for other in missing:
-            self.send(other, RARequest(clock=self.my_request[0], origin=self.node_id))
+            self.network.send(self.node_id, other,
+                              RARequest(clock=self.my_request[0], origin=self.node_id))
         if not self.awaiting_reply:
             # All permissions are cached from earlier entries: free re-entry.
             self._enter_critical_section()
@@ -61,7 +62,7 @@ class CarvalhoRoucairolNode(MutexNodeBase):
         for other in sorted(deferred):
             # Surrendering the permission: the peer now holds ours.
             self.authorized.discard(other)
-            self.send(other, RAReply(origin=self.node_id))
+            self.network.send(self.node_id, other, RAReply(origin=self.node_id))
 
     # ------------------------------------------------------------------ #
     # message handling
@@ -84,17 +85,17 @@ class CarvalhoRoucairolNode(MutexNodeBase):
                 message.origin not in self.awaiting_reply
             )
             self.authorized.discard(message.origin)
-            self.send(message.origin, RAReply(origin=self.node_id))
+            self.network.send(self.node_id, message.origin, RAReply(origin=self.node_id))
             if must_rerequest and message.origin not in self.awaiting_reply:
                 self.awaiting_reply.add(message.origin)
-                self.send(
-                    message.origin,
+                self.network.send(
+                    self.node_id, message.origin,
                     RARequest(clock=self.my_request[0], origin=self.node_id),
                 )
             return
         # Idle: reply immediately and surrender any cached permission.
         self.authorized.discard(message.origin)
-        self.send(message.origin, RAReply(origin=self.node_id))
+        self.network.send(self.node_id, message.origin, RAReply(origin=self.node_id))
 
     def _on_reply(self, sender: int, message: RAReply) -> None:
         self.authorized.add(message.origin)

@@ -94,14 +94,14 @@ class CentralizedNode(MutexNodeBase):
         if self.is_coordinator:
             self._coordinator_handle_request(self.node_id)
         else:
-            self.send(self.coordinator, CentralRequest(origin=self.node_id))
+            self.network.send(self.node_id, self.coordinator, CentralRequest(origin=self.node_id))
 
     def release_cs(self) -> None:
         self._note_exit()
         if self.is_coordinator:
             self._coordinator_handle_release(self.node_id)
         else:
-            self.send(self.coordinator, CentralRelease(origin=self.node_id))
+            self.network.send(self.node_id, self.coordinator, CentralRelease(origin=self.node_id))
 
     def _on_request(self, sender: int, message: CentralRequest) -> None:
         self._require_coordinator(message)
@@ -144,7 +144,7 @@ class CentralizedNode(MutexNodeBase):
         if origin == self.node_id:
             self._enter_critical_section()
         else:
-            self.send(origin, CentralGrant())
+            self.network.send(self.node_id, origin, CentralGrant())
 
     def _require_coordinator(self, message: Any) -> None:
         if not self.is_coordinator:

@@ -95,7 +95,8 @@ class LamportNode(MutexNodeBase):
         self.my_request = (self.clock, self.node_id)
         self.queue[self.node_id] = self.my_request
         for other in self.others:
-            self.send(other, LamportRequest(clock=self.my_request[0], origin=self.node_id))
+            self.network.send(self.node_id, other,
+                              LamportRequest(clock=self.my_request[0], origin=self.node_id))
         self._try_enter()
 
     def release_cs(self) -> None:
@@ -104,7 +105,8 @@ class LamportNode(MutexNodeBase):
         self.my_request = None
         self.clock += 1
         for other in self.others:
-            self.send(other, LamportRelease(clock=self.clock, origin=self.node_id))
+            self.network.send(self.node_id, other,
+                              LamportRelease(clock=self.clock, origin=self.node_id))
 
     # ------------------------------------------------------------------ #
     # message handling
@@ -114,7 +116,8 @@ class LamportNode(MutexNodeBase):
         self.queue[message.origin] = (message.clock, message.origin)
         self._heard(message.origin, message.clock)
         self.clock += 1
-        self.send(message.origin, LamportAck(clock=self.clock, origin=self.node_id))
+        self.network.send(self.node_id, message.origin,
+                          LamportAck(clock=self.clock, origin=self.node_id))
         self._try_enter()
 
     def _on_ack(self, sender: int, message: LamportAck) -> None:

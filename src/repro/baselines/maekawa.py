@@ -347,7 +347,7 @@ class MaekawaNode(MutexNodeBase):
         if destination == self.node_id:
             self.on_message(self.node_id, message)
         else:
-            self.send(destination, message)
+            self.network.send(self.node_id, destination, message)
 
 
 @registry.register

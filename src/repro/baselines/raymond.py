@@ -118,7 +118,7 @@ class RaymondNode(MutexNodeBase):
             self._enter_critical_section()
         else:
             self.holder = head
-            self.send(head, RaymondPrivilege())
+            self.network.send(self.node_id, head, RaymondPrivilege())
 
     def _make_request(self) -> None:
         """Forward one request toward the holder on behalf of the queue head."""
@@ -127,7 +127,7 @@ class RaymondNode(MutexNodeBase):
         if not self.request_queue or self.asked:
             return
         self.asked = True
-        self.send(self.holder, RaymondRequest(origin=self.node_id))
+        self.network.send(self.node_id, self.holder, RaymondRequest(origin=self.node_id))
 
 
 @registry.register

@@ -70,7 +70,8 @@ class RicartAgrawalaNode(MutexNodeBase):
         self.my_request = (self.clock, self.node_id)
         self.awaiting_reply = set(self.others)
         for other in self.others:
-            self.send(other, RARequest(clock=self.my_request[0], origin=self.node_id))
+            self.network.send(self.node_id, other,
+                              RARequest(clock=self.my_request[0], origin=self.node_id))
         if not self.awaiting_reply:
             # Single-node system: nothing to wait for.
             self._enter_critical_section()
@@ -80,7 +81,7 @@ class RicartAgrawalaNode(MutexNodeBase):
         self.my_request = None
         deferred, self.deferred = self.deferred, set()
         for other in sorted(deferred):
-            self.send(other, RAReply(origin=self.node_id))
+            self.network.send(self.node_id, other, RAReply(origin=self.node_id))
 
     def _on_request(self, sender: int, message: RARequest) -> None:
         self.clock = max(self.clock, message.clock) + 1
@@ -94,7 +95,7 @@ class RicartAgrawalaNode(MutexNodeBase):
         if defer:
             self.deferred.add(message.origin)
         else:
-            self.send(message.origin, RAReply(origin=self.node_id))
+            self.network.send(self.node_id, message.origin, RAReply(origin=self.node_id))
 
     def _on_reply(self, sender: int, message: RAReply) -> None:
         if message.origin not in self.awaiting_reply:

@@ -129,7 +129,8 @@ class SinghalNode(MutexNodeBase):
         sequence = self.sequence_vector[self.node_id]
         for other in self.others:
             if self.state_vector[other] == REQUESTING:
-                self.send(other, SinghalRequest(origin=self.node_id, sequence=sequence))
+                self.network.send(self.node_id, other,
+                                  SinghalRequest(origin=self.node_id, sequence=sequence))
 
     def release_cs(self) -> None:
         self._note_exit()
@@ -169,8 +170,8 @@ class SinghalNode(MutexNodeBase):
             # Forward our own request to the newly discovered requester: it may
             # be (or become) the token holder and our broadcast missed it.
             if not previously_requesting:
-                self.send(
-                    origin,
+                self.network.send(
+                    self.node_id, origin,
                     SinghalRequest(
                         origin=self.node_id,
                         sequence=self.sequence_vector[self.node_id],
@@ -220,7 +221,7 @@ class SinghalNode(MutexNodeBase):
         )
         self.token_state = {}
         self.token_sequence = {}
-        self.send(destination, token)
+        self.network.send(self.node_id, destination, token)
 
 
 @registry.register

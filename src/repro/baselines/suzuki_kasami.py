@@ -92,7 +92,8 @@ class SuzukiKasamiNode(MutexNodeBase):
         self.request_numbers[self.node_id] += 1
         sequence = self.request_numbers[self.node_id]
         for other in self.others:
-            self.send(other, SKRequest(origin=self.node_id, sequence=sequence))
+            self.network.send(self.node_id, other,
+                              SKRequest(origin=self.node_id, sequence=sequence))
 
     def release_cs(self) -> None:
         self._note_exit()
@@ -144,7 +145,7 @@ class SuzukiKasamiNode(MutexNodeBase):
         )
         self.token_last_granted = {}
         self.token_queue = []
-        self.send(destination, token)
+        self.network.send(self.node_id, destination, token)
 
 
 @registry.register

@@ -159,6 +159,7 @@ class CompactDagState:
         #: result path reads this instead of summing a column).
         self.total_entries = 0
         self._engine = network.engine
+        self.network = network
         self._send = network.send
         self._metrics = metrics
         self._trace = trace
@@ -185,6 +186,12 @@ class CompactDagState:
             raise ProtocolError(f"node {node_id} already has an outstanding request")
         if state & _IN_CS:
             raise ProtocolError(f"node {node_id} is already in its critical section")
+        target = self._next[node_id]
+        if not state & _HOLDING and target == 0:
+            raise ProtocolError(
+                f"node {node_id} is a sink without the token and without a request; "
+                "the system was initialised inconsistently"
+            )
 
         if self._metrics is not None:
             self._metrics.cs_requested(node_id, self._engine._now)
@@ -198,12 +205,6 @@ class CompactDagState:
             return
 
         flags[node_id] = state | _REQUESTING
-        target = self._next[node_id]
-        if target == 0:
-            raise ProtocolError(
-                f"node {node_id} is a sink without the token and without a request; "
-                "the system was initialised inconsistently"
-            )
         self._next[node_id] = 0
         self._send(node_id, target, Request(node_id, node_id))
         if self._trace is not None:
@@ -412,6 +413,10 @@ class DagNodeView:
     def cs_entries(self) -> int:
         return self._state._entries[self.node_id]
 
+    @property
+    def network(self):
+        return self._state.network
+
     # -- protocol actions ------------------------------------------------ #
     def request_cs(self) -> None:
         self._state.request_cs(self.node_id)
@@ -421,9 +426,6 @@ class DagNodeView:
 
     def on_message(self, sender: int, message: Any) -> None:
         self._state.on_message(self.node_id, sender, message)
-
-    def send(self, target: int, message: Any) -> None:
-        self._state._send(self.node_id, target, message)
 
     def _enter_critical_section(self) -> None:
         self._state._enter_critical_section(self.node_id)

@@ -53,7 +53,7 @@ class _InitProcess(SimProcess):
         self.follow = None
         self.initialized = True
         for neighbour in self.neighbours:
-            self.send(neighbour, Initialize(origin=self.node_id))
+            self.network.send(self.node_id, neighbour, Initialize(origin=self.node_id))
 
     def on_message(self, sender: int, message: Initialize) -> None:
         if not isinstance(message, Initialize):
@@ -73,7 +73,7 @@ class _InitProcess(SimProcess):
         self.initialized = True
         for neighbour in self.neighbours:
             if neighbour != message.origin:
-                self.send(neighbour, Initialize(origin=self.node_id))
+                self.network.send(self.node_id, neighbour, Initialize(origin=self.node_id))
 
 
 def run_initialization(

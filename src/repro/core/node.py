@@ -10,10 +10,11 @@ standard transformation onto an event loop and does not change the order in
 which the variables are read or written.
 
 The kernel blocks on nothing and owns no engine, socket or task, so it can be
-stepped by anything that supplies ``send``: :class:`DagMutexNode` drives it
-from the discrete-event simulator, :class:`~repro.runtime.node_runtime
-.AsyncDagNode` from its transport's deliveries (a handler called on the
-sender's stack, no task and no queue of its own), and ``tests/core
+stepped by anything that supplies a ``network`` with a ``send(sender,
+receiver, message)``: :class:`DagMutexNode` drives it from the discrete-event
+simulator's :class:`~repro.sim.network.Network`, :class:`~repro.runtime
+.node_runtime.AsyncDagNode` from its transport's deliveries (a handler called
+on the sender's stack, no task and no queue of its own), and ``tests/core
 /test_kernel_exhaustive.py`` from plain FIFO lists.  (The columnar :class:`~repro.core.compact_state
 .CompactDagState` is a hand-inlined transcription of the same text, gated
 against it by ``tests/properties/test_backend_identity.py``.)
@@ -47,9 +48,10 @@ _PRIVILEGE = Privilege()
 class DagNodeCore:
     """The protocol kernel: the three paper variables and procedures P1 / P2.
 
-    What a driver supplies: ``send(target, message)`` (reliable, FIFO per
-    directed channel), and — only if it attaches the optional ``_metrics`` /
-    ``_trace`` observers — the ``now`` clock their records are stamped with.
+    What a driver supplies: ``network``, whose ``send(sender, receiver,
+    message)`` is reliable and FIFO per directed channel, and — only if it
+    attaches the optional ``_metrics`` / ``_trace`` observers — the ``now``
+    clock their records are stamped with.
     A driver that must learn of an entry extends
     :meth:`_enter_critical_section`.
 
@@ -74,9 +76,9 @@ class DagNodeCore:
     _metrics: Optional[MetricsCollector] = None
     _trace: Optional[TraceRecorder] = None
 
-    # Supplied by the driver, as a method (never a slot here: a kernel slot
-    # would shadow ``SimProcess.send`` on ``DagMutexNode``).
-    send: Callable[[int, Any], None]
+    # Supplied by the driver, in its own slot: the simulator's Network, the
+    # runtime's InMemoryTransport, or anything else with their ``send``.
+    network: Any
 
     def __init__(
         self,
@@ -116,12 +118,20 @@ class DagNodeCore:
         Raises:
             ProtocolError: if the node already has an outstanding request or
                 is inside its critical section (the paper allows at most one
-                outstanding request per node).
+                outstanding request per node), or is a sink without the token;
+                a refused request writes nothing.
         """
         if self.requesting:
             raise ProtocolError(f"node {self.node_id} already has an outstanding request")
         if self.in_critical_section:
             raise ProtocolError(f"node {self.node_id} is already in its critical section")
+        if not self.holding and self.next_node is None:
+            # Not holding and NEXT = 0 means a request of ours is outstanding
+            # (Lemma 1), which the guards above reject.  Refused before any write.
+            raise ProtocolError(
+                f"node {self.node_id} is a sink without the token and without a request; "
+                "the system was initialised inconsistently"
+            )
 
         if self._metrics is not None:
             self._metrics.cs_requested(self.node_id, self.now)
@@ -135,16 +145,9 @@ class DagNodeCore:
             return
 
         self.requesting = True
-        if self.next_node is None:
-            # Not holding and NEXT = 0 can only mean an earlier request of ours
-            # is still outstanding (Lemma 1), which the guard above rejects.
-            raise ProtocolError(
-                f"node {self.node_id} is a sink without the token and without a request; "
-                "the system was initialised inconsistently"
-            )
         target = self.next_node
         self.next_node = None
-        self.send(target, Request(self.node_id, self.node_id))
+        self.network.send(self.node_id, target, Request(self.node_id, self.node_id))
         if self._trace is not None:
             self._trace.record(self.now, "state_change", self.node_id,
                                reason="sent own request", next=None)
@@ -169,7 +172,7 @@ class DagNodeCore:
         if self.follow is not None:
             successor = self.follow
             self.follow = None
-            self.send(successor, _PRIVILEGE)
+            self.network.send(self.node_id, successor, _PRIVILEGE)
             if self._trace is not None:
                 self._trace.record(self.now, "state_change", self.node_id,
                                    reason="passed token", to=successor)
@@ -205,7 +208,7 @@ class DagNodeCore:
                 # Transition 8 (state H): hand the idle token straight to the
                 # request's originator.
                 self.holding = False
-                self.send(origin, _PRIVILEGE)
+                self.network.send(self.node_id, origin, _PRIVILEGE)
                 if self._trace is not None:
                     self._trace.record(self.now, "state_change", self.node_id,
                                        reason="idle holder granted token", to=origin)
@@ -219,7 +222,7 @@ class DagNodeCore:
         else:
             # Intermediate node: forward the request toward the sink on the
             # originator's behalf.
-            self.send(self.next_node, Request(self.node_id, origin))
+            self.network.send(self.node_id, self.next_node, Request(self.node_id, origin))
         # In every case the edge to the adjacent sender is reversed so later
         # requests travel toward the new sink.
         self.next_node = adjacent

@@ -114,7 +114,7 @@ def regenerate_token(
         if node is holder:
             continue
         node.next_node = None
-        node.send(holder.node_id, Request(node.node_id, node.node_id))
+        node.network.send(node.node_id, holder.node_id, Request(node.node_id, node.node_id))
         reissued += 1
 
     return {

@@ -4,7 +4,8 @@ The protocol itself — the three variables of Figure 3 and the REQUEST /
 PRIVILEGE handling — is inherited from :class:`repro.core.node.DagNodeCore`,
 the same method objects the simulator's nodes run.  This module adds only
 the driver: the node registers the kernel's ``on_message`` as its handler on
-the transport, ``send`` goes to the transport, and the blocking point of
+the transport, the transport is the kernel's ``network`` (the kernel calls
+its ``send(sender, receiver, message)`` itself), and the blocking point of
 procedure P1 is a callback — :meth:`AsyncDagNode.acquire_then` stores it and
 the kernel's entry hook hands it to the transport's mailbox to be called.
 A node at rest is the kernel's fields and nothing else: no task, no queue,
@@ -19,10 +20,10 @@ P1/P2.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.core.node import DagNodeCore
-from repro.exceptions import LockError
+from repro.exceptions import LockError, ProtocolError
 from repro.runtime.transport import Envelope
 
 
@@ -32,13 +33,13 @@ class AsyncDagNode(DagNodeCore):
     Args:
         node_id: this node's identifier.
         transport: the :class:`~repro.runtime.transport.InMemoryTransport`
-            connecting this node to its peers in the same event loop.
+            connecting this node to its peers in one event loop: the kernel's ``network``.
         holding: whether this node starts with the token.
         next_node: initial ``NEXT`` pointer (``None`` iff ``holding``).
     """
 
     #: A warm lock key holds one agent per tree node: slots, no ``__dict__``.
-    __slots__ = ("_transport", "_granted", "_started", "_stopped")
+    __slots__ = ("network", "_granted", "_started", "_stopped")
 
     def __init__(
         self,
@@ -49,7 +50,7 @@ class AsyncDagNode(DagNodeCore):
         next_node: Optional[int],
     ) -> None:
         super().__init__(node_id, holding=holding, next_node=next_node)
-        self._transport = transport
+        self.network = transport
         transport.register(node_id, self._deliver)
         self._granted: Optional[Callable[[int], None]] = None
         self._started = False
@@ -78,7 +79,11 @@ class AsyncDagNode(DagNodeCore):
         """
         self._check_may_ask()
         self._granted = granted
-        self.request_cs()
+        try:
+            self.request_cs()
+        except ProtocolError:
+            self._granted = None  # refused: nothing is left waiting here
+            raise
 
     async def acquire(self) -> None:
         """Enter the critical section, waiting for the token if necessary.
@@ -123,16 +128,13 @@ class AsyncDagNode(DagNodeCore):
     # ------------------------------------------------------------------ #
     # the kernel's driver surface
     # ------------------------------------------------------------------ #
-    def send(self, target: int, message: Any) -> None:
-        self._transport.send(self.node_id, target, message)
-
     def _enter_critical_section(self) -> None:
         super()._enter_critical_section()
         granted, self._granted = self._granted, None
         if granted is not None:
             # Through the mailbox, not called: a waiter that hands the token
             # straight on would otherwise nest one frame per hand-off.
-            self._transport.post(granted, self.node_id)
+            self.network.post(granted, self.node_id)
 
     def _deliver(self, envelope: Envelope) -> None:
         if not self._stopped:

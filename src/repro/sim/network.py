@@ -15,7 +15,10 @@ owns the scheduler's FIFO lane (constant latency, no trace recorder, the base
 handler, target, sender, message)`` — the receiver's class-level
 ``dispatch_table`` entry for the message's type (else an ``on_message``
 adapter) and the process, or the columnar handler and the id — which the
-drain fires as ``handler(target, sender, message)``.  A network that watches
+drain fires as ``handler(target, sender, message)``; while no metrics
+collector is attached and no partition is active, that owner's ``send``
+opens with an early exit, where the one receiver lookup that finds the
+handler is also the endpoint check.  A network that watches
 deliveries (other latency, a trace's ``receive`` records, a fault injector
 fencing on the engine sequence) pushes ``(time, sequence, self._deliver,
 (sender, receiver, message, sequence))`` to the heap instead, and
@@ -142,6 +145,9 @@ class Network:
         self._enqueue: Callable[[Tuple], None] = engine._push if lane is None else lane.append
         # One test on the send path covers both observers.
         self._observed = metrics is not None or trace is not None
+        # ``send``'s early exit is open to the lane's owner while no observer
+        # watches sends and no partition is active (``partition``/``heal`` keep it).
+        self._direct = lane is not None and not self._observed
 
     @property
     def engine(self) -> SimulationEngine:
@@ -233,6 +239,25 @@ class Network:
                 that is disallowed.
         """
         known = self._endpoints
+        if self._direct:
+            # The lookup that resolves the lane entry's handler is also the
+            # receiver's endpoint check; a miss or a self-send goes on to the
+            # full body below, which accepts it or raises.
+            node = self._receivers.get(receiver)
+            if node is not None:
+                handler = node.dispatch_table.get(type(message), _call_on_message)
+            elif receiver in known:  # known is the range: only columnar state
+                node = receiver
+                handler = self._columnar_table.get(type(message)) or self._columnar.on_message
+            if node is not None and sender in known and sender != receiver:
+                self._messages_sent += 1
+                engine = self._engine
+                sequence = engine._sequence + 1
+                engine._sequence = sequence
+                self._enqueue(
+                    (engine._now + self._constant_delay, sequence, handler, node, sender, message)
+                )
+                return
         if sender not in known or receiver not in known:
             receivers = self._receivers
             nodes = self._columnar_nodes
@@ -311,6 +336,7 @@ class Network:
         if not state.partitioned:
             state.partitioned = True
             self._partition_count += 1
+            self._direct = False
 
     def heal(self, sender: int, receiver: int) -> None:
         """Stop dropping messages on the directed channel."""
@@ -318,6 +344,7 @@ class Network:
         if state is not None and state.partitioned:
             state.partitioned = False
             self._partition_count -= 1
+            self._direct = self._lane is not None and not (self._observed or self._partition_count)
 
     def _channel_state(self, sender: int, receiver: int) -> _ChannelState:
         channel = (sender, receiver)

@@ -1,8 +1,9 @@
 """Process abstraction layered on the engine and network.
 
-A :class:`SimProcess` is one node of the distributed system: it can send
-messages and receive them through :meth:`on_message` — nothing else, as in
-the paper's model, where a node acts only on a message or on its own user.
+A :class:`SimProcess` is one node of the distributed system: it sends
+through ``self.network.send(self.node_id, receiver, message)`` and receives
+through :meth:`on_message` — nothing else, as in the paper's model, where a
+node acts only on a message or on its own user.
 Algorithm implementations (the DAG protocol and every baseline) subclass it,
 so the substrate they run on is identical and the measured message counts are
 directly comparable.
@@ -57,10 +58,6 @@ class SimProcess:
     def now(self) -> float:
         """Current virtual time."""
         return self.engine.now
-
-    def send(self, receiver: int, message: Any) -> None:
-        """Send ``message`` to ``receiver`` over the reliable FIFO network."""
-        self.network.send(self.node_id, receiver, message)
 
     # ------------------------------------------------------------------ #
     # hooks for subclasses

@@ -1,9 +1,9 @@
 """Exhaustive small-scope exploration of the bare protocol kernel.
 
 No engine and no asyncio: :class:`~repro.core.node.DagNodeCore` instances
-whose ``send`` appends to one FIFO list per directed channel (the kernel is
-slotted and leaves ``send`` to its driver, so :class:`ListNode` adds the one
-slot it is kept in).  For every
+whose ``network`` is a stub that appends to one FIFO list per directed channel
+(the kernel is slotted and leaves ``network`` to its driver, so
+:class:`ListNode` adds the one slot it is kept in).  For every
 labelled tree with 2 <= n <= 4 nodes, every initial token holder and every
 non-empty set of requesters (1029 configurations), *all* interleavings of
 
@@ -29,7 +29,17 @@ from repro.topology.base import Topology
 
 
 class ListNode(DagNodeCore):
-    __slots__ = ("send",)
+    __slots__ = ("network",)
+
+
+class ListNetwork:
+    """The kernel's ``network``: a send appends to its directed channel's list."""
+
+    def __init__(self, channels):
+        self.channels = channels
+
+    def send(self, sender, receiver, message):
+        self.channels.setdefault((sender, receiver), []).append(message)
 
 
 def labelled_trees(n):
@@ -71,18 +81,16 @@ def freeze(nodes, channels, pending):
 
 
 def thaw(state):
-    """Fresh kernel instances (and the channels their ``send`` feeds) in ``state``."""
+    """Fresh kernel instances (and the channels their ``network`` feeds) in ``state``."""
     rows, wires, _ = state
     channels = {ch: list(queue) for ch, queue in wires}
+    network = ListNetwork(channels)
     nodes = {}
     for node_id, row in enumerate(rows, start=1):
         node = ListNode(node_id, holding=True)
         (node.holding, node.next_node, node.follow, node.requesting,
          node.in_critical_section, node.cs_entries) = row
-        node.send = (
-            lambda target, message, source=node_id:
-            channels.setdefault((source, target), []).append(message)
-        )
+        node.network = network
         nodes[node_id] = node
     return nodes, channels
 

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
+from repro.baselines.dag_adapter import DagSystem
 from repro.core.messages import Privilege, Request
 from repro.core.node import DagMutexNode
 from repro.core.state import NodeStateName
 from repro.exceptions import ProtocolError
+from repro.runtime.cluster import LocalCluster
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
+from repro.topology import star
+
+from ..conftest import forced_node_backend
 
 
 class Sink:
@@ -221,3 +228,54 @@ def test_repr_contains_key_variables():
     text = repr(node)
     assert "HOLDING=False" in text
     assert "NEXT=2" in text
+
+
+# --------------------------------------------------------------------------- #
+# a refused request writes nothing
+# --------------------------------------------------------------------------- #
+_INCONSISTENT = "sink without the token and without a request"
+
+
+def _refused_then_repaired_in_the_simulator(node_backend):
+    with forced_node_backend(node_backend):
+        system = DagSystem(star(3), collect_metrics=True, record_trace=True)
+    assert system.node_backend == node_backend
+    node = system.node(2)
+    node.next_node = None  # a sink with neither the token nor a request
+    with pytest.raises(ProtocolError, match=_INCONSISTENT):
+        node.request_cs()
+    # Refused before the first write: no flag, no request record, no trace line.
+    assert not node.requesting
+    assert system.metrics.pending_requests == []
+    assert list(system.trace) == []
+    node.next_node = 1
+    node.request_cs()
+    system.run_until_quiescent()
+    assert node.in_critical_section and system.metrics.pending_requests == []
+
+
+def _refused_then_repaired_live():
+    async def scenario():
+        async with LocalCluster(star(3)) as cluster:
+            node = cluster.node(2)
+            node.next_node = None
+            refused, granted = [], []
+            with pytest.raises(ProtocolError, match=_INCONSISTENT):
+                node.acquire_then(refused.append)
+            # Nothing kept: not the flag, nor a callback a later entry would fire.
+            assert not node.requesting and node._granted is None
+            node.next_node = 1
+            node.acquire_then(granted.append)
+            assert (refused, granted) == ([], [2]) and node.in_critical_section
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("driver", ["object", "compact", "async"])
+def test_a_refused_request_leaves_its_node_free_to_ask_again(driver):
+    """A non-holding sink's request is refused, and once its NEXT is repaired
+    the node asks again and enters: the refusal wedged nothing."""
+    if driver == "async":
+        _refused_then_repaired_live()
+    else:
+        _refused_then_repaired_in_the_simulator(driver)

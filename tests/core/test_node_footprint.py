@@ -48,7 +48,8 @@ def test_a_dag_node_has_no_dict_and_the_network_holds_no_callable_for_it():
         Request: DagMutexNode._handle_request,
         Privilege: DagMutexNode._handle_privilege,
     }
-    assert "send" not in DagMutexNode.__slots__  # SimProcess.send, a method
+    # The kernel sends through its ``network`` slot: no per-node send callable.
+    assert "send" not in DagMutexNode.__slots__ and not hasattr(DagMutexNode, "send")
 
 
 def test_a_baseline_node_keeps_under_half_of_its_old_bytes():

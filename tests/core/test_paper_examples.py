@@ -203,7 +203,9 @@ class NoFastPathNode(DagMutexNode):
             # keeps the token until it has used the critical section itself.
             self.follow = origin
         else:
-            self.send(self.next_node, Request(sender=self.node_id, origin=origin))
+            self.network.send(
+                self.node_id, self.next_node, Request(sender=self.node_id, origin=origin)
+            )
         self.next_node = adjacent
 
 

@@ -1,0 +1,235 @@
+"""How many Python calls the message path makes, counted, not timed.
+
+Each replay runs under ``sys.setprofile`` and counts the ``call`` events of
+every function defined under ``src/repro`` — the library's own frames, keyed
+``<module path>:<function name>``.  Counting only those keeps the figures
+identical on every CPython the suite runs on (3.9, 3.11 and 3.12): the
+interpreter's own frames outside the package differ between versions, the
+package's do not — except list, dict and set comprehensions, which 3.12
+inlines into their function (PEP 709), so they are not counted.  No clock
+is read, so the counts are exact and a regression that adds one frame per
+message fails on any machine.
+
+The pins are where the replay's Python time goes, layer by layer: on the
+lane (constant latency, nothing watching), one ``send`` per message and no
+forwarding frame between the protocol handler and the network.  A change
+that moves a count re-pins it here and records in ``CHANGES.md`` the
+before/after measurement that justifies the move; a failure prints the
+per-function table, pinned against now, largest move first.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from collections import Counter
+
+import pytest
+
+import repro
+from repro.spec import ExperimentSpec, TopologySpec, WorkloadSpec
+from repro.workload.driver import ExperimentDriver
+
+from ..conftest import forced_node_backend
+
+_PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+# Frames only CPython < 3.12 gives a comprehension.
+_INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+
+#: name -> (topology kind, n, workload); replayed at seed 0, metrics off.
+REPLAYS = {
+    "line50-light": ("line", 50, WorkloadSpec(tier="light")),
+    "star50-heavy": ("star", 50, WorkloadSpec(tier="heavy")),
+}
+
+#: (replay, node backend) -> (events, messages, calls per function).
+PINNED = {
+    ("line50-light", "object"): (1208, 1008, {
+        "baselines/base.py:run": 1,
+        "core/messages.py:__init__": 911,
+        "core/node.py:_enter_critical_section": 100,
+        "core/node.py:_handle_privilege": 97,
+        "core/node.py:_handle_request": 911,
+        "core/node.py:release_cs": 100,
+        "core/node.py:request_cs": 100,
+        "sim/engine.py:now": 2,
+        "sim/engine.py:pending_events": 1,
+        "sim/engine.py:run": 1,
+        "sim/engine.py:schedule_lite_bulk": 1,
+        "sim/network.py:messages_sent": 2,
+        "sim/network.py:send": 1008,
+        "sim/schedulers.py:__len__": 1,
+        "sim/schedulers.py:drain": 1,
+        "sim/schedulers.py:push_bulk": 1,
+        "topology/base.py:describe": 1,
+        "topology/base.py:size": 1,
+        "workload/driver.py:<genexpr>": 153,
+        "workload/driver.py:_completion_state": 1,
+        "workload/driver.py:_handle_enter": 100,
+        "workload/driver.py:_issue_or_queue": 108,
+        "workload/driver.py:_load_arrivals": 1,
+        "workload/driver.py:_release": 100,
+        "workload/driver.py:_replay": 1,
+        "workload/driver.py:_verify_completion": 1,
+        "workload/driver.py:run": 1,
+        "workload/requests.py:__iter__": 2,
+    }),
+    ("line50-light", "compact"): (1208, 1008, {
+        "baselines/base.py:run": 1,
+        "core/compact_state.py:_enter_critical_section": 100,
+        "core/compact_state.py:_handle_privilege": 97,
+        "core/compact_state.py:_handle_request": 911,
+        "core/compact_state.py:busy_nodes": 1,
+        "core/compact_state.py:release_cs": 100,
+        "core/compact_state.py:request_cs": 100,
+        "core/messages.py:__init__": 911,
+        "sim/engine.py:now": 2,
+        "sim/engine.py:pending_events": 1,
+        "sim/engine.py:run": 1,
+        "sim/engine.py:schedule_lite_bulk": 1,
+        "sim/network.py:messages_sent": 2,
+        "sim/network.py:send": 1008,
+        "sim/schedulers.py:__len__": 1,
+        "sim/schedulers.py:drain": 1,
+        "sim/schedulers.py:push_bulk": 1,
+        "topology/base.py:describe": 1,
+        "topology/base.py:size": 1,
+        "workload/driver.py:<genexpr>": 102,
+        "workload/driver.py:_completion_state": 1,
+        "workload/driver.py:_handle_enter": 100,
+        "workload/driver.py:_issue_or_queue": 108,
+        "workload/driver.py:_load_arrivals": 1,
+        "workload/driver.py:_release": 100,
+        "workload/driver.py:_replay": 1,
+        "workload/driver.py:_verify_completion": 1,
+        "workload/driver.py:run": 1,
+        "workload/requests.py:__iter__": 2,
+    }),
+    ("star50-heavy", "object"): (2477, 1477, {
+        "baselines/base.py:run": 1,
+        "core/messages.py:__init__": 979,
+        "core/node.py:_enter_critical_section": 500,
+        "core/node.py:_handle_privilege": 498,
+        "core/node.py:_handle_request": 979,
+        "core/node.py:release_cs": 500,
+        "core/node.py:request_cs": 500,
+        "sim/engine.py:now": 2,
+        "sim/engine.py:pending_events": 1,
+        "sim/engine.py:run": 1,
+        "sim/engine.py:schedule_lite_bulk": 1,
+        "sim/network.py:messages_sent": 2,
+        "sim/network.py:send": 1477,
+        "sim/schedulers.py:__len__": 1,
+        "sim/schedulers.py:drain": 1,
+        "sim/schedulers.py:push_bulk": 1,
+        "topology/base.py:describe": 1,
+        "topology/base.py:size": 1,
+        "workload/driver.py:<genexpr>": 553,
+        "workload/driver.py:_completion_state": 1,
+        "workload/driver.py:_handle_enter": 500,
+        "workload/driver.py:_issue_or_queue": 950,
+        "workload/driver.py:_load_arrivals": 1,
+        "workload/driver.py:_release": 500,
+        "workload/driver.py:_replay": 1,
+        "workload/driver.py:_verify_completion": 1,
+        "workload/driver.py:run": 1,
+        "workload/requests.py:__iter__": 2,
+    }),
+    ("star50-heavy", "compact"): (2477, 1477, {
+        "baselines/base.py:run": 1,
+        "core/compact_state.py:_enter_critical_section": 500,
+        "core/compact_state.py:_handle_privilege": 498,
+        "core/compact_state.py:_handle_request": 979,
+        "core/compact_state.py:busy_nodes": 1,
+        "core/compact_state.py:release_cs": 500,
+        "core/compact_state.py:request_cs": 500,
+        "core/messages.py:__init__": 979,
+        "sim/engine.py:now": 2,
+        "sim/engine.py:pending_events": 1,
+        "sim/engine.py:run": 1,
+        "sim/engine.py:schedule_lite_bulk": 1,
+        "sim/network.py:messages_sent": 2,
+        "sim/network.py:send": 1477,
+        "sim/schedulers.py:__len__": 1,
+        "sim/schedulers.py:drain": 1,
+        "sim/schedulers.py:push_bulk": 1,
+        "topology/base.py:describe": 1,
+        "topology/base.py:size": 1,
+        "workload/driver.py:<genexpr>": 502,
+        "workload/driver.py:_completion_state": 1,
+        "workload/driver.py:_handle_enter": 500,
+        "workload/driver.py:_issue_or_queue": 950,
+        "workload/driver.py:_load_arrivals": 1,
+        "workload/driver.py:_release": 500,
+        "workload/driver.py:_replay": 1,
+        "workload/driver.py:_verify_completion": 1,
+        "workload/driver.py:run": 1,
+        "workload/requests.py:__iter__": 2,
+    }),
+}
+
+
+def count_calls(replay, node_backend):
+    """Replay ``replay`` on ``node_backend``; count the package's calls."""
+    kind, n, workload = REPLAYS[replay]
+    spec = ExperimentSpec(
+        algorithm="dag",
+        topology=TopologySpec(kind=kind, n=n),
+        workload=workload,
+        seed=0,
+        collect_metrics=False,
+    )
+    topology = spec.topology.build()
+    with forced_node_backend(node_backend):
+        system = spec.build_system(topology)
+    assert system.node_backend == node_backend
+    driver = ExperimentDriver(system, spec.workload.build(topology, seed=0))
+    calls = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(_PACKAGE) and code.co_name not in _INLINED:
+                module = code.co_filename[len(_PACKAGE):].replace(os.sep, "/")
+                calls[f"{module}:{code.co_name}"] += 1
+
+    sys.setprofile(profile)
+    try:
+        driver.run()
+    finally:
+        sys.setprofile(None)
+    return system.engine.processed_events, system.network.messages_sent, dict(calls)
+
+
+def moved_table(pinned, now):
+    """Every function whose count moved, pinned vs now, largest move first."""
+    moved = [
+        (now.get(name, 0) - pinned.get(name, 0), name)
+        for name in set(pinned) | set(now)
+        if now.get(name, 0) != pinned.get(name, 0)
+    ]
+    moved.sort(key=lambda row: (-abs(row[0]), row[1]))
+    width = max([len(name) for _delta, name in moved] + [len("function")])
+    lines = [f"{'function':<{width}} {'pinned':>8} {'now':>8} {'delta':>8}"]
+    for delta, name in moved:
+        lines.append(
+            f"{name:<{width}} {pinned.get(name, 0):>8} {now.get(name, 0):>8} {delta:>+8}"
+        )
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("node_backend", ["object", "compact"])
+@pytest.mark.parametrize("replay", list(REPLAYS))
+def test_the_message_path_makes_its_pinned_calls(replay, node_backend):
+    events, messages, calls = count_calls(replay, node_backend)
+    pinned_events, pinned_messages, pinned_calls = PINNED[replay, node_backend]
+    assert (events, messages) == (pinned_events, pinned_messages)
+    if calls != pinned_calls:
+        pytest.fail(
+            f"{replay} on the {node_backend} backend: calls per function moved "
+            f"({sum(pinned_calls.values())} pinned, {sum(calls.values())} now)\n"
+            + moved_table(pinned_calls, calls),
+            pytrace=False,
+        )
+    # One send per message, whoever sends it: no process-level forwarding frame.
+    assert sum(count for name, count in calls.items() if name.endswith(":send")) == messages

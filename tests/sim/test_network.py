@@ -378,6 +378,6 @@ def test_the_fault_network_still_fences_a_process_delivery_by_sequence():
     assert [label for *_, label in network.fault_log.fenced_messages] == ["REQUEST(3,3)"]
     assert system.node(1).holding and system.node(3).requesting
     # A send after the fence is delivered through the class table as usual.
-    system.node(3).send(1, Request(3, 3))
+    network.send(3, 1, Request(3, 3))
     system.run_until_quiescent()
     assert system.node(3).in_critical_section

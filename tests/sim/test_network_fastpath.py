@@ -8,7 +8,7 @@ import functools
 import pytest
 
 from repro.baselines.dag_adapter import DagSystem
-from repro.exceptions import NetworkError
+from repro.exceptions import ExperimentError, NetworkError
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import FaultInjectingNetwork
 from repro.sim.latency import ConstantLatency, UniformLatency
@@ -189,18 +189,24 @@ _LATENCIES = {
     "constant": lambda: ConstantLatency(1.0),
     "uniform": lambda: UniformLatency(0.1, 2.0, rng=SeededRNG(7, label="one-path")),
 }
-# name -> (collect_metrics, record_trace, network_factory)
+# name -> (collect_metrics, record_trace, network_factory, partitioned)
 _ATTACHMENTS = {
-    "bare": (False, False, None),
-    "metrics": (True, False, None),
-    "trace": (False, True, None),
-    "metrics+trace": (True, True, None),
-    "fault-network-unarmed": (False, False, FaultInjectingNetwork),
+    "bare": (False, False, None, False),
+    "metrics": (True, False, None, False),
+    "trace": (False, True, None, False),
+    "metrics+trace": (True, True, None, False),
+    "fault-network-unarmed": (False, False, FaultInjectingNetwork, False),
+    "partition": (False, False, None, True),
 }
+# What an attachment must replay exactly like (on the object backend): the
+# bare network, or for a partition the same window on a metrics-attached
+# network, whose sends always take the full body of ``Network.send``.
+_REFERENCES = {"partition": "metrics+partition"}
+_SETUPS = {**_ATTACHMENTS, "metrics+partition": (True, False, None, True)}
 
 
 def _replay_star50(latency, attachment, node_backend):
-    collect_metrics, record_trace, network_factory = _ATTACHMENTS[attachment]
+    collect_metrics, record_trace, network_factory, partitioned = _SETUPS[attachment]
     topology = star(50)
     workload = WorkloadGenerator(topology.nodes, seed=42).poisson(
         total_requests=200, mean_interarrival=2.0
@@ -221,6 +227,19 @@ def _replay_star50(latency, attachment, node_backend):
     resolved = latency == "constant" and not record_trace and network_factory is None
     lane_append = engine.scheduler._lane.append
     assert (network._enqueue == lane_append) is resolved
+    # The lane's owner takes send's early exit unless metrics watch its sends.
+    direct = resolved and not collect_metrics
+    assert network._direct is direct
+    flags = []
+    if partitioned:
+        # Opened and healed mid-replay: the channel drops node 7's request,
+        # and the early exit is off exactly while the partition is open.
+        def toggle(action):
+            action(7, 1)
+            flags.append(network._direct)
+
+        engine.schedule_lite(50.0, toggle, network.partition)
+        engine.schedule_lite(150.0, toggle, network.heal)
     pushed = []
 
     def recording(enqueue):
@@ -235,13 +254,19 @@ def _replay_star50(latency, attachment, node_backend):
     network._enqueue = recording(network._enqueue)
     engine._push = recording(engine._push)
     driver = ExperimentDriver(system, workload)
-    result = driver.run()
+    if partitioned:
+        with pytest.raises(ExperimentError, match=r"did not complete; nodes still waiting"):
+            driver.run()
+        assert flags == [False, direct] and network._dropped == 1
+    else:
+        driver.run()
     assert engine.pending_events == 0
     # Everything pushed during the run was popped: message deliveries and the
     # driver's releases, which are (time, sequence, callback, payload).
     deliveries = [entry for entry in pushed if entry[2] != driver._release]
     assert all(len(entry) == 4 for entry in pushed if entry[2] == driver._release)
-    assert len(deliveries) == network.messages_sent and network.messages_in_flight == 0
+    assert len(deliveries) == network.messages_sent - network._dropped
+    assert network.messages_in_flight == 0
     for entry in deliveries:
         if resolved:
             # (time, sequence, handler, target, sender, message): the
@@ -259,24 +284,26 @@ def _replay_star50(latency, attachment, node_backend):
             assert callback == network._deliver
             assert len(payload) == 4 and payload[3] == sequence
     return {
-        "entry_order": result.entry_order,
-        "finished_at": result.finished_at,
+        "entry_order": list(driver.entry_order),
+        "finished_at": engine.now,
         "messages_sent": network.messages_sent,
+        "dropped": network._dropped,
         "processed_events": engine.processed_events,
         "final_sequence": engine._sequence,
     }
 
 
 @functools.lru_cache(maxsize=None)
-def _bare_object_replay(latency):
-    return _replay_star50(latency, "bare", "object")
+def _object_replay(latency, attachment):
+    return _replay_star50(latency, attachment, "object")
 
 
 @pytest.mark.parametrize("node_backend", ["object", "compact"])
 @pytest.mark.parametrize("attachment", list(_ATTACHMENTS))
 @pytest.mark.parametrize("latency", list(_LATENCIES))
 def test_one_message_path_whatever_is_attached(latency, attachment, node_backend):
-    assert _replay_star50(latency, attachment, node_backend) == _bare_object_replay(latency)
+    reference = _object_replay(latency, _REFERENCES.get(attachment, "bare"))
+    assert _replay_star50(latency, attachment, node_backend) == reference
 
 
 def test_fast_path_delivery_to_unregistered_node_raises():

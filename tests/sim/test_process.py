@@ -19,7 +19,7 @@ class EchoProcess(SimProcess):
     def on_message(self, sender, message):
         self.received.append((sender, message))
         if not str(message).startswith("echo:"):
-            self.send(sender, f"echo:{message}")
+            self.network.send(self.node_id, sender, f"echo:{message}")
 
 
 @pytest.fixture
@@ -36,8 +36,8 @@ def test_processes_register_on_construction(system):
 
 
 def test_send_and_receive_roundtrip(system):
-    engine, _, processes = system
-    processes[1].send(2, "ping")
+    engine, network, processes = system
+    network.send(1, 2, "ping")
     engine.run()
     assert processes[2].received == [(1, "ping")]
     assert processes[1].received == [(2, "echo:ping")]
