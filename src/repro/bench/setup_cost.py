@@ -21,6 +21,7 @@ that fails the run when construction regresses past it.
 
 from __future__ import annotations
 
+import gc
 import resource
 import time
 from typing import Any, Dict, List, Optional, Sequence
@@ -104,6 +105,11 @@ def run_setup_benchmark(
     scenarios: List[Dict[str, Any]] = []
     over_budget: List[str] = []
     for cell in matrix:
+        # The previous cell's system is a reference cycle (its network and
+        # nodes point at each other), and the workload build runs with the
+        # collector paused: free it here, off the clock, so no cell's
+        # numbers include its predecessor's garbage.
+        gc.collect()
         row = run_setup_scenario(cell)
         scenarios.append(row)
         if budget_seconds is not None and row["setup_seconds"] > budget_seconds:

@@ -51,7 +51,7 @@ from repro.sim.schedulers import SCHEDULER_MODES, unknown_scheduler_message
 from repro.topology import balanced_tree, line, random_tree, star
 from repro.topology.base import Topology
 from repro.workload.generator import WorkloadGenerator
-from repro.workload.requests import Workload
+from repro.workload.requests import Workload, paused_collector
 from repro.workload.streaming import DEFAULT_CHUNK_REQUESTS, StreamingWorkload
 
 #: Topology families a spec can name.  ``tree`` is the benchmark's frozen
@@ -277,45 +277,49 @@ class WorkloadSpec(_SpecCodec):
         These parameterisations are the committed bench/sweep tier
         definitions (:func:`repro.cells.tier_workload` picks the rounds), so
         a spec-built workload is request-for-request identical to the
-        committed rows.
+        committed rows.  The generator runs under
+        :class:`~repro.workload.requests.paused_collector`: a heavy schedule
+        is hundreds of thousands of fresh requests and no reference cycle,
+        so a collector pass during the build would only re-walk them.
         """
         generator = WorkloadGenerator(topology.nodes, seed=seed)
         n = len(topology.nodes)
         requests = self.total_requests if self.total_requests is not None else 2 * n
-        if self.tier == "light":
-            return generator.poisson(total_requests=requests, mean_interarrival=5.0)
-        if self.tier == "heavy":
-            rounds = self.rounds if self.rounds is not None else DEFAULT_HEAVY_ROUNDS
-            stream = (
-                self.streaming
-                if self.streaming is not None
-                else n >= STREAMING_NODE_THRESHOLD
-            )
-            if stream:
-                chunk = (
-                    self.chunk_requests
-                    if self.chunk_requests is not None
-                    else DEFAULT_CHUNK_REQUESTS
+        with paused_collector():
+            if self.tier == "light":
+                return generator.poisson(total_requests=requests, mean_interarrival=5.0)
+            if self.tier == "heavy":
+                rounds = self.rounds if self.rounds is not None else DEFAULT_HEAVY_ROUNDS
+                stream = (
+                    self.streaming
+                    if self.streaming is not None
+                    else n >= STREAMING_NODE_THRESHOLD
                 )
-                return generator.heavy_demand_stream(rounds=rounds, chunk_requests=chunk)
-            return generator.heavy_demand(rounds=rounds)
-        if self.tier == "bursty":
-            return generator.bursty(
-                total_requests=requests,
-                mean_burst_size=8.0,
-                burst_interarrival=0.5,
-                mean_idle_gap=20.0,
-            )
-        if self.tier == "hotspot":
-            hot = list(topology.nodes)[: max(1, n // 10)]
-            return generator.hotspot(
-                total_requests=requests,
-                hot_nodes=hot,
-                hot_fraction=0.8,
-                mean_interarrival=2.0,
-            )
-        # diurnal: one full day/night cycle per ~40 mean interarrivals.
-        return generator.diurnal(total_requests=requests)
+                if stream:
+                    chunk = (
+                        self.chunk_requests
+                        if self.chunk_requests is not None
+                        else DEFAULT_CHUNK_REQUESTS
+                    )
+                    return generator.heavy_demand_stream(rounds=rounds, chunk_requests=chunk)
+                return generator.heavy_demand(rounds=rounds)
+            if self.tier == "bursty":
+                return generator.bursty(
+                    total_requests=requests,
+                    mean_burst_size=8.0,
+                    burst_interarrival=0.5,
+                    mean_idle_gap=20.0,
+                )
+            if self.tier == "hotspot":
+                hot = list(topology.nodes)[: max(1, n // 10)]
+                return generator.hotspot(
+                    total_requests=requests,
+                    hot_nodes=hot,
+                    hot_fraction=0.8,
+                    mean_interarrival=2.0,
+                )
+            # diurnal: one full day/night cycle per ~40 mean interarrivals.
+            return generator.diurnal(total_requests=requests)
 
 
 #: Latency model kinds a spec can name.

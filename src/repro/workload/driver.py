@@ -10,7 +10,6 @@ be replayed against algorithms of very different speeds and still make sense.
 
 from __future__ import annotations
 
-import gc
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Type, Union
@@ -20,7 +19,7 @@ from repro.exceptions import ExperimentError, ProtocolError, SchedulingError, Wo
 from repro.sim.latency import LatencyModel
 from repro.sim.schedulers import SCHEDULER_MODES, unknown_scheduler_message
 from repro.topology.base import Topology
-from repro.workload.requests import CSRequest, Workload
+from repro.workload.requests import CSRequest, Workload, paused_collector
 from repro.workload.streaming import StreamingWorkload
 
 if TYPE_CHECKING:
@@ -195,14 +194,13 @@ class ExperimentDriver:
         """Replay the workload to completion and return the result.
 
         The whole replay — fault arming, arrival loading, the drain, result
-        collection — runs with the cyclic garbage collector paused.  A replay
+        collection — runs under
+        :class:`~repro.workload.requests.paused_collector`.  A replay
         allocates no reference cycle (``tests/workload/test_replay_gc.py``:
         every algorithm, both node backends, streamed and materialised
         workloads, the fault matrix), so reference counting frees every
         entry, payload and message, and a collector pass would only re-walk
         the requests, the queued run and the nodes the replay still holds.
-        On the way out — return or raise — the collector is re-enabled only
-        if it was enabled on the way in: a caller who had it off keeps it off.
 
         Raises:
             ExperimentError: if some requests are never granted (deadlock or
@@ -213,13 +211,8 @@ class ExperimentDriver:
                 :class:`~repro.exceptions.ProtocolError` provoked by the
                 faults ends the run and is recorded the same way.
         """
-        collector_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with paused_collector():
             return self._replay(max_events)
-        finally:
-            if collector_was_enabled:
-                gc.enable()
 
     def _replay(self, max_events: int) -> ExperimentResult:
         engine = self.system.engine

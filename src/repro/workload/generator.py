@@ -10,6 +10,7 @@ schedule can be replayed against every algorithm.
 from __future__ import annotations
 
 import math
+from itertools import islice, repeat
 from typing import Optional, Sequence
 
 from repro.exceptions import WorkloadError
@@ -52,9 +53,7 @@ class WorkloadGenerator:
         time = 0.0
         for _ in range(total_requests):
             time += rng.exponential(mean_interarrival)
-            requests.append(
-                CSRequest(node=rng.choice(candidates), arrival_time=time, cs_duration=cs_duration)
-            )
+            requests.append(CSRequest(rng.choice(candidates), time, cs_duration))
         return Workload(
             requests=tuple(requests),
             description=(
@@ -73,19 +72,18 @@ class WorkloadGenerator:
 
         This is the paper's "heavy demand" regime: the token never idles and
         each entry amortises to at most three messages on the star topology.
+        A round is one ``map`` over the nodes, so ``CSRequest.__init__`` is
+        the only Python frame per request, and the round's requests share
+        one arrival-time float.
         """
         if rounds < 1:
             raise WorkloadError(f"rounds must be >= 1, got {rounds}")
+        nodes = self.node_ids
         requests = []
         for round_index in range(rounds):
-            for node in self.node_ids:
-                requests.append(
-                    CSRequest(
-                        node=node,
-                        arrival_time=float(round_index),
-                        cs_duration=cs_duration,
-                    )
-                )
+            requests.extend(
+                map(CSRequest, nodes, repeat(float(round_index)), repeat(cs_duration))
+            )
         return Workload(
             requests=tuple(requests),
             description=f"heavy demand: {rounds} rounds x {len(self.node_ids)} nodes",
@@ -119,22 +117,22 @@ class WorkloadGenerator:
         ordered = tuple(sorted(self.node_ids))
 
         def batches():
+            # Each batch is filled from ``islice`` pieces of one round's node
+            # sweep, so a batch never holds more than ``chunk_requests``.
             batch = []
-            append = batch.append
             for round_index in range(rounds):
                 arrival = float(round_index)
-                for node in ordered:
-                    append(
-                        CSRequest(
-                            node=node,
-                            arrival_time=arrival,
-                            cs_duration=cs_duration,
-                        )
+                nodes = iter(ordered)
+                left = len(ordered)
+                while left:
+                    take = min(chunk_requests - len(batch), left)
+                    batch.extend(
+                        map(CSRequest, islice(nodes, take), repeat(arrival), repeat(cs_duration))
                     )
-                    if len(batch) >= chunk_requests:
+                    left -= take
+                    if len(batch) == chunk_requests:
                         yield batch
                         batch = []
-                        append = batch.append
             if batch:
                 yield batch
 
@@ -163,25 +161,24 @@ class WorkloadGenerator:
         """
         if not 0.0 <= hot_fraction <= 1.0:
             raise WorkloadError(f"hot_fraction must be in [0, 1], got {hot_fraction}")
-        missing = [node for node in hot_nodes if node not in self.node_ids]
+        hot = tuple(hot_nodes)
+        known = set(self.node_ids)
+        missing = [node for node in hot if node not in known]
         if missing:
             raise WorkloadError(f"hot nodes {missing} are not part of the node set")
-        cold_nodes = [node for node in self.node_ids if node not in set(hot_nodes)] or list(
-            hot_nodes
-        )
+        hot_set = set(hot)
+        cold = tuple(node for node in self.node_ids if node not in hot_set) or hot
         rng = self._rng.child("hotspot")
         requests = []
         time = 0.0
         for _ in range(total_requests):
             time += rng.exponential(mean_interarrival)
-            pool = tuple(hot_nodes) if rng.random() < hot_fraction else tuple(cold_nodes)
-            requests.append(
-                CSRequest(node=rng.choice(pool), arrival_time=time, cs_duration=cs_duration)
-            )
+            pool = hot if rng.random() < hot_fraction else cold
+            requests.append(CSRequest(rng.choice(pool), time, cs_duration))
         return Workload(
             requests=tuple(requests),
             description=(
-                f"hotspot: {total_requests} requests, {hot_fraction:.0%} from {list(hot_nodes)}"
+                f"hotspot: {total_requests} requests, {hot_fraction:.0%} from {list(hot)}"
             ),
         )
 
@@ -227,13 +224,7 @@ class WorkloadGenerator:
             bursts += 1
             for _ in range(min(burst_size, total_requests - len(requests))):
                 time += rng.exponential(burst_interarrival)
-                requests.append(
-                    CSRequest(
-                        node=rng.choice(candidates),
-                        arrival_time=time,
-                        cs_duration=cs_duration,
-                    )
-                )
+                requests.append(CSRequest(rng.choice(candidates), time, cs_duration))
         return Workload(
             requests=tuple(requests),
             description=(
@@ -290,13 +281,7 @@ class WorkloadGenerator:
             rate = (1.0 + amplitude * math.sin(angular * time)) / mean_interarrival
             # ...thinned down to the instantaneous sinusoidal rate.
             if rng.random() * peak_rate <= rate:
-                requests.append(
-                    CSRequest(
-                        node=rng.choice(candidates),
-                        arrival_time=time,
-                        cs_duration=cs_duration,
-                    )
-                )
+                requests.append(CSRequest(rng.choice(candidates), time, cs_duration))
         return Workload(
             requests=tuple(requests),
             description=(

@@ -1,8 +1,14 @@
-"""Workload data types: critical-section requests and schedules."""
+"""Workload data types: critical-section requests and schedules.
+
+Also the collector pause that building a schedule and replaying one both run
+under (:class:`paused_collector`).
+"""
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, List, Tuple
 
 from repro.exceptions import WorkloadError
@@ -16,6 +22,12 @@ class CSRequest:
     and CI runs 3.9): a heavy schedule holds one instance per request for
     the whole replay, 56 bytes each with no ``__dict__`` beside it.  Equality,
     hash and repr are those of a frozen dataclass with the same fields.
+
+    ``__init__`` is the only Python frame a generator spends per request:
+    the generators build requests positionally, a heavy round in one
+    ``map(CSRequest, ...)``, and the three fields are stored through the
+    slots' own member descriptors, bound once at import, rather than looked
+    up through ``object.__setattr__`` on every call.
 
     Attributes:
         node: the node that issues the request.
@@ -31,10 +43,9 @@ class CSRequest:
             raise WorkloadError(f"arrival time must be non-negative, got {arrival_time}")
         if cs_duration < 0:
             raise WorkloadError(f"CS duration must be non-negative, got {cs_duration}")
-        store = object.__setattr__
-        store(self, "node", node)
-        store(self, "arrival_time", arrival_time)
-        store(self, "cs_duration", cs_duration)
+        _set_node(self, node)
+        _set_arrival_time(self, arrival_time)
+        _set_cs_duration(self, cs_duration)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -64,6 +75,15 @@ class CSRequest:
         )
 
 
+# The slots' member descriptors store past the frozen ``__setattr__``.
+_set_node = CSRequest.node.__set__
+_set_arrival_time = CSRequest.arrival_time.__set__
+_set_cs_duration = CSRequest.cs_duration.__set__
+
+#: A schedule's order: by arrival time, ties broken by node id.
+_schedule_order = attrgetter("arrival_time", "node")
+
+
 @dataclass(frozen=True)
 class Workload:
     """An ordered schedule of critical-section requests.
@@ -78,7 +98,7 @@ class Workload:
     description: str = ""
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.requests, key=lambda r: (r.arrival_time, r.node)))
+        ordered = tuple(sorted(self.requests, key=_schedule_order))
         object.__setattr__(self, "requests", ordered)
 
     def __len__(self) -> int:
@@ -96,6 +116,40 @@ class Workload:
     def single(cls, node: int, *, cs_duration: float = 1.0) -> "Workload":
         """A workload with one immediate request by ``node``."""
         return cls(
-            requests=(CSRequest(node=node, arrival_time=0.0, cs_duration=cs_duration),),
+            requests=(CSRequest(node, 0.0, cs_duration),),
             description=f"single request by node {node}",
         )
+
+
+class paused_collector:
+    """Run the ``with`` body with the cyclic garbage collector paused.
+
+    Building a schedule and replaying one each allocate hundreds of
+    thousands of tracked objects (a heavy schedule's requests, a replay's
+    queued entries and messages) and no reference cycle among them
+    (``tests/workload/test_replay_gc.py`` holds both premises), so reference
+    counting frees all of it and every collector pass inside would only
+    re-walk objects that are still alive.  :meth:`WorkloadSpec.build
+    <repro.spec.WorkloadSpec.build>` and :meth:`ExperimentDriver.run
+    <repro.workload.driver.ExperimentDriver.run>` run under it.  On the way
+    out — return or raise — the collector is re-enabled only if it was
+    enabled on the way in: a caller who had it off keeps it off.  Cyclic
+    garbage made before the ``with`` waits through it too, so a caller that
+    drops one large system and builds the next collects in between
+    (:func:`repro.bench.setup_cost.run_setup_benchmark` does).
+
+    A class, not a generator: re-enabling is the last thing ``__exit__``
+    does, so the collection the paused allocations have made due runs at
+    the caller's next allocation, outside the ``with``.  A generator would
+    allocate its ``StopIteration`` after re-enabling and collect inside.
+    """
+
+    __slots__ = ("_was_enabled",)
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._was_enabled:
+            gc.enable()

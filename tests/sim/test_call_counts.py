@@ -1,8 +1,9 @@
-"""How many Python calls the message path makes, counted, not timed.
+"""How many Python calls the message path and the schedule build make,
+counted, not timed.
 
-Each replay runs under ``sys.setprofile`` and counts the ``call`` events of
-every function defined under ``src/repro`` — the library's own frames, keyed
-``<module path>:<function name>``.  Counting only those keeps the figures
+Each replay (and each build) runs under ``sys.setprofile`` and counts the
+``call`` events of every function defined under ``src/repro`` — the library's
+own frames, keyed ``<module path>:<function name>``.  Counting only those keeps the figures
 identical on every CPython the suite runs on (3.9, 3.11 and 3.12): the
 interpreter's own frames outside the package differ between versions, the
 package's do not — except list, dict and set comprehensions, which 3.12
@@ -12,7 +13,10 @@ message fails on any machine.
 
 The pins are where the replay's Python time goes, layer by layer: on the
 lane (constant latency, nothing watching), one ``send`` per message and no
-forwarding frame between the protocol handler and the network.  A change
+forwarding frame between the protocol handler and the network; and one
+``CSRequest.__init__`` per request of a schedule, with a heavy round built by
+C loops and no other frame per request.  The replay pins include the
+collector pause's ``__enter__`` and ``__exit__``, once each.  A change
 that moves a count re-pins it here and records in ``CHANGES.md`` the
 before/after measurement that justifies the move; a failure prints the
 per-function table, pinned against now, largest move first.
@@ -73,6 +77,8 @@ PINNED = {
         "workload/driver.py:_verify_completion": 1,
         "workload/driver.py:run": 1,
         "workload/requests.py:__iter__": 2,
+        "workload/requests.py:__enter__": 1,
+        "workload/requests.py:__exit__": 1,
     }),
     ("line50-light", "compact"): (1208, 1008, {
         "baselines/base.py:run": 1,
@@ -104,6 +110,8 @@ PINNED = {
         "workload/driver.py:_verify_completion": 1,
         "workload/driver.py:run": 1,
         "workload/requests.py:__iter__": 2,
+        "workload/requests.py:__enter__": 1,
+        "workload/requests.py:__exit__": 1,
     }),
     ("star50-heavy", "object"): (2477, 1477, {
         "baselines/base.py:run": 1,
@@ -134,6 +142,8 @@ PINNED = {
         "workload/driver.py:_verify_completion": 1,
         "workload/driver.py:run": 1,
         "workload/requests.py:__iter__": 2,
+        "workload/requests.py:__enter__": 1,
+        "workload/requests.py:__exit__": 1,
     }),
     ("star50-heavy", "compact"): (2477, 1477, {
         "baselines/base.py:run": 1,
@@ -165,8 +175,29 @@ PINNED = {
         "workload/driver.py:_verify_completion": 1,
         "workload/driver.py:run": 1,
         "workload/requests.py:__iter__": 2,
+        "workload/requests.py:__enter__": 1,
+        "workload/requests.py:__exit__": 1,
     }),
 }
+
+
+def profiled(call):
+    """``call()`` under the profile hook: its result and the package's calls."""
+    calls = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(_PACKAGE) and code.co_name not in _INLINED:
+                module = code.co_filename[len(_PACKAGE):].replace(os.sep, "/")
+                calls[f"{module}:{code.co_name}"] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, dict(calls)
 
 
 def count_calls(replay, node_backend):
@@ -184,21 +215,8 @@ def count_calls(replay, node_backend):
         system = spec.build_system(topology)
     assert system.node_backend == node_backend
     driver = ExperimentDriver(system, spec.workload.build(topology, seed=0))
-    calls = Counter()
-
-    def profile(frame, event, _arg):
-        if event == "call":
-            code = frame.f_code
-            if code.co_filename.startswith(_PACKAGE) and code.co_name not in _INLINED:
-                module = code.co_filename[len(_PACKAGE):].replace(os.sep, "/")
-                calls[f"{module}:{code.co_name}"] += 1
-
-    sys.setprofile(profile)
-    try:
-        driver.run()
-    finally:
-        sys.setprofile(None)
-    return system.engine.processed_events, system.network.messages_sent, dict(calls)
+    _result, calls = profiled(driver.run)
+    return system.engine.processed_events, system.network.messages_sent, calls
 
 
 def moved_table(pinned, now):
@@ -233,3 +251,73 @@ def test_the_message_path_makes_its_pinned_calls(replay, node_backend):
         )
     # One send per message, whoever sends it: no process-level forwarding frame.
     assert sum(count for name, count in calls.items() if name.endswith(":send")) == messages
+
+
+# --------------------------------------------------------------------------- #
+# building a schedule
+# --------------------------------------------------------------------------- #
+#: name -> (topology kind, n, workload); built at seed 0.
+BUILDS = {
+    "star50-heavy": ("star", 50, WorkloadSpec(tier="heavy", rounds=4)),
+    "line50-light": ("line", 50, WorkloadSpec(tier="light")),
+}
+
+#: Calls per function of one ``WorkloadSpec.build``.  Heavy: the rounds are
+#: C loops and the sort key is C, so nothing but ``CSRequest.__init__`` runs
+#: per request.  Light: a Poisson draw is three frames per request, the RNG's
+#: two and the request's own.
+BUILD_PINNED = {
+    "star50-heavy": {
+        "sim/rng.py:__init__": 1,
+        "sim/rng.py:_derive": 1,
+        "spec.py:build": 1,
+        "workload/generator.py:__init__": 1,
+        "workload/generator.py:heavy_demand": 1,
+        "workload/requests.py:__init__": 200,
+        "workload/requests.py:__post_init__": 1,
+        "workload/requests.py:__enter__": 1,
+        "workload/requests.py:__exit__": 1,
+    },
+    "line50-light": {
+        "sim/rng.py:__init__": 2,
+        "sim/rng.py:_derive": 2,
+        "sim/rng.py:child": 1,
+        "sim/rng.py:choice": 100,
+        "sim/rng.py:exponential": 100,
+        "spec.py:build": 1,
+        "workload/generator.py:__init__": 1,
+        "workload/generator.py:poisson": 1,
+        "workload/requests.py:__init__": 100,
+        "workload/requests.py:__post_init__": 1,
+        "workload/requests.py:__enter__": 1,
+        "workload/requests.py:__exit__": 1,
+    },
+}
+
+
+def count_build_calls(build):
+    kind, n, workload = BUILDS[build]
+    topology = TopologySpec(kind=kind, n=n).build()
+    return profiled(lambda: workload.build(topology, seed=0))
+
+
+@pytest.mark.parametrize("build", list(BUILDS))
+def test_building_a_schedule_makes_its_pinned_calls(build):
+    schedule, calls = count_build_calls(build)
+    if calls != BUILD_PINNED[build]:
+        pytest.fail(
+            f"building {build}: calls per function moved\n"
+            + moved_table(BUILD_PINNED[build], calls),
+            pytrace=False,
+        )
+    assert calls["workload/requests.py:__init__"] == len(schedule)
+
+
+def test_a_heavy_round_costs_one_python_frame_per_request():
+    schedule, calls = count_build_calls("star50-heavy")
+    rounds = BUILDS["star50-heavy"][2].rounds
+    assert len(schedule) == 50 * rounds
+    assert calls.pop("workload/requests.py:__init__") == len(schedule)
+    assert "workload/requests.py:<lambda>" not in calls
+    # Nothing else runs per request, nor more than once per round.
+    assert max(calls.values()) <= rounds

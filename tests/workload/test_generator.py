@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
 
 from repro.exceptions import WorkloadError
+from repro.spec import TopologySpec, WorkloadSpec
 from repro.workload.generator import WorkloadGenerator
 
 NODES = (1, 2, 3, 4, 5)
@@ -79,6 +81,82 @@ def test_hotspot_validates_arguments():
         generator.hotspot(total_requests=10, hot_nodes=[99])
     with pytest.raises(WorkloadError):
         generator.hotspot(total_requests=10, hot_nodes=[1], hot_fraction=1.5)
+
+
+class CountingId(int):
+    """A node id that counts how often it is hashed or compared."""
+
+    uses = 0
+
+    def __hash__(self):
+        CountingId.uses += 1
+        return int.__hash__(self)
+
+    def __eq__(self, other):
+        CountingId.uses += 1
+        return int.__eq__(self, other)
+
+
+def test_hotspot_set_up_is_linear_in_the_node_count():
+    # Each node is hashed a small constant number of times: the hot and
+    # known sets are built once, not once per node or per hot node.
+    n = 1000
+    ids = [CountingId(node) for node in range(n)]
+    CountingId.uses = 0
+    workload = WorkloadGenerator(ids, seed=4).hotspot(total_requests=n, hot_nodes=ids[: n // 10])
+    assert CountingId.uses <= 3 * n
+    # The id type changes no draw.
+    plain = WorkloadGenerator(range(n), seed=4).hotspot(
+        total_requests=n, hot_nodes=range(n // 10)
+    )
+    assert [(int(r.node), r.arrival_time) for r in workload] == [
+        (r.node, r.arrival_time) for r in plain
+    ]
+
+
+def schedule_digest(workload) -> str:
+    """sha256 of a schedule's batches and requests, field reprs and all."""
+    digest = hashlib.sha256()
+    if hasattr(workload, "iter_batches"):
+        batches = list(workload.iter_batches())
+    else:
+        batches = [workload.requests]
+    for batch in batches:
+        digest.update(f"batch {len(batch)}\n".encode())
+        for request in batch:
+            fields = (request.node, request.arrival_time, request.cs_duration)
+            digest.update(repr(fields).encode() + b"\n")
+    return digest.hexdigest()[:16]
+
+
+#: name -> (topology, workload, requests, digest at seed 11).  How the
+#: generators build requests may change; the schedules may not: every
+#: request, its field types and the streamed batch boundaries are pinned.
+SCHEDULES = {
+    "light": (TopologySpec(kind="line", n=40), WorkloadSpec(tier="light"), 80,
+              "5c8a558ce5c4b86a"),
+    "heavy": (TopologySpec(kind="star", n=30), WorkloadSpec(tier="heavy", rounds=3), 90,
+              "9c838cb1bb7257cc"),
+    "heavy-streamed": (
+        TopologySpec(kind="star", n=9),
+        WorkloadSpec(tier="heavy", rounds=3, streaming=True, chunk_requests=7),
+        27, "9b896f7dccc4de94",
+    ),
+    "bursty": (TopologySpec(kind="star", n=60), WorkloadSpec(tier="bursty"), 120,
+               "37641b1ffc80a9bf"),
+    "hotspot": (TopologySpec(kind="star", n=60), WorkloadSpec(tier="hotspot"), 120,
+                "20002be2dad97d1a"),
+    "diurnal": (TopologySpec(kind="star", n=60), WorkloadSpec(tier="diurnal"), 120,
+                "90fc40a86ca4ebdb"),
+}
+
+
+@pytest.mark.parametrize("name", list(SCHEDULES))
+def test_every_tier_builds_its_pinned_schedule(name):
+    topology, workload_spec, requests, digest = SCHEDULES[name]
+    workload = workload_spec.build(topology.build(), seed=11)
+    assert len(workload) == requests
+    assert schedule_digest(workload) == digest
 
 
 def test_bursty_counts_nodes_and_monotone_arrivals():

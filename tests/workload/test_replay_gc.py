@@ -1,12 +1,13 @@
-"""A replay and the cycle collector.
+"""A replay, a schedule's build and the cycle collector.
 
-``ExperimentDriver.run`` pauses ``gc`` for its own duration.  That is safe
-only because a replay allocates no reference cycle — reference counting frees
-everything it makes — so the premise is held here, not assumed: after a
-replay a full collection finds nothing.  Then the pause itself (no collection
-inside ``run``, the caller's collector state back on every way out), and the
-slotted :class:`CSRequest` that is the bulk of what a heavy replay holds.
-No wall clock anywhere.
+``ExperimentDriver.run`` and ``WorkloadSpec.build`` each pause ``gc`` for
+their own duration (``paused_collector``).  That is safe only because neither
+allocates a reference cycle — reference counting frees everything they make —
+so the premise is held here, not assumed: after a replay, and after a build of
+every workload tier, a full collection finds nothing.  Then the pause itself
+(no collection inside, the caller's collector state back on every way out),
+and the slotted :class:`CSRequest` that is the bulk of what a heavy replay
+holds.  No wall clock anywhere.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.cells import fault_matrix
 from repro.core.messages import Privilege
 from repro.exceptions import ExperimentError, ProtocolError, WorkloadError
 from repro.spec import FAULT_PROFILES, ExperimentSpec, TopologySpec, WorkloadSpec
+from repro.topology import star
 from repro.workload import CSRequest, ExperimentDriver, Workload
 
 from ..conftest import forced_node_backend
@@ -147,7 +149,81 @@ def test_run_leaves_the_collector_as_it_found_it(replay, enabled_by_caller):
 
 
 # --------------------------------------------------------------------------- #
-# (c) CSRequest: a frozen value with three slots and no __dict__
+# (c) building a schedule: the same premise and the same pause
+# --------------------------------------------------------------------------- #
+TIERS = {
+    "light": WorkloadSpec(tier="light"),
+    "heavy": WorkloadSpec(tier="heavy", rounds=3),
+    # 7 requests a chunk on 9 nodes: chunks end mid-round.
+    "heavy-streamed": WorkloadSpec(tier="heavy", rounds=3, streaming=True, chunk_requests=7),
+    "bursty": WorkloadSpec(tier="bursty"),
+    "hotspot": WorkloadSpec(tier="hotspot"),
+    "diurnal": WorkloadSpec(tier="diurnal"),
+}
+
+
+@pytest.mark.parametrize("tier", list(TIERS))
+def test_building_a_schedule_allocates_no_reference_cycle(tier):
+    topology = star(9)
+    gc.collect()
+    workload = TIERS[tier].build(topology, seed=5)
+    assert gc.collect() == 0
+    # A streamed schedule makes its requests batch by batch, later.
+    batches = list(workload.iter_batches()) if tier == "heavy-streamed" else [workload]
+    assert gc.collect() == 0
+    assert sum(map(len, batches)) == len(workload) > 0
+
+
+def test_no_collection_runs_inside_a_build():
+    # 5000 fresh requests: several generation-0 thresholds' worth.
+    topology = star(1000)
+    started = []
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(info)
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(note)
+    try:
+        workload = WorkloadSpec(tier="heavy", rounds=5).build(topology)
+        inside = len(started)
+    finally:
+        gc.callbacks.remove(note)
+    assert inside == 0
+    assert gc.isenabled()
+    assert len(workload) == 5000
+
+
+def builds():
+    assert len(WorkloadSpec(tier="heavy", rounds=2).build(star(9))) == 18
+
+
+def refuses_inside_the_build():
+    # The spec accepts a negative count; the generator refuses it.
+    with pytest.raises(WorkloadError, match="total_requests must be >= 0"):
+        WorkloadSpec(tier="light", total_requests=-1).build(star(9))
+
+
+@pytest.mark.parametrize("enabled_by_caller", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "build", [builds, refuses_inside_the_build], ids=lambda build: build.__name__
+)
+def test_build_leaves_the_collector_as_it_found_it(build, enabled_by_caller):
+    was_enabled = gc.isenabled()
+    try:
+        if not enabled_by_caller:
+            gc.disable()
+        build()
+        assert gc.isenabled() is enabled_by_caller
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+# --------------------------------------------------------------------------- #
+# (d) CSRequest: a frozen value with three slots and no __dict__
 # --------------------------------------------------------------------------- #
 def test_csrequest_is_a_value():
     request = CSRequest(node=3, arrival_time=1.5, cs_duration=2.0)
