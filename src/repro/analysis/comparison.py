@@ -50,7 +50,6 @@ def compare_measured_to_theory(
     *,
     n: int,
     diameter: int,
-    unit: str = "messages/entry",
 ) -> List[ComparisonRow]:
     """Compare worst-case measurements against the Section 6.1 upper bounds.
 
@@ -65,7 +64,7 @@ def compare_measured_to_theory(
                 label=result.algorithm,
                 paper_value=bound,
                 measured_value=result.messages_per_entry,
-                unit=unit,
+                unit="messages/entry",
                 within_bound=result.messages_per_entry <= bound + 1e-9,
             )
         )

@@ -58,18 +58,18 @@ def format_series(
     x_label: str,
     x_values: Sequence[object],
     title: Optional[str] = None,
-    precision: int = 3,
 ) -> str:
     """Render several named series against a shared x-axis as a table.
 
-    Used for the figure-style outputs (message count vs N, etc.).
+    Used for the figure-style outputs (message count vs N, etc.); values are
+    rounded to three decimals.
     """
     rows: List[Dict[str, object]] = []
     materialised = {name: list(values) for name, values in series.items()}
     for index, x_value in enumerate(x_values):
         row: Dict[str, object] = {x_label: x_value}
         for name, values in materialised.items():
-            row[name] = round(values[index], precision) if index < len(values) else ""
+            row[name] = round(values[index], 3) if index < len(values) else ""
         rows.append(row)
     return format_table(rows, columns=[x_label, *materialised.keys()], title=title)
 

@@ -32,6 +32,10 @@ from repro.topology.base import Topology
 
 EnterCallback = Callable[[int, float], None]
 
+#: Events :meth:`MutexSystem.run_until_quiescent` runs before it calls the
+#: system livelocked.
+QUIESCENCE_BUDGET = 1_000_000
+
 #: The vocabulary for :attr:`MutexSystem.storage_class` (Section 6.4's axis):
 #: ``"constant"`` — O(1) scalars per node; ``"queue"`` — a bounded FIFO per
 #: node (degree- or backlog-sized); ``"quorum"`` — Theta(sqrt(N)) committee
@@ -198,7 +202,6 @@ class MutexSystem(abc.ABC):
         latency: Optional[LatencyModel] = None,
         record_trace: bool = False,
         collect_metrics: bool = True,
-        on_enter: Optional[EnterCallback] = None,
         network_factory: Optional[Type[Network]] = None,
     ) -> None:
         self.topology = topology
@@ -219,7 +222,8 @@ class MutexSystem(abc.ABC):
             metrics=self.metrics,
             trace=self.trace if record_trace else None,
         )
-        self._on_enter = on_enter
+        # The experiment driver installs its enter hook here before a replay.
+        self._on_enter: Optional[EnterCallback] = None
         #: Which backend the nodes actually use ("object" unless a compact
         #: ``_create_nodes`` overrides it) and, on the compact backend, the
         #: column store itself — the driver and benchmarks probe these.
@@ -261,18 +265,18 @@ class MutexSystem(abc.ABC):
         """Advance the simulation; returns the number of events processed."""
         return self.engine.run(max_events=max_events, until=until)
 
-    def run_until_quiescent(self, *, max_events: int = 1_000_000) -> int:
+    def run_until_quiescent(self) -> int:
         """Run until no events remain.
 
         Raises:
-            ExperimentError: if the event budget is exhausted, which indicates
-                a livelock in the algorithm under test.
+            ExperimentError: if :data:`QUIESCENCE_BUDGET` events pass and some
+                remain, which indicates a livelock in the algorithm under test.
         """
-        processed = self.engine.run(max_events=max_events)
+        processed = self.engine.run(max_events=QUIESCENCE_BUDGET)
         if self.engine.pending_events > 0:
             raise ExperimentError(
                 f"{self.algorithm_name}: simulation did not quiesce within "
-                f"{max_events} events"
+                f"{QUIESCENCE_BUDGET} events"
             )
         return processed
 

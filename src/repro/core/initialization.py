@@ -20,7 +20,6 @@ from typing import Dict, Mapping, Optional, Sequence
 from repro.core.messages import Initialize
 from repro.exceptions import ProtocolError
 from repro.sim.engine import SimulationEngine
-from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
 
@@ -79,15 +78,12 @@ class _InitProcess(SimProcess):
 def run_initialization(
     adjacency: Mapping[int, Sequence[int]],
     token_holder: int,
-    *,
-    latency: Optional[LatencyModel] = None,
 ) -> Dict[int, Optional[int]]:
     """Run Figure 5's INIT flood and return the resulting ``NEXT`` pointers.
 
     Args:
         adjacency: each node's neighbour list (must describe a tree).
         token_holder: the node that initially holds the token.
-        latency: optional latency model for the flood messages.
 
     Returns:
         Mapping from node id to its computed ``NEXT`` value (``None`` for the
@@ -101,7 +97,7 @@ def run_initialization(
         raise ProtocolError(f"token holder {token_holder} is not in the adjacency map")
 
     engine = SimulationEngine()
-    network = Network(engine, latency=latency)
+    network = Network(engine)
     processes = {
         node_id: _InitProcess(
             node_id,

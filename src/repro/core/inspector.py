@@ -30,28 +30,25 @@ def token_holder(protocol: "DagMutexProtocol") -> Optional[int]:
     return holders[0] if holders else None
 
 
-def implicit_queue(protocol: "DagMutexProtocol", *, start: Optional[int] = None) -> List[int]:
+def implicit_queue(protocol: "DagMutexProtocol") -> List[int]:
     """The implicit waiting queue, deduced by chasing ``FOLLOW`` pointers.
 
     Args:
         protocol: the running protocol instance.
-        start: where to start the chase; defaults to the current token holder.
-            While the token is in transit the caller can pass the node the
-            token was last sent to.
 
     Returns:
         The list of node identifiers that will enter the critical section
-        after ``start``, in order.  Empty when nothing is queued.
+        after the current token holder, in order.  Empty when nothing is
+        queued or the token is in transit.
 
     Raises:
         InvariantViolation: if the FOLLOW chain contains a cycle, which would
             mean two nodes each expect to hand the token to the other.
     """
     nodes = protocol.nodes
+    start = token_holder(protocol)
     if start is None:
-        start = token_holder(protocol)
-        if start is None:
-            return []
+        return []
     queue: List[int] = []
     seen = {start}
     current = nodes[start].follow

@@ -13,26 +13,24 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.baselines.base import QUIESCENCE_BUDGET
 from repro.baselines.dag_adapter import DagSystem
 from repro.core.inspector import token_holder
 from repro.core.invariants import InvariantChecker
-from repro.core.node import EnterCallback
 from repro.exceptions import ProtocolError
-from repro.sim.latency import LatencyModel
 from repro.topology.base import Topology
 
 
 class DagMutexProtocol(DagSystem):
     """A complete protocol instance over a given logical topology.
 
+    Messages take one time unit each and metrics are always collected.
+
     Args:
         topology: the logical tree and initial token holder.
-        latency: network latency model (default: constant one unit).
         record_trace: whether to record a full protocol trace.
         check_invariants: run the Chapter 5 safety checks after every event
             step driven through :meth:`run` / :meth:`run_until_quiescent`.
-        on_enter: callback invoked whenever any node enters its critical
-            section, as ``on_enter(node_id, time)``.
 
     Example:
         >>> from repro.topology import star
@@ -50,19 +48,10 @@ class DagMutexProtocol(DagSystem):
         self,
         topology: Topology,
         *,
-        latency: Optional[LatencyModel] = None,
         record_trace: bool = False,
         check_invariants: bool = False,
-        collect_metrics: bool = True,
-        on_enter: Optional[EnterCallback] = None,
     ) -> None:
-        super().__init__(
-            topology,
-            latency=latency,
-            record_trace=record_trace,
-            collect_metrics=collect_metrics,
-            on_enter=on_enter,
-        )
+        super().__init__(topology, record_trace=record_trace)
         self._checker = InvariantChecker(self) if check_invariants else None
 
     @property
@@ -103,17 +92,18 @@ class DagMutexProtocol(DagSystem):
             self._check()
         return processed
 
-    def run_until_quiescent(self, *, max_events: int = 1_000_000) -> int:
+    def run_until_quiescent(self) -> int:
         """Run until no events remain (all messages delivered).
 
         Raises:
-            ProtocolError: if ``max_events`` is exceeded, which for this
-                protocol can only mean a livelock bug.
+            ProtocolError: if :data:`~repro.baselines.base.QUIESCENCE_BUDGET`
+                events pass and some remain, which for this protocol can only
+                mean a livelock bug.
         """
-        processed = self.run(max_events=max_events)
+        processed = self.run(max_events=QUIESCENCE_BUDGET)
         if self.engine.pending_events > 0:
             raise ProtocolError(
-                f"simulation did not quiesce within {max_events} events"
+                f"simulation did not quiesce within {QUIESCENCE_BUDGET} events"
             )
         return processed
 

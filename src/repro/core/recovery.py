@@ -19,8 +19,8 @@ protocol's invariants from the first post-recovery event:
    predates the loss; any of them could resurrect stale state — worst of all
    a REQUEST that later pulls a *second* token toward a node the new DAG
    knows nothing about.  The fault injector's ``fence()`` (simulator) or
-   the transport's ``fence()`` (runtime: it drops what it still holds for a
-   live node, delayed or queued) discards them all *before* this function
+   the transport's ``fence()`` (runtime: it drops what it still has queued
+   for a live node) discards them all *before* this function
    runs, so the proof obligation "at most one token" holds by
    construction; the function itself still refuses to run while a live node
    has the token.

@@ -35,13 +35,8 @@ def _ts(value: float, scale: float) -> int:
     return int(round(value * scale))
 
 
-def sim_trace_events(
-    events: Iterable[Any],
-    *,
-    pid: int = 0,
-    scale: float = SIM_TIME_SCALE_US,
-) -> List[Dict[str, Any]]:
-    """Chrome events for a simulator :class:`TraceEvent` stream.
+def sim_trace_events(events: Iterable[Any]) -> List[Dict[str, Any]]:
+    """Chrome events for a simulator :class:`TraceEvent` stream, as process 0.
 
     Per node (rendered as a thread), ``cs_request``/``cs_enter``/``cs_exit``
     fold into complete ("X") spans; other categories become instant ("i")
@@ -64,9 +59,9 @@ def sim_trace_events(
                         "name": "waiting",
                         "cat": "mutex",
                         "ph": "X",
-                        "ts": _ts(requested, scale),
-                        "dur": _ts(event.time - requested, scale),
-                        "pid": pid,
+                        "ts": _ts(requested, SIM_TIME_SCALE_US),
+                        "dur": _ts(event.time - requested, SIM_TIME_SCALE_US),
+                        "pid": 0,
                         "tid": node,
                     }
                 )
@@ -80,9 +75,9 @@ def sim_trace_events(
                         "name": "critical_section",
                         "cat": "mutex",
                         "ph": "X",
-                        "ts": _ts(entered, scale),
-                        "dur": _ts(event.time - entered, scale),
-                        "pid": pid,
+                        "ts": _ts(entered, SIM_TIME_SCALE_US),
+                        "dur": _ts(event.time - entered, SIM_TIME_SCALE_US),
+                        "pid": 0,
                         "tid": node,
                     }
                 )
@@ -93,8 +88,8 @@ def sim_trace_events(
                 "cat": event.category,
                 "ph": "i",
                 "s": "t",
-                "ts": _ts(event.time, scale),
-                "pid": pid,
+                "ts": _ts(event.time, SIM_TIME_SCALE_US),
+                "pid": 0,
                 "tid": node,
                 "args": {key: event.detail[key] for key in sorted(event.detail)},
             }
@@ -109,7 +104,6 @@ def runtime_span_events(
     spans: Iterable[Mapping[str, Any]],
     *,
     pid: int = 1,
-    scale: float = WALL_TIME_SCALE_US,
 ) -> List[Dict[str, Any]]:
     """Chrome events for runtime op-lifecycle spans.
 
@@ -133,13 +127,13 @@ def runtime_span_events(
         if args:
             base["args"] = {key: args[key] for key in sorted(args)}
         if end is None:
-            base.update({"ph": "i", "s": "t", "ts": _ts(start, scale)})
+            base.update({"ph": "i", "s": "t", "ts": _ts(start, WALL_TIME_SCALE_US)})
         else:
             base.update(
                 {
                     "ph": "X",
-                    "ts": _ts(start, scale),
-                    "dur": max(1, _ts(float(end) - start, scale)),
+                    "ts": _ts(start, WALL_TIME_SCALE_US),
+                    "dur": max(1, _ts(float(end) - start, WALL_TIME_SCALE_US)),
                 }
             )
         out.append(base)

@@ -19,7 +19,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ExperimentError
 
@@ -82,33 +82,25 @@ class Gauge:
 class Histogram:
     """A fixed-bucket histogram with stride sampling.
 
-    ``bounds`` are ascending upper edges; an observation lands in the first
-    bucket whose bound it does not exceed, or in the overflow bucket.  With
-    ``sample_every=N`` only every Nth observation is recorded (the first is
-    always recorded, so short runs still produce data); ``observed`` counts
-    every call either way, so the sampled fraction is visible in snapshots.
+    ``bounds`` are :data:`DEFAULT_LATENCY_BUCKETS_MS`, ascending upper edges;
+    an observation lands in the first bucket whose bound it does not exceed,
+    or in the overflow bucket.  With ``sample_every=N`` only every Nth
+    observation is recorded (the first is always recorded, so short runs
+    still produce data); ``observed`` counts every call either way, so the
+    sampled fraction is visible in snapshots.
     """
 
-    __slots__ = ("name", "bounds", "counts", "overflow", "observed", "recorded",
+    __slots__ = ("name", "counts", "overflow", "observed", "recorded",
                  "total", "max", "_stride", "_tick")
 
-    def __init__(
-        self,
-        name: str,
-        bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS_MS,
-        *,
-        sample_every: int = 1,
-    ) -> None:
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ExperimentError(
-                f"histogram {name!r} needs ascending, non-empty bucket bounds"
-            )
+    bounds = DEFAULT_LATENCY_BUCKETS_MS
+
+    def __init__(self, name: str, *, sample_every: int = 1) -> None:
         if sample_every < 1:
             raise ExperimentError(
                 f"sample_every must be >= 1, got {sample_every}"
             )
         self.name = name
-        self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
         self.counts: List[int] = [0] * len(self.bounds)
         self.overflow = 0
         self.observed = 0
@@ -204,16 +196,11 @@ class MetricsRegistry:
             return NULL_GAUGE
         return self._register(name, lambda: Gauge(name))
 
-    def histogram(
-        self,
-        name: str,
-        bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS_MS,
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         if not self.enabled:
             return NULL_HISTOGRAM
         return self._register(
-            name,
-            lambda: Histogram(name, bounds, sample_every=self.sample_every),
+            name, lambda: Histogram(name, sample_every=self.sample_every)
         )
 
     def snapshot(self) -> Dict[str, Any]:

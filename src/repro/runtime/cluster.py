@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional
+from typing import Any, Dict, FrozenSet, List, Optional
 
 from repro.core.inspector import token_holder
 from repro.core.recovery import regenerate_token
@@ -24,18 +24,11 @@ class LocalCluster:
 
     Args:
         topology: the logical tree and initial token holder.
-        delay: optional per-message delay callable ``(sender, receiver) -> seconds``
-            passed to the transport, e.g. to exaggerate contention in demos.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        *,
-        delay: Optional[Callable[[int, int], float]] = None,
-    ) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.transport = InMemoryTransport(delay=delay)
+        self.transport = InMemoryTransport()
         pointers = topology.next_pointers()
         self.nodes: Dict[int, AsyncDagNode] = {
             node_id: AsyncDagNode(
@@ -99,7 +92,7 @@ class LocalCluster:
 
         The simulator's recovery path, live: fence first — every undelivered
         envelope predates the loss, so the transport drops what it still has
-        for a live node, delayed or queued — then elect, reorient and
+        queued for a live node — then elect, reorient and
         re-issue through :func:`repro.core.recovery.regenerate_token`, which
         refuses (:class:`~repro.exceptions.ProtocolError`, no node touched)
         while a live node still has the token.  Call it with the event loop quiesced

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import asyncio
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.exceptions import LockError
 
@@ -40,24 +39,22 @@ class DistributedLock:
         """Whether this handle currently holds the critical section."""
         return self._held
 
-    async def acquire(self, *, timeout: Optional[float] = None) -> None:
-        """Acquire the critical section, optionally bounded by ``timeout`` seconds.
+    async def acquire(self) -> None:
+        """Acquire the critical section.
+
+        To bound the wait, wrap the call in :func:`asyncio.wait_for`.  A
+        cancelled acquire leaves its request queued (a REQUEST cannot be
+        recalled) and the grant it earns hands the token straight on, so
+        nobody behind it starves; until that grant has passed the node still
+        counts as requesting and another acquire on it is refused, after it
+        this handle acquires as usual.
 
         Raises:
             LockError: if this handle already holds the lock.
-            asyncio.TimeoutError: if the token does not arrive in time.  The
-                request stays queued (a REQUEST cannot be recalled) and the
-                grant it earns hands the token straight on, so nobody behind
-                it starves; until that grant has passed the node still counts
-                as requesting and another acquire on it is refused, after it
-                this handle acquires as usual.
         """
         if self._held:
             raise LockError(f"lock on node {self.node_id} is already held")
-        if timeout is None:
-            await self._node.acquire()
-        else:
-            await asyncio.wait_for(self._node.acquire(), timeout)
+        await self._node.acquire()
         self._held = True
 
     async def release(self) -> None:

@@ -13,11 +13,8 @@ one starts.  A send issued from inside a handler only appends, so however long
 a REQUEST/PRIVILEGE chain grows the stack stays flat, every handler is atomic
 with respect to the others (the paper's "local mutual exclusion" of P1/P2),
 and a whole chain is over by the time the outermost ``send`` returns.  No task,
-no queue per node and no event-loop pass is involved.
-
-An optional per-message delay simulates network latency: a delayed envelope
-waits on a loop timer, never earlier than the one sent before it on the same
-directed channel, so the FIFO guarantee survives arbitrary delays.
+no queue per node, no timer and no event-loop pass is involved: latency is the
+simulator's to model (:mod:`repro.sim.latency`), not this transport's.
 """
 
 from __future__ import annotations
@@ -49,24 +46,14 @@ class InMemoryTransport:
     the ones those calls post, before its own ``post`` returns.  If a handler
     raises, the exception reaches that caller, the pump stops, and what is
     still queued waits for the next ``post`` — one bad message does not make a
-    node deaf.
-
-    Args:
-        delay: optional callable ``delay(sender, receiver) -> float`` giving a
-            per-message delay in seconds; ``None`` delivers immediately.
+    node deaf.  Per-channel FIFO holds because the one queue is FIFO.
     """
 
-    def __init__(self, *, delay: Optional[Callable[[int, int], float]] = None) -> None:
+    def __init__(self) -> None:
         self._handlers: Dict[int, Handler] = {}
         self._queue: Deque[Tuple[Callable[[Any], None], Any]] = deque()
         self._pumping = False
         self._messages_sent = 0
-        self._delay = delay
-        # Per directed channel: the delayed envelopes still in flight, oldest
-        # first, each with the loop time it is due; and the one timer armed
-        # for the oldest of them.
-        self._channels: Dict[Tuple[int, int], Deque[Tuple[float, Envelope]]] = {}
-        self._timers: Dict[Tuple[int, int], asyncio.TimerHandle] = {}
         self._closed = False
 
     @property
@@ -95,7 +82,7 @@ class InMemoryTransport:
         return inbox
 
     def send(self, sender: int, receiver: int, message: Any) -> None:
-        """Send ``message``; delivery is immediate or delayed but always FIFO."""
+        """Send ``message``: validate both ends, count it, :meth:`post` its delivery."""
         if self._closed:
             raise RuntimeTransportError("transport is closed")
         handler = self._handlers.get(receiver)
@@ -104,19 +91,7 @@ class InMemoryTransport:
         if sender not in self._handlers:
             raise RuntimeTransportError(f"unknown sender node {sender}")
         self._messages_sent += 1
-        envelope = Envelope(sender, receiver, message)
-        if self._delay is None:
-            self.post(handler, envelope)
-            return
-        channel = (sender, receiver)
-        in_flight = self._channels.setdefault(channel, deque())
-        loop = asyncio.get_running_loop()
-        due = loop.time() + self._delay(sender, receiver)
-        if in_flight:
-            due = max(due, in_flight[-1][0])  # never overtake the one sent before
-        else:
-            self._timers[channel] = loop.call_at(due, self._deliver_oldest, channel)
-        in_flight.append((due, envelope))
+        self.post(handler, Envelope(sender, receiver, message))
 
     def post(self, handler: Callable[[Any], None], argument: Any) -> None:
         """Queue the call ``handler(argument)``; drain unless a drain is running."""
@@ -133,11 +108,11 @@ class InMemoryTransport:
             self._pumping = False
 
     def fence(self, crashed: FrozenSet[int] = frozenset()) -> None:
-        """Drop every undelivered envelope bound for a node not in ``crashed``.
+        """Drop every queued envelope bound for a node not in ``crashed``.
 
         The recovery fence: once the token is known lost, whatever is still
-        in flight — queued or delayed — predates the loss and must not reach
-        a live node.
+        queued predates the loss and must not reach a live node.  Queued
+        calls that are not envelopes stay.
         """
         kept = [
             (handler, argument)
@@ -146,24 +121,7 @@ class InMemoryTransport:
         ]
         self._queue.clear()
         self._queue.extend(kept)
-        for channel, in_flight in self._channels.items():
-            if channel[1] not in crashed and in_flight:
-                self._timers[channel].cancel()
-                in_flight.clear()
 
     async def close(self) -> None:
-        """Drop what is still delayed; the transport cannot be reused afterwards."""
+        """Refuse every later send; the transport cannot be reused afterwards."""
         self._closed = True
-        for timer in self._timers.values():
-            timer.cancel()
-        self._channels.clear()
-
-    def _deliver_oldest(self, channel: Tuple[int, int]) -> None:
-        """The channel's timer fired: its oldest envelope has waited long enough."""
-        in_flight = self._channels[channel]
-        _due, envelope = in_flight.popleft()
-        if in_flight:
-            self._timers[channel] = asyncio.get_running_loop().call_at(
-                in_flight[0][0], self._deliver_oldest, channel
-            )
-        self.post(self._handlers[envelope.receiver], envelope)

@@ -56,9 +56,9 @@ FRAME_HEADER = struct.Struct(">I")
 #: gigabytes.
 MAX_FRAME_BYTES = 1 << 20
 
-#: The client's retry backoff (seconds), :func:`backoff_delays`' defaults.
-#: Short first retry so a shard restart costs little; capped so a dead shard
-#: does not busy-loop.
+#: The client's retry backoff (seconds): :func:`backoff_delays` starts at the
+#: first and doubles up to the second.  Short first retry so a shard restart
+#: costs little; capped so a dead shard does not busy-loop.
 RECONNECT_DELAY_INITIAL = 0.05
 RECONNECT_DELAY_MAX = 1.0
 
@@ -388,11 +388,9 @@ async def start_frame_server(
     return server, str(address)
 
 
-def backoff_delays(
-    initial: float = RECONNECT_DELAY_INITIAL, cap: float = RECONNECT_DELAY_MAX
-):
+def backoff_delays():
     """Infinite exponential backoff schedule: initial, 2x, 4x, ... capped."""
-    delay = initial
+    delay = RECONNECT_DELAY_INITIAL
     while True:
         yield delay
-        delay = min(delay * 2, cap)
+        delay = min(delay * 2, RECONNECT_DELAY_MAX)

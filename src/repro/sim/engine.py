@@ -33,8 +33,9 @@ from repro.sim.schedulers import HeapScheduler, make_scheduler
 class SimulationEngine:
     """A single-threaded discrete-event scheduler with a virtual clock.
 
+    The clock starts at ``0.0`` and only moves forward.
+
     Args:
-        start_time: initial virtual time.
         scheduler: the pending-event store — a
             :class:`~repro.sim.schedulers.HeapScheduler` instance or one of
             the spellings ``"auto"``/``"heap"``.  Defaults to a fresh heap.
@@ -51,10 +52,9 @@ class SimulationEngine:
     def __init__(
         self,
         *,
-        start_time: float = 0.0,
         scheduler: Union[str, HeapScheduler, None] = None,
     ) -> None:
-        self._now = float(start_time)
+        self._now = 0.0
         self._sequence = 0
         self._processed = 0
         self._running = False

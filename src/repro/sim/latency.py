@@ -12,9 +12,13 @@ regardless of the model).
 from __future__ import annotations
 
 import abc
+import math
 from typing import Optional
 
 from repro.sim.rng import SeededRNG
+
+#: The floor under every :class:`ExponentialLatency` draw.
+MINIMUM_DELAY = 1e-6
 
 
 class LatencyModel(abc.ABC):
@@ -38,8 +42,8 @@ class ConstantLatency(LatencyModel):
     """Every message takes exactly ``value`` time units (default 1.0)."""
 
     def __init__(self, value: float = 1.0) -> None:
-        if value <= 0:
-            raise ValueError(f"latency must be positive, got {value}")
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"latency must be positive and finite, got {value}")
         self.value = float(value)
 
     def delay(self, sender: int, receiver: int) -> float:
@@ -53,8 +57,8 @@ class UniformLatency(LatencyModel):
     """Delay drawn uniformly from ``[low, high]`` for every message."""
 
     def __init__(self, low: float, high: float, *, rng: Optional[SeededRNG] = None) -> None:
-        if low <= 0 or high < low:
-            raise ValueError(f"require 0 < low <= high, got low={low}, high={high}")
+        if not (0 < low <= high and math.isfinite(high)):
+            raise ValueError(f"require 0 < low <= high < inf, got low={low}, high={high}")
         self.low = float(low)
         self.high = float(high)
         self._rng = rng if rng is not None else SeededRNG(0, label="uniform-latency")
@@ -67,30 +71,21 @@ class UniformLatency(LatencyModel):
 
 
 class ExponentialLatency(LatencyModel):
-    """Exponentially distributed delay with the given mean, floored at ``minimum``.
+    """Exponentially distributed delay with the given mean, floored at :data:`MINIMUM_DELAY`.
 
     The floor prevents pathologically small delays from collapsing the event
     ordering into near-simultaneity, which makes traces hard to read without
     changing any measured message count.
     """
 
-    def __init__(
-        self,
-        mean: float,
-        *,
-        minimum: float = 1e-6,
-        rng: Optional[SeededRNG] = None,
-    ) -> None:
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
-        if minimum <= 0:
-            raise ValueError(f"minimum must be positive, got {minimum}")
+    def __init__(self, mean: float, *, rng: Optional[SeededRNG] = None) -> None:
+        if not (mean > 0 and math.isfinite(mean)):
+            raise ValueError(f"mean must be positive and finite, got {mean}")
         self.mean = float(mean)
-        self.minimum = float(minimum)
         self._rng = rng if rng is not None else SeededRNG(0, label="exp-latency")
 
     def delay(self, sender: int, receiver: int) -> float:
-        return max(self.minimum, self._rng.exponential(self.mean))
+        return max(MINIMUM_DELAY, self._rng.exponential(self.mean))
 
     def describe(self) -> str:
         return f"ExponentialLatency(mean={self.mean})"

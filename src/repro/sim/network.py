@@ -91,9 +91,10 @@ class Network:
             message counts and time-based delays coincide.
         metrics: optional collector notified of every send.
         trace: optional recorder receiving ``send`` / ``receive`` events.
-        allow_self_send: if ``False`` (default) a node sending to itself is an
-            error — none of the paper's algorithms ever do it, so it almost
-            always indicates a protocol bug.
+
+    A node sending to itself is a :class:`~repro.exceptions.NetworkError`: the
+    paper's model has no such channel, none of its algorithms ever uses one,
+    so a self-send always indicates a protocol bug.
     """
 
     def __init__(
@@ -103,13 +104,11 @@ class Network:
         latency: Optional[LatencyModel] = None,
         metrics: Optional[MetricsCollector] = None,
         trace: Optional[TraceRecorder] = None,
-        allow_self_send: bool = False,
     ) -> None:
         self._engine = engine
         self._latency = latency if latency is not None else ConstantLatency(1.0)
         self._metrics = metrics
         self._trace = trace
-        self._allow_self_send = allow_self_send
         # Registered id -> the process (or wrapped handler) receiving there.
         self._receivers: Dict[int, Any] = {}
         # Columnar (array-backed) node state attached via attach_columnar:
@@ -235,8 +234,7 @@ class Network:
         clamped so that per-channel FIFO order is preserved.
 
         Raises:
-            NetworkError: if either endpoint is unknown, or on self-send when
-                that is disallowed.
+            NetworkError: if either endpoint is unknown, or on a self-send.
         """
         known = self._endpoints
         if self._direct:
@@ -270,7 +268,7 @@ class Network:
                 missing = sender if not known_sender else receiver
                 role = "sender" if not known_sender else "receiver"
                 raise NetworkError(f"unknown {role} node {missing}")
-        if sender == receiver and not self._allow_self_send:
+        if sender == receiver:
             raise NetworkError(f"node {sender} attempted to send a message to itself")
 
         self._messages_sent += 1

@@ -33,6 +33,7 @@ Design rules:
 # annotations as the objects evaluated at import, so decoding a spec (as each
 # forked shard process does) never runs the compiler on annotation strings.
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 from typing import (
     Any, Dict, Optional, Tuple, Type, TypeVar, Union, get_args, get_origin, get_type_hints,
@@ -83,11 +84,13 @@ def _unknown(kind: str, value: Any, known: Tuple[str, ...]) -> str:
 
 
 #: The JSON values a scalar field accepts, and how an error names them.
-#: ``bool`` is an ``int`` to Python, so a number field checks it apart.
+#: ``bool`` is an ``int`` to Python, so a number field checks it apart, and
+#: a ``float`` field is a finite number: JSON's NaN and Infinity extensions
+#: never reach a spec.
 _SCALARS: Dict[type, Tuple[Tuple[type, ...], str]] = {
     bool: ((bool,), "true or false"),
     int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
+    float: ((int, float), "a finite number"),
     str: ((str,), "a string"),
     type(None): ((type(None),), "null"),
 }
@@ -102,7 +105,11 @@ def _label(cls: type) -> str:
 
 def _accepts(hint: Any, value: Any) -> bool:
     accepted, _ = _SCALARS.get(hint, ((), ""))
-    return isinstance(value, accepted) and (hint is bool or not isinstance(value, bool))
+    return (
+        isinstance(value, accepted)
+        and (hint is bool or not isinstance(value, bool))
+        and (hint is not float or isinstance(value, int) or math.isfinite(value))
+    )
 
 
 def _encode(value: Any) -> Any:
@@ -531,6 +538,17 @@ class LatencySpec(_SpecCodec):
     def __post_init__(self) -> None:
         if self.kind not in LATENCY_KINDS:
             raise ExperimentError(_unknown("latency kind", self.kind, LATENCY_KINDS))
+        used = {"constant": ("value",), "uniform": ("low", "high"), "exponential": ("mean",)}
+        for name in used[self.kind]:
+            number = getattr(self, name)
+            if not (isinstance(number, (int, float)) and 0 < number < math.inf):
+                raise ExperimentError(
+                    f"latency spec field {name!r} must be a positive finite number, got {number!r}"
+                )
+        if self.kind == "uniform" and self.high < self.low:
+            raise ExperimentError(
+                f"latency spec field 'high' must be at least low ({self.low!r}), got {self.high!r}"
+            )
 
     def build(self) -> LatencyModel:
         if self.kind == "constant":

@@ -100,20 +100,14 @@ class Topology:
     # ------------------------------------------------------------------ #
     # orientation
     # ------------------------------------------------------------------ #
-    def next_pointers(self, toward: Optional[int] = None) -> Dict[int, Optional[int]]:
-        """Initial ``NEXT`` values: each node's neighbour on the path to ``toward``.
-
-        Args:
-            toward: the node the orientation points at; defaults to the
-                topology's token holder.
+    def next_pointers(self) -> Dict[int, Optional[int]]:
+        """Initial ``NEXT`` values: each node's neighbour on the path to the token holder.
 
         Returns:
             Mapping from node id to its ``NEXT`` neighbour, with ``None`` for
-            the target node itself (the sink — ``NEXT = 0`` in the paper).
+            the token holder itself (the sink — ``NEXT = 0`` in the paper).
         """
-        root = self.token_holder if toward is None else toward
-        if root not in self._adjacency:
-            raise TopologyError(f"unknown node {root}")
+        root = self.token_holder
         pointers: Dict[int, Optional[int]] = {root: None}
         frontier = [root]
         while frontier:
@@ -141,22 +135,14 @@ class Topology:
         )
 
     @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[Tuple[int, int]],
-        token_holder: int,
-        *,
-        extra_nodes: Iterable[int] = (),
-    ) -> "Topology":
+    def from_edges(cls, edges: Iterable[Tuple[int, int]], token_holder: int) -> "Topology":
         """Build a topology from an edge list, inferring the node set.
 
-        ``extra_nodes`` allows isolated single-node topologies (no edges) or
-        explicit node ordering to be specified.
+        Nodes are ordered by first appearance in ``edges``; a token holder no
+        edge names (the single-node topology) is added last.
         """
         edge_list = [(int(a), int(b)) for a, b in edges]
         nodes: Dict[int, None] = {}
-        for node in extra_nodes:
-            nodes[int(node)] = None
         for a, b in edge_list:
             nodes[a] = None
             nodes[b] = None

@@ -104,44 +104,32 @@ def line(
 def star(
     n: int,
     *,
-    center: int = 1,
     token_holder: Optional[int] = None,
     compact: Optional[bool] = None,
 ) -> Union[Topology, CompactTopology]:
-    """The centralized topology: ``center`` connected to every other node.
+    """The centralized topology: node 1 connected to every other node.
 
     This is the paper's *best* topology (Figure 8): its diameter is 2, so the
     worst case is 3 messages per critical-section entry.
 
     Args:
         n: number of nodes (``n >= 1``).
-        center: identifier of the hub node (must be in ``1..n``).
-        token_holder: initial token holder; defaults to the centre.
+        token_holder: initial token holder; defaults to the centre, node 1.
         compact: force the array-backed (``True``) or dict-backed (``False``)
             representation; ``None`` picks by :data:`COMPACT_NODE_THRESHOLD`.
     """
     if n < 1:
         raise TopologyError(f"need at least one node, got {n}")
-    if center not in range(1, n + 1):
-        raise TopologyError(f"center {center} is not one of the nodes 1..{n}")
     if _use_compact(n, compact):
-        holder = (
-            center
-            if token_holder is None
-            else _default_holder(range(1, n + 1), token_holder)
-        )
-        hub = array("i", (center,))
-        adjacency = (
-            hub * (center - 1)
-            + array("i", chain(range(1, center), range(center + 1, n + 1)))
-            + hub * (n - center)
-        )
-        offsets = array("i", chain(range(center), range(n + center - 2, 2 * n - 1)))
-        parent = array("i", (center,)) * (n + 1)
+        holder = _default_holder(range(1, n + 1), token_holder)
+        hub = array("i", (1,))
+        adjacency = array("i", range(2, n + 1)) + hub * (n - 1)
+        offsets = array("i", chain((0,), range(n - 1, 2 * n - 1)))
+        parent = hub * (n + 1)
         parent[0] = 0
-        parent[center] = 0
-        if holder != center:
-            parent[center] = holder
+        parent[1] = 0
+        if holder != 1:
+            parent[1] = holder
             parent[holder] = 0
         diameter = 0 if n == 1 else (1 if n == 2 else 2)
         return CompactTopology(
@@ -153,22 +141,17 @@ def star(
             diameter=diameter,
         )
     nodes = tuple(range(1, n + 1))
-    edges = tuple((center, node) for node in nodes if node != center)
-    holder = center if token_holder is None else _default_holder(nodes, token_holder)
-    return Topology(nodes=nodes, edges=edges, token_holder=holder)
+    edges = tuple((1, node) for node in nodes[1:])
+    return Topology(nodes=nodes, edges=edges, token_holder=_default_holder(nodes, token_holder))
 
 
-def radiating_star(
-    arms: int,
-    arm_length: int,
-    *,
-    token_holder: Optional[int] = None,
-) -> Topology:
+def radiating_star(arms: int, arm_length: int) -> Topology:
     """Raymond's radiating star: a hub with ``arms`` paths of ``arm_length`` nodes.
 
     Raymond's paper recommends this topology; Neilsen's analysis shows that
     collapsing the arms to length one (i.e. the plain :func:`star`) is better.
-    Node 1 is the hub; arm nodes are numbered breadth-first along each arm.
+    Node 1 is the hub and holds the token; arm nodes are numbered one arm
+    after the other, outward along each arm.
     """
     if arms < 1 or arm_length < 1:
         raise TopologyError("radiating star needs at least one arm of length one")
@@ -182,27 +165,25 @@ def radiating_star(
             edges.append((previous, next_id))
             previous = next_id
             next_id += 1
-    holder = _default_holder(nodes, token_holder)
-    return Topology(nodes=tuple(nodes), edges=tuple(edges), token_holder=holder)
+    return Topology(nodes=tuple(nodes), edges=tuple(edges), token_holder=1)
 
 
 def balanced_tree(
     branching: int,
     depth: int,
     *,
-    token_holder: Optional[int] = None,
     compact: Optional[bool] = None,
 ) -> Union[Topology, CompactTopology]:
     """A balanced tree with the given branching factor and depth.
 
     Depth 0 is a single node; depth 1 with branching ``b`` is a star on
-    ``b + 1`` nodes.  Node 1 is the root and children are numbered level by
-    level, so the root is the default token holder.
+    ``b + 1`` nodes.  Node 1 is the root and holds the token, and children
+    are numbered level by level (:meth:`~repro.topology.base.Topology.with_token_holder`
+    re-roots the orientation).
 
     Args:
         branching: children per internal node (``>= 1``).
         depth: tree depth (``>= 0``).
-        token_holder: initial token holder; defaults to the root.
         compact: force the array-backed (``True``) or dict-backed (``False``)
             representation; ``None`` picks by :data:`COMPACT_NODE_THRESHOLD`.
     """
@@ -213,7 +194,6 @@ def balanced_tree(
     b = branching
     n = depth + 1 if b == 1 else (b ** (depth + 1) - 1) // (b - 1)
     if _use_compact(n, compact):
-        holder = _default_holder(range(1, n + 1), token_holder)
         leaf_count = b ** depth
         internal = n - leaf_count
         adjacency = array("i")
@@ -236,24 +216,20 @@ def balanced_tree(
             )
         else:
             offsets = array("i", (0, 0))
-        if holder == 1:
-            # In a complete tree every internal node has exactly b children,
-            # so the parent sequence for nodes 2..n repeats each internal id
-            # b times.
-            parent = array(
-                "i",
-                chain(
-                    (0, 0),
-                    chain.from_iterable(repeat(v, b) for v in range(1, internal + 1)),
-                ),
-            )
-        else:
-            parent = None
+        # In a complete tree every internal node has exactly b children, so
+        # the parent sequence for nodes 2..n repeats each internal id b times.
+        parent = array(
+            "i",
+            chain(
+                (0, 0),
+                chain.from_iterable(repeat(v, b) for v in range(1, internal + 1)),
+            ),
+        )
         return CompactTopology(
             n=n,
             adjacency=adjacency,
             offsets=offsets,
-            token_holder=holder,
+            token_holder=1,
             parent=parent,
             diameter=depth if b == 1 else 2 * depth,
         )
@@ -270,8 +246,7 @@ def balanced_tree(
                 next_level.append(next_id)
                 next_id += 1
         current_level = next_level
-    holder = _default_holder(nodes, token_holder)
-    return Topology(nodes=tuple(nodes), edges=tuple(edges), token_holder=holder)
+    return Topology(nodes=tuple(nodes), edges=tuple(edges), token_holder=1)
 
 
 def _prufer_edges(n: int, rng: SeededRNG) -> List[Tuple[int, int]]:

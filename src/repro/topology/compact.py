@@ -193,18 +193,16 @@ class CompactTopology(Topology):
             v for v in range(1, self._n + 1) if off[v] - off[v - 1] == 1
         )
 
-    def next_pointers(self, toward: Optional[int] = None):
-        """Initial ``NEXT`` orientation, served without a per-node dict.
+    def next_pointers(self):
+        """Initial ``NEXT`` orientation toward the token holder.
 
-        For the default orientation (toward the token holder) with a builder
-        -supplied parent array this returns a :class:`_ParentView` — a lazy
-        mapping over the array.  Re-rooting at another node falls back to an
-        iterative DFS over the CSR arrays producing an ordinary dict.
+        With a builder-supplied parent array this is a :class:`_ParentView` —
+        a lazy mapping over the array, no per-node dict.  Without one (a
+        re-rooted copy) it is an iterative DFS over the CSR arrays producing
+        an ordinary dict.
         """
-        root = self.token_holder if toward is None else toward
-        if not 1 <= root <= self._n:
-            raise TopologyError(f"unknown node {root}")
-        if root == self.token_holder and self._parent is not None:
+        root = self.token_holder
+        if self._parent is not None:
             return _ParentView(self._parent, self._n)
         adj = self._adj
         off = self._off
@@ -248,9 +246,7 @@ class CompactTopology(Topology):
         )
 
 
-def csr_from_edges(
-    n: int, edges, *, sort_buckets: bool = True
-) -> Tuple[array, array]:
+def csr_from_edges(n: int, edges) -> Tuple[array, array]:
     """Build ``(adjacency, offsets)`` CSR arrays from an edge list.
 
     Three passes over the edges (degree count, fill, per-bucket sort), all
@@ -273,10 +269,9 @@ def csr_from_edges(
         cursor[a - 1] += 1
         adjacency[cursor[b - 1]] = a
         cursor[b - 1] += 1
-    if sort_buckets:
-        for v in range(1, n + 1):
-            start, end = offsets[v - 1], offsets[v]
-            if end - start > 1:
-                bucket = sorted(adjacency[start:end])
-                adjacency[start:end] = array("i", bucket)
+    for v in range(1, n + 1):
+        start, end = offsets[v - 1], offsets[v]
+        if end - start > 1:
+            bucket = sorted(adjacency[start:end])
+            adjacency[start:end] = array("i", bucket)
     return adjacency, offsets

@@ -485,7 +485,6 @@ def run_experiment(
     workload: Optional[Workload] = None,
     *,
     latency: Optional[LatencyModel] = None,
-    record_trace: bool = False,
     collect_metrics: bool = True,
 ) -> ExperimentResult:
     """Convenience wrapper: build the system, replay the workload, return results.
@@ -500,9 +499,10 @@ def run_experiment(
             that assume a fully connected logical network).
         workload: the request schedule to replay.
         latency: optional network latency model.
-        record_trace: record a full protocol trace on the system (accessible
-            via ``result`` only indirectly; use :class:`ExperimentDriver`
-            directly when the trace itself is needed).
+        collect_metrics: attach a metrics collector to the network.
+
+    A run that needs the protocol trace builds its system with
+    ``record_trace=True`` and drives it through :class:`ExperimentDriver`.
     """
     from repro.spec import ExperimentSpec
 
@@ -511,7 +511,6 @@ def run_experiment(
             topology is not None
             or workload is not None
             or latency is not None
-            or record_trace
             or not collect_metrics
         ):
             raise ExperimentError(
@@ -529,7 +528,6 @@ def run_experiment(
     system = system_class(
         topology,
         latency=latency,
-        record_trace=record_trace,
         collect_metrics=collect_metrics,
     )
     driver = ExperimentDriver(system, workload)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from itertools import islice, repeat
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.exceptions import WorkloadError
 from repro.sim.rng import SeededRNG
@@ -36,8 +36,6 @@ class WorkloadGenerator:
         *,
         total_requests: int,
         mean_interarrival: float,
-        cs_duration: float = 1.0,
-        nodes: Optional[Sequence[int]] = None,
     ) -> Workload:
         """Poisson arrivals over uniformly chosen nodes.
 
@@ -47,27 +45,21 @@ class WorkloadGenerator:
         """
         if total_requests < 0:
             raise WorkloadError(f"total_requests must be >= 0, got {total_requests}")
-        candidates = tuple(nodes) if nodes is not None else self.node_ids
         rng = self._rng.child("poisson")
         requests = []
         time = 0.0
         for _ in range(total_requests):
             time += rng.exponential(mean_interarrival)
-            requests.append(CSRequest(rng.choice(candidates), time, cs_duration))
+            requests.append(CSRequest(rng.choice(self.node_ids), time))
         return Workload(
             requests=tuple(requests),
             description=(
                 f"poisson: {total_requests} requests, mean interarrival "
-                f"{mean_interarrival}, cs={cs_duration}"
+                f"{mean_interarrival}, cs=1.0"
             ),
         )
 
-    def heavy_demand(
-        self,
-        *,
-        rounds: int,
-        cs_duration: float = 1.0,
-    ) -> Workload:
+    def heavy_demand(self, *, rounds: int) -> Workload:
         """Every node requests in every round, all rounds back to back.
 
         This is the paper's "heavy demand" regime: the token never idles and
@@ -82,7 +74,7 @@ class WorkloadGenerator:
         requests = []
         for round_index in range(rounds):
             requests.extend(
-                map(CSRequest, nodes, repeat(float(round_index)), repeat(cs_duration))
+                map(CSRequest, nodes, repeat(float(round_index)))
             )
         return Workload(
             requests=tuple(requests),
@@ -93,7 +85,6 @@ class WorkloadGenerator:
         self,
         *,
         rounds: int,
-        cs_duration: float = 1.0,
         chunk_requests: int = DEFAULT_CHUNK_REQUESTS,
     ) -> StreamingWorkload:
         """Streaming form of :meth:`heavy_demand`: batches, not a list.
@@ -127,7 +118,7 @@ class WorkloadGenerator:
                 while left:
                     take = min(chunk_requests - len(batch), left)
                     batch.extend(
-                        map(CSRequest, islice(nodes, take), repeat(arrival), repeat(cs_duration))
+                        map(CSRequest, islice(nodes, take), repeat(arrival))
                     )
                     left -= take
                     if len(batch) == chunk_requests:
@@ -152,7 +143,6 @@ class WorkloadGenerator:
         hot_nodes: Sequence[int],
         hot_fraction: float = 0.8,
         mean_interarrival: float = 5.0,
-        cs_duration: float = 1.0,
     ) -> Workload:
         """A skewed workload where a few nodes issue most of the requests.
 
@@ -174,7 +164,7 @@ class WorkloadGenerator:
         for _ in range(total_requests):
             time += rng.exponential(mean_interarrival)
             pool = hot if rng.random() < hot_fraction else cold
-            requests.append(CSRequest(rng.choice(pool), time, cs_duration))
+            requests.append(CSRequest(rng.choice(pool), time))
         return Workload(
             requests=tuple(requests),
             description=(
@@ -189,8 +179,6 @@ class WorkloadGenerator:
         mean_burst_size: float = 8.0,
         burst_interarrival: float = 0.5,
         mean_idle_gap: float = 50.0,
-        cs_duration: float = 1.0,
-        nodes: Optional[Sequence[int]] = None,
     ) -> Workload:
         """On/off bursts: dense request clusters separated by long idle gaps.
 
@@ -213,7 +201,6 @@ class WorkloadGenerator:
                 "burst_interarrival and mean_idle_gap must be positive, got "
                 f"{burst_interarrival} and {mean_idle_gap}"
             )
-        candidates = tuple(nodes) if nodes is not None else self.node_ids
         rng = self._rng.child("bursty")
         requests = []
         time = 0.0
@@ -224,7 +211,7 @@ class WorkloadGenerator:
             bursts += 1
             for _ in range(min(burst_size, total_requests - len(requests))):
                 time += rng.exponential(burst_interarrival)
-                requests.append(CSRequest(rng.choice(candidates), time, cs_duration))
+                requests.append(CSRequest(rng.choice(self.node_ids), time))
         return Workload(
             requests=tuple(requests),
             description=(
@@ -234,16 +221,7 @@ class WorkloadGenerator:
             ),
         )
 
-    def diurnal(
-        self,
-        *,
-        total_requests: int,
-        period: float = 200.0,
-        mean_interarrival: float = 5.0,
-        amplitude: float = 0.8,
-        cs_duration: float = 1.0,
-        nodes: Optional[Sequence[int]] = None,
-    ) -> Workload:
+    def diurnal(self, *, total_requests: int) -> Workload:
         """Sinusoidal-rate arrivals: a seeded day/night demand curve.
 
         A non-homogeneous Poisson process whose instantaneous rate swings
@@ -251,7 +229,8 @@ class WorkloadGenerator:
 
             rate(t) = (1 + amplitude * sin(2 * pi * t / period)) / mean_interarrival
 
-        so each ``period`` of virtual time holds one full peak (rate up to
+        with ``period`` 200, ``mean_interarrival`` 5 and ``amplitude`` 0.8, so
+        each ``period`` of virtual time holds one full peak (rate up to
         ``(1 + amplitude)`` times base) and one trough (down to
         ``(1 - amplitude)`` times base) — the diurnal load shape the steady
         Poisson and on/off bursty tiers both miss.  Arrivals are drawn by
@@ -261,15 +240,7 @@ class WorkloadGenerator:
         """
         if total_requests < 0:
             raise WorkloadError(f"total_requests must be >= 0, got {total_requests}")
-        if period <= 0:
-            raise WorkloadError(f"period must be positive, got {period}")
-        if mean_interarrival <= 0:
-            raise WorkloadError(
-                f"mean_interarrival must be positive, got {mean_interarrival}"
-            )
-        if not 0.0 <= amplitude <= 1.0:
-            raise WorkloadError(f"amplitude must be in [0, 1], got {amplitude}")
-        candidates = tuple(nodes) if nodes is not None else self.node_ids
+        period, mean_interarrival, amplitude = 200.0, 5.0, 0.8
         rng = self._rng.child("diurnal")
         peak_rate = (1.0 + amplitude) / mean_interarrival
         angular = 2.0 * math.pi / period
@@ -281,7 +252,7 @@ class WorkloadGenerator:
             rate = (1.0 + amplitude * math.sin(angular * time)) / mean_interarrival
             # ...thinned down to the instantaneous sinusoidal rate.
             if rng.random() * peak_rate <= rate:
-                requests.append(CSRequest(rng.choice(candidates), time, cs_duration))
+                requests.append(CSRequest(rng.choice(self.node_ids), time))
         return Workload(
             requests=tuple(requests),
             description=(

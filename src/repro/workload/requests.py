@@ -113,10 +113,10 @@ class Workload:
         return sorted({request.node for request in self.requests})
 
     @classmethod
-    def single(cls, node: int, *, cs_duration: float = 1.0) -> "Workload":
+    def single(cls, node: int) -> "Workload":
         """A workload with one immediate request by ``node``."""
         return cls(
-            requests=(CSRequest(node, 0.0, cs_duration),),
+            requests=(CSRequest(node, 0.0),),
             description=f"single request by node {node}",
         )
 

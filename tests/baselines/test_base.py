@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import registry
-from repro.baselines.base import AlgorithmRegistry, MutexSystem
+from repro.baselines.base import QUIESCENCE_BUDGET, AlgorithmRegistry, MutexSystem
 from repro.baselines.centralized import CentralizedSystem
 from repro.exceptions import ExperimentError, ProtocolError
 from repro.topology import star
@@ -75,9 +75,15 @@ def test_request_release_and_cs_queries():
 
 def test_run_until_quiescent_raises_when_budget_exhausted():
     system = CentralizedSystem(star(5))
-    system.request(2)
-    with pytest.raises(ExperimentError):
-        system.run_until_quiescent(max_events=0)
+    engine = system.engine
+
+    def livelock(_):  # every event schedules the next
+        engine.schedule_lite(engine.now + 1.0, livelock)
+
+    livelock(None)
+    with pytest.raises(ExperimentError, match="within 1000000 events"):
+        system.run_until_quiescent()
+    assert engine.processed_events == QUIESCENCE_BUDGET
 
 
 def test_double_request_guard_is_shared_by_all_algorithms():

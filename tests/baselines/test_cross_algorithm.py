@@ -39,7 +39,7 @@ def test_heavy_contention_serialises_correctly(algorithm):
 
 @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
 def test_repeated_requests_by_every_node(algorithm):
-    topology = balanced_tree(2, 2, token_holder=3)
+    topology = balanced_tree(2, 2).with_token_holder(3)
     # Nodes take turns, two rounds, one request every 30 time units.
     workload = Workload(
         tuple(CSRequest(node, slot * 30.0) for slot, node in enumerate(topology.nodes * 2))

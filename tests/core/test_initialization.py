@@ -18,7 +18,7 @@ def adjacency_of(topology):
     [
         line(6, token_holder=5),
         star(8, token_holder=3),
-        balanced_tree(2, 3, token_holder=4),
+        balanced_tree(2, 3).with_token_holder(4),
         random_tree(15, seed=2, token_holder=11),
         paper_figure6_topology(),
     ],

@@ -50,11 +50,6 @@ def test_implicit_queue_empty_when_nothing_waits():
     assert implicit_queue(protocol) == []
 
 
-def test_implicit_queue_with_explicit_start(loaded_protocol):
-    assert implicit_queue(loaded_protocol, start=2) == [1, 5]
-    assert implicit_queue(loaded_protocol, start=5) == []
-
-
 def test_implicit_queue_detects_cycles(loaded_protocol):
     # Corrupt the FOLLOW chain on purpose: 5 -> 2 closes a cycle.
     loaded_protocol.node(5).follow = 2

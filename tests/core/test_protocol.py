@@ -97,9 +97,14 @@ def test_fifo_queue_order_is_respected(line_topology):
 
 def test_run_until_quiescent_raises_on_event_budget(star_topology):
     protocol = DagMutexProtocol(star_topology)
-    protocol.request(3)
-    with pytest.raises(ProtocolError):
-        protocol.run_until_quiescent(max_events=0)
+    engine = protocol.engine
+
+    def livelock(_):  # every event schedules the next
+        engine.schedule_lite(engine.now + 1.0, livelock)
+
+    livelock(None)
+    with pytest.raises(ProtocolError, match="within 1000000 events"):
+        protocol.run_until_quiescent()
 
 
 def test_snapshot_covers_every_node(star_topology):

@@ -107,7 +107,7 @@ def test_protocol_survives_a_long_mixed_stress_run():
     """A longer randomized run with invariants checked on every event."""
     topology = random_tree(15, seed=33, token_holder=7)
     generator = WorkloadGenerator(topology.nodes, seed=44)
-    workload = generator.poisson(total_requests=120, mean_interarrival=1.5, cs_duration=0.5)
+    workload = generator.poisson(total_requests=120, mean_interarrival=1.5)
     from repro.baselines.dag_adapter import DagSystem
     from repro.core.invariants import InvariantChecker
     from repro.workload.driver import ExperimentDriver

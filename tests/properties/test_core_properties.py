@@ -154,7 +154,7 @@ def test_implicit_queue_is_well_formed_at_every_entry(spec):
     driver = ExperimentDriver(system, workload)
 
     def record_enter(node_id, time):
-        queue_at_entry = implicit_queue(protocol_view, start=node_id)
+        queue_at_entry = implicit_queue(protocol_view)
         grant_log.append((node_id, queue_at_entry))
         driver._handle_enter(node_id, time)
 

@@ -114,12 +114,18 @@ def faults(draw, recovery=True):
     )
 
 
+@st.composite
+def uniform_bounds(draw):
+    """``(low, high)`` with ``0 < low <= high``: a uniform spec refuses others."""
+    low = draw(positive)
+    return low, low + draw(times)
+
+
 latencies = st.builds(
-    LatencySpec,
+    lambda bounds, **fields: LatencySpec(low=bounds[0], high=bounds[1], **fields),
+    uniform_bounds(),
     kind=st.sampled_from(LATENCY_KINDS),
     value=positive,
-    low=positive,
-    high=positive,
     mean=positive,
     seed=seeds,
 )

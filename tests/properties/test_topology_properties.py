@@ -41,11 +41,12 @@ def test_every_generated_topology_is_a_tree(topology: Topology):
 @settings(max_examples=60, deadline=None)
 def test_orientation_toward_any_node_is_valid(topology: Topology, pick: int):
     target = topology.nodes[pick % topology.size]
-    pointers = topology.next_pointers(toward=target)
+    rerooted = topology.with_token_holder(target)
+    pointers = rerooted.next_pointers()
     assert [node for node, successor in pointers.items() if successor is None] == [target]
     # The product's orientation checks (edges in the tree, no cycle, one sink
     # holding the token) on a system stood up from the same orientation.
-    protocol = DagMutexProtocol(topology.with_token_holder(target), check_invariants=True)
+    protocol = DagMutexProtocol(rerooted, check_invariants=True)
     assert {node_id: protocol.node(node_id).next_node for node_id in protocol.node_ids} == pointers
     protocol.invariant_checker.check()
 

@@ -7,11 +7,10 @@ import inspect
 
 import pytest
 
+from repro.core.messages import Privilege
 from repro.exceptions import LockError, ProtocolError
 from repro.runtime import DistributedLock, InMemoryTransport, LocalCluster
 from repro.topology import line, star
-
-from .virtual_clock import VirtualClock
 
 
 def run(coro):
@@ -119,53 +118,21 @@ def test_lock_acquire_with_timeout_succeeds_quickly():
     async def scenario():
         async with LocalCluster(star(4)) as cluster:
             lock = cluster.lock(2)
-            await lock.acquire(timeout=1.0)
+            await asyncio.wait_for(lock.acquire(), 1.0)
             await lock.release()
 
     run(scenario())
 
 
-def test_a_cluster_is_a_topology_and_an_optional_delay():
+def test_a_cluster_is_a_topology():
     """The cluster always builds its own in-memory transport."""
     parameters = inspect.signature(LocalCluster).parameters
-    assert list(parameters) == ["topology", "delay"]
-    assert parameters["delay"].kind is inspect.Parameter.KEYWORD_ONLY
-    assert parameters["delay"].default is None
+    assert list(parameters) == ["topology"]
     with pytest.raises(TypeError):
         LocalCluster(star(3), transport=InMemoryTransport())
+    with pytest.raises(TypeError):
+        LocalCluster(star(3), delay=lambda sender, receiver: 1.0)
     assert isinstance(LocalCluster(star(3)).transport, InMemoryTransport)
-
-
-def test_a_delayed_cluster_keeps_mutual_exclusion_on_a_line():
-    """Every hop of a line takes a second: REQUESTs and PRIVILEGEs are in
-    flight together, and still one node at a time is in its section."""
-
-    async def scenario():
-        clock = VirtualClock()
-        active = max_active = 0
-        entries = []
-        async with LocalCluster(line(4, token_holder=4), delay=lambda s, r: 1.0) as cluster:
-            async def worker(node_id):
-                nonlocal active, max_active
-                for _ in range(2):
-                    async with cluster.lock(node_id):
-                        active += 1
-                        max_active = max(max_active, active)
-                        entries.append(node_id)
-                        await asyncio.sleep(0)
-                        active -= 1
-
-            workers = asyncio.gather(*(worker(node_id) for node_id in cluster.node_ids))
-            for _ in range(200):
-                if workers.done():
-                    break
-                await clock.advance(1.0)
-            await workers
-            assert cluster.transport.messages_sent > 0
-        assert max_active == 1
-        assert sorted(entries) == [1, 1, 2, 2, 3, 3, 4, 4]
-
-    run(scenario())
 
 
 def test_fairness_all_nodes_eventually_enter():
@@ -254,43 +221,47 @@ def test_regenerate_token_after_the_holder_crashes():
     run(scenario())
 
 
-def test_regeneration_fences_a_privilege_that_is_still_delayed():
-    """The old token is a PRIVILEGE crawling from 1 to 2 when it is declared
-    lost.  Were it to survive the fence it would reach node 2 while node 2
-    waits for the *new* token to come back from node 3 — and both would be in
-    their critical sections."""
-    slow = {(1, 2): 10.0}
+def test_regeneration_fences_a_privilege_that_is_still_queued():
+    """The old token is a PRIVILEGE from 1 to 2, still queued in the
+    transport's mailbox, when a handler declares it lost.  Were it to survive
+    the fence it would reach node 2 after the new token did — and the cluster
+    would hold two tokens."""
 
     async def scenario():
-        clock = VirtualClock()
-        delay = lambda sender, receiver: slow.get((sender, receiver), 1.0)  # noqa: E731
-        async with LocalCluster(star(3), delay=delay) as cluster:
+        async with LocalCluster(star(3)) as cluster:
             one, two, three = (cluster.node(node_id) for node_id in (1, 2, 3))
-            first = asyncio.create_task(two.acquire())
-            await clock.advance(1.0)  # the REQUEST arrives; the PRIVILEGE sets off
-            assert cluster.token_location() is None and not first.done()
+            transport = cluster.transport
+            deliver_to_one = transport._handlers[1]
+            seen = []
 
-            outcome = cluster.regenerate_token()
-            assert outcome == {"new_holder": 2, "granted_immediately": True, "reissued": 0}
+            def answer_then_regenerate(envelope):
+                deliver_to_one(envelope)  # node 1 answers the REQUEST ...
+                queued = [type(argument.message) for _handler, argument in transport._queue]
+                assert queued == [Privilege]  # ... and the token waits in the mailbox
+                assert cluster.token_location() is None
+                seen.append(cluster.regenerate_token())
+
+            transport._handlers[1] = answer_then_regenerate
+            first = asyncio.create_task(two.acquire())
             await asyncio.wait_for(first, timeout=1.0)
+            assert seen == [{"new_holder": 2, "granted_immediately": True, "reissued": 0}]
+            assert not transport._queue  # the fence dropped the old PRIVILEGE
+            assert [node.node_id for node in (one, two, three) if node.has_token()] == [2]
             with pytest.raises(ProtocolError, match="not lost"):
                 cluster.regenerate_token()  # the refusal rule is untouched
 
             # The new token goes to 3, and 2 queues up behind it again.
             other = asyncio.create_task(three.acquire())
-            await clock.advance(1.0)
+            await asyncio.sleep(0)
             await two.release()
-            again = asyncio.create_task(two.acquire())
-            await clock.advance(1.0)
             await asyncio.wait_for(other, timeout=1.0)
+            again = asyncio.create_task(two.acquire())
+            await asyncio.sleep(0)
             assert two.requesting and three.in_critical_section
-
-            await clock.advance(20.0)  # long after the old PRIVILEGE was due
             assert [node.node_id for node in (one, two, three) if node.has_token()] == [3]
-            assert not again.done()
             await three.release()
-            await clock.advance(1.0)
             await asyncio.wait_for(again, timeout=1.0)
             assert cluster.token_location() == 2
+            assert [node.node_id for node in (one, two, three) if node.has_token()] == [2]
 
     run(scenario())

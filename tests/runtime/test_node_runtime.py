@@ -224,14 +224,14 @@ def test_a_grant_after_the_waiter_gave_up_is_not_an_error():
             await cluster.node(1).acquire()
             lock = cluster.lock(2)
             with pytest.raises(asyncio.TimeoutError):
-                await lock.acquire(timeout=0.01)
+                await asyncio.wait_for(lock.acquire(), 0.01)
             assert not lock.held and cluster.node(2).requesting
             await cluster.node(1).release()  # grants node 2, where nobody waits
             node = cluster.node(2)
             assert not node.in_critical_section and not node.requesting
             async with cluster.lock(3):
                 assert cluster.node(3).in_critical_section
-            await lock.acquire(timeout=0.5)  # the handle is reusable
+            await asyncio.wait_for(lock.acquire(), 0.5)  # the handle is reusable
             assert lock.held and node.in_critical_section
             await lock.release()
 

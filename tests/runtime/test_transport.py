@@ -9,8 +9,6 @@ import pytest
 from repro.exceptions import RuntimeTransportError
 from repro.runtime.transport import Envelope, InMemoryTransport
 
-from .virtual_clock import VirtualClock
-
 
 def run(coro):
     return asyncio.run(coro)
@@ -65,20 +63,6 @@ def test_fifo_order_without_delay():
     run(scenario())
 
 
-def test_fifo_order_with_delay():
-    async def scenario():
-        transport = InMemoryTransport(delay=lambda sender, receiver: 0.001)
-        transport.register(1)
-        inbox = transport.register(2)
-        for index in range(10):
-            transport.send(1, 2, index)
-        received = [await asyncio.wait_for(inbox.get(), timeout=2.0) for _ in range(10)]
-        assert [envelope.message for envelope in received] == list(range(10))
-        await transport.close()
-
-    run(scenario())
-
-
 def test_closed_transport_rejects_sends():
     async def scenario():
         transport = InMemoryTransport()
@@ -105,23 +89,6 @@ def test_only_accepted_messages_are_counted():
         with pytest.raises(RuntimeTransportError):
             transport.send(2, 1, "too late")
         assert transport.messages_sent == 1
-
-    run(scenario())
-
-
-def test_close_drops_what_is_still_delayed():
-    async def scenario():
-        clock = VirtualClock()
-        transport = InMemoryTransport(delay=lambda sender, receiver: 1.0)
-        heard = []
-        transport.register(1, heard.append)
-        transport.register(2, heard.append)
-        transport.send(1, 2, "in flight")
-        transport.send(2, 1, "in flight too")
-        await clock.advance(0.5)
-        await transport.close()
-        await clock.advance(5.0)
-        assert heard == []
 
     run(scenario())
 
@@ -220,37 +187,6 @@ def test_a_raising_handler_reaches_the_sender_and_nobody_goes_deaf():
     assert heard == ["first", "second", "still listening"]
 
 
-def test_concurrent_senders_keep_each_channel_in_order_under_uneven_delays():
-    """Three tasks send to one receiver, interleaved, each channel with its
-    own delays: channels overtake one another, messages within one never do."""
-
-    async def scenario():
-        clock = VirtualClock()
-        delays = {1: iter([3.0, 0.1] * 3), 2: iter([0.5] * 6), 3: iter([2.0, 0.2, 1.0] * 2)}
-        transport = InMemoryTransport(delay=lambda sender, receiver: next(delays[sender]))
-        heard = []
-        transport.register(0, heard.append)
-
-        async def sender(node_id):
-            for index in range(6):
-                transport.send(node_id, 0, (node_id, index))
-                await asyncio.sleep(0)
-
-        for node_id in (1, 2, 3):
-            transport.register(node_id, heard.append)
-        await asyncio.gather(*(sender(node_id) for node_id in (1, 2, 3)))
-        for _ in range(10):
-            await clock.advance(1.0)
-        assert len(heard) == 18
-        arrived = [envelope.message for envelope in heard]
-        for node_id in (1, 2, 3):
-            assert [m for m in arrived if m[0] == node_id] == [(node_id, i) for i in range(6)]
-        assert arrived.index((2, 5)) < arrived.index((1, 0))  # 2 overtook 1
-        await transport.close()
-
-    run(scenario())
-
-
 # --------------------------------------------------------------------------- #
 # the recovery fence
 # --------------------------------------------------------------------------- #
@@ -270,50 +206,6 @@ def test_fence_drops_what_is_queued_for_live_nodes_only():
     transport.register(3, lambda envelope: heard.append((3, envelope.message)))
     transport.send(2, 1, "go")
     assert heard == [(1, "go"), (3, "for the crashed node")]
-
-
-def test_fence_drops_delayed_envelopes_and_the_channel_still_works():
-    async def scenario():
-        clock = VirtualClock()
-        transport = InMemoryTransport(delay=lambda sender, receiver: 1.0)
-        heard = []
-        for node_id in (1, 2, 3):
-            transport.register(node_id, heard.append)
-        transport.send(1, 2, "stale")
-        transport.send(1, 2, "stale too")
-        transport.send(1, 3, "bound for a crashed node")
-        await clock.advance(0.5)
-        transport.fence(frozenset({3}))
-        transport.send(1, 2, "fresh")
-        await clock.advance(0.6)
-        assert [envelope.message for envelope in heard] == ["bound for a crashed node"]
-        await clock.advance(0.5)
-        assert [envelope.message for envelope in heard][1:] == ["fresh"]
-        await transport.close()
-
-    run(scenario())
-
-
-def test_delayed_envelopes_are_in_flight_together_and_stay_in_order():
-    """Delay is per envelope from its own send, not queued behind the one
-    before; an envelope with a shorter delay still never overtakes."""
-
-    async def scenario():
-        clock = VirtualClock()
-        delays = iter([3.0, 1.0, 1.0])
-        transport = InMemoryTransport(delay=lambda sender, receiver: next(delays))
-        heard = []
-        transport.register(1, heard.append)
-        transport.register(2, heard.append)
-        for index in range(3):
-            transport.send(1, 2, index)
-        await clock.advance(2.0)
-        assert heard == []  # the 1-second ones wait behind the 3-second one
-        await clock.advance(1.0)
-        assert [envelope.message for envelope in heard] == [0, 1, 2]
-        await transport.close()
-
-    run(scenario())
 
 
 def test_fence_keeps_queued_calls_that_are_not_envelopes():

@@ -15,11 +15,6 @@ def test_initial_state():
     assert engine.pending_events == 0
 
 
-def test_custom_start_time():
-    engine = SimulationEngine(start_time=10.0)
-    assert engine.now == 10.0
-
-
 def test_events_run_in_time_order():
     engine = SimulationEngine()
     fired = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.latency import (
+    MINIMUM_DELAY,
     ConstantLatency,
     ExponentialLatency,
     UniformLatency,
@@ -25,6 +26,13 @@ def test_constant_latency_rejects_non_positive():
         ConstantLatency(-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_constant_latency_rejects_non_finite(value):
+    # ``nan <= 0`` is false, so a bare sign check let NaN through.
+    with pytest.raises(ValueError, match="positive and finite"):
+        ConstantLatency(value)
+
+
 def test_uniform_latency_within_bounds():
     model = UniformLatency(1.0, 3.0, rng=SeededRNG(1))
     for _ in range(100):
@@ -37,6 +45,12 @@ def test_uniform_latency_validates_bounds():
         UniformLatency(0.0, 1.0)
     with pytest.raises(ValueError):
         UniformLatency(3.0, 2.0)
+    with pytest.raises(ValueError):
+        UniformLatency(float("nan"), 2.0)
+    with pytest.raises(ValueError):
+        UniformLatency(1.0, float("nan"))
+    with pytest.raises(ValueError):
+        UniformLatency(1.0, float("inf"))
 
 
 def test_uniform_latency_reproducible_with_seed():
@@ -46,15 +60,17 @@ def test_uniform_latency_reproducible_with_seed():
 
 
 def test_exponential_latency_respects_minimum():
-    model = ExponentialLatency(0.001, minimum=0.5, rng=SeededRNG(3))
-    assert all(model.delay(1, 2) >= 0.5 for _ in range(50))
+    model = ExponentialLatency(1e-9, rng=SeededRNG(3))
+    delays = [model.delay(1, 2) for _ in range(50)]
+    assert MINIMUM_DELAY == 1e-6
+    assert all(delay >= MINIMUM_DELAY for delay in delays)
+    assert MINIMUM_DELAY in delays
 
 
 def test_exponential_latency_validates_parameters():
-    with pytest.raises(ValueError):
-        ExponentialLatency(0.0)
-    with pytest.raises(ValueError):
-        ExponentialLatency(1.0, minimum=0.0)
+    for mean in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ExponentialLatency(mean)
 
 
 def test_exponential_latency_mean_roughly_matches():

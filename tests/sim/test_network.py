@@ -63,20 +63,10 @@ def test_unknown_sender_and_receiver_rejected():
         network.send(1, 99, "x")
 
 
-def test_self_send_rejected_by_default():
+def test_self_send_is_always_rejected():
     engine, network, handlers = build_network()
     with pytest.raises(NetworkError):
         network.send(1, 1, "loop")
-
-
-def test_self_send_allowed_when_enabled():
-    engine = SimulationEngine()
-    network = Network(engine, allow_self_send=True)
-    recorder = Recorder()
-    network.register(1, recorder)
-    network.send(1, 1, "loop")
-    engine.run()
-    assert recorder.received == [(1, "loop")]
 
 
 def test_duplicate_registration_rejected():

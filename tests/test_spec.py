@@ -39,11 +39,14 @@ from repro.spec import (
     STREAMING_NODE_THRESHOLD,
     WORKLOAD_TIERS,
     XXLARGE_HEAVY_ROUNDS,
+    CrashSpec,
     ExperimentSpec,
+    FaultSpec,
     LatencySpec,
     TopologySpec,
     WorkloadSpec,
 )
+from repro.sim.latency import ConstantLatency
 from repro.topology import star
 from repro.workload.driver import ExperimentDriver, run_experiment
 from repro.workload.generator import WorkloadGenerator
@@ -201,6 +204,53 @@ def test_spec_validation_lists_known_names():
         )
     with pytest.raises(ExperimentError, match="constant"):
         LatencySpec(kind="normal")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_latency_does_not_survive_the_json_round_trip(token):
+    """JSON's NaN/Infinity extensions are not numbers a spec can hold: one
+    that got in would replay to ``finished_at`` ``nan`` / ``inf``."""
+    spec = ExperimentSpec(
+        algorithm="dag",
+        topology=TopologySpec(kind="star", n=5),
+        workload=WorkloadSpec(tier="heavy", rounds=1),
+        latency=LatencySpec(kind="constant", value=2.0),
+    )
+    text = spec.canonical_json().replace('"value": 2.0', f'"value": {token}')
+    assert token in text
+    with pytest.raises(ExperimentError, match="field 'value' must be a finite number, got"):
+        ExperimentSpec.from_json(text)
+
+
+def test_every_float_field_of_a_spec_is_a_finite_number():
+    """One rule in the codec covers every spec class's float fields."""
+    with pytest.raises(ExperimentError, match="'restart' must be a finite number or null"):
+        CrashSpec.from_dict({"node": 1, "time": 5.0, "restart": float("inf")})
+    with pytest.raises(ExperimentError, match="'drop_rate' must be a finite number, got nan"):
+        FaultSpec.from_dict({"drop_rate": float("nan")})
+    # An int is a finite number however large.
+    assert CrashSpec.from_dict({"node": 1, "time": 10**400}).time == 10**400
+
+
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        (dict(kind="constant", value=float("nan")), "value"),
+        (dict(kind="constant", value=float("inf")), "value"),
+        (dict(kind="constant", value=0.0), "value"),
+        (dict(kind="uniform", low=-1.0), "low"),
+        (dict(kind="uniform", low=3.0, high=1.0), "high"),
+        (dict(kind="uniform", high=float("inf")), "high"),
+        (dict(kind="exponential", mean=float("nan")), "mean"),
+    ],
+)
+def test_latency_spec_range_checks_the_fields_its_kind_uses(fields, field):
+    with pytest.raises(ExperimentError, match=f"latency spec field '{field}' must be"):
+        LatencySpec(**fields)
+
+
+def test_latency_spec_ignores_the_fields_its_kind_does_not_use():
+    assert LatencySpec(kind="constant", low=3.0, high=1.0, mean=-1.0).build().value == 1.0
 
 
 def test_node_backend_validation_and_round_trip():
@@ -539,7 +589,7 @@ def test_run_experiment_spec_rejects_every_overriding_argument():
     with pytest.raises(ExperimentError, match="pass only the spec"):
         run_experiment(spec, collect_metrics=False)
     with pytest.raises(ExperimentError, match="pass only the spec"):
-        run_experiment(spec, record_trace=True)
+        run_experiment(spec, latency=ConstantLatency(2.0))
 
 
 def test_experiment_spec_obs_section_round_trips():

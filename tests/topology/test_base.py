@@ -77,16 +77,6 @@ def test_next_pointers_point_toward_token_holder():
     assert topology.next_pointers() == {1: 2, 2: 3, 3: 4, 4: None}
 
 
-def test_next_pointers_toward_other_node():
-    topology = make_path()
-    assert topology.next_pointers(toward=1) == {1: None, 2: 1, 3: 2, 4: 3}
-
-
-def test_next_pointers_unknown_target():
-    with pytest.raises(TopologyError):
-        make_path().next_pointers(toward=42)
-
-
 def test_with_token_holder_rebases_orientation():
     topology = make_path().with_token_holder(1)
     assert topology.token_holder == 1
@@ -105,15 +95,9 @@ def test_from_edges_infers_nodes():
     assert topology.token_holder == 3
 
 
-def test_from_edges_with_extra_isolated_node_fails_validation():
-    # Extra nodes must still be connected; an isolated one breaks the tree.
-    with pytest.raises(TopologyError):
-        Topology.from_edges([(1, 2)], token_holder=1, extra_nodes=[5])
-
-
 def test_from_edges_single_node():
-    topology = Topology.from_edges([], token_holder=9, extra_nodes=[9])
-    assert topology.size == 1
+    topology = Topology.from_edges([], token_holder=9)
+    assert topology.nodes == (9,)
 
 
 def test_describe_mentions_size_and_holder():

@@ -52,15 +52,16 @@ def test_star_shape():
     assert topology.token_holder == 1
 
 
-def test_star_custom_center_and_holder():
-    topology = star(6, center=3, token_holder=5)
-    assert topology.degree(3) == 5
+def test_star_custom_holder():
+    topology = star(6, token_holder=5)
+    assert topology.degree(1) == 5
     assert topology.token_holder == 5
+    assert topology.next_pointers()[1] == 5
 
 
-def test_star_rejects_bad_center():
+def test_star_rejects_bad_holder():
     with pytest.raises(TopologyError):
-        star(4, center=9)
+        star(4, token_holder=9)
 
 
 def test_radiating_star_shape():

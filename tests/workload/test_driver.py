@@ -42,8 +42,8 @@ def test_mean_sync_delay_none_when_no_contention():
 
 def test_cs_duration_is_respected():
     topology = star(4, token_holder=1)
-    short = run_experiment("dag", topology, Workload.single(2, cs_duration=1.0))
-    long = run_experiment("dag", topology, Workload.single(2, cs_duration=50.0))
+    short = run_experiment("dag", topology, Workload.single(2))
+    long = run_experiment("dag", topology, Workload((CSRequest(2, 0.0, cs_duration=50.0),)))
     assert long.finished_at >= short.finished_at + 49.0
 
 

@@ -38,8 +38,8 @@ def test_poisson_is_deterministic_per_seed():
 
 
 def test_poisson_restricted_to_subset_of_nodes():
-    generator = WorkloadGenerator(NODES, seed=2)
-    workload = generator.poisson(total_requests=30, mean_interarrival=1.0, nodes=[2, 3])
+    generator = WorkloadGenerator([2, 3], seed=2)
+    workload = generator.poisson(total_requests=30, mean_interarrival=1.0)
     assert set(workload.nodes) <= {2, 3}
 
 
@@ -197,8 +197,8 @@ def test_bursty_alternates_dense_bursts_and_idle_gaps():
 
 
 def test_bursty_restricted_to_subset_of_nodes():
-    generator = WorkloadGenerator(NODES, seed=14)
-    workload = generator.bursty(total_requests=30, nodes=[2, 4])
+    generator = WorkloadGenerator([2, 4], seed=14)
+    workload = generator.bursty(total_requests=30)
     assert set(workload.nodes) <= {2, 4}
 
 
@@ -238,12 +238,10 @@ def test_diurnal_is_deterministic_per_seed():
 
 
 def test_diurnal_rate_actually_swings():
-    # With a strong amplitude, arrivals inside peak half-periods must
-    # outnumber arrivals inside trough half-periods.
-    period = 100.0
-    workload = WorkloadGenerator(NODES, seed=24).diurnal(
-        total_requests=400, period=period, mean_interarrival=1.0, amplitude=1.0
-    )
+    # With amplitude 0.8, arrivals inside peak half-periods must outnumber
+    # arrivals inside trough half-periods (about 3:1 in expectation).
+    period = 200.0
+    workload = WorkloadGenerator(NODES, seed=24).diurnal(total_requests=400)
     peak = trough = 0
     for request in workload:
         phase = (request.arrival_time % period) / period
@@ -255,7 +253,7 @@ def test_diurnal_rate_actually_swings():
 
 
 def test_diurnal_restricted_to_subset_of_nodes():
-    workload = WorkloadGenerator(NODES, seed=25).diurnal(total_requests=30, nodes=[1, 5])
+    workload = WorkloadGenerator([1, 5], seed=25).diurnal(total_requests=30)
     assert set(workload.nodes) <= {1, 5}
 
 
@@ -263,12 +261,6 @@ def test_diurnal_validates_arguments():
     generator = WorkloadGenerator(NODES, seed=26)
     with pytest.raises(WorkloadError):
         generator.diurnal(total_requests=-1)
-    with pytest.raises(WorkloadError):
-        generator.diurnal(total_requests=10, period=0.0)
-    with pytest.raises(WorkloadError):
-        generator.diurnal(total_requests=10, mean_interarrival=0.0)
-    with pytest.raises(WorkloadError):
-        generator.diurnal(total_requests=10, amplitude=1.5)
 
 
 def test_diurnal_zero_requests_is_empty():

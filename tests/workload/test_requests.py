@@ -49,9 +49,9 @@ def test_empty_workload():
 
 
 def test_single_factory():
-    workload = Workload.single(7, cs_duration=3.0)
+    workload = Workload.single(7)
     assert len(workload) == 1
     assert workload.requests[0].node == 7
     assert workload.requests[0].arrival_time == 0.0
-    assert workload.requests[0].cs_duration == 3.0
+    assert workload.requests[0].cs_duration == 1.0
     assert "7" in workload.description
