@@ -222,7 +222,8 @@ class MutexSystem(abc.ABC):
             metrics=self.metrics,
             trace=self.trace if record_trace else None,
         )
-        # The experiment driver installs its enter hook here before a replay.
+        # Every node starts without an enter hook; the experiment driver sets
+        # each node's own for the length of a replay.
         self._on_enter: Optional[EnterCallback] = None
         #: Which backend the nodes actually use ("object" unless a compact
         #: ``_create_nodes`` overrides it) and, on the compact backend, the

@@ -233,7 +233,7 @@ def cell_from_spec(spec: ExperimentSpec) -> Cell:
         raise WorkloadError(
             f"spec for {cell.name!r} does not match the sweep's frozen "
             "cell definition (tier parameters, latency, topology "
-            "seed/compact and record_trace must be the matrix defaults)"
+            "seed and record_trace must be the matrix defaults)"
         )
     return cell
 

@@ -5,18 +5,18 @@ At a million nodes the object backend's cost is "a million Python objects":
 dispatch tables, and ~12 s just to build them.  This module stores the same
 three paper variables — HOLDING, NEXT, FOLLOW — plus the requesting/in-CS
 flags and the per-node entry counter as flat ``array``/``bytearray`` columns
-indexed by node id, mirroring how :class:`~repro.topology.compact
-.CompactTopology` replaced dict adjacency with CSR arrays:
+indexed by node id, the way :class:`~repro.topology.base.Topology` holds its
+tree in CSR arrays:
 
 * ``NEXT`` and ``FOLLOW`` — ``array('i')``, one int per node, ``0`` encoding
-  the paper's "no pointer" (node ids start at 1, exactly the
-  :class:`CompactTopology` convention);
+  the paper's "no pointer" (node ids start at 1, exactly the topology's
+  convention);
 * HOLDING / requesting / in-CS — one ``bytearray`` of bit flags;
 * ``cs_entries`` — ``array('i')``.
 
 That is 13 bytes of protocol state per node: ~130 MB at ten million nodes
 where the object backend would need tens of gigabytes.  Construction is a
-couple of array copies (the CSR topology's parent array *is* the initial
+couple of array copies (the topology's parent array *is* the initial
 ``NEXT`` column), which is what opens the ``--xxxlarge`` 10M-node tier.
 
 The state machine here is a line-for-line transcription of
@@ -84,9 +84,8 @@ class CompactDagState:
     """All DAG protocol state for ``n`` nodes, as flat columns.
 
     Args:
-        topology: the topology to initialise from.  Node ids must be the
-            contiguous range ``1..n`` (every built-in topology constructor
-            numbers nodes this way; :class:`CompactTopology` guarantees it).
+        topology: the :class:`~repro.topology.base.Topology` to initialise
+            from; its ids ``1..n`` index the columns.
         network: the network messages are sent through.  The caller is
             expected to also :meth:`~repro.sim.network.Network
             .attach_columnar` this state so deliveries route back here.
@@ -94,10 +93,6 @@ class CompactDagState:
         trace: optional recorder receiving state-change events.
         on_enter: callback invoked as ``on_enter(node_id, time)`` on every
             critical-section entry; the experiment driver assigns it.
-
-    Raises:
-        ProtocolError: if the topology's node ids are not contiguous from 1
-            (the columns are indexed by id, so gaps would silently alias).
     """
 
     def __init__(
@@ -109,46 +104,14 @@ class CompactDagState:
         trace=None,
         on_enter: Optional[EnterCallback] = None,
     ) -> None:
-        nodes = topology.nodes
-        n = len(nodes)
-        if n == 0:
-            raise ProtocolError("compact node backend needs at least one node")
-        if isinstance(nodes, range):
-            contiguous = nodes == range(1, n + 1)
-        else:
-            ids = list(nodes)
-            contiguous = min(ids) == 1 and max(ids) == n
-        if not contiguous:
-            raise ProtocolError(
-                "compact node backend requires contiguous node ids 1..n; "
-                f"got {n} nodes spanning other identifiers"
-            )
+        n = topology.size
         self._n = n
-        self.node_range = range(1, n + 1)
+        self.node_range = topology.nodes
         holder = topology.token_holder
-        # The CSR topology's parent array is exactly the initial NEXT column
+        # The topology's parent array is exactly the initial NEXT column
         # (index 0 unused, 0 = no pointer): one C-level copy instead of ten
         # million mapping lookups.
-        parent = getattr(topology, "_parent", None)
-        if parent is not None and len(parent) == n + 1:
-            next_col = array("i", parent)
-        else:
-            next_col = array("i", bytes(4 * (n + 1)))
-            pointers = topology.next_pointers()
-            for node_id in nodes:
-                pointer = pointers[node_id]
-                if pointer is None:
-                    if node_id != holder:
-                        raise ProtocolError(
-                            f"node {node_id}: a node that does not hold the token "
-                            "needs an initial NEXT pointer toward the holder"
-                        )
-                else:
-                    next_col[node_id] = pointer
-        if next_col[holder] != 0:
-            raise ProtocolError(
-                f"node {holder}: the initial token holder must be a sink (NEXT = 0)"
-            )
+        next_col = array("i", topology.parent)
         self._next = next_col
         self._follow = array("i", bytes(4 * (n + 1)))
         flags = bytearray(n + 1)

@@ -386,7 +386,6 @@ class FaultController:
         self.name = name
         self.armed = False
         self._system = None
-        self._driver = None
         self._network: Optional[FaultInjectingNetwork] = None
         self._resolved: List[Optional[int]] = []
         self._attempts: List[int] = []
@@ -404,7 +403,7 @@ class FaultController:
             raise ExperimentError("fault controller is not armed")
         return self._network
 
-    def arm(self, system, driver=None) -> None:
+    def arm(self, system) -> None:
         """Configure the injector and schedule every timed fault.
 
         Must run before the workload is loaded, so the fault events claim
@@ -424,7 +423,6 @@ class FaultController:
                 "token-regeneration recovery is defined only for the dag algorithm"
             )
         self._system = system
-        self._driver = driver
         self._network = network
         engine = system.engine
         if spec.drop_rate:

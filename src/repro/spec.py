@@ -210,17 +210,11 @@ class _SpecCodec:
 
 @dataclass(frozen=True)
 class TopologySpec(_SpecCodec):
-    """A named logical topology: family, size, seed, representation.
-
-    ``compact`` mirrors the builders' flag: ``None`` auto-selects the
-    array-backed CSR representation at the builders' node threshold, which is
-    what every committed tier does.
-    """
+    """A named logical topology: family, size and (random trees only) seed."""
 
     kind: str
     n: int
     seed: int = 0
-    compact: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.kind not in TOPOLOGY_KINDS:
@@ -231,13 +225,13 @@ class TopologySpec(_SpecCodec):
     def build(self) -> Topology:
         """Construct the topology (the benchmark's frozen families)."""
         if self.kind == "line":
-            return line(self.n, compact=self.compact)
+            return line(self.n)
         if self.kind == "star":
-            return star(self.n, compact=self.compact)
+            return star(self.n)
         if self.kind == "tree":
             depth = max(1, (self.n - 1).bit_length() - 1)
-            return balanced_tree(2, depth, compact=self.compact)
-        return random_tree(self.n, seed=self.seed, compact=self.compact)
+            return balanced_tree(2, depth)
+        return random_tree(self.n, seed=self.seed)
 
 
 @dataclass(frozen=True)

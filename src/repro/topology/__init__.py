@@ -4,8 +4,9 @@ The paper's logical structure is a tree (acyclic even ignoring edge
 directions) oriented so every node has out-degree at most one and exactly one
 node — the sink — has out-degree zero.  This package provides:
 
-* :class:`~repro.topology.base.Topology` — an immutable description of the
-  undirected tree plus its orientation toward an initial token holder;
+* :class:`~repro.topology.base.Topology` — the undirected tree plus its
+  orientation toward an initial token holder, held in flat CSR arrays
+  (:mod:`repro.topology.compact`) at every size;
 * builders for the topologies discussed in Chapter 6 (line, star /
   "centralized", radiating star, balanced trees, random trees);
 * validation helpers enforcing the paper's structural assumptions;
@@ -14,7 +15,6 @@ node — the sink — has out-degree zero.  This package provides:
 
 from repro.topology.base import Topology
 from repro.topology.builders import (
-    COMPACT_NODE_THRESHOLD,
     balanced_tree,
     line,
     paper_figure2_topology,
@@ -23,7 +23,7 @@ from repro.topology.builders import (
     random_tree,
     star,
 )
-from repro.topology.compact import CompactTopology, csr_from_edges
+from repro.topology.compact import csr_from_edges
 from repro.topology.metrics import (
     diameter,
     eccentricity,
@@ -33,8 +33,6 @@ from repro.topology.validation import validate_tree
 
 __all__ = [
     "Topology",
-    "CompactTopology",
-    "COMPACT_NODE_THRESHOLD",
     "csr_from_edges",
     "line",
     "star",

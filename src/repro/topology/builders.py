@@ -6,107 +6,76 @@ module calls :func:`star`, the best topology), and Raymond's **radiating
 star**.  The worked examples use two specific small trees which are provided
 verbatim as :func:`paper_figure2_topology` and :func:`paper_figure6_topology`.
 
-Representation: every family builder (:func:`line`, :func:`star`,
-:func:`balanced_tree`, :func:`random_tree`) can produce either the generic
-dict-backed :class:`~repro.topology.base.Topology` or the array-backed
-:class:`~repro.topology.compact.CompactTopology` (flat ``array('i')`` CSR
-adjacency, construction dominated by C-level array fills).  ``compact=None``
-(the default) picks automatically: at or above
-:data:`COMPACT_NODE_THRESHOLD` nodes the compact representation is used —
-that is what makes the 100k and 1M benchmark tiers constructible in
-sub-second topology time and ~16 MB instead of seconds and hundreds of MB.
-The two representations serve the identical query API and the identical
-adjacency (CI-tested over the benchmark smoke matrix), so the switch never
-changes a replay.
+Every family builder fills the :class:`~repro.topology.base.Topology` CSR
+arrays directly.  The regular shapes (:func:`line`, :func:`star`,
+:func:`radiating_star`, :func:`balanced_tree`) write adjacency, offsets and
+the orientation toward the holder in closed form, with C-level array fills —
+what makes the 100k and 1M benchmark tiers constructible in sub-second
+topology time and ~16 MB; :func:`random_tree` decodes an edge list and goes
+through :meth:`~repro.topology.base.Topology.from_edges`.  Tier-1 compares
+each closed form query by query against ``from_edges`` of its explicit edge
+list.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import accumulate, chain, repeat
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.exceptions import TopologyError
 from repro.sim.rng import SeededRNG
 from repro.topology.base import Topology
-from repro.topology.compact import CompactTopology, csr_from_edges
-
-#: Node count at which the family builders switch to the array-backed
-#: representation by default.  Below it the dict-backed build is already
-#: cheap and maximally debuggable; above it construction time and memory
-#: grow linearly with fat constants (per-node tuples, per-edge tuples, dict
-#: slots) that the CSR arrays avoid.
-COMPACT_NODE_THRESHOLD = 50_000
 
 
-def _default_holder(nodes: Sequence[int], token_holder: Optional[int]) -> int:
+def _default_holder(n: int, token_holder: Optional[int]) -> int:
     if token_holder is None:
-        return nodes[0]
-    if token_holder not in nodes:
+        return 1
+    if not 1 <= token_holder <= n:
         raise TopologyError(f"token holder {token_holder} is not one of the nodes")
     return token_holder
 
 
-def _use_compact(n: int, compact: Optional[bool]) -> bool:
-    return n >= COMPACT_NODE_THRESHOLD if compact is None else compact
-
-
-def line(
-    n: int,
-    *,
-    token_holder: Optional[int] = None,
-    compact: Optional[bool] = None,
-) -> Union[Topology, CompactTopology]:
+def line(n: int, *, token_holder: Optional[int] = None) -> Topology:
     """A straight line ``1 - 2 - ... - n`` (the paper's worst topology).
 
     Args:
         n: number of nodes (``n >= 1``).
         token_holder: initial token holder; defaults to node 1.
-        compact: force the array-backed (``True``) or dict-backed (``False``)
-            representation; ``None`` picks by :data:`COMPACT_NODE_THRESHOLD`.
     """
     if n < 1:
         raise TopologyError(f"need at least one node, got {n}")
-    if _use_compact(n, compact):
-        holder = _default_holder(range(1, n + 1), token_holder)
-        if n == 1:
-            adjacency = array("i")
-            offsets = array("i", (0, 0))
-        else:
-            # Node 1: [2]; node i: [i-1, i+1]; node n: [n-1] — the interior
-            # pairs interleave two ranges, all consumed by the array
-            # constructor in C.
-            adjacency = array(
-                "i",
-                chain(
-                    (2,),
-                    chain.from_iterable(zip(range(1, n - 1), range(3, n + 1))),
-                    (n - 1,),
-                ),
-            )
-            offsets = array("i", chain((0,), range(1, 2 * n - 2, 2), (2 * n - 2,)))
-        # Orientation toward the holder: nodes left of it point right and
-        # vice versa (slot 0 unused, holder slot 0 = sink).
-        parent = array("i", chain((0,), range(2, holder + 1), (0,), range(holder, n)))
-        return CompactTopology(
-            n=n,
-            adjacency=adjacency,
-            offsets=offsets,
-            token_holder=holder,
-            parent=parent,
-            diameter=n - 1,
+    holder = _default_holder(n, token_holder)
+    if n == 1:
+        adjacency = array("i")
+        offsets = array("i", (0, 0))
+    else:
+        # Node 1: [2]; node i: [i-1, i+1]; node n: [n-1] — the interior
+        # pairs interleave two ranges, all consumed by the array
+        # constructor in C.
+        adjacency = array(
+            "i",
+            chain(
+                (2,),
+                chain.from_iterable(zip(range(1, n - 1), range(3, n + 1))),
+                (n - 1,),
+            ),
         )
-    nodes = tuple(range(1, n + 1))
-    edges = tuple((i, i + 1) for i in range(1, n))
-    return Topology(nodes=nodes, edges=edges, token_holder=_default_holder(nodes, token_holder))
+        offsets = array("i", chain((0,), range(1, 2 * n - 2, 2), (2 * n - 2,)))
+    # Orientation toward the holder: nodes left of it point right and
+    # vice versa (slot 0 unused, holder slot 0 = sink).
+    parent = array("i", chain((0,), range(2, holder + 1), (0,), range(holder, n)))
+    return Topology(
+        n=n,
+        adjacency=adjacency,
+        offsets=offsets,
+        token_holder=holder,
+        parent=parent,
+        diameter=n - 1,
+    )
 
 
-def star(
-    n: int,
-    *,
-    token_holder: Optional[int] = None,
-    compact: Optional[bool] = None,
-) -> Union[Topology, CompactTopology]:
+def star(n: int, *, token_holder: Optional[int] = None) -> Topology:
     """The centralized topology: node 1 connected to every other node.
 
     This is the paper's *best* topology (Figure 8): its diameter is 2, so the
@@ -115,34 +84,28 @@ def star(
     Args:
         n: number of nodes (``n >= 1``).
         token_holder: initial token holder; defaults to the centre, node 1.
-        compact: force the array-backed (``True``) or dict-backed (``False``)
-            representation; ``None`` picks by :data:`COMPACT_NODE_THRESHOLD`.
     """
     if n < 1:
         raise TopologyError(f"need at least one node, got {n}")
-    if _use_compact(n, compact):
-        holder = _default_holder(range(1, n + 1), token_holder)
-        hub = array("i", (1,))
-        adjacency = array("i", range(2, n + 1)) + hub * (n - 1)
-        offsets = array("i", chain((0,), range(n - 1, 2 * n - 1)))
-        parent = hub * (n + 1)
-        parent[0] = 0
-        parent[1] = 0
-        if holder != 1:
-            parent[1] = holder
-            parent[holder] = 0
-        diameter = 0 if n == 1 else (1 if n == 2 else 2)
-        return CompactTopology(
-            n=n,
-            adjacency=adjacency,
-            offsets=offsets,
-            token_holder=holder,
-            parent=parent,
-            diameter=diameter,
-        )
-    nodes = tuple(range(1, n + 1))
-    edges = tuple((1, node) for node in nodes[1:])
-    return Topology(nodes=nodes, edges=edges, token_holder=_default_holder(nodes, token_holder))
+    holder = _default_holder(n, token_holder)
+    hub = array("i", (1,))
+    adjacency = array("i", range(2, n + 1)) + hub * (n - 1)
+    offsets = array("i", chain((0,), range(n - 1, 2 * n - 1)))
+    parent = hub * (n + 1)
+    parent[0] = 0
+    parent[1] = 0
+    if holder != 1:
+        parent[1] = holder
+        parent[holder] = 0
+    diameter = 0 if n == 1 else (1 if n == 2 else 2)
+    return Topology(
+        n=n,
+        adjacency=adjacency,
+        offsets=offsets,
+        token_holder=holder,
+        parent=parent,
+        diameter=diameter,
+    )
 
 
 def radiating_star(arms: int, arm_length: int) -> Topology:
@@ -155,25 +118,32 @@ def radiating_star(arms: int, arm_length: int) -> Topology:
     """
     if arms < 1 or arm_length < 1:
         raise TopologyError("radiating star needs at least one arm of length one")
-    nodes: List[int] = [1]
-    edges: List[Tuple[int, int]] = []
-    next_id = 2
-    for _ in range(arms):
-        previous = 1
-        for _ in range(arm_length):
-            nodes.append(next_id)
-            edges.append((previous, next_id))
-            previous = next_id
-            next_id += 1
-    return Topology(nodes=tuple(nodes), edges=tuple(edges), token_holder=1)
+    n = 1 + arms * arm_length
+    starts = range(2, n + 1, arm_length)
+    adjacency = array("i", starts)
+    parent = array("i", (0, 0))
+    for start in starts:
+        # Each arm node's neighbour toward the hub, which is also its NEXT;
+        # every node but the tip lists it before the one farther out.
+        inward = array("i", chain((1,), range(start, start + arm_length - 1)))
+        parent.extend(inward)
+        adjacency.extend(chain.from_iterable(zip(inward, range(start + 1, start + arm_length))))
+        adjacency.append(inward[-1])
+    arm_degrees = (2,) * (arm_length - 1) + (1,)
+    offsets = array(
+        "i", accumulate(chain((0, arms), chain.from_iterable(repeat(arm_degrees, arms))))
+    )
+    return Topology(
+        n=n,
+        adjacency=adjacency,
+        offsets=offsets,
+        token_holder=1,
+        parent=parent,
+        diameter=arm_length if arms == 1 else 2 * arm_length,
+    )
 
 
-def balanced_tree(
-    branching: int,
-    depth: int,
-    *,
-    compact: Optional[bool] = None,
-) -> Union[Topology, CompactTopology]:
+def balanced_tree(branching: int, depth: int) -> Topology:
     """A balanced tree with the given branching factor and depth.
 
     Depth 0 is a single node; depth 1 with branching ``b`` is a star on
@@ -184,8 +154,6 @@ def balanced_tree(
     Args:
         branching: children per internal node (``>= 1``).
         depth: tree depth (``>= 0``).
-        compact: force the array-backed (``True``) or dict-backed (``False``)
-            representation; ``None`` picks by :data:`COMPACT_NODE_THRESHOLD`.
     """
     if branching < 1:
         raise TopologyError(f"branching factor must be >= 1, got {branching}")
@@ -193,68 +161,49 @@ def balanced_tree(
         raise TopologyError(f"depth must be >= 0, got {depth}")
     b = branching
     n = depth + 1 if b == 1 else (b ** (depth + 1) - 1) // (b - 1)
-    if _use_compact(n, compact):
-        leaf_count = b ** depth
-        internal = n - leaf_count
-        adjacency = array("i")
-        if depth > 0:
-            adjacency.extend(range(2, b + 2))
-            append = adjacency.append
-            extend = adjacency.extend
-            # Level-order numbering gives every node's parent and children in
-            # closed form: one pass, the children ranges extended in C.
-            for p in range(2, n + 1):
-                append((p - 2) // b + 1)
-                if p <= internal:
-                    first = (p - 1) * b + 2
-                    extend(range(first, first + b))
-            offsets = array(
-                "i",
-                accumulate(
-                    chain((0, b), repeat(b + 1, internal - 1), repeat(1, leaf_count))
-                ),
-            )
-        else:
-            offsets = array("i", (0, 0))
-        # In a complete tree every internal node has exactly b children, so
-        # the parent sequence for nodes 2..n repeats each internal id b times.
-        parent = array(
+    leaf_count = b ** depth
+    internal = n - leaf_count
+    adjacency = array("i")
+    if depth > 0:
+        adjacency.extend(range(2, b + 2))
+        append = adjacency.append
+        extend = adjacency.extend
+        # Level-order numbering gives every node's parent and children in
+        # closed form: one pass, the children ranges extended in C.
+        for p in range(2, n + 1):
+            append((p - 2) // b + 1)
+            if p <= internal:
+                first = (p - 1) * b + 2
+                extend(range(first, first + b))
+        offsets = array(
             "i",
-            chain(
-                (0, 0),
-                chain.from_iterable(repeat(v, b) for v in range(1, internal + 1)),
+            accumulate(
+                chain((0, b), repeat(b + 1, internal - 1), repeat(1, leaf_count))
             ),
         )
-        return CompactTopology(
-            n=n,
-            adjacency=adjacency,
-            offsets=offsets,
-            token_holder=1,
-            parent=parent,
-            diameter=depth if b == 1 else 2 * depth,
-        )
-    nodes: List[int] = [1]
-    edges: List[Tuple[int, int]] = []
-    current_level = [1]
-    next_id = 2
-    for _ in range(depth):
-        next_level: List[int] = []
-        for parent_id in current_level:
-            for _ in range(branching):
-                nodes.append(next_id)
-                edges.append((parent_id, next_id))
-                next_level.append(next_id)
-                next_id += 1
-        current_level = next_level
-    return Topology(nodes=tuple(nodes), edges=tuple(edges), token_holder=1)
+    else:
+        offsets = array("i", (0, 0))
+    # In a complete tree every internal node has exactly b children, so
+    # the parent sequence for nodes 2..n repeats each internal id b times.
+    parent = array(
+        "i",
+        chain(
+            (0, 0),
+            chain.from_iterable(repeat(v, b) for v in range(1, internal + 1)),
+        ),
+    )
+    return Topology(
+        n=n,
+        adjacency=adjacency,
+        offsets=offsets,
+        token_holder=1,
+        parent=parent,
+        diameter=depth if b == 1 else 2 * depth,
+    )
 
 
 def _prufer_edges(n: int, rng: SeededRNG) -> List[Tuple[int, int]]:
-    """Decode a random Prüfer sequence into a labelled tree's edge list.
-
-    Shared by both representations so a given seed produces the identical
-    tree either way.
-    """
+    """Decode a random Prüfer sequence into a labelled tree's edge list."""
     prufer = [rng.randint(1, n) for _ in range(n - 2)]
     degree = {node: 1 for node in range(1, n + 1)}
     for value in prufer:
@@ -277,50 +226,21 @@ def _prufer_edges(n: int, rng: SeededRNG) -> List[Tuple[int, int]]:
     return edges
 
 
-def random_tree(
-    n: int,
-    *,
-    seed: int = 0,
-    token_holder: Optional[int] = None,
-    compact: Optional[bool] = None,
-) -> Union[Topology, CompactTopology]:
+def random_tree(n: int, *, seed: int = 0, token_holder: Optional[int] = None) -> Topology:
     """A uniformly random labelled tree on ``n`` nodes (random Prüfer sequence).
 
-    Deterministic for a given ``seed`` — and identical across the dict-backed
-    and array-backed representations, which share the decode.  Useful for
-    property-based tests and for showing that the algorithm's correctness
-    does not depend on a particular tree shape.
+    Deterministic for a given ``seed``.  Useful for property-based tests and
+    for showing that the algorithm's correctness does not depend on a
+    particular tree shape.
     """
     if n < 1:
         raise TopologyError(f"need at least one node, got {n}")
-    if _use_compact(n, compact):
-        holder = _default_holder(range(1, n + 1), token_holder)
-        if n == 1:
-            return CompactTopology(
-                n=1,
-                adjacency=array("i"),
-                offsets=array("i", (0, 0)),
-                token_holder=holder,
-                diameter=0,
-            )
-        if n == 2:
-            edges: List[Tuple[int, int]] = [(1, 2)]
-        else:
-            edges = _prufer_edges(n, SeededRNG(seed, label="random-tree"))
-        adjacency, offsets = csr_from_edges(n, edges)
-        return CompactTopology(
-            n=n, adjacency=adjacency, offsets=offsets, token_holder=holder
-        )
-    nodes = tuple(range(1, n + 1))
-    if n == 1:
-        return Topology(nodes=nodes, edges=(), token_holder=_default_holder(nodes, token_holder))
-    if n == 2:
-        return Topology(
-            nodes=nodes, edges=((1, 2),), token_holder=_default_holder(nodes, token_holder)
-        )
-    edge_list = _prufer_edges(n, SeededRNG(seed, label="random-tree"))
-    holder = _default_holder(nodes, token_holder)
-    return Topology(nodes=nodes, edges=tuple(edge_list), token_holder=holder)
+    holder = _default_holder(n, token_holder)
+    if n <= 2:
+        edges = [(1, 2)] if n == 2 else []
+    else:
+        edges = _prufer_edges(n, SeededRNG(seed, label="random-tree"))
+    return Topology.from_edges(edges, token_holder=holder)
 
 
 def paper_figure2_topology() -> Topology:

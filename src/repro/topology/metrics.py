@@ -39,14 +39,13 @@ def diameter(topology: Topology) -> int:
     """Length of the longest path in the tree (the paper's ``D``).
 
     Computed with the standard double-BFS technique, which is exact on trees.
-    Array-backed topologies whose builder knows the diameter in closed form
-    (star, line, balanced tree) expose it as ``diameter_hint``, which skips
-    the double BFS — at a million nodes that is seconds and a ~100 MB
+    A topology whose builder knows the diameter in closed form (line, star,
+    radiating star, balanced tree) carries it as ``diameter_hint``, which
+    skips the double BFS — at a million nodes that is seconds and a ~100 MB
     distance dict saved per benchmark scenario.
     """
-    hint = getattr(topology, "diameter_hint", None)
-    if hint is not None:
-        return hint
+    if topology.diameter_hint is not None:
+        return topology.diameter_hint
     if topology.size == 1:
         return 0
     start = topology.nodes[0]

@@ -20,7 +20,8 @@ def validate_tree(nodes: Sequence[int], edges: Sequence[Tuple[int, int]]) -> Non
 
     Raises:
         TopologyError: if the graph is empty, has an edge touching an unknown
-            node, is disconnected, or contains a cycle.
+            node, a self-loop or a repeated edge, is disconnected, or contains
+            a cycle.
     """
     node_set = set(nodes)
     if not node_set:
@@ -30,6 +31,8 @@ def validate_tree(nodes: Sequence[int], edges: Sequence[Tuple[int, int]]) -> Non
             raise TopologyError(f"edge ({a}, {b}) references a node outside the topology")
         if a == b:
             raise TopologyError(f"self-loop edge ({a}, {b}) is not allowed")
+    if len({(a, b) if a < b else (b, a) for a, b in edges}) != len(edges):
+        raise TopologyError("duplicate edges in topology")
 
     if len(edges) != len(node_set) - 1:
         raise TopologyError(
@@ -54,5 +57,8 @@ def validate_tree(nodes: Sequence[int], edges: Sequence[Tuple[int, int]]) -> Non
                 frontier.append(neighbour)
     if seen != node_set:
         missing = sorted(node_set - seen)
-        raise TopologyError(f"topology is disconnected; unreachable nodes: {missing}")
+        raise TopologyError(
+            f"topology is disconnected, so its {len(edges)} edges close a cycle; "
+            f"unreachable nodes: {missing}"
+        )
 

@@ -143,16 +143,7 @@ class ExperimentDriver:
         self._backlog: Dict[int, Union[CSRequest, Deque[CSRequest]]] = {}
         # The request currently being served (or waited on) per node.
         self._active: Dict[int, CSRequest] = {}
-        system._on_enter = self._handle_enter  # driver owns the enter hook
-        # Columnar (compact-backend) systems route every node's enter hook
-        # through one state object; object-backend systems rebind per node.
-        state = system.compact_state
-        self._compact = state
-        if state is not None:
-            state.on_enter = self._handle_enter
-        else:
-            for node in system.nodes.values():
-                node._on_enter = self._handle_enter
+        self._compact = system.compact_state
 
     @classmethod
     def from_spec(
@@ -212,7 +203,28 @@ class ExperimentDriver:
                 faults ends the run and is recorded the same way.
         """
         with paused_collector():
-            return self._replay(max_events)
+            try:
+                return self._replay(max_events)
+            finally:
+                self._aim_enter_hooks(None)
+
+    def _aim_enter_hooks(self, handler) -> None:
+        """Point every node's enter hook at ``handler`` (``None`` clears them).
+
+        The hooks are the system's only references to the driver, so the
+        driver holds them only while a replay runs: :meth:`_load_arrivals`
+        sets them and :meth:`run` clears them on every way out.  Left set,
+        they would close a driver -> system -> nodes -> driver cycle, and a
+        finished driver, its whole schedule with it, would wait for the
+        collector instead of going with its last reference.  Columnar
+        (compact-backend) systems route every node's hook through one state
+        object; object-backend systems set it per node.
+        """
+        if self._compact is not None:
+            self._compact.on_enter = handler
+        else:
+            for node in self.system.nodes.values():
+                node._on_enter = handler
 
     def _replay(self, max_events: int) -> ExperimentResult:
         engine = self.system.engine
@@ -221,7 +233,7 @@ class ExperimentDriver:
             # Armed before the arrivals load, so fault events claim the same
             # engine sequence numbers on every replay, whatever the worker
             # count.
-            faults.arm(self.system, self)
+            faults.arm(self.system)
             self._fault_network = faults.network
         self._load_arrivals(engine)
         # Drive through the system's run() (not the engine directly) so that
@@ -306,8 +318,10 @@ class ExperimentDriver:
         workloads chunk-load instead: see :meth:`_load_streaming`.  Arrival
         times are validated by the workload, not re-checked per request; the
         head check below covers every request because schedules are
-        arrival-ordered.
+        arrival-ordered.  The enter hooks go in with the arrivals: nothing
+        enters a critical section before one.
         """
+        self._aim_enter_hooks(self._handle_enter)
         if isinstance(self.workload, StreamingWorkload):
             self._load_streaming(engine)
             return

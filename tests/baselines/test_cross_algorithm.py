@@ -42,7 +42,7 @@ def test_repeated_requests_by_every_node(algorithm):
     topology = balanced_tree(2, 2).with_token_holder(3)
     # Nodes take turns, two rounds, one request every 30 time units.
     workload = Workload(
-        tuple(CSRequest(node, slot * 30.0) for slot, node in enumerate(topology.nodes * 2))
+        tuple(CSRequest(node, slot * 30.0) for slot, node in enumerate(tuple(topology.nodes) * 2))
     )
     result = run_experiment(algorithm, topology, workload)
     assert result.completed_entries == 2 * topology.size

@@ -36,9 +36,7 @@ def drive_with_checks(system, workload, *, max_events=100_000):
     Returns the list of nodes whose requests were never granted.
     """
     checker = InvariantChecker(_View(system))
-    driver = ExperimentDriver(system, workload)
-    for request in workload:
-        system.engine.schedule_lite(request.arrival_time, driver._issue_or_queue, request)
+    ExperimentDriver(system, workload)._load_arrivals(system.engine)
     processed = 0
     while system.engine.pending_events and processed < max_events:
         system.engine.run(max_events=1)

@@ -26,7 +26,7 @@ def test_bootstrap_then_run_protocol_from_flooded_pointers():
     topology = random_tree(12, seed=8, token_holder=5)
     adjacency = {node: list(topology.neighbors(node)) for node in topology.nodes}
     pointers = run_initialization(adjacency, 5)
-    rebuilt = Topology(nodes=topology.nodes, edges=topology.edges, token_holder=5)
+    rebuilt = Topology.from_edges(topology.edges, token_holder=5)
     protocol = DagMutexProtocol(rebuilt, check_invariants=True)
     for node_id, expected_next in pointers.items():
         assert protocol.node(node_id).next_node == expected_next
@@ -123,10 +123,8 @@ def test_protocol_survives_a_long_mixed_stress_run():
     checker = InvariantChecker(View(system))
     original_run = system.engine.run
 
-    driver = ExperimentDriver(system, workload)
+    ExperimentDriver(system, workload)._load_arrivals(system.engine)
     # Step the engine manually so every event is followed by a full check.
-    for request in workload:
-        system.engine.schedule_lite(request.arrival_time, driver._issue_or_queue, request)
     while system.engine.pending_events:
         system.engine.run(max_events=1)
         checker.check()

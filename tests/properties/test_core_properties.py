@@ -151,17 +151,13 @@ def test_implicit_queue_is_well_formed_at_every_entry(spec):
     protocol_view = _ProtocolView(system)
 
     grant_log = []
-    driver = ExperimentDriver(system, workload)
 
-    def record_enter(node_id, time):
-        queue_at_entry = implicit_queue(protocol_view)
-        grant_log.append((node_id, queue_at_entry))
-        driver._handle_enter(node_id, time)
+    class RecordingDriver(ExperimentDriver):
+        def _handle_enter(self, node_id, time):
+            grant_log.append((node_id, implicit_queue(protocol_view)))
+            super()._handle_enter(node_id, time)
 
-    for node in system.nodes.values():
-        node._on_enter = record_enter
-
-    result = driver.run()
+    result = RecordingDriver(system, workload).run()
     assert result.completed_entries == len(workload)
     assert len(grant_log) == len(workload)
     for entering_node, queue in grant_log:

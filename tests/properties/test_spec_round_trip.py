@@ -56,7 +56,6 @@ def topologies(draw, min_n=1):
         kind=draw(st.sampled_from(TOPOLOGY_KINDS)),
         n=draw(st.integers(min_value=min_n, max_value=10**7)),
         seed=draw(seeds),
-        compact=draw(maybe(st.booleans())),
     )
 
 

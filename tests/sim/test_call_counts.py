@@ -16,7 +16,9 @@ lane (constant latency, nothing watching), one ``send`` per message and no
 forwarding frame between the protocol handler and the network; and one
 ``CSRequest.__init__`` per request of a schedule, with a heavy round built by
 C loops and no other frame per request.  The replay pins include the
-collector pause's ``__enter__`` and ``__exit__``, once each.  A change
+collector pause's ``__enter__`` and ``__exit__``, once each, and the driver's
+``_aim_enter_hooks`` twice (set with the arrivals, cleared on the way out of
+``run``).  A change
 that moves a count re-pins it here and records in ``CHANGES.md`` the
 before/after measurement that justifies the move; a failure prints the
 per-function table, pinned against now, largest move first.
@@ -66,8 +68,8 @@ PINNED = {
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "topology/base.py:size": 1,
         "workload/driver.py:<genexpr>": 153,
+        "workload/driver.py:_aim_enter_hooks": 2,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 100,
         "workload/driver.py:_issue_or_queue": 108,
@@ -99,8 +101,8 @@ PINNED = {
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "topology/base.py:size": 1,
         "workload/driver.py:<genexpr>": 102,
+        "workload/driver.py:_aim_enter_hooks": 2,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 100,
         "workload/driver.py:_issue_or_queue": 108,
@@ -131,8 +133,8 @@ PINNED = {
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "topology/base.py:size": 1,
         "workload/driver.py:<genexpr>": 553,
+        "workload/driver.py:_aim_enter_hooks": 2,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 500,
         "workload/driver.py:_issue_or_queue": 950,
@@ -164,8 +166,8 @@ PINNED = {
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "topology/base.py:size": 1,
         "workload/driver.py:<genexpr>": 502,
+        "workload/driver.py:_aim_enter_hooks": 2,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 500,
         "workload/driver.py:_issue_or_queue": 950,

@@ -10,7 +10,7 @@ from repro.topology.base import Topology
 
 def make_path():
     """1 - 2 - 3 - 4 with the token at 4."""
-    return Topology(nodes=(1, 2, 3, 4), edges=((1, 2), (2, 3), (3, 4)), token_holder=4)
+    return Topology.from_edges([(1, 2), (2, 3), (3, 4)], token_holder=4)
 
 
 def test_basic_properties():
@@ -24,47 +24,48 @@ def test_basic_properties():
 
 
 def test_edges_are_normalised_and_sorted():
-    topology = Topology(nodes=(1, 2, 3), edges=((3, 2), (2, 1)), token_holder=1)
+    topology = Topology.from_edges([(3, 2), (2, 1)], token_holder=1)
     assert topology.edges == ((1, 2), (2, 3))
 
 
 def test_single_node_topology():
-    topology = Topology(nodes=(1,), edges=(), token_holder=1)
+    topology = Topology.from_edges([], token_holder=1)
     assert topology.size == 1
     assert topology.leaves() == (1,)
     assert topology.next_pointers() == {1: None}
 
 
-def test_duplicate_nodes_rejected():
-    with pytest.raises(TopologyError):
-        Topology(nodes=(1, 1, 2), edges=((1, 2),), token_holder=1)
+def test_node_ids_other_than_one_to_n_rejected():
+    # Two edges make three nodes, 1..3: id 4 is not one of them.
+    with pytest.raises(TopologyError, match="outside the topology"):
+        Topology.from_edges([(1, 2), (2, 4)], token_holder=1)
 
 
 def test_duplicate_edges_rejected():
-    with pytest.raises(TopologyError):
-        Topology(nodes=(1, 2, 3), edges=((1, 2), (2, 1), (2, 3)), token_holder=1)
+    with pytest.raises(TopologyError, match="duplicate edges"):
+        Topology.from_edges([(1, 2), (2, 1), (2, 3)], token_holder=1)
 
 
 def test_self_loop_rejected():
-    with pytest.raises(TopologyError):
-        Topology(nodes=(1, 2), edges=((1, 1),), token_holder=1)
+    with pytest.raises(TopologyError, match="self-loop"):
+        Topology.from_edges([(1, 1)], token_holder=1)
 
 
 def test_unknown_token_holder_rejected():
-    with pytest.raises(TopologyError):
-        Topology(nodes=(1, 2), edges=((1, 2),), token_holder=9)
+    with pytest.raises(TopologyError, match="token holder 9"):
+        Topology.from_edges([(1, 2)], token_holder=9)
 
 
 def test_cycle_rejected():
-    with pytest.raises(TopologyError):
-        Topology(nodes=(1, 2, 3), edges=((1, 2), (2, 3), (1, 3)), token_holder=1)
+    with pytest.raises(TopologyError, match="cycle"):
+        Topology.from_edges([(1, 2), (2, 3), (1, 3)], token_holder=1)
 
 
 def test_disconnected_graph_rejected():
-    with pytest.raises(TopologyError):
-        Topology(nodes=(1, 2, 3, 4), edges=((1, 2), (3, 4), (2, 3), (1, 4)), token_holder=1)
-    with pytest.raises(TopologyError):
-        Topology(nodes=(1, 2, 3), edges=((1, 2),), token_holder=1)
+    with pytest.raises(TopologyError, match=r"unreachable nodes: \[5\]"):
+        Topology.from_edges([(1, 2), (3, 4), (2, 3), (1, 4)], token_holder=1)
+    with pytest.raises(TopologyError, match=r"unreachable nodes: \[3, 4, 5\]"):
+        Topology.from_edges([(3, 4), (4, 5), (5, 3), (1, 2)], token_holder=1)
 
 
 def test_unknown_node_in_neighbors_query():
@@ -91,13 +92,16 @@ def test_with_token_holder_unknown_node():
 
 def test_from_edges_infers_nodes():
     topology = Topology.from_edges([(1, 2), (2, 3)], token_holder=3)
-    assert topology.nodes == (1, 2, 3)
+    assert tuple(topology.nodes) == (1, 2, 3)
     assert topology.token_holder == 3
 
 
 def test_from_edges_single_node():
-    topology = Topology.from_edges([], token_holder=9)
-    assert topology.nodes == (9,)
+    topology = Topology.from_edges([], token_holder=1)
+    assert tuple(topology.nodes) == (1,)
+    # No edges make one node, and ids are 1..n: the lone node is node 1.
+    with pytest.raises(TopologyError, match="token holder 9"):
+        Topology.from_edges([], token_holder=9)
 
 
 def test_describe_mentions_size_and_holder():

@@ -1,11 +1,13 @@
-"""Array-backed (CSR) topologies must be indistinguishable from dict-backed.
+"""Every closed-form builder must agree with the generic edge-list path.
 
-The builders switch representation above ``COMPACT_NODE_THRESHOLD``; the
-contract is that nothing observable changes — adjacency, orientation, leaves,
-degrees, diameter — so these tests build both representations for every cell
-of the benchmark smoke matrix (and an assortment of edge shapes) and compare
-query by query.  A subprocess test pins the 1M-node construction's peak RSS,
-the number the streaming-pipeline tier depends on.
+The family builders write their CSR arrays — adjacency, offsets, the
+orientation toward the holder, the diameter — in closed form; the one
+validated entry for an explicit edge list, :meth:`Topology.from_edges`, fills
+the same arrays with :func:`csr_from_edges` and derives the orientation and
+diameter by search.  These tests build both for every cell size of the
+benchmark smoke matrix (and an assortment of edge shapes) and compare query
+by query.  A subprocess test pins the 1M-node construction's peak RSS, the
+number the streaming-pipeline tier depends on.
 """
 
 from __future__ import annotations
@@ -20,19 +22,16 @@ import pytest
 import repro
 
 from repro.bench import bench_matrix
-from repro.spec import TopologySpec
 from repro.exceptions import TopologyError
 from repro.topology import (
-    COMPACT_NODE_THRESHOLD,
-    CompactTopology,
     Topology,
     balanced_tree,
     diameter,
     line,
+    radiating_star,
     random_tree,
     star,
 )
-from repro.workload import WorkloadGenerator, run_experiment
 
 
 def tree_args(n: int):
@@ -40,142 +39,152 @@ def tree_args(n: int):
     return 2, max(1, (n - 1).bit_length() - 1)
 
 
-def assert_equivalent(compact: Topology, reference: Topology) -> None:
-    """Every public topology query must agree across representations."""
-    assert isinstance(compact, CompactTopology)
-    assert not isinstance(reference, CompactTopology)
-    assert list(compact.nodes) == list(reference.nodes)
-    assert compact.size == reference.size
-    assert compact.edges == reference.edges
-    assert compact.token_holder == reference.token_holder
-    assert compact.leaves() == reference.leaves()
+def radiating_args(n: int):
+    """The command line's radiating-star sizing rule (arms from node count)."""
+    arms = max(2, round((n - 1) ** 0.5))
+    return arms, max(1, (n - 1) // arms)
+
+
+def line_edges(n):
+    return [(v, v + 1) for v in range(1, n)]
+
+
+def star_edges(n):
+    return [(1, v) for v in range(2, n + 1)]
+
+
+def tree_edges(branching, depth):
+    """Level-order numbering: node ``v``'s parent is ``(v - 2) // b + 1``."""
+    n = sum(branching ** level for level in range(depth + 1))
+    return [((v - 2) // branching + 1, v) for v in range(2, n + 1)]
+
+
+def radiating_edges(arms, arm_length):
+    """The hub, then each arm numbered outward, one arm after the other."""
+    edges, next_id = [], 2
+    for _ in range(arms):
+        previous = 1
+        for _ in range(arm_length):
+            edges.append((previous, next_id))
+            previous, next_id = next_id, next_id + 1
+    return edges
+
+
+def assert_equivalent(built: Topology, reference: Topology) -> None:
+    """Every public topology query must agree between the two paths."""
+    assert list(built.nodes) == list(reference.nodes)
+    assert built.size == reference.size
+    assert built.edges == reference.edges
+    assert built.token_holder == reference.token_holder
+    assert built.leaves() == reference.leaves()
     for node in reference.nodes:
-        assert compact.neighbors(node) == reference.neighbors(node)
-        assert compact.degree(node) == reference.degree(node)
-    assert dict(compact.next_pointers()) == reference.next_pointers()
-    assert diameter(compact) == diameter(reference)
+        assert built.neighbors(node) == reference.neighbors(node)
+        assert built.degree(node) == reference.degree(node)
+    assert dict(built.next_pointers()) == dict(reference.next_pointers())
+    assert built.parent == reference.parent
+    assert diameter(built) == diameter(reference)
 
 
-@pytest.mark.parametrize("kind", ["line", "star", "tree"])
+@pytest.mark.parametrize("kind", ["line", "star", "tree", "radiating"])
 @pytest.mark.parametrize("n", sorted({cell.experiment.topology.n for cell in bench_matrix("smoke")}))
 def test_smoke_matrix_families_equal_reference(kind, n):
     if kind == "line":
-        compact, reference = line(n, compact=True), line(n, compact=False)
+        built, edges = line(n), line_edges(n)
     elif kind == "star":
-        compact, reference = star(n, compact=True), star(n, compact=False)
+        built, edges = star(n), star_edges(n)
+    elif kind == "tree":
+        built, edges = balanced_tree(*tree_args(n)), tree_edges(*tree_args(n))
     else:
-        b, d = tree_args(n)
-        compact = balanced_tree(b, d, compact=True)
-        reference = balanced_tree(b, d, compact=False)
-    assert_equivalent(compact, reference)
+        built, edges = radiating_star(*radiating_args(n)), radiating_edges(*radiating_args(n))
+    assert built.diameter_hint is not None  # the closed form, not a search
+    assert_equivalent(built, Topology.from_edges(edges, token_holder=1))
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda c: line(1, compact=c),
-        lambda c: line(2, compact=c),
-        lambda c: line(9, token_holder=4, compact=c),
-        lambda c: star(1, compact=c),
-        lambda c: star(2, compact=c),
-        lambda c: star(9, token_holder=4, compact=c),
-        lambda c: star(9, compact=c).with_token_holder(7),
-        lambda c: star(9, token_holder=9, compact=c),
-        lambda c: balanced_tree(1, 0, compact=c),
-        lambda c: balanced_tree(1, 4, compact=c),
-        lambda c: balanced_tree(3, 3, compact=c),
-        lambda c: balanced_tree(2, 3, compact=c).with_token_holder(11),
-    ],
-)
-def test_edge_shapes_equal_reference(build):
-    assert_equivalent(build(True), build(False))
+EDGE_SHAPES = {
+    "line(1)": (lambda: line(1), [], 1),
+    "line(2)": (lambda: line(2), line_edges(2), 1),
+    "line(9)@4": (lambda: line(9, token_holder=4), line_edges(9), 4),
+    "star(1)": (lambda: star(1), [], 1),
+    "star(2)": (lambda: star(2), star_edges(2), 1),
+    "star(9)@4": (lambda: star(9, token_holder=4), star_edges(9), 4),
+    "star(9)->7": (lambda: star(9).with_token_holder(7), star_edges(9), 7),
+    "star(9)@9": (lambda: star(9, token_holder=9), star_edges(9), 9),
+    "tree(1,0)": (lambda: balanced_tree(1, 0), [], 1),
+    "tree(1,4)": (lambda: balanced_tree(1, 4), tree_edges(1, 4), 1),
+    "tree(3,3)": (lambda: balanced_tree(3, 3), tree_edges(3, 3), 1),
+    "tree(2,3)->11": (lambda: balanced_tree(2, 3).with_token_holder(11), tree_edges(2, 3), 11),
+    "radiating(1,1)": (lambda: radiating_star(1, 1), radiating_edges(1, 1), 1),
+    "radiating(1,4)": (lambda: radiating_star(1, 4), radiating_edges(1, 4), 1),
+    "radiating(5,1)": (lambda: radiating_star(5, 1), radiating_edges(5, 1), 1),
+    "radiating(4,3)": (lambda: radiating_star(4, 3), radiating_edges(4, 3), 1),
+    "radiating(3,3)->8": (
+        lambda: radiating_star(3, 3).with_token_holder(8), radiating_edges(3, 3), 8
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(EDGE_SHAPES))
+def test_edge_shapes_equal_reference(shape):
+    build, edges, holder = EDGE_SHAPES[shape]
+    assert_equivalent(build(), Topology.from_edges(edges, token_holder=holder))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 60])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_random_tree_is_identical_across_representations(n, seed):
-    compact = random_tree(n, seed=seed, compact=True)
-    reference = random_tree(n, seed=seed, compact=False)
-    assert_equivalent(compact, reference)
+def test_random_tree_is_its_edge_list_in_any_order(n, seed):
+    """The CSR fill is canonical: the decoded edges, reversed and each pair
+    flipped, make the same topology, rooted at either end of the id range."""
+    built = random_tree(n, seed=seed)
+    flipped = [(b, a) for a, b in reversed(built.edges)]
+    assert_equivalent(built, Topology.from_edges(flipped, token_holder=1))
+    assert_equivalent(
+        random_tree(n, seed=seed, token_holder=n), Topology.from_edges(flipped, token_holder=n)
+    )
 
 
 def test_non_default_orientation_matches_reference():
-    compact = star(30, compact=True)
-    reference = star(30, compact=False)
+    built = star(30)
+    reference = Topology.from_edges(star_edges(30), token_holder=1)
     for toward in (1, 13, 30):
-        assert (dict(compact.with_token_holder(toward).next_pointers())
-                == reference.with_token_holder(toward).next_pointers())
-    rerooted = compact.with_token_holder(13)
-    assert isinstance(rerooted, CompactTopology)
-    assert dict(rerooted.next_pointers()) == reference.with_token_holder(13).next_pointers()
-    assert compact.with_token_holder(compact.token_holder) is compact
+        assert_equivalent(built.with_token_holder(toward), reference.with_token_holder(toward))
+    assert built.with_token_holder(built.token_holder) is built
 
 
 def test_next_pointers_view_behaves_like_a_mapping():
-    compact = balanced_tree(2, 3, compact=True)
-    pointers = compact.next_pointers()
-    assert len(pointers) == compact.size
+    topology = balanced_tree(2, 3)
+    pointers = topology.next_pointers()
+    assert len(pointers) == topology.size
     assert pointers[1] is None  # the holder is the sink
     assert pointers[4] == 2
-    assert set(pointers) == set(compact.nodes)
+    assert set(pointers) == set(topology.nodes)
     assert pointers.get(9999) is None  # Mapping.get on unknown node
     with pytest.raises(KeyError):
         pointers[9999]
 
 
 def test_unknown_nodes_are_rejected():
-    compact = star(12, compact=True)
+    topology = star(12)
     with pytest.raises(TopologyError):
-        compact.neighbors(13)
+        topology.neighbors(13)
     with pytest.raises(TopologyError):
-        compact.degree(0)
+        topology.degree(0)
     with pytest.raises(TopologyError):
-        compact.with_token_holder(99)
+        topology.with_token_holder(99)
     with pytest.raises(TopologyError):
-        star(10, token_holder=11, compact=True)
-
-
-def test_builders_auto_select_compact_at_threshold():
-    assert isinstance(star(COMPACT_NODE_THRESHOLD), CompactTopology)
-    assert not isinstance(star(100), CompactTopology)
-    assert isinstance(line(COMPACT_NODE_THRESHOLD), CompactTopology)
-    assert not isinstance(balanced_tree(2, 5), CompactTopology)
-    # TopologySpec.build (the frozen benchmark path) inherits the auto-selection.
-    assert isinstance(TopologySpec(kind="star", n=100_000).build(), CompactTopology)
-    assert not isinstance(TopologySpec(kind="star", n=1000).build(), CompactTopology)
-
-
-def test_replay_is_identical_across_representations():
-    """The whole point: swapping representation can never change a replay."""
-    for algorithm in ("dag", "raymond"):
-        results = []
-        for compact in (True, False):
-            topology = star(15, compact=compact)
-            workload = WorkloadGenerator(topology.nodes, seed=3).heavy_demand(rounds=3)
-            result = run_experiment(algorithm, topology, workload)
-            results.append(
-                (
-                    result.entry_order,
-                    result.total_messages,
-                    result.messages_by_type,
-                    result.finished_at,
-                )
-            )
-        assert results[0] == results[1], algorithm
+        star(10, token_holder=11)
 
 
 def test_million_node_balanced_tree_builds_in_bounded_rss():
-    """Peak-RSS bound for the compact 1M-node build, measured in a fresh
-    process so earlier tests cannot inflate (or mask) the number.
+    """Peak-RSS bound for the 1M-node build, measured in a fresh process so
+    earlier tests cannot inflate (or mask) the number.
 
-    The dict-backed representation needs roughly a gigabyte here; the CSR
-    arrays plus interpreter baseline stay comfortably under 400 MB.
+    A dict-of-tuples adjacency needs roughly a gigabyte here; the CSR arrays
+    plus interpreter baseline stay comfortably under 400 MB.
     """
     code = (
         "import resource, sys\n"
-        "from repro.topology import balanced_tree, CompactTopology, diameter\n"
+        "from repro.topology import balanced_tree, diameter\n"
         "t = balanced_tree(2, 19)\n"  # 2**20 - 1 = 1_048_575 nodes
-        "assert isinstance(t, CompactTopology)\n"
         "assert t.size == 1_048_575\n"
         "assert diameter(t) == 38\n"
         "assert t.neighbors(1) == (2, 3)\n"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -70,6 +71,38 @@ def test_neither_dag_backend_allocates_a_reference_cycle(backend, collect_metric
 @pytest.mark.parametrize("cell", fault_matrix(), ids=lambda cell: cell.name)
 def test_a_fault_injected_replay_allocates_no_reference_cycle(cell):
     assert unreachable_after_replay(cell.experiment) == 0
+
+
+CRASH_RECOVER = next(
+    cell for cell in fault_matrix() if cell.name == "dag-star-n50-heavy+crash-recover"
+)
+
+
+@pytest.mark.parametrize(
+    "backend, spec",
+    [
+        ("object", heavy_spec()),
+        ("compact", heavy_spec()),
+        ("object", CRASH_RECOVER.experiment),
+    ],
+    ids=["object", "compact", CRASH_RECOVER.name],
+)
+def test_a_finished_driver_goes_with_its_last_reference(backend, spec):
+    # The nodes' enter hooks are bound to the driver only while run() runs;
+    # left set after it, they would pin the driver and its whole schedule
+    # behind a cycle through the system.  Nothing here collects.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with forced_node_backend(backend):
+            driver = ExperimentDriver.from_spec(spec)
+        driver.run()
+        refs = weakref.ref(driver), weakref.ref(driver.workload)
+        del driver
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # --------------------------------------------------------------------------- #
