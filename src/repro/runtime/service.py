@@ -25,6 +25,13 @@ peer as readily as a packed one.  ``session``, ``epoch`` and ``grant_epoch``
 must be integers; one that is not is that op's ``ok: false``, not the
 connection's end.
 
+Dicts are the control plane's and the public codec's form.  A lock op is
+fields from end to end: the client packs its acquire or release from them,
+the shard's connection cuts a packed one into them and calls
+:meth:`LockServiceShard._lock_op` — the one op path, which a JSON acquire or
+release also reaches once :meth:`LockServiceShard._handle_op` has checked its
+fields — and the grant or ack goes back packed from fields.
+
 Inside a shard, each key's tree is a :class:`~repro.runtime.cluster
 .LocalCluster` of :class:`~repro.runtime.node_runtime.AsyncDagNode` *agents*
 over an in-process transport.  A client acquire claims a free agent (one
@@ -75,7 +82,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.inspector import implicit_queue, waiting_nodes
 from repro.exceptions import (
@@ -102,6 +109,10 @@ from repro.runtime.transport_socket import (
     encode_frame,
     normalise_address,
     open_frame_connection,
+    pack_ack,
+    pack_acquire,
+    pack_grant,
+    pack_release,
     start_frame_server,
 )
 from repro.sim.rng import SeededRNG
@@ -244,20 +255,38 @@ class _Hold:
     session: int
     ticket: int
     epoch: int
-    conn_state: Dict[str, bool]
-
-
-#: How an op's answer leaves: the connection's :meth:`FrameProtocol.send`.
-Reply = Callable[[Dict[str, Any]], None]
+    conn: FrameProtocol
 
 
 @dataclass
 class _Inflight:
     """One acquire waiting for its grant; duplicates join instead of re-executing."""
 
-    #: (conn state, reply, op id) of everyone who asked, in arrival order.
-    requesters: List[Tuple[Dict[str, bool], Reply, Any]]
+    #: (connection, op id) of everyone who asked, in arrival order.
+    requesters: List[Tuple[FrameProtocol, Any]]
     cancelled: bool = False  #: the client gave up; release on grant
+
+
+#: An op's outcome as the op cache keeps it and :func:`_answer` sends it: a
+#: grant's epoch (``int``), ``True`` for a release's ``ok``, or the dict of an
+#: ``ok: false`` answer.  The op id is added when it is sent.
+Answer = Union[int, bool, Dict[str, Any]]
+
+def _answer(conn: FrameProtocol, op_id: Any, answer: Answer) -> None:
+    """Queue ``answer`` to the op ``op_id`` on ``conn``.
+
+    A grant and an ack are packed from their fields, and fall back to the
+    JSON text :func:`encode_frame` would write (an id that is not a string,
+    say) in the same key order; a refusal is its dict plus the id.
+    """
+    if answer is True:
+        conn.send_frame(pack_ack(op_id) or encode_frame({"ok": True, "id": op_id}))
+    elif type(answer) is int:
+        conn.send_frame(
+            pack_grant(answer, op_id) or encode_frame({"ok": True, "epoch": answer, "id": op_id})
+        )
+    else:
+        conn.send({**answer, "id": op_id})
 
 
 class LockServiceShard:
@@ -292,7 +321,7 @@ class LockServiceShard:
         self._holders: Dict[str, int] = {}  # key -> session
         self._held: Dict[Tuple[int, str], _Hold] = {}  # (session, key) -> hold
         self._inflight: Dict[str, _Inflight] = {}
-        self._op_cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._op_cache: "OrderedDict[str, Answer]" = OrderedDict()
         self._view = ClusterView(
             epoch=0, shards={shard: None for shard in range(spec.shards)}
         )
@@ -454,39 +483,49 @@ class LockServiceShard:
     def _accept(self) -> FrameProtocol:
         """One client connection: each frame is served as it is cut.
 
-        Back-pressure is the protocol's: a peer that stops reading its
-        answers stops being read.  ``state`` is what holds and waiting
-        acquires keep of the connection, to see whether it is still there.
+        A packed acquire or release arrives as fields (``on_op``), every
+        other frame as a payload (``on_frame``).  Back-pressure is the
+        protocol's: a peer that stops reading its answers stops being read.
+        Holds and waiting acquires keep the protocol itself, and its
+        ``closed`` says whether the connection is still there.
         """
-        state = {"open": True}
+        drop_rate = self._drop_rate
+
+        def dropped() -> bool:
+            # The injected fault: the frame was "lost on the wire".  The
+            # client's deadline fires and its retry (same op id) is
+            # deduplicated if the original did get through.
+            if self._drop_rng.random() < drop_rate:
+                self.stats["dropped_frames"] += 1
+                return True
+            return False
 
         def on_frame(frame: Dict[str, Any]) -> None:
             if frame.get("op") == "shutdown":
-                reply({"id": frame.get("id"), "ok": True})
+                proto.send({"id": frame.get("id"), "ok": True})
                 proto.flush()  # the ack must leave before the process does
                 self._shutdown.set()
                 proto.close()
-            elif self._drop_rate > 0.0 and self._drop_rng.random() < self._drop_rate:
-                # The injected fault: the frame was "lost on the wire".
-                # The client's deadline fires and its retry (same op id)
-                # is deduplicated if the original did get through.
-                self.stats["dropped_frames"] += 1
-            else:
-                self._handle_op(frame, state, reply)
+            elif not (drop_rate > 0.0 and dropped()):
+                self._handle_op(frame, proto)
+
+        def on_op(
+            op: str, key: str, session: int, grant_epoch: Optional[int], epoch: int, op_id: str
+        ) -> None:
+            if not (drop_rate > 0.0 and dropped()):
+                self._lock_op(op, key, session, grant_epoch, epoch, op_id, proto)
 
         def on_close(error: Optional[Exception]) -> None:
             # A reset peer or a broken frame is just a disconnect.
-            state["open"] = False
             self._connections.discard(proto)
             # Release everything this connection's sessions still hold; a
-            # waiting acquire sees state["open"] is False when granted and
+            # waiting acquire sees the connection closed when granted and
             # releases itself (counted under "abandoned").
             for hold in list(self._held.values()):
-                if hold.conn_state is state:
+                if hold.conn is proto:
                     self._abandon(hold)
 
-        proto = FrameProtocol(on_frame, on_close)
-        reply = proto.send
+        proto = FrameProtocol(on_frame, on_close, on_op)
         self._connections.add(proto)
         return proto
 
@@ -521,15 +560,22 @@ class LockServiceShard:
                 return True
         return False
 
-    def _cache_op(self, uid: str, payload: Dict[str, Any]) -> None:
-        self._op_cache[uid] = payload
+    def _cache_op(self, uid: str, answer: Answer) -> None:
+        self._op_cache[uid] = answer
         while len(self._op_cache) > OP_CACHE_SIZE:
             self._op_cache.popitem(last=False)
 
-    def _handle_op(self, frame: Dict[str, Any], state: Dict[str, bool], reply: Reply) -> None:
-        """Serve one op and answer it, unless it is an acquire that must wait."""
+    def _handle_op(self, frame: Dict[str, Any], conn: FrameProtocol) -> None:
+        """Serve one op that arrived as a payload.
+
+        The control ops are served here.  An acquire or release — a JSON one
+        from a hand-written peer, or one whose fields did not fit the packed
+        layout — has its fields checked and goes on to :meth:`_lock_op`, the one
+        op path, exactly as a packed one does.
+        """
         op = frame.get("op")
         op_id = frame.get("id")
+        reply = conn.send
         try:
             if op == "stats":
                 stats_payload = {
@@ -569,29 +615,53 @@ class LockServiceShard:
             session = frame.get("session", 0)
             if op not in ("acquire", "release"):
                 raise LockError(f"unknown op {op!r}")
-            if not isinstance(key, str) or not key:
-                raise LockError("op needs a non-empty string 'key'")
             # A packed frame's integers are integers by construction, a JSON
             # frame's are whatever its peer wrote; past this line they are
             # used as they come.  bool is not an integer here.
             epoch, grant_epoch = frame.get("epoch", 0), frame.get("grant_epoch", 0)
             if not (type(session) is type(epoch) is type(grant_epoch) is int):
                 raise LockError("'session', 'epoch' and 'grant_epoch' must be integers")
-            payload = self._check_route(key, frame)
-            if payload is not None:
-                self.stats["errors"] += 1
-            elif op == "acquire":
-                payload = self._acquire_op(str(op_id), key, session, (state, reply, op_id))
-                if payload is None:
-                    return  # the grant will answer it
-            else:
-                payload = self._release_op(str(op_id), key, session, frame)
-            reply({**payload, "id": op_id})
         except LockError as exc:
             self.stats["errors"] += 1
             reply({"id": op_id, "ok": False, "error": str(exc)})
+            return
+        # A release without a grant epoch is not fenced.
+        self._lock_op(op, key, session, frame.get("grant_epoch"), epoch, op_id, conn)
 
-    def _check_route(self, key: str, frame: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    def _lock_op(
+        self,
+        op: str,
+        key: str,
+        session: int,
+        grant_epoch: Optional[int],
+        epoch: int,
+        op_id: Any,
+        conn: FrameProtocol,
+    ) -> None:
+        """Serve one acquire or release from its fields and answer it.
+
+        The one op path, whichever way the op was spelled on the wire.  An
+        acquire that must wait is answered by its grant instead.
+        """
+        try:
+            if type(key) is not str or not key:
+                raise LockError("op needs a non-empty string 'key'")
+            answer = self._check_route(key, epoch)
+            if answer is not None:
+                self.stats["errors"] += 1
+            elif op == "acquire":
+                answer = self._acquire_op(str(op_id), key, session, (conn, op_id))
+                if answer is None:
+                    return  # the grant will answer it
+            else:
+                answer = self._release_op(str(op_id), key, session, grant_epoch)
+        except LockError as exc:
+            self.stats["errors"] += 1
+            conn.send({"id": op_id, "ok": False, "error": str(exc)})
+            return
+        _answer(conn, op_id, answer)
+
+    def _check_route(self, key: str, epoch: int) -> Optional[Dict[str, Any]]:
         """Ownership check against the current view.
 
         Same-epoch disagreement is a client routing bug (loud, not
@@ -612,13 +682,12 @@ class LockServiceShard:
         owner = view.owner_for(key)
         if owner == self.index:
             return None
-        frame_epoch = frame.get("epoch", 0)
-        if frame_epoch == view.epoch:
+        if epoch == view.epoch:
             raise LockError(
                 f"key {key!r} belongs to shard {owner}, not {self.index} "
                 "(client routing bug)"
             )
-        if frame_epoch < view.epoch:
+        if epoch < view.epoch:
             return {
                 "ok": False,
                 "code": "wrong-shard",
@@ -629,7 +698,7 @@ class LockServiceShard:
             "ok": False,
             "code": "stale-shard",
             "error": (
-                f"op routed under epoch {frame_epoch} but shard {self.index} "
+                f"op routed under epoch {epoch} but shard {self.index} "
                 f"is still at {view.epoch}"
             ),
         }
@@ -653,8 +722,8 @@ class LockServiceShard:
         return keyed
 
     def _acquire_op(
-        self, uid: str, key: str, session: int, requester: Tuple[Dict[str, bool], Reply, Any]
-    ) -> Optional[Dict[str, Any]]:
+        self, uid: str, key: str, session: int, requester: Tuple[FrameProtocol, Any]
+    ) -> Optional[Answer]:
         """The acquire's answer, or ``None`` when its grant gives (or gave) it."""
         cached = self._op_cache.get(uid)
         if cached is not None:
@@ -662,7 +731,7 @@ class LockServiceShard:
             # stands) to the connection retrying it, then replay the result.
             hold = self._held.get((session, key))
             if hold is not None and hold.uid == uid:
-                hold.conn_state = requester[0]
+                hold.conn = requester[0]
                 self._holders[key] = session
             return cached
         existing = self._inflight.get(uid)
@@ -673,9 +742,9 @@ class LockServiceShard:
             return None
         if (session, key) in self._held:
             self.stats["errors"] += 1
-            payload = {"ok": False, "error": f"session {session} already holds {key!r}"}
-            self._cache_op(uid, payload)
-            return payload
+            answer = {"ok": False, "error": f"session {session} already holds {key!r}"}
+            self._cache_op(uid, answer)
+            return answer
         keyed = self._keyed_lock(key)
         started = time.perf_counter() if self._obs_enabled else 0.0
         ticket = keyed.try_acquire()
@@ -708,9 +777,8 @@ class LockServiceShard:
         that freed it.
         """
         del self._inflight[uid]
-        owner_state = next(
-            (asker[0] for asker in reversed(record.requesters) if asker[0]["open"]),
-            None,
+        owner = next(
+            (conn for conn, _op_id in reversed(record.requesters) if not conn.closed), None
         )
         if record.cancelled:
             # The client spent its retry budget and asked us to cancel:
@@ -718,26 +786,26 @@ class LockServiceShard:
             # Cached so a straggling duplicate replays the cancellation.
             self.stats["cancelled"] += 1
             keyed.release(ticket)
-            payload = {
+            answer: Answer = {
                 "ok": False,
                 "code": "cancelled",
                 "error": "acquire cancelled by client",
             }
-            self._cache_op(uid, payload)
-        elif owner_state is None:
+            self._cache_op(uid, answer)
+        elif owner is None:
             # Every connection that asked is gone: the grant has no
             # owner, so hand the token straight back.  Not cached — a
             # later retry of this uid must execute a fresh acquire.
             self.stats["abandoned"] += 1
             keyed.release(ticket)
-            payload = {"ok": False, "code": "abandoned", "error": "connection lost"}
+            answer = {"ok": False, "code": "abandoned", "error": "connection lost"}
         else:
-            hold = _Hold(uid, key, session, ticket, self._view.epoch, owner_state)
-            payload = self._grant(hold, depth, started)
-        for _state, reply, op_id in record.requesters:
-            reply({**payload, "id": op_id})
+            hold = _Hold(uid, key, session, ticket, self._view.epoch, owner)
+            answer = self._grant(hold, depth, started)
+        for conn, op_id in record.requesters:
+            _answer(conn, op_id, answer)
 
-    def _grant(self, hold: _Hold, depth: int, started: float) -> Dict[str, Any]:
+    def _grant(self, hold: _Hold, depth: int, started: float) -> int:
         """Book one grant — the one place, for the inline and the waiting route.
 
         ``depth`` is the key's implicit queue as the acquire found it and
@@ -754,25 +822,24 @@ class LockServiceShard:
         self._holders[hold.key] = hold.session
         self._held[(hold.session, hold.key)] = hold
         self.stats["acquires"] += 1
-        payload = {"ok": True, "epoch": hold.epoch}
-        self._cache_op(hold.uid, payload)
-        return payload
+        self._cache_op(hold.uid, hold.epoch)
+        return hold.epoch
 
     def _release_op(
-        self, uid: str, key: str, session: int, frame: Dict[str, Any]
-    ) -> Dict[str, Any]:
+        self, uid: str, key: str, session: int, grant_epoch: Optional[int]
+    ) -> Answer:
+        """The release's answer; ``grant_epoch`` is ``None`` when the op had none."""
         cached = self._op_cache.get(uid)
         if cached is not None:
             return cached
         hold = self._held.pop((session, key), None)
         if hold is None:
-            grant_epoch = frame.get("grant_epoch")
             if grant_epoch is not None and grant_epoch < self._view.epoch:
                 # The grant predates a failover: the holder's shard died and
                 # the key moved on.  Rejecting (rather than "ok") tells the
                 # holder its critical section lost its protection.
                 self.stats["fenced"] += 1
-                payload = {
+                answer: Answer = {
                     "ok": False,
                     "code": "fenced",
                     "error": (
@@ -780,16 +847,15 @@ class LockServiceShard:
                         f"the cluster is at epoch {self._view.epoch}"
                     ),
                 }
-                self._cache_op(uid, payload)
-                return payload
+                self._cache_op(uid, answer)
+                return answer
             raise LockError(f"session {session} does not hold {key!r}")
         self._holders.pop(key, None)
         self._op_cache.pop(hold.uid, None)  # the grant is spent; never replay it
         self._locks[key].release(hold.ticket)
         self.stats["releases"] += 1
-        payload = {"ok": True}
-        self._cache_op(uid, payload)
-        return payload
+        self._cache_op(uid, True)
+        return True
 
 
 def _shard_main(spec_dict: Dict[str, Any], index: int, address, pipe) -> None:
@@ -1114,18 +1180,12 @@ class LockClient:
     # ops
     # ------------------------------------------------------------------ #
     async def acquire(self, key: str, *, session: int = 0) -> None:
-        response = await self._call(
-            {"op": "acquire", "key": key, "session": session}, key=key, session=session
-        )
+        response = await self._call("acquire", key, session, None)
         self._grants[(session, key)] = int(response.get("epoch", self._view.epoch))
 
     async def release(self, key: str, *, session: int = 0) -> None:
-        frame = {"op": "release", "key": key, "session": session}
-        grant_epoch = self._grants.get((session, key))
-        if grant_epoch is not None:
-            frame["grant_epoch"] = grant_epoch
         try:
-            await self._call(frame, key=key, session=session)
+            await self._call("release", key, session, self._grants.get((session, key)))
         finally:
             self._grants.pop((session, key), None)
 
@@ -1155,13 +1215,13 @@ class LockClient:
     # the retry loop
     # ------------------------------------------------------------------ #
     async def _traced_call(
-        self, frame: Dict[str, Any], *, key: str, session: int
+        self, op: str, key: str, session: int, grant_epoch: Optional[int]
     ) -> Dict[str, Any]:
         started = time.perf_counter()
         retries_before = self.retry_stats["retries"] + self.retry_stats["reroutes"]
         outcome = "error"
         try:
-            response = await self._call_loop(frame, key=key, session=session)
+            response = await self._call_loop(op, key, session, grant_epoch)
             outcome = "ok"
             return response
         except LockFencedError:
@@ -1178,8 +1238,8 @@ class LockClient:
             )
             self._trace.append(
                 {
-                    "name": f"{frame.get('op')} {key}",
-                    "cat": str(frame.get("op")),
+                    "name": f"{op} {key}",
+                    "cat": op,
                     "tid": session,
                     "start": started,
                     "end": time.perf_counter(),
@@ -1188,14 +1248,20 @@ class LockClient:
             )
 
     async def _call_loop(
-        self, frame: Dict[str, Any], *, key: str, session: int
+        self, op: str, key: str, session: int, grant_epoch: Optional[int]
     ) -> Dict[str, Any]:
+        """One acquire or release, retried until it is answered or out of budget.
+
+        Each attempt packs the op from its fields under the current view
+        (:func:`_op_frame`) and awaits the connection's future for it
+        directly: no coroutine between this one and the answer.
+        """
         if self._closed:
             raise LockError("client is closed")
         uid = self._next_uid()  # ONE id for every attempt: the dedup handle
         channel = session % self._channels
         attempts = 0
-        delays = backoff_delays()
+        delays = None  # the backoff schedule, built by the first retry that waits
         # The last failure's text, not the exception: a raised exception held
         # in this frame's locals is a reference cycle through its traceback.
         reason: Optional[str] = None
@@ -1204,10 +1270,10 @@ class LockClient:
             if not view.shards:
                 raise ShardUnavailableError("no live shards in the cluster view")
             shard = view.owner_for(key)
-            payload = {**frame, "epoch": view.epoch, "id": uid}
+            frame = _op_frame(op, key, session, grant_epoch, view.epoch, uid)
             try:
                 conn = self._conns.get((shard, channel)) or await self._connection(shard, channel)
-                response = await conn.call(uid, payload, self._op_timeout)
+                response = await conn.send(uid, frame, self._op_timeout)
             except asyncio.TimeoutError:
                 self.retry_stats["deadline_timeouts"] += 1
                 reason = f"op on shard {shard} exceeded its {self._op_timeout}s deadline"
@@ -1225,6 +1291,7 @@ class LockClient:
                 attempts += 1
                 self.retry_stats["retries"] += 1
                 await self._refresh_view(suspect=shard)
+                delays = delays or backoff_delays()
                 await asyncio.sleep(next(delays))
                 continue
             if response.get("ok"):
@@ -1245,10 +1312,11 @@ class LockClient:
                 reason = response.get("error", code)
                 attempts += 1
                 self.retry_stats["retries"] += 1
+                delays = delays or backoff_delays()
                 await asyncio.sleep(next(delays))
                 continue
             if code == "fenced":
-                if frame.get("op") == "release":
+                if op == "release":
                     # The grant lost its protection: the holder's critical
                     # section ran unfenced and must hear about it, loudly.
                     self.retry_stats["fenced"] += 1
@@ -1260,10 +1328,11 @@ class LockClient:
                 attempts += 1
                 self.retry_stats["reroutes"] += 1
                 await self._refresh_view(suspect=shard)
+                delays = delays or backoff_delays()
                 await asyncio.sleep(next(delays))
                 continue
             raise LockError(response.get("error", "lock service error"))
-        if frame.get("op") == "acquire":
+        if op == "acquire":
             await self._cancel_acquire(uid, key, session)
         raise ShardUnavailableError(
             reason or f"op {uid} exhausted its {self._max_retries} retries"
@@ -1313,7 +1382,7 @@ class LockClient:
                 continue
             try:
                 conn = await self._connection(shard, 0)
-                response = await self._control(conn, {"op": "view"}, 2.0)
+                response = await self._control(conn, {"op": "view"}, self._control_timeout())
             except (ShardUnavailableError, ConnectionError, OSError, asyncio.TimeoutError):
                 continue
             if response.get("ok") and "view" in response:
@@ -1332,21 +1401,50 @@ class LockClient:
         return conn
 
 
+def _op_frame(
+    op: str, key: str, session: int, grant_epoch: Optional[int], epoch: int, uid: str
+) -> bytes:
+    """One acquire's or release's frame, packed from its fields.
+
+    Where a field does not fit the layout (a session of 2**63, a key over
+    65 535 UTF-8 bytes, a lone surrogate, a release with no grant epoch) it
+    is the JSON text :func:`encode_frame` writes for the same payload, keys in
+    the same order.
+    """
+    if op == "acquire":
+        frame = pack_acquire(key, session, epoch, uid)
+    else:
+        frame = pack_release(key, session, grant_epoch, epoch, uid)
+    if frame is not None:
+        return frame
+    payload = {
+        "op": op, "key": key, "session": session, "grant_epoch": grant_epoch, "epoch": epoch,
+        "id": uid,
+    }
+    if grant_epoch is None:  # an acquire, or a release of no grant
+        del payload["grant_epoch"]
+    return encode_frame(payload)
+
+
 class _ClientConnection:
     """One framed connection: coalesced frames out, answers matched to callers in.
 
-    A :class:`FrameProtocol` hands every answer to :meth:`_on_frame` as it is
+    :meth:`send` queues a frame and hands back the future of its answer; a
+    :class:`FrameProtocol` hands every answer to :meth:`_on_frame` as it is
     cut from the socket, which resolves the future of the caller that sent
-    that op id; when the connection ends, for whatever reason, every caller
-    still waiting fails with :class:`ShardUnavailableError`.  No flow control
-    on the way out: every caller awaits its own answer, so at most one frame
-    per caller is ever queued.
+    that op id (and cancels its deadline); when the connection ends, for
+    whatever reason, every caller still waiting fails with
+    :class:`ShardUnavailableError`.  No flow control on the way out: every
+    caller awaits its own answer, so at most one frame per caller is ever
+    queued.
     """
 
     def __init__(self, address: Address) -> None:
         self._address = address
         self._proto: Optional[FrameProtocol] = None
-        self._pending: Dict[str, asyncio.Future] = {}
+        self._loop = asyncio.get_running_loop()
+        self._pending: Dict[Any, asyncio.Future] = {}
+        self._timers: Dict[Any, asyncio.TimerHandle] = {}  # op id -> its deadline
 
     async def open(self) -> None:
         try:
@@ -1362,40 +1460,52 @@ class _ClientConnection:
         if self._proto is not None:
             self._proto.close()
 
-    async def call(
-        self, op_id: str, frame: Dict[str, Any], timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """Send ``frame`` (which carries ``"id": op_id``) and await its answer.
+    def send(self, op_id: Any, frame: bytes, timeout: Optional[float] = None) -> asyncio.Future:
+        """Queue ``frame`` (the op ``op_id``); the future of its answer.
 
-        With a ``timeout`` the wait ends in :class:`asyncio.TimeoutError`.
+        With a ``timeout`` the future fails with :class:`asyncio.TimeoutError`
+        when it runs out.  A caller must not keep the future in a local once
+        it is done: a failed future holds its exception, whose traceback
+        holds the caller's frame — a reference cycle.
         """
         if self._proto is None or self._proto.is_closing():
             # A frame queued on a closing connection is dropped and a future
             # registered on a closed one never resolves: fail fast and let
             # the caller reconnect.
             raise ShardUnavailableError("lock service connection is not open")
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        future = self._loop.create_future()
         self._pending[op_id] = future
-        timer = None if timeout is None else loop.call_later(timeout, _expire, future)
-        try:
-            self._proto.send(frame)
-            return await future
-        finally:
-            # A failed future holds its exception, and the exception's
-            # traceback holds this frame: drop the future, or that is a cycle.
-            future = None
-            self._pending.pop(op_id, None)
-            if timer is not None:
-                timer.cancel()
+        if timeout is not None:
+            self._timers[op_id] = self._loop.call_later(timeout, self._expire, op_id)
+        self._proto.send_frame(frame)
+        return future
+
+    async def call(
+        self, op_id: Any, frame: Dict[str, Any], timeout: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """Send the payload ``frame`` (which carries ``"id": op_id``); its answer."""
+        return await self.send(op_id, encode_frame(frame), timeout)
 
     def _on_frame(self, response: Dict[str, Any]) -> None:
+        op_id = response.get("id")
         try:
-            future = self._pending.get(response.get("id"))
+            future = self._pending.pop(op_id, None)
         except TypeError:  # an id that cannot be hashed is no caller's
             return
-        if future is not None and not future.done():
+        if future is None:
+            return
+        if self._timers:
+            timer = self._timers.pop(op_id, None)
+            if timer is not None:
+                timer.cancel()
+        if not future.done():  # a cancelled caller's future is done
             future.set_result(response)
+
+    def _expire(self, op_id: Any) -> None:
+        self._timers.pop(op_id, None)
+        future = self._pending.pop(op_id, None)
+        if future is not None and not future.done():
+            future.set_exception(asyncio.TimeoutError())
 
     def _on_close(self, error: Optional[Exception]) -> None:
         failure = ShardUnavailableError(
@@ -1403,14 +1513,13 @@ class _ClientConnection:
             if error is None
             else f"lock service connection failed: {error}"
         )
-        for future in self._pending.values():
+        pending, self._pending = self._pending, {}
+        for timer in self._timers.values():
+            timer.cancel()
+        self._timers.clear()
+        for future in pending.values():
             if not future.done():
                 future.set_exception(failure)
-
-
-def _expire(future: asyncio.Future) -> None:
-    if not future.done():
-        future.set_exception(asyncio.TimeoutError())
 
 
 class LockSession:

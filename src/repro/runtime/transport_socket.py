@@ -19,18 +19,29 @@ of each string (unsigned 16-bit), then the strings' UTF-8 bytes:
     ``g``  {ok: true, epoch, id}                    epoch |id|, id
     ``k``  {ok: true, id}                           |id|, id
 
-The codec is dict in, dict out, and picks by itself: a payload is packed when
-its keys are exactly one of those shapes' and every field is exactly ``str``
-/ ``int`` (not ``bool``) inside its layout's range, and is JSON otherwise — an
-out-of-range session, an integer id, an acquire with one key more all travel
-as text and come back as they went in.  Nothing selects or announces a
-format: both ends are one build, and a JSON-encoded acquire from a
-hand-written peer decodes as it always did.
+Each layout has one positional packer (``pack_acquire`` ... ``pack_ack``:
+fields in, the whole frame out, ``None`` when a field does not fit) and one
+positional cutter (``cut_acquire`` ... ``cut_ack``: a body in, its fields
+out), and those are the layouts' one text.  The public codec is dict in, dict
+out — :func:`encode_frame` / :func:`decode_body`, built on those functions —
+and picks by itself: a payload is packed when its keys are exactly one of
+those shapes' and every field is exactly ``str`` / ``int`` (not ``bool``)
+inside its layout's range, and is JSON otherwise — an out-of-range session,
+an integer id, an acquire with one key more all travel as text and come back
+as they went in.  Nothing selects or announces a format: both ends are one
+build, and a JSON-encoded acquire from a hand-written peer decodes as it
+always did.
+
+The dict form is for the control plane, refusals and raw peers.  A lock op
+travels as fields: the client packs its acquire or release with a packer,
+the shard's :class:`FrameProtocol` hands a packed one's cut fields to its
+``on_op`` and the shard packs the grant or ack back from fields — falling
+back to :func:`encode_frame`'s JSON exactly where it would.
 
 Frames are read and written in one place, :class:`FrameProtocol`, an
 ``asyncio.Protocol`` that sits directly on the socket's transport: the lock
 shard's connections and the lock client's are both instances of it, differing
-only in the ``on_frame`` they are given.  :func:`read_frame` is the same rules
+only in the callbacks they are given.  :func:`read_frame` is the same rules
 over an ``asyncio.StreamReader``, kept for raw peers (tests, the benchmark's
 echo stub); both decode through :func:`decode_body`.
 """
@@ -69,40 +80,96 @@ RECONNECT_DELAY_MAX = 1.0
 #: ``json.dumps(..., separators=...)`` builds a fresh encoder on every call.
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
-#: The packed layouts (the module docstring's table): kind byte, integers,
-#: tail lengths; the tails follow the struct.
+#: The packed layouts (the module docstring's table), one struct per layout:
+#: kind byte, integers, tail lengths; the tails follow the struct.
 _ACQUIRE = struct.Struct(">cqqHH")  # b"a" session epoch |key| |id|
 _RELEASE = struct.Struct(">cqqqHH")  # b"r" session grant_epoch epoch |key| |id|
 _GRANT = struct.Struct(">cqH")  # b"g" epoch |id|
 _ACK = struct.Struct(">cH")  # b"k" |id|
+#: The same structs behind the frame header, so a packer writes a whole frame
+#: with one ``pack``.
+_ACQUIRE_FRAME, _RELEASE_FRAME, _GRANT_FRAME, _ACK_FRAME = (
+    struct.Struct(FRAME_HEADER.format + layout.format[1:])
+    for layout in (_ACQUIRE, _RELEASE, _GRANT, _ACK)
+)
+
+
+# One positional packer per layout: the whole frame, or ``None`` when a field
+# is outside the layout — not exactly ``str`` / ``int`` (``bool`` is not an
+# integer here: ``True`` must come back ``True``, not ``1``), an integer out of
+# signed 64-bit range, a string over 65 535 UTF-8 bytes or with a lone
+# surrogate.  A caller with ``None`` in hand sends the JSON text instead.
+def pack_acquire(key: Any, session: Any, epoch: Any, ident: Any) -> Optional[bytes]:
+    """An acquire's packed frame, or ``None`` when a field does not fit."""
+    if type(key) is type(ident) is str and type(session) is type(epoch) is int:
+        try:
+            key, ident = key.encode(), ident.encode()
+            return _ACQUIRE_FRAME.pack(
+                _ACQUIRE.size + len(key) + len(ident), b"a", session, epoch, len(key), len(ident)
+            ) + key + ident
+        except (struct.error, UnicodeEncodeError):
+            pass
+    return None
+
+
+def pack_release(
+    key: Any, session: Any, grant_epoch: Any, epoch: Any, ident: Any
+) -> Optional[bytes]:
+    """A release's packed frame, or ``None`` when a field does not fit."""
+    if type(key) is type(ident) is str and type(session) is type(grant_epoch) is type(epoch) is int:
+        try:
+            key, ident = key.encode(), ident.encode()
+            return _RELEASE_FRAME.pack(
+                _RELEASE.size + len(key) + len(ident),
+                b"r", session, grant_epoch, epoch, len(key), len(ident),
+            ) + key + ident
+        except (struct.error, UnicodeEncodeError):
+            pass
+    return None
+
+
+def pack_grant(epoch: Any, ident: Any) -> Optional[bytes]:
+    """A grant's (``{ok: true, epoch, id}``) packed frame, or ``None``."""
+    if type(ident) is str and type(epoch) is int:
+        try:
+            ident = ident.encode()
+            return _GRANT_FRAME.pack(_GRANT.size + len(ident), b"g", epoch, len(ident)) + ident
+        except (struct.error, UnicodeEncodeError):
+            pass
+    return None
+
+
+def pack_ack(ident: Any) -> Optional[bytes]:
+    """An ack's (``{ok: true, id}``) packed frame, or ``None``."""
+    if type(ident) is str:
+        try:
+            ident = ident.encode()
+            return _ACK_FRAME.pack(_ACK.size + len(ident), b"k", len(ident)) + ident
+        except (struct.error, UnicodeEncodeError):
+            pass
+    return None
 
 
 def _pack_op(payload: Dict[str, Any]) -> Optional[bytes]:
-    """An acquire's or a release's packed body; ``None`` for any other payload."""
+    """An acquire's or a release's frame as its packer writes it; ``None`` else."""
     get = payload.get
-    key, session, epoch, ident = get("key"), get("session"), get("epoch"), get("id")
-    if not (type(key) is type(ident) is str and type(session) is type(epoch) is int):
-        return None  # bool is not int here: True must come back True, not 1
-    key, ident = key.encode(), ident.encode()
-    op, granted = get("op"), get("grant_epoch")
+    op = get("op")
     if op == "acquire" and len(payload) == 5:
-        return _ACQUIRE.pack(b"a", session, epoch, len(key), len(ident)) + key + ident
-    if op == "release" and type(granted) is int:
-        return _RELEASE.pack(b"r", session, granted, epoch, len(key), len(ident)) + key + ident
+        return pack_acquire(get("key"), get("session"), get("epoch"), get("id"))
+    if op == "release":
+        return pack_release(
+            get("key"), get("session"), get("grant_epoch"), get("epoch"), get("id")
+        )
     return None
 
 
 def _pack_answer(payload: Dict[str, Any]) -> Optional[bytes]:
-    """A grant's or an ack's packed body; ``None`` for any other payload."""
-    ident, epoch = payload.get("id"), payload.get("epoch")
-    if payload.get("ok") is not True or type(ident) is not str:
+    """A grant's or an ack's frame as its packer writes it; ``None`` else."""
+    if payload.get("ok") is not True:
         return None
-    ident = ident.encode()
     if len(payload) == 2:
-        return _ACK.pack(b"k", len(ident)) + ident
-    if type(epoch) is int:
-        return _GRANT.pack(b"g", epoch, len(ident)) + ident
-    return None
+        return pack_ack(payload.get("id"))
+    return pack_grant(payload.get("epoch"), payload.get("id"))
 
 
 #: Key count -> the packer to try.  With the count right, every key it reads
@@ -117,17 +184,61 @@ def encode_frame(payload: Dict[str, Any]) -> bytes:
     inside its layout's range; the JSON text otherwise, whatever it holds.
     """
     packer = _PACKERS.get(len(payload))
-    try:
-        body = packer(payload) if packer is not None else None
-    except (struct.error, UnicodeEncodeError):  # out of range, lone surrogate
-        body = None
-    if body is None:
-        body = _encode_json(payload).encode("utf-8")
-        if len(body) > MAX_FRAME_BYTES:
-            raise RuntimeTransportError(
-                f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
-            )
+    frame = packer(payload) if packer is not None else None
+    if frame is not None:
+        return frame
+    body = _encode_json(payload).encode("utf-8")
+    if len(body) > MAX_FRAME_BYTES:
+        raise RuntimeTransportError(
+            f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
+        )
     return FRAME_HEADER.pack(len(body)) + body
+
+
+# One positional cutter per layout: a body of that kind -> its fields.  A body
+# whose struct is short, whose tails do not fill it exactly, or whose strings
+# are not UTF-8 raises ValueError or struct.error; whoever cut it refuses the
+# frame with :func:`_undecodable`.
+def cut_acquire(body: Union[bytes, bytearray]) -> Tuple[str, int, int, str]:
+    """An ``a`` body -> (key, session, epoch, id)."""
+    _, session, epoch, key_len, id_len = _ACQUIRE.unpack_from(body)
+    mid = _ACQUIRE.size + key_len
+    if mid + id_len != len(body):
+        raise ValueError(_unfilled("a", body))
+    return body[_ACQUIRE.size : mid].decode(), session, epoch, body[mid:].decode()
+
+
+def cut_release(body: Union[bytes, bytearray]) -> Tuple[str, int, int, int, str]:
+    """An ``r`` body -> (key, session, grant_epoch, epoch, id)."""
+    _, session, granted, epoch, key_len, id_len = _RELEASE.unpack_from(body)
+    mid = _RELEASE.size + key_len
+    if mid + id_len != len(body):
+        raise ValueError(_unfilled("r", body))
+    return body[_RELEASE.size : mid].decode(), session, granted, epoch, body[mid:].decode()
+
+
+def cut_grant(body: Union[bytes, bytearray]) -> Tuple[int, str]:
+    """A ``g`` body -> (epoch, id)."""
+    _, epoch, id_len = _GRANT.unpack_from(body)
+    if _GRANT.size + id_len != len(body):
+        raise ValueError(_unfilled("g", body))
+    return epoch, body[_GRANT.size :].decode()
+
+
+def cut_ack(body: Union[bytes, bytearray]) -> str:
+    """A ``k`` body -> its id."""
+    _, id_len = _ACK.unpack_from(body)
+    if _ACK.size + id_len != len(body):
+        raise ValueError(_unfilled("k", body))
+    return body[_ACK.size :].decode()
+
+
+def _unfilled(kind: str, body: Union[bytes, bytearray]) -> str:
+    return f"kind {kind!r} struct and tails do not fill {len(body)} bytes"
+
+
+def _undecodable(exc: Exception) -> RuntimeTransportError:
+    return RuntimeTransportError(f"undecodable frame: {exc}")
 
 
 #: ``json.loads`` strips whitespace with two regex calls around this one.
@@ -141,7 +252,7 @@ def decode_body(body: Union[bytes, bytearray]) -> Dict[str, Any]:
     make the frame as undecodable as bad UTF-8 does — or one of the four
     packed layouts, its struct whole and its tails filling the body exactly.
     """
-    kind, end = body[:1], len(body)
+    kind = body[:1]
     try:
         if kind == b"{":
             text = body.decode()
@@ -150,35 +261,22 @@ def decode_body(body: Union[bytes, bytearray]) -> Dict[str, Any]:
                 raise ValueError(f"{len(text) - stop} characters after the JSON value")
             return payload
         if kind == b"a":
-            _, session, epoch, key_len, id_len = _ACQUIRE.unpack_from(body)
-            mid = _ACQUIRE.size + key_len
-            if mid + id_len == end:
-                return {
-                    "op": "acquire", "key": body[mid - key_len : mid].decode(),
-                    "session": session, "epoch": epoch, "id": body[mid:].decode(),
-                }
-        elif kind == b"g":
-            _, epoch, id_len = _GRANT.unpack_from(body)
-            if _GRANT.size + id_len == end:
-                return {"ok": True, "epoch": epoch, "id": body[_GRANT.size :].decode()}
-        elif kind == b"r":
-            _, session, granted, epoch, key_len, id_len = _RELEASE.unpack_from(body)
-            mid = _RELEASE.size + key_len
-            if mid + id_len == end:
-                return {
-                    "op": "release", "key": body[mid - key_len : mid].decode(),
-                    "session": session, "grant_epoch": granted, "epoch": epoch,
-                    "id": body[mid:].decode(),
-                }
-        elif kind == b"k":
-            _, id_len = _ACK.unpack_from(body)
-            if _ACK.size + id_len == end:
-                return {"ok": True, "id": body[_ACK.size :].decode()}
-        else:
-            raise ValueError(f"unknown frame kind {bytes(kind)!r}")
-        raise ValueError(f"kind {kind.decode()!r} struct and tails do not fill {end} bytes")
+            key, session, epoch, ident = cut_acquire(body)
+            return {"op": "acquire", "key": key, "session": session, "epoch": epoch, "id": ident}
+        if kind == b"g":
+            epoch, ident = cut_grant(body)
+            return {"ok": True, "epoch": epoch, "id": ident}
+        if kind == b"r":
+            key, session, granted, epoch, ident = cut_release(body)
+            return {
+                "op": "release", "key": key, "session": session, "grant_epoch": granted,
+                "epoch": epoch, "id": ident,
+            }
+        if kind == b"k":
+            return {"ok": True, "id": cut_ack(body)}
+        raise ValueError(f"unknown frame kind {bytes(kind)!r}")
     except (ValueError, struct.error) as exc:  # Unicode- and JSONDecodeError are ValueErrors
-        raise RuntimeTransportError(f"undecodable frame: {exc}") from None
+        raise _undecodable(exc) from None
 
 
 def _oversized(length: int) -> RuntimeTransportError:
@@ -218,39 +316,49 @@ class FrameProtocol(asyncio.Protocol):
     """One framed connection, both directions, straight on the transport.
 
     In: :meth:`data_received` cuts every whole frame out of what has arrived
-    and calls ``on_frame(payload)`` for each, synchronously and in order.  A
-    frame that breaks a rule (length over :data:`MAX_FRAME_BYTES`, a body
-    :func:`decode_body` refuses, EOF inside a frame) or whose ``on_frame``
-    raises :class:`RuntimeTransportError` closes this connection, and only
-    this one.  ``on_close(error)`` is called exactly once, whoever ended the
-    connection: ``None`` for a clean EOF or a local :meth:`close`, else the
-    reason.  No frame is delivered after it.
+    and calls ``on_frame(payload)`` for each, synchronously and in order.
+    With an ``on_op``, a packed acquire or release never becomes a payload:
+    its cutter's fields go to ``on_op(op, key, session, grant_epoch, epoch,
+    id)`` instead (``op`` is ``"acquire"`` or ``"release"``, an acquire's
+    ``grant_epoch`` is ``None``).  A frame that breaks a rule (length over
+    :data:`MAX_FRAME_BYTES`, a body :func:`decode_body` refuses — a cutter
+    refuses the same bodies with the same reason — EOF inside a frame) or
+    whose handler raises :class:`RuntimeTransportError` closes this
+    connection, and only this one.  ``on_close(error)`` is called exactly
+    once, whoever ended the connection: ``None`` for a clean EOF or a local
+    :meth:`close`, else the reason; :attr:`closed` is true from then on.  No
+    frame is delivered after it.
 
     Out: frames reach a busy peer in bursts (one ``recv`` carries many), so
-    their answers are ready in the same event-loop pass; :meth:`send` queues
-    and the pass's one :meth:`flush` writes them with one ``write``.  Frames
-    queued on a closing connection are dropped: the peer is gone and so is
-    whoever awaited them.
+    their answers are ready in the same event-loop pass; :meth:`send` (a
+    payload) and :meth:`send_frame` (a frame already encoded, such as a
+    packer's) queue, and the pass's one :meth:`flush` writes them with one
+    ``write``.  Frames queued on a closing connection are dropped: the peer
+    is gone and so is whoever awaited them.
 
     Back-pressure: while the transport's write buffer is over its high-water
     mark the connection is not read, so a peer that stops reading its answers
     stops being read.
     """
 
-    __slots__ = ("transport", "_on_frame", "_on_close", "_loop", "_buffer", "_frames", "_closed")
+    __slots__ = (
+        "transport", "closed", "_on_frame", "_on_close", "_on_op", "_loop", "_buffer", "_frames"
+    )
 
     def __init__(
         self,
         on_frame: Callable[[Dict[str, Any]], None],
         on_close: Optional[Callable[[Optional[Exception]], None]] = None,
+        on_op: Optional[Callable[[str, str, int, Optional[int], int, str], None]] = None,
     ) -> None:
         self.transport: Any = None
+        self.closed = False
         self._on_frame = on_frame
         self._on_close = on_close
+        self._on_op = on_op
         self._loop = asyncio.get_running_loop()
         self._buffer = bytearray()  # the incomplete frame at the end of the last chunk
         self._frames: List[bytes] = []
-        self._closed = False
 
     # -- asyncio.Protocol ------------------------------------------------ #
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
@@ -267,18 +375,31 @@ class FrameProtocol(asyncio.Protocol):
         start = 0
         header = FRAME_HEADER.size
         unpack_from = FRAME_HEADER.unpack_from
-        on_frame = self._on_frame
+        on_frame, on_op = self._on_frame, self._on_op
         try:
-            while size - start >= header and not self._closed:
+            while size - start >= header and not self.closed:
                 (length,) = unpack_from(chunk, start)
                 if length > MAX_FRAME_BYTES:
                     raise _oversized(length)
                 end = start + header + length
                 if end > size:
                     break
-                payload = decode_body(chunk[start + header : end])
+                body = chunk[start + header : end]
                 start = end
-                on_frame(payload)
+                kind = body[:1]
+                if on_op is None or kind not in (b"a", b"r"):
+                    on_frame(decode_body(body))
+                    continue
+                try:
+                    if kind == b"a":
+                        key, session, epoch, ident = cut_acquire(body)
+                        op, granted = "acquire", None
+                    else:
+                        key, session, granted, epoch, ident = cut_release(body)
+                        op = "release"
+                except (ValueError, struct.error) as exc:
+                    raise _undecodable(exc) from None
+                on_op(op, key, session, granted, epoch, ident)
         except RuntimeTransportError as exc:
             self.close(exc)
             return
@@ -305,10 +426,14 @@ class FrameProtocol(asyncio.Protocol):
 
     # -- the owner's side ------------------------------------------------ #
     def send(self, payload: Dict[str, Any]) -> None:
-        """Queue one frame; the first of a pass schedules the pass's flush."""
+        """Queue one payload's frame (:func:`encode_frame`)."""
+        self.send_frame(encode_frame(payload))
+
+    def send_frame(self, frame: bytes) -> None:
+        """Queue one encoded frame; the first of a pass schedules the pass's flush."""
         if not self._frames:
             self._loop.call_soon(self.flush)
-        self._frames.append(encode_frame(payload))
+        self._frames.append(frame)
 
     def flush(self) -> None:
         """Write the queued frames, in queue order, with one ``write``."""
@@ -318,7 +443,7 @@ class FrameProtocol(asyncio.Protocol):
 
     def is_closing(self) -> bool:
         """True once nothing sent here can be answered any more."""
-        return self._closed or self.transport.is_closing()
+        return self.closed or self.transport.is_closing()
 
     def close(self, error: Optional[Exception] = None) -> None:
         """Stop reading now; what the transport already took is still written."""
@@ -331,9 +456,9 @@ class FrameProtocol(asyncio.Protocol):
         self.transport.abort()
 
     def _finish(self, error: Optional[Exception]) -> None:
-        if self._closed:
+        if self.closed:
             return
-        self._closed = True
+        self.closed = True
         if self._on_close is not None:
             self._on_close(error)
 

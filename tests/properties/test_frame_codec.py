@@ -16,12 +16,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.exceptions import RuntimeTransportError
+from repro.runtime.service import LockClient
 from repro.runtime.transport_socket import (
     FRAME_HEADER,
     FrameProtocol,
     decode_body,
     encode_frame,
     open_address_connection,
+    pack_acquire,
+    pack_release,
     start_frame_server,
 )
 
@@ -268,3 +271,135 @@ def test_a_live_connection_is_closed_by_a_bad_packed_frame_and_the_listener_stay
             await server.wait_closed()
 
     asyncio.run(scenario())
+
+
+# --------------------------------------------------------------------------- #
+# the op path's fields: cut by the protocol, packed by the client
+# --------------------------------------------------------------------------- #
+class _Transport:
+    """What a FrameProtocol calls on its transport, doing nothing."""
+
+    closing = False
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def close(self) -> None:
+        self.closing = True
+
+    def write(self, data: bytes) -> None:
+        pass
+
+
+@st.composite
+def op_bodies(draw):
+    """A packed acquire or release body: whole, or cut, grown or with one byte changed."""
+    key, ident = draw(names), draw(names)
+    session, grant_epoch, epoch = draw(in_range), draw(in_range), draw(in_range)
+    if draw(st.booleans()):
+        frame = pack_acquire(key, session, epoch, ident)
+    else:
+        frame = pack_release(key, session, grant_epoch, epoch, ident)
+    body = frame[FRAME_HEADER.size :]
+    step = draw(st.sampled_from(["whole", "whole", "cut", "grown", "changed"]))
+    if step == "cut":
+        body = body[: draw(st.integers(min_value=1, max_value=len(body)))]
+    elif step == "grown":
+        body += draw(st.binary(min_size=1, max_size=3))
+    elif step == "changed":
+        at = draw(st.integers(min_value=1, max_value=len(body) - 1))
+        body = body[:at] + bytes([draw(st.integers(0, 255))]) + body[at + 1 :]
+    return body
+
+
+#: The malformed bodies above whose kind byte is an acquire's or a release's.
+BAD_OP_BODIES = [body for _why, body in BAD_BODIES if body[:1] in (b"a", b"r")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(op_bodies(), st.sampled_from(BAD_OP_BODIES)))
+def test_the_protocols_field_cut_agrees_with_decode_body(body):
+    """A FrameProtocol with an ``on_op`` delivers exactly the fields
+    ``decode_body`` gives for the body, or closes with the same reason it
+    raises and delivers nothing — the good frame after it included."""
+
+    async def scenario():
+        ops, frames, closes = [], [], []
+        proto = FrameProtocol(frames.append, closes.append, lambda *fields: ops.append(fields))
+        proto.connection_made(_Transport())
+        after = encode_frame(QUARTET[0])
+        proto.data_received(FRAME_HEADER.pack(len(body)) + body + after)
+        return ops, frames, closes
+
+    ops, frames, closes = asyncio.run(scenario())
+    try:
+        payload = decode_body(body)
+    except RuntimeTransportError as exc:
+        assert (ops, frames) == ([], [])
+        (error,) = closes
+        assert isinstance(error, RuntimeTransportError) and str(error) == str(exc)
+        return
+    get = payload.get
+    expected = (
+        payload["op"], get("key"), get("session"), get("grant_epoch"), get("epoch"), get("id")
+    )
+    assert frames == [] and closes == []
+    assert same(list(ops[0]), list(expected)) and len(ops) == 2
+
+
+def _answer_with(epoch):
+    """The stub shard's answer to everything: ok, and this grant epoch."""
+
+    class Conn:
+        def __init__(self) -> None:
+            self.sent = []
+
+        def send(self, uid, frame, timeout=None):
+            self.sent.append((uid, frame))
+            future = asyncio.get_running_loop().create_future()
+            future.set_result({"ok": True, "epoch": epoch, "id": uid})
+            return future
+
+    return Conn()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.one_of(names, st.just("k" * 65_536), st.just("k\ud800")),
+    session=st.one_of(in_range, st.integers(min_value=2**63, max_value=2**64), st.booleans()),
+    granted=st.one_of(in_range, st.integers(min_value=2**63, max_value=2**64)),
+)
+@example(key="k", session=2**63, granted=0)
+@example(key="k" * 65_536, session=1, granted=0)
+@example(key="\ud800", session=1, granted=0)
+@example(key="clé", session=1, granted=2**63)
+def test_the_clients_frames_are_encode_frame_byte_for_byte(key, session, granted):
+    """What ``LockClient`` queues for an acquire, its release and a release
+    of no grant is what ``encode_frame`` writes for the payloads it always
+    sent — packed where the fields fit, the same JSON text where they do not."""
+
+    async def scenario():
+        client = LockClient(["/tmp/s.sock"])
+        conn = _answer_with(granted)
+
+        async def stub_connection(shard, channel):
+            return conn
+
+        client._connection = stub_connection
+        await client.acquire(key, session=session)
+        await client.release(key, session=session)
+        await client.release(key, session=session)  # holding no grant: no grant epoch
+        await client.close()
+        return conn.sent
+
+    (acquire_id, acquired), (release_id, released), (bare_id, bare) = asyncio.run(scenario())
+    assert acquired == encode_frame(
+        {"op": "acquire", "key": key, "session": session, "epoch": 0, "id": acquire_id}
+    )
+    assert released == encode_frame({
+        "op": "release", "key": key, "session": session, "grant_epoch": granted, "epoch": 0,
+        "id": release_id,
+    })
+    assert bare == encode_frame(
+        {"op": "release", "key": key, "session": session, "epoch": 0, "id": bare_id}
+    )

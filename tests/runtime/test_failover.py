@@ -23,13 +23,14 @@ from repro.runtime.failover import (
     owner_for_key,
 )
 from repro.runtime.service import (
+    CONTROL_OP_TIMEOUT,
     LockClient,
     LockServiceCluster,
     LockServiceShard,
     _ClientConnection,
     _KeyedLock,
 )
-from repro.runtime.transport_socket import encode_frame, read_frame
+from repro.runtime.transport_socket import FRAME_HEADER, decode_body, encode_frame, read_frame
 from repro.spec import RuntimeSpec, TopologySpec
 from repro.topology import star
 
@@ -115,17 +116,17 @@ def test_stale_grant_epoch_is_fenced_not_double_released():
     shard._view = ClusterView(epoch=2, shards={0: None})
     key = key_owned_by(0, 2)
 
-    fenced = shard._release_op("op-1", key, session=7, frame={"grant_epoch": 0})
+    fenced = shard._release_op("op-1", key, session=7, grant_epoch=0)
     assert fenced["ok"] is False and fenced["code"] == "fenced"
     assert shard.stats["fenced"] == 1
     # idempotent: the retry replays the cached verdict, the counter stays put
-    again = shard._release_op("op-1", key, session=7, frame={"grant_epoch": 0})
+    again = shard._release_op("op-1", key, session=7, grant_epoch=0)
     assert again == fenced
     assert shard.stats["fenced"] == 1
 
     # a current-epoch release with no hold is still the plain error
     with pytest.raises(LockError, match="does not hold"):
-        shard._release_op("op-2", key, session=7, frame={"grant_epoch": 2})
+        shard._release_op("op-2", key, session=7, grant_epoch=2)
 
 
 def test_routing_check_separates_bug_from_stale_views():
@@ -136,12 +137,12 @@ def test_routing_check_separates_bug_from_stale_views():
 
     # same epoch, wrong shard: a real client bug, loud
     with pytest.raises(LockError, match="routing bug"):
-        shard._check_route(foreign, {"epoch": 3})
+        shard._check_route(foreign, 3)
     # older epoch: retryable, and the fresh view rides along
-    stale = shard._check_route(foreign, {"epoch": 1})
+    stale = shard._check_route(foreign, 1)
     assert stale["code"] == "wrong-shard" and stale["view"]["epoch"] == 3
     # newer epoch than ours: retryable, no view to offer
-    ahead = shard._check_route(foreign, {"epoch": 5})
+    ahead = shard._check_route(foreign, 5)
     assert ahead["code"] == "stale-shard" and "view" not in ahead
 
 
@@ -151,7 +152,7 @@ def test_fenced_out_shard_answers_fenced_for_every_op():
     shard = LockServiceShard(small_spec(), 0)
     shard.adopt_view(ClusterView(epoch=1, shards={1: None}).to_dict())
     for key in ("anything", key_owned_by(0, 2)):
-        fenced = shard._check_route(key, {"epoch": 0})
+        fenced = shard._check_route(key, 0)
         assert fenced["ok"] is False and fenced["code"] == "fenced"
 
 
@@ -332,7 +333,16 @@ def test_acquire_fenced_reroutes_while_release_fenced_raises():
             def __init__(self, shard: int) -> None:
                 self.shard = shard
 
+            def send(self, uid, frame, timeout=None):
+                # An op: its packed frame in, the future of its answer out.
+                future = asyncio.get_running_loop().create_future()
+                future.set_result(self.answer(decode_body(frame[FRAME_HEADER.size :])))
+                return future
+
             async def call(self, uid, payload, timeout=None):
+                return self.answer(payload)
+
+            def answer(self, payload):
                 op = payload["op"]
                 calls.append((self.shard, op))
                 if op == "view":
@@ -359,6 +369,32 @@ def test_acquire_fenced_reroutes_while_release_fenced_raises():
         await client.close()
 
     run(scenario())
+
+
+@pytest.mark.parametrize("op_timeout", [None, 0.25])
+def test_a_view_refresh_gets_the_control_deadline(op_timeout):
+    """Every control call gets ``op_timeout``, or ``CONTROL_OP_TIMEOUT`` when
+    that is unset — the ``view`` a retry asks every other shard for included."""
+
+    async def scenario():
+        client = LockClient(["/tmp/a.sock", "/tmp/b.sock", "/tmp/c.sock"], op_timeout=op_timeout)
+        asked = []
+
+        async def stub_connection(shard, channel):
+            return shard
+
+        async def control(conn, frame, timeout):
+            asked.append((conn, frame["op"], timeout))
+            raise asyncio.TimeoutError  # unanswered: the refresh asks the next one
+
+        client._connection = stub_connection
+        client._control = control
+        await client._refresh_view(suspect=1)
+        await client.close()
+        return asked
+
+    deadline = CONTROL_OP_TIMEOUT if op_timeout is None else op_timeout
+    assert run(scenario()) == [(0, "view", deadline), (2, "view", deadline)]
 
 
 @pytest.mark.network

@@ -2,8 +2,9 @@
 
 The token tree delivers on the stack of whoever sends, so every case here is
 plain calls and immediate assertions: no socket, no task, no sleep.  A shard
-is driven through ``_handle_op`` with a list's ``append`` as the connection's
-``reply``.
+is driven the way its connections drive it — an acquire or release through
+``_lock_op`` with its fields, a control op through ``_handle_op`` with its
+payload — on a stand-in connection that records every answer.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Any, Dict, List
 
 from repro.runtime.failover import ClusterView, owner_for_key
 from repro.runtime.service import LockServiceShard, _KeyedLock
+from repro.runtime.transport_socket import FRAME_HEADER, decode_body
 from repro.spec import RuntimeSpec, TopologySpec
 from repro.topology import star
 
@@ -71,20 +73,35 @@ def spec(**overrides: Any) -> RuntimeSpec:
 
 
 class Connection:
-    """What a shard keeps of a connection: its state, and where answers go."""
+    """What a shard uses of a connection: ``closed``, and the two ways to answer.
+
+    Every answer is recorded as its payload, a packed one decoded.
+    """
 
     def __init__(self, shard: LockServiceShard) -> None:
         self.shard = shard
-        self.state = {"open": True}
+        self.closed = False
         self.answers: List[Dict[str, Any]] = []
+
+    def send(self, payload: Dict[str, Any]) -> None:
+        self.answers.append(payload)
+
+    def send_frame(self, frame: bytes) -> None:
+        self.answers.append(decode_body(frame[FRAME_HEADER.size :]))
 
     def op(self, op: str, uid: str, **fields: Any) -> None:
         frame = {"op": op, "id": uid, "epoch": 0, **fields}
-        self.shard._handle_op(frame, self.state, self.answers.append)
+        if op in ("acquire", "release"):
+            self.shard._lock_op(
+                op, frame["key"], frame["session"], frame.get("grant_epoch"), frame["epoch"],
+                uid, self,
+            )
+        else:
+            self.shard._handle_op(frame, self)
 
     def take(self) -> List[Dict[str, Any]]:
         answers = list(self.answers)
-        self.answers.clear()  # in place: waiting acquires hold its ``append``
+        self.answers.clear()
         return answers
 
 
@@ -98,7 +115,7 @@ def test_a_cancelled_and_an_abandoned_waiter_hand_the_token_on_within_the_releas
         gone.op("acquire", "a-3", key="k", session=3)
         patient.op("acquire", "a-4", key="k", session=4)
         patient.op("cancel", "c-1", target="a-2")
-        gone.state["open"] = False
+        gone.closed = True
         assert set(shard._inflight) == {"a-2", "a-3", "a-4"}
         assert patient.take() == [{"id": "c-1", "ok": True, "cancelled": True}]
 
@@ -166,7 +183,7 @@ def test_the_op_path_allocates_no_reference_cycle():
         op(gone, "acquire", "a3", key=own, session=3)
         op(patient, "acquire", "a4", key=own, session=4)
         op(patient, "cancel", "c1", target=f"{index}-a2")
-        gone.state["open"] = False
+        gone.closed = True
         op(holder, "acquire", "a5", key=own, session=1)  # already holds it
         op(holder, "release", "r1", key=own, session=1)
         op(patient, "release", "r2", key=own, session=4)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import itertools
+import json
 import os
 import tempfile
 import time
@@ -29,7 +30,12 @@ import pytest
 from repro.exceptions import ShardUnavailableError
 from repro.runtime.failover import ClusterView, owner_for_key
 from repro.runtime.service import LockClient, LockServiceShard
-from repro.runtime.transport_socket import encode_frame, open_address_connection, read_frame
+from repro.runtime.transport_socket import (
+    FRAME_HEADER,
+    encode_frame,
+    open_address_connection,
+    read_frame,
+)
 from repro.spec import ObsSpec, RuntimeFaultSpec, RuntimeSpec, TopologySpec
 
 pytestmark = pytest.mark.network
@@ -169,14 +175,14 @@ def test_redelivered_acquire_replays_the_grant_and_rebinds_the_hold(route):
             grant = await serving.granted(route, first, blocker, frame)
             assert grant == {"ok": True, "epoch": 0, "id": "op-1"}
             acquires = shard.stats["acquires"]
-            first_state = shard._held[(5, "k")].conn_state
+            first_conn = shard._held[(5, "k")].conn
 
             # The retry arrives on another connection: same answer, no second
             # grant, and the hold now lives and dies with that connection.
             assert await second.call(frame) == grant
             assert shard.stats["acquires"] == acquires
             await first.close()
-            await until(lambda: not first_state["open"])
+            await until(lambda: first_conn.closed)
             assert (5, "k") in shard._held and shard.stats["abandoned"] == 0
             await second.close()
             await until(lambda: (5, "k") not in shard._held)
@@ -195,7 +201,7 @@ def test_duplicate_of_a_waiting_acquire_joins_it():
             await serving.block(blocker, "k")
             first.send(frame)
             await until(lambda: "op-1" in shard._inflight)
-            first_state = shard._inflight["op-1"].requesters[0][0]
+            first_conn = shard._inflight["op-1"].requesters[0][0]
             second.send(frame)
             await until(lambda: len(shard._inflight["op-1"].requesters) == 2)
             await serving.unblock(blocker, "k")
@@ -204,7 +210,7 @@ def test_duplicate_of_a_waiting_acquire_joins_it():
             assert await first.answer() == grant and await second.answer() == grant
             assert shard.stats["acquires"] == 2  # the blocker's and this one
             await first.close()
-            await until(lambda: not first_state["open"])
+            await until(lambda: first_conn.closed)
             assert (5, "k") in shard._held
             await second.close()
             await until(lambda: (5, "k") not in shard._held)
@@ -279,9 +285,9 @@ def test_connection_lost_while_waiting_hands_the_grant_back():
             await serving.block(blocker, "k")
             waiter.send(frame)
             await until(lambda: "op-1" in shard._inflight)
-            state = shard._inflight["op-1"].requesters[0][0]
+            conn = shard._inflight["op-1"].requesters[0][0]
             await waiter.close()
-            await until(lambda: not state["open"])
+            await until(lambda: conn.closed)
             await serving.unblock(blocker, "k")
             await until(lambda: not shard._inflight)
             assert shard.stats["abandoned"] == 1
@@ -374,6 +380,100 @@ def test_a_wrong_typed_integer_is_answered_and_costs_nobody_else_their_hold(fiel
             assert "other" not in shard._locks
             assert (await peer.call(release("held", 1)))["ok"] is True
             assert shard.stats["acquires"] == shard.stats["releases"] == 1
+
+    run(scenario())
+
+
+# --------------------------------------------------------------------------- #
+# one op path: a packed op and a JSON op are served alike
+# --------------------------------------------------------------------------- #
+def spelled(frame: Dict[str, Any], spelling: str) -> bytes:
+    """``frame`` on the wire: packed, or the JSON text a hand-written peer sends."""
+    if spelling == "json":
+        body = json.dumps(frame).encode()
+        return FRAME_HEADER.pack(len(body)) + body
+    wire = encode_frame(frame)
+    assert wire[FRAME_HEADER.size : FRAME_HEADER.size + 1] in (b"a", b"r")
+    return wire
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_packed_and_a_json_op_take_one_path(route):
+    """One script, spelled packed and then as JSON text: acquire (served on
+    ``route``), its duplicate, a waiting acquire and its cancel, the release
+    that hands the key to it, and a release of nothing.  The answers match
+    but for their ids, and so do the shard's books."""
+
+    async def script(spelling: str):
+        async with Serving(small_spec()) as serving:
+            shard = serving.shard
+            peer, blocker, waiter = [await serving.peer() for _ in range(3)]
+            uids = (f"{spelling}-{index}" for index in itertools.count())
+
+            def send(to: Peer, frame: Dict[str, Any]) -> None:
+                to.writer.write(spelled(frame, spelling))
+
+            async def call(to: Peer, frame: Dict[str, Any]) -> Dict[str, Any]:
+                send(to, frame)
+                return await to.answer()
+
+            answers = []
+            first = acquire("k", 5, uid=next(uids))
+            if route == "task":
+                answers.append(await call(blocker, acquire("k", BLOCKER, uid=next(uids))))
+            send(peer, first)
+            if route == "task":
+                await until(lambda: first["id"] in shard._inflight)
+                answers.append(await call(blocker, release("k", BLOCKER, grant_epoch=0)))
+            answers.append(await peer.answer())
+            answers.append(await call(peer, first))  # the duplicate replays the grant
+            waiting = acquire("k", 6, uid=next(uids))
+            send(waiter, waiting)
+            await until(lambda: waiting["id"] in shard._inflight)
+            cancel = {"op": "cancel", "target": waiting["id"], "id": next(uids)}
+            answers.append(await waiter.call(cancel))
+            answers.append(await call(peer, release("k", 5, grant_epoch=0)))
+            answers.append(await waiter.answer())  # granted, cancelled, handed back
+            answers.append(await call(peer, release("k", 5, grant_epoch=0)))
+            return [{k: v for k, v in a.items() if k != "id"} for a in answers], dict(shard.stats)
+
+    packed, text = run(script("packed")), run(script("json"))
+    assert packed == text
+    answers, stats = packed
+    assert answers[-5:] == [
+        {"ok": True, "epoch": 0},
+        {"ok": True, "cancelled": True},
+        {"ok": True},
+        {"ok": False, "code": "cancelled", "error": "acquire cancelled by client"},
+        {"ok": False, "error": "session 5 does not hold 'k'"},
+    ]
+    assert (stats["acquires"], stats["cancelled"], stats["errors"]) == (
+        2 if route == "task" else 1, 1, 1
+    )
+
+
+#: The fields a client op sends as JSON text instead of packed, and one it packs.
+OFF_LAYOUT = {
+    "session 2**63": ("k", 2**63),
+    "key over 65535 bytes": ("k" * 65_536, 1),
+    "lone surrogate": ("k\ud800", 1),
+    "non-ASCII key": ("clé-ü", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_LAYOUT))
+def test_an_op_whose_fields_do_not_pack_still_completes(case):
+    key, session = OFF_LAYOUT[case]
+
+    async def scenario():
+        async with Serving(small_spec()) as serving:
+            async with LockClient([serving.shard.address], channels=1) as client:
+                for _ in range(2):
+                    await client.acquire(key, session=session)
+                    await client.release(key, session=session)
+                stats = await client.stats(0)
+            assert stats["acquires"] == stats["releases"] == 2
+            assert stats["errors"] == stats["held"] == stats["exclusion_violations"] == 0
 
     run(scenario())
 
