@@ -1,4 +1,4 @@
-"""A local cluster of live nodes running the DAG algorithm in one event loop."""
+"""DAG token trees of live agents, and a local cluster that runs one in one event loop."""
 
 from __future__ import annotations
 
@@ -6,15 +6,67 @@ from typing import Any, Dict, FrozenSet, List, Optional
 
 from repro.core.inspector import token_holder
 from repro.core.recovery import regenerate_token
-from repro.exceptions import LockError
+from repro.exceptions import LockError, RuntimeTransportError
 from repro.runtime.lock import DistributedLock
 from repro.runtime.node_runtime import AsyncDagNode
-from repro.runtime.transport import InMemoryTransport
+from repro.runtime.transport import Envelope, InMemoryTransport
 from repro.topology.base import Topology
 
 
-class LocalCluster:
-    """Spawns one :class:`AsyncDagNode` per topology node in this process.
+class TokenTree:
+    """One :class:`AsyncDagNode` agent per node of ``topology``, on ``transport``'s pump.
+
+    The tree is its agents' ``network``: :meth:`send` finds the receiver in
+    :attr:`nodes`, counts the message on the transport and posts the
+    delivery there.  Nothing is registered with the transport, so trees can
+    share one (a lock-service shard runs every key's tree on its own), and
+    only the transport's owner closes it.
+    """
+
+    __slots__ = ("nodes", "transport")
+
+    def __init__(self, topology: Topology, transport: InMemoryTransport) -> None:
+        self.transport = transport
+        pointers, holder = topology.next_pointers(), topology.token_holder
+        self.nodes: Dict[int, AsyncDagNode] = {
+            node_id: AsyncDagNode(
+                node_id, self, holding=node_id == holder, next_node=pointers[node_id]
+            )
+            for node_id in topology.nodes
+        }
+
+    def send(self, sender: int, receiver: int, message: Any) -> None:
+        """Count ``message`` and post its delivery to ``receiver``'s agent."""
+        nodes, transport = self.nodes, self.transport
+        node = nodes.get(receiver)
+        if node is None or sender not in nodes or transport.closed:
+            raise RuntimeTransportError(f"cannot send from node {sender} to node {receiver}")
+        transport.messages_sent += 1
+        # tuple.__new__ is what Envelope(...) runs, less its Python frame.
+        transport.post(node._deliver, tuple.__new__(Envelope, (sender, receiver, message)))
+
+    def regenerate_token(self, *, crashed: FrozenSet[int] = frozenset()) -> Dict[str, Any]:
+        """Mint a replacement token after ``crashed`` nodes took it down.
+
+        The simulator's recovery path, live: fence first — every undelivered
+        envelope predates the loss, so the transport drops what it still has
+        queued for a live agent of this tree — then elect, reorient and
+        re-issue through :func:`repro.core.recovery.regenerate_token`, which
+        refuses (:class:`~repro.exceptions.ProtocolError`, no node touched)
+        while a live node still has the token.  Call it with the event loop quiesced
+        (no acquire/release racing the reorientation).
+        """
+        crashed = frozenset(crashed)
+        self.transport.fence(crashed, self.nodes)
+        return regenerate_token(self.nodes, crashed=crashed)
+
+    def token_location(self) -> Optional[int]:
+        """The node currently having the token, or ``None`` while in transit."""
+        return token_holder(self)
+
+
+class LocalCluster(TokenTree):
+    """A token tree on its own in-memory transport, locked through in this process.
 
     Usable as an async context manager::
 
@@ -27,18 +79,7 @@ class LocalCluster:
     """
 
     def __init__(self, topology: Topology) -> None:
-        self.topology = topology
-        self.transport = InMemoryTransport()
-        pointers = topology.next_pointers()
-        self.nodes: Dict[int, AsyncDagNode] = {
-            node_id: AsyncDagNode(
-                node_id,
-                self.transport,
-                holding=(node_id == topology.token_holder),
-                next_node=pointers[node_id],
-            )
-            for node_id in topology.nodes
-        }
+        super().__init__(topology, InMemoryTransport())
         self._started = False
 
     # ------------------------------------------------------------------ #
@@ -84,24 +125,3 @@ class LocalCluster:
         if not self._started:
             raise LockError("cluster is not started; use 'async with LocalCluster(...)'")
         return DistributedLock(self.node(node_id))
-
-    def regenerate_token(
-        self, *, crashed: FrozenSet[int] = frozenset()
-    ) -> Dict[str, Any]:
-        """Mint a replacement token after ``crashed`` nodes took it down.
-
-        The simulator's recovery path, live: fence first — every undelivered
-        envelope predates the loss, so the transport drops what it still has
-        queued for a live node — then elect, reorient and
-        re-issue through :func:`repro.core.recovery.regenerate_token`, which
-        refuses (:class:`~repro.exceptions.ProtocolError`, no node touched)
-        while a live node still has the token.  Call it with the event loop quiesced
-        (no acquire/release racing the reorientation).
-        """
-        crashed = frozenset(crashed)
-        self.transport.fence(crashed)
-        return regenerate_token(self.nodes, crashed=crashed)
-
-    def token_location(self) -> Optional[int]:
-        """The node currently having the token, or ``None`` while in transit."""
-        return token_holder(self)

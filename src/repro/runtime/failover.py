@@ -102,9 +102,10 @@ class ClusterView:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shards", dict(self.shards))
+        object.__setattr__(self, "_shard_ids", tuple(self.shards))  # once, not per op
 
     def owner_for(self, key: str) -> int:
-        return owner_for_key(key, tuple(self.shards))
+        return owner_for_key(key, self._shard_ids)
 
     def without(self, shard: int) -> "ClusterView":
         """The next epoch's view with ``shard`` removed."""

@@ -3,11 +3,12 @@
 The protocol itself — the three variables of Figure 3 and the REQUEST /
 PRIVILEGE handling — is inherited from :class:`repro.core.node.DagNodeCore`,
 the same method objects the simulator's nodes run.  This module adds only
-the driver: the node registers the kernel's ``on_message`` as its handler on
-the transport, the transport is the kernel's ``network`` (the kernel calls
-its ``send(sender, receiver, message)`` itself), and the blocking point of
-procedure P1 is a callback — :meth:`AsyncDagNode.acquire_then` stores it and
-the kernel's entry hook hands it to the transport's mailbox to be called.
+the driver: the node's tree (:class:`~repro.runtime.cluster.TokenTree`) is
+the kernel's ``network`` — the kernel calls its ``send(sender, receiver,
+message)`` itself, and the tree posts each delivery to the node's
+:meth:`~AsyncDagNode._deliver` on the tree's transport — and the blocking
+point of procedure P1 is a callback: :meth:`AsyncDagNode.acquire_then`
+stores it and the kernel's entry hook posts it to that transport's pump.
 A node at rest is the kernel's fields and nothing else: no task, no queue,
 no event.
 
@@ -28,12 +29,12 @@ from repro.runtime.transport import Envelope
 
 
 class AsyncDagNode(DagNodeCore):
-    """A live protocol participant, driven by its transport's deliveries.
+    """A live protocol participant, driven by its tree's deliveries.
 
     Args:
         node_id: this node's identifier.
-        transport: the :class:`~repro.runtime.transport.InMemoryTransport`
-            connecting this node to its peers in one event loop: the kernel's ``network``.
+        network: the :class:`~repro.runtime.cluster.TokenTree` this node is
+            an agent of, which routes its sends: the kernel's ``network``.
         holding: whether this node starts with the token.
         next_node: initial ``NEXT`` pointer (``None`` iff ``holding``).
     """
@@ -44,14 +45,13 @@ class AsyncDagNode(DagNodeCore):
     def __init__(
         self,
         node_id: int,
-        transport,
+        network,
         *,
         holding: bool,
         next_node: Optional[int],
     ) -> None:
         super().__init__(node_id, holding=holding, next_node=next_node)
-        self.network = transport
-        transport.register(node_id, self._deliver)
+        self.network = network
         self._granted: Optional[Callable[[int], None]] = None
         self._started = False
         self._stopped = False
@@ -73,7 +73,7 @@ class AsyncDagNode(DagNodeCore):
     def acquire_then(self, granted: Callable[[int], None]) -> None:
         """Ask for the critical section; ``granted(node_id)`` runs once inside it.
 
-        The call comes through the transport's mailbox: at once if the token
+        The call comes through the tree's pump: at once if the token
         idles here, otherwise from the stack of whoever's send delivers the
         PRIVILEGE.
         """
@@ -132,9 +132,9 @@ class AsyncDagNode(DagNodeCore):
         super()._enter_critical_section()
         granted, self._granted = self._granted, None
         if granted is not None:
-            # Through the mailbox, not called: a waiter that hands the token
+            # Through the pump, not called: a waiter that hands the token
             # straight on would otherwise nest one frame per hand-off.
-            self.network.post(granted, self.node_id)
+            self.network.transport.post(granted, self.node_id)
 
     def _deliver(self, envelope: Envelope) -> None:
         if not self._stopped:

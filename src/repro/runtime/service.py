@@ -33,19 +33,21 @@ release also reaches once :meth:`LockServiceShard._handle_op` has checked its
 fields — and the grant or ack goes back packed from fields.
 
 Inside a shard, each key's tree is a :class:`~repro.runtime.cluster
-.LocalCluster` of :class:`~repro.runtime.node_runtime.AsyncDagNode` *agents*
-over an in-process transport.  A client acquire claims a free agent (one
-outstanding protocol request per agent, the paper's P1 precondition),
-preferring the one idling on the token: an uncontended key is re-entered
-with zero messages and answered inside the ``data_received`` call that cut
-its frame from the socket, while concurrent sessions on the same key claim
-different agents and are serialised by real REQUEST/PRIVILEGE traffic.  The
-tree delivers those messages on the stack of whoever sends one, so an acquire
-that had to wait is granted, booked and answered inside the ``data_received``
-call that cut the *release* ahead of it: no tree and no waiter owns a task.
-Both ends of a connection are a :class:`~repro.runtime.transport_socket
-.FrameProtocol` on the socket's transport — no stream reader, no reader task
-— and every answer queued during one event-loop pass leaves in one write.
+.TokenTree` of :class:`~repro.runtime.node_runtime.AsyncDagNode` *agents*,
+and every tree posts its deliveries to the shard's one in-process transport:
+a warm key is its agents and no plumbing of its own.  A client acquire claims
+a free agent (one outstanding protocol request per agent, the paper's P1
+precondition), preferring the one idling on the token: an uncontended key
+is re-entered with zero messages and answered inside the ``data_received``
+call that cut its frame from the socket, while concurrent sessions on the
+same key claim different agents and are serialised by real REQUEST/PRIVILEGE
+traffic.  The tree delivers those messages on the stack of whoever sends
+one, so an acquire that had to wait is granted, booked and answered inside
+the ``data_received`` call that cut the *release* ahead of it: no tree and
+no waiter owns a task.  Both ends of a connection are a
+:class:`~repro.runtime.transport_socket.FrameProtocol` on the socket's
+transport — no stream reader, no reader task — and every answer queued
+during one event-loop pass leaves in one write.
 
 The shard pool reuses the sweep runner's process pattern — one
 ``multiprocessing.Process`` per shard with a private control pipe, the parent
@@ -64,9 +66,9 @@ dies.  Failover is then three local moves:
 * the client retries idempotently — every op keeps one id across attempts
   (shards deduplicate redeliveries), re-resolves ownership from the freshest
   view it can fetch, and backs off exponentially until the retry budget ends;
-  an acquire whose budget ends sends a best-effort ``cancel`` so a grant
-  still inflight is handed back rather than orphaned under a hold nobody
-  will ever release.
+  an acquire whose budget ends, or whose caller gives up on it, sends a
+  best-effort ``cancel`` so a grant still inflight is handed back rather
+  than orphaned under a hold nobody will ever release.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.inspector import implicit_queue, waiting_nodes
 from repro.exceptions import (
@@ -100,7 +102,8 @@ from repro.runtime.failover import (
     owner_for_key,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.runtime.cluster import LocalCluster
+from repro.runtime.cluster import TokenTree
+from repro.runtime.transport import InMemoryTransport
 from repro.runtime.transport_socket import (
     FRAME_HEADER,
     Address,
@@ -147,45 +150,42 @@ CONTROL_OP_TIMEOUT = 5.0
 # --------------------------------------------------------------------------- #
 # per-key token tree
 # --------------------------------------------------------------------------- #
-class _KeyedLock:
-    """One lock key's DAG token tree plus its agent pool.
+class _KeyedLock(TokenTree):
+    """One lock key's DAG token tree, on the shard's transport, plus its agent pool.
 
-    The tree is a :class:`~repro.runtime.cluster.LocalCluster`; its nodes are
-    the agents and a *ticket* is the id of a claimed one.  A session acquire
-    claims a free agent (at most one outstanding request per agent —
-    procedure P1's precondition) and enters the tree's critical section
-    through it; with every agent claimed, acquires queue FIFO and
-    :meth:`release` puts the first of them on the freed agent.  The token
-    stays with the agent that last released it and the claim prefers that
-    agent, so an uncontended key is re-entered with zero messages (the
-    paper's best case); any other agent pays the REQUEST/PRIVILEGE traffic,
-    which is what serialises contending sessions.
+    The tree's nodes are the agents and a *ticket* is the id of a claimed
+    one.  A session acquire claims a free agent (at most one outstanding
+    request per agent — procedure P1's precondition) and enters the tree's
+    critical section through it; with every agent claimed, acquires queue
+    FIFO (a queue made by the first of them) and :meth:`release` puts the
+    first on the freed agent.  The token stays with the agent that last
+    released it and the claim prefers that agent, so an uncontended key is
+    re-entered with zero messages (the paper's best case); any other agent
+    pays the REQUEST/PRIVILEGE traffic, which is what serialises contending
+    sessions.
 
     A *takeover* tree is one rebuilt on a survivor after the key's previous
     shard died: the old token is gone with its process, so the fresh tree is
-    stripped of its token and :meth:`LocalCluster.regenerate_token`
-    self-issues the replacement PRIVILEGE — the PR 6 recovery path, live.
+    stripped of its token and :meth:`TokenTree.regenerate_token`
+    self-issues the replacement PRIVILEGE — the simulator's recovery path, live.
     """
 
-    __slots__ = ("key", "cluster", "created_epoch", "_agents", "_free", "_waiters")
+    __slots__ = ("_free", "_waiters")
 
     def __init__(
-        self, key: str, topology: Topology, *, epoch: int = 0, takeover: bool = False
+        self, topology: Topology, transport: InMemoryTransport, *, takeover: bool = False
     ) -> None:
-        self.key = key
-        self.created_epoch = epoch
-        self.cluster = LocalCluster(topology)
-        self._agents = self.cluster.nodes
-        for node in self._agents.values():
+        super().__init__(topology, transport)
+        for node in self.nodes.values():
             node.start()
         if takeover:
             # The token died with the old shard: drop the constructor's
             # token and mint the replacement through the recovery path.
-            for node in self._agents.values():
+            for node in self.nodes.values():
                 node.holding = False
-            self.cluster.regenerate_token()
-        self._free = set(self._agents)  # tickets of unclaimed agents
-        self._waiters: Deque[Callable[[int], None]] = deque()
+            self.regenerate_token()
+        self._free = set(self.nodes)  # tickets of unclaimed agents
+        self._waiters: Union[Tuple[()], Deque[Callable[[int], None]]] = ()
 
     def try_acquire(self) -> Optional[int]:
         """Enter through the free agent idling on the token, if there is one.
@@ -193,7 +193,7 @@ class _KeyedLock:
         No message and no wait; ``None`` when the token is elsewhere.
         """
         for ticket in self._free:
-            node = self._agents[ticket]
+            node = self.nodes[ticket]
             if node.holding:
                 self._free.remove(ticket)
                 node.request_cs()
@@ -208,13 +208,15 @@ class _KeyedLock:
         waiter got theirs — asks the tree for the token.
         """
         if self._free:
-            self._agents[self._free.pop()].acquire_then(granted)
-        else:
+            self.nodes[self._free.pop()].acquire_then(granted)
+        elif self._waiters:
             self._waiters.append(granted)
+        else:
+            self._waiters = deque((granted,))
 
     def release(self, ticket: int) -> None:
         """Leave the critical section; the agent goes to the first waiter."""
-        node = self._agents[ticket]
+        node = self.nodes[ticket]
         node.release_cs()
         if self._waiters:
             node.acquire_then(self._waiters.popleft())
@@ -232,15 +234,12 @@ class _KeyedLock:
         live in the property tests.
         """
         try:
-            depth = len(implicit_queue(self.cluster))
+            depth = len(implicit_queue(self))
             if depth == 0:
-                return len(waiting_nodes(self.cluster))
+                return len(waiting_nodes(self))
             return depth
         except InvariantViolation:
             return 0
-
-    async def close(self) -> None:
-        await self.cluster.stop()
 
 
 # --------------------------------------------------------------------------- #
@@ -313,10 +312,10 @@ class LockServiceShard:
         self.spec = spec
         self.index = index
         self.address: Optional[Address] = None
-        # One (frozen) topology shared by every key's tree: each cluster keeps
-        # a reference to the one it was built from, and a copy per key is a
-        # kilobyte of containers every garbage collection would walk.
+        # One (frozen) topology every key's tree is built from, and one
+        # transport whose pump delivers for all of them: a key is its agents.
         self._lock_topology = spec.topology.build()
+        self._pump = InMemoryTransport()
         self._locks: Dict[str, _KeyedLock] = {}
         self._holders: Dict[str, int] = {}  # key -> session
         self._held: Dict[Tuple[int, str], _Hold] = {}  # (session, key) -> hold
@@ -473,9 +472,8 @@ class LockServiceShard:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for keyed in self._locks.values():
-            await keyed.close()
         self._locks.clear()
+        await self._pump.close()  # every tree's: it refuses every later send
 
     # ------------------------------------------------------------------ #
     # the frame protocol
@@ -586,10 +584,7 @@ class LockServiceShard:
                     "held": len(self._holders),
                     # The paper's cost unit, live: REQUEST + PRIVILEGE
                     # messages sent inside every key's token tree so far.
-                    "tree_messages": sum(
-                        keyed.cluster.transport.messages_sent
-                        for keyed in self._locks.values()
-                    ),
+                    "tree_messages": self._pump.messages_sent,
                 }
                 if self._obs_enabled:
                     stats_payload["obs"] = self.obs_section()
@@ -713,9 +708,7 @@ class LockServiceShard:
             takeover = self._view.epoch > 0 and any(
                 past.owner_for(key) != self.index for past in self._views[:-1]
             )
-            keyed = _KeyedLock(
-                key, self._lock_topology, epoch=self._view.epoch, takeover=takeover
-            )
+            keyed = _KeyedLock(self._lock_topology, self._pump, takeover=takeover)
             self._locks[key] = keyed
             if takeover:
                 self.stats["takeovers"] += 1
@@ -1085,9 +1078,10 @@ class LockClient:
     failure that must *not* be retried into silence; an *acquire* answered
     ``fenced`` holds nothing (it merely reached a shard voted out of the
     view), so it refreshes and reroutes like any misroute.  An acquire that
-    exhausts its retries sends a best-effort ``cancel`` for its op id first,
-    so a grant still working its way through the token protocol is handed
-    back instead of binding a hold nobody will ever release.
+    exhausts its retries, or whose caller cancels it (``asyncio.wait_for``
+    timing out is one), sends a best-effort ``cancel`` for its op id, so a
+    grant still working its way through the token protocol is handed back
+    instead of binding a hold nobody will ever release.
 
     Deadlines: ``op_timeout`` (off by default — a contended acquire may
     legitimately block for a long time) bounds every op.  Running against a
@@ -1123,6 +1117,7 @@ class LockClient:
         self._client_id = f"{os.getpid():x}-{os.urandom(4).hex()}"
         self._op_counter = 0
         self._closed = False
+        self._cancelling: Set[asyncio.Task] = set()  # cancels of abandoned acquires
         self.retry_stats: Dict[str, int] = {
             "retries": 0,
             "reroutes": 0,
@@ -1265,73 +1260,83 @@ class LockClient:
         # The last failure's text, not the exception: a raised exception held
         # in this frame's locals is a reference cycle through its traceback.
         reason: Optional[str] = None
-        while attempts <= self._max_retries:
-            view = self._view
-            if not view.shards:
-                raise ShardUnavailableError("no live shards in the cluster view")
-            shard = view.owner_for(key)
-            frame = _op_frame(op, key, session, grant_epoch, view.epoch, uid)
-            try:
-                conn = self._conns.get((shard, channel)) or await self._connection(shard, channel)
-                response = await conn.send(uid, frame, self._op_timeout)
-            except asyncio.TimeoutError:
-                self.retry_stats["deadline_timeouts"] += 1
-                reason = f"op on shard {shard} exceeded its {self._op_timeout}s deadline"
-                attempts += 1
-                self.retry_stats["retries"] += 1
-                await self._refresh_view(suspect=shard)
-                continue  # the timeout already consumed the backoff's worth
-            except (ShardUnavailableError, ConnectionError, OSError) as exc:
-                reason = (
-                    str(exc)
-                    if isinstance(exc, ShardUnavailableError)
-                    else f"shard {shard} unreachable: {exc}"
-                )
-                self._drop_connections(shard)
-                attempts += 1
-                self.retry_stats["retries"] += 1
-                await self._refresh_view(suspect=shard)
-                delays = delays or backoff_delays()
-                await asyncio.sleep(next(delays))
-                continue
-            if response.get("ok"):
-                return response
-            code = response.get("code")
-            if code == "wrong-shard":
-                # The shard is ahead of us and attached its view: adopt it
-                # and re-route immediately (no backoff; adoption is
-                # monotonic, so this cannot ping-pong).
-                if "view" in response:
-                    self._adopt_view(ClusterView.from_dict(response["view"]))
-                attempts += 1
-                self.retry_stats["reroutes"] += 1
-                continue
-            if code in ("stale-shard", "abandoned"):
-                # The shard lags our view (or lost our connection mid-grant):
-                # give it a beat to catch up, then retry the same op id.
-                reason = response.get("error", code)
-                attempts += 1
-                self.retry_stats["retries"] += 1
-                delays = delays or backoff_delays()
-                await asyncio.sleep(next(delays))
-                continue
-            if code == "fenced":
-                if op == "release":
-                    # The grant lost its protection: the holder's critical
-                    # section ran unfenced and must hear about it, loudly.
-                    self.retry_stats["fenced"] += 1
-                    raise LockFencedError(response.get("error", "grant was fenced"))
-                # A fenced *acquire* holds nothing — it just reached a shard
-                # that was voted out of the view we routed under.  Routing
-                # problem, not a lost grant: refresh and reroute.
-                reason = response.get("error", f"shard {shard} was fenced out")
-                attempts += 1
-                self.retry_stats["reroutes"] += 1
-                await self._refresh_view(suspect=shard)
-                delays = delays or backoff_delays()
-                await asyncio.sleep(next(delays))
-                continue
-            raise LockError(response.get("error", "lock service error"))
+        try:
+            while attempts <= self._max_retries:
+                view = self._view
+                if not view.shards:
+                    raise ShardUnavailableError("no live shards in the cluster view")
+                shard = view.owner_for(key)
+                frame = _op_frame(op, key, session, grant_epoch, view.epoch, uid)
+                try:
+                    conn = self._conns.get((shard, channel))
+                    conn = conn or await self._connection(shard, channel)
+                    response = await conn.send(uid, frame, self._op_timeout)
+                except asyncio.TimeoutError:
+                    self.retry_stats["deadline_timeouts"] += 1
+                    reason = f"op on shard {shard} exceeded its {self._op_timeout}s deadline"
+                    attempts += 1
+                    self.retry_stats["retries"] += 1
+                    await self._refresh_view(suspect=shard)
+                    continue  # the timeout already consumed the backoff's worth
+                except (ShardUnavailableError, ConnectionError, OSError) as exc:
+                    reason = (
+                        str(exc)
+                        if isinstance(exc, ShardUnavailableError)
+                        else f"shard {shard} unreachable: {exc}"
+                    )
+                    self._drop_connections(shard)
+                    attempts += 1
+                    self.retry_stats["retries"] += 1
+                    await self._refresh_view(suspect=shard)
+                    delays = delays or backoff_delays()
+                    await asyncio.sleep(next(delays))
+                    continue
+                if response.get("ok"):
+                    return response
+                code = response.get("code")
+                if code == "wrong-shard":
+                    # The shard is ahead of us and attached its view: adopt it
+                    # and re-route immediately (no backoff; adoption is
+                    # monotonic, so this cannot ping-pong).
+                    if "view" in response:
+                        self._adopt_view(ClusterView.from_dict(response["view"]))
+                    attempts += 1
+                    self.retry_stats["reroutes"] += 1
+                    continue
+                if code in ("stale-shard", "abandoned"):
+                    # The shard lags our view (or lost our connection mid-grant):
+                    # give it a beat to catch up, then retry the same op id.
+                    reason = response.get("error", code)
+                    attempts += 1
+                    self.retry_stats["retries"] += 1
+                    delays = delays or backoff_delays()
+                    await asyncio.sleep(next(delays))
+                    continue
+                if code == "fenced":
+                    if op == "release":
+                        # The grant lost its protection: the holder's critical
+                        # section ran unfenced and must hear about it, loudly.
+                        self.retry_stats["fenced"] += 1
+                        raise LockFencedError(response.get("error", "grant was fenced"))
+                    # A fenced *acquire* holds nothing — it just reached a shard
+                    # that was voted out of the view we routed under.  Routing
+                    # problem, not a lost grant: refresh and reroute.
+                    reason = response.get("error", f"shard {shard} was fenced out")
+                    attempts += 1
+                    self.retry_stats["reroutes"] += 1
+                    await self._refresh_view(suspect=shard)
+                    delays = delays or backoff_delays()
+                    await asyncio.sleep(next(delays))
+                    continue
+                raise LockError(response.get("error", "lock service error"))
+        except asyncio.CancelledError:
+            # The caller gave up (a timeout is one): cancel what may still wait on
+            # the shard, from a task that outlives this one, or its grant strands.
+            if op == "acquire":
+                task = asyncio.ensure_future(self._cancel_acquire(uid, key, session))
+                self._cancelling.add(task)
+                task.add_done_callback(self._cancelling.discard)
+            raise
         if op == "acquire":
             await self._cancel_acquire(uid, key, session)
         raise ShardUnavailableError(
@@ -1352,7 +1357,7 @@ class LockClient:
         the shard is alive and reachable, which is exactly when it works.
         """
         view = self._view
-        if not view.shards:
+        if not view.shards or self._closed:
             return
         try:
             shard = view.owner_for(key)

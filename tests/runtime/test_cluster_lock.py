@@ -9,7 +9,8 @@ import pytest
 
 from repro.core.messages import Privilege
 from repro.exceptions import LockError, ProtocolError
-from repro.runtime import DistributedLock, InMemoryTransport, LocalCluster
+from repro.runtime import AsyncDagNode, DistributedLock, InMemoryTransport, LocalCluster
+from repro.runtime.cluster import TokenTree
 from repro.topology import line, star
 
 
@@ -227,21 +228,25 @@ def test_regeneration_fences_a_privilege_that_is_still_queued():
     the fence it would reach node 2 after the new token did — and the cluster
     would hold two tokens."""
 
+    seen = []
+
+    class AnswerThenRegenerate(AsyncDagNode):
+        __slots__ = ()
+
+        def _deliver(self, envelope):
+            super()._deliver(envelope)  # node 1 answers the REQUEST ...
+            cluster = self.network
+            queued = [type(argument.message) for _handler, argument in cluster.transport._queue]
+            assert queued == [Privilege]  # ... and the token waits in the mailbox
+            assert cluster.token_location() is None
+            seen.append(cluster.regenerate_token())
+
     async def scenario():
-        async with LocalCluster(star(3)) as cluster:
+        cluster = LocalCluster(star(3))
+        cluster.nodes[1] = AnswerThenRegenerate(1, cluster, holding=True, next_node=None)
+        async with cluster:
             one, two, three = (cluster.node(node_id) for node_id in (1, 2, 3))
             transport = cluster.transport
-            deliver_to_one = transport._handlers[1]
-            seen = []
-
-            def answer_then_regenerate(envelope):
-                deliver_to_one(envelope)  # node 1 answers the REQUEST ...
-                queued = [type(argument.message) for _handler, argument in transport._queue]
-                assert queued == [Privilege]  # ... and the token waits in the mailbox
-                assert cluster.token_location() is None
-                seen.append(cluster.regenerate_token())
-
-            transport._handlers[1] = answer_then_regenerate
             first = asyncio.create_task(two.acquire())
             await asyncio.wait_for(first, timeout=1.0)
             assert seen == [{"new_holder": 2, "granted_immediately": True, "reissued": 0}]
@@ -265,3 +270,62 @@ def test_regeneration_fences_a_privilege_that_is_still_queued():
             assert [node.node_id for node in (one, two, three) if node.has_token()] == [2]
 
     run(scenario())
+
+
+# --------------------------------------------------------------------------- #
+# trees sharing one transport, as a lock-service shard's keys do
+# --------------------------------------------------------------------------- #
+def started_trees(transport: InMemoryTransport, count: int):
+    trees = [TokenTree(star(3), transport) for _ in range(count)]
+    for tree in trees:
+        for node in tree.nodes.values():
+            node.start()
+    return trees
+
+
+def test_regenerating_one_tree_leaves_the_other_trees_privilege_queued():
+    """Node 2 of trees A and B asks; both PRIVILEGEs are queued on the one
+    pump when A's token is declared lost.  The fence drops A's and only A's:
+    B's still reaches B's node 2, and each tree ends with exactly one token."""
+    transport = InMemoryTransport()
+    a, b = started_trees(transport, 2)
+    entered: list = []
+    outcome = []
+
+    def both_tokens_queued(_argument) -> None:
+        queued = [
+            (handler.__self__.network, type(argument.message))
+            for handler, argument in transport._queue
+        ]
+        assert queued == [(a, Privilege), (b, Privilege)]
+        outcome.append(a.regenerate_token())
+
+    def ask_both(_argument) -> None:
+        a.nodes[2].acquire_then(lambda node_id: entered.append(("a", node_id)))
+        b.nodes[2].acquire_then(lambda node_id: entered.append(("b", node_id)))
+        transport.post(both_tokens_queued, None)  # behind both REQUESTs
+
+    transport.post(ask_both, None)
+    assert outcome == [{"new_holder": 2, "granted_immediately": True, "reissued": 0}]
+    assert entered == [("a", 2), ("b", 2)] and not transport._queue
+    for tree in (a, b):
+        assert [n for n, node in tree.nodes.items() if node.has_token()] == [2]
+    assert transport.messages_sent == 4  # two REQUESTs, two PRIVILEGEs sent
+
+
+def test_a_raising_handler_in_one_tree_does_not_strand_another_trees_calls():
+    transport = InMemoryTransport()
+    a, b = started_trees(transport, 2)
+    entered: list = []
+
+    def poison_a_then_ask_b(_argument) -> None:
+        a.send(2, 1, "not a protocol message")
+        b.nodes[2].acquire_then(entered.append)
+
+    with pytest.raises(ProtocolError, match="unexpected message"):
+        transport.post(poison_a_then_ask_b, None)
+    assert entered == [] and b.nodes[2].requesting  # B's REQUEST waits in the queue
+    transport.post(lambda _argument: None, None)  # the next post drains it
+    assert entered == [2] and b.token_location() == 2
+    a.nodes[3].acquire_then(entered.append)  # and A still answers
+    assert entered == [2, 3] and a.token_location() == 3

@@ -30,6 +30,7 @@ from repro.runtime.service import (
     _ClientConnection,
     _KeyedLock,
 )
+from repro.runtime.transport import InMemoryTransport
 from repro.runtime.transport_socket import FRAME_HEADER, decode_body, encode_frame, read_frame
 from repro.spec import RuntimeSpec, TopologySpec
 from repro.topology import star
@@ -162,13 +163,12 @@ def test_fenced_out_shard_answers_fenced_for_every_op():
 def test_takeover_tree_regenerates_exactly_one_token():
     async def scenario():
         topology = small_spec().topology.build()
-        keyed = _KeyedLock("k", topology, epoch=1, takeover=True)
-        holders = [node.node_id for node in keyed.cluster.nodes.values() if node.holding]
+        keyed = _KeyedLock(topology, InMemoryTransport(), takeover=True)
+        holders = [node.node_id for node in keyed.nodes.values() if node.holding]
         assert len(holders) == 1  # minted exactly one replacement PRIVILEGE
         ticket = keyed.try_acquire()  # and the tree actually works
         assert ticket in holders
         keyed.release(ticket)
-        await keyed.close()
 
     run(scenario())
 
@@ -179,23 +179,22 @@ def test_live_implicit_queue_anchors_on_the_executing_holder():
     grants, and ``queue_depth`` reads it (not the requesting-count fallback)."""
 
     async def scenario():
-        keyed = _KeyedLock("k", star(4))
+        keyed = _KeyedLock(star(4), InMemoryTransport())
         tickets = [keyed.try_acquire()]
         for _ in range(3):  # every REQUEST is delivered and chained on return
             keyed.acquire_then(tickets.append)
         assert len(tickets) == 1
-        predicted = implicit_queue(keyed.cluster)
+        predicted = implicit_queue(keyed)
         assert len(predicted) == 3
         assert keyed.queue_depth() == 3
         granted = []
         for served in range(1, 4):
             keyed.release(tickets[-1])
             assert len(tickets) == served + 1
-            granted.append(keyed.cluster.token_location())
+            granted.append(keyed.token_location())
         assert granted == predicted == tickets[1:]
         assert keyed.queue_depth() == 0
         keyed.release(tickets[-1])
-        await keyed.close()
 
     run(scenario())
 
@@ -219,7 +218,7 @@ def test_takeover_detected_across_multiple_epochs():
         # First touch only now, two epochs after the key's owner died.
         orphaned = shard._keyed_lock(key)
         assert shard.stats["takeovers"] == 1
-        assert sum(node.holding for node in orphaned.cluster.nodes.values()) == 1
+        assert sum(node.holding for node in orphaned.nodes.values()) == 1
         # A key this shard owned from epoch 0 is not a takeover.
         native = next(
             f"key-{i}"
@@ -228,8 +227,7 @@ def test_takeover_detected_across_multiple_epochs():
         )
         shard._keyed_lock(native)
         assert shard.stats["takeovers"] == 1
-        for keyed in shard._locks.values():
-            await keyed.close()
+        await shard.close()
 
     run(scenario())
 

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import itertools
+import tracemalloc
 from typing import Any, Dict, List
 
 from repro.runtime.failover import ClusterView, owner_for_key
 from repro.runtime.service import LockServiceShard, _KeyedLock
+from repro.runtime.transport import InMemoryTransport
 from repro.runtime.transport_socket import FRAME_HEADER, decode_body
 from repro.spec import RuntimeSpec, TopologySpec
 from repro.topology import star
@@ -30,7 +33,7 @@ def ask(keyed: _KeyedLock, granted) -> None:
 
 
 def test_four_agents_and_six_waiters_are_granted_in_arrival_order():
-    keyed = _KeyedLock("k", star(4))
+    keyed = _KeyedLock(star(4), InMemoryTransport())
     grants: List[tuple] = []
     for asker in range(10):
         ask(keyed, lambda ticket, asker=asker: grants.append((asker, ticket)))
@@ -39,14 +42,14 @@ def test_four_agents_and_six_waiters_are_granted_in_arrival_order():
     for served in range(1, 10):
         keyed.release(grants[-1][1])
         assert [asker for asker, _ in grants] == list(range(served + 1))
-        assert keyed.cluster.token_location() == grants[-1][1]
+        assert keyed.token_location() == grants[-1][1]
     keyed.release(grants[-1][1])
-    assert keyed._free == set(keyed.cluster.nodes) and not keyed._waiters
-    assert sum(node.cs_entries for node in keyed.cluster.nodes.values()) == 10
+    assert keyed._free == set(keyed.nodes) and not keyed._waiters
+    assert sum(node.cs_entries for node in keyed.nodes.values()) == 10
 
 
 def test_two_thousand_abandoned_waiters_hand_the_token_on_in_one_call():
-    keyed = _KeyedLock("k", star(4))
+    keyed = _KeyedLock(star(4), InMemoryTransport())
     holder = keyed.try_acquire()
     handed_on = []
 
@@ -60,7 +63,7 @@ def test_two_thousand_abandoned_waiters_hand_the_token_on_in_one_call():
     keyed.acquire_then(last.append)
     keyed.release(holder)  # no RecursionError: the stack does not grow per hand-off
     assert len(handed_on) == 2000 and len(last) == 1
-    assert keyed.cluster.node(last[0]).in_critical_section
+    assert keyed.nodes[last[0]].in_critical_section
 
 
 # --------------------------------------------------------------------------- #
@@ -217,6 +220,59 @@ def test_the_op_path_allocates_no_reference_cycle():
         stats = shard.stats
         assert (stats["cancelled"], stats["abandoned"], stats["errors"]) == (41, 41, 4 * 41)
         assert stats["exclusion_violations"] == 0 and not shard._inflight
+        await shard.close()
+
+    asyncio.run(scenario())
+
+
+# --------------------------------------------------------------------------- #
+# every key's tree on the shard's one transport
+# --------------------------------------------------------------------------- #
+def test_a_scripted_contention_sequence_costs_the_tree_messages_it_always_did():
+    """Seven sessions on each of three star(4) keys, three rounds, releases
+    interleaved across the keys.  The stats frame reads the shard's one
+    transport; 129 is what the same script sends when every key's tree owns
+    a transport of its own, so sharing one moves no message."""
+
+    async def scenario():
+        shard = LockServiceShard(spec(), 0)
+        connection = Connection(shard)
+        uids = (f"op-{n}" for n in itertools.count())
+        for _ in range(3):
+            for session in range(1, 8):
+                for key in ("a", "b", "c"):
+                    connection.op("acquire", next(uids), key=key, session=session)
+            while shard._holders:
+                for key, session in sorted(shard._holders.items()):
+                    connection.op("release", next(uids), key=key, session=session)
+        connection.op("stats", "s")
+        stats = connection.take()[-1]["stats"]
+        assert stats["tree_messages"] == 129
+        assert stats["acquires"] == stats["releases"] == 3 * 7 * 3
+        assert stats["errors"] == stats["exclusion_violations"] == 0
+        await shard.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_warm_key_costs_its_agents_and_little_else():
+    """A key is four agents, their node map and the free set: no transport,
+    no handler table and no empty queue of its own.  That is ~1.0 kB per
+    star(4) key by tracemalloc on CPython 3.8-3.13."""
+
+    async def scenario():
+        shard = LockServiceShard(spec(), 0)
+        keys = [f"k-{index}" for index in range(2000)]
+        shard._keyed_lock("warm-up")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for key in keys:
+                shard._keyed_lock(key)
+            per_key = (tracemalloc.get_traced_memory()[0] - before) / len(keys)
+        finally:
+            tracemalloc.stop()
+        assert per_key <= 1200, f"{per_key:.0f} B per warm key"
         await shard.close()
 
     asyncio.run(scenario())

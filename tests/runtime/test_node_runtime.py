@@ -10,7 +10,6 @@ from repro.core.messages import Privilege, Request
 from repro.exceptions import LockError, ProtocolError
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.node_runtime import AsyncDagNode
-from repro.runtime.transport import InMemoryTransport
 from repro.topology import star
 
 
@@ -20,19 +19,18 @@ def run(coro):
 
 def test_constructor_validates_holder_consistency():
     async def scenario():
-        transport = InMemoryTransport()
+        tree = LocalCluster(star(2))
         with pytest.raises(ProtocolError):
-            AsyncDagNode(1, transport, holding=True, next_node=2)
+            AsyncDagNode(1, tree, holding=True, next_node=2)
         with pytest.raises(ProtocolError):
-            AsyncDagNode(2, transport, holding=False, next_node=None)
+            AsyncDagNode(2, tree, holding=False, next_node=None)
 
     run(scenario())
 
 
 def test_acquire_requires_started_node():
     async def scenario():
-        transport = InMemoryTransport()
-        node = AsyncDagNode(1, transport, holding=True, next_node=None)
+        node = LocalCluster(star(1)).node(1)
         with pytest.raises(LockError):
             await node.acquire()
 
@@ -41,12 +39,12 @@ def test_acquire_requires_started_node():
 
 def test_holder_acquires_without_messages():
     async def scenario():
-        transport = InMemoryTransport()
-        node = AsyncDagNode(1, transport, holding=True, next_node=None)
+        tree = LocalCluster(star(1))
+        node = tree.node(1)
         node.start()
         await node.acquire()
         assert node.in_critical_section
-        assert transport.messages_sent == 0
+        assert tree.transport.messages_sent == 0
         await node.release()
         assert node.holding
         await node.stop()
@@ -56,8 +54,7 @@ def test_holder_acquires_without_messages():
 
 def test_double_acquire_rejected():
     async def scenario():
-        transport = InMemoryTransport()
-        node = AsyncDagNode(1, transport, holding=True, next_node=None)
+        node = LocalCluster(star(1)).node(1)
         node.start()
         await node.acquire()
         with pytest.raises(LockError):
@@ -69,8 +66,7 @@ def test_double_acquire_rejected():
 
 def test_release_without_acquire_rejected():
     async def scenario():
-        transport = InMemoryTransport()
-        node = AsyncDagNode(1, transport, holding=True, next_node=None)
+        node = LocalCluster(star(1)).node(1)
         node.start()
         with pytest.raises(LockError):
             await node.release()
@@ -81,9 +77,7 @@ def test_release_without_acquire_rejected():
 
 def test_request_and_privilege_roundtrip_between_two_nodes():
     async def scenario():
-        transport = InMemoryTransport()
-        holder = AsyncDagNode(1, transport, holding=True, next_node=None)
-        requester = AsyncDagNode(2, transport, holding=False, next_node=1)
+        holder, requester = LocalCluster(star(2)).nodes.values()  # 2 -> 1, 1 holds
         holder.start()
         requester.start()
         await requester.acquire()
@@ -100,10 +94,7 @@ def test_request_and_privilege_roundtrip_between_two_nodes():
 
 def test_follow_chain_through_release():
     async def scenario():
-        transport = InMemoryTransport()
-        holder = AsyncDagNode(1, transport, holding=True, next_node=None)
-        second = AsyncDagNode(2, transport, holding=False, next_node=1)
-        third = AsyncDagNode(3, transport, holding=False, next_node=1)
+        holder, second, third = LocalCluster(star(3)).nodes.values()  # 2, 3 -> 1, 1 holds
         for node in (holder, second, third):
             node.start()
         await holder.acquire()
@@ -128,8 +119,7 @@ def test_follow_chain_through_release():
 
 def test_unexpected_privilege_raises():
     async def scenario():
-        transport = InMemoryTransport()
-        node = AsyncDagNode(1, transport, holding=True, next_node=None)
+        node = LocalCluster(star(1)).node(1)
         with pytest.raises(ProtocolError):
             node.on_message(2, Privilege())
 
@@ -138,8 +128,7 @@ def test_unexpected_privilege_raises():
 
 def test_repr_mentions_variables():
     async def scenario():
-        transport = InMemoryTransport()
-        node = AsyncDagNode(4, transport, holding=True, next_node=None)
+        node = LocalCluster(star(4, token_holder=4)).node(4)
         assert "id=4" in repr(node)
         assert "HOLDING=True" in repr(node)
 
@@ -149,8 +138,7 @@ def test_repr_mentions_variables():
 def test_a_node_at_rest_owns_no_task_no_queue_and_no_event():
     async def scenario():
         before = len(asyncio.all_tasks())
-        transport = InMemoryTransport()
-        node = AsyncDagNode(1, transport, holding=True, next_node=None)
+        node = LocalCluster(star(1)).node(1)
         node.start()
         assert len(asyncio.all_tasks()) == before
         assert not hasattr(node, "__dict__")  # slots all the way down
@@ -167,14 +155,13 @@ def test_a_node_at_rest_owns_no_task_no_queue_and_no_event():
 
 
 def test_acquire_then_calls_back_from_the_releasers_stack():
-    transport = InMemoryTransport()
-    holder = AsyncDagNode(1, transport, holding=True, next_node=None)
-    waiter = AsyncDagNode(2, transport, holding=False, next_node=1)
+    tree = LocalCluster(star(2))
+    holder, waiter = tree.nodes.values()
     holder.start()
     waiter.start()
     entered = []
     holder.acquire_then(entered.append)
-    assert entered == [1] and transport.messages_sent == 0
+    assert entered == [1] and tree.transport.messages_sent == 0
     waiter.acquire_then(entered.append)
     assert entered == [1] and holder.follow == 2  # the REQUEST is already there
     with pytest.raises(LockError):
@@ -186,14 +173,13 @@ def test_acquire_then_calls_back_from_the_releasers_stack():
 def test_a_bad_message_reaches_its_sender_and_the_node_keeps_listening():
     """Under the consumer task a ProtocolError killed the task, unretrieved,
     and the node never heard another message."""
-    transport = InMemoryTransport()
-    holder = AsyncDagNode(1, transport, holding=True, next_node=None)
-    other = AsyncDagNode(2, transport, holding=False, next_node=1)
+    tree = LocalCluster(star(2))
+    holder, other = tree.nodes.values()
     other.start()
     with pytest.raises(ProtocolError, match="unexpected message"):
-        transport.send(2, 1, "not a protocol message")
+        tree.send(2, 1, "not a protocol message")
     with pytest.raises(ProtocolError, match="without an outstanding request"):
-        transport.send(2, 1, Privilege())
+        tree.send(2, 1, Privilege())
     entered = []
     other.acquire_then(entered.append)
     assert entered == [2] and not holder.holding
@@ -201,15 +187,14 @@ def test_a_bad_message_reaches_its_sender_and_the_node_keeps_listening():
 
 def test_a_stopped_node_drops_what_it_is_sent():
     async def scenario():
-        transport = InMemoryTransport()
-        holder = AsyncDagNode(1, transport, holding=True, next_node=None)
-        requester = AsyncDagNode(2, transport, holding=False, next_node=1)
+        tree = LocalCluster(star(2))
+        holder, requester = tree.nodes.values()
         requester.start()
         await holder.stop()
-        transport.send(2, 1, "not even looked at")
+        tree.send(2, 1, "not even looked at")
         entered = []
         requester.acquire_then(entered.append)
-        assert transport.messages_sent == 2 and entered == []
+        assert tree.transport.messages_sent == 2 and entered == []
         assert holder.holding and holder.next_node is None  # the REQUEST changed nothing
 
     run(scenario())

@@ -138,7 +138,7 @@ class Serving:
         return peer
 
     def tree_messages(self) -> int:
-        return sum(k.cluster.transport.messages_sent for k in self.shard._locks.values())
+        return self.shard._pump.messages_sent
 
     async def block(self, blocker: Peer, key: str) -> None:
         assert (await blocker.call(acquire(key, BLOCKER)))["ok"]
@@ -246,6 +246,32 @@ def test_cancel_reclaims_a_granted_but_unconsumed_acquire(route):
             assert (await peer.call(release("k", 6)))["ok"] is True
             assert (await peer.call(acquire("k", 5, uid="op-1")))["ok"] is True
             assert shard.stats["exclusion_violations"] == 0
+
+    run(scenario())
+
+
+def test_an_acquire_its_caller_cancels_is_cancelled_on_the_shard():
+    """The caller gives up on a waiting acquire (``wait_for`` timing out is
+    one).  Left alone, the shard would grant it when the holder releases and
+    bind the hold to the still-open connection: nobody would ever release
+    it.  The client cancels it, so the grant goes straight back."""
+
+    async def scenario():
+        async with Serving(small_spec()) as serving:
+            shard = serving.shard
+            async with LockClient([shard.address], channels=1) as client:
+                await client.acquire("k", session=1)
+                waiting = asyncio.ensure_future(client.acquire("k", session=2))
+                await until(lambda: shard._inflight)
+                waiting.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await waiting
+                await client.release("k", session=1)  # behind the cancel, on one connection
+                stats = await client.stats(0)
+                assert (stats["cancelled"], stats["held"]) == (1, 0)
+                await client.acquire("k", session=3)
+                assert shard._holders == {"k": 3} and client.retry_stats["cancels"] == 1
+                assert shard.stats["exclusion_violations"] == 0
 
     run(scenario())
 
