@@ -78,8 +78,6 @@ def owner_for_key(key: str, shard_ids: Tuple[int, ...]) -> int:
     """
     if not shard_ids:
         raise LockError("no live shards to own keys")
-    if len(shard_ids) == 1:
-        return shard_ids[0]
     hashes, owners = _ring(tuple(sorted(shard_ids)))
     index = bisect.bisect_right(hashes, _hash64(f"key:{key}"))
     return owners[index % len(owners)]
@@ -105,7 +103,10 @@ class ClusterView:
         object.__setattr__(self, "_shard_ids", tuple(self.shards))  # once, not per op
 
     def owner_for(self, key: str) -> int:
-        return owner_for_key(key, self._shard_ids)
+        shard_ids = self._shard_ids
+        if len(shard_ids) == 1:  # a one-shard view owns every key: no ring to read
+            return shard_ids[0]
+        return owner_for_key(key, shard_ids)
 
     def without(self, shard: int) -> "ClusterView":
         """The next epoch's view with ``shard`` removed."""

@@ -27,10 +27,13 @@ connection's end.
 
 Dicts are the control plane's and the public codec's form.  A lock op is
 fields from end to end: the client packs its acquire or release from them,
-the shard's connection cuts a packed one into them and calls
+the shard's connection cuts a packed one into them in place and calls
 :meth:`LockServiceShard._lock_op` — the one op path, which a JSON acquire or
 release also reaches once :meth:`LockServiceShard._handle_op` has checked its
-fields — and the grant or ack goes back packed from fields.
+fields — and the grant or ack goes back packed from fields, to resolve the
+client's op with the grant's epoch, or ``True`` for an ack.  The shard reads
+its ring only on a key's first touch: membership only shrinks, so a key whose
+tree it built stays its own for as long as it is in the view.
 
 Inside a shard, each key's tree is a :class:`~repro.runtime.cluster
 .TokenTree` of :class:`~repro.runtime.node_runtime.AsyncDagNode` *agents*,
@@ -84,7 +87,9 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any, Awaitable, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
+)
 
 from repro.core.inspector import implicit_queue, waiting_nodes
 from repro.exceptions import (
@@ -329,6 +334,7 @@ class LockServiceShard:
         # first touched only after a later epoch-N+1 failover, when the
         # immediately previous view already shows this shard as owner.
         self._views: List[ClusterView] = [self._view]
+        self._member = True  # in the current view: every key with a tree is its own
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()  # the live FrameProtocols this shard accepted
         self._shutdown = asyncio.Event()
@@ -422,6 +428,7 @@ class LockServiceShard:
         else:
             self._views[-1] = view  # same epoch, fresher addresses
         self._view = view
+        self._member = self.index in view.shards
         if self._control_pipe is not None:
             try:
                 self._control_pipe.send(("view-ack", self.index, view.epoch))
@@ -510,8 +517,8 @@ class LockServiceShard:
         def on_op(
             op: str, key: str, session: int, grant_epoch: Optional[int], epoch: int, op_id: str
         ) -> None:
-            if not (drop_rate > 0.0 and dropped()):
-                self._lock_op(op, key, session, grant_epoch, epoch, op_id, proto)
+            if not dropped():
+                self._lock_op(proto, op, key, session, grant_epoch, epoch, op_id)
 
         def on_close(error: Optional[Exception]) -> None:
             # A reset peer or a broken frame is just a disconnect.
@@ -524,6 +531,9 @@ class LockServiceShard:
                     self._abandon(hold)
 
         proto = FrameProtocol(on_frame, on_close, on_op)
+        if not drop_rate > 0.0:
+            # No frame to drop: the connection calls the op path itself.
+            proto.on_op = partial(self._lock_op, proto)
         self._connections.add(proto)
         return proto
 
@@ -559,9 +569,10 @@ class LockServiceShard:
         return False
 
     def _cache_op(self, uid: str, answer: Answer) -> None:
-        self._op_cache[uid] = answer
-        while len(self._op_cache) > OP_CACHE_SIZE:
-            self._op_cache.popitem(last=False)
+        cache = self._op_cache
+        cache[uid] = answer
+        if len(cache) > OP_CACHE_SIZE:  # one op in, at most one out
+            cache.popitem(last=False)
 
     def _handle_op(self, frame: Dict[str, Any], conn: FrameProtocol) -> None:
         """Serve one op that arrived as a payload.
@@ -591,14 +602,8 @@ class LockServiceShard:
                 reply({"id": op_id, "ok": True, "stats": stats_payload})
                 return
             if op == "view":
-                reply(
-                    {
-                        "id": op_id,
-                        "ok": True,
-                        "epoch": self._view.epoch,
-                        "view": self._view.to_dict(),
-                    }
-                )
+                view = self._view
+                reply({"id": op_id, "ok": True, "epoch": view.epoch, "view": view.to_dict()})
                 return
             if op == "cancel":
                 # No route check: a shard the key moved away from must still
@@ -621,35 +626,42 @@ class LockServiceShard:
             reply({"id": op_id, "ok": False, "error": str(exc)})
             return
         # A release without a grant epoch is not fenced.
-        self._lock_op(op, key, session, frame.get("grant_epoch"), epoch, op_id, conn)
+        self._lock_op(conn, op, key, session, frame.get("grant_epoch"), epoch, op_id)
 
     def _lock_op(
         self,
+        conn: FrameProtocol,
         op: str,
         key: str,
         session: int,
         grant_epoch: Optional[int],
         epoch: int,
         op_id: Any,
-        conn: FrameProtocol,
     ) -> None:
         """Serve one acquire or release from its fields and answer it.
 
         The one op path, whichever way the op was spelled on the wire.  An
-        acquire that must wait is answered by its grant instead.
+        acquire that must wait is answered by its grant instead.  The op id
+        is the dedup handle: without a non-empty string one, the op is
+        refused.  Only a key's first touch reads the ring: membership only
+        shrinks, so a key whose tree this shard built stays its own for as
+        long as the shard is in the view.
         """
         try:
+            if type(op_id) is not str or not op_id:
+                raise LockError("op needs a non-empty string 'id'")
             if type(key) is not str or not key:
                 raise LockError("op needs a non-empty string 'key'")
-            answer = self._check_route(key, epoch)
+            keyed = self._locks.get(key)
+            answer = None if keyed is not None and self._member else self._check_route(key, epoch)
             if answer is not None:
                 self.stats["errors"] += 1
             elif op == "acquire":
-                answer = self._acquire_op(str(op_id), key, session, (conn, op_id))
+                answer = self._acquire_op(op_id, key, session, conn, keyed)
                 if answer is None:
                     return  # the grant will answer it
             else:
-                answer = self._release_op(str(op_id), key, session, grant_epoch)
+                answer = self._release_op(op_id, key, session, grant_epoch)
         except LockError as exc:
             self.stats["errors"] += 1
             conn.send({"id": op_id, "ok": False, "error": str(exc)})
@@ -669,11 +681,8 @@ class LockServiceShard:
             # Fenced-off zombie: the supervisor declared us dead (e.g. a
             # long stall) but the process survived.  Serving anything could
             # double-grant against our replacement.
-            return {
-                "ok": False,
-                "code": "fenced",
-                "error": f"shard {self.index} was fenced out of the cluster view",
-            }
+            error = f"shard {self.index} was fenced out of the cluster view"
+            return {"ok": False, "code": "fenced", "error": error}
         owner = view.owner_for(key)
         if owner == self.index:
             return None
@@ -683,20 +692,10 @@ class LockServiceShard:
                 "(client routing bug)"
             )
         if epoch < view.epoch:
-            return {
-                "ok": False,
-                "code": "wrong-shard",
-                "error": f"key {key!r} belongs to shard {owner} at epoch {view.epoch}",
-                "view": view.to_dict(),
-            }
-        return {
-            "ok": False,
-            "code": "stale-shard",
-            "error": (
-                f"op routed under epoch {epoch} but shard {self.index} "
-                f"is still at {view.epoch}"
-            ),
-        }
+            error = f"key {key!r} belongs to shard {owner} at epoch {view.epoch}"
+            return {"ok": False, "code": "wrong-shard", "error": error, "view": view.to_dict()}
+        error = f"op routed under epoch {epoch} but shard {self.index} is still at {view.epoch}"
+        return {"ok": False, "code": "stale-shard", "error": error}
 
     def _keyed_lock(self, key: str) -> _KeyedLock:
         keyed = self._locks.get(key)
@@ -715,37 +714,40 @@ class LockServiceShard:
         return keyed
 
     def _acquire_op(
-        self, uid: str, key: str, session: int, requester: Tuple[FrameProtocol, Any]
+        self, uid: str, key: str, session: int, conn: FrameProtocol, keyed: Optional[_KeyedLock]
     ) -> Optional[Answer]:
-        """The acquire's answer, or ``None`` when its grant gives (or gave) it."""
+        """The acquire's answer, or ``None`` when its grant gives (or gave) it.
+
+        ``keyed`` is the key's tree, ``None`` on its first touch."""
         cached = self._op_cache.get(uid)
         if cached is not None:
             # Duplicate of a completed acquire: re-bind the hold (if it still
             # stands) to the connection retrying it, then replay the result.
             hold = self._held.get((session, key))
             if hold is not None and hold.uid == uid:
-                hold.conn = requester[0]
+                hold.conn = conn
                 self._holders[key] = session
             return cached
         existing = self._inflight.get(uid)
         if existing is not None:
             # Duplicate of a waiting acquire: join it.  The grant binds to
             # the most recent requester still connected.
-            existing.requesters.append(requester)
+            existing.requesters.append((conn, uid))
             return None
         if (session, key) in self._held:
             self.stats["errors"] += 1
             answer = {"ok": False, "error": f"session {session} already holds {key!r}"}
             self._cache_op(uid, answer)
             return answer
-        keyed = self._keyed_lock(key)
+        if keyed is None:
+            keyed = self._keyed_lock(key)
         started = time.perf_counter() if self._obs_enabled else 0.0
         ticket = keyed.try_acquire()
         if ticket is not None:
             # An agent idles on the token: nobody is queued, nothing to wait for.
-            hold = _Hold(uid, key, session, ticket, self._view.epoch, requester[0])
+            hold = _Hold(uid, key, session, ticket, self._view.epoch, conn)
             return self._grant(hold, 0, started)
-        record = _Inflight(requesters=[requester])
+        record = _Inflight(requesters=[(conn, uid)])
         self._inflight[uid] = record
         depth = keyed.queue_depth() if self._obs_enabled else 0
         keyed.acquire_then(
@@ -780,9 +782,7 @@ class LockServiceShard:
             self.stats["cancelled"] += 1
             keyed.release(ticket)
             answer: Answer = {
-                "ok": False,
-                "code": "cancelled",
-                "error": "acquire cancelled by client",
+                "ok": False, "code": "cancelled", "error": "acquire cancelled by client"
             }
             self._cache_op(uid, answer)
         elif owner is None:
@@ -832,14 +832,11 @@ class LockServiceShard:
                 # the key moved on.  Rejecting (rather than "ok") tells the
                 # holder its critical section lost its protection.
                 self.stats["fenced"] += 1
-                answer: Answer = {
-                    "ok": False,
-                    "code": "fenced",
-                    "error": (
-                        f"grant for {key!r} at epoch {grant_epoch} was fenced: "
-                        f"the cluster is at epoch {self._view.epoch}"
-                    ),
-                }
+                error = (
+                    f"grant for {key!r} at epoch {grant_epoch} was fenced: "
+                    f"the cluster is at epoch {self._view.epoch}"
+                )
+                answer: Answer = {"ok": False, "code": "fenced", "error": error}
                 self._cache_op(uid, answer)
                 return answer
             raise LockError(f"session {session} does not hold {key!r}")
@@ -1174,15 +1171,11 @@ class LockClient:
     # ------------------------------------------------------------------ #
     # ops
     # ------------------------------------------------------------------ #
-    async def acquire(self, key: str, *, session: int = 0) -> None:
-        response = await self._call("acquire", key, session, None)
-        self._grants[(session, key)] = int(response.get("epoch", self._view.epoch))
+    def acquire(self, key: str, *, session: int = 0) -> Awaitable[None]:
+        return self._call("acquire", key, session)
 
-    async def release(self, key: str, *, session: int = 0) -> None:
-        try:
-            await self._call("release", key, session, self._grants.get((session, key)))
-        finally:
-            self._grants.pop((session, key), None)
+    def release(self, key: str, *, session: int = 0) -> Awaitable[None]:
+        return self._call("release", key, session)
 
     async def stats(self, shard: int) -> Dict[str, Any]:
         conn = await self._connection(shard, 0)
@@ -1209,16 +1202,13 @@ class LockClient:
     # ------------------------------------------------------------------ #
     # the retry loop
     # ------------------------------------------------------------------ #
-    async def _traced_call(
-        self, op: str, key: str, session: int, grant_epoch: Optional[int]
-    ) -> Dict[str, Any]:
+    async def _traced_call(self, op: str, key: str, session: int) -> None:
         started = time.perf_counter()
         retries_before = self.retry_stats["retries"] + self.retry_stats["reroutes"]
         outcome = "error"
         try:
-            response = await self._call_loop(op, key, session, grant_epoch)
+            await self._call_loop(op, key, session)
             outcome = "ok"
-            return response
         except LockFencedError:
             outcome = "fenced"
             raise
@@ -1226,11 +1216,7 @@ class LockClient:
             outcome = "unavailable"
             raise
         finally:
-            retried = (
-                self.retry_stats["retries"]
-                + self.retry_stats["reroutes"]
-                - retries_before
-            )
+            retried = self.retry_stats["retries"] + self.retry_stats["reroutes"] - retries_before
             self._trace.append(
                 {
                     "name": f"{op} {key}",
@@ -1242,18 +1228,22 @@ class LockClient:
                 }
             )
 
-    async def _call_loop(
-        self, op: str, key: str, session: int, grant_epoch: Optional[int]
-    ) -> Dict[str, Any]:
+    async def _call_loop(self, op: str, key: str, session: int) -> None:
         """One acquire or release, retried until it is answered or out of budget.
 
-        Each attempt packs the op from its fields under the current view
-        (:func:`_op_frame`) and awaits the connection's future for it
-        directly: no coroutine between this one and the answer.
+        The caller awaits this coroutine and it awaits each attempt's future:
+        nothing stands between.  An attempt packs the op from its fields
+        under the current view; its answer is a grant's epoch, ``True`` for
+        an ack (an acquire then books the view's epoch), or a JSON answer's
+        dict — a refusal, or fields that did not pack.
         """
+        acquire = op == "acquire"
+        held = (session, key)
+        grant_epoch = None if acquire else self._grants.pop(held, None)
         if self._closed:
             raise LockError("client is closed")
-        uid = self._next_uid()  # ONE id for every attempt: the dedup handle
+        self._op_counter += 1
+        uid = f"{self._client_id}:{self._op_counter}"  # ONE id for every attempt: the dedup handle
         channel = session % self._channels
         attempts = 0
         delays = None  # the backoff schedule, built by the first retry that waits
@@ -1266,7 +1256,11 @@ class LockClient:
                 if not view.shards:
                     raise ShardUnavailableError("no live shards in the cluster view")
                 shard = view.owner_for(key)
-                frame = _op_frame(op, key, session, grant_epoch, view.epoch, uid)
+                frame = (
+                    pack_acquire(key, session, view.epoch, uid)
+                    if acquire
+                    else pack_release(key, session, grant_epoch, view.epoch, uid)
+                ) or _op_frame(op, key, session, grant_epoch, view.epoch, uid)
                 try:
                     conn = self._conns.get((shard, channel))
                     conn = conn or await self._connection(shard, channel)
@@ -1291,8 +1285,12 @@ class LockClient:
                     delays = delays or backoff_delays()
                     await asyncio.sleep(next(delays))
                     continue
-                if response.get("ok"):
-                    return response
+                if type(response) is not dict or response.get("ok"):
+                    if acquire:
+                        if type(response) is dict:
+                            response = int(response.get("epoch", self._view.epoch))
+                        self._grants[held] = self._view.epoch if response is True else response
+                    return
                 code = response.get("code")
                 if code == "wrong-shard":
                     # The shard is ahead of us and attached its view: adopt it
@@ -1409,19 +1407,13 @@ class LockClient:
 def _op_frame(
     op: str, key: str, session: int, grant_epoch: Optional[int], epoch: int, uid: str
 ) -> bytes:
-    """One acquire's or release's frame, packed from its fields.
+    """An acquire's or a release's frame where its packer gave ``None``.
 
-    Where a field does not fit the layout (a session of 2**63, a key over
-    65 535 UTF-8 bytes, a lone surrogate, a release with no grant epoch) it
-    is the JSON text :func:`encode_frame` writes for the same payload, keys in
-    the same order.
+    That is where a field does not fit the layout (a session of 2**63, a key
+    over 65 535 UTF-8 bytes, a lone surrogate, a release with no grant
+    epoch): the JSON text :func:`encode_frame` writes for the same payload,
+    keys in the same order.
     """
-    if op == "acquire":
-        frame = pack_acquire(key, session, epoch, uid)
-    else:
-        frame = pack_release(key, session, grant_epoch, epoch, uid)
-    if frame is not None:
-        return frame
     payload = {
         "op": op, "key": key, "session": session, "grant_epoch": grant_epoch, "epoch": epoch,
         "id": uid,
@@ -1435,9 +1427,11 @@ class _ClientConnection:
     """One framed connection: coalesced frames out, answers matched to callers in.
 
     :meth:`send` queues a frame and hands back the future of its answer; a
-    :class:`FrameProtocol` hands every answer to :meth:`_on_frame` as it is
-    cut from the socket, which resolves the future of the caller that sent
-    that op id (and cancels its deadline); when the connection ends, for
+    :class:`FrameProtocol` hands every answer to :meth:`_on_answer` as it is
+    cut from the socket — a packed grant as its epoch, a packed ack as
+    ``True``, anything else as its payload — which resolves the future of
+    the caller that sent that op id with it (and cancels its deadline); when
+    the connection ends, for
     whatever reason, every caller still waiting fails with
     :class:`ShardUnavailableError`.  No flow control on the way out: every
     caller awaits its own answer, so at most one frame per caller is ever
@@ -1454,7 +1448,7 @@ class _ClientConnection:
     async def open(self) -> None:
         try:
             self._proto = await open_frame_connection(
-                self._address, self._on_frame, self._on_close
+                self._address, self._on_frame, self._on_close, self._on_answer
             )
         except (ConnectionError, OSError) as exc:
             raise ShardUnavailableError(
@@ -1473,7 +1467,8 @@ class _ClientConnection:
         it is done: a failed future holds its exception, whose traceback
         holds the caller's frame — a reference cycle.
         """
-        if self._proto is None or self._proto.is_closing():
+        proto = self._proto
+        if proto is None or proto.closed or proto.transport.is_closing():
             # A frame queued on a closing connection is dropped and a future
             # registered on a closed one never resolves: fail fast and let
             # the caller reconnect.
@@ -1482,17 +1477,20 @@ class _ClientConnection:
         self._pending[op_id] = future
         if timeout is not None:
             self._timers[op_id] = self._loop.call_later(timeout, self._expire, op_id)
-        self._proto.send_frame(frame)
+        proto.send_frame(frame)
         return future
 
     async def call(
         self, op_id: Any, frame: Dict[str, Any], timeout: Optional[float] = None
     ) -> Dict[str, Any]:
-        """Send the payload ``frame`` (which carries ``"id": op_id``); its answer."""
-        return await self.send(op_id, encode_frame(frame), timeout)
+        """Send the payload ``frame`` (which carries ``"id": op_id``); its answer's payload."""
+        answer = await self.send(op_id, encode_frame(frame), timeout)
+        return {"ok": True, "id": op_id} if answer is True else answer
 
     def _on_frame(self, response: Dict[str, Any]) -> None:
-        op_id = response.get("id")
+        self._on_answer(response.get("id"), response)
+
+    def _on_answer(self, op_id: Any, response: Union[int, Dict[str, Any]]) -> None:
         try:
             future = self._pending.pop(op_id, None)
         except TypeError:  # an id that cannot be hashed is no caller's
@@ -1536,11 +1534,11 @@ class LockSession:
         self._client = client
         self.session_id = session_id
 
-    async def acquire(self, key: str) -> None:
-        await self._client.acquire(key, session=self.session_id)
+    def acquire(self, key: str) -> Awaitable[None]:
+        return self._client.acquire(key, session=self.session_id)
 
-    async def release(self, key: str) -> None:
-        await self._client.release(key, session=self.session_id)
+    def release(self, key: str) -> Awaitable[None]:
+        return self._client.release(key, session=self.session_id)
 
     def locked(self, key: str) -> "_SessionLockContext":
         return _SessionLockContext(self, key)

@@ -21,22 +21,24 @@ of each string (unsigned 16-bit), then the strings' UTF-8 bytes:
 
 Each layout has one positional packer (``pack_acquire`` ... ``pack_ack``:
 fields in, the whole frame out, ``None`` when a field does not fit) and one
-positional cutter (``cut_acquire`` ... ``cut_ack``: a body in, its fields
-out), and those are the layouts' one text.  The public codec is dict in, dict
-out — :func:`encode_frame` / :func:`decode_body`, built on those functions —
-and picks by itself: a payload is packed when its keys are exactly one of
-those shapes' and every field is exactly ``str`` / ``int`` (not ``bool``)
-inside its layout's range, and is JSON otherwise — an out-of-range session,
-an integer id, an acquire with one key more all travel as text and come back
-as they went in.  Nothing selects or announces a format: both ends are one
+positional cutter (``cut_acquire`` ... ``cut_ack``: a buffer and a body's
+bounds in it, the fields read in place out), and those are the layouts' one
+text.  The public codec is dict in, dict out — :func:`encode_frame` /
+:func:`decode_body`, built on those functions — and picks by itself: a
+payload is packed when its keys are exactly one of those shapes' and every
+field is exactly ``str`` / ``int`` (not ``bool``) inside its layout's range,
+and is JSON otherwise — an out-of-range session, an integer id, an acquire
+with one key more all travel as text and come back as they went in.  Nothing selects or announces a format: both ends are one
 build, and a JSON-encoded acquire from a hand-written peer decodes as it
 always did.
 
 The dict form is for the control plane, refusals and raw peers.  A lock op
-travels as fields: the client packs its acquire or release with a packer,
-the shard's :class:`FrameProtocol` hands a packed one's cut fields to its
-``on_op`` and the shard packs the grant or ack back from fields — falling
-back to :func:`encode_frame`'s JSON exactly where it would.
+travels as fields both ways: the client packs its acquire or release with a
+packer, the shard's :class:`FrameProtocol` hands a packed one's cut fields to
+its ``on_op``, the shard packs the grant or ack back from fields — falling
+back to :func:`encode_frame`'s JSON exactly where it would — and the
+client's :class:`FrameProtocol` hands a packed grant's epoch, or ``True`` for
+an ack, to its ``on_answer``.
 
 Frames are read and written in one place, :class:`FrameProtocol`, an
 ``asyncio.Protocol`` that sits directly on the socket's transport: the lock
@@ -57,6 +59,9 @@ from repro.exceptions import RuntimeTransportError
 
 #: A transport address: a unix-socket path or a ``(host, port)`` TCP pair.
 Address = Union[str, Tuple[str, int]]
+
+#: What frames are cut from: a received chunk, or the buffer holding a partial one.
+Buffer = Union[bytes, bytearray]
 
 #: Frame header: one unsigned 32-bit big-endian payload length.
 FRAME_HEADER = struct.Struct(">I")
@@ -195,46 +200,60 @@ def encode_frame(payload: Dict[str, Any]) -> bytes:
     return FRAME_HEADER.pack(len(body)) + body
 
 
-# One positional cutter per layout: a body of that kind -> its fields.  A body
-# whose struct is short, whose tails do not fill it exactly, or whose strings
-# are not UTF-8 raises ValueError or struct.error; whoever cut it refuses the
-# frame with :func:`_undecodable`.
-def cut_acquire(body: Union[bytes, bytearray]) -> Tuple[str, int, int, str]:
+# One positional cutter per layout: the body of that kind at
+# ``buffer[start:end]`` -> its fields, read in place (no copy of the body).  A
+# body whose struct is short (struct refuses the body alone: in place, it would
+# read on into the next frame), whose tails do not fill it exactly, or whose
+# strings are not UTF-8 raises ValueError or struct.error; whoever cut it
+# refuses the frame with :func:`_undecodable`.
+def cut_acquire(buffer: Buffer, start: int, end: int) -> Tuple[str, int, int, str]:
     """An ``a`` body -> (key, session, epoch, id)."""
-    _, session, epoch, key_len, id_len = _ACQUIRE.unpack_from(body)
-    mid = _ACQUIRE.size + key_len
-    if mid + id_len != len(body):
-        raise ValueError(_unfilled("a", body))
-    return body[_ACQUIRE.size : mid].decode(), session, epoch, body[mid:].decode()
+    head = start + _ACQUIRE.size
+    if head > end:
+        _ACQUIRE.unpack_from(buffer[start:end])
+    _, session, epoch, key_len, id_len = _ACQUIRE.unpack_from(buffer, start)
+    mid = head + key_len
+    if mid + id_len != end:
+        raise ValueError(_unfilled("a", end - start))
+    return buffer[head:mid].decode(), session, epoch, buffer[mid:end].decode()
 
 
-def cut_release(body: Union[bytes, bytearray]) -> Tuple[str, int, int, int, str]:
+def cut_release(buffer: Buffer, start: int, end: int) -> Tuple[str, int, int, int, str]:
     """An ``r`` body -> (key, session, grant_epoch, epoch, id)."""
-    _, session, granted, epoch, key_len, id_len = _RELEASE.unpack_from(body)
-    mid = _RELEASE.size + key_len
-    if mid + id_len != len(body):
-        raise ValueError(_unfilled("r", body))
-    return body[_RELEASE.size : mid].decode(), session, granted, epoch, body[mid:].decode()
+    head = start + _RELEASE.size
+    if head > end:
+        _RELEASE.unpack_from(buffer[start:end])
+    _, session, granted, epoch, key_len, id_len = _RELEASE.unpack_from(buffer, start)
+    mid = head + key_len
+    if mid + id_len != end:
+        raise ValueError(_unfilled("r", end - start))
+    return buffer[head:mid].decode(), session, granted, epoch, buffer[mid:end].decode()
 
 
-def cut_grant(body: Union[bytes, bytearray]) -> Tuple[int, str]:
+def cut_grant(buffer: Buffer, start: int, end: int) -> Tuple[int, str]:
     """A ``g`` body -> (epoch, id)."""
-    _, epoch, id_len = _GRANT.unpack_from(body)
-    if _GRANT.size + id_len != len(body):
-        raise ValueError(_unfilled("g", body))
-    return epoch, body[_GRANT.size :].decode()
+    head = start + _GRANT.size
+    if head > end:
+        _GRANT.unpack_from(buffer[start:end])
+    _, epoch, id_len = _GRANT.unpack_from(buffer, start)
+    if head + id_len != end:
+        raise ValueError(_unfilled("g", end - start))
+    return epoch, buffer[head:end].decode()
 
 
-def cut_ack(body: Union[bytes, bytearray]) -> str:
+def cut_ack(buffer: Buffer, start: int, end: int) -> str:
     """A ``k`` body -> its id."""
-    _, id_len = _ACK.unpack_from(body)
-    if _ACK.size + id_len != len(body):
-        raise ValueError(_unfilled("k", body))
-    return body[_ACK.size :].decode()
+    head = start + _ACK.size
+    if head > end:
+        _ACK.unpack_from(buffer[start:end])
+    _, id_len = _ACK.unpack_from(buffer, start)
+    if head + id_len != end:
+        raise ValueError(_unfilled("k", end - start))
+    return buffer[head:end].decode()
 
 
-def _unfilled(kind: str, body: Union[bytes, bytearray]) -> str:
-    return f"kind {kind!r} struct and tails do not fill {len(body)} bytes"
+def _unfilled(kind: str, size: int) -> str:
+    return f"kind {kind!r} struct and tails do not fill {size} bytes"
 
 
 def _undecodable(exc: Exception) -> RuntimeTransportError:
@@ -245,7 +264,7 @@ def _undecodable(exc: Exception) -> RuntimeTransportError:
 _decode_json = json.JSONDecoder().raw_decode
 
 
-def decode_body(body: Union[bytes, bytearray]) -> Dict[str, Any]:
+def decode_body(body: Buffer) -> Dict[str, Any]:
     """One frame body -> its payload; the one text of what a body must be.
 
     Either exactly one JSON object — bytes after it, or whitespace around it,
@@ -253,6 +272,7 @@ def decode_body(body: Union[bytes, bytearray]) -> Dict[str, Any]:
     packed layouts, its struct whole and its tails filling the body exactly.
     """
     kind = body[:1]
+    end = len(body)
     try:
         if kind == b"{":
             text = body.decode()
@@ -261,19 +281,19 @@ def decode_body(body: Union[bytes, bytearray]) -> Dict[str, Any]:
                 raise ValueError(f"{len(text) - stop} characters after the JSON value")
             return payload
         if kind == b"a":
-            key, session, epoch, ident = cut_acquire(body)
+            key, session, epoch, ident = cut_acquire(body, 0, end)
             return {"op": "acquire", "key": key, "session": session, "epoch": epoch, "id": ident}
         if kind == b"g":
-            epoch, ident = cut_grant(body)
+            epoch, ident = cut_grant(body, 0, end)
             return {"ok": True, "epoch": epoch, "id": ident}
         if kind == b"r":
-            key, session, granted, epoch, ident = cut_release(body)
+            key, session, granted, epoch, ident = cut_release(body, 0, end)
             return {
                 "op": "release", "key": key, "session": session, "grant_epoch": granted,
                 "epoch": epoch, "id": ident,
             }
         if kind == b"k":
-            return {"ok": True, "id": cut_ack(body)}
+            return {"ok": True, "id": cut_ack(body, 0, end)}
         raise ValueError(f"unknown frame kind {bytes(kind)!r}")
     except (ValueError, struct.error) as exc:  # Unicode- and JSONDecodeError are ValueErrors
         raise _undecodable(exc) from None
@@ -320,14 +340,16 @@ class FrameProtocol(asyncio.Protocol):
     With an ``on_op``, a packed acquire or release never becomes a payload:
     its cutter's fields go to ``on_op(op, key, session, grant_epoch, epoch,
     id)`` instead (``op`` is ``"acquire"`` or ``"release"``, an acquire's
-    ``grant_epoch`` is ``None``).  A frame that breaks a rule (length over
-    :data:`MAX_FRAME_BYTES`, a body :func:`decode_body` refuses — a cutter
-    refuses the same bodies with the same reason — EOF inside a frame) or
-    whose handler raises :class:`RuntimeTransportError` closes this
-    connection, and only this one.  ``on_close(error)`` is called exactly
-    once, whoever ended the connection: ``None`` for a clean EOF or a local
-    :meth:`close`, else the reason; :attr:`closed` is true from then on.  No
-    frame is delivered after it.
+    ``grant_epoch`` is ``None``; :attr:`on_op` may be set later, to a handler
+    bound to this protocol); with an ``on_answer``, a packed grant or ack
+    goes to ``on_answer(id, epoch)`` or ``on_answer(id, True)``.  A frame
+    that breaks a rule (length over :data:`MAX_FRAME_BYTES`, a body
+    :func:`decode_body` refuses — a cutter refuses the same bodies with the
+    same reason — EOF inside a frame) or whose handler raises
+    :class:`RuntimeTransportError` closes this connection, and only this one.
+    ``on_close(error)`` is called exactly once, whoever ended the connection:
+    ``None`` for a clean EOF or a local :meth:`close`, else the reason;
+    :attr:`closed` is true from then on.  No frame is delivered after it.
 
     Out: frames reach a busy peer in bursts (one ``recv`` carries many), so
     their answers are ready in the same event-loop pass; :meth:`send` (a
@@ -342,7 +364,8 @@ class FrameProtocol(asyncio.Protocol):
     """
 
     __slots__ = (
-        "transport", "closed", "_on_frame", "_on_close", "_on_op", "_loop", "_buffer", "_frames"
+        "transport", "closed", "on_op", "_on_frame", "_on_close", "_on_answer", "_loop",
+        "_buffer", "_frames",
     )
 
     def __init__(
@@ -350,12 +373,14 @@ class FrameProtocol(asyncio.Protocol):
         on_frame: Callable[[Dict[str, Any]], None],
         on_close: Optional[Callable[[Optional[Exception]], None]] = None,
         on_op: Optional[Callable[[str, str, int, Optional[int], int, str], None]] = None,
+        on_answer: Optional[Callable[[str, Union[int, bool]], None]] = None,
     ) -> None:
         self.transport: Any = None
         self.closed = False
+        self.on_op = on_op
         self._on_frame = on_frame
         self._on_close = on_close
-        self._on_op = on_op
+        self._on_answer = on_answer
         self._loop = asyncio.get_running_loop()
         self._buffer = bytearray()  # the incomplete frame at the end of the last chunk
         self._frames: List[bytes] = []
@@ -368,38 +393,47 @@ class FrameProtocol(asyncio.Protocol):
         buffer = self._buffer
         if buffer:
             buffer += data
-            chunk: Union[bytes, bytearray] = buffer
+            chunk: Buffer = buffer
         else:
             chunk = data
         size = len(chunk)
         start = 0
         header = FRAME_HEADER.size
         unpack_from = FRAME_HEADER.unpack_from
-        on_frame, on_op = self._on_frame, self._on_op
+        on_frame, on_op, on_answer = self._on_frame, self.on_op, self._on_answer
         try:
             while size - start >= header and not self.closed:
                 (length,) = unpack_from(chunk, start)
                 if length > MAX_FRAME_BYTES:
                     raise _oversized(length)
-                end = start + header + length
+                head = start + header
+                end = head + length
                 if end > size:
                     break
-                body = chunk[start + header : end]
                 start = end
-                kind = body[:1]
-                if on_op is None or kind not in (b"a", b"r"):
-                    on_frame(decode_body(body))
-                    continue
-                try:
-                    if kind == b"a":
-                        key, session, epoch, ident = cut_acquire(body)
-                        op, granted = "acquire", None
-                    else:
-                        key, session, granted, epoch, ident = cut_release(body)
-                        op = "release"
-                except (ValueError, struct.error) as exc:
-                    raise _undecodable(exc) from None
-                on_op(op, key, session, granted, epoch, ident)
+                kind = chunk[head] if length else 0
+                if on_op is not None and (kind == 97 or kind == 114):  # b"a", b"r"
+                    try:
+                        if kind == 97:
+                            key, session, epoch, ident = cut_acquire(chunk, head, end)
+                            op, granted = "acquire", None
+                        else:
+                            key, session, granted, epoch, ident = cut_release(chunk, head, end)
+                            op = "release"
+                    except (ValueError, struct.error) as exc:
+                        raise _undecodable(exc) from None
+                    on_op(op, key, session, granted, epoch, ident)
+                elif on_answer is not None and (kind == 103 or kind == 107):  # b"g", b"k"
+                    try:
+                        if kind == 103:
+                            answer, ident = cut_grant(chunk, head, end)
+                        else:
+                            answer, ident = True, cut_ack(chunk, head, end)
+                    except (ValueError, struct.error) as exc:
+                        raise _undecodable(exc) from None
+                    on_answer(ident, answer)
+                else:
+                    on_frame(decode_body(chunk[head:end]))
         except RuntimeTransportError as exc:
             self.close(exc)
             return
@@ -485,10 +519,11 @@ async def open_frame_connection(
     address: Address,
     on_frame: Callable[[Dict[str, Any]], None],
     on_close: Optional[Callable[[Optional[Exception]], None]] = None,
+    on_answer: Optional[Callable[[str, Union[int, bool]], None]] = None,
 ) -> FrameProtocol:
     """Connect a :class:`FrameProtocol` to ``address`` (TCP pair or unix path)."""
     loop = asyncio.get_running_loop()
-    factory = lambda: FrameProtocol(on_frame, on_close)  # noqa: E731
+    factory = lambda: FrameProtocol(on_frame, on_close, None, on_answer)  # noqa: E731
     if isinstance(address, tuple):
         _, protocol = await loop.create_connection(factory, address[0], address[1])
     else:

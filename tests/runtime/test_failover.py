@@ -14,6 +14,8 @@ import multiprocessing
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.inspector import implicit_queue
 from repro.exceptions import LockError, LockFencedError, ShardUnavailableError
@@ -86,6 +88,29 @@ def test_removing_a_shard_only_moves_its_own_keys():
             assert after == before
             stayed += 1
     assert moved > 0 and stayed > 0  # both cases actually exercised
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shards=st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
+    keys=st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=30, unique=True),
+    data=st.data(),
+)
+def test_a_surviving_shard_keeps_its_keys_through_any_removals(shards, keys, data):
+    """The rule a shard's op path routes by: membership only shrinks, so once a
+    key's owner survives a removal it owns the key in every later view, down
+    to the last shard standing — whatever the shard ids and the removal order."""
+    removals = data.draw(st.permutations(sorted(shards)))[:-1]
+    view = ClusterView(epoch=0, shards=dict.fromkeys(shards))
+    owners = {key: view.owner_for(key) for key in keys}
+    for shard in removals:
+        view = view.without(shard)
+        for key, owner in owners.items():
+            now = view.owner_for(key)
+            assert now == owner_for_key(key, tuple(view.shards)) and now in view.shards
+            if owner != shard:
+                assert now == owner, (key, owner, now)
+            owners[key] = now
 
 
 def test_empty_membership_is_an_error():

@@ -96,8 +96,8 @@ class Connection:
         frame = {"op": op, "id": uid, "epoch": 0, **fields}
         if op in ("acquire", "release"):
             self.shard._lock_op(
-                op, frame["key"], frame["session"], frame.get("grant_epoch"), frame["epoch"],
-                uid, self,
+                self, op, frame["key"], frame["session"], frame.get("grant_epoch"),
+                frame["epoch"], uid,
             )
         else:
             self.shard._handle_op(frame, self)

@@ -410,6 +410,67 @@ def test_a_wrong_typed_integer_is_answered_and_costs_nobody_else_their_hold(fiel
     run(scenario())
 
 
+def test_an_op_without_a_string_id_is_refused_before_the_op_cache():
+    """The op id is the dedup handle.  An acquire or release with no id, an
+    empty one or one that is not a string is refused and counted under
+    ``errors``: it is never cached, and it never replays another op's answer
+    (an id-less release used to be answered with the id-less acquire's
+    cached grant, leave the key held, and strand the next session on it;
+    ``7`` and ``"7"`` used to share one cache entry)."""
+
+    async def scenario():
+        async with Serving(small_spec()) as serving:
+            shard = serving.shard
+            peer = await serving.peer()
+            bare = {"op": "acquire", "key": "k", "session": 1, "epoch": 0}
+            for ident in (None, "", 7):
+                frame = bare if ident is None else {**bare, "id": ident}
+                for op in ("acquire", "release"):
+                    answer = await peer.call({**frame, "op": op})
+                    assert answer == {
+                        "id": ident, "ok": False, "error": "op needs a non-empty string 'id'"
+                    }
+            assert shard.stats["errors"] == 6 and not shard._op_cache and not shard._held
+            assert (await peer.call(acquire("k", 1, uid="7")))["ok"] is True
+            assert (await peer.call(release("k", 1)))["ok"] is True
+            assert (await peer.call(acquire("k", 2, uid="8")))["ok"] is True
+            assert shard.stats["acquires"] == 2 and shard.stats["releases"] == 1
+
+    run(scenario())
+
+
+def test_a_key_with_a_tree_is_served_unrouted_only_while_the_shard_is_in_the_view():
+    """A key's tree stands in for the ring: built under a view that made the
+    key this shard's, it stays this shard's while membership only shrinks.
+    The flag behind that is membership itself — a shard voted out of the view
+    answers ``fenced`` to a packed acquire and a packed release of a key whose
+    tree it holds.  And a key first touched after a failover still reads the
+    ring, and is still taken over once."""
+    own = next(f"k-{i}" for i in range(100) if owner_for_key(f"k-{i}", (0, 1)) == 0)
+    foreign = next(f"k-{i}" for i in range(100) if owner_for_key(f"k-{i}", (0, 1)) == 1)
+
+    async def scenario():
+        async with Serving(small_spec(shards=2)) as serving:
+            shard = serving.shard
+            peer = await serving.peer()
+            assert (await peer.call(acquire(own, 1)))["ok"] is True
+            shard.adopt_view(ClusterView(epoch=1, shards={0: None}).to_dict())  # 1 died
+            assert (await peer.call(release(own, 1, grant_epoch=0)))["ok"] is True
+            for _ in range(2):
+                assert (await peer.call(acquire(foreign, 1, epoch=1)))["ok"] is True
+                assert (await peer.call(release(foreign, 1, epoch=1)))["ok"] is True
+            assert shard.stats["takeovers"] == 1
+            assert (await peer.call(acquire(own, 1, epoch=1)))["ok"] is True
+            shard.adopt_view(ClusterView(epoch=2, shards={1: None}).to_dict())  # 0 voted out
+            for frame in (acquire(own, 2, epoch=2), release(own, 1, grant_epoch=1, epoch=2)):
+                assert encode_frame(frame)[FRAME_HEADER.size] in b"ar"  # packed
+                answer = await peer.call(frame)
+                assert answer["ok"] is False and answer["code"] == "fenced"
+            assert shard._held and shard.stats["errors"] == 2
+
+    run(scenario())
+
+
 # --------------------------------------------------------------------------- #
 # one op path: a packed op and a JSON op are served alike
 # --------------------------------------------------------------------------- #
