@@ -4,8 +4,8 @@ The engine owns the virtual clock and the monotone sequence counter; the
 *storage* of scheduled events and the drain loop live in
 :class:`~repro.sim.schedulers.HeapScheduler`, which holds
 ``(time, sequence, callback, payload)`` tuples — single pushes in a heap,
-bulk loads as a sorted run beside it, constant-latency deliveries in a FIFO
-lane — and the entry *is* the event:
+bulk loads beside it, built a chunk at a time from the caller's sequences,
+constant-latency deliveries in a FIFO lane — and the entry *is* the event:
 ``callback(payload)`` fires with no per-event allocation, and storing plain
 tuples keeps every comparison in C.  The engine is intentionally
 minimal: processes, networks, and metrics are layered on top rather than
@@ -24,7 +24,9 @@ handlers over a reliable network.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Tuple, Union
+from itertools import count, islice, repeat
+from operator import le
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.exceptions import SchedulingError, SimulationError
 from repro.sim.schedulers import HeapScheduler, make_scheduler
@@ -125,9 +127,9 @@ class SimulationEngine:
 
         Raises:
             SchedulingError: if ``time`` is earlier than ``now`` (the clock
-                never runs backwards).
+                never runs backwards) or not a number.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SchedulingError(
                 f"cannot schedule event at {time} before current time {self._now}"
             )
@@ -137,37 +139,52 @@ class SimulationEngine:
 
     def schedule_lite_bulk(
         self,
-        items: "Iterable[Tuple[float, Callable[[Any], None], Any]]",
+        times: Sequence[float],
+        callback: Callable[[Any], None],
+        payloads: Sequence[Any],
     ) -> int:
-        """Bulk :meth:`schedule_lite`: one call for many events.
+        """Bulk :meth:`schedule_lite`: ``callback(payloads[i])`` at
+        ``times[i]`` for every ``i``, in one call.
 
-        ``items`` yields ``(time, callback, payload)`` triples; each is
-        stamped with the next sequence number in iteration order, exactly as
-        if :meth:`schedule_lite` had been called per item, then handed to
-        the scheduler's batch insert, which keeps them out of the heap as a
-        sorted run (O(n) for a time-ordered load; any order is accepted and
-        fires in ``(time, sequence)`` order; a load made while an earlier
-        one is still queued merges with it).  Used by the experiment driver
-        to load a whole workload's arrivals up front without paying a Python
-        call per request.  Times are not checked per item: the scheduler
-        checks the earliest of the sorted load against ``now`` once.
+        Each event is stamped with the next sequence number in index order,
+        exactly as if :meth:`schedule_lite` had been called per item.  The
+        scheduler gets an iterator over ``times`` and ``payloads`` themselves
+        (nothing is copied, so they must not change while queued) and builds
+        its entries a chunk at a time, out of the heap.  An ascending
+        ``times`` is taken as it is; any other order is sorted by index
+        (equal times keep index order); a load made while an earlier one is
+        still queued merges with it.  No Python call is made per event.
 
         Returns:
             The number of events scheduled.
 
         Raises:
-            SchedulingError: if any ``time`` is earlier than ``now``; the
-                load is refused whole, nothing is scheduled (the sequence
-                numbers it drew stay drawn).
+            SchedulingError: if any time is earlier than ``now`` or not a
+                number; the load is refused whole, nothing is scheduled (the
+                sequence numbers it drew stay drawn).
         """
-        sequence = self._sequence
-        entries = [
-            (time, sequence := sequence + 1, callback, payload)
-            for time, callback, payload in items
-        ]
-        self._sequence = sequence
-        self._scheduler.push_bulk(entries)
-        return len(entries)
+        loaded = len(times)
+        base = self._sequence + 1
+        self._sequence += loaded
+        if not loaded:
+            return 0
+        sequences = count(base)
+        ascending = all(map(le, times, islice(times, 1, None)))
+        if not ascending:
+            order = sorted(range(loaded), key=times.__getitem__)
+            times = list(map(times.__getitem__, order))
+            payloads = list(map(payloads.__getitem__, order))
+            sequences = map(base.__add__, order)
+            ascending = all(map(le, times, islice(times, 1, None)))  # unless a NaN
+        if not (ascending and times[0] >= self._now):
+            time = next((t for t in times if not t >= self._now), times[0])
+            raise SchedulingError(
+                f"cannot schedule event at {time} before current time {self._now}"
+            )
+        self._scheduler.push_bulk(
+            zip(times, sequences, repeat(callback), payloads), loaded
+        )
+        return loaded
 
     def run(
         self,

@@ -6,8 +6,9 @@ plain tuples in three places.  What callbacks schedule one at a time at
 arbitrary times — releases, loaders, faults, messages a network watches on
 delivery — goes into a binary heap as ``(time, sequence, callback,
 payload)``: O(log n) push/pop, every comparison in C.  What is loaded in
-bulk — a workload's arrivals — stays a descending-sorted list *beside* the
-heap, in the same form, and is popped from its end.  What a constant-latency
+bulk — a workload's arrivals — waits *beside* the heap as an iterator over
+the caller's own sequences, built a chunk at a time, in the same form, into
+a descending list popped from its end.  What a constant-latency
 network sends waits in a FIFO lane (a ``deque``) as a ready-to-fire
 three-argument call, ``(time, sequence, fn, target, sender, message)``: each
 delivery is due at ``now + d`` with ``now`` never decreasing and the
@@ -19,7 +20,7 @@ the heap.
 The scheduler owns its *drain loop*: the tight pop-and-dispatch loop that
 :meth:`SimulationEngine.run` delegates to, kept next to the storage so it
 runs without any per-event virtual dispatch.  It fires the smallest of the
-lane's head, the heap's head and the run's tail, compared as whole tuples
+lane's head, the heap's head and the chunk's tail, compared as whole tuples
 exactly as one heap would compare them, so the order is the single heap's.
 Every entry is dispatched on its own; a same-tick run of equal-time entries
 is just that loop back to back.
@@ -39,8 +40,9 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from heapq import heappop, heappush
+from itertools import chain, islice
 from math import inf
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, Iterator, List, Optional, Tuple
 
 from repro.exceptions import SchedulingError
 
@@ -48,24 +50,28 @@ from repro.exceptions import SchedulingError
 #: driver, :func:`make_scheduler`); both mean :class:`HeapScheduler`.
 SCHEDULER_MODES = ("auto", "heap")
 
+#: Entries of a bulk load materialised at a time (:meth:`HeapScheduler.push_bulk`).
+BULK_CHUNK = 2048
+
 
 class HeapScheduler:
-    """A heap, a sorted run of bulk-loaded entries and a FIFO lane of
-    constant-latency deliveries, drained together in ``(time, sequence)``
-    order.
+    """A heap, a bulk load's cursor and a FIFO lane of constant-latency
+    deliveries, drained together in ``(time, sequence)`` order.
 
-    A heap or run entry is a ``(time, sequence, callback, payload)`` tuple,
+    A heap or bulk entry is a ``(time, sequence, callback, payload)`` tuple,
     fired as ``callback(payload)``; a lane entry is ``(time, sequence, fn,
     target, sender, message)``, fired as ``fn(target, sender, message)``.  The
     engine owns the clock and the sequence counter; the scheduler owns
     storage and the drain loop.  Every comparison happens in C because
     entries are plain tuples with unique sequence numbers, and the push the
     engine binds is ``partial(heappush, entries)`` — no Python frame per
-    insert.  Bulk loads (:meth:`push_bulk`) never enter the heap: they are
-    kept as one list sorted descending, so the next one due is ``run[-1]``
-    and firing it is a ``list.pop()`` that frees the entry.  The lane's one
-    owner (:meth:`claim_lane`) appends with the deque's own ``append``; a
-    comparison never reaches the third element of either form.
+    insert.  A bulk load (:meth:`push_bulk`) never enters the heap: it is an
+    ascending iterator, of which :data:`BULK_CHUNK` entries at a time wait in
+    one list sorted descending, so the next one due is ``run[-1]`` and firing
+    it is a ``list.pop()`` that frees the entry; the list is refilled as its
+    last entry is taken, so it is empty only when the load is spent.  The
+    lane's one owner (:meth:`claim_lane`) appends with the deque's own
+    ``append``; a comparison never reaches the third element of either form.
 
     :meth:`drain` is the pop-and-dispatch loop and returns the number of
     events processed.  It honors the engine's ``_stopped`` flag after every
@@ -79,11 +85,13 @@ class HeapScheduler:
     #: Short name recorded in benchmark labels and obs gauges.
     kind = "heap"
 
-    __slots__ = ("_engine", "_entries", "_run", "_lane", "_lane_claimed")
+    __slots__ = ("_engine", "_entries", "_run", "_cursor", "_unloaded", "_lane", "_lane_claimed")
 
     def __init__(self) -> None:
         self._entries: List[Tuple] = []
-        self._run: List[Tuple] = []
+        self._run: List[Tuple] = []  # the bulk load's materialised chunk
+        self._cursor: Iterator[Tuple] = iter(())  # the rest of it
+        self._unloaded = 0  # entries still behind the cursor
         self._lane: Deque[Tuple] = deque()
         self._lane_claimed = False
 
@@ -114,36 +122,39 @@ class HeapScheduler:
         self._lane_claimed = True
         return self._lane
 
-    def push_bulk(self, entries: List[Tuple]) -> None:
-        """Insert many entries in one call (same ordering contract as one push).
+    def push_bulk(self, entries: Iterator[Tuple], count: int) -> None:
+        """Take over ``entries``, an ascending iterator of ``count`` entries
+        (same ordering contract as one push each), as the bulk load.
 
         The engine's batch entry point (``schedule_lite_bulk``) uses this so
-        pre-scheduled workloads — thousands of arrivals loaded before a run —
-        do not pay a Python call per entry, nor a heap level per event while
-        they wait.  ``entries`` is sorted in place and not kept.
-
-        Raises:
-            SchedulingError: if the earliest entry is before the engine's
-                ``now``; nothing is stored.
+        a workload's arrivals pay no Python call per entry, no heap level per
+        event while they wait, and no copy: only :data:`BULK_CHUNK` entries
+        are built ahead of the drain.  The engine checks the load.
         """
-        # Timsort makes the arrival-ordered load the driver passes O(n) (one
-        # strictly ascending run, reversed); any other order is still right.
-        entries.sort(reverse=True)
-        if entries and entries[-1][0] < self._engine._now:
-            raise SchedulingError(
-                f"cannot schedule event at {entries[-1][0]} before current "
-                f"time {self._engine._now}"
-            )
-        # In place: a drain in progress holds this list.
         run = self._run
-        run.extend(entries)
-        if len(run) > len(entries):
-            # An earlier load is still live: merge (two runs to timsort).
-            run.sort(reverse=True)
+        if run:
+            # An earlier load is still live: merge the two (two runs to
+            # timsort), materialised — the rare path.
+            count += len(run) + self._unloaded
+            entries = iter(sorted(chain(reversed(run), self._cursor, entries)))
+            run.clear()  # in place: a drain in progress holds this list
+        self._cursor = entries
+        self._unloaded = count
+        self._refill()
+
+    def _refill(self) -> None:
+        """Materialise the load's next chunk into the (empty) run."""
+        run = self._run
+        run.extend(islice(self._cursor, BULK_CHUNK))
+        if run:
+            run.reverse()
+            self._unloaded -= len(run)
+        else:  # spent: let go of the caller's sequences
+            self._cursor = iter(())
 
     def __len__(self) -> int:
-        """Entries stored, heap, run and lane together."""
-        return len(self._entries) + len(self._run) + len(self._lane)
+        """Entries stored, heap, bulk load and lane together."""
+        return len(self._entries) + len(self._run) + self._unloaded + len(self._lane)
 
     def drain(self, until: Optional[float], budget: int) -> int:
         engine = self._engine
@@ -152,6 +163,7 @@ class HeapScheduler:
         lane = self._lane
         take_heap = partial(heappop, heap)
         take_run = run.pop
+        refill = self._refill
         take_lane = lane.popleft
         horizon = inf if until is None else until
         processed = 0
@@ -189,6 +201,8 @@ class HeapScheduler:
                 if time > horizon:
                     break
                 take()
+                if take is take_run and not run:
+                    refill()
                 engine._now = time
                 callback(payload)
                 processed += 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Type, Union
 
 from repro.baselines.base import MutexSystem, registry
@@ -313,28 +314,27 @@ class ExperimentDriver:
 
         Materialised workloads load in one ``schedule_lite_bulk`` call — one
         shared callback with the request as the event payload, no per-request
-        closure allocation, and the arrivals wait as a sorted run beside the
-        heap, never in it (the arrival-ordered load sorts in O(n)).  Streaming
-        workloads chunk-load instead: see :meth:`_load_streaming`.  Arrival
-        times are validated by the workload, not re-checked per request; the
-        head check below covers every request because schedules are
-        arrival-ordered.  The enter hooks go in with the arrivals: nothing
+        closure or frame — and wait beside the heap, never in it, as a cursor
+        over the workload's own request tuple and a list of their times.
+        Streaming workloads chunk-load instead: see :meth:`_load_streaming`.
+        Arrival times are validated by the workload, not re-checked per
+        request; the head check below covers every request because schedules
+        are arrival-ordered.  The enter hooks go in with the arrivals: nothing
         enters a critical section before one.
         """
         self._aim_enter_hooks(self._handle_enter)
         if isinstance(self.workload, StreamingWorkload):
             self._load_streaming(engine)
             return
-        arrival = self._issue_or_queue
+        requests = self.workload.requests
         now = engine.now
-        first = next(iter(self.workload), None)
-        if first is not None and first.arrival_time < now:
+        if requests and requests[0].arrival_time < now:
             raise ExperimentError(
-                f"request at {first.arrival_time} is in the past "
+                f"request at {requests[0].arrival_time} is in the past "
                 f"(engine time {now})"
             )
         engine.schedule_lite_bulk(
-            (request.arrival_time, arrival, request) for request in self.workload
+            list(map(attrgetter("arrival_time"), requests)), self._issue_or_queue, requests
         )
 
     def _load_streaming(self, engine) -> None:
@@ -381,9 +381,8 @@ class ExperimentDriver:
                 f"{batch[-1].arrival_time}"
             )
         engine = self.system.engine
-        arrival = self._issue_or_queue
         engine.schedule_lite_bulk(
-            (request.arrival_time, arrival, request) for request in batch
+            list(map(attrgetter("arrival_time"), batch)), self._issue_or_queue, batch
         )
         if upcoming is not None:
             engine.schedule_lite(

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, le
 from typing import Iterator, List, Tuple
 
 from repro.exceptions import WorkloadError
@@ -39,9 +40,9 @@ class CSRequest:
     __slots__ = ("node", "arrival_time", "cs_duration")
 
     def __init__(self, node: int, arrival_time: float, cs_duration: float = 1.0) -> None:
-        if arrival_time < 0:
+        if not arrival_time >= 0:  # a NaN too
             raise WorkloadError(f"arrival time must be non-negative, got {arrival_time}")
-        if cs_duration < 0:
+        if not cs_duration >= 0:
             raise WorkloadError(f"CS duration must be non-negative, got {cs_duration}")
         _set_node(self, node)
         _set_arrival_time(self, arrival_time)
@@ -80,8 +81,8 @@ _set_node = CSRequest.node.__set__
 _set_arrival_time = CSRequest.arrival_time.__set__
 _set_cs_duration = CSRequest.cs_duration.__set__
 
-#: A schedule's order: by arrival time, ties broken by node id.
-_schedule_order = attrgetter("arrival_time", "node")
+_by_node = attrgetter("node")
+_by_arrival_time = attrgetter("arrival_time")
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,16 @@ class Workload:
     description: str = ""
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.requests, key=_schedule_order))
-        object.__setattr__(self, "requests", ordered)
+        # By arrival time, then node id, with no key object per request: kept if
+        # already so (checked in C), else sorted in two stable one-key passes.
+        requests = tuple(self.requests)
+        keys = (list(map(_by_arrival_time, requests)), list(map(_by_node, requests)))
+        if not all(map(le, zip(*keys), islice(zip(*keys), 1, None))):
+            del keys
+            ordered = sorted(requests, key=_by_node)
+            ordered.sort(key=_by_arrival_time)
+            requests = tuple(ordered)
+        object.__setattr__(self, "requests", requests)
 
     def __len__(self) -> int:
         return len(self.requests)

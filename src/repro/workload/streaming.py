@@ -10,11 +10,11 @@ through the event queue once.
 A :class:`StreamingWorkload` replaces the list with a *batch factory*: a
 callable returning a fresh iterator of arrival-ordered request batches.  The
 experiment driver loads one batch into the engine at a time (via
-``schedule_lite_bulk``: the batch waits as a sorted run beside the event heap
-and each arrival is freed as it fires) and schedules the next load as a lite
-event at the current batch's last arrival time, so at any moment the process
-holds at most one batch of request objects plus whatever is genuinely in
-flight — peak RSS is bounded by the chunk size, not the workload length.
+``schedule_lite_bulk``: the batch waits beside the event heap, its entries
+built a chunk at a time) and schedules the next load as a lite event at the
+current batch's last arrival time, so at any moment the process holds that
+batch and the prefetched next plus whatever is genuinely in flight — peak
+RSS is bounded by the chunk size, not the workload length.
 
 Contract (checked where cheap, tested everywhere):
 
@@ -35,10 +35,10 @@ from repro.exceptions import WorkloadError
 from repro.workload.requests import CSRequest
 
 #: Default number of requests the driver keeps in the engine per batch.  At
-#: ~112 bytes per queued lite entry (tuple, sequence number, list slot) plus
-#: 64 bytes per request (the 56-byte slotted object and its list slot;
-#: ``tracemalloc``, CPython 3.11) this bounds one queued chunk around 18 MB
-#: — and the driver holds the next one, prefetched, beside it — while staying
+#: 64 bytes per request (the 56-byte slotted object and its list slot) plus 8
+#: per queued arrival (its time's list slot; the entries are built 2048 at a
+#: time) this holds one queued chunk at 7.4 MB and the prefetched next at 6.4
+#: (13.8 MB by ``tracemalloc``, CPython 3.11, star(1000)), while staying
 #: large enough that the per-batch Python overhead (one lite event + one bulk
 #: load) is noise.
 DEFAULT_CHUNK_REQUESTS = 100_000

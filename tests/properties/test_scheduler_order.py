@@ -129,8 +129,9 @@ class Harness:
                 if ordered:
                     items = sorted(items, key=lambda item: item[0])
                 loaded = engine.schedule_lite_bulk(
-                    (now + delay, self.fire, self._expect(now + delay, script))
-                    for delay, script in items
+                    [now + delay for delay, _script in items],
+                    self.fire,
+                    [self._expect(now + delay, script) for delay, script in items],
                 )
                 assert loaded == len(items)
         assert engine._sequence == self.sequence

@@ -1,0 +1,142 @@
+"""The bulk load's contract: a cursor over the caller's sequences.
+
+``SimulationEngine.schedule_lite_bulk(times, callback, payloads)`` draws one
+sequence number per event in index order and hands the scheduler an iterator
+over ``times`` and ``payloads``; only :data:`~repro.sim.schedulers.BULK_CHUNK`
+entries are built ahead of the drain.  Every case here loads more than one
+chunk, so the part of a load that is not built yet is always in play: it
+must count in ``pending_events``, fire in ``(time, sequence)`` order however
+the drain is sliced, and merge with a second load made before it is built.
+"""
+
+from __future__ import annotations
+
+from repro.bench import run_setup_scenario
+from repro.cells import bench_cell
+from repro.sim.engine import SimulationEngine
+from repro.sim.schedulers import BULK_CHUNK
+from repro.spec import ExperimentSpec, TopologySpec, WorkloadSpec
+from repro.workload.driver import ExperimentDriver
+
+SIZE = 2 * BULK_CHUNK + 5
+
+
+def test_the_unbuilt_part_of_a_load_counts_as_pending():
+    engine = SimulationEngine()
+    fired = []
+    assert engine.schedule_lite_bulk([1.0] * SIZE, fired.append, range(SIZE)) == SIZE
+    assert len(engine.scheduler._run) == BULK_CHUNK
+    assert engine.pending_events == SIZE
+    for taken in (1, BULK_CHUNK - 1, 1, BULK_CHUNK, 3):
+        assert engine.run(max_events=taken) == taken
+        assert engine.pending_events == SIZE - len(fired)
+    assert engine.run() == 1
+    assert engine.pending_events == 0
+    # Equal times fire in load order, across every chunk boundary.
+    assert fired == list(range(SIZE))
+
+
+def test_equal_times_keep_load_order_when_the_load_is_sorted():
+    # Out of order: a stable sort of the indices on the times.
+    times = [float((index * 7) % 5) for index in range(SIZE)]
+    engine = SimulationEngine()
+    fired = []
+    engine.schedule_lite_bulk(times, fired.append, range(SIZE))
+    assert engine.pending_events == SIZE
+    engine.run()
+    assert fired == sorted(range(SIZE), key=times.__getitem__)
+    assert engine.now == 4.0
+
+
+def test_a_second_load_merges_with_a_part_built_first():
+    first = [float(index // 3) for index in range(SIZE)]
+    second = [index / 2 + 0.5 for index in range(SIZE)]
+    engine = SimulationEngine()
+    fired = []
+    engine.schedule_lite_bulk(first, fired.append, [("first", i) for i in range(SIZE)])
+    engine.run(max_events=10)
+    assert len(engine.scheduler._run) == BULK_CHUNK - 10
+    # Every time of the second load is at or after now (3.0), and many tie
+    # with the first's: a tie fires the first load's event first.
+    second = [time + engine.now for time in second]
+    engine.schedule_lite_bulk(second, fired.append, [("second", i) for i in range(SIZE)])
+    assert engine.pending_events == 2 * SIZE - 10
+    engine.run()
+    expected = sorted(
+        [(time, 0, i) for i, time in enumerate(first)]
+        + [(time, 1, i) for i, time in enumerate(second)]
+    )
+    assert fired == [(("first", "second")[load], i) for _time, load, i in expected]
+    assert engine.pending_events == 0
+
+
+def test_a_load_made_from_a_callback_merges_too():
+    early = [float(index // 1000) for index in range(SIZE)]
+    late = [2.0 + index / SIZE for index in range(SIZE)]
+    engine = SimulationEngine()
+    fired = []
+
+    def load_late(_):
+        # Mid-drain, with the early load's chunk part spent.
+        assert 0 < len(engine.scheduler._run) < BULK_CHUNK
+        engine.schedule_lite_bulk(late, fired.append, [("late", i) for i in range(SIZE)])
+
+    engine.schedule_lite_bulk(early, fired.append, [("early", i) for i in range(SIZE)])
+    engine.schedule_lite(1.5, load_late)
+    engine.run()
+    expected = sorted(
+        [(time, 0, i) for i, time in enumerate(early)]
+        + [(time, 1, i) for i, time in enumerate(late)]
+    )
+    assert fired == [(("early", "late")[load], i) for _time, load, i in expected]
+
+
+def test_sliced_drains_fire_the_whole_drain_order():
+    # Arrivals that push singles at equal and later times, as the driver's
+    # releases do, drained whole and one event at a time.
+    times = [float(index // 100) for index in range(SIZE)]
+
+    def replay(**limits):
+        engine = SimulationEngine()
+        fired = []
+
+        def arrive(index):
+            fired.append(index)
+            if index % 3 == 0:
+                engine.schedule_lite(engine.now + index % 2, fired.append, -index)
+
+        engine.schedule_lite_bulk(times, arrive, range(SIZE))
+        while engine.run(**limits):
+            pass
+        assert engine.pending_events == 0
+        return fired
+
+    whole = replay()
+    assert len(whole) == SIZE + len(range(0, SIZE, 3))
+    assert replay(max_events=1) == whole
+    assert replay(max_events=BULK_CHUNK - 1) == whole
+
+
+def test_a_stepped_replay_enters_in_the_order_of_a_whole_one():
+    spec = ExperimentSpec(
+        algorithm="dag",
+        topology=TopologySpec(kind="star", n=100),
+        workload=WorkloadSpec(tier="heavy", rounds=50),
+        collect_metrics=False,
+    )
+    whole = ExperimentDriver.from_spec(spec)
+    whole.run()
+    stepped = ExperimentDriver.from_spec(spec)
+    engine = stepped.system.engine
+    stepped._load_arrivals(engine)
+    assert engine.pending_events == len(stepped.workload) == 5000 > BULK_CHUNK
+    while engine.run(max_events=1):
+        pass
+    assert stepped.entry_order == whole.entry_order
+    assert engine.processed_events == whole.system.engine.processed_events
+
+
+def test_setup_benchmark_counts_the_unbuilt_arrivals():
+    row = run_setup_scenario(bench_cell("star", 300, "heavy"))
+    assert row["streamed"] is False
+    assert row["loaded_arrivals"] == row["total_requests"] == 3000 > BULK_CHUNK

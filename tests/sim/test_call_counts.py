@@ -65,10 +65,11 @@ PINNED = {
         "sim/network.py:messages_sent": 2,
         "sim/network.py:send": 1008,
         "sim/schedulers.py:__len__": 1,
+        "sim/schedulers.py:_refill": 2,
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "workload/driver.py:<genexpr>": 153,
+        "workload/driver.py:<genexpr>": 52,
         "workload/driver.py:_aim_enter_hooks": 2,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 100,
@@ -78,7 +79,6 @@ PINNED = {
         "workload/driver.py:_replay": 1,
         "workload/driver.py:_verify_completion": 1,
         "workload/driver.py:run": 1,
-        "workload/requests.py:__iter__": 2,
         "workload/requests.py:__enter__": 1,
         "workload/requests.py:__exit__": 1,
     }),
@@ -98,10 +98,11 @@ PINNED = {
         "sim/network.py:messages_sent": 2,
         "sim/network.py:send": 1008,
         "sim/schedulers.py:__len__": 1,
+        "sim/schedulers.py:_refill": 2,
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "workload/driver.py:<genexpr>": 102,
+        "workload/driver.py:<genexpr>": 1,
         "workload/driver.py:_aim_enter_hooks": 2,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 100,
@@ -111,7 +112,6 @@ PINNED = {
         "workload/driver.py:_replay": 1,
         "workload/driver.py:_verify_completion": 1,
         "workload/driver.py:run": 1,
-        "workload/requests.py:__iter__": 2,
         "workload/requests.py:__enter__": 1,
         "workload/requests.py:__exit__": 1,
     }),
@@ -130,10 +130,11 @@ PINNED = {
         "sim/network.py:messages_sent": 2,
         "sim/network.py:send": 1477,
         "sim/schedulers.py:__len__": 1,
+        "sim/schedulers.py:_refill": 2,
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "workload/driver.py:<genexpr>": 553,
+        "workload/driver.py:<genexpr>": 52,
         "workload/driver.py:_aim_enter_hooks": 2,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 500,
@@ -143,7 +144,6 @@ PINNED = {
         "workload/driver.py:_replay": 1,
         "workload/driver.py:_verify_completion": 1,
         "workload/driver.py:run": 1,
-        "workload/requests.py:__iter__": 2,
         "workload/requests.py:__enter__": 1,
         "workload/requests.py:__exit__": 1,
     }),
@@ -163,10 +163,11 @@ PINNED = {
         "sim/network.py:messages_sent": 2,
         "sim/network.py:send": 1477,
         "sim/schedulers.py:__len__": 1,
+        "sim/schedulers.py:_refill": 2,
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "workload/driver.py:<genexpr>": 502,
+        "workload/driver.py:<genexpr>": 1,
         "workload/driver.py:_aim_enter_hooks": 2,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 500,
@@ -176,7 +177,6 @@ PINNED = {
         "workload/driver.py:_replay": 1,
         "workload/driver.py:_verify_completion": 1,
         "workload/driver.py:run": 1,
-        "workload/requests.py:__iter__": 2,
         "workload/requests.py:__enter__": 1,
         "workload/requests.py:__exit__": 1,
     }),

@@ -74,6 +74,18 @@ def test_clock_never_runs_backwards():
     assert seen == [5.0, 5.0]
 
 
+def test_a_time_that_is_not_a_number_is_refused():
+    # `nan < now` is false: both ways in used to queue it.
+    engine = SimulationEngine()
+    nan = float("nan")
+    with pytest.raises(SchedulingError, match="at nan before current time 0.0"):
+        engine.schedule_lite(nan, lambda _: None)
+    for times in ([nan], [nan, 1.0], [1.0, nan, 2.0], [2.0, 1.0, nan]):
+        with pytest.raises(SchedulingError, match="at nan before current time 0.0"):
+            engine.schedule_lite_bulk(times, lambda _: None, times)
+    assert engine.pending_events == 0
+
+
 def test_bulk_load_cannot_run_the_clock_backwards():
     # The same hole, through the other way in: a bulk load whose earliest
     # time is before `now` is refused whole, before anything is stored.
@@ -82,9 +94,7 @@ def test_bulk_load_cannot_run_the_clock_backwards():
 
     def late(_):
         seen.append(engine.now)
-        engine.schedule_lite_bulk(
-            [(7.0, seen.append, "later"), (2.0, seen.append, "past")]
-        )
+        engine.schedule_lite_bulk([7.0, 2.0], seen.append, ["later", "past"])
 
     engine.schedule_lite(5.0, late)
     with pytest.raises(SchedulingError, match="at 2.0 before current time 5.0"):
@@ -93,8 +103,8 @@ def test_bulk_load_cannot_run_the_clock_backwards():
     assert engine.now == 5.0
     assert engine.pending_events == 0
     # `now` itself is fine, and so is an empty load.
-    assert engine.schedule_lite_bulk([(5.0, seen.append, "now")]) == 1
-    assert engine.schedule_lite_bulk([]) == 0
+    assert engine.schedule_lite_bulk([5.0], seen.append, ["now"]) == 1
+    assert engine.schedule_lite_bulk([], seen.append, []) == 0
     engine.run()
     assert seen == [5.0, "now"]
     assert engine.now == 5.0
@@ -118,7 +128,7 @@ def test_loader_event_refills_the_bulk_run_mid_drain():
             if batch is None:
                 return
             engine.schedule_lite_bulk(
-                (time, fired.append, (time, index)) for index, time in enumerate(batch)
+                batch, fired.append, [(time, index) for index, time in enumerate(batch)]
             )
             # In-flight work beside the arrivals, and the next loader.
             engine.schedule_lite(batch[-1] + 0.25, fired.append, "echo")

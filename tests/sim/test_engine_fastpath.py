@@ -23,8 +23,7 @@ def test_schedule_lite_interleaves_deterministically():
     fired = []
     engine.schedule_lite(1.0, fired.append, "single")
     loaded = engine.schedule_lite_bulk(
-        (time, fired.append, label)
-        for time, label in [(1.0, "bulk-1"), (0.5, "bulk-early"), (1.0, "bulk-2")]
+        [1.0, 0.5, 1.0], fired.append, ["bulk-1", "bulk-early", "bulk-2"]
     )
     engine.schedule_lite(1.0, fired.append, "single-2")
     assert loaded == 3

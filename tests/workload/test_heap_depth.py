@@ -1,7 +1,8 @@
 """What waits where during a replay: exact peaks, not bounds.
 
 The pending-event store has three places (``repro.sim.schedulers``).  The
-workload's bulk-loaded arrivals wait in a sorted run, a constant-latency
+workload's bulk-loaded arrivals wait beside the heap, built from the
+workload a chunk at a time (``test_replay_memory.py``), a constant-latency
 network's deliveries wait in a FIFO lane, and the heap keeps everything
 else — for a fault-free DAG replay, only the driver's releases.  Mutual
 exclusion allows one critical section at a time, so the heap's peak is

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.exceptions import WorkloadError
@@ -28,6 +30,29 @@ def test_workload_sorts_requests_by_time_then_node():
         )
     )
     assert [(r.node, r.arrival_time) for r in workload] == [(2, 1.0), (1, 3.0), (5, 3.0)]
+
+
+def test_a_time_that_is_not_a_number_is_refused():
+    # No comparison with a NaN is true, so `nan < 0` let one in, and the
+    # schedule it joined was left in no order at all.
+    nan = float("nan")
+    with pytest.raises(WorkloadError, match="arrival time must be non-negative, got nan"):
+        CSRequest(node=1, arrival_time=nan)
+    with pytest.raises(WorkloadError, match="CS duration must be non-negative, got nan"):
+        CSRequest(node=1, arrival_time=0.0, cs_duration=nan)
+
+
+def test_workload_order_is_time_then_node_then_input_order():
+    # The two one-attribute passes give the order one (arrival_time, node)
+    # key gives, ties between equal requests kept in input order.
+    rng = random.Random(5)
+    requests = [
+        CSRequest(rng.randrange(6), rng.randrange(4) / 2, cs_duration=float(index))
+        for index in range(300)
+    ]
+    ordered = sorted(requests, key=lambda request: (request.arrival_time, request.node))
+    assert Workload(tuple(requests)).requests == tuple(ordered)
+    assert [r.cs_duration for r in Workload(tuple(requests))] == [r.cs_duration for r in ordered]
 
 
 def test_workload_len_nodes_horizon():
