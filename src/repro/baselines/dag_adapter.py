@@ -13,10 +13,10 @@ system stands on is a fact of its topology's size, not an option:
 * ``"object"`` — one :class:`~repro.core.node.DagMutexNode` per participant:
   the protocol kernel (:class:`~repro.core.node.DagNodeCore`) on the
   simulator, the always-tested reference implementation;
-* ``"compact"`` — the whole node population as flat array columns
+* ``"compact"`` — the whole node population as flat list columns
   (:class:`~repro.core.compact_state.CompactDagState`), which is what makes
-  the ten-million-node tier constructible in seconds within a few hundred
-  megabytes.  ``system.nodes`` then serves lazy
+  the ten-million-node tier constructible in seconds within about a
+  gigabyte.  ``system.nodes`` then serves lazy
   :class:`~repro.core.compact_state.DagNodeView` proxies, so code written
   against node objects keeps working unchanged.
 

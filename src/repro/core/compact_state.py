@@ -1,23 +1,34 @@
-"""Array-native (structure-of-arrays) storage for the DAG protocol state.
+"""Columnar (structure-of-arrays) storage for the DAG protocol state.
 
 At a million nodes the object backend's cost is "a million Python objects":
 ~780 MB of :class:`~repro.core.node.DagMutexNode` instances plus per-node
 dispatch tables, and ~12 s just to build them.  This module stores the same
 three paper variables — HOLDING, NEXT, FOLLOW — plus the requesting/in-CS
-flags and the per-node entry counter as flat ``array``/``bytearray`` columns
-indexed by node id, the way :class:`~repro.topology.base.Topology` holds its
-tree in CSR arrays:
+flags and the per-node entry counter as six flat lists indexed by node id,
+one per attribute of the object node:
 
-* ``NEXT`` and ``FOLLOW`` — ``array('i')``, one int per node, ``0`` encoding
-  the paper's "no pointer" (node ids start at 1, exactly the topology's
-  convention);
-* HOLDING / requesting / in-CS — one ``bytearray`` of bit flags;
-* ``cs_entries`` — ``array('i')``.
+* ``NEXT`` and ``FOLLOW`` — one int per node, ``0`` encoding the paper's "no
+  pointer" (node ids start at 1, exactly the topology's convention).  NEXT
+  starts as ``None`` throughout and reads through to the topology's
+  ``parent`` array, which *is* the initial column, until a node first writes
+  its own;
+* HOLDING, requesting and in-CS — one bool per node each;
+* ``cs_entries`` — one int per node.
 
-That is 13 bytes of protocol state per node: ~130 MB at ten million nodes
-where the object backend would need tens of gigabytes.  Construction is a
-couple of array copies (the topology's parent array *is* the initial
-``NEXT`` column), which is what opens the ``--xxxlarge`` 10M-node tier.
+Lists, not ``array('i')``/``bytearray``, and a bool per flag, not bits of
+one byte: CPython specialises a list subscript, and a list read hands back
+the object it holds, where an array read takes the generic subscript path
+and boxes a new int for every id above 256, and a bit test is a generic
+``&``.  With the network's old endpoint check, that was the ~24 % by which
+the columns replayed behind the object nodes (``benchmarks/README.md``,
+"Why there are two node backends").  A list slot
+is 8 bytes, and every column starts as one repeated small int, bool or
+``None``, so the state keeps 48 bytes per node on any topology: ~480 MB at
+ten million nodes where the object backend would need tens of gigabytes.
+Construction is six ``[x] * (n + 1)`` fills in C, which is what opens the
+``--xxxlarge`` 10M-node tier.  The lists are containers the cycle collector
+walks; a replay runs with it paused (:meth:`~repro.workload.driver
+.ExperimentDriver.run`).
 
 The state machine here is a line-for-line transcription of
 :class:`~repro.core.node.DagNodeCore` (Figure 3 of the paper): same variable
@@ -46,7 +57,6 @@ views and columns can never disagree.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Mapping
 from typing import Any, Callable, Dict, Iterator, Optional
 
@@ -58,22 +68,14 @@ EnterCallback = Callable[[int, float], None]
 
 #: A DAG system stands on the compact columns at or above this many nodes
 #: (:meth:`~repro.baselines.dag_adapter.DagSystem._create_nodes` holds the one
-#: comparison).  Below it the object nodes are kept: their per-delivery dispatch is
-#: marginally cheaper than the columnar bit masking until construction cost
-#: and cache pressure start to dominate, which is (measured) in the
-#: hundred-thousand-node range — the same neighbourhood as the streaming
-#: workload threshold.
+#: comparison).  Below it the object nodes are kept: they are the reference
+#: implementation, and the two replay within a few per cent of each other
+#: (``benchmarks/README.md``, "Why there are two node backends").  What the
+#: columns save is construction and memory — at 100 000 nodes a system
+#: builds in milliseconds instead of ~0.2 s and keeps 48 bytes per node
+#: instead of ~270, which is where they start to dominate ``setup_s`` and
+#: peak RSS — the same neighbourhood as the streaming workload threshold.
 COMPACT_NODE_BACKEND_THRESHOLD = 100_000
-
-# Flag bits of the per-node state byte.
-_HOLDING = 1
-_REQUESTING = 2
-_IN_CS = 4
-_BUSY = _REQUESTING | _IN_CS
-
-#: ``bytearray.translate`` table masking every state byte down to its busy
-#: bits — lets completion checks scan millions of nodes in C.
-_BUSY_TABLE = bytes(b & _BUSY for b in range(256))
 
 # PRIVILEGE carries no payload and compares by type; one shared instance
 # serves every token pass (same object the node backend uses).
@@ -109,15 +111,18 @@ class CompactDagState:
         self.node_range = topology.nodes
         holder = topology.token_holder
         # The topology's parent array is exactly the initial NEXT column
-        # (index 0 unused, 0 = no pointer): one C-level copy instead of ten
-        # million mapping lookups.
-        next_col = array("i", topology.parent)
-        self._next = next_col
-        self._follow = array("i", bytes(4 * (n + 1)))
-        flags = bytearray(n + 1)
-        flags[holder] = _HOLDING
-        self._flags = flags
-        self._entries = array("i", bytes(4 * (n + 1)))
+        # (index 0 unused, 0 = no pointer), so NEXT reads through to it until
+        # a node's first write: ``None`` here means "still the parent", and
+        # the column boxes no int at build, whatever the topology.
+        self._parent = topology.parent
+        self._next = [None] * (n + 1)
+        self._follow = [0] * (n + 1)
+        holding = [False] * (n + 1)
+        holding[holder] = True
+        self._holding = holding
+        self._requesting = [False] * (n + 1)
+        self._in_cs = [False] * (n + 1)
+        self._entries = [0] * (n + 1)
         #: Total critical-section entries across all nodes (the metrics-free
         #: result path reads this instead of summing a column).
         self.total_entries = 0
@@ -143,14 +148,15 @@ class CompactDagState:
     # ------------------------------------------------------------------ #
     def request_cs(self, node_id: int) -> None:
         """Procedure P1's first half for ``node_id`` (see ``DagNodeCore``)."""
-        flags = self._flags
-        state = flags[node_id]
-        if state & _REQUESTING:
+        if self._requesting[node_id]:
             raise ProtocolError(f"node {node_id} already has an outstanding request")
-        if state & _IN_CS:
+        if self._in_cs[node_id]:
             raise ProtocolError(f"node {node_id} is already in its critical section")
         target = self._next[node_id]
-        if not state & _HOLDING and target == 0:
+        if target is None:
+            target = self._parent[node_id]
+        holding = self._holding
+        if not holding[node_id] and target == 0:
             raise ProtocolError(
                 f"node {node_id} is a sink without the token and without a request; "
                 "the system was initialised inconsistently"
@@ -161,13 +167,13 @@ class CompactDagState:
         if self._trace is not None:
             self._trace.record(self._engine._now, "cs_request", node_id)
 
-        if state & _HOLDING:
+        if holding[node_id]:
             # Idle token holder: P1 skips the request entirely.
-            flags[node_id] = state & ~_HOLDING
+            holding[node_id] = False
             self._enter_critical_section(node_id)
             return
 
-        flags[node_id] = state | _REQUESTING
+        self._requesting[node_id] = True
         self._next[node_id] = 0
         self._send(node_id, target, Request(node_id, node_id))
         if self._trace is not None:
@@ -176,11 +182,10 @@ class CompactDagState:
 
     def release_cs(self, node_id: int) -> None:
         """Procedure P1's second half for ``node_id`` (see ``DagNodeCore``)."""
-        flags = self._flags
-        state = flags[node_id]
-        if not state & _IN_CS:
+        in_cs = self._in_cs
+        if not in_cs[node_id]:
             raise ProtocolError(f"node {node_id} is not in its critical section")
-        state &= ~_IN_CS
+        in_cs[node_id] = False
         if self._metrics is not None:
             self._metrics.cs_exited(node_id, self._engine._now)
         if self._trace is not None:
@@ -189,13 +194,12 @@ class CompactDagState:
         successor = self._follow[node_id]
         if successor:
             self._follow[node_id] = 0
-            flags[node_id] = state
             self._send(node_id, successor, _PRIVILEGE)
             if self._trace is not None:
                 self._trace.record(self._engine._now, "state_change", node_id,
                                    reason="passed token", to=successor)
         else:
-            flags[node_id] = state | _HOLDING
+            self._holding[node_id] = True
             if self._trace is not None:
                 self._trace.record(self._engine._now, "state_change", node_id,
                                    reason="kept token (HOLDING)")
@@ -220,11 +224,12 @@ class CompactDagState:
         origin = message.origin
         next_col = self._next
         target = next_col[node_id]
+        if target is None:
+            target = self._parent[node_id]
         if target == 0:
-            flags = self._flags
-            state = flags[node_id]
-            if state & _HOLDING:
-                flags[node_id] = state & ~_HOLDING
+            holding = self._holding
+            if holding[node_id]:
+                holding[node_id] = False
                 self._send(node_id, origin, _PRIVILEGE)
                 if self._trace is not None:
                     self._trace.record(self._engine._now, "state_change", node_id,
@@ -240,18 +245,17 @@ class CompactDagState:
 
     def _handle_privilege(self, node_id: int, sender: int, message: Privilege) -> None:
         """The P1 wait point: the token arrived, enter the critical section."""
-        flags = self._flags
-        state = flags[node_id]
-        if not state & _REQUESTING:
+        requesting = self._requesting
+        if not requesting[node_id]:
             raise ProtocolError(
                 f"node {node_id} received the PRIVILEGE message without an "
                 "outstanding request; the token was duplicated or misrouted"
             )
-        flags[node_id] = state & ~_REQUESTING
+        requesting[node_id] = False
         self._enter_critical_section(node_id)
 
     def _enter_critical_section(self, node_id: int) -> None:
-        self._flags[node_id] |= _IN_CS
+        self._in_cs[node_id] = True
         self._entries[node_id] += 1
         self.total_entries += 1
         now = self._engine._now
@@ -270,33 +274,36 @@ class CompactDagState:
         """Ids of nodes currently requesting or executing, ascending.
 
         The common case — nobody busy at the end of a complete run — is
-        answered by a C-level mask-and-count over the flag column; the Python
-        scan runs only when someone actually is busy.
+        answered by a C-level ``any`` over each of the two flag columns; the
+        Python scan runs only when someone actually is busy.
         """
-        masked = self._flags.translate(_BUSY_TABLE)
-        if masked.count(0) == len(masked):
+        requesting, in_cs = self._requesting, self._in_cs
+        if not any(requesting) and not any(in_cs):
             return []
-        return [node_id for node_id in self.node_range if masked[node_id]]
+        return [node_id for node_id in self.node_range if requesting[node_id] or in_cs[node_id]]
+
+    def next_pointer(self, node_id: int) -> int:
+        """``node_id``'s NEXT, ``0`` for none (the handlers inline this read)."""
+        target = self._next[node_id]
+        return self._parent[node_id] if target is None else target
 
     def snapshot(self, node_id: int) -> Dict[str, Any]:
         """The paper's per-node variable table row (Figure 6 style)."""
-        state = self._flags[node_id]
         return {
-            "HOLDING": bool(state & _HOLDING),
-            "NEXT": self._next[node_id] or None,
+            "HOLDING": self._holding[node_id],
+            "NEXT": self.next_pointer(node_id) or None,
             "FOLLOW": self._follow[node_id] or None,
-            "requesting": bool(state & _REQUESTING),
-            "in_cs": bool(state & _IN_CS),
+            "requesting": self._requesting[node_id],
+            "in_cs": self._in_cs[node_id],
             "state": self.state_name(node_id).value,
         }
 
     def state_name(self, node_id: int) -> NodeStateName:
         """``node_id``'s symbolic state in the Figure 4 transition graph."""
-        state = self._flags[node_id]
         return classify_state(
-            holding=bool(state & _HOLDING),
-            in_critical_section=bool(state & _IN_CS),
-            requesting=bool(state & _REQUESTING),
+            holding=self._holding[node_id],
+            in_critical_section=self._in_cs[node_id],
+            requesting=self._requesting[node_id],
             follow=self._follow[node_id] or None,
         )
 
@@ -322,19 +329,15 @@ class DagNodeView:
     # -- the three paper variables + driver flags ----------------------- #
     @property
     def holding(self) -> bool:
-        return bool(self._state._flags[self.node_id] & _HOLDING)
+        return self._state._holding[self.node_id]
 
     @holding.setter
     def holding(self, value: bool) -> None:
-        flags = self._state._flags
-        if value:
-            flags[self.node_id] |= _HOLDING
-        else:
-            flags[self.node_id] &= ~_HOLDING
+        self._state._holding[self.node_id] = bool(value)
 
     @property
     def next_node(self) -> Optional[int]:
-        return self._state._next[self.node_id] or None
+        return self._state.next_pointer(self.node_id) or None
 
     @next_node.setter
     def next_node(self, value: Optional[int]) -> None:
@@ -350,27 +353,19 @@ class DagNodeView:
 
     @property
     def requesting(self) -> bool:
-        return bool(self._state._flags[self.node_id] & _REQUESTING)
+        return self._state._requesting[self.node_id]
 
     @requesting.setter
     def requesting(self, value: bool) -> None:
-        flags = self._state._flags
-        if value:
-            flags[self.node_id] |= _REQUESTING
-        else:
-            flags[self.node_id] &= ~_REQUESTING
+        self._state._requesting[self.node_id] = bool(value)
 
     @property
     def in_critical_section(self) -> bool:
-        return bool(self._state._flags[self.node_id] & _IN_CS)
+        return self._state._in_cs[self.node_id]
 
     @in_critical_section.setter
     def in_critical_section(self, value: bool) -> None:
-        flags = self._state._flags
-        if value:
-            flags[self.node_id] |= _IN_CS
-        else:
-            flags[self.node_id] &= ~_IN_CS
+        self._state._in_cs[self.node_id] = bool(value)
 
     @property
     def cs_entries(self) -> int:
@@ -395,7 +390,8 @@ class DagNodeView:
 
     # -- introspection --------------------------------------------------- #
     def has_token(self) -> bool:
-        return bool(self._state._flags[self.node_id] & (_HOLDING | _IN_CS))
+        state = self._state
+        return state._holding[self.node_id] or state._in_cs[self.node_id]
 
     def state_name(self) -> NodeStateName:
         return self._state.state_name(self.node_id)

@@ -18,7 +18,8 @@ adapter) and the process, or the columnar handler and the id — which the
 drain fires as ``handler(target, sender, message)``; while no metrics
 collector is attached and no partition is active, that owner's ``send``
 opens with an early exit, where the one receiver lookup that finds the
-handler is also the endpoint check.  A network that watches
+handler is also the endpoint check, and a columnar id is checked against
+the attached range's bounds as an int compare.  A network that watches
 deliveries (other latency, a trace's ``receive`` records, a fault injector
 fencing on the engine sequence) pushes ``(time, sequence, self._deliver,
 (sender, receiver, message, sequence))`` to the heap instead, and
@@ -111,14 +112,20 @@ class Network:
         self._trace = trace
         # Registered id -> the process (or wrapped handler) receiving there.
         self._receivers: Dict[int, Any] = {}
-        # Columnar (array-backed) node state attached via attach_columnar:
-        # its nodes have no per-node handlers — endpoint validation falls
-        # back to the id range and deliveries route to the state object,
+        # Columnar node state attached via attach_columnar: its nodes have
+        # no per-node handlers — endpoint validation falls back to the id
+        # range and deliveries route to the state object,
         # through its own type-keyed table where it has one.
         self._columnar = None
         self._columnar_nodes: Optional[range] = None
         self._columnar_table: Dict[type, Callable[[int, int, Any], None]] = {}
-        # The one container ``send`` tests both endpoints against: the
+        # The attached range as bounds, ``first <= id < stop``: the test
+        # ``send``'s early exit and ``_deliver`` make for a columnar id (an
+        # int compare; ``range.__contains__`` costs ~80 ns).  Empty until then.
+        self._columnar_first = 0
+        self._columnar_stop = 0
+        # The container the full body of ``send`` tests both endpoints
+        # against (and the early exit a registered receiver's sender): the
         # receiver dict, or the columnar range while nothing is registered
         # beside it.  A miss (always, for columnar ids on a mixed network)
         # goes on to the full diagnosis.
@@ -203,7 +210,8 @@ class Network:
         (or anything with the same ``node_range`` / ``on_message`` surface).
         Instead of registering one handler per node — a dict that would cost
         ~1 GB at ten million nodes and defeat the columnar memory budget —
-        the ids are validated against ``state.node_range`` and a delivery
+        the ids are validated against ``state.node_range``, a contiguous
+        ``range`` (checked as ``start <= id < stop``), and a delivery
         calls ``handler(receiver, sender, message)`` for them, the handler
         being what ``state.dispatch_table`` (if the state has one) names for
         the message's type and ``state.on_message`` otherwise — the columnar
@@ -215,6 +223,10 @@ class Network:
         order.
         """
         node_range = state.node_range
+        if type(node_range) is not range or node_range.step != 1:
+            raise NetworkError(
+                f"columnar state must cover a contiguous id range, got {node_range!r}"
+            )
         for node_id in self._receivers:
             if node_id in node_range:
                 raise NetworkError(
@@ -223,6 +235,8 @@ class Network:
                 )
         self._columnar = state
         self._columnar_nodes = node_range
+        self._columnar_first = node_range.start
+        self._columnar_stop = node_range.stop
         self._columnar_table = getattr(state, "dispatch_table", {})
         if not self._receivers:
             self._endpoints = node_range
@@ -238,24 +252,42 @@ class Network:
         """
         known = self._endpoints
         if self._direct:
-            # The lookup that resolves the lane entry's handler is also the
-            # receiver's endpoint check; a miss or a self-send goes on to the
-            # full body below, which accepts it or raises.
             node = self._receivers.get(receiver)
             if node is not None:
-                handler = node.dispatch_table.get(type(message), _call_on_message)
-            elif receiver in known:  # known is the range: only columnar state
-                node = receiver
-                handler = self._columnar_table.get(type(message)) or self._columnar.on_message
-            if node is not None and sender in known and sender != receiver:
-                self._messages_sent += 1
-                engine = self._engine
-                sequence = engine._sequence + 1
-                engine._sequence = sequence
-                self._enqueue(
-                    (engine._now + self._constant_delay, sequence, handler, node, sender, message)
-                )
-                return
+                # A registered receiver: the lookup that resolves the lane
+                # entry's handler is also its endpoint check.
+                if sender in known and sender != receiver:
+                    handler = node.dispatch_table.get(type(message), _call_on_message)
+                    self._messages_sent += 1
+                    engine = self._engine
+                    sequence = engine._sequence + 1
+                    engine._sequence = sequence
+                    self._enqueue(
+                        (engine._now + self._constant_delay, sequence, handler, node, sender, message)
+                    )
+                    return
+            else:
+                # A columnar receiver: both ids must be ints within the
+                # columns' bounds.  Anything else (a bool or a float among
+                # them) takes the full body's exact range test.
+                first = self._columnar_first
+                stop = self._columnar_stop
+                if (
+                    type(receiver) is int and type(sender) is int
+                    and first <= receiver < stop and first <= sender < stop
+                    and sender != receiver
+                ):
+                    handler = self._columnar_table.get(type(message)) or self._columnar.on_message
+                    self._messages_sent += 1
+                    engine = self._engine
+                    sequence = engine._sequence + 1
+                    engine._sequence = sequence
+                    self._enqueue(
+                        (engine._now + self._constant_delay, sequence, handler, receiver, sender, message)
+                    )
+                    return
+            # Anything refused above goes on to the full body, which accepts
+            # it or raises.
         if sender not in known or receiver not in known:
             receivers = self._receivers
             nodes = self._columnar_nodes
@@ -355,18 +387,14 @@ class Network:
     def _deliver(self, payload: Tuple[int, int, Any, int]) -> None:
         """Deliver one ``(sender, receiver, message, sequence)`` queued payload."""
         sender, receiver, message, _sequence = payload
-        nodes = self._columnar_nodes
-        if nodes is not None and receiver in nodes:
-            node = None  # columnar id: the attached state takes it below
-            columnar = (
-                self._columnar_table.get(type(message)) or self._columnar.on_message
-            )
-        else:
-            node = self._receivers.get(receiver)
-            if node is None:
+        node = self._receivers.get(receiver)
+        if node is None:
+            # Not registered: a columnar id, whose range ``send`` checked.
+            if not self._columnar_first <= receiver < self._columnar_stop:
                 raise NetworkError(
                     f"message from {sender} addressed to unregistered node {receiver}"
                 )
+            handler = self._columnar_table.get(type(message)) or self._columnar.on_message
         self._messages_delivered += 1
         if self._trace is not None:
             self._trace.record(
@@ -377,7 +405,7 @@ class Network:
                 message=_describe_message(message),
             )
         if node is None:
-            columnar(receiver, sender, message)
+            handler(receiver, sender, message)
             return
         handler = node.dispatch_table.get(type(message))
         if handler is not None:

@@ -145,6 +145,9 @@ class ExperimentDriver:
         # The request currently being served (or waited on) per node.
         self._active: Dict[int, CSRequest] = {}
         self._compact = system.compact_state
+        # Set by _load_arrivals: a driver loads its schedule once, so run()
+        # after a load (the stepping recipe's entry) replays that schedule.
+        self._loaded = False
 
     @classmethod
     def from_spec(
@@ -230,13 +233,8 @@ class ExperimentDriver:
     def _replay(self, max_events: int) -> ExperimentResult:
         engine = self.system.engine
         faults = self.faults
-        if faults is not None:
-            # Armed before the arrivals load, so fault events claim the same
-            # engine sequence numbers on every replay, whatever the worker
-            # count.
-            faults.arm(self.system)
-            self._fault_network = faults.network
-        self._load_arrivals(engine)
+        if not self._loaded:
+            self._load_arrivals(engine)
         # Drive through the system's run() (not the engine directly) so that
         # systems which interleave invariant checking with event processing
         # keep doing so under the driver.
@@ -320,8 +318,16 @@ class ExperimentDriver:
         Arrival times are validated by the workload, not re-checked per
         request; the head check below covers every request because schedules
         are arrival-ordered.  The enter hooks go in with the arrivals: nothing
-        enters a critical section before one.
+        enters a critical section before one.  A fault controller is armed
+        first, so its events claim the same engine sequence numbers on every
+        replay, whatever the worker count and whoever calls this.  A driver
+        loads once: :meth:`run` after this replays the schedule loaded here.
         """
+        self._loaded = True
+        faults = self.faults
+        if faults is not None:
+            faults.arm(self.system)
+            self._fault_network = faults.network
         self._aim_enter_hooks(self._handle_enter)
         if isinstance(self.workload, StreamingWorkload):
             self._load_streaming(engine)
@@ -402,9 +408,13 @@ class ExperimentDriver:
             return
         state = self._compact
         if state is not None:
-            # Columnar backend: probe the flag byte directly instead of
+            # Columnar backend: probe the flag columns directly instead of
             # materialising a node view per request.
-            busy = node_id in self._active or state._flags[node_id] & 6
+            busy = (
+                node_id in self._active
+                or state._requesting[node_id]
+                or state._in_cs[node_id]
+            )
         else:
             node = self._nodes[node_id]
             busy = (

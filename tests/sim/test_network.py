@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.dag_adapter import DagSystem
 from repro.core.compact_state import CompactDagState
-from repro.core.messages import Request
+from repro.core.messages import Privilege, Request
 from repro.exceptions import NetworkError, ProtocolError
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import FaultInjectingNetwork
@@ -98,11 +98,28 @@ def test_columnar_id_cannot_also_be_registered_in_either_order():
     assert network.node_ids == [4]
 
 
-def columnar_network(mixed):
+def test_columnar_state_must_cover_a_contiguous_range():
+    # Its ids are checked as ``start <= id < stop``, which only a step-1
+    # range answers exactly.
+    class Columns:
+        node_range = range(1, 8, 2)
+
+        def on_message(self, receiver, sender, message):
+            pass
+
+    network = Network(SimulationEngine())
+    with pytest.raises(NetworkError, match=r"^columnar state must cover a contiguous id range"):
+        network.attach_columnar(Columns())
+    assert network._columnar is None
+
+
+def columnar_network(mixed, traced=False):
     """The compact DAG columns for star(4) attached as ids 1..4; ``mixed``
-    registers an object handler (id 9) beside them."""
+    registers an object handler (id 9) beside them, ``traced`` attaches a
+    trace recorder (every delivery then goes through ``_deliver``)."""
     engine = SimulationEngine()
-    network = Network(engine)
+    network = Network(engine, trace=TraceRecorder() if traced else None)
+    assert (network._lane is None) is traced
     state = CompactDagState(star(4), network)
     network.attach_columnar(state)
     outsider = Recorder()
@@ -140,6 +157,79 @@ def test_columnar_endpoints_keep_every_refusal_and_its_text(mixed):
         ):
             engine.run()
         assert outsider.received == [(3, "out")]
+
+
+#: Every way an id can miss the columns of star(4) (ids 1..4).
+NOT_A_COLUMNAR_ID = [0, -1, 5, "a", None]
+NETWORKS = pytest.mark.parametrize(
+    "mixed, traced",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["columnar-only-lane", "mixed-lane", "columnar-only-traced", "mixed-traced"],
+)
+
+
+@NETWORKS
+@pytest.mark.parametrize("bad", NOT_A_COLUMNAR_ID, ids=repr)
+def test_a_columnar_send_refuses_an_id_outside_the_columns(mixed, traced, bad):
+    # The early exit compares ints with the columns' bounds; whatever that
+    # refuses gets the full body's diagnosis, with the text it always had.
+    engine, network, state, outsider = columnar_network(mixed, traced)
+    with pytest.raises(NetworkError, match=rf"^unknown receiver node {bad}$"):
+        network.send(1, bad, Request(1, 1))
+    with pytest.raises(NetworkError, match=rf"^unknown sender node {bad}$"):
+        network.send(bad, 2, Request(1, 1))
+    with pytest.raises(NetworkError, match=rf"^unknown sender node {bad}$"):
+        network.send(bad, bad, Request(1, 1))  # both unknown: the sender is named
+    assert network.messages_sent == 0 and engine.pending_events == 0
+
+
+@NETWORKS
+def test_a_columnar_self_send_is_refused(mixed, traced):
+    engine, network, state, outsider = columnar_network(mixed, traced)
+    for node_id in (1, 4):
+        with pytest.raises(
+            NetworkError, match=rf"^node {node_id} attempted to send a message to itself$"
+        ):
+            network.send(node_id, node_id, Request(node_id, node_id))
+    assert network.messages_sent == 0 and engine.pending_events == 0
+
+
+@NETWORKS
+def test_a_bool_id_is_the_node_it_equals(mixed, traced):
+    # bool is an int subclass and ``True in range(1, 5)`` holds, so the full
+    # body's range test accepts it, and the columns index it as node 1.
+    engine, network, state, _ = columnar_network(mixed, traced)
+    network.send(True, 2, "x")
+    with pytest.raises(
+        ProtocolError, match=r"^node 2 received unexpected message 'x' from True$"
+    ):
+        engine.run()
+    state.request_cs(3)  # REQUEST 3 -> 1 (the idle holder)
+    network.send(3, True, Privilege())  # a PRIVILEGE node 1 never asked for
+    engine.run(max_events=1)
+    with pytest.raises(ProtocolError, match=r"^node True received the PRIVILEGE message"):
+        engine.run()
+
+
+@NETWORKS
+def test_a_float_id_passes_the_range_test_as_it_equals_an_id(mixed, traced):
+    # A float takes the full body's exact range test: 2.0 equals node 2 and
+    # is accepted, then fails in the handler, which indexes the columns with
+    # it; 2.5 equals no id and is refused at send.
+    engine, network, state, _ = columnar_network(mixed, traced)
+    with pytest.raises(NetworkError, match=r"^unknown receiver node 2.5$"):
+        network.send(1, 2.5, Request(1, 1))
+    with pytest.raises(NetworkError, match=r"^unknown sender node 2.5$"):
+        network.send(2.5, 1, Request(2, 2))
+    network.send(1, 2.0, Request(1, 1))
+    with pytest.raises(TypeError, match="indices must be integers"):
+        engine.run()
+    # As a sender it is only passed along, so the delivery goes through.
+    network.send(2.0, 1, "x")
+    with pytest.raises(
+        ProtocolError, match=r"^node 1 received unexpected message 'x' from 2.0$"
+    ):
+        engine.run()
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["columnar-only", "mixed"])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.dag_adapter import DagSystem
 from repro.exceptions import ExperimentError
+from repro.spec import ExperimentSpec, TopologySpec, WorkloadSpec
 from repro.topology import star
 from repro.workload.driver import ExperimentDriver, run_experiment
 from repro.workload.requests import CSRequest, Workload
@@ -89,3 +90,30 @@ def test_entry_order_matches_workload_for_spread_out_requests():
     )
     result = run_experiment("dag", topology, workload)
     assert result.entry_order == [5, 2, 6, 3]
+
+
+@pytest.mark.parametrize("loaded_first", [False, True], ids=["run", "load-then-run"])
+def test_a_driver_loads_its_schedule_once(loaded_first):
+    # The setup benchmark and the stepping recipe load through
+    # ``_load_arrivals``; a ``run`` after that used to load the schedule a
+    # second time and replay every request twice (40 entries for these 20).
+    spec = ExperimentSpec(
+        algorithm="dag",
+        topology=TopologySpec(kind="star", n=10),
+        workload=WorkloadSpec(tier="heavy", rounds=2),
+        collect_metrics=False,
+    )
+    driver = ExperimentDriver.from_spec(spec)
+    assert len(driver.workload) == 20
+    if loaded_first:
+        driver._load_arrivals(driver.system.engine)
+    result = driver.run()
+    assert result.completed_entries == 20
+    assert driver.system.network.messages_sent == result.total_messages
+    plain = ExperimentDriver.from_spec(spec).run()
+    assert (result.entry_order, result.total_messages, result.finished_at) == (
+        plain.entry_order, plain.total_messages, plain.finished_at,
+    )
+    # A second run has nothing left to replay.
+    again = driver.run()
+    assert again.completed_entries == 20 and again.entry_order == result.entry_order

@@ -155,3 +155,22 @@ def test_different_fault_seeds_change_the_stream():
         first.fault_summary["fault_log_sha256"]
         != second.fault_summary["fault_log_sha256"]
     )
+
+
+def test_a_fault_replay_loaded_first_injects_the_same_stream():
+    # ``_load_arrivals`` arms the controller before the arrivals, whoever
+    # calls it, so loading first and then running replays the same faults
+    # as a plain run: the arrivals load once and claim the same sequences.
+    spec = fault_spec(profile="drop5")
+    plain, plain_system = run_spec(spec)
+    topology = spec.topology.build()
+    workload = spec.workload.build(topology, seed=spec.seed)
+    system = spec.build_system(topology)
+    driver = ExperimentDriver(
+        system, workload, faults=FaultController(spec.faults, name=spec.name)
+    )
+    driver._load_arrivals(system.engine)
+    loaded = driver.run()
+    assert loaded.fault_summary["fault_log_sha256"] == plain.fault_summary["fault_log_sha256"]
+    assert loaded.entry_order == plain.entry_order
+    assert system.engine.processed_events == plain_system.engine.processed_events
