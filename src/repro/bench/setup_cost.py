@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cells import Cell
 from repro.workload.driver import ExperimentDriver
+from repro.workload.requests import paused_collector
 
 #: Cells below this node count have no interesting setup cost; the default
 #: construction matrix keeps only the large-tier cells of whatever matrix
@@ -46,7 +47,10 @@ def construction_matrix(matrix: Sequence[Cell]) -> List[Cell]:
 
 def run_setup_scenario(cell: Cell) -> Dict[str, Any]:
     """Build one scenario end to end — topology, workload, system, arrival
-    load — timing each phase, without draining a single protocol event."""
+    load — timing each phase, without draining a single protocol event.
+
+    The load runs with the collector paused, as it does inside
+    :meth:`ExperimentDriver.run`: the row prices the load a replay pays."""
     experiment = cell.experiment
     start = time.perf_counter()
     topology = experiment.topology.build()
@@ -62,7 +66,8 @@ def run_setup_scenario(cell: Cell) -> Dict[str, Any]:
 
     start = time.perf_counter()
     driver = ExperimentDriver(system, workload)
-    driver._load_arrivals(system.engine)
+    with paused_collector():  # as every replay loads, inside ExperimentDriver.run
+        driver._load_arrivals(system.engine)
     load_seconds = time.perf_counter() - start
 
     total = topology_seconds + workload_seconds + system_seconds + load_seconds

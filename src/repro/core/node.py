@@ -13,9 +13,9 @@ The kernel blocks on nothing and owns no engine, socket or task, so it can be
 stepped by anything that supplies a ``network`` with a ``send(sender,
 receiver, message)``: :class:`DagMutexNode` drives it from the discrete-event
 simulator's :class:`~repro.sim.network.Network`, :class:`~repro.runtime
-.node_runtime.AsyncDagNode` from its transport's deliveries (a handler called
-on the sender's stack, no task and no queue of its own), and ``tests/core
-/test_kernel_exhaustive.py`` from plain FIFO lists.  (The columnar :class:`~repro.core.compact_state
+.node_runtime.AsyncDagNode` from its token tree's pump (the same handler
+calls, fired on the sender's stack, no task and no queue of its own), and
+``tests/core/test_kernel_exhaustive.py`` from plain FIFO lists.  (The columnar :class:`~repro.core.compact_state
 .CompactDagState` is a hand-inlined transcription of the same text, gated
 against it by ``tests/properties/test_backend_identity.py``.)
 
@@ -35,7 +35,7 @@ from repro.core.state import NodeStateName, classify_state
 from repro.exceptions import ProtocolError
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
-from repro.sim.process import SimProcess
+from repro.sim.process import HandlerTable, SimProcess
 from repro.sim.trace import TraceRecorder
 
 EnterCallback = Callable[[int, float], None]
@@ -45,7 +45,7 @@ EnterCallback = Callable[[int, float], None]
 _PRIVILEGE = Privilege()
 
 
-class DagNodeCore:
+class DagNodeCore(HandlerTable):
     """The protocol kernel: the three paper variables and procedures P1 / P2.
 
     What a driver supplies: ``network``, whose ``send(sender, receiver,
@@ -53,7 +53,10 @@ class DagNodeCore:
     attaches the optional ``_metrics`` / ``_trace`` observers — the ``now``
     clock their records are stamped with.
     A driver that must learn of an entry extends
-    :meth:`_enter_critical_section`.
+    :meth:`_enter_critical_section`.  A driver delivers a message as
+    ``type(node).dispatch_table[type(message)](node, sender, message)`` —
+    one handler call, resolved on the node's own class — and anything else
+    through :meth:`on_message`, which refuses it.
 
     Args:
         node_id: this node's identifier.
@@ -70,6 +73,8 @@ class DagNodeCore:
         "in_critical_section", "cs_entries",
     )
 
+    _MESSAGE_HANDLERS = {Request: "_handle_request", Privilege: "_handle_privilege"}
+
     #: Observers default to "none" on the class, so a driver that never
     #: attaches one (the asyncio runtime holds thousands of live trees) pays
     #: no per-instance slot for them.
@@ -77,7 +82,7 @@ class DagNodeCore:
     _trace: Optional[TraceRecorder] = None
 
     # Supplied by the driver, in its own slot: the simulator's Network, the
-    # runtime's InMemoryTransport, or anything else with their ``send``.
+    # runtime's TokenTree, or anything else with their ``send``.
     network: Any
 
     def __init__(
@@ -302,8 +307,6 @@ class DagMutexNode(DagNodeCore, SimProcess):
     """
 
     __slots__ = ("network", "engine", "_metrics", "_trace", "_on_enter")
-
-    _MESSAGE_HANDLERS = {Request: "_handle_request", Privilege: "_handle_privilege"}
 
     def __init__(
         self,

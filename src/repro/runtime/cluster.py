@@ -9,7 +9,7 @@ from repro.core.recovery import regenerate_token
 from repro.exceptions import LockError, RuntimeTransportError
 from repro.runtime.lock import DistributedLock
 from repro.runtime.node_runtime import AsyncDagNode
-from repro.runtime.transport import Envelope, InMemoryTransport
+from repro.runtime.transport import InMemoryTransport
 from repro.topology.base import Topology
 
 
@@ -17,10 +17,13 @@ class TokenTree:
     """One :class:`AsyncDagNode` agent per node of ``topology``, on ``transport``'s pump.
 
     The tree is its agents' ``network``: :meth:`send` finds the receiver in
-    :attr:`nodes`, counts the message on the transport and posts the
-    delivery there.  Nothing is registered with the transport, so trees can
-    share one (a lock-service shard runs every key's tree on its own), and
-    only the transport's owner closes it.
+    :attr:`nodes`, counts the message on the transport and appends its
+    delivery to the pump as the simulator's lane holds one — the receiver
+    class's handler for the message's type, fired as ``handler(agent,
+    sender, message)`` (``on_message``, which refuses it, for a type the
+    table does not name).  Nothing is registered with the transport, so
+    trees can share one (a lock-service shard runs every key's tree on its
+    own), and only the transport's owner closes it.
     """
 
     __slots__ = ("nodes", "transport")
@@ -36,20 +39,29 @@ class TokenTree:
         }
 
     def send(self, sender: int, receiver: int, message: Any) -> None:
-        """Count ``message`` and post its delivery to ``receiver``'s agent."""
+        """Count ``message`` and queue its handler call on ``receiver``'s agent.
+
+        A stopped agent drops it here: no delivery outlives the drain that
+        its send started, so dropping at send is dropping at delivery.
+        """
         nodes, transport = self.nodes, self.transport
         node = nodes.get(receiver)
         if node is None or sender not in nodes or transport.closed:
             raise RuntimeTransportError(f"cannot send from node {sender} to node {receiver}")
         transport.messages_sent += 1
-        # tuple.__new__ is what Envelope(...) runs, less its Python frame.
-        transport.post(node._deliver, tuple.__new__(Envelope, (sender, receiver, message)))
+        if node._stopped:
+            return
+        transport._queue.append(
+            (node.dispatch_table.get(type(message)) or type(node).on_message, node, sender, message)
+        )
+        if not transport._pumping:
+            transport.drain()
 
     def regenerate_token(self, *, crashed: FrozenSet[int] = frozenset()) -> Dict[str, Any]:
         """Mint a replacement token after ``crashed`` nodes took it down.
 
         The simulator's recovery path, live: fence first — every undelivered
-        envelope predates the loss, so the transport drops what it still has
+        message predates the loss, so the transport drops what it still has
         queued for a live agent of this tree — then elect, reorient and
         re-issue through :func:`repro.core.recovery.regenerate_token`, which
         refuses (:class:`~repro.exceptions.ProtocolError`, no node touched)

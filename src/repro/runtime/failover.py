@@ -100,13 +100,16 @@ class ClusterView:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shards", dict(self.shards))
-        object.__setattr__(self, "_shard_ids", tuple(self.shards))  # once, not per op
+        shard_ids = tuple(self.shards)
+        object.__setattr__(self, "_shard_ids", shard_ids)  # once, not per op
+        # A one-shard view owns every key: no ring to read.  A caller on the
+        # op path reads this before it calls owner_for.
+        object.__setattr__(self, "only_shard", shard_ids[0] if len(shard_ids) == 1 else None)
 
     def owner_for(self, key: str) -> int:
-        shard_ids = self._shard_ids
-        if len(shard_ids) == 1:  # a one-shard view owns every key: no ring to read
-            return shard_ids[0]
-        return owner_for_key(key, shard_ids)
+        if self.only_shard is not None:
+            return self.only_shard
+        return owner_for_key(key, self._shard_ids)
 
     def without(self, shard: int) -> "ClusterView":
         """The next epoch's view with ``shard`` removed."""

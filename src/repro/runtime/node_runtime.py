@@ -2,18 +2,19 @@
 
 The protocol itself — the three variables of Figure 3 and the REQUEST /
 PRIVILEGE handling — is inherited from :class:`repro.core.node.DagNodeCore`,
-the same method objects the simulator's nodes run.  This module adds only
-the driver: the node's tree (:class:`~repro.runtime.cluster.TokenTree`) is
-the kernel's ``network`` — the kernel calls its ``send(sender, receiver,
-message)`` itself, and the tree posts each delivery to the node's
-:meth:`~AsyncDagNode._deliver` on the tree's transport — and the blocking
-point of procedure P1 is a callback: :meth:`AsyncDagNode.acquire_then`
-stores it and the kernel's entry hook posts it to that transport's pump.
-A node at rest is the kernel's fields and nothing else: no task, no queue,
-no event.
+the same method objects the simulator's nodes run, through the same
+class-level dispatch table.  This module adds only the driver: the node's
+tree (:class:`~repro.runtime.cluster.TokenTree`) is the kernel's ``network``
+— the kernel calls its ``send(sender, receiver, message)`` itself, and the
+tree queues each delivery on its transport's pump as the handler call
+``handler(node, sender, message)``, the kernel's handler for the message's
+type — and the blocking point of procedure P1 is a callback:
+:meth:`AsyncDagNode.acquire_then` stores it and the node's entry queues it
+on that pump.  A node at rest is the kernel's fields and nothing else: no
+task, no queue, no event.
 
-The transport calls one handler at a time and a handler never yields, so
-each one runs atomically with respect to every node's variables, which is
+The pump fires one handler at a time and a handler never yields, so each
+one runs atomically with respect to every node's variables, which is
 exactly the "local mutual exclusion" execution model the paper assumes for
 P1/P2.
 """
@@ -25,7 +26,6 @@ from typing import Callable, Optional
 
 from repro.core.node import DagNodeCore
 from repro.exceptions import LockError, ProtocolError
-from repro.runtime.transport import Envelope
 
 
 class AsyncDagNode(DagNodeCore):
@@ -64,7 +64,7 @@ class AsyncDagNode(DagNodeCore):
         self._started = True
 
     async def stop(self) -> None:
-        """Leave the protocol: whatever is sent here from now on is dropped."""
+        """Leave the protocol: whatever is sent here from now on is dropped (by the tree)."""
         self._stopped = True
 
     # ------------------------------------------------------------------ #
@@ -73,7 +73,7 @@ class AsyncDagNode(DagNodeCore):
     def acquire_then(self, granted: Callable[[int], None]) -> None:
         """Ask for the critical section; ``granted(node_id)`` runs once inside it.
 
-        The call comes through the tree's pump: at once if the token
+        The call is an entry of the tree's pump: fired at once if the token
         idles here, otherwise from the stack of whoever's send delivers the
         PRIVILEGE.
         """
@@ -129,13 +129,13 @@ class AsyncDagNode(DagNodeCore):
     # the kernel's driver surface
     # ------------------------------------------------------------------ #
     def _enter_critical_section(self) -> None:
-        super()._enter_critical_section()
-        granted, self._granted = self._granted, None
+        # The kernel's two lines inlined rather than called, as the
+        # simulator's node does: this runs once per grant.
+        self.in_critical_section = True
+        self.cs_entries += 1
+        granted = self._granted
         if granted is not None:
-            # Through the pump, not called: a waiter that hands the token
+            self._granted = None
+            # Queued on the pump, not called: a waiter that hands the token
             # straight on would otherwise nest one frame per hand-off.
             self.network.transport.post(granted, self.node_id)
-
-    def _deliver(self, envelope: Envelope) -> None:
-        if not self._stopped:
-            self.on_message(envelope.sender, envelope.message)

@@ -37,17 +37,19 @@ tree it built stays its own for as long as it is in the view.
 
 Inside a shard, each key's tree is a :class:`~repro.runtime.cluster
 .TokenTree` of :class:`~repro.runtime.node_runtime.AsyncDagNode` *agents*,
-and every tree posts its deliveries to the shard's one in-process transport:
-a warm key is its agents and no plumbing of its own.  A client acquire claims
-a free agent (one outstanding protocol request per agent, the paper's P1
-precondition), preferring the one idling on the token: an uncontended key
-is re-entered with zero messages and answered inside the ``data_received``
-call that cut its frame from the socket, while concurrent sessions on the
-same key claim different agents and are serialised by real REQUEST/PRIVILEGE
-traffic.  The tree delivers those messages on the stack of whoever sends
-one, so an acquire that had to wait is granted, booked and answered inside
-the ``data_received`` call that cut the *release* ahead of it: no tree and
-no waiter owns a task.  Both ends of a connection are a
+and every tree queues its deliveries on the shard's one in-process pump as
+the kernel's handler calls — ``handler(agent, sender, message)``, the
+contract the simulator's lane fires — so a warm key is its agents and no
+plumbing of its own, and a REQUEST or PRIVILEGE is one call.  A client
+acquire claims a free agent (one outstanding protocol request per agent, the
+paper's P1 precondition), preferring the one idling on the token: an
+uncontended key is re-entered with zero messages and answered inside the
+``data_received`` call that cut its frame from the socket, while concurrent
+sessions on the same key claim different agents and are serialised by real
+REQUEST/PRIVILEGE traffic.  The tree delivers those messages on the stack of
+whoever sends one, so an acquire that had to wait is granted, booked and
+answered inside the ``data_received`` call that cut the *release* ahead of
+it: no tree and no waiter owns a task.  Both ends of a connection are a
 :class:`~repro.runtime.transport_socket.FrameProtocol` on the socket's
 transport — no stream reader, no reader task — and every answer queued
 during one event-loop pass leaves in one write.
@@ -253,6 +255,8 @@ class _KeyedLock(TokenTree):
 @dataclass
 class _Hold:
     """One granted lock: who holds it, on which connection, at which epoch."""
+
+    __slots__ = ("uid", "key", "session", "ticket", "epoch", "conn")  # no per-hold __dict__
 
     uid: str
     key: str
@@ -661,7 +665,7 @@ class LockServiceShard:
                 if answer is None:
                     return  # the grant will answer it
             else:
-                answer = self._release_op(op_id, key, session, grant_epoch)
+                answer = self._release_op(op_id, key, session, grant_epoch, keyed)
         except LockError as exc:
             self.stats["errors"] += 1
             conn.send({"id": op_id, "ok": False, "error": str(exc)})
@@ -772,9 +776,11 @@ class LockServiceShard:
         that freed it.
         """
         del self._inflight[uid]
-        owner = next(
-            (conn for conn, _op_id in reversed(record.requesters) if not conn.closed), None
-        )
+        owner = None
+        for conn, _op_id in reversed(record.requesters):
+            if not conn.closed:
+                owner = conn
+                break
         if record.cancelled:
             # The client spent its retry budget and asked us to cancel:
             # the grant has no consumer, so hand the token straight back.
@@ -815,14 +821,22 @@ class LockServiceShard:
         self._holders[hold.key] = hold.session
         self._held[(hold.session, hold.key)] = hold
         self.stats["acquires"] += 1
-        self._cache_op(hold.uid, hold.epoch)
+        cache = self._op_cache  # _cache_op, inlined: once per grant
+        cache[hold.uid] = hold.epoch
+        if len(cache) > OP_CACHE_SIZE:
+            cache.popitem(last=False)
         return hold.epoch
 
     def _release_op(
-        self, uid: str, key: str, session: int, grant_epoch: Optional[int]
+        self, uid: str, key: str, session: int, grant_epoch: Optional[int],
+        keyed: Optional[_KeyedLock],
     ) -> Answer:
-        """The release's answer; ``grant_epoch`` is ``None`` when the op had none."""
-        cached = self._op_cache.get(uid)
+        """The release's answer; ``grant_epoch`` is ``None`` when the op had none.
+
+        ``keyed`` is the key's tree as :meth:`_lock_op` found it: there is
+        one wherever there is a hold."""
+        cache = self._op_cache
+        cached = cache.get(uid)
         if cached is not None:
             return cached
         hold = self._held.pop((session, key), None)
@@ -841,10 +855,12 @@ class LockServiceShard:
                 return answer
             raise LockError(f"session {session} does not hold {key!r}")
         self._holders.pop(key, None)
-        self._op_cache.pop(hold.uid, None)  # the grant is spent; never replay it
-        self._locks[key].release(hold.ticket)
+        cache.pop(hold.uid, None)  # the grant is spent; never replay it
+        keyed.release(hold.ticket)
         self.stats["releases"] += 1
-        self._cache_op(uid, True)
+        cache[uid] = True  # _cache_op, inlined: once per release
+        if len(cache) > OP_CACHE_SIZE:
+            cache.popitem(last=False)
         return True
 
 
@@ -1255,7 +1271,9 @@ class LockClient:
                 view = self._view
                 if not view.shards:
                     raise ShardUnavailableError("no live shards in the cluster view")
-                shard = view.owner_for(key)
+                shard = view.only_shard
+                if shard is None:
+                    shard = view.owner_for(key)
                 frame = (
                     pack_acquire(key, session, view.epoch, uid)
                     if acquire
@@ -1468,12 +1486,12 @@ class _ClientConnection:
         holds the caller's frame — a reference cycle.
         """
         proto = self._proto
-        if proto is None or proto.closed or proto.transport.is_closing():
-            # A frame queued on a closing connection is dropped and a future
-            # registered on a closed one never resolves: fail fast and let
-            # the caller reconnect.
+        if proto is None or proto.closed:
+            # A future registered on a closed connection never resolves: fail
+            # fast and let the caller reconnect.  One whose transport is
+            # closing but not yet lost is failed by _on_close when it is.
             raise ShardUnavailableError("lock service connection is not open")
-        future = self._loop.create_future()
+        future = asyncio.Future(loop=self._loop)  # what create_future runs, less its frame
         self._pending[op_id] = future
         if timeout is not None:
             self._timers[op_id] = self._loop.call_later(timeout, self._expire, op_id)

@@ -5,18 +5,27 @@ reliable, fully connected message fabric whose only ordering guarantee is the
 one the paper assumes — messages from the same sender to the same receiver are
 delivered in the order they were sent.
 
-Delivery is synchronous and iterative.  Each delivery is one call in the
-transport's one FIFO of handler calls, the *pump*, and whoever posts while no
-drain is running drains it: each handler is called in turn and runs to
+Delivery is synchronous and iterative.  The transport's one FIFO, the
+*pump*, holds calls on the simulator's lane contract: an entry is
+``(handler, agent, sender, message)``, fired as ``handler(agent, sender,
+message)``.  A token tree (:class:`repro.runtime.cluster.TokenTree`)
+registers nothing: it routes its agents' sends itself and appends each
+delivery as the receiver class's handler for the message's type — the
+kernel's own ``_handle_request`` / ``_handle_privilege``, the functions the
+simulator's lane fires — so a REQUEST or PRIVILEGE is one call, and many
+trees share one pump.  Whoever appends while no drain is running drains it
+(:meth:`InMemoryTransport.drain`): each entry is fired in turn and runs to
 completion before the next one starts.  A send issued from inside a handler
-only appends, so however long a REQUEST/PRIVILEGE chain grows the stack stays
-flat, every handler is atomic with respect to the others (the paper's "local
-mutual exclusion" of P1/P2), and a whole chain is over by the time the
+only appends, so however long a REQUEST/PRIVILEGE chain grows the stack
+stays flat, every handler is atomic with respect to the others (the paper's
+"local mutual exclusion" of P1/P2), and a whole chain is over by the time the
 outermost ``send`` returns.  No task, no queue per node, no timer and no
 event-loop pass is involved: latency is the simulator's to model
-(:mod:`repro.sim.latency`), not this transport's.  A token tree
-(:class:`repro.runtime.cluster.TokenTree`) registers nothing: it routes its
-agents' sends itself and posts the deliveries, so many trees share one pump.
+(:mod:`repro.sim.latency`), not this transport's.
+
+A one-argument call — a grant, or an envelope for a node registered with
+:meth:`InMemoryTransport.register` — is the entry ``(plain_call, function,
+argument, None)``.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from repro.exceptions import RuntimeTransportError
 
 
 class Envelope(NamedTuple):
-    """A message in flight: sender, receiver and the protocol payload."""
+    """A message for a registered node: sender, receiver and the protocol payload."""
 
     sender: int
     receiver: int
@@ -39,22 +48,31 @@ class Envelope(NamedTuple):
 #: What a registrant is called with, once per envelope addressed to it.
 Handler = Callable[[Envelope], None]
 
+#: One pump entry: ``(handler, agent, sender, message)``.
+Entry = Tuple[Callable[[Any, Any, Any], None], Any, Any, Any]
+
+
+def plain_call(function: Callable[[Any], None], argument: Any, _unused: None) -> None:
+    """The pump entry's handler for a one-argument call: ``function(argument)``."""
+    function(argument)
+
 
 class InMemoryTransport:
     """Connects the nodes of one event loop through one FIFO of handler calls.
 
-    :meth:`post` is the only way anything is delivered: whoever posts while no
-    drain is running becomes the pump and runs every queued call, including
-    the ones those calls post, before its own ``post`` returns.  If a handler
-    raises, the exception reaches that caller, the pump stops, and what is
-    still queued waits for the next ``post`` — one bad message does not make a
-    node deaf, nor a tree sharing the pump.  Per-channel FIFO holds because
-    the one queue is FIFO.  ``messages_sent`` counts every envelope, a tree's too.
+    An entry appended while no drain is running is drained at once: its
+    appender runs every queued call, including the ones those calls append,
+    before it returns (:meth:`post` for a one-argument call; a token tree
+    appends its deliveries itself).  If a handler raises, the exception
+    reaches that caller, the pump stops, and what is still queued waits for
+    the next drain — one bad message does not make a node deaf, nor a tree
+    sharing the pump.  Per-channel FIFO holds because the one queue is FIFO.
+    ``messages_sent`` counts every message, a tree's too.
     """
 
     def __init__(self) -> None:
         self._handlers: Dict[int, Handler] = {}
-        self._queue: Deque[Tuple[Callable[[Any], None], Any]] = deque()
+        self._queue: Deque[Entry] = deque()
         self._pumping = False
         self.messages_sent = 0
         self.closed = False
@@ -80,7 +98,7 @@ class InMemoryTransport:
         return inbox
 
     def send(self, sender: int, receiver: int, message: Any) -> None:
-        """Send ``message``: validate both ends, count it, :meth:`post` its delivery."""
+        """Send ``message`` to a registered node: check both ends, count it, post its envelope."""
         if self.closed:
             raise RuntimeTransportError("transport is closed")
         handler = self._handlers.get(receiver)
@@ -91,36 +109,46 @@ class InMemoryTransport:
         self.messages_sent += 1
         self.post(handler, Envelope(sender, receiver, message))
 
-    def post(self, handler: Callable[[Any], None], argument: Any) -> None:
-        """Queue the call ``handler(argument)``; drain unless a drain is running."""
+    def post(self, function: Callable[[Any], None], argument: Any) -> None:
+        """Queue the call ``function(argument)``; drain unless a drain is running."""
+        self._queue.append((plain_call, function, argument, None))
+        if not self._pumping:
+            self.drain()
+
+    def drain(self) -> None:
+        """Fire every queued entry, oldest first, the ones they queue included."""
         queue = self._queue
-        queue.append((handler, argument))
-        if self._pumping:
-            return
         self._pumping = True
         try:
             while queue:
-                handler, argument = queue.popleft()
-                handler(argument)
+                handler, agent, sender, message = queue.popleft()
+                handler(agent, sender, message)
         finally:
             self._pumping = False
 
     def fence(self, crashed: FrozenSet[int] = frozenset(), nodes: Optional[Mapping] = None) -> None:
-        """Drop every queued envelope bound for a node not in ``crashed``.
+        """Drop every queued message bound for a node not in ``crashed``.
 
         The recovery fence: once the token is known lost, whatever is still
-        queued predates the loss and must not reach a live node.  Queued
-        calls that are not envelopes stay, and so, given a tree's ``nodes``,
-        does every envelope that is not for one of those agents.
+        queued predates the loss and must not reach a live node.  A message
+        is an agent's delivery or a registered node's envelope; a plain call
+        (a grant is one) stays, and so, given a tree's ``nodes``, does every
+        message that is not for one of those agents.
         """
-        kept = [
-            (handler, argument)
-            for handler, argument in self._queue
-            if type(argument) is not Envelope
-            or argument.receiver in crashed
-            or (nodes is not None
-                and getattr(handler, "__self__", None) is not nodes.get(argument.receiver))
-        ]
+
+        def in_flight(entry: Entry) -> bool:
+            handler, agent, sender, message = entry
+            if handler is plain_call:
+                if type(sender) is not Envelope or nodes is not None:
+                    return False  # a plain call, or no agent of the tree's
+                receiver = sender.receiver
+            else:
+                receiver = agent.node_id
+                if nodes is not None and nodes.get(receiver) is not agent:
+                    return False  # another tree's agent
+            return receiver not in crashed
+
+        kept = [entry for entry in self._queue if not in_flight(entry)]
         self._queue.clear()
         self._queue.extend(kept)
 

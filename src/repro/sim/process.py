@@ -17,7 +17,35 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.network import Network
 
 
-class SimProcess:
+class HandlerTable:
+    """A class-level message dispatch table, shared by every driver of a handler.
+
+    A subclass declares ``_MESSAGE_HANDLERS`` (message type -> handler method
+    name) and gets :attr:`dispatch_table` (message type -> handler function),
+    built once per class by resolving each name *on that class*, so a
+    subclass's override of a handler is what runs.  A driver calls the entry
+    for a message's type as ``handler(process, sender, message)`` and
+    ``on_message`` for any other type.  The simulator's :class:`~repro.sim
+    .network.Network` does, and so does the runtime's token tree
+    (:class:`~repro.runtime.cluster.TokenTree`), for the same kernel.
+    """
+
+    __slots__ = ()
+
+    #: Map of message type -> handler method name, declared by subclasses.
+    _MESSAGE_HANDLERS: Dict[type, str] = {}
+    #: Message type -> handler function, built from ``_MESSAGE_HANDLERS``.
+    dispatch_table: Dict[type, Callable[[Any, int, Any], None]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.dispatch_table = {
+            message_type: getattr(cls, handler_name)
+            for message_type, handler_name in cls._MESSAGE_HANDLERS.items()
+        }
+
+
+class SimProcess(HandlerTable):
     """Base class for a simulated node process.
 
     An instance is its state plus ``network`` and ``engine``; its wiring is
@@ -30,20 +58,6 @@ class SimProcess:
     """
 
     __slots__ = ()
-
-    #: Map of message type -> handler method name, declared by subclasses.
-    _MESSAGE_HANDLERS: Dict[type, str] = {}
-    #: Message type -> handler function, built once per class from
-    #: ``_MESSAGE_HANDLERS`` by resolving each name *on that class*, so a
-    #: subclass's override of a handler is what runs.
-    dispatch_table: Dict[type, Callable[[Any, int, Any], None]] = {}
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        cls.dispatch_table = {
-            message_type: getattr(cls, handler_name)
-            for message_type, handler_name in cls._MESSAGE_HANDLERS.items()
-        }
 
     def __init__(self, node_id: int, network: Network) -> None:
         self.node_id = int(node_id)

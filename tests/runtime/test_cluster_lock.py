@@ -7,7 +7,7 @@ import inspect
 
 import pytest
 
-from repro.core.messages import Privilege
+from repro.core.messages import Privilege, Request
 from repro.exceptions import LockError, ProtocolError
 from repro.runtime import AsyncDagNode, DistributedLock, InMemoryTransport, LocalCluster
 from repro.runtime.cluster import TokenTree
@@ -222,22 +222,34 @@ def test_regenerate_token_after_the_holder_crashes():
     run(scenario())
 
 
+def queued_calls(transport: InMemoryTransport):
+    """The pump's queued deliveries as (handler, agent id, sender, message type)."""
+    return [
+        (handler, agent.node_id, sender, type(message))
+        for handler, agent, sender, message in transport._queue
+    ]
+
+
 def test_regeneration_fences_a_privilege_that_is_still_queued():
-    """The old token is a PRIVILEGE from 1 to 2, still queued in the
-    transport's mailbox, when a handler declares it lost.  Were it to survive
+    """The old token is a PRIVILEGE from 1 to 2, still queued on the
+    transport's pump, when a handler declares it lost.  Were it to survive
     the fence it would reach node 2 after the new token did — and the cluster
     would hold two tokens."""
 
     seen = []
 
     class AnswerThenRegenerate(AsyncDagNode):
+        """Its class's dispatch table runs this override for every REQUEST."""
+
         __slots__ = ()
 
-        def _deliver(self, envelope):
-            super()._deliver(envelope)  # node 1 answers the REQUEST ...
+        def _handle_request(self, sender, message):
+            super()._handle_request(sender, message)  # node 1 answers the REQUEST ...
             cluster = self.network
-            queued = [type(argument.message) for _handler, argument in cluster.transport._queue]
-            assert queued == [Privilege]  # ... and the token waits in the mailbox
+            # ... and the token waits on the pump, as node 2's handler call.
+            assert queued_calls(cluster.transport) == [
+                (AsyncDagNode._handle_privilege, 2, 1, Privilege)
+            ]
             assert cluster.token_location() is None
             seen.append(cluster.regenerate_token())
 
@@ -294,10 +306,13 @@ def test_regenerating_one_tree_leaves_the_other_trees_privilege_queued():
 
     def both_tokens_queued(_argument) -> None:
         queued = [
-            (handler.__self__.network, type(argument.message))
-            for handler, argument in transport._queue
+            (handler, agent.network, type(message))
+            for handler, agent, _sender, message in transport._queue
         ]
-        assert queued == [(a, Privilege), (b, Privilege)]
+        assert queued == [
+            (AsyncDagNode._handle_privilege, a, Privilege),
+            (AsyncDagNode._handle_privilege, b, Privilege),
+        ]
         outcome.append(a.regenerate_token())
 
     def ask_both(_argument) -> None:
@@ -325,6 +340,8 @@ def test_a_raising_handler_in_one_tree_does_not_strand_another_trees_calls():
     with pytest.raises(ProtocolError, match="unexpected message"):
         transport.post(poison_a_then_ask_b, None)
     assert entered == [] and b.nodes[2].requesting  # B's REQUEST waits in the queue
+    assert [entry[1] for entry in transport._queue] == [b.nodes[1]]
+    assert queued_calls(transport) == [(AsyncDagNode._handle_request, 1, 2, Request)]
     transport.post(lambda _argument: None, None)  # the next post drains it
     assert entered == [2] and b.token_location() == 2
     a.nodes[3].acquire_then(entered.append)  # and A still answers

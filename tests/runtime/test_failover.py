@@ -142,17 +142,17 @@ def test_stale_grant_epoch_is_fenced_not_double_released():
     shard._view = ClusterView(epoch=2, shards={0: None})
     key = key_owned_by(0, 2)
 
-    fenced = shard._release_op("op-1", key, session=7, grant_epoch=0)
+    fenced = shard._release_op("op-1", key, session=7, grant_epoch=0, keyed=None)
     assert fenced["ok"] is False and fenced["code"] == "fenced"
     assert shard.stats["fenced"] == 1
     # idempotent: the retry replays the cached verdict, the counter stays put
-    again = shard._release_op("op-1", key, session=7, grant_epoch=0)
+    again = shard._release_op("op-1", key, session=7, grant_epoch=0, keyed=None)
     assert again == fenced
     assert shard.stats["fenced"] == 1
 
     # a current-epoch release with no hold is still the plain error
     with pytest.raises(LockError, match="does not hold"):
-        shard._release_op("op-2", key, session=7, grant_epoch=2)
+        shard._release_op("op-2", key, session=7, grant_epoch=2, keyed=None)
 
 
 def test_routing_check_separates_bug_from_stale_views():

@@ -14,13 +14,17 @@ Two pairs are pinned on a warm key: an *uncontended* one — the token idles on
 a free agent, the paper's zero-message re-entry, which is what
 ``svc_wide_k1024`` runs almost every time — and a *contended* one, two
 sessions on one key, where the second acquire waits in the tree and is
-granted from the stack of the first release.  A change that moves a count
-re-pins it here and records in ``CHANGES.md`` the before/after measurement
-that justifies the move; a failure prints the per-function table, pinned
-against now, largest move first.
+granted from the stack of the first release.  A third table pins the
+*hand-off* by itself, with no socket and no loop: one key's tree
+(``_KeyedLock``) on its own pump, an agent in the critical section, a second
+agent asking (its REQUEST) and the first releasing (the PRIVILEGE and the
+grant).  A change that moves a count re-pins it here and records in
+``CHANGES.md`` the before/after measurement that justifies the move; a
+failure prints the per-function table, pinned against now, largest move
+first.
 
 ``python -m tests.runtime.test_op_path_calls`` (from the repository root,
-``src`` on ``PYTHONPATH``) prints both tables.
+``src`` on ``PYTHONPATH``) prints all three tables.
 """
 
 from __future__ import annotations
@@ -34,25 +38,22 @@ from typing import Dict
 
 import pytest
 
-from repro.runtime.service import LockClient, LockServiceShard
+from repro.runtime.service import LockClient, LockServiceShard, _KeyedLock
+from repro.runtime.transport import InMemoryTransport
 from repro.spec import RuntimeSpec, TopologySpec
+from repro.topology import star
 
 from ..sim.test_call_counts import _INLINED, _PACKAGE, moved_table
 
-pytestmark = pytest.mark.network
-
 #: pair -> calls per function for one acquire + release (both sessions' in
-#: the contended pair).
+#: the contended pair), and for the hand-off alone.
 PINNED: Dict[str, Dict[str, int]] = {
     "uncontended": {
-        "core/node.py:_enter_critical_section": 1,
         "core/node.py:release_cs": 1,
         "core/node.py:request_cs": 1,
-        "runtime/failover.py:owner_for": 2,
         "runtime/node_runtime.py:_enter_critical_section": 1,
         "runtime/service.py:_acquire_op": 1,
         "runtime/service.py:_answer": 2,
-        "runtime/service.py:_cache_op": 2,
         "runtime/service.py:_call_loop": 4,
         "runtime/service.py:_grant": 1,
         "runtime/service.py:_lock_op": 2,
@@ -76,23 +77,17 @@ PINNED: Dict[str, Dict[str, int]] = {
     },
     "contended": {
         "core/messages.py:__init__": 2,
-        "core/node.py:_enter_critical_section": 2,
         "core/node.py:_handle_privilege": 1,
         "core/node.py:_handle_request": 2,
-        "core/node.py:on_message": 3,
         "core/node.py:release_cs": 2,
         "core/node.py:request_cs": 2,
         "runtime/cluster.py:send": 3,
-        "runtime/failover.py:owner_for": 4,
         "runtime/node_runtime.py:_check_may_ask": 1,
-        "runtime/node_runtime.py:_deliver": 3,
         "runtime/node_runtime.py:_enter_critical_section": 2,
         "runtime/node_runtime.py:acquire_then": 1,
-        "runtime/service.py:<genexpr>": 2,
         "runtime/service.py:_acquire_granted": 1,
         "runtime/service.py:_acquire_op": 2,
         "runtime/service.py:_answer": 4,
-        "runtime/service.py:_cache_op": 4,
         "runtime/service.py:_call_loop": 8,
         "runtime/service.py:_grant": 2,
         "runtime/service.py:_lock_op": 4,
@@ -103,7 +98,9 @@ PINNED: Dict[str, Dict[str, int]] = {
         "runtime/service.py:release": 4,
         "runtime/service.py:send": 4,
         "runtime/service.py:try_acquire": 2,
-        "runtime/transport.py:post": 4,
+        "runtime/transport.py:drain": 2,
+        "runtime/transport.py:plain_call": 1,
+        "runtime/transport.py:post": 1,
         "runtime/transport_socket.py:cut_ack": 2,
         "runtime/transport_socket.py:cut_acquire": 2,
         "runtime/transport_socket.py:cut_grant": 2,
@@ -116,6 +113,22 @@ PINNED: Dict[str, Dict[str, int]] = {
         "runtime/transport_socket.py:pack_release": 2,
         "runtime/transport_socket.py:send_frame": 8,
     },
+    "handoff": {
+        "core/messages.py:__init__": 1,
+        "core/node.py:_handle_privilege": 1,
+        "core/node.py:_handle_request": 1,
+        "core/node.py:release_cs": 1,
+        "core/node.py:request_cs": 1,
+        "runtime/cluster.py:send": 2,
+        "runtime/node_runtime.py:_check_may_ask": 1,
+        "runtime/node_runtime.py:_enter_critical_section": 1,
+        "runtime/node_runtime.py:acquire_then": 1,
+        "runtime/service.py:acquire_then": 1,
+        "runtime/service.py:release": 1,
+        "runtime/transport.py:drain": 2,
+        "runtime/transport.py:plain_call": 1,
+        "runtime/transport.py:post": 1,
+    },
 }
 
 
@@ -125,11 +138,8 @@ async def _pair(client: LockClient, session: int) -> None:
     await client.release("k", session=session)
 
 
-def count_pair(pair: str) -> Dict[str, int]:
-    """Run ``pair`` (``"uncontended"`` or ``"contended"``) once on a warm key;
-    the package's calls per ``<module>:<function>``, both ends together."""
-    sessions = {"uncontended": (1,), "contended": (1, 2)}[pair]
-    calls: Counter = Counter()
+def _counter(calls: Counter):
+    """A ``sys.setprofile`` hook counting the package's calls into ``calls``."""
 
     def profile(frame, event, _arg):
         if event == "call":
@@ -137,6 +147,38 @@ def count_pair(pair: str) -> Dict[str, int]:
             if code.co_filename.startswith(_PACKAGE) and code.co_name not in _INLINED:
                 module = code.co_filename[len(_PACKAGE):].replace(os.sep, "/")
                 calls[f"{module}:{code.co_name}"] += 1
+
+    return profile
+
+
+def count_handoff() -> Dict[str, int]:
+    """One contended hand-off on a ``star(4)`` key's tree, no socket and no
+    loop: agent 1 is in the critical section, agent 2 asks, agent 1 releases
+    and agent 2 is granted.  The package's calls per ``<module>:<function>``."""
+    transport = InMemoryTransport()
+    keyed = _KeyedLock(star(4), transport)
+    granted: list = []
+    holder = keyed.try_acquire()
+    calls: Counter = Counter()
+    sys.setprofile(_counter(calls))
+    try:
+        keyed.acquire_then(granted.append)
+        keyed.release(holder)
+    finally:
+        sys.setprofile(None)
+    assert (holder, granted, transport.messages_sent) == (1, [2], 2)  # a REQUEST, a PRIVILEGE
+    return dict(calls)
+
+
+def count_pair(pair: str) -> Dict[str, int]:
+    """Run ``pair`` (``"uncontended"``, ``"contended"``, or ``"handoff"`` for
+    :func:`count_handoff`) once on a warm key; the package's calls per
+    ``<module>:<function>``, both ends together."""
+    if pair == "handoff":
+        return count_handoff()
+    sessions = {"uncontended": (1,), "contended": (1, 2)}[pair]
+    calls: Counter = Counter()
+    profile = _counter(calls)
 
     async def scenario() -> None:
         spec = RuntimeSpec(topology=TopologySpec(kind="star", n=4), shards=1, socket="unix")
@@ -172,7 +214,14 @@ def table(calls: Dict[str, int]) -> str:
     return "\n".join(lines + [f"{'total':<{width}} {sum(calls.values()):>5}"])
 
 
-@pytest.mark.parametrize("pair", ["uncontended", "contended"])
+@pytest.mark.parametrize(
+    "pair",
+    [
+        pytest.param("uncontended", marks=pytest.mark.network),
+        pytest.param("contended", marks=pytest.mark.network),
+        "handoff",
+    ],
+)
 def test_a_lock_op_makes_its_pinned_calls(pair):
     calls = count_pair(pair)
     pinned = PINNED[pair]
@@ -186,5 +235,9 @@ def test_a_lock_op_makes_its_pinned_calls(pair):
 
 
 if __name__ == "__main__":
-    for name in ("uncontended", "contended"):
-        print(f"{name} pair\n{table(count_pair(name))}\n")
+    for name, heading in (
+        ("uncontended", "uncontended pair"),
+        ("contended", "contended pair"),
+        ("handoff", "contended hand-off, one key's tree, no socket"),
+    ):
+        print(f"{heading}\n{table(count_pair(name))}\n")

@@ -565,6 +565,31 @@ def test_an_op_whose_fields_do_not_pack_still_completes(case):
     run(scenario())
 
 
+def test_an_op_sent_on_a_closing_connection_reconnects_and_completes():
+    """The socket's transport is closing but ``connection_lost`` has not run
+    yet: the op sent on it must fail with ShardUnavailableError — at once, or
+    when the connection's end fails every pending op — and the retry loop
+    reconnects and completes it, on a new connection, after one retry."""
+
+    async def scenario():
+        async with Serving(small_spec()) as serving:
+            async with LockClient([serving.shard.address], channels=1) as client:
+                await client.acquire("k", session=1)
+                await client.release("k", session=1)
+                closing = client._conns[(0, 0)]
+                closing._proto.transport.close()  # connection_lost is only scheduled
+                assert closing._proto.transport.is_closing() and not closing._proto.closed
+                await client.acquire("k", session=1)
+                assert client.retry_stats["retries"] == 1
+                assert client._conns[(0, 0)] is not closing and closing._proto.closed
+                await client.release("k", session=1)
+                stats = await client.stats(0)
+            assert stats["acquires"] == stats["releases"] == 2
+            assert stats["errors"] == stats["held"] == stats["exclusion_violations"] == 0
+
+    run(scenario())
+
+
 # --------------------------------------------------------------------------- #
 # dropped frames: the client's retry meets the op cache on either route
 # --------------------------------------------------------------------------- #

@@ -7,7 +7,7 @@ import asyncio
 import pytest
 
 from repro.exceptions import RuntimeTransportError
-from repro.runtime.transport import Envelope, InMemoryTransport
+from repro.runtime.transport import Envelope, InMemoryTransport, plain_call
 
 
 def run(coro):
@@ -198,6 +198,10 @@ def test_fence_drops_what_is_queued_for_live_nodes_only():
         if envelope.message == "go":
             transport.send(1, 2, "for the live node")
             transport.send(1, 3, "for the crashed node")
+            # A registered node's envelope is a one-argument call on the pump.
+            assert [(entry[0], entry[2].receiver, entry[3]) for entry in transport._queue] == [
+                (plain_call, 2, None), (plain_call, 3, None)
+            ]
             transport.fence(frozenset({3}))
         heard.append((1, envelope.message))
 
@@ -217,6 +221,10 @@ def test_fence_keeps_queued_calls_that_are_not_envelopes():
     def node_1(envelope):
         transport.send(1, 2, "dropped")
         transport.post(heard.append, "a plain call")
+        assert list(transport._queue) == [
+            (plain_call, heard.append, Envelope(1, 2, "dropped"), None),
+            (plain_call, heard.append, "a plain call", None),
+        ]
         transport.fence()
 
     transport.register(1, node_1)

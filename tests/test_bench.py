@@ -317,6 +317,42 @@ def test_setup_rows_record_engaged_node_backend():
     assert forced["node_backend"] == "compact"
 
 
+def test_the_setup_benchmark_loads_with_the_collector_paused(monkeypatch):
+    """A replay loads its arrivals under ExperimentDriver.run's paused
+    collector, so the row that prices the load must not time a collection
+    pass inside it: no gc callback fires while ``_load_arrivals`` runs."""
+    import gc
+
+    from repro.bench import run_setup_scenario
+    from repro.workload.driver import ExperimentDriver
+
+    loading, passes, enabled = [], [], []
+    real_load = ExperimentDriver._load_arrivals
+
+    def load(driver, engine):
+        enabled.append(gc.isenabled())
+        loading.append(True)
+        try:
+            real_load(driver, engine)
+        finally:
+            loading.pop()
+
+    def probe(phase, info):
+        if phase == "start" and loading:
+            passes.append(info["generation"])
+
+    monkeypatch.setattr(ExperimentDriver, "_load_arrivals", load)
+    gc.callbacks.append(probe)
+    try:
+        assert gc.isenabled()
+        row = run_setup_scenario(bench_cell("star", 300, "heavy"))
+    finally:
+        gc.callbacks.remove(probe)
+    assert row["loaded_arrivals"] == 3000
+    assert enabled == [False] and passes == []
+    assert gc.isenabled()  # and the pause ends with the load
+
+
 def test_heavy_workloads_stream_at_the_node_threshold(monkeypatch):
     from repro.workload import StreamingWorkload, Workload
 
