@@ -2,8 +2,8 @@
 
 This package measures end-to-end simulation throughput (engine events per
 wall-clock second) over a standard scenario matrix, writes the
-``BENCH_throughput.json`` regression record, and checks that the optimized
-core still replays the seed engine's event order exactly.  See
+``BENCH_throughput.json`` regression record, and checks that the core
+still replays the committed determinism fingerprint exactly.  See
 ``benchmarks/README.md`` for the file format and the CLI entry point
 (``repro bench``).
 """
@@ -16,7 +16,6 @@ from repro.bench.setup_cost import (
     run_setup_scenario,
 )
 from repro.bench.throughput import (
-    ACCEPTANCE_SCENARIO,
     determinism_fingerprint,
     fast_path_consistent,
     run_benchmark,
@@ -34,7 +33,6 @@ from repro.cells import (
 )
 
 __all__ = [
-    "ACCEPTANCE_SCENARIO",
     "BASELINE_ALGORITHMS",
     "DEGRADATION_PROFILES",
     "Cell",

@@ -11,13 +11,11 @@ how large-scale sweeps run, and records:
 * a correctness assertion that the DAG algorithm stays within the paper's
   worst-case message bound (``D + 1`` messages per entry, Section 6.1);
 * a determinism fingerprint — a fixed-seed 50-node run whose entry order,
-  message counts and finish time must be byte-identical to the values
-  recorded from the seed (pre-optimization) engine;
-* the recorded seed baseline, so the speedup and later regressions are
-  computed against a committed reference.
+  message counts and finish time must be byte-identical to the ones the
+  committed ``BENCH_throughput.json`` records (``repro bench --check``).
 
 Scenario definitions are frozen: changing them silently would invalidate the
-committed baseline in ``benchmarks/seed_baseline.json``.
+committed rows of ``BENCH_throughput.json``.
 """
 
 from __future__ import annotations
@@ -38,10 +36,6 @@ from repro.topology.base import Topology
 from repro.topology.metrics import diameter
 from repro.workload.driver import ExperimentDriver, run_experiment
 from repro.workload.generator import WorkloadGenerator
-
-#: The scenario the acceptance criterion (>= 3x over seed) is judged on.
-ACCEPTANCE_SCENARIO = "star-n1000-heavy"
-
 
 #: Minimum timing window for a trustworthy events/sec figure.  A scenario
 #: whose single replay finishes faster than this is re-measured over enough
@@ -184,12 +178,11 @@ def run_cell(cell: Cell, *, repeat: int = 3) -> Dict[str, Any]:
 def determinism_fingerprint() -> Dict[str, Dict[str, Any]]:
     """Fixed-seed 50-node runs whose metrics must replay byte-identically.
 
-    Two latency models are exercised, both with the metrics collector the
-    seed recording used attached: constant latency and seeded uniform-random
-    latency (the per-channel FIFO clamp).  The returned structure is compared
-    against the values recorded from the seed engine;
-    :func:`fast_path_consistent` separately pins the metrics-free run to the
-    same replay.
+    Two latency models are exercised, both with the metrics collector
+    attached: constant latency and seeded uniform-random latency (the
+    per-channel FIFO clamp).  ``repro bench --check`` compares the returned
+    structure with the committed document's; :func:`fast_path_consistent`
+    separately pins the metrics-free run to the same replay.
     """
     topology = star(50)
     workload = WorkloadGenerator(topology.nodes, seed=42).poisson(
@@ -217,12 +210,12 @@ def determinism_fingerprint() -> Dict[str, Dict[str, Any]]:
 def fast_path_consistent() -> bool:
     """Whether a run without a metrics collector replays one with it exactly.
 
-    The recorded seed fingerprint is produced with a metrics collector
-    attached.  This is the metrics-on-vs-off reference check: the same
-    fixed-seed run driven with ``collect_metrics=False`` — the same one
-    message path with its observer branch not taken — must yield the
-    identical entry order, message count and finish time, which pins the
-    unobserved run to the seed engine transitively.
+    The fingerprint is produced with a metrics collector attached.  This is
+    the metrics-on-vs-off reference check: the same fixed-seed run driven
+    with ``collect_metrics=False`` — the same one message path with its
+    observer branch not taken — must yield the identical entry order,
+    message count and finish time, which pins the unobserved run to the
+    committed fingerprint transitively.
     """
     topology = star(50)
     workload = WorkloadGenerator(topology.nodes, seed=42).poisson(
@@ -273,7 +266,6 @@ def run_benchmark(
     matrix: Optional[Sequence[Cell]] = None,
     repeat: int = 3,
     calibrate: Optional[int] = None,
-    seed_baseline: Optional[Dict[str, Any]] = None,
     profile: bool = False,
     verbose: bool = False,
 ) -> Dict[str, Any]:
@@ -282,10 +274,9 @@ def run_benchmark(
     ``calibrate=N`` is how the committed document is (re)produced (``repro
     bench --calibrate N``): the matrix runs N times and
     :func:`repro.benchdoc.calibrate` keeps each scenario's minimum observed
-    rate.  The acceptance section is computed from the merged rates; the
-    determinism sections come from the first run (the fingerprint and
-    equivalence replays are rate-independent, so they run once, not once per
-    calibration pass).
+    rate.  The determinism section comes from the first run (the fingerprint
+    and equivalence replays are rate-independent, so they run once, not once
+    per calibration pass).
 
     With ``profile=True`` the measured loop runs under :mod:`cProfile`; the
     top-20 cumulative-time rows go to stderr and into the document's
@@ -323,45 +314,15 @@ def run_benchmark(
             profiler.disable()
             document["profile"] = _profile_rows(profiler, top=20)
         if index == 0:
-            document["determinism"] = _determinism_section(scenarios, seed_baseline)
+            document["determinism"] = {
+                "fingerprint": determinism_fingerprint(),
+                "fast_path_matches_observed": fast_path_consistent(),
+            }
         return document
 
-    document = run_passes(
+    return run_passes(
         benchdoc.THROUGHPUT, one_run, calibrate=calibrate, repeat=repeat, verbose=verbose
     )
-    if seed_baseline is not None:
-        document["seed_baseline"] = seed_baseline
-        acceptance = _acceptance_summary(document["scenarios"], seed_baseline)
-        if acceptance is not None:
-            document["acceptance"] = acceptance
-    return document
-
-
-def _determinism_section(
-    scenarios: List[Dict[str, Any]], seed_baseline: Optional[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """The rate-independent replays, and how they compare to the seed engine."""
-    fingerprint = determinism_fingerprint()
-    section: Dict[str, Any] = {
-        "fingerprint": fingerprint,
-        "fast_path_matches_observed": fast_path_consistent(),
-    }
-    if seed_baseline is not None:
-        section["matches_seed"] = seed_baseline.get("fingerprint") == fingerprint
-        # The seed engine's rows gate only their virtual-time counts: its rates
-        # are the speedup's baseline, not a floor (tolerance 1.0 puts the floor
-        # at 0), and a matrix the seed never ran has nothing to drift from.
-        drift, compared = benchdoc.check(
-            benchdoc.THROUGHPUT,
-            scenarios,
-            {
-                "schema": benchdoc.THROUGHPUT.schema,
-                "scenarios": seed_baseline.get("throughput", []),
-            },
-            tolerance=1.0,
-        )
-        section["scenario_counts_match_seed"] = not (compared and drift)
-    return section
 
 
 def _profile_rows(profiler, *, top: int = 20) -> List[Dict[str, Any]]:
@@ -386,30 +347,3 @@ def _profile_rows(profiler, *, top: int = 20) -> List[Dict[str, Any]]:
     rows.sort(key=lambda row: -row["cumtime"])
     return rows[:top]
 
-
-def _acceptance_summary(
-    scenarios: List[Dict[str, Any]], seed_baseline: Dict[str, Any]
-) -> Optional[Dict[str, Any]]:
-    current = next(
-        (row for row in scenarios if row["scenario"] == ACCEPTANCE_SCENARIO), None
-    )
-    seed_row = next(
-        (
-            row
-            for row in seed_baseline.get("throughput", [])
-            if row["scenario"] == ACCEPTANCE_SCENARIO
-        ),
-        None,
-    )
-    if current is None or seed_row is None:
-        return None
-    seed_rate = seed_baseline.get("acceptance_events_per_sec", seed_row["events_per_sec"])
-    speedup = current["events_per_sec"] / seed_rate
-    return {
-        "scenario": ACCEPTANCE_SCENARIO,
-        "seed_events_per_sec": seed_rate,
-        "events_per_sec": current["events_per_sec"],
-        "speedup": round(speedup, 2),
-        "target_speedup": 3.0,
-        "meets_target": speedup >= 3.0,
-    }

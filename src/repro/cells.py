@@ -151,8 +151,8 @@ def _cell(name: str, algorithm: str, kind: str, n: int, workload: WorkloadSpec, 
 
 
 def bench_cell(kind: str, n: int, demand: str, *, algorithm: str = "dag") -> Cell:
-    """A throughput cell: seed 0, no metrics collector — the recorded
-    seed-baseline configuration.  DAG cells are named ``kind-nN-demand``;
+    """A throughput cell: seed 0, no metrics collector — the configuration
+    the committed rows were recorded in.  DAG cells are named ``kind-nN-demand``;
     the baselines prefix theirs with the algorithm."""
     name = f"{kind}-n{n}-{demand}"
     workload = tier_workload(demand, n, heavy_rounds=10)

@@ -1,6 +1,6 @@
 """Command-line interface: run the paper's experiments without writing code.
 
-The CLI exposes the library's entry points as twelve subcommands::
+The CLI exposes the library's entry points as eleven subcommands::
 
     python -m repro figure2                 # replay the Chapter 3 example
     python -m repro figure6                 # replay the Chapter 4 example
@@ -10,7 +10,7 @@ The CLI exposes the library's entry points as twelve subcommands::
     python -m repro topology --kind star --n 9   # draw a topology and its orientation
     python -m repro algorithms              # registry capabilities per algorithm
     python -m repro run dag star:1000 heavy # one experiment (or --spec FILE.json)
-    python -m repro obs --spec FILE.json --snapshot S.json   # metrics / Chrome trace
+    python -m repro run --spec FILE.json --snapshot S.json   # ...and its metrics
     python -m repro bench --smoke           # simulator throughput matrices + gates
     python -m repro sweep --smoke           # sharded nine-algorithm comparison
     python -m repro lockbench --smoke       # the networked lock service
@@ -266,9 +266,6 @@ _CONFLICTS = (
     ("run", "spec", ("cell",),
      "pass either --spec FILE or the ALGO KIND:N TIER "
      "shorthand, not both"),
-    ("obs", "!snapshot", ("!trace",),
-     "pick at least one output (--snapshot FILE and/or "
-     "--trace FILE)"),
 )
 
 
@@ -315,51 +312,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _gate_and_write(benchdoc.FAULTS, document, args)
     if args.baselines:
         return _bench_baselines(args)
-    matrix = bench_matrix(selected_tier(args))
-    seed_baseline = None
-    if args.seed_baseline and os.path.exists(args.seed_baseline):
-        seed_baseline = benchdoc.load(args.seed_baseline)
-    elif args.seed_baseline:
-        print(
-            f"note: seed baseline {args.seed_baseline!r} not found; "
-            "skipping the speedup and determinism-vs-seed checks",
-            file=sys.stderr,
-        )
-
     document = run_benchmark(
-        matrix=matrix,
+        matrix=bench_matrix(selected_tier(args)),
         repeat=args.repeat,
         calibrate=args.calibrate,
-        seed_baseline=seed_baseline,
         profile=args.profile,
         verbose=True,
     )
 
     status = 0
-    determinism = document.get("determinism", {})
-    if not determinism.get("fast_path_matches_observed", True):
+    determinism = document["determinism"]
+    if not determinism["fast_path_matches_observed"]:
         print("DETERMINISM: a run without a metrics collector no longer "
               "replays the observed run's event order!")
         status = 1
-    if seed_baseline is not None:
-        if not determinism.get("matches_seed", False):
-            print("DETERMINISM: fingerprint DIFFERS from the seed engine — "
-                  "the optimized core no longer replays the same event order!")
+    if args.check:
+        committed = benchdoc.load(args.check).get("determinism", {}).get("fingerprint")
+        if committed != determinism["fingerprint"]:
+            print(f"DETERMINISM: fingerprint DIFFERS from {args.check} — the "
+                  "engine no longer replays the committed event order!")
             status = 1
         else:
-            print("Determinism: fingerprint matches the seed engine exactly.")
-        if not determinism.get("scenario_counts_match_seed", True):
-            print("DETERMINISM: scenario event/message/entry counts differ from seed!")
-            status = 1
-        acceptance = document.get("acceptance")
-        if acceptance is not None:
-            print(
-                f"Acceptance ({acceptance['scenario']}): "
-                f"{acceptance['events_per_sec']:,.0f} ev/s vs seed "
-                f"{acceptance['seed_events_per_sec']:,.0f} ev/s -> "
-                f"{acceptance['speedup']:.2f}x (target {acceptance['target_speedup']:.1f}x)"
-            )
-
+            print(f"Determinism: fingerprint matches {args.check} exactly.")
     return max(status, _gate_and_write(benchdoc.THROUGHPUT, document, args))
 
 
@@ -587,10 +561,14 @@ def _spec_schema(path: str) -> Optional[str]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """Run one experiment described by a spec file or the CLI shorthand."""
-    import dataclasses
-    import hashlib
+    """Run one experiment described by a spec file or the CLI shorthand.
 
+    A simulation replays deterministically, so ``--snapshot`` and ``--trace``
+    write byte-identical documents on every run of the same spec.
+    """
+    import dataclasses
+
+    from repro.obs.registry import MetricsRegistry
     from repro.workload.driver import ExperimentDriver
 
     if _refused(args):
@@ -635,17 +613,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         # The exporter needs the protocol trace; flip it on for this run
         # (virtual-time results are identical with or without recording).
         spec = dataclasses.replace(spec, record_trace=True)
+    registry_ = None
+    if args.snapshot:
+        sample_every = spec.obs.sample_every if spec.obs is not None else 1
+        registry_ = MetricsRegistry(enabled=True, sample_every=sample_every)
 
     try:
         driver = ExperimentDriver.from_spec(spec)
+        if registry_ is not None:
+            driver.system.engine.register_metrics(registry_)
         result = driver.run(max_events=args.max_events)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     engine = driver.system.engine
-    digest = hashlib.sha256(
-        ",".join(str(node) for node in result.entry_order).encode("utf-8")
-    ).hexdigest()
     rows = [
         {
             "scenario": spec.name,
@@ -660,12 +641,30 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(format_table(rows, title=f"repro run: {spec.name} (seed {spec.seed})"))
     if result.mean_waiting_time is not None:
         print(f"mean waiting time: {result.mean_waiting_time:.3f}")
-    print(f"entry order sha256: {digest}")
+    print(f"entry order sha256: {result.entry_order_sha256}")
     if result.fault_summary is not None:
         _print_fault_summary(result.fault_summary)
+    if registry_ is not None:
+        _write_snapshot(args.snapshot, f"sim:{spec.name}", registry_.snapshot(), {
+            "entries": result.completed_entries,
+            "messages": result.total_messages,
+            "messages_per_entry": round(result.messages_per_entry, 3),
+            "finished_at": round(result.finished_at, 9),
+        })
     if args.trace:
         _write_sim_trace(driver, spec, args.trace)
     return 0
+
+
+def _write_snapshot(path: str, source: str, registry_snapshot: dict, extra: dict) -> None:
+    """Write one ``obs-snapshot/v1`` metrics document."""
+    from repro.obs.snapshot import snapshot_document, write_snapshot
+
+    write_snapshot(
+        snapshot_document(source=source, registry_snapshot=registry_snapshot, extra=extra),
+        path,
+    )
+    print(f"Wrote {path}")
 
 
 def _write_sim_trace(driver, spec, path: str) -> None:
@@ -716,19 +715,26 @@ def _runtime_scenario(spec, args: argparse.Namespace):
 
 def _run_runtime_spec(args: argparse.Namespace) -> int:
     """The ``repro run --spec runtime.json`` path: drive the live service."""
+    import dataclasses
+
     from repro.runtime.lockbench import run_lockbench_scenario
+    from repro.spec import ObsSpec
 
     spec = RuntimeSpec.load(args.spec)
-    scenario = _runtime_scenario(spec, args)
     if args.save_spec:
         spec.save(args.save_spec)
         print(f"Wrote {args.save_spec}")
     if args.print_spec:
         print(spec.canonical_json(), end="")
         return 0
+    if args.snapshot and (spec.obs is None or not spec.obs.enabled):
+        # A snapshot of a disabled registry is empty: flip obs on instead.
+        spec = dataclasses.replace(spec, obs=ObsSpec(enabled=True))
+    scenario = _runtime_scenario(spec, args)
     trace: Optional[List[dict]] = [] if args.trace else None
+    outcome: dict = {}
     try:
-        row = run_lockbench_scenario(scenario, trace=trace)
+        row = run_lockbench_scenario(scenario, trace=trace, outcome_out=outcome)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -756,9 +762,33 @@ def _run_runtime_spec(args: argparse.Namespace) -> int:
             f"max {fairness['session_max_ms']} ms"
             + (f", max queue depth {depth}" if depth is not None else "")
         )
+    if args.snapshot:
+        _write_runtime_snapshot(args.snapshot, spec, row, outcome)
     if args.trace:
         _write_runtime_trace(trace, args.trace, source=f"runtime:{spec.name}")
     return 1 if row["exclusion_violations"] or row["errors"] else 0
+
+
+def _write_runtime_snapshot(path: str, spec, row: dict, outcome: dict) -> None:
+    """The merged shard registries of a lock-service run, with its fairness,
+    queue-depth watermarks and client retry counters."""
+    from repro.obs.snapshot import merge_registry_snapshots
+
+    shard_registries = {}
+    queue_depths: dict = {}
+    for index, stats in enumerate(outcome.get("shard_stats") or []):
+        obs_section = stats.get("obs") or {}
+        if obs_section.get("registry"):
+            shard_registries[f"shard{index}"] = obs_section["registry"]
+        for key, depth in (obs_section.get("queue_depths") or {}).items():
+            queue_depths[key] = max(queue_depths.get(key, 0), depth)
+    _write_snapshot(path, f"runtime:{spec.name}", merge_registry_snapshots(shard_registries), {
+        "fairness": row["timing"].get("fairness"),
+        "ops_completed": row["ops_completed"],
+        "errors": row["errors"],
+        "queue_depths": {key: queue_depths[key] for key in sorted(queue_depths)},
+        "retry": outcome.get("retry_stats") or {},
+    })
 
 
 def _print_fault_summary(summary: dict) -> None:
@@ -791,105 +821,6 @@ def _print_fault_summary(summary: dict) -> None:
                 else "no entry observed after regeneration"
             )
         )
-
-
-def cmd_obs(args: argparse.Namespace) -> int:
-    """Observability probe: metrics snapshot and/or Chrome trace for a spec.
-
-    The sim side is deterministic end to end: the same spec produces
-    byte-identical snapshot and trace documents on every run (the replay
-    test in CI holds the exporter to that).
-    """
-    import dataclasses
-
-    from repro.obs.registry import MetricsRegistry
-    from repro.obs.snapshot import snapshot_document, write_snapshot
-    from repro.workload.driver import ExperimentDriver
-
-    if _refused(args):
-        return 2
-    if _spec_schema(args.spec) == RuntimeSpec.SCHEMA:
-        return _obs_runtime(args)
-    spec = ExperimentSpec.load(args.spec)
-    sample_every = spec.obs.sample_every if spec.obs is not None else 1
-    if args.trace and not spec.record_trace:
-        spec = dataclasses.replace(spec, record_trace=True)
-    registry_ = MetricsRegistry(enabled=True, sample_every=sample_every)
-    try:
-        driver = ExperimentDriver.from_spec(spec)
-        driver.system.engine.register_metrics(registry_)
-        result = driver.run(max_events=args.max_events)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.snapshot:
-        document = snapshot_document(
-            source=f"sim:{spec.name}",
-            registry_snapshot=registry_.snapshot(),
-            extra={
-                "entries": result.completed_entries,
-                "messages": result.total_messages,
-                "messages_per_entry": round(result.messages_per_entry, 3),
-                "finished_at": round(result.finished_at, 9),
-            },
-        )
-        write_snapshot(document, args.snapshot)
-        print(f"Wrote {args.snapshot}")
-    if args.trace:
-        _write_sim_trace(driver, spec, args.trace)
-    return 0
-
-
-def _obs_runtime(args: argparse.Namespace) -> int:
-    """The ``repro obs`` path for a live ``runtime-spec/v1`` service."""
-    import dataclasses
-
-    from repro.obs.snapshot import (
-        merge_registry_snapshots,
-        snapshot_document,
-        write_snapshot,
-    )
-    from repro.runtime.lockbench import run_lockbench_scenario
-    from repro.spec import ObsSpec
-
-    spec = RuntimeSpec.load(args.spec)
-    if spec.obs is None or not spec.obs.enabled:
-        # The probe's whole point is the instrumented view; flip obs on
-        # rather than reporting an empty registry.
-        spec = dataclasses.replace(spec, obs=ObsSpec(enabled=True))
-    scenario = _runtime_scenario(spec, args)
-    trace: Optional[List[dict]] = [] if args.trace else None
-    outcome: dict = {}
-    try:
-        row = run_lockbench_scenario(scenario, trace=trace, outcome_out=outcome)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.snapshot:
-        shard_registries = {}
-        queue_depths: dict = {}
-        for index, stats in enumerate(outcome.get("shard_stats") or []):
-            obs_section = stats.get("obs") or {}
-            if obs_section.get("registry"):
-                shard_registries[f"shard{index}"] = obs_section["registry"]
-            for key, depth in (obs_section.get("queue_depths") or {}).items():
-                queue_depths[key] = max(queue_depths.get(key, 0), depth)
-        document = snapshot_document(
-            source=f"runtime:{spec.name}",
-            registry_snapshot=merge_registry_snapshots(shard_registries),
-            extra={
-                "fairness": row["timing"].get("fairness"),
-                "ops_completed": row["ops_completed"],
-                "errors": row["errors"],
-                "queue_depths": {key: queue_depths[key] for key in sorted(queue_depths)},
-                "retry": outcome.get("retry_stats") or {},
-            },
-        )
-        write_snapshot(document, args.snapshot)
-        print(f"Wrote {args.snapshot}")
-    if args.trace:
-        _write_runtime_trace(trace, args.trace, source=f"runtime:{spec.name}")
-    return 1 if row["exclusion_violations"] else 0
 
 
 def cmd_lockbench(args: argparse.Namespace) -> int:
@@ -1057,39 +988,16 @@ def build_parser() -> argparse.ArgumentParser:
              "(chrome://tracing / Perfetto): protocol events for a "
              "simulation spec, op lifecycles for a runtime spec",
     )
-    _add_runtime_probe_arguments(run)
-    run.set_defaults(func=cmd_run)
-
-    obs = subparsers.add_parser(
-        "obs",
-        help="observability probe: metrics snapshot and/or Chrome trace "
-             "for a spec (simulation or live runtime)",
-        description=(
-            "Run the experiment described by --spec with instrumentation "
-            "enabled and export the observability artifacts: a canonical "
-            "obs-snapshot/v1 metrics document (--snapshot) and/or a Chrome "
-            "trace_event timeline (--trace).  Simulation specs replay "
-            "deterministically, so both artifacts are byte-identical across "
-            "runs; runtime-spec/v1 files stand up the live lock service and "
-            "probe it with a small seeded workload."
-        ),
-    )
-    obs.add_argument("--spec", required=True,
-                     help="experiment-spec/v1 or runtime-spec/v1 JSON file")
-    obs.add_argument("--snapshot", default=None, metavar="FILE",
-                     help="write the obs-snapshot/v1 metrics document here")
-    obs.add_argument(
-        "--trace",
+    run.add_argument(
+        "--snapshot",
         default=None,
         metavar="FILE",
-        help="write the Chrome trace_event JSON timeline here",
+        help="also write the obs-snapshot/v1 metrics document of the run: "
+             "the engine's registry for a simulation spec, the merged shard "
+             "registries (obs forced on) for a runtime spec",
     )
-    obs.add_argument("--seed", type=int, default=0,
-                     help="probe workload seed for runtime specs (default 0)")
-    obs.add_argument("--max-events", type=int, default=5_000_000,
-                     help="event budget for simulation specs")
-    _add_runtime_probe_arguments(obs)
-    obs.set_defaults(func=cmd_obs)
+    _add_runtime_probe_arguments(run)
+    run.set_defaults(func=cmd_run)
 
     bench = subparsers.add_parser(
         "bench", help="run the simulation-core throughput benchmark matrix"
@@ -1174,14 +1082,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--output", default=None,
                        help="write the benchmark document to this JSON file")
     bench.add_argument(
-        "--seed-baseline",
-        default="benchmarks/seed_baseline.json",
-        help="recorded seed-engine baseline for speedup + determinism checks",
-    )
-    bench.add_argument(
         "--check",
         default=None,
-        help="compare against a committed BENCH_throughput.json; non-zero exit on regression",
+        help="compare against a committed BENCH_throughput.json; non-zero exit "
+             "on regression or a changed determinism fingerprint",
     )
     bench.add_argument("--tolerance", type=float, default=0.2,
                        help="allowed relative events/sec drop for --check")

@@ -299,7 +299,8 @@ def run_lockbench_scenario(
     outcomes) and any failover window, rebased to the workload start.
     ``outcome_out``, when given, receives the raw workload outcome (shard
     ``stats`` frames with their obs registry snapshots, client retry
-    counters) for callers — like ``repro obs`` — that need more than the row.
+    counters) for callers — like ``repro run --snapshot`` — that need more
+    than the row.
     """
     crashes = cell.spec.faults.crashes if cell.spec.faults is not None else ()
     with LockServiceCluster(cell.spec) as cluster:

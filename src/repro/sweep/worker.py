@@ -17,7 +17,6 @@ The module-level entry points are picklable, so the runner works under any
 
 from __future__ import annotations
 
-import hashlib
 import os
 import resource
 import time
@@ -36,12 +35,6 @@ CRASH_EXIT_CODE = 17
 
 #: Event budget per scenario; generous because the 10k-node cells are large.
 MAX_EVENTS_PER_SCENARIO = 50_000_000
-
-
-def _entry_order_digest(entry_order) -> str:
-    """Compact fingerprint of the full critical-section entry order."""
-    joined = ",".join(str(node) for node in entry_order)
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
 def _identity(cell: Cell, status: str) -> Dict[str, Any]:
@@ -91,7 +84,7 @@ def execute_scenario(cell: Cell) -> Dict[str, Any]:
                 else None
             ),
             "max_sync_delay": result.max_sync_delay,
-            "entry_order_sha256": _entry_order_digest(result.entry_order),
+            "entry_order_sha256": result.entry_order_sha256,
             "finished_at": round(result.finished_at, 9),
             "topology_diameter": diameter(topology),
             "timing": {

@@ -10,6 +10,7 @@ be replayed against algorithms of very different speeds and still make sense.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -73,6 +74,12 @@ class ExperimentResult:
         if not self.sync_delays:
             return None
         return sum(self.sync_delays) / len(self.sync_delays)
+
+    @property
+    def entry_order_sha256(self) -> str:
+        """Compact fingerprint of the full critical-section entry order."""
+        joined = ",".join(str(node) for node in self.entry_order)
+        return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
     def summary_row(self) -> Dict[str, Any]:
         """Compact dictionary used by comparison tables.

@@ -153,13 +153,13 @@ def test_run_cli_print_spec_round_trips_runtime_specs(capsys, tmp_path):
 
 
 @pytest.mark.network
-def test_obs_cli_runtime_snapshot_and_trace(capsys, tmp_path):
+def test_run_cli_runtime_snapshot_and_trace(capsys, tmp_path):
     spec_path = runtime_spec_file(tmp_path)  # obs not even enabled: the
     snapshot_path = tmp_path / "snap.json"  # probe flips it on itself
     trace_path = tmp_path / "trace.json"
     code, out = run_cli(
         capsys,
-        "obs",
+        "run",
         "--spec",
         spec_path,
         "--sessions",
@@ -183,9 +183,3 @@ def test_obs_cli_runtime_snapshot_and_trace(capsys, tmp_path):
     assert snapshot["errors"] == 0
     document = json.loads(trace_path.read_text())
     assert document["traceEvents"]
-
-
-def test_obs_cli_requires_an_output(capsys, tmp_path):
-    spec_path = runtime_spec_file(tmp_path)
-    code, _ = run_cli(capsys, "obs", "--spec", spec_path)
-    assert code == 2

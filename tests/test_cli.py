@@ -257,6 +257,45 @@ def test_bench_baselines_smoke(capsys, tmp_path):
     assert "passed" in out
 
 
+def test_bench_check_holds_the_committed_fingerprint_and_rows(capsys, tmp_path, monkeypatch):
+    """`repro bench --check` against copies of the committed document: the
+    copy as committed passes, one with a fingerprint entry changed fails
+    naming the fingerprint, one with a row's messages changed fails naming
+    that row.  Tolerance 1.0 puts the rate floor at 0 (no wall-clock gate)."""
+    import json
+
+    matrix = [cells.bench_cell("star", 100, "heavy"), cells.bench_cell("line", 100, "heavy")]
+    monkeypatch.setattr(cells, "bench_matrix", lambda tier: matrix)
+    committed = json.loads((REPO_ROOT / "BENCH_throughput.json").read_text())
+
+    def check(document):
+        path = tmp_path / "committed.json"
+        path.write_text(json.dumps(document))
+        return run_cli(
+            capsys, "bench", "--smoke", "--repeat", "1",
+            "--check", str(path), "--tolerance", "1.0",
+        )
+
+    code, out = check(committed)
+    assert code == 0
+    assert "fingerprint matches" in out and "2 scenario(s) compared" in out
+
+    refingered = json.loads(json.dumps(committed))
+    refingered["determinism"]["fingerprint"]["uniform"]["total_messages"] += 1
+    code, out = check(refingered)
+    assert code == 1
+    assert "DETERMINISM: fingerprint DIFFERS" in out
+
+    recounted = json.loads(json.dumps(committed))
+    next(
+        row for row in recounted["scenarios"] if row["scenario"] == "line-n100-heavy"
+    )["messages"] += 1
+    code, out = check(recounted)
+    assert code == 1
+    assert "fingerprint matches" in out
+    assert "line-n100-heavy" in out.split("FAILED:", 1)[1]
+
+
 def test_bench_setup_only_requires_a_large_tier(capsys):
     assert main(["bench", "--setup-only"]) == 2
     assert "--xlarge, --xxlarge or --xxxlarge" in capsys.readouterr().err
@@ -614,7 +653,7 @@ def test_lockbench_calibrate_min_merges(capsys, tmp_path, monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# observability (repro obs / --trace)
+# observability (run --snapshot / --trace)
 # --------------------------------------------------------------------------- #
 def test_run_trace_flag_writes_a_sim_chrome_trace(capsys, tmp_path):
     import json
@@ -633,7 +672,7 @@ def test_run_trace_flag_writes_a_sim_chrome_trace(capsys, tmp_path):
     assert "X" in phases  # waiting / critical_section spans made it through
 
 
-def test_obs_sim_snapshot_and_trace_are_deterministic(capsys, tmp_path):
+def test_run_sim_snapshot_and_trace_are_deterministic(capsys, tmp_path):
     import json
 
     spec_path = tmp_path / "cell.json"
@@ -647,7 +686,7 @@ def test_obs_sim_snapshot_and_trace_are_deterministic(capsys, tmp_path):
         snapshot = tmp_path / f"snap_{tag}.json"
         trace = tmp_path / f"trace_{tag}.json"
         code, _ = run_cli(
-            capsys, "obs", "--spec", str(spec_path),
+            capsys, "run", "--spec", str(spec_path),
             "--snapshot", str(snapshot), "--trace", str(trace),
         )
         assert code == 0
@@ -662,15 +701,20 @@ def test_obs_sim_snapshot_and_trace_are_deterministic(capsys, tmp_path):
     assert snapshot["entries"] > 0
 
 
-def test_obs_rejects_a_run_without_outputs(capsys, tmp_path):
-    spec_path = tmp_path / "cell.json"
-    code, _ = run_cli(
-        capsys, "run", "dag", "star:9", "heavy:2",
-        "--save-spec", str(spec_path), "--print-spec",
+def test_run_snapshot_prints_the_table_as_well_as_writing_the_file(capsys, tmp_path):
+    import json
+
+    snapshot_path = tmp_path / "snap.json"
+    code, out = run_cli(
+        capsys, "run", "dag", "star:9", "heavy:2", "--snapshot", str(snapshot_path),
     )
     assert code == 0
-    assert main(["obs", "--spec", str(spec_path)]) == 2
-    assert "--snapshot" in capsys.readouterr().err
+    assert "repro run: dag-star-n9-heavy (seed 0)" in out
+    assert "entry order sha256" in out
+    assert f"Wrote {snapshot_path}" in out
+    snapshot = json.loads(snapshot_path.read_text())
+    assert snapshot["source"] == "sim:dag-star-n9-heavy"
+    assert snapshot["registry"]["enabled"] is True
 
 
 def test_lockbench_trace_flag_writes_a_chrome_trace(capsys, tmp_path, monkeypatch):
@@ -710,7 +754,8 @@ PROFILES = (
 START_METHODS = ("fork", "spawn", "forkserver")
 
 #: Per verb, every option (or positional) with its default and choices, as
-#: recorded at a4097a8 (minus the ``--node-backend`` of run, bench and sweep):
+#: recorded at a4097a8 (minus the ``--node-backend`` of run, bench and sweep,
+#: the ``obs`` verb — now ``run --snapshot`` — and bench's ``--seed-baseline``):
 #: a refactor of the CLI may move code, not flags.
 PARSER_SURFACE = {
     "figure2": [],
@@ -751,16 +796,7 @@ PARSER_SURFACE = {
         ("--save-spec", None, None),
         ("--print-spec", False, None),
         ("--trace", None, None),
-        ("--sessions", 16, None),
-        ("--session-ops", 5, None),
-        ("--keys", 8, None),
-    ],
-    "obs": [
-        ("--spec", None, None),
         ("--snapshot", None, None),
-        ("--trace", None, None),
-        ("--seed", 0, None),
-        ("--max-events", 5000000, None),
         ("--sessions", 16, None),
         ("--session-ops", 5, None),
         ("--keys", 8, None),
@@ -779,7 +815,6 @@ PARSER_SURFACE = {
         ("--profile", False, None),
         ("--repeat", 3, None),
         ("--output", None, None),
-        ("--seed-baseline", "benchmarks/seed_baseline.json", None),
         ("--check", None, None),
         ("--tolerance", 0.2, None),
     ],
