@@ -1,18 +1,16 @@
 """Construction-only benchmark: what does it cost to *stand up* a scenario?
 
 The throughput benchmark measures the drain; at the million-node tier the
-interesting question shifts to the setup path the streaming pipeline
-rewrote — topology construction, system (node) construction, and loading the
-workload's arrival front into the engine.  This harness times exactly those
-three phases and records peak RSS, **without** draining the run, so CI can
-smoke-test the 1M tier in a couple of minutes instead of the tens it takes
-to replay it.
+interesting question shifts to the setup path — topology construction,
+system (node) construction, and loading the workload's arrivals into the
+engine.  This harness times exactly those three phases and records peak RSS,
+**without** draining the run, so CI can smoke-test the 1M tier in a couple
+of minutes instead of the tens it takes to replay it.
 
-"Load workload" means what the steady state of the streaming pipeline means:
-the driver schedules the first arrival chunk (plus the loader event that will
-pull the next chunk); for a materialised workload it is the full bulk load.
-The loaded-arrival count is recorded so the document shows which of the two
-happened.
+"Load workload" is the replay's own bulk load: every arrival is scheduled
+(``loaded_arrivals`` equals ``total_requests`` on every row) and the first
+chunk of entries is built — for a streamed workload, from its first batch,
+the only one generated before the drain.
 
 The document (``BENCH_xxlarge_setup.fresh.json`` in CI) is informational
 plus one hard gate: an optional per-cell wall budget (``--budget-seconds``)
@@ -29,6 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.cells import Cell
 from repro.workload.driver import ExperimentDriver
 from repro.workload.requests import paused_collector
+from repro.workload.streaming import StreamingWorkload
 
 #: Cells below this node count have no interesting setup cost; the default
 #: construction matrix keeps only the large-tier cells of whatever matrix
@@ -77,8 +76,7 @@ def run_setup_scenario(cell: Cell) -> Dict[str, Any]:
         "n": experiment.topology.n,
         "demand": experiment.workload.tier,
         "total_requests": len(workload),
-        "streamed": hasattr(workload, "iter_batches"),
-        # Includes the streaming loader event when the workload streams.
+        "streamed": isinstance(workload, StreamingWorkload),
         "loaded_arrivals": system.engine.pending_events,
         "topology_seconds": round(topology_seconds, 4),
         "workload_seconds": round(workload_seconds, 4),

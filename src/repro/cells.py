@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.baselines import registry
+from repro import spec as spec_module
 from repro.exceptions import WorkloadError
 from repro.spec import (
     FAULT_PROFILES,
-    STREAMING_NODE_THRESHOLD,
     XXLARGE_HEAVY_ROUNDS,
     ExperimentSpec,
     TopologySpec,
@@ -112,13 +112,15 @@ def _rungs(tier: str, document: str) -> List[Rung]:
 
 def tier_workload(tier: str, n: int, *, heavy_rounds: int) -> WorkloadSpec:
     """The frozen tier parameterisation, spelled out so a cell's JSON says
-    what runs: heavy demand is ``heavy_rounds`` materialised rounds (10 for
-    bench, 5 for sweep) below the streaming threshold and
-    :data:`~repro.spec.XXLARGE_HEAVY_ROUNDS` streamed rounds from it up."""
+    what runs: heavy demand is ``heavy_rounds`` rounds (10 for bench, 5 for
+    sweep) below the streaming threshold and
+    :data:`~repro.spec.XXLARGE_HEAVY_ROUNDS` rounds from it up, where
+    :meth:`~repro.spec.WorkloadSpec.build` streams them.  The threshold is
+    read from :mod:`repro.spec` at call time, so one setting moves both."""
     if tier != "heavy":
         return WorkloadSpec(tier=tier)
-    if n >= STREAMING_NODE_THRESHOLD:
-        return WorkloadSpec(tier="heavy", rounds=XXLARGE_HEAVY_ROUNDS, streaming=True)
+    if n >= spec_module.STREAMING_NODE_THRESHOLD:
+        return WorkloadSpec(tier="heavy", rounds=XXLARGE_HEAVY_ROUNDS)
     return WorkloadSpec(tier="heavy", rounds=heavy_rounds)
 
 

@@ -4,8 +4,9 @@ The engine owns the virtual clock and the monotone sequence counter; the
 *storage* of scheduled events and the drain loop live in
 :class:`~repro.sim.schedulers.HeapScheduler`, which holds
 ``(time, sequence, callback, payload)`` tuples — single pushes in a heap,
-bulk loads beside it, built a chunk at a time from the caller's sequences,
-constant-latency deliveries in a FIFO lane — and the entry *is* the event:
+bulk loads beside it, built a chunk at a time from the caller's own objects
+(lazily, for a streamed workload), constant-latency deliveries in a FIFO
+lane — and the entry *is* the event:
 ``callback(payload)`` fires with no per-event allocation, and storing plain
 tuples keeps every comparison in C.  The engine is intentionally
 minimal: processes, networks, and metrics are layered on top rather than
@@ -17,16 +18,17 @@ points — :meth:`SimulationEngine.schedule_lite` and
 :meth:`SimulationEngine.schedule_lite_bulk` — and the two inlined entries
 that mirror them (``Network.send``'s lane append or heap push,
 ``ExperimentDriver._handle_enter``'s heap push) draw from the same sequence
-counter, so mixing them never changes the replay order.  Nothing is ever
+counter, so mixing them never changes the replay order; a bulk load draws
+all its numbers when it is made, however lazily its entries are built, so
+how a schedule is represented never changes it either.  Nothing is ever
 un-scheduled: the paper's procedures and every baseline are pure message
 handlers over a reliable network.
 """
 
 from __future__ import annotations
 
-from itertools import count, islice, repeat
-from operator import le
-from typing import Any, Callable, Optional, Sequence, Union
+from itertools import chain, repeat, tee
+from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.exceptions import SchedulingError, SimulationError
 from repro.sim.schedulers import HeapScheduler, make_scheduler
@@ -139,50 +141,49 @@ class SimulationEngine:
 
     def schedule_lite_bulk(
         self,
-        times: Sequence[float],
+        key: Callable[[Any], float],
         callback: Callable[[Any], None],
-        payloads: Sequence[Any],
+        payloads: Iterable[Any],
     ) -> int:
-        """Bulk :meth:`schedule_lite`: ``callback(payloads[i])`` at
-        ``times[i]`` for every ``i``, in one call.
+        """Bulk :meth:`schedule_lite`: ``callback(payload)`` at
+        ``key(payload)`` for every one of ``payloads``, in one call.
 
-        Each event is stamped with the next sequence number in index order,
-        exactly as if :meth:`schedule_lite` had been called per item.  The
-        scheduler gets an iterator over ``times`` and ``payloads`` themselves
-        (nothing is copied, so they must not change while queued) and builds
-        its entries a chunk at a time, out of the heap.  An ascending
-        ``times`` is taken as it is; any other order is sorted by index
-        (equal times keep index order); a load made while an earlier one is
-        still queued merges with it.  No Python call is made per event.
+        Each event is stamped with the next sequence number in payload
+        order, exactly as if :meth:`schedule_lite` had been called per item;
+        all ``len(payloads)`` of them are drawn here.  ``payloads`` is any
+        sized iterable in ascending time order — a ``Workload`` sorts
+        itself, and a :class:`~repro.workload.streaming.StreamingWorkload`
+        checks each batch as it draws it — and is drawn once, only as the
+        drain reaches it: the scheduler builds its entries a chunk at a
+        time, out of the heap, from the caller's own objects (nothing is
+        copied, so they must not change while queued), and a stream
+        generates its batches then.  Only the first time is checked here.
+        A load made while an earlier one is still queued merges with it.
+        No Python call is made per event.
 
         Returns:
             The number of events scheduled.
 
         Raises:
-            SchedulingError: if any time is earlier than ``now`` or not a
-                number; the load is refused whole, nothing is scheduled (the
-                sequence numbers it drew stay drawn).
+            SchedulingError: if the first time is earlier than ``now`` or not
+                a number; nothing is scheduled (the sequence numbers the load
+                drew stay drawn).
         """
-        loaded = len(times)
+        loaded = len(payloads)
         base = self._sequence + 1
         self._sequence += loaded
         if not loaded:
             return 0
-        sequences = count(base)
-        ascending = all(map(le, times, islice(times, 1, None)))
-        if not ascending:
-            order = sorted(range(loaded), key=times.__getitem__)
-            times = list(map(times.__getitem__, order))
-            payloads = list(map(payloads.__getitem__, order))
-            sequences = map(base.__add__, order)
-            ascending = all(map(le, times, islice(times, 1, None)))  # unless a NaN
-        if not (ascending and times[0] >= self._now):
-            time = next((t for t in times if not t >= self._now), times[0])
+        payloads, timed = tee(payloads)
+        times = map(key, timed)
+        first = next(times)
+        if not first >= self._now:
             raise SchedulingError(
-                f"cannot schedule event at {time} before current time {self._now}"
+                f"cannot schedule event at {first} before current time {self._now}"
             )
         self._scheduler.push_bulk(
-            zip(times, sequences, repeat(callback), payloads), loaded
+            zip(chain((first,), times), range(base, base + loaded), repeat(callback), payloads),
+            loaded,
         )
         return loaded
 

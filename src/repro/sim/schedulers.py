@@ -3,12 +3,13 @@
 The engine's determinism contract — events fire in ``(time, sequence)``
 order — is carried by one structure: :class:`HeapScheduler`, which keeps
 plain tuples in three places.  What callbacks schedule one at a time at
-arbitrary times — releases, loaders, faults, messages a network watches on
+arbitrary times — releases, faults, messages a network watches on
 delivery — goes into a binary heap as ``(time, sequence, callback,
 payload)``: O(log n) push/pop, every comparison in C.  What is loaded in
 bulk — a workload's arrivals — waits *beside* the heap as an iterator over
-the caller's own sequences, built a chunk at a time, in the same form, into
-a descending list popped from its end.  What a constant-latency
+the caller's own objects (a schedule's tuple, or one lazy pass over a
+stream's batches), built a chunk at a time, in the same form, into a
+descending list popped from its end.  What a constant-latency
 network sends waits in a FIFO lane (a ``deque``) as a ready-to-fire
 three-argument call, ``(time, sequence, fn, target, sender, message)``: each
 delivery is due at ``now + d`` with ``now`` never decreasing and the
@@ -129,7 +130,8 @@ class HeapScheduler:
         The engine's batch entry point (``schedule_lite_bulk``) uses this so
         a workload's arrivals pay no Python call per entry, no heap level per
         event while they wait, and no copy: only :data:`BULK_CHUNK` entries
-        are built ahead of the drain.  The engine checks the load.
+        are built ahead of the drain, so a lazy ``entries`` is drawn only as
+        the drain reaches it.  The engine checks the load.
         """
         run = self._run
         if run:

@@ -53,7 +53,7 @@ from repro.topology import balanced_tree, line, random_tree, star
 from repro.topology.base import Topology
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.requests import Workload, paused_collector
-from repro.workload.streaming import DEFAULT_CHUNK_REQUESTS, StreamingWorkload
+from repro.workload.streaming import StreamingWorkload
 
 #: Topology families a spec can name.  ``tree`` is the benchmark's frozen
 #: balanced binary tree of about ``n`` nodes; ``random`` is a seeded Prüfer
@@ -66,8 +66,9 @@ TOPOLOGY_KINDS = ("line", "star", "tree", "random")
 WORKLOAD_TIERS = ("light", "heavy", "bursty", "hotspot", "diurnal")
 
 #: Node count at or above which heavy-demand workloads stream (generator
-#: batches chunk-loaded by the driver) instead of materialising the request
-#: list.  Canonical home of the constant the bench and sweep tiers share.
+#: batches made as the replay reaches them) instead of materialising the
+#: request list; the replay is the same either way.  Canonical home of the
+#: constant the bench and sweep tiers share.
 STREAMING_NODE_THRESHOLD = 500_000
 
 #: Heavy-demand rounds for the streamed (>= :data:`STREAMING_NODE_THRESHOLD`)
@@ -244,17 +245,14 @@ class WorkloadSpec(_SpecCodec):
             ``None`` = :data:`DEFAULT_HEAVY_ROUNDS`).
         total_requests: request count for the arrival-process tiers
             (``None`` = twice the node count, the matrix convention).
-        streaming: force the streamed (``True``) or materialised (``False``)
-            heavy-demand form; ``None`` auto-streams at
-            :data:`STREAMING_NODE_THRESHOLD` nodes.
-        chunk_requests: streamed batch size (``None`` = the driver default).
+
+    Heavy demand is streamed from :data:`STREAMING_NODE_THRESHOLD` nodes up
+    and materialised below it; the two forms replay identically.
     """
 
     tier: str
     rounds: Optional[int] = None
     total_requests: Optional[int] = None
-    streaming: Optional[bool] = None
-    chunk_requests: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.tier not in WORKLOAD_TIERS:
@@ -265,10 +263,6 @@ class WorkloadSpec(_SpecCodec):
             raise ExperimentError(f"rounds must be >= 1, got {self.rounds}")
         if self.total_requests is not None and self.tier == "heavy":
             raise ExperimentError("the heavy tier is sized by rounds, not total_requests")
-        if self.streaming is not None and self.tier != "heavy":
-            raise ExperimentError("only the heavy tier has a streamed form")
-        if self.chunk_requests is not None and self.chunk_requests < 1:
-            raise ExperimentError(f"chunk_requests must be >= 1, got {self.chunk_requests}")
 
     def build(
         self, topology: Topology, *, seed: int = 0
@@ -291,18 +285,8 @@ class WorkloadSpec(_SpecCodec):
                 return generator.poisson(total_requests=requests, mean_interarrival=5.0)
             if self.tier == "heavy":
                 rounds = self.rounds if self.rounds is not None else DEFAULT_HEAVY_ROUNDS
-                stream = (
-                    self.streaming
-                    if self.streaming is not None
-                    else n >= STREAMING_NODE_THRESHOLD
-                )
-                if stream:
-                    chunk = (
-                        self.chunk_requests
-                        if self.chunk_requests is not None
-                        else DEFAULT_CHUNK_REQUESTS
-                    )
-                    return generator.heavy_demand_stream(rounds=rounds, chunk_requests=chunk)
+                if n >= STREAMING_NODE_THRESHOLD:
+                    return generator.heavy_demand_stream(rounds=rounds)
                 return generator.heavy_demand(rounds=rounds)
             if self.tier == "bursty":
                 return generator.bursty(

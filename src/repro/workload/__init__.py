@@ -19,13 +19,12 @@ those choices as data:
 from repro.workload.driver import ExperimentDriver, ExperimentResult, run_experiment
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.requests import CSRequest, Workload
-from repro.workload.streaming import DEFAULT_CHUNK_REQUESTS, StreamingWorkload
+from repro.workload.streaming import StreamingWorkload
 
 __all__ = [
     "CSRequest",
     "Workload",
     "StreamingWorkload",
-    "DEFAULT_CHUNK_REQUESTS",
     "WorkloadGenerator",
     "ExperimentDriver",
     "ExperimentResult",

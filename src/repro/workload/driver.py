@@ -13,19 +13,18 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Type, Union
 
 from repro.baselines.base import MutexSystem, registry
-from repro.exceptions import ExperimentError, ProtocolError, SchedulingError, WorkloadError
+from repro.exceptions import ExperimentError, ProtocolError, SchedulingError
 from repro.sim.latency import LatencyModel
 from repro.sim.schedulers import SCHEDULER_MODES, unknown_scheduler_message
 from repro.topology.base import Topology
-from repro.workload.requests import CSRequest, Workload, paused_collector
-from repro.workload.streaming import StreamingWorkload
+from repro.workload.requests import CSRequest, Workload, _by_arrival_time, paused_collector
 
 if TYPE_CHECKING:
     from repro.sim.faults import FaultController
+    from repro.workload.streaming import StreamingWorkload
 
 
 @dataclass
@@ -114,10 +113,11 @@ class ExperimentDriver:
     Args:
         system: the system under test.
         workload: the request schedule to replay — a materialised
-            :class:`Workload` (bulk-loaded into the engine up front) or a
-            :class:`~repro.workload.streaming.StreamingWorkload`
-            (chunk-loaded one batch at a time so peak RSS stays bounded by
-            the chunk size; how the million-node tier replays heavy demand).
+            :class:`Workload` or a
+            :class:`~repro.workload.streaming.StreamingWorkload` (its
+            batches generated as the drain reaches them, so peak RSS stays
+            bounded by the batch size; how the million-node tier replays
+            heavy demand).  Both load the same way and replay identically.
         scheduler: ``"auto"`` or ``"heap"``; both mean the engine's heap.
             Kept because ``experiment-spec/v1`` documents carry the field;
             it no longer selects anything.
@@ -317,18 +317,22 @@ class ExperimentDriver:
     def _load_arrivals(self, engine) -> None:
         """Schedule the workload's arrivals (also the setup-benchmark hook).
 
-        Materialised workloads load in one ``schedule_lite_bulk`` call — one
-        shared callback with the request as the event payload, no per-request
-        closure or frame — and wait beside the heap, never in it, as a cursor
-        over the workload's own request tuple and a list of their times.
-        Streaming workloads chunk-load instead: see :meth:`_load_streaming`.
-        Arrival times are validated by the workload, not re-checked per
-        request; the head check below covers every request because schedules
-        are arrival-ordered.  The enter hooks go in with the arrivals: nothing
-        enters a critical section before one.  A fault controller is armed
-        first, so its events claim the same engine sequence numbers on every
-        replay, whatever the worker count and whoever calls this.  A driver
-        loads once: :meth:`run` after this replays the schedule loaded here.
+        Every workload loads in one ``schedule_lite_bulk`` call — one shared
+        callback with the request as the event payload, no per-request
+        closure or frame — keyed by each request's arrival time, and waits
+        beside the heap, never in it, as a cursor over the workload itself:
+        a materialised workload's tuple, or one lazy pass over a
+        :class:`~repro.workload.streaming.StreamingWorkload`'s batches, each
+        generated when the drain reaches it.  Either way every sequence
+        number is drawn here, so a streamed replay is the materialised one
+        event for event, whatever its batch size.  Arrival order is the
+        workload's own (a ``Workload`` sorts itself, a stream checks each
+        batch as it is drawn); the engine checks the first arrival against
+        its clock.  The enter hooks go in with the arrivals: nothing enters a
+        critical section before one.  A fault controller is armed first, so
+        its events claim the same engine sequence numbers on every replay,
+        whatever the worker count and whoever calls this.  A driver loads
+        once: :meth:`run` after this replays the schedule loaded here.
         """
         self._loaded = True
         faults = self.faults
@@ -336,71 +340,7 @@ class ExperimentDriver:
             faults.arm(self.system)
             self._fault_network = faults.network
         self._aim_enter_hooks(self._handle_enter)
-        if isinstance(self.workload, StreamingWorkload):
-            self._load_streaming(engine)
-            return
-        requests = self.workload.requests
-        now = engine.now
-        if requests and requests[0].arrival_time < now:
-            raise ExperimentError(
-                f"request at {requests[0].arrival_time} is in the past "
-                f"(engine time {now})"
-            )
-        engine.schedule_lite_bulk(
-            list(map(attrgetter("arrival_time"), requests)), self._issue_or_queue, requests
-        )
-
-    def _load_streaming(self, engine) -> None:
-        """Chunk-load a :class:`StreamingWorkload`: one batch in flight.
-
-        The first batch is bulk-loaded immediately; each further batch is
-        loaded by a lite "loader" event scheduled at the previous batch's
-        last arrival time.  The loader's sequence number is allocated after
-        that batch's arrivals, so it fires after every equal-time arrival and
-        before anything later — the next batch (whose times are >= the
-        loader's time) can always be scheduled safely.  The loader is a
-        single push, so it fires from the heap once the batch's run is spent
-        and refills the run in the middle of a drain.  Peak RSS is thereby
-        bounded by one chunk of queued arrivals regardless of workload
-        length.
-        """
-        batches = self.workload.iter_batches()
-        first = next(batches, None)
-        if first is None:
-            return
-        if first[0].arrival_time < engine.now:
-            raise ExperimentError(
-                f"request at {first[0].arrival_time} is in the past "
-                f"(engine time {engine.now})"
-            )
-        self._load_batch((first, batches))
-
-    def _load_batch(self, loaded) -> None:
-        """Load ``batch`` of ``(batch, batches)`` and schedule the next load.
-
-        The loader's state — the prefetched next batch and the iterator —
-        rides as the loader event's payload, so it dies by reference count
-        when the event fires.  It must: a closure that rescheduled itself
-        would sit in its own cell, a cycle pinning the driver, the engine and
-        the last batch, and :meth:`run` pauses the collector.
-        """
-        batch, batches = loaded
-        upcoming = next(batches, None)
-        if upcoming is not None and upcoming[0].arrival_time < batch[-1].arrival_time:
-            raise WorkloadError(
-                f"{self.workload.description or 'streaming workload'}: "
-                f"batch starting at {upcoming[0].arrival_time} precedes "
-                f"the previous batch's last arrival "
-                f"{batch[-1].arrival_time}"
-            )
-        engine = self.system.engine
-        engine.schedule_lite_bulk(
-            list(map(attrgetter("arrival_time"), batch)), self._issue_or_queue, batch
-        )
-        if upcoming is not None:
-            engine.schedule_lite(
-                batch[-1].arrival_time, self._load_batch, (upcoming, batches)
-            )
+        engine.schedule_lite_bulk(_by_arrival_time, self._issue_or_queue, self.workload)
 
     # ------------------------------------------------------------------ #
     # event plumbing

@@ -9,39 +9,34 @@ through the event queue once.
 
 A :class:`StreamingWorkload` replaces the list with a *batch factory*: a
 callable returning a fresh iterator of arrival-ordered request batches.  The
-experiment driver loads one batch into the engine at a time (via
-``schedule_lite_bulk``: the batch waits beside the event heap, its entries
-built a chunk at a time) and schedules the next load as a lite event at the
-current batch's last arrival time, so at any moment the process holds that
-batch and the prefetched next plus whatever is genuinely in flight — peak
-RSS is bounded by the chunk size, not the workload length.
+experiment driver loads it exactly as it loads a materialised schedule — one
+bulk load, every sequence number drawn up front — and the engine builds its
+entries a chunk at a time from one lazy pass over the batches, so a batch is
+generated only when the drain reaches it: the process holds the batch being
+drawn plus whatever is genuinely in flight, and peak RSS is bounded by the
+batch size, not the workload length.  The replay is the materialised one
+event for event, whatever the batch size.
 
-Contract (checked where cheap, tested everywhere):
+Contract (checked as each batch is drawn, by :meth:`iter_batches`):
 
-* batches are non-empty lists of :class:`CSRequest`, ordered by
-  ``(arrival_time, node)`` within a batch, and non-decreasing across batch
-  boundaries (the driver verifies the boundary condition as it loads);
+* batches are lists of :class:`CSRequest` in ``(arrival_time, node)``
+  order — a ``Workload``'s own order — and each starts no earlier than the
+  previous one ended;
+* the batches hold exactly ``len()`` requests in all;
 * the factory is *re-iterable*: every call replays the identical schedule,
   which is what lets best-of-N benchmarking and the byte-identity gates
-  work on streamed workloads exactly as on materialised ones;
-* ``len()`` is the exact total request count, known up front.
+  work on streamed workloads exactly as on materialised ones.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from math import inf
+from operator import le
 from typing import Callable, Iterator, List
 
 from repro.exceptions import WorkloadError
-from repro.workload.requests import CSRequest
-
-#: Default number of requests the driver keeps in the engine per batch.  At
-#: 64 bytes per request (the 56-byte slotted object and its list slot) plus 8
-#: per queued arrival (its time's list slot; the entries are built 2048 at a
-#: time) this holds one queued chunk at 7.4 MB and the prefetched next at 6.4
-#: (13.8 MB by ``tracemalloc``, CPython 3.11, star(1000)), while staying
-#: large enough that the per-batch Python overhead (one lite event + one bulk
-#: load) is noise.
-DEFAULT_CHUNK_REQUESTS = 100_000
+from repro.workload.requests import CSRequest, _by_arrival_time, _by_node
 
 
 class StreamingWorkload:
@@ -79,17 +74,50 @@ class StreamingWorkload:
         return self._total
 
     def iter_batches(self) -> Iterator[List[CSRequest]]:
-        """A fresh pass over the batches (empty batches are skipped)."""
+        """A fresh pass over the batches (empty batches are skipped).
+
+        Each batch is checked before it is yielded, so a replay never
+        schedules a request that breaks the contract: a batch out of
+        ``(arrival_time, node)`` order (counting from the previous batch's
+        last request), one that starts before the previous batch's last
+        arrival, or
+        one past ``len()`` requests raises :class:`WorkloadError`, and so
+        does a pass that ends short of ``len()``.
+        """
+        name = self.description or "streaming workload"
+        left = self._total
+        last = (-inf, -inf)
         for batch in self._batch_factory():
-            if batch:
-                yield batch
+            if not batch:
+                continue
+            left -= len(batch)
+            if left < 0:
+                raise WorkloadError(
+                    f"{name}: yields more than its {self._total} requests"
+                )
+            times = list(map(_by_arrival_time, batch))
+            nodes = list(map(_by_node, batch))
+            if times[0] < last[0]:
+                raise WorkloadError(
+                    f"{name}: batch starting at {times[0]} precedes "
+                    f"the previous batch's last arrival {last[0]}"
+                )
+            # (time, node) pairs, each against the one before it (the
+            # previous batch's last for the first), compared in C.
+            before = zip(chain((last[0],), times), chain((last[1],), nodes))
+            if not all(map(le, before, zip(times, nodes))):
+                raise WorkloadError(
+                    f"{name}: batch starting at {times[0]} is not in "
+                    f"(arrival time, node) order"
+                )
+            last = (times[-1], nodes[-1])
+            yield batch
+        if left:
+            raise WorkloadError(
+                f"{name}: yields {self._total - left} of its {self._total} requests"
+            )
 
     def __iter__(self) -> Iterator[CSRequest]:
-        """Flatten the batches — compatibility with ``Workload`` consumers.
-
-        Iterating a million-request stream materialises nothing, but costs a
-        Python iteration per request; large-scale paths should stay on
-        :meth:`iter_batches`.
-        """
-        for batch in self.iter_batches():
-            yield from batch
+        """The requests of one checked pass, flattened in C: no Python frame
+        per request, and a batch is generated only when it is reached."""
+        return chain.from_iterable(self.iter_batches())

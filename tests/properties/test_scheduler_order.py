@@ -5,8 +5,9 @@ run beside it and one constant-latency network's deliveries in a FIFO lane,
 as ready-to-fire three-argument calls; a second constant-latency network on
 the same engine, with another delay, pushes ``_deliver`` entries to the
 heap.  Whatever mix of these a program makes — from the top level or
-from inside callbacks, in time order or not, with equal-time ties between
-them — and however the drain is cut into ``run(max_events=k)``,
+from inside callbacks, in time order or not (a bulk load itself comes in
+time order), with equal-time ties between them — and however the drain is
+cut into ``run(max_events=k)``,
 ``run(until=t)``, ``step()`` and ``stop()`` slices, the events must fire in
 exactly the order one flat list sorted by ``(time, sequence)`` would give,
 ``pending_events`` must be exact after every slice, and the clock must move
@@ -14,6 +15,8 @@ as it always has: never backwards, and to ``until`` when a horizon is reached.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,8 +39,8 @@ def scripts(depth: int):
     """What an event does when it fires: a tuple of actions.
 
     ``("single", dt, script)`` pushes one event ``dt`` after now,
-    ``("bulk", [(dt, script), ...], ordered)`` bulk-loads several (sorted by
-    time first when ``ordered``, as the driver's loads are), ``("send",
+    ``("bulk", [(dt, script), ...])`` bulk-loads several (sorted by time
+    first, as every load is: a ``Workload`` sorts itself), ``("send",
     which, script)`` sends one message through network ``which`` (delivered
     :data:`NETWORK_DELAYS` ``[which]`` after now), ``("stop",)`` stops the
     drain.  ``script`` is what the new event does in its turn.
@@ -46,9 +49,7 @@ def scripts(depth: int):
         return st.just(())
     child = scripts(depth - 1)
     single = st.tuples(st.just("single"), DELAYS, child)
-    bulk = st.tuples(
-        st.just("bulk"), st.lists(st.tuples(DELAYS, child), max_size=6), st.booleans()
-    )
+    bulk = st.tuples(st.just("bulk"), st.lists(st.tuples(DELAYS, child), max_size=6))
     send = st.tuples(st.just("send"), st.integers(0, 1), child)
     return st.lists(st.one_of(single, bulk, send, st.just(("stop",))), max_size=3).map(
         tuple
@@ -57,9 +58,7 @@ def scripts(depth: int):
 
 SCHEDULING = st.one_of(
     st.tuples(st.just("single"), DELAYS, scripts(2)),
-    st.tuples(
-        st.just("bulk"), st.lists(st.tuples(DELAYS, scripts(2)), max_size=8), st.booleans()
-    ),
+    st.tuples(st.just("bulk"), st.lists(st.tuples(DELAYS, scripts(2)), max_size=8)),
     st.tuples(st.just("send"), st.integers(0, 1), scripts(2)),
 )
 SLICES = st.one_of(
@@ -125,11 +124,10 @@ class Harness:
                 _, delay, script = action
                 engine.schedule_lite(now + delay, self.fire, self._expect(now + delay, script))
             else:
-                _, items, ordered = action
-                if ordered:
-                    items = sorted(items, key=lambda item: item[0])
+                _, items = action
+                items = sorted(items, key=lambda item: item[0])
                 loaded = engine.schedule_lite_bulk(
-                    [now + delay for delay, _script in items],
+                    itemgetter(0),
                     self.fire,
                     [self._expect(now + delay, script) for delay, script in items],
                 )

@@ -67,8 +67,6 @@ def workloads(draw):
         tier=tier,
         rounds=draw(maybe(counts)) if heavy else None,
         total_requests=None if heavy else draw(maybe(counts)),
-        streaming=draw(maybe(st.booleans())) if heavy else None,
-        chunk_requests=draw(maybe(counts)),
     )
 
 

@@ -1,30 +1,40 @@
-"""The bulk load's contract: a cursor over the caller's sequences.
+"""The bulk load's contract: one lazy pass over the caller's payloads.
 
-``SimulationEngine.schedule_lite_bulk(times, callback, payloads)`` draws one
-sequence number per event in index order and hands the scheduler an iterator
-over ``times`` and ``payloads``; only :data:`~repro.sim.schedulers.BULK_CHUNK`
-entries are built ahead of the drain.  Every case here loads more than one
-chunk, so the part of a load that is not built yet is always in play: it
+``SimulationEngine.schedule_lite_bulk(key, callback, payloads)`` draws one
+sequence number per event in payload order, each fired at ``key(payload)``,
+and hands the scheduler one iterator over ``payloads`` — which come in time
+order, as a ``Workload`` sorts itself and a stream checks its batches; only
+:data:`~repro.sim.schedulers.BULK_CHUNK` entries are built ahead of the
+drain.  Every case but the clock check loads more than one chunk, so the
+part of a load that is not built yet is always in play: it
 must count in ``pending_events``, fire in ``(time, sequence)`` order however
 the drain is sliced, and merge with a second load made before it is built.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
+import pytest
+
 from repro.bench import run_setup_scenario
 from repro.cells import bench_cell
+from repro.exceptions import SchedulingError
 from repro.sim.engine import SimulationEngine
 from repro.sim.schedulers import BULK_CHUNK
 from repro.spec import ExperimentSpec, TopologySpec, WorkloadSpec
 from repro.workload.driver import ExperimentDriver
 
 SIZE = 2 * BULK_CHUNK + 5
+#: The time of a ``(time, load, index)`` payload.
+AT = itemgetter(0)
 
 
 def test_the_unbuilt_part_of_a_load_counts_as_pending():
     engine = SimulationEngine()
     fired = []
-    assert engine.schedule_lite_bulk([1.0] * SIZE, fired.append, range(SIZE)) == SIZE
+    times = [1.0] * SIZE
+    assert engine.schedule_lite_bulk(times.__getitem__, fired.append, range(SIZE)) == SIZE
     assert len(engine.scheduler._run) == BULK_CHUNK
     assert engine.pending_events == SIZE
     for taken in (1, BULK_CHUNK - 1, 1, BULK_CHUNK, 3):
@@ -36,59 +46,40 @@ def test_the_unbuilt_part_of_a_load_counts_as_pending():
     assert fired == list(range(SIZE))
 
 
-def test_equal_times_keep_load_order_when_the_load_is_sorted():
-    # Out of order: a stable sort of the indices on the times.
-    times = [float((index * 7) % 5) for index in range(SIZE)]
-    engine = SimulationEngine()
-    fired = []
-    engine.schedule_lite_bulk(times, fired.append, range(SIZE))
-    assert engine.pending_events == SIZE
-    engine.run()
-    assert fired == sorted(range(SIZE), key=times.__getitem__)
-    assert engine.now == 4.0
-
-
 def test_a_second_load_merges_with_a_part_built_first():
-    first = [float(index // 3) for index in range(SIZE)]
-    second = [index / 2 + 0.5 for index in range(SIZE)]
+    first = [(float(index // 3), "first", index) for index in range(SIZE)]
     engine = SimulationEngine()
     fired = []
-    engine.schedule_lite_bulk(first, fired.append, [("first", i) for i in range(SIZE)])
+    engine.schedule_lite_bulk(AT, fired.append, first)
     engine.run(max_events=10)
     assert len(engine.scheduler._run) == BULK_CHUNK - 10
     # Every time of the second load is at or after now (3.0), and many tie
-    # with the first's: a tie fires the first load's event first.
-    second = [time + engine.now for time in second]
-    engine.schedule_lite_bulk(second, fired.append, [("second", i) for i in range(SIZE)])
+    # with the first's: a tie fires the first load's event first, which is
+    # also how the payloads sort ("first" < "second").
+    second = [(index / 2 + 0.5 + engine.now, "second", index) for index in range(SIZE)]
+    engine.schedule_lite_bulk(AT, fired.append, second)
     assert engine.pending_events == 2 * SIZE - 10
     engine.run()
-    expected = sorted(
-        [(time, 0, i) for i, time in enumerate(first)]
-        + [(time, 1, i) for i, time in enumerate(second)]
-    )
-    assert fired == [(("first", "second")[load], i) for _time, load, i in expected]
+    assert fired == sorted(first + second)
     assert engine.pending_events == 0
 
 
 def test_a_load_made_from_a_callback_merges_too():
-    early = [float(index // 1000) for index in range(SIZE)]
-    late = [2.0 + index / SIZE for index in range(SIZE)]
+    early = [(float(index // 1000), "early", index) for index in range(SIZE)]
+    late = [(2.0 + index / SIZE, "late", index) for index in range(SIZE)]
     engine = SimulationEngine()
     fired = []
 
     def load_late(_):
         # Mid-drain, with the early load's chunk part spent.
         assert 0 < len(engine.scheduler._run) < BULK_CHUNK
-        engine.schedule_lite_bulk(late, fired.append, [("late", i) for i in range(SIZE)])
+        engine.schedule_lite_bulk(AT, fired.append, late)
 
-    engine.schedule_lite_bulk(early, fired.append, [("early", i) for i in range(SIZE)])
+    engine.schedule_lite_bulk(AT, fired.append, early)
     engine.schedule_lite(1.5, load_late)
     engine.run()
-    expected = sorted(
-        [(time, 0, i) for i, time in enumerate(early)]
-        + [(time, 1, i) for i, time in enumerate(late)]
-    )
-    assert fired == [(("early", "late")[load], i) for _time, load, i in expected]
+    # A tie fires the early load's event first ("early" < "late").
+    assert fired == sorted(early + late)
 
 
 def test_sliced_drains_fire_the_whole_drain_order():
@@ -105,7 +96,7 @@ def test_sliced_drains_fire_the_whole_drain_order():
             if index % 3 == 0:
                 engine.schedule_lite(engine.now + index % 2, fired.append, -index)
 
-        engine.schedule_lite_bulk(times, arrive, range(SIZE))
+        engine.schedule_lite_bulk(times.__getitem__, arrive, range(SIZE))
         while engine.run(**limits):
             pass
         assert engine.pending_events == 0
@@ -115,6 +106,45 @@ def test_sliced_drains_fire_the_whole_drain_order():
     assert len(whole) == SIZE + len(range(0, SIZE, 3))
     assert replay(max_events=1) == whole
     assert replay(max_events=BULK_CHUNK - 1) == whole
+
+
+class OnePass:
+    """A sized iterable drawn once, noting every payload drawn from it."""
+
+    def __init__(self, size):
+        self.size, self.drawn = size, []
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        for index in range(self.size):
+            self.drawn.append(index)
+            yield index
+
+
+def test_a_load_is_drawn_only_as_the_drain_reaches_it():
+    engine = SimulationEngine()
+    fired = []
+    payloads = OnePass(SIZE)
+    loaded = engine.schedule_lite_bulk(lambda index: float(index // 3), fired.append, payloads)
+    assert loaded == SIZE
+    # Every sequence number is drawn, one chunk of payloads is.
+    assert engine._sequence == engine.pending_events == SIZE
+    assert len(payloads.drawn) == BULK_CHUNK
+    engine.run(max_events=BULK_CHUNK)
+    assert len(payloads.drawn) == 2 * BULK_CHUNK
+    engine.run()
+    assert fired == payloads.drawn == list(range(SIZE))
+
+
+def test_a_load_checks_its_first_time_against_the_clock():
+    engine = SimulationEngine()
+    engine.schedule_lite(2.0, lambda _: None)
+    engine.run()
+    with pytest.raises(SchedulingError, match="at 1.0 before current time 2.0"):
+        engine.schedule_lite_bulk(float, lambda _: None, [1.0, 3.0])
+    assert engine.pending_events == 0
 
 
 def test_a_stepped_replay_enters_in_the_order_of_a_whole_one():

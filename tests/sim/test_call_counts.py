@@ -18,7 +18,10 @@ forwarding frame between the protocol handler and the network; and one
 C loops and no other frame per request.  The replay pins include the
 collector pause's ``__enter__`` and ``__exit__``, once each, and the driver's
 ``_aim_enter_hooks`` twice (set with the arrivals, cleared on the way out of
-``run``).  A change
+``run``), ``now`` once (the result's ``finished_at``: the engine checks
+the first arrival against its clock when the arrivals load), and the
+workload's ``__len__`` and ``__iter__`` once each (the arrivals load from
+the workload itself, whatever its form).  A change
 that moves a count re-pins it here and records in ``CHANGES.md`` the
 before/after measurement that justifies the move; a failure prints the
 per-function table, pinned against now, largest move first.
@@ -58,7 +61,7 @@ PINNED = {
         "core/node.py:_handle_request": 911,
         "core/node.py:release_cs": 100,
         "core/node.py:request_cs": 100,
-        "sim/engine.py:now": 2,
+        "sim/engine.py:now": 1,
         "sim/engine.py:pending_events": 1,
         "sim/engine.py:run": 1,
         "sim/engine.py:schedule_lite_bulk": 1,
@@ -81,6 +84,8 @@ PINNED = {
         "workload/driver.py:run": 1,
         "workload/requests.py:__enter__": 1,
         "workload/requests.py:__exit__": 1,
+        "workload/requests.py:__iter__": 1,
+        "workload/requests.py:__len__": 1,
     }),
     ("line50-light", "compact"): (1208, 1008, {
         "baselines/base.py:run": 1,
@@ -91,7 +96,7 @@ PINNED = {
         "core/compact_state.py:release_cs": 100,
         "core/compact_state.py:request_cs": 100,
         "core/messages.py:__init__": 911,
-        "sim/engine.py:now": 2,
+        "sim/engine.py:now": 1,
         "sim/engine.py:pending_events": 1,
         "sim/engine.py:run": 1,
         "sim/engine.py:schedule_lite_bulk": 1,
@@ -114,6 +119,8 @@ PINNED = {
         "workload/driver.py:run": 1,
         "workload/requests.py:__enter__": 1,
         "workload/requests.py:__exit__": 1,
+        "workload/requests.py:__iter__": 1,
+        "workload/requests.py:__len__": 1,
     }),
     ("star50-heavy", "object"): (2477, 1477, {
         "baselines/base.py:run": 1,
@@ -123,7 +130,7 @@ PINNED = {
         "core/node.py:_handle_request": 979,
         "core/node.py:release_cs": 500,
         "core/node.py:request_cs": 500,
-        "sim/engine.py:now": 2,
+        "sim/engine.py:now": 1,
         "sim/engine.py:pending_events": 1,
         "sim/engine.py:run": 1,
         "sim/engine.py:schedule_lite_bulk": 1,
@@ -146,6 +153,8 @@ PINNED = {
         "workload/driver.py:run": 1,
         "workload/requests.py:__enter__": 1,
         "workload/requests.py:__exit__": 1,
+        "workload/requests.py:__iter__": 1,
+        "workload/requests.py:__len__": 1,
     }),
     ("star50-heavy", "compact"): (2477, 1477, {
         "baselines/base.py:run": 1,
@@ -156,7 +165,7 @@ PINNED = {
         "core/compact_state.py:release_cs": 500,
         "core/compact_state.py:request_cs": 500,
         "core/messages.py:__init__": 979,
-        "sim/engine.py:now": 2,
+        "sim/engine.py:now": 1,
         "sim/engine.py:pending_events": 1,
         "sim/engine.py:run": 1,
         "sim/engine.py:schedule_lite_bulk": 1,
@@ -179,6 +188,8 @@ PINNED = {
         "workload/driver.py:run": 1,
         "workload/requests.py:__enter__": 1,
         "workload/requests.py:__exit__": 1,
+        "workload/requests.py:__iter__": 1,
+        "workload/requests.py:__len__": 1,
     }),
 }
 

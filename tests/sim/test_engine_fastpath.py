@@ -22,9 +22,8 @@ def test_schedule_lite_interleaves_deterministically():
     engine = SimulationEngine()
     fired = []
     engine.schedule_lite(1.0, fired.append, "single")
-    loaded = engine.schedule_lite_bulk(
-        [1.0, 0.5, 1.0], fired.append, ["bulk-1", "bulk-early", "bulk-2"]
-    )
+    bulk = {"bulk-early": 0.5, "bulk-1": 1.0, "bulk-2": 1.0}  # name -> time
+    loaded = engine.schedule_lite_bulk(bulk.__getitem__, fired.append, list(bulk))
     engine.schedule_lite(1.0, fired.append, "single-2")
     assert loaded == 3
     assert engine.pending_events == 5

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import cells
+from repro import spec as spec_module
 from repro.baselines import registry
 from repro.cells import tier_workload
 from repro.exceptions import ExperimentError
@@ -129,7 +130,7 @@ def test_sweep_heavy_tier_streams_at_the_node_threshold(monkeypatch):
     materialised = sweep_workload(topology, "heavy", seed=1)
     assert isinstance(materialised, Workload)
     assert len(materialised) == 150  # 5 rounds, frozen definition
-    monkeypatch.setattr(cells, "STREAMING_NODE_THRESHOLD", 30)
+    monkeypatch.setattr(spec_module, "STREAMING_NODE_THRESHOLD", 30)
     streamed = sweep_workload(topology, "heavy", seed=1)
     assert isinstance(streamed, StreamingWorkload)
     assert len(streamed) == cells.XXLARGE_HEAVY_ROUNDS * 30

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import benchdoc, cells
+from repro import spec as spec_module
 from repro.bench import (
     BASELINE_ALGORITHMS,
     baseline_matrix,
@@ -239,6 +240,18 @@ def test_committed_bench_fingerprint_still_replays():
     assert determinism_fingerprint() == committed["determinism"]["fingerprint"]
 
 
+def test_the_committed_determinism_keys_are_the_ones_run_benchmark_writes():
+    """A key in the committed ``determinism`` section that no run writes is
+    a claim nothing checks any more."""
+    from pathlib import Path
+
+    committed = benchdoc.load(
+        str(Path(__file__).resolve().parents[1] / "BENCH_throughput.json")
+    )
+    fresh = run_benchmark(matrix=[bench_cell("star", 10, "heavy")], repeat=1)
+    assert sorted(committed["determinism"]) == sorted(fresh["determinism"])
+
+
 def test_xlarge_matrix_extends_large_with_100k_tier():
     large = bench_matrix("large")
     xlarge = bench_matrix("xlarge")
@@ -358,7 +371,7 @@ def test_heavy_workloads_stream_at_the_node_threshold(monkeypatch):
     assert len(materialised) == 400  # 10 rounds x n
     # At the threshold (lowered so the test doesn't build a 500k topology):
     # the streamed definition with the xxlarge round count.
-    monkeypatch.setattr(cells, "STREAMING_NODE_THRESHOLD", 40)
+    monkeypatch.setattr(spec_module, "STREAMING_NODE_THRESHOLD", 40)
     streamed = build_workload(topology, "heavy")
     assert isinstance(streamed, StreamingWorkload)
     assert len(streamed) == cells.XXLARGE_HEAVY_ROUNDS * 40
@@ -399,21 +412,27 @@ def test_setup_benchmark_times_every_construction_phase():
     assert busted["over_budget"]
 
 
-def test_setup_benchmark_loads_only_the_first_chunk_of_a_stream(monkeypatch):
+def test_setup_benchmark_loads_only_the_first_batch_of_a_stream(monkeypatch):
     from repro.bench import run_setup_scenario
-    from repro.workload import WorkloadGenerator
+    from repro.sim.schedulers import BULK_CHUNK
+    from repro.workload import CSRequest, generator
 
-    monkeypatch.setattr(cells, "STREAMING_NODE_THRESHOLD", 40)
-    real_stream = WorkloadGenerator.heavy_demand_stream
-    monkeypatch.setattr(
-        WorkloadGenerator,
-        "heavy_demand_stream",
-        lambda self, **kwargs: real_stream(
-            self, **{**kwargs, "chunk_requests": 25}
-        ),
-    )
-    row = run_setup_scenario(bench_cell("star", 40, "heavy"))
+    # A first batch larger than the engine's first chunk of entries, as at
+    # the 1M tier (10 000 requests a batch, 2 048 entries a chunk).
+    batch, n = BULK_CHUNK + 10, 3000
+    monkeypatch.setattr(spec_module, "STREAMING_NODE_THRESHOLD", n)
+    monkeypatch.setattr(generator, "STREAM_BATCH_REQUESTS", batch)
+    built = []
+    real_init = CSRequest.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(CSRequest, "__init__", counting_init)
+    row = run_setup_scenario(bench_cell("star", n, "heavy"))
     assert row["streamed"] is True
-    assert row["total_requests"] == cells.XXLARGE_HEAVY_ROUNDS * 40
-    # One chunk of arrivals plus the pending loader event.
-    assert row["loaded_arrivals"] == 25 + 1
+    assert row["total_requests"] == cells.XXLARGE_HEAVY_ROUNDS * n
+    # Every arrival is scheduled, but only the first batch's requests exist.
+    assert row["loaded_arrivals"] == row["total_requests"]
+    assert len(built) == batch

@@ -50,6 +50,9 @@ from repro.sim.latency import ConstantLatency
 from repro.topology import star
 from repro.workload.driver import ExperimentDriver, run_experiment
 from repro.workload.generator import WorkloadGenerator
+from repro.workload.streaming import StreamingWorkload
+
+from .conftest import forced_streaming
 
 #: Capability attributes every algorithm must declare on its own class.
 CAPABILITY_ATTRS = (
@@ -97,12 +100,7 @@ def _outcome(result):
         ExperimentSpec(
             algorithm="centralized",
             topology=TopologySpec(kind="line", n=50),
-            workload=WorkloadSpec(
-                tier="heavy",
-                rounds=XXLARGE_HEAVY_ROUNDS,
-                streaming=True,
-                chunk_requests=32,
-            ),
+            workload=WorkloadSpec(tier="heavy", rounds=XXLARGE_HEAVY_ROUNDS),
             scheduler="heap",
         ),
         ExperimentSpec(
@@ -161,6 +159,8 @@ MALFORMED_EXPERIMENT_DOCUMENTS = [
     # A field retired from experiment-spec/v1, as the documents that still
     # carry it wrote it: now an unknown field.
     (("topology", "compact"), None, "topology spec", "'compact'"),
+    (("workload", "streaming"), None, "workload spec", "'streaming'"),
+    (("workload", "chunk_requests"), None, "workload spec", "'chunk_requests'"),
     (("workload", "rounds"), 2.5, "workload spec", "'rounds'"),
 ]
 
@@ -303,11 +303,7 @@ def test_workload_spec_field_constraints():
     with pytest.raises(ExperimentError):
         WorkloadSpec(tier="heavy", total_requests=10)  # heavy sized by rounds
     with pytest.raises(ExperimentError):
-        WorkloadSpec(tier="light", streaming=True)  # only heavy streams
-    with pytest.raises(ExperimentError):
         WorkloadSpec(tier="heavy", rounds=0)
-    with pytest.raises(ExperimentError):
-        WorkloadSpec(tier="heavy", chunk_requests=0)
 
 
 def test_parse_shorthand_forms():
@@ -447,14 +443,13 @@ def test_streaming_heavy_spec_matches_materialised_schedule():
     # The spec's streamed heavy form yields the identical request schedule
     # as the materialised form it replaces above the node threshold.
     topology = star(50)
-    streamed = WorkloadSpec(
-        tier="heavy", rounds=2, streaming=True, chunk_requests=16
-    ).build(topology, seed=0)
     materialised = WorkloadSpec(tier="heavy", rounds=2).build(topology, seed=0)
+    with forced_streaming(16):
+        streamed = WorkloadSpec(tier="heavy", rounds=2).build(topology, seed=0)
+    assert isinstance(streamed, StreamingWorkload)
     assert tuple(streamed) == tuple(materialised)
     spec_threshold_cell = tier_workload("heavy", STREAMING_NODE_THRESHOLD, heavy_rounds=10)
-    assert spec_threshold_cell.streaming is True
-    assert spec_threshold_cell.rounds == XXLARGE_HEAVY_ROUNDS
+    assert spec_threshold_cell == WorkloadSpec(tier="heavy", rounds=XXLARGE_HEAVY_ROUNDS)
 
 
 def test_run_experiment_accepts_a_spec():

@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import pickle
 import weakref
+from contextlib import nullcontext
 
 import pytest
 
@@ -24,25 +25,23 @@ from repro.core.messages import Privilege
 from repro.exceptions import ExperimentError, ProtocolError, WorkloadError
 from repro.spec import FAULT_PROFILES, ExperimentSpec, TopologySpec, WorkloadSpec
 from repro.topology import star
-from repro.workload import CSRequest, ExperimentDriver, Workload
+from repro.workload import CSRequest, ExperimentDriver, StreamingWorkload, Workload
 
-from ..conftest import forced_node_backend
+from ..conftest import forced_node_backend, forced_streaming
 
 
-def heavy_spec(algorithm="dag", *, n=9, rounds=3, streamed=False, **settings) -> ExperimentSpec:
-    workload = WorkloadSpec(
-        tier="heavy", rounds=rounds, streaming=streamed,
-        # Chunks that end mid-round: loader events share times with arrivals.
-        chunk_requests=7 if streamed else None,
-    )
+def heavy_spec(algorithm="dag", *, n=9, rounds=3, **settings) -> ExperimentSpec:
     return ExperimentSpec(
-        algorithm=algorithm, topology=TopologySpec(kind="star", n=n), workload=workload,
-        **settings,
+        algorithm=algorithm, topology=TopologySpec(kind="star", n=n),
+        workload=WorkloadSpec(tier="heavy", rounds=rounds), **settings,
     )
 
 
-def unreachable_after_replay(spec: ExperimentSpec) -> int:
-    driver = ExperimentDriver.from_spec(spec)
+def unreachable_after_replay(spec: ExperimentSpec, streamed: bool = False) -> int:
+    # Streamed in batches of 7 that end mid-round on the 9-node star.
+    with forced_streaming(7) if streamed else nullcontext():
+        driver = ExperimentDriver.from_spec(spec)
+    assert isinstance(driver.workload, StreamingWorkload) is streamed
     gc.collect()  # whatever building left behind is not the replay's
     driver.run()
     return gc.collect()
@@ -55,8 +54,8 @@ def unreachable_after_replay(spec: ExperimentSpec) -> int:
 @pytest.mark.parametrize("collect_metrics", [True, False], ids=["metrics", "bare"])
 @pytest.mark.parametrize("algorithm", registry.names())
 def test_a_replay_allocates_no_reference_cycle(algorithm, collect_metrics, streamed):
-    spec = heavy_spec(algorithm, streamed=streamed, collect_metrics=collect_metrics)
-    assert unreachable_after_replay(spec) == 0
+    spec = heavy_spec(algorithm, collect_metrics=collect_metrics)
+    assert unreachable_after_replay(spec, streamed) == 0
 
 
 @pytest.mark.parametrize("streamed", [False, True], ids=["materialised", "streamed"])
@@ -64,8 +63,8 @@ def test_a_replay_allocates_no_reference_cycle(algorithm, collect_metrics, strea
 @pytest.mark.parametrize("backend", ["object", "compact"])
 def test_neither_dag_backend_allocates_a_reference_cycle(backend, collect_metrics, streamed):
     with forced_node_backend(backend):
-        spec = heavy_spec(streamed=streamed, collect_metrics=collect_metrics)
-        assert unreachable_after_replay(spec) == 0
+        spec = heavy_spec(collect_metrics=collect_metrics)
+        assert unreachable_after_replay(spec, streamed) == 0
 
 
 @pytest.mark.parametrize("cell", fault_matrix(), ids=lambda cell: cell.name)
@@ -188,7 +187,7 @@ TIERS = {
     "light": WorkloadSpec(tier="light"),
     "heavy": WorkloadSpec(tier="heavy", rounds=3),
     # 7 requests a chunk on 9 nodes: chunks end mid-round.
-    "heavy-streamed": WorkloadSpec(tier="heavy", rounds=3, streaming=True, chunk_requests=7),
+    "heavy-streamed": WorkloadSpec(tier="heavy", rounds=3),
     "bursty": WorkloadSpec(tier="bursty"),
     "hotspot": WorkloadSpec(tier="hotspot"),
     "diurnal": WorkloadSpec(tier="diurnal"),
@@ -198,11 +197,13 @@ TIERS = {
 @pytest.mark.parametrize("tier", list(TIERS))
 def test_building_a_schedule_allocates_no_reference_cycle(tier):
     topology = star(9)
+    streamed = tier == "heavy-streamed"
     gc.collect()
-    workload = TIERS[tier].build(topology, seed=5)
+    with forced_streaming(7) if streamed else nullcontext():
+        workload = TIERS[tier].build(topology, seed=5)
     assert gc.collect() == 0
     # A streamed schedule makes its requests batch by batch, later.
-    batches = list(workload.iter_batches()) if tier == "heavy-streamed" else [workload]
+    batches = list(workload.iter_batches()) if streamed else [workload]
     assert gc.collect() == 0
     assert sum(map(len, batches)) == len(workload) > 0
 

@@ -4,10 +4,10 @@ A heavy schedule is one ``CSRequest`` per request, held in the workload's
 tuple for the whole replay.  Nothing else should grow with the number of
 requests: building the schedule checks its ``(arrival_time, node)`` order
 with no key tuple per request (56 bytes plus a 16-byte GC header each), and
-replaying it loads the arrivals as a cursor over that tuple and a list of
-their times, of which one bounded chunk of ``(time, sequence, callback,
-payload)`` entries exists at a time (not one 4-tuple, sequence number and
-list slot per request).
+replaying it loads the arrivals as a cursor over that tuple, each time read
+off its request as its entry is built, of which one bounded chunk of
+``(time, sequence, callback, payload)`` entries exists at a time (not one
+4-tuple, sequence number and list slot per request).
 
 ``tracemalloc`` counts the bytes, so the figures are the same on every
 machine; the bounds leave room for CPython's container growth policy, which
@@ -63,9 +63,9 @@ def test_a_heavy_replay_holds_its_schedule_once():
     system = spec.build_system(topology)
     result, peak = traced(lambda: ExperimentDriver(system, workload).run())
     assert result.completed_entries == len(workload) == 20000
-    # A list slot per arrival time, one chunk of entries, and what is in
-    # flight (bounded by the topology, not the schedule).  A copy of the
-    # schedule as queued entries would add ~110 B a request.
+    # One chunk of entries and what is in flight (bounded by the topology,
+    # not the schedule).  A copy of the schedule as queued entries would add
+    # ~110 B a request.
     per_request = peak / len(workload)
     assert per_request <= 48, f"{per_request:.1f} B per request above the schedule"
 
