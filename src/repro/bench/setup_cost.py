@@ -9,8 +9,8 @@ of minutes instead of the tens it takes to replay it.
 
 "Load workload" is the replay's own bulk load: every arrival is scheduled
 (``loaded_arrivals`` equals ``total_requests`` on every row) and the first
-chunk of entries is built — for a streamed workload, from its first batch,
-the only one generated before the drain.
+chunk of entries is built from the schedule's columns, the only part of
+them drawn before the drain.
 
 The document (``BENCH_xxlarge_setup.fresh.json`` in CI) is informational
 plus one hard gate: an optional per-cell wall budget (``--budget-seconds``)
@@ -27,7 +27,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.cells import Cell
 from repro.workload.driver import ExperimentDriver
 from repro.workload.requests import paused_collector
-from repro.workload.streaming import StreamingWorkload
 
 #: Cells below this node count have no interesting setup cost; the default
 #: construction matrix keeps only the large-tier cells of whatever matrix
@@ -76,7 +75,6 @@ def run_setup_scenario(cell: Cell) -> Dict[str, Any]:
         "n": experiment.topology.n,
         "demand": experiment.workload.tier,
         "total_requests": len(workload),
-        "streamed": isinstance(workload, StreamingWorkload),
         "loaded_arrivals": system.engine.pending_events,
         "topology_seconds": round(topology_seconds, 4),
         "workload_seconds": round(workload_seconds, 4),

@@ -113,10 +113,10 @@ def _rungs(tier: str, document: str) -> List[Rung]:
 def tier_workload(tier: str, n: int, *, heavy_rounds: int) -> WorkloadSpec:
     """The frozen tier parameterisation, spelled out so a cell's JSON says
     what runs: heavy demand is ``heavy_rounds`` rounds (10 for bench, 5 for
-    sweep) below the streaming threshold and
-    :data:`~repro.spec.XXLARGE_HEAVY_ROUNDS` rounds from it up, where
-    :meth:`~repro.spec.WorkloadSpec.build` streams them.  The threshold is
-    read from :mod:`repro.spec` at call time, so one setting moves both."""
+    sweep) below :data:`~repro.spec.STREAMING_NODE_THRESHOLD` nodes and
+    :data:`~repro.spec.XXLARGE_HEAVY_ROUNDS` rounds from it up.  The
+    threshold is read from :mod:`repro.spec` at call time, so one setting
+    moves both."""
     if tier != "heavy":
         return WorkloadSpec(tier=tier)
     if n >= spec_module.STREAMING_NODE_THRESHOLD:

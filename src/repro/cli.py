@@ -1023,7 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--xxlarge",
         action="store_true",
         help="run the xlarge matrix plus the 1M-node tier (DAG matrix only; "
-             "array-backed topologies + streamed workloads, a heavy cell is "
+             "array-backed topologies + lazy heavy schedules, a heavy cell is "
              "~10M events — consider --repeat 1)",
     )
     bench_tier.add_argument(

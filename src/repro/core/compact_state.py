@@ -74,7 +74,7 @@ EnterCallback = Callable[[int, float], None]
 #: columns save is construction and memory — at 100 000 nodes a system
 #: builds in milliseconds instead of ~0.2 s and keeps 48 bytes per node
 #: instead of ~270, which is where they start to dominate ``setup_s`` and
-#: peak RSS — the same neighbourhood as the streaming workload threshold.
+#: peak RSS — the same neighbourhood as the heavy tiers' round-count threshold.
 COMPACT_NODE_BACKEND_THRESHOLD = 100_000
 
 # PRIVILEGE carries no payload and compares by type; one shared instance

@@ -4,9 +4,9 @@ The engine owns the virtual clock and the monotone sequence counter; the
 *storage* of scheduled events and the drain loop live in
 :class:`~repro.sim.schedulers.HeapScheduler`, which holds
 ``(time, sequence, callback, payload)`` tuples — single pushes in a heap,
-bulk loads beside it, built a chunk at a time from the caller's own objects
-(lazily, for a streamed workload), constant-latency deliveries in a FIFO
-lane — and the entry *is* the event:
+bulk loads beside it, built a chunk at a time from the caller's own columns
+of times and payloads, constant-latency deliveries in a FIFO lane — and the
+entry *is* the event:
 ``callback(payload)`` fires with no per-event allocation, and storing plain
 tuples keeps every comparison in C.  The engine is intentionally
 minimal: processes, networks, and metrics are layered on top rather than
@@ -20,14 +20,14 @@ that mirror them (``Network.send``'s lane append or heap push,
 ``ExperimentDriver._handle_enter``'s heap push) draw from the same sequence
 counter, so mixing them never changes the replay order; a bulk load draws
 all its numbers when it is made, however lazily its entries are built, so
-how a schedule is represented never changes it either.  Nothing is ever
+how a schedule's columns are stored never changes it either.  Nothing is ever
 un-scheduled: the paper's procedures and every baseline are pure message
 handlers over a reliable network.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat, tee
+from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.exceptions import SchedulingError, SimulationError
@@ -141,25 +141,25 @@ class SimulationEngine:
 
     def schedule_lite_bulk(
         self,
-        key: Callable[[Any], float],
+        times: Iterable[float],
         callback: Callable[[Any], None],
         payloads: Iterable[Any],
+        count: int,
     ) -> int:
-        """Bulk :meth:`schedule_lite`: ``callback(payload)`` at
-        ``key(payload)`` for every one of ``payloads``, in one call.
+        """Bulk :meth:`schedule_lite`: ``callback(payload)`` at ``time`` for
+        each of ``count`` ``(time, payload)`` pairs, zipped from the two
+        columns, in one call.
 
-        Each event is stamped with the next sequence number in payload
-        order, exactly as if :meth:`schedule_lite` had been called per item;
-        all ``len(payloads)`` of them are drawn here.  ``payloads`` is any
-        sized iterable in ascending time order — a ``Workload`` sorts
-        itself, and a :class:`~repro.workload.streaming.StreamingWorkload`
-        checks each batch as it draws it — and is drawn once, only as the
-        drain reaches it: the scheduler builds its entries a chunk at a
-        time, out of the heap, from the caller's own objects (nothing is
-        copied, so they must not change while queued), and a stream
-        generates its batches then.  Only the first time is checked here.
-        A load made while an earlier one is still queued merges with it.
-        No Python call is made per event.
+        Each event is stamped with the next sequence number in column
+        order, exactly as if :meth:`schedule_lite` had been called per pair;
+        all ``count`` of them are drawn here.  ``times`` ascends — a
+        ``Workload``'s columns are in ``(arrival_time, node)`` order — and
+        both columns are drawn once, only as the drain reaches them: the
+        scheduler builds its entries a chunk at a time, out of the heap,
+        from the caller's own objects (nothing is copied, so they must not
+        change while queued).  Only the first time is checked here.  A load
+        made while an earlier one is still queued merges with it.  No Python
+        call is made per event.
 
         Returns:
             The number of events scheduled.
@@ -169,23 +169,21 @@ class SimulationEngine:
                 a number; nothing is scheduled (the sequence numbers the load
                 drew stay drawn).
         """
-        loaded = len(payloads)
         base = self._sequence + 1
-        self._sequence += loaded
-        if not loaded:
+        self._sequence += count
+        if not count:
             return 0
-        payloads, timed = tee(payloads)
-        times = map(key, timed)
+        times = iter(times)
         first = next(times)
         if not first >= self._now:
             raise SchedulingError(
                 f"cannot schedule event at {first} before current time {self._now}"
             )
         self._scheduler.push_bulk(
-            zip(chain((first,), times), range(base, base + loaded), repeat(callback), payloads),
-            loaded,
+            zip(chain((first,), times), range(base, base + count), repeat(callback), payloads),
+            count,
         )
-        return loaded
+        return count
 
     def run(
         self,

@@ -7,8 +7,8 @@ arbitrary times — releases, faults, messages a network watches on
 delivery — goes into a binary heap as ``(time, sequence, callback,
 payload)``: O(log n) push/pop, every comparison in C.  What is loaded in
 bulk — a workload's arrivals — waits *beside* the heap as an iterator over
-the caller's own objects (a schedule's tuple, or one lazy pass over a
-stream's batches), built a chunk at a time, in the same form, into a
+the caller's own columns (a schedule's arrival times and nodes, lists or
+lazily repeated rounds), built a chunk at a time, in the same form, into a
 descending list popped from its end.  What a constant-latency
 network sends waits in a FIFO lane (a ``deque``) as a ready-to-fire
 three-argument call, ``(time, sequence, fn, target, sender, message)``: each
@@ -130,8 +130,9 @@ class HeapScheduler:
         The engine's batch entry point (``schedule_lite_bulk``) uses this so
         a workload's arrivals pay no Python call per entry, no heap level per
         event while they wait, and no copy: only :data:`BULK_CHUNK` entries
-        are built ahead of the drain, so a lazy ``entries`` is drawn only as
-        the drain reaches it.  The engine checks the load.
+        are built ahead of the drain, so ``entries`` — and the columns it is
+        zipped from — are drawn only as the drain reaches them.  The engine
+        checks the load.
         """
         run = self._run
         if run:

@@ -52,8 +52,7 @@ from repro.sim.schedulers import SCHEDULER_MODES, unknown_scheduler_message
 from repro.topology import balanced_tree, line, random_tree, star
 from repro.topology.base import Topology
 from repro.workload.generator import WorkloadGenerator
-from repro.workload.requests import Workload, paused_collector
-from repro.workload.streaming import StreamingWorkload
+from repro.workload.requests import Workload
 
 #: Topology families a spec can name.  ``tree`` is the benchmark's frozen
 #: balanced binary tree of about ``n`` nodes; ``random`` is a seeded Prüfer
@@ -65,18 +64,20 @@ TOPOLOGY_KINDS = ("line", "star", "tree", "random")
 #: existing ones.
 WORKLOAD_TIERS = ("light", "heavy", "bursty", "hotspot", "diurnal")
 
-#: Node count at or above which heavy-demand workloads stream (generator
-#: batches made as the replay reaches them) instead of materialising the
-#: request list; the replay is the same either way.  Canonical home of the
-#: constant the bench and sweep tiers share.
+#: Node count at or above which the bench and sweep tiers' heavy cells run
+#: :data:`XXLARGE_HEAVY_ROUNDS` rounds instead of their own round count
+#: (:func:`repro.cells.tier_workload`).  The name is historical: such cells
+#: once streamed their schedule, and every heavy schedule is lazy now.
+#: Canonical home of the constant the bench and sweep tiers share.
 STREAMING_NODE_THRESHOLD = 500_000
 
-#: Heavy-demand rounds for the streamed (>= :data:`STREAMING_NODE_THRESHOLD`)
-#: tiers: two rounds of every-node demand keeps a 1M cell at ~10M events.
+#: Heavy-demand rounds for the cells of :data:`STREAMING_NODE_THRESHOLD`
+#: nodes or more: two rounds of every-node demand keeps a 1M cell at ~10M
+#: events.
 XXLARGE_HEAVY_ROUNDS = 2
 
-#: Default heavy-demand rounds for a materialised workload (the DAG
-#: benchmark matrix definition; the sweep tier passes 5 explicitly).
+#: Default heavy-demand rounds (the DAG benchmark matrix definition; the
+#: sweep tier passes 5 explicitly).
 DEFAULT_HEAVY_ROUNDS = 10
 
 
@@ -246,8 +247,8 @@ class WorkloadSpec(_SpecCodec):
         total_requests: request count for the arrival-process tiers
             (``None`` = twice the node count, the matrix convention).
 
-    Heavy demand is streamed from :data:`STREAMING_NODE_THRESHOLD` nodes up
-    and materialised below it; the two forms replay identically.
+    A heavy schedule is a :class:`~repro.workload.requests.HeavyRounds`
+    value at any size: O(n) memory, drawn lazily by the replay.
     """
 
     tier: str
@@ -264,47 +265,41 @@ class WorkloadSpec(_SpecCodec):
         if self.total_requests is not None and self.tier == "heavy":
             raise ExperimentError("the heavy tier is sized by rounds, not total_requests")
 
-    def build(
-        self, topology: Topology, *, seed: int = 0
-    ) -> Union[Workload, StreamingWorkload]:
+    def build(self, topology: Topology, *, seed: int = 0) -> Workload:
         """Construct the tier's schedule on ``topology`` with ``seed``.
 
         These parameterisations are the committed bench/sweep tier
         definitions (:func:`repro.cells.tier_workload` picks the rounds), so
         a spec-built workload is request-for-request identical to the
-        committed rows.  The generator runs under
-        :class:`~repro.workload.requests.paused_collector`: a heavy schedule
-        is hundreds of thousands of fresh requests and no reference cycle,
-        so a collector pass during the build would only re-walk them.
+        committed rows.  A build allocates no container per request (a
+        schedule is columns), so it runs with the collector as the caller
+        left it.
         """
         generator = WorkloadGenerator(topology.nodes, seed=seed)
         n = len(topology.nodes)
         requests = self.total_requests if self.total_requests is not None else 2 * n
-        with paused_collector():
-            if self.tier == "light":
-                return generator.poisson(total_requests=requests, mean_interarrival=5.0)
-            if self.tier == "heavy":
-                rounds = self.rounds if self.rounds is not None else DEFAULT_HEAVY_ROUNDS
-                if n >= STREAMING_NODE_THRESHOLD:
-                    return generator.heavy_demand_stream(rounds=rounds)
-                return generator.heavy_demand(rounds=rounds)
-            if self.tier == "bursty":
-                return generator.bursty(
-                    total_requests=requests,
-                    mean_burst_size=8.0,
-                    burst_interarrival=0.5,
-                    mean_idle_gap=20.0,
-                )
-            if self.tier == "hotspot":
-                hot = list(topology.nodes)[: max(1, n // 10)]
-                return generator.hotspot(
-                    total_requests=requests,
-                    hot_nodes=hot,
-                    hot_fraction=0.8,
-                    mean_interarrival=2.0,
-                )
-            # diurnal: one full day/night cycle per ~40 mean interarrivals.
-            return generator.diurnal(total_requests=requests)
+        if self.tier == "light":
+            return generator.poisson(total_requests=requests, mean_interarrival=5.0)
+        if self.tier == "heavy":
+            rounds = self.rounds if self.rounds is not None else DEFAULT_HEAVY_ROUNDS
+            return generator.heavy_demand(rounds=rounds)
+        if self.tier == "bursty":
+            return generator.bursty(
+                total_requests=requests,
+                mean_burst_size=8.0,
+                burst_interarrival=0.5,
+                mean_idle_gap=20.0,
+            )
+        if self.tier == "hotspot":
+            hot = list(topology.nodes)[: max(1, n // 10)]
+            return generator.hotspot(
+                total_requests=requests,
+                hot_nodes=hot,
+                hot_fraction=0.8,
+                mean_interarrival=2.0,
+            )
+        # diurnal: one full day/night cycle per ~40 mean interarrivals.
+        return generator.diurnal(total_requests=requests)
 
 
 #: Latency model kinds a spec can name.

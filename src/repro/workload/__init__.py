@@ -5,7 +5,8 @@ section, *when*, and *where the token happens to be*.  This package expresses
 those choices as data:
 
 * :class:`~repro.workload.requests.CSRequest` / :class:`~repro.workload
-  .requests.Workload` — a schedule of critical-section requests;
+  .requests.Workload` — a schedule of critical-section requests, stored as
+  columns of arrival times, nodes and durations;
 * :class:`~repro.workload.generator.WorkloadGenerator` — Poisson, uniform,
   bursty and hot-spot arrival patterns, all seeded and reproducible;
 * :class:`~repro.workload.driver.ExperimentDriver` — replays one workload
@@ -19,12 +20,10 @@ those choices as data:
 from repro.workload.driver import ExperimentDriver, ExperimentResult, run_experiment
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.requests import CSRequest, Workload
-from repro.workload.streaming import StreamingWorkload
 
 __all__ = [
     "CSRequest",
     "Workload",
-    "StreamingWorkload",
     "WorkloadGenerator",
     "ExperimentDriver",
     "ExperimentResult",

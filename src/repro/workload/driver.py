@@ -6,6 +6,10 @@ duration, and releases.  Requests that a workload schedules while the node's
 previous one is still in progress are queued locally and issued as soon as the
 node is free again, so the same :class:`~repro.workload.requests.Workload` can
 be replayed against algorithms of very different speeds and still make sense.
+
+The driver replays the workload's columns, never request objects: the node
+column is each arrival's payload, and a request's duration is drawn from the
+duration column as its arrival fires.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ from repro.exceptions import ExperimentError, ProtocolError, SchedulingError
 from repro.sim.latency import LatencyModel
 from repro.sim.schedulers import SCHEDULER_MODES, unknown_scheduler_message
 from repro.topology.base import Topology
-from repro.workload.requests import CSRequest, Workload, _by_arrival_time, paused_collector
+from repro.workload.requests import Workload, paused_collector
 
 if TYPE_CHECKING:
     from repro.sim.faults import FaultController
-    from repro.workload.streaming import StreamingWorkload
 
 
 @dataclass
@@ -112,12 +115,8 @@ class ExperimentDriver:
 
     Args:
         system: the system under test.
-        workload: the request schedule to replay — a materialised
-            :class:`Workload` or a
-            :class:`~repro.workload.streaming.StreamingWorkload` (its
-            batches generated as the drain reaches them, so peak RSS stays
-            bounded by the batch size; how the million-node tier replays
-            heavy demand).  Both load the same way and replay identically.
+        workload: the request schedule to replay, whatever stores its
+            columns (lists, or a heavy schedule's lazily repeated rounds).
         scheduler: ``"auto"`` or ``"heap"``; both mean the engine's heap.
             Kept because ``experiment-spec/v1`` documents carry the field;
             it no longer selects anything.
@@ -137,20 +136,25 @@ class ExperimentDriver:
         self.workload = workload
         self.faults = faults
         # Set when the controller arms: the injector the crash-stop gates in
-        # _issue_or_queue/_release consult.  None on fault-free runs, so the
+        # _arrive/_release consult.  None on fault-free runs, so the
         # hot paths pay a single identity test.
         self._fault_network = None
         self._lost_requests = 0
         self.entry_order: List[int] = []
         self._nodes = system.nodes  # direct map: skip system.node() per event
         # Requests waiting because their node is still busy with an earlier
-        # one.  Adaptive per-node storage: the first backlogged request is
-        # stored bare, a deque is allocated only when a second one arrives.
-        # Under saturated demand at large n almost every node has exactly one
-        # queued request, and a million empty-ish deques would cost ~600 MB.
-        self._backlog: Dict[int, Union[CSRequest, Deque[CSRequest]]] = {}
-        # The request currently being served (or waited on) per node.
-        self._active: Dict[int, CSRequest] = {}
+        # one, each held as its duration.  Adaptive per-node storage: the
+        # first backlogged request is stored bare, a deque is allocated only
+        # when a second one arrives.  Under saturated demand at large n
+        # almost every node has exactly one queued request, and a million
+        # empty-ish deques would cost ~600 MB.
+        self._backlog: Dict[int, Union[float, Deque[float]]] = {}
+        # The duration of the request currently being served (or waited on)
+        # per node.
+        self._active: Dict[int, float] = {}
+        # Set by _load_arrivals: the duration column's next(), drawn once
+        # per arrival, in fire order.
+        self._next_duration = None
         self._compact = system.compact_state
         # Set by _load_arrivals: a driver loads its schedule once, so run()
         # after a load (the stepping recipe's entry) replays that schedule.
@@ -162,7 +166,7 @@ class ExperimentDriver:
         spec,
         *,
         topology: Optional[Topology] = None,
-        workload: Optional[Union[Workload, StreamingWorkload]] = None,
+        workload: Optional[Workload] = None,
     ) -> "ExperimentDriver":
         """The one place an :class:`~repro.spec.ExperimentSpec` is stood up.
 
@@ -199,10 +203,10 @@ class ExperimentDriver:
         collection — runs under
         :class:`~repro.workload.requests.paused_collector`.  A replay
         allocates no reference cycle (``tests/workload/test_replay_gc.py``:
-        every algorithm, both node backends, streamed and materialised
-        workloads, the fault matrix), so reference counting frees every
-        entry, payload and message, and a collector pass would only re-walk
-        the requests, the queued run and the nodes the replay still holds.
+        every algorithm, both node backends, the fault matrix), so reference
+        counting frees every entry, payload and message, and a collector
+        pass would only re-walk the queued run and the nodes the replay
+        still holds.
 
         Raises:
             ExperimentError: if some requests are never granted (deadlock or
@@ -318,21 +322,21 @@ class ExperimentDriver:
         """Schedule the workload's arrivals (also the setup-benchmark hook).
 
         Every workload loads in one ``schedule_lite_bulk`` call — one shared
-        callback with the request as the event payload, no per-request
-        closure or frame — keyed by each request's arrival time, and waits
-        beside the heap, never in it, as a cursor over the workload itself:
-        a materialised workload's tuple, or one lazy pass over a
-        :class:`~repro.workload.streaming.StreamingWorkload`'s batches, each
-        generated when the drain reaches it.  Either way every sequence
-        number is drawn here, so a streamed replay is the materialised one
-        event for event, whatever its batch size.  Arrival order is the
-        workload's own (a ``Workload`` sorts itself, a stream checks each
-        batch as it is drawn); the engine checks the first arrival against
-        its clock.  The enter hooks go in with the arrivals: nothing enters a
-        critical section before one.  A fault controller is armed first, so
-        its events claim the same engine sequence numbers on every replay,
-        whatever the worker count and whoever calls this.  A driver loads
-        once: :meth:`run` after this replays the schedule loaded here.
+        callback, :meth:`_arrive`, with the node as the event payload, no
+        per-request object, closure or frame — from the workload's arrival
+        time and node columns, and waits beside the heap, never in it, as a
+        cursor over those columns, drawn only as the drain reaches them.
+        Every sequence number is drawn here, so how the columns are stored
+        never changes the replay.  Arrival order is the workload's own (a
+        ``Workload`` keeps its columns in ``(arrival_time, node)`` order);
+        the engine checks the first arrival against its clock.  The
+        duration column is drawn by :meth:`_arrive`, one per arrival in fire
+        order, which is the schedule's order.  The enter hooks go in with
+        the arrivals: nothing enters a critical section before one.  A fault
+        controller is armed first, so its events claim the same engine
+        sequence numbers on every replay, whatever the worker count and
+        whoever calls this.  A driver loads once: :meth:`run` after this
+        replays the schedule loaded here.
         """
         self._loaded = True
         faults = self.faults
@@ -340,13 +344,15 @@ class ExperimentDriver:
             faults.arm(self.system)
             self._fault_network = faults.network
         self._aim_enter_hooks(self._handle_enter)
-        engine.schedule_lite_bulk(_by_arrival_time, self._issue_or_queue, self.workload)
+        times, nodes, durations = self.workload.arrivals()
+        self._next_duration = durations.__next__
+        engine.schedule_lite_bulk(times, self._arrive, nodes, len(self.workload))
 
     # ------------------------------------------------------------------ #
     # event plumbing
     # ------------------------------------------------------------------ #
-    def _issue_or_queue(self, request: CSRequest) -> None:
-        node_id = request.node
+    def _arrive(self, node_id: int) -> None:
+        duration = self._next_duration()
         fault_network = self._fault_network
         if fault_network is not None and node_id in fault_network._crashed:
             # Crash-stop: a dead node issues nothing.  The request is counted
@@ -373,13 +379,13 @@ class ExperimentDriver:
             backlog = self._backlog
             queued = backlog.get(node_id)
             if queued is None:
-                backlog[node_id] = request
+                backlog[node_id] = duration
             elif type(queued) is deque:
-                queued.append(request)
+                queued.append(duration)
             else:
-                backlog[node_id] = deque((queued, request))
+                backlog[node_id] = deque((queued, duration))
             return
-        self._active[node_id] = request
+        self._active[node_id] = duration
         if state is not None:
             state.request_cs(node_id)
         else:
@@ -389,8 +395,7 @@ class ExperimentDriver:
         self.entry_order.append(node_id)
         if self.faults is not None:
             self.faults.note_entry(node_id, time)
-        request = self._active.get(node_id)
-        duration = request.cs_duration if request is not None else 1.0
+        duration = self._active.get(node_id, 1.0)
         # Inline schedule_lite: one release per critical-section entry makes
         # this the second-hottest scheduling site after message delivery.
         engine = self.system.engine
@@ -411,19 +416,25 @@ class ExperimentDriver:
             state.release_cs(node_id)
         else:
             self._nodes[node_id].release_cs()
-        self._active.pop(node_id, None)
         backlog = self._backlog
         queued = backlog.get(node_id)
         if queued is None:
+            self._active.pop(node_id, None)
             return
         if type(queued) is deque:
-            request = queued.popleft()
+            duration = queued.popleft()
             if not queued:
                 del backlog[node_id]
         else:
-            request = queued
+            duration = queued
             del backlog[node_id]
-        self._issue_or_queue(request)
+        # The node has just left its critical section, so it is not busy:
+        # its next request is issued here, with no second probe.
+        self._active[node_id] = duration
+        if state is not None:
+            state.request_cs(node_id)
+        else:
+            self._nodes[node_id].request_cs()
 
     def _completion_state(self) -> "tuple[List[int], List[int]]":
         state = self._compact
@@ -437,8 +448,9 @@ class ExperimentDriver:
                 for node_id, node in self.system.nodes.items()
                 if node.requesting or node.in_critical_section
             ]
-        backlog = sorted(node for node, queue in self._backlog.items() if queue)
-        return unserved, backlog
+        # A node leaves the backlog with its last request (a duration may
+        # be 0.0, so no entry is tested for truth).
+        return unserved, sorted(self._backlog)
 
     def _verify_completion(self) -> None:
         unserved, backlog = self._completion_state()

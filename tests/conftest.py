@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 
-from repro import spec
 from repro.core import compact_state
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import MetricsCollector
@@ -22,7 +20,6 @@ from repro.topology import (
     random_tree,
     star,
 )
-from repro.workload import generator
 
 
 def forced_node_backend(backend: str):
@@ -35,22 +32,6 @@ def forced_node_backend(backend: str):
     """
     threshold = {"compact": 0, "object": sys.maxsize}[backend]
     return mock.patch.object(compact_state, "COMPACT_NODE_BACKEND_THRESHOLD", threshold)
-
-
-@contextmanager
-def forced_streaming(batch_requests: int):
-    """``with forced_streaming(7):`` — every heavy ``WorkloadSpec`` built
-    inside streams, whatever the topology's size, in batches of
-    ``batch_requests`` (which end mid-round when smaller than a round).
-
-    Like the node backend, the form is a fact of the node count
-    (``STREAMING_NODE_THRESHOLD``) and the batch size a constant of the
-    generator; patching the two is the seam that forces them.
-    """
-    with mock.patch.object(spec, "STREAMING_NODE_THRESHOLD", 0), mock.patch.object(
-        generator, "STREAM_BATCH_REQUESTS", batch_requests
-    ):
-        yield
 
 
 @pytest.fixture

@@ -126,10 +126,9 @@ class Harness:
             else:
                 _, items = action
                 items = sorted(items, key=lambda item: item[0])
+                entries = [self._expect(now + delay, script) for delay, script in items]
                 loaded = engine.schedule_lite_bulk(
-                    itemgetter(0),
-                    self.fire,
-                    [self._expect(now + delay, script) for delay, script in items],
+                    map(itemgetter(0), entries), self.fire, entries, len(entries)
                 )
                 assert loaded == len(items)
         assert engine._sequence == self.sequence

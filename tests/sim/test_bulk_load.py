@@ -1,9 +1,9 @@
-"""The bulk load's contract: one lazy pass over the caller's payloads.
+"""The bulk load's contract: one lazy pass over the caller's two columns.
 
-``SimulationEngine.schedule_lite_bulk(key, callback, payloads)`` draws one
-sequence number per event in payload order, each fired at ``key(payload)``,
-and hands the scheduler one iterator over ``payloads`` — which come in time
-order, as a ``Workload`` sorts itself and a stream checks its batches; only
+``SimulationEngine.schedule_lite_bulk(times, callback, payloads, count)``
+draws ``count`` sequence numbers, one per event in column order, each
+payload fired at its time, and hands the scheduler one iterator zipped from
+the two columns — the times ascending, as a ``Workload`` keeps its own; only
 :data:`~repro.sim.schedulers.BULK_CHUNK` entries are built ahead of the
 drain.  Every case but the clock check loads more than one chunk, so the
 part of a load that is not built yet is always in play: it
@@ -30,11 +30,16 @@ SIZE = 2 * BULK_CHUNK + 5
 AT = itemgetter(0)
 
 
+def load(engine, callback, payloads):
+    """Bulk-load ``(time, ...)`` payloads, each at its own time."""
+    return engine.schedule_lite_bulk(map(AT, payloads), callback, payloads, len(payloads))
+
+
 def test_the_unbuilt_part_of_a_load_counts_as_pending():
     engine = SimulationEngine()
     fired = []
     times = [1.0] * SIZE
-    assert engine.schedule_lite_bulk(times.__getitem__, fired.append, range(SIZE)) == SIZE
+    assert engine.schedule_lite_bulk(times, fired.append, range(SIZE), SIZE) == SIZE
     assert len(engine.scheduler._run) == BULK_CHUNK
     assert engine.pending_events == SIZE
     for taken in (1, BULK_CHUNK - 1, 1, BULK_CHUNK, 3):
@@ -50,14 +55,14 @@ def test_a_second_load_merges_with_a_part_built_first():
     first = [(float(index // 3), "first", index) for index in range(SIZE)]
     engine = SimulationEngine()
     fired = []
-    engine.schedule_lite_bulk(AT, fired.append, first)
+    load(engine, fired.append, first)
     engine.run(max_events=10)
     assert len(engine.scheduler._run) == BULK_CHUNK - 10
     # Every time of the second load is at or after now (3.0), and many tie
     # with the first's: a tie fires the first load's event first, which is
     # also how the payloads sort ("first" < "second").
     second = [(index / 2 + 0.5 + engine.now, "second", index) for index in range(SIZE)]
-    engine.schedule_lite_bulk(AT, fired.append, second)
+    load(engine, fired.append, second)
     assert engine.pending_events == 2 * SIZE - 10
     engine.run()
     assert fired == sorted(first + second)
@@ -73,9 +78,9 @@ def test_a_load_made_from_a_callback_merges_too():
     def load_late(_):
         # Mid-drain, with the early load's chunk part spent.
         assert 0 < len(engine.scheduler._run) < BULK_CHUNK
-        engine.schedule_lite_bulk(AT, fired.append, late)
+        load(engine, fired.append, late)
 
-    engine.schedule_lite_bulk(AT, fired.append, early)
+    load(engine, fired.append, early)
     engine.schedule_lite(1.5, load_late)
     engine.run()
     # A tie fires the early load's event first ("early" < "late").
@@ -96,7 +101,7 @@ def test_sliced_drains_fire_the_whole_drain_order():
             if index % 3 == 0:
                 engine.schedule_lite(engine.now + index % 2, fired.append, -index)
 
-        engine.schedule_lite_bulk(times.__getitem__, arrive, range(SIZE))
+        engine.schedule_lite_bulk(times, arrive, range(SIZE), SIZE)
         while engine.run(**limits):
             pass
         assert engine.pending_events == 0
@@ -108,34 +113,31 @@ def test_sliced_drains_fire_the_whole_drain_order():
     assert replay(max_events=BULK_CHUNK - 1) == whole
 
 
-class OnePass:
-    """A sized iterable drawn once, noting every payload drawn from it."""
-
-    def __init__(self, size):
-        self.size, self.drawn = size, []
-
-    def __len__(self):
-        return self.size
-
-    def __iter__(self):
-        for index in range(self.size):
-            self.drawn.append(index)
-            yield index
+def noted(column, drawn):
+    """``column``, noting every value drawn from it in ``drawn``."""
+    for value in column:
+        drawn.append(value)
+        yield value
 
 
 def test_a_load_is_drawn_only_as_the_drain_reaches_it():
     engine = SimulationEngine()
-    fired = []
-    payloads = OnePass(SIZE)
-    loaded = engine.schedule_lite_bulk(lambda index: float(index // 3), fired.append, payloads)
+    fired, times, payloads = [], [], []
+    loaded = engine.schedule_lite_bulk(
+        noted((float(index // 3) for index in range(SIZE)), times),
+        fired.append,
+        noted(range(SIZE), payloads),
+        SIZE,
+    )
     assert loaded == SIZE
-    # Every sequence number is drawn, one chunk of payloads is.
+    # Every sequence number is drawn, one chunk of each column is.
     assert engine._sequence == engine.pending_events == SIZE
-    assert len(payloads.drawn) == BULK_CHUNK
+    assert len(times) == len(payloads) == BULK_CHUNK
     engine.run(max_events=BULK_CHUNK)
-    assert len(payloads.drawn) == 2 * BULK_CHUNK
+    assert len(times) == len(payloads) == 2 * BULK_CHUNK
     engine.run()
-    assert fired == payloads.drawn == list(range(SIZE))
+    assert fired == payloads == list(range(SIZE))
+    assert times == [float(index // 3) for index in range(SIZE)]
 
 
 def test_a_load_checks_its_first_time_against_the_clock():
@@ -143,7 +145,7 @@ def test_a_load_checks_its_first_time_against_the_clock():
     engine.schedule_lite(2.0, lambda _: None)
     engine.run()
     with pytest.raises(SchedulingError, match="at 1.0 before current time 2.0"):
-        engine.schedule_lite_bulk(float, lambda _: None, [1.0, 3.0])
+        engine.schedule_lite_bulk([1.0, 3.0], lambda _: None, [1, 3], 2)
     assert engine.pending_events == 0
 
 
@@ -168,5 +170,4 @@ def test_a_stepped_replay_enters_in_the_order_of_a_whole_one():
 
 def test_setup_benchmark_counts_the_unbuilt_arrivals():
     row = run_setup_scenario(bench_cell("star", 300, "heavy"))
-    assert row["streamed"] is False
     assert row["loaded_arrivals"] == row["total_requests"] == 3000 > BULK_CHUNK

@@ -13,15 +13,17 @@ message fails on any machine.
 
 The pins are where the replay's Python time goes, layer by layer: on the
 lane (constant latency, nothing watching), one ``send`` per message and no
-forwarding frame between the protocol handler and the network; and one
-``CSRequest.__init__`` per request of a schedule, with a heavy round built by
-C loops and no other frame per request.  The replay pins include the
-collector pause's ``__enter__`` and ``__exit__``, once each, and the driver's
-``_aim_enter_hooks`` twice (set with the arrivals, cleared on the way out of
-``run``), ``now`` once (the result's ``finished_at``: the engine checks
-the first arrival against its clock when the arrivals load), and the
-workload's ``__len__`` and ``__iter__`` once each (the arrivals load from
-the workload itself, whatever its form).  A change
+forwarding frame between the protocol handler and the network; one
+``_arrive`` per arrival, a backlogged request re-issued inside ``_release``
+with no frame of its own; and no request object anywhere: a schedule is
+built as columns, so an arrival process's draws are its only frames per
+request and a heavy schedule costs the same few calls at any size.  The
+replay pins include the collector pause's ``__enter__`` and ``__exit__``,
+once each, and the driver's ``_aim_enter_hooks`` twice (set with the
+arrivals, cleared on the way out of ``run``), ``now`` once (the result's
+``finished_at``: the engine checks the first arrival against its clock when
+the arrivals load), the workload's ``arrivals`` and its columns' ``draw``
+once each, and ``__len__`` twice (the workload's and its columns').  A change
 that moves a count re-pins it here and records in ``CHANGES.md`` the
 before/after measurement that justifies the move; a failure prints the
 per-function table, pinned against now, largest move first.
@@ -38,6 +40,7 @@ import pytest
 import repro
 from repro.spec import ExperimentSpec, TopologySpec, WorkloadSpec
 from repro.workload.driver import ExperimentDriver
+from repro.workload.requests import CSRequest
 
 from ..conftest import forced_node_backend
 
@@ -72,11 +75,11 @@ PINNED = {
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "workload/driver.py:<genexpr>": 52,
+        "workload/driver.py:<genexpr>": 51,
         "workload/driver.py:_aim_enter_hooks": 2,
+        "workload/driver.py:_arrive": 100,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 100,
-        "workload/driver.py:_issue_or_queue": 108,
         "workload/driver.py:_load_arrivals": 1,
         "workload/driver.py:_release": 100,
         "workload/driver.py:_replay": 1,
@@ -84,8 +87,9 @@ PINNED = {
         "workload/driver.py:run": 1,
         "workload/requests.py:__enter__": 1,
         "workload/requests.py:__exit__": 1,
-        "workload/requests.py:__iter__": 1,
-        "workload/requests.py:__len__": 1,
+        "workload/requests.py:__len__": 2,
+        "workload/requests.py:arrivals": 1,
+        "workload/requests.py:draw": 1,
     }),
     ("line50-light", "compact"): (1208, 1008, {
         "baselines/base.py:run": 1,
@@ -107,11 +111,10 @@ PINNED = {
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "workload/driver.py:<genexpr>": 1,
         "workload/driver.py:_aim_enter_hooks": 2,
+        "workload/driver.py:_arrive": 100,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 100,
-        "workload/driver.py:_issue_or_queue": 108,
         "workload/driver.py:_load_arrivals": 1,
         "workload/driver.py:_release": 100,
         "workload/driver.py:_replay": 1,
@@ -119,8 +122,9 @@ PINNED = {
         "workload/driver.py:run": 1,
         "workload/requests.py:__enter__": 1,
         "workload/requests.py:__exit__": 1,
-        "workload/requests.py:__iter__": 1,
-        "workload/requests.py:__len__": 1,
+        "workload/requests.py:__len__": 2,
+        "workload/requests.py:arrivals": 1,
+        "workload/requests.py:draw": 1,
     }),
     ("star50-heavy", "object"): (2477, 1477, {
         "baselines/base.py:run": 1,
@@ -141,11 +145,11 @@ PINNED = {
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "workload/driver.py:<genexpr>": 52,
+        "workload/driver.py:<genexpr>": 51,
         "workload/driver.py:_aim_enter_hooks": 2,
+        "workload/driver.py:_arrive": 500,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 500,
-        "workload/driver.py:_issue_or_queue": 950,
         "workload/driver.py:_load_arrivals": 1,
         "workload/driver.py:_release": 500,
         "workload/driver.py:_replay": 1,
@@ -153,8 +157,9 @@ PINNED = {
         "workload/driver.py:run": 1,
         "workload/requests.py:__enter__": 1,
         "workload/requests.py:__exit__": 1,
-        "workload/requests.py:__iter__": 1,
-        "workload/requests.py:__len__": 1,
+        "workload/requests.py:__len__": 2,
+        "workload/requests.py:arrivals": 1,
+        "workload/requests.py:draw": 1,
     }),
     ("star50-heavy", "compact"): (2477, 1477, {
         "baselines/base.py:run": 1,
@@ -176,11 +181,10 @@ PINNED = {
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "workload/driver.py:<genexpr>": 1,
         "workload/driver.py:_aim_enter_hooks": 2,
+        "workload/driver.py:_arrive": 500,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 500,
-        "workload/driver.py:_issue_or_queue": 950,
         "workload/driver.py:_load_arrivals": 1,
         "workload/driver.py:_release": 500,
         "workload/driver.py:_replay": 1,
@@ -188,8 +192,9 @@ PINNED = {
         "workload/driver.py:run": 1,
         "workload/requests.py:__enter__": 1,
         "workload/requests.py:__exit__": 1,
-        "workload/requests.py:__iter__": 1,
-        "workload/requests.py:__len__": 1,
+        "workload/requests.py:__len__": 2,
+        "workload/requests.py:arrivals": 1,
+        "workload/requests.py:draw": 1,
     }),
 }
 
@@ -275,10 +280,10 @@ BUILDS = {
     "line50-light": ("line", 50, WorkloadSpec(tier="light")),
 }
 
-#: Calls per function of one ``WorkloadSpec.build``.  Heavy: the rounds are
-#: C loops and the sort key is C, so nothing but ``CSRequest.__init__`` runs
-#: per request.  Light: a Poisson draw is three frames per request, the RNG's
-#: two and the request's own.
+#: Calls per function of one ``WorkloadSpec.build``.  Heavy: one
+#: ``HeavyRounds`` value (the ``requests.py:__init__``), the same calls at
+#: any size.  Light: a Poisson draw is two frames per request, the RNG's,
+#: appended to the time and node columns (one ``Columns.__init__``).
 BUILD_PINNED = {
     "star50-heavy": {
         "sim/rng.py:__init__": 1,
@@ -286,10 +291,8 @@ BUILD_PINNED = {
         "spec.py:build": 1,
         "workload/generator.py:__init__": 1,
         "workload/generator.py:heavy_demand": 1,
-        "workload/requests.py:__init__": 200,
-        "workload/requests.py:__post_init__": 1,
-        "workload/requests.py:__enter__": 1,
-        "workload/requests.py:__exit__": 1,
+        "workload/requests.py:__init__": 1,
+        "workload/requests.py:of": 1,
     },
     "line50-light": {
         "sim/rng.py:__init__": 2,
@@ -299,11 +302,11 @@ BUILD_PINNED = {
         "sim/rng.py:exponential": 100,
         "spec.py:build": 1,
         "workload/generator.py:__init__": 1,
+        "workload/generator.py:_check_count": 1,
+        "workload/generator.py:_check_mean": 1,
         "workload/generator.py:poisson": 1,
-        "workload/requests.py:__init__": 100,
-        "workload/requests.py:__post_init__": 1,
-        "workload/requests.py:__enter__": 1,
-        "workload/requests.py:__exit__": 1,
+        "workload/requests.py:__init__": 1,
+        "workload/requests.py:of": 1,
     },
 }
 
@@ -315,7 +318,15 @@ def count_build_calls(build):
 
 
 @pytest.mark.parametrize("build", list(BUILDS))
-def test_building_a_schedule_makes_its_pinned_calls(build):
+def test_building_a_schedule_makes_its_pinned_calls(build, monkeypatch):
+    made = []
+    real_init = CSRequest.__init__
+
+    def counting_init(self, *args):
+        made.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(CSRequest, "__init__", counting_init)
     schedule, calls = count_build_calls(build)
     if calls != BUILD_PINNED[build]:
         pytest.fail(
@@ -323,14 +334,13 @@ def test_building_a_schedule_makes_its_pinned_calls(build):
             + moved_table(BUILD_PINNED[build], calls),
             pytrace=False,
         )
-    assert calls["workload/requests.py:__init__"] == len(schedule)
+    assert made == [] and len(schedule) > 0
 
 
-def test_a_heavy_round_costs_one_python_frame_per_request():
-    schedule, calls = count_build_calls("star50-heavy")
-    rounds = BUILDS["star50-heavy"][2].rounds
-    assert len(schedule) == 50 * rounds
-    assert calls.pop("workload/requests.py:__init__") == len(schedule)
-    assert "workload/requests.py:<lambda>" not in calls
-    # Nothing else runs per request, nor more than once per round.
-    assert max(calls.values()) <= rounds
+def test_a_heavy_build_makes_the_same_calls_at_any_size():
+    kind, n, workload = BUILDS["star50-heavy"]
+    topology = TopologySpec(kind=kind, n=n).build()
+    larger = WorkloadSpec(tier="heavy", rounds=100 * workload.rounds)
+    schedule, calls = profiled(lambda: larger.build(topology, seed=0))
+    assert len(schedule) == 50 * larger.rounds
+    assert calls == BUILD_PINNED["star50-heavy"]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 import pytest
 
 from repro.exceptions import SchedulingError, SimulationError
@@ -86,7 +84,7 @@ def test_a_time_that_is_not_a_number_is_refused():
     # and no request can carry a NaN.
     for times in ([nan], [nan, 1.0]):
         with pytest.raises(SchedulingError, match="at nan before current time 0.0"):
-            engine.schedule_lite_bulk(float, lambda _: None, times)
+            engine.schedule_lite_bulk(times, lambda _: None, times, len(times))
     assert engine.pending_events == 0
 
 
@@ -98,7 +96,7 @@ def test_bulk_load_cannot_run_the_clock_backwards():
 
     def late(_):
         seen.append(engine.now)
-        engine.schedule_lite_bulk(float, seen.append, [2.0, 7.0])
+        engine.schedule_lite_bulk([2.0, 7.0], seen.append, [2.0, 7.0], 2)
 
     engine.schedule_lite(5.0, late)
     with pytest.raises(SchedulingError, match="at 2.0 before current time 5.0"):
@@ -107,8 +105,8 @@ def test_bulk_load_cannot_run_the_clock_backwards():
     assert engine.now == 5.0
     assert engine.pending_events == 0
     # `now` itself is fine, and so is an empty load.
-    assert engine.schedule_lite_bulk(float, seen.append, [5]) == 1
-    assert engine.schedule_lite_bulk(float, seen.append, []) == 0
+    assert engine.schedule_lite_bulk([5.0], seen.append, [5], 1) == 1
+    assert engine.schedule_lite_bulk([], seen.append, [], 0) == 0
     engine.run()
     assert seen == [5.0, 5]
     assert engine.now == 5.0
@@ -132,7 +130,7 @@ def test_loader_event_refills_the_bulk_run_mid_drain():
             if batch is None:
                 return
             engine.schedule_lite_bulk(
-                itemgetter(0), fired.append, [(time, index) for index, time in enumerate(batch)]
+                batch, fired.append, [(time, index) for index, time in enumerate(batch)], len(batch)
             )
             # In-flight work beside the arrivals, and the next loader.
             engine.schedule_lite(batch[-1] + 0.25, fired.append, "echo")

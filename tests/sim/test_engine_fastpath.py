@@ -23,7 +23,7 @@ def test_schedule_lite_interleaves_deterministically():
     fired = []
     engine.schedule_lite(1.0, fired.append, "single")
     bulk = {"bulk-early": 0.5, "bulk-1": 1.0, "bulk-2": 1.0}  # name -> time
-    loaded = engine.schedule_lite_bulk(bulk.__getitem__, fired.append, list(bulk))
+    loaded = engine.schedule_lite_bulk(bulk.values(), fired.append, bulk, len(bulk))
     engine.schedule_lite(1.0, fired.append, "single-2")
     assert loaded == 3
     assert engine.pending_events == 5

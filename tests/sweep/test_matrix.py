@@ -123,17 +123,14 @@ def test_xxlarge_sweep_matrix_adds_1m_o1_state_cells():
     assert {algorithm(cell) for cell in filtered} == {"dag"}
 
 
-def test_sweep_heavy_tier_streams_at_the_node_threshold(monkeypatch):
-    from repro.workload import StreamingWorkload, Workload
-
+def test_sweep_heavy_tier_switches_its_rounds_at_the_node_threshold(monkeypatch):
     topology = TopologySpec(kind="star", n=30).build()
-    materialised = sweep_workload(topology, "heavy", seed=1)
-    assert isinstance(materialised, Workload)
-    assert len(materialised) == 150  # 5 rounds, frozen definition
+    below = sweep_workload(topology, "heavy", seed=1)
+    assert len(below) == 150  # 5 rounds, frozen definition
     monkeypatch.setattr(spec_module, "STREAMING_NODE_THRESHOLD", 30)
-    streamed = sweep_workload(topology, "heavy", seed=1)
-    assert isinstance(streamed, StreamingWorkload)
-    assert len(streamed) == cells.XXLARGE_HEAVY_ROUNDS * 30
+    at = sweep_workload(topology, "heavy", seed=1)
+    assert len(at) == cells.XXLARGE_HEAVY_ROUNDS * 30
+    assert list(at) == list(below)[: len(at)]
 
 
 def test_a_document_without_a_tier_refuses_it():

@@ -361,20 +361,16 @@ def test_the_setup_benchmark_loads_with_the_collector_paused(monkeypatch):
     assert gc.isenabled()  # and the pause ends with the load
 
 
-def test_heavy_workloads_stream_at_the_node_threshold(monkeypatch):
-    from repro.workload import StreamingWorkload, Workload
-
+def test_heavy_workloads_switch_their_rounds_at_the_node_threshold(monkeypatch):
     topology = build_topology("star", 40)
-    # Below the threshold: the frozen materialised definition, untouched.
-    materialised = build_workload(topology, "heavy")
-    assert isinstance(materialised, Workload)
-    assert len(materialised) == 400  # 10 rounds x n
+    # Below the threshold: the frozen definition, untouched.
+    below = build_workload(topology, "heavy")
+    assert len(below) == 400  # 10 rounds x n
     # At the threshold (lowered so the test doesn't build a 500k topology):
-    # the streamed definition with the xxlarge round count.
+    # the xxlarge round count.
     monkeypatch.setattr(spec_module, "STREAMING_NODE_THRESHOLD", 40)
-    streamed = build_workload(topology, "heavy")
-    assert isinstance(streamed, StreamingWorkload)
-    assert len(streamed) == cells.XXLARGE_HEAVY_ROUNDS * 40
+    at = build_workload(topology, "heavy")
+    assert len(at) == cells.XXLARGE_HEAVY_ROUNDS * 40
 
 
 def test_setup_benchmark_times_every_construction_phase():
@@ -393,7 +389,6 @@ def test_setup_benchmark_times_every_construction_phase():
     assert document["within_budget"] is True
     (row,) = document["scenarios"]
     assert row["scenario"] == "star-n50-heavy"
-    assert row["streamed"] is False
     assert row["loaded_arrivals"] == row["total_requests"] == 500
     for key in (
         "topology_seconds",
@@ -412,16 +407,15 @@ def test_setup_benchmark_times_every_construction_phase():
     assert busted["over_budget"]
 
 
-def test_setup_benchmark_loads_only_the_first_batch_of_a_stream(monkeypatch):
+def test_setup_benchmark_builds_one_chunk_and_no_request(monkeypatch):
     from repro.bench import run_setup_scenario
     from repro.sim.schedulers import BULK_CHUNK
-    from repro.workload import CSRequest, generator
+    from repro.workload import CSRequest
 
-    # A first batch larger than the engine's first chunk of entries, as at
-    # the 1M tier (10 000 requests a batch, 2 048 entries a chunk).
-    batch, n = BULK_CHUNK + 10, 3000
+    # A heavy cell at the round-count threshold, as at the 1M tier, with
+    # more arrivals than the engine's first chunk of entries.
+    n = 3000
     monkeypatch.setattr(spec_module, "STREAMING_NODE_THRESHOLD", n)
-    monkeypatch.setattr(generator, "STREAM_BATCH_REQUESTS", batch)
     built = []
     real_init = CSRequest.__init__
 
@@ -431,8 +425,8 @@ def test_setup_benchmark_loads_only_the_first_batch_of_a_stream(monkeypatch):
 
     monkeypatch.setattr(CSRequest, "__init__", counting_init)
     row = run_setup_scenario(bench_cell("star", n, "heavy"))
-    assert row["streamed"] is True
-    assert row["total_requests"] == cells.XXLARGE_HEAVY_ROUNDS * n
-    # Every arrival is scheduled, but only the first batch's requests exist.
+    assert row["total_requests"] == cells.XXLARGE_HEAVY_ROUNDS * n > BULK_CHUNK
+    # Every arrival is scheduled from the schedule's columns; no request
+    # object is built to do it.
     assert row["loaded_arrivals"] == row["total_requests"]
-    assert len(built) == batch
+    assert built == []

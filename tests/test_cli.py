@@ -189,7 +189,10 @@ def test_invalid_numeric_flags_get_clean_cli_errors(capsys):
         (["topology", "--n", "0"], "need at least one node, got 0"),
         (["topology", "--n", "5", "--token-holder", "9"], "token holder 9 is not one of the nodes"),
         (["compare", "--n", "5", "--token-holder", "9"], "token holder 9 is not one of the nodes"),
-        (["compare", "--mean-interarrival", "0"], "mean must be positive, got 0.0"),
+        (
+            ["compare", "--mean-interarrival", "0"],
+            "mean_interarrival must be positive and finite, got 0.0",
+        ),
         (["sweep", "--report", "/nonexistent/missing.json"], "No such file or directory"),
         (["sweep", "--report", str(REPO_ROOT / "BENCH_faults.json")],
          "has schema 'bench-faults/v1'; --report reads 'sweep/v1' documents"),

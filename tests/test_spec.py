@@ -50,9 +50,6 @@ from repro.sim.latency import ConstantLatency
 from repro.topology import star
 from repro.workload.driver import ExperimentDriver, run_experiment
 from repro.workload.generator import WorkloadGenerator
-from repro.workload.streaming import StreamingWorkload
-
-from .conftest import forced_streaming
 
 #: Capability attributes every algorithm must declare on its own class.
 CAPABILITY_ATTRS = (
@@ -439,15 +436,7 @@ def test_bench_cell_spec_replays_legacy_dag_run():
     assert driver.system.engine.processed_events == legacy_system.engine.processed_events
 
 
-def test_streaming_heavy_spec_matches_materialised_schedule():
-    # The spec's streamed heavy form yields the identical request schedule
-    # as the materialised form it replaces above the node threshold.
-    topology = star(50)
-    materialised = WorkloadSpec(tier="heavy", rounds=2).build(topology, seed=0)
-    with forced_streaming(16):
-        streamed = WorkloadSpec(tier="heavy", rounds=2).build(topology, seed=0)
-    assert isinstance(streamed, StreamingWorkload)
-    assert tuple(streamed) == tuple(materialised)
+def test_a_cell_at_the_node_threshold_runs_the_xxlarge_rounds():
     spec_threshold_cell = tier_workload("heavy", STREAMING_NODE_THRESHOLD, heavy_rounds=10)
     assert spec_threshold_cell == WorkloadSpec(tier="heavy", rounds=XXLARGE_HEAVY_ROUNDS)
 

@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from contextlib import nullcontext
 
 import pytest
 
 from repro.exceptions import WorkloadError
 from repro.spec import TopologySpec, WorkloadSpec
 from repro.workload.generator import WorkloadGenerator
-from repro.workload.streaming import StreamingWorkload
-
-from ..conftest import forced_streaming
 
 NODES = (1, 2, 3, 4, 5)
 
@@ -87,6 +83,30 @@ def test_hotspot_validates_arguments():
         generator.hotspot(total_requests=10, hot_nodes=[1], hot_fraction=1.5)
 
 
+def test_hotspot_refuses_a_negative_count_as_the_others_do():
+    # It used to return an empty workload.
+    with pytest.raises(WorkloadError, match="^total_requests must be >= 0, got -5$"):
+        WorkloadGenerator(NODES).hotspot(total_requests=-5, hot_nodes=[1])
+
+
+@pytest.mark.parametrize("mean", [0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("pattern", ["poisson", "hotspot"])
+def test_a_mean_interarrival_not_positive_and_finite_is_a_workload_error(pattern, mean):
+    # It used to escape at the first draw: the RNG's bare ValueError for a
+    # non-positive mean, a ZeroDivisionError for an infinite one.
+    generator = WorkloadGenerator(NODES, seed=3)
+    extra = {"hot_nodes": [1]} if pattern == "hotspot" else {}
+    build = getattr(generator, pattern)
+    message = f"^mean_interarrival must be positive and finite, got {mean}$"
+    with pytest.raises(WorkloadError, match=message):
+        build(total_requests=10, mean_interarrival=mean, **extra)
+    # Refused before any draw: the generator's next schedule is a fresh one's.
+    fresh = getattr(WorkloadGenerator(NODES, seed=3), pattern)
+    assert build(total_requests=10, mean_interarrival=1.0, **extra) == fresh(
+        total_requests=10, mean_interarrival=1.0, **extra
+    )
+
+
 class CountingId(int):
     """A node id that counts how often it is hashed or compared."""
 
@@ -121,9 +141,9 @@ def test_hotspot_set_up_is_linear_in_the_node_count():
 def schedule_digest(workload) -> str:
     """sha256 of a schedule's requests in order, field reprs and all.
 
-    One ``batch`` header for the whole schedule: a stream's batch boundaries
-    were hashed too while the replay depended on them, and a materialised
-    schedule was always one batch."""
+    One ``batch`` header for the whole schedule: the batch boundaries of a
+    streamed schedule were hashed too while the replay depended on them,
+    and every other schedule was one batch."""
     digest = hashlib.sha256()
     requests = tuple(workload)
     digest.update(f"batch {len(requests)}\n".encode())
@@ -134,19 +154,13 @@ def schedule_digest(workload) -> str:
 
 
 #: name -> (topology, workload, requests, digest at seed 11).  How the
-#: generators build requests may change; the schedules may not: every
-#: request and its field types are pinned.  ``heavy-streamed`` is built
-#: streamed, in batches of 7.
+#: generators build a schedule may change; the schedules may not: every
+#: request and its field types are pinned.
 SCHEDULES = {
     "light": (TopologySpec(kind="line", n=40), WorkloadSpec(tier="light"), 80,
               "5c8a558ce5c4b86a"),
     "heavy": (TopologySpec(kind="star", n=30), WorkloadSpec(tier="heavy", rounds=3), 90,
               "9c838cb1bb7257cc"),
-    "heavy-streamed": (
-        TopologySpec(kind="star", n=9),
-        WorkloadSpec(tier="heavy", rounds=3),
-        27, "d73e69568bd7b883",
-    ),
     "bursty": (TopologySpec(kind="star", n=60), WorkloadSpec(tier="bursty"), 120,
                "37641b1ffc80a9bf"),
     "hotspot": (TopologySpec(kind="star", n=60), WorkloadSpec(tier="hotspot"), 120,
@@ -159,10 +173,7 @@ SCHEDULES = {
 @pytest.mark.parametrize("name", list(SCHEDULES))
 def test_every_tier_builds_its_pinned_schedule(name):
     topology, workload_spec, requests, digest = SCHEDULES[name]
-    streamed = name == "heavy-streamed"
-    with forced_streaming(7) if streamed else nullcontext():
-        workload = workload_spec.build(topology.build(), seed=11)
-    assert isinstance(workload, StreamingWorkload) is streamed
+    workload = workload_spec.build(topology.build(), seed=11)
     assert len(workload) == requests
     assert schedule_digest(workload) == digest
 
@@ -220,6 +231,15 @@ def test_bursty_validates_arguments():
         generator.bursty(total_requests=10, burst_interarrival=0.0)
     with pytest.raises(WorkloadError):
         generator.bursty(total_requests=10, mean_idle_gap=-1.0)
+
+
+@pytest.mark.parametrize(
+    "argument", ["mean_burst_size", "burst_interarrival", "mean_idle_gap"]
+)
+def test_bursty_refuses_a_nan_argument_when_it_builds(argument):
+    # A NaN gap made NaN arrival times, which the columns do not check.
+    with pytest.raises(WorkloadError, match=f"{argument}.*got.*nan"):
+        WorkloadGenerator(NODES).bursty(total_requests=10, **{argument: float("nan")})
 
 
 def test_bursty_zero_requests_is_empty():

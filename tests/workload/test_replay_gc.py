@@ -1,13 +1,15 @@
 """A replay, a schedule's build and the cycle collector.
 
-``ExperimentDriver.run`` and ``WorkloadSpec.build`` each pause ``gc`` for
-their own duration (``paused_collector``).  That is safe only because neither
-allocates a reference cycle — reference counting frees everything they make —
-so the premise is held here, not assumed: after a replay, and after a build of
-every workload tier, a full collection finds nothing.  Then the pause itself
-(no collection inside, the caller's collector state back on every way out),
-and the slotted :class:`CSRequest` that is the bulk of what a heavy replay
-holds.  No wall clock anywhere.
+``ExperimentDriver.run`` pauses ``gc`` for its own duration
+(``paused_collector``).  That is safe only because a replay allocates no
+reference cycle — reference counting frees everything it makes — so the
+premise is held here, not assumed: after a replay a full collection finds
+nothing.  Then the pause itself (no collection inside, the caller's
+collector state back on every way out); a schedule's build, which needs no
+pause because it allocates no container per request; the slotted
+:class:`CSRequest` a caller that iterates a schedule gets; and the
+schedule's columns, which cross processes by pickle.  No wall clock
+anywhere.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import gc
 import pickle
 import weakref
-from contextlib import nullcontext
 
 import pytest
 
@@ -25,9 +26,10 @@ from repro.core.messages import Privilege
 from repro.exceptions import ExperimentError, ProtocolError, WorkloadError
 from repro.spec import FAULT_PROFILES, ExperimentSpec, TopologySpec, WorkloadSpec
 from repro.topology import star
-from repro.workload import CSRequest, ExperimentDriver, StreamingWorkload, Workload
+from repro.workload import CSRequest, ExperimentDriver, Workload
+from repro.workload.requests import HeavyRounds
 
-from ..conftest import forced_node_backend, forced_streaming
+from ..conftest import forced_node_backend
 
 
 def heavy_spec(algorithm="dag", *, n=9, rounds=3, **settings) -> ExperimentSpec:
@@ -37,11 +39,8 @@ def heavy_spec(algorithm="dag", *, n=9, rounds=3, **settings) -> ExperimentSpec:
     )
 
 
-def unreachable_after_replay(spec: ExperimentSpec, streamed: bool = False) -> int:
-    # Streamed in batches of 7 that end mid-round on the 9-node star.
-    with forced_streaming(7) if streamed else nullcontext():
-        driver = ExperimentDriver.from_spec(spec)
-    assert isinstance(driver.workload, StreamingWorkload) is streamed
+def unreachable_after_replay(spec: ExperimentSpec) -> int:
+    driver = ExperimentDriver.from_spec(spec)
     gc.collect()  # whatever building left behind is not the replay's
     driver.run()
     return gc.collect()
@@ -50,21 +49,19 @@ def unreachable_after_replay(spec: ExperimentSpec, streamed: bool = False) -> in
 # --------------------------------------------------------------------------- #
 # (a) the premise: a replay leaves nothing for the collector
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("streamed", [False, True], ids=["materialised", "streamed"])
 @pytest.mark.parametrize("collect_metrics", [True, False], ids=["metrics", "bare"])
 @pytest.mark.parametrize("algorithm", registry.names())
-def test_a_replay_allocates_no_reference_cycle(algorithm, collect_metrics, streamed):
+def test_a_replay_allocates_no_reference_cycle(algorithm, collect_metrics):
     spec = heavy_spec(algorithm, collect_metrics=collect_metrics)
-    assert unreachable_after_replay(spec, streamed) == 0
+    assert unreachable_after_replay(spec) == 0
 
 
-@pytest.mark.parametrize("streamed", [False, True], ids=["materialised", "streamed"])
 @pytest.mark.parametrize("collect_metrics", [True, False], ids=["metrics", "bare"])
 @pytest.mark.parametrize("backend", ["object", "compact"])
-def test_neither_dag_backend_allocates_a_reference_cycle(backend, collect_metrics, streamed):
+def test_neither_dag_backend_allocates_a_reference_cycle(backend, collect_metrics):
     with forced_node_backend(backend):
         spec = heavy_spec(collect_metrics=collect_metrics)
-        assert unreachable_after_replay(spec, streamed) == 0
+        assert unreachable_after_replay(spec) == 0
 
 
 @pytest.mark.parametrize("cell", fault_matrix(), ids=lambda cell: cell.name)
@@ -96,9 +93,12 @@ def test_a_finished_driver_goes_with_its_last_reference(backend, spec):
         with forced_node_backend(backend):
             driver = ExperimentDriver.from_spec(spec)
         driver.run()
-        refs = weakref.ref(driver), weakref.ref(driver.workload)
-        del driver
-        assert [ref() for ref in refs] == [None, None]
+        refs = [weakref.ref(driver), weakref.ref(driver.workload)]
+        columns = driver.workload._columns
+        if type(columns) is HeavyRounds:
+            refs.append(weakref.ref(columns))
+        del driver, columns
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         if was_enabled:
             gc.enable()
@@ -181,13 +181,11 @@ def test_run_leaves_the_collector_as_it_found_it(replay, enabled_by_caller):
 
 
 # --------------------------------------------------------------------------- #
-# (c) building a schedule: the same premise and the same pause
+# (c) building a schedule: no cycle, and nothing for a collector to walk
 # --------------------------------------------------------------------------- #
 TIERS = {
     "light": WorkloadSpec(tier="light"),
     "heavy": WorkloadSpec(tier="heavy", rounds=3),
-    # 7 requests a chunk on 9 nodes: chunks end mid-round.
-    "heavy-streamed": WorkloadSpec(tier="heavy", rounds=3),
     "bursty": WorkloadSpec(tier="bursty"),
     "hotspot": WorkloadSpec(tier="hotspot"),
     "diurnal": WorkloadSpec(tier="diurnal"),
@@ -197,19 +195,19 @@ TIERS = {
 @pytest.mark.parametrize("tier", list(TIERS))
 def test_building_a_schedule_allocates_no_reference_cycle(tier):
     topology = star(9)
-    streamed = tier == "heavy-streamed"
     gc.collect()
-    with forced_streaming(7) if streamed else nullcontext():
-        workload = TIERS[tier].build(topology, seed=5)
+    workload = TIERS[tier].build(topology, seed=5)
     assert gc.collect() == 0
-    # A streamed schedule makes its requests batch by batch, later.
-    batches = list(workload.iter_batches()) if streamed else [workload]
+    # Nor does a caller that makes its requests.
+    requests = workload.requests
     assert gc.collect() == 0
-    assert sum(map(len, batches)) == len(workload) > 0
+    assert len(requests) == len(workload) > 0
 
 
 def test_no_collection_runs_inside_a_build():
-    # 5000 fresh requests: several generation-0 thresholds' worth.
+    # 20 000 fresh arrivals with the collector on: a request object each
+    # would be 28 generation-0 thresholds' worth, two floats appended to
+    # two lists are none.
     topology = star(1000)
     started = []
 
@@ -221,13 +219,13 @@ def test_no_collection_runs_inside_a_build():
     gc.collect()
     gc.callbacks.append(note)
     try:
-        workload = WorkloadSpec(tier="heavy", rounds=5).build(topology)
+        workload = WorkloadSpec(tier="light", total_requests=20000).build(topology)
         inside = len(started)
     finally:
         gc.callbacks.remove(note)
     assert inside == 0
     assert gc.isenabled()
-    assert len(workload) == 5000
+    assert len(workload) == 20000
 
 
 def builds():
@@ -296,3 +294,17 @@ def test_csrequest_survives_a_pickle_round_trip(protocol):
     copy = pickle.loads(pickle.dumps(workload, protocol))
     assert copy == workload
     assert copy.requests[0] == CSRequest(1, 0.5, 3.0)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_heavy_schedule_survives_a_pickle_round_trip(protocol):
+    # The heavy value crosses as its node tuple and round count, not as
+    # its 9000 requests.
+    workload = WorkloadSpec(tier="heavy", rounds=1000).build(star(9))
+    payload = pickle.dumps(workload, protocol)
+    assert len(payload) < 300
+    copy = pickle.loads(payload)
+    assert type(copy._columns) is HeavyRounds
+    assert copy == workload
+    assert copy.description == workload.description
+    assert list(copy) == list(workload)

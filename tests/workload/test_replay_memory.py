@@ -1,13 +1,14 @@
-"""What a schedule costs beyond itself: traced bytes, not a clock.
+"""What a schedule costs: traced bytes, not a clock.
 
-A heavy schedule is one ``CSRequest`` per request, held in the workload's
-tuple for the whole replay.  Nothing else should grow with the number of
-requests: building the schedule checks its ``(arrival_time, node)`` order
-with no key tuple per request (56 bytes plus a 16-byte GC header each), and
-replaying it loads the arrivals as a cursor over that tuple, each time read
-off its request as its entry is built, of which one bounded chunk of
-``(time, sequence, callback, payload)`` entries exists at a time (not one
-4-tuple, sequence number and list slot per request).
+A workload stores columns, not requests.  Building a schedule from request
+objects keeps two lists (times and nodes; durations only when some differ
+from 1.0) and checks their ``(arrival_time, node)`` order with no key tuple
+per request (56 bytes plus a 16-byte GC header each).  A heavy schedule is
+one value, the sorted node tuple and a round count, so building it costs
+O(n) bytes at any round count, and replaying it draws the columns as its
+entries are built, of which one bounded chunk of ``(time, sequence,
+callback, payload)`` entries exists at a time: nothing a heavy replay holds
+grows with the round count but the entry order it reports.
 
 ``tracemalloc`` counts the bytes, so the figures are the same on every
 machine; the bounds leave room for CPython's container growth policy, which
@@ -17,6 +18,7 @@ differs a little between versions.
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 
 from repro.sim.schedulers import BULK_CHUNK
@@ -38,36 +40,59 @@ def traced(call):
     return result, peak
 
 
-def test_ordering_a_schedule_builds_nothing_per_request_but_its_tuple():
-    # In order already, 200 nodes a round, as a heavy schedule is built.
+def test_ordering_a_schedule_builds_nothing_per_request_but_its_columns():
+    # In order already, 200 nodes a round, as a heavy schedule is laid out.
     requests = [CSRequest(index % 200, float(index // 200)) for index in range(20000)]
     workload, peak = traced(lambda: Workload(tuple(requests)))
     assert workload.requests == tuple(requests)
-    # The kept tuple is 8 B a request; checking the order reads the times
-    # and the nodes into two lists, 8 B a request each and transient (a
-    # schedule out of order is sorted in two one-key passes, no more).  A key
-    # tuple per request would add 72.
+    # The kept times and nodes are 8 B a request each; the durations, all
+    # 1.0, are read into a third list and dropped.  Checking the order
+    # makes nothing per request (a schedule out of order is permuted by
+    # two one-key passes over its indices, no more).  A key tuple per
+    # request would add 72.
     per_request = peak / len(requests)
     assert per_request <= 40, f"{per_request:.1f} B per request to order a schedule"
 
 
-def test_a_heavy_replay_holds_its_schedule_once():
+def test_building_a_heavy_schedule_costs_bytes_per_node_not_per_request():
+    topology = TopologySpec(kind="star", n=1000).build()
+    workload, peak = traced(lambda: WorkloadSpec(tier="heavy", rounds=200).build(topology))
+    assert len(workload) == 200_000
+    # The generator's node tuple, the sorted copy the schedule keeps, and
+    # the RNG every generator seeds: under 64 B a node, 64 KB here.  The
+    # same schedule as request objects was 17.7 MB (88 B a request).
+    assert peak <= 64 * 1000, f"{peak} B to build a 200-round heavy schedule on star(1000)"
+
+
+def heavy_replay_peak(rounds: int) -> int:
+    """Traced peak of building and replaying ``rounds`` heavy rounds on
+    star(100), above the system and the entry order the replay reports."""
     spec = ExperimentSpec(
         algorithm="dag",
         topology=TopologySpec(kind="star", n=100),
-        workload=WorkloadSpec(tier="heavy", rounds=200),
+        workload=WorkloadSpec(tier="heavy", rounds=rounds),
         collect_metrics=False,
     )
     topology = spec.topology.build()
-    workload = spec.workload.build(topology, seed=spec.seed)
     system = spec.build_system(topology)
-    result, peak = traced(lambda: ExperimentDriver(system, workload).run())
-    assert result.completed_entries == len(workload) == 20000
-    # One chunk of entries and what is in flight (bounded by the topology,
-    # not the schedule).  A copy of the schedule as queued entries would add
-    # ~110 B a request.
-    per_request = peak / len(workload)
-    assert per_request <= 48, f"{per_request:.1f} B per request above the schedule"
+
+    def replay():
+        driver = ExperimentDriver(system, spec.workload.build(topology, seed=spec.seed))
+        return driver, driver.run()
+
+    (driver, result), peak = traced(replay)
+    assert result.completed_entries == len(driver.workload) == 100 * rounds
+    # The entry order grows with the rounds by design: the driver's list
+    # and the result's copy of it.
+    return peak - sys.getsizeof(driver.entry_order) - sys.getsizeof(result.entry_order)
+
+
+def test_a_heavy_replay_holds_nothing_that_grows_with_its_rounds():
+    # One chunk of entries and what is in flight, bounded by the topology:
+    # about 250 KB at 50 rounds and at 200.  The schedule as request
+    # objects added 65 B for every one of the 15 000 extra requests.
+    grown = heavy_replay_peak(200) - heavy_replay_peak(50)
+    assert grown <= 8 * 1024, f"{grown} B more at 200 rounds than at 50"
 
 
 def test_only_one_chunk_of_a_bulk_load_is_ever_built():
