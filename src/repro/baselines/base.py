@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Any, Dict, List, Optional, Type
 
 from repro.exceptions import ExperimentError, ProtocolError
 from repro.sim.engine import SimulationEngine
@@ -29,8 +29,6 @@ from repro.sim.network import Network
 from repro.sim.process import SimProcess
 from repro.sim.trace import TraceRecorder
 from repro.topology.base import Topology
-
-EnterCallback = Callable[[int, float], None]
 
 #: Events :meth:`MutexSystem.run_until_quiescent` runs before it calls the
 #: system livelocked.
@@ -95,24 +93,21 @@ class MutexNodeBase(SimProcess):
     delivered message's exact type as ``handler(node, sender, message)`` —
     no per-node dict, bound method or ``send`` partial.  :meth:`on_message`
     is the same lookup for a direct call and the refusal of an unknown type.
+
+    The metrics collector and trace recorder are the network's, copied when
+    the node is built, and an entry is reported to the network's
+    ``on_enter`` hook.
+
+    Args:
+        node_id: this node's identifier.
+        network: the reliable FIFO network shared by all nodes.
     """
 
-    def __init__(
-        self,
-        node_id: int,
-        network: Network,
-        *,
-        metrics: Optional[MetricsCollector] = None,
-        trace: Optional[TraceRecorder] = None,
-        on_enter: Optional[EnterCallback] = None,
-    ) -> None:
+    def __init__(self, node_id: int, network: Network) -> None:
         super().__init__(node_id, network)
         self.in_critical_section = False
         self.requesting = False
         self.cs_entries = 0
-        self._metrics = metrics
-        self._trace = trace
-        self._on_enter = on_enter
 
     # ------------------------------------------------------------------ #
     # interface
@@ -150,7 +145,7 @@ class MutexNodeBase(SimProcess):
             self._trace.record(self.now, "cs_request", self.node_id)
 
     def _enter_critical_section(self) -> None:
-        """Mark entry, notify metrics/trace and the driver callback."""
+        """Mark entry, notify metrics/trace and the network's enter hook."""
         self.requesting = False
         self.in_critical_section = True
         self.cs_entries += 1
@@ -159,8 +154,9 @@ class MutexNodeBase(SimProcess):
             self._metrics.cs_entered(self.node_id, now)
         if self._trace is not None:
             self._trace.record(now, "cs_enter", self.node_id)
-        if self._on_enter is not None:
-            self._on_enter(self.node_id, now)
+        on_enter = self.network.on_enter
+        if on_enter is not None:
+            on_enter(self.node_id, now)
 
     def _note_exit(self) -> None:
         """Mark exit with metrics/trace; subclasses then pass on permissions."""
@@ -176,8 +172,9 @@ class MutexNodeBase(SimProcess):
 class MutexSystem(abc.ABC):
     """A complete mutual exclusion system: engine, network and all nodes.
 
-    Subclasses override :meth:`_create_nodes` to instantiate their node type,
-    and the class attributes describing the algorithm for reports.
+    Subclasses override :meth:`_create_nodes` to instantiate their node type
+    on :attr:`network`, which hands every node its observers, and the class
+    attributes describing the algorithm for reports.
     """
 
     #: Human-readable algorithm name used in comparison tables.
@@ -222,9 +219,6 @@ class MutexSystem(abc.ABC):
             metrics=self.metrics,
             trace=self.trace if record_trace else None,
         )
-        # Every node starts without an enter hook; the experiment driver sets
-        # each node's own for the length of a replay.
-        self._on_enter: Optional[EnterCallback] = None
         #: Which backend the nodes actually use ("object" unless a compact
         #: ``_create_nodes`` overrides it) and, on the compact backend, the
         #: column store itself — the driver and benchmarks probe these.

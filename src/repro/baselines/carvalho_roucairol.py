@@ -27,8 +27,8 @@ class CarvalhoRoucairolNode(MutexNodeBase):
 
     _MESSAGE_HANDLERS = {RARequest: "_on_request", RAReply: "_on_reply"}
 
-    def __init__(self, node_id: int, network, *, all_nodes, **kwargs) -> None:
-        super().__init__(node_id, network, **kwargs)
+    def __init__(self, node_id: int, network, *, all_nodes) -> None:
+        super().__init__(node_id, network)
         self.all_nodes = tuple(all_nodes)
         self.others = tuple(n for n in self.all_nodes if n != node_id)
         self.clock = 0
@@ -121,13 +121,6 @@ class CarvalhoRoucairolSystem(MutexSystem):
 
     def _create_nodes(self) -> Dict[int, CarvalhoRoucairolNode]:
         return {
-            node_id: CarvalhoRoucairolNode(
-                node_id,
-                self.network,
-                all_nodes=self.topology.nodes,
-                metrics=self.metrics,
-                trace=self.trace if self.trace.enabled else None,
-                on_enter=self._on_enter,
-            )
+            node_id: CarvalhoRoucairolNode(node_id, self.network, all_nodes=self.topology.nodes)
             for node_id in self.topology.nodes
         }

@@ -74,8 +74,8 @@ class CentralizedNode(MutexNodeBase):
         CentralGrant: "_on_grant",
     }
 
-    def __init__(self, node_id: int, network, *, coordinator: int, **kwargs) -> None:
-        super().__init__(node_id, network, **kwargs)
+    def __init__(self, node_id: int, network, *, coordinator: int) -> None:
+        super().__init__(node_id, network)
         self.coordinator = coordinator
         # Coordinator-only state.  The queue exists only on the coordinator:
         # the storage contract ("other nodes: coordinator identity only")
@@ -172,13 +172,6 @@ class CentralizedSystem(MutexSystem):
     def _create_nodes(self) -> Dict[int, CentralizedNode]:
         coordinator = self.topology.token_holder
         return {
-            node_id: CentralizedNode(
-                node_id,
-                self.network,
-                coordinator=coordinator,
-                metrics=self.metrics,
-                trace=self.trace if self.trace.enabled else None,
-                on_enter=self._on_enter,
-            )
+            node_id: CentralizedNode(node_id, self.network, coordinator=coordinator)
             for node_id in self.topology.nodes
         }

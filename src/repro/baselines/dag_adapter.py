@@ -1,8 +1,9 @@
 """The paper's DAG algorithm as a system: nodes wired to the substrate.
 
-:class:`DagSystem` is the one place the DAG nodes are built onto an engine,
-network, metrics and trace, behind the :class:`~repro.baselines.base
-.MutexSystem` interface every comparison experiment iterates over.
+:class:`DagSystem` is the one place the DAG nodes are built onto an engine
+and a network — which hands every node its metrics collector, trace recorder
+and enter hook — behind the :class:`~repro.baselines.base.MutexSystem`
+interface every comparison experiment iterates over.
 :class:`~repro.core.protocol.DagMutexProtocol` — the entry point of the
 examples and the paper-walkthrough tests — is this class plus invariant
 checking and system-wide introspection, nothing else.
@@ -57,13 +58,7 @@ class DagSystem(MutexSystem):
         # threshold is read through its module so the identity tests can
         # patch it.
         if len(self.topology.nodes) >= compact_state.COMPACT_NODE_BACKEND_THRESHOLD:
-            state = CompactDagState(
-                self.topology,
-                self.network,
-                metrics=self.metrics,
-                trace=self.trace if self.trace.enabled else None,
-                on_enter=self._on_enter,
-            )
+            state = CompactDagState(self.topology, self.network)
             self.compact_state = state
             self.node_backend = "compact"
             self.network.attach_columnar(state)
@@ -75,9 +70,6 @@ class DagSystem(MutexSystem):
                 self.network,
                 holding=(node_id == self.topology.token_holder),
                 next_node=pointers[node_id],
-                metrics=self.metrics,
-                trace=self.trace if self.trace.enabled else None,
-                on_enter=self._on_enter,
             )
             for node_id in self.topology.nodes
         }

@@ -165,8 +165,8 @@ class MaekawaNode(MutexNodeBase):
         MaekawaFail: "_on_fail",
     }
 
-    def __init__(self, node_id: int, network, *, quorum: Sequence[int], **kwargs) -> None:
-        super().__init__(node_id, network, **kwargs)
+    def __init__(self, node_id: int, network, *, quorum: Sequence[int]) -> None:
+        super().__init__(node_id, network)
         self.quorum = tuple(quorum)
         self.clock = 0
         # --- requester-side state -------------------------------------- #
@@ -369,14 +369,7 @@ class MaekawaSystem(MutexSystem):
     def _create_nodes(self) -> Dict[int, MaekawaNode]:
         quorums = build_grid_quorums(self.topology.nodes)
         return {
-            node_id: MaekawaNode(
-                node_id,
-                self.network,
-                quorum=quorums[node_id],
-                metrics=self.metrics,
-                trace=self.trace if self.trace.enabled else None,
-                on_enter=self._on_enter,
-            )
+            node_id: MaekawaNode(node_id, self.network, quorum=quorums[node_id])
             for node_id in self.topology.nodes
         }
 

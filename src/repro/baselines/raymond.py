@@ -65,9 +65,8 @@ class RaymondNode(MutexNodeBase):
         network,
         *,
         holder: Optional[int],
-        **kwargs,
     ) -> None:
-        super().__init__(node_id, network, **kwargs)
+        super().__init__(node_id, network)
         # HOLDER: the neighbour in the direction of the token, or ourselves
         # when we have it (None encodes "self" to mirror the DAG node's NEXT).
         self.holder: Optional[int] = holder
@@ -150,13 +149,6 @@ class RaymondSystem(MutexSystem):
     def _create_nodes(self) -> Dict[int, RaymondNode]:
         pointers = self.topology.next_pointers()
         return {
-            node_id: RaymondNode(
-                node_id,
-                self.network,
-                holder=pointers[node_id],
-                metrics=self.metrics,
-                trace=self.trace if self.trace.enabled else None,
-                on_enter=self._on_enter,
-            )
+            node_id: RaymondNode(node_id, self.network, holder=pointers[node_id])
             for node_id in self.topology.nodes
         }

@@ -55,8 +55,8 @@ class RicartAgrawalaNode(MutexNodeBase):
 
     _MESSAGE_HANDLERS = {RARequest: "_on_request", RAReply: "_on_reply"}
 
-    def __init__(self, node_id: int, network, *, all_nodes, **kwargs) -> None:
-        super().__init__(node_id, network, **kwargs)
+    def __init__(self, node_id: int, network, *, all_nodes) -> None:
+        super().__init__(node_id, network)
         self.all_nodes = tuple(all_nodes)
         self.others = tuple(n for n in self.all_nodes if n != node_id)
         self.clock = 0
@@ -125,13 +125,6 @@ class RicartAgrawalaSystem(MutexSystem):
 
     def _create_nodes(self) -> Dict[int, RicartAgrawalaNode]:
         return {
-            node_id: RicartAgrawalaNode(
-                node_id,
-                self.network,
-                all_nodes=self.topology.nodes,
-                metrics=self.metrics,
-                trace=self.trace if self.trace.enabled else None,
-                on_enter=self._on_enter,
-            )
+            node_id: RicartAgrawalaNode(node_id, self.network, all_nodes=self.topology.nodes)
             for node_id in self.topology.nodes
         }

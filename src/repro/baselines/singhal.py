@@ -89,9 +89,8 @@ class SinghalNode(MutexNodeBase):
         *,
         all_nodes,
         token_holder: int,
-        **kwargs,
     ) -> None:
-        super().__init__(node_id, network, **kwargs)
+        super().__init__(node_id, network)
         self.all_nodes = tuple(all_nodes)
         self.others = tuple(n for n in self.all_nodes if n != node_id)
         holds_token = node_id == token_holder
@@ -248,9 +247,6 @@ class SinghalSystem(MutexSystem):
                 self.network,
                 all_nodes=self.topology.nodes,
                 token_holder=holder,
-                metrics=self.metrics,
-                trace=self.trace if self.trace.enabled else None,
-                on_enter=self._on_enter,
             )
             for node_id in self.topology.nodes
         }

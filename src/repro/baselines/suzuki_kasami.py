@@ -66,9 +66,8 @@ class SuzukiKasamiNode(MutexNodeBase):
         *,
         all_nodes,
         holds_token: bool,
-        **kwargs,
     ) -> None:
-        super().__init__(node_id, network, **kwargs)
+        super().__init__(node_id, network)
         self.all_nodes = tuple(all_nodes)
         self.others = tuple(n for n in self.all_nodes if n != node_id)
         # Highest request sequence number known per node (the RN array).
@@ -172,9 +171,6 @@ class SuzukiKasamiSystem(MutexSystem):
                 self.network,
                 all_nodes=self.topology.nodes,
                 holds_token=(node_id == holder),
-                metrics=self.metrics,
-                trace=self.trace if self.trace.enabled else None,
-                on_enter=self._on_enter,
             )
             for node_id in self.topology.nodes
         }

@@ -107,9 +107,9 @@ def run_setup_benchmark(
     over_budget: List[str] = []
     for cell in matrix:
         # The previous cell's system is a reference cycle (its network and
-        # nodes point at each other), and the workload build runs with the
-        # collector paused: free it here, off the clock, so no cell's
-        # numbers include its predecessor's garbage.
+        # nodes point at each other), which only the collector frees: free
+        # it here, off the clock, so no cell's numbers include a collector
+        # pass over its predecessor's garbage.
         gc.collect()
         row = run_setup_scenario(cell)
         scenarios.append(row)

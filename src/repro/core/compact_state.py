@@ -47,6 +47,9 @@ in :attr:`CompactDagState.node_range` to the handler
 does for an object node — and to :meth:`CompactDagState.on_message` (which
 raises) for any other type, with or without metrics, trace or a fault
 injector attached (resolved at send for a lane entry, at delivery for a heap one).
+The wiring to a replay is the network's too, as for an object node: the
+state copies the network's metrics collector and trace recorder when it is
+built and reports every entry to the network's ``on_enter`` hook.
 
 For code that expects node *objects* — the fault controller's token scan,
 token regeneration, tests poking at ``system.nodes[i]`` — a lazy
@@ -58,13 +61,11 @@ views and columns can never disagree.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.core.messages import Privilege, Request
 from repro.core.state import NodeStateName, classify_state
 from repro.exceptions import ProtocolError
-
-EnterCallback = Callable[[int, float], None]
 
 #: A DAG system stands on the compact columns at or above this many nodes
 #: (:meth:`~repro.baselines.dag_adapter.DagSystem._create_nodes` holds the one
@@ -91,21 +92,12 @@ class CompactDagState:
         network: the network messages are sent through.  The caller is
             expected to also :meth:`~repro.sim.network.Network
             .attach_columnar` this state so deliveries route back here.
-        metrics: optional collector receiving request/enter/exit events.
-        trace: optional recorder receiving state-change events.
-        on_enter: callback invoked as ``on_enter(node_id, time)`` on every
-            critical-section entry; the experiment driver assigns it.
+            Its metrics collector and trace recorder are copied here, as an
+            object node copies them, and every entry is reported to its
+            ``on_enter`` hook.
     """
 
-    def __init__(
-        self,
-        topology,
-        network,
-        *,
-        metrics=None,
-        trace=None,
-        on_enter: Optional[EnterCallback] = None,
-    ) -> None:
+    def __init__(self, topology, network) -> None:
         n = topology.size
         self._n = n
         self.node_range = topology.nodes
@@ -123,15 +115,11 @@ class CompactDagState:
         self._requesting = [False] * (n + 1)
         self._in_cs = [False] * (n + 1)
         self._entries = [0] * (n + 1)
-        #: Total critical-section entries across all nodes (the metrics-free
-        #: result path reads this instead of summing a column).
-        self.total_entries = 0
         self._engine = network.engine
         self.network = network
         self._send = network.send
-        self._metrics = metrics
-        self._trace = trace
-        self.on_enter = on_enter
+        self._metrics = network._metrics
+        self._trace = network._trace
         #: Message type -> handler called as ``handler(receiver, sender,
         #: message)``; :meth:`~repro.sim.network.Network.attach_columnar`
         #: takes it so a delivery skips the ``on_message`` frame.
@@ -257,13 +245,12 @@ class CompactDagState:
     def _enter_critical_section(self, node_id: int) -> None:
         self._in_cs[node_id] = True
         self._entries[node_id] += 1
-        self.total_entries += 1
         now = self._engine._now
         if self._metrics is not None:
             self._metrics.cs_entered(node_id, now)
         if self._trace is not None:
             self._trace.record(now, "cs_enter", node_id)
-        on_enter = self.on_enter
+        on_enter = self.network.on_enter
         if on_enter is not None:
             on_enter(node_id, now)
 

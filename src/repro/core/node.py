@@ -28,7 +28,7 @@ empty).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.messages import Privilege, Request
 from repro.core.state import NodeStateName, classify_state
@@ -37,8 +37,6 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.process import HandlerTable, SimProcess
 from repro.sim.trace import TraceRecorder
-
-EnterCallback = Callable[[int, float], None]
 
 # PRIVILEGE carries no payload and compares by type, so a single shared
 # instance serves every token pass without per-send allocation.
@@ -292,21 +290,19 @@ class DagMutexNode(DagNodeCore, SimProcess):
     """The kernel on the simulation substrate.
 
     An instance is the kernel's slots plus ``network``, ``engine`` and the
-    driver hooks: no ``__dict__`` and no per-node table or callable.
+    network's two observers: no ``__dict__`` and no per-node table or
+    callable.  The metrics collector and trace recorder are copied from the
+    network when the node is built; an entry is reported to the network's
+    ``on_enter`` hook, which the experiment driver sets for a replay.
 
     Args:
         node_id: this node's identifier.
         network: the reliable FIFO network shared by all nodes.
         holding: whether this node initially holds the token.
         next_node: initial ``NEXT`` value (``None`` iff ``holding``).
-        metrics: optional collector receiving request/enter/exit events.
-        trace: optional recorder receiving state-change events.
-        on_enter: optional callback invoked as ``on_enter(node_id, time)``
-            whenever this node enters its critical section.  The experiment
-            driver uses it to schedule the corresponding release.
     """
 
-    __slots__ = ("network", "engine", "_metrics", "_trace", "_on_enter")
+    __slots__ = ("network", "engine", "_metrics", "_trace")
 
     def __init__(
         self,
@@ -315,15 +311,9 @@ class DagMutexNode(DagNodeCore, SimProcess):
         *,
         holding: bool = False,
         next_node: Optional[int] = None,
-        metrics: Optional[MetricsCollector] = None,
-        trace: Optional[TraceRecorder] = None,
-        on_enter: Optional[EnterCallback] = None,
     ) -> None:
         DagNodeCore.__init__(self, node_id, holding=holding, next_node=next_node)
         SimProcess.__init__(self, node_id, network)
-        self._metrics = metrics
-        self._trace = trace
-        self._on_enter = on_enter
 
     def _enter_critical_section(self) -> None:
         # The kernel's two lines inlined rather than called: this runs once
@@ -335,5 +325,6 @@ class DagMutexNode(DagNodeCore, SimProcess):
             self._metrics.cs_entered(self.node_id, now)
         if self._trace is not None:
             self._trace.record(now, "cs_enter", self.node_id)
-        if self._on_enter is not None:
-            self._on_enter(self.node_id, now)
+        on_enter = self.network.on_enter
+        if on_enter is not None:
+            on_enter(self.node_id, now)

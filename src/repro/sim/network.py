@@ -31,6 +31,11 @@ active.  One engine sequence number is drawn per send whatever is attached,
 so a run's ``(time, sequence)`` event order does not depend on the
 observers.  ``benchmarks/README.md`` ("Why there are two entry forms") holds
 the A/Bs behind both forms.
+
+The network is also the one place a replay is wired: every node built on it
+copies its metrics collector and trace recorder, and reports each
+critical-section entry to :attr:`Network.on_enter`, the hook the experiment
+driver sets for the length of a replay.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.trace import TraceRecorder
 
 MessageHandler = Callable[[int, Any], None]
+#: ``on_enter(node_id, time)``: told of every critical-section entry on a
+#: network (:attr:`Network.on_enter`).
+EnterCallback = Callable[[int, float], None]
 # Minimal spacing inserted between two deliveries on the same channel when the
 # latency draw would otherwise reorder them.
 _FIFO_EPSILON = 1e-9
@@ -90,8 +98,13 @@ class Network:
         engine: the simulation engine used to schedule deliveries.
         latency: delay model; defaults to a constant one-unit delay so that
             message counts and time-based delays coincide.
-        metrics: optional collector notified of every send.
-        trace: optional recorder receiving ``send`` / ``receive`` events.
+        metrics: optional collector notified of every send, and of every
+            request, entry and exit of the nodes built on this network.
+        trace: optional recorder receiving ``send`` / ``receive`` events,
+            and the state changes of the nodes built on this network.
+
+    A network holds one kind of receiver: processes registered per id, or
+    one columnar state attached over an id range, never both.
 
     A node sending to itself is a :class:`~repro.exceptions.NetworkError`: the
     paper's model has no such channel, none of its algorithms ever uses one,
@@ -110,25 +123,26 @@ class Network:
         self._latency = latency if latency is not None else ConstantLatency(1.0)
         self._metrics = metrics
         self._trace = trace
+        #: ``None``, or the :data:`EnterCallback` every node on this network
+        #: calls when it enters its critical section (the experiment driver
+        #: sets it for the length of a replay).
+        self.on_enter: Optional[EnterCallback] = None
         # Registered id -> the process (or wrapped handler) receiving there.
         self._receivers: Dict[int, Any] = {}
         # Columnar node state attached via attach_columnar: its nodes have
-        # no per-node handlers — endpoint validation falls back to the id
-        # range and deliveries route to the state object,
-        # through its own type-keyed table where it has one.
+        # no per-node handlers — endpoints are the id range and deliveries
+        # route to the state object, through its own type-keyed table where
+        # it has one.
         self._columnar = None
-        self._columnar_nodes: Optional[range] = None
         self._columnar_table: Dict[type, Callable[[int, int, Any], None]] = {}
         # The attached range as bounds, ``first <= id < stop``: the test
-        # ``send``'s early exit and ``_deliver`` make for a columnar id (an
-        # int compare; ``range.__contains__`` costs ~80 ns).  Empty until then.
+        # ``send``'s early exit makes for a columnar id (an int compare;
+        # ``range.__contains__`` costs ~80 ns).  Empty until then.
         self._columnar_first = 0
         self._columnar_stop = 0
-        # The container the full body of ``send`` tests both endpoints
-        # against (and the early exit a registered receiver's sender): the
-        # receiver dict, or the columnar range while nothing is registered
-        # beside it.  A miss (always, for columnar ids on a mixed network)
-        # goes on to the full diagnosis.
+        # The container ``send`` tests both endpoints against: the receiver
+        # dict, or the columnar range once columns are attached (the two
+        # kinds never mix).
         self._endpoints: Any = self._receivers
         self._node_ids: List[int] = []
         self._channels: Dict[Tuple[int, int], _ChannelState] = {}
@@ -187,21 +201,20 @@ class Network:
 
         ``receiver`` is a process (anything with a ``dispatch_table`` and
         ``on_message``) or a plain callable, called as
-        ``receiver(sender, message)``.
+        ``receiver(sender, message)``.  A network with columnar state
+        attached refuses every registration.
         """
+        if self._columnar is not None:
+            raise NetworkError(
+                f"node {node_id} cannot be registered: columnar state is attached "
+                "and a network holds one kind of receiver"
+            )
         if node_id in self._receivers:
             raise NetworkError(f"node {node_id} is already registered")
-        nodes = self._columnar_nodes
-        if nodes is not None and node_id in nodes:
-            raise NetworkError(
-                f"node {node_id} is covered by attached columnar state; "
-                "a columnar id cannot also be registered"
-            )
         if not hasattr(receiver, "dispatch_table"):
             receiver = _Handler(receiver)
         self._receivers[node_id] = receiver
         self._node_ids.append(node_id)
-        self._endpoints = self._receivers
 
     def attach_columnar(self, state) -> None:
         """Route delivery for a whole contiguous id range to columnar state.
@@ -218,28 +231,25 @@ class Network:
         counterpart of a process class's ``dispatch_table``, same fallback,
         same errors.
 
-        Per-node ``register`` remains available alongside (the runtimes mix
-        both), but a columnar id must not also be registered — in either
-        order.
+        The columns are the network's one kind of receiver: attaching them
+        to a network with any process registered is refused, and so is
+        every :meth:`register` after them.
         """
         node_range = state.node_range
         if type(node_range) is not range or node_range.step != 1:
             raise NetworkError(
                 f"columnar state must cover a contiguous id range, got {node_range!r}"
             )
-        for node_id in self._receivers:
-            if node_id in node_range:
-                raise NetworkError(
-                    f"node {node_id} is already registered; columnar state "
-                    "cannot cover a registered id"
-                )
+        if self._receivers:
+            raise NetworkError(
+                "columnar state cannot be attached: nodes are already registered "
+                "and a network holds one kind of receiver"
+            )
         self._columnar = state
-        self._columnar_nodes = node_range
         self._columnar_first = node_range.start
         self._columnar_stop = node_range.stop
         self._columnar_table = getattr(state, "dispatch_table", {})
-        if not self._receivers:
-            self._endpoints = node_range
+        self._endpoints = node_range
 
     def send(self, sender: int, receiver: int, message: Any) -> None:
         """Send ``message`` from ``sender`` to ``receiver``.
@@ -288,18 +298,10 @@ class Network:
                     return
             # Anything refused above goes on to the full body, which accepts
             # it or raises.
-        if sender not in known or receiver not in known:
-            receivers = self._receivers
-            nodes = self._columnar_nodes
-            known_sender = sender in receivers or (
-                nodes is not None and sender in nodes
-            )
-            if not known_sender or not (
-                receiver in receivers or (nodes is not None and receiver in nodes)
-            ):
-                missing = sender if not known_sender else receiver
-                role = "sender" if not known_sender else "receiver"
-                raise NetworkError(f"unknown {role} node {missing}")
+        if sender not in known:
+            raise NetworkError(f"unknown sender node {sender}")
+        if receiver not in known:
+            raise NetworkError(f"unknown receiver node {receiver}")
         if sender == receiver:
             raise NetworkError(f"node {sender} attempted to send a message to itself")
 
@@ -387,13 +389,15 @@ class Network:
     def _deliver(self, payload: Tuple[int, int, Any, int]) -> None:
         """Deliver one ``(sender, receiver, message, sequence)`` queued payload."""
         sender, receiver, message, _sequence = payload
-        node = self._receivers.get(receiver)
-        if node is None:
-            # Not registered: a columnar id, whose range ``send`` checked.
-            if not self._columnar_first <= receiver < self._columnar_stop:
+        if self._columnar is None:
+            node = self._receivers.get(receiver)
+            if node is None:
                 raise NetworkError(
                     f"message from {sender} addressed to unregistered node {receiver}"
                 )
+        else:
+            # A columnar id, whose range ``send`` checked.
+            node = None
             handler = self._columnar_table.get(type(message)) or self._columnar.on_message
         self._messages_delivered += 1
         if self._trace is not None:

@@ -6,7 +6,10 @@ through :meth:`on_message` — nothing else, as in the paper's model, where a
 node acts only on a message or on its own user.
 Algorithm implementations (the DAG protocol and every baseline) subclass it,
 so the substrate they run on is identical and the measured message counts are
-directly comparable.
+directly comparable.  A process is wired to a replay through its network
+alone: it copies the network's metrics collector and trace recorder when it
+is built and calls the network's ``on_enter`` hook when it enters its
+critical section.
 """
 
 from __future__ import annotations
@@ -48,8 +51,11 @@ class HandlerTable:
 class SimProcess(HandlerTable):
     """Base class for a simulated node process.
 
-    An instance is its state plus ``network`` and ``engine``; its wiring is
-    on the class.  The constructor registers the object itself, and the
+    An instance is its state plus ``network``, ``engine`` and the network's
+    two observers, ``_metrics`` and ``_trace``, copied when it is built (a
+    handler reads them on every call); its delivery wiring is on the class,
+    and the enter hook is the network's :attr:`~repro.sim.network.Network
+    .on_enter`.  The constructor registers the object itself, and the
     network calls the class-level :attr:`dispatch_table` entry for a
     delivered message's type as ``handler(process, sender, message)`` and
     :meth:`on_message` for any other type (every type, for a class without
@@ -63,6 +69,8 @@ class SimProcess(HandlerTable):
         self.node_id = int(node_id)
         self.network = network
         self.engine: SimulationEngine = network.engine
+        self._metrics = network._metrics
+        self._trace = network._trace
         network.register(self.node_id, self)
 
     # ------------------------------------------------------------------ #

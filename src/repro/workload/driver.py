@@ -10,6 +10,13 @@ be replayed against algorithms of very different speeds and still make sense.
 The driver replays the workload's columns, never request objects: the node
 column is each arrival's payload, and a request's duration is drawn from the
 duration column as its arrival fires.
+
+The driver learns of entries through one attribute, the system network's
+``on_enter`` hook (every node of every algorithm reads it there), set with
+the arrivals and cleared when :meth:`ExperimentDriver.run` returns.  What the
+driver's own books already say it does not ask the nodes: a node is busy
+while it is in the driver's active map, and a metrics-free replay's entry
+count is the length of its entry order.
 """
 
 from __future__ import annotations
@@ -46,7 +53,8 @@ class ExperimentResult:
             metrics-free (fast path) runs where it is not measured.
         sync_delays: observed synchronization delays (time units).
         max_sync_delay: largest synchronization delay observed.
-        entry_order: nodes in the order they entered the critical section.
+        entry_order: nodes in the order they entered the critical section
+            (the driver's own list, not a copy).
         finished_at: virtual time at which the last event was processed.
         fault_summary: present only on fault-injected runs — the
             :class:`~repro.sim.faults.FaultController` summary (per-category
@@ -150,7 +158,8 @@ class ExperimentDriver:
         # empty-ish deques would cost ~600 MB.
         self._backlog: Dict[int, Union[float, Deque[float]]] = {}
         # The duration of the request currently being served (or waited on)
-        # per node.
+        # per node.  A node is busy iff it is here: from the request the
+        # driver issues (or re-issues from the backlog) until its release.
         self._active: Dict[int, float] = {}
         # Set by _load_arrivals: the duration column's next(), drawn once
         # per arrival, in fire order.
@@ -221,25 +230,13 @@ class ExperimentDriver:
             try:
                 return self._replay(max_events)
             finally:
-                self._aim_enter_hooks(None)
-
-    def _aim_enter_hooks(self, handler) -> None:
-        """Point every node's enter hook at ``handler`` (``None`` clears them).
-
-        The hooks are the system's only references to the driver, so the
-        driver holds them only while a replay runs: :meth:`_load_arrivals`
-        sets them and :meth:`run` clears them on every way out.  Left set,
-        they would close a driver -> system -> nodes -> driver cycle, and a
-        finished driver, its whole schedule with it, would wait for the
-        collector instead of going with its last reference.  Columnar
-        (compact-backend) systems route every node's hook through one state
-        object; object-backend systems set it per node.
-        """
-        if self._compact is not None:
-            self._compact.on_enter = handler
-        else:
-            for node in self.system.nodes.values():
-                node._on_enter = handler
+                # The network's enter hook is the system's only reference to
+                # the driver, so it is held only while a replay runs: left
+                # set, it would close a driver -> system -> network -> driver
+                # cycle, and a finished driver, its whole schedule with it,
+                # would wait for the collector instead of going with its
+                # last reference.
+                self.system.network.on_enter = None
 
     def _replay(self, max_events: int) -> ExperimentResult:
         engine = self.system.engine
@@ -288,17 +285,15 @@ class ExperimentDriver:
                 mean_waiting_time=metrics.mean_waiting_time(),
                 sync_delays=metrics.sync_delays,
                 max_sync_delay=metrics.max_sync_delay,
-                entry_order=list(self.entry_order),
+                entry_order=self.entry_order,
                 finished_at=engine.now,
                 fault_summary=fault_summary,
             )
-        # Metrics-free (fast path) run: derive the counts the substrate still
-        # tracks for free; per-entry timing statistics are unavailable.
+        # Metrics-free (fast path) run: the entries are the driver's own
+        # books, the messages the network's count; per-entry timing
+        # statistics are unavailable.
         network = self.system.network
-        if self._compact is not None:
-            entries = self._compact.total_entries
-        else:
-            entries = sum(node.cs_entries for node in self.system.nodes.values())
+        entries = len(self.entry_order)
         return ExperimentResult(
             algorithm=self.system.algorithm_name,
             topology=self.system.topology.describe(),
@@ -310,7 +305,7 @@ class ExperimentDriver:
             mean_waiting_time=None,  # not measured without a collector
             sync_delays=[],
             max_sync_delay=None,
-            entry_order=list(self.entry_order),
+            entry_order=self.entry_order,
             finished_at=engine.now,
             fault_summary=fault_summary,
         )
@@ -331,19 +326,19 @@ class ExperimentDriver:
         ``Workload`` keeps its columns in ``(arrival_time, node)`` order);
         the engine checks the first arrival against its clock.  The
         duration column is drawn by :meth:`_arrive`, one per arrival in fire
-        order, which is the schedule's order.  The enter hooks go in with
-        the arrivals: nothing enters a critical section before one.  A fault
-        controller is armed first, so its events claim the same engine
-        sequence numbers on every replay, whatever the worker count and
-        whoever calls this.  A driver loads once: :meth:`run` after this
-        replays the schedule loaded here.
+        order, which is the schedule's order.  The network's enter hook
+        goes in with the arrivals: nothing enters a critical section before
+        one.  A fault controller is armed first, so its events claim the
+        same engine sequence numbers on every replay, whatever the worker
+        count and whoever calls this.  A driver loads once: :meth:`run`
+        after this replays the schedule loaded here.
         """
         self._loaded = True
         faults = self.faults
         if faults is not None:
             faults.arm(self.system)
             self._fault_network = faults.network
-        self._aim_enter_hooks(self._handle_enter)
+        self.system.network.on_enter = self._handle_enter
         times, nodes, durations = self.workload.arrivals()
         self._next_duration = durations.__next__
         engine.schedule_lite_bulk(times, self._arrive, nodes, len(self.workload))
@@ -359,23 +354,8 @@ class ExperimentDriver:
             # as lost rather than backlogged — a restart does not resurrect it.
             self._lost_requests += 1
             return
-        state = self._compact
-        if state is not None:
-            # Columnar backend: probe the flag columns directly instead of
-            # materialising a node view per request.
-            busy = (
-                node_id in self._active
-                or state._requesting[node_id]
-                or state._in_cs[node_id]
-            )
-        else:
-            node = self._nodes[node_id]
-            busy = (
-                node_id in self._active
-                or node.requesting
-                or node.in_critical_section
-            )
-        if busy:
+        active = self._active
+        if node_id in active:
             backlog = self._backlog
             queued = backlog.get(node_id)
             if queued is None:
@@ -385,11 +365,12 @@ class ExperimentDriver:
             else:
                 backlog[node_id] = deque((queued, duration))
             return
-        self._active[node_id] = duration
+        active[node_id] = duration
+        state = self._compact
         if state is not None:
             state.request_cs(node_id)
         else:
-            node.request_cs()
+            self._nodes[node_id].request_cs()
 
     def _handle_enter(self, node_id: int, time: float) -> None:
         self.entry_order.append(node_id)

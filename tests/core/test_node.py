@@ -33,7 +33,7 @@ def build_pair():
     engine = SimulationEngine()
     metrics = MetricsCollector()
     network = Network(engine, metrics=metrics)
-    node = DagMutexNode(1, network, holding=False, next_node=2, metrics=metrics)
+    node = DagMutexNode(1, network, holding=False, next_node=2)
     peer = Sink(network, 2)
     return engine, network, metrics, node, peer
 
@@ -43,7 +43,7 @@ def build_holder():
     engine = SimulationEngine()
     metrics = MetricsCollector()
     network = Network(engine, metrics=metrics)
-    node = DagMutexNode(3, network, holding=True, metrics=metrics)
+    node = DagMutexNode(3, network, holding=True)
     peer = Sink(network, 2)
     return engine, network, metrics, node, peer
 
@@ -216,9 +216,8 @@ def test_on_enter_callback_invoked():
     engine = SimulationEngine()
     network = Network(engine)
     entered = []
-    node = DagMutexNode(
-        1, network, holding=True, on_enter=lambda node_id, time: entered.append((node_id, time))
-    )
+    node = DagMutexNode(1, network, holding=True)
+    network.on_enter = lambda node_id, time: entered.append((node_id, time))
     node.request_cs()
     assert entered == [(1, 0.0)]
 

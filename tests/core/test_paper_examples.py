@@ -224,8 +224,6 @@ class NoFastPathSystem(MutexSystem):
                 self.network,
                 holding=(node_id == self.topology.token_holder),
                 next_node=pointers[node_id],
-                metrics=self.metrics,
-                on_enter=self._on_enter,
             )
             for node_id in self.topology.nodes
         }

@@ -77,8 +77,7 @@ def test_fifo_queue_order_is_respected(line_topology):
     """Concurrent requests are served in the order they reach the sink."""
     protocol = DagMutexProtocol(line_topology, check_invariants=True)
     order = []
-    for node in protocol.nodes.values():
-        node._on_enter = lambda node_id, time: order.append(node_id)
+    protocol.network.on_enter = lambda node_id, time: order.append(node_id)
     protocol.request(3)
     protocol.run_until_quiescent()
     protocol.request(1)
@@ -137,8 +136,7 @@ def test_many_sequential_entries_on_line():
     """The token walks the line back and forth; every request is eventually served."""
     protocol = DagMutexProtocol(line(7, token_holder=1), check_invariants=True)
     entered = []
-    for node in protocol.nodes.values():
-        node._on_enter = lambda node_id, time: entered.append(node_id)
+    protocol.network.on_enter = lambda node_id, time: entered.append(node_id)
     for requester in [7, 1, 4, 2, 6, 3, 5]:
         protocol.request(requester)
         protocol.run_until_quiescent()

@@ -19,8 +19,8 @@ with no frame of its own; and no request object anywhere: a schedule is
 built as columns, so an arrival process's draws are its only frames per
 request and a heavy schedule costs the same few calls at any size.  The
 replay pins include the collector pause's ``__enter__`` and ``__exit__``,
-once each, and the driver's ``_aim_enter_hooks`` twice (set with the
-arrivals, cleared on the way out of ``run``), ``now`` once (the result's
+once each (the network's enter hook is one attribute, set with the arrivals
+and cleared on the way out of ``run``, no frame), ``now`` once (the result's
 ``finished_at``: the engine checks the first arrival against its clock when
 the arrivals load), the workload's ``arrivals`` and its columns' ``draw``
 once each, and ``__len__`` twice (the workload's and its columns').  A change
@@ -75,8 +75,6 @@ PINNED = {
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "workload/driver.py:<genexpr>": 51,
-        "workload/driver.py:_aim_enter_hooks": 2,
         "workload/driver.py:_arrive": 100,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 100,
@@ -111,7 +109,6 @@ PINNED = {
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "workload/driver.py:_aim_enter_hooks": 2,
         "workload/driver.py:_arrive": 100,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 100,
@@ -145,8 +142,6 @@ PINNED = {
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "workload/driver.py:<genexpr>": 51,
-        "workload/driver.py:_aim_enter_hooks": 2,
         "workload/driver.py:_arrive": 500,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 500,
@@ -181,7 +176,6 @@ PINNED = {
         "sim/schedulers.py:drain": 1,
         "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
-        "workload/driver.py:_aim_enter_hooks": 2,
         "workload/driver.py:_arrive": 500,
         "workload/driver.py:_completion_state": 1,
         "workload/driver.py:_handle_enter": 500,

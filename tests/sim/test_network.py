@@ -75,27 +75,42 @@ def test_duplicate_registration_rejected():
         network.register(1, lambda s, m: None)
 
 
-def test_columnar_id_cannot_also_be_registered_in_either_order():
+def test_a_network_holds_one_kind_of_receiver():
+    # Columns and registered receivers never mix, whatever the ids: each
+    # kind refuses the other, in either order, with one refusal each.
     class Columns:
         node_range = range(1, 4)
 
         def on_message(self, receiver, sender, message):
             pass
 
-    # register first, then attach: the columns may not cover a registered id.
-    engine, network, handlers = build_network()
-    with pytest.raises(NetworkError):
-        network.attach_columnar(Columns())
-    # attach first, then register: neither a handler nor a process may
-    # shadow the columns.  Ids outside the range stay registrable.
+    class Beyond(Columns):
+        node_range = range(4, 7)
+
+    # register first, then attach: refused whether or not the ranges meet.
+    for columns in (Columns(), Beyond()):
+        engine, network, handlers = build_network()
+        with pytest.raises(
+            NetworkError,
+            match=r"^columnar state cannot be attached: nodes are already registered "
+            r"and a network holds one kind of receiver$",
+        ):
+            network.attach_columnar(columns)
+        assert network._columnar is None and network._endpoints is network._receivers
+    # attach first, then register: neither a handler nor a process, inside
+    # the range or beyond it.
     network = Network(SimulationEngine())
     network.attach_columnar(Columns())
-    with pytest.raises(NetworkError, match="columnar"):
-        network.register(2, lambda s, m: None)
+    for node_id in (2, 4):
+        with pytest.raises(
+            NetworkError,
+            match=rf"^node {node_id} cannot be registered: columnar state is attached "
+            r"and a network holds one kind of receiver$",
+        ):
+            network.register(node_id, lambda s, m: None)
     with pytest.raises(NetworkError, match="columnar"):
         Untabled(2, network)
-    network.register(4, lambda s, m: None)
-    assert network.node_ids == [4]
+    assert network.node_ids == [] and network._endpoints == range(1, 4)
 
 
 def test_columnar_state_must_cover_a_contiguous_range():
@@ -113,24 +128,20 @@ def test_columnar_state_must_cover_a_contiguous_range():
     assert network._columnar is None
 
 
-def columnar_network(mixed, traced=False):
-    """The compact DAG columns for star(4) attached as ids 1..4; ``mixed``
-    registers an object handler (id 9) beside them, ``traced`` attaches a
-    trace recorder (every delivery then goes through ``_deliver``)."""
+def columnar_network(traced=False):
+    """The compact DAG columns for star(4) attached as ids 1..4; ``traced``
+    attaches a trace recorder (every delivery then goes through
+    ``_deliver``)."""
     engine = SimulationEngine()
     network = Network(engine, trace=TraceRecorder() if traced else None)
     assert (network._lane is None) is traced
     state = CompactDagState(star(4), network)
     network.attach_columnar(state)
-    outsider = Recorder()
-    if mixed:
-        network.register(9, outsider)
-    return engine, network, state, outsider
+    return engine, network, state
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["columnar-only", "mixed"])
-def test_columnar_endpoints_keep_every_refusal_and_its_text(mixed):
-    engine, network, state, outsider = columnar_network(mixed)
+def test_columnar_endpoints_keep_every_refusal_and_its_text():
+    engine, network, state = columnar_network()
     with pytest.raises(NetworkError, match=r"^unknown sender node 77$"):
         network.send(77, 1, "x")
     with pytest.raises(NetworkError, match=r"^unknown receiver node 77$"):
@@ -147,33 +158,19 @@ def test_columnar_endpoints_keep_every_refusal_and_its_text(mixed):
         ProtocolError, match=r"^node 2 received unexpected message 'bogus' from 1$"
     ):
         engine.run()
-    if mixed:
-        with pytest.raises(NetworkError, match=r"^unknown receiver node 5$"):
-            network.send(9, 5, "x")
-        network.send(3, 9, "out")
-        network.send(9, 3, "in")
-        with pytest.raises(
-            ProtocolError, match=r"^node 3 received unexpected message 'in' from 9$"
-        ):
-            engine.run()
-        assert outsider.received == [(3, "out")]
 
 
 #: Every way an id can miss the columns of star(4) (ids 1..4).
 NOT_A_COLUMNAR_ID = [0, -1, 5, "a", None]
-NETWORKS = pytest.mark.parametrize(
-    "mixed, traced",
-    [(False, False), (True, False), (False, True), (True, True)],
-    ids=["columnar-only-lane", "mixed-lane", "columnar-only-traced", "mixed-traced"],
-)
+NETWORKS = pytest.mark.parametrize("traced", [False, True], ids=["lane", "traced"])
 
 
 @NETWORKS
 @pytest.mark.parametrize("bad", NOT_A_COLUMNAR_ID, ids=repr)
-def test_a_columnar_send_refuses_an_id_outside_the_columns(mixed, traced, bad):
+def test_a_columnar_send_refuses_an_id_outside_the_columns(traced, bad):
     # The early exit compares ints with the columns' bounds; whatever that
     # refuses gets the full body's diagnosis, with the text it always had.
-    engine, network, state, outsider = columnar_network(mixed, traced)
+    engine, network, state = columnar_network(traced)
     with pytest.raises(NetworkError, match=rf"^unknown receiver node {bad}$"):
         network.send(1, bad, Request(1, 1))
     with pytest.raises(NetworkError, match=rf"^unknown sender node {bad}$"):
@@ -184,8 +181,8 @@ def test_a_columnar_send_refuses_an_id_outside_the_columns(mixed, traced, bad):
 
 
 @NETWORKS
-def test_a_columnar_self_send_is_refused(mixed, traced):
-    engine, network, state, outsider = columnar_network(mixed, traced)
+def test_a_columnar_self_send_is_refused(traced):
+    engine, network, state = columnar_network(traced)
     for node_id in (1, 4):
         with pytest.raises(
             NetworkError, match=rf"^node {node_id} attempted to send a message to itself$"
@@ -195,10 +192,10 @@ def test_a_columnar_self_send_is_refused(mixed, traced):
 
 
 @NETWORKS
-def test_a_bool_id_is_the_node_it_equals(mixed, traced):
+def test_a_bool_id_is_the_node_it_equals(traced):
     # bool is an int subclass and ``True in range(1, 5)`` holds, so the full
     # body's range test accepts it, and the columns index it as node 1.
-    engine, network, state, _ = columnar_network(mixed, traced)
+    engine, network, state = columnar_network(traced)
     network.send(True, 2, "x")
     with pytest.raises(
         ProtocolError, match=r"^node 2 received unexpected message 'x' from True$"
@@ -212,11 +209,11 @@ def test_a_bool_id_is_the_node_it_equals(mixed, traced):
 
 
 @NETWORKS
-def test_a_float_id_passes_the_range_test_as_it_equals_an_id(mixed, traced):
+def test_a_float_id_passes_the_range_test_as_it_equals_an_id(traced):
     # A float takes the full body's exact range test: 2.0 equals node 2 and
     # is accepted, then fails in the handler, which indexes the columns with
     # it; 2.5 equals no id and is refused at send.
-    engine, network, state, _ = columnar_network(mixed, traced)
+    engine, network, state = columnar_network(traced)
     with pytest.raises(NetworkError, match=r"^unknown receiver node 2.5$"):
         network.send(1, 2.5, Request(1, 1))
     with pytest.raises(NetworkError, match=r"^unknown sender node 2.5$"):
@@ -232,13 +229,12 @@ def test_a_float_id_passes_the_range_test_as_it_equals_an_id(mixed, traced):
         engine.run()
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["columnar-only", "mixed"])
-def test_columnar_deliveries_reach_the_protocol_handlers(mixed):
-    engine, network, state, _ = columnar_network(mixed)
+def test_columnar_deliveries_reach_the_protocol_handlers():
+    engine, network, state = columnar_network()
     state.request_cs(3)  # REQUEST 3 -> 1 (idle holder), PRIVILEGE 1 -> 3
     engine.run()
     assert network.messages_sent == 2
-    assert state.total_entries == 1
+    assert sum(state._entries) == 1 and state._entries[3] == 1
     assert state.snapshot(3)["NEXT"] is None and state.snapshot(1)["NEXT"] == 3
 
 

@@ -275,7 +275,7 @@ def _replay_star50(latency, attachment, node_backend):
             if node_backend == "object":
                 assert handler is type(target).dispatch_table[type(message)]
             else:
-                assert target in network._columnar_nodes
+                assert target in network._columnar.node_range
                 assert handler == network._columnar.dispatch_table[type(message)]
         else:
             # Every delivery goes through the network's one _deliver with the

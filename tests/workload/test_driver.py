@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.baselines.base import registry
 from repro.baselines.dag_adapter import DagSystem
+from repro.cells import fault_matrix
 from repro.exceptions import ExperimentError
-from repro.spec import ExperimentSpec, TopologySpec, WorkloadSpec
+from repro.spec import FAULT_PROFILES, ExperimentSpec, TopologySpec, WorkloadSpec
 from repro.topology import star
 from repro.workload.driver import ExperimentDriver, run_experiment
 from repro.workload.requests import CSRequest, Workload
+
+from ..conftest import forced_node_backend
 
 
 def test_run_experiment_by_name_and_by_class():
@@ -117,3 +123,86 @@ def test_a_driver_loads_its_schedule_once(loaded_first):
     # A second run has nothing left to replay.
     again = driver.run()
     assert again.completed_entries == 20 and again.entry_order == result.entry_order
+
+
+# --------------------------------------------------------------------------- #
+# the network's enter hook and the driver's own books
+# --------------------------------------------------------------------------- #
+#: Every algorithm, the DAG on both node backends (the baselines have one).
+ALGORITHM_BACKENDS = [
+    (algorithm, backend)
+    for algorithm in registry.names()
+    for backend in (("object", "compact") if algorithm == "dag" else ("object",))
+]
+
+
+def line_heavy_driver(algorithm, backend, **settings) -> ExperimentDriver:
+    spec = ExperimentSpec(
+        algorithm=algorithm,
+        topology=TopologySpec(kind="line", n=30),
+        workload=WorkloadSpec(tier="heavy", rounds=3),
+        collect_metrics=False,
+        **settings,
+    )
+    with forced_node_backend(backend):
+        driver = ExperimentDriver.from_spec(spec)
+    assert driver.system.node_backend == backend
+    return driver
+
+
+def entries_per_node(driver):
+    nodes = driver.system.nodes
+    return {node_id: nodes[node_id].cs_entries for node_id in nodes if nodes[node_id].cs_entries}
+
+
+def entry_order_per_node(entry_order):
+    counts = {}
+    for node_id in entry_order:
+        counts[node_id] = counts.get(node_id, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("algorithm, backend", ALGORITHM_BACKENDS)
+def test_every_entry_reaches_the_driver_once_through_the_network(algorithm, backend):
+    driver = line_heavy_driver(algorithm, backend)
+    network = driver.system.network
+    assert network.on_enter is None
+    driver._load_arrivals(driver.system.engine)
+    assert network.on_enter == driver._handle_enter
+    result = driver.run()
+    assert network.on_enter is None
+    # Each node's own count of entries is the number of times the driver
+    # heard of one from it: every entry reported, none twice.
+    assert entry_order_per_node(result.entry_order) == entries_per_node(driver)
+    assert result.completed_entries == len(result.entry_order) == len(driver.workload) == 90
+    assert result.entry_order is driver.entry_order
+
+
+@pytest.mark.parametrize("algorithm, backend", ALGORITHM_BACKENDS)
+def test_run_clears_the_network_hook_on_every_way_out(algorithm, backend):
+    # An exhausted event budget raises out of run().
+    driver = line_heavy_driver(algorithm, backend)
+    with pytest.raises(ExperimentError, match="event budget of 10 exhausted"):
+        driver.run(max_events=10)
+    assert driver.system.network.on_enter is None
+    # Under a fault controller a ProtocolError ends the replay and is
+    # recorded: here a message no algorithm knows, delivered at t=1.
+    driver = line_heavy_driver(algorithm, backend, faults=FAULT_PROFILES["lose-request"])
+    driver.system.network.send(1, 2, "bogus")
+    result = driver.run()
+    assert "received unexpected message 'bogus'" in result.fault_summary["protocol_error"]
+    assert driver.system.network.on_enter is None
+    assert entry_order_per_node(result.entry_order) == entries_per_node(driver)
+    assert result.completed_entries == len(result.entry_order)
+
+
+@pytest.mark.parametrize("cell", fault_matrix("smoke"), ids=lambda cell: cell.name)
+def test_a_metrics_free_fault_replay_counts_the_entries_its_nodes_made(cell):
+    # Crashes, restarts, drops, partitions and token regeneration: the
+    # driver's entry order still holds exactly the entries the nodes made,
+    # and the same replay with the collector watching enters alike.
+    driver = ExperimentDriver.from_spec(dataclasses.replace(cell.experiment, collect_metrics=False))
+    result = driver.run()
+    assert entry_order_per_node(result.entry_order) == entries_per_node(driver)
+    assert result.completed_entries == len(result.entry_order)
+    assert ExperimentDriver.from_spec(cell.experiment).run().entry_order == result.entry_order
