@@ -5,7 +5,8 @@ reliable, fully connected network and per-sender FIFO delivery.  This package
 provides that substrate:
 
 * :class:`~repro.sim.engine.SimulationEngine` — a deterministic discrete-event
-  scheduler with a virtual clock.
+  scheduler with a virtual clock; it keeps its event queue (a heap, a bulk
+  load of arrivals and a FIFO lane of constant-latency deliveries) itself.
 * :class:`~repro.sim.network.Network` — reliable FIFO channels between every
   pair of nodes, with pluggable latency models.
 * :class:`~repro.sim.process.SimProcess` — base class for node processes that
@@ -27,12 +28,11 @@ from repro.sim.metrics import CriticalSectionRecord, MetricsCollector
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
 from repro.sim.rng import SeededRNG
-from repro.sim.schedulers import SCHEDULER_MODES, HeapScheduler, make_scheduler
+from repro.sim.schedulers import SCHEDULER_MODES, make_scheduler
 from repro.sim.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "SimulationEngine",
-    "HeapScheduler",
     "SCHEDULER_MODES",
     "make_scheduler",
     "LatencyModel",

@@ -10,12 +10,13 @@ channel, its delivery is pushed back to just after the earlier delivery.
 A message is queued in one of two forms.  :meth:`Network.send` validates,
 counts, notifies the metrics collector and trace recorder if any is attached,
 checks the partition table and computes the delivery time.  The network that
-owns the scheduler's FIFO lane (constant latency, no trace recorder, the base
-:meth:`Network._deliver`) appends the delivery itself, ``(time, sequence,
-handler, target, sender, message)`` — the receiver's class-level
-``dispatch_table`` entry for the message's type (else an ``on_message``
-adapter) and the process, or the columnar handler and the id — which the
-drain fires as ``handler(target, sender, message)``; while no metrics
+owns the engine's FIFO lane (constant latency, no trace recorder, the base
+:meth:`Network._deliver`; ``SimulationEngine.claim_lane``) appends the
+delivery itself, ``(time, sequence, handler, target, sender, message)`` —
+the receiver's class-level ``dispatch_table`` entry for the message's type
+(else an ``on_message`` adapter) and the process, or the columnar handler
+and the id — which ``SimulationEngine.run`` fires as ``handler(target,
+sender, message)``; while no metrics
 collector is attached and no partition is active, that owner's ``send``
 opens with an early exit, where the one receiver lookup that finds the
 handler is also the endpoint check, and a columnar id is checked against
@@ -157,10 +158,10 @@ class Network:
         )
         # For the same reason every constant-latency delivery is due in send
         # order, network-wide: the first such network on an engine that does
-        # not watch deliveries appends ready-to-fire calls to the scheduler's
+        # not watch deliveries appends ready-to-fire calls to the engine's
         # FIFO lane (O(1) in, O(1) out); every other one pushes to the heap.
         watched = trace is not None or type(self)._deliver is not Network._deliver
-        lane = None if self._constant_delay is None or watched else engine.scheduler.claim_lane()
+        lane = None if self._constant_delay is None or watched else engine.claim_lane()
         self._lane = lane
         self._enqueue: Callable[[Tuple], None] = engine._push if lane is None else lane.append
         # One test on the send path covers both observers.

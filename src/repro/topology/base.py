@@ -146,13 +146,6 @@ class Topology:
             raise TopologyError(f"unknown node {node}")
         return self._offsets[node] - self._offsets[node - 1]
 
-    def leaves(self) -> Tuple[int, ...]:
-        """Nodes of degree one (the one node of a single-node topology)."""
-        if self.size == 1:
-            return (1,)
-        offsets = self._offsets
-        return tuple(v for v in self.nodes if offsets[v] - offsets[v - 1] == 1)
-
     # ------------------------------------------------------------------ #
     # orientation
     # ------------------------------------------------------------------ #

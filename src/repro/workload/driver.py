@@ -15,8 +15,15 @@ The driver learns of entries through one attribute, the system network's
 ``on_enter`` hook (every node of every algorithm reads it there), set with
 the arrivals and cleared when :meth:`ExperimentDriver.run` returns.  What the
 driver's own books already say it does not ask the nodes: a node is busy
-while it is in the driver's active map, and a metrics-free replay's entry
-count is the length of its entry order.
+while it is in the driver's active map.  A replay's ``completed_entries``
+counts the entries that also exited, with a collector or without: without
+one it is the length of the entry order less the nodes still inside their
+critical section when the replay ends (a node that crashed inside never
+leaves), counted once then.
+
+The workload's arrivals go to the engine as its one bulk load, a cursor over
+the schedule's columns beside the heap (:meth:`SimulationEngine.schedule_lite_bulk
+<repro.sim.engine.SimulationEngine.schedule_lite_bulk>`); a driver loads once.
 """
 
 from __future__ import annotations
@@ -263,8 +270,12 @@ class ExperimentDriver:
                 f"after {processed} events; the run did not finish"
             )
         fault_summary: Optional[Dict[str, Any]] = None
+        # Entries that never exited: only a fault leaves a node inside.
+        inside = 0
         if faults is not None:
             unserved, backlog = self._completion_state()
+            nodes = self._nodes
+            inside = sum(1 for node_id in unserved if nodes[node_id].in_critical_section)
             fault_summary = faults.summary()
             fault_summary["lost_requests"] = self._lost_requests
             fault_summary["unserved_nodes"] = len(unserved)
@@ -290,10 +301,11 @@ class ExperimentDriver:
                 fault_summary=fault_summary,
             )
         # Metrics-free (fast path) run: the entries are the driver's own
-        # books, the messages the network's count; per-entry timing
-        # statistics are unavailable.
+        # books less those still inside, as the collector counts them; the
+        # messages are the network's count; per-entry timing statistics are
+        # unavailable.
         network = self.system.network
-        entries = len(self.entry_order)
+        entries = len(self.entry_order) - inside
         return ExperimentResult(
             algorithm=self.system.algorithm_name,
             topology=self.system.topology.describe(),

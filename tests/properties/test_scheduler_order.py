@@ -1,17 +1,19 @@
 """The engine against a model that is just ``sorted`` on ``(time, sequence)``.
 
-The pending-event store keeps single pushes in a heap, bulk loads in a sorted
-run beside it and one constant-latency network's deliveries in a FIFO lane,
-as ready-to-fire three-argument calls; a second constant-latency network on
+The engine keeps single pushes in a heap, its one bulk load as a sorted run
+beside it and one constant-latency network's deliveries in a FIFO lane, as
+ready-to-fire three-argument calls; a second constant-latency network on
 the same engine, with another delay, pushes ``_deliver`` entries to the
 heap.  Whatever mix of these a program makes — from the top level or
 from inside callbacks, in time order or not (a bulk load itself comes in
 time order), with equal-time ties between them — and however the drain is
-cut into ``run(max_events=k)``,
-``run(until=t)``, ``step()`` and ``stop()`` slices, the events must fire in
-exactly the order one flat list sorted by ``(time, sequence)`` would give,
-``pending_events`` must be exact after every slice, and the clock must move
-as it always has: never backwards, and to ``until`` when a horizon is reached.
+cut into ``run(max_events=k)`` and ``run(until=t)`` slices, the events must
+fire in exactly the order one flat list sorted by ``(time, sequence)`` would
+give, ``pending_events`` must be exact after every slice, and the clock must
+move as it always has: never backwards, and to ``until`` when a horizon is
+reached.  An engine holds one bulk load at a time: a load made while an
+earlier one has entries left is refused before it draws a sequence number,
+and queues nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.exceptions import SchedulingError
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import FaultInjectingNetwork
 from repro.sim.latency import ConstantLatency, UniformLatency
@@ -42,8 +45,8 @@ def scripts(depth: int):
     ``("bulk", [(dt, script), ...])`` bulk-loads several (sorted by time
     first, as every load is: a ``Workload`` sorts itself), ``("send",
     which, script)`` sends one message through network ``which`` (delivered
-    :data:`NETWORK_DELAYS` ``[which]`` after now), ``("stop",)`` stops the
-    drain.  ``script`` is what the new event does in its turn.
+    :data:`NETWORK_DELAYS` ``[which]`` after now).  ``script`` is what the
+    new event does in its turn.
     """
     if depth == 0:
         return st.just(())
@@ -51,9 +54,7 @@ def scripts(depth: int):
     single = st.tuples(st.just("single"), DELAYS, child)
     bulk = st.tuples(st.just("bulk"), st.lists(st.tuples(DELAYS, child), max_size=6))
     send = st.tuples(st.just("send"), st.integers(0, 1), child)
-    return st.lists(st.one_of(single, bulk, send, st.just(("stop",))), max_size=3).map(
-        tuple
-    )
+    return st.lists(st.one_of(single, bulk, send), max_size=3).map(tuple)
 
 
 SCHEDULING = st.one_of(
@@ -65,7 +66,6 @@ SLICES = st.one_of(
     st.tuples(st.just("max_events"), st.integers(0, 7)),
     # Relative to now; a horizon in the past must fire nothing and move nothing.
     st.tuples(st.just("until"), st.integers(-2, 12).map(lambda quarters: quarters / 4)),
-    st.tuples(st.just("step"), st.none()),
     st.tuples(st.just("run"), st.none()),
 )
 PROGRAMS = st.lists(st.one_of(SCHEDULING, SLICES), max_size=14)
@@ -83,13 +83,13 @@ class Harness:
             network.register(2, lambda _sender, entry: self.fire(entry))
             self.networks.append(network)
         lane_owner, other = self.networks
-        assert lane_owner._enqueue == self.engine.scheduler._lane.append
+        assert lane_owner._enqueue == self.engine._lane.append
         assert other._enqueue == self.engine._push
         self.model = []  # (time, sequence, script) of everything not yet fired
+        self.loaded = set()  # sequences of the bulk-loaded entries not yet fired
         self.sequence = 0
         self.fired = 0
         self.clock = 0.0  # time of the last event fired
-        self.stopped = False
 
     def _expect(self, time: float, script) -> tuple:
         self.sequence += 1
@@ -101,13 +101,10 @@ class Harness:
         engine = self.engine
         now = engine.now
         for action in actions:
-            if action[0] == "stop":
-                engine.stop()
-                self.stopped = True
-            elif action[0] == "send":
+            if action[0] == "send":
                 _, which, script = action
                 delivery = now + NETWORK_DELAYS[which]
-                lane = engine.scheduler._lane
+                lane = engine._lane
                 queued = len(lane)
                 network = self.networks[which]
                 network.send(1, 2, self._expect(delivery, script))
@@ -123,10 +120,20 @@ class Harness:
             elif action[0] == "single":
                 _, delay, script = action
                 engine.schedule_lite(now + delay, self.fire, self._expect(now + delay, script))
+            elif self.loaded:
+                # An earlier load is live: refused before it draws anything.
+                _, items = action
+                pending = engine.pending_events
+                with pytest.raises(SchedulingError, match="still queued"):
+                    engine.schedule_lite_bulk(
+                        [now + delay for delay, _ in items], self.fire, items, len(items)
+                    )
+                assert engine.pending_events == pending
             else:
                 _, items = action
                 items = sorted(items, key=lambda item: item[0])
                 entries = [self._expect(now + delay, script) for delay, script in items]
+                self.loaded.update(entry[1] for entry in entries)
                 loaded = engine.schedule_lite_bulk(
                     map(itemgetter(0), entries), self.fire, entries, len(entries)
                 )
@@ -134,9 +141,9 @@ class Harness:
         assert engine._sequence == self.sequence
 
     def fire(self, entry) -> None:
-        assert not self.stopped, "an event fired after stop()"
         assert entry is sorted(self.model, key=lambda e: e[:2])[0]
         self.model.remove(entry)
+        self.loaded.discard(entry[1])
         assert self.engine.now == entry[0] >= self.clock
         self.clock = entry[0]
         self.fired += 1
@@ -144,26 +151,18 @@ class Harness:
 
     def drain(self, kind: str, argument) -> None:
         engine = self.engine
-        now, fired, pending = engine.now, self.fired, len(self.model)
-        self.stopped = False
-        if kind == "step":
-            assert engine.step() is (pending > 0)
-            count = min(pending, 1)
-        elif kind == "max_events":
+        now, fired = engine.now, self.fired
+        if kind == "max_events":
             count = engine.run(max_events=argument)
-            assert count == argument or self.stopped or not self.model
+            assert count == argument or not self.model
         elif kind == "until":
             horizon = now + argument
             count = engine.run(until=horizon)
-            if self.stopped and self.model:
-                # Stopped short of the horizon: the clock stays at the last event.
-                assert engine.now == self.clock <= horizon
-            else:
-                assert all(time > horizon for time, _, _ in self.model)
-                assert engine.now == max(now, horizon)
+            assert all(time > horizon for time, _, _ in self.model)
+            assert engine.now == max(now, horizon)
         else:
             count = engine.run()
-            assert self.stopped or not self.model
+            assert not self.model
         assert count == self.fired - fired
         assert engine.pending_events == len(self.model)
         assert engine.now >= now
@@ -187,6 +186,27 @@ def test_any_mix_of_pushes_loads_and_slices_fires_in_sorted_order(program):
     assert harness.engine.processed_events == harness.fired
 
 
+def test_a_second_live_load_is_refused_before_it_draws():
+    engine = SimulationEngine()
+    fired = []
+    assert engine.schedule_lite_bulk([1.0, 2.0, 3.0], fired.append, "abc", 3) == 3
+    engine.run(max_events=1)
+    # "b" and "c" are still queued: a second load queues nothing and draws
+    # no sequence number, not even an empty one.
+    for times, payloads in (([2.0, 4.0], "xy"), ([], "")):
+        with pytest.raises(SchedulingError, match="still queued"):
+            engine.schedule_lite_bulk(times, fired.append, payloads, len(times))
+        assert (engine._sequence, engine.pending_events) == (3, 2)
+    engine.schedule_lite(2.0, fired.append, "single")
+    engine.run()
+    assert fired == ["a", "b", "single", "c"]
+    # Spent, the load makes room for the next one, which draws on from 5.
+    assert engine.schedule_lite_bulk([4.0], fired.append, "d", 1) == 1
+    assert engine._run == [(4.0, 5, fired.append, "d")]
+    engine.run()
+    assert fired[-1] == "d"
+
+
 WATCHING_NETWORKS = {
     "uniform": lambda engine: Network(engine, latency=UniformLatency(0.5, 2.0)),
     "traced": lambda engine: Network(engine, trace=TraceRecorder()),
@@ -204,10 +224,10 @@ def test_a_network_that_watches_deliveries_never_touches_the_lane(kind):
     assert watching._enqueue == engine._push
     for index in range(20):
         watching.send(1 + index % 2, 2 - index % 2, index)
-    lane = engine.scheduler._lane
+    lane = engine._lane
     assert len(lane) == 0 and engine.pending_events == 20
-    assert all(entry[2] == watching._deliver for entry in engine.scheduler._entries)
-    while engine.step():
+    assert all(entry[2] == watching._deliver for entry in engine._heap)
+    while engine.run(max_events=1):
         assert len(lane) == 0
     assert sorted(fired) == list(range(20))
     # The lane is still unclaimed: the first constant-latency network gets it.

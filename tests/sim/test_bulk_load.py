@@ -2,37 +2,29 @@
 
 ``SimulationEngine.schedule_lite_bulk(times, callback, payloads, count)``
 draws ``count`` sequence numbers, one per event in column order, each
-payload fired at its time, and hands the scheduler one iterator zipped from
-the two columns — the times ascending, as a ``Workload`` keeps its own; only
-:data:`~repro.sim.schedulers.BULK_CHUNK` entries are built ahead of the
-drain.  Every case but the clock check loads more than one chunk, so the
-part of a load that is not built yet is always in play: it
-must count in ``pending_events``, fire in ``(time, sequence)`` order however
-the drain is sliced, and merge with a second load made before it is built.
+payload fired at its time, and keeps one iterator zipped from the two
+columns — the times ascending, as a ``Workload`` keeps its own; only
+:data:`~repro.sim.engine.BULK_CHUNK` entries are built ahead of the drain.
+Every case but the clock check loads more than one chunk, so the part of a
+load that is not built yet is always in play: it must count in
+``pending_events`` and fire in ``(time, sequence)`` order however the drain
+is sliced.  An engine holds one load at a time: a second load made while
+one is live is refused, and one made once it is spent fires
+(``tests/properties/test_scheduler_order.py`` holds the refusal too).
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 import pytest
 
 from repro.bench import run_setup_scenario
 from repro.cells import bench_cell
 from repro.exceptions import SchedulingError
-from repro.sim.engine import SimulationEngine
-from repro.sim.schedulers import BULK_CHUNK
+from repro.sim.engine import BULK_CHUNK, SimulationEngine
 from repro.spec import ExperimentSpec, TopologySpec, WorkloadSpec
 from repro.workload.driver import ExperimentDriver
 
 SIZE = 2 * BULK_CHUNK + 5
-#: The time of a ``(time, load, index)`` payload.
-AT = itemgetter(0)
-
-
-def load(engine, callback, payloads):
-    """Bulk-load ``(time, ...)`` payloads, each at its own time."""
-    return engine.schedule_lite_bulk(map(AT, payloads), callback, payloads, len(payloads))
 
 
 def test_the_unbuilt_part_of_a_load_counts_as_pending():
@@ -40,7 +32,7 @@ def test_the_unbuilt_part_of_a_load_counts_as_pending():
     fired = []
     times = [1.0] * SIZE
     assert engine.schedule_lite_bulk(times, fired.append, range(SIZE), SIZE) == SIZE
-    assert len(engine.scheduler._run) == BULK_CHUNK
+    assert len(engine._run) == BULK_CHUNK
     assert engine.pending_events == SIZE
     for taken in (1, BULK_CHUNK - 1, 1, BULK_CHUNK, 3):
         assert engine.run(max_events=taken) == taken
@@ -51,40 +43,50 @@ def test_the_unbuilt_part_of_a_load_counts_as_pending():
     assert fired == list(range(SIZE))
 
 
-def test_a_second_load_merges_with_a_part_built_first():
-    first = [(float(index // 3), "first", index) for index in range(SIZE)]
+def test_a_load_made_from_a_callback_is_refused_while_one_is_live():
     engine = SimulationEngine()
-    fired = []
-    load(engine, fired.append, first)
-    engine.run(max_events=10)
-    assert len(engine.scheduler._run) == BULK_CHUNK - 10
-    # Every time of the second load is at or after now (3.0), and many tie
-    # with the first's: a tie fires the first load's event first, which is
-    # also how the payloads sort ("first" < "second").
-    second = [(index / 2 + 0.5 + engine.now, "second", index) for index in range(SIZE)]
-    load(engine, fired.append, second)
-    assert engine.pending_events == 2 * SIZE - 10
+    fired, refusals = [], []
+
+    def load_more(_):
+        # Mid-drain, with the first load's chunk part spent.
+        assert 0 < len(engine._run) < BULK_CHUNK
+        drawn, pending = engine._sequence, engine.pending_events
+        with pytest.raises(SchedulingError, match="still queued") as refusal:
+            engine.schedule_lite_bulk([2.0, 3.0], fired.append, ["x", "y"], 2)
+        refusals.append(refusal.value)
+        assert (engine._sequence, engine.pending_events) == (drawn, pending)
+
+    times = [float(index // 1000) for index in range(SIZE)]
+    engine.schedule_lite_bulk(times, fired.append, range(SIZE), SIZE)
+    engine.schedule_lite(1.5, load_more)
     engine.run()
-    assert fired == sorted(first + second)
+    assert len(refusals) == 1
+    # The first load fires whole, and nothing of the refused one does.
+    assert fired == list(range(SIZE))
     assert engine.pending_events == 0
 
 
-def test_a_load_made_from_a_callback_merges_too():
-    early = [(float(index // 1000), "early", index) for index in range(SIZE)]
-    late = [(2.0 + index / SIZE, "late", index) for index in range(SIZE)]
+def test_a_load_made_from_the_last_entry_of_the_previous_one_fires():
     engine = SimulationEngine()
     fired = []
+    later = [float(SIZE + index) for index in range(SIZE)]
 
-    def load_late(_):
-        # Mid-drain, with the early load's chunk part spent.
-        assert 0 < len(engine.scheduler._run) < BULK_CHUNK
-        load(engine, fired.append, late)
+    def arrive(index):
+        fired.append(index)
+        if index == SIZE - 1:
+            # The last entry is taken and the spent load let go of its
+            # columns before this callback runs: the next load is accepted
+            # and the running drain carries on into it.
+            assert engine.pending_events == 0
+            payloads = range(SIZE, 2 * SIZE)
+            assert engine.schedule_lite_bulk(later, fired.append, payloads, SIZE) == SIZE
 
-    load(engine, fired.append, early)
-    engine.schedule_lite(1.5, load_late)
-    engine.run()
-    # A tie fires the early load's event first ("early" < "late").
-    assert fired == sorted(early + late)
+    times = [float(index) for index in range(SIZE)]
+    engine.schedule_lite_bulk(times, arrive, range(SIZE), SIZE)
+    assert engine.run() == 2 * SIZE
+    assert fired == list(range(2 * SIZE))
+    assert engine._sequence == engine.processed_events == 2 * SIZE
+    assert engine.now == float(2 * SIZE - 1)
 
 
 def test_sliced_drains_fire_the_whole_drain_order():

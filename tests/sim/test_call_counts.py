@@ -23,7 +23,13 @@ once each (the network's enter hook is one attribute, set with the arrivals
 and cleared on the way out of ``run``, no frame), ``now`` once (the result's
 ``finished_at``: the engine checks the first arrival against its clock when
 the arrivals load), the workload's ``arrivals`` and its columns' ``draw``
-once each, and ``__len__`` twice (the workload's and its columns').  A change
+once each, and ``__len__`` twice (the workload's and its columns').  The
+engine keeps its event queue itself, so a replay's engine frames are
+``schedule_lite_bulk``, ``run`` (the drain loop) and ``pending_events`` once
+each and ``_refill`` twice (the load's one chunk, then the empty refill that
+finds it spent): the ``sim/schedulers.py`` frames ``push_bulk``, ``drain``
+and ``__len__`` (once per replay each, none per event) went with the
+scheduler object, and ``_refill`` moved to ``sim/engine.py``.  A change
 that moves a count re-pins it here and records in ``CHANGES.md`` the
 before/after measurement that justifies the move; a failure prints the
 per-function table, pinned against now, largest move first.
@@ -65,15 +71,12 @@ PINNED = {
         "core/node.py:release_cs": 100,
         "core/node.py:request_cs": 100,
         "sim/engine.py:now": 1,
+        "sim/engine.py:_refill": 2,
         "sim/engine.py:pending_events": 1,
         "sim/engine.py:run": 1,
         "sim/engine.py:schedule_lite_bulk": 1,
         "sim/network.py:messages_sent": 2,
         "sim/network.py:send": 1008,
-        "sim/schedulers.py:__len__": 1,
-        "sim/schedulers.py:_refill": 2,
-        "sim/schedulers.py:drain": 1,
-        "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
         "workload/driver.py:_arrive": 100,
         "workload/driver.py:_completion_state": 1,
@@ -99,15 +102,12 @@ PINNED = {
         "core/compact_state.py:request_cs": 100,
         "core/messages.py:__init__": 911,
         "sim/engine.py:now": 1,
+        "sim/engine.py:_refill": 2,
         "sim/engine.py:pending_events": 1,
         "sim/engine.py:run": 1,
         "sim/engine.py:schedule_lite_bulk": 1,
         "sim/network.py:messages_sent": 2,
         "sim/network.py:send": 1008,
-        "sim/schedulers.py:__len__": 1,
-        "sim/schedulers.py:_refill": 2,
-        "sim/schedulers.py:drain": 1,
-        "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
         "workload/driver.py:_arrive": 100,
         "workload/driver.py:_completion_state": 1,
@@ -132,15 +132,12 @@ PINNED = {
         "core/node.py:release_cs": 500,
         "core/node.py:request_cs": 500,
         "sim/engine.py:now": 1,
+        "sim/engine.py:_refill": 2,
         "sim/engine.py:pending_events": 1,
         "sim/engine.py:run": 1,
         "sim/engine.py:schedule_lite_bulk": 1,
         "sim/network.py:messages_sent": 2,
         "sim/network.py:send": 1477,
-        "sim/schedulers.py:__len__": 1,
-        "sim/schedulers.py:_refill": 2,
-        "sim/schedulers.py:drain": 1,
-        "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
         "workload/driver.py:_arrive": 500,
         "workload/driver.py:_completion_state": 1,
@@ -166,15 +163,12 @@ PINNED = {
         "core/compact_state.py:request_cs": 500,
         "core/messages.py:__init__": 979,
         "sim/engine.py:now": 1,
+        "sim/engine.py:_refill": 2,
         "sim/engine.py:pending_events": 1,
         "sim/engine.py:run": 1,
         "sim/engine.py:schedule_lite_bulk": 1,
         "sim/network.py:messages_sent": 2,
         "sim/network.py:send": 1477,
-        "sim/schedulers.py:__len__": 1,
-        "sim/schedulers.py:_refill": 2,
-        "sim/schedulers.py:drain": 1,
-        "sim/schedulers.py:push_bulk": 1,
         "topology/base.py:describe": 1,
         "workload/driver.py:_arrive": 500,
         "workload/driver.py:_completion_state": 1,

@@ -104,9 +104,9 @@ def test_bulk_load_cannot_run_the_clock_backwards():
     assert seen == [5.0]
     assert engine.now == 5.0
     assert engine.pending_events == 0
-    # `now` itself is fine, and so is an empty load.
-    assert engine.schedule_lite_bulk([5.0], seen.append, [5], 1) == 1
+    # An empty load is fine, and so is `now` itself.
     assert engine.schedule_lite_bulk([], seen.append, [], 0) == 0
+    assert engine.schedule_lite_bulk([5.0], seen.append, [5], 1) == 1
     engine.run()
     assert seen == [5.0, 5]
     assert engine.now == 5.0
@@ -193,20 +193,10 @@ def test_step_processes_single_event():
     fired = []
     engine.schedule_lite(1.0, lambda _: fired.append("a"))
     engine.schedule_lite(2.0, lambda _: fired.append("b"))
-    assert engine.step() is True
+    assert engine.run(max_events=1) == 1
     assert fired == ["a"]
-    assert engine.step() is True
-    assert engine.step() is False
-
-
-def test_stop_inside_callback():
-    engine = SimulationEngine()
-    fired = []
-    engine.schedule_lite(1.0, lambda _: (fired.append(1), engine.stop()))
-    engine.schedule_lite(2.0, lambda _: fired.append(2))
-    engine.run()
-    assert fired == [1]
-    assert engine.pending_events == 1
+    assert engine.run(max_events=1) == 1
+    assert engine.run(max_events=1) == 0
 
 
 def test_run_is_not_reentrant():
@@ -232,3 +222,58 @@ def test_processed_and_pending_counters():
     engine.run(max_events=2)
     assert engine.processed_events == 2
     assert engine.pending_events == 2
+
+
+def test_the_lane_has_one_owner():
+    engine = SimulationEngine()
+    lane = engine.claim_lane()
+    assert lane is engine._lane
+    # A second constant-latency network may have another delay: it gets
+    # no lane and uses the heap.
+    assert engine.claim_lane() is None
+    assert engine.claim_lane() is None
+
+
+def test_lane_entries_fire_as_calls_in_heap_order():
+    engine = SimulationEngine()
+    lane = engine.claim_lane()
+    fired = []
+
+    def deliver(target, sender, message):
+        fired.append((engine.now, target, sender, message))
+
+    # Sequence numbers drawn as the network draws them, interleaved with
+    # heap entries at the same and at earlier times.
+    engine.schedule_lite(1.0, lambda payload: fired.append((engine.now, payload)), "h1")
+    lane.append((1.0, 2, deliver, 7, 3, "m1"))
+    engine._sequence = 2
+    engine.schedule_lite(0.5, lambda payload: fired.append((engine.now, payload)), "h0")
+    engine.schedule_lite(1.0, lambda payload: fired.append((engine.now, payload)), "h2")
+    lane.append((2.0, 5, deliver, 3, 7, "m2"))
+    engine._sequence = 5
+    assert engine.pending_events == 5
+    assert engine.run() == 5
+    assert fired == [
+        (0.5, "h0"),
+        (1.0, "h1"),
+        (1.0, 7, 3, "m1"),
+        (1.0, "h2"),
+        (2.0, 3, 7, "m2"),
+    ]
+    assert engine.pending_events == 0
+    assert engine.now == 2.0
+
+
+def test_pending_events_adds_up_the_three_stores():
+    engine = SimulationEngine()
+    lane = engine.claim_lane()
+    engine.schedule_lite(3.0, lambda _: None)
+    engine.schedule_lite(4.0, lambda _: None)
+    engine.schedule_lite_bulk([1.0, 2.0, 5.0], lambda _: None, "abc", 3)
+    lane.append((2.5, 6, lambda *_: None, 1, 2, "m"))
+    engine._sequence = 6
+    assert engine.pending_events == 2 + 3 + 1
+    for remaining in (5, 4, 3, 2, 1, 0):
+        assert engine.run(max_events=1) == 1
+        assert engine.pending_events == remaining
+    assert engine.now == 5.0

@@ -59,11 +59,11 @@ def replay(topology_name, node_backend, **system_kwargs):
         system = DagSystem(topology, collect_metrics=False, **system_kwargs)
         assert system.node_backend == node_backend
         engine, network = system.engine, system.network
-        lane = engine.scheduler._lane
+        lane = engine._lane
         driver = ExperimentDriver(system, workload)
         driver._load_arrivals(engine)
         lane_peak = 0
-        while engine.step():
+        while engine.run(max_events=1):
             lane_peak = max(lane_peak, len(lane))
             for _time, _sequence, handler, target, _sender, message in lane:
                 # A resolved call: the receiver's table entry for the type.
@@ -115,7 +115,7 @@ NETWORKS = {
 def test_messages_in_flight_is_exact_after_every_step(kind):
     engine = SimulationEngine()
     network = NETWORKS[kind](engine)
-    assert (network._enqueue == engine.scheduler._lane.append) is (kind == "lane")
+    assert (network._enqueue == engine._lane.append) is (kind == "lane")
 
     def relay(node):
         # Every message n > 0 fans out as n - 1 to the next two nodes.
@@ -134,7 +134,7 @@ def test_messages_in_flight_is_exact_after_every_step(kind):
     # engine's pending count is the true number of messages in flight.
     assert network.messages_in_flight == engine.pending_events == 3
     steps = 0
-    while engine.step():
+    while engine.run(max_events=1):
         steps += 1
         if steps == 4:
             network.partition(1, 2)

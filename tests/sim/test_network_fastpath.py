@@ -225,7 +225,7 @@ def _replay_star50(latency, attachment, node_backend):
     # go to the scheduler's FIFO lane.  A trace recorder, a fault network or
     # any other latency model pushes _deliver entries to the heap.
     resolved = latency == "constant" and not record_trace and network_factory is None
-    lane_append = engine.scheduler._lane.append
+    lane_append = engine._lane.append
     assert (network._enqueue == lane_append) is resolved
     # The lane's owner takes send's early exit unless metrics watch its sends.
     direct = resolved and not collect_metrics

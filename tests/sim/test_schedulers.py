@@ -1,4 +1,4 @@
-"""Engine semantics on the one pending-event store (repro.sim.schedulers)."""
+"""Engine semantics on the one event queue, and the scheduler spellings that outlived the ring."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import SchedulingError
 from repro.sim.engine import SimulationEngine
-from repro.sim.schedulers import SCHEDULER_MODES, HeapScheduler, make_scheduler
+from repro.sim.schedulers import SCHEDULER_MODES, make_scheduler
 
 
 @pytest.fixture(params=["heap"])
@@ -25,7 +25,7 @@ def record_order(engine, times):
 
 
 # --------------------------------------------------------------------------- #
-# ordering, horizons, budgets, stop
+# ordering, horizons, budgets
 # --------------------------------------------------------------------------- #
 def test_fires_in_time_then_sequence_order(engine):
     fired = record_order(engine, [5.0, 1.0, 3.0, 1.0, 5.0])
@@ -63,21 +63,11 @@ def test_max_events_budget_and_step(engine):
     fired = record_order(engine, [1.0, 1.0, 1.0, 2.0])
     assert engine.run(max_events=2) == 2
     assert fired == [0, 1]
-    assert engine.step() is True
+    assert engine.run(max_events=1) == 1
     assert fired == [0, 1, 2]
-    assert engine.step() is True
-    assert engine.step() is False
+    assert engine.run(max_events=1) == 1
+    assert engine.run(max_events=1) == 0
     assert fired == [0, 1, 2, 3]
-
-
-def test_stop_inside_callback_halts_after_current_event(engine):
-    fired = []
-    engine.schedule_lite(1.0, lambda _: (fired.append(1), engine.stop()))
-    engine.schedule_lite(1.0, lambda _: fired.append(2))
-    assert engine.run() == 1
-    assert fired == [1]
-    assert engine.run() == 1
-    assert fired == [1, 2]
 
 
 def test_events_scheduled_during_run_at_same_time_fire_in_sequence_order(engine):
@@ -133,10 +123,12 @@ def test_callback_exception_does_not_refire_consumed_events(engine):
 def test_make_scheduler_modes():
     assert SCHEDULER_MODES == ("auto", "heap")
     for mode in SCHEDULER_MODES:
-        assert type(make_scheduler(mode)) is HeapScheduler
+        assert make_scheduler(mode) == "heap"
         assert SimulationEngine(scheduler=mode).scheduler_kind == "heap"
     assert SimulationEngine().scheduler_kind == "heap"
     with pytest.raises(SchedulingError, match="removed"):
         make_scheduler("ring")
     with pytest.raises(SchedulingError, match="fibonacci"):
         make_scheduler("fibonacci")
+    with pytest.raises(SchedulingError, match="removed"):
+        SimulationEngine(scheduler="ring")

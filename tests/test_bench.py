@@ -409,7 +409,7 @@ def test_setup_benchmark_times_every_construction_phase():
 
 def test_setup_benchmark_builds_one_chunk_and_no_request(monkeypatch):
     from repro.bench import run_setup_scenario
-    from repro.sim.schedulers import BULK_CHUNK
+    from repro.sim.engine import BULK_CHUNK
     from repro.workload import CSRequest
 
     # A heavy cell at the round-count threshold, as at the 1M tier, with

@@ -76,7 +76,6 @@ def assert_equivalent(built: Topology, reference: Topology) -> None:
     assert built.size == reference.size
     assert built.edges == reference.edges
     assert built.token_holder == reference.token_holder
-    assert built.leaves() == reference.leaves()
     for node in reference.nodes:
         assert built.neighbors(node) == reference.neighbors(node)
         assert built.degree(node) == reference.degree(node)

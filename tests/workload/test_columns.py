@@ -19,7 +19,7 @@ from itertools import islice
 import pytest
 
 from repro.baselines.base import registry
-from repro.sim.schedulers import BULK_CHUNK
+from repro.sim.engine import BULK_CHUNK
 from repro.spec import WORKLOAD_TIERS, WorkloadSpec
 from repro.topology import balanced_tree, line, star
 from repro.workload import CSRequest, ExperimentDriver, WorkloadGenerator, run_experiment
@@ -151,10 +151,10 @@ def test_the_heavy_value_is_drawn_only_as_the_drain_reaches_it():
     engine = driver.system.engine
     driver._load_arrivals(engine)
     assert engine.pending_events == 20 * rounds
-    assert len(engine.scheduler._run) == BULK_CHUNK
+    assert len(engine._run) == BULK_CHUNK
     engine.run(max_events=10_000)
     assert len(driver.entry_order) > 0
-    assert engine.scheduler._unloaded > 20 * rounds - 2 * 10_000
+    assert engine._unloaded > 20 * rounds - 2 * 10_000
 
 
 # --------------------------------------------------------------------------- #

@@ -35,9 +35,9 @@ def peaks(kind: str, n: int, rounds: int):
     engine = driver.system.engine
     driver._load_arrivals(engine)
     assert engine.pending_events == len(driver.workload) == rounds * n
-    heap, lane = engine.scheduler._entries, engine.scheduler._lane
+    heap, lane = engine._heap, engine._lane
     heap_peak = lane_peak = 0
-    while engine.step():
+    while engine.run(max_events=1):
         heap_peak = max(heap_peak, len(heap))
         lane_peak = max(lane_peak, len(lane))
     assert engine.pending_events == 0

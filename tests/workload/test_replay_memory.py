@@ -23,7 +23,7 @@ import gc
 import sys
 import tracemalloc
 
-from repro.sim.schedulers import BULK_CHUNK
+from repro.sim.engine import BULK_CHUNK
 from repro.spec import ExperimentSpec, TopologySpec, WorkloadSpec
 from repro.workload.driver import ExperimentDriver
 from repro.workload.requests import CSRequest, Workload
@@ -113,10 +113,10 @@ def test_only_one_chunk_of_a_bulk_load_is_ever_built():
     )
     engine = driver.system.engine
     driver._load_arrivals(engine)
-    run = engine.scheduler._run
+    run = engine._run
     assert len(run) == BULK_CHUNK < len(driver.workload) == engine.pending_events
     peak = 0
-    while engine.step():
+    while engine.run(max_events=1):
         peak = max(peak, len(run))
     assert peak == BULK_CHUNK
     assert len(driver.entry_order) == len(driver.workload)
