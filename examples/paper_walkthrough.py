@@ -15,9 +15,8 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core.initialization import run_initialization
+from repro.baselines.dag_adapter import DagMutexProtocol, run_initialization
 from repro.core.inspector import implicit_queue
-from repro.core.protocol import DagMutexProtocol
 from repro.topology import paper_figure2_topology, paper_figure6_topology
 from repro.viz.state_table import render_state_table
 

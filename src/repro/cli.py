@@ -37,10 +37,10 @@ from repro.analysis.theory import (
     upper_bound_table,
 )
 from repro.baselines import registry
+from repro.baselines.dag_adapter import DagMutexProtocol
 from repro.core.inspector import implicit_queue
 from repro.exceptions import ReproError
 from repro.spec import FAULT_PROFILES, ExperimentSpec, RuntimeSpec
-from repro.core.protocol import DagMutexProtocol
 from repro.topology import (
     balanced_tree,
     line,

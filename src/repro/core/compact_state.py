@@ -1,8 +1,8 @@
 """Columnar (structure-of-arrays) storage for the DAG protocol state.
 
 At a million nodes the object backend's cost is "a million Python objects":
-~780 MB of :class:`~repro.core.node.DagMutexNode` instances plus per-node
-dispatch tables, and ~12 s just to build them.  This module stores the same
+~780 MB of :class:`~repro.baselines.dag_adapter.DagMutexNode` instances plus
+per-node dispatch tables, and ~12 s just to build them.  This module stores the same
 three paper variables — HOLDING, NEXT, FOLLOW — plus the requesting/in-CS
 flags and the per-node entry counter as six flat lists indexed by node id,
 one per attribute of the object node:
@@ -301,10 +301,10 @@ class DagNodeView:
     Reads and writes go straight to the columns, so a view is always
     coherent with the state (and with every other view of the same node).
     Views satisfy everything downstream code asks of a
-    :class:`~repro.core.node.DagMutexNode` — the driver's flag probes, the
-    fault controller's ``has_token`` scan, token regeneration's pointer
-    rewrites — without the per-node object cost: they are materialised
-    lazily by :class:`CompactNodeMap` and usually die young.
+    :class:`~repro.baselines.dag_adapter.DagMutexNode` — the driver's flag
+    probes, the fault controller's ``has_token`` scan, token regeneration's
+    pointer rewrites — without the per-node object cost: they are
+    materialised lazily by :class:`CompactNodeMap` and usually die young.
     """
 
     __slots__ = ("_state", "node_id")

@@ -5,20 +5,19 @@ no message carries a queue of pending requests; instead "the queue is
 maintained implicitly in a distributed manner and may be deduced by observing
 the states of the nodes".  These helpers perform exactly that deduction, and
 the property tests check that the deduced queue equals the order in which the
-token is subsequently granted.
+token is subsequently granted.  A ``protocol`` here is anything whose
+``nodes`` maps node ids to node-shaped objects, such as a
+:class:`~repro.baselines.dag_adapter.DagMutexProtocol`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Any, List, Optional
 
 from repro.exceptions import InvariantViolation
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.core.protocol import DagMutexProtocol
 
-
-def token_holder(protocol: "DagMutexProtocol") -> Optional[int]:
+def token_holder(protocol: Any) -> Optional[int]:
     """The node currently having the token, or ``None`` while it is in flight."""
     holders = [
         node_id for node_id, node in protocol.nodes.items() if node.has_token()
@@ -30,7 +29,7 @@ def token_holder(protocol: "DagMutexProtocol") -> Optional[int]:
     return holders[0] if holders else None
 
 
-def implicit_queue(protocol: "DagMutexProtocol") -> List[int]:
+def implicit_queue(protocol: Any) -> List[int]:
     """The implicit waiting queue, deduced by chasing ``FOLLOW`` pointers.
 
     Args:
@@ -63,7 +62,7 @@ def implicit_queue(protocol: "DagMutexProtocol") -> List[int]:
     return queue
 
 
-def waiting_nodes(protocol: "DagMutexProtocol") -> List[int]:
+def waiting_nodes(protocol: Any) -> List[int]:
     """Nodes with an outstanding request that have not yet entered the CS."""
     return sorted(
         node_id for node_id, node in protocol.nodes.items() if node.requesting

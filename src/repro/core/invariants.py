@@ -1,9 +1,11 @@
 """Runtime checks for the safety properties proved in Chapter 5.
 
-The checker inspects a running :class:`~repro.core.protocol.DagMutexProtocol`
-and raises :class:`~repro.exceptions.InvariantViolation` on the first breach.
-Checked after every simulation event during stress tests, these correspond to
-the paper's claims:
+The checker inspects a running :class:`~repro.baselines.dag_adapter
+.DagMutexProtocol` (it reads only ``nodes``, ``topology.edges`` and
+``network.messages_in_flight``) and raises
+:class:`~repro.exceptions.InvariantViolation` on the first breach.  Checked
+after every simulation event during stress tests, these correspond to the
+paper's claims:
 
 * **Mutual exclusion** (Theorem, §5.1): at most one node has the token and at
   most one node is inside its critical section.
@@ -22,18 +24,15 @@ the paper's claims:
 
 from __future__ import annotations
 
-from typing import Set, TYPE_CHECKING
+from typing import Any, Set
 
 from repro.exceptions import InvariantViolation
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.core.protocol import DagMutexProtocol
 
 
 class InvariantChecker:
     """Checks the Chapter 5 safety invariants of a protocol instance."""
 
-    def __init__(self, protocol: "DagMutexProtocol") -> None:
+    def __init__(self, protocol: Any) -> None:
         self._protocol = protocol
         self._tree_edges: Set[frozenset] = {
             frozenset(edge) for edge in protocol.topology.edges

@@ -11,13 +11,17 @@ which the variables are read or written.
 
 The kernel blocks on nothing and owns no engine, socket or task, so it can be
 stepped by anything that supplies a ``network`` with a ``send(sender,
-receiver, message)``: :class:`DagMutexNode` drives it from the discrete-event
-simulator's :class:`~repro.sim.network.Network`, :class:`~repro.runtime
-.node_runtime.AsyncDagNode` from its token tree's pump (the same handler
-calls, fired on the sender's stack, no task and no queue of its own), and
-``tests/core/test_kernel_exhaustive.py`` from plain FIFO lists.  (The columnar :class:`~repro.core.compact_state
-.CompactDagState` is a hand-inlined transcription of the same text, gated
-against it by ``tests/properties/test_backend_identity.py``.)
+receiver, message)``: :class:`~repro.baselines.dag_adapter.DagMutexNode`
+drives it from the discrete-event simulator's :class:`~repro.sim.network
+.Network`, :class:`~repro.runtime.node_runtime.AsyncDagNode` from its token
+tree's pump (the same handler calls, fired on the sender's stack, no task and
+no queue of its own), and ``tests/core/test_kernel_exhaustive.py`` from plain
+FIFO lists.  (The columnar :class:`~repro.core.compact_state.CompactDagState`
+is a hand-inlined transcription of the same text, gated against it by
+``tests/properties/test_backend_identity.py``.)  The class-level dispatch
+table every driver delivers through, :class:`HandlerTable`, is defined here
+too, so this module imports nothing outside :mod:`repro.core` but
+:mod:`repro.exceptions`.
 
 Variable names follow the paper: ``HOLDING`` (token held while not in the
 critical section and with no pending request), ``NEXT`` (the neighbour on the
@@ -28,19 +32,43 @@ empty).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.messages import Privilege, Request
 from repro.core.state import NodeStateName, classify_state
 from repro.exceptions import ProtocolError
-from repro.sim.metrics import MetricsCollector
-from repro.sim.network import Network
-from repro.sim.process import HandlerTable, SimProcess
-from repro.sim.trace import TraceRecorder
 
 # PRIVILEGE carries no payload and compares by type, so a single shared
 # instance serves every token pass without per-send allocation.
 _PRIVILEGE = Privilege()
+
+
+class HandlerTable:
+    """A class-level message dispatch table, shared by every driver of a handler.
+
+    A subclass declares ``_MESSAGE_HANDLERS`` (message type -> handler method
+    name) and gets :attr:`dispatch_table` (message type -> handler function),
+    built once per class by resolving each name *on that class*, so a
+    subclass's override of a handler is what runs.  A driver calls the entry
+    for a message's type as ``handler(process, sender, message)`` and
+    ``on_message`` for any other type.  The simulator's :class:`~repro.sim
+    .network.Network` does, and so does the runtime's token tree
+    (:class:`~repro.runtime.cluster.TokenTree`), for the same kernel.
+    """
+
+    __slots__ = ()
+
+    #: Map of message type -> handler method name, declared by subclasses.
+    _MESSAGE_HANDLERS: Dict[type, str] = {}
+    #: Message type -> handler function, built from ``_MESSAGE_HANDLERS``.
+    dispatch_table: Dict[type, Callable[[Any, int, Any], None]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.dispatch_table = {
+            message_type: getattr(cls, handler_name)
+            for message_type, handler_name in cls._MESSAGE_HANDLERS.items()
+        }
 
 
 class DagNodeCore(HandlerTable):
@@ -73,11 +101,12 @@ class DagNodeCore(HandlerTable):
 
     _MESSAGE_HANDLERS = {Request: "_handle_request", Privilege: "_handle_privilege"}
 
-    #: Observers default to "none" on the class, so a driver that never
-    #: attaches one (the asyncio runtime holds thousands of live trees) pays
-    #: no per-instance slot for them.
-    _metrics: Optional[MetricsCollector] = None
-    _trace: Optional[TraceRecorder] = None
+    #: Observers (a :class:`~repro.sim.metrics.MetricsCollector` and a
+    #: :class:`~repro.sim.trace.TraceRecorder`) default to "none" on the
+    #: class, so a driver that never attaches one (the asyncio runtime holds
+    #: thousands of live trees) pays no per-instance slot for them.
+    _metrics: Any = None
+    _trace: Any = None
 
     # Supplied by the driver, in its own slot: the simulator's Network, the
     # runtime's TokenTree, or anything else with their ``send``.
@@ -285,46 +314,3 @@ class DagNodeCore(HandlerTable):
             f"NEXT={self.next_node}, FOLLOW={self.follow}, state={self.state_name().value})"
         )
 
-
-class DagMutexNode(DagNodeCore, SimProcess):
-    """The kernel on the simulation substrate.
-
-    An instance is the kernel's slots plus ``network``, ``engine`` and the
-    network's two observers: no ``__dict__`` and no per-node table or
-    callable.  The metrics collector and trace recorder are copied from the
-    network when the node is built; an entry is reported to the network's
-    ``on_enter`` hook, which the experiment driver sets for a replay.
-
-    Args:
-        node_id: this node's identifier.
-        network: the reliable FIFO network shared by all nodes.
-        holding: whether this node initially holds the token.
-        next_node: initial ``NEXT`` value (``None`` iff ``holding``).
-    """
-
-    __slots__ = ("network", "engine", "_metrics", "_trace")
-
-    def __init__(
-        self,
-        node_id: int,
-        network: Network,
-        *,
-        holding: bool = False,
-        next_node: Optional[int] = None,
-    ) -> None:
-        DagNodeCore.__init__(self, node_id, holding=holding, next_node=next_node)
-        SimProcess.__init__(self, node_id, network)
-
-    def _enter_critical_section(self) -> None:
-        # The kernel's two lines inlined rather than called: this runs once
-        # per entry on the simulator's hot path.
-        self.in_critical_section = True
-        self.cs_entries += 1
-        now = self.engine._now  # the `now` property frame costs at this rate
-        if self._metrics is not None:
-            self._metrics.cs_entered(self.node_id, now)
-        if self._trace is not None:
-            self._trace.record(now, "cs_enter", self.node_id)
-        on_enter = self.network.on_enter
-        if on_enter is not None:
-            on_enter(self.node_id, now)

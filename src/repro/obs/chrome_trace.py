@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
+from repro.benchdoc import canonical_json
+
 #: Virtual-time scale: one simulated time unit becomes this many trace
 #: microseconds (i.e. 1 unit == 1 ms in the viewer).
 SIM_TIME_SCALE_US = 1000.0
@@ -158,8 +160,6 @@ def chrome_trace_document(
 
 def write_chrome_trace(document: Dict[str, Any], path: str) -> None:
     """Write a trace document in canonical form (byte-stable artifacts)."""
-    from repro.sweep import canonical_json
-
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(canonical_json(document))
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional, Sequence
 
+from repro.benchdoc import canonical_json
+
 OBS_SNAPSHOT_SCHEMA = "obs-snapshot/v1"
 
 
@@ -110,8 +112,6 @@ def snapshot_document(
 
 def write_snapshot(document: Dict[str, Any], path: str) -> None:
     """Write an obs document in canonical form (byte-stable artifacts)."""
-    from repro.sweep import canonical_json
-
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(canonical_json(document))
 

@@ -40,11 +40,12 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.core.recovery import regenerate_token
 from repro.exceptions import ExperimentError
 from repro.sim.engine import SimulationEngine
 from repro.sim.latency import LatencyModel
 from repro.sim.metrics import MetricsCollector
-from repro.sim.network import Network
+from repro.sim.network import Network, _describe_message
 from repro.sim.rng import SeededRNG
 from repro.sim.trace import TraceRecorder
 
@@ -54,6 +55,11 @@ _PRIVILEGE_CLASS_NAMES = frozenset(
 )
 
 FaultListener = Callable[[str, Any], None]
+
+#: Sentinel crash target: resolve "the node currently holding the token" at
+#: the crash's fire time (token-based algorithms; falls back to the
+#: topology's initial holder when the token is in flight or untracked).
+TOKEN_HOLDER = "token-holder"
 
 
 def message_kind(message_type: type) -> str:
@@ -70,14 +76,6 @@ def message_kind(message_type: type) -> str:
     if name.endswith("Request"):
         return "request"
     return "other"
-
-
-def _message_label(message: Any) -> str:
-    """Deterministic short label for a message in the fault log."""
-    describe = getattr(message, "describe", None)
-    if callable(describe):
-        return describe()
-    return type(message).__name__
 
 
 @dataclass
@@ -279,28 +277,28 @@ class FaultInjectingNetwork(Network):
             # A crashed node produces no messages.  The send is not counted as
             # protocol traffic either: the node is dead.
             log.suppressed_sends.append(
-                (self._engine.now, sender, receiver, _message_label(message))
+                (self._engine.now, sender, receiver, _describe_message(message))
             )
             self._notify("suppressed-send", kind)
             return
         if receiver in self._crashed:
             # Lost at send time; a later restart does not resurrect it.
             log.suppressed_deliveries.append(
-                (self._engine.now, sender, receiver, _message_label(message))
+                (self._engine.now, sender, receiver, _describe_message(message))
             )
             self._notify("suppressed-delivery", kind)
             return
         if kind != "other" and self._typed_budget[kind] > 0:
             self._typed_budget[kind] -= 1
             log.dropped_messages.append(
-                (self._engine.now, sender, receiver, _message_label(message))
+                (self._engine.now, sender, receiver, _describe_message(message))
             )
             self._notify("dropped", kind)
             return
         if self._drop_rate and self._drop_rng is not None:
             if self._drop_rng.random() < self._drop_rate:
                 log.dropped_messages.append(
-                    (self._engine.now, sender, receiver, _message_label(message))
+                    (self._engine.now, sender, receiver, _describe_message(message))
                 )
                 self._notify("dropped", kind)
                 return
@@ -313,7 +311,7 @@ class FaultInjectingNetwork(Network):
             partitioned = state is not None and state.partitioned
         if partitioned:
             log.partition_drops.append(
-                (self._engine.now, sender, receiver, _message_label(message))
+                (self._engine.now, sender, receiver, _describe_message(message))
             )
             self._notify("partition-drop", kind)
         elif kind == "privilege":
@@ -348,7 +346,7 @@ class FaultInjectingNetwork(Network):
         Counting it keeps ``sent == delivered + dropped + in_flight`` true,
         so ``messages_in_flight`` returns to zero once the engine is empty.
         """
-        log.append((self._engine.now, sender, receiver, _message_label(message)))
+        log.append((self._engine.now, sender, receiver, _describe_message(message)))
         self._dropped += 1
         kind = self._kind_of(type(message))
         if kind == "privilege":
@@ -451,8 +449,6 @@ class FaultController:
     # timed fault events
     # ------------------------------------------------------------------ #
     def _fire_crash(self, index: int) -> None:
-        from repro.spec import TOKEN_HOLDER
-
         crash = self.spec.crashes[index]
         target = crash.node
         if target == TOKEN_HOLDER:
@@ -567,8 +563,6 @@ class FaultController:
                 None,
             )
             return
-        from repro.core.recovery import regenerate_token
-
         # Nothing sent before this instant may ever be delivered.
         self._network.fence()
         info = regenerate_token(self._system.nodes, crashed=self._network._crashed)

@@ -9,43 +9,18 @@ so the substrate they run on is identical and the measured message counts are
 directly comparable.  A process is wired to a replay through its network
 alone: it copies the network's metrics collector and trace recorder when it
 is built and calls the network's ``on_enter`` hook when it enters its
-critical section.
+critical section.  Its delivery wiring is the kernel's
+:class:`~repro.core.node.HandlerTable`, imported from :mod:`repro.core`, the
+one layer below the simulator.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any
 
+from repro.core.node import HandlerTable
 from repro.sim.engine import SimulationEngine
 from repro.sim.network import Network
-
-
-class HandlerTable:
-    """A class-level message dispatch table, shared by every driver of a handler.
-
-    A subclass declares ``_MESSAGE_HANDLERS`` (message type -> handler method
-    name) and gets :attr:`dispatch_table` (message type -> handler function),
-    built once per class by resolving each name *on that class*, so a
-    subclass's override of a handler is what runs.  A driver calls the entry
-    for a message's type as ``handler(process, sender, message)`` and
-    ``on_message`` for any other type.  The simulator's :class:`~repro.sim
-    .network.Network` does, and so does the runtime's token tree
-    (:class:`~repro.runtime.cluster.TokenTree`), for the same kernel.
-    """
-
-    __slots__ = ()
-
-    #: Map of message type -> handler method name, declared by subclasses.
-    _MESSAGE_HANDLERS: Dict[type, str] = {}
-    #: Message type -> handler function, built from ``_MESSAGE_HANDLERS``.
-    dispatch_table: Dict[type, Callable[[Any, int, Any], None]] = {}
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        cls.dispatch_table = {
-            message_type: getattr(cls, handler_name)
-            for message_type, handler_name in cls._MESSAGE_HANDLERS.items()
-        }
 
 
 class SimProcess(HandlerTable):

@@ -41,6 +41,7 @@ from typing import (
 
 from repro.baselines.base import MutexSystem, registry
 from repro.exceptions import ExperimentError, WorkloadError
+from repro.sim.faults import TOKEN_HOLDER, FaultInjectingNetwork
 from repro.sim.latency import (
     ConstantLatency,
     ExponentialLatency,
@@ -51,6 +52,7 @@ from repro.sim.rng import SeededRNG
 from repro.sim.schedulers import SCHEDULER_MODES, unknown_scheduler_message
 from repro.topology import balanced_tree, line, random_tree, star
 from repro.topology.base import Topology
+from repro.workload.driver import ExperimentDriver
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.requests import Workload
 
@@ -306,21 +308,15 @@ class WorkloadSpec(_SpecCodec):
 LATENCY_KINDS = ("constant", "uniform", "exponential")
 
 
-#: Sentinel crash target: resolve "the node currently holding the token" at
-#: the crash's fire time (token-based algorithms; falls back to the
-#: topology's initial holder when the token is in flight or untracked).
-TOKEN_HOLDER = "token-holder"
-
-
 @dataclass(frozen=True)
 class CrashSpec(_SpecCodec):
     """One crash-stop event: kill ``node`` at virtual ``time``.
 
-    ``node`` is a node id or the :data:`TOKEN_HOLDER` sentinel, resolved when
-    the crash fires.  A crashed node neither sends nor receives; messages
-    already in flight to it are lost, and messages sent to it while down stay
-    lost even if ``restart`` later revives it (crash-stop, not pause — see
-    ``FaultInjectingNetwork.restart``).
+    ``node`` is a node id or the :data:`~repro.sim.faults.TOKEN_HOLDER`
+    sentinel, resolved when the crash fires.  A crashed node neither sends
+    nor receives; messages already in flight to it are lost, and messages
+    sent to it while down stay lost even if ``restart`` later revives it
+    (crash-stop, not pause — see ``FaultInjectingNetwork.restart``).
     """
 
     node: Union[int, str]
@@ -645,8 +641,6 @@ class ExperimentSpec(_SpecCodec):
             # A fault-carrying spec runs on the injecting network (it
             # overrides the network's one ``_deliver``).  The controller
             # arming the schedule is built by ExperimentDriver.from_spec.
-            from repro.sim.faults import FaultInjectingNetwork
-
             kwargs["network_factory"] = FaultInjectingNetwork
         return system_class(
             topology,
@@ -663,8 +657,6 @@ class ExperimentSpec(_SpecCodec):
         get their :class:`~repro.sim.faults.FaultController` armed in exactly
         one place.
         """
-        from repro.workload.driver import ExperimentDriver
-
         return ExperimentDriver.from_spec(self).run(max_events=max_events)
 
     # ------------------------------------------------------------------ #

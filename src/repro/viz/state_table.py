@@ -13,7 +13,7 @@ from typing import Dict, List, Mapping, Optional, TYPE_CHECKING
 from repro.analysis.report import format_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.core.protocol import DagMutexProtocol
+    from repro.baselines.dag_adapter import DagMutexProtocol
 
 
 def state_table_rows(protocol: "DagMutexProtocol") -> List[Dict[str, object]]:

@@ -31,17 +31,15 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Type, Union
+from typing import Any, Deque, Dict, List, Optional, Type, Union
 
 from repro.baselines.base import MutexSystem, registry
 from repro.exceptions import ExperimentError, ProtocolError, SchedulingError
+from repro.sim.faults import FaultController
 from repro.sim.latency import LatencyModel
 from repro.sim.schedulers import SCHEDULER_MODES, unknown_scheduler_message
 from repro.topology.base import Topology
 from repro.workload.requests import Workload, paused_collector
-
-if TYPE_CHECKING:
-    from repro.sim.faults import FaultController
 
 
 @dataclass
@@ -143,7 +141,7 @@ class ExperimentDriver:
         workload: Workload,
         *,
         scheduler: str = "auto",
-        faults: Optional["FaultController"] = None,
+        faults: Optional[FaultController] = None,
     ) -> None:
         if scheduler not in SCHEDULER_MODES:
             raise SchedulingError(unknown_scheduler_message(scheduler))
@@ -204,8 +202,6 @@ class ExperimentDriver:
         system = spec.build_system(topology)
         faults = None
         if spec.faults is not None:
-            from repro.sim.faults import FaultController
-
             faults = FaultController(spec.faults, name=spec.name)
         return cls(system, workload, scheduler=spec.scheduler, faults=faults)
 
@@ -455,7 +451,7 @@ class ExperimentDriver:
 
 
 def run_experiment(
-    algorithm: Union[str, Type[MutexSystem], "ExperimentSpec"],
+    algorithm: Union[str, Type[MutexSystem]],
     topology: Optional[Topology] = None,
     workload: Optional[Workload] = None,
     *,
@@ -465,40 +461,20 @@ def run_experiment(
     """Convenience wrapper: build the system, replay the workload, return results.
 
     Args:
-        algorithm: a registry name (``"dag"``, ``"raymond"``, ...), a
-            :class:`MutexSystem` subclass, or a complete
-            :class:`~repro.spec.ExperimentSpec` — in which case every other
-            argument must be left at its default (the spec already carries
-            them) and the spec is replayed as-is.
+        algorithm: a registry name (``"dag"``, ``"raymond"``, ...) or a
+            :class:`MutexSystem` subclass.
         topology: the logical topology (edges are ignored by the algorithms
             that assume a fully connected logical network).
         workload: the request schedule to replay.
         latency: optional network latency model.
         collect_metrics: attach a metrics collector to the network.
 
-    A run that needs the protocol trace builds its system with
+    A spec replays through :meth:`~repro.spec.ExperimentSpec.run`.  A run
+    that needs the protocol trace builds its system with
     ``record_trace=True`` and drives it through :class:`ExperimentDriver`.
     """
-    from repro.spec import ExperimentSpec
-
-    if isinstance(algorithm, ExperimentSpec):
-        if (
-            topology is not None
-            or workload is not None
-            or latency is not None
-            or not collect_metrics
-        ):
-            raise ExperimentError(
-                "run_experiment(spec): the spec already carries the topology, "
-                "workload, latency, trace and metrics choices; "
-                "pass only the spec (edit the spec to change them)"
-            )
-        return algorithm.run()
     if topology is None or workload is None:
-        raise ExperimentError(
-            "run_experiment needs a topology and a workload unless given an "
-            "ExperimentSpec"
-        )
+        raise ExperimentError("run_experiment needs a topology and a workload")
     system_class = registry.get(algorithm) if isinstance(algorithm, str) else algorithm
     system = system_class(
         topology,

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from repro.baselines.dag_adapter import DagSystem
-from repro.core.node import DagMutexNode
-from repro.core.protocol import DagMutexProtocol
+from repro.baselines.dag_adapter import DagMutexNode, DagMutexProtocol, DagSystem
 from repro.topology import paper_figure6_topology, star
 from repro.workload import Workload, WorkloadGenerator, run_experiment
 

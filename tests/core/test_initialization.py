@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.initialization import run_initialization
+from repro.baselines.dag_adapter import run_initialization
 from repro.exceptions import ProtocolError
 from repro.topology import balanced_tree, line, paper_figure6_topology, random_tree, star
 

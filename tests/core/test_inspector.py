@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.dag_adapter import DagMutexProtocol
 from repro.core.inspector import (
     implicit_queue,
     token_holder,
     waiting_nodes,
 )
-from repro.core.protocol import DagMutexProtocol
 from repro.exceptions import InvariantViolation
 from repro.topology import paper_figure6_topology, star
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.dag_adapter import DagMutexProtocol
 from repro.core.invariants import InvariantChecker
-from repro.core.protocol import DagMutexProtocol
 from repro.exceptions import InvariantViolation
 from repro.topology import line, star
 

@@ -6,9 +6,8 @@ import asyncio
 
 import pytest
 
-from repro.baselines.dag_adapter import DagSystem
+from repro.baselines.dag_adapter import DagMutexNode, DagSystem
 from repro.core.messages import Privilege, Request
-from repro.core.node import DagMutexNode
 from repro.core.state import NodeStateName
 from repro.exceptions import ProtocolError
 from repro.runtime.cluster import LocalCluster

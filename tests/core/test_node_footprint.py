@@ -16,8 +16,8 @@ import tracemalloc
 import pytest
 
 from repro.baselines.base import registry
+from repro.baselines.dag_adapter import DagMutexNode
 from repro.core.messages import Privilege, Request
-from repro.core.node import DagMutexNode
 from repro.spec import TopologySpec
 from repro.topology import line, star
 

@@ -11,11 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.base import MutexSystem
-from repro.baselines.dag_adapter import DagSystem
+from repro.baselines.dag_adapter import DagMutexNode, DagMutexProtocol, DagSystem
 from repro.core.inspector import implicit_queue
 from repro.core.messages import Request
-from repro.core.node import DagMutexNode
-from repro.core.protocol import DagMutexProtocol
 from repro.topology import paper_figure2_topology, paper_figure6_topology, star
 from repro.workload.driver import ExperimentDriver
 from repro.workload.requests import CSRequest, Workload

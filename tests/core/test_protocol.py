@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.protocol import DagMutexProtocol
+from repro.baselines.dag_adapter import DagMutexProtocol
 from repro.exceptions import ProtocolError
 from repro.topology import line, star
 

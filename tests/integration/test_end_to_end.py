@@ -9,8 +9,7 @@ import pytest
 from repro.analysis.comparison import compare_measured_to_theory
 from repro.analysis.report import format_table
 from repro.baselines import registry
-from repro.core.initialization import run_initialization
-from repro.core.protocol import DagMutexProtocol
+from repro.baselines.dag_adapter import DagMutexProtocol, run_initialization
 from repro.runtime import LocalCluster
 from repro.sim.latency import ExponentialLatency, UniformLatency
 from repro.sim.rng import SeededRNG

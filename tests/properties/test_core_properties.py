@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.dag_adapter import DagMutexProtocol, DagSystem
 from repro.core.inspector import implicit_queue, token_holder
-from repro.core.protocol import DagMutexProtocol
 from repro.topology.builders import line, random_tree, star
 from repro.topology.metrics import diameter
 from repro.workload.driver import ExperimentDriver
 from repro.workload.requests import CSRequest, Workload
-from repro.baselines.dag_adapter import DagSystem
 
 
 def make_topology(shape: str, n: int, seed: int, holder_index: int):

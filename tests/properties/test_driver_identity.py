@@ -15,8 +15,7 @@ import asyncio
 
 import pytest
 
-from repro.baselines.dag_adapter import DagSystem
-from repro.core.node import DagMutexNode
+from repro.baselines.dag_adapter import DagMutexNode, DagSystem
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.node_runtime import AsyncDagNode
 from repro.topology.builders import paper_figure6_topology, star

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.initialization import run_initialization
+from repro.baselines.dag_adapter import DagMutexProtocol, run_initialization
 from repro.topology.base import Topology
 from repro.topology.builders import balanced_tree, line, radiating_star, random_tree, star
 from repro.topology.metrics import diameter, eccentricity, path_between
-from repro.core.protocol import DagMutexProtocol
 
 
 topology_strategy = st.one_of(

@@ -64,8 +64,8 @@ REPLAYS = {
 PINNED = {
     ("line50-light", "object"): (1208, 1008, {
         "baselines/base.py:run": 1,
+        "baselines/dag_adapter.py:_enter_critical_section": 100,
         "core/messages.py:__init__": 911,
-        "core/node.py:_enter_critical_section": 100,
         "core/node.py:_handle_privilege": 97,
         "core/node.py:_handle_request": 911,
         "core/node.py:release_cs": 100,
@@ -125,8 +125,8 @@ PINNED = {
     }),
     ("star50-heavy", "object"): (2477, 1477, {
         "baselines/base.py:run": 1,
+        "baselines/dag_adapter.py:_enter_critical_section": 500,
         "core/messages.py:__init__": 979,
-        "core/node.py:_enter_critical_section": 500,
         "core/node.py:_handle_privilege": 498,
         "core/node.py:_handle_request": 979,
         "core/node.py:release_cs": 500,

@@ -46,7 +46,6 @@ from repro.spec import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.sim.latency import ConstantLatency
 from repro.topology import star
 from repro.workload.driver import ExperimentDriver, run_experiment
 from repro.workload.generator import WorkloadGenerator
@@ -441,15 +440,9 @@ def test_a_cell_at_the_node_threshold_runs_the_xxlarge_rounds():
     assert spec_threshold_cell == WorkloadSpec(tier="heavy", rounds=XXLARGE_HEAVY_ROUNDS)
 
 
-def test_run_experiment_accepts_a_spec():
+def test_spec_run_is_the_driver_replay():
     spec = ExperimentSpec.parse("dag", "star:20", "heavy:2")
-    direct = spec.run()
-    via_run = run_experiment(spec)
-    assert _outcome(via_run) == _outcome(direct)
-    with pytest.raises(ExperimentError, match="only the spec"):
-        run_experiment(spec, star(5))
-    with pytest.raises(ExperimentError, match="needs a topology"):
-        run_experiment("dag")
+    assert _outcome(spec.run()) == _outcome(ExperimentDriver.from_spec(spec).run())
 
 
 def test_spec_latency_and_seed_are_part_of_the_outcome():
@@ -568,14 +561,11 @@ def test_spec_shard_rejects_foreign_latency_and_trace(tmp_path):
         load_spec_shard(str(path))
 
 
-def test_run_experiment_spec_rejects_every_overriding_argument():
-    spec = ExperimentSpec.parse("dag", "star:9", "heavy:1")
-    with pytest.raises(ExperimentError, match="pass only the spec"):
-        run_experiment(spec, topology=star(9))
-    with pytest.raises(ExperimentError, match="pass only the spec"):
-        run_experiment(spec, collect_metrics=False)
-    with pytest.raises(ExperimentError, match="pass only the spec"):
-        run_experiment(spec, latency=ConstantLatency(2.0))
+def test_run_experiment_needs_a_topology_and_a_workload():
+    with pytest.raises(ExperimentError, match="needs a topology"):
+        run_experiment("dag")
+    with pytest.raises(ExperimentError, match="needs a topology"):
+        run_experiment("dag", star(9))
 
 
 def test_experiment_spec_obs_section_round_trips():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.dag_adapter import DagMutexProtocol
 from repro.exceptions import TopologyError
 from repro.topology.base import Topology
 from repro.topology.builders import (
@@ -16,7 +17,6 @@ from repro.topology.builders import (
     star,
 )
 from repro.topology.metrics import diameter
-from repro.core.protocol import DagMutexProtocol
 
 
 def test_line_shape():

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.protocol import DagMutexProtocol
+from repro.baselines.dag_adapter import DagMutexProtocol
 from repro.topology import paper_figure6_topology
 from repro.viz.state_table import render_state_table, state_table_rows
 
