@@ -34,7 +34,7 @@ import time
 
 from repro.exceptions import LockFencedError
 from repro.runtime import LockClient, LockServiceCluster
-from repro.spec import RuntimeFaultSpec, RuntimeSpec, ShardCrashSpec, TopologySpec
+from repro.spec_base import RuntimeFaultSpec, RuntimeSpec, ShardCrashSpec, TopologySpec
 
 SESSIONS = 32
 OPS_PER_SESSION = 12

@@ -29,7 +29,7 @@ import time
 from repro.obs.chrome_trace import chrome_trace_document, runtime_span_events, write_chrome_trace
 from repro.obs.snapshot import fairness_summary
 from repro.runtime import LockClient, LockServiceCluster
-from repro.spec import ObsSpec, RuntimeSpec, TopologySpec
+from repro.spec_base import ObsSpec, RuntimeSpec, TopologySpec
 
 SESSIONS = 12
 OPS_PER_SESSION = 6

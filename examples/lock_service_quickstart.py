@@ -22,7 +22,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.runtime import LockClient, LockServiceCluster
-from repro.spec import RuntimeSpec, TopologySpec
+from repro.spec_base import RuntimeSpec, TopologySpec
 
 SESSIONS = 40
 INCREMENTS_PER_SESSION = 10

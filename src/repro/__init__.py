@@ -11,24 +11,27 @@ statement in the package:
 3. :mod:`repro.sim` — discrete-event simulation substrate (engine, FIFO
    network, metrics, tracing, fault injection);
 4. :mod:`repro.topology` — logical tree topologies and their metrics;
-5. :mod:`repro.baselines` — the algorithms of Chapter 2 plus a centralized
+5. :mod:`repro.spec_base` — the spec codec, and the specs the live service
+   reads (:class:`~repro.spec_base.RuntimeSpec` and those it holds);
+6. :mod:`repro.baselines` — the algorithms of Chapter 2 plus a centralized
    coordinator, and the DAG kernel bound to the simulator, all on the same
    substrate;
-6. :mod:`repro.workload` — request workload generation and the experiment
+7. :mod:`repro.workload` — request workload generation and the experiment
    driver;
-7. :mod:`repro.spec` — declarative, JSON-round-trippable experiment
+8. :mod:`repro.spec` — declarative, JSON-round-trippable experiment
    specifications (:class:`~repro.spec.ExperimentSpec`), the canonical way to
    describe and ship a run;
-8. :mod:`repro.cells`, :mod:`repro.analysis` (closed-form bounds from
+9. :mod:`repro.cells`, :mod:`repro.analysis` (closed-form bounds from
    Chapter 6 and measured-vs-theory comparison) and :mod:`repro.obs`
    (observability documents);
-9. :mod:`repro.bench`, :mod:`repro.sweep`, :mod:`repro.viz` (ASCII rendering
-   of topologies and state tables) and :mod:`repro.runtime` (an asyncio
-   runtime and the ``DistributedLock`` API);
-10. :mod:`repro.cli`.
+10. :mod:`repro.bench`, :mod:`repro.sweep`, :mod:`repro.viz` (ASCII rendering
+    of topologies and state tables) and :mod:`repro.runtime` (an asyncio
+    runtime and the ``DistributedLock`` API);
+11. :mod:`repro.cli`.
 
-The names in ``__all__`` are imported on first use (a PEP 562 module
-``__getattr__``), so importing a submodule loads no other layer.
+The names in ``__all__``, and those of :mod:`repro.sim`, :mod:`repro.obs` and
+:mod:`repro.runtime`, are imported on first use (a PEP 562 ``__getattr__``),
+so importing a submodule loads only what it imports itself.
 
 Quickstart::
 
@@ -53,10 +56,10 @@ _EXPORTS = {
     "Privilege": "repro.core.messages",
     "InvariantChecker": "repro.core.invariants",
     "ExperimentSpec": "repro.spec",
-    "TopologySpec": "repro.spec",
+    "TopologySpec": "repro.spec_base",
     "WorkloadSpec": "repro.spec",
     "LatencySpec": "repro.spec",
-    "ObsSpec": "repro.spec",
+    "ObsSpec": "repro.spec_base",
     "Topology": "repro.topology.base",
     "line": "repro.topology.builders",
     "star": "repro.topology.builders",
@@ -68,10 +71,19 @@ _EXPORTS = {
 __all__ = ["__version__", *_EXPORTS]
 
 
-def __getattr__(name):
-    """Import a public name's module the first time the name is used."""
-    if name not in _EXPORTS:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    value = getattr(importlib.import_module(_EXPORTS[name]), name)
-    globals()[name] = value
-    return value
+def _resolver(namespace, exports):
+    """The PEP 562 ``__getattr__`` of every package ``__init__`` with public
+    names: the first use of a name imports its module (``exports[name]``) and
+    keeps the value in ``namespace``, the package's globals."""
+
+    def __getattr__(name):
+        if name not in exports:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(exports[name]), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _resolver(globals(), _EXPORTS)

@@ -9,7 +9,7 @@ It is written down once, here: a :class:`Cell` is a committed name plus the
 the table.  ``repro.bench`` and ``repro.sweep`` import this module; it
 imports neither.  The live service's cells are the runtime's
 (:func:`repro.runtime.lockbench.lockbench_matrix`, a name plus a
-:class:`~repro.spec.RuntimeSpec`).
+:class:`~repro.spec_base.RuntimeSpec`).
 
 Cell definitions are frozen: names key the committed ``BENCH_*.json`` rows
 and the sweep derives each workload seed from the cell name
@@ -27,13 +27,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from repro.baselines import registry
 from repro import spec as spec_module
 from repro.exceptions import WorkloadError
-from repro.spec import (
-    FAULT_PROFILES,
-    XXLARGE_HEAVY_ROUNDS,
-    ExperimentSpec,
-    TopologySpec,
-    WorkloadSpec,
-)
+from repro.spec import FAULT_PROFILES, XXLARGE_HEAVY_ROUNDS, ExperimentSpec, WorkloadSpec
+from repro.spec_base import TopologySpec
 
 
 @dataclass(frozen=True)

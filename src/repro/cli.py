@@ -618,8 +618,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         sample_every = spec.obs.sample_every if spec.obs is not None else 1
         registry_ = MetricsRegistry(enabled=True, sample_every=sample_every)
 
+    driver = ExperimentDriver.from_spec(spec)  # a spec it refuses is bad input: exit 2
     try:
-        driver = ExperimentDriver.from_spec(spec)
         if registry_ is not None:
             driver.system.engine.register_metrics(registry_)
         result = driver.run(max_events=args.max_events)

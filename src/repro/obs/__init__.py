@@ -20,42 +20,26 @@ visibility in wall time.  This package is the shared instrumentation layer:
   ``trace_event`` JSON viewable in ``chrome://tracing`` / Perfetto.
 """
 
-from repro.obs.chrome_trace import (
-    chrome_trace_document,
-    runtime_span_events,
-    sim_trace_events,
-    write_chrome_trace,
-)
-from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS_MS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-)
-from repro.obs.snapshot import (
-    OBS_SNAPSHOT_SCHEMA,
-    fairness_summary,
-    merge_registry_snapshots,
-    quantile,
-    snapshot_document,
-    write_snapshot,
-)
+import repro
 
-__all__ = [
-    "DEFAULT_LATENCY_BUCKETS_MS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_REGISTRY",
-    "OBS_SNAPSHOT_SCHEMA",
-    "chrome_trace_document",
-    "fairness_summary",
-    "merge_registry_snapshots",
-    "quantile",
-    "runtime_span_events",
-    "sim_trace_events",
-    "snapshot_document",
-    "write_chrome_trace",
-    "write_snapshot",
-]
+#: Each public name -> the module that defines it.
+_EXPORTS = {
+    "DEFAULT_LATENCY_BUCKETS_MS": "repro.obs.registry",
+    "Gauge": "repro.obs.registry",
+    "Histogram": "repro.obs.registry",
+    "MetricsRegistry": "repro.obs.registry",
+    "NULL_REGISTRY": "repro.obs.registry",
+    "OBS_SNAPSHOT_SCHEMA": "repro.obs.snapshot",
+    "chrome_trace_document": "repro.obs.chrome_trace",
+    "fairness_summary": "repro.obs.snapshot",
+    "merge_registry_snapshots": "repro.obs.snapshot",
+    "quantile": "repro.obs.snapshot",
+    "runtime_span_events": "repro.obs.chrome_trace",
+    "sim_trace_events": "repro.obs.chrome_trace",
+    "snapshot_document": "repro.obs.snapshot",
+    "write_chrome_trace": "repro.obs.chrome_trace",
+    "write_snapshot": "repro.obs.snapshot",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = repro._resolver(globals(), _EXPORTS)

@@ -20,49 +20,30 @@ See ``examples/distributed_counter.py`` and
 ``examples/lock_service_quickstart.py`` for complete programs.
 """
 
-from repro.runtime.cluster import LocalCluster
-from repro.runtime.failover import (
-    ClusterSupervisor,
-    ClusterView,
-    FailoverEvent,
-    owner_for_key,
-)
-from repro.runtime.lock import DistributedLock
-from repro.runtime.lockbench import (
-    LockBenchCell,
-    LockProbe,
-    lockbench_cell,
-    lockbench_matrix,
-    run_lockbench,
-    run_lockbench_scenario,
-)
-from repro.runtime.node_runtime import AsyncDagNode
-from repro.runtime.service import (
-    LockClient,
-    LockServiceCluster,
-    LockServiceShard,
-    LockSession,
-)
-from repro.runtime.transport import Envelope, InMemoryTransport
+import repro
 
-__all__ = [
-    "Envelope",
-    "InMemoryTransport",
-    "AsyncDagNode",
-    "LocalCluster",
-    "DistributedLock",
-    "LockClient",
-    "LockServiceCluster",
-    "LockServiceShard",
-    "LockSession",
-    "owner_for_key",
-    "ClusterSupervisor",
-    "ClusterView",
-    "FailoverEvent",
-    "LockBenchCell",
-    "LockProbe",
-    "lockbench_cell",
-    "lockbench_matrix",
-    "run_lockbench",
-    "run_lockbench_scenario",
-]
+#: Each public name -> the module that defines it.
+_EXPORTS = {
+    "Envelope": "repro.runtime.transport",
+    "InMemoryTransport": "repro.runtime.transport",
+    "AsyncDagNode": "repro.runtime.node_runtime",
+    "LocalCluster": "repro.runtime.cluster",
+    "DistributedLock": "repro.runtime.lock",
+    "LockClient": "repro.runtime.service",
+    "LockServiceCluster": "repro.runtime.service",
+    "LockServiceShard": "repro.runtime.service",
+    "LockSession": "repro.runtime.service",
+    "owner_for_key": "repro.runtime.failover",
+    "ClusterSupervisor": "repro.runtime.failover",
+    "ClusterView": "repro.runtime.failover",
+    "FailoverEvent": "repro.runtime.failover",
+    "LockBenchCell": "repro.runtime.lockbench",
+    "LockProbe": "repro.runtime.lockbench",
+    "lockbench_cell": "repro.runtime.lockbench",
+    "lockbench_matrix": "repro.runtime.lockbench",
+    "run_lockbench": "repro.runtime.lockbench",
+    "run_lockbench_scenario": "repro.runtime.lockbench",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = repro._resolver(globals(), _EXPORTS)

@@ -39,7 +39,7 @@ from repro.obs.snapshot import fairness_summary, quantile
 from repro.runtime.failover import failover_spans
 from repro.runtime.service import LockClient, LockServiceCluster
 from repro.sim.rng import SeededRNG
-from repro.spec import ObsSpec, RuntimeFaultSpec, RuntimeSpec, ShardCrashSpec, TopologySpec
+from repro.spec_base import ObsSpec, RuntimeFaultSpec, RuntimeSpec, ShardCrashSpec, TopologySpec
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class LockProbe:
 @dataclass(frozen=True)
 class LockBenchCell:
     """One cell of the lock-service matrix: a committed name, the one
-    :class:`~repro.spec.RuntimeSpec` the service is stood up from (shards,
+    :class:`~repro.spec_base.RuntimeSpec` the service is stood up from (shards,
     per-key token tree, socket family, faults, obs), and the probe."""
 
     name: str

@@ -2,7 +2,7 @@
 
 The multi-lock namespace the ROADMAP calls the "millions of users" story made
 literal: every lock *key* is its own little mutual-exclusion problem, solved
-by its own DAG token tree (shaped by the same :class:`~repro.spec.TopologySpec`
+by its own DAG token tree (shaped by the same :class:`~repro.spec_base.TopologySpec`
 names the simulator uses), and the key namespace is consistent-hashed across
 ``shards`` worker processes.  Client sessions speak length-prefixed frames
 (the :mod:`repro.runtime.transport_socket` wire format) over unix or TCP
@@ -126,7 +126,7 @@ from repro.runtime.transport_socket import (
     start_frame_server,
 )
 from repro.sim.rng import SeededRNG
-from repro.spec import RuntimeSpec
+from repro.spec_base import RuntimeSpec
 from repro.topology.base import Topology
 
 __all__ = [

@@ -17,33 +17,25 @@ provides that substrate:
   the paper's worked examples.
 """
 
-from repro.sim.engine import SimulationEngine
-from repro.sim.latency import (
-    ConstantLatency,
-    ExponentialLatency,
-    LatencyModel,
-    UniformLatency,
-)
-from repro.sim.metrics import CriticalSectionRecord, MetricsCollector
-from repro.sim.network import Network
-from repro.sim.process import SimProcess
-from repro.sim.rng import SeededRNG
-from repro.sim.schedulers import SCHEDULER_MODES, make_scheduler
-from repro.sim.trace import TraceEvent, TraceRecorder
+import repro
 
-__all__ = [
-    "SimulationEngine",
-    "SCHEDULER_MODES",
-    "make_scheduler",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "ExponentialLatency",
-    "Network",
-    "SimProcess",
-    "MetricsCollector",
-    "CriticalSectionRecord",
-    "TraceRecorder",
-    "TraceEvent",
-    "SeededRNG",
-]
+#: Each public name -> the module that defines it.
+_EXPORTS = {
+    "SimulationEngine": "repro.sim.engine",
+    "SCHEDULER_MODES": "repro.sim.schedulers",
+    "make_scheduler": "repro.sim.schedulers",
+    "LatencyModel": "repro.sim.latency",
+    "ConstantLatency": "repro.sim.latency",
+    "UniformLatency": "repro.sim.latency",
+    "ExponentialLatency": "repro.sim.latency",
+    "Network": "repro.sim.network",
+    "SimProcess": "repro.sim.process",
+    "MetricsCollector": "repro.sim.metrics",
+    "CriticalSectionRecord": "repro.sim.metrics",
+    "TraceRecorder": "repro.sim.trace",
+    "TraceEvent": "repro.sim.trace",
+    "SeededRNG": "repro.sim.rng",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = repro._resolver(globals(), _EXPORTS)

@@ -354,6 +354,17 @@ class FaultInjectingNetwork(Network):
         self._notify(category, kind)
 
 
+def refuse_foreign_targets(spec, topology) -> None:
+    """Refuse a :class:`~repro.spec.FaultSpec` that crashes or partitions a
+    node ``topology`` does not have (a ``TOKEN_HOLDER`` crash names none)."""
+    n = topology.size
+    targets = [("crash", crash.node) for crash in spec.crashes if crash.node != TOKEN_HOLDER]
+    targets += [("partition", end) for window in spec.partitions for end in (window.a, window.b)]
+    for kind, node in targets:
+        if not 1 <= node <= n:
+            raise ExperimentError(f"{kind} targets node {node} but the topology has nodes 1..{n}")
+
+
 class FaultController:
     """Arms a :class:`~repro.spec.FaultSpec` onto a built system.
 

@@ -35,7 +35,7 @@ from typing import Any, Deque, Dict, List, Optional, Type, Union
 
 from repro.baselines.base import MutexSystem, registry
 from repro.exceptions import ExperimentError, ProtocolError, SchedulingError
-from repro.sim.faults import FaultController
+from repro.sim.faults import FaultController, refuse_foreign_targets
 from repro.sim.latency import LatencyModel
 from repro.sim.schedulers import SCHEDULER_MODES, unknown_scheduler_message
 from repro.topology.base import Topology
@@ -193,7 +193,8 @@ class ExperimentDriver:
         armed when :meth:`run` starts — named after the spec, not after
         whatever row the caller files the result under, so a sweep cell and
         a ``repro run --spec`` replay of its exported shard inject the same
-        fault stream.
+        fault stream.  A crash or partition of a node the topology does not
+        have is refused here, before anything runs.
         """
         if topology is None:
             topology = spec.topology.build()
@@ -202,6 +203,7 @@ class ExperimentDriver:
         system = spec.build_system(topology)
         faults = None
         if spec.faults is not None:
+            refuse_foreign_targets(spec.faults, topology)
             faults = FaultController(spec.faults, name=spec.name)
         return cls(system, workload, scheduler=spec.scheduler, faults=faults)
 

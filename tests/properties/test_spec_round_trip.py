@@ -1,7 +1,7 @@
 """Every spec class round-trips through its JSON form, whatever its fields hold.
 
 A spec's JSON form is its dataclass fields, written and read by one codec
-(``repro.spec``).  The property: for any instance a constructor accepts —
+(``repro.spec_base``).  The property: for any instance a constructor accepts —
 so ``__post_init__`` holds — ``from_dict(to_dict(s)) == s`` and
 ``from_json(canonical_json(s)) == s``, and the canonical text is a fixed
 point.  Instances are drawn through the constructors, never from dicts, so
@@ -15,7 +15,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import spec as spec_module
+from repro import spec as spec_module, spec_base
 from repro.baselines import registry
 from repro.sim.schedulers import SCHEDULER_MODES
 from repro.spec import (
@@ -192,10 +192,11 @@ STRATEGIES = {
 
 
 def test_every_spec_class_has_a_strategy():
+    modules = (spec_module, spec_base)
     declared = {
-        value for value in vars(spec_module).values()
+        value for module in modules for value in vars(module).values()
         if isinstance(value, type) and dataclasses.is_dataclass(value)
-        and value.__module__ == spec_module.__name__
+        and value.__module__ in {module.__name__ for module in modules}
     }
     assert declared == set(STRATEGIES)
 

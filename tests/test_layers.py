@@ -29,6 +29,7 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("core",),
     ("sim",),
     ("topology",),
+    ("spec_base",),
     ("baselines",),
     ("workload",),
     ("spec",),
@@ -153,3 +154,14 @@ def test_importing_a_module_loads_no_layer_above_it():
     snapshot = _loaded_by("repro.obs.snapshot")
     assert "repro.obs.snapshot" in snapshot
     assert not {_top(name) for name in snapshot} & {"spec", "baselines"}, sorted(snapshot)
+
+    # A package __init__ loads none of its submodules.
+    assert _loaded_by("repro.sim.rng") == {"repro", "repro.sim", "repro.sim.rng"}
+
+    # The live service loads no simulator: its spec lives in spec_base.
+    simulator = {"repro.spec", "repro.sim.engine", "repro.sim.network", "repro.sim.faults"}
+    for module in ("repro.runtime.service", "repro.runtime.lockbench"):
+        loaded = _loaded_by(module)
+        assert module in loaded
+        assert not {_top(name) for name in loaded} & {"baselines", "workload"}, sorted(loaded)
+        assert not loaded & simulator, sorted(loaded & simulator)

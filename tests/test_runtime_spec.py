@@ -48,7 +48,7 @@ def test_canonical_json_is_stable():
 
 
 def test_validation_rejects_bad_fields():
-    with pytest.raises(ExperimentError, match="unknown algorithm"):
+    with pytest.raises(ExperimentError, match="'dag' algorithm only"):
         RuntimeSpec(algorithm="nope")
     with pytest.raises(ExperimentError, match="'dag' algorithm only"):
         RuntimeSpec(algorithm="lamport")

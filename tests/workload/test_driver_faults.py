@@ -98,6 +98,31 @@ def test_requests_arriving_at_a_crashed_node_are_counted_lost():
     assert result.fault_summary["lost_requests"] > 0
 
 
+@pytest.mark.parametrize(
+    "kind, faults, node",
+    [
+        ("crash", {"crashes": [{"node": 999, "time": 1.0}]}, 999),
+        ("crash", {"crashes": [{"node": -1, "time": 1.0}]}, -1),
+        ("partition", {"partitions": [{"a": 1, "b": 999, "start": 1.0}]}, 999),
+    ],
+    ids=["crash-999", "crash-negative", "partition-999"],
+)
+def test_a_fault_naming_no_node_of_the_topology_is_refused(capsys, tmp_path, kind, faults, node):
+    """Such a fault used to run, and the summary reported it as injected."""
+    from repro.cli import main
+    from repro.exceptions import ExperimentError
+    from repro.spec import FaultSpec
+
+    spec = fault_spec(faults=FaultSpec.from_dict(faults), n=10)
+    message = f"{kind} targets node {node} but the topology has nodes 1..10"
+    with pytest.raises(ExperimentError, match=message.replace(".", r"\.")):
+        ExperimentDriver.from_spec(spec)
+    path = tmp_path / "spec.json"
+    spec.save(str(path))
+    assert main(["run", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # --------------------------------------------------------------------------- #
 # recovery end to end
 # --------------------------------------------------------------------------- #
